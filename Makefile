@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke chaos-soak bench
+.PHONY: build test race lint fuzz-smoke chaos-soak bench bench-repo bench-compare
 
 build:
 	$(GO) build ./...
@@ -44,8 +44,20 @@ bench:
 	$(GO) run ./cmd/teleport-bench $(BENCH_FLAGS) -bench-out $(BENCH_OUT) \
 		$(if $(BENCH_BASELINE),-bench-baseline $(BENCH_BASELINE))
 
-# Short fuzz pass over the §6 resident-page-list codec; CI runs this on
-# every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
+# The repository benchmark (benchmark/README.md): every workload, ten
+# rounds, a traced round and the per-layer probes, with the simulated
+# results checked against benchmark/golden.json. bench-compare prints a
+# verdict per workload × metric for result file B against A.
+bench-repo:
+	$(GO) run ./benchmark -seed 1 -out benchmark/out/result.json
+
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
+
+# Short fuzz pass over the §6 resident-page-list codec and the compute
+# cache's run emitter; CI runs this on every push, longer runs are manual
+# (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalResident -fuzztime=10s ./internal/netmodel
+	$(GO) test -run=^$$ -fuzz=FuzzCacheRuns -fuzztime=10s ./internal/ddc

@@ -7,7 +7,6 @@ import (
 	"teleport/internal/core"
 	"teleport/internal/ddc"
 	"teleport/internal/hw"
-	"teleport/internal/mem"
 	"teleport/internal/netmodel"
 	"teleport/internal/sim"
 	"teleport/internal/tpch"
@@ -86,19 +85,11 @@ func figRLE(opts Options) *Table {
 	outs := parmap(opts, jobs)
 	for i, frac := range fracs {
 		out := outs[i]
-		var entries []netmodel.PageEntry
-		out.Proc.Cache.Range(func(pg mem.PageID, writable, _ bool) bool {
-			entries = append(entries, netmodel.PageEntry{ID: uint64(pg), Writable: writable})
-			return true
-		})
-		runs, err := netmodel.EncodeRuns(entries)
-		if err != nil {
-			panic(err)
-		}
-		raw := netmodel.RawListWireSize(len(entries))
-		rle := netmodel.RunsWireSize(runs)
+		resident := out.Proc.Cache.Len()
+		raw := netmodel.RawListWireSize(resident)
+		rle := netmodel.RunsWireSize(out.Proc.Cache.AppendRuns(nil))
 		t.AddRow(fmt.Sprintf("%.0f%%", frac*100),
-			fmt.Sprintf("%d", len(entries)),
+			fmt.Sprintf("%d", resident),
 			fmt.Sprintf("%d", raw),
 			fmt.Sprintf("%d", rle),
 			fx(float64(raw)/float64(rle)))

@@ -31,6 +31,112 @@ func BenchmarkPushdownSetup(b *testing.B) {
 	}
 }
 
+// setupFixture is the repo benchmark's pushdown shape: an array of
+// arrayPages pages written once from the compute side through a cache of
+// resident pages, so every call ships a full, dirty, writable resident list.
+type setupFixture struct {
+	p     *ddc.Process
+	rt    *Runtime
+	th    *sim.Thread
+	env   *ddc.Env // compute side
+	array mem.Addr
+	x     uint64
+}
+
+func newSetupFixture(arrayPages, resident int) *setupFixture {
+	m := ddc.MustMachine(ddc.BaseDDC(int64(resident) * mem.PageSize))
+	p := m.NewProcess()
+	f := &setupFixture{p: p, rt: NewRuntime(p, 1), th: sim.NewThread("bench"), x: 1}
+	f.array = p.Space.AllocPages(int64(arrayPages)*mem.PageSize, "array")
+	f.env = p.NewEnv(f.th)
+	for pg := 0; pg < arrayPages; pg++ {
+		f.env.WriteI64(f.array+mem.Addr(pg)*mem.PageSize, int64(pg))
+	}
+	return f
+}
+
+// call pushes down a function touching four random words of the array, one
+// per quarter. A writing call's stores are read back from the compute side
+// afterwards, which refills the cache with the pages the call took away.
+func (f *setupFixture) call(tb testing.TB, arrayPages int, write bool) {
+	quarter := uint64(arrayPages) * mem.PageSize / 8 / 4
+	var addrs [4]mem.Addr
+	for j := range addrs {
+		f.x = f.x*6364136223846793005 + 1
+		addrs[j] = f.array + mem.Addr(uint64(j)*quarter+(f.x>>11)%quarter)*8
+	}
+	_, err := f.rt.Pushdown(f.th, func(env *ddc.Env) {
+		for _, a := range addrs {
+			if write {
+				env.WriteI64(a, 1)
+			} else {
+				env.ReadI64(a)
+			}
+		}
+	}, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if write {
+		for _, a := range addrs {
+			f.env.ReadI64(a)
+		}
+	}
+}
+
+// BenchmarkPushdownSetup1500 is BenchmarkPushdownSetup with the resident set
+// the name promises: a 1 792-page array behind a 1 500-page dirty cache, so
+// the resident list, its encoding and the temporary page table's
+// invalidation are all in the measurement.
+func BenchmarkPushdownSetup1500(b *testing.B) {
+	for _, write := range []bool{false, true} {
+		name := "ro"
+		if write {
+			name = "rw"
+		}
+		b.Run(name, func(b *testing.B) {
+			f := newSetupFixture(1792, 1500)
+			f.call(b, 1792, write)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.call(b, 1792, write)
+			}
+		})
+	}
+}
+
+// TestPushdownSetupAllocsFlat gates the set-up path's allocations: a warm
+// call allocates the same small number of objects at 64 and at 1 500
+// resident pages, and only a few KB at 1 500 — nothing per resident page.
+func TestPushdownSetupAllocsFlat(t *testing.T) {
+	measure := func(arrayPages, resident int) (allocs, bytes float64) {
+		f := newSetupFixture(arrayPages, resident)
+		f.call(t, arrayPages, false)
+		f.call(t, arrayPages, false)
+		if got := f.p.Cache.Len(); got != resident {
+			t.Fatalf("fixture has %d resident pages, want %d", got, resident)
+		}
+		allocs = testing.AllocsPerRun(50, func() { f.call(t, arrayPages, false) })
+		const rounds = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			f.call(t, arrayPages, false)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	small, _ := measure(80, 64)
+	large, largeBytes := measure(1792, 1500)
+	if small != large || large > 16 {
+		t.Errorf("warm call allocates %.0f objects at 64 resident pages and %.0f at 1500; want equal and at most 16", small, large)
+	}
+	if largeBytes >= 4<<10 {
+		t.Errorf("warm call at 1500 resident pages allocates %.0f B; want under 4 KB", largeBytes)
+	}
+}
+
 // BenchmarkJournalCapture measures pre-image capture across pushdown calls
 // that each dirty many pages — the crash-consistency hot path the buffer
 // pool exists for.

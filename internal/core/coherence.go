@@ -87,7 +87,7 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		return
 	}
 
-	tt := ps.temp
+	tt := &ps.temp
 	present, writable := tt.peek(pg)
 	if present && (!write || writable) {
 		// Permission hit. Line 14–15 still applies: the page itself may

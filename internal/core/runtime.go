@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 
 	"teleport/internal/ddc"
 	"teleport/internal/hw"
@@ -30,7 +29,8 @@ const (
 
 // Func is a pushed-down function. It runs in the memory pool inside a
 // temporary user context that shares the caller's address space: any address
-// the caller could dereference, fn can too (§3.1).
+// the caller could dereference, fn can too (§3.1). env belongs to the
+// temporary context and must not be used after the function returns.
 type Func func(env *ddc.Env)
 
 // Runtime is the TELEPORT instance pair of one process: the compute-kernel
@@ -87,10 +87,45 @@ type Runtime struct {
 	brStreak   int      // consecutive recoverable failures while closed
 	brOpenedAt sim.Time // when the breaker last opened
 
-	// journalBufs recycles undo-journal pre-image buffers across pushdown
-	// calls (host-side allocation control only; no simulated effect).
+	// Host-side storage recycled across calls (allocation control only; no
+	// simulated effect). push is the coherence state ps points at while
+	// calls are in flight and hooks its compute-side fault handlers; scratch
+	// pools the working storage of calls not in flight; journalBufs recycles
+	// undo-journal pre-image buffers. wire, argZero and usableAt are
+	// transient buffers, never held across a point where the thread yields.
+	push        pushState
+	hooks       pushHooks
+	scratch     []*callScratch
 	journalBufs pagePool
+	wire        []byte
+	argZero     []byte
+	usableAt    []sim.Time
 }
+
+// callScratch is the host-side working storage one call needs from request
+// construction to completion. Calls overlap — a caller parks in the fabric
+// and the workqueue while other threads start their own — so each takes a
+// scratch from the Runtime's pool for its duration, and steady state
+// allocates none however many contexts run.
+type callScratch struct {
+	// runs is the resident list snapshotted at request construction; context
+	// setup applies the same snapshot after the request and queue delays.
+	runs  []netmodel.PageRun
+	pager memPager
+	env   *ddc.Env // the temporary context's environment, recycled per call
+}
+
+func (r *Runtime) getScratch() *callScratch {
+	n := len(r.scratch)
+	if n == 0 {
+		return &callScratch{}
+	}
+	scr := r.scratch[n-1]
+	r.scratch = r.scratch[:n-1]
+	return scr
+}
+
+func (r *Runtime) putScratch(scr *callScratch) { r.scratch = append(r.scratch, scr) }
 
 type waiter struct {
 	t         *sim.Thread
@@ -104,7 +139,7 @@ type waiter struct {
 // §3.2).
 type pushState struct {
 	rt   *Runtime
-	temp *tempTable
+	temp tempTable
 	refs int
 	pso  bool
 }
@@ -169,7 +204,7 @@ func NewRuntime(p *ddc.Process, contexts int) *Runtime {
 	if contexts < 1 {
 		contexts = 1
 	}
-	return &Runtime{
+	r := &Runtime{
 		P:                p,
 		Contexts:         contexts,
 		TiebreakWait:     15 * sim.Microsecond,
@@ -177,6 +212,10 @@ func NewRuntime(p *ddc.Process, contexts int) *Runtime {
 		CtxSwitchPenalty: 0.05,
 		Breaker:          DefaultBreaker(),
 	}
+	r.push.rt = r
+	r.push.temp.reset()
+	r.hooks.ps = &r.push
+	return r
 }
 
 // Stats returns the aggregate runtime statistics.
@@ -218,52 +257,45 @@ func (r *Runtime) poolDownAt(ts sim.Time) (recoverAt sim.Time, down bool) {
 // the call's writes could not commit. Either way the gate records the
 // earliest heal that unblocks the working set, so the retry policy can wait
 // for it instead of blind backoff. Free on single-shard pools.
-func (r *Runtime) shardGate(t *sim.Thread, entries []netmodel.PageEntry) error {
+func (r *Runtime) shardGate(t *sim.Thread, runs []netmodel.PageRun) error {
 	m := r.P.M
 	k := m.Cfg.Shards()
-	if k <= 1 || len(entries) == 0 {
+	if k <= 1 || len(runs) == 0 {
 		return nil
 	}
 	now := t.Now()
-	// Resolve each shard's compute-side usability once; the entries stripe
+	// Resolve each shard's compute-side usability once; the pages stripe
 	// across all of them. usableAt folds the crash and link-partition
 	// schedules: a shard that is up but partitioned is as unusable as a
 	// crashed one.
-	usableAt := make([]sim.Time, k)
+	usableAt := r.usableAt[:0]
 	for s := 0; s < k; s++ {
-		usableAt[s] = m.ShardUsableAt(s, now)
+		usableAt = append(usableAt, m.ShardUsableAt(s, now))
 	}
+	r.usableAt = usableAt
 	reps := m.Cfg.EffReplicas()
 	w := m.Cfg.EffWriteQuorum()
-	heals := make([]sim.Time, 0, reps)
 	var downWait, quorumWait sim.Time
-	for _, e := range entries {
-		primary := ddc.ShardOf(mem.PageID(e.ID), k)
-		usable := 0
-		heals = heals[:0]
-		for i := 0; i < reps; i++ {
-			if at := usableAt[(primary+i)%k]; at == now {
-				usable++
-			} else {
-				heals = append(heals, at)
+	for _, run := range runs {
+		for pg := run.Start; pg < run.Start+uint64(run.Count); pg++ {
+			primary := ddc.ShardOf(mem.PageID(pg), k)
+			member := func(i int) sim.Time { return usableAt[(primary+i)%k] }
+			usable := usableMembers(reps, w, now, member)
+			switch {
+			case usable >= w:
+			case usable == 0:
+				// The whole replica set is unreachable: the earliest
+				// member heal unblocks the page.
+				if wake := nthHeal(reps, 1, now, member); downWait == 0 || wake < downWait {
+					downWait = wake
+				}
+			default:
+				// Below the write quorum: quorum is restored once W−usable
+				// more members heal.
+				if wake := nthHeal(reps, w-usable, now, member); quorumWait == 0 || wake < quorumWait {
+					quorumWait = wake
+				}
 			}
-		}
-		if usable >= w {
-			continue
-		}
-		sort.Slice(heals, func(i, j int) bool { return heals[i] < heals[j] })
-		if usable == 0 {
-			// The whole replica set is unreachable: the earliest
-			// member heal unblocks the page.
-			if downWait == 0 || heals[0] < downWait {
-				downWait = heals[0]
-			}
-			continue
-		}
-		// Below the write quorum: quorum is restored once W−usable more
-		// members heal.
-		if wake := heals[w-usable-1]; quorumWait == 0 || wake < quorumWait {
-			quorumWait = wake
 		}
 	}
 	if downWait > 0 {
@@ -283,6 +315,47 @@ func (r *Runtime) shardGate(t *sim.Thread, entries []netmodel.PageEntry) error {
 	return nil
 }
 
+// usableMembers counts the members i < reps of a replica set that are usable
+// at now (member(i) == now), stopping at w: that many make a write quorum and
+// no caller needs to know of more.
+func usableMembers(reps, w int, now sim.Time, member func(i int) sim.Time) int {
+	usable := 0
+	for i := 0; i < reps && usable < w; i++ {
+		if member(i) == now {
+			usable++
+		}
+	}
+	return usable
+}
+
+// nthHeal returns the n-th smallest (n ≥ 1, ties counted) of a replica
+// set's heal times — the members i < reps whose usable-at instant member(i)
+// lies after now — that is, when the n-th of the currently unusable members
+// is back. Replica sets are tiny and a page below quorum is rare, so it
+// selects by repeated minimum rather than collecting and sorting: no storage,
+// whatever the replication factor.
+func nthHeal(reps, n int, now sim.Time, member func(i int) sim.Time) sim.Time {
+	at := now // heals at or before this instant are already counted
+	for seen := 0; seen < n; {
+		var next sim.Time
+		ties := 0
+		for i := 0; i < reps; i++ {
+			switch h := member(i); {
+			case h <= at:
+			case ties == 0 || h < next:
+				next, ties = h, 1
+			case h == next:
+				ties++
+			}
+		}
+		if ties == 0 {
+			break // fewer than n members are unusable
+		}
+		at, seen = next, seen+ties
+	}
+	return at
+}
+
 // pageQuorumWait reports whether pg's replica set is below the write quorum
 // at now — fewer than W members up and unpartitioned from the compute node —
 // and, when it is, the instant enough scheduled heals restore quorum. Free
@@ -296,20 +369,12 @@ func (r *Runtime) pageQuorumWait(pg mem.PageID, now sim.Time) (sim.Time, bool) {
 	}
 	reps := m.Cfg.EffReplicas()
 	primary := ddc.ShardOf(pg, k)
-	usable := 0
-	heals := make([]sim.Time, 0, reps)
-	for i := 0; i < reps; i++ {
-		if at := m.ShardUsableAt((primary+i)%k, now); at == now {
-			usable++
-			if usable >= w {
-				return 0, false
-			}
-		} else {
-			heals = append(heals, at)
-		}
+	member := func(i int) sim.Time { return m.ShardUsableAt((primary+i)%k, now) }
+	usable := usableMembers(reps, w, now, member)
+	if usable >= w {
+		return 0, false
 	}
-	sort.Slice(heals, func(i, j int) bool { return heals[i] < heals[j] })
-	return heals[w-usable-1], true
+	return nthHeal(reps, w-usable, now, member), true
 }
 
 // observeHeartbeat is one compute-side heartbeat observation at t's current
@@ -503,23 +568,28 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		p.M.Metrics.Histogram("push.total.ns").Observe(t.Now() - callStart)
 	}()
 
+	scr := r.getScratch()
+	defer r.putScratch(scr)
+
 	// ❶–❷ Pre-pushdown synchronisation and request construction.
 	mark := t.Now()
 	ss := tr.Begin(t, trace.KindPushSync, 0, 0)
-	entries, eagerPages := r.preSync(t, opts)
+	eagerPages := r.preSync(t, opts, scr)
 	tr.End(t, ss)
 	st.PreSync = t.Now() - mark
-	st.ResidentPages = len(entries)
+	runs := scr.runs
+	for _, run := range runs {
+		st.ResidentPages += int(run.Count)
+	}
 
 	// On a sharded pool the call only proceeds when every resident page it
 	// ships can be served — its primary shard up, or a replica live.
-	if err := r.shardGate(t, entries); err != nil {
+	if err := r.shardGate(t, runs); err != nil {
 		return st, err
 	}
 
 	mark = t.Now()
-	runs, err := netmodel.EncodeRuns(entries)
-	if err != nil {
+	if err := netmodel.CheckRuns(runs); err != nil {
 		return st, err
 	}
 	st.RLERuns = len(runs)
@@ -533,10 +603,14 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		Flags:    uint32(opts.Flags),
 		Resident: runs,
 	}
-	if opts.ArgBytes > 0 {
-		req.ArgInline = make([]byte, opts.ArgBytes)
+	if n := opts.ArgBytes; n > 0 {
+		if n > len(r.argZero) {
+			r.argZero = make([]byte, n)
+		}
+		req.ArgInline = r.argZero[:n]
 	}
-	wire, err := req.Marshal()
+	wire, err := req.AppendTo(r.wire[:0])
+	r.wire = wire[:0]
 	if err != nil {
 		return st, err
 	}
@@ -591,7 +665,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	// ❹ Temporary user context setup (Figure 8).
 	mark = t.Now()
 	cs := tr.Begin(t, trace.KindPushSetup, 0, callID)
-	ps := r.enterPush(t, entries, opts, &st)
+	ps := r.enterPush(t, runs, opts, &st)
 	tr.End(t, cs)
 	st.CtxSetup = t.Now() - mark
 
@@ -633,7 +707,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	// point and the deadline at every page access.
 	mark = t.Now()
 	es := tr.Begin(t, trace.KindPushExec, 0, callID)
-	pager := &memPager{ps: ps, st: &st, opts: opts, dieAt: deadlineAt}
+	pager := &scr.pager
+	*pager = memPager{ps: ps, st: &st, opts: opts, dieAt: deadlineAt}
 	pager.journal.pool = &r.journalBufs
 	if frac, mid := p.M.Fault.CtxCrashMid(); mid {
 		// Map the seeded fraction onto a page-access ordinal: the context
@@ -641,7 +716,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		// page — which is deterministic for a given seed and workload.
 		pager.crashAt = 1 + int(frac*float64(midCrashTouchSpan))
 	}
-	env := p.NewMemoryEnv(t, pager)
+	scr.env = p.RecycleMemoryEnv(scr.env, t, pager)
+	env := scr.env
 	env.Dilation = r.dilation
 	var remoteErr error
 	var abort *pushAbort
@@ -758,11 +834,13 @@ func (r *Runtime) rollbackJournal(t *sim.Thread, ps *pushState, pager *memPager,
 }
 
 // preSync performs the mode-dependent pre-pushdown synchronisation. It
-// returns the resident-page list to ship (coherent modes) or, for the eager
-// strawman, the page set to re-fetch afterwards.
-func (r *Runtime) preSync(t *sim.Thread, opts Options) ([]netmodel.PageEntry, []mem.PageID) {
+// leaves the resident-page list to ship in scr.runs (empty outside the
+// coherent modes) and returns, for the eager strawman, the page set to
+// re-fetch afterwards.
+func (r *Runtime) preSync(t *sim.Thread, opts Options, scr *callScratch) []mem.PageID {
 	p := r.P
 	cfg := &p.M.Cfg.HW
+	scr.runs = scr.runs[:0]
 	switch {
 	case opts.Flags&FlagMigrateProcess != 0:
 		// Naive whole-process migration (§4): synchronously transfer every
@@ -779,7 +857,7 @@ func (r *Runtime) preSync(t *sim.Thread, opts Options) ([]netmodel.PageEntry, []
 		}
 		p.Cache.Clear()
 		p.Epoch++
-		return nil, nil
+		return nil
 
 	case opts.Flags&FlagEvictRanges != 0:
 		// Per-thread variant (Figure 6): flush and evict only the pushed
@@ -793,7 +871,7 @@ func (r *Runtime) preSync(t *sim.Thread, opts Options) ([]netmodel.PageEntry, []
 			})
 		}
 		p.Epoch++
-		return nil, nil
+		return nil
 
 	case opts.Flags&FlagEagerSync != 0:
 		// Strawman (Figure 20): synchronise every resident page up front,
@@ -809,24 +887,20 @@ func (r *Runtime) preSync(t *sim.Thread, opts Options) ([]netmodel.PageEntry, []
 			p.Cache.Remove(pg)
 		}
 		p.Epoch++
-		return nil, pages
+		return pages
 
 	case opts.Flags&FlagNoCoherence != 0:
 		// Weak ordering: nothing is transmitted; the user syncs manually.
-		return nil, nil
+		return nil
 
 	default:
 		// On-demand coherence: build the resident list (with permissions)
 		// for the request message; no data moves.
-		var entries []netmodel.PageEntry
-		p.Cache.Range(func(pg mem.PageID, w, _ bool) bool {
-			entries = append(entries, netmodel.PageEntry{ID: uint64(pg), Writable: w})
-			return true
-		})
+		scr.runs = p.Cache.AppendRuns(scr.runs)
 		as := t.Now()
-		t.AdvanceNs(hw.OpNs(cfg.ComputeClockGHz, float64(len(entries))*cfg.PageListEntryOps))
+		t.AdvanceNs(hw.OpNs(cfg.ComputeClockGHz, float64(p.Cache.Len())*cfg.PageListEntryOps))
 		p.M.Times.Add(metrics.CompPushProto, t.Now()-as)
-		return entries, nil
+		return nil
 	}
 }
 
@@ -845,7 +919,7 @@ func (r *Runtime) flushPage(t *sim.Thread) {
 
 // enterPush creates or joins the shared pushdown coherence state and
 // performs Figure 8's MemorySetup, charging the table-clone cost.
-func (r *Runtime) enterPush(t *sim.Thread, entries []netmodel.PageEntry, opts Options, st *Stats) *pushState {
+func (r *Runtime) enterPush(t *sim.Thread, runs []netmodel.PageRun, opts Options, st *Stats) *pushState {
 	p := r.P
 	cfg := &p.M.Cfg.HW
 	// Cloning the caller's full page table (Figure 8 line 7) visits every
@@ -855,7 +929,8 @@ func (r *Runtime) enterPush(t *sim.Thread, entries []netmodel.PageEntry, opts Op
 	p.M.Times.Add(metrics.CompPushProto, t.Now()-as)
 
 	if r.ps == nil {
-		r.ps = &pushState{rt: r, temp: newTempTable(), pso: opts.Flags&FlagPSO != 0}
+		r.ps = &r.push
+		r.push.pso = opts.Flags&FlagPSO != 0
 	}
 	ps := r.ps
 	ps.refs++
@@ -864,12 +939,14 @@ func (r *Runtime) enterPush(t *sim.Thread, entries []netmodel.PageEntry, opts Op
 	if coherent {
 		// Figure 8 lines 8–13: exclude compute-writable pages, downgrade
 		// compute-read-only pages.
-		for _, e := range entries {
-			ps.temp.invalidate(mem.PageID(e.ID), e.Writable)
-			st.SetupInvalidations++
+		for _, run := range runs {
+			for pg := run.Start; pg < run.Start+uint64(run.Count); pg++ {
+				ps.temp.invalidate(mem.PageID(pg), run.Writable)
+			}
+			st.SetupInvalidations += int(run.Count)
 		}
 		if ps.refs == 1 {
-			p.SetPushHooks(&pushHooks{ps: ps})
+			p.SetPushHooks(&r.hooks)
 		}
 		p.Epoch++
 	}
@@ -882,6 +959,7 @@ func (r *Runtime) exitPush(ps *pushState) {
 	ps.refs--
 	if ps.refs == 0 {
 		r.P.SetPushHooks(nil)
+		ps.temp.reset()
 		r.ps = nil
 	}
 }

@@ -1,6 +1,9 @@
 package ddc
 
-import "teleport/internal/mem"
+import (
+	"teleport/internal/mem"
+	"teleport/internal/netmodel"
+)
 
 // PageCache is an LRU set of resident pages with per-page permission and
 // dirty bits. It serves three roles, configured by capacity:
@@ -154,6 +157,30 @@ func (c *PageCache) Range(f func(p mem.PageID, writable, dirty bool) bool) {
 			return
 		}
 	}
+}
+
+// AppendRuns appends the resident set to dst as §6's run-length-encoded
+// list — ranges of consecutive pages sharing a write permission, in
+// ascending page order — read straight off the page-indexed table, so no
+// caller has to collect and sort Range's MRU-ordered entries. The result
+// equals netmodel.EncodeRuns over those entries, and its Counts sum to Len().
+func (c *PageCache) AppendRuns(dst []netmodel.PageRun) []netmodel.PageRun {
+	base := len(dst)
+	left := c.count // stop at the last resident page, not the table's end
+	for p := 0; left > 0; p++ {
+		n := c.nodes[p]
+		if n == nil {
+			continue
+		}
+		left--
+		if k := len(dst) - 1; k >= base && dst[k].Writable == n.writable &&
+			dst[k].Start+uint64(dst[k].Count) == uint64(p) {
+			dst[k].Count++
+			continue
+		}
+		dst = append(dst, netmodel.PageRun{Start: uint64(p), Count: 1, Writable: n.writable})
+	}
+	return dst
 }
 
 // SetCapacity rebounds the cache, evicting LRU pages if it shrinks below

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"teleport/internal/mem"
+	"teleport/internal/netmodel"
 )
 
 func TestCacheInsertLookup(t *testing.T) {
@@ -142,4 +143,97 @@ func TestCacheModelProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// applyCacheOps drives c with the operation sequence data encodes, two bytes
+// per operation: an opcode and a page (or capacity). Pages stay below 64 so
+// that runs form, merge and split often.
+func applyCacheOps(c *PageCache, data []byte) {
+	for i := 0; i+1 < len(data); i += 2 {
+		op, arg := data[i], data[i+1]
+		pg := mem.PageID(arg % 64)
+		switch op % 8 {
+		case 0, 1:
+			c.Insert(pg, op&8 != 0, op&16 != 0)
+		case 2:
+			c.Lookup(pg)
+		case 3:
+			c.Remove(pg)
+		case 4:
+			c.SetWritable(pg, op&8 != 0)
+		case 5:
+			c.SetCapacity(int(arg % 48)) // 0 = unbounded
+		case 6:
+			if arg%16 == 0 { // rare, or nothing ever accumulates
+				c.Clear()
+			}
+		case 7:
+			c.MarkDirty(pg)
+		}
+	}
+}
+
+// checkCacheRuns compares the emitter with the reference: collect Range's
+// MRU-ordered entries and let netmodel.EncodeRuns sort and compress them.
+func checkCacheRuns(t *testing.T, c *PageCache) {
+	t.Helper()
+	var entries []netmodel.PageEntry
+	c.Range(func(p mem.PageID, w, _ bool) bool {
+		entries = append(entries, netmodel.PageEntry{ID: uint64(p), Writable: w})
+		return true
+	})
+	want, err := netmodel.EncodeRuns(entries)
+	if err != nil {
+		t.Fatalf("reference encoding failed: %v", err)
+	}
+	// A non-empty destination must be kept and never merged into.
+	prefix := netmodel.PageRun{Start: 0, Count: 64, Writable: true}
+	got := c.AppendRuns([]netmodel.PageRun{prefix})
+	if got[0] != prefix {
+		t.Fatalf("AppendRuns changed the destination's prefix: %+v", got[0])
+	}
+	got = got[1:]
+	if len(got) != len(want) {
+		t.Fatalf("AppendRuns = %+v, reference %+v", got, want)
+	}
+	pages := 0
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("run %d: AppendRuns = %+v, reference %+v", i, got[i], want[i])
+		}
+		pages += int(got[i].Count)
+	}
+	if pages != c.Len() {
+		t.Fatalf("runs cover %d pages, Len() = %d", pages, c.Len())
+	}
+	if err := netmodel.CheckRuns(got); err != nil {
+		t.Fatalf("emitted runs are malformed: %v", err)
+	}
+}
+
+// The run emitter must agree with collect-sort-compress after any operation
+// history, checked after every operation of seeded random sequences.
+func TestCacheRunsMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		c := NewPageCache(int(seed % 3 * 20)) // unbounded, 20 and 40 pages
+		ops := make([]byte, 2)
+		for i := 0; i < 400; i++ {
+			r.Read(ops)
+			applyCacheOps(c, ops)
+			checkCacheRuns(t, c)
+		}
+	}
+}
+
+func FuzzCacheRuns(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{8, 1, 8, 2, 0, 3, 8, 5, 3, 2})    // two runs, then a hole splits one
+	f.Add([]byte{8, 1, 8, 2, 12, 1, 5, 1, 6, 0})   // downgrade, shrink, clear
+	f.Add([]byte{0, 63, 8, 0, 2, 63, 5, 1, 8, 62}) // table edges, eviction by capacity
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewPageCache(0)
+		applyCacheOps(c, data)
+		checkCacheRuns(t, c)
+	})
 }

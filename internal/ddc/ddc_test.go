@@ -1,6 +1,7 @@
 package ddc
 
 import (
+	"reflect"
 	"testing"
 
 	"teleport/internal/fault"
@@ -382,6 +383,43 @@ func TestPlaceStringAndMemoryEnv(t *testing.T) {
 	}
 	env.InvalidateFastPath() // must not panic and must force a pager call
 	env.ReadU64(a)
+}
+
+// A recycled memory Env must be indistinguishable from a new one: after the
+// same accesses both hold the same state, field for field, and charged the
+// same time — whatever the recycled one did in its previous life.
+func TestRecycleMemoryEnvEqualsNew(t *testing.T) {
+	m := MustMachine(BaseDDC(8 * mem.PageSize))
+	p := m.NewProcess()
+	a := p.Space.AllocPages(16*mem.PageSize, "v")
+	access := func(env *Env) {
+		for i := 0; i < 16*mem.PageSize/8; i += 24 {
+			env.ReadU64(a + mem.Addr(i)*8)
+		}
+		env.WriteU64(a, 1)
+		env.WriteU64(a+8, 2) // ends on a hot-line hit
+	}
+
+	used := p.NewMemoryEnv(sim.NewThread("previous"), nopPager{})
+	used.Dilation = func() float64 { return 3 }
+	access(used)
+	used.ReadBytes(a+mem.PageSize-4, make([]byte, 8)) // multi-page: fp anchored, hot line dropped
+
+	thR, thN := sim.NewThread("t"), sim.NewThread("t")
+	recycled := p.RecycleMemoryEnv(used, thR, nopPager{})
+	fresh := p.NewMemoryEnv(thN, nopPager{})
+	if recycled != used {
+		t.Fatal("RecycleMemoryEnv must rebuild the Env it was given")
+	}
+	access(recycled)
+	access(fresh)
+	if thR.Now() != thN.Now() {
+		t.Fatalf("recycled env charged %v, new env %v", thR.Now(), thN.Now())
+	}
+	recycled.T, fresh.T = nil, nil
+	if !reflect.DeepEqual(recycled, fresh) {
+		t.Fatalf("recycled env differs from a new one:\n%+v\n%+v", recycled, fresh)
+	}
 }
 
 type nopPager struct{}

@@ -105,10 +105,31 @@ func (p *Process) NewEnv(t *sim.Thread) *Env {
 // NewMemoryEnv returns a memory-place environment using a caller-supplied
 // pager (TELEPORT's temporary-context fault handler).
 func (p *Process) NewMemoryEnv(t *sim.Thread, pager Pager) *Env {
-	e := &Env{
+	return p.RecycleMemoryEnv(nil, t, pager)
+}
+
+// RecycleMemoryEnv is NewMemoryEnv built in place over old, an Env a
+// finished pushed function left behind (nil allocates a new one), so a
+// caller running many short functions keeps one Env per user context
+// instead of allocating one per call. The result is in exactly the state a
+// new Env would be: every field is rebuilt, and only the on-chip cache
+// model's storage is kept, cleared — a new Env allocates it zeroed on its
+// first access, and it is by far the largest thing an Env owns.
+func (p *Process) RecycleMemoryEnv(old *Env, t *sim.Thread, pager Pager) *Env {
+	e := old
+	if e == nil {
+		e = &Env{}
+	}
+	l2 := e.l2
+	if len(l2) != p.M.Cfg.HW.CacheLines {
+		l2 = nil
+	}
+	clear(l2)
+	*e = Env{
 		T: t, P: p, Place: PlaceMemory,
 		ClockGHz: p.M.Cfg.HW.MemoryClockGHz,
 		pager:    pager,
+		l2:       l2,
 	}
 	e.initLine()
 	return e

@@ -34,22 +34,26 @@ type PushdownRequest struct {
 const pushReqFixedBytes = 8 + 8 + 4 + 4 // fn, arg, flags, inline length
 
 // Marshal packs the request.
-func (r *PushdownRequest) Marshal() ([]byte, error) {
+func (r *PushdownRequest) Marshal() ([]byte, error) { return r.AppendTo(nil) }
+
+// AppendTo appends the packed request to dst, so a caller that sends many
+// requests can reuse one buffer. On error it returns dst unextended.
+func (r *PushdownRequest) AppendTo(dst []byte) ([]byte, error) {
 	if len(r.ArgInline) > MaxRDMAMessage/2 {
-		return nil, fmt.Errorf("netmodel: inline argument too large (%d bytes)", len(r.ArgInline))
+		return dst, fmt.Errorf("netmodel: inline argument too large (%d bytes)", len(r.ArgInline))
 	}
-	buf := make([]byte, pushReqFixedBytes, pushReqFixedBytes+len(r.ArgInline)+ResidentWireSize(r.Resident))
-	binary.LittleEndian.PutUint64(buf[0:], r.Fn)
-	binary.LittleEndian.PutUint64(buf[8:], r.Arg)
-	binary.LittleEndian.PutUint32(buf[16:], r.Flags)
-	binary.LittleEndian.PutUint32(buf[20:], uint32(len(r.ArgInline)))
-	buf = append(buf, r.ArgInline...)
-	buf = append(buf, MarshalResident(r.Resident)...)
-	if len(buf) > MaxRDMAMessage {
-		return nil, fmt.Errorf("netmodel: pushdown request %d bytes exceeds the %d-byte RDMA buffer",
-			len(buf), MaxRDMAMessage)
+	base := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Fn)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Arg)
+	dst = binary.LittleEndian.AppendUint32(dst, r.Flags)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.ArgInline)))
+	dst = append(dst, r.ArgInline...)
+	dst = AppendResident(dst, r.Resident)
+	if n := len(dst) - base; n > MaxRDMAMessage {
+		return dst[:base], fmt.Errorf("netmodel: pushdown request %d bytes exceeds the %d-byte RDMA buffer",
+			n, MaxRDMAMessage)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // UnmarshalPushdownRequest parses a request.

@@ -3,6 +3,7 @@ package netmodel
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // This file adds the second resident-page-list wire encoding §6 weighs
@@ -53,6 +54,11 @@ func bitmapSpan(runs []PageRun) (uint64, bool) {
 	return span, true
 }
 
+// bitmapBytes is the size of the bitmap encoding of a span.
+func bitmapBytes(span uint64) int {
+	return bitmapFixedBytes + int((span+pagesPerByte-1)/pagesPerByte)
+}
+
 // BitmapWireSize returns the size of the bitmap encoding of runs, or -1
 // if the span is unrepresentable. Runs must be sorted, as EncodeRuns
 // produces them.
@@ -61,7 +67,7 @@ func BitmapWireSize(runs []PageRun) int {
 	if !ok {
 		return -1
 	}
-	return bitmapFixedBytes + int((span+pagesPerByte-1)/pagesPerByte)
+	return bitmapBytes(span)
 }
 
 // ResidentWireSize returns the marshalled size of the resident list: the
@@ -77,27 +83,34 @@ func ResidentWireSize(runs []PageRun) int {
 // MarshalResident serialises the resident list in whichever encoding is
 // smaller; ties keep RLE, so lists that compress well produce exactly the
 // bytes MarshalRuns always produced.
-func MarshalResident(runs []PageRun) []byte {
-	rle := RunsWireSize(runs)
-	bmp := BitmapWireSize(runs)
-	if bmp < 0 || bmp >= rle {
-		return MarshalRuns(runs)
+func MarshalResident(runs []PageRun) []byte { return AppendResident(nil, runs) }
+
+// AppendResident appends MarshalResident's bytes to dst. The list is
+// validated and sized in one walk; only a list that does go out as a
+// bitmap is walked again, to set its bits.
+func AppendResident(dst []byte, runs []PageRun) []byte {
+	span, ok := bitmapSpan(runs)
+	size := bitmapBytes(span)
+	if !ok || size >= RunsWireSize(runs) {
+		return AppendRuns(dst, runs)
 	}
-	span, _ := bitmapSpan(runs)
-	buf := make([]byte, bmp)
+	base := len(dst)
+	dst = slices.Grow(dst, size)[:base+size]
+	buf := dst[base:]
+	clear(buf)
 	binary.LittleEndian.PutUint32(buf, bitmapFlag|uint32(span))
 	binary.LittleEndian.PutUint64(buf[4:], runs[0].Start)
 	for _, r := range runs {
+		bits := byte(1)
+		if r.Writable {
+			bits |= 2
+		}
 		for i := uint64(0); i < uint64(r.Count); i++ {
 			off := r.Start + i - runs[0].Start
-			bits := byte(1)
-			if r.Writable {
-				bits |= 2
-			}
 			buf[bitmapFixedBytes+off/pagesPerByte] |= bits << (2 * (off % pagesPerByte))
 		}
 	}
-	return buf
+	return dst
 }
 
 // UnmarshalResident parses either resident-list encoding back into

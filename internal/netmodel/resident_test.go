@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -168,4 +169,68 @@ func mustRuns(f *testing.F, entries []PageEntry) []PageRun {
 		f.Fatal(err)
 	}
 	return runs
+}
+
+// The append-style marshallers must produce Marshal's bytes after whatever
+// the destination already holds, including into reused capacity that still
+// carries an earlier, longer message (the bitmap is built with |=).
+func TestAppendMatchesMarshalIntoDirtyBuffer(t *testing.T) {
+	var alternating []PageEntry
+	for i := 0; i < 40; i++ {
+		alternating = append(alternating, PageEntry{ID: 7 + uint64(i), Writable: i%2 == 0})
+	}
+	bitmapRuns, err := EncodeRuns(alternating)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rleRuns := []PageRun{{Start: 10, Count: 500, Writable: true}, {Start: 4096, Count: 300}}
+	for _, runs := range [][]PageRun{bitmapRuns, rleRuns, nil} {
+		dirty := bytes.Repeat([]byte{0xFF}, 512)
+		prefix := []byte{1, 2, 3}
+		got := AppendResident(append(dirty[:0], prefix...), runs)
+		if want := append(prefix, MarshalResident(runs)...); !bytes.Equal(got, want) {
+			t.Fatalf("AppendResident into a dirty buffer:\n got %x\nwant %x", got, want)
+		}
+
+		req := PushdownRequest{Fn: 1, Arg: 2, Flags: 3, ArgInline: []byte{9, 9}, Resident: runs}
+		want, err := req.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = req.AppendTo(append(dirty[:0], prefix...))
+		if err != nil || !bytes.Equal(got, append(prefix, want...)) {
+			t.Fatalf("AppendTo into a dirty buffer: err %v\n got %x\nwant %x", err, got, want)
+		}
+	}
+
+	// A rejected request leaves the destination as it was.
+	big := PushdownRequest{ArgInline: make([]byte, MaxRDMAMessage/2+1)}
+	if got, err := big.AppendTo([]byte{1, 2, 3}); err == nil || !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("oversized inline argument: got %x, err %v", got, err)
+	}
+	long := PushdownRequest{Resident: make([]PageRun, MaxRDMAMessage/runWireBytes+1)}
+	for i := range long.Resident {
+		long.Resident[i] = PageRun{Start: uint64(i) << 20, Count: 1}
+	}
+	if got, err := long.AppendTo([]byte{1, 2, 3}); err == nil || !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("oversized resident list: got %d bytes, err %v", len(got), err)
+	}
+}
+
+func TestCheckRuns(t *testing.T) {
+	for _, tc := range []struct {
+		runs []PageRun
+		ok   bool
+	}{
+		{nil, true},
+		{[]PageRun{{Start: 1, Count: 2}, {Start: 3, Count: 1, Writable: true}}, true},
+		{[]PageRun{{Start: 1, Count: 2}, {Start: 3, Count: 1}}, true}, // unmerged but disjoint
+		{[]PageRun{{Start: 1, Count: 2}, {Start: 2, Count: 1}}, false},
+		{[]PageRun{{Start: 5, Count: 1}, {Start: 1, Count: 1}}, false},
+		{[]PageRun{{Start: 5, Count: 0}}, false},
+	} {
+		if err := CheckRuns(tc.runs); (err == nil) != tc.ok {
+			t.Errorf("CheckRuns(%+v) = %v, want ok=%v", tc.runs, err, tc.ok)
+		}
+	}
 }

@@ -1,9 +1,10 @@
 package netmodel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 )
 
 // PageEntry is one resident page in the compute pool together with its write
@@ -36,7 +37,7 @@ func EncodeRuns(entries []PageEntry) ([]PageRun, error) {
 	}
 	sorted := make([]PageEntry, len(entries))
 	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	slices.SortFunc(sorted, func(a, b PageEntry) int { return cmp.Compare(a.ID, b.ID) })
 	runs := make([]PageRun, 0, 8)
 	cur := PageRun{Start: sorted[0].ID, Count: 1, Writable: sorted[0].Writable}
 	for _, e := range sorted[1:] {
@@ -51,6 +52,23 @@ func EncodeRuns(entries []PageEntry) ([]PageRun, error) {
 		}
 	}
 	return append(runs, cur), nil
+}
+
+// CheckRuns reports whether runs is a well-formed resident list — non-empty
+// runs in ascending, non-overlapping page order, as EncodeRuns produces — for
+// lists that were built some other way.
+func CheckRuns(runs []PageRun) error {
+	var end uint64 // exclusive end of the previous run
+	for i, r := range runs {
+		if r.Count == 0 {
+			return errors.New("netmodel: empty run in list")
+		}
+		if i > 0 && r.Start < end {
+			return errors.New("netmodel: duplicate page in list")
+		}
+		end = r.Start + uint64(r.Count)
+	}
+	return nil
 }
 
 // DecodeRuns expands runs back into an explicit, sorted page list.
@@ -70,19 +88,22 @@ func DecodeRuns(runs []PageRun) []PageEntry {
 
 // MarshalRuns serialises runs into the on-wire format used to size the
 // pushdown request message.
-func MarshalRuns(runs []PageRun) []byte {
-	buf := make([]byte, 4+len(runs)*runWireBytes)
-	binary.LittleEndian.PutUint32(buf, uint32(len(runs)))
-	off := 4
+func MarshalRuns(runs []PageRun) []byte { return AppendRuns(nil, runs) }
+
+// AppendRuns appends the on-wire RLE format of runs to dst.
+func AppendRuns(dst []byte, runs []PageRun) []byte {
+	dst = slices.Grow(dst, RunsWireSize(runs))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(runs)))
 	for _, r := range runs {
-		binary.LittleEndian.PutUint64(buf[off:], r.Start)
-		binary.LittleEndian.PutUint32(buf[off+8:], r.Count)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Start)
+		dst = binary.LittleEndian.AppendUint32(dst, r.Count)
+		var flags byte
 		if r.Writable {
-			buf[off+12] = 1
+			flags = 1
 		}
-		off += runWireBytes
+		dst = append(dst, flags)
 	}
-	return buf
+	return dst
 }
 
 // UnmarshalRuns parses the on-wire format.
