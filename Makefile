@@ -31,18 +31,14 @@ chaos-soak:
 	CHAOS_SOAK=1 CHAOS_SOAK_ARTIFACTS=$(SOAK_ARTIFACTS) \
 		$(GO) test ./internal/bench -run TestChaosSoak -v -timeout 30m
 
-# Host benchmark: regenerate the figure suite timed and write the host
-# performance report (per-figure wall-clock ns + heap allocations).
-# BENCH_10.json is the tracked baseline, produced by this target at the
-# reduced scale below; CI's bench-smoke job reruns it and fails on a >25%
-# wall-clock regression. Refresh the baseline (make bench, commit the
-# file) whenever the suite's host cost legitimately changes.
-BENCH_OUT ?= BENCH_10.json
-BENCH_BASELINE ?=
+# Per-figure host cost: regenerate the figure suite timed, one figure at a
+# time, and write wall-clock ns + heap allocations per figure. A look at
+# where the suite's time goes; claims and regressions are judged by
+# bench-repo / bench-compare below.
+BENCH_OUT ?= bench-host.json
 BENCH_FLAGS ?= -scale 0.5 -graph-nv 15000 -words 60000 -quiet
 bench:
-	$(GO) run ./cmd/teleport-bench $(BENCH_FLAGS) -bench-out $(BENCH_OUT) \
-		$(if $(BENCH_BASELINE),-bench-baseline $(BENCH_BASELINE))
+	$(GO) run ./cmd/teleport-bench $(BENCH_FLAGS) -bench-out $(BENCH_OUT)
 
 # The repository benchmark (benchmark/README.md): every workload, ten
 # rounds, a traced round and the per-layer probes, with the simulated
@@ -54,10 +50,12 @@ bench-repo:
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 
-# Short fuzz pass over the §6 resident-page-list codec and the compute
-# cache's run emitter; CI runs this on every push, longer runs are manual
+# Short fuzz pass over the §6 resident-page-list codec, the compute cache's
+# run emitter and the Env access path against its reference model; CI runs
+# this on every push, longer runs are manual
 # (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalResident -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzCacheRuns -fuzztime=10s ./internal/ddc
+	$(GO) test -run=^$$ -fuzz=FuzzEnvAccessModel -fuzztime=10s ./internal/ddc

@@ -8,8 +8,7 @@
 //	teleport-bench -fig 6,7,20          # several
 //	teleport-bench -scale 4 -seed 7     # bigger workloads
 //	teleport-bench -parallel 1          # force sequential data points
-//	teleport-bench -bench-out BENCH_10.json            # host benchmark report
-//	teleport-bench -bench-out b.json -bench-baseline BENCH_10.json
+//	teleport-bench -bench-out host.json # per-figure host wall-clock + allocations
 //	teleport-bench -workload Q6 -percentiles           # forensic drill-down
 //	teleport-bench -workload Q6 -chaos-profile chaos -profile-out q6.folded -incident-out q6.jsonl
 //
@@ -47,10 +46,8 @@ func main() {
 		writeQ     = flag.Int("write-quorum", 0, "replica acks a page write needs to commit; unreachable replicas get hinted handoff (0/1 = legacy fan-out)")
 		list       = flag.Bool("list", false, "list figure ids and exit")
 
-		benchOut  = flag.String("bench-out", "", "run the whole suite timed and write the host benchmark report (wall-clock + allocs per figure) to this file")
-		baseline  = flag.String("bench-baseline", "", "compare the report against this tracked baseline and fail on regression")
-		tolerance = flag.Float64("bench-tolerance", 0.25, "allowed wall-clock regression vs the baseline (0.25 = 25%)")
-		quiet     = flag.Bool("quiet", false, "suppress the figure tables (useful with -bench-out)")
+		benchOut = flag.String("bench-out", "", "run the whole suite timed and write the host benchmark report (wall-clock + allocs per figure) to this file")
+		quiet    = flag.Bool("quiet", false, "suppress the figure tables (useful with -bench-out)")
 
 		workload    = flag.String("workload", "", "forensic mode: run this single workload (one of "+strings.Join(bench.WorkloadNames(), ", ")+") instead of figures")
 		platform    = flag.String("platform", "teleport", "forensic mode platform: one of "+strings.Join(bench.PlatformNames(), ", "))
@@ -122,19 +119,6 @@ func main() {
 		if cl := rep.Cluster; cl != nil {
 			fmt.Fprintf(os.Stderr, "bench: cluster %d machines × %d rounds: %.2fs at 1 sim worker, %.2fs at %d (%.2fx, identical virtual results)\n",
 				cl.Machines, cl.Rounds, float64(cl.SeqWallNs)/1e9, float64(cl.ParWallNs)/1e9, cl.SimWorkers, cl.Speedup)
-		}
-		if *baseline != "" {
-			base, err := bench.ReadHostReport(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench-baseline:", err)
-				os.Exit(1)
-			}
-			if err := rep.CompareBaseline(base, *tolerance); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "bench: within %.0f%% of baseline %s (%.2fs)\n",
-				*tolerance*100, *baseline, float64(base.TotalWallNs)/1e9)
 		}
 		return
 	}

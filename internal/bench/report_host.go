@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"reflect"
 	"runtime"
 	"time"
@@ -23,11 +22,10 @@ type FigureHostStat struct {
 	Mallocs uint64 `json:"mallocs"`
 }
 
-// HostReport is the tracked benchmark baseline (BENCH_10.json): the options
-// that shaped the workloads, the parallelism the suite ran with, and the
+// HostReport is what teleport-bench -bench-out writes: the options that
+// shaped the workloads, the parallelism the suite ran with, and the
 // per-figure host costs. Cluster, when present, records the multi-machine
-// workload's intra-run parallel scaling; older baselines without the field
-// still parse and compare (only the figure totals gate regressions).
+// workload's intra-run parallel scaling.
 type HostReport struct {
 	GoMaxProcs   int              `json:"gomaxprocs"`
 	Workers      int              `json:"workers"`
@@ -102,8 +100,7 @@ const (
 
 // timeCluster runs the multi-machine workload sequentially and then with
 // the full worker complement, verifies the virtual results are identical,
-// and reports both host walls. Figure totals deliberately exclude it so
-// BENCH_10.json stays comparable with pre-cluster baselines.
+// and reports both host walls. Figure totals exclude it.
 func timeCluster(opts Options) (*ClusterHostStat, error) {
 	seq := opts
 	seq.SimWorkers = 1
@@ -144,39 +141,4 @@ func (r HostReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadHostReport loads a report written by WriteJSON.
-func ReadHostReport(path string) (HostReport, error) {
-	var r HostReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("bench: parsing %s: %w", path, err)
-	}
-	return r, nil
-}
-
-// CompareBaseline checks r against a tracked baseline: an error is returned
-// when the suite's total wall clock regressed by more than tol (0.25 = 25%),
-// or when the two reports measured different workloads and are therefore
-// incomparable. Faster-than-baseline is never an error.
-func (r HostReport) CompareBaseline(base HostReport, tol float64) error {
-	if r.Scale != base.Scale || r.GraphNV != base.GraphNV ||
-		r.Words != base.Words || r.Seed != base.Seed {
-		return fmt.Errorf("bench: baseline measured different workloads (scale=%g graph-nv=%d words=%d seed=%d vs scale=%g graph-nv=%d words=%d seed=%d); regenerate it",
-			base.Scale, base.GraphNV, base.Words, base.Seed,
-			r.Scale, r.GraphNV, r.Words, r.Seed)
-	}
-	if base.TotalWallNs <= 0 {
-		return fmt.Errorf("bench: baseline has no wall-clock total")
-	}
-	limit := float64(base.TotalWallNs) * (1 + tol)
-	if float64(r.TotalWallNs) > limit {
-		return fmt.Errorf("bench: wall-clock regression: suite took %.2fs vs baseline %.2fs (>%.0f%% tolerance)",
-			float64(r.TotalWallNs)/1e9, float64(base.TotalWallNs)/1e9, tol*100)
-	}
-	return nil
 }

@@ -75,13 +75,21 @@ func (c *PageCache) Contains(p mem.PageID) bool {
 	return c.node(p) != nil
 }
 
+// hit returns p's node, bumped to MRU, or nil when p is not resident.
+func (c *PageCache) hit(p mem.PageID) *cacheNode {
+	n := c.node(p)
+	if n != nil {
+		c.moveToFront(n)
+	}
+	return n
+}
+
 // Lookup returns the page's permission bits and bumps it to MRU.
 func (c *PageCache) Lookup(p mem.PageID) (writable, dirty, ok bool) {
-	n := c.node(p)
+	n := c.hit(p)
 	if n == nil {
 		return false, false, false
 	}
-	c.moveToFront(n)
 	return n.writable, n.dirty, true
 }
 
@@ -237,6 +245,15 @@ func (c *PageCache) moveToFront(n *cacheNode) {
 	if c.head == n {
 		return
 	}
-	c.unlink(n)
-	c.pushFront(n)
+	// Not the head, so n has a predecessor and the list a head: the
+	// unlink/pushFront pair without their empty-end cases.
+	n.prev.next = n.next
+	if n.next != nil {
+		n.next.prev = n.prev
+	} else {
+		c.tail = n.prev
+	}
+	n.prev, n.next = nil, c.head
+	c.head.prev = n
+	c.head = n
 }

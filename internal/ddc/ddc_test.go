@@ -397,19 +397,35 @@ func TestRecycleMemoryEnvEqualsNew(t *testing.T) {
 			env.ReadU64(a + mem.Addr(i)*8)
 		}
 		env.WriteU64(a, 1)
-		env.WriteU64(a+8, 2) // ends on a hot-line hit
+		env.WriteU64(a+8, 2) // ends on the last slot's line
 	}
 
 	used := p.NewMemoryEnv(sim.NewThread("previous"), nopPager{})
 	used.Dilation = func() float64 { return 3 }
 	access(used)
-	used.ReadBytes(a+mem.PageSize-4, make([]byte, 8)) // multi-page: fp anchored, hot line dropped
+	used.ReadBytes(a+mem.PageSize-4, make([]byte, 8)) // multi-page: fast path anchored on the second
+
+	// The previous life ran in another process, so every stream slot the
+	// recycled Env inherits memoises a frame of the wrong address space.
+	q := m.NewProcess()
+	q.Space.AllocPages(16*mem.PageSize, "v")
+	other := q.NewMemoryEnv(sim.NewThread("previous"), nopPager{})
+	access(other)
 
 	thR, thN := sim.NewThread("t"), sim.NewThread("t")
 	recycled := p.RecycleMemoryEnv(used, thR, nopPager{})
 	fresh := p.NewMemoryEnv(thN, nopPager{})
 	if recycled != used {
 		t.Fatal("RecycleMemoryEnv must rebuild the Env it was given")
+	}
+	for _, e := range []*Env{recycled, p.RecycleMemoryEnv(other, sim.NewThread("t"), nopPager{})} {
+		if e.frames != fresh.frames || e.streams != fresh.streams || e.nStream != 0 || e.last != 0 {
+			t.Fatalf("recycled env keeps stream slots of its previous life: %v %v", e.streams, e.frames)
+		}
+	}
+	other.WriteU64(a+16, 99) // the line its last slot held, in q
+	if p.Space.ReadU64(a+16) != 99 || q.Space.ReadU64(a+16) != 0 {
+		t.Fatal("an env recycled across processes wrote through a stale frame")
 	}
 	access(recycled)
 	access(fresh)

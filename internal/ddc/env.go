@@ -52,40 +52,32 @@ type Env struct {
 	Dilation func() float64
 
 	pager Pager
+	local bool // the compute pager of a monolithic machine (see paged)
 
-	// Single-page fast path: valid while nothing in the process mutated.
+	// Single-page fast path: the pager already granted this page at this
+	// grade, and nothing in the process has mutated since.
 	fpValid bool
 	fpWrite bool
 	fpPage  mem.PageID
 	fpEpoch uint64
-
-	// Hot-line memo (the per-thread one-entry software TLB): the DRAM line
-	// the last touch ended on, plus a zero-copy borrow of its page frame.
-	// A repeat access entirely inside this line, with the process epoch
-	// unchanged, is provably free under the models — the fp fast path skips
-	// the pager and chargeDRAM serves an in-stream line at zero cost with
-	// no state mutation — so the accessors decode straight from the frame.
-	// Validity: hot* is (re)anchored by every touch, hotValid implies
-	// fpValid with the same page and write grade, and the epoch check
-	// catches every pager/coherence event (eviction, rollback, upgrade),
-	// exactly as it does for the fp fast path.
-	hotValid  bool
-	hotWrite  bool
-	hotLine   uint64
-	hotPage   mem.PageID
-	hotFrame  []byte // fetched lazily on first hit; nil until then
-	lineB     uint64 // cached HW.DRAMLineBytes
-	lineShift uint8  // log2(lineB) when it is a power of two, else 255
 
 	// DRAM line model state: a small set of hardware-prefetch streams,
 	// so interleaved sequential accesses (scan a column, append to an
 	// output) each stream at full bandwidth like a real prefetcher, plus a
 	// direct-mapped on-chip cache so hot small structures (group tables,
 	// dimension indexes) do not pay DRAM latency per access.
-	streams [dramStreams]uint64
-	nStream int
-	sClock  int
-	l2      []uint64
+	//
+	// frames[i] memoises the frame of the page stream slot i's line lies in.
+	// Frame identities are stable for the life of the Space, so a slot takes
+	// a new frame only when its line moves to another page. last is the slot
+	// the most recent line charge ended on.
+	lineShift uint8 // log2(HW.DRAMLineBytes)
+	streams   [dramStreams]uint64
+	frames    [dramStreams]*[mem.PageSize]byte
+	nStream   int
+	sClock    int
+	last      int
+	l2        []uint64
 
 	// Access counters (per env, i.e. per simulated thread).
 	reads, writes int64
@@ -93,13 +85,13 @@ type Env struct {
 
 // NewEnv returns a compute-place environment for t.
 func (p *Process) NewEnv(t *sim.Thread) *Env {
-	e := &Env{
+	return &Env{
 		T: t, P: p, Place: PlaceCompute,
-		ClockGHz: p.M.Cfg.HW.ComputeClockGHz,
-		pager:    computePager{},
+		ClockGHz:  p.M.Cfg.HW.ComputeClockGHz,
+		pager:     computePager{},
+		local:     !p.M.Cfg.Disaggregated,
+		lineShift: p.lineShift(),
 	}
-	e.initLine()
-	return e
 }
 
 // NewMemoryEnv returns a memory-place environment using a caller-supplied
@@ -127,30 +119,18 @@ func (p *Process) RecycleMemoryEnv(old *Env, t *sim.Thread, pager Pager) *Env {
 	clear(l2)
 	*e = Env{
 		T: t, P: p, Place: PlaceMemory,
-		ClockGHz: p.M.Cfg.HW.MemoryClockGHz,
-		pager:    pager,
-		l2:       l2,
+		ClockGHz:  p.M.Cfg.HW.MemoryClockGHz,
+		pager:     pager,
+		lineShift: p.lineShift(),
+		l2:        l2,
 	}
-	e.initLine()
 	return e
 }
 
-// initLine caches the DRAM line geometry (a shift when the configured line
-// size is a power of two, which it always is on the shipped configs).
-func (e *Env) initLine() {
-	e.lineB = uint64(e.P.M.Cfg.HW.DRAMLineBytes)
-	e.lineShift = 255
-	if e.lineB > 0 && e.lineB&(e.lineB-1) == 0 {
-		e.lineShift = uint8(bits.TrailingZeros64(e.lineB))
-	}
-}
-
-// lineOf maps an address to its DRAM line index.
-func (e *Env) lineOf(x uint64) uint64 {
-	if e.lineShift != 255 {
-		return x >> e.lineShift
-	}
-	return x / e.lineB
+// lineShift is log2 of the DRAM line size (hw.Config.Validate makes it a
+// power of two no larger than a page).
+func (p *Process) lineShift() uint8 {
+	return uint8(bits.TrailingZeros(uint(p.M.Cfg.HW.DRAMLineBytes)))
 }
 
 // Accesses returns the environment's read and write access counts.
@@ -166,161 +146,173 @@ func (e *Env) Compute(n float64) {
 	e.T.AdvanceNs(ns)
 }
 
-// touch runs the paging state machine and charges DRAM cost for an access
-// of n bytes at addr.
-func (e *Env) touch(addr mem.Addr, n int, write bool) {
+// access is the whole model for one access of n ≥ 1 bytes at a, in one pass:
+// count it, run the paging state machine, charge DRAM cost. It returns the
+// frame of the page the access lies in, to decode from or store to — after
+// the charge, which may have yielded to a thread that wrote the same bytes —
+// or nil when the access spans pages. This is the path for an access inside
+// one DRAM line; touch serves the rest with the same steps.
+func (e *Env) access(a mem.Addr, n int, write bool) *[mem.PageSize]byte {
+	l := uint64(a) >> e.lineShift
+	if (uint64(a)+uint64(n)-1)>>e.lineShift != l {
+		return e.touch(a, n, write)
+	}
 	if write {
 		e.writes++
 	} else {
 		e.reads++
 	}
-	first, last := mem.PageSpan(addr, n)
-	if first == last && e.fpValid && first == e.fpPage && e.fpEpoch == e.P.Epoch &&
-		(!write || e.fpWrite) {
-		e.chargeDRAM(addr, n, first, first == last)
-		return
+	pg := mem.PageOf(a)
+	if !e.fastPage(pg, write) {
+		if e.paged() {
+			e.pager.EnsurePage(e, pg, write)
+		}
+		e.fpValid, e.fpPage, e.fpWrite, e.fpEpoch = true, pg, write, e.P.Epoch
 	}
-	for pg := first; pg <= last; pg++ {
-		e.pager.EnsurePage(e, pg, write)
+	// The slot the previous charge ended on is the ordered scan's first
+	// match for its line: when that charge picked it, no earlier slot held
+	// the line or its predecessor, and no slot has moved since.
+	slot := e.last
+	if slot >= e.nStream || e.streams[slot] != l {
+		var ns float64
+		if slot, ns = e.chargeLine(l); ns > 0 {
+			e.advance(ns)
+		}
 	}
-	e.fpValid, e.fpPage, e.fpWrite, e.fpEpoch = true, last, write, e.P.Epoch
-	e.chargeDRAM(addr, n, first, first == last)
+	return e.frames[slot]
 }
 
-// hotR returns the frame bytes at a when a read of n bytes falls entirely
-// inside the hot line with the epoch unchanged (then the access is free and
-// mutation-free by construction; only the read counter advances).
-func (e *Env) hotR(a mem.Addr, n int) ([]byte, bool) {
-	if !e.hotValid || e.fpEpoch != e.P.Epoch {
-		return nil, false
+// touch is access for any span of bytes: every page through the pager,
+// every line through chargeLine, one charge for the sum.
+func (e *Env) touch(a mem.Addr, n int, write bool) *[mem.PageSize]byte {
+	if write {
+		e.writes++
+	} else {
+		e.reads++
 	}
-	if e.lineOf(uint64(a)) != e.hotLine || e.lineOf(uint64(a)+uint64(n)-1) != e.hotLine {
-		return nil, false
+	first, last := mem.PageSpan(a, n)
+	if first != last || !e.fastPage(last, write) {
+		if e.paged() {
+			for pg := first; pg <= last; pg++ {
+				e.pager.EnsurePage(e, pg, write)
+			}
+		}
+		e.fpValid, e.fpPage, e.fpWrite, e.fpEpoch = true, last, write, e.P.Epoch
 	}
-	if e.hotFrame == nil {
-		e.hotFrame = e.P.Space.Frame(e.hotPage)
+	var slot int
+	var ns float64
+	for l, end := uint64(a)>>e.lineShift, (uint64(a)+uint64(n)-1)>>e.lineShift; l <= end; l++ {
+		var c float64
+		slot, c = e.chargeLine(l)
+		ns += c
 	}
-	e.reads++
-	return e.hotFrame[a&(mem.PageSize-1):], true
+	if ns > 0 {
+		e.advance(ns)
+	}
+	if first != last {
+		return nil
+	}
+	return e.frames[slot]
 }
 
-// hotW is hotR for writes: additionally requires the page was anchored with
-// write permission (mirroring the fp fast path's fpWrite condition).
-func (e *Env) hotW(a mem.Addr, n int) ([]byte, bool) {
-	if !e.hotValid || !e.hotWrite || e.fpEpoch != e.P.Epoch {
-		return nil, false
+// fastPage reports whether the pager already granted pg at this grade and
+// nothing in the process has changed since.
+func (e *Env) fastPage(pg mem.PageID, write bool) bool {
+	return pg == e.fpPage && e.fpValid && e.fpEpoch == e.P.Epoch && (!write || e.fpWrite)
+}
+
+// paged reports whether the pager has anything to do: the compute pager of
+// a monolithic process without a page cache returns at once.
+func (e *Env) paged() bool { return !e.local || e.P.Cache != nil }
+
+// advance charges an access's DRAM cost to the thread.
+func (e *Env) advance(ns float64) {
+	if e.Dilation != nil {
+		ns *= e.Dilation()
 	}
-	if e.lineOf(uint64(a)) != e.hotLine || e.lineOf(uint64(a)+uint64(n)-1) != e.hotLine {
-		return nil, false
-	}
-	if e.hotFrame == nil {
-		e.hotFrame = e.P.Space.Frame(e.hotPage)
-	}
-	e.writes++
-	return e.hotFrame[a&(mem.PageSize-1):], true
+	e.T.AdvanceNs(ns)
 }
 
 // InvalidateFastPath drops the env's cached page state; the coherence layer
 // calls this indirectly by bumping the process epoch.
 func (e *Env) InvalidateFastPath() {
 	e.fpValid = false
-	e.hotValid = false
 }
 
 // dramStreams is the number of concurrent hardware-prefetch streams the
 // DRAM model tracks per thread (real cores track 8–32).
 const dramStreams = 8
 
-// chargeDRAM implements the line-granular DRAM model: a line that sits in
-// or directly after one of the thread's active access streams is served at
-// streaming bandwidth (the hardware prefetcher); anything else pays a full
-// random DRAM access and starts a new stream.
-//
-// It also (re)anchors the hot-line memo: its last line always ends up on an
-// active prefetch stream, so a repeat access inside that line would charge
-// zero and mutate nothing — the condition the hot-path accessors exploit.
-// Multi-page accesses don't anchor (the fp page and the line's page must
-// agree).
-func (e *Env) chargeDRAM(addr mem.Addr, n int, pg mem.PageID, single bool) {
-	cfg := &e.P.M.Cfg.HW
-	firstLine := e.lineOf(uint64(addr))
-	lastLine := e.lineOf(uint64(addr) + uint64(n) - 1)
-	if single {
-		e.hotValid = true
-		e.hotLine = lastLine
-		e.hotWrite = e.fpWrite
-		if pg != e.hotPage {
-			// Defer the frame borrow to the first hit: loops that never
-			// repeat a line pay nothing for the memo. Frame identities are
-			// stable, so a same-page re-anchor keeps the borrowed slice.
-			e.hotPage, e.hotFrame = pg, nil
+// chargeLine implements the line-granular DRAM model for one line: a line
+// that sits in or directly after one of the thread's active access streams
+// is served at streaming bandwidth (the hardware prefetcher); anything else
+// pays an on-chip cache hit or a full random DRAM access and starts a new
+// stream. The streams are scanned in slot order and the first match wins.
+// It returns the slot that holds l afterwards and the cost in nanoseconds.
+func (e *Env) chargeLine(l uint64) (slot int, ns float64) {
+	perPage := mem.PageShift - e.lineShift // log2(lines per page)
+	for i, s := range e.streams[:e.nStream] {
+		switch l - s {
+		case 0:
+			e.last = i
+			return i, 0 // still in this line: effectively L1
+		case 1:
+			e.streams[i], e.last = l, i
+			if l&(1<<perPage-1) == 0 { // the stream crossed into the next page
+				e.frames[i] = e.frameOf(l >> perPage)
+			}
+			if e.l2 != nil {
+				e.l2[l&uint64(len(e.l2)-1)] = l
+			}
+			return i, e.P.M.Cfg.HW.DRAMSeqLineNs
 		}
-	} else {
-		e.hotValid = false
 	}
+	// Not on a stream: an on-chip cache hit if the line was touched
+	// recently, a full DRAM access otherwise; either way a new stream
+	// starts (replace round-robin).
+	cfg := &e.P.M.Cfg.HW
 	if e.l2 == nil && cfg.CacheLines > 0 {
 		e.l2 = make([]uint64, cfg.CacheLines)
 	}
-	mask := uint64(len(e.l2) - 1)
-	var ns float64
-lines:
-	for l := firstLine; l <= lastLine; l++ {
-		for i := 0; i < e.nStream; i++ {
-			switch e.streams[i] {
-			case l:
-				continue lines // still in this line: effectively L1
-			case l - 1:
-				ns += cfg.DRAMSeqLineNs
-				e.streams[i] = l
-				if e.l2 != nil {
-					e.l2[l&mask] = l
-				}
-				continue lines
-			}
-		}
-		// Not on a stream: an on-chip cache hit if the line was touched
-		// recently, a full DRAM access otherwise; either way a new stream
-		// starts (replace round-robin).
-		if e.l2 != nil && e.l2[l&mask] == l {
-			ns += cfg.CacheHitNs
+	ns = cfg.DRAMRandNs
+	if e.l2 != nil {
+		if c := &e.l2[l&uint64(len(e.l2)-1)]; *c == l {
+			ns = cfg.CacheHitNs
 		} else {
-			ns += cfg.DRAMRandNs
-			if e.l2 != nil {
-				e.l2[l&mask] = l
-			}
-		}
-		if e.nStream < dramStreams {
-			e.streams[e.nStream] = l
-			e.nStream++
-		} else {
-			e.streams[e.sClock] = l
-			e.sClock = (e.sClock + 1) % dramStreams
+			*c = l
 		}
 	}
-	if ns > 0 {
-		if e.Dilation != nil {
-			ns *= e.Dilation()
-		}
-		e.T.AdvanceNs(ns)
+	if e.nStream < dramStreams {
+		slot = e.nStream
+		e.nStream++
+	} else {
+		slot = e.sClock
+		e.sClock = (e.sClock + 1) % dramStreams
 	}
+	e.streams[slot], e.last = l, slot
+	e.frames[slot] = e.frameOf(l >> perPage)
+	return slot, ns
+}
+
+// frameOf borrows page pg's frame for a stream slot's memo.
+func (e *Env) frameOf(pg uint64) *[mem.PageSize]byte {
+	return (*[mem.PageSize]byte)(e.P.Space.Frame(mem.PageID(pg)))
 }
 
 // ReadU64 reads a uint64 through the paging model.
 func (e *Env) ReadU64(a mem.Addr) uint64 {
-	if b, ok := e.hotR(a, 8); ok {
-		return binary.LittleEndian.Uint64(b)
+	if f := e.access(a, 8, false); f != nil {
+		return binary.LittleEndian.Uint64(f[a&(mem.PageSize-1):])
 	}
-	e.touch(a, 8, false)
 	return e.P.Space.ReadU64(a)
 }
 
 // WriteU64 writes a uint64 through the paging model.
 func (e *Env) WriteU64(a mem.Addr, v uint64) {
-	if b, ok := e.hotW(a, 8); ok {
-		binary.LittleEndian.PutUint64(b, v)
+	if f := e.access(a, 8, true); f != nil {
+		binary.LittleEndian.PutUint64(f[a&(mem.PageSize-1):], v)
 		return
 	}
-	e.touch(a, 8, true)
 	e.P.Space.WriteU64(a, v)
 }
 
@@ -331,40 +323,25 @@ func (e *Env) ReadI64(a mem.Addr) int64 { return int64(e.ReadU64(a)) }
 func (e *Env) WriteI64(a mem.Addr, v int64) { e.WriteU64(a, uint64(v)) }
 
 // ReadF64 reads a float64.
-func (e *Env) ReadF64(a mem.Addr) float64 {
-	if b, ok := e.hotR(a, 8); ok {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	e.touch(a, 8, false)
-	return e.P.Space.ReadF64(a)
-}
+func (e *Env) ReadF64(a mem.Addr) float64 { return math.Float64frombits(e.ReadU64(a)) }
 
 // WriteF64 writes a float64.
-func (e *Env) WriteF64(a mem.Addr, v float64) {
-	if b, ok := e.hotW(a, 8); ok {
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-		return
-	}
-	e.touch(a, 8, true)
-	e.P.Space.WriteF64(a, v)
-}
+func (e *Env) WriteF64(a mem.Addr, v float64) { e.WriteU64(a, math.Float64bits(v)) }
 
 // ReadU32 reads a uint32.
 func (e *Env) ReadU32(a mem.Addr) uint32 {
-	if b, ok := e.hotR(a, 4); ok {
-		return binary.LittleEndian.Uint32(b)
+	if f := e.access(a, 4, false); f != nil {
+		return binary.LittleEndian.Uint32(f[a&(mem.PageSize-1):])
 	}
-	e.touch(a, 4, false)
 	return e.P.Space.ReadU32(a)
 }
 
 // WriteU32 writes a uint32.
 func (e *Env) WriteU32(a mem.Addr, v uint32) {
-	if b, ok := e.hotW(a, 4); ok {
-		binary.LittleEndian.PutUint32(b, v)
+	if f := e.access(a, 4, true); f != nil {
+		binary.LittleEndian.PutUint32(f[a&(mem.PageSize-1):], v)
 		return
 	}
-	e.touch(a, 4, true)
 	e.P.Space.WriteU32(a, v)
 }
 
@@ -375,48 +352,47 @@ func (e *Env) ReadI32(a mem.Addr) int32 { return int32(e.ReadU32(a)) }
 func (e *Env) WriteI32(a mem.Addr, v int32) { e.WriteU32(a, uint32(v)) }
 
 // ReadU8 reads one byte.
-func (e *Env) ReadU8(a mem.Addr) byte {
-	if b, ok := e.hotR(a, 1); ok {
-		return b[0]
-	}
-	e.touch(a, 1, false)
-	return e.P.Space.ReadU8(a)
-}
+func (e *Env) ReadU8(a mem.Addr) byte { return e.access(a, 1, false)[a&(mem.PageSize-1)] }
 
 // WriteU8 writes one byte.
-func (e *Env) WriteU8(a mem.Addr, v byte) {
-	if b, ok := e.hotW(a, 1); ok {
-		b[0] = v
-		return
+func (e *Env) WriteU8(a mem.Addr, v byte) { e.access(a, 1, true)[a&(mem.PageSize-1)] = v }
+
+// freeRun returns how many of up to max further size-byte elements at a —
+// the address after an element access just served from frame f — the batched
+// accessors may decode from f without re-entering the model: those that end
+// inside the line that access ended on, provided the process epoch has not
+// moved since (the charge may have yielded to a thread that evicted or
+// downgraded the page). For each of them access would find the fast-path
+// page and the last slot on its line, charge nothing and change no state;
+// nothing in the run advances virtual time, so the one check covers it.
+func (e *Env) freeRun(a mem.Addr, size, max int) int {
+	if e.fpEpoch != e.P.Epoch {
+		return 0
 	}
-	e.touch(a, 1, true)
-	e.P.Space.WriteU8(a, v)
+	lineEnd := ((uint64(a)-1)>>e.lineShift + 1) << e.lineShift
+	if k := int(lineEnd-uint64(a)) / size; k < max {
+		return k
+	}
+	return max
 }
 
 // ReadU64s reads len(dst) consecutive uint64s starting at a. It is
 // element-for-element equivalent to that many ReadU64 calls — the paging
-// state machine and DRAM charges run in the identical order — but runs of
-// words inside an already-charged hot line decode straight from the
-// borrowed frame without re-entering the model.
+// state machine and DRAM charges run in the identical order — but the words
+// after the first in an already-charged line decode straight from its frame.
 func (e *Env) ReadU64s(a mem.Addr, dst []uint64) {
 	for i := 0; i < len(dst); {
-		dst[i] = e.ReadU64(a)
-		i++
-		a += 8
-		if !e.hotValid || e.fpEpoch != e.P.Epoch {
+		f := e.access(a, 8, false)
+		if f == nil {
+			dst[i] = e.P.Space.ReadU64(a)
+			i, a = i+1, a+8
 			continue
 		}
-		// Nothing below advances virtual time, so no yield can run and the
-		// epoch cannot change mid-run: one check covers the whole line.
-		if e.hotFrame == nil {
-			e.hotFrame = e.P.Space.Frame(e.hotPage)
-		}
-		end := (e.hotLine + 1) * e.lineB
-		for i < len(dst) && uint64(a)+8 <= end {
-			dst[i] = binary.LittleEndian.Uint64(e.hotFrame[a&(mem.PageSize-1):])
-			e.reads++
-			i++
-			a += 8
+		k := 1 + e.freeRun(a+8, 8, len(dst)-i-1)
+		e.reads += int64(k - 1)
+		for ; k > 0; k-- {
+			dst[i] = binary.LittleEndian.Uint64(f[a&(mem.PageSize-1):])
+			i, a = i+1, a+8
 		}
 	}
 }
@@ -425,21 +401,17 @@ func (e *Env) ReadU64s(a mem.Addr, dst []uint64) {
 // per-element equivalence as ReadU64s.
 func (e *Env) WriteU64s(a mem.Addr, src []uint64) {
 	for i := 0; i < len(src); {
-		e.WriteU64(a, src[i])
-		i++
-		a += 8
-		if !e.hotValid || !e.hotWrite || e.fpEpoch != e.P.Epoch {
+		f := e.access(a, 8, true)
+		if f == nil {
+			e.P.Space.WriteU64(a, src[i])
+			i, a = i+1, a+8
 			continue
 		}
-		if e.hotFrame == nil {
-			e.hotFrame = e.P.Space.Frame(e.hotPage)
-		}
-		end := (e.hotLine + 1) * e.lineB
-		for i < len(src) && uint64(a)+8 <= end {
-			binary.LittleEndian.PutUint64(e.hotFrame[a&(mem.PageSize-1):], src[i])
-			e.writes++
-			i++
-			a += 8
+		k := 1 + e.freeRun(a+8, 8, len(src)-i-1)
+		e.writes += int64(k - 1)
+		for ; k > 0; k-- {
+			binary.LittleEndian.PutUint64(f[a&(mem.PageSize-1):], src[i])
+			i, a = i+1, a+8
 		}
 	}
 }
@@ -448,21 +420,17 @@ func (e *Env) WriteU64s(a mem.Addr, src []uint64) {
 // equivalent to that many ReadU32 calls).
 func (e *Env) ReadU32s(a mem.Addr, dst []uint32) {
 	for i := 0; i < len(dst); {
-		dst[i] = e.ReadU32(a)
-		i++
-		a += 4
-		if !e.hotValid || e.fpEpoch != e.P.Epoch {
+		f := e.access(a, 4, false)
+		if f == nil {
+			dst[i] = e.P.Space.ReadU32(a)
+			i, a = i+1, a+4
 			continue
 		}
-		if e.hotFrame == nil {
-			e.hotFrame = e.P.Space.Frame(e.hotPage)
-		}
-		end := (e.hotLine + 1) * e.lineB
-		for i < len(dst) && uint64(a)+4 <= end {
-			dst[i] = binary.LittleEndian.Uint32(e.hotFrame[a&(mem.PageSize-1):])
-			e.reads++
-			i++
-			a += 4
+		k := 1 + e.freeRun(a+4, 4, len(dst)-i-1)
+		e.reads += int64(k - 1)
+		for ; k > 0; k-- {
+			dst[i] = binary.LittleEndian.Uint32(f[a&(mem.PageSize-1):])
+			i, a = i+1, a+4
 		}
 	}
 }
@@ -471,21 +439,17 @@ func (e *Env) ReadU32s(a mem.Addr, dst []uint32) {
 // equivalent to that many WriteU32 calls).
 func (e *Env) WriteU32s(a mem.Addr, src []uint32) {
 	for i := 0; i < len(src); {
-		e.WriteU32(a, src[i])
-		i++
-		a += 4
-		if !e.hotValid || !e.hotWrite || e.fpEpoch != e.P.Epoch {
+		f := e.access(a, 4, true)
+		if f == nil {
+			e.P.Space.WriteU32(a, src[i])
+			i, a = i+1, a+4
 			continue
 		}
-		if e.hotFrame == nil {
-			e.hotFrame = e.P.Space.Frame(e.hotPage)
-		}
-		end := (e.hotLine + 1) * e.lineB
-		for i < len(src) && uint64(a)+4 <= end {
-			binary.LittleEndian.PutUint32(e.hotFrame[a&(mem.PageSize-1):], src[i])
-			e.writes++
-			i++
-			a += 4
+		k := 1 + e.freeRun(a+4, 4, len(src)-i-1)
+		e.writes += int64(k - 1)
+		for ; k > 0; k-- {
+			binary.LittleEndian.PutUint32(f[a&(mem.PageSize-1):], src[i])
+			i, a = i+1, a+4
 		}
 	}
 }
@@ -495,7 +459,7 @@ func (e *Env) ReadBytes(a mem.Addr, buf []byte) {
 	if len(buf) == 0 {
 		return
 	}
-	e.touch(a, len(buf), false)
+	e.access(a, len(buf), false)
 	e.P.Space.ReadAt(a, buf)
 }
 
@@ -504,7 +468,7 @@ func (e *Env) WriteBytes(a mem.Addr, buf []byte) {
 	if len(buf) == 0 {
 		return
 	}
-	e.touch(a, len(buf), true)
+	e.access(a, len(buf), true)
 	e.P.Space.WriteAt(a, buf)
 }
 
@@ -517,12 +481,16 @@ func (computePager) EnsurePage(e *Env, pg mem.PageID, write bool) {
 		ensureLocal(e, pg, write)
 		return
 	}
-	if w, _, ok := p.Cache.Lookup(pg); ok {
+	if n := p.Cache.hit(pg); n != nil {
 		p.stats.CacheHits++
-		if write {
-			if !w {
-				upgradeWrite(e, pg)
-			}
+		switch {
+		case !write:
+		case n.writable:
+			n.dirty = true
+		default:
+			// The upgrade's round trip may yield to a thread that evicts the
+			// page, so the dirty bit goes to whatever node holds it afterwards.
+			upgradeWrite(e, pg)
 			p.Cache.MarkDirty(pg)
 		}
 		return
@@ -538,10 +506,10 @@ func ensureLocal(e *Env, pg mem.PageID, write bool) {
 	if p.Cache == nil {
 		return
 	}
-	if _, _, ok := p.Cache.Lookup(pg); ok {
+	if n := p.Cache.hit(pg); n != nil {
 		p.stats.CacheHits++
 		if write {
-			p.Cache.MarkDirty(pg)
+			n.dirty = true
 		}
 		return
 	}

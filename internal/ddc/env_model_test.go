@@ -1,0 +1,647 @@
+package ddc
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"teleport/internal/mem"
+	"teleport/internal/sim"
+)
+
+// This file lock-steps Env's one-pass access path against the access path it
+// replaced, kept here as the reference: touch running the paging state
+// machine, chargeDRAM charging every line, the one-entry hot-line memo in
+// front of both, and mem.Space's accessors moving the bytes. Two identical
+// processes replay one trace, one through each; after every access they must
+// agree on everything an access can observe or change.
+
+// modelEnv is the reference access path. carrier is what the pager sees of
+// it: the model's own thread and process.
+type modelEnv struct {
+	carrier *Env
+	pager   Pager
+
+	fpValid, fpWrite bool
+	fpPage           mem.PageID
+	fpEpoch          uint64
+
+	hotValid, hotWrite bool
+	hotLine            uint64
+
+	lineB   uint64
+	streams [dramStreams]uint64
+	nStream int
+	sClock  int
+	l2      []uint64
+
+	reads, writes int64
+}
+
+func (m *modelEnv) lineOf(x uint64) uint64 { return x / m.lineB }
+
+func (m *modelEnv) touch(addr mem.Addr, n int, write bool) {
+	if write {
+		m.writes++
+	} else {
+		m.reads++
+	}
+	p := m.carrier.P
+	first, last := mem.PageSpan(addr, n)
+	if first == last && m.fpValid && first == m.fpPage && m.fpEpoch == p.Epoch &&
+		(!write || m.fpWrite) {
+		m.chargeDRAM(addr, n, true)
+		return
+	}
+	for pg := first; pg <= last; pg++ {
+		m.pager.EnsurePage(m.carrier, pg, write)
+	}
+	m.fpValid, m.fpPage, m.fpWrite, m.fpEpoch = true, last, write, p.Epoch
+	m.chargeDRAM(addr, n, first == last)
+}
+
+// hot reports whether an n-byte access at a falls inside the hot line with
+// the epoch unchanged — then it is free and only the counter advances.
+func (m *modelEnv) hot(a mem.Addr, n int, write bool) bool {
+	if !m.hotValid || (write && !m.hotWrite) || m.fpEpoch != m.carrier.P.Epoch {
+		return false
+	}
+	if m.lineOf(uint64(a)) != m.hotLine || m.lineOf(uint64(a)+uint64(n)-1) != m.hotLine {
+		return false
+	}
+	if write {
+		m.writes++
+	} else {
+		m.reads++
+	}
+	return true
+}
+
+func (m *modelEnv) chargeDRAM(addr mem.Addr, n int, single bool) {
+	cfg := &m.carrier.P.M.Cfg.HW
+	firstLine := m.lineOf(uint64(addr))
+	lastLine := m.lineOf(uint64(addr) + uint64(n) - 1)
+	m.hotValid = single
+	if single {
+		m.hotLine, m.hotWrite = lastLine, m.fpWrite
+	}
+	if m.l2 == nil && cfg.CacheLines > 0 {
+		m.l2 = make([]uint64, cfg.CacheLines)
+	}
+	mask := uint64(len(m.l2) - 1)
+	var ns float64
+lines:
+	for l := firstLine; l <= lastLine; l++ {
+		for i := 0; i < m.nStream; i++ {
+			switch m.streams[i] {
+			case l:
+				continue lines
+			case l - 1:
+				ns += cfg.DRAMSeqLineNs
+				m.streams[i] = l
+				if m.l2 != nil {
+					m.l2[l&mask] = l
+				}
+				continue lines
+			}
+		}
+		if m.l2 != nil && m.l2[l&mask] == l {
+			ns += cfg.CacheHitNs
+		} else {
+			ns += cfg.DRAMRandNs
+			if m.l2 != nil {
+				m.l2[l&mask] = l
+			}
+		}
+		if m.nStream < dramStreams {
+			m.streams[m.nStream] = l
+			m.nStream++
+		} else {
+			m.streams[m.sClock] = l
+			m.sClock = (m.sClock + 1) % dramStreams
+		}
+	}
+	if ns > 0 {
+		if m.carrier.Dilation != nil {
+			ns *= m.carrier.Dilation()
+		}
+		m.carrier.T.AdvanceNs(ns)
+	}
+}
+
+func (m *modelEnv) read(a mem.Addr, n int) {
+	if !m.hot(a, n, false) {
+		m.touch(a, n, false)
+	}
+}
+
+func (m *modelEnv) write(a mem.Addr, n int) {
+	if !m.hot(a, n, true) {
+		m.touch(a, n, true)
+	}
+}
+
+func (m *modelEnv) space() *mem.Space { return m.carrier.P.Space }
+
+func (m *modelEnv) ReadU64(a mem.Addr) uint64     { m.read(a, 8); return m.space().ReadU64(a) }
+func (m *modelEnv) WriteU64(a mem.Addr, v uint64) { m.write(a, 8); m.space().WriteU64(a, v) }
+func (m *modelEnv) ReadU32(a mem.Addr) uint32     { m.read(a, 4); return m.space().ReadU32(a) }
+func (m *modelEnv) WriteU32(a mem.Addr, v uint32) { m.write(a, 4); m.space().WriteU32(a, v) }
+func (m *modelEnv) ReadU8(a mem.Addr) byte        { m.read(a, 1); return m.space().ReadU8(a) }
+func (m *modelEnv) WriteU8(a mem.Addr, v byte)    { m.write(a, 1); m.space().WriteU8(a, v) }
+
+// batch is the reference batched accessor: one element through the scalar
+// path, then, with the hot line valid at the right grade and the epoch
+// unmoved, the elements that end inside that line for a counter tick each.
+func (m *modelEnv) batch(a mem.Addr, count, size int, write bool, move func(i int, a mem.Addr)) {
+	for i := 0; i < count; {
+		if write {
+			m.write(a, size)
+		} else {
+			m.read(a, size)
+		}
+		move(i, a)
+		i++
+		a += mem.Addr(size)
+		if !m.hotValid || (write && !m.hotWrite) || m.fpEpoch != m.carrier.P.Epoch {
+			continue
+		}
+		end := (m.hotLine + 1) * m.lineB
+		for i < count && uint64(a)+uint64(size) <= end {
+			move(i, a)
+			if write {
+				m.writes++
+			} else {
+				m.reads++
+			}
+			i++
+			a += mem.Addr(size)
+		}
+	}
+}
+
+func (m *modelEnv) ReadU64s(a mem.Addr, dst []uint64) {
+	m.batch(a, len(dst), 8, false, func(i int, a mem.Addr) { dst[i] = m.space().ReadU64(a) })
+}
+
+func (m *modelEnv) WriteU64s(a mem.Addr, src []uint64) {
+	m.batch(a, len(src), 8, true, func(i int, a mem.Addr) { m.space().WriteU64(a, src[i]) })
+}
+
+func (m *modelEnv) ReadU32s(a mem.Addr, dst []uint32) {
+	m.batch(a, len(dst), 4, false, func(i int, a mem.Addr) { dst[i] = m.space().ReadU32(a) })
+}
+
+func (m *modelEnv) WriteU32s(a mem.Addr, src []uint32) {
+	m.batch(a, len(src), 4, true, func(i int, a mem.Addr) { m.space().WriteU32(a, src[i]) })
+}
+
+func (m *modelEnv) ReadBytes(a mem.Addr, buf []byte) {
+	if len(buf) == 0 {
+		return
+	}
+	m.touch(a, len(buf), false)
+	m.space().ReadAt(a, buf)
+}
+
+func (m *modelEnv) WriteBytes(a mem.Addr, buf []byte) {
+	if len(buf) == 0 {
+		return
+	}
+	m.touch(a, len(buf), true)
+	m.space().WriteAt(a, buf)
+}
+
+func (m *modelEnv) InvalidateFastPath() { m.fpValid, m.hotValid = false, false }
+
+// accessPath is what a trace drives: Env and modelEnv both provide it.
+type accessPath interface {
+	ReadU64(mem.Addr) uint64
+	WriteU64(mem.Addr, uint64)
+	ReadU32(mem.Addr) uint32
+	WriteU32(mem.Addr, uint32)
+	ReadU8(mem.Addr) byte
+	WriteU8(mem.Addr, byte)
+	ReadU64s(mem.Addr, []uint64)
+	WriteU64s(mem.Addr, []uint64)
+	ReadU32s(mem.Addr, []uint32)
+	WriteU32s(mem.Addr, []uint32)
+	ReadBytes(mem.Addr, []byte)
+	WriteBytes(mem.Addr, []byte)
+	InvalidateFastPath()
+}
+
+// pagerCall is one entry of the pager-call log.
+type pagerCall struct {
+	page  mem.PageID
+	write bool
+}
+
+// logPager records every call before passing it on.
+type logPager struct {
+	inner Pager
+	log   []pagerCall
+}
+
+func (lp *logPager) EnsurePage(e *Env, pg mem.PageID, write bool) {
+	lp.log = append(lp.log, pagerCall{pg, write})
+	lp.inner.EnsurePage(e, pg, write)
+}
+
+// restlessPager stands in for a pushdown's pager: it charges time and, on a
+// fixed rhythm, moves the process epoch the way a coherence event does.
+type restlessPager struct{ calls int }
+
+func (rp *restlessPager) EnsurePage(e *Env, _ mem.PageID, write bool) {
+	rp.calls++
+	e.T.AdvanceNs(float64(40 + rp.calls%7))
+	if rp.calls%5 == 0 || (write && rp.calls%3 == 0) {
+		e.P.Epoch++
+	}
+}
+
+// modelSide is one of the two processes replaying a trace.
+type modelSide struct {
+	p      *Process
+	th     *sim.Thread
+	env    *Env // the access path under test, or the reference's carrier
+	path   accessPath
+	pager  *logPager
+	dilate int // Dilation calls so far
+}
+
+const (
+	modelPages   = 48 // pages of the region a trace walks
+	modelStreams = 12 // most interleaved streams in a trace
+)
+
+// modelConfigs are the machines a trace runs on; the last entry selects
+// memory place with a restlessPager on a base-DDC machine. cacheLines sizes
+// the on-chip cache model: small so that lines alias and evict each other,
+// 0 for none, -1 for the testbed's.
+var modelConfigs = []struct {
+	name       string
+	cfg        func() Config
+	cacheLines int
+}{
+	{"linux", Linux, 64},
+	{"linux-ssd", func() Config { return LinuxSSD(5 * mem.PageSize) }, 0},
+	{"base-ddc", func() Config { return BaseDDC(6 * mem.PageSize) }, 16},
+	{"base-ddc-roomy", func() Config { return BaseDDC(2 * modelPages * mem.PageSize) }, -1},
+	{"memory-place", func() Config { return BaseDDC(6 * mem.PageSize) }, 64},
+}
+
+// newModelSide builds one process on configuration k. logged wraps the pager
+// in a logPager; without it the Env keeps the pager the constructor gave it,
+// so the monolithic no-dispatch shortcut is on the tested path too. dilated
+// installs a Dilation whose value varies per call and which, like a yield to
+// a thread that evicts a page, moves the epoch in the middle of some charges.
+func newModelSide(k int, reference, logged, dilated bool) (*modelSide, mem.Addr) {
+	cfg := modelConfigs[k].cfg()
+	if n := modelConfigs[k].cacheLines; n >= 0 {
+		cfg.HW.CacheLines = n
+	}
+	s := &modelSide{p: MustMachine(cfg).NewProcess(), th: sim.NewThread("t")}
+	base := s.p.Space.AllocPages(modelPages*mem.PageSize, "region")
+	var pager Pager = computePager{}
+	if modelConfigs[k].name == "memory-place" {
+		pager = &restlessPager{}
+		s.env = s.p.NewMemoryEnv(s.th, pager)
+	} else {
+		s.env = s.p.NewEnv(s.th)
+	}
+	if logged {
+		s.pager = &logPager{inner: pager}
+		s.env.pager, s.env.local = s.pager, false
+	}
+	if dilated {
+		s.env.Dilation = func() float64 {
+			s.dilate++
+			if s.dilate%6 == 0 {
+				s.p.Epoch++
+			}
+			return 1 + float64(s.dilate%4)/4
+		}
+	}
+	s.path = s.env
+	if reference {
+		s.path = &modelEnv{
+			carrier: s.env, pager: s.env.pager,
+			lineB: uint64(s.p.M.Cfg.HW.DRAMLineBytes),
+		}
+	}
+	return s, base
+}
+
+// traceReader hands out a trace's bytes; past the end it reads zeroes.
+type traceReader struct {
+	data []byte
+	pos  int
+}
+
+func (r *traceReader) done() bool { return r.pos >= len(r.data) }
+
+func (r *traceReader) byte() int {
+	if r.done() {
+		return 0
+	}
+	b := r.data[r.pos]
+	r.pos++
+	return int(b)
+}
+
+// runAccessModel replays the trace encoded in data on both paths and fails on
+// the first access after which they differ. It returns the accesses replayed.
+//
+// Byte 0 picks the configuration, byte 1 the number of streams (1–12) and
+// whether Dilation is installed, byte 2 whether pager calls are logged. Each
+// operation is then five bytes: opcode, stream, and operands x, y, z. A
+// stream is a cursor over the shared region: accesses advance it by their
+// size, so a stream is sequential until an operation jumps it (opcode bit
+// 0x40), and bit 0x20 pulls an access off its natural alignment so that
+// scalars straddle lines and pages.
+func runAccessModel(t testing.TB, data []byte) int {
+	r := &traceReader{data: data}
+	k := r.byte() % len(modelConfigs)
+	b1, b2 := r.byte(), r.byte()
+	nStreams, dilated, logged := 1+b1%modelStreams, b1&0x80 != 0, b2&1 == 0
+	real, base := newModelSide(k, false, logged, dilated)
+	ref, _ := newModelSide(k, true, logged, dilated)
+	const size = modelPages * mem.PageSize
+	var cursor [modelStreams]int
+	for i := range cursor {
+		cursor[i] = i * (size / modelStreams)
+	}
+
+	accesses := 0
+	for !r.done() {
+		op, si, x, y, z := r.byte(), r.byte()%nStreams, r.byte(), r.byte(), r.byte()
+		cur := &cursor[si]
+		if op&0x40 != 0 { // jump the stream
+			*cur = (y<<8 | z) * 8 % size
+		}
+		if op&0x20 != 0 { // off alignment
+			*cur += 1 + op>>7*2
+		}
+		// at returns the address of an n-byte access at the cursor, wrapped
+		// into the region, and moves the cursor past it.
+		at := func(n int) mem.Addr {
+			if *cur+n > size {
+				*cur = 0
+			}
+			a := base + mem.Addr(*cur)
+			*cur += n
+			return a
+		}
+		var got, want any
+		desc := ""
+		both := func(f func(accessPath) any) {
+			got, want = f(real.path), f(ref.path)
+		}
+		switch op % 16 {
+		case 0, 1:
+			a := at(8)
+			desc = fmt.Sprintf("ReadU64(%#x)", a)
+			both(func(p accessPath) any { return p.ReadU64(a) })
+		case 2:
+			a, v := at(8), uint64(x)*0x0101010101010101
+			desc = fmt.Sprintf("WriteU64(%#x)", a)
+			both(func(p accessPath) any { p.WriteU64(a, v); return nil })
+		case 3:
+			a := at(4)
+			desc = fmt.Sprintf("ReadU32(%#x)", a)
+			both(func(p accessPath) any { return p.ReadU32(a) })
+		case 4:
+			a, v := at(4), uint32(x)*0x01010101
+			desc = fmt.Sprintf("WriteU32(%#x)", a)
+			both(func(p accessPath) any { p.WriteU32(a, v); return nil })
+		case 5:
+			a := at(1)
+			desc = fmt.Sprintf("ReadU8(%#x)", a)
+			both(func(p accessPath) any { return p.ReadU8(a) })
+		case 6:
+			a, v := at(1), byte(x)
+			desc = fmt.Sprintf("WriteU8(%#x)", a)
+			both(func(p accessPath) any { p.WriteU8(a, v); return nil })
+		case 7:
+			n := 1 + x%40
+			a := at(8 * n)
+			desc = fmt.Sprintf("ReadU64s(%#x, %d)", a, n)
+			both(func(p accessPath) any { dst := make([]uint64, n); p.ReadU64s(a, dst); return dst })
+		case 8:
+			n, v := 1+x%40, uint64(y)
+			a := at(8 * n)
+			desc = fmt.Sprintf("WriteU64s(%#x, %d)", a, n)
+			both(func(p accessPath) any {
+				src := make([]uint64, n)
+				for i := range src {
+					src[i] = v<<32 | uint64(i)
+				}
+				p.WriteU64s(a, src)
+				return nil
+			})
+		case 9:
+			n := 1 + x%40
+			a := at(4 * n)
+			desc = fmt.Sprintf("ReadU32s(%#x, %d)", a, n)
+			both(func(p accessPath) any { dst := make([]uint32, n); p.ReadU32s(a, dst); return dst })
+		case 10:
+			n, v := 1+x%40, uint32(y)
+			a := at(4 * n)
+			desc = fmt.Sprintf("WriteU32s(%#x, %d)", a, n)
+			both(func(p accessPath) any {
+				src := make([]uint32, n)
+				for i := range src {
+					src[i] = v<<16 | uint32(i)
+				}
+				p.WriteU32s(a, src)
+				return nil
+			})
+		case 11:
+			n := 1 + (x<<8|y)%(2*mem.PageSize+100)
+			a := at(n)
+			desc = fmt.Sprintf("ReadBytes(%#x, %d)", a, n)
+			both(func(p accessPath) any { buf := make([]byte, n); p.ReadBytes(a, buf); return buf })
+		case 12:
+			n, v := 1+(x<<8|y)%(2*mem.PageSize+100), byte(z)
+			a := at(n)
+			desc = fmt.Sprintf("WriteBytes(%#x, %d)", a, n)
+			both(func(p accessPath) any {
+				p.WriteBytes(a, bytes.Repeat([]byte{v}, n))
+				return nil
+			})
+		case 13: // the word the stream passed last, again
+			*cur = max(*cur, 8) - 8
+			a := at(8)
+			desc = fmt.Sprintf("ReadU64(%#x) again", a)
+			both(func(p accessPath) any { return p.ReadU64(a) })
+		case 14:
+			desc = "epoch bump"
+			real.p.Epoch++
+			ref.p.Epoch++
+		case 15:
+			desc = "InvalidateFastPath"
+			real.path.InvalidateFastPath()
+			ref.path.InvalidateFastPath()
+		}
+		accesses++
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("access %d %s on %s: returned %v, reference %v", accesses, desc, modelConfigs[k].name, got, want)
+		}
+		if diff := compareModelSides(real, ref); diff != "" {
+			t.Fatalf("access %d %s on %s (%d streams, dilated=%v): %s",
+				accesses, desc, modelConfigs[k].name, nStreams, dilated, diff)
+		}
+	}
+	for pg, last := mem.PageOf(base), mem.PageOf(base+size-1); pg <= last; pg++ {
+		if !bytes.Equal(real.p.Space.Frame(pg), ref.p.Space.Frame(pg)) {
+			t.Fatalf("%s: page %d differs from the reference after the trace", modelConfigs[k].name, pg)
+		}
+	}
+	return accesses
+}
+
+// compareModelSides returns what differs between the Env under test and the
+// reference after an access, or "".
+func compareModelSides(real, ref *modelSide) string {
+	e, m := real.env, ref.path.(*modelEnv)
+	if real.th.Now() != ref.th.Now() {
+		return fmt.Sprintf("thread clock %v, reference %v", real.th.Now(), ref.th.Now())
+	}
+	if r, w := e.Accesses(); r != m.reads || w != m.writes {
+		return fmt.Sprintf("Accesses() = %d, %d, reference %d, %d", r, w, m.reads, m.writes)
+	}
+	if real.pager != nil {
+		// Each access's calls are compared once, then dropped.
+		if !slices.Equal(real.pager.log, ref.pager.log) {
+			return fmt.Sprintf("pager calls %v, reference %v", real.pager.log, ref.pager.log)
+		}
+		real.pager.log, ref.pager.log = real.pager.log[:0], ref.pager.log[:0]
+	}
+	if e.streams != m.streams || e.nStream != m.nStream || e.sClock != m.sClock {
+		return fmt.Sprintf("streams %v/%d/%d, reference %v/%d/%d",
+			e.streams, e.nStream, e.sClock, m.streams, m.nStream, m.sClock)
+	}
+	if !slices.Equal(e.l2, m.l2) {
+		return "on-chip cache model differs"
+	}
+	for i := 0; i < e.nStream; i++ {
+		pg := mem.PageID(e.streams[i] >> (mem.PageShift - e.lineShift))
+		if e.frames[i] == nil || &e.frames[i][0] != &real.p.Space.Frame(pg)[0] {
+			return fmt.Sprintf("slot %d holds line %d but not page %d's frame", i, e.streams[i], pg)
+		}
+	}
+	if e.last >= dramStreams || (e.nStream > 0 && e.last >= e.nStream) {
+		return fmt.Sprintf("last slot %d of %d", e.last, e.nStream)
+	}
+	if real.p.Epoch != ref.p.Epoch {
+		return fmt.Sprintf("epoch %d, reference %d", real.p.Epoch, ref.p.Epoch)
+	}
+	if real.p.Stats() != ref.p.Stats() {
+		return fmt.Sprintf("Stats() = %+v, reference %+v", real.p.Stats(), ref.p.Stats())
+	}
+	if real.dilate != ref.dilate {
+		return fmt.Sprintf("Dilation called %d times, reference %d", real.dilate, ref.dilate)
+	}
+	for _, c := range [][2]*PageCache{{real.p.Cache, ref.p.Cache}, {real.p.PoolRes, ref.p.PoolRes}} {
+		if a, b := cacheOrder(c[0]), cacheOrder(c[1]); !slices.Equal(a, b) {
+			return fmt.Sprintf("cache MRU order %v, reference %v", a, b)
+		}
+	}
+	return ""
+}
+
+// cacheOrder lists a cache's pages with their bits, MRU first.
+func cacheOrder(c *PageCache) (order []cacheNode) {
+	if c != nil {
+		c.Range(func(p mem.PageID, writable, dirty bool) bool {
+			order = append(order, cacheNode{page: p, writable: writable, dirty: dirty})
+			return true
+		})
+	}
+	return order
+}
+
+// randomTrace draws a trace for runAccessModel: configuration and stream
+// count from the seed, then operations whose mix leans towards interleaved
+// sequential scalars, the shape operators produce.
+func randomTrace(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	data := []byte{byte(seed), byte(rng.Intn(256)), byte(rng.Intn(256))}
+	for n := 300 + rng.Intn(500); n > 0; n-- {
+		op := byte(rng.Intn(16))
+		if rng.Intn(3) > 0 {
+			op = byte(rng.Intn(7)) // scalars
+		}
+		if rng.Intn(12) == 0 {
+			op |= 0x40
+		}
+		if rng.Intn(16) == 0 {
+			op |= 0x20 | byte(rng.Intn(2))<<7
+		}
+		data = append(data, op, byte(rng.Intn(256)),
+			byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	return data
+}
+
+// directedTraces are the cases where the slot the last charge ended on must
+// not be mistaken for the ordered scan's first match: each ends on a line a
+// later slot already holds, just after an earlier slot has come to hold its
+// predecessor, so the line is a sequential charge to the earlier slot.
+func directedTraces() [][]byte {
+	// read jumps a stream to a word of the region (8 words to a line) and
+	// reads it.
+	read := func(trace []byte, stream, word int) []byte {
+		return append(trace, 0x40, byte(stream), 0, byte(word>>8), byte(word))
+	}
+	header := []byte{0, 1, 0} // linux, two streams, pager calls logged
+
+	// Slot 0 streams from line 2 into line 3 while slot 1 sits on line 4.
+	advanced := read(read(read(read(header, 0, 16), 1, 32), 0, 24), 0, 33)
+
+	// Eight slots fill, the last one on line 100 and read twice; line 99
+	// then starts a new stream, which replaces slot 0.
+	replaced := header
+	for slot := 1; slot < dramStreams; slot++ {
+		replaced = read(replaced, 0, 1000*slot)
+	}
+	replaced = read(read(read(read(replaced, 0, 800), 0, 801), 0, 792), 0, 802)
+	return [][]byte{advanced, replaced}
+}
+
+// TestEnvAccessMatchesReference replays seeded random traces — every
+// configuration, 1–12 streams, scalar, batched and byte accesses that
+// straddle lines and pages, Dilation, epoch bumps — through Env and the
+// reference path side by side.
+func TestEnvAccessMatchesReference(t *testing.T) {
+	accesses := 0
+	for _, trace := range directedTraces() {
+		accesses += runAccessModel(t, trace)
+	}
+	for seed := int64(0); seed < 250; seed++ {
+		accesses += runAccessModel(t, randomTrace(seed))
+	}
+	if accesses < 250*150 {
+		t.Fatalf("only %d accesses replayed; the traces are not being decoded as intended", accesses)
+	}
+}
+
+func FuzzEnvAccessModel(f *testing.F) {
+	f.Add([]byte{})
+	for _, trace := range directedTraces() {
+		f.Add(trace)
+	}
+	for seed := int64(0); seed < 2*int64(len(modelConfigs)); seed++ {
+		f.Add(randomTrace(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<13 {
+			data = data[:1<<13]
+		}
+		runAccessModel(t, data)
+	})
+}

@@ -5,7 +5,10 @@
 // and 1.2 µs latency, a 3 GB/s / 600K-IOPS NVMe SSD).
 package hw
 
-import "teleport/internal/sim"
+import (
+	"teleport/internal/mem"
+	"teleport/internal/sim"
+)
 
 // Config holds every tunable hardware parameter. The zero value is not
 // usable; start from Testbed() and override.
@@ -25,6 +28,9 @@ type Config struct {
 	// pay DRAMSeqLineNs per new 64-byte line (hardware prefetch). Lines
 	// recently touched by the same core hit the modelled L2/LLC instead
 	// (CacheHitNs per access, CacheLines capacity, direct-mapped).
+	// DRAMLineBytes is a power of two no larger than a page, so lines tile
+	// pages; CacheLines is 0 (no cache) or a power of two, so a line's
+	// cache index is a mask.
 	DRAMRandNs    float64
 	DRAMSeqLineNs float64
 	DRAMLineBytes int
@@ -126,11 +132,15 @@ func (c *Config) Validate() error {
 		return errConfig("MemoryPoolCores must be positive")
 	case c.NetBandwidthGBs <= 0 || c.SSDSeqGBs <= 0:
 		return errConfig("bandwidth must be positive")
-	case c.DRAMLineBytes <= 0:
-		return errConfig("DRAMLineBytes must be positive")
+	case !powerOfTwo(c.DRAMLineBytes) || c.DRAMLineBytes > mem.PageSize:
+		return errConfig("DRAMLineBytes must be a power of two no larger than a page")
+	case c.CacheLines != 0 && !powerOfTwo(c.CacheLines):
+		return errConfig("CacheLines must be 0 or a power of two")
 	}
 	return nil
 }
+
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 type errConfig string
 

@@ -63,6 +63,35 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 }
 
+// The line model masks and shifts with the line geometry, so Validate must
+// hold it to powers of two that tile a page.
+func TestValidateLineGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		lineBytes, cacheLines int
+		ok                    bool
+	}{
+		{64, 8192, true},
+		{1, 1, true},
+		{4096, 0, true}, // one line per page, no on-chip cache
+		{128, 2, true},
+		{0, 8192, false},
+		{-64, 8192, false},
+		{48, 8192, false},   // does not divide a page
+		{96, 8192, false},   // not a power of two
+		{8192, 8192, false}, // larger than a page
+		{64, 6000, false},   // index mask would alias
+		{64, 3, false},
+		{64, -8, false},
+	} {
+		c := Testbed()
+		c.DRAMLineBytes, c.CacheLines = tc.lineBytes, tc.cacheLines
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("DRAMLineBytes=%d CacheLines=%d: Validate = %v, want ok=%v",
+				tc.lineBytes, tc.cacheLines, err, tc.ok)
+		}
+	}
+}
+
 func TestClockRatioShapesCost(t *testing.T) {
 	// Throttling the memory clock (§7.3) must make memory-pool ops slower
 	// proportionally.

@@ -47,8 +47,8 @@ func newKVBuf(p *ddc.Process, capacity int, name string) *kvBuf {
 
 func (b *kvBuf) append(env *ddc.Env, kv KV) {
 	// One batched write of the adjacent (k, v) pair: per-element equivalent
-	// to WriteI64(a); WriteI64(a+8), but the second word decodes from the
-	// hot line instead of re-entering the access model.
+	// to WriteI64(a); WriteI64(a+8), but the second word goes to the frame
+	// the first was charged on instead of re-entering the access model.
 	pair := [2]uint64{uint64(kv.K), uint64(kv.V)}
 	env.WriteU64s(b.base+mem.Addr(b.n*16), pair[:])
 	b.n++

@@ -221,8 +221,8 @@ func (s *Space) newFrame(p PageID) []byte {
 // the single physical copy. The slice stays valid (and current) for the
 // lifetime of the Space: frames are never reallocated, and RestorePage
 // copies in place. Callers borrowing a frame bypass the paging and cost
-// models entirely; internal/ddc's fast paths use this only for accesses
-// their own validity checks prove would charge nothing.
+// models entirely; internal/ddc's Env uses this only to move the bytes of
+// an access it has already taken through both.
 func (s *Space) Frame(p PageID) []byte { return s.frame(p) }
 
 // SnapshotPage returns a copy of page p's current bytes — the pre-image the
