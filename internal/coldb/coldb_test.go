@@ -444,3 +444,50 @@ func TestMergeJoinEmptySides(t *testing.T) {
 		t.Fatal("empty-left merge join matched")
 	}
 }
+
+// The column writer must put value i where element i is read from, across
+// page boundaries and for every storage type, touch nothing beside its
+// column, and refuse to run past the end.
+func TestColumnWriter(t *testing.T) {
+	db, env := localDB()
+	const n = 3000 // several pages of each width
+	tab := db.CreateTable("w", n,
+		ColumnSpec{"i", I64}, ColumnSpec{"f", F64}, ColumnSpec{"d", I32})
+	guard := NewColumn(db.P, "guard", I64, 8)
+	wi, wf, wd := tab.Col("i").Writer(db.P), tab.Col("f").Writer(db.P), tab.Col("d").Writer(db.P)
+	for r := 0; r < n; r++ { // interleaved, as a loader draws a row at a time
+		wi.I64(int64(r) << 33)
+		wf.F64(float64(r) / 4)
+		wd.I64(int64(-r))
+	}
+	for r := 0; r < n; r++ {
+		if got := tab.Col("i").I64At(env, r); got != int64(r)<<33 {
+			t.Fatalf("i[%d] = %d", r, got)
+		}
+		if got := tab.Col("f").F64At(env, r); got != float64(r)/4 {
+			t.Fatalf("f[%d] = %v", r, got)
+		}
+		if got := tab.Col("d").I64At(env, r); got != int64(-r) {
+			t.Fatalf("d[%d] = %d", r, got)
+		}
+	}
+	for r := 0; r < guard.N; r++ {
+		if got := guard.I64At(env, r); got != 0 {
+			t.Fatalf("the writers touched the next column: guard[%d] = %d", r, got)
+		}
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("writing past the end", func() { wd.I64(1) })
+	mustPanic("a float into an integer column", func() {
+		w := tab.Col("i").Writer(db.P)
+		w.F64(1)
+	})
+}

@@ -9,7 +9,9 @@
 package coldb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
@@ -111,20 +113,67 @@ func (c *Column) SetF64(env *ddc.Env, i int, v float64) {
 	}
 }
 
-// LoadI64 bulk-writes vals into the column directly through the ground-truth
-// space. Loading models the initial population of the buffer pool in the
-// memory pool (data is *born remote* in a DDC), so it bypasses the compute
-// cache and charges nothing.
+// ColumnWriter fills a column front to back directly through the
+// ground-truth space. Loading models the initial population of the buffer
+// pool in the memory pool (data is *born remote* in a DDC), so it bypasses
+// the compute cache and charges nothing. The writer borrows each page's
+// frame once and stores into it, so a loader can write every value as it is
+// generated instead of staging whole columns in slices first.
+type ColumnWriter struct {
+	space *mem.Space
+	frame []byte   // what is left of the page being filled
+	next  mem.Addr // address of the next value
+	left  int      // values still to write
+	typ   Type
+}
+
+// Writer returns a writer positioned at the column's first row.
+func (c *Column) Writer(p *ddc.Process) ColumnWriter {
+	return ColumnWriter{space: p.Space, next: c.Base, left: c.N, typ: c.Type}
+}
+
+// slot returns the bytes of the next value and steps past them. Values are
+// aligned to their width, so none straddles a page.
+func (w *ColumnWriter) slot() []byte {
+	if w.left == 0 {
+		panic("coldb: write past the end of a column")
+	}
+	w.left--
+	if len(w.frame) == 0 {
+		w.frame = w.space.Frame(mem.PageOf(w.next))[w.next&(mem.PageSize-1):]
+	}
+	n := w.typ.Width()
+	b := w.frame[:n]
+	w.frame = w.frame[n:]
+	w.next += mem.Addr(n)
+	return b
+}
+
+// I64 appends an integer (narrowed to 32 bits in an I32 column).
+func (w *ColumnWriter) I64(v int64) {
+	if w.typ == I32 {
+		binary.LittleEndian.PutUint32(w.slot(), uint32(int32(v)))
+		return
+	}
+	binary.LittleEndian.PutUint64(w.slot(), uint64(v))
+}
+
+// F64 appends a float to an F64 column.
+func (w *ColumnWriter) F64(v float64) {
+	if w.typ != F64 {
+		panic("coldb: F64 written to a " + w.typ.String() + " column")
+	}
+	binary.LittleEndian.PutUint64(w.slot(), math.Float64bits(v))
+}
+
+// LoadI64 bulk-writes vals into the column, bypassing the compute cache.
 func (c *Column) LoadI64(p *ddc.Process, vals []int64) {
 	if len(vals) != c.N {
 		panic("coldb: LoadI64 length mismatch")
 	}
-	for i, v := range vals {
-		if c.Type == I32 {
-			p.Space.WriteI32(c.Addr(i), int32(v))
-		} else {
-			p.Space.WriteI64(c.Addr(i), v)
-		}
+	w := c.Writer(p)
+	for _, v := range vals {
+		w.I64(v)
 	}
 }
 
@@ -133,8 +182,9 @@ func (c *Column) LoadF64(p *ddc.Process, vals []float64) {
 	if len(vals) != c.N {
 		panic("coldb: LoadF64 length mismatch")
 	}
-	for i, v := range vals {
-		p.Space.WriteF64(c.Addr(i), v)
+	w := c.Writer(p)
+	for _, v := range vals {
+		w.F64(v)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"fmt"
@@ -957,5 +958,97 @@ func TestRecoverableClassification(t *testing.T) {
 		if Recoverable(err) {
 			t.Errorf("Recoverable(%v) = true, want false", err)
 		}
+	}
+}
+
+// The eager strawman's post-sync re-fetches the set that was resident before
+// the call. A compute thread that faulted a page in while the call was in
+// flight makes that re-fetch overflow the cache; the page it pushes out is an
+// eviction like any other, so a dirty victim is written back, not dropped.
+func TestEagerPostSyncWritesBackItsVictim(t *testing.T) {
+	const cachePages = 4
+	p, rt := testProc(cachePages)
+	a := p.Space.AllocPages((cachePages+1)*mem.PageSize, "ws")
+	intruder := a + cachePages*mem.PageSize
+
+	s := sim.NewScheduler()
+	s.Spawn("caller", 0, func(th *sim.Thread) {
+		cenv := p.NewEnv(th)
+		for pg := 0; pg < cachePages; pg++ { // fill the cache, clean
+			cenv.ReadI64(a + mem.Addr(pg)*mem.PageSize)
+		}
+		if _, err := rt.Pushdown(th, func(env *ddc.Env) {
+			env.Compute(4_000_000) // ~2 ms in the pool
+		}, Options{Flags: FlagEagerSync}); err != nil {
+			t.Errorf("pushdown: %v", err)
+		}
+	})
+	s.Spawn("writer", sim.Millisecond, func(th *sim.Thread) {
+		if n := p.Cache.Len(); n != 0 {
+			t.Errorf("writer started with %d pages resident: the call is not in flight", n)
+		}
+		p.NewEnv(th).WriteI64(intruder, 7)
+	})
+	s.Run()
+
+	if p.Cache.Len() != cachePages || p.Cache.Contains(mem.PageOf(intruder)) {
+		t.Fatalf("after post-sync: %d pages resident, intruder resident %v; want the re-fetched set",
+			p.Cache.Len(), p.Cache.Contains(mem.PageOf(intruder)))
+	}
+	if wb := p.Stats().Writebacks; wb != 1 {
+		t.Fatalf("Writebacks = %d, want 1: the dirty page post-sync evicted", wb)
+	}
+}
+
+// A scratch's journal is reused by call after call without being wiped: what
+// an earlier call left in the slot table must never pass for a capture of
+// the current one.
+func TestUndoJournalReuseAcrossCalls(t *testing.T) {
+	s := mem.NewSpace()
+	base := s.AllocPages(8*mem.PageSize, "v")
+	pg := func(i int) mem.PageID { return mem.PageOf(base) + mem.PageID(i) }
+	word := func(i int) mem.Addr { return base + mem.Addr(i)*mem.PageSize }
+	var pool pagePool
+	j := undoJournal{pool: &pool}
+
+	// Call 1 captures pages 0..3 and commits.
+	for i := 0; i < 4; i++ {
+		j.capture(s, pg(i))
+		s.WriteU64(word(i), 100+uint64(i))
+	}
+	j.capture(s, pg(2)) // already held
+	if j.pages() != 4 {
+		t.Fatalf("call 1 holds %d pages, want 4", j.pages())
+	}
+	j.discard()
+
+	// Call 2 captures in another order, so every stale slot names a record
+	// of another page (or none), then rolls back.
+	for _, i := range []int{3, 5, 0} {
+		if j.captured(pg(i)) {
+			t.Fatalf("page %d reads as captured from the previous call", i)
+		}
+		j.capture(s, pg(i))
+		j.capture(s, pg(i))
+		s.WriteU64(word(i), 200+uint64(i))
+	}
+	if j.pages() != 3 || j.captured(pg(1)) || j.captured(pg(2)) {
+		t.Fatalf("call 2 holds %d pages (1 held %v, 2 held %v), want 3 and neither",
+			j.pages(), j.captured(pg(1)), j.captured(pg(2)))
+	}
+	var order []mem.PageID
+	if n := j.rollback(s, func(p mem.PageID) { order = append(order, p) }); n != 3 {
+		t.Fatalf("rollback restored %d pages, want 3", n)
+	}
+	if want := []mem.PageID{pg(0), pg(5), pg(3)}; !slices.Equal(order, want) {
+		t.Fatalf("restore order %v, want reverse capture order %v", order, want)
+	}
+	for i, want := range []uint64{100, 101, 102, 103, 0, 0} {
+		if got := s.ReadU64(word(i)); got != want {
+			t.Fatalf("page %d reads %d after rollback, want call 1's committed %d", i, got, want)
+		}
+	}
+	if j.pages() != 0 || len(pool.free) != 4 {
+		t.Fatalf("after rollback: %d pages held, %d buffers pooled; want 0 and 4", j.pages(), len(pool.free))
 	}
 }

@@ -708,8 +708,9 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	mark = t.Now()
 	es := tr.Begin(t, trace.KindPushExec, 0, callID)
 	pager := &scr.pager
-	*pager = memPager{ps: ps, st: &st, opts: opts, dieAt: deadlineAt}
-	pager.journal.pool = &r.journalBufs
+	journal := pager.journal // emptied by the scratch's last call; keeps its storage
+	journal.pool = &r.journalBufs
+	*pager = memPager{ps: ps, st: &st, opts: opts, dieAt: deadlineAt, journal: journal}
 	if frac, mid := p.M.Fault.CtxCrashMid(); mid {
 		// Map the seeded fraction onto a page-access ordinal: the context
 		// dies at its crashAt-th access — once it has dirtied at least one
@@ -974,7 +975,16 @@ func (r *Runtime) postSync(t *sim.Thread, ps *pushState, opts Options, eagerPage
 		// cache is warm again — the strawman's symmetric cost.
 		for _, pg := range eagerPages {
 			p.M.Fabric.RoundTrip(t, ctrlMsgBytes, pageMsgBytes, netmodel.ClassSync)
-			p.Cache.Insert(pg, true, false)
+			if v, ok := p.Cache.Insert(pg, true, false); ok {
+				// Compute threads cached pages of their own while the call
+				// was in flight, so the re-fetch overflows the cache: an
+				// eviction like the fault path's, its write-back owed.
+				p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindEviction, Page: uint64(v.Page), Arg: b2i(v.Dirty), Who: t.Name()})
+				p.M.Metrics.Counter("eviction").Inc()
+				if v.Dirty {
+					p.WritebackPage(t, v.Page)
+				}
+			}
 		}
 		p.Epoch++
 

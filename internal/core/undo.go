@@ -41,10 +41,32 @@ func (p *pagePool) put(b []byte) {
 // re-executes against exactly the state fn started from. Without it,
 // non-idempotent pushed operators (read-modify-write accumulations) would
 // double-apply their partial writes on re-execution.
+//
+// The journal is per call, not per page table: two contexts in flight can
+// each need their own pre-image of one page. Its storage lives in the call's
+// pooled scratch and is reused by the next call that takes the scratch.
 type undoJournal struct {
-	pre   map[mem.PageID][]byte
-	order []mem.PageID // capture order, for a deterministic restore walk
-	pool  *pagePool    // optional pre-image buffer recycler (Runtime-owned)
+	recs []undoRec // capture order, for a deterministic restore walk
+	// slot[pg] is where in recs page pg's record would be. Entries are never
+	// reset: one is believed only when the record it names is pg's, so what
+	// earlier calls left behind reads as "not captured".
+	slot []uint32
+	pool *pagePool // optional pre-image buffer recycler (Runtime-owned)
+}
+
+// undoRec is one captured pre-image.
+type undoRec struct {
+	page  mem.PageID
+	image []byte
+}
+
+// captured reports whether this call already holds pg's pre-image.
+func (j *undoJournal) captured(pg mem.PageID) bool {
+	if pg >= mem.PageID(len(j.slot)) {
+		return false
+	}
+	i := int(j.slot[pg])
+	return i < len(j.recs) && j.recs[i].page == pg
 }
 
 // capture records page pg's pre-image if this call has not dirtied it yet.
@@ -52,44 +74,42 @@ type undoJournal struct {
 // called ahead of the backing Space write, so the snapshot still sees the
 // pristine bytes.
 func (j *undoJournal) capture(s *mem.Space, pg mem.PageID) {
-	if _, ok := j.pre[pg]; ok {
+	if j.captured(pg) {
 		return
 	}
-	if j.pre == nil {
-		j.pre = make(map[mem.PageID][]byte)
+	if short := int(pg) + 1 - len(j.slot); short > 0 {
+		j.slot = append(j.slot, make([]uint32, short)...)
 	}
-	j.pre[pg] = s.SnapshotPageInto(pg, j.pool.get())
-	j.order = append(j.order, pg)
+	j.slot[pg] = uint32(len(j.recs))
+	j.recs = append(j.recs, undoRec{page: pg, image: s.SnapshotPageInto(pg, j.pool.get())})
 }
 
 // pages returns how many distinct pages the journal holds.
-func (j *undoJournal) pages() int { return len(j.order) }
+func (j *undoJournal) pages() int { return len(j.recs) }
 
 // rollback restores every captured pre-image in reverse capture order (a
-// fixed order — never map iteration — so two same-seed runs roll back
-// identically), invoking onPage for each restored page, and empties the
-// journal, returning its buffers to the pool.
+// fixed order, so two same-seed runs roll back identically), invoking onPage
+// for each restored page, and empties the journal, returning its buffers to
+// the pool.
 func (j *undoJournal) rollback(s *mem.Space, onPage func(mem.PageID)) int {
-	n := len(j.order)
+	n := len(j.recs)
 	for i := n - 1; i >= 0; i-- {
-		pg := j.order[i]
-		s.RestorePage(pg, j.pre[pg])
-		j.pool.put(j.pre[pg])
+		rec := j.recs[i]
+		s.RestorePage(rec.page, rec.image)
 		if onPage != nil {
-			onPage(pg)
+			onPage(rec.page)
 		}
 	}
-	j.pre = nil
-	j.order = nil
+	j.discard()
 	return n
 }
 
 // discard drops the journal without restoring anything (the call committed:
 // its writes stand, the pre-images are dead) and recycles the buffers.
 func (j *undoJournal) discard() {
-	for _, pg := range j.order {
-		j.pool.put(j.pre[pg])
+	for _, rec := range j.recs {
+		j.pool.put(rec.image)
 	}
-	j.pre = nil
-	j.order = nil
+	clear(j.recs)
+	j.recs = j.recs[:0]
 }

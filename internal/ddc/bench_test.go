@@ -144,3 +144,76 @@ func TestInterleavedStreamsNoAlloc(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCacheInsertEvict measures one miss on a full cache: insert a
+// page, take the victim. The index-linked table makes it allocation-free.
+func BenchmarkCacheInsertEvict(b *testing.B) {
+	const capPages, span = 1024, 1 << 16
+	c := NewPageCache(capPages)
+	for p := mem.PageID(0); p < span; p++ {
+		c.Insert(p, false, false) // size the table and fill the cache
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var dirty int
+	for i := 0; i < b.N; i++ {
+		if v, ok := c.Insert(mem.PageID(i*7919%span), true, i&1 == 0); ok && v.Dirty {
+			dirty++
+		}
+	}
+	_ = dirty
+}
+
+// randomReads reads n pseudo-random words of a region of the given size.
+func randomReads(env *Env, base mem.Addr, pages, n int, x *uint64) {
+	for i := 0; i < n; i++ {
+		*x = *x*6364136223846793005 + 1442695040888963407
+		env.ReadU64(base + mem.Addr(*x>>33%uint64(pages))*mem.PageSize)
+	}
+}
+
+// TestFaultPathNoAlloc pins the fault → insert → evict path at zero host
+// allocations once the tables are sized: a base-DDC thread missing in a
+// full compute cache, the same with a bounded pool (every miss also evicts
+// from the pool-residency set and reads the SSD), and a monolithic thread
+// swapping against its page cache.
+func TestFaultPathNoAlloc(t *testing.T) {
+	const pages = 512
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		pool int64 // ResizePool bytes, 0 = unbounded
+	}{
+		{"base-ddc", BaseDDC(32 * mem.PageSize), 0},
+		{"base-ddc-bounded-pool", BaseDDC(32 * mem.PageSize), 64 * mem.PageSize},
+		{"linux-ssd", LinuxSSD(32 * mem.PageSize), 0},
+	} {
+		p := MustMachine(tc.cfg).NewProcess()
+		base := p.Space.AllocPages(pages*mem.PageSize, "buf")
+		if tc.pool > 0 {
+			p.ResizePool(tc.pool)
+		}
+		env := p.NewEnv(sim.NewThread("t"))
+		x := uint64(1)
+		for i := 0; i < pages; i++ { // touch every frame, fill the caches
+			env.WriteU64(base+mem.Addr(i)*mem.PageSize, uint64(i))
+		}
+		randomReads(env, base, pages, 2000, &x)
+		before := p.Stats()
+		allocs := testing.AllocsPerRun(5, func() { randomReads(env, base, pages, 2000, &x) })
+		after := p.Stats()
+		if after.CacheMisses-before.CacheMisses < 5000 {
+			t.Fatalf("%s: only %d misses, the test is not exercising the fault path",
+				tc.name, after.CacheMisses-before.CacheMisses)
+		}
+		if tc.pool > 0 && after.StorageEvicts == before.StorageEvicts {
+			t.Fatalf("%s: the pool never evicted", tc.name)
+		}
+		if tc.name == "linux-ssd" && after.SSDFaults == before.SSDFaults {
+			t.Fatalf("%s: no SSD faults", tc.name)
+		}
+		if allocs > 0 {
+			t.Errorf("%s: %.1f allocations per 2000 random reads, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package ddc
 
 import (
+	"math"
+
 	"teleport/internal/mem"
 	"teleport/internal/netmodel"
 )
@@ -15,21 +17,31 @@ import (
 // process's ground-truth mem.Space.
 type PageCache struct {
 	capacity int // in pages; 0 = unlimited
-	// nodes is page-indexed (the address space is dense, so direct indexing
-	// beats a hash map on the per-access lookup path); count tracks the
-	// resident population.
-	nodes []*cacheNode
+	// tab is page-indexed (the address space is dense, so direct indexing
+	// beats a hash map on the per-access lookup path) and holds the LRU
+	// list's links as page indices beside each page's bits: a fault
+	// allocates nothing, and the garbage collector never scans the table,
+	// because it holds no pointers. count tracks the resident population.
+	tab   []cacheEntry
 	count int
-	head  *cacheNode // most recently used
-	tail  *cacheNode // least recently used
+	head  int32 // most recently used, noPage when empty
+	tail  int32 // least recently used
+
+	// space, when set, is the address space the cached pages belong to: the
+	// table is sized to its extent the first time it has to grow.
+	space *mem.Space
 }
 
-type cacheNode struct {
-	page       mem.PageID
+// cacheEntry is one page's slot: meaningful only while resident.
+type cacheEntry struct {
+	prev, next int32 // neighbours towards MRU and LRU, noPage at the ends
+	resident   bool
 	writable   bool
 	dirty      bool
-	prev, next *cacheNode
 }
+
+// noPage ends the LRU list.
+const noPage int32 = -1
 
 // Evicted describes a page pushed out by an insertion.
 type Evicted struct {
@@ -39,29 +51,39 @@ type Evicted struct {
 
 // NewPageCache returns a cache bounded to capPages pages (0 = unlimited).
 func NewPageCache(capPages int) *PageCache {
-	return &PageCache{capacity: capPages}
+	return &PageCache{capacity: capPages, head: noPage, tail: noPage}
 }
 
-// node returns the resident node for p, or nil.
-func (c *PageCache) node(p mem.PageID) *cacheNode {
-	if p < mem.PageID(len(c.nodes)) {
-		return c.nodes[p]
+// entry returns p's slot when p is resident, or nil. The pointer is valid
+// until the next Insert, which may grow the table.
+func (c *PageCache) entry(p mem.PageID) *cacheEntry {
+	if p < mem.PageID(len(c.tab)) {
+		if n := &c.tab[p]; n.resident {
+			return n
+		}
 	}
 	return nil
 }
 
-// setNode installs n as page p's node, growing the table as needed.
-func (c *PageCache) setNode(p mem.PageID, n *cacheNode) {
-	if p >= mem.PageID(len(c.nodes)) {
-		size := int(p) + 1
-		if d := 2 * len(c.nodes); d > size {
-			size = d
-		}
-		grown := make([]*cacheNode, size)
-		copy(grown, c.nodes)
-		c.nodes = grown
+// grow extends the table to hold page p: to the space's allocation extent
+// when that is known, with doubling as a floor, so that a table is sized
+// about once however many pages fault in.
+func (c *PageCache) grow(p mem.PageID) {
+	if p > math.MaxInt32 {
+		panic("ddc: page beyond the cache table's index range")
 	}
-	c.nodes[p] = n
+	size := int(p) + 1
+	if c.space != nil {
+		if _, last, ok := c.space.Extent(); ok && int(last) >= size {
+			size = int(last) + 1
+		}
+	}
+	if d := 2 * len(c.tab); d > size {
+		size = d
+	}
+	grown := make([]cacheEntry, size)
+	copy(grown, c.tab)
+	c.tab = grown
 }
 
 // Len returns the number of resident pages.
@@ -72,14 +94,14 @@ func (c *PageCache) Capacity() int { return c.capacity }
 
 // Contains reports residency without touching LRU order.
 func (c *PageCache) Contains(p mem.PageID) bool {
-	return c.node(p) != nil
+	return c.entry(p) != nil
 }
 
-// hit returns p's node, bumped to MRU, or nil when p is not resident.
-func (c *PageCache) hit(p mem.PageID) *cacheNode {
-	n := c.node(p)
+// hit returns p's slot, bumped to MRU, or nil when p is not resident.
+func (c *PageCache) hit(p mem.PageID) *cacheEntry {
+	n := c.entry(p)
 	if n != nil {
-		c.moveToFront(n)
+		c.moveToFront(int32(p))
 	}
 	return n
 }
@@ -93,46 +115,59 @@ func (c *PageCache) Lookup(p mem.PageID) (writable, dirty, ok bool) {
 	return n.writable, n.dirty, true
 }
 
-// Insert adds (or refreshes) a page with the given bits and returns any
-// evicted victims. Inserting an existing page overwrites its bits.
-func (c *PageCache) Insert(p mem.PageID, writable, dirty bool) []Evicted {
-	if n := c.node(p); n != nil {
+// Insert adds (or refreshes) a page with the given bits and returns the
+// page it pushed out, if any. Inserting an existing page overwrites its
+// bits. The population never exceeds a bounded cache's capacity between
+// calls (SetCapacity evicts down to it), so one insertion evicts at most one
+// page — and the victim is returned by value: callers charge its write-back
+// with calls that can yield to a simulated thread that inserts into this
+// same cache, which would overwrite any buffer the cache owned.
+func (c *PageCache) Insert(p mem.PageID, writable, dirty bool) (victim Evicted, evicted bool) {
+	if n := c.entry(p); n != nil {
 		n.writable, n.dirty = writable, dirty
-		c.moveToFront(n)
-		return nil
+		c.moveToFront(int32(p))
+		return Evicted{}, false
 	}
-	n := &cacheNode{page: p, writable: writable, dirty: dirty}
-	c.setNode(p, n)
+	if p >= mem.PageID(len(c.tab)) {
+		c.grow(p)
+	}
+	c.tab[p] = cacheEntry{resident: true, writable: writable, dirty: dirty}
 	c.count++
-	c.pushFront(n)
-	var out []Evicted
-	for c.capacity > 0 && c.count > c.capacity {
-		v := c.tail
-		c.unlink(v)
-		c.nodes[v.page] = nil
-		c.count--
-		out = append(out, Evicted{Page: v.page, Dirty: v.dirty})
+	c.pushFront(int32(p))
+	if c.capacity > 0 && c.count > c.capacity {
+		return c.evictLRU(), true
 	}
-	return out
+	return Evicted{}, false
+}
+
+// evictLRU drops the least recently used page.
+func (c *PageCache) evictLRU() Evicted {
+	v := c.tail
+	dirty := c.tab[v].dirty
+	c.unlink(v)
+	c.tab[v] = cacheEntry{}
+	c.count--
+	return Evicted{Page: mem.PageID(v), Dirty: dirty}
 }
 
 // Remove evicts a specific page (e.g. a coherence invalidation), returning
 // its dirty bit.
 func (c *PageCache) Remove(p mem.PageID) (dirty, ok bool) {
-	n := c.node(p)
+	n := c.entry(p)
 	if n == nil {
 		return false, false
 	}
-	c.unlink(n)
-	c.nodes[p] = nil
+	dirty = n.dirty
+	c.unlink(int32(p))
+	*n = cacheEntry{}
 	c.count--
-	return n.dirty, true
+	return dirty, true
 }
 
 // SetWritable updates the page's write permission (coherence downgrade or
 // upgrade); it reports whether the page was resident.
 func (c *PageCache) SetWritable(p mem.PageID, w bool) bool {
-	n := c.node(p)
+	n := c.entry(p)
 	if n == nil {
 		return false
 	}
@@ -142,7 +177,7 @@ func (c *PageCache) SetWritable(p mem.PageID, w bool) bool {
 
 // MarkDirty sets the dirty bit; it reports whether the page was resident.
 func (c *PageCache) MarkDirty(p mem.PageID) bool {
-	n := c.node(p)
+	n := c.entry(p)
 	if n == nil {
 		return false
 	}
@@ -152,7 +187,7 @@ func (c *PageCache) MarkDirty(p mem.PageID) bool {
 
 // ClearDirty resets the dirty bit (after a write-back / sync).
 func (c *PageCache) ClearDirty(p mem.PageID) {
-	if n := c.node(p); n != nil {
+	if n := c.entry(p); n != nil {
 		n.dirty = false
 	}
 }
@@ -160,8 +195,8 @@ func (c *PageCache) ClearDirty(p mem.PageID) {
 // Range calls f for every resident page from MRU to LRU until f returns
 // false. f must not mutate the cache.
 func (c *PageCache) Range(f func(p mem.PageID, writable, dirty bool) bool) {
-	for n := c.head; n != nil; n = n.next {
-		if !f(n.page, n.writable, n.dirty) {
+	for i := c.head; i != noPage; i = c.tab[i].next {
+		if n := &c.tab[i]; !f(mem.PageID(i), n.writable, n.dirty) {
 			return
 		}
 	}
@@ -176,8 +211,8 @@ func (c *PageCache) AppendRuns(dst []netmodel.PageRun) []netmodel.PageRun {
 	base := len(dst)
 	left := c.count // stop at the last resident page, not the table's end
 	for p := 0; left > 0; p++ {
-		n := c.nodes[p]
-		if n == nil {
+		n := &c.tab[p]
+		if !n.resident {
 			continue
 		}
 		left--
@@ -199,61 +234,63 @@ func (c *PageCache) SetCapacity(pages int) []Evicted {
 	c.capacity = pages
 	var out []Evicted
 	for c.capacity > 0 && c.count > c.capacity {
-		v := c.tail
-		c.unlink(v)
-		c.nodes[v.page] = nil
-		c.count--
-		out = append(out, Evicted{Page: v.page, Dirty: v.dirty})
+		out = append(out, c.evictLRU())
 	}
 	return out
 }
 
 // Clear drops every resident page (whole-cache invalidation, used by the
-// naive process-migration mode of Figure 6).
+// naive process-migration mode of Figure 6). The table's storage is kept.
 func (c *PageCache) Clear() {
-	c.nodes = nil
+	for i := c.head; i != noPage; {
+		next := c.tab[i].next
+		c.tab[i] = cacheEntry{}
+		i = next
+	}
 	c.count = 0
-	c.head, c.tail = nil, nil
+	c.head, c.tail = noPage, noPage
 }
 
-func (c *PageCache) pushFront(n *cacheNode) {
-	n.prev, n.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = n
+func (c *PageCache) pushFront(i int32) {
+	n := &c.tab[i]
+	n.prev, n.next = noPage, c.head
+	if c.head != noPage {
+		c.tab[c.head].prev = i
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
+	c.head = i
+	if c.tail == noPage {
+		c.tail = i
 	}
 }
 
-func (c *PageCache) unlink(n *cacheNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (c *PageCache) unlink(i int32) {
+	n := &c.tab[i]
+	if n.prev != noPage {
+		c.tab[n.prev].next = n.next
 	} else {
 		c.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != noPage {
+		c.tab[n.next].prev = n.prev
 	} else {
 		c.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
 }
 
-func (c *PageCache) moveToFront(n *cacheNode) {
-	if c.head == n {
+func (c *PageCache) moveToFront(i int32) {
+	if c.head == i {
 		return
 	}
-	// Not the head, so n has a predecessor and the list a head: the
+	// Not the head, so i has a predecessor and the list a head: the
 	// unlink/pushFront pair without their empty-end cases.
-	n.prev.next = n.next
-	if n.next != nil {
-		n.next.prev = n.prev
+	n := &c.tab[i]
+	c.tab[n.prev].next = n.next
+	if n.next != noPage {
+		c.tab[n.next].prev = n.prev
 	} else {
 		c.tail = n.prev
 	}
-	n.prev, n.next = nil, c.head
-	c.head.prev = n
-	c.head = n
+	n.prev, n.next = noPage, c.head
+	c.tab[c.head].prev = i
+	c.head = i
 }

@@ -520,10 +520,8 @@ func ensureLocal(e *Env, pg mem.PageID, write bool) {
 	p.M.Times.Add(metrics.CompFaultSW, e.T.Now()-hs)
 	p.M.Metrics.Counter("fault.ssd").Inc()
 	p.M.SSD.ReadPage(e.T, uint64(pg))
-	for _, v := range p.Cache.Insert(pg, true, write) {
-		if v.Dirty {
-			p.M.SSD.WritePage(e.T, uint64(v.Page))
-		}
+	if v, ok := p.Cache.Insert(pg, true, write); ok && v.Dirty {
+		p.M.SSD.WritePage(e.T, uint64(v.Page))
 	}
 	p.Epoch++
 }
@@ -567,7 +565,7 @@ func remoteFault(e *Env, pg mem.PageID, write bool) {
 	if p.hooks != nil {
 		p.hooks.ComputeFaulted(e.T, pg, write)
 	}
-	evictAll(e, p.Cache.Insert(pg, write, write))
+	p.cachePage(e.T, pg, write, write)
 
 	// Sequential prefetch (base DDC only; suppressed during pushdown, when
 	// the coherence protocol owns the page tables). The controller tracks
@@ -588,7 +586,7 @@ func remoteFault(e *Env, pg mem.PageID, write bool) {
 			e.T.AdvanceNs(float64(mem.PageSize) / cfg.NetBandwidthGBs)
 			p.M.Times.Add(metrics.CompPrefetch, e.T.Now()-ps)
 			p.M.Metrics.Counter("prefetch").Inc()
-			evictAll(e, p.Cache.Insert(next, false, false))
+			p.cachePage(e.T, next, false, false)
 		}
 	}
 	p.M.Tracer().End(e.T, sp)
@@ -598,16 +596,20 @@ func remoteFault(e *Env, pg mem.PageID, write bool) {
 	p.Epoch++
 }
 
-// evictAll charges write-backs for dirty victims.
-func evictAll(e *Env, victims []Evicted) {
-	for _, v := range victims {
-		e.P.M.Trace.Add(trace.Event{At: e.T.Now(), Kind: trace.KindEviction, Page: uint64(v.Page), Arg: b2i(v.Dirty), Who: e.T.Name()})
-		e.P.M.Metrics.Counter("eviction").Inc()
-		if v.Dirty {
-			e.P.stats.Writebacks++
-			e.P.M.Fabric.Send(e.T, writebackBytes, netmodel.ClassWriteback)
-			e.P.M.ReplicatePage(e.T, v.Page, e.P.M.serveShard(e.T.Now(), v.Page))
-		}
+// cachePage makes pg resident in the compute cache with the given bits,
+// charging t for the eviction that may cause: a dirty victim is written
+// back to the memory pool over the fabric.
+func (p *Process) cachePage(t *sim.Thread, pg mem.PageID, writable, dirty bool) {
+	v, ok := p.Cache.Insert(pg, writable, dirty)
+	if !ok {
+		return
+	}
+	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindEviction, Page: uint64(v.Page), Arg: b2i(v.Dirty), Who: t.Name()})
+	p.M.Metrics.Counter("eviction").Inc()
+	if v.Dirty {
+		p.stats.Writebacks++
+		p.M.Fabric.Send(t, writebackBytes, netmodel.ClassWriteback)
+		p.M.ReplicatePage(t, v.Page, p.M.serveShard(t.Now(), v.Page))
 	}
 }
 

@@ -555,10 +555,10 @@ func compareModelSides(real, ref *modelSide) string {
 }
 
 // cacheOrder lists a cache's pages with their bits, MRU first.
-func cacheOrder(c *PageCache) (order []cacheNode) {
+func cacheOrder(c *PageCache) (order []refNode) {
 	if c != nil {
 		c.Range(func(p mem.PageID, writable, dirty bool) bool {
-			order = append(order, cacheNode{page: p, writable: writable, dirty: dirty})
+			order = append(order, refNode{page: p, writable: writable, dirty: dirty})
 			return true
 		})
 	}

@@ -288,14 +288,21 @@ func (m *Machine) NewProcess() *Process {
 	p := &Process{M: m, Space: mem.NewSpace()}
 	switch {
 	case m.Cfg.Disaggregated:
-		p.Cache = NewPageCache(m.Cfg.CachePages())
+		p.Cache = p.newCache(m.Cfg.CachePages())
 		if m.Cfg.MemoryPoolBytes > 0 {
-			p.PoolRes = NewPageCache(int(m.Cfg.MemoryPoolBytes / mem.PageSize))
+			p.PoolRes = p.newCache(int(m.Cfg.MemoryPoolBytes / mem.PageSize))
 		}
 	case m.Cfg.LocalMemBytes > 0:
-		p.Cache = NewPageCache(int(m.Cfg.LocalMemBytes / mem.PageSize))
+		p.Cache = p.newCache(int(m.Cfg.LocalMemBytes / mem.PageSize))
 	}
 	return p
+}
+
+// newCache returns a page cache over the process's address space.
+func (p *Process) newCache(capPages int) *PageCache {
+	c := NewPageCache(capPages)
+	c.space = p.Space
+	return c
 }
 
 // SetPushHooks installs (or clears, with nil) the TELEPORT coherence hooks.
@@ -376,7 +383,7 @@ func (p *Process) ResizePool(bytes int64) {
 		pages = 1
 	}
 	if p.PoolRes == nil {
-		p.PoolRes = NewPageCache(pages)
+		p.PoolRes = p.newCache(pages)
 	} else {
 		p.PoolRes.SetCapacity(pages)
 	}
@@ -424,7 +431,7 @@ func (p *Process) ensureInPool(t *sim.Thread, pg mem.PageID, write bool, served 
 	t.AdvanceNs(p.M.Cfg.HW.FaultHandleNs)
 	p.M.Times.Add(metrics.CompFaultSW, t.Now()-hs)
 	p.M.SSD.ReadPage(t, uint64(pg))
-	for _, v := range p.PoolRes.Insert(pg, true, write) {
+	if v, ok := p.PoolRes.Insert(pg, true, write); ok {
 		p.stats.StorageEvicts++
 		if v.Dirty {
 			p.M.Fabric.Send(t, writebackBytes, netmodel.ClassStorage)

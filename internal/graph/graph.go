@@ -50,22 +50,36 @@ type RawGraph struct {
 // destinations, standing in for the paper's real-world social network [52])
 // directly in the memory pool: like database loading, generation bypasses
 // the compute cache.
+//
+// Edges are recorded in emission order in three flat arrays and scattered
+// into the CSR by a stable counting sort on the source, which leaves every
+// vertex's edges in the order they were emitted — the adjacency order
+// per-vertex lists would have, without one growing slice per vertex.
 func Generate(p *ddc.Process, cfg GenConfig) (*Graph, *RawGraph) {
 	if cfg.NV <= 0 || cfg.AvgDegree <= 0 {
 		panic("graph: bad GenConfig")
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	adj := make([][]int32, cfg.NV)
-	wts := make([][]int32, cfg.NV)
-	// Preferential attachment: sample an endpoint from previously used
-	// endpoints with probability 1/2, uniformly otherwise.
-	pool := make([]int32, 0, cfg.NV*cfg.AvgDegree)
+	// per is the number of entries one drawn edge emits: itself and, when
+	// undirected, its mirror right after it. The mean degree is AvgDegree,
+	// so the slack below makes growing the arrays a many-sigma event.
+	per := 1
+	if cfg.Undirected {
+		per = 2
+	}
+	expect := per * (cfg.NV*cfg.AvgDegree*9/8 + 64)
+	src := make([]int32, 0, expect)
+	dst := make([]int32, 0, expect)
+	wts := make([]int32, 0, expect)
 	for u := 0; u < cfg.NV; u++ {
 		deg := 1 + r.Intn(cfg.AvgDegree*2-1)
 		for k := 0; k < deg; k++ {
+			// Preferential attachment: sample an endpoint from previously
+			// used endpoints — the destinations of the edges drawn so far —
+			// with probability 1/2, uniformly otherwise.
 			var v int32
-			if len(pool) > 0 && r.Intn(2) == 0 {
-				v = pool[r.Intn(len(pool))]
+			if drawn := len(dst) / per; drawn > 0 && r.Intn(2) == 0 {
+				v = dst[per*r.Intn(drawn)]
 			} else {
 				v = int32(r.Intn(cfg.NV))
 			}
@@ -73,20 +87,55 @@ func Generate(p *ddc.Process, cfg GenConfig) (*Graph, *RawGraph) {
 				v = int32((u + 1) % cfg.NV)
 			}
 			w := int32(1 + r.Intn(16))
-			adj[u] = append(adj[u], v)
-			wts[u] = append(wts[u], w)
-			pool = append(pool, v)
+			src, dst, wts = append(src, int32(u)), append(dst, v), append(wts, w)
 			if cfg.Undirected {
-				adj[v] = append(adj[v], int32(u))
-				wts[v] = append(wts[v], w)
+				src, dst, wts = append(src, v), append(dst, int32(u)), append(wts, w)
 			}
 		}
 	}
-	g := FromAdjacency(p, adj, wts)
-	if cfg.KeepRaw {
-		return g, &RawGraph{Adj: adj, Weights: wts}
+
+	g := newCSR(p, cfg.NV, len(src))
+	// next[u] is where u's next edge goes: the counts' running sum.
+	next := make([]int64, cfg.NV+1)
+	for _, u := range src {
+		next[u+1]++
 	}
-	return g, nil
+	for u := 0; u < cfg.NV; u++ {
+		next[u+1] += next[u]
+	}
+	for u, off := range next {
+		p.Space.WriteI64(g.offsets+mem.Addr(u*8), off)
+	}
+	var raw *RawGraph
+	var rawDst, rawWts []int32
+	if cfg.KeepRaw {
+		raw = &RawGraph{Adj: make([][]int32, cfg.NV), Weights: make([][]int32, cfg.NV)}
+		rawDst, rawWts = make([]int32, len(src)), make([]int32, len(src))
+		for u := 0; u < cfg.NV; u++ {
+			lo, hi := next[u], next[u+1]
+			raw.Adj[u], raw.Weights[u] = rawDst[lo:hi:hi], rawWts[lo:hi:hi]
+		}
+	}
+	for e, u := range src {
+		at := next[u]
+		next[u]++
+		p.Space.WriteI32(g.edges+mem.Addr(at*4), dst[e])
+		p.Space.WriteI32(g.weights+mem.Addr(at*4), wts[e])
+		if raw != nil {
+			rawDst[at], rawWts[at] = dst[e], wts[e]
+		}
+	}
+	return g, raw
+}
+
+// newCSR allocates an empty CSR for nv vertices and ne edges.
+func newCSR(p *ddc.Process, nv, ne int) *Graph {
+	return &Graph{
+		P: p, NV: nv, NE: ne,
+		offsets: p.Space.AllocPages(int64(nv+1)*8, "graph.offsets"),
+		edges:   p.Space.AllocPages(int64(maxInt(ne, 1))*4, "graph.edges"),
+		weights: p.Space.AllocPages(int64(maxInt(ne, 1))*4, "graph.weights"),
+	}
 }
 
 // FromAdjacency loads an explicit adjacency list into disaggregated memory.
@@ -96,12 +145,7 @@ func FromAdjacency(p *ddc.Process, adj [][]int32, wts [][]int32) *Graph {
 	for _, a := range adj {
 		ne += len(a)
 	}
-	g := &Graph{
-		P: p, NV: nv, NE: ne,
-		offsets: p.Space.AllocPages(int64(nv+1)*8, "graph.offsets"),
-		edges:   p.Space.AllocPages(int64(maxInt(ne, 1))*4, "graph.edges"),
-		weights: p.Space.AllocPages(int64(maxInt(ne, 1))*4, "graph.weights"),
-	}
+	g := newCSR(p, nv, ne)
 	off := int64(0)
 	for u := 0; u < nv; u++ {
 		p.Space.WriteI64(g.offsets+mem.Addr(u*8), off)

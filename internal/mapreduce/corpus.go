@@ -8,8 +8,8 @@
 package mapreduce
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
@@ -52,7 +52,7 @@ func GenerateCorpus(p *ddc.Process, cfg CorpusConfig) (*Corpus, []byte) {
 	buf := make([]byte, 0, cfg.Words*6)
 	lines := 1
 	for i := 0; i < cfg.Words; i++ {
-		buf = append(buf, fmt.Sprintf("w%d", zipf.Uint64())...)
+		buf = strconv.AppendUint(append(buf, 'w'), zipf.Uint64(), 10)
 		if (i+1)%cfg.WordsPerLine == 0 {
 			buf = append(buf, '\n')
 			lines++

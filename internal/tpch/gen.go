@@ -62,8 +62,32 @@ type Data struct {
 // partsupp hash index uses.
 func CompositeKey(partkey, suppkey int64) int64 { return partkey*100000 + suppkey }
 
+// colWriter writes one column as its values are drawn and, under KeepRaw,
+// keeps the plain-Go copy alongside.
+type colWriter struct {
+	w    coldb.ColumnWriter
+	keep bool
+	i64  []int64
+	f64  []float64
+}
+
+func (c *colWriter) putI64(v int64) {
+	c.w.I64(v)
+	if c.keep {
+		c.i64 = append(c.i64, v)
+	}
+}
+
+func (c *colWriter) putF64(v float64) {
+	c.w.F64(v)
+	if c.keep {
+		c.f64 = append(c.f64, v)
+	}
+}
+
 // Load generates the schema into db. Loading bypasses the compute cache —
-// in a DDC the database is born in the memory pool (§2.1).
+// in a DDC the database is born in the memory pool (§2.1). Every value goes
+// into its column as it is drawn; nothing is staged on the host.
 func Load(db *coldb.DB, cfg Config) *Data {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
@@ -77,7 +101,17 @@ func Load(db *coldb.DB, cfg Config) *Data {
 	PS := P * 4
 
 	d := &Data{DB: db, L: L, O: O, C: C, P: P, S: S, PS: PS}
-	raw := &Raw{}
+	// open starts a column's writer (with its raw copy sized, under KeepRaw).
+	open := func(t *coldb.Table, name string) *colWriter {
+		col := t.Col(name)
+		c := &colWriter{w: col.Writer(db.P), keep: cfg.KeepRaw}
+		if c.keep && col.Type == coldb.F64 {
+			c.f64 = make([]float64, 0, col.N)
+		} else if c.keep {
+			c.i64 = make([]int64, 0, col.N)
+		}
+		return c
+	}
 
 	// part: dense partkey = row id, a colour id, retail price.
 	part := db.CreateTable("part", P,
@@ -85,54 +119,39 @@ func Load(db *coldb.DB, cfg Config) *Data {
 		coldb.ColumnSpec{Name: "p_color", Type: coldb.I32},
 		coldb.ColumnSpec{Name: "p_retailprice", Type: coldb.F64},
 	)
-	pColor := make([]int64, P)
-	pKey := make([]int64, P)
-	pPrice := make([]float64, P)
+	pKey, pColor, pPrice := open(part, "p_partkey"), open(part, "p_color"), open(part, "p_retailprice")
 	for i := 0; i < P; i++ {
-		pKey[i] = int64(i)
-		pColor[i] = int64(r.Intn(92)) // TPC-H has 92 colour words
-		pPrice[i] = 900 + float64(r.Intn(1200))
+		pKey.putI64(int64(i))
+		pColor.putI64(int64(r.Intn(92))) // TPC-H has 92 colour words
+		pPrice.putF64(900 + float64(r.Intn(1200)))
 	}
-	part.Col("p_partkey").LoadI64(db.P, pKey)
-	part.Col("p_color").LoadI64(db.P, pColor)
-	part.Col("p_retailprice").LoadF64(db.P, pPrice)
-	raw.PColor = pColor
 
 	// supplier: dense suppkey, nation.
 	supp := db.CreateTable("supplier", S,
 		coldb.ColumnSpec{Name: "s_suppkey", Type: coldb.I64},
 		coldb.ColumnSpec{Name: "s_nationkey", Type: coldb.I32},
 	)
-	sKey := make([]int64, S)
-	sNation := make([]int64, S)
+	sKey, sNation := open(supp, "s_suppkey"), open(supp, "s_nationkey")
 	for i := 0; i < S; i++ {
-		sKey[i] = int64(i)
-		sNation[i] = int64(r.Intn(Nations))
+		sKey.putI64(int64(i))
+		sNation.putI64(int64(r.Intn(Nations)))
 	}
-	supp.Col("s_suppkey").LoadI64(db.P, sKey)
-	supp.Col("s_nationkey").LoadI64(db.P, sNation)
-	raw.SNationkey = sNation
 
 	// partsupp: 4 suppliers per part, composite key, supply cost.
 	ps := db.CreateTable("partsupp", PS,
 		coldb.ColumnSpec{Name: "ps_key", Type: coldb.I64},
 		coldb.ColumnSpec{Name: "ps_supplycost", Type: coldb.F64},
 	)
-	psKey := make([]int64, PS)
-	psCost := make([]float64, PS)
-	psPart := make([]int64, PS)
-	psSupp := make([]int64, PS)
-	for i := 0; i < PS; i++ {
-		pk := int64(i / 4)
-		sk := (pk + int64(i%4)*int64(S/4+1)) % int64(S)
-		psPart[i], psSupp[i] = pk, sk
-		psKey[i] = CompositeKey(pk, sk)
-		psCost[i] = 1 + float64(r.Intn(1000))/10
+	// psPair is partsupp row i's (partkey, suppkey).
+	psPair := func(i int) (pk, sk int64) {
+		pk = int64(i / 4)
+		return pk, (pk + int64(i%4)*int64(S/4+1)) % int64(S)
 	}
-	ps.Col("ps_key").LoadI64(db.P, psKey)
-	ps.Col("ps_supplycost").LoadF64(db.P, psCost)
-	raw.PSKey = psKey
-	raw.PSSupplyCost = psCost
+	psKey, psCost := open(ps, "ps_key"), open(ps, "ps_supplycost")
+	for i := 0; i < PS; i++ {
+		psKey.putI64(CompositeKey(psPair(i)))
+		psCost.putF64(1 + float64(r.Intn(1000))/10)
+	}
 
 	// customer: dense custkey, market segment, nation.
 	cust := db.CreateTable("customer", C,
@@ -140,19 +159,12 @@ func Load(db *coldb.DB, cfg Config) *Data {
 		coldb.ColumnSpec{Name: "c_mktsegment", Type: coldb.I32},
 		coldb.ColumnSpec{Name: "c_nationkey", Type: coldb.I32},
 	)
-	cKey := make([]int64, C)
-	cSeg := make([]int64, C)
-	cNat := make([]int64, C)
+	cKey, cSeg, cNat := open(cust, "c_custkey"), open(cust, "c_mktsegment"), open(cust, "c_nationkey")
 	for i := 0; i < C; i++ {
-		cKey[i] = int64(i)
-		cSeg[i] = int64(r.Intn(Segments))
-		cNat[i] = int64(r.Intn(Nations))
+		cKey.putI64(int64(i))
+		cSeg.putI64(int64(r.Intn(Segments)))
+		cNat.putI64(int64(r.Intn(Nations)))
 	}
-	cust.Col("c_custkey").LoadI64(db.P, cKey)
-	cust.Col("c_mktsegment").LoadI64(db.P, cSeg)
-	cust.Col("c_nationkey").LoadI64(db.P, cNat)
-	raw.CMktsegment = cSeg
-	raw.CNationkey = cNat
 
 	// orders: dense orderkey = row id (so lineitem sorted by orderkey can
 	// merge-join it), customer, date.
@@ -161,19 +173,12 @@ func Load(db *coldb.DB, cfg Config) *Data {
 		coldb.ColumnSpec{Name: "o_custkey", Type: coldb.I64},
 		coldb.ColumnSpec{Name: "o_orderdate", Type: coldb.I32},
 	)
-	oKey := make([]int64, O)
-	oCust := make([]int64, O)
-	oDate := make([]int64, O)
+	oKey, oCust, oDate := open(orders, "o_orderkey"), open(orders, "o_custkey"), open(orders, "o_orderdate")
 	for i := 0; i < O; i++ {
-		oKey[i] = int64(i)
-		oCust[i] = int64(r.Intn(C))
-		oDate[i] = int64(r.Intn(DateMax))
+		oKey.putI64(int64(i))
+		oCust.putI64(int64(r.Intn(C)))
+		oDate.putI64(int64(r.Intn(DateMax)))
 	}
-	orders.Col("o_orderkey").LoadI64(db.P, oKey)
-	orders.Col("o_custkey").LoadI64(db.P, oCust)
-	orders.Col("o_orderdate").LoadI64(db.P, oDate)
-	raw.OCustkey = oCust
-	raw.OOrderdate = oDate
 
 	// lineitem: sorted by orderkey, FK references into partsupp pairs so
 	// Q9's composite probe always finds its supply cost.
@@ -189,52 +194,35 @@ func Load(db *coldb.DB, cfg Config) *Data {
 		coldb.ColumnSpec{Name: "l_returnflag", Type: coldb.I32},
 		coldb.ColumnSpec{Name: "l_linestatus", Type: coldb.I32},
 	)
-	lOrder := make([]int64, L)
-	lPart := make([]int64, L)
-	lSupp := make([]int64, L)
-	lQty := make([]float64, L)
-	lPrice := make([]float64, L)
-	lDisc := make([]float64, L)
-	lTax := make([]float64, L)
-	lShip := make([]int64, L)
-	lFlag := make([]int64, L)
-	lStatus := make([]int64, L)
+	lOrder, lPart, lSupp := open(li, "l_orderkey"), open(li, "l_partkey"), open(li, "l_suppkey")
+	lQty, lPrice := open(li, "l_quantity"), open(li, "l_extendedprice")
+	lDisc, lTax := open(li, "l_discount"), open(li, "l_tax")
+	lShip, lFlag, lStatus := open(li, "l_shipdate"), open(li, "l_returnflag"), open(li, "l_linestatus")
 	for i := 0; i < L; i++ {
-		lOrder[i] = int64(i * O / L) // non-decreasing: sorted by orderkey
-		psRow := r.Intn(PS)
-		lPart[i] = psPart[psRow]
-		lSupp[i] = psSupp[psRow]
-		lQty[i] = float64(1 + r.Intn(50))
-		lPrice[i] = 901 + float64(r.Intn(104000))/priceDiv
-		lDisc[i] = float64(r.Intn(11)) / 100
-		lTax[i] = float64(r.Intn(9)) / 100
-		lShip[i] = int64(r.Intn(DateMax))
-		lFlag[i] = int64(r.Intn(3))   // A / N / R
-		lStatus[i] = int64(r.Intn(2)) // O / F
+		lOrder.putI64(int64(i * O / L)) // non-decreasing: sorted by orderkey
+		pk, sk := psPair(r.Intn(PS))
+		lPart.putI64(pk)
+		lSupp.putI64(sk)
+		lQty.putF64(float64(1 + r.Intn(50)))
+		lPrice.putF64(901 + float64(r.Intn(104000))/priceDiv)
+		lDisc.putF64(float64(r.Intn(11)) / 100)
+		lTax.putF64(float64(r.Intn(9)) / 100)
+		lShip.putI64(int64(r.Intn(DateMax)))
+		lFlag.putI64(int64(r.Intn(3)))   // A / N / R
+		lStatus.putI64(int64(r.Intn(2))) // O / F
 	}
-	li.Col("l_orderkey").LoadI64(db.P, lOrder)
-	li.Col("l_partkey").LoadI64(db.P, lPart)
-	li.Col("l_suppkey").LoadI64(db.P, lSupp)
-	li.Col("l_quantity").LoadF64(db.P, lQty)
-	li.Col("l_extendedprice").LoadF64(db.P, lPrice)
-	li.Col("l_discount").LoadF64(db.P, lDisc)
-	li.Col("l_tax").LoadF64(db.P, lTax)
-	li.Col("l_shipdate").LoadI64(db.P, lShip)
-	li.Col("l_returnflag").LoadI64(db.P, lFlag)
-	li.Col("l_linestatus").LoadI64(db.P, lStatus)
-	raw.LOrderkey = lOrder
-	raw.LPartkey = lPart
-	raw.LSuppkey = lSupp
-	raw.LQuantity = lQty
-	raw.LExtPrice = lPrice
-	raw.LDisc = lDisc
-	raw.LTax = lTax
-	raw.LShipdate = lShip
-	raw.LReturnflag = lFlag
-	raw.LLinestatus = lStatus
 
 	if cfg.KeepRaw {
-		d.Raw = raw
+		d.Raw = &Raw{
+			LOrderkey: lOrder.i64, LPartkey: lPart.i64, LSuppkey: lSupp.i64,
+			LQuantity: lQty.f64, LExtPrice: lPrice.f64, LDisc: lDisc.f64, LTax: lTax.f64,
+			LShipdate: lShip.i64, LReturnflag: lFlag.i64, LLinestatus: lStatus.i64,
+			OCustkey: oCust.i64, OOrderdate: oDate.i64,
+			CMktsegment: cSeg.i64, CNationkey: cNat.i64,
+			PColor:     pColor.i64,
+			SNationkey: sNation.i64,
+			PSKey:      psKey.i64, PSSupplyCost: psCost.f64,
+		}
 	}
 	return d
 }
