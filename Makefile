@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke chaos-soak bench bench-repo bench-compare
+.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare
 
 build:
 	$(GO) build ./...
@@ -31,15 +31,6 @@ chaos-soak:
 	CHAOS_SOAK=1 CHAOS_SOAK_ARTIFACTS=$(SOAK_ARTIFACTS) \
 		$(GO) test ./internal/bench -run TestChaosSoak -v -timeout 30m
 
-# Per-figure host cost: regenerate the figure suite timed, one figure at a
-# time, and write wall-clock ns + heap allocations per figure. A look at
-# where the suite's time goes; claims and regressions are judged by
-# bench-repo / bench-compare below.
-BENCH_OUT ?= bench-host.json
-BENCH_FLAGS ?= -scale 0.5 -graph-nv 15000 -words 60000 -quiet
-bench:
-	$(GO) run ./cmd/teleport-bench $(BENCH_FLAGS) -bench-out $(BENCH_OUT)
-
 # The repository benchmark (benchmark/README.md): every workload, ten
 # rounds, a traced round and the per-layer probes, with the simulated
 # results checked against benchmark/golden.json. bench-compare prints a
@@ -51,11 +42,12 @@ bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 
 # Short fuzz pass over the §6 resident-page-list codec, the compute cache's
-# run emitter and the Env access path against its reference model; CI runs
-# this on every push, longer runs are manual
-# (go test -fuzz=Fuzz ./internal/netmodel).
+# run emitter, the Env access path against its reference model and the fault
+# plan's one outage schedule against a linear-scan oracle; CI runs this on
+# every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalResident -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzCacheRuns -fuzztime=10s ./internal/ddc
 	$(GO) test -run=^$$ -fuzz=FuzzEnvAccessModel -fuzztime=10s ./internal/ddc
+	$(GO) test -run=^$$ -fuzz=FuzzSchedulePins -fuzztime=10s ./internal/fault

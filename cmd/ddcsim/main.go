@@ -157,74 +157,44 @@ func main() {
 		os.Exit(1)
 	}
 	printResult(res, *report)
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = trace.WriteChromeTrace(f, res.Trace)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace-out:", err)
+	// artifact writes one requested output file, or exits naming its flag.
+	artifact := func(flagName, path string, write func(io.Writer) error) {
+		if err := writeFile(path, write); err != nil {
+			fmt.Fprintln(os.Stderr, flagName+":", err)
 			os.Exit(1)
 		}
+	}
+	if *traceOut != "" {
+		artifact("trace-out", *traceOut, func(w io.Writer) error { return trace.WriteChromeTrace(w, res.Trace) })
 		fmt.Printf("\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", len(res.Trace), *traceOut)
 	}
 	if *traceDump != "" {
-		f, err := os.Create(*traceDump)
-		if err == nil {
+		artifact("trace-dump", *traceDump, func(w io.Writer) error {
 			for _, e := range res.Trace {
-				fmt.Fprintln(f, e)
+				fmt.Fprintln(w, e)
 			}
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace-dump:", err)
-			os.Exit(1)
-		}
+			return nil
+		})
 		fmt.Printf("wrote %d trace events to %s\n", len(res.Trace), *traceDump)
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			err = res.Metrics.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics-out:", err)
-			os.Exit(1)
-		}
+		artifact("metrics-out", *metricsOut, res.Metrics.WriteJSON)
 		fmt.Printf("wrote metrics snapshot to %s\n", *metricsOut)
 	}
 	if *profileOut != "" {
-		err := writeFile(*profileOut, res.SpanProfile.WriteFolded)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "profile-out:", err)
-			os.Exit(1)
-		}
+		artifact("profile-out", *profileOut, res.SpanProfile.WriteFolded)
 		fmt.Printf("wrote %d span paths to %s (feed to flamegraph.pl --countname=ns)\n",
 			len(res.SpanProfile.Paths), *profileOut)
 	}
 	if *incidentOut != "" {
-		err := writeFile(*incidentOut, func(w io.Writer) error {
+		artifact("incident-out", *incidentOut, func(w io.Writer) error {
 			return obs.WriteIncidentsJSONL(w, res.Incidents)
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "incident-out:", err)
-			os.Exit(1)
-		}
 		fmt.Printf("wrote %d incident records to %s (%d triggered)\n",
 			len(res.Incidents), *incidentOut, res.IncidentsTotal)
 	}
 	if *reportOut != "" {
-		err := writeFile(*reportOut, bench.NewRunReport(res).WriteJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "report-out:", err)
-			os.Exit(1)
-		}
+		artifact("report-out", *reportOut, bench.NewRunReport(res).WriteJSON)
 		fmt.Printf("wrote unified run report to %s\n", *reportOut)
 	}
 	if *traceN > 0 && len(res.Trace) > 0 {

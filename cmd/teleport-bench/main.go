@@ -8,7 +8,6 @@
 //	teleport-bench -fig 6,7,20          # several
 //	teleport-bench -scale 4 -seed 7     # bigger workloads
 //	teleport-bench -parallel 1          # force sequential data points
-//	teleport-bench -bench-out host.json # per-figure host wall-clock + allocations
 //	teleport-bench -workload Q6 -percentiles           # forensic drill-down
 //	teleport-bench -workload Q6 -chaos-profile chaos -profile-out q6.folded -incident-out q6.jsonl
 //
@@ -46,9 +45,6 @@ func main() {
 		writeQ     = flag.Int("write-quorum", 0, "replica acks a page write needs to commit; unreachable replicas get hinted handoff (0/1 = legacy fan-out)")
 		list       = flag.Bool("list", false, "list figure ids and exit")
 
-		benchOut = flag.String("bench-out", "", "run the whole suite timed and write the host benchmark report (wall-clock + allocs per figure) to this file")
-		quiet    = flag.Bool("quiet", false, "suppress the figure tables (useful with -bench-out)")
-
 		workload    = flag.String("workload", "", "forensic mode: run this single workload (one of "+strings.Join(bench.WorkloadNames(), ", ")+") instead of figures")
 		platform    = flag.String("platform", "teleport", "forensic mode platform: one of "+strings.Join(bench.PlatformNames(), ", "))
 		chaosProf   = flag.String("chaos-profile", "", "forensic mode fault-injection profile (see internal/fault)")
@@ -79,49 +75,22 @@ func main() {
 		WriteQuorum: *writeQ,
 	}
 	if *workload != "" {
-		if err := forensicRun(*workload, *platform, opts, forensicFlags{
-			chaosProfile: *chaosProf, chaosSeed: *chaosSeed,
-			profileOut: *profileOut, percentiles: *percentiles,
-			exactQuantiles: *exactQuant,
-			incidentOut:    *incidentOut, incidentEvents: *incidentN,
-			reportOut: *reportOut,
-		}); err != nil {
+		opts.ChaosProfile = *chaosProf
+		opts.ChaosSeed = *chaosSeed
+		opts.Profiling = *profileOut != "" || *reportOut != ""
+		opts.Percentiles = *percentiles || *reportOut != ""
+		opts.ExactQuantiles = *exactQuant
+		opts.IncidentEvents = *incidentN
+		if opts.IncidentEvents == 0 && *incidentOut != "" {
+			opts.IncidentEvents = obs.DefaultIncidentEvents
+		}
+		if err := forensicRun(*workload, *platform, opts, *profileOut, *incidentOut, *reportOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if !*quiet {
-		fmt.Printf("# teleport-bench scale=%g graph-nv=%d words=%d seed=%d cache-frac=%g\n\n",
-			opts.Scale, opts.GraphNV, opts.Words, opts.Seed, opts.CacheFrac)
-	}
-
-	if *benchOut != "" {
-		tables, rep := bench.RunAllTimed(opts)
-		if !*quiet {
-			for _, t := range tables {
-				t.Fprint(os.Stdout)
-			}
-		}
-		f, err := os.Create(*benchOut)
-		if err == nil {
-			err = rep.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench-out:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench: suite took %.2fs wall (%d workers, gomaxprocs %d), %d mallocs; wrote %s\n",
-			float64(rep.TotalWallNs)/1e9, rep.Workers, rep.GoMaxProcs, rep.TotalMallocs, *benchOut)
-		if cl := rep.Cluster; cl != nil {
-			fmt.Fprintf(os.Stderr, "bench: cluster %d machines × %d rounds: %.2fs at 1 sim worker, %.2fs at %d (%.2fx, identical virtual results)\n",
-				cl.Machines, cl.Rounds, float64(cl.SeqWallNs)/1e9, float64(cl.ParWallNs)/1e9, cl.SimWorkers, cl.Speedup)
-		}
-		return
-	}
+	fmt.Print(opts.Header())
 
 	if *fig == "all" {
 		for _, t := range bench.RunAll(opts) {
@@ -139,61 +108,39 @@ func main() {
 	}
 }
 
-// forensicFlags carries the single-workload observability knobs.
-type forensicFlags struct {
-	chaosProfile   string
-	chaosSeed      int64
-	profileOut     string
-	percentiles    bool
-	exactQuantiles int
-	incidentOut    string
-	incidentEvents int
-	reportOut      string
-}
-
 // forensicRun is the figure harness's drill-down mode: instead of
 // regenerating tables it executes one workload with the profiler, the
-// percentile extractor, and the flight recorder armed, prints the unified
-// report, and writes whichever artifacts were asked for. The knobs are all
-// passive, so the virtual times match the figure runs exactly.
-func forensicRun(workload, platform string, opts bench.Options, ff forensicFlags) error {
-	incidentEvents := ff.incidentEvents
-	if incidentEvents == 0 && ff.incidentOut != "" {
-		incidentEvents = obs.DefaultIncidentEvents
-	}
-	opts.ChaosProfile = ff.chaosProfile
-	opts.ChaosSeed = ff.chaosSeed
-	opts.Profiling = ff.profileOut != "" || ff.reportOut != ""
-	opts.Percentiles = ff.percentiles || ff.reportOut != ""
-	opts.ExactQuantiles = ff.exactQuantiles
-	opts.IncidentEvents = incidentEvents
+// percentile extractor, and the flight recorder armed as opts says, prints
+// the unified report, and writes whichever artifacts were asked for. The
+// knobs are all passive, so the virtual times match the figure runs exactly.
+func forensicRun(workload, platform string, opts bench.Options, profileOut, incidentOut, reportOut string) error {
 	res, err := bench.RunWorkload(workload, platform, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s on %s: %.6f s (virtual)\n\n", res.Workload, res.Platform, res.Seconds)
 	bench.NewRunReport(res).Fprint(os.Stdout)
-	if ff.profileOut != "" {
-		if err := writeFile(ff.profileOut, res.SpanProfile.WriteFolded); err != nil {
+	if profileOut != "" {
+		if err := writeFile(profileOut, res.SpanProfile.WriteFolded); err != nil {
 			return fmt.Errorf("profile-out: %w", err)
 		}
-		fmt.Printf("wrote %d span paths to %s\n", len(res.SpanProfile.Paths), ff.profileOut)
+		fmt.Printf("wrote %d span paths to %s\n", len(res.SpanProfile.Paths), profileOut)
 	}
-	if ff.incidentOut != "" {
-		err := writeFile(ff.incidentOut, func(w io.Writer) error {
+	if incidentOut != "" {
+		err := writeFile(incidentOut, func(w io.Writer) error {
 			return obs.WriteIncidentsJSONL(w, res.Incidents)
 		})
 		if err != nil {
 			return fmt.Errorf("incident-out: %w", err)
 		}
 		fmt.Printf("wrote %d incident records to %s (%d triggered)\n",
-			len(res.Incidents), ff.incidentOut, res.IncidentsTotal)
+			len(res.Incidents), incidentOut, res.IncidentsTotal)
 	}
-	if ff.reportOut != "" {
-		if err := writeFile(ff.reportOut, bench.NewRunReport(res).WriteJSON); err != nil {
+	if reportOut != "" {
+		if err := writeFile(reportOut, bench.NewRunReport(res).WriteJSON); err != nil {
 			return fmt.Errorf("report-out: %w", err)
 		}
-		fmt.Printf("wrote unified run report to %s\n", ff.reportOut)
+		fmt.Printf("wrote unified run report to %s\n", reportOut)
 	}
 	return nil
 }

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"unicode/utf8"
 
-	"teleport/internal/ddc"
 	"teleport/internal/mem"
 	"teleport/internal/sim"
 )
@@ -211,6 +210,14 @@ func register(id string, r Runner) {
 	registryOrder = append(registryOrder, id)
 }
 
+// Header is the first line of a figure-suite run — the workload knobs that
+// shaped every table — as cmd/teleport-bench prints it and
+// experiments_run.txt records it.
+func (o Options) Header() string {
+	return fmt.Sprintf("# teleport-bench scale=%g graph-nv=%d words=%d seed=%d cache-frac=%g\n\n",
+		o.Scale, o.GraphNV, o.Words, o.Seed, o.CacheFrac)
+}
+
 // Figures returns the registered figure ids in registration order.
 func Figures() []string { return append([]string(nil), registryOrder...) }
 
@@ -259,12 +266,6 @@ func cacheBytes(workingSet int64, frac float64) int64 {
 		b = min
 	}
 	return b
-}
-
-// ddcWithCache returns a BaseDDC config with the cache sized to the
-// workload.
-func ddcWithCache(workingSet int64, frac float64) ddc.Config {
-	return ddc.BaseDDC(cacheBytes(workingSet, frac))
 }
 
 // fm formats a virtual duration in seconds with 3 decimals.

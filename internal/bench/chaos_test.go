@@ -121,7 +121,7 @@ func runChaos(t *testing.T, w chaosWorkload, profName string, seed int64) chaosR
 	}
 	cfg := ddc.BaseDDC(1 << 20)
 	switch {
-	case prof.HasPartitions():
+	case prof.LinkMeanUp > 0 || prof.SplitMeanUp > 0:
 		// Partition profiles need links to sever and a write quorum to
 		// defend: a 4-shard R=3 W=2 pool exercises quorum commit, hinted
 		// handoff, anti-entropy, and read-repair under every profile.
@@ -171,7 +171,7 @@ func runChaos(t *testing.T, w chaosWorkload, profName string, seed int64) chaosR
 			res.StaleCaught += st.StaleReadsAverted
 			res.QuorumStall += st.QuorumStalls
 		}
-		res.ShardDown[s] = fault.TotalDowntime(m.Fault.ShardWindowsThrough(s, th.Now()), th.Now())
+		res.ShardDown[s] = m.Fault.Downtime(th.Now(), fault.Shard(s))
 	}
 	return res
 }

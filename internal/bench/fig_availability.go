@@ -29,6 +29,51 @@ type availPoint struct {
 	degraded  sim.Time // union of all outage windows through the run
 }
 
+// q6Cell is one run of Q6 on TELEPORT over a sharded pool under a fault
+// profile: the answer (for the correctness column), the pushed time, the
+// runtime's and the shards' recovery tallies, and how long at least one of
+// the targets the figure watches was down.
+type q6Cell struct {
+	ans     uint64
+	elapsed sim.Time
+	rt      core.RuntimeStats
+	shards  ddc.ShardStat // summed over the shards
+	down    sim.Time
+}
+
+// shardedQ6 is the cell both availability figures (A6, A7) sweep.
+func shardedQ6(opts Options, shards, replicas, writeQuorum int, prof *fault.Profile, watch []fault.Target) q6Cell {
+	cfg := ddc.BaseDDC(1 << 20)
+	cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = shards, replicas, writeQuorum
+	m := ddc.MustMachine(cfg)
+	if prof != nil {
+		m.AttachFault(fault.NewPlan(*prof, opts.Seed))
+	}
+	p := m.NewProcess()
+	th := sim.NewThread("Q6")
+	d := tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale / 4, Seed: opts.Seed})
+	ws := p.Space.Allocated()
+	p.ResizeCache(cacheBytes(ws, 0.02))
+	p.ResizePool(ws / 2)
+	rt := core.NewRuntime(p, 1)
+	ex := profile.NewExec(th, p, rt)
+	ex.Push(q6Push...)
+	ans := tpch.Q6(ex, d, 730)
+	c := q6Cell{ans: math.Float64bits(ans), elapsed: ex.Total(), rt: rt.Stats()}
+	for _, st := range m.ShardStats {
+		c.shards.FailoverReads += st.FailoverReads
+		c.shards.ResyncPages += st.ResyncPages
+		c.shards.Stalls += st.Stalls
+		c.shards.HandoffRecords += st.HandoffRecords
+		c.shards.HandoffReplays += st.HandoffReplays
+		c.shards.ReadRepairs += st.ReadRepairs
+		c.shards.StaleReadsAverted += st.StaleReadsAverted
+		c.shards.QuorumStalls += st.QuorumStalls
+	}
+	c.down = m.Fault.Downtime(th.Now(), watch...)
+	return c
+}
+
 // figAvailability is an extension for the sharded pool: Q6 on TELEPORT over
 // a 4-shard memory pool, sweeping the replication factor against the
 // per-shard outage rate. Every cell must produce the fault-free answer; what
@@ -53,42 +98,16 @@ func figAvailability(opts Options) *Table {
 	replicas := []int{1, 2, 3}
 
 	runCell := func(reps int, prof *fault.Profile) availPoint {
-		cfg := ddc.BaseDDC(1 << 20)
-		cfg.PoolShards = shards
-		cfg.Replicas = reps
-		m := ddc.MustMachine(cfg)
-		if prof != nil {
-			m.AttachFault(fault.NewPlan(*prof, opts.Seed))
-		}
-		p := m.NewProcess()
-		th := sim.NewThread("A6")
-		d := tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale / 4, Seed: opts.Seed})
-		ws := p.Space.Allocated()
-		p.ResizeCache(cacheBytes(ws, 0.02))
-		p.ResizePool(ws / 2)
-		rt := core.NewRuntime(p, 1)
-		ex := profile.NewExec(th, p, rt)
-		ex.Push(q6Push...)
-		ans := tpch.Q6(ex, d, 730)
-		end := th.Now()
-		pt := availPoint{
-			ans:       math.Float64bits(ans),
-			elapsed:   ex.Total(),
-			fallbacks: rt.Stats().LocalFallbacks,
-		}
-		var all []fault.Window
+		var degraded []fault.Target
 		for s := 0; s < shards; s++ {
-			if m.ShardStats != nil {
-				st := m.ShardStats[s]
-				pt.failovers += st.FailoverReads
-				pt.resync += st.ResyncPages
-				pt.stalls += st.Stalls
-			}
-			all = append(all, m.Fault.ShardWindowsThrough(s, end)...)
+			degraded = append(degraded, fault.Shard(s))
 		}
-		all = append(all, m.Fault.WindowsThrough(end)...)
-		pt.degraded = fault.UnionDowntime(all, end)
-		return pt
+		c := shardedQ6(opts, shards, reps, 0, prof, append(degraded, fault.Pool()))
+		return availPoint{
+			ans: c.ans, elapsed: c.elapsed, fallbacks: c.rt.LocalFallbacks,
+			failovers: c.shards.FailoverReads, resync: c.shards.ResyncPages, stalls: c.shards.Stalls,
+			degraded: c.down,
+		}
 	}
 
 	jobs := []func() availPoint{func() availPoint { return runCell(1, nil) }}

@@ -2,15 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
-	"teleport/internal/coldb"
-	"teleport/internal/core"
-	"teleport/internal/ddc"
 	"teleport/internal/fault"
-	"teleport/internal/profile"
 	"teleport/internal/sim"
-	"teleport/internal/tpch"
 )
 
 func init() {
@@ -55,59 +49,15 @@ func figPartition(opts Options) *Table {
 	quorums := []int{1, 2, 3}
 
 	runCell := func(w int, prof *fault.Profile) partPoint {
-		cfg := ddc.BaseDDC(1 << 20)
-		cfg.PoolShards = shards
-		cfg.Replicas = replicas
-		cfg.WriteQuorum = w
-		m := ddc.MustMachine(cfg)
-		if prof != nil {
-			m.AttachFault(fault.NewPlan(*prof, opts.Seed))
-		}
-		p := m.NewProcess()
-		th := sim.NewThread("A7")
-		d := tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale / 4, Seed: opts.Seed})
-		ws := p.Space.Allocated()
-		p.ResizeCache(cacheBytes(ws, 0.02))
-		p.ResizePool(ws / 2)
-		rt := core.NewRuntime(p, 1)
-		ex := profile.NewExec(th, p, rt)
-		ex.Push(q6Push...)
-		ans := tpch.Q6(ex, d, 730)
-		end := th.Now()
-		pt := partPoint{
-			ans:     math.Float64bits(ans),
-			elapsed: ex.Total(),
-			qlost:   rt.Stats().QuorumLostObserved,
-		}
-		var cuts []fault.Window
-		for s := 0; s < shards; s++ {
-			if m.ShardStats != nil {
-				st := m.ShardStats[s]
-				pt.handoffs += st.HandoffRecords
-				pt.replays += st.HandoffReplays
-				pt.repairs += st.ReadRepairs
-				pt.stale += st.StaleReadsAverted
-				pt.qstalls += st.QuorumStalls
-			}
-		}
 		// The partitioned column folds every directed link the pool has —
-		// compute↔shard both ways and shard↔shard both ways — into one
-		// union, in a fixed endpoint order so the figure is deterministic.
-		ends := make([]int, 0, shards+1)
-		ends = append(ends, fault.EndpointCompute)
-		for s := 0; s < shards; s++ {
-			ends = append(ends, s)
+		// compute↔shard both ways and shard↔shard both ways — into one union.
+		c := shardedQ6(opts, shards, replicas, w, prof, fault.Links(shards))
+		return partPoint{
+			ans: c.ans, elapsed: c.elapsed, qlost: c.rt.QuorumLostObserved,
+			handoffs: c.shards.HandoffRecords, replays: c.shards.HandoffReplays,
+			repairs: c.shards.ReadRepairs, stale: c.shards.StaleReadsAverted, qstalls: c.shards.QuorumStalls,
+			cut: c.down,
 		}
-		for _, from := range ends {
-			for _, to := range ends {
-				if from == to {
-					continue
-				}
-				cuts = append(cuts, m.Fault.LinkWindowsThrough(from, to, end)...)
-			}
-		}
-		pt.cut = fault.UnionDowntime(cuts, end)
-		return pt
 	}
 
 	jobs := []func() partPoint{func() partPoint { return runCell(1, nil) }}

@@ -25,6 +25,16 @@ func WorkloadNames() []string {
 	return names
 }
 
+// publicWorkload resolves one of WorkloadNames.
+func publicWorkload(name string) (workload, error) {
+	for _, w := range publicWorkloads() {
+		if w.Name == name {
+			return w, nil
+		}
+	}
+	return workload{}, fmt.Errorf("bench: unknown workload %q (have %v)", name, WorkloadNames())
+}
+
 // PlatformNames lists the selectable platforms. "teleport-auto" profiles
 // the workload on the base DDC first and lets internal/advisor choose the
 // operators to push.
@@ -203,16 +213,9 @@ func RunWorkload(workloadName, platformName string, opts Options) (WorkloadResul
 	default:
 		return WorkloadResult{}, fmt.Errorf("bench: unknown platform %q (have %v)", platformName, PlatformNames())
 	}
-	var w workload
-	found := false
-	for _, cand := range publicWorkloads() {
-		if cand.Name == workloadName {
-			w, found = cand, true
-			break
-		}
-	}
-	if !found {
-		return WorkloadResult{}, fmt.Errorf("bench: unknown workload %q (have %v)", workloadName, WorkloadNames())
+	w, err := publicWorkload(workloadName)
+	if err != nil {
+		return WorkloadResult{}, err
 	}
 	spec := runSpec{platform: plat}
 	if auto {
@@ -262,11 +265,11 @@ func RunWorkload(workloadName, platformName string, opts Options) (WorkloadResul
 			SSDReadRetries: m.SSD.Stats().ReadRetries,
 			PoolStalls:     m.PoolStalls,
 		}
-		fr.PoolDowntime = fault.TotalDowntime(m.Fault.WindowsThrough(out.End), out.End)
+		fr.PoolDowntime = m.Fault.Downtime(out.End, fault.Pool())
 		if k := m.Cfg.Shards(); k > 1 {
 			fr.ShardDowntime = make([]sim.Time, k)
 			for s := 0; s < k; s++ {
-				fr.ShardDowntime[s] = fault.TotalDowntime(m.Fault.ShardWindowsThrough(s, out.End), out.End)
+				fr.ShardDowntime[s] = m.Fault.Downtime(out.End, fault.Shard(s))
 				st := m.ShardStats[s]
 				fr.FailoverReads += st.FailoverReads
 				fr.ResyncPages += st.ResyncPages
@@ -278,26 +281,11 @@ func RunWorkload(workloadName, platformName string, opts Options) (WorkloadResul
 				fr.StaleReadsAverted += st.StaleReadsAverted
 				fr.QuorumStalls += st.QuorumStalls
 			}
-			if m.Fault.HasLinkFaults() {
+			if chaosProf.LinkMeanUp > 0 || chaosProf.SplitMeanUp > 0 {
+				// One degraded figure over every directed link — compute↔shard
+				// and shard↔shard, both directions.
 				fr.LinkFaults = true
-				// Union every directed link's windows — compute↔shard
-				// and shard↔shard, both directions — into one degraded
-				// figure. Endpoint order is fixed, so the schedule
-				// extension this forces is deterministic.
-				ends := make([]int, 0, k+1)
-				ends = append(ends, fault.EndpointCompute)
-				for s := 0; s < k; s++ {
-					ends = append(ends, s)
-				}
-				var links []fault.Window
-				for _, from := range ends {
-					for _, to := range ends {
-						if from != to {
-							links = append(links, m.Fault.LinkWindowsThrough(from, to, out.End)...)
-						}
-					}
-				}
-				fr.LinkDowntime = fault.UnionDowntime(links, out.End)
+				fr.LinkDowntime = m.Fault.Downtime(out.End, fault.Links(k)...)
 			}
 		}
 		tot := m.Fabric.Total()
@@ -375,16 +363,9 @@ func RunWorkloads(names []string, platformName string, opts Options) ([]Workload
 // Advise profiles a workload on the base DDC and returns the pushdown
 // advisor's per-operator decisions (cost-model mode).
 func Advise(workloadName string, opts Options) ([]advisor.Decision, error) {
-	var w workload
-	found := false
-	for _, cand := range publicWorkloads() {
-		if cand.Name == workloadName {
-			w, found = cand, true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("bench: unknown workload %q (have %v)", workloadName, WorkloadNames())
+	w, err := publicWorkload(workloadName)
+	if err != nil {
+		return nil, err
 	}
 	out := run(w, opts, runSpec{platform: platBase})
 	hwCfg := hw.Testbed()

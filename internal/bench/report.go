@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"teleport/internal/metrics"
 	"teleport/internal/sim"
@@ -111,22 +110,4 @@ func (r *Report) Fprint(w io.Writer) {
 			secs(o.Comps.LayerNs("paging")), secs(o.Comps.LayerNs("pushdown")))
 	}
 	ot.Fprint(w)
-}
-
-// SortedComps returns the non-zero components by descending time (handy for
-// summaries and tests).
-func (r *Report) SortedComps() []metrics.Comp {
-	var comps []metrics.Comp
-	for c := metrics.Comp(0); c < metrics.NumComps; c++ {
-		if r.Comps[c] != 0 {
-			comps = append(comps, c)
-		}
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if r.Comps[comps[i]] != r.Comps[comps[j]] {
-			return r.Comps[comps[i]] > r.Comps[comps[j]]
-		}
-		return comps[i] < comps[j]
-	})
-	return comps
 }

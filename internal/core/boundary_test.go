@@ -11,36 +11,83 @@ import (
 	"teleport/internal/trace"
 )
 
-// Boundary-condition tests for pool-outage windows, pinned to exact
-// virtual-time instants with fault.NewWindowPlan. Windows are half-open
-// [Down, Up): the controller is down at Down, and back at exactly Up.
+// Boundary-condition tests for outage windows, pinned to exact virtual-time
+// instants with Plan.Pin. Windows are half-open [Down, Up): the target is
+// down at Down, and back at exactly Up — whichever target it is. The paging
+// cases run over every way a page operation can find what it needs
+// unreachable: the whole controller down (WaitPoolUp), or — on a two-shard
+// unreplicated pool — the page's shard crashed or either direction of its
+// compute link partitioned (AccessPage has no replica to fail over to).
+
+// windowPlan returns a plan that injects nothing but the given windows on tg.
+func windowPlan(tg fault.Target, ws ...fault.Window) *fault.Plan {
+	plan := fault.NewPlan(fault.Profile{Name: "windows"}, 0)
+	plan.Pin(tg, ws...)
+	return plan
+}
+
+// outageCases: the target that goes down, the paging operation that needs
+// it (reporting whether it stalled), and the machine's stall tally for it.
+var outageCases = []struct {
+	name   string
+	tg     fault.Target
+	page   func(m *ddc.Machine, th *sim.Thread) bool
+	stalls func(m *ddc.Machine) int64
+}{
+	{"pool", fault.Pool(),
+		func(m *ddc.Machine, th *sim.Thread) bool { return m.WaitPoolUp(th) },
+		func(m *ddc.Machine) int64 { return m.PoolStalls }},
+	{"shard 1", fault.Shard(1), accessShard1, shard1Stalls},
+	{"link compute→1", fault.Link(fault.EndpointCompute, 1), accessShard1, shard1Stalls},
+	{"link 1→compute", fault.Link(1, fault.EndpointCompute), accessShard1, shard1Stalls},
+}
+
+// accessShard1 touches a page whose only copy lives on shard 1.
+func accessShard1(m *ddc.Machine, th *sim.Thread) bool {
+	before := m.ShardStats[1].Stalls
+	if served := m.AccessPage(th, 1, false); served != 1 {
+		panic("page 1 of a two-shard pool was not served by shard 1")
+	}
+	return m.ShardStats[1].Stalls != before
+}
+
+func shard1Stalls(m *ddc.Machine) int64 { return m.ShardStats[1].Stalls }
+
+// outageMachine is a two-shard unreplicated pool with the windows pinned on tg.
+func outageMachine(tg fault.Target, ws ...fault.Window) (*ddc.Machine, *fault.Plan) {
+	cfg := ddc.BaseDDC(64 * mem.PageSize)
+	cfg.PoolShards = 2
+	m := ddc.MustMachine(cfg)
+	plan := windowPlan(tg, ws...)
+	m.AttachFault(plan)
+	return m, plan
+}
 
 // A paging stall that waits out an outage wakes at exactly the window's Up
-// instant, and the plan reports the pool up at that same instant — the
-// wake-up never observes a still-down controller.
+// instant, and the plan reports the target up at that same instant — the
+// wake-up never observes a still-down target.
 func TestPoolWindowEndsExactlyAtWakeup(t *testing.T) {
 	const down, up = 100 * sim.Microsecond, 200 * sim.Microsecond
-	plan := fault.NewWindowPlan(fault.Window{Down: down, Up: up})
-	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	m.AttachFault(plan)
-
-	th := sim.NewThread("t")
-	th.AdvanceTo(150 * sim.Microsecond)
-	if !m.WaitPoolUp(th) {
-		t.Fatal("WaitPoolUp inside the window reported no stall")
-	}
-	if th.Now() != up {
-		t.Fatalf("woke at %v, want exactly %v", th.Now(), up)
-	}
-	if _, stillDown := plan.PoolDownAt(th.Now()); stillDown {
-		t.Fatal("PoolDownAt(Up) reports down: the wake-up instant must observe the pool up")
-	}
-	if m.PoolStalls != 1 {
-		t.Fatalf("PoolStalls = %d, want 1", m.PoolStalls)
-	}
-	// A second wait at exactly Up is a no-op.
-	if m.WaitPoolUp(th) || th.Now() != up {
-		t.Fatalf("WaitPoolUp at the Up instant stalled (now %v)", th.Now())
+	for _, oc := range outageCases {
+		m, plan := outageMachine(oc.tg, fault.Window{Down: down, Up: up})
+		th := sim.NewThread("t")
+		th.AdvanceTo(150 * sim.Microsecond)
+		if !oc.page(m, th) {
+			t.Fatalf("%s: paging inside the window reported no stall", oc.name)
+		}
+		if th.Now() != up {
+			t.Fatalf("%s: woke at %v, want exactly %v", oc.name, th.Now(), up)
+		}
+		if _, stillDown := plan.DownAt(oc.tg, th.Now()); stillDown {
+			t.Fatalf("%s: DownAt(Up) reports down: the wake-up instant must observe it up", oc.name)
+		}
+		if got := oc.stalls(m); got != 1 {
+			t.Fatalf("%s: stalls = %d, want 1", oc.name, got)
+		}
+		// A second operation at exactly Up is a no-op.
+		if oc.page(m, th) || th.Now() != up {
+			t.Fatalf("%s: paging at the Up instant stalled (now %v)", oc.name, th.Now())
+		}
 	}
 }
 
@@ -49,7 +96,7 @@ func TestPoolWindowEndsExactlyAtWakeup(t *testing.T) {
 func TestHeartbeatEdgesAtWindowBoundaries(t *testing.T) {
 	const down, up = 100 * sim.Microsecond, 200 * sim.Microsecond
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	m.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
+	m.AttachFault(windowPlan(fault.Pool(), fault.Window{Down: down, Up: up}))
 	rt := NewRuntime(m.NewProcess(), 1)
 
 	for _, tc := range []struct {
@@ -76,7 +123,7 @@ func TestRetryAtExactRecoveryInstant(t *testing.T) {
 	p, rt := testProc(16)
 	ring := trace.New(256)
 	p.M.AttachTrace(ring)
-	p.M.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
+	p.M.AttachFault(windowPlan(fault.Pool(), fault.Window{Down: down, Up: up}))
 
 	th := sim.NewThread("t")
 	a := fillVec(p, th, 64)
@@ -119,7 +166,7 @@ func TestPushdownAtExactRecoveryInstant(t *testing.T) {
 	p, rt := testProc(16)
 	ring := trace.New(256)
 	p.M.AttachTrace(ring)
-	p.M.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
+	p.M.AttachFault(windowPlan(fault.Pool(), fault.Window{Down: down, Up: up}))
 
 	th := sim.NewThread("t")
 	a := fillVec(p, th, 64)
@@ -136,7 +183,7 @@ func TestPushdownAtExactRecoveryInstant(t *testing.T) {
 	}
 	// One nanosecond earlier the same call fails.
 	p2, rt2 := testProc(16)
-	p2.M.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
+	p2.M.AttachFault(windowPlan(fault.Pool(), fault.Window{Down: down, Up: up}))
 	th2 := sim.NewThread("t")
 	a2 := fillVec(p2, th2, 64)
 	th2.AdvanceTo(up - 1)
@@ -162,41 +209,43 @@ func TestWaitPoolUpNilPlan(t *testing.T) {
 	}
 }
 
-// A query at exactly the window's Up instant observes the pool up: no
+// A query at exactly the window's Up instant observes the target up: no
 // stall, no clock movement (half-open windows).
 func TestWaitPoolUpAtExactUpBoundary(t *testing.T) {
 	const down, up = 100 * sim.Microsecond, 200 * sim.Microsecond
-	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	m.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
-	th := sim.NewThread("t")
-	th.AdvanceTo(up)
-	if m.WaitPoolUp(th) {
-		t.Fatal("WaitPoolUp stalled at exactly Up")
-	}
-	if th.Now() != up || m.PoolStalls != 0 {
-		t.Fatalf("now=%v PoolStalls=%d, want %v and 0", th.Now(), m.PoolStalls, up)
+	for _, oc := range outageCases {
+		m, _ := outageMachine(oc.tg, fault.Window{Down: down, Up: up})
+		th := sim.NewThread("t")
+		th.AdvanceTo(up)
+		if oc.page(m, th) {
+			t.Fatalf("%s: paging stalled at exactly Up", oc.name)
+		}
+		if th.Now() != up || oc.stalls(m) != 0 {
+			t.Fatalf("%s: now=%v stalls=%d, want %v and 0", oc.name, th.Now(), oc.stalls(m), up)
+		}
 	}
 }
 
 // Back-to-back windows [100,200) + [200,300): a waiter entering the first
-// window wakes at its Up instant, finds the second window already begun,
-// and keeps waiting — one WaitPoolUp call rides both windows through to
-// 300µs and counts as a single stall.
+// window would wake at its Up instant to find the second window already
+// begun, so one paging operation rides both windows through to 300µs and
+// counts as a single stall.
 func TestWaitPoolUpAdjacentWindows(t *testing.T) {
 	const d1, u1 = 100 * sim.Microsecond, 200 * sim.Microsecond
 	const d2, u2 = 200 * sim.Microsecond, 300 * sim.Microsecond
-	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	m.AttachFault(fault.NewWindowPlan(fault.Window{Down: d1, Up: u1}, fault.Window{Down: d2, Up: u2}))
-	th := sim.NewThread("t")
-	th.AdvanceTo(150 * sim.Microsecond)
-	if !m.WaitPoolUp(th) {
-		t.Fatal("WaitPoolUp inside the first window reported no stall")
-	}
-	if th.Now() != u2 {
-		t.Fatalf("woke at %v, want %v (the second window's Up)", th.Now(), u2)
-	}
-	if m.PoolStalls != 1 {
-		t.Fatalf("PoolStalls = %d, want 1 (one stall spanning both windows)", m.PoolStalls)
+	for _, oc := range outageCases {
+		m, _ := outageMachine(oc.tg, fault.Window{Down: d1, Up: u1}, fault.Window{Down: d2, Up: u2})
+		th := sim.NewThread("t")
+		th.AdvanceTo(150 * sim.Microsecond)
+		if !oc.page(m, th) {
+			t.Fatalf("%s: paging inside the first window reported no stall", oc.name)
+		}
+		if th.Now() != u2 {
+			t.Fatalf("%s: woke at %v, want %v (the second window's Up)", oc.name, th.Now(), u2)
+		}
+		if got := oc.stalls(m); got != 1 {
+			t.Fatalf("%s: stalls = %d, want 1 (one stall spanning both windows)", oc.name, got)
+		}
 	}
 }
 
@@ -205,17 +254,25 @@ func TestWaitPoolUpAdjacentWindows(t *testing.T) {
 // appear — but the plan still counts the window as scheduled.
 func TestZeroLengthWindowIsInert(t *testing.T) {
 	const at = 100 * sim.Microsecond
-	plan := fault.NewWindowPlan(fault.Window{Down: at, Up: at})
+	for _, oc := range outageCases {
+		m, plan := outageMachine(oc.tg, fault.Window{Down: at, Up: at})
+		th := sim.NewThread("t")
+		for _, ts := range []sim.Time{at - 1, at, at + 1} {
+			if _, isDown := plan.DownAt(oc.tg, ts); isDown {
+				t.Fatalf("%s: DownAt(%v) reports down for a zero-length window", oc.name, ts)
+			}
+			th.AdvanceTo(ts)
+			if oc.page(m, th) || th.Now() != ts {
+				t.Fatalf("%s: paging stalled across a zero-length window (now %v)", oc.name, th.Now())
+			}
+		}
+	}
+
+	plan := windowPlan(fault.Pool(), fault.Window{Down: at, Up: at})
 	p, rt := testProc(16)
 	ring := trace.New(256)
 	p.M.AttachTrace(ring)
 	p.M.AttachFault(plan)
-
-	for _, ts := range []sim.Time{at - 1, at, at + 1} {
-		if _, isDown := plan.PoolDownAt(ts); isDown {
-			t.Fatalf("PoolDownAt(%v) reports down for a zero-length window", ts)
-		}
-	}
 
 	th := sim.NewThread("t")
 	a := fillVec(p, th, 64)

@@ -32,12 +32,13 @@ type memPager struct {
 }
 
 // pushAbort is the panic value that tears down a pushed function from
-// inside the pager — an armed mid-execution context crash or a blown
-// deadline. Pushdown's recover distinguishes it from user panics (which
-// become RemoteError) and runs the rollback path.
+// inside the pager — an armed mid-execution context crash, a blown deadline
+// or a lost write quorum. Pushdown's recover distinguishes it from user
+// panics (which become RemoteError) and leaves through call.fail, which
+// rolls the undo journal back.
 type pushAbort struct {
-	err      error // ErrContextCrashed or ErrDeadlineExceeded
-	midCrash bool
+	err  error    // ErrContextCrashed, ErrDeadlineExceeded or ErrQuorumLost
+	wake sim.Time // for ErrQuorumLost: when enough scheduled heals restore quorum
 }
 
 // precheck runs at every page access of the temporary context: it is where
@@ -48,7 +49,7 @@ type pushAbort struct {
 func (mp *memPager) precheck(e *ddc.Env) {
 	mp.touches++
 	if mp.crashAt > 0 && mp.touches >= mp.crashAt && mp.journal.pages() > 0 {
-		panic(pushAbort{err: ErrContextCrashed, midCrash: true})
+		panic(pushAbort{err: ErrContextCrashed})
 	}
 	if mp.dieAt > 0 && e.T.Now() > mp.dieAt {
 		panic(pushAbort{err: ErrDeadlineExceeded})
@@ -56,16 +57,21 @@ func (mp *memPager) precheck(e *ddc.Env) {
 }
 
 // gateQuorum aborts the call when pg's replica set has dropped below the
-// write quorum mid-execution — partition onset after the admission gate let
-// the call through. The panic unwinds to Pushdown's recover, which rolls the
+// write quorum mid-execution — fewer than W members up and unpartitioned
+// from the compute node: partition onset after the admission gate let the
+// call through. The panic unwinds to Pushdown's recover, which rolls the
 // undo journal back before the failure is reported (rollback-before-report),
 // so the compute side sees a Recoverable ErrQuorumLost against pristine pool
-// state. Free on legacy (W ≤ 1) configs.
+// state. Free on legacy (single-shard or W ≤ 1) configs.
 func (mp *memPager) gateQuorum(e *ddc.Env, pg mem.PageID) {
-	rt := mp.ps.rt
-	if wake, lost := rt.pageQuorumWait(pg, e.T.Now()); lost {
-		rt.shardRecoverAt = wake
-		panic(pushAbort{err: ErrQuorumLost})
+	m := mp.ps.rt.P.M
+	if m.Cfg.Shards() <= 1 || m.Cfg.EffWriteQuorum() <= 1 {
+		return
+	}
+	now := e.T.Now()
+	usableAt := func(s int) sim.Time { return m.ShardUsableAt(s, now) }
+	if _, _, wake := mp.ps.rt.quorumShort(pg, now, usableAt); wake > 0 {
+		panic(pushAbort{err: ErrQuorumLost, wake: wake})
 	}
 }
 

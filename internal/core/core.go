@@ -145,6 +145,60 @@ func (s Stats) String() string {
 		s.PreSync, s.Request, s.Queue, s.CtxSetup, s.Exec, s.OnlineSync, s.Response, s.PostSync)
 }
 
+// RuntimeStats aggregates protocol activity across calls.
+type RuntimeStats struct {
+	Calls         int64
+	Cancelled     int64
+	Killed        int64
+	ComputeFaults int64 // compute-pool faults handled during pushdowns
+	Upgrades      int64 // compute write-upgrades that needed coherence
+	CoherenceMsgs int64
+	Contentions   int64
+
+	// Failure/recovery counters (§3.2 failure handling).
+	PoolDownObserved   int64 // heartbeat observations that found the pool down
+	ShardDownObserved  int64 // pushdowns shed because a resident page's replica set was unreachable
+	QuorumLostObserved int64 // pushdowns shed because a resident page was below its write quorum
+	QuorumAborts       int64 // executing pushdowns aborted (and rolled back) by partition onset
+	CtxCrashes         int64 // temporary-context crashes injected (pre-commit + mid-execution)
+	Retries            int64 // pushdown re-attempts by the recovery policy
+	LocalFallbacks     int64 // pushdowns degraded to compute-side execution
+
+	// Crash-consistency and overload counters.
+	Shed                 int64 // requests rejected by admission control (queue full)
+	DeadlineAborts       int64 // calls aborted for blowing their Options.Deadline budget
+	Rollbacks            int64 // undo-journal rollbacks performed (mid-crash + deadline aborts)
+	RolledBackPages      int64 // pages restored across all rollbacks
+	BreakerOpens         int64 // circuit-breaker closed/half-open → open transitions
+	BreakerHalfOpens     int64 // open → half-open transitions (cooldown elapsed)
+	BreakerCloses        int64 // half-open → closed transitions (probe succeeded)
+	BreakerShortCircuits int64 // calls sent straight to local execution while open
+
+	// Per-phase virtual-time sums across calls (each call's Stats,
+	// accumulated), so a run-level report can break pushdown time down
+	// without retaining every per-call breakdown.
+	PreSyncTime    sim.Time
+	RequestTime    sim.Time
+	QueueTime      sim.Time
+	CtxSetupTime   sim.Time
+	ExecTime       sim.Time
+	OnlineSyncTime sim.Time
+	ResponseTime   sim.Time
+	PostSyncTime   sim.Time
+}
+
+// addPhases folds one call's breakdown into the aggregate sums.
+func (r *Runtime) addPhases(st *Stats) {
+	r.agg.PreSyncTime += st.PreSync
+	r.agg.RequestTime += st.Request
+	r.agg.QueueTime += st.Queue
+	r.agg.CtxSetupTime += st.CtxSetup
+	r.agg.ExecTime += st.Exec
+	r.agg.OnlineSyncTime += st.OnlineSync
+	r.agg.ResponseTime += st.Response
+	r.agg.PostSyncTime += st.PostSync
+}
+
 // Errors returned by Pushdown.
 var (
 	// ErrCancelled reports a queued request cancelled after Options.Timeout

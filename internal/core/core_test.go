@@ -322,7 +322,7 @@ func TestMemoryPoolFailureIsKernelPanic(t *testing.T) {
 	p, rt := testProc(16)
 	th := sim.NewThread("caller")
 	rt.SetMemoryPoolDown(true)
-	if rt.Heartbeat() {
+	if rt.HeartbeatAt(th.Now()) {
 		t.Fatal("heartbeat should fail")
 	}
 	_, err := rt.Pushdown(th, func(env *ddc.Env) {}, Options{})
@@ -903,7 +903,7 @@ func TestPolicyRetriesThroughScheduledOutage(t *testing.T) {
 	// Probe forward for the first crash window and park the caller inside it.
 	var inWindow sim.Time
 	for ts := sim.Time(0); ts < 10*sim.Second; ts += 100 * sim.Microsecond {
-		if _, down := plan.PoolDownAt(ts); down {
+		if _, down := plan.DownAt(fault.Pool(), ts); down {
 			inWindow = ts
 			break
 		}

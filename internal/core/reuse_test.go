@@ -181,7 +181,9 @@ func TestRecycledMemoryEnvChargesLikeFresh(t *testing.T) {
 	}
 }
 
-// nthHeal must pick what sorting the heal times and indexing picked.
+// The heal selection under quorumShort (ddc.NthHeal, fed the way quorumShort
+// feeds it: members usable at now are not eligible) must pick what sorting
+// the heal times and indexing picked.
 func TestNthHealMatchesSortedIndex(t *testing.T) {
 	const now = sim.Time(100)
 	for _, members := range [][]sim.Time{
@@ -198,11 +200,15 @@ func TestNthHealMatchesSortedIndex(t *testing.T) {
 			}
 		}
 		slices.Sort(heals)
+		heal := func(i int) (sim.Time, bool) { return members[i], members[i] > now }
 		for n := 1; n <= len(heals); n++ {
-			got := nthHeal(len(members), n, now, func(i int) sim.Time { return members[i] })
-			if got != heals[n-1] {
-				t.Errorf("members %v: nthHeal(%d) = %v, want %v", members, n, got, heals[n-1])
+			i, got := ddc.NthHeal(len(members), n, heal)
+			if got != heals[n-1] || members[i] != got {
+				t.Errorf("members %v: NthHeal(%d) = member %d at %v, want %v", members, n, i, got, heals[n-1])
 			}
+		}
+		if i, at := ddc.NthHeal(len(members), len(heals)+1, heal); len(heals) == 0 && (i != -1 || at != 0) {
+			t.Errorf("members %v: NthHeal with nobody to heal = (%d, %v), want (-1, 0)", members, i, at)
 		}
 	}
 }
@@ -223,8 +229,8 @@ func TestShardGatesDoNotAllocate(t *testing.T) {
 
 	down := th.Now() + 10*sim.Microsecond
 	heal1, heal2 := down+2*sim.Millisecond, down+5*sim.Millisecond
-	plan.SetShardWindows(1, fault.Window{Down: down, Up: heal1})
-	plan.SetShardWindows(2, fault.Window{Down: down, Up: heal2})
+	plan.Pin(fault.Shard(1), fault.Window{Down: down, Up: heal1})
+	plan.Pin(fault.Shard(2), fault.Window{Down: down, Up: heal2})
 	th.AdvanceTo(down + sim.Microsecond)
 
 	// The page whose replica set is shards {1,2,3} has one usable member:
@@ -233,17 +239,19 @@ func TestShardGatesDoNotAllocate(t *testing.T) {
 	for ddc.ShardOf(lost, 4) != 1 {
 		lost++
 	}
-	if wake, below := rt.pageQuorumWait(lost, th.Now()); !below || wake != heal1 {
-		t.Fatalf("pageQuorumWait = (%v, %v), want quorum lost until %v", wake, below, heal1)
+	now := th.Now()
+	onDemand := func(s int) sim.Time { return m.ShardUsableAt(s, now) }
+	if usable, first, quorum := rt.quorumShort(lost, now, onDemand); usable != 1 || first != heal1 || quorum != heal1 {
+		t.Fatalf("quorumShort = (%d usable, first %v, quorum %v), want 1 usable and quorum lost until %v", usable, first, quorum, heal1)
 	}
 	runs := p.Cache.AppendRuns(nil)
-	if err := rt.shardGate(th, runs); !errors.Is(err, ErrQuorumLost) || rt.shardRecoverAt != heal1 {
-		t.Fatalf("shardGate = %v, recover at %v; want ErrQuorumLost until %v", err, rt.shardRecoverAt, heal1)
+	if wake, err := rt.shardGate(now, runs); !errors.Is(err, ErrQuorumLost) || wake != heal1 {
+		t.Fatalf("shardGate = %v, retry at %v; want ErrQuorumLost until %v", err, wake, heal1)
 	}
-	if n := testing.AllocsPerRun(100, func() { rt.pageQuorumWait(lost, th.Now()) }); n != 0 {
-		t.Errorf("pageQuorumWait allocates %.0f objects per call", n)
+	if n := testing.AllocsPerRun(100, func() { rt.quorumShort(lost, now, onDemand) }); n != 0 {
+		t.Errorf("quorumShort allocates %.0f objects per call", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = rt.shardGate(th, runs) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { _, _ = rt.shardGate(now, runs) }); n != 0 {
 		t.Errorf("shardGate allocates %.0f objects per call", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"teleport/internal/ddc"
+	"teleport/internal/fault"
 	"teleport/internal/hw"
 	"teleport/internal/mem"
 	"teleport/internal/metrics"
@@ -78,10 +79,11 @@ type Runtime struct {
 	downObs bool // last heartbeat observation, for crash/recover trace edges
 	agg     RuntimeStats
 
-	// shardRecoverAt is the earliest shard restart that unblocks the last
-	// ErrShardDown-shed call, so the recovery policy waits for it instead
-	// of blind backoff.
-	shardRecoverAt sim.Time
+	// retryAt is when the scheduled outage behind the last failed call ends
+	// — the controller's restart, or the heal that makes its working set
+	// reachable again — for the recovery policy to wait on instead of blind
+	// backoff. Zero when no schedule says (see call.fail).
+	retryAt sim.Time
 
 	brState    breakerState
 	brStreak   int      // consecutive recoverable failures while closed
@@ -144,60 +146,6 @@ type pushState struct {
 	pso  bool
 }
 
-// RuntimeStats aggregates protocol activity across calls.
-type RuntimeStats struct {
-	Calls         int64
-	Cancelled     int64
-	Killed        int64
-	ComputeFaults int64 // compute-pool faults handled during pushdowns
-	Upgrades      int64 // compute write-upgrades that needed coherence
-	CoherenceMsgs int64
-	Contentions   int64
-
-	// Failure/recovery counters (§3.2 failure handling).
-	PoolDownObserved   int64 // heartbeat observations that found the pool down
-	ShardDownObserved  int64 // pushdowns shed because a resident page's replica set was unreachable
-	QuorumLostObserved int64 // pushdowns shed because a resident page was below its write quorum
-	QuorumAborts       int64 // executing pushdowns aborted (and rolled back) by partition onset
-	CtxCrashes         int64 // temporary-context crashes injected (pre-commit + mid-execution)
-	Retries            int64 // pushdown re-attempts by the recovery policy
-	LocalFallbacks     int64 // pushdowns degraded to compute-side execution
-
-	// Crash-consistency and overload counters.
-	Shed                 int64 // requests rejected by admission control (queue full)
-	DeadlineAborts       int64 // calls aborted for blowing their Options.Deadline budget
-	Rollbacks            int64 // undo-journal rollbacks performed (mid-crash + deadline aborts)
-	RolledBackPages      int64 // pages restored across all rollbacks
-	BreakerOpens         int64 // circuit-breaker closed/half-open → open transitions
-	BreakerHalfOpens     int64 // open → half-open transitions (cooldown elapsed)
-	BreakerCloses        int64 // half-open → closed transitions (probe succeeded)
-	BreakerShortCircuits int64 // calls sent straight to local execution while open
-
-	// Per-phase virtual-time sums across calls (each call's Stats,
-	// accumulated), so a run-level report can break pushdown time down
-	// without retaining every per-call breakdown.
-	PreSyncTime    sim.Time
-	RequestTime    sim.Time
-	QueueTime      sim.Time
-	CtxSetupTime   sim.Time
-	ExecTime       sim.Time
-	OnlineSyncTime sim.Time
-	ResponseTime   sim.Time
-	PostSyncTime   sim.Time
-}
-
-// addPhases folds one call's breakdown into the aggregate sums.
-func (r *Runtime) addPhases(st *Stats) {
-	r.agg.PreSyncTime += st.PreSync
-	r.agg.RequestTime += st.Request
-	r.agg.QueueTime += st.Queue
-	r.agg.CtxSetupTime += st.CtxSetup
-	r.agg.ExecTime += st.Exec
-	r.agg.OnlineSyncTime += st.OnlineSync
-	r.agg.ResponseTime += st.Response
-	r.agg.PostSyncTime += st.PostSync
-}
-
 // NewRuntime returns a TELEPORT runtime for p with the given number of
 // memory-pool user contexts.
 func NewRuntime(p *ddc.Process, contexts int) *Runtime {
@@ -227,10 +175,6 @@ func (r *Runtime) Stats() RuntimeStats { return r.agg }
 // (ddc.Machine.AttachFault); both feed the same heartbeat observation.
 func (r *Runtime) SetMemoryPoolDown(down bool) { r.down = down }
 
-// Heartbeat reports whether the memory pool is reachable ignoring the fault
-// plan's crash schedule (which needs a virtual time — see HeartbeatAt).
-func (r *Runtime) Heartbeat() bool { return !r.down }
-
 // HeartbeatAt reports whether the memory pool is reachable at the given
 // virtual time, consulting both the manual down flag and the machine's
 // fault plan.
@@ -246,135 +190,82 @@ func (r *Runtime) poolDownAt(ts sim.Time) (recoverAt sim.Time, down bool) {
 	if r.down {
 		return 0, true
 	}
-	return r.P.M.Fault.PoolDownAt(ts)
+	return r.P.M.Fault.DownAt(fault.Pool(), ts)
 }
 
-// shardGate checks every resident page's shard reachability on a sharded
-// pool. A page whose primary shard and every backup are all unusable —
-// crashed, or severed from the compute node by a link partition — sheds the
-// call with ErrShardDown (Recoverable); on write-quorum configs (W > 1) a
-// page with fewer than W usable replicas sheds it with ErrQuorumLost, since
-// the call's writes could not commit. Either way the gate records the
-// earliest heal that unblocks the working set, so the retry policy can wait
-// for it instead of blind backoff. Free on single-shard pools.
-func (r *Runtime) shardGate(t *sim.Thread, runs []netmodel.PageRun) error {
+// shardGate checks every resident page's replica set on a sharded pool. A
+// page whose primary shard and every backup are all unusable — crashed, or
+// severed from the compute node by a link partition — sheds the call with
+// ErrShardDown; on write-quorum configs (W > 1) a page with fewer than W
+// usable replicas sheds it with ErrQuorumLost, since the call's writes could
+// not commit. Either way it also returns the earliest heal that unblocks the
+// working set, for the retry policy. Free on single-shard pools.
+func (r *Runtime) shardGate(now sim.Time, runs []netmodel.PageRun) (retryAt sim.Time, err error) {
 	m := r.P.M
 	k := m.Cfg.Shards()
 	if k <= 1 || len(runs) == 0 {
-		return nil
+		return 0, nil
 	}
-	now := t.Now()
-	// Resolve each shard's compute-side usability once; the pages stripe
-	// across all of them. usableAt folds the crash and link-partition
-	// schedules: a shard that is up but partitioned is as unusable as a
-	// crashed one.
-	usableAt := r.usableAt[:0]
+	// Resolve each shard's usability once; the pages stripe across all.
+	table := r.usableAt[:0]
 	for s := 0; s < k; s++ {
-		usableAt = append(usableAt, m.ShardUsableAt(s, now))
+		table = append(table, m.ShardUsableAt(s, now))
 	}
-	r.usableAt = usableAt
-	reps := m.Cfg.EffReplicas()
-	w := m.Cfg.EffWriteQuorum()
+	r.usableAt = table
+	usableAt := func(s int) sim.Time { return table[s] }
 	var downWait, quorumWait sim.Time
 	for _, run := range runs {
 		for pg := run.Start; pg < run.Start+uint64(run.Count); pg++ {
-			primary := ddc.ShardOf(mem.PageID(pg), k)
-			member := func(i int) sim.Time { return usableAt[(primary+i)%k] }
-			usable := usableMembers(reps, w, now, member)
-			switch {
-			case usable >= w:
+			switch usable, first, quorum := r.quorumShort(mem.PageID(pg), now, usableAt); {
+			case first == 0:
 			case usable == 0:
-				// The whole replica set is unreachable: the earliest
-				// member heal unblocks the page.
-				if wake := nthHeal(reps, 1, now, member); downWait == 0 || wake < downWait {
-					downWait = wake
+				// Whole replica set unreachable: the earliest heal unblocks it.
+				if downWait == 0 || first < downWait {
+					downWait = first
 				}
-			default:
-				// Below the write quorum: quorum is restored once W−usable
-				// more members heal.
-				if wake := nthHeal(reps, w-usable, now, member); quorumWait == 0 || wake < quorumWait {
-					quorumWait = wake
-				}
+			case quorumWait == 0 || quorum < quorumWait:
+				quorumWait = quorum
 			}
 		}
 	}
-	if downWait > 0 {
-		r.agg.ShardDownObserved++
-		r.shardRecoverAt = downWait
-		m.Metrics.Counter("push.shard-down").Inc()
-		m.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindShardDown, Who: t.Name()})
-		return ErrShardDown
+	switch {
+	case downWait > 0:
+		return downWait, ErrShardDown
+	case quorumWait > 0:
+		return quorumWait, ErrQuorumLost
 	}
-	if quorumWait > 0 {
-		r.agg.QuorumLostObserved++
-		r.shardRecoverAt = quorumWait
-		m.Metrics.Counter("push.quorum-lost").Inc()
-		m.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindShardDown, Arg: 1, Who: t.Name()})
-		return ErrQuorumLost
-	}
-	return nil
+	return 0, nil
 }
 
-// usableMembers counts the members i < reps of a replica set that are usable
-// at now (member(i) == now), stopping at w: that many make a write quorum and
-// no caller needs to know of more.
-func usableMembers(reps, w int, now sim.Time, member func(i int) sim.Time) int {
-	usable := 0
+// quorumShort is the one check of a page's replica set against the write
+// quorum W. usableAt(s) is the instant shard s is next up and reachable from
+// the compute node in both directions — now itself when it already is: the
+// admission gate resolves it once per call for every shard, the mid-execution
+// gate (memPager.gateQuorum) on demand. It counts the members usable at now,
+// stopping at W, and when fewer than W are returns when the first unusable
+// member heals and when enough have healed to restore the quorum (both zero
+// otherwise).
+func (r *Runtime) quorumShort(pg mem.PageID, now sim.Time, usableAt func(s int) sim.Time) (usable int, first, quorum sim.Time) {
+	cfg := &r.P.M.Cfg
+	k, reps, w := cfg.Shards(), cfg.EffReplicas(), cfg.EffWriteQuorum()
+	primary := ddc.ShardOf(pg, k)
 	for i := 0; i < reps && usable < w; i++ {
-		if member(i) == now {
+		if usableAt((primary+i)%k) == now {
 			usable++
 		}
 	}
-	return usable
-}
-
-// nthHeal returns the n-th smallest (n ≥ 1, ties counted) of a replica
-// set's heal times — the members i < reps whose usable-at instant member(i)
-// lies after now — that is, when the n-th of the currently unusable members
-// is back. Replica sets are tiny and a page below quorum is rare, so it
-// selects by repeated minimum rather than collecting and sorting: no storage,
-// whatever the replication factor.
-func nthHeal(reps, n int, now sim.Time, member func(i int) sim.Time) sim.Time {
-	at := now // heals at or before this instant are already counted
-	for seen := 0; seen < n; {
-		var next sim.Time
-		ties := 0
-		for i := 0; i < reps; i++ {
-			switch h := member(i); {
-			case h <= at:
-			case ties == 0 || h < next:
-				next, ties = h, 1
-			case h == next:
-				ties++
-			}
-		}
-		if ties == 0 {
-			break // fewer than n members are unusable
-		}
-		at, seen = next, seen+ties
-	}
-	return at
-}
-
-// pageQuorumWait reports whether pg's replica set is below the write quorum
-// at now — fewer than W members up and unpartitioned from the compute node —
-// and, when it is, the instant enough scheduled heals restore quorum. Free
-// on legacy (single-shard or W ≤ 1) configs.
-func (r *Runtime) pageQuorumWait(pg mem.PageID, now sim.Time) (sim.Time, bool) {
-	m := r.P.M
-	k := m.Cfg.Shards()
-	w := m.Cfg.EffWriteQuorum()
-	if k <= 1 || w <= 1 {
-		return 0, false
-	}
-	reps := m.Cfg.EffReplicas()
-	primary := ddc.ShardOf(pg, k)
-	member := func(i int) sim.Time { return m.ShardUsableAt((primary+i)%k, now) }
-	usable := usableMembers(reps, w, now, member)
 	if usable >= w {
-		return 0, false
+		return usable, 0, 0
 	}
-	return nthHeal(reps, w-usable, now, member), true
+	heal := func(i int) (sim.Time, bool) {
+		at := usableAt((primary + i) % k)
+		return at, at > now
+	}
+	_, quorum = ddc.NthHeal(reps, w-usable, heal)
+	if first = quorum; w-usable > 1 {
+		_, first = ddc.NthHeal(reps, 1, heal)
+	}
+	return usable, first, quorum
 }
 
 // observeHeartbeat is one compute-side heartbeat observation at t's current
@@ -390,9 +281,6 @@ func (r *Runtime) observeHeartbeat(t *sim.Thread) bool {
 		r.P.M.Trace.Add(trace.Event{At: t.Now(), Kind: kind, Who: t.Name()})
 		r.downObs = down
 	}
-	if down {
-		r.agg.PoolDownObserved++
-	}
 	return down
 }
 
@@ -400,9 +288,8 @@ func (r *Runtime) observeHeartbeat(t *sim.Thread) bool {
 // while still queued (try_cancel succeeded after Options.Timeout), runs fn
 // in the compute pool instead — the fallback §3.2 describes ("the
 // application is free to execute fn directly in the compute pool"). It
-// reports whether the function ultimately ran in the memory pool. For
-// recovery from pool crashes and injected faults as well, use
-// PushdownWithPolicy.
+// reports whether fn ultimately ran in the memory pool. For recovery from
+// pool crashes and injected faults as well, use PushdownWithPolicy.
 func (r *Runtime) PushdownOrLocal(t *sim.Thread, fn Func, opts Options) (Stats, bool, error) {
 	st, err := r.Pushdown(t, fn, opts)
 	if errors.Is(err, ErrCancelled) {
@@ -419,7 +306,8 @@ func (r *Runtime) PushdownOrLocal(t *sim.Thread, fn Func, opts Options) (Stats, 
 // outage with a known restart time waits for the restart instead of blind
 // backoff.
 type RetryThenLocal struct {
-	// MaxRetries bounds re-attempts after ErrCancelled / ErrMemoryPoolDown.
+	// MaxRetries bounds re-attempts after a Recoverable failure (a crashed
+	// context's one immediate re-run does not consume one).
 	MaxRetries int
 	// Backoff is the first retry delay; it doubles per retry, capped at
 	// 64×. Zero retries immediately.
@@ -463,55 +351,43 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options, pol R
 			return Stats{}, false, nil
 		}
 		st, err := r.Pushdown(t, fn, opts)
-		switch {
-		case err == nil:
+		if err == nil {
 			r.breakerSuccess(t)
 			return st, true, nil
-
-		case errors.Is(err, ErrContextCrashed):
-			// §3.2: the controller reaps the dead context; the compute
-			// side re-issues the request once, then gives up on the pool.
-			r.breakerFailure(t)
-			if ctxRerun {
-				r.runLocalFallback(t, fn)
-				return st, false, nil
-			}
-			ctxRerun = true
-			r.agg.Retries++
-			r.P.M.Metrics.Counter("push.retries").Inc()
-
-		case Recoverable(err) && retries < pol.MaxRetries:
-			r.breakerFailure(t)
-			retries++
-			r.agg.Retries++
-			r.P.M.Metrics.Counter("push.retries").Inc()
-			ws := t.Now()
-			wsp := r.P.M.Tracer().Begin(t, trace.KindPushRetryWait, 0, int64(retries))
-			if recoverAt, down := r.poolDownAt(t.Now()); down && recoverAt > 0 {
-				// Scheduled outage: wait for the controller restart.
-				t.AdvanceTo(recoverAt)
-			} else if (errors.Is(err, ErrShardDown) || errors.Is(err, ErrQuorumLost)) && r.shardRecoverAt > t.Now() {
-				// Scheduled shard outage or link partition: wait for the
-				// earliest heal that unblocks the call's working set.
-				t.AdvanceTo(r.shardRecoverAt)
-			} else if backoff > 0 {
-				t.Advance(backoff)
-				if backoff < 64*pol.Backoff {
-					backoff *= 2
-				}
-			}
-			r.P.M.Tracer().End(t, wsp)
-			r.P.M.Times.Add(metrics.CompPushRetry, t.Now()-ws)
-
-		case Recoverable(err):
-			// Out of retries: degrade to compute-side execution.
-			r.breakerFailure(t)
-			r.runLocalFallback(t, fn)
-			return st, false, nil
-
-		default:
+		}
+		if !Recoverable(err) {
 			return st, true, err
 		}
+		r.breakerFailure(t)
+		// §3.2: the controller reaps a crashed context and the compute side
+		// re-issues the request once, without consuming a retry.
+		crashed := errors.Is(err, ErrContextCrashed)
+		if (crashed && ctxRerun) || (!crashed && retries >= pol.MaxRetries) {
+			// Out of attempts: degrade to compute-side execution.
+			r.runLocalFallback(t, fn)
+			return st, false, nil
+		}
+		r.agg.Retries++
+		r.P.M.Metrics.Counter("push.retries").Inc()
+		if crashed {
+			ctxRerun = true
+			continue
+		}
+		retries++
+		ws := t.Now()
+		wsp := r.P.M.Tracer().Begin(t, trace.KindPushRetryWait, 0, int64(retries))
+		if r.retryAt > t.Now() {
+			// Scheduled outage: wait for the controller restart, or the
+			// earliest heal that unblocks the call's working set.
+			t.AdvanceTo(r.retryAt)
+		} else if backoff > 0 {
+			t.Advance(backoff)
+			if backoff < 64*pol.Backoff {
+				backoff *= 2
+			}
+		}
+		r.P.M.Tracer().End(t, wsp)
+		r.P.M.Times.Add(metrics.CompPushRetry, t.Now()-ws)
 	}
 }
 
@@ -525,43 +401,162 @@ func (r *Runtime) runLocalFallback(t *sim.Thread, fn Func) {
 	r.P.M.Tracer().End(t, sp)
 }
 
+// call is one Pushdown attempt: what a checkpoint needs to know and what
+// every exit must give back.
+type call struct {
+	r          *Runtime
+	t          *sim.Thread
+	id         int64
+	deadlineAt sim.Time   // Options.Deadline as an absolute instant; 0 = no budget
+	wake       sim.Time   // the scheduled heal a gate found behind the failure, if any
+	ctx        bool       // holds a memory-pool user context
+	ps         *pushState // the coherence state joined at context setup
+	pager      *memPager  // set once the pushed function started executing
+}
+
+// checkpoint is what the compute side can observe wherever the call has just
+// spent virtual time: the pool's heartbeat, then — once the temporary context
+// exists — whether it is still alive (the fault plan's pre-commit crash,
+// drawn once per call), then the call's own deadline budget. Nothing has
+// committed at a checkpoint, so every error it returns is Recoverable.
+func (c *call) checkpoint() error {
+	switch {
+	case c.r.observeHeartbeat(c.t):
+		return ErrMemoryPoolDown
+	case c.ps != nil && c.r.P.M.Fault.CtxCrash():
+		return ErrContextCrashed
+	case c.deadlineAt > 0 && c.t.Now() > c.deadlineAt:
+		return ErrDeadlineExceeded
+	}
+	return nil
+}
+
+// failures is the one table that accounts a failed call: the RuntimeStats
+// counter, the metric and the trace event (Arg from the template, or the call
+// id) of each sentinel. The first row matching under errors.Is applies; an
+// exec row only once the pushed function had started executing.
+var failures = [...]struct {
+	err     error
+	exec    bool
+	count   func(*RuntimeStats) *int64
+	metric  string
+	event   *trace.Event
+	callArg bool
+}{
+	{err: ErrMemoryPoolDown, count: func(s *RuntimeStats) *int64 { return &s.PoolDownObserved }},
+	{err: ErrShardDown, count: func(s *RuntimeStats) *int64 { return &s.ShardDownObserved },
+		metric: "push.shard-down", event: &trace.Event{Kind: trace.KindShardDown}},
+	{err: ErrQuorumLost, exec: true, count: func(s *RuntimeStats) *int64 { return &s.QuorumAborts },
+		metric: "push.quorum-aborts"},
+	{err: ErrQuorumLost, count: func(s *RuntimeStats) *int64 { return &s.QuorumLostObserved },
+		metric: "push.quorum-lost", event: &trace.Event{Kind: trace.KindShardDown, Arg: 1}},
+	{err: ErrQueueFull, count: func(s *RuntimeStats) *int64 { return &s.Shed },
+		metric: "push.shed", event: &trace.Event{Kind: trace.KindShed}, callArg: true},
+	{err: ErrDeadlineExceeded, count: func(s *RuntimeStats) *int64 { return &s.DeadlineAborts },
+		metric: "push.deadline-aborts"},
+	{err: ErrCancelled, count: func(s *RuntimeStats) *int64 { return &s.Cancelled }},
+	{err: ErrContextCrashed, count: func(s *RuntimeStats) *int64 { return &s.CtxCrashes },
+		metric: "push.ctx-crashes", event: &trace.Event{Kind: trace.KindFaultInjected}, callArg: true},
+}
+
+// fail is the one failure exit. It accounts err (failures); lets the pool
+// clean up — a crashed context is reaped, and whatever fn had dirtied is
+// rolled back from the undo journal before the failure notification is sent,
+// so by the time the compute side learns anything the pool's memory is
+// pristine and the error Recoverable even though fn partially ran — unwinds
+// what the call holds; and records when a retry can succeed.
+func (c *call) fail(err error) error {
+	r, t, m := c.r, c.t, c.r.P.M
+	exec := c.pager != nil
+	for i := range failures {
+		f := &failures[i]
+		if !errors.Is(err, f.err) || (f.exec && !exec) {
+			continue
+		}
+		*f.count(&r.agg)++
+		if f.metric != "" {
+			m.Metrics.Counter(f.metric).Inc()
+		}
+		if f.event != nil {
+			ev := *f.event
+			ev.At, ev.Who = t.Now(), t.Name()
+			if f.callArg {
+				ev.Arg = c.id
+			}
+			m.Trace.Add(ev)
+		}
+		break
+	}
+	crashed := errors.Is(err, ErrContextCrashed)
+	if crashed {
+		// Reap cost: one context switch in the pool.
+		rs := t.Now()
+		t.AdvanceNs(m.Cfg.HW.CtxSwitchNs)
+		m.Times.Add(metrics.CompPushProto, t.Now()-rs)
+	}
+	if exec {
+		r.rollbackJournal(t, c.ps, c.pager)
+	}
+	if crashed || exec {
+		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassPushdown)
+	}
+	c.unwind()
+	// A controller down right now gates any retry; else the gate's heal does.
+	r.retryAt = c.wake
+	if recoverAt, down := r.poolDownAt(t.Now()); down && recoverAt > 0 {
+		r.retryAt = recoverAt
+	}
+	return err
+}
+
+// unwind gives back what the call holds: its reference on the shared
+// coherence state, then its user context.
+func (c *call) unwind() {
+	if c.ps != nil {
+		c.r.exitPush(c.ps)
+	}
+	if c.ctx {
+		c.r.release(c.t)
+	}
+}
+
 // Pushdown ships fn to the memory pool and blocks the calling thread until
 // it completes (§3.2, Figure 5). Other simulated threads of the process
 // keep running in the compute pool; the coherence protocol keeps both sides
 // consistent. It returns the per-call breakdown and an error for
 // cancellation, kill, remote panic, or pool failure.
 //
-// Failure handling: the compute-side heartbeat observes the pool at call
-// entry and again at every point where the call has spent virtual time
-// before execution commits (request sent, context acquired, context set
-// up). A crash observed at any of these points aborts the call with
-// ErrMemoryPoolDown and the partial Stats breakdown — fn has not run, so
-// the caller (or PushdownWithPolicy) may retry or run it locally. A crash
-// after fn commits is indistinguishable from success here: the results
-// already live in the pool's memory, which is also the process's only
-// memory — the paper's kernel panics in that case.
+// Failure handling: the call passes a checkpoint at entry and again wherever
+// it has spent virtual time before execution commits (request sent, context
+// acquired, context set up); inside execution the pager enforces the budget
+// and the write quorum at every page access. Every failure leaves through
+// call.fail with the partial Stats breakdown — fn has not run, or was rolled
+// back, so the caller (or PushdownWithPolicy) may retry or run it locally. A
+// crash after fn commits is indistinguishable from success here: the results
+// already live in the pool's memory, which is also the process's only memory
+// — the paper's kernel panics in that case.
 func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) {
 	var st Stats
-	if r.observeHeartbeat(t) {
-		return st, ErrMemoryPoolDown
+	c := call{r: r, t: t}
+	if err := c.checkpoint(); err != nil {
+		return st, c.fail(err)
 	}
 	if !r.P.M.Cfg.Disaggregated {
-		return st, ErrNotDisaggregated
+		return st, c.fail(ErrNotDisaggregated)
 	}
 	r.agg.Calls++
-	callID := r.agg.Calls
+	c.id = r.agg.Calls
 	p := r.P
 	defer r.addPhases(&st)
 	tr := p.M.Tracer()
-	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindPushdownStart, Arg: callID, Who: t.Name()})
+	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindPushdownStart, Arg: c.id, Who: t.Name()})
 	callStart := t.Now()
 	// The deadline budget is per attempt, measured from this entry; it is
-	// enforced at every phase below and inside execution by the pager.
-	var deadlineAt sim.Time
+	// enforced at every checkpoint below and inside execution by the pager.
 	if opts.Deadline > 0 {
-		deadlineAt = callStart + opts.Deadline
+		c.deadlineAt = callStart + opts.Deadline
 	}
-	sp := tr.Begin(t, trace.KindPushdown, 0, callID)
+	sp := tr.Begin(t, trace.KindPushdown, 0, c.id)
 	defer func() {
 		tr.End(t, sp)
 		p.M.Metrics.Counter("push.calls").Inc()
@@ -584,13 +579,14 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 
 	// On a sharded pool the call only proceeds when every resident page it
 	// ships can be served — its primary shard up, or a replica live.
-	if err := r.shardGate(t, runs); err != nil {
-		return st, err
+	var err error
+	if c.wake, err = r.shardGate(t.Now(), runs); err != nil {
+		return st, c.fail(err)
 	}
 
 	mark = t.Now()
 	if err := netmodel.CheckRuns(runs); err != nil {
-		return st, err
+		return st, c.fail(err)
 	}
 	st.RLERuns = len(runs)
 	// The request is a real wire message: fn/arg pointers, flags, any
@@ -612,7 +608,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	wire, err := req.AppendTo(r.wire[:0])
 	r.wire = wire[:0]
 	if err != nil {
-		return st, err
+		return st, c.fail(err)
 	}
 	st.RequestBytes = len(wire)
 	p.M.Fabric.Send(t, st.RequestBytes, netmodel.ClassPushdown)
@@ -620,103 +616,61 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 
 	// The request transfer (and any fabric retries) took virtual time; a
 	// pool crash in that window means the request was never acknowledged.
-	if r.observeHeartbeat(t) {
-		return st, ErrMemoryPoolDown
+	if err := c.checkpoint(); err != nil {
+		return st, c.fail(err)
 	}
 
 	// ❸ Workqueue: wait for a free user context (FIFO; try_cancel applies
 	// while queued, admission control sheds when the queue is at capacity).
 	mark = t.Now()
-	qs := tr.Begin(t, trace.KindPushQueue, 0, callID)
-	err = r.acquire(t, opts, deadlineAt)
+	qs := tr.Begin(t, trace.KindPushQueue, 0, c.id)
+	err = r.acquire(t, opts, c.deadlineAt)
 	tr.End(t, qs)
 	st.Queue = t.Now() - mark
 	p.M.Times.Add(metrics.CompPushQueue, st.Queue)
 	p.M.Metrics.Histogram("push.queue.ns").Observe(st.Queue)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		r.agg.Shed++
-		p.M.Metrics.Counter("push.shed").Inc()
-		p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindShed, Arg: callID, Who: t.Name()})
-		return st, err
-	case errors.Is(err, ErrDeadlineExceeded):
-		r.agg.DeadlineAborts++
-		p.M.Metrics.Counter("push.deadline-aborts").Inc()
-		return st, err
-	case err != nil:
-		r.agg.Cancelled++
-		return st, err
+	if err != nil {
+		return st, c.fail(err)
 	}
+	c.ctx = true
 
-	// A crash while the request sat in the workqueue: the context we were
-	// just granted died with the controller.
-	if r.observeHeartbeat(t) {
-		r.release(t)
-		return st, ErrMemoryPoolDown
-	}
-	// The queue wait alone may have consumed the whole budget.
-	if deadlineAt > 0 && t.Now() > deadlineAt {
-		r.agg.DeadlineAborts++
-		p.M.Metrics.Counter("push.deadline-aborts").Inc()
-		r.release(t)
-		return st, ErrDeadlineExceeded
+	// A crash while the request sat in the workqueue took the context we
+	// were just granted with it; the wait may also have spent the budget.
+	if err := c.checkpoint(); err != nil {
+		return st, c.fail(err)
 	}
 
 	// ❹ Temporary user context setup (Figure 8).
 	mark = t.Now()
-	cs := tr.Begin(t, trace.KindPushSetup, 0, callID)
-	ps := r.enterPush(t, runs, opts, &st)
+	cs := tr.Begin(t, trace.KindPushSetup, 0, c.id)
+	c.ps = r.enterPush(t, runs, opts, &st)
 	tr.End(t, cs)
 	st.CtxSetup = t.Now() - mark
 
 	// A crash during context setup, or an injected crash of the temporary
 	// context itself, surfaces before fn commits: the compute side detects
-	// it by heartbeat timeout, the controller reaps the dead context, and
-	// the caller decides whether to retry or fall back.
-	if r.observeHeartbeat(t) {
-		r.exitPush(ps)
-		r.release(t)
-		return st, ErrMemoryPoolDown
-	}
-	if p.M.Fault.CtxCrash() {
-		r.agg.CtxCrashes++
-		p.M.Metrics.Counter("push.ctx-crashes").Inc()
-		p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindFaultInjected, Arg: callID, Who: t.Name()})
-		// Reap cost: one context switch in the pool plus the failure
-		// notification round trip.
-		rs := t.Now()
-		t.AdvanceNs(p.M.Cfg.HW.CtxSwitchNs)
-		p.M.Times.Add(metrics.CompPushProto, t.Now()-rs)
-		p.M.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassPushdown)
-		r.exitPush(ps)
-		r.release(t)
-		return st, ErrContextCrashed
-	}
-	// Context setup may also have exhausted the budget (nothing is dirty
-	// yet, so no rollback is needed).
-	if deadlineAt > 0 && t.Now() > deadlineAt {
-		r.agg.DeadlineAborts++
-		p.M.Metrics.Counter("push.deadline-aborts").Inc()
-		r.exitPush(ps)
-		r.release(t)
-		return st, ErrDeadlineExceeded
+	// it by heartbeat timeout and the controller reaps the dead context.
+	// Setup may also have spent the budget (nothing is dirty yet).
+	if err := c.checkpoint(); err != nil {
+		return st, c.fail(err)
 	}
 
 	// Function execution with online coherence (Figure 9). The pager keeps
 	// the call's undo journal and enforces the armed mid-execution crash
-	// point and the deadline at every page access.
+	// point, the deadline and the write quorum at every page access.
 	mark = t.Now()
-	es := tr.Begin(t, trace.KindPushExec, 0, callID)
+	es := tr.Begin(t, trace.KindPushExec, 0, c.id)
 	pager := &scr.pager
 	journal := pager.journal // emptied by the scratch's last call; keeps its storage
 	journal.pool = &r.journalBufs
-	*pager = memPager{ps: ps, st: &st, opts: opts, dieAt: deadlineAt, journal: journal}
+	*pager = memPager{ps: c.ps, st: &st, opts: opts, dieAt: c.deadlineAt, journal: journal}
 	if frac, mid := p.M.Fault.CtxCrashMid(); mid {
 		// Map the seeded fraction onto a page-access ordinal: the context
 		// dies at its crashAt-th access — once it has dirtied at least one
 		// page — which is deterministic for a given seed and workload.
 		pager.crashAt = 1 + int(frac*float64(midCrashTouchSpan))
 	}
+	c.pager = pager
 	scr.env = p.RecycleMemoryEnv(scr.env, t, pager)
 	env := scr.env
 	env.Dilation = r.dilation
@@ -740,7 +694,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	st.Exec = t.Now() - mark
 	p.M.Metrics.Histogram("push.exec.ns").Observe(st.Exec)
 	if abort != nil {
-		return st, r.abortPush(t, ps, pager, callID, abort)
+		c.wake = abort.wake
+		return st, c.fail(abort.err)
 	}
 	killed := opts.ExecLimit > 0 && st.Exec > opts.ExecLimit
 
@@ -760,14 +715,13 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	// ❽ Post-pushdown synchronisation.
 	mark = t.Now()
 	posts := tr.Begin(t, trace.KindPushSync, 0, 1)
-	r.postSync(t, ps, opts, eagerPages)
+	r.postSync(t, c.ps, opts, eagerPages)
 	tr.End(t, posts)
 	st.PostSync = t.Now() - mark
 
-	r.exitPush(ps)
-	r.release(t)
+	c.unwind()
 	pager.journal.discard()
-	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindPushdownEnd, Arg: callID, Who: t.Name()})
+	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindPushdownEnd, Arg: c.id, Who: t.Name()})
 
 	if killed {
 		r.agg.Killed++
@@ -776,41 +730,11 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	return st, remoteErr
 }
 
-// abortPush tears one call down after the pushed function was stopped
-// mid-execution — an armed context crash or a blown deadline budget. The
-// controller reaps the dead context, rolls the undo journal back, and only
-// then sends the failure notification: by the time the compute side learns
-// anything, the pool's memory is pristine again (rollback-before-report),
-// so the returned error is Recoverable even though fn partially ran.
-func (r *Runtime) abortPush(t *sim.Thread, ps *pushState, pager *memPager, callID int64, ab *pushAbort) error {
-	p := r.P
-	if ab.midCrash {
-		r.agg.CtxCrashes++
-		p.M.Metrics.Counter("push.ctx-crashes").Inc()
-		p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindFaultInjected, Arg: callID, Who: t.Name()})
-		// Reap cost, as for a pre-commit crash.
-		rs := t.Now()
-		t.AdvanceNs(p.M.Cfg.HW.CtxSwitchNs)
-		p.M.Times.Add(metrics.CompPushProto, t.Now()-rs)
-	} else if errors.Is(ab.err, ErrQuorumLost) {
-		r.agg.QuorumAborts++
-		p.M.Metrics.Counter("push.quorum-aborts").Inc()
-	} else {
-		r.agg.DeadlineAborts++
-		p.M.Metrics.Counter("push.deadline-aborts").Inc()
-	}
-	r.rollbackJournal(t, ps, pager, callID)
-	p.M.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassPushdown)
-	r.exitPush(ps)
-	r.release(t)
-	return ab.err
-}
-
 // rollbackJournal restores every pre-image the call's undo journal holds,
 // clears the rolled-back pages' dirty bits in the temporary page table (so
 // a later dirty-bit merge cannot write back state that was never
 // committed), and charges the controller's restore walk to virtual time.
-func (r *Runtime) rollbackJournal(t *sim.Thread, ps *pushState, pager *memPager, callID int64) {
+func (r *Runtime) rollbackJournal(t *sim.Thread, ps *pushState, pager *memPager) {
 	n := pager.journal.pages()
 	if n == 0 {
 		return
@@ -848,12 +772,7 @@ func (r *Runtime) preSync(t *sim.Thread, opts Options, scr *callScratch) []mem.P
 		// resident page — the naive path does not track dirtiness finer
 		// than "the process ran here" — and clear the compute node's
 		// memory, page by page through the eviction path.
-		var pages []mem.PageID
-		p.Cache.Range(func(pg mem.PageID, _, _ bool) bool {
-			pages = append(pages, pg)
-			return true
-		})
-		for range pages {
+		for n := p.Cache.Len(); n > 0; n-- {
 			r.flushPage(t)
 		}
 		p.Cache.Clear()

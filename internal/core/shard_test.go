@@ -17,7 +17,7 @@ import (
 // recovery policy waits for the scheduled shard restart.
 
 // shardProc builds a K-shard, R-replica TELEPORT process with an empty
-// fault plan ready for SetShardWindows.
+// fault plan ready for Pin(fault.Shard(s), …).
 func shardProc(t *testing.T, shards, replicas, cachePages int) (*ddc.Process, *Runtime, *fault.Plan) {
 	t.Helper()
 	cfg := ddc.BaseDDC(int64(cachePages) * mem.PageSize)
@@ -39,7 +39,7 @@ func TestPushdownSucceedsDuringAnySingleShardOutage(t *testing.T) {
 		th := sim.NewThread("t")
 		a := fillVec(p, th, n)
 		down := th.Now() + 10*sim.Microsecond
-		plan.SetShardWindows(s, fault.Window{Down: down, Up: down + 10*sim.Millisecond})
+		plan.Pin(fault.Shard(s), fault.Window{Down: down, Up: down + 10*sim.Millisecond})
 		th.AdvanceTo(down + sim.Microsecond)
 
 		var out int64
@@ -70,7 +70,7 @@ func TestReadFailsOverDuringShardOutage(t *testing.T) {
 		p.ResizeCache(mem.PageSize)
 		down := th.Now() + 10*sim.Microsecond
 		if outage {
-			plan.SetShardWindows(0, fault.Window{Down: down, Up: down + 100*sim.Millisecond})
+			plan.Pin(fault.Shard(0), fault.Window{Down: down, Up: down + 100*sim.Millisecond})
 		}
 		th.AdvanceTo(down + sim.Microsecond)
 		start := th.Now()
@@ -115,7 +115,7 @@ func TestUnreplicatedShardOutageShedsThenRecovers(t *testing.T) {
 	a := fillVec(p, th, n)
 	down := th.Now() + 10*sim.Microsecond
 	up := down + 5*sim.Millisecond
-	plan.SetShardWindows(1, fault.Window{Down: down, Up: up})
+	plan.Pin(fault.Shard(1), fault.Window{Down: down, Up: up})
 	th.AdvanceTo(down + sim.Microsecond)
 
 	var out int64

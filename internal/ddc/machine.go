@@ -203,25 +203,19 @@ func (m *Machine) CounterSource() func() map[string]int64 {
 // controller restarts (the compute pool has nowhere else to get the page
 // from). It reports whether a stall happened.
 func (m *Machine) WaitPoolUp(t *sim.Thread) bool {
-	recoverAt, down := m.Fault.PoolDownAt(t.Now())
-	if !down {
+	if _, down := m.Fault.DownAt(fault.Pool(), t.Now()); !down {
 		//lint:allow timecharge healthy-controller probe reads the fault schedule only: zero cost by design
 		return false
 	}
 	m.PoolStalls++
-	start := t.Now()
-	// Back-to-back windows ([a,b) directly followed by [b,c)) chain: the
-	// wake instant of one outage may land inside the next, so re-check
-	// until the controller is genuinely up. One stall is counted per call
-	// however many windows it spans.
-	for down {
-		t.AdvanceTo(recoverAt)
-		recoverAt, down = m.Fault.PoolDownAt(t.Now())
-	}
-	m.Times.Add(metrics.CompPoolStall, t.Now()-start)
+	// One stall however many back-to-back windows it spans: the wake instant
+	// is the first at which the controller is genuinely up.
+	_, stalled := m.stallToHeal(t, 1, func(int) (sim.Time, bool) {
+		return m.Fault.UpAt(t.Now(), fault.Pool()), true
+	})
+	m.Times.Add(metrics.CompPoolStall, stalled)
 	m.Metrics.Counter("pool.stall").Inc()
-	m.Metrics.Histogram("pool.stall.ns").Observe(t.Now() - start)
-	//lint:allow timecharge the stall loop always runs at least once (down holds on entry) and AdvanceTo charges it
+	m.Metrics.Histogram("pool.stall.ns").Observe(stalled)
 	return true
 }
 

@@ -49,11 +49,11 @@ func TestQuorumReadNeverObservesPreWriteCopy(t *testing.T) {
 						for _, pg := range pages {
 							m := MustMachine(cfg)
 							plan := fault.NewPlan(fault.Profile{Name: "q"}, 0)
-							plan.SetLinkWindows(c.from, c.to,
+							plan.Pin(fault.Link(c.from, c.to),
 								fault.Window{Down: 10 * sim.Microsecond, Up: 200 * sim.Microsecond})
 							primary := ShardOf(pg, k)
 							if forceFailover && (c.from != fault.EndpointCompute || c.to != primary) {
-								plan.SetLinkWindows(fault.EndpointCompute, primary,
+								plan.Pin(fault.Link(fault.EndpointCompute, primary),
 									fault.Window{Down: 30 * sim.Microsecond, Up: 200 * sim.Microsecond})
 							}
 							m.AttachFault(plan)

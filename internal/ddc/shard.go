@@ -70,72 +70,76 @@ type resyncQueue struct {
 	seen map[mem.PageID]int // page → index into recs
 }
 
-// shardUsable reports whether shard s can serve compute traffic at ts: the
-// shard is up and both directions of its compute link are unpartitioned.
-func (m *Machine) shardUsable(s int, ts sim.Time) bool {
-	if _, down := m.Fault.ShardDownAt(s, ts); down {
-		return false
-	}
-	if _, down := m.Fault.LinkDownAt(fault.EndpointCompute, s, ts); down {
-		return false
-	}
-	if _, down := m.Fault.LinkDownAt(s, fault.EndpointCompute, ts); down {
-		return false
+// path is what one transfer needs up, in the order the fault plan is
+// consulted (an unused slot is the zero Target, which is never down). There
+// are exactly two kinds: a compute↔shard round trip needs the shard and both
+// directions of its compute link; a one-way push needs the target shard and
+// the sending direction only (partitions are asymmetric, and a
+// fire-and-forget transfer never hears back).
+type path [3]fault.Target
+
+func roundTrip(s int) path {
+	return path{fault.Shard(s), fault.Link(fault.EndpointCompute, s), fault.Link(s, fault.EndpointCompute)}
+}
+
+func oneWay(src, tgt int) path { return path{fault.Shard(tgt), fault.Link(src, tgt)} }
+
+// reachable reports whether every hop of pa is up at ts, stopping at the
+// first that is not (later hops' schedules are then not consulted).
+func (m *Machine) reachable(pa path, ts sim.Time) bool {
+	for _, tg := range pa {
+		if _, down := m.Fault.DownAt(tg, ts); down {
+			return false
+		}
 	}
 	return true
 }
 
+// reachableAt returns the earliest instant ≥ at when every hop of pa is up.
+func (m *Machine) reachableAt(pa path, at sim.Time) sim.Time { return m.Fault.UpAt(at, pa[:]...) }
+
 // ShardUsableAt returns the earliest instant ≥ at when shard s is up and
-// reachable from the compute node in both directions. The loop re-checks
-// after every candidate heal because a heal instant can land inside another
-// blocking window (adjacent crash windows, or a crash overlapping a
-// partition); schedules always heal, so the loop terminates.
-func (m *Machine) ShardUsableAt(s int, at sim.Time) sim.Time {
-	for {
-		next := at
-		if rec, down := m.Fault.ShardDownAt(s, at); down && rec > next {
-			next = rec
+// reachable from the compute node in both directions.
+func (m *Machine) ShardUsableAt(s int, at sim.Time) sim.Time { return m.reachableAt(roundTrip(s), at) }
+
+// NthHeal scans members 0..count-1 in order — healAt(i) is when member i is
+// next usable; ok=false skips it — and returns the index and instant of the
+// n-th to heal (n ≥ 1, equal instants counted together, lowest index first).
+// It is the one "who is back first" selection: every stall below waits for
+// the 1st, and core's quorum gate for the (W−usable)-th. Replica sets are
+// tiny and a stall is rare, so it selects by repeated minimum: no storage,
+// whatever the replication factor. With fewer than n eligible members it
+// returns the last of them to heal; (-1, 0) when there is none.
+func NthHeal(count, n int, healAt func(i int) (at sim.Time, ok bool)) (int, sim.Time) {
+	idx, at := -1, sim.Time(0)
+	for seen := 0; seen < n; {
+		best, ties := -1, 0
+		var next sim.Time
+		for i := 0; i < count; i++ {
+			switch h, ok := healAt(i); {
+			case !ok || (idx >= 0 && h <= at): // skipped, or counted already
+			case ties == 0 || h < next:
+				best, next, ties = i, h, 1
+			case h == next:
+				ties++
+			}
 		}
-		if rec, down := m.Fault.LinkDownAt(fault.EndpointCompute, s, at); down && rec > next {
-			next = rec
+		if ties == 0 {
+			break // fewer than n members are eligible
 		}
-		if rec, down := m.Fault.LinkDownAt(s, fault.EndpointCompute, at); down && rec > next {
-			next = rec
-		}
-		if next == at {
-			return at
-		}
-		at = next
+		idx, at, seen = best, next, seen+ties
 	}
+	return idx, at
 }
 
-// replicaReachable reports whether a one-way copy push src→tgt can land at
-// ts: the target shard is up and the src→tgt link direction is unpartitioned
-// (partitions are asymmetric, so only the sending direction matters).
-func (m *Machine) replicaReachable(src, tgt int, ts sim.Time) bool {
-	if _, down := m.Fault.ShardDownAt(tgt, ts); down {
-		return false
-	}
-	_, down := m.Fault.LinkDownAt(src, tgt, ts)
-	return !down
-}
-
-// replicaReachableAt returns the earliest instant ≥ at when a copy push
-// src→tgt can land, with the same re-check loop as ShardUsableAt.
-func (m *Machine) replicaReachableAt(src, tgt int, at sim.Time) sim.Time {
-	for {
-		next := at
-		if rec, down := m.Fault.ShardDownAt(tgt, at); down && rec > next {
-			next = rec
-		}
-		if rec, down := m.Fault.LinkDownAt(src, tgt, at); down && rec > next {
-			next = rec
-		}
-		if next == at {
-			return at
-		}
-		at = next
-	}
+// stallToHeal advances t to the earliest heal among count members (NthHeal's
+// healAt, evaluated at t's current time) and returns which member that was
+// and how long the stall lasted.
+func (m *Machine) stallToHeal(t *sim.Thread, count int, healAt func(i int) (sim.Time, bool)) (int, sim.Time) {
+	before := t.Now()
+	i, at := NthHeal(count, 1, healAt)
+	t.AdvanceTo(at)
+	return i, t.Now() - before
 }
 
 // bumpPageVer advances pg's committed version and returns it (0 on
@@ -187,54 +191,48 @@ func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 	}
 	primary := ShardOf(pg, k)
 	r := m.Cfg.EffReplicas()
-	if m.shardUsable(primary, t.Now()) {
-		m.drainHandoff(t, primary)
-		m.serveQuorumRead(t, pg, primary, primary, write)
-		//lint:allow timecharge healthy-primary access is free by design: drain/consult/repair charge their own transfers
-		return primary
-	}
-	for i := 1; i < r; i++ {
-		s := (primary + i) % k
-		if !m.shardUsable(s, t.Now()) {
-			continue
+	// firstUsable is the first member of pg's replica set, in ring order
+	// from the primary, that can serve compute traffic now (-1: none).
+	firstUsable := func() int {
+		for i := 0; i < r; i++ {
+			if s := (primary + i) % k; m.reachable(roundTrip(s), t.Now()) {
+				return s
+			}
 		}
-		m.drainHandoff(t, s)
-		sp := m.Tracer().Begin(t, trace.KindFailover, uint64(pg), int64(s))
-		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassPageFault)
-		m.Tracer().End(t, sp)
-		m.ShardStats[primary].FailoverReads++
-		m.Metrics.Counter("shard.failover").Inc()
-		if write {
-			m.journalHandoff(t, primary, pg, 0, s, false)
-		}
-		m.serveQuorumRead(t, pg, s, primary, write)
-		return s
+		return -1
 	}
-	// No usable member: nowhere to get the page — stall to the earliest
-	// instant any member of the replica set is usable again.
-	m.ShardStats[primary].Stalls++
-	start := t.Now()
-	wake := sim.Time(-1)
-	for i := 0; i < r; i++ {
-		if at := m.ShardUsableAt((primary+i)%k, start); wake < 0 || at < wake {
-			wake = at
+	served := firstUsable()
+	stalled := served < 0
+	if stalled {
+		// No usable member: nowhere to get the page — stall to the earliest
+		// instant any member of the replica set is usable again.
+		m.ShardStats[primary].Stalls++
+		start := t.Now()
+		_, waited := m.stallToHeal(t, r, func(i int) (sim.Time, bool) {
+			return m.ShardUsableAt((primary+i)%k, start), true
+		})
+		if served = firstUsable(); served < 0 {
+			served = primary
 		}
+		m.Times.Add(metrics.CompPoolStall, waited)
+		m.Metrics.Counter("shard.stall").Inc()
 	}
-	t.AdvanceTo(wake)
-	served := primary
-	for i := 0; i < r; i++ {
-		if s := (primary + i) % k; m.shardUsable(s, t.Now()) {
-			served = s
-			break
-		}
-	}
-	m.Times.Add(metrics.CompPoolStall, t.Now()-start)
-	m.Metrics.Counter("shard.stall").Inc()
 	m.drainHandoff(t, served)
-	if served != primary && write {
-		m.journalHandoff(t, primary, pg, 0, served, false)
+	if served != primary {
+		if !stalled {
+			// Failover: one control round trip to be redirected.
+			sp := m.Tracer().Begin(t, trace.KindFailover, uint64(pg), int64(served))
+			m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassPageFault)
+			m.Tracer().End(t, sp)
+			m.ShardStats[primary].FailoverReads++
+			m.Metrics.Counter("shard.failover").Inc()
+		}
+		if write {
+			m.journalHandoff(t, primary, pg, 0, served, false)
+		}
 	}
 	m.serveQuorumRead(t, pg, served, primary, write)
+	//lint:allow timecharge healthy-primary access is free by design: drain/consult/repair charge their own transfers
 	return served
 }
 
@@ -267,7 +265,7 @@ func (m *Machine) consultReadQuorum(t *sim.Thread, pg mem.PageID, served, primar
 	got := 0
 	for i := 0; i < r && got < need; i++ {
 		s := (primary + i) % k
-		if s == served || !m.shardUsable(s, t.Now()) {
+		if s == served || !m.reachable(roundTrip(s), t.Now()) {
 			continue
 		}
 		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassReplica)
@@ -277,19 +275,14 @@ func (m *Machine) consultReadQuorum(t *sim.Thread, pg mem.PageID, served, primar
 	}
 	var stalled sim.Time
 	for got < need {
-		best, bestAt := -1, sim.Time(0)
-		for i := 0; i < r; i++ {
+		best, waited := m.stallToHeal(t, r, func(i int) (sim.Time, bool) {
 			s := (primary + i) % k
 			if s == served || consulted[i] {
-				continue
+				return 0, false
 			}
-			if at := m.ShardUsableAt(s, t.Now()); best < 0 || at < bestAt {
-				best, bestAt = i, at
-			}
-		}
-		before := t.Now()
-		t.AdvanceTo(bestAt)
-		stalled += t.Now() - before
+			return m.ShardUsableAt(s, t.Now()), true
+		})
+		stalled += waited
 		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassReplica)
 		m.Metrics.Counter("shard.read-consult").Inc()
 		consulted[best] = true
@@ -328,7 +321,7 @@ func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) 
 			if s == served || m.copyVer(s, pg) < want {
 				continue
 			}
-			if m.replicaReachable(s, served, t.Now()) {
+			if m.reachable(oneWay(s, served), t.Now()) {
 				src = s
 				break
 			}
@@ -336,19 +329,14 @@ func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) 
 		if src >= 0 {
 			break
 		}
-		wake := sim.Time(-1)
-		for i := 0; i < r; i++ {
+		_, waited := m.stallToHeal(t, r, func(i int) (sim.Time, bool) {
 			s := (primary + i) % k
 			if s == served || m.copyVer(s, pg) < want {
-				continue
+				return 0, false
 			}
-			if at := m.replicaReachableAt(s, served, t.Now()); wake < 0 || at < wake {
-				wake = at
-			}
-		}
-		before := t.Now()
-		t.AdvanceTo(wake)
-		stalled += t.Now() - before
+			return m.reachableAt(oneWay(s, served), t.Now()), true
+		})
+		stalled += waited
 	}
 	if stalled > 0 {
 		m.Times.Add(metrics.CompPoolStall, stalled)
@@ -382,20 +370,23 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 	ver := m.bumpPageVer(pg)
 	m.setCopyVer(served, pg, ver)
 	acked := 1
+	deliver := func(s int) {
+		m.Fabric.Send(t, writebackBytes, netmodel.ClassReplica)
+		m.Metrics.Counter("shard.replica-write").Inc()
+		m.setCopyVer(s, pg, ver)
+		acked++
+	}
 	var pending []int
 	for i := 0; i < r; i++ {
 		s := (primary + i) % k
 		if s == served {
 			continue
 		}
-		if m.replicaReachable(served, s, t.Now()) {
-			m.Fabric.Send(t, writebackBytes, netmodel.ClassReplica)
-			m.Metrics.Counter("shard.replica-write").Inc()
-			m.setCopyVer(s, pg, ver)
-			acked++
+		if m.reachable(oneWay(served, s), t.Now()) {
+			deliver(s)
 			continue
 		}
-		_, down := m.Fault.ShardDownAt(s, t.Now())
+		_, down := m.Fault.DownAt(fault.Shard(s), t.Now())
 		m.journalHandoff(t, s, pg, ver, served, !down)
 		pending = append(pending, s)
 	}
@@ -412,21 +403,12 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 	m.Metrics.Counter("shard.quorum-stall").Inc()
 	var stalled sim.Time
 	for acked < w && len(pending) > 0 {
-		best, bestAt := -1, sim.Time(0)
-		for j, s := range pending {
-			if at := m.replicaReachableAt(served, s, t.Now()); best < 0 || at < bestAt {
-				best, bestAt = j, at
-			}
-		}
-		before := t.Now()
-		t.AdvanceTo(bestAt)
-		stalled += t.Now() - before
-		s := pending[best]
+		best, waited := m.stallToHeal(t, len(pending), func(j int) (sim.Time, bool) {
+			return m.reachableAt(oneWay(served, pending[j]), t.Now()), true
+		})
+		stalled += waited
+		deliver(pending[best])
 		pending = append(pending[:best], pending[best+1:]...)
-		m.Fabric.Send(t, writebackBytes, netmodel.ClassReplica)
-		m.Metrics.Counter("shard.replica-write").Inc()
-		m.setCopyVer(s, pg, ver)
-		acked++
 	}
 	m.Times.Add(metrics.CompPoolStall, stalled)
 	//lint:allow timecharge the stall loop always runs here (acked < W on entry) and AdvanceTo charges it
@@ -444,26 +426,15 @@ func (m *Machine) serveShard(ts sim.Time, pg mem.PageID) int {
 		return 0
 	}
 	primary := ShardOf(pg, k)
-	if m.writeReachable(primary, ts) {
+	if m.reachable(oneWay(fault.EndpointCompute, primary), ts) {
 		return primary
 	}
 	for i := 1; i < m.Cfg.EffReplicas(); i++ {
-		if s := (primary + i) % k; m.writeReachable(s, ts) {
+		if s := (primary + i) % k; m.reachable(oneWay(fault.EndpointCompute, s), ts) {
 			return s
 		}
 	}
 	return primary
-}
-
-// writeReachable reports whether a fire-and-forget compute→shard transfer
-// can land on shard s at ts: s is up and the compute→s direction is
-// unpartitioned (the return direction does not matter).
-func (m *Machine) writeReachable(s int, ts sim.Time) bool {
-	if _, down := m.Fault.ShardDownAt(s, ts); down {
-		return false
-	}
-	_, down := m.Fault.LinkDownAt(fault.EndpointCompute, s, ts)
-	return !down
 }
 
 // journalHandoff queues pg for re-replication to shard target once it is
@@ -571,7 +542,7 @@ func (m *Machine) pickHandoffSource(rec handoffRec, tgt int, ts sim.Time) (int, 
 	if v := m.copyVer(rec.src, rec.pg); v > need {
 		need = v
 	}
-	if m.copyVer(rec.src, rec.pg) >= need && m.replicaReachable(rec.src, tgt, ts) {
+	if m.copyVer(rec.src, rec.pg) >= need && m.reachable(oneWay(rec.src, tgt), ts) {
 		// The journalled source is itself up (a reachable crashed shard is
 		// impossible) and holds the fresh copy: the common case.
 		return rec.src, m.copyVer(rec.src, rec.pg)
@@ -583,7 +554,7 @@ func (m *Machine) pickHandoffSource(rec handoffRec, tgt int, ts sim.Time) (int, 
 		if s == tgt || s == rec.src || m.copyVer(s, rec.pg) < need {
 			continue
 		}
-		if m.replicaReachable(s, tgt, ts) {
+		if m.reachable(oneWay(s, tgt), ts) {
 			return s, m.copyVer(s, rec.pg)
 		}
 	}

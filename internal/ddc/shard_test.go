@@ -29,7 +29,7 @@ func shardMachine(t *testing.T, shards, replicas int, ws ...fault.Window) (*Mach
 	cfg.PoolShards, cfg.Replicas = shards, replicas
 	m := MustMachine(cfg)
 	plan := fault.NewPlan(fault.Profile{Name: "t"}, 0)
-	plan.SetShardWindows(0, ws...)
+	plan.Pin(fault.Shard(0), ws...)
 	m.AttachFault(plan)
 	return m, plan
 }
@@ -196,7 +196,7 @@ func TestRemoteFaultWithStorageLegCountsOneFailover(t *testing.T) {
 	p.ResizeCache(mem.PageSize)
 	p.ResizePool(mem.PageSize)
 	down := th.Now() + 10*sim.Microsecond
-	plan.SetShardWindows(0, fault.Window{Down: down, Up: down + 10*sim.Millisecond})
+	plan.Pin(fault.Shard(0), fault.Window{Down: down, Up: down + 10*sim.Millisecond})
 	th.AdvanceTo(down + sim.Microsecond)
 
 	// Pick a page whose primary is the crashed shard 0.

@@ -18,7 +18,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 
 	"teleport/internal/sim"
 )
@@ -149,19 +148,6 @@ func (c Counters) Map() map[string]int64 {
 	}
 }
 
-// window is one memory-controller outage: down at [Down, Up).
-type window struct {
-	Down, Up sim.Time
-}
-
-// Window is one explicit memory-controller outage for NewWindowPlan: the
-// controller is down at every instant in [Down, Up) and back up at exactly
-// Up. A zero-length window (Down == Up) is inert: no instant falls inside
-// the half-open interval.
-type Window struct {
-	Down, Up sim.Time
-}
-
 // Plan is an instantiated fault schedule. A nil *Plan is inert: every method
 // reports "no fault", so call sites need no guards. Methods are not
 // synchronised — like the rest of the simulator, they run under the
@@ -174,76 +160,18 @@ type Plan struct {
 	// (say, a retry storm on the fabric) never shifts another layer's
 	// schedule. Mid-execution crashes draw from their own stream so that
 	// enabling them never shifts the pre-commit crash schedule either.
-	net, crash, ctx, ctxMid, ssd *sim.RNG
+	net, ctx, ctxMid, ssd *sim.RNG
 
-	// Crash schedule, generated lazily but deterministically: window k is
-	// a pure function of (seed, k), so it does not matter in what order —
-	// or at what virtual times — the schedule is queried.
-	windows []window
-	cursor  sim.Time // end of the generated schedule
-	static  bool     // explicit NewWindowPlan schedule; never extended
-
-	// root is retained to derive per-shard crash streams lazily; Derive is
-	// a pure function of (seed, salt), so deriving shard streams on first
-	// use never shifts the layer streams above, and a run that never
-	// queries a shard draws nothing for it.
+	// root derives each target's stream on first use; Derive is a pure
+	// function of (seed, salt), so a run that never queries a target draws
+	// nothing for it and shifts nothing else. scheds holds the schedules per
+	// kind, indexed by Target.slot; pinned marks the kinds Pin has touched,
+	// so a kind the profile leaves off is still looked up.
 	root   *sim.RNG
-	shards map[int]*shardSched
-
-	// Per-directed-link partition schedules and the correlated split-brain
-	// schedule, also derived lazily on pure salts so enabling partitions
-	// never shifts the crash schedules above.
-	links map[linkKey]*shardSched
-	split *shardSched
+	scheds [numKinds][]*schedule
+	pinned [numKinds]bool
 
 	c Counters
-}
-
-// EndpointCompute is the link-endpoint index of the compute node; pool shards
-// are endpoints 0..K-1. Link schedules are keyed by ordered endpoint pairs,
-// so (EndpointCompute, 2) is the compute→shard-2 direction and (2,
-// EndpointCompute) the reverse.
-const EndpointCompute = -1
-
-// linkKey identifies one direction of one endpoint pair.
-type linkKey struct{ from, to int }
-
-// shardSched is one shard's independent crash schedule, with the same lazy
-// generation model as the whole-controller schedule.
-type shardSched struct {
-	rng     *sim.RNG
-	windows []window
-	cursor  sim.Time
-	static  bool // explicit SetShardWindows schedule; never extended
-}
-
-// shardSaltBase offsets shard stream salts past the fixed layer salts (1–5).
-const shardSaltBase = 0x100
-
-// splitSalt and linkSaltBase place the split-brain and per-link streams far
-// past the shard salts, so partition schedules never collide with a shard
-// stream no matter how many shards exist. A link salt is a pure function of
-// the ordered (from, to) endpoint pair — independent of the shard count —
-// so link (a, b)'s schedule is identical no matter how many other links or
-// shards are queried, and (a, b) and (b, a) draw from distinct streams
-// (asymmetric partitions).
-const (
-	splitSalt    = 0x8000
-	linkSaltBase = 0x10000
-)
-
-func linkSalt(k linkKey) uint64 {
-	return linkSaltBase + uint64(k.from+1)*0x200 + uint64(k.to+1)
-}
-
-// splitSide maps a link endpoint onto its side of the fixed split-brain cut:
-// the compute node sits with the even-numbered shards; odd-numbered shards
-// are on the far side. A split window only severs links that cross the cut.
-func splitSide(endpoint int) int {
-	if endpoint == EndpointCompute {
-		return 0
-	}
-	return endpoint & 1
 }
 
 // NewPlan instantiates prof with the given seed.
@@ -253,34 +181,11 @@ func NewPlan(prof Profile, seed int64) *Plan {
 		Prof:   prof,
 		Seed:   seed,
 		net:    root.Derive(1),
-		crash:  root.Derive(2),
 		ctx:    root.Derive(3),
 		ctxMid: root.Derive(5),
 		ssd:    root.Derive(4),
 		root:   root,
 	}
-}
-
-// NewWindowPlan returns a plan whose crash schedule is exactly the given
-// windows — which must be sorted by Down and non-overlapping — and which
-// injects no other faults. Boundary-condition tests use it to place an
-// outage edge at an exact virtual-time instant, which the randomised
-// schedules cannot.
-func NewWindowPlan(ws ...Window) *Plan {
-	p := NewPlan(Profile{Name: "windows", Description: "explicit crash windows"}, 0)
-	p.static = true
-	var prev sim.Time
-	for _, w := range ws {
-		if w.Up < w.Down || w.Down < prev {
-			panic(fmt.Sprintf("fault: NewWindowPlan windows must be sorted and non-overlapping, got [%v,%v) after %v",
-				w.Down, w.Up, prev))
-		}
-		prev = w.Up
-		p.windows = append(p.windows, window{Down: w.Down, Up: w.Up})
-		p.c.PoolWindows++
-	}
-	p.cursor = prev
-	return p
 }
 
 // Counters returns the injected-fault tallies so far.
@@ -314,334 +219,6 @@ func (p *Plan) SendFault(class int) (lost bool, extraNs float64) {
 		return false, nf.SpikeMinNs + p.net.Float64()*span
 	}
 	return false, 0
-}
-
-// PoolDownAt reports whether the memory controller is crashed at virtual
-// time at; if it is, recoverAt is when the controller restarts.
-func (p *Plan) PoolDownAt(at sim.Time) (recoverAt sim.Time, down bool) {
-	if p == nil || (p.Prof.PoolMeanUp <= 0 && !p.static) {
-		return 0, false
-	}
-	p.extendSchedule(at)
-	i := sort.Search(len(p.windows), func(i int) bool { return p.windows[i].Up > at })
-	if i < len(p.windows) && p.windows[i].Down <= at {
-		return p.windows[i].Up, true
-	}
-	return 0, false
-}
-
-// extendSchedule generates crash windows until the schedule covers at.
-func (p *Plan) extendSchedule(at sim.Time) {
-	if p.static {
-		return
-	}
-	mu, md := p.Prof.PoolMeanUp, p.Prof.PoolMeanDown
-	if md <= 0 {
-		md = sim.Millisecond
-	}
-	for p.cursor <= at {
-		down := p.cursor + p.crash.Duration(mu/2, mu+mu/2)
-		up := down + p.crash.Duration(md/2, md+md/2)
-		p.windows = append(p.windows, window{Down: down, Up: up})
-		p.cursor = up
-		p.c.PoolWindows++
-	}
-}
-
-// shardSchedule returns shard's schedule, creating it on first use. The
-// stream is derived from the root RNG with a salt that is a pure function of
-// the shard index, so shard k's schedule is identical no matter how many
-// other shards exist or in what order they are queried.
-func (p *Plan) shardSchedule(shard int) *shardSched {
-	if p.shards == nil {
-		p.shards = make(map[int]*shardSched)
-	}
-	sc := p.shards[shard]
-	if sc == nil {
-		sc = &shardSched{rng: p.root.Derive(shardSaltBase + uint64(shard))}
-		p.shards[shard] = sc
-	}
-	return sc
-}
-
-// ShardDownAt reports whether pool shard shard is crashed at virtual time at;
-// if it is, recoverAt is when the shard restarts. Shards crash independently
-// of the whole controller (PoolDownAt) and of each other.
-func (p *Plan) ShardDownAt(shard int, at sim.Time) (recoverAt sim.Time, down bool) {
-	if p == nil || shard < 0 {
-		return 0, false
-	}
-	sc := p.shards[shard]
-	if sc == nil {
-		if p.Prof.ShardMeanUp <= 0 {
-			return 0, false
-		}
-		sc = p.shardSchedule(shard)
-	}
-	p.extendShard(sc, at)
-	i := sort.Search(len(sc.windows), func(i int) bool { return sc.windows[i].Up > at })
-	if i < len(sc.windows) && sc.windows[i].Down <= at {
-		return sc.windows[i].Up, true
-	}
-	return 0, false
-}
-
-// extendShard generates shard crash windows until sc covers at.
-func (p *Plan) extendShard(sc *shardSched, at sim.Time) {
-	extendSched(sc, at, p.Prof.ShardMeanUp, p.Prof.ShardMeanDown, &p.c.ShardWindows)
-}
-
-// extendSched generates outage windows on sc's own stream until the schedule
-// covers at: uptime Uniform[½·mu, 1½·mu], outage Uniform[½·md, 1½·md], md
-// defaulting to 1 ms. Window k is a pure function of (sc's salt, mu, md, k).
-func extendSched(sc *shardSched, at sim.Time, mu, md sim.Time, generated *int64) {
-	if sc.static || mu <= 0 {
-		return
-	}
-	if md <= 0 {
-		md = sim.Millisecond
-	}
-	for sc.cursor <= at {
-		down := sc.cursor + sc.rng.Duration(mu/2, mu+mu/2)
-		up := down + sc.rng.Duration(md/2, md+md/2)
-		sc.windows = append(sc.windows, window{Down: down, Up: up})
-		sc.cursor = up
-		*generated++
-	}
-}
-
-// downAt reports whether an extended schedule has an outage covering at.
-func (sc *shardSched) downAt(at sim.Time) (recoverAt sim.Time, down bool) {
-	i := sort.Search(len(sc.windows), func(i int) bool { return sc.windows[i].Up > at })
-	if i < len(sc.windows) && sc.windows[i].Down <= at {
-		return sc.windows[i].Up, true
-	}
-	return 0, false
-}
-
-// SetShardWindows pins shard's crash schedule to exactly the given windows —
-// sorted by Down, non-overlapping — overriding any randomised schedule the
-// profile would generate for it. Availability tests use it to place a shard
-// outage at exact virtual-time instants.
-func (p *Plan) SetShardWindows(shard int, ws ...Window) {
-	if p == nil || shard < 0 {
-		return
-	}
-	sc := p.shardSchedule(shard)
-	sc.static = true
-	sc.windows = nil
-	var prev sim.Time
-	for _, w := range ws {
-		if w.Up < w.Down || w.Down < prev {
-			panic(fmt.Sprintf("fault: SetShardWindows windows must be sorted and non-overlapping, got [%v,%v) after %v",
-				w.Down, w.Up, prev))
-		}
-		prev = w.Up
-		sc.windows = append(sc.windows, window{Down: w.Down, Up: w.Up})
-		p.c.ShardWindows++
-	}
-	sc.cursor = prev
-}
-
-// linkSchedule returns the (from, to) direction's partition schedule,
-// creating it on first use from a salt that is a pure function of the ordered
-// pair, so one link's schedule never depends on which other links exist or in
-// what order they are queried.
-func (p *Plan) linkSchedule(key linkKey) *shardSched {
-	if p.links == nil {
-		p.links = make(map[linkKey]*shardSched)
-	}
-	sc := p.links[key]
-	if sc == nil {
-		sc = &shardSched{rng: p.root.Derive(linkSalt(key))}
-		p.links[key] = sc
-	}
-	return sc
-}
-
-// splitSchedule returns the correlated split-brain schedule, creating it on
-// first use.
-func (p *Plan) splitSchedule() *shardSched {
-	if p.split == nil {
-		p.split = &shardSched{rng: p.root.Derive(splitSalt)}
-	}
-	return p.split
-}
-
-// LinkDownAt reports whether the directed link from endpoint from to endpoint
-// to (EndpointCompute or a shard index) is partitioned at virtual time at; if
-// it is, recoverAt is when that direction heals. A link is down when its own
-// per-direction schedule has an outage, or when a split-brain window is open
-// and the endpoints sit on opposite sides of the cut; when both apply,
-// recoverAt is the later heal. Link faults are independent of the endpoint
-// crash schedules: a shard can be up yet unreachable.
-func (p *Plan) LinkDownAt(from, to int, at sim.Time) (recoverAt sim.Time, down bool) {
-	if p == nil || from == to || from < EndpointCompute || to < EndpointCompute {
-		return 0, false
-	}
-	key := linkKey{from: from, to: to}
-	if sc := p.links[key]; sc != nil || p.Prof.LinkMeanUp > 0 {
-		if sc == nil {
-			sc = p.linkSchedule(key)
-		}
-		extendSched(sc, at, p.Prof.LinkMeanUp, p.Prof.LinkMeanDown, &p.c.LinkWindows)
-		recoverAt, down = sc.downAt(at)
-	}
-	if p.Prof.SplitMeanUp > 0 && splitSide(from) != splitSide(to) {
-		sc := p.splitSchedule()
-		extendSched(sc, at, p.Prof.SplitMeanUp, p.Prof.SplitMeanDown, &p.c.SplitWindows)
-		if rec, d := sc.downAt(at); d {
-			if !down || rec > recoverAt {
-				recoverAt = rec
-			}
-			down = true
-		}
-	}
-	return recoverAt, down
-}
-
-// SetLinkWindows pins the (from, to) direction's partition schedule to
-// exactly the given windows — sorted by Down, non-overlapping — overriding
-// any randomised schedule the profile would generate for it. Partition tests
-// use it to sever one link direction at exact virtual-time instants.
-func (p *Plan) SetLinkWindows(from, to int, ws ...Window) {
-	if p == nil || from == to || from < EndpointCompute || to < EndpointCompute {
-		return
-	}
-	sc := p.linkSchedule(linkKey{from: from, to: to})
-	sc.static = true
-	sc.windows = nil
-	var prev sim.Time
-	for _, w := range ws {
-		if w.Up < w.Down || w.Down < prev {
-			panic(fmt.Sprintf("fault: SetLinkWindows windows must be sorted and non-overlapping, got [%v,%v) after %v",
-				w.Down, w.Up, prev))
-		}
-		prev = w.Up
-		sc.windows = append(sc.windows, window{Down: w.Down, Up: w.Up})
-		p.c.LinkWindows++
-	}
-	sc.cursor = prev
-}
-
-// LinkWindowsThrough returns the (from, to) direction's partition windows
-// that begin before at, oldest first, extending a randomised schedule as
-// needed. Split-brain windows are included when the endpoints cross the cut,
-// so the result is the full set of instants LinkDownAt reports down for.
-func (p *Plan) LinkWindowsThrough(from, to int, at sim.Time) []Window {
-	if p == nil || from == to || from < EndpointCompute || to < EndpointCompute {
-		return nil
-	}
-	var out []Window
-	key := linkKey{from: from, to: to}
-	if sc := p.links[key]; sc != nil || p.Prof.LinkMeanUp > 0 {
-		if sc == nil {
-			sc = p.linkSchedule(key)
-		}
-		extendSched(sc, at, p.Prof.LinkMeanUp, p.Prof.LinkMeanDown, &p.c.LinkWindows)
-		out = copyWindows(sc.windows, at)
-	}
-	if p.Prof.SplitMeanUp > 0 && splitSide(from) != splitSide(to) {
-		sc := p.splitSchedule()
-		extendSched(sc, at, p.Prof.SplitMeanUp, p.Prof.SplitMeanDown, &p.c.SplitWindows)
-		out = append(out, copyWindows(sc.windows, at)...)
-	}
-	return out
-}
-
-// HasLinkFaults reports whether the plan can partition links at all — the
-// profile enables per-link or split-brain schedules, or a test pinned
-// explicit link windows. Callers use it to skip per-link bookkeeping on
-// crash-only plans.
-func (p *Plan) HasLinkFaults() bool {
-	return p != nil && (p.Prof.LinkMeanUp > 0 || p.Prof.SplitMeanUp > 0 || len(p.links) > 0)
-}
-
-// WindowsThrough returns the whole-controller crash windows that begin before
-// at, oldest first, extending a randomised schedule as needed. Reports use it
-// to turn the schedule into concrete downtime (TotalDowntime) instead of an
-// opaque window count.
-func (p *Plan) WindowsThrough(at sim.Time) []Window {
-	if p == nil || (p.Prof.PoolMeanUp <= 0 && !p.static) {
-		return nil
-	}
-	p.extendSchedule(at)
-	return copyWindows(p.windows, at)
-}
-
-// ShardWindowsThrough is WindowsThrough for one pool shard's schedule.
-func (p *Plan) ShardWindowsThrough(shard int, at sim.Time) []Window {
-	if p == nil || shard < 0 {
-		return nil
-	}
-	sc := p.shards[shard]
-	if sc == nil {
-		if p.Prof.ShardMeanUp <= 0 {
-			return nil
-		}
-		sc = p.shardSchedule(shard)
-	}
-	p.extendShard(sc, at)
-	return copyWindows(sc.windows, at)
-}
-
-func copyWindows(ws []window, at sim.Time) []Window {
-	var out []Window
-	for _, w := range ws {
-		if w.Down >= at {
-			break
-		}
-		out = append(out, Window(w))
-	}
-	return out
-}
-
-// TotalDowntime sums each window's overlap with [0, through). The windows
-// need not be clipped: overlap past through is excluded.
-func TotalDowntime(ws []Window, through sim.Time) sim.Time {
-	var total sim.Time
-	for _, w := range ws {
-		up := w.Up
-		if up > through {
-			up = through
-		}
-		if up > w.Down {
-			total += up - w.Down
-		}
-	}
-	return total
-}
-
-// UnionDowntime returns the length of the union of the windows' overlap with
-// [0, through) — the virtual time during which at least one of the schedules
-// the windows came from was down ("degraded mode" when fed every shard's
-// windows). The input may be unsorted and overlapping; it is not modified.
-func UnionDowntime(ws []Window, through sim.Time) sim.Time {
-	if len(ws) == 0 {
-		return 0
-	}
-	sorted := make([]Window, len(ws))
-	copy(sorted, ws)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Down != sorted[j].Down {
-			return sorted[i].Down < sorted[j].Down
-		}
-		return sorted[i].Up < sorted[j].Up
-	})
-	var total sim.Time
-	cur := sorted[0]
-	for _, w := range sorted[1:] {
-		if w.Down <= cur.Up {
-			if w.Up > cur.Up {
-				cur.Up = w.Up
-			}
-			continue
-		}
-		total += TotalDowntime([]Window{cur}, through)
-		cur = w
-	}
-	total += TotalDowntime([]Window{cur}, through)
-	return total
 }
 
 // CtxCrash decides whether one pushdown's temporary context crashes before

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 
 	"teleport/internal/sim"
@@ -11,11 +12,26 @@ func TestNilPlanIsInert(t *testing.T) {
 	if lost, extra := p.SendFault(0); lost || extra != 0 {
 		t.Fatal("nil plan injected a net fault")
 	}
-	if _, down := p.PoolDownAt(sim.Second); down {
-		t.Fatal("nil plan crashed the pool")
+	for _, tc := range targetCases {
+		if _, down := p.DownAt(tc.tg, sim.Second); down {
+			t.Fatalf("nil plan reported %s down", tc.name)
+		}
+		if up := p.UpAt(sim.Second, tc.tg); up != sim.Second {
+			t.Fatalf("nil plan UpAt(%s) = %v, want the query instant", tc.name, up)
+		}
+		if ws := p.Windows(tc.tg, sim.Second); ws != nil {
+			t.Fatalf("nil plan returned windows %v for %s", ws, tc.name)
+		}
+		p.Pin(tc.tg, Window{Down: 1, Up: 2}) // must not panic
+	}
+	if p.Downtime(sim.Second, Pool(), Shard(0)) != 0 {
+		t.Fatal("nil plan reported downtime")
 	}
 	if p.CtxCrash() || p.SSDReadError() {
 		t.Fatal("nil plan injected a crash")
+	}
+	if _, crash := p.CtxCrashMid(); crash {
+		t.Fatal("nil plan armed a mid-crash")
 	}
 	if c := p.Counters(); c != (Counters{}) {
 		t.Fatalf("nil plan counters = %v", c)
@@ -29,8 +45,10 @@ func TestZeroProfileInjectsNothing(t *testing.T) {
 			t.Fatal("zero profile injected a net fault")
 		}
 	}
-	if _, down := p.PoolDownAt(10 * sim.Second); down {
-		t.Fatal("zero profile crashed the pool")
+	for _, tc := range targetCases {
+		if _, down := p.DownAt(tc.tg, 10*sim.Second); down {
+			t.Fatalf("zero profile took %s down", tc.name)
+		}
 	}
 	if p.CtxCrash() || p.SSDReadError() {
 		t.Fatal("zero profile injected a crash")
@@ -95,66 +113,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestCrashScheduleQueryOrderIndependent: the crash schedule must be a pure
-// function of the seed, no matter in what order virtual times are probed —
-// threads with different clocks interleave their queries arbitrarily.
-func TestCrashScheduleQueryOrderIndependent(t *testing.T) {
-	probe := []sim.Time{
-		500 * sim.Millisecond, sim.Millisecond, 90 * sim.Millisecond,
-		3 * sim.Millisecond, 200 * sim.Millisecond, 40 * sim.Millisecond,
-	}
-	type obs struct {
-		rec  sim.Time
-		down bool
-	}
-	run := func(order []sim.Time) map[sim.Time]obs {
-		p := NewPlan(CrashyPool(), 11)
-		out := map[sim.Time]obs{}
-		for _, at := range order {
-			rec, down := p.PoolDownAt(at)
-			out[at] = obs{rec, down}
-		}
-		return out
-	}
-	fwd := run(probe)
-	rev := make([]sim.Time, len(probe))
-	for i, v := range probe {
-		rev[len(probe)-1-i] = v
-	}
-	bwd := run(rev)
-	for at, o := range fwd {
-		if bwd[at] != o {
-			t.Fatalf("schedule differs at %v: %v vs %v", at, o, bwd[at])
-		}
-	}
-}
-
-func TestCrashWindowsAlternateAndRecover(t *testing.T) {
-	p := NewPlan(CrashyPool(), 5)
-	// Find a down window by scanning; every outage must report a recovery
-	// time strictly in the future, after which the pool is up again.
-	found := false
-	for at := sim.Time(0); at < 2*sim.Second; at += 100 * sim.Microsecond {
-		rec, down := p.PoolDownAt(at)
-		if !down {
-			continue
-		}
-		found = true
-		if rec <= at {
-			t.Fatalf("recovery %v not after crash observation %v", rec, at)
-		}
-		if _, still := p.PoolDownAt(rec); still {
-			t.Fatalf("pool still down at its own recovery time %v", rec)
-		}
-	}
-	if !found {
-		t.Fatal("no crash window in 2s of virtual time under crashy-pool")
-	}
-	if p.Counters().PoolWindows == 0 {
-		t.Fatal("no windows counted")
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range ProfileNames() {
 		p, err := ByName(name)
@@ -183,5 +141,97 @@ func TestRNGDeriveIndependence(t *testing.T) {
 		if b.Uint64() != b2.Uint64() {
 			t.Fatal("derived streams are not independent")
 		}
+	}
+}
+
+// Same seed, same sequence of mid-execution crash decisions and fractions.
+func TestCtxCrashMidSameSeedIdentical(t *testing.T) {
+	draw := func() (fracs []float64, crashes []bool) {
+		p := NewPlan(Profile{Name: "t", CtxCrashMidProb: 0.4}, 99)
+		for i := 0; i < 500; i++ {
+			f, c := p.CtxCrashMid()
+			fracs = append(fracs, f)
+			crashes = append(crashes, c)
+		}
+		return
+	}
+	f1, c1 := draw()
+	f2, c2 := draw()
+	for i := range f1 {
+		if f1[i] != f2[i] || c1[i] != c2[i] {
+			t.Fatalf("draw %d differs across same-seed plans: (%v,%v) vs (%v,%v)", i, f1[i], c1[i], f2[i], c2[i])
+		}
+	}
+}
+
+// The mid-crash stream is independent of the pre-commit crash stream:
+// enabling CtxCrashMidProb must not shift the CtxCrash sequence (and vice
+// versa), so adding mid-crashes to a profile leaves existing draws intact.
+func TestCtxCrashMidStreamIndependent(t *testing.T) {
+	const seed = 7
+	plain := NewPlan(Profile{Name: "a", CtxCrashProb: 0.5}, seed)
+	mixed := NewPlan(Profile{Name: "b", CtxCrashProb: 0.5, CtxCrashMidProb: 0.5}, seed)
+	for i := 0; i < 1000; i++ {
+		// Interleave mid-crash draws on the mixed plan only.
+		if i%3 == 0 {
+			mixed.CtxCrashMid()
+		}
+		if plain.CtxCrash() != mixed.CtxCrash() {
+			t.Fatalf("CtxCrash draw %d shifted when mid-crash draws were interleaved", i)
+		}
+	}
+}
+
+// A zero-probability profile never arms a mid-crash and counts nothing.
+func TestCtxCrashMidDisabled(t *testing.T) {
+	p := NewPlan(Profile{Name: "t"}, 1)
+	for i := 0; i < 100; i++ {
+		if _, crash := p.CtxCrashMid(); crash {
+			t.Fatal("CtxCrashMid armed with probability 0")
+		}
+	}
+	if p.Counters().CtxMidCrashes != 0 {
+		t.Fatalf("CtxMidCrashes = %d, want 0", p.Counters().CtxMidCrashes)
+	}
+	var nilPlan *Plan
+	if _, crash := nilPlan.CtxCrashMid(); crash {
+		t.Fatal("nil plan armed a mid-crash")
+	}
+}
+
+func TestCountersStringIncludesAllFields(t *testing.T) {
+	c := Counters{
+		Drops: 1, Corruptions: 2, Spikes: 3, CtxCrashes: 4,
+		CtxMidCrashes: 5, SSDReadErrors: 6, PoolWindows: 7, ShardWindows: 8,
+		LinkWindows: 9, SplitWindows: 10,
+	}
+	s := c.String()
+	for _, want := range []string{
+		"drops=1", "corrupt=2", "spikes=3", "ctx-crashes=4",
+		"ctx-mid-crashes=5", "ssd-errs=6", "crash-windows=7", "shard-windows=8",
+		"link-windows=9", "split-windows=10",
+	} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("Counters.String() = %q, missing %q", s, want)
+		}
+	}
+}
+
+// Params renders every active knob and the shipped shard profiles are listed.
+func TestProfilesIncludeShardProfiles(t *testing.T) {
+	names := map[string]bool{}
+	for _, p := range Profiles() {
+		names[p.Name] = true
+		if p.Params() == "no faults" {
+			t.Errorf("shipped profile %q renders as injecting nothing", p.Name)
+		}
+	}
+	for _, want := range []string{"shard-flap", "shard-chaos"} {
+		if !names[want] {
+			t.Errorf("profile %q not shipped", want)
+		}
+	}
+	if (Profile{}).Params() != "no faults" {
+		t.Errorf("zero profile Params() = %q, want \"no faults\"", Profile{}.Params())
 	}
 }

@@ -150,12 +150,6 @@ func PartitionChaos() Profile {
 	return p
 }
 
-// HasPartitions reports whether the profile can sever links (per-link or
-// split-brain schedules enabled).
-func (p Profile) HasPartitions() bool {
-	return p.LinkMeanUp > 0 || p.SplitMeanUp > 0
-}
-
 // Params renders the profile's active fault knobs on one line, for the CLI
 // profile listing. A profile that injects nothing reports "no faults".
 func (p Profile) Params() string {
