@@ -1,7 +1,6 @@
 package teleport_test
 
 import (
-	"io"
 	"testing"
 
 	"teleport/internal/bench"
@@ -11,52 +10,23 @@ import (
 	"teleport"
 )
 
-// benchOpts keeps the full figure suite runnable in one `go test -bench=.`
-// invocation; cmd/teleport-bench regenerates the figures at the committed
-// EXPERIMENTS.md scale.
-func benchOpts() bench.Options {
-	return bench.Options{
-		Scale:     0.5,
-		GraphNV:   15000,
-		Words:     60000,
-		Seed:      1,
-		CacheFrac: 0.02,
+// BenchmarkFigure has one sub-benchmark per registered figure or table
+// (Figures 1a–22 and the extensions A1–A7), at sizes that keep the whole
+// suite runnable in one `go test -bench Figure` invocation; `ddcsim fig`
+// regenerates the figures at the committed EXPERIMENTS.md scale. One figure:
+// `-bench 'BenchmarkFigure/15$'`.
+func BenchmarkFigure(b *testing.B) {
+	opts := bench.Options{Scale: 0.5, GraphNV: 15000, Words: 60000, Seed: 1, CacheFrac: 0.02}
+	for _, id := range bench.Figures() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bench.Run(id, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// benchFigure runs one paper figure per iteration.
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Run(id, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && testing.Verbose() {
-			tab.Fprint(io.Discard)
-		}
-	}
-}
-
-// One benchmark per evaluation figure/table (Figures 1a–22).
-func BenchmarkFig01a(b *testing.B) { benchFigure(b, "1a") }
-func BenchmarkFig01b(b *testing.B) { benchFigure(b, "1b") }
-func BenchmarkFig03(b *testing.B)  { benchFigure(b, "3") }
-func BenchmarkFig06(b *testing.B)  { benchFigure(b, "6") }
-func BenchmarkFig07(b *testing.B)  { benchFigure(b, "7") }
-func BenchmarkFig10(b *testing.B)  { benchFigure(b, "10") }
-func BenchmarkFig11(b *testing.B)  { benchFigure(b, "11") }
-func BenchmarkFig12(b *testing.B)  { benchFigure(b, "12") }
-func BenchmarkFig13(b *testing.B)  { benchFigure(b, "13") }
-func BenchmarkFig14(b *testing.B)  { benchFigure(b, "14") }
-func BenchmarkFig15(b *testing.B)  { benchFigure(b, "15") }
-func BenchmarkFig16(b *testing.B)  { benchFigure(b, "16") }
-func BenchmarkFig17(b *testing.B)  { benchFigure(b, "17") }
-func BenchmarkFig18(b *testing.B)  { benchFigure(b, "18") }
-func BenchmarkFig19(b *testing.B)  { benchFigure(b, "19") }
-func BenchmarkFig20(b *testing.B)  { benchFigure(b, "20") }
-func BenchmarkFig21(b *testing.B)  { benchFigure(b, "21") }
-func BenchmarkFig22(b *testing.B)  { benchFigure(b, "22") }
 
 // Simulator micro-benchmarks: the real-time cost of the building blocks.
 

@@ -1,25 +1,16 @@
-// Command ddcsim runs one of the paper's eight workloads on a chosen
-// platform and prints the per-operator profile — handy for exploring how a
-// workload's operators behave as the platform changes.
+// Command ddcsim is the simulator's one front door. Its first argument is a
+// verb, and each verb accepts only the flags it consumes:
 //
-// Usage:
-//
-//	ddcsim -workload Q9 -platform base-ddc
-//	ddcsim -workload SSSP -platform teleport -scale 4
-//	ddcsim -workload Q6 -platform teleport -report
-//	ddcsim -workload Q6 -platform teleport -trace-out q6.json -metrics-out q6-metrics.json
-//	ddcsim -workload Q9,Q3,Q6 -platform teleport -parallel 4
-//	ddcsim -chaos-profile list
-//	ddcsim -workload Q6 -platform teleport -pool-shards 4 -replicas 2 -chaos-profile shard-flap
-//	ddcsim -workload Q6 -platform teleport -profile-out q6.folded -percentiles
-//	ddcsim -workload Q6 -platform teleport -chaos-profile stress -incident-out q6-incidents.jsonl -report-out q6-report.json
-//
-// A comma-separated -workload list runs the workloads concurrently across
-// host cores (bounded by -parallel); results print in list order and are
-// bit-identical to sequential runs.
+//	ddcsim run -workload Q9,Q3,Q6 -platform teleport -parallel 4
+//	ddcsim run -workload Q6 -platform teleport -report -chaos-profile chaos -trace-out q6.json -incident-out q6.jsonl
+//	ddcsim fig -fig 6,7,20 -scale 4 -seed 7   # no -fig: every figure (1a–22, A1–A7); -list: the ids
+//	ddcsim cluster -cluster 8 -cluster-rounds 4 -sim-workers 1
+//	ddcsim advise -workload Q9                # the advisor's pushdown decisions
+//	ddcsim profiles                           # fault profiles with their parameters
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -33,206 +24,277 @@ import (
 	"teleport/internal/trace"
 )
 
-func main() {
-	defaults := bench.Defaults()
-	var (
-		workload   = flag.String("workload", "Q6", "comma-separated list from "+strings.Join(bench.WorkloadNames(), ", "))
-		parallel   = flag.Int("parallel", 0, "concurrent workloads on the host: 0 = one per core (GOMAXPROCS), 1 = sequential, n = n workers")
-		cluster    = flag.Int("cluster", 0, "run the multi-machine cluster workload on this many machines instead of -workload (0 = off)")
-		clRounds   = flag.Int("cluster-rounds", 4, "cluster workload BSP supersteps")
-		simWorkers = flag.Int("sim-workers", 0, "host goroutines draining simulation domains inside one lookahead window: 0 = one per core (GOMAXPROCS), 1 = sequential; virtual results are bit-identical at any setting")
-		platform   = flag.String("platform", "base-ddc", "one of "+strings.Join(bench.PlatformNames(), ", "))
-		scale      = flag.Float64("scale", defaults.Scale, "TPC-H micro scale factor")
-		graphNV    = flag.Int("graph-nv", defaults.GraphNV, "graph vertex count")
-		words      = flag.Int("words", defaults.Words, "corpus tokens")
-		seed       = flag.Int64("seed", defaults.Seed, "generator seed")
-		cacheFrac  = flag.Float64("cache-frac", defaults.CacheFrac, "compute cache fraction")
-		traceN     = flag.Int("trace", 0, "dump the last N paging/coherence/pushdown events")
-		traceOut   = flag.String("trace-out", "", "write the retained events as Chrome trace-event JSON (Perfetto-loadable) to this file")
-		traceDump  = flag.String("trace-dump", "", "write the retained events as text, one per line, to this file")
-		metricsOut = flag.String("metrics-out", "", "write the metrics registry snapshot as JSON to this file")
-		report     = flag.Bool("report", false, "print the per-run time-attribution report")
-		advise     = flag.Bool("advise", false, "profile on the base DDC and print the advisor's pushdown decisions")
-		chaosProf  = flag.String("chaos-profile", "", "fault-injection profile: none, "+strings.Join(fault.ProfileNames(), ", ")+"; 'list' prints all profiles with parameters")
-		chaosSeed  = flag.Int64("chaos-seed", 0, "fault plan seed (0 = reuse -seed)")
-		poolShards = flag.Int("pool-shards", 0, "memory-pool shard count (0/1 = single controller)")
-		replicas   = flag.Int("replicas", 0, "synchronous page replicas across shards (0/1 = unreplicated)")
-		writeQ     = flag.Int("write-quorum", 0, "replica acks a page write needs to commit; unreachable replicas get hinted handoff (0/1 = legacy fan-out)")
-		queueCap   = flag.Int("push-queue-cap", 0, "memory-pool workqueue capacity; beyond it requests are shed (0 = unbounded)")
-		deadlineUs = flag.Float64("push-deadline-us", 0, "per-attempt pushdown deadline budget in virtual microseconds (0 = none)")
-		brThresh   = flag.Int("breaker-threshold", 0, "circuit-breaker consecutive-failure threshold (0 = default, negative = disabled)")
-		brCoolUs   = flag.Float64("breaker-cooldown-us", 0, "circuit-breaker open cooldown in virtual microseconds (0 = default)")
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		profileOut  = flag.String("profile-out", "", "write the virtual-time profile as folded stacks (flamegraph.pl/speedscope input) to this file")
-		percentiles = flag.Bool("percentiles", false, "print per-operation latency percentiles (p50/p95/p99/p999)")
-		exactQuant  = flag.Int("exact-quantiles", 0, "retain up to N raw samples per histogram so small operation classes report exact quantiles (0 = bucket interpolation only)")
-		incidentOut = flag.String("incident-out", "", "write flight-recorder incident records as JSONL to this file")
-		incidentN   = flag.Int("incident-events", 0, "trace-window size per incident (0 with -incident-out = default "+fmt.Sprint(obs.DefaultIncidentEvents)+")")
-		reportOut   = flag.String("report-out", "", "write the unified run report (attribution + percentiles + hot paths + incidents) as JSON to this file")
-	)
-	flag.Parse()
+// binder is the one place flags are declared. Its groups mirror the sections
+// of bench.Options and fill opts directly; a verb binds the groups it
+// consumes, so a flag outside them is a parse error, not a silent no-op.
+type binder struct {
+	fs                       *flag.FlagSet
+	opts                     bench.Options
+	workload, platform, figs string
+	report, list             bool
+	machines, rounds         int
+	deadlineUs, cooldownUs   float64
+	paths                    [len(artifacts)]string
+}
 
-	if *chaosProf == "list" {
-		for _, p := range fault.Profiles() {
-			fmt.Printf("%-12s %s\n%-12s   %s\n", p.Name, p.Description, "", p.Params())
+// group is one set of flags declared together.
+type group struct {
+	name string
+	bind func(*binder)
+}
+
+var (
+	gWorkload = group{"workload", func(b *binder) {
+		b.fs.StringVar(&b.workload, "workload", "Q6", "one of "+strings.Join(bench.WorkloadNames(), ", ")+"; run takes a comma-separated list and runs it concurrently, results in list order")
+	}}
+	gPlatform = group{"platform", func(b *binder) {
+		b.fs.StringVar(&b.platform, "platform", "base-ddc", "one of "+strings.Join(bench.PlatformNames(), ", "))
+		b.fs.BoolVar(&b.report, "report", false, "print the per-run time-attribution report")
+	}}
+	gFigures = group{"figures", func(b *binder) {
+		b.fs.StringVar(&b.figs, "fig", "all", "figure id(s), comma separated, or 'all'")
+		b.fs.BoolVar(&b.list, "list", false, "list figure ids and exit")
+	}}
+	gCluster = group{"cluster", func(b *binder) {
+		b.fs.IntVar(&b.machines, "cluster", 8, "machines in the multi-machine BSP scan-aggregate")
+		b.fs.IntVar(&b.rounds, "cluster-rounds", 4, "BSP supersteps")
+	}}
+	gDataset = group{"dataset sizing", func(b *binder) {
+		d := bench.Defaults()
+		b.fs.Float64Var(&b.opts.Scale, "scale", d.Scale, "TPC-H micro scale factor (lineitem = 60000*scale rows)")
+		b.fs.IntVar(&b.opts.GraphNV, "graph-nv", d.GraphNV, "graph vertex count")
+		b.fs.IntVar(&b.opts.Words, "words", d.Words, "MapReduce corpus size in tokens")
+		b.fs.Int64Var(&b.opts.Seed, "seed", d.Seed, "generator seed")
+		b.fs.Float64Var(&b.opts.CacheFrac, "cache-frac", d.CacheFrac, "compute-local cache as a fraction of the working set")
+	}}
+	gTopology = group{"pool topology", func(b *binder) {
+		b.fs.IntVar(&b.opts.PoolShards, "pool-shards", 0, "memory-pool shard count for disaggregated platforms (0/1 = single controller)")
+		b.fs.IntVar(&b.opts.Replicas, "replicas", 0, "synchronous page replicas across shards (0/1 = unreplicated)")
+		b.fs.IntVar(&b.opts.WriteQuorum, "write-quorum", 0, "replica acks a page write needs to commit; unreachable replicas get hinted handoff (0/1 = legacy fan-out)")
+	}}
+	gChaos = group{"chaos", func(b *binder) {
+		b.fs.StringVar(&b.opts.ChaosProfile, "chaos-profile", "", "fault-injection profile: none, "+strings.Join(fault.ProfileNames(), ", ")+" (ddcsim profiles describes them)")
+		b.fs.Int64Var(&b.opts.ChaosSeed, "chaos-seed", 0, "fault plan seed (0 = reuse -seed)")
+	}}
+	gPolicy = group{"pushdown policy", func(b *binder) {
+		b.fs.IntVar(&b.opts.PushQueueCap, "push-queue-cap", 0, "memory-pool workqueue capacity; beyond it requests are shed (0 = unbounded)")
+		b.fs.Float64Var(&b.deadlineUs, "push-deadline-us", 0, "per-attempt pushdown deadline budget in virtual microseconds (0 = none)")
+		b.fs.IntVar(&b.opts.BreakerThreshold, "breaker-threshold", 0, "circuit-breaker consecutive-failure threshold (0 = default, negative = disabled)")
+		b.fs.Float64Var(&b.cooldownUs, "breaker-cooldown-us", 0, "circuit-breaker open cooldown in virtual microseconds (0 = default)")
+	}}
+	gParallel = group{"host parallelism (data points)", func(b *binder) {
+		b.fs.IntVar(&b.opts.Parallel, "parallel", 0, "concurrent workloads or figure data points on the host: 0 = one per core (GOMAXPROCS), 1 = sequential, n = n workers")
+	}}
+	gSimWorkers = group{"host parallelism (domains)", func(b *binder) {
+		b.fs.IntVar(&b.opts.SimWorkers, "sim-workers", 0, "host goroutines draining simulation domains inside one lookahead window: 0 = one per core (GOMAXPROCS), 1 = sequential; virtual results are bit-identical at any setting")
+	}}
+	gArtifacts = group{"artifacts", func(b *binder) {
+		b.fs.IntVar(&b.opts.TraceCap, "trace", 0, "dump the last N paging/coherence/pushdown events")
+		b.fs.BoolVar(&b.opts.Percentiles, "percentiles", false, "print per-operation latency percentiles (p50/p95/p99/p999)")
+		b.fs.IntVar(&b.opts.ExactQuantiles, "exact-quantiles", 0, "retain up to N raw samples per histogram so small operation classes report exact quantiles (0 = bucket interpolation only)")
+		b.fs.IntVar(&b.opts.IncidentEvents, "incident-events", 0, "trace-window size per incident (0 with -incident-out = default "+fmt.Sprint(obs.DefaultIncidentEvents)+")")
+		for i, a := range artifacts {
+			b.fs.StringVar(&b.paths[i], a.flag, "", "write "+a.help+" to this file")
 		}
-		return
-	}
-	traceCap := *traceN
-	if traceCap == 0 && (*traceOut != "" || *traceDump != "") {
-		// Trace export asked for without an explicit ring size: retain a
-		// generous window.
-		traceCap = 1 << 18
-	}
-	incidentEvents := *incidentN
-	if incidentEvents == 0 && *incidentOut != "" {
-		incidentEvents = obs.DefaultIncidentEvents
-	}
-	opts := bench.Options{
-		Scale: *scale, GraphNV: *graphNV, Words: *words,
-		Seed: *seed, CacheFrac: *cacheFrac, TraceCap: traceCap,
-		Metrics:        *metricsOut != "",
-		Profiling:      *profileOut != "" || *reportOut != "",
-		Percentiles:    *percentiles || *reportOut != "",
-		ExactQuantiles: *exactQuant,
-		IncidentEvents: incidentEvents,
-		ChaosProfile:   *chaosProf, ChaosSeed: *chaosSeed,
-		PoolShards: *poolShards, Replicas: *replicas, WriteQuorum: *writeQ,
-		PushQueueCap:     *queueCap,
-		PushDeadline:     sim.FromNs(*deadlineUs * 1e3),
-		BreakerThreshold: *brThresh,
-		BreakerCooldown:  sim.FromNs(*brCoolUs * 1e3),
-		Parallel:         *parallel,
-		SimWorkers:       *simWorkers,
-	}
-	if *cluster > 0 {
-		// Cluster mode prints only deterministic bytes on stdout: CI runs
-		// it at -sim-workers 1 and 8 and compares the outputs verbatim.
-		res, err := bench.RunCluster(opts, *cluster, *clRounds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		res.Fprint(os.Stdout)
-		return
-	}
-	names := strings.Split(*workload, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	if len(names) > 1 {
-		if *advise || traceCap > 0 || *metricsOut != "" ||
-			*profileOut != "" || *incidentOut != "" || *reportOut != "" {
-			fmt.Fprintln(os.Stderr, "ddcsim: -advise/-trace*/-metrics-out/-profile-out/-incident-out/-report-out need a single -workload")
-			os.Exit(1)
-		}
-		results, err := bench.RunWorkloads(names, *platform, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for i, res := range results {
-			if i > 0 {
-				fmt.Println()
-			}
-			printResult(res, *report)
-		}
-		return
-	}
-	if *advise {
-		decisions, err := bench.Advise(*workload, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("advisor decisions for %s (profiled on the base DDC):\n", *workload)
-		for _, dec := range decisions {
-			fmt.Println(" ", dec)
-		}
-		return
-	}
-	res, err := bench.RunWorkload(names[0], *platform, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	printResult(res, *report)
-	// artifact writes one requested output file, or exits naming its flag.
-	artifact := func(flagName, path string, write func(io.Writer) error) {
-		if err := writeFile(path, write); err != nil {
-			fmt.Fprintln(os.Stderr, flagName+":", err)
-			os.Exit(1)
-		}
-	}
-	if *traceOut != "" {
-		artifact("trace-out", *traceOut, func(w io.Writer) error { return trace.WriteChromeTrace(w, res.Trace) })
-		fmt.Printf("\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", len(res.Trace), *traceOut)
-	}
-	if *traceDump != "" {
-		artifact("trace-dump", *traceDump, func(w io.Writer) error {
-			for _, e := range res.Trace {
+	}}
+)
+
+// artifact is one file a single-workload run can leave behind: the flag naming
+// its path, the observability the path implies (bools switched on, sizes
+// defaulted when unset), and emit, which writes it and returns the status line.
+type artifact struct {
+	flag, help string
+	implies    bench.Options
+	emit       func(w io.Writer, r *bench.WorkloadResult, path string) (string, error)
+}
+
+var artifacts = [...]artifact{
+	{"trace-out", "the retained events as Chrome trace-event JSON (Perfetto-loadable)", bench.Options{TraceCap: 1 << 18},
+		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
+			return fmt.Sprintf("\nwrote %d trace events to %s (load at ui.perfetto.dev)", len(r.Trace), path), trace.WriteChromeTrace(w, r.Trace)
+		}},
+	{"trace-dump", "the retained events as text, one per line,", bench.Options{TraceCap: 1 << 18},
+		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
+			for _, e := range r.Trace {
 				fmt.Fprintln(w, e)
 			}
-			return nil
-		})
-		fmt.Printf("wrote %d trace events to %s\n", len(res.Trace), *traceDump)
+			return fmt.Sprintf("wrote %d trace events to %s", len(r.Trace), path), nil
+		}},
+	{"metrics-out", "the metrics registry snapshot as JSON", bench.Options{Metrics: true},
+		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
+			return "wrote metrics snapshot to " + path, r.Metrics.WriteJSON(w)
+		}},
+	{"profile-out", "the virtual-time profile as folded stacks (flamegraph.pl/speedscope input)", bench.Options{Profiling: true},
+		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
+			return fmt.Sprintf("wrote %d span paths to %s (feed to flamegraph.pl --countname=ns)", len(r.SpanProfile.Paths), path), r.SpanProfile.WriteFolded(w)
+		}},
+	{"incident-out", "flight-recorder incident records as JSONL", bench.Options{IncidentEvents: obs.DefaultIncidentEvents},
+		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
+			return fmt.Sprintf("wrote %d incident records to %s (%d triggered)", len(r.Incidents), path, r.IncidentsTotal), obs.WriteIncidentsJSONL(w, r.Incidents)
+		}},
+	{"report-out", "the unified run report (attribution + percentiles + hot paths + incidents) as JSON", bench.Options{Profiling: true, Percentiles: true},
+		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
+			return "wrote unified run report to " + path, r.WriteJSON(w)
+		}},
+}
+
+// verb is one subcommand: the flag groups it binds and what it does.
+type verb struct {
+	name, help string
+	groups     []group
+	run        func(b *binder, stdout io.Writer) error
+}
+
+var verbs = []verb{
+	{"run", "run workloads on one platform and print the per-operator profile",
+		[]group{gWorkload, gPlatform, gDataset, gTopology, gChaos, gPolicy, gParallel, gArtifacts}, runVerb},
+	{"fig", "regenerate the paper's evaluation figures and tables",
+		[]group{gFigures, gDataset, gTopology, gParallel}, figVerb},
+	{"cluster", "run the multi-machine BSP workload (stdout is identical at every -sim-workers)",
+		[]group{gCluster, gDataset, gTopology, gChaos, gSimWorkers}, clusterVerb},
+	{"advise", "profile one workload on the base DDC and print the advisor's pushdown decisions",
+		[]group{gWorkload, gDataset, gTopology}, adviseVerb},
+	{"profiles", "list the fault-injection profiles with their parameters", nil, profilesVerb},
+}
+
+// bind returns v's flag set: exactly the flags of its groups.
+func (v verb) bind(stderr io.Writer) *binder {
+	b := &binder{fs: flag.NewFlagSet("ddcsim "+v.name, flag.ContinueOnError)}
+	b.fs.SetOutput(stderr)
+	for _, g := range v.groups {
+		g.bind(b)
 	}
-	if *metricsOut != "" {
-		artifact("metrics-out", *metricsOut, res.Metrics.WriteJSON)
-		fmt.Printf("wrote metrics snapshot to %s\n", *metricsOut)
-	}
-	if *profileOut != "" {
-		artifact("profile-out", *profileOut, res.SpanProfile.WriteFolded)
-		fmt.Printf("wrote %d span paths to %s (feed to flamegraph.pl --countname=ns)\n",
-			len(res.SpanProfile.Paths), *profileOut)
-	}
-	if *incidentOut != "" {
-		artifact("incident-out", *incidentOut, func(w io.Writer) error {
-			return obs.WriteIncidentsJSONL(w, res.Incidents)
-		})
-		fmt.Printf("wrote %d incident records to %s (%d triggered)\n",
-			len(res.Incidents), *incidentOut, res.IncidentsTotal)
-	}
-	if *reportOut != "" {
-		artifact("report-out", *reportOut, bench.NewRunReport(res).WriteJSON)
-		fmt.Printf("wrote unified run report to %s\n", *reportOut)
-	}
-	if *traceN > 0 && len(res.Trace) > 0 {
-		fmt.Printf("\nlast %d events:\n", len(res.Trace))
-		for _, e := range res.Trace {
-			fmt.Println(" ", e)
+	return b
+}
+
+// cli runs one ddcsim invocation and returns its exit status.
+func cli(args []string, stdout, stderr io.Writer) int {
+	for _, v := range verbs {
+		if len(args) == 0 || v.name != args[0] {
+			continue
 		}
+		b := v.bind(stderr)
+		if b.fs.Parse(args[1:]) != nil {
+			return 2 // the flag set has already said why on stderr
+		}
+		err := fmt.Errorf("unexpected argument %q", b.fs.Arg(0))
+		if b.fs.NArg() == 0 {
+			err = v.run(b, stdout)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "ddcsim %s: %v\n", v.name, err)
+			return 1
+		}
+		return 0
 	}
+	fmt.Fprintln(stderr, "usage: ddcsim <verb> [flags]   (ddcsim <verb> -h lists the verb's flags)")
+	for _, v := range verbs {
+		fmt.Fprintf(stderr, "  %-9s %s\n", v.name, v.help)
+	}
+	return 2
 }
 
-// printResult renders one workload execution: the virtual-time summary, the
-// per-operator profile, and (optionally) the attribution report plus
-// whatever observability sections the run collected (percentiles, hot span
-// paths, incident summary, chaos report).
-func printResult(res bench.WorkloadResult, report bool) {
-	fmt.Printf("%s on %s: %.6f s (virtual)\n\n", res.Workload, res.Platform, res.Seconds)
-	fmt.Printf("  %-14s %12s %10s %12s %8s\n", "operator", "time(s)", "calls", "remote(KB)", "pushed")
-	for _, o := range res.Profile {
-		fmt.Printf("  %-14s %12.6f %10d %12.1f %8v\n",
-			o.Name, o.Time.Seconds(), o.Calls, float64(o.RemoteByte)/1024, o.Pushed)
+func runVerb(b *binder, stdout io.Writer) error {
+	names := strings.Split(strings.ReplaceAll(b.workload, " ", ""), ",")
+	o := &b.opts
+	o.PushDeadline, o.BreakerCooldown = sim.FromNs(b.deadlineUs*1e3), sim.FromNs(b.cooldownUs*1e3)
+	tail := o.TraceCap > 0
+	for i, a := range artifacts {
+		if b.paths[i] == "" {
+			continue
+		}
+		if len(names) > 1 {
+			return fmt.Errorf("-%s needs a single -workload", a.flag)
+		}
+		o.Metrics, o.Profiling, o.Percentiles = o.Metrics || a.implies.Metrics, o.Profiling || a.implies.Profiling, o.Percentiles || a.implies.Percentiles
+		o.TraceCap, o.IncidentEvents = cmp.Or(o.TraceCap, a.implies.TraceCap), cmp.Or(o.IncidentEvents, a.implies.IncidentEvents)
 	}
-	fmt.Println()
-	rr := bench.NewRunReport(res)
-	if !report {
-		rr.Attribution = nil
-	}
-	rr.Fprint(os.Stdout)
-}
-
-// writeFile creates path and streams write into it, closing on either path.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+	results, err := bench.RunWorkloads(names, b.platform, *o)
 	if err != nil {
 		return err
 	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	for i := range results {
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		res := &results[i]
+		res.Fprint(stdout, b.report)
+		if tail && len(res.Trace) > 0 {
+			fmt.Fprintf(stdout, "\nlast %d events:\n", len(res.Trace))
+			for _, e := range res.Trace {
+				fmt.Fprintln(stdout, " ", e)
+			}
+		}
+	}
+	for i, a := range artifacts {
+		if b.paths[i] == "" {
+			continue
+		}
+		f, err := os.Create(b.paths[i])
+		if err != nil {
+			return fmt.Errorf("-%s: %w", a.flag, err)
+		}
+		status, err := a.emit(f, &results[0], b.paths[i])
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("-%s: %w", a.flag, err)
+		}
+		fmt.Fprintln(stdout, status)
+	}
+	return nil
+}
+
+func figVerb(b *binder, stdout io.Writer) error {
+	if b.list {
+		fmt.Fprintln(stdout, strings.Join(bench.Figures(), " "))
+		return nil
+	}
+	fmt.Fprint(stdout, b.opts.Header())
+	if b.figs == "all" {
+		tabs, err := bench.RunAll(b.opts)
+		for _, t := range tabs {
+			t.Fprint(stdout)
+		}
+		return err
+	}
+	for _, id := range strings.Split(b.figs, ",") {
+		t, err := bench.Run(strings.TrimSpace(id), b.opts)
+		if err != nil {
+			return err
+		}
+		t.Fprint(stdout)
+	}
+	return nil
+}
+
+// clusterVerb prints deterministic bytes only: CI compares them verbatim at -sim-workers 1 and 8.
+func clusterVerb(b *binder, stdout io.Writer) error {
+	res, err := bench.RunCluster(b.opts, b.machines, b.rounds)
+	if err == nil {
+		res.Fprint(stdout)
 	}
 	return err
+}
+
+func adviseVerb(b *binder, stdout io.Writer) error {
+	decisions, err := bench.Advise(b.workload, b.opts)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "advisor decisions for %s (profiled on the base DDC):\n", b.workload)
+	for _, dec := range decisions {
+		fmt.Fprintln(stdout, " ", dec)
+	}
+	return nil
+}
+
+func profilesVerb(_ *binder, stdout io.Writer) error {
+	for _, p := range fault.Profiles() {
+		fmt.Fprintf(stdout, "%-12s %s\n%-12s   %s\n", p.Name, p.Description, "", p.Params())
+	}
+	return nil
 }

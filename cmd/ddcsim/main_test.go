@@ -1,0 +1,178 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// The files under testdata/ are the stdout (and artifact files) of the two
+// pre-verb binaries, recorded at the commit before cmd/teleport-bench was
+// folded into ddcsim:
+//
+//	ddcsim -workload Q6 -platform teleport -scale 0.25 -report
+//	ddcsim -workload Q6,SSSP -platform base-ddc -scale 0.25 -graph-nv 4000
+//	ddcsim -workload Q6 -platform teleport -scale 0.25 -chaos-profile chaos -percentiles -incident-events 64 \
+//	    -profile-out p.folded -incident-out i.jsonl -metrics-out m.json -trace-dump t.txt
+//	ddcsim -cluster 4 -cluster-rounds 2 -scale 0.25 -sim-workers {1,4}
+//	ddcsim -advise -workload Q9 -scale 0.25
+//	ddcsim -chaos-profile list
+//	teleport-bench -fig 17,A5,A6,A7,20 -scale 0.5
+//	teleport-bench -list
+//
+// The verbs must reproduce them byte for byte.
+
+// ddcsim runs one in-process invocation and returns its stdout.
+func ddcsim(t *testing.T, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := cli(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("ddcsim %s: exit %d\n%s", strings.Join(args, " "), code, stderr.String())
+	}
+	return stdout.String()
+}
+
+func golden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func TestVerbsReproduceRecordedOutput(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   string
+	}{
+		{"run_report.txt", "run -workload Q6 -platform teleport -scale 0.25 -report"},
+		{"run_multi.txt", "run -workload Q6,SSSP -platform base-ddc -scale 0.25 -graph-nv 4000"},
+		{"cluster.txt", "cluster -cluster 4 -cluster-rounds 2 -scale 0.25 -sim-workers 1"},
+		{"cluster.txt", "cluster -cluster 4 -cluster-rounds 2 -scale 0.25 -sim-workers 4"},
+		{"advise.txt", "advise -workload Q9 -scale 0.25"},
+		{"profiles.txt", "profiles"},
+		{"fig.txt", "fig -fig 17,A5,A6,A7,20 -scale 0.5"},
+		{"list.txt", "fig -list"},
+	} {
+		want := golden(t, tc.golden)
+		// The figure header names the command that printed it; everything
+		// below it is the old binary's bytes.
+		want = strings.Replace(want, "# teleport-bench ", "# ddcsim fig ", 1)
+		if got := ddcsim(t, strings.Fields(tc.args)...); got != want {
+			t.Errorf("ddcsim %s differs from testdata/%s:\n--- got ---\n%s--- want ---\n%s", tc.args, tc.golden, got, want)
+		}
+	}
+}
+
+func TestRunArtifactsReproduceRecordedFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{ // flag → recorded file
+		"-profile-out":  "run_chaos.folded",
+		"-incident-out": "run_chaos.incidents.jsonl",
+		"-metrics-out":  "run_chaos.metrics.json",
+		"-trace-dump":   "run_chaos.events.txt",
+	}
+	// The recorded stdout names the files as the old invocation did.
+	recorded := map[string]string{"-profile-out": "p.folded", "-incident-out": "i.jsonl", "-metrics-out": "m.json", "-trace-dump": "t.txt"}
+	args := strings.Fields("run -workload Q6 -platform teleport -scale 0.25 -chaos-profile chaos -percentiles -incident-events 64")
+	for _, f := range []string{"-profile-out", "-incident-out", "-metrics-out", "-trace-dump"} {
+		args = append(args, f, filepath.Join(dir, recorded[f]))
+	}
+	got := strings.ReplaceAll(ddcsim(t, args...), dir+string(filepath.Separator), "")
+	if want := golden(t, "run_chaos.txt"); got != want {
+		t.Errorf("stdout differs from testdata/run_chaos.txt:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	for f, name := range files {
+		b, err := os.ReadFile(filepath.Join(dir, recorded[f]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != golden(t, name) {
+			t.Errorf("%s file differs from testdata/%s", f, name)
+		}
+	}
+}
+
+// Every flag name is declared by exactly one binder group, and a verb's flag
+// set is exactly the union of its groups.
+func TestEveryFlagDeclaredOnce(t *testing.T) {
+	owner := map[string]string{} // flag → group
+	seen := map[string]bool{}    // group names visited
+	for _, v := range verbs {
+		want := map[string]bool{}
+		for _, g := range v.groups {
+			b := &binder{fs: flag.NewFlagSet(g.name, flag.ContinueOnError)}
+			g.bind(b)
+			b.fs.VisitAll(func(f *flag.Flag) {
+				want[f.Name] = true
+				if prev, ok := owner[f.Name]; ok && prev != g.name {
+					t.Errorf("flag -%s declared by groups %q and %q", f.Name, prev, g.name)
+				}
+				owner[f.Name] = g.name
+			})
+			seen[g.name] = true
+		}
+		n := 0
+		v.bind(io.Discard).fs.VisitAll(func(f *flag.Flag) {
+			n++
+			if !want[f.Name] {
+				t.Errorf("verb %s has flag -%s outside its groups", v.name, f.Name)
+			}
+		})
+		if n != len(want) {
+			t.Errorf("verb %s binds %d flags, its groups declare %d", v.name, n, len(want))
+		}
+	}
+	if len(owner) > 34 {
+		t.Errorf("%d flags declared; the two CLIs this replaced had 34 distinct names and none may be added", len(owner))
+	}
+	if len(seen) < 6 {
+		t.Errorf("only %d groups reachable from the verbs", len(seen))
+	}
+}
+
+func TestVerbRejectsForeignFlag(t *testing.T) {
+	for _, tc := range []struct{ args, flag string }{
+		{"cluster -report", "-report"},
+		{"fig -chaos-seed 3", "-chaos-seed"},
+		{"advise -platform teleport", "-platform"},
+		{"profiles -scale 2", "-scale"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := cli(strings.Fields(tc.args), &stdout, &stderr); code == 0 {
+			t.Errorf("ddcsim %s: exit 0, want a parse error", tc.args)
+		}
+		if !strings.Contains(stderr.String(), tc.flag) {
+			t.Errorf("ddcsim %s: stderr does not name %s:\n%s", tc.args, tc.flag, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("ddcsim %s: ran despite the foreign flag:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
+func TestCLIErrors(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"", "usage: ddcsim <verb>"},
+		{"bench", "usage: ddcsim <verb>"},
+		{"run Q6", `unexpected argument "Q6"`},
+		{"run -workload Q6 -chaos-profile list", "unknown profile"},
+		{"run -workload Q6,SSSP -metrics-out m.json", "-metrics-out needs a single -workload"},
+		{"run -workload Q6 -platform teleport -replicas 3 -pool-shards 2", "replicas cannot exceed pool shards"},
+		{"fig -fig 99", "unknown figure"},
+		{"cluster -cluster 0", "machines ≥ 1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := cli(strings.Fields(tc.args), &stdout, &stderr); code == 0 {
+			t.Errorf("ddcsim %s: exit 0, want failure", tc.args)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("ddcsim %s: stderr %q does not contain %q", tc.args, stderr.String(), tc.want)
+		}
+	}
+}

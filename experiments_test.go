@@ -9,10 +9,10 @@ import (
 )
 
 // experiments_run.txt is the behaviour contract every refactor leans on: the
-// full figure suite at the committed scale, exactly as `go run
-// ./cmd/teleport-bench` prints it. Virtual time is the scientific result, so
-// the comparison is byte for byte; a deliberate change to a figure re-records
-// the file in the same commit (go run ./cmd/teleport-bench > experiments_run.txt).
+// full figure suite at the committed scale, exactly as `go run ./cmd/ddcsim
+// fig` prints it. Virtual time is the scientific result, so the comparison is
+// byte for byte; a deliberate change to a figure re-records the file in the
+// same commit (go run ./cmd/ddcsim fig > experiments_run.txt).
 func TestExperimentsRunMatchesCommitted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure at the committed scale (~20 s)")
@@ -24,7 +24,11 @@ func TestExperimentsRunMatchesCommitted(t *testing.T) {
 	opts := bench.Defaults()
 	var got bytes.Buffer
 	got.WriteString(opts.Header())
-	for _, tab := range bench.RunAll(opts) {
+	tabs, err := bench.RunAll(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range tabs {
 		tab.Fprint(&got)
 	}
 	if bytes.Equal(got.Bytes(), want) {

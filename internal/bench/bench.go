@@ -16,6 +16,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"teleport/internal/fault"
 	"teleport/internal/mem"
 	"teleport/internal/sim"
 )
@@ -124,10 +125,12 @@ type Options struct {
 	// by TestParallelDeterminism.
 	SimWorkers int
 
-	// pool is the shared worker-token channel; Options is copied by value,
-	// so every figure and leaf job sees the same channel. Created by
-	// withPool at the Run/RunAll entry points.
-	pool chan struct{}
+	// pool is the shared worker-token channel and chaos the looked-up
+	// ChaosProfile (nil = no injection), both set by resolve at the entry
+	// points; Options is copied by value, so every figure and leaf job
+	// sees the same channel and profile.
+	pool  chan struct{}
+	chaos *fault.Profile
 }
 
 // Defaults returns the options used by the committed EXPERIMENTS.md run.
@@ -210,12 +213,19 @@ func register(id string, r Runner) {
 	registryOrder = append(registryOrder, id)
 }
 
-// Header is the first line of a figure-suite run — the workload knobs that
-// shaped every table — as cmd/teleport-bench prints it and
-// experiments_run.txt records it.
+// Header is the first line of a figure-suite run — the knobs that shaped
+// every table — as `ddcsim fig` prints it and experiments_run.txt records
+// it. The pool topology appears only when set, so the default run's header
+// stays the committed one.
 func (o Options) Header() string {
-	return fmt.Sprintf("# teleport-bench scale=%g graph-nv=%d words=%d seed=%d cache-frac=%g\n\n",
+	h := fmt.Sprintf("# ddcsim fig scale=%g graph-nv=%d words=%d seed=%d cache-frac=%g",
 		o.Scale, o.GraphNV, o.Words, o.Seed, o.CacheFrac)
+	for i, v := range []int{o.PoolShards, o.Replicas, o.WriteQuorum} {
+		if v != 0 {
+			h += fmt.Sprintf(" %s=%d", []string{"pool-shards", "replicas", "write-quorum"}[i], v)
+		}
+	}
+	return h + "\n\n"
 }
 
 // Figures returns the registered figure ids in registration order.
@@ -229,21 +239,28 @@ func Run(id string, opts Options) (*Table, error) {
 		sort.Strings(sorted)
 		return nil, fmt.Errorf("bench: unknown figure %q (have %s)", id, strings.Join(sorted, ", "))
 	}
-	return r(opts.withPool()), nil
+	opts, err := opts.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return r(opts), nil
 }
 
 // RunAll regenerates every figure. Figures execute concurrently when the
 // options allow parallelism (their data points share one bounded worker
 // pool), but the returned slice is always in registration order, and every
 // table is bit-identical to a sequential run.
-func RunAll(opts Options) []*Table {
-	opts = opts.withPool()
+func RunAll(opts Options) ([]*Table, error) {
+	opts, err := opts.resolve()
+	if err != nil {
+		return nil, err
+	}
 	out := make([]*Table, len(registryOrder))
 	if opts.pool == nil {
 		for i, id := range registryOrder {
 			out[i] = registry[id](opts)
 		}
-		return out
+		return out, nil
 	}
 	var wg sync.WaitGroup
 	for i, id := range registryOrder {
@@ -254,18 +271,14 @@ func RunAll(opts Options) []*Table {
 		}(i, registry[id])
 	}
 	wg.Wait()
-	return out
+	return out, nil
 }
 
 // cacheBytes sizes the compute cache for a working set, honouring a sane
 // floor (a cache below a handful of pages is thrashing noise, not a
 // platform).
 func cacheBytes(workingSet int64, frac float64) int64 {
-	b := int64(float64(workingSet) * frac)
-	if min := int64(48 * mem.PageSize); b < min {
-		b = min
-	}
-	return b
+	return max(int64(float64(workingSet)*frac), 48*mem.PageSize)
 }
 
 // fm formats a virtual duration in seconds with 3 decimals.

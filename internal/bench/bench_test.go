@@ -213,22 +213,166 @@ func TestFig16SpeedupMonotoneInClock(t *testing.T) {
 }
 
 func TestFig17SpeedupGrowsWithContexts(t *testing.T) {
-	tab, err := Run("17", smallOpts())
+	// The figure follows the pool topology like every other TPC-H figure;
+	// its shape must hold on a sharded, replicated pool too.
+	sharded := smallOpts()
+	sharded.PoolShards, sharded.Replicas = 2, 2
+	for _, opts := range []Options{smallOpts(), sharded} {
+		tab, err := Run("17", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one := parseX(t, tab.Rows[0][2])
+		two := parseX(t, tab.Rows[1][2])
+		four := parseX(t, tab.Rows[3][2])
+		if one != 1.0 {
+			t.Fatalf("first row must be the baseline, got %.1fx", one)
+		}
+		if two < 1.5 {
+			t.Fatalf("two contexts on two cores should near-double throughput (%.1fx)", two)
+		}
+		// Diminishing returns: 4 contexts gains less than 2× over 2 contexts.
+		if four/two > 1.9 {
+			t.Fatalf("no diminishing returns: 2ctx %.1fx, 4ctx %.1fx", two, four)
+		}
+	}
+}
+
+// Options are validated once, at the entry point, for every figure alike: an
+// unknown chaos profile or an impossible pool topology is an error, never a
+// fault-free or default-pool run. (Figures 17 and A5 used to build their own
+// machines and ignore the topology; every figure used to swallow the
+// profile error.)
+func TestRunRejectsBadOptions(t *testing.T) {
+	typo := smallOpts()
+	typo.ChaosProfile = "typo"
+	quorum := smallOpts()
+	quorum.PoolShards, quorum.Replicas, quorum.WriteQuorum = 2, 2, 3
+	for _, id := range []string{"13", "17", "A5"} {
+		if _, err := Run(id, typo); err == nil || !strings.Contains(err.Error(), "typo") {
+			t.Errorf("Run(%s) with an unknown chaos profile: err = %v", id, err)
+		}
+		if _, err := Run(id, quorum); err == nil || !strings.Contains(err.Error(), "quorum") {
+			t.Errorf("Run(%s) with W > replicas: err = %v", id, err)
+		}
+	}
+	if _, err := RunAll(typo); err == nil {
+		t.Error("RunAll accepted an unknown chaos profile")
+	}
+	if _, err := RunCluster(typo, 2, 1); err == nil {
+		t.Error("RunCluster accepted an unknown chaos profile")
+	}
+}
+
+// The header of a figure run records every knob that shaped it: the pool
+// topology appears when set and the default header is the committed one.
+func TestHeaderRecordsTopology(t *testing.T) {
+	if got, want := Defaults().Header(), "# ddcsim fig scale=2 graph-nv=60000 words=250000 seed=1 cache-frac=0.02\n\n"; got != want {
+		t.Errorf("default header %q, want %q", got, want)
+	}
+	o := Defaults()
+	o.PoolShards, o.Replicas, o.WriteQuorum = 4, 3, 2
+	if got := o.Header(); !strings.HasSuffix(got, " cache-frac=0.02 pool-shards=4 replicas=3 write-quorum=2\n\n") {
+		t.Errorf("header %q omits the pool topology", got)
+	}
+}
+
+// columns runs figure id at the committed sizes and returns the named
+// columns of its table, each as one cell per row.
+func columns(t *testing.T, id string, cols ...int) [][]string {
+	t.Helper()
+	tab, err := Run(id, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := parseX(t, tab.Rows[0][2])
-	two := parseX(t, tab.Rows[1][2])
-	four := parseX(t, tab.Rows[3][2])
-	if one != 1.0 {
-		t.Fatalf("first row must be the baseline, got %.1fx", one)
+	out := make([][]string, len(cols))
+	for i, c := range cols {
+		for _, r := range tab.Rows {
+			out[i] = append(out[i], r[c])
+		}
 	}
-	if two < 1.5 {
-		t.Fatalf("two contexts on two cores should near-double throughput (%.1fx)", two)
+	return out
+}
+
+func atoi(t *testing.T, cell string) int {
+	t.Helper()
+	v, err := strconv.Atoi(cell)
+	if err != nil {
+		t.Fatalf("bad count cell %q: %v", cell, err)
 	}
-	// Diminishing returns: 4 contexts gains less than 2× over 2 contexts.
-	if four/two > 1.9 {
-		t.Fatalf("no diminishing returns: 2ctx %.1fx, 4ctx %.1fx", two, four)
+	return v
+}
+
+// EXPERIMENTS.md A5: compute workers scale freely on a monolithic server —
+// the local makespan halves per doubling — while TELEPORT stops improving at
+// the memory pool's two user contexts.
+func TestExtA5TeleportSaturatesAtTwoContexts(t *testing.T) {
+	ms := func(cell string) float64 { return parseS(t, strings.TrimSuffix(cell, "ms")) }
+	c := columns(t, "A5", 1, 3)
+	local, tele := c[0], c[1]
+	for i := 1; i < len(local); i++ {
+		if r := ms(local[i-1]) / ms(local[i]); r < 1.8 || r > 2.2 {
+			t.Errorf("local makespan %s → %s: ratio %.2f, want ≈2 per worker doubling", local[i-1], local[i], r)
+		}
+	}
+	if !(ms(tele[1]) < ms(tele[0])) {
+		t.Errorf("teleport-2ctx did not improve from 1 to 2 workers: %v", tele)
+	}
+	for i := 2; i < len(tele); i++ {
+		if ms(tele[i]) < ms(tele[1]) {
+			t.Errorf("teleport-2ctx kept improving beyond 2 workers: %v", tele)
+		}
+	}
+}
+
+// EXPERIMENTS.md A6: every answer is the fault-free one; replication turns
+// shard-outage stalls into failover reads at both outage rates; unreplicated
+// stalls grow with the outage rate. Rows: replicas 1,2,3 × light, heavy.
+func TestExtA6ReplicationConvertsStallsToFailovers(t *testing.T) {
+	c := columns(t, "A6", 2, 3, 5)
+	correct, failovers, stalls := c[0], c[1], c[2]
+	for i, cell := range correct {
+		if cell != "yes" {
+			t.Errorf("row %d answer differs from the fault-free run", i)
+		}
+	}
+	for _, rate := range []int{0, 3} { // first row of the light and heavy blocks
+		unreplicated := atoi(t, stalls[rate])
+		if atoi(t, failovers[rate]) != 0 || unreplicated == 0 {
+			t.Errorf("replicas=1 must stall, not fail over: failovers %s stalls %s", failovers[rate], stalls[rate])
+		}
+		for r := 1; r <= 2; r++ {
+			if atoi(t, failovers[rate+r]) == 0 || atoi(t, stalls[rate+r]) >= unreplicated {
+				t.Errorf("replicas=%d: failovers %s stalls %s, want failovers > 0 and stalls < %d",
+					r+1, failovers[rate+r], stalls[rate+r], unreplicated)
+			}
+		}
+	}
+	if atoi(t, stalls[3]) <= atoi(t, stalls[0]) {
+		t.Errorf("replicas=1 stalls must grow with the outage rate: light %s heavy %s", stalls[0], stalls[3])
+	}
+}
+
+// EXPERIMENTS.md A7: every answer is the fault-free one; at W=3 nothing is
+// left to replay and writes stall for their quorum; the price of consistency
+// (slowdown) never falls as W rises. Rows: W 1,2,3 × light, heavy.
+func TestExtA7QuorumTradesHandoffsForStalls(t *testing.T) {
+	c := columns(t, "A7", 2, 4, 7, 10)
+	correct, replays, qstalls, slow := c[0], c[1], c[2], c[3]
+	for i, cell := range correct {
+		if cell != "yes" {
+			t.Errorf("row %d answer differs from the fault-free run", i)
+		}
+	}
+	for _, rate := range []int{0, 3} {
+		if atoi(t, replays[rate+2]) != 0 || atoi(t, qstalls[rate+2]) == 0 {
+			t.Errorf("W=3: replays %s quorum-stalls %s, want 0 and > 0", replays[rate+2], qstalls[rate+2])
+		}
+		for w := 1; w <= 2; w++ {
+			if parseX(t, slow[rate+w]) < parseX(t, slow[rate+w-1]) {
+				t.Errorf("slowdown fell from W=%d to W=%d: %s → %s", w, w+1, slow[rate+w-1], slow[rate+w])
+			}
+		}
 	}
 }
 
@@ -238,7 +382,7 @@ func TestRunWorkloadPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Seconds <= 0 || len(res.Profile) == 0 {
+	if res.Seconds <= 0 || len(res.Attribution.Ops) == 0 {
 		t.Fatalf("result = %+v", res)
 	}
 	if _, err := RunWorkload("Q6", "nope", opts); err == nil {

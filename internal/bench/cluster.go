@@ -1,10 +1,10 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 
 	"teleport/internal/ddc"
-	"teleport/internal/fault"
 	"teleport/internal/mem"
 	"teleport/internal/netmodel"
 	"teleport/internal/sim"
@@ -59,38 +59,24 @@ func RunCluster(opts Options, machines, rounds int) (ClusterResult, error) {
 	if rows < 4096 {
 		rows = 4096
 	}
-	frac := opts.CacheFrac
-	if frac == 0 {
-		frac = Defaults().CacheFrac
-	}
-	var chaosProf fault.Profile
-	if opts.ChaosProfile != "" && opts.ChaosProfile != "none" {
-		var err error
-		if chaosProf, err = fault.ByName(opts.ChaosProfile); err != nil {
-			return ClusterResult{}, err
-		}
+	frac := cmp.Or(opts.CacheFrac, Defaults().CacheFrac)
+	opts, err := opts.resolve()
+	if err != nil {
+		return ClusterResult{}, err
 	}
 
 	s := sim.NewScheduler()
 	s.SetWorkers(workersFor(opts.SimWorkers))
 	c, err := ddc.NewCluster(s, machines, ClusterSyncLatency, func(i int) ddc.Config {
 		cfg := ddc.BaseDDC(cacheBytes(int64(rows)*8, frac))
-		cfg.PoolShards = opts.PoolShards
-		cfg.Replicas = opts.Replicas
-		cfg.WriteQuorum = opts.WriteQuorum
+		opts.setTopology(&cfg)
 		return cfg
 	})
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	if chaosProf.Name != "" {
-		chaosSeed := opts.ChaosSeed
-		if chaosSeed == 0 {
-			chaosSeed = opts.Seed
-		}
-		for i, m := range c.Machines {
-			m.AttachFault(fault.NewPlan(chaosProf, chaosSeed+int64(i)*1000003))
-		}
+	for i, m := range c.Machines {
+		opts.attachFault(m, opts.chaos, i)
 	}
 
 	// Build each machine's partition with free generator writes, and

@@ -3,13 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"teleport/internal/coldb"
-	"teleport/internal/core"
-	"teleport/internal/ddc"
 	"teleport/internal/hw"
 	"teleport/internal/netmodel"
 	"teleport/internal/sim"
-	"teleport/internal/tpch"
 )
 
 func init() {
@@ -47,9 +43,7 @@ func figFabric(opts Options) *Table {
 			cfg.NetBandwidthGBs = f.gbs
 		}
 		for _, p := range []platform{platBase, platTeleport} {
-			jobs = append(jobs, func() sim.Time {
-				return run(w, opts, runSpec{platform: p, hwMut: mut}).Time
-			})
+			jobs = append(jobs, timed(w, opts, runSpec{platform: p, hwMut: mut}))
 		}
 	}
 	times := parmap(opts, jobs)
@@ -112,15 +106,11 @@ func figPrefetch(opts Options) *Table {
 	w := findWorkload("Q6")
 	depths := []int{1, 2, 4, 8}
 	jobs := []func() sim.Time{
-		func() sim.Time {
-			return run(w, opts, runSpec{platform: platBase, prefetch: ptrInt(0)}).Time
-		},
-		func() sim.Time { return run(w, opts, runSpec{platform: platTeleport}).Time },
+		timed(w, opts, runSpec{platform: platBase, prefetch: ptrInt(0)}),
+		timed(w, opts, runSpec{platform: platTeleport}),
 	}
 	for _, depth := range depths {
-		jobs = append(jobs, func() sim.Time {
-			return run(w, opts, runSpec{platform: platBase, prefetch: ptrInt(depth)}).Time
-		})
+		jobs = append(jobs, timed(w, opts, runSpec{platform: platBase, prefetch: ptrInt(depth)}))
 	}
 	times := parmap(opts, jobs)
 	none, tele := times[0], times[1]
@@ -153,25 +143,8 @@ func figWorkerScaling(opts Options) *Table {
 		Header: []string{"workers", "local", "base-ddc", "teleport-2ctx"},
 	}
 	runPlat := func(plat platform, workers int) sim.Time {
-		var cfg ddc.Config
-		if plat == platLocal {
-			cfg = ddc.Linux()
-		} else {
-			cfg = ddc.BaseDDC(1 << 20)
-		}
-		m := ddc.MustMachine(cfg)
-		p := m.NewProcess()
-		d := tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale, Seed: opts.Seed})
-		p.ResizeCache(cacheBytes(p.Space.Allocated(), opts.CacheFrac))
-		var rt *core.Runtime
-		if plat == platTeleport {
-			rt = core.NewRuntime(p, 2)
-		}
-		qty := d.DB.Table("lineitem").Col("l_quantity")
-		_, makespan, err := coldb.ParallelAggregate(p, rt, workers, qty, coldb.AggSum)
-		if err != nil {
-			panic(err)
-		}
+		var makespan sim.Time
+		run(parAgg(workers, &makespan), opts, runSpec{platform: plat, contexts: 2})
 		return makespan
 	}
 	ms := func(d sim.Time) string { return fmt.Sprintf("%.3fms", d.Millis()) }

@@ -24,16 +24,13 @@ func figAdvisor(opts Options) *Table {
 		Header: []string{"query", "strategy", "ops-pushed", "time(s)", "speedup-vs-base"},
 	}
 	hwCfg := hw.Testbed()
-	queries := []string{"Q9", "Q3", "Q6"}
+	queries := tpchQueries()
 
 	// Stage 1: the base-DDC profiling runs (the advisor profiles these,
 	// like a DBA would). Everything downstream depends on the profiles.
 	var baseJobs []func() runOut
-	for _, q := range queries {
-		w := findWorkload(q)
-		baseJobs = append(baseJobs, func() runOut {
-			return run(w, opts, runSpec{platform: platBase})
-		})
+	for _, w := range queries {
+		baseJobs = append(baseJobs, func() runOut { return run(w, opts, runSpec{platform: platBase}) })
 	}
 	bases := parmap(opts, baseJobs)
 
@@ -45,17 +42,14 @@ func figAdvisor(opts Options) *Table {
 	perQuery := make([][]strategy, len(queries))
 	var jobs []func() sim.Time
 	jobIdx := make([][]int, len(queries)) // index into times, -1 = reuse base
-	for qi, q := range queries {
-		w := findWorkload(q)
+	for qi, w := range queries {
 		base := bases[qi]
 
 		threshCfg := advisor.DefaultConfig()
 		threshCfg.ThresholdRMps = 80_000 // the paper's 80K RM/s split (§7.4)
 		threshPush, _ := advisor.Recommend(base.Profile, threshCfg, &hwCfg)
 
-		costCfg := advisor.DefaultConfig()
-		costCfg.TableEntries = base.Proc.Space.Pages()
-		costPush, _ := advisor.Recommend(base.Profile, costCfg, &hwCfg)
+		costPush, _ := costModelPush(base)
 
 		allOps := make([]string, 0, len(base.Profile))
 		for _, o := range base.Profile {
@@ -73,18 +67,15 @@ func figAdvisor(opts Options) *Table {
 				jobIdx[qi] = append(jobIdx[qi], -1)
 				continue
 			}
-			ops := s.ops
 			jobIdx[qi] = append(jobIdx[qi], len(jobs))
-			jobs = append(jobs, func() sim.Time {
-				return run(w, opts, runSpec{platform: platTeleport, pushOps: ops}).Time
-			})
+			jobs = append(jobs, timed(w, opts, runSpec{platform: platTeleport, pushOps: s.ops}))
 		}
 	}
 	times := parmap(opts, jobs)
 
-	for qi, q := range queries {
+	for qi, w := range queries {
 		base := bases[qi]
-		t.AddRow(q, "base DDC (none)", "0", fm(base.Time), fx(1))
+		t.AddRow(w.Name, "base DDC (none)", "0", fm(base.Time), fx(1))
 		for si, s := range perQuery[qi] {
 			tm := base.Time
 			if j := jobIdx[qi][si]; j >= 0 {

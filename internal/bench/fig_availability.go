@@ -2,38 +2,22 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
-	"teleport/internal/coldb"
 	"teleport/internal/core"
 	"teleport/internal/ddc"
 	"teleport/internal/fault"
-	"teleport/internal/profile"
 	"teleport/internal/sim"
-	"teleport/internal/tpch"
 )
 
 func init() {
 	register("A6", figAvailability)
 }
 
-// availPoint is one availability cell: Q6 on a sharded pool under per-shard
-// outages, with the answer retained for the correctness column.
-type availPoint struct {
-	ans       uint64
-	elapsed   sim.Time
-	failovers int64
-	resync    int64
-	stalls    int64
-	fallbacks int64
-	degraded  sim.Time // union of all outage windows through the run
-}
-
-// q6Cell is one run of Q6 on TELEPORT over a sharded pool under a fault
-// profile: the answer (for the correctness column), the pushed time, the
-// runtime's and the shards' recovery tallies, and how long at least one of
-// the targets the figure watches was down.
-type q6Cell struct {
+// q6Point is one cell of the availability figures (A6, A7): the answer,
+// retained for the correctness column, the pushed time, the runtime's and
+// the shards' recovery tallies, and how long at least one of the targets
+// the figure watches was down.
+type q6Point struct {
 	ans     uint64
 	elapsed sim.Time
 	rt      core.RuntimeStats
@@ -41,37 +25,28 @@ type q6Cell struct {
 	down    sim.Time
 }
 
-// shardedQ6 is the cell both availability figures (A6, A7) sweep.
-func shardedQ6(opts Options, shards, replicas, writeQuorum int, prof *fault.Profile, watch []fault.Target) q6Cell {
-	cfg := ddc.BaseDDC(1 << 20)
-	cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = shards, replicas, writeQuorum
-	m := ddc.MustMachine(cfg)
-	if prof != nil {
-		m.AttachFault(fault.NewPlan(*prof, opts.Seed))
+// q6Cell is the job both figures sweep: Q6 at a quarter of the scale on
+// TELEPORT, with a 2% cache and half the database in pool DRAM, over a pool
+// pinned to the given topology under an ad-hoc fault profile (nil = whatever
+// the options say, fault-free by default).
+func q6Cell(opts Options, shards, replicas, writeQuorum int, prof *fault.Profile, watch []fault.Target) func() q6Point {
+	opts.Scale /= 4
+	return func() q6Point {
+		out := run(findWorkload("Q6"), opts, runSpec{
+			platform: platTeleport, cacheFrac: 0.02, poolFrac: 0.5,
+			shards: shards, replicas: replicas, writeQuorum: writeQuorum, chaos: prof,
+		})
+		m := out.Proc.M
+		return q6Point{out.Answer, out.Time, out.RT.Stats(), m.ShardTotals(), m.Fault.Downtime(out.End, watch...)}
 	}
-	p := m.NewProcess()
-	th := sim.NewThread("Q6")
-	d := tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale / 4, Seed: opts.Seed})
-	ws := p.Space.Allocated()
-	p.ResizeCache(cacheBytes(ws, 0.02))
-	p.ResizePool(ws / 2)
-	rt := core.NewRuntime(p, 1)
-	ex := profile.NewExec(th, p, rt)
-	ex.Push(q6Push...)
-	ans := tpch.Q6(ex, d, 730)
-	c := q6Cell{ans: math.Float64bits(ans), elapsed: ex.Total(), rt: rt.Stats()}
-	for _, st := range m.ShardStats {
-		c.shards.FailoverReads += st.FailoverReads
-		c.shards.ResyncPages += st.ResyncPages
-		c.shards.Stalls += st.Stalls
-		c.shards.HandoffRecords += st.HandoffRecords
-		c.shards.HandoffReplays += st.HandoffReplays
-		c.shards.ReadRepairs += st.ReadRepairs
-		c.shards.StaleReadsAverted += st.StaleReadsAverted
-		c.shards.QuorumStalls += st.QuorumStalls
+}
+
+// yesNo renders a correctness cell.
+func yesNo(ok bool) string {
+	if ok {
+		return "yes"
 	}
-	c.down = m.Fault.Downtime(th.Now(), watch...)
-	return c
+	return "NO"
 }
 
 // figAvailability is an extension for the sharded pool: Q6 on TELEPORT over
@@ -97,20 +72,13 @@ func figAvailability(opts Options) *Table {
 	}
 	replicas := []int{1, 2, 3}
 
-	runCell := func(reps int, prof *fault.Profile) availPoint {
-		var degraded []fault.Target
-		for s := 0; s < shards; s++ {
-			degraded = append(degraded, fault.Shard(s))
-		}
-		c := shardedQ6(opts, shards, reps, 0, prof, append(degraded, fault.Pool()))
-		return availPoint{
-			ans: c.ans, elapsed: c.elapsed, fallbacks: c.rt.LocalFallbacks,
-			failovers: c.shards.FailoverReads, resync: c.shards.ResyncPages, stalls: c.shards.Stalls,
-			degraded: c.down,
-		}
+	var degraded []fault.Target
+	for s := 0; s < shards; s++ {
+		degraded = append(degraded, fault.Shard(s))
 	}
+	degraded = append(degraded, fault.Pool())
 
-	jobs := []func() availPoint{func() availPoint { return runCell(1, nil) }}
+	jobs := []func() q6Point{q6Cell(opts, shards, 1, 0, nil, degraded)}
 	for _, rate := range rates {
 		prof := fault.Profile{
 			Name:          fmt.Sprintf("shard-flap-%v", rate.meanUp),
@@ -118,9 +86,7 @@ func figAvailability(opts Options) *Table {
 			ShardMeanDown: 50 * sim.Microsecond,
 		}
 		for _, reps := range replicas {
-			prof := prof
-			reps := reps
-			jobs = append(jobs, func() availPoint { return runCell(reps, &prof) })
+			jobs = append(jobs, q6Cell(opts, shards, reps, 0, &prof, degraded))
 		}
 	}
 	pts := parmap(opts, jobs)
@@ -130,14 +96,10 @@ func figAvailability(opts Options) *Table {
 		for _, reps := range replicas {
 			pt := pts[i]
 			i++
-			correct := "yes"
-			if pt.ans != base.ans {
-				correct = "NO"
-			}
-			t.AddRow(fmt.Sprintf("%d", reps), rate.name, correct,
-				fmt.Sprintf("%d", pt.failovers), fmt.Sprintf("%d", pt.resync),
-				fmt.Sprintf("%d", pt.stalls), fmt.Sprintf("%d", pt.fallbacks),
-				fmt.Sprintf("%.1f%%", 100*float64(pt.degraded)/float64(pt.elapsed)),
+			t.AddRow(fmt.Sprintf("%d", reps), rate.name, yesNo(pt.ans == base.ans),
+				fmt.Sprintf("%d", pt.shards.FailoverReads), fmt.Sprintf("%d", pt.shards.ResyncPages),
+				fmt.Sprintf("%d", pt.shards.Stalls), fmt.Sprintf("%d", pt.rt.LocalFallbacks),
+				fmt.Sprintf("%.1f%%", 100*float64(pt.down)/float64(pt.elapsed)),
 				fx(ratio(pt.elapsed, base.elapsed)))
 		}
 	}

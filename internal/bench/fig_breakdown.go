@@ -41,16 +41,14 @@ func fig10(opts Options) *Table {
 	outs := parmap(opts, jobs)
 	for i, name := range names {
 		w := findWorkload(name)
-		local := newReport(name, "local", outs[i*2])
-		base := newReport(name, "base-ddc", outs[i*2+1])
-		localBy := map[string]int64{}
-		for _, o := range local.Ops {
-			localBy[o.Name] = o.Ns
+		localBy := map[string]sim.Time{}
+		for _, o := range outs[i*2].Profile {
+			localBy[o.Name] = o.Time
 		}
-		for _, o := range base.Ops {
-			t.AddRow(w.System+"/"+name, o.Name, fm(sim.Time(localBy[o.Name])), fm(sim.Time(o.Ns)),
-				fmt.Sprintf("%.1f", float64(o.RemoteBytes)/(1<<20)),
-				fm(sim.Time(o.Comps.LayerNs("net"))))
+		for _, o := range outs[i*2+1].Profile {
+			t.AddRow(w.System+"/"+name, o.Name, fm(localBy[o.Name]), fm(o.Time),
+				fmt.Sprintf("%.1f", float64(o.RemoteByte)/(1<<20)),
+				fm(sim.Time(o.Attr.LayerNs("net"))))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -114,7 +112,7 @@ func fig20(opts Options) *Table {
 		Title:  "Pushdown overhead breakdown (user function time excluded), ms",
 		Header: []string{"method", "pre", "request", "setup", "online-sync", "response", "post", "total-overhead"},
 	}
-	runMethod := func(flags core.Flags) core.RuntimeStats {
+	runMethod := func(flags core.Flags) core.Stats {
 		m := ddc.MustMachine(ddc.BaseDDC(1 << 30))
 		p := m.NewProcess()
 		// A working set scaled like the paper's 50 GB against a 1 GB cache:
@@ -143,25 +141,19 @@ func fig20(opts Options) *Table {
 		if err != nil {
 			panic(err)
 		}
-		return rt.Stats()
+		return rt.Stats().Phases
 	}
-	// The runtime's aggregated phase sums equal the single call's Stats, so
-	// the figure now reads the run-level observability surface that
-	// RunWorkload reports instead of a value threaded out of one call.
-	add := func(name string, rs core.RuntimeStats) {
-		st := core.Stats{
-			PreSync: rs.PreSyncTime, Request: rs.RequestTime,
-			Queue: rs.QueueTime, CtxSetup: rs.CtxSetupTime,
-			Exec: rs.ExecTime, OnlineSync: rs.OnlineSyncTime,
-			Response: rs.ResponseTime, PostSync: rs.PostSyncTime,
-		}
+	// The runtime's phase sums equal the single call's Stats, so the figure
+	// reads the run-level observability surface RunWorkload reports instead
+	// of a value threaded out of one call.
+	add := func(name string, st core.Stats) {
 		msf := func(d sim.Time) string { return fmt.Sprintf("%.3f", d.Millis()) }
 		t.AddRow(name, msf(st.PreSync), msf(st.Request), msf(st.Queue+st.CtxSetup),
 			msf(st.OnlineSync), msf(st.Response), msf(st.PostSync), msf(st.Overhead()))
 	}
-	stats := parmap(opts, []func() core.RuntimeStats{
-		func() core.RuntimeStats { return runMethod(core.FlagEagerSync) },
-		func() core.RuntimeStats { return runMethod(core.FlagDefault) },
+	stats := parmap(opts, []func() core.Stats{
+		func() core.Stats { return runMethod(core.FlagEagerSync) },
+		func() core.Stats { return runMethod(core.FlagDefault) },
 	})
 	add("Eager sync", stats[0])
 	add("On-demand sync", stats[1])

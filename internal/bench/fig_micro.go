@@ -83,7 +83,7 @@ func runMicro(mode microMode, mp microParams) microResult {
 	m := ddc.MustMachine(cfg)
 	p := m.NewProcess()
 	array := p.Space.AllocPages(int64(mp.arrayPages)*mem.PageSize, "micro.array")
-	scratch := p.Space.AllocPages(int64(maxI(mp.scratchPages, 1))*mem.PageSize, "micro.scratch")
+	scratch := p.Space.AllocPages(int64(max(mp.scratchPages, 1))*mem.PageSize, "micro.scratch")
 	var shared mem.Addr
 	if mp.sharedPages > 0 {
 		shared = p.Space.AllocPages(int64(mp.sharedPages)*mem.PageSize, "micro.shared")
@@ -185,7 +185,7 @@ func runMicro(mode microMode, mp microParams) microResult {
 			if mp.syncShared {
 				rt.SyncMem(th, []core.Range{
 					{Base: array, Size: int64(mp.arrayPages) * mem.PageSize},
-					{Base: shared, Size: int64(maxI(mp.sharedPages, 1)) * mem.PageSize},
+					{Base: shared, Size: int64(max(mp.sharedPages, 1)) * mem.PageSize},
 				})
 			}
 			push(th, memBody, opts)
@@ -197,13 +197,6 @@ func runMicro(mode microMode, mp microParams) microResult {
 		Makespan:      end - start,
 		CoherenceMsgs: m.Fabric.Stats(netmodel.ClassCoherence).Msgs - coherenceBefore,
 	}
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fig6 reproduces Figure 6: the data-synchronisation ablation on the

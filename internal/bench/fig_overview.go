@@ -28,22 +28,12 @@ func fig1a(opts Options) *Table {
 		Title:  "Query speedup over NVMe-SSD spill (geomean of Q9/Q3/Q6)",
 		Header: []string{"platform", "geomean-speedup"},
 	}
-	queries := []string{"Q9", "Q3", "Q6"}
 	plats := []platform{platLinuxSSD, platBase, platTeleport}
-	var jobs []func() sim.Time
-	for _, q := range queries {
-		w := findWorkload(q)
-		for _, p := range plats {
-			jobs = append(jobs, func() sim.Time {
-				return run(w, opts, runSpec{platform: p}).Time
-			})
-		}
-	}
-	times := parmap(opts, jobs)
+	times := grid(opts, tpchQueries(), plats...)
 	geo := func(off int) float64 {
 		prod := 1.0
-		for qi := range queries {
-			prod *= ratio(times[qi*len(plats)], times[qi*len(plats)+off])
+		for qi := 0; qi < len(times); qi += len(plats) {
+			prod *= ratio(times[qi], times[qi+off])
 		}
 		return math.Cbrt(prod)
 	}
@@ -64,10 +54,9 @@ func fig1b(opts Options) *Table {
 		Title:  "Cost of scaling (avg TPC-H execution time, normalised to local)",
 		Header: []string{"system", "cost-of-scaling"},
 	}
-	queries := []string{"Q9", "Q3", "Q6"}
+	queries := tpchQueries()
 	var jobs []func() runOut
-	for _, q := range queries {
-		w := findWorkload(q)
+	for _, w := range queries {
 		specs := []runSpec{
 			{platform: platLocal},
 			{platform: platBase, cacheFrac: 0.10},
@@ -106,15 +95,7 @@ func fig3(opts Options) *Table {
 		Header: []string{"system", "workload", "local(s)", "ddc(s)", "slowdown"},
 	}
 	workloads := allWorkloads()
-	var jobs []func() sim.Time
-	for _, w := range workloads {
-		for _, p := range []platform{platLocal, platBase} {
-			jobs = append(jobs, func() sim.Time {
-				return run(w, opts, runSpec{platform: p}).Time
-			})
-		}
-	}
-	times := parmap(opts, jobs)
+	times := grid(opts, workloads, platLocal, platBase)
 	for i, w := range workloads {
 		local, base := times[i*2], times[i*2+1]
 		t.AddRow(w.System, w.Name, fm(local), fm(base), fx(ratio(base, local)))
@@ -131,9 +112,7 @@ func fig12(opts Options) *Table {
 		Title:  "Q_filter per-operator times (push all three operators)",
 		Header: []string{"operator", "local(s)", "base-ddc(s)", "teleport(s)", "speedup-vs-base"},
 	}
-	w := tpchWorkload("QFilter", tpch.QFilterOps, func(ex *profile.Exec, d *tpch.Data) {
-		tpch.QFilter(ex, d, 1460)
-	})
+	w := qFilter()
 	outs := parmap(opts, []func() runOut{
 		func() runOut { return run(w, opts, runSpec{platform: platLocal}) },
 		func() runOut { return run(w, opts, runSpec{platform: platBase}) },
@@ -167,15 +146,7 @@ func fig13(opts Options) *Table {
 		Header: []string{"system", "workload", "base/local", "teleport/local", "speedup"},
 	}
 	workloads := allWorkloads()
-	var jobs []func() sim.Time
-	for _, w := range workloads {
-		for _, p := range []platform{platLocal, platBase, platTeleport} {
-			jobs = append(jobs, func() sim.Time {
-				return run(w, opts, runSpec{platform: p}).Time
-			})
-		}
-	}
-	times := parmap(opts, jobs)
+	times := grid(opts, workloads, platLocal, platBase, platTeleport)
 	for i, w := range workloads {
 		local, base, tele := times[i*3], times[i*3+1], times[i*3+2]
 		t.AddRow(w.System, w.Name,

@@ -11,21 +11,6 @@ func init() {
 	register("A7", figPartition)
 }
 
-// partPoint is one partition cell: Q6 on a replicated sharded pool under
-// asymmetric link partitions, with the answer retained for the correctness
-// column.
-type partPoint struct {
-	ans      uint64
-	elapsed  sim.Time
-	handoffs int64
-	replays  int64
-	repairs  int64
-	stale    int64
-	qstalls  int64
-	qlost    int64
-	cut      sim.Time // union of all link-outage windows through the run
-}
-
 // figPartition is an extension for partition tolerance: Q6 on TELEPORT over
 // a 4-shard, 3-replica pool, sweeping the write quorum W against the link
 // partition rate. Every cell must produce the fault-free answer; what varies
@@ -48,19 +33,11 @@ func figPartition(opts Options) *Table {
 	}
 	quorums := []int{1, 2, 3}
 
-	runCell := func(w int, prof *fault.Profile) partPoint {
-		// The partitioned column folds every directed link the pool has —
-		// compute↔shard both ways and shard↔shard both ways — into one union.
-		c := shardedQ6(opts, shards, replicas, w, prof, fault.Links(shards))
-		return partPoint{
-			ans: c.ans, elapsed: c.elapsed, qlost: c.rt.QuorumLostObserved,
-			handoffs: c.shards.HandoffRecords, replays: c.shards.HandoffReplays,
-			repairs: c.shards.ReadRepairs, stale: c.shards.StaleReadsAverted, qstalls: c.shards.QuorumStalls,
-			cut: c.down,
-		}
-	}
+	// The partitioned column folds every directed link the pool has —
+	// compute↔shard both ways and shard↔shard both ways — into one union.
+	links := fault.Links(shards)
 
-	jobs := []func() partPoint{func() partPoint { return runCell(1, nil) }}
+	jobs := []func() q6Point{q6Cell(opts, shards, replicas, 1, nil, links)}
 	for _, rate := range rates {
 		prof := fault.Profile{
 			Name:         fmt.Sprintf("partition-%v", rate.meanUp),
@@ -68,9 +45,7 @@ func figPartition(opts Options) *Table {
 			LinkMeanDown: 150 * sim.Microsecond,
 		}
 		for _, w := range quorums {
-			prof := prof
-			w := w
-			jobs = append(jobs, func() partPoint { return runCell(w, &prof) })
+			jobs = append(jobs, q6Cell(opts, shards, replicas, w, &prof, links))
 		}
 	}
 	pts := parmap(opts, jobs)
@@ -80,15 +55,11 @@ func figPartition(opts Options) *Table {
 		for _, w := range quorums {
 			pt := pts[i]
 			i++
-			correct := "yes"
-			if pt.ans != base.ans {
-				correct = "NO"
-			}
-			t.AddRow(fmt.Sprintf("%d", w), rate.name, correct,
-				fmt.Sprintf("%d", pt.handoffs), fmt.Sprintf("%d", pt.replays),
-				fmt.Sprintf("%d", pt.repairs), fmt.Sprintf("%d", pt.stale),
-				fmt.Sprintf("%d", pt.qstalls), fmt.Sprintf("%d", pt.qlost),
-				fmt.Sprintf("%.1f%%", 100*float64(pt.cut)/float64(pt.elapsed)),
+			t.AddRow(fmt.Sprintf("%d", w), rate.name, yesNo(pt.ans == base.ans),
+				fmt.Sprintf("%d", pt.shards.HandoffRecords), fmt.Sprintf("%d", pt.shards.HandoffReplays),
+				fmt.Sprintf("%d", pt.shards.ReadRepairs), fmt.Sprintf("%d", pt.shards.StaleReadsAverted),
+				fmt.Sprintf("%d", pt.shards.QuorumStalls), fmt.Sprintf("%d", pt.rt.QuorumLostObserved),
+				fmt.Sprintf("%.1f%%", 100*float64(pt.down)/float64(pt.elapsed)),
 				fx(ratio(pt.elapsed, base.elapsed)))
 		}
 	}

@@ -3,12 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"teleport/internal/coldb"
-	"teleport/internal/core"
-	"teleport/internal/ddc"
 	"teleport/internal/profile"
 	"teleport/internal/sim"
-	"teleport/internal/tpch"
 )
 
 func init() {
@@ -28,20 +24,11 @@ func fig14(opts Options) *Table {
 		Title:  "Query time with constrained local memory: Linux+SSD vs DDC vs TELEPORT",
 		Header: []string{"query", "linux-ssd(s)", "base-ddc(s)", "teleport(s)", "ddc-speedup", "teleport-speedup"},
 	}
-	queries := []string{"Q9", "Q3", "Q6"}
-	var jobs []func() sim.Time
-	for _, q := range queries {
-		w := findWorkload(q)
-		for _, p := range []platform{platLinuxSSD, platBase, platTeleport} {
-			jobs = append(jobs, func() sim.Time {
-				return run(w, opts, runSpec{platform: p}).Time
-			})
-		}
-	}
-	times := parmap(opts, jobs)
+	queries := tpchQueries()
+	times := grid(opts, queries, platLinuxSSD, platBase, platTeleport)
 	for i, q := range queries {
 		ssd, base, tele := times[i*3], times[i*3+1], times[i*3+2]
-		t.AddRow(q, fm(ssd), fm(base), fm(tele),
+		t.AddRow(q.Name, fm(ssd), fm(base), fm(tele),
 			fx(ratio(ssd, base)), fx(ratio(ssd, tele)))
 	}
 	t.Notes = append(t.Notes, "paper: LegoOS 10x/65x/80x faster than SSD; TELEPORT 330x/210x/310x")
@@ -76,17 +63,11 @@ func fig15(opts Options) *Table {
 	var jobs []func() sim.Time
 	for _, pt := range points {
 		if pt.linux {
-			jobs = append(jobs, func() sim.Time {
-				return run(w, big, runSpec{platform: platLinuxSSD, cacheFrac: pt.frac}).Time
-			})
+			jobs = append(jobs, timed(w, big, runSpec{platform: platLinuxSSD, cacheFrac: pt.frac}))
 		}
 		jobs = append(jobs,
-			func() sim.Time {
-				return run(w, big, runSpec{platform: platBase, poolFrac: pt.frac}).Time
-			},
-			func() sim.Time {
-				return run(w, big, runSpec{platform: platTeleport, poolFrac: pt.frac}).Time
-			})
+			timed(w, big, runSpec{platform: platBase, poolFrac: pt.frac}),
+			timed(w, big, runSpec{platform: platTeleport, poolFrac: pt.frac}))
 	}
 	times := parmap(opts, jobs)
 	i := 0
@@ -117,13 +98,9 @@ func fig16(opts Options) *Table {
 	}
 	w := findWorkload("Q9")
 	clocks := []float64{0.4, 0.8, 1.2, 1.7, 2.1}
-	jobs := []func() sim.Time{
-		func() sim.Time { return run(w, opts, runSpec{platform: platBase}).Time },
-	}
+	jobs := []func() sim.Time{timed(w, opts, runSpec{platform: platBase})}
 	for _, clock := range clocks {
-		jobs = append(jobs, func() sim.Time {
-			return run(w, opts, runSpec{platform: platTeleport, memClock: clock}).Time
-		})
+		jobs = append(jobs, timed(w, opts, runSpec{platform: platTeleport, memClock: clock}))
 	}
 	times := parmap(opts, jobs)
 	base := times[0]
@@ -147,16 +124,8 @@ func fig17(opts Options) *Table {
 	}
 	const threads = 8
 	runWith := func(contexts int) sim.Time {
-		m := ddc.MustMachine(ddc.BaseDDC(1 << 20))
-		p := m.NewProcess()
-		d := tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale, Seed: opts.Seed})
-		p.ResizeCache(cacheBytes(p.Space.Allocated(), opts.CacheFrac))
-		rt := core.NewRuntime(p, contexts)
-		qty := d.DB.Table("lineitem").Col("l_quantity")
-		_, makespan, err := coldb.ParallelAggregate(p, rt, threads, qty, coldb.AggSum)
-		if err != nil {
-			panic(err)
-		}
+		var makespan sim.Time
+		run(parAgg(threads, &makespan), opts, runSpec{platform: platTeleport, contexts: contexts})
 		return makespan
 	}
 	var jobs []func() sim.Time
@@ -189,7 +158,7 @@ func fig18(opts Options) *Table {
 	// Profiling run on the base DDC to rank operators by memory intensity.
 	// Later data points depend on the ranking, so this one runs first.
 	prof := par1(opts, func() runOut { return run(w, opts, runSpec{platform: platBase}) })
-	ranked := rankByIntensity(prof.Profile)
+	ranked := profile.ByIntensity(prof.Profile)
 
 	levels := []struct {
 		label string
@@ -201,23 +170,16 @@ func fig18(opts Options) *Table {
 	// every level's speedup column.
 	var jobs []func() sim.Time
 	for _, clockFrac := range clockFracs {
-		clock := 2.1 * clockFrac
-		jobs = append(jobs, func() sim.Time {
-			return run(w, opts, runSpec{platform: platBase, memClock: clock}).Time
-		})
+		jobs = append(jobs, timed(w, opts, runSpec{platform: platBase, memClock: 2.1 * clockFrac}))
 	}
 	for _, lv := range levels {
 		if lv.k == 0 {
 			continue // the baseline runs above cover the "None" row
 		}
 		for _, clockFrac := range clockFracs {
-			clock := 2.1 * clockFrac
-			k := lv.k
-			jobs = append(jobs, func() sim.Time {
-				return run(w, opts, runSpec{
-					platform: platTeleport, memClock: clock, pushOps: ranked[:k],
-				}).Time
-			})
+			jobs = append(jobs, timed(w, opts, runSpec{
+				platform: platTeleport, memClock: 2.1 * clockFrac, pushOps: ranked[:lv.k],
+			}))
 		}
 	}
 	times := parmap(opts, jobs)
@@ -241,19 +203,4 @@ func fig18(opts Options) *Table {
 	t.Notes = append(t.Notes,
 		"paper at 50% clock: top-1 3.3x, top-4 27x, top-6 26x, all 24x; being too aggressive backfires")
 	return t
-}
-
-// rankByIntensity orders operator names by descending RM/s.
-func rankByIntensity(prof []profile.OpStat) []string {
-	ops := append([]profile.OpStat(nil), prof...)
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j].Intensity() > ops[j-1].Intensity(); j-- {
-			ops[j], ops[j-1] = ops[j-1], ops[j]
-		}
-	}
-	names := make([]string, len(ops))
-	for i, o := range ops {
-		names[i] = o.Name
-	}
-	return names
 }

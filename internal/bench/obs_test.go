@@ -63,7 +63,7 @@ func TestReportComponentsSumToTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.Report
+	r := res.Attribution
 	if r == nil {
 		t.Fatal("no report")
 	}
@@ -87,11 +87,11 @@ func TestReportComponentsSumToTotal(t *testing.T) {
 	}
 	var opNs int64
 	for _, o := range r.Ops {
-		if o.Comps.TotalNs() > o.Ns {
+		if o.Attr.TotalNs() > int64(o.Time) {
 			t.Fatalf("operator %s attributed %dns of %dns elapsed",
-				o.Name, o.Comps.TotalNs(), o.Ns)
+				o.Name, o.Attr.TotalNs(), o.Time)
 		}
-		opNs += o.Ns
+		opNs += int64(o.Time)
 	}
 	// Operators run inside the measured window; engine glue between
 	// operators is the only gap.
@@ -201,8 +201,8 @@ func TestAnalysisLayerDoesNotPerturbRuns(t *testing.T) {
 				t.Fatalf("analysis layer perturbed virtual time: %dns (off) vs %dns (on)",
 					a.Nanos, b.Nanos)
 			}
-			aj, _ := json.Marshal(a.Report)
-			bj, _ := json.Marshal(b.Report)
+			aj, _ := json.Marshal(a.Attribution)
+			bj, _ := json.Marshal(b.Attribution)
 			if !bytes.Equal(aj, bj) {
 				t.Fatalf("attribution diverged:\noff: %s\non:  %s", aj, bj)
 			}
@@ -253,7 +253,7 @@ func TestAnalysisArtifactsDeterministic(t *testing.T) {
 		if err := obs.WriteIncidentsJSONL(&ib, res.Incidents); err != nil {
 			t.Fatal(err)
 		}
-		if err := NewRunReport(res).WriteJSON(&rb); err != nil {
+		if err := res.WriteJSON(&rb); err != nil {
 			t.Fatal(err)
 		}
 		return fb.Bytes(), ib.Bytes(), rb.Bytes()
@@ -323,7 +323,7 @@ func TestPercentileAndProfileWiring(t *testing.T) {
 	if res.IncidentsTotal == 0 || len(res.Incidents) == 0 {
 		t.Fatal("chaos run tripped no incidents")
 	}
-	rr := NewRunReport(res)
+	rr := &res.RunReport
 	if len(rr.HotPaths) == 0 || rr.ProfileSelfNs <= 0 {
 		t.Fatalf("run report has no hot paths: %+v", rr)
 	}

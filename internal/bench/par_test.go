@@ -98,7 +98,10 @@ func TestRunAllParallelOrder(t *testing.T) {
 		t.Skip("full suite in -short mode")
 	}
 	opts := Options{Scale: 0.1, GraphNV: 2000, Words: 8000, Seed: 1, CacheFrac: 0.02, Parallel: 4}
-	tables := RunAll(opts)
+	tables, err := RunAll(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ids := Figures()
 	if len(tables) != len(ids) {
 		t.Fatalf("got %d tables, want %d", len(tables), len(ids))

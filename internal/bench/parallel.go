@@ -41,18 +41,6 @@ func workersFor(parallel int) int {
 	return parallel
 }
 
-// withPool returns a copy of o carrying the shared worker-token pool,
-// creating it if the options ask for parallelism. Options is passed by
-// value throughout the package; copies share the one channel.
-func (o Options) withPool() Options {
-	if o.pool == nil {
-		if w := workersFor(o.Parallel); w > 1 {
-			o.pool = make(chan struct{}, w)
-		}
-	}
-	return o
-}
-
 // parmap runs the jobs — concurrently when opts carries a pool — and
 // returns their results ordered by job index. Each job acquires one pool
 // token for the duration of its execution, bounding the number of

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"teleport/internal/metrics"
+	"teleport/internal/profile"
 	"teleport/internal/sim"
 )
 
@@ -23,16 +24,8 @@ type Report struct {
 	TotalNs int64           `json:"total_ns"`
 	Comps   metrics.TimeSet `json:"components_ns"`
 
-	Ops []OpRow `json:"ops"`
-}
-
-// OpRow is one operator's share of the run.
-type OpRow struct {
-	Name        string          `json:"name"`
-	Ns          int64           `json:"ns"`
-	RemoteBytes int64           `json:"remote_bytes"`
-	Pushed      bool            `json:"pushed"`
-	Comps       metrics.TimeSet `json:"components_ns"`
+	// Ops is the executor's per-operator profile, in first-execution order.
+	Ops []profile.OpStat `json:"ops"`
 }
 
 // ComputeNs returns the run's compute residual.
@@ -40,22 +33,11 @@ func (r *Report) ComputeNs() int64 { return r.TotalNs - r.Comps.TotalNs() }
 
 // newReport assembles the attribution report for one execution.
 func newReport(workload, platform string, out runOut) *Report {
-	r := &Report{
-		Workload: workload,
-		Platform: platform,
-		TotalNs:  out.Attr.TotalNs,
-		Comps:    out.Attr.Comps,
+	return &Report{
+		Workload: workload, Platform: platform,
+		TotalNs: out.Attr.TotalNs, Comps: out.Attr.Comps,
+		Ops: out.Profile,
 	}
-	for _, o := range out.Profile {
-		r.Ops = append(r.Ops, OpRow{
-			Name:        o.Name,
-			Ns:          int64(o.Time),
-			RemoteBytes: o.RemoteByte,
-			Pushed:      o.Pushed,
-			Comps:       o.Attr,
-		})
-	}
-	return r
 }
 
 // Fprint renders the report as two tables: the run-level component
@@ -103,11 +85,11 @@ func (r *Report) Fprint(w io.Writer) {
 		if o.Pushed {
 			pushed = "push"
 		}
-		ot.AddRow(o.Name, secs(o.Ns), pushed,
-			fmt.Sprintf("%.1f", float64(o.RemoteBytes)/(1<<20)),
-			secs(o.Ns-o.Comps.TotalNs()),
-			secs(o.Comps.LayerNs("net")), secs(o.Comps.LayerNs("ssd")),
-			secs(o.Comps.LayerNs("paging")), secs(o.Comps.LayerNs("pushdown")))
+		ot.AddRow(o.Name, secs(int64(o.Time)), pushed,
+			fmt.Sprintf("%.1f", float64(o.RemoteByte)/(1<<20)),
+			secs(int64(o.Time)-o.Attr.TotalNs()),
+			secs(o.Attr.LayerNs("net")), secs(o.Attr.LayerNs("ssd")),
+			secs(o.Attr.LayerNs("paging")), secs(o.Attr.LayerNs("pushdown")))
 	}
 	ot.Fprint(w)
 }

@@ -5,16 +5,24 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
+	"teleport/internal/core"
+	"teleport/internal/ddc"
+	"teleport/internal/fault"
 	"teleport/internal/obs"
+	"teleport/internal/sim"
 )
 
 // RunReport is the unified per-run observability report: the attribution
 // breakdown, per-operation latency percentiles, the hottest span paths from
 // the virtual-time profile, and the run's availability/incident summary —
-// one artifact an operator (or CI) reads instead of four. Marshals to JSON
-// deterministically; Fprint renders the human form.
+// one artifact an operator (or CI) reads instead of four. RunWorkload builds
+// it once, as part of the WorkloadResult. Marshals to JSON deterministically;
+// Fprint renders the human form.
 type RunReport struct {
+	// Schema is ReportSchema at the time the report was written.
+	Schema   int     `json:"schema"`
 	Workload string  `json:"workload"`
 	Platform string  `json:"platform"`
 	Seconds  float64 `json:"seconds"`
@@ -54,63 +62,46 @@ type IncidentKind struct {
 // dump has every path.
 const reportTopK = 12
 
-// NewRunReport assembles the unified report from one workload result.
-func NewRunReport(res WorkloadResult) *RunReport {
-	rr := &RunReport{
-		Workload:      res.Workload,
-		Platform:      res.Platform,
-		Seconds:       res.Seconds,
-		Nanos:         res.Nanos,
-		Attribution:   res.Report,
-		Latency:       res.Latency,
-		DroppedEvents: res.DroppedEvents,
-		Fault:         res.Fault,
+// ReportSchema versions RunReport's JSON form. 2: the schema stamp itself,
+// and the fault block's shard and runtime counters nested under "Shards" and
+// "Runtime" (ddc.ShardStat, core.RuntimeStats) instead of flattened copies.
+const ReportSchema = 2
+
+// setIncidents records the flight recorder's summary: every trigger, the
+// retained records, and the retained records' count per kind.
+func (rr *RunReport) setIncidents(total int, kept []obs.Incident) {
+	if total == 0 {
+		return
 	}
-	if p := res.SpanProfile; p != nil {
-		rr.HotPaths = p.TopK(reportTopK)
-		rr.ProfileSelfNs = p.TotalSelfNs()
-		rr.SkippedSpans = p.SkippedSpans
+	rr.IncidentsTotal = total
+	rr.IncidentsKept = len(kept)
+	byKind := map[string]int{}
+	for _, inc := range kept {
+		byKind[inc.Kind]++
 	}
-	if res.IncidentsTotal > 0 {
-		rr.IncidentsTotal = res.IncidentsTotal
-		rr.IncidentsKept = len(res.Incidents)
-		byKind := map[string]int{}
-		for _, inc := range res.Incidents {
-			byKind[inc.Kind]++
-		}
-		kinds := make([]string, 0, len(byKind))
-		for k := range byKind {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			rr.IncidentKinds = append(rr.IncidentKinds, IncidentKind{Kind: k, Count: byKind[k]})
-		}
+	kinds := make([]string, 0, len(byKind))
+	for k := range byKind {
+		kinds = append(kinds, k)
 	}
-	return rr
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		rr.IncidentKinds = append(rr.IncidentKinds, IncidentKind{Kind: k, Count: byKind[k]})
+	}
 }
 
 // WriteJSON writes the report as one indented JSON document. Deterministic:
 // struct field order is fixed and every slice is pre-sorted.
 func (rr *RunReport) WriteJSON(w io.Writer) error {
-	if rr == nil {
-		return nil
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rr)
 }
 
-// Fprint renders the human form: attribution tables, then the percentile
-// table, the hot-path table, and the incident summary, skipping sections the
-// run did not collect.
+// Fprint renders the observability sections in human form — the percentile
+// table, the hot-path table, the incident summary and the chaos report —
+// skipping those the run did not collect. The attribution tables print
+// through Attribution.Fprint.
 func (rr *RunReport) Fprint(w io.Writer) {
-	if rr == nil {
-		return
-	}
-	if rr.Attribution != nil {
-		rr.Attribution.Fprint(w)
-	}
 	if len(rr.Latency) > 0 {
 		t := &Table{
 			Figure: "report",
@@ -160,6 +151,159 @@ func (rr *RunReport) Fprint(w io.Writer) {
 	if rr.Fault != nil {
 		fmt.Fprintln(w, rr.Fault.String())
 	}
+}
+
+// Fprint renders one workload execution as cmd/ddcsim prints it: the
+// virtual-time summary, the per-operator profile, the attribution tables
+// when asked for, and the report's observability sections.
+func (r *WorkloadResult) Fprint(w io.Writer, attribution bool) {
+	fmt.Fprintf(w, "%s on %s: %.6f s (virtual)\n\n", r.Workload, r.Platform, r.Seconds)
+	fmt.Fprintf(w, "  %-14s %12s %10s %12s %8s\n", "operator", "time(s)", "calls", "remote(KB)", "pushed")
+	for _, o := range r.Attribution.Ops {
+		fmt.Fprintf(w, "  %-14s %12.6f %10d %12.1f %8v\n",
+			o.Name, o.Time.Seconds(), o.Calls, float64(o.RemoteByte)/1024, o.Pushed)
+	}
+	fmt.Fprintln(w)
+	if attribution {
+		r.Attribution.Fprint(w)
+	}
+	r.RunReport.Fprint(w)
+}
+
+// FaultReport aggregates what a chaos run injected and how each layer
+// recovered.
+type FaultReport struct {
+	Profile string
+	Seed    int64
+
+	// Injected is the plan's own count of every fault it produced.
+	Injected fault.Counters
+
+	// Recovery, layer by layer.
+	FabricRetries  int64 // messages retransmitted by the fabric
+	FabricDrops    int64 // messages lost (each one was retransmitted)
+	SSDReadRetries int64 // device-level re-reads
+	PoolStalls     int64 // paging operations that waited out a pool outage
+
+	// Availability: concrete downtime through the run's end, replacing the
+	// opaque window counts. LinkDowntime is the union of every directed
+	// link's outage windows, set when the plan could partition links at all
+	// (multi-shard pools only).
+	PoolDowntime  sim.Time   // total whole-controller downtime
+	ShardDowntime []sim.Time // per-shard downtime, indexed by shard
+	LinkFaults    bool
+	LinkDowntime  sim.Time
+
+	// Shards sums the sharded pool's failover, re-sync, hinted-handoff,
+	// read-repair and quorum-stall activity over its shards (zero on a
+	// single-shard pool; see internal/ddc).
+	Shards ddc.ShardStat
+
+	// Runtime is the TELEPORT runtime's view of the run: what it observed
+	// down, retried, degraded to local execution, shed, rolled back and
+	// short-circuited (teleport platforms only; zero elsewhere).
+	Runtime core.RuntimeStats
+
+	// Tail latency under injection (Options.Percentiles runs only; nil
+	// otherwise): the operation classes whose distribution chaos distorts
+	// most — end-to-end pushdown (retries, backoff and fallbacks included),
+	// remote page faults, and paging stalls waiting out pool outages.
+	PushE2E     *obs.Percentiles // push.e2e.ns
+	RemoteFault *obs.Percentiles // fault.remote.ns
+	PoolStall   *obs.Percentiles // pool.stall.ns
+}
+
+// String renders the report as one summary block. A nil report (fault-free
+// run) renders as a placeholder instead of panicking, so callers can print
+// result.Fault unconditionally.
+func (f *FaultReport) String() string {
+	if f == nil {
+		return "chaos: none"
+	}
+	// The injected line omits the plan's raw window counts; the
+	// availability line reports the outages as concrete downtime instead.
+	i := f.Injected
+	sh, rt := f.Shards, f.Runtime
+	avail := fmt.Sprintf("pool-downtime=%v", f.PoolDowntime)
+	if len(f.ShardDowntime) > 0 {
+		per := make([]string, len(f.ShardDowntime))
+		for s, d := range f.ShardDowntime {
+			per[s] = fmt.Sprintf("s%d=%v", s, d)
+		}
+		avail += fmt.Sprintf(", shard-downtime=[%s], failover-reads=%d resync-pages=%d shard-stalls=%d",
+			strings.Join(per, " "), sh.FailoverReads, sh.ResyncPages, sh.Stalls)
+	}
+	if f.LinkFaults || f.LinkDowntime > 0 || sh.HandoffRecords+sh.HandoffReplays+sh.ReadRepairs+sh.QuorumStalls+rt.QuorumLostObserved+rt.QuorumAborts > 0 {
+		avail += fmt.Sprintf("\n  partition: link-downtime=%v handoffs=%d replays=%d heals=%d read-repairs=%d stale-averted=%d quorum-stalls=%d quorum-lost=%d quorum-aborts=%d",
+			f.LinkDowntime, sh.HandoffRecords, sh.HandoffReplays, sh.PartitionHeals,
+			sh.ReadRepairs, sh.StaleReadsAverted, sh.QuorumStalls, rt.QuorumLostObserved, rt.QuorumAborts)
+	}
+	s := fmt.Sprintf(
+		"chaos profile=%s seed=%d\n  injected: drops=%d corrupt=%d spikes=%d ctx-crashes=%d ctx-mid-crashes=%d ssd-errs=%d\n  availability: %s\n  recovered: fabric retries=%d drops=%d, ssd re-reads=%d, pool stalls=%d\n  pushdown: pool-down obs=%d shard-down obs=%d ctx crashes=%d retries=%d local fallbacks=%d\n  crash-consistency: rollbacks=%d (pages=%d) shed=%d deadline-aborts=%d breaker opens=%d closes=%d short-circuits=%d",
+		f.Profile, f.Seed,
+		i.Drops, i.Corruptions, i.Spikes, i.CtxCrashes, i.CtxMidCrashes, i.SSDReadErrors,
+		avail,
+		f.FabricRetries, f.FabricDrops, f.SSDReadRetries, f.PoolStalls,
+		rt.PoolDownObserved, rt.ShardDownObserved, rt.CtxCrashes, rt.Retries, rt.LocalFallbacks,
+		rt.Rollbacks, rt.RolledBackPages, rt.Shed, rt.DeadlineAborts,
+		rt.BreakerOpens, rt.BreakerCloses, rt.BreakerShortCircuits)
+	tails := []struct {
+		name string
+		p    *obs.Percentiles
+	}{{"push-e2e", f.PushE2E}, {"remote-fault", f.RemoteFault}, {"pool-stall", f.PoolStall}}
+	for _, t := range tails {
+		if t.p == nil {
+			continue
+		}
+		s += fmt.Sprintf("\n  tail %s: n=%d p50=%s p99=%s p999=%s max=%s",
+			t.name, t.p.Count, fmtNs(t.p.P50), fmtNs(t.p.P99), fmtNs(t.p.P999), fmtNs(float64(t.p.MaxNs)))
+	}
+	return s
+}
+
+// newFaultReport reads what the run's fault plan injected and how each
+// layer recovered off the finished machine; the tails point into the run's
+// latency summary (empty unless Options.Percentiles).
+func newFaultReport(opts Options, out runOut, latency []obs.OpLatency) *FaultReport {
+	m := out.Proc.M
+	tot := m.Fabric.Total()
+	fr := &FaultReport{
+		Profile:        opts.chaos.Name,
+		Seed:           opts.ChaosSeed,
+		Injected:       m.Fault.Counters(),
+		FabricRetries:  tot.Retries,
+		FabricDrops:    tot.Drops,
+		SSDReadRetries: m.SSD.Stats().ReadRetries,
+		PoolStalls:     m.PoolStalls,
+		PoolDowntime:   m.Fault.Downtime(out.End, fault.Pool()),
+		Shards:         m.ShardTotals(),
+	}
+	if k := m.Cfg.Shards(); k > 1 {
+		fr.ShardDowntime = make([]sim.Time, k)
+		for s := range fr.ShardDowntime {
+			fr.ShardDowntime[s] = m.Fault.Downtime(out.End, fault.Shard(s))
+		}
+		if opts.chaos.LinkMeanUp > 0 || opts.chaos.SplitMeanUp > 0 {
+			// One degraded figure over every directed link — compute↔shard
+			// and shard↔shard, both directions.
+			fr.LinkFaults = true
+			fr.LinkDowntime = m.Fault.Downtime(out.End, fault.Links(k)...)
+		}
+	}
+	if out.RT != nil {
+		fr.Runtime = out.RT.Stats()
+	}
+	for i := range latency {
+		switch ol := &latency[i]; ol.Name {
+		case "push.e2e.ns":
+			fr.PushE2E = &ol.Percentiles
+		case "fault.remote.ns":
+			fr.RemoteFault = &ol.Percentiles
+		case "pool.stall.ns":
+			fr.PoolStall = &ol.Percentiles
+		}
+	}
+	return fr
 }
 
 // fmtNs renders virtual nanoseconds human-readably (ns/µs/ms/s by

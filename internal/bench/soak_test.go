@@ -112,29 +112,13 @@ func TestChaosSoak(t *testing.T) {
 			fr := &FaultReport{
 				Profile: prof, Seed: -1, Injected: a.injected,
 				FabricRetries: a.retries, PoolStalls: a.stalls,
-				SSDReadRetries:       a.injected.SSDReadErrors,
-				FailoverReads:        a.failovers,
-				ResyncPages:          a.resync,
-				ShardStalls:          a.shStalls,
-				PoolDownObserved:     a.rt.PoolDownObserved,
-				ShardDownObserved:    a.rt.ShardDownObserved,
-				CtxCrashes:           a.rt.CtxCrashes,
-				PushRetries:          a.rt.Retries,
-				LocalFallbacks:       a.rt.LocalFallbacks,
-				Shed:                 a.rt.Shed,
-				DeadlineAborts:       a.rt.DeadlineAborts,
-				Rollbacks:            a.rt.Rollbacks,
-				RolledBackPages:      a.rt.RolledBackPages,
-				BreakerOpens:         a.rt.BreakerOpens,
-				BreakerCloses:        a.rt.BreakerCloses,
-				BreakerShortCircuits: a.rt.BreakerShortCircuits,
-				HandoffRecords:       a.handoffs,
-				HandoffReplays:       a.replays,
-				ReadRepairs:          a.repairs,
-				StaleReadsAverted:    a.stale,
-				QuorumStalls:         a.qstalls,
-				QuorumLostObserved:   a.rt.QuorumLostObserved,
-				QuorumAborts:         a.rt.QuorumAborts,
+				SSDReadRetries: a.injected.SSDReadErrors,
+				Shards: ddc.ShardStat{
+					FailoverReads: a.failovers, ResyncPages: a.resync, Stalls: a.shStalls,
+					HandoffRecords: a.handoffs, HandoffReplays: a.replays,
+					ReadRepairs: a.repairs, StaleReadsAverted: a.stale, QuorumStalls: a.qstalls,
+				},
+				Runtime: a.rt,
 			}
 			// Per-shard availability: aggregate downtime per shard index
 			// across the profile's runs (trailing all-zero shards trimmed).

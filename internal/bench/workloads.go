@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"cmp"
+	"math"
+
 	"teleport/internal/coldb"
 	"teleport/internal/core"
 	"teleport/internal/ddc"
@@ -25,23 +28,24 @@ type workload struct {
 	// PushOps is the operator set TELEPORT pushes for this workload
 	// (§5's per-system choices).
 	PushOps []string
-	// CacheFrac overrides the default compute-cache fraction and
-	// CacheBytes overrides it absolutely (the graph workloads pin the
-	// scaled equivalent of the paper's 1 GB: slightly more than the hot
-	// vertex state, so the edge scans and message scatters miss — the
-	// regime PowerGraph sits in on the testbed).
-	CacheFrac  float64
+	// CacheBytes overrides the compute-cache fraction absolutely (the graph
+	// workloads pin the scaled equivalent of the paper's 1 GB: slightly
+	// more than the hot vertex state, so the edge scans and message
+	// scatters miss — the regime PowerGraph sits in on the testbed).
 	CacheBytes int64
-	// Build loads the dataset into p and returns the query runner.
-	Build func(p *ddc.Process, opts Options) func(ex *profile.Exec)
+	// Build loads the dataset into p and returns the query runner, which
+	// reports the bits of the query's scalar answer (0 when it has none).
+	Build func(p *ddc.Process, opts Options) func(ex *profile.Exec) uint64
 }
 
-func tpchWorkload(name string, pushOps []string, run func(ex *profile.Exec, d *tpch.Data)) workload {
+// tpchWorkload is the package's one TPC-H load site: every query, figure
+// cell and public run that needs the tables is a workload built here.
+func tpchWorkload(name string, pushOps []string, run func(ex *profile.Exec, d *tpch.Data) uint64) workload {
 	return workload{
 		Name: name, System: "coldb", PushOps: pushOps,
-		Build: func(p *ddc.Process, opts Options) func(ex *profile.Exec) {
+		Build: func(p *ddc.Process, opts Options) func(ex *profile.Exec) uint64 {
 			d := tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale, Seed: opts.Seed})
-			return func(ex *profile.Exec) { run(ex, d) }
+			return func(ex *profile.Exec) uint64 { return run(ex, d) }
 		},
 	}
 }
@@ -51,12 +55,12 @@ func graphWorkload(name string, prog func(opts Options) graph.Program, undirecte
 		Name: name, System: "graph",
 		PushOps:    []string{graph.OpFinalize, graph.OpScatter, graph.OpGather},
 		CacheBytes: 540 << 10,
-		Build: func(p *ddc.Process, opts Options) func(ex *profile.Exec) {
+		Build: func(p *ddc.Process, opts Options) func(ex *profile.Exec) uint64 {
 			g, _ := graph.Generate(p, graph.GenConfig{
 				NV: opts.GraphNV, AvgDegree: 6, Seed: opts.Seed, Undirected: undirected,
 			})
 			eng := graph.NewEngine(g, prog(opts), 4)
-			return func(ex *profile.Exec) { eng.Run(ex) }
+			return func(ex *profile.Exec) uint64 { eng.Run(ex); return 0 }
 		},
 	}
 }
@@ -65,12 +69,12 @@ func mrWorkload(name string, job func(opts Options) mapreduce.Job) workload {
 	return workload{
 		Name: name, System: "mapreduce",
 		PushOps: []string{mapreduce.OpMapShuffle},
-		Build: func(p *ddc.Process, opts Options) func(ex *profile.Exec) {
+		Build: func(p *ddc.Process, opts Options) func(ex *profile.Exec) uint64 {
 			c, _ := mapreduce.GenerateCorpus(p, mapreduce.CorpusConfig{
 				Words: opts.Words, Vocab: 4000, Seed: opts.Seed,
 			})
 			eng := mapreduce.NewEngine(c, job(opts), 4, 8)
-			return func(ex *profile.Exec) { eng.Run(ex) }
+			return func(ex *profile.Exec) uint64 { eng.Run(ex); return 0 }
 		},
 	}
 }
@@ -85,14 +89,16 @@ var (
 // allWorkloads returns the eight Figure 3/13 workloads.
 func allWorkloads() []workload {
 	return []workload{
-		tpchWorkload("Q9", q9Push, func(ex *profile.Exec, d *tpch.Data) {
+		tpchWorkload("Q9", q9Push, func(ex *profile.Exec, d *tpch.Data) uint64 {
 			tpch.Q9(ex, d, tpch.GreenPart)
+			return 0
 		}),
-		tpchWorkload("Q3", q3Push, func(ex *profile.Exec, d *tpch.Data) {
+		tpchWorkload("Q3", q3Push, func(ex *profile.Exec, d *tpch.Data) uint64 {
 			tpch.Q3(ex, d, 0, 1100)
+			return 0
 		}),
-		tpchWorkload("Q6", q6Push, func(ex *profile.Exec, d *tpch.Data) {
-			tpch.Q6(ex, d, 730)
+		tpchWorkload("Q6", q6Push, func(ex *profile.Exec, d *tpch.Data) uint64 {
+			return math.Float64bits(tpch.Q6(ex, d, 730))
 		}),
 		graphWorkload("SSSP", func(Options) graph.Program { return graph.SSSP(0) }, false),
 		graphWorkload("RE", func(Options) graph.Program { return graph.Reachability(0) }, false),
@@ -102,24 +108,47 @@ func allWorkloads() []workload {
 	}
 }
 
-// extraWorkloads are available through the public API (cmd/ddcsim) beyond
-// the paper's evaluation set: Q_filter and Q1 on the DBMS, PageRank on the
-// graph engine.
-func extraWorkloads() []workload {
-	return []workload{
-		tpchWorkload("QFilter", []string{tpch.OpSelection, tpch.OpProjection, tpch.OpAggregation},
-			func(ex *profile.Exec, d *tpch.Data) { tpch.QFilter(ex, d, 1460) }),
-		tpchWorkload("Q1", []string{tpch.OpSelection, tpch.OpExpression, tpch.OpGroup},
-			func(ex *profile.Exec, d *tpch.Data) { tpch.Q1(ex, d, 2400) }),
-		graphWorkload("PR", func(opts Options) graph.Program {
-			return graph.PageRank(10, opts.GraphNV)
-		}, false),
-	}
+// tpchQueries are the three TPC-H queries of the evaluation: Q9, Q3, Q6.
+func tpchQueries() []workload { return allWorkloads()[:3] }
+
+// qFilter is Q_filter pushing all three of its operators (Figure 12).
+func qFilter() workload {
+	return tpchWorkload("QFilter", tpch.QFilterOps, func(ex *profile.Exec, d *tpch.Data) uint64 {
+		return math.Float64bits(tpch.QFilter(ex, d, 1460))
+	})
 }
 
-// publicWorkloads is the evaluation set plus the extras.
+// parAgg is the parallel aggregation of Figures 17 and A5: `workers`
+// compute-pool threads sum lineitem.l_quantity, each Teleporting its
+// partition when the platform has a runtime. The threads run under the
+// aggregation's own scheduler, so its result is that scheduler's makespan
+// (stored through the pointer), not the driving thread's operator time.
+func parAgg(workers int, makespan *sim.Time) workload {
+	return tpchWorkload("ParAgg", nil, func(ex *profile.Exec, d *tpch.Data) uint64 {
+		qty := d.DB.Table("lineitem").Col("l_quantity")
+		sum, span, err := coldb.ParallelAggregate(ex.P, ex.RT, workers, qty, coldb.AggSum)
+		if err != nil {
+			panic(err)
+		}
+		*makespan = span
+		return math.Float64bits(sum)
+	})
+}
+
+// publicWorkloads is the evaluation set plus the extras available through
+// the public API (cmd/ddcsim): Q_filter and Q1 on the DBMS, PageRank on the
+// graph engine.
 func publicWorkloads() []workload {
-	return append(allWorkloads(), extraWorkloads()...)
+	return append(allWorkloads(),
+		qFilter(),
+		tpchWorkload("Q1", []string{tpch.OpSelection, tpch.OpExpression, tpch.OpGroup},
+			func(ex *profile.Exec, d *tpch.Data) uint64 {
+				tpch.Q1(ex, d, 2400)
+				return 0
+			}),
+		graphWorkload("PR", func(opts Options) graph.Program {
+			return graph.PageRank(10, opts.GraphNV)
+		}, false))
 }
 
 // platform selects how a workload runs.
@@ -134,21 +163,20 @@ const (
 
 // runSpec tweaks a single workload execution.
 type runSpec struct {
-	platform    platform
-	cacheFrac   float64 // compute/local cache as fraction of the working set
-	cacheBytes  int64   // absolute cache size (overrides cacheFrac when >0)
-	poolFrac    float64 // memory pool DRAM fraction (0 = unbounded)
-	memClock    float64 // memory-pool clock override (0 = testbed)
-	contexts    int     // pushdown contexts (0 = 1)
-	prefetch    *int    // base-DDC prefetch depth override (nil = preset)
-	pushOps     []string
-	pushFlags   core.Flags
-	hwMut       func(*hw.Config)
-	shards      int            // pool shards (0 = Options.PoolShards)
-	replicas    int            // per-page copies (0 = Options.Replicas)
-	writeQuorum int            // write quorum W (0 = Options.WriteQuorum)
-	chaos       *fault.Profile // fault profile override (nil = Options.ChaosProfile)
-	chaosSeed   int64          // seed override for the chaos plan (0 = Options)
+	platform  platform
+	cacheFrac float64 // compute/local cache as fraction of the working set
+	poolFrac  float64 // memory pool DRAM fraction (0 = unbounded)
+	memClock  float64 // memory-pool clock override (0 = testbed)
+	contexts  int     // pushdown contexts (0 = 1)
+	prefetch  *int    // base-DDC prefetch depth override (nil = preset)
+	pushOps   []string
+	hwMut     func(*hw.Config)
+
+	// shards > 0 pins the pool topology for a figure that sweeps it
+	// (A6/A7); otherwise the pool follows Options like every other cell.
+	shards, replicas, writeQuorum int
+	// chaos is a figure's ad-hoc fault profile (nil = Options.ChaosProfile).
+	chaos *fault.Profile
 }
 
 // runOut is one execution's result.
@@ -156,16 +184,16 @@ type runOut struct {
 	Time    sim.Time
 	Profile []profile.OpStat
 	Proc    *ddc.Process
-	Exec    *profile.Exec
 	RT      *core.Runtime
+	// Answer is the bits of the query's scalar answer (0 when the workload
+	// has none); the availability figures compare it across fault rates.
+	Answer uint64
 	// End is the driving thread's clock when the run finished (load +
 	// query); downtime accounting clips fault windows to it.
 	End sim.Time
 	// Attr partitions the driving thread's query-phase time by component
 	// (always collected; costs no virtual time).
 	Attr metrics.Attribution
-	// Reg is the metrics registry, non-nil when Options.Metrics is set.
-	Reg *metrics.Registry
 	// Rec is the flight recorder, non-nil when Options.IncidentEvents > 0.
 	Rec *obs.Recorder
 }
@@ -187,17 +215,55 @@ func (o Options) traceCap() int {
 // cheap (each event is ~80 bytes).
 const defaultTraceCap = 1 << 18
 
-// run executes w under spec.
-func run(w workload, opts Options, spec runSpec) runOut {
-	if spec.cacheBytes == 0 {
-		spec.cacheBytes = w.CacheBytes
+// resolve is the one place options are validated and defaulted. Every entry
+// point (Run, RunAll, RunWorkloads, Advise, RunCluster) calls it once and
+// hands the copy to its data points: the chaos profile looked up — an
+// unknown name is an error, not a fault-free run — the chaos seed defaulted
+// to Seed, the pool topology checked against ddc's rules, and the shared
+// worker-token pool created when the options ask for parallelism.
+func (o Options) resolve() (Options, error) {
+	prof, err := fault.ByName(o.ChaosProfile)
+	if err != nil {
+		return o, err
 	}
-	if spec.cacheFrac == 0 {
-		spec.cacheFrac = w.CacheFrac
+	if prof.Name != "none" {
+		o.chaos = &prof
 	}
-	if spec.cacheFrac == 0 {
-		spec.cacheFrac = opts.CacheFrac
+	if o.ChaosSeed == 0 {
+		o.ChaosSeed = o.Seed
 	}
+	cfg := ddc.BaseDDC(1 << 20)
+	o.setTopology(&cfg)
+	if err := cfg.Validate(); err != nil {
+		return o, err
+	}
+	if w := workersFor(o.Parallel); w > 1 && o.pool == nil {
+		o.pool = make(chan struct{}, w)
+	}
+	return o, nil
+}
+
+// setTopology shapes a disaggregated config's memory pool as the options ask.
+func (o Options) setTopology(cfg *ddc.Config) {
+	cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = o.PoolShards, o.Replicas, o.WriteQuorum
+}
+
+// attachFault gives machine number i of a run its deterministic fault plan:
+// prof seeded by the resolved chaos seed, offset per machine so the members
+// of a cluster fail independently. A nil profile injects nothing.
+func (o Options) attachFault(m *ddc.Machine, prof *fault.Profile, i int) {
+	if prof != nil {
+		m.AttachFault(fault.NewPlan(*prof, o.ChaosSeed+int64(i)*1000003))
+	}
+}
+
+// prepare sets one data point up to run w under spec: resolved options +
+// spec → ddc.Config → machine → observers → fault plan → process → dataset →
+// cache/pool sizing → runtime. It returns the executor on a fresh driving
+// thread, the query to run on it and the flight recorder (nil unless armed).
+// Every figure cell and public run is set up here, so each dataset loader
+// has one call site.
+func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profile.Exec) uint64, *obs.Recorder) {
 	var cfg ddc.Config
 	switch spec.platform {
 	case platLocal:
@@ -216,24 +282,17 @@ func run(w workload, opts Options, spec runSpec) runOut {
 	if spec.hwMut != nil {
 		spec.hwMut(&cfg.HW)
 	}
-	if cfg.Disaggregated {
-		if cfg.PoolShards = spec.shards; cfg.PoolShards == 0 {
-			cfg.PoolShards = opts.PoolShards
-		}
-		if cfg.Replicas = spec.replicas; cfg.Replicas == 0 {
-			cfg.Replicas = opts.Replicas
-		}
-		if cfg.WriteQuorum = spec.writeQuorum; cfg.WriteQuorum == 0 {
-			cfg.WriteQuorum = opts.WriteQuorum
-		}
+	if spec.shards > 0 {
+		cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = spec.shards, spec.replicas, spec.writeQuorum
+	} else if cfg.Disaggregated {
+		opts.setTopology(&cfg)
 	}
 	m := ddc.MustMachine(cfg)
 	if cap := opts.traceCap(); cap > 0 {
 		m.AttachTrace(trace.New(cap))
 	}
-	var reg *metrics.Registry
 	if opts.Metrics || opts.Percentiles {
-		reg = metrics.NewRegistry()
+		reg := metrics.NewRegistry()
 		reg.SetSampleCap(opts.ExactQuantiles)
 		m.AttachMetrics(reg)
 	}
@@ -242,75 +301,78 @@ func run(w workload, opts Options, spec runSpec) runOut {
 		rec = obs.NewRecorder(m.Trace, opts.IncidentEvents, m.CounterSource())
 		m.Trace.SetObserver(rec.Observe)
 	}
-	chaosProf := fault.Profile{Name: "none"}
+	prof := opts.chaos
 	if spec.chaos != nil {
-		chaosProf = *spec.chaos
-	} else if prof, err := fault.ByName(opts.ChaosProfile); err == nil {
-		chaosProf = prof
+		prof = spec.chaos
 	}
-	if chaosProf.Name != "none" {
-		seed := spec.chaosSeed
-		if seed == 0 {
-			seed = opts.ChaosSeed
-		}
-		if seed == 0 {
-			seed = opts.Seed
-		}
-		m.AttachFault(fault.NewPlan(chaosProf, seed))
-	}
+	opts.attachFault(m, prof, 0)
 	p := m.NewProcess()
-	runFn := w.Build(p, opts)
+	query := w.Build(p, opts)
 
 	ws := p.Space.Allocated()
-	if spec.cacheBytes > 0 {
-		p.ResizeCache(spec.cacheBytes)
+	if w.CacheBytes > 0 {
+		p.ResizeCache(w.CacheBytes)
 	} else {
-		p.ResizeCache(cacheBytes(ws, spec.cacheFrac))
+		p.ResizeCache(cacheBytes(ws, cmp.Or(spec.cacheFrac, opts.CacheFrac)))
 	}
 	if spec.poolFrac > 0 {
 		p.ResizePool(int64(float64(ws) * spec.poolFrac))
 	}
 
 	th := sim.NewThread(w.Name)
-	var rt *core.Runtime
-	ex := profile.NewExec(th, p, nil)
-	if spec.platform == platTeleport {
-		contexts := spec.contexts
-		if contexts == 0 {
-			contexts = 1
-		}
-		rt = core.NewRuntime(p, contexts)
-		rt.QueueCap = opts.PushQueueCap
-		if opts.BreakerThreshold > 0 {
-			rt.Breaker.Threshold = opts.BreakerThreshold
-		} else if opts.BreakerThreshold < 0 {
-			rt.Breaker.Threshold = 0 // disabled
-		}
-		if opts.BreakerCooldown > 0 {
-			rt.Breaker.Cooldown = opts.BreakerCooldown
-		}
-		ex = profile.NewExec(th, p, rt)
-		push := spec.pushOps
-		if push == nil {
-			push = w.PushOps
-		}
-		ex.Push(push...)
-		ex.PushFlags = spec.pushFlags
-		ex.PushDeadline = opts.PushDeadline
+	if spec.platform != platTeleport {
+		return profile.NewExec(th, p, nil), query, rec
 	}
+	rt := core.NewRuntime(p, cmp.Or(spec.contexts, 1))
+	rt.QueueCap = opts.PushQueueCap
+	if t := opts.BreakerThreshold; t != 0 {
+		rt.Breaker.Threshold = max(t, 0) // negative disables
+	}
+	if opts.BreakerCooldown > 0 {
+		rt.Breaker.Cooldown = opts.BreakerCooldown
+	}
+	ex := profile.NewExec(th, p, rt)
+	push := spec.pushOps
+	if push == nil {
+		push = w.PushOps
+	}
+	ex.Push(push...)
+	ex.PushDeadline = opts.PushDeadline
+	return ex, query, rec
+}
+
+// run prepares w under spec and executes its query.
+func run(w workload, opts Options, spec runSpec) runOut {
+	ex, query, rec := prepare(w, opts, spec)
+	m, th := ex.P.M, ex.T
 	attrBefore := *m.Times
 	tstart := th.Now()
-	runFn(ex)
+	answer := query(ex)
 	return runOut{
-		Time: ex.Total(), Profile: ex.Profile(), Proc: p, Exec: ex, RT: rt,
-		End: th.Now(),
+		Time: ex.Total(), Profile: ex.Profile(), Proc: ex.P, RT: ex.RT,
+		Answer: answer, End: th.Now(), Rec: rec,
 		Attr: metrics.Attribution{
 			TotalNs: int64(th.Now() - tstart),
 			Comps:   m.Times.Sub(attrBefore),
 		},
-		Reg: reg,
-		Rec: rec,
 	}
+}
+
+// timed is the commonest figure cell: one run's summed operator time.
+func timed(w workload, opts Options, spec runSpec) func() sim.Time {
+	return func() sim.Time { return run(w, opts, spec).Time }
+}
+
+// grid runs every workload on every platform and returns the times
+// workload-major: times[i*len(plats)+j] is ws[i] on plats[j].
+func grid(opts Options, ws []workload, plats ...platform) []sim.Time {
+	var jobs []func() sim.Time
+	for _, w := range ws {
+		for _, p := range plats {
+			jobs = append(jobs, timed(w, opts, runSpec{platform: p}))
+		}
+	}
+	return parmap(opts, jobs)
 }
 
 // findWorkload returns a named workload.

@@ -192,9 +192,3 @@ func (c *Column) LoadF64(p *ddc.Process, vals []float64) {
 type Range struct {
 	Lo, Hi int
 }
-
-// AddrRange returns the column's byte range for rows [lo, hi) — used to
-// build core.Range eviction/sync hints.
-func (c *Column) AddrRange(lo, hi int) (mem.Addr, int64) {
-	return c.Addr(lo), int64(hi-lo) * int64(c.Type.Width())
-}

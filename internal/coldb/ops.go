@@ -2,7 +2,6 @@ package coldb
 
 import (
 	"teleport/internal/ddc"
-	"teleport/internal/mem"
 )
 
 // Per-tuple CPU costs (abstract operations). Relational operators are
@@ -200,11 +199,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// addrPages converts a column-backed byte range into whole pages (hint
-// helper used when building eviction/sync ranges).
-func addrPages(base mem.Addr, size int64) (mem.Addr, int64) {
-	first, last := mem.PageSpan(base, int(size))
-	return mem.PageBase(first), int64(last-first+1) * mem.PageSize
 }

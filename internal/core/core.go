@@ -174,29 +174,22 @@ type RuntimeStats struct {
 	BreakerCloses        int64 // half-open → closed transitions (probe succeeded)
 	BreakerShortCircuits int64 // calls sent straight to local execution while open
 
-	// Per-phase virtual-time sums across calls (each call's Stats,
-	// accumulated), so a run-level report can break pushdown time down
-	// without retaining every per-call breakdown.
-	PreSyncTime    sim.Time
-	RequestTime    sim.Time
-	QueueTime      sim.Time
-	CtxSetupTime   sim.Time
-	ExecTime       sim.Time
-	OnlineSyncTime sim.Time
-	ResponseTime   sim.Time
-	PostSyncTime   sim.Time
+	// Phases sums every call's time breakdown (the eight sim.Time fields of
+	// its Stats; the per-call counters stay zero), so a run-level report
+	// can break pushdown time down without retaining every call.
+	Phases Stats
 }
 
-// addPhases folds one call's breakdown into the aggregate sums.
-func (r *Runtime) addPhases(st *Stats) {
-	r.agg.PreSyncTime += st.PreSync
-	r.agg.RequestTime += st.Request
-	r.agg.QueueTime += st.Queue
-	r.agg.CtxSetupTime += st.CtxSetup
-	r.agg.ExecTime += st.Exec
-	r.agg.OnlineSyncTime += st.OnlineSync
-	r.agg.ResponseTime += st.Response
-	r.agg.PostSyncTime += st.PostSync
+// addPhases folds one call's time breakdown into the sums.
+func (s *Stats) addPhases(c *Stats) {
+	s.PreSync += c.PreSync
+	s.Request += c.Request
+	s.Queue += c.Queue
+	s.CtxSetup += c.CtxSetup
+	s.Exec += c.Exec
+	s.OnlineSync += c.OnlineSync
+	s.Response += c.Response
+	s.PostSync += c.PostSync
 }
 
 // Errors returned by Pushdown.

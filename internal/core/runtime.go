@@ -547,7 +547,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	r.agg.Calls++
 	c.id = r.agg.Calls
 	p := r.P
-	defer r.addPhases(&st)
+	defer r.agg.Phases.addPhases(&st)
 	tr := p.M.Tracer()
 	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindPushdownStart, Arg: c.id, Who: t.Name()})
 	callStart := t.Now()

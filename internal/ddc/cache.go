@@ -226,17 +226,15 @@ func (c *PageCache) AppendRuns(dst []netmodel.PageRun) []netmodel.PageRun {
 	return dst
 }
 
-// SetCapacity rebounds the cache, evicting LRU pages if it shrinks below
-// its current population. It returns the evicted pages so callers can
-// account for write-backs. Used to size a platform's cache to a freshly
-// loaded working set.
-func (c *PageCache) SetCapacity(pages int) []Evicted {
+// SetCapacity rebounds the cache, dropping LRU pages if it shrinks below
+// its current population. Used to size a platform's cache to a freshly
+// loaded working set; the dropped pages are not reported because neither
+// caller (ResizeCache, ResizePool) accounts for them.
+func (c *PageCache) SetCapacity(pages int) {
 	c.capacity = pages
-	var out []Evicted
 	for c.capacity > 0 && c.count > c.capacity {
-		out = append(out, c.evictLRU())
+		c.evictLRU()
 	}
-	return out
 }
 
 // Clear drops every resident page (whole-cache invalidation, used by the

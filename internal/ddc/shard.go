@@ -51,6 +51,26 @@ type ShardStat struct {
 	QuorumStalls      int64 // writes (keyed by primary) stalled below the write quorum
 }
 
+// ShardTotals sums the per-shard activity over every shard of the pool (the
+// zero ShardStat on a single-shard pool).
+func (m *Machine) ShardTotals() ShardStat {
+	var t ShardStat
+	for i := range m.ShardStats {
+		st := &m.ShardStats[i]
+		t.FailoverReads += st.FailoverReads
+		t.ResyncPages += st.ResyncPages
+		t.Recoveries += st.Recoveries
+		t.Stalls += st.Stalls
+		t.HandoffRecords += st.HandoffRecords
+		t.HandoffReplays += st.HandoffReplays
+		t.PartitionHeals += st.PartitionHeals
+		t.ReadRepairs += st.ReadRepairs
+		t.StaleReadsAverted += st.StaleReadsAverted
+		t.QuorumStalls += st.QuorumStalls
+	}
+	return t
+}
+
 // handoffRec is one pending repair for a shard that missed a write: the page,
 // the version its copy must reach (0 = unconditional, used by the legacy
 // write-failover journal), the shard that held the fresh copy when the record

@@ -163,13 +163,6 @@ func FromAdjacency(p *ddc.Process, adj [][]int32, wts [][]int32) *Graph {
 	return g
 }
 
-// Degree returns vertex u's out-degree through the paging model.
-func (g *Graph) Degree(env *ddc.Env, u int) int {
-	lo := env.ReadI64(g.offsets + mem.Addr(u*8))
-	hi := env.ReadI64(g.offsets + mem.Addr((u+1)*8))
-	return int(hi - lo)
-}
-
 // EdgeRange returns the CSR slice [lo, hi) of u's out-edges.
 func (g *Graph) EdgeRange(env *ddc.Env, u int) (lo, hi int64) {
 	lo = env.ReadI64(g.offsets + mem.Addr(u*8))

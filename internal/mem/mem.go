@@ -30,9 +30,6 @@ type PageID uint64
 // PageOf returns the page containing a.
 func PageOf(a Addr) PageID { return PageID(a >> PageShift) }
 
-// PageBase returns the first address of page p.
-func PageBase(p PageID) Addr { return Addr(p) << PageShift }
-
 // PageSpan returns the pages [first, last] covered by the byte range
 // [addr, addr+n).
 func PageSpan(addr Addr, n int) (first, last PageID) {

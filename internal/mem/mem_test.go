@@ -10,9 +10,6 @@ func TestPageArithmetic(t *testing.T) {
 	if PageOf(0) != 0 || PageOf(PageSize-1) != 0 || PageOf(PageSize) != 1 {
 		t.Fatal("PageOf broken")
 	}
-	if PageBase(3) != 3*PageSize {
-		t.Fatal("PageBase broken")
-	}
 	f, l := PageSpan(PageSize-1, 2)
 	if f != 0 || l != 1 {
 		t.Fatalf("PageSpan crossing = (%d,%d)", f, l)

@@ -169,18 +169,9 @@ func (rc *Recorder) Total() int {
 	return rc.total
 }
 
-// WriteJSONL writes every retained incident as one compact JSON object per
+// WriteIncidentsJSONL writes incident records as one compact JSON object per
 // line — the dump format behind -incident-out. Byte-identical across
 // same-seed runs: field order is fixed and map keys marshal sorted.
-func (rc *Recorder) WriteJSONL(w io.Writer) error {
-	if rc == nil {
-		return nil
-	}
-	return WriteIncidentsJSONL(w, rc.incidents)
-}
-
-// WriteIncidentsJSONL writes incident records as JSONL (one object per
-// line).
 func WriteIncidentsJSONL(w io.Writer, incidents []Incident) error {
 	for i := range incidents {
 		b, err := json.Marshal(&incidents[i])

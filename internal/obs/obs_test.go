@@ -289,10 +289,10 @@ func TestRecorderWindowBoundAndJSONL(t *testing.T) {
 	}
 
 	var a, b bytes.Buffer
-	if err := rec.WriteJSONL(&a); err != nil {
+	if err := WriteIncidentsJSONL(&a, rec.Incidents()); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteJSONL(&b); err != nil {
+	if err := WriteIncidentsJSONL(&b, rec.Incidents()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -329,7 +329,7 @@ func TestNilRecorderInert(t *testing.T) {
 	if rec.Incidents() != nil || rec.Total() != 0 {
 		t.Fatal("nil recorder must be inert")
 	}
-	if err := rec.WriteJSONL(&bytes.Buffer{}); err != nil {
+	if err := WriteIncidentsJSONL(&bytes.Buffer{}, rec.Incidents()); err != nil {
 		t.Fatal(err)
 	}
 }

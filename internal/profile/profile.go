@@ -44,19 +44,20 @@ type Exec struct {
 	byID map[string]int
 }
 
-// OpStat is one operator's accumulated profile.
+// OpStat is one operator's accumulated profile; it marshals as one operator
+// row of the run report's attribution block.
 type OpStat struct {
-	Name       string
-	Time       sim.Time
-	RemoteMsgs int64
-	RemoteByte int64
-	Calls      int
-	Pushed     bool
+	Name       string   `json:"name"`
+	Time       sim.Time `json:"ns"`
+	RemoteMsgs int64    `json:"remote_msgs"`
+	RemoteByte int64    `json:"remote_bytes"`
+	Calls      int      `json:"calls"`
+	Pushed     bool     `json:"pushed"`
 
 	// Attr breaks Time down by attribution component (wire, SSD, fault
 	// handling, pushdown protocol, ...); Time minus Attr's total is the
 	// operator's pure compute.
-	Attr metrics.TimeSet
+	Attr metrics.TimeSet `json:"components_ns"`
 }
 
 // Intensity returns remote memory accesses per second of operator time —
@@ -144,11 +145,11 @@ func (ex *Exec) Total() sim.Time {
 	return t
 }
 
-// ByIntensity returns operator names sorted by descending memory intensity,
-// the ranking §7.4 pushes down by.
-func (ex *Exec) ByIntensity() []string {
-	ops := ex.Profile()
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Intensity() > ops[j].Intensity() })
+// ByIntensity returns the profile's operator names sorted by descending
+// memory intensity, the ranking §7.4 pushes down by (ties keep profile order).
+func ByIntensity(prof []OpStat) []string {
+	ops := append([]OpStat(nil), prof...)
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Intensity() > ops[j].Intensity() })
 	names := make([]string, len(ops))
 	for i, o := range ops {
 		names[i] = o.Name

@@ -90,7 +90,7 @@ func TestByIntensityRanksMemoryBoundFirst(t *testing.T) {
 			env.ReadI64(a + mem.Addr(i)*mem.PageSize)
 		}
 	})
-	if names := ex.ByIntensity(); names[0] != "mem" {
+	if names := profile.ByIntensity(ex.Profile()); names[0] != "mem" {
 		t.Fatalf("ByIntensity = %v", names)
 	}
 }

@@ -99,9 +99,6 @@ func (dm *Domain) Name() string { return dm.d.name }
 // bound the model guarantees, e.g. a BSP sync epoch.
 func (s *Scheduler) SetLookahead(l Time) { s.lookahead = l }
 
-// Lookahead returns the declared minimum cross-domain message latency.
-func (s *Scheduler) Lookahead() Time { return s.lookahead }
-
 // SetWorkers bounds how many host goroutines drain domains inside one
 // window. Values below 2 mean sequential draining. The setting changes only
 // host parallelism: virtual times are bit-identical at any worker count,
