@@ -7,6 +7,7 @@
 //	ddcsim cluster -cluster 8 -cluster-rounds 4 -sim-workers 1
 //	ddcsim advise -workload Q9                # the advisor's pushdown decisions
 //	ddcsim profiles                           # fault profiles with their parameters
+//	ddcsim datagen -kind tpch -scale 2        # a synthetic dataset's shape, for sizing experiments
 package main
 
 import (
@@ -33,6 +34,7 @@ type binder struct {
 	fs                       *flag.FlagSet
 	opts                     bench.Options
 	workload, platform, figs string
+	kind                     string
 	report, list             bool
 	machines, rounds         int
 	deadlineUs, cooldownUs   float64
@@ -60,6 +62,9 @@ var (
 	gCluster = group{"cluster", func(b *binder) {
 		b.fs.IntVar(&b.machines, "cluster", 8, "machines in the multi-machine BSP scan-aggregate")
 		b.fs.IntVar(&b.rounds, "cluster-rounds", 4, "BSP supersteps")
+	}}
+	gKind = group{"dataset kind", func(b *binder) {
+		b.fs.StringVar(&b.kind, "kind", "tpch", "dataset to generate: tpch, graph or corpus")
 	}}
 	gDataset = group{"dataset sizing", func(b *binder) {
 		d := bench.Defaults()
@@ -117,9 +122,7 @@ var artifacts = [...]artifact{
 		}},
 	{"trace-dump", "the retained events as text, one per line,", bench.Options{TraceCap: 1 << 18},
 		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
-			for _, e := range r.Trace {
-				fmt.Fprintln(w, e)
-			}
+			trace.Dump(w, "", r.Trace, r.DroppedEvents)
 			return fmt.Sprintf("wrote %d trace events to %s", len(r.Trace), path), nil
 		}},
 	{"metrics-out", "the metrics registry snapshot as JSON", bench.Options{Metrics: true},
@@ -157,6 +160,10 @@ var verbs = []verb{
 	{"advise", "profile one workload on the base DDC and print the advisor's pushdown decisions",
 		[]group{gWorkload, gDataset, gTopology}, adviseVerb},
 	{"profiles", "list the fault-injection profiles with their parameters", nil, profilesVerb},
+	{"datagen", "generate one synthetic dataset as the workloads do and print its shape",
+		[]group{gKind, gDataset}, func(b *binder, stdout io.Writer) error {
+			return bench.DescribeDataset(stdout, b.kind, b.opts)
+		}},
 }
 
 // bind returns v's flag set: exactly the flags of its groups.
@@ -223,9 +230,7 @@ func runVerb(b *binder, stdout io.Writer) error {
 		res.Fprint(stdout, b.report)
 		if tail && len(res.Trace) > 0 {
 			fmt.Fprintf(stdout, "\nlast %d events:\n", len(res.Trace))
-			for _, e := range res.Trace {
-				fmt.Fprintln(stdout, " ", e)
-			}
+			trace.Dump(stdout, "  ", res.Trace, res.DroppedEvents)
 		}
 	}
 	for i, a := range artifacts {

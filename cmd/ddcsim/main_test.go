@@ -24,7 +24,15 @@ import (
 //	teleport-bench -fig 17,A5,A6,A7,20 -scale 0.5
 //	teleport-bench -list
 //
-// The verbs must reproduce them byte for byte.
+// and of cmd/datagen (seed 1), recorded at the commit before it became a verb:
+//
+//	datagen -kind tpch -scale 0.25
+//	datagen -kind graph -nv 4000
+//	datagen -kind corpus -words 20000
+//
+// The verbs must reproduce them byte for byte. run_trace_tail.txt is the one
+// file recorded from the verbs themselves: the old -trace tail printed a
+// wrapped ring without saying so.
 
 // ddcsim runs one in-process invocation and returns its stdout.
 func ddcsim(t *testing.T, args ...string) string {
@@ -58,6 +66,10 @@ func TestVerbsReproduceRecordedOutput(t *testing.T) {
 		{"profiles.txt", "profiles"},
 		{"fig.txt", "fig -fig 17,A5,A6,A7,20 -scale 0.5"},
 		{"list.txt", "fig -list"},
+		{"datagen_tpch.txt", "datagen -kind tpch -scale 0.25"},
+		{"datagen_graph.txt", "datagen -kind graph -graph-nv 4000"},
+		{"datagen_corpus.txt", "datagen -kind corpus -words 20000"},
+		{"run_trace_tail.txt", "run -workload Q6 -platform teleport -scale 0.25 -trace 8"},
 	} {
 		want := golden(t, tc.golden)
 		// The figure header names the command that printed it; everything
@@ -95,6 +107,20 @@ func TestRunArtifactsReproduceRecordedFiles(t *testing.T) {
 		if string(b) != golden(t, name) {
 			t.Errorf("%s file differs from testdata/%s", f, name)
 		}
+	}
+}
+
+// A wrapped ring says so in the -trace-dump file as in the -trace tail (the
+// run_trace_tail.txt golden), so a suffix of the run is never read as all of it.
+func TestTraceDumpReportsDroppedEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.txt")
+	ddcsim(t, strings.Fields("run -workload Q6 -platform teleport -scale 0.25 -trace 8 -trace-dump "+path)...)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(string(b), "\n"); lines[0] != "# dropped 32 events" || len(lines) != 10 {
+		t.Errorf("dump of a wrapped 8-event ring = %d lines starting %q, want the dropped header + 8 events", len(lines)-1, lines[0])
 	}
 }
 
@@ -142,6 +168,8 @@ func TestVerbRejectsForeignFlag(t *testing.T) {
 		{"fig -chaos-seed 3", "-chaos-seed"},
 		{"advise -platform teleport", "-platform"},
 		{"profiles -scale 2", "-scale"},
+		{"datagen -report", "-report"},
+		{"datagen -deg 6", "-deg"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := cli(strings.Fields(tc.args), &stdout, &stderr); code == 0 {
@@ -166,6 +194,7 @@ func TestCLIErrors(t *testing.T) {
 		{"run -workload Q6 -platform teleport -replicas 3 -pool-shards 2", "replicas cannot exceed pool shards"},
 		{"fig -fig 99", "unknown figure"},
 		{"cluster -cluster 0", "machines ≥ 1"},
+		{"datagen -kind rows", "unknown dataset kind"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := cli(strings.Fields(tc.args), &stdout, &stderr); code == 0 {

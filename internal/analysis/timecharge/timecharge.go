@@ -1,7 +1,10 @@
-// Package timecharge checks that exported entry points of the hardware
-// models — anything taking a *sim.Thread in internal/netmodel,
-// internal/storage, and internal/ddc — advance the calling thread's
-// virtual clock on every non-error path.
+// Package timecharge checks that exported entry points of the leaf device
+// models — anything taking a *sim.Thread in internal/netmodel and
+// internal/storage — advance the calling thread's virtual clock on every
+// non-error path. The routers above them (internal/ddc, internal/core) are
+// not checked: their healthy paths — a DRAM hit, a healthy-controller probe,
+// an unreplicated fan-out — are free by design, and every cost they do
+// charge bottoms out in a device call that is.
 //
 // A modeled operation that returns without charging time makes the
 // simulated hardware infinitely fast on that path, silently skewing
@@ -34,11 +37,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "timecharge",
 	Doc:  "exported hardware-model entry points taking a *sim.Thread must advance the thread's virtual clock on every non-error path",
 	DefaultFilter: func(pkgPath string) bool {
-		switch pkgPath {
-		case "teleport/internal/netmodel", "teleport/internal/storage", "teleport/internal/ddc":
-			return true
-		}
-		return false
+		return pkgPath == "teleport/internal/netmodel" || pkgPath == "teleport/internal/storage"
 	},
 	Run: run,
 }
@@ -51,7 +50,7 @@ var chargers = map[string]bool{
 // modelPkgs are the package bases whose thread-taking exported functions
 // are assumed to charge (each package's own lint run guarantees it).
 var modelPkgs = map[string]bool{
-	"netmodel": true, "storage": true, "ddc": true, "core": true, "sim": true,
+	"netmodel": true, "storage": true, "sim": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"slices"
 
 	"teleport/internal/advisor"
+	"teleport/internal/ddc"
 	"teleport/internal/hw"
 	"teleport/internal/metrics"
 	"teleport/internal/obs"
@@ -172,4 +174,35 @@ func Advise(workloadName string, opts Options) ([]advisor.Decision, error) {
 	}
 	_, decisions := costModelPush(run(w, opts, runSpec{platform: platBase}))
 	return decisions, nil
+}
+
+// DescribeDataset generates one of the synthetic datasets — "tpch", "graph"
+// (directed) or "corpus" — at opts' sizes, exactly as the workloads build it,
+// and prints its shape: what sizing an experiment needs before running it.
+func DescribeDataset(w io.Writer, kind string, opts Options) error {
+	p := ddc.MustMachine(ddc.Linux()).NewProcess()
+	switch kind {
+	case "tpch":
+		d := loadTPCH(p, opts)
+		fmt.Fprintf(w, "TPC-H micro scale %g:\n", opts.Scale)
+		fmt.Fprintf(w, "  lineitem %d, orders %d, customer %d, part %d, supplier %d, partsupp %d\n",
+			d.L, d.O, d.C, d.P, d.S, d.PS)
+		fmt.Fprintf(w, "  database bytes: %d (%.1f MB), pages: %d\n",
+			d.DB.Bytes(), float64(d.DB.Bytes())/(1<<20), p.Space.Pages())
+		for _, name := range d.DB.Tables() {
+			t := d.DB.Table(name)
+			fmt.Fprintf(w, "  table %-10s rows=%-8d cols=%v\n", name, t.N, t.Columns())
+		}
+	case "graph":
+		g := genGraph(p, opts, false)
+		fmt.Fprintf(w, "graph: %d vertices, %d edges, %.1f MB CSR, %d pages allocated\n",
+			g.NV, g.NE, float64(g.Bytes())/(1<<20), p.Space.Pages())
+	case "corpus":
+		c := genCorpus(p, opts)
+		fmt.Fprintf(w, "corpus: %d bytes (%.1f MB), %d lines, vocab %d\n",
+			c.Len, float64(c.Len)/(1<<20), c.Lines, c.Vocab)
+	default:
+		return fmt.Errorf("bench: unknown dataset kind %q (tpch | graph | corpus)", kind)
+	}
+	return nil
 }

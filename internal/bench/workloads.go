@@ -38,13 +38,33 @@ type workload struct {
 	Build func(p *ddc.Process, opts Options) func(ex *profile.Exec) uint64
 }
 
-// tpchWorkload is the package's one TPC-H load site: every query, figure
-// cell and public run that needs the tables is a workload built here.
+// The three dataset constructors are the package's one call site each of
+// tpch.Load, graph.Generate and mapreduce.GenerateCorpus: every query, figure
+// cell and public run that needs a dataset is a workload built on one of
+// them, and DescribeDataset prints what they build.
+func loadTPCH(p *ddc.Process, opts Options) *tpch.Data {
+	return tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale, Seed: opts.Seed})
+}
+
+func genGraph(p *ddc.Process, opts Options, undirected bool) *graph.Graph {
+	g, _ := graph.Generate(p, graph.GenConfig{
+		NV: opts.GraphNV, AvgDegree: 6, Seed: opts.Seed, Undirected: undirected,
+	})
+	return g
+}
+
+func genCorpus(p *ddc.Process, opts Options) *mapreduce.Corpus {
+	c, _ := mapreduce.GenerateCorpus(p, mapreduce.CorpusConfig{
+		Words: opts.Words, Vocab: 4000, Seed: opts.Seed,
+	})
+	return c
+}
+
 func tpchWorkload(name string, pushOps []string, run func(ex *profile.Exec, d *tpch.Data) uint64) workload {
 	return workload{
 		Name: name, System: "coldb", PushOps: pushOps,
 		Build: func(p *ddc.Process, opts Options) func(ex *profile.Exec) uint64 {
-			d := tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale, Seed: opts.Seed})
+			d := loadTPCH(p, opts)
 			return func(ex *profile.Exec) uint64 { return run(ex, d) }
 		},
 	}
@@ -56,10 +76,7 @@ func graphWorkload(name string, prog func(opts Options) graph.Program, undirecte
 		PushOps:    []string{graph.OpFinalize, graph.OpScatter, graph.OpGather},
 		CacheBytes: 540 << 10,
 		Build: func(p *ddc.Process, opts Options) func(ex *profile.Exec) uint64 {
-			g, _ := graph.Generate(p, graph.GenConfig{
-				NV: opts.GraphNV, AvgDegree: 6, Seed: opts.Seed, Undirected: undirected,
-			})
-			eng := graph.NewEngine(g, prog(opts), 4)
+			eng := graph.NewEngine(genGraph(p, opts, undirected), prog(opts), 4)
 			return func(ex *profile.Exec) uint64 { eng.Run(ex); return 0 }
 		},
 	}
@@ -70,10 +87,7 @@ func mrWorkload(name string, job func(opts Options) mapreduce.Job) workload {
 		Name: name, System: "mapreduce",
 		PushOps: []string{mapreduce.OpMapShuffle},
 		Build: func(p *ddc.Process, opts Options) func(ex *profile.Exec) uint64 {
-			c, _ := mapreduce.GenerateCorpus(p, mapreduce.CorpusConfig{
-				Words: opts.Words, Vocab: 4000, Seed: opts.Seed,
-			})
-			eng := mapreduce.NewEngine(c, job(opts), 4, 8)
+			eng := mapreduce.NewEngine(genCorpus(p, opts), job(opts), 4, 8)
 			return func(ex *profile.Exec) uint64 { eng.Run(ex); return 0 }
 		},
 	}

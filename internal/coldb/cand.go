@@ -32,9 +32,6 @@ func (cl *CandList) Append(env *ddc.Env, row int) {
 	cl.N++
 }
 
-// Bytes returns the list's materialised size.
-func (cl *CandList) Bytes() int64 { return int64(cl.N) * 4 }
-
 // ForEach iterates the candidate rows; with a nil receiver it iterates the
 // full range [0, n) instead, so operators treat "no candidate list" and "all
 // rows" uniformly.

@@ -353,40 +353,6 @@ func TestGroupBySumMatchesMap(t *testing.T) {
 	}
 }
 
-func TestSortRowsByKey(t *testing.T) {
-	f := func(vals []int16) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		iv := make([]int64, len(vals))
-		for i, v := range vals {
-			iv[i] = int64(v)
-		}
-		db, env := localDB()
-		tab := db.CreateTable("r", len(iv), ColumnSpec{"v", I64})
-		col := loadI64Col(db, tab, "v", iv)
-		perm := SortRowsByKey(env, col)
-		prev := int64(-1 << 62)
-		seen := map[int]bool{}
-		for i := 0; i < perm.N; i++ {
-			row := perm.Get(env, i)
-			if seen[row] {
-				return false
-			}
-			seen[row] = true
-			v := col.I64At(env, row)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return perm.N == len(iv)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTopK(t *testing.T) {
 	_, env := localDB()
 	rows := []GroupRow{{1, 5, 1}, {2, 9, 1}, {3, 1, 1}, {4, 7, 1}}

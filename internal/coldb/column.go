@@ -187,8 +187,3 @@ func (c *Column) LoadF64(p *ddc.Process, vals []float64) {
 		w.F64(v)
 	}
 }
-
-// Range is a contiguous row interval [Lo, Hi).
-type Range struct {
-	Lo, Hi int
-}

@@ -92,55 +92,6 @@ func GroupBySum(env *ddc.Env, keys, vals *Column, cand *CandList, maxGroups int)
 	return g
 }
 
-// SortRowsByKey sorts a materialised key column's row indices ascending and
-// returns the permutation as a candidate list (used for order-by and to
-// prepare merge joins). The sort runs where the env runs, charging
-// n·log n·opsSortStep plus its memory traffic.
-func SortRowsByKey(env *ddc.Env, key *Column) *CandList {
-	n := key.N
-	perm := NewCandList(env.P, n)
-	for i := 0; i < n; i++ {
-		perm.Append(env, i)
-	}
-	// In-place heapsort over the candidate list: deterministic, O(n log n),
-	// all traffic through the paging model.
-	get := func(i int) int { return perm.Get(env, i) }
-	set := func(i, v int) { env.WriteU32(perm.Base+mem.Addr(i*4), uint32(v)) }
-	less := func(a, b int) bool {
-		env.Compute(opsSortStep)
-		return key.I64At(env, a) < key.I64At(env, b)
-	}
-	var down func(root, n int)
-	down = func(root, n int) {
-		for {
-			child := 2*root + 1
-			if child >= n {
-				return
-			}
-			if child+1 < n && less(get(child), get(child+1)) {
-				child++
-			}
-			if !less(get(root), get(child)) {
-				return
-			}
-			a, b := get(root), get(child)
-			set(root, b)
-			set(child, a)
-			root = child
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		down(i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		a, b := get(0), get(i)
-		set(0, b)
-		set(i, a)
-		down(0, i)
-	}
-	return perm
-}
-
 // TopK returns the k groups with the largest sums (descending), a small
 // compute-side post-processing step (the "top 10" of TPC-H Q3).
 func TopK(env *ddc.Env, rows []GroupRow, k int) []GroupRow {

@@ -28,7 +28,7 @@ func BuildHashIndex(env *ddc.Env, key *Column, cand *CandList) *HashIndex {
 		Keys:     key,
 		nBuckets: nBuckets,
 		buckets:  env.P.Space.AllocPages(int64(nBuckets)*4, "hash.buckets"),
-		next:     env.P.Space.AllocPages(int64(maxInt(n, 1))*4, "hash.next"),
+		next:     env.P.Space.AllocPages(int64(max(n, 1))*4, "hash.next"),
 	}
 	cand.ForEach(env, n, func(row int) {
 		env.Compute(opsHashBuild)
@@ -88,7 +88,7 @@ func HashJoinProbe(env *ddc.Env, idx *HashIndex, probeKey *Column, cand *CandLis
 // GatherI64 materialises col[rows[i]] for a row-index list — the payload
 // fetch that follows a join.
 func GatherI64(env *ddc.Env, col *Column, rows *CandList) *Column {
-	out := NewColumn(env.P, col.Name+"#g", col.Type, maxInt(rows.N, 1))
+	out := NewColumn(env.P, col.Name+"#g", col.Type, max(rows.N, 1))
 	out.N = rows.N
 	for i := 0; i < rows.N; i++ {
 		env.Compute(opsProject)
@@ -99,7 +99,7 @@ func GatherI64(env *ddc.Env, col *Column, rows *CandList) *Column {
 
 // GatherF64 is GatherI64 for float payloads.
 func GatherF64(env *ddc.Env, col *Column, rows *CandList) *Column {
-	out := NewColumn(env.P, col.Name+"#g", F64, maxInt(rows.N, 1))
+	out := NewColumn(env.P, col.Name+"#g", F64, max(rows.N, 1))
 	out.N = rows.N
 	for i := 0; i < rows.N; i++ {
 		env.Compute(opsProject)
@@ -148,7 +148,7 @@ func MergeJoin(env *ddc.Env, left, right *Column) JoinResult {
 // positional gather.
 func LookupJoin(env *ddc.Env, dim *Column, fk *Column, cand *CandList) *Column {
 	n := cand.Len(fk.N)
-	out := NewColumn(env.P, dim.Name+"#lk", dim.Type, maxInt(n, 1))
+	out := NewColumn(env.P, dim.Name+"#lk", dim.Type, max(n, 1))
 	out.N = n
 	i := 0
 	cand.ForEach(env, fk.N, func(row int) {

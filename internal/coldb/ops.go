@@ -17,7 +17,6 @@ const (
 	opsMerge     = 4
 	opsExpr      = 4
 	opsGroup     = 8
-	opsSortStep  = 5
 )
 
 // CmpOp is a comparison predicate operator.
@@ -112,7 +111,7 @@ func SelectF64(env *ddc.Env, col *Column, pred PredF64, cand *CandList) *CandLis
 // Q9's profile (Figure 10).
 func Project(env *ddc.Env, col *Column, cand *CandList) *Column {
 	n := cand.Len(col.N)
-	out := NewColumn(env.P, col.Name+"#proj", col.Type, maxInt(n, 1))
+	out := NewColumn(env.P, col.Name+"#proj", col.Type, max(n, 1))
 	out.N = n
 	i := 0
 	cand.ForEach(env, col.N, func(row int) {
@@ -169,7 +168,7 @@ func Aggregate(env *ddc.Env, col *Column, kind AggKind, cand *CandList) float64 
 // (Figure 10 "Express.").
 func ExprMulAddColumns(env *ddc.Env, a, b *Column, scale float64, cand *CandList) *Column {
 	n := cand.Len(a.N)
-	out := NewColumn(env.P, a.Name+"*"+b.Name, F64, maxInt(n, 1))
+	out := NewColumn(env.P, a.Name+"*"+b.Name, F64, max(n, 1))
 	out.N = n
 	i := 0
 	cand.ForEach(env, a.N, func(row int) {
@@ -183,7 +182,7 @@ func ExprMulAddColumns(env *ddc.Env, a, b *Column, scale float64, cand *CandList
 // ExprRevenue computes price*(1-discount) over candidate rows.
 func ExprRevenue(env *ddc.Env, price, discount *Column, cand *CandList) *Column {
 	n := cand.Len(price.N)
-	out := NewColumn(env.P, "revenue", F64, maxInt(n, 1))
+	out := NewColumn(env.P, "revenue", F64, max(n, 1))
 	out.N = n
 	i := 0
 	cand.ForEach(env, price.N, func(row int) {
@@ -192,11 +191,4 @@ func ExprRevenue(env *ddc.Env, price, discount *Column, cand *CandList) *Column 
 		i++
 	})
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -123,71 +123,3 @@ func ParallelAggregate(p *ddc.Process, rt *core.Runtime, workers int, col *Colum
 	}
 	return agg.Final(kind), makespan, nil
 }
-
-// ParallelSelect evaluates pred over col with `workers` threads, each
-// materialising its partition's matches into a private candidate list;
-// the lists are concatenated in partition order so the result equals the
-// serial SelectI64. Returns the combined candidate list and the makespan.
-func ParallelSelect(p *ddc.Process, rt *core.Runtime, workers int, col *Column, pred PredI64) (*CandList, sim.Time, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	parts := make([]*CandList, workers)
-	errs := make([]error, workers)
-	chunk := (col.N + workers - 1) / workers
-
-	s := sim.NewScheduler()
-	for i := 0; i < workers; i++ {
-		i := i
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > col.N {
-			hi = col.N
-		}
-		if lo >= hi {
-			continue
-		}
-		body := func(env *ddc.Env) {
-			out := NewCandList(env.P, hi-lo)
-			for row := lo; row < hi; row++ {
-				env.Compute(opsSelect)
-				if pred.Eval(col.I64At(env, row)) {
-					out.Append(env, row)
-				}
-			}
-			parts[i] = out
-		}
-		s.Spawn(fmt.Sprintf("sel-worker-%d", i), 0, func(th *sim.Thread) {
-			if rt == nil {
-				body(p.NewEnv(th))
-				return
-			}
-			_, errs[i] = rt.Pushdown(th, body, core.Options{})
-		})
-	}
-	makespan := s.Run()
-
-	// Concatenate in partition order (a cheap compute-side pass over the
-	// already-materialised index lists).
-	th := sim.NewThread("sel-concat")
-	env := p.NewEnv(th)
-	total := 0
-	for i, part := range parts {
-		if errs[i] != nil {
-			return nil, makespan, errs[i]
-		}
-		if part != nil {
-			total += part.N
-		}
-	}
-	out := NewCandList(p, maxInt(total, 1))
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for j := 0; j < part.N; j++ {
-			out.Append(env, part.Get(env, j))
-		}
-	}
-	return out, makespan + th.Now(), nil
-}

@@ -86,66 +86,3 @@ func TestParallelAggregatePushdownSharesContexts(t *testing.T) {
 		t.Fatalf("more contexts should not be slower: 2ctx %v, 4ctx %v", two, four)
 	}
 }
-
-func TestParallelSelectMatchesSerial(t *testing.T) {
-	m := ddc.MustMachine(ddc.Linux())
-	p := m.NewProcess()
-	db := NewDB(p)
-	n := 30000
-	tab := db.CreateTable("r", n, ColumnSpec{"v", I64})
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i % 251)
-	}
-	tab.Col("v").LoadI64(p, vals)
-	col := tab.Col("v")
-	pred := PredI64{Op: CmpLT, Lo: 50}
-
-	env := p.NewEnv(sim.NewThread("serial"))
-	want := SelectI64(env, col, pred, nil)
-	for _, workers := range []int{1, 2, 5} {
-		got, _, err := ParallelSelect(p, nil, workers, col, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.N != want.N {
-			t.Fatalf("workers %d: N = %d, want %d", workers, got.N, want.N)
-		}
-		checkEnv := p.NewEnv(sim.NewThread("check"))
-		for i := 0; i < want.N; i++ {
-			if got.Get(checkEnv, i) != want.Get(checkEnv, i) {
-				t.Fatalf("workers %d: row order differs at %d", workers, i)
-			}
-		}
-	}
-}
-
-func TestParallelSelectPushdown(t *testing.T) {
-	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	p := m.NewProcess()
-	db := NewDB(p)
-	n := 60000
-	tab := db.CreateTable("r", n, ColumnSpec{"v", I64})
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i % 1000)
-	}
-	tab.Col("v").LoadI64(p, vals)
-	col := tab.Col("v")
-	pred := PredI64{Op: CmpEQ, Lo: 7}
-
-	plain, plainTime, err := ParallelSelect(p, nil, 4, col, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushed, pushedTime, err := ParallelSelect(p, core.NewRuntime(p, 2), 4, col, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.N != pushed.N {
-		t.Fatalf("pushed select differs: %d vs %d", pushed.N, plain.N)
-	}
-	if pushedTime >= plainTime {
-		t.Fatalf("pushdown should beat faulting scans: %v vs %v", pushedTime, plainTime)
-	}
-}

@@ -26,6 +26,24 @@ func windowPlan(tg fault.Target, ws ...fault.Window) *fault.Plan {
 	return plan
 }
 
+// forever ends a window that outlasts any test.
+const forever = sim.Time(1) << 60
+
+// pinPoolDown attaches a plan holding m's memory pool down from time zero
+// until it is re-pinned: plan.Pin(fault.Pool()) brings the pool back for good.
+func pinPoolDown(m *ddc.Machine) *fault.Plan {
+	plan := windowPlan(fault.Pool(), fault.Window{Up: forever})
+	m.AttachFault(plan)
+	return plan
+}
+
+// heartbeatUp is one heartbeat observation at the instant at.
+func heartbeatUp(rt *Runtime, at sim.Time) bool {
+	th := sim.NewThread("heartbeat")
+	th.AdvanceTo(at)
+	return !rt.observeHeartbeat(th)
+}
+
 // outageCases: the target that goes down, the paging operation that needs
 // it (reporting whether it stalled), and the machine's stall tally for it.
 var outageCases = []struct {
@@ -108,8 +126,8 @@ func TestHeartbeatEdgesAtWindowBoundaries(t *testing.T) {
 		{up - 1, false},
 		{up, true},
 	} {
-		if got := rt.HeartbeatAt(tc.at); got != tc.up {
-			t.Fatalf("HeartbeatAt(%v) = %v, want %v", tc.at, got, tc.up)
+		if got := heartbeatUp(rt, tc.at); got != tc.up {
+			t.Fatalf("heartbeat at %v = %v, want %v", tc.at, got, tc.up)
 		}
 	}
 }

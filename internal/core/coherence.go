@@ -222,12 +222,12 @@ func (h *pushHooks) ComputeUpgrade(t *sim.Thread, pg mem.PageID) {
 func (h *pushHooks) tiebreak(t *sim.Thread, ent *tempPTE) {
 	rt := h.ps.rt
 	if ent.present && ent.writable && ent.lastMemTouch > 0 &&
-		t.Now()-ent.lastMemTouch < rt.ContentionWindow {
+		t.Now()-ent.lastMemTouch < contentionWindow {
 		rt.agg.Contentions++
 		rt.P.M.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassCoherence)
 		rt.agg.CoherenceMsgs += 2
 		ws := t.Now()
-		t.Advance(rt.TiebreakWait)
+		t.Advance(tiebreakWait)
 		rt.P.M.Times.Add(metrics.CompPushProto, t.Now()-ws)
 	}
 }

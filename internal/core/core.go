@@ -100,11 +100,6 @@ type Options struct {
 	// EvictRanges lists the address ranges owned by the pushed computation
 	// for FlagEvictRanges.
 	EvictRanges []Range
-
-	// ArgBytes is the size of the marshalled argument vector added to the
-	// request message (the arg pointer's transitive closure stays in the
-	// shared address space, so this is typically tiny).
-	ArgBytes int
 }
 
 // Stats breaks one pushdown call into the six components of §7.5
@@ -124,10 +119,8 @@ type Stats struct {
 	RLERuns            int   // runs after §6's run-length encoding
 	RequestBytes       int   // request message size (RLE or bitmap list, whichever is smaller)
 	SetupInvalidations int   // Figure 8 invalidations applied at setup
-	ComputeFaults      int64 // compute-pool faults served during pushdown
 	MemoryFaults       int64 // temporary-context faults served
 	CoherenceMsgs      int64 // coherence messages this call caused
-	Contentions        int64 // concurrent-fault tiebreaks (§4.1)
 }
 
 // Total returns the call's end-to-end latency.
@@ -202,11 +195,11 @@ var (
 	// Options.ExecLimit; the compute-side wrapper raises an abort.
 	ErrKilled = errors.New("teleport: pushed function killed (exec limit exceeded)")
 
-	// ErrMemoryPoolDown reports heartbeat loss to the memory pool: either
-	// the manual SetMemoryPoolDown flag, or a crash epoch of the machine's
-	// fault plan observed during the call. The pushed function has NOT run
-	// when this is returned — the crash was detected before execution
-	// committed — so retrying or falling back to local execution is safe.
+	// ErrMemoryPoolDown reports heartbeat loss to the memory pool: a crash
+	// epoch of the machine's fault plan observed during the call. The pushed
+	// function has NOT run when this is returned — the crash was detected
+	// before execution committed — so retrying or falling back to local
+	// execution is safe.
 	ErrMemoryPoolDown = errors.New("teleport: memory pool unreachable (heartbeat lost)")
 
 	// ErrContextCrashed reports that the temporary user context crashed in

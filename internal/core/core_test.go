@@ -321,19 +321,18 @@ func TestRemotePanicPropagates(t *testing.T) {
 func TestMemoryPoolFailureIsKernelPanic(t *testing.T) {
 	p, rt := testProc(16)
 	th := sim.NewThread("caller")
-	rt.SetMemoryPoolDown(true)
-	if rt.HeartbeatAt(th.Now()) {
+	outage := pinPoolDown(p.M)
+	if heartbeatUp(rt, th.Now()) {
 		t.Fatal("heartbeat should fail")
 	}
 	_, err := rt.Pushdown(th, func(env *ddc.Env) {}, Options{})
 	if !errors.Is(err, ErrMemoryPoolDown) {
 		t.Fatalf("err = %v, want ErrMemoryPoolDown", err)
 	}
-	rt.SetMemoryPoolDown(false)
+	outage.Pin(fault.Pool())
 	if _, err := rt.Pushdown(th, func(env *ddc.Env) {}, Options{}); err != nil {
 		t.Fatalf("after recovery: %v", err)
 	}
-	_ = p
 }
 
 func TestPushdownOnMonolithicMachineRejected(t *testing.T) {
@@ -542,7 +541,9 @@ func TestStatsBreakdownComponentsSumToTotal(t *testing.T) {
 	}
 }
 
-func TestPushdownOrLocalFallsBack(t *testing.T) {
+// The zero policy is §3.2's cancel-and-run-locally: a request cancelled while
+// queued runs in the compute pool instead.
+func TestZeroPolicyFallsBackOnCancel(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
 	p := m.NewProcess()
 	rt := NewRuntime(p, 1)
@@ -559,10 +560,10 @@ func TestPushdownOrLocalFallsBack(t *testing.T) {
 	})
 	s.Spawn("short", 0, func(th *sim.Thread) {
 		th.Advance(10 * sim.Microsecond)
-		_, pushed, err := rt.PushdownOrLocal(th, func(env *ddc.Env) {
+		_, pushed, err := rt.PushdownWithPolicy(th, func(env *ddc.Env) {
 			env.WriteI64(a, 7)
 			ranLocally = true
-		}, Options{Timeout: sim.Millisecond})
+		}, Options{Timeout: sim.Millisecond}, RetryThenLocal{})
 		if err != nil {
 			t.Errorf("short: %v", err)
 		}
@@ -574,15 +575,15 @@ func TestPushdownOrLocalFallsBack(t *testing.T) {
 	if !ranLocally {
 		t.Fatal("fallback did not execute")
 	}
-	if got := p.Space.ReadI64(a); got != 7 {
+	if got := int64(p.Space.ReadU64(a)); got != 7 {
 		t.Fatalf("fallback write lost: %d", got)
 	}
 }
 
-func TestPushdownOrLocalPushesWhenFree(t *testing.T) {
+func TestZeroPolicyPushesWhenFree(t *testing.T) {
 	_, rt := testProc(16)
 	th := sim.NewThread("t")
-	_, pushed, err := rt.PushdownOrLocal(th, func(env *ddc.Env) {}, Options{Timeout: sim.Millisecond})
+	_, pushed, err := rt.PushdownWithPolicy(th, func(env *ddc.Env) {}, Options{Timeout: sim.Millisecond}, RetryThenLocal{})
 	if err != nil || !pushed {
 		t.Fatalf("pushed=%v err=%v", pushed, err)
 	}
@@ -665,14 +666,17 @@ func TestConcurrentPushdownsShareTempTable(t *testing.T) {
 	if rt.ps != nil {
 		t.Fatal("shared state must be recycled after the last pushdown")
 	}
-	if p.Hooks() != nil {
+	// Uninstalled hooks no longer see compute-side faults.
+	faults := rt.Stats().ComputeFaults
+	p.NewEnv(th0).ReadI64(p.Space.AllocPages(mem.PageSize, "cold"))
+	if rt.Stats().ComputeFaults != faults {
 		t.Fatal("hooks must be uninstalled after the last pushdown")
 	}
 }
 
 func TestPushdownEmitsTraceEvents(t *testing.T) {
 	p, rt := testProc(16)
-	p.M.Trace = trace.New(64)
+	p.M.AttachTrace(trace.New(64))
 	th := sim.NewThread("caller")
 	a := p.Space.Alloc(8, "x")
 	p.NewEnv(th).WriteI64(a, 1)
@@ -789,9 +793,10 @@ func countKind(r *trace.Ring, k trace.Kind) int {
 	return n
 }
 
-// A pushdown issued while the memory pool is down (manual, indefinite
-// outage) must complete via the RetryThenLocal fallback: pushed=false,
-// nil error, a fallback-local trace event — not a bare ErrMemoryPoolDown.
+// A pushdown issued while the memory pool is down, and down again at every
+// restart the policy waits for, must complete via the RetryThenLocal
+// fallback: pushed=false, nil error, a fallback-local trace event — not a
+// bare ErrMemoryPoolDown.
 func TestPushdownWithPolicyFallsBackWhenPoolDown(t *testing.T) {
 	p, rt := testProc(16)
 	ring := trace.New(128)
@@ -799,7 +804,11 @@ func TestPushdownWithPolicyFallsBackWhenPoolDown(t *testing.T) {
 	th := sim.NewThread("caller")
 	a := fillVec(p, th, 1000)
 
-	rt.SetMemoryPoolDown(true)
+	// One back-to-back window per attempt: each retry lands on a restart
+	// instant that is the next outage's first.
+	p.M.AttachFault(windowPlan(fault.Pool(),
+		fault.Window{Up: sim.Second}, fault.Window{Down: sim.Second, Up: 2 * sim.Second},
+		fault.Window{Down: 2 * sim.Second, Up: forever}))
 	var sum int64
 	pol := RetryThenLocal{MaxRetries: 2, Backoff: sim.Microsecond}
 	_, pushed, err := rt.PushdownWithPolicy(th, sumFunc(a, 1000, &sum), Options{}, pol)
@@ -935,16 +944,16 @@ func TestPolicyRetriesThroughScheduledOutage(t *testing.T) {
 		t.Fatalf("want pool-crash and pool-recover trace edges, ring: %v", ring.Events())
 	}
 	// The heartbeat must agree with the plan at both probe points.
-	if rt.HeartbeatAt(inWindow) {
-		t.Fatalf("HeartbeatAt(inWindow) = true, want false")
+	if heartbeatUp(rt, inWindow) {
+		t.Fatalf("heartbeat at inWindow = up, want down")
 	}
-	if !rt.HeartbeatAt(th.Now()) {
-		t.Fatalf("HeartbeatAt(now) = false after successful pushdown, want true")
+	if !heartbeatUp(rt, th.Now()) {
+		t.Fatalf("heartbeat now = down after successful pushdown, want up")
 	}
 }
 
-// PushdownOrLocal must match cancellation via errors.Is, so wrapped
-// cancellation errors still trigger the local fallback.
+// The recovery policy matches failures via errors.Is, so wrapped sentinels
+// still trigger the retry and the local fallback.
 func TestRecoverableClassification(t *testing.T) {
 	for _, err := range []error{ErrCancelled, ErrMemoryPoolDown, ErrContextCrashed} {
 		if !Recoverable(err) {

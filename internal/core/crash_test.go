@@ -107,7 +107,7 @@ func TestBarePushdownMidCrashLeavesMemoryPristine(t *testing.T) {
 	first, last := mem.PageOf(a), mem.PageOf(a+vecPages*mem.PageSize-1)
 	before := make(map[mem.PageID][]byte)
 	for pg := first; pg <= last; pg++ {
-		before[pg] = p.Space.SnapshotPage(pg)
+		before[pg] = p.Space.SnapshotPageInto(pg, nil)
 	}
 
 	st, err := rt.Pushdown(th, incVecPages(a), Options{})
@@ -118,7 +118,7 @@ func TestBarePushdownMidCrashLeavesMemoryPristine(t *testing.T) {
 		t.Fatal("Stats.RollbackPages = 0, want > 0 (the crash fired after dirtying pages)")
 	}
 	for pg := first; pg <= last; pg++ {
-		got := p.Space.SnapshotPage(pg)
+		got := p.Space.SnapshotPageInto(pg, nil)
 		for i := range got {
 			if got[i] != before[pg][i] {
 				t.Fatalf("page %d byte %d = %#x, want %#x (rollback incomplete)", pg, i, got[i], before[pg][i])
@@ -273,7 +273,7 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 	var out int64
 	pol := RetryThenLocal{MaxRetries: 0}
 
-	rt.SetMemoryPoolDown(true)
+	outage := pinPoolDown(p.M)
 	for i := 0; i < 2; i++ {
 		if _, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{}, pol); err != nil || ran {
 			t.Fatalf("call %d: ran=%v err=%v, want local fallback", i, ran, err)
@@ -299,7 +299,7 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 	// Cooldown elapses and the pool recovers: the half-open probe succeeds
 	// and closes the breaker.
 	th.Advance(400 * sim.Microsecond)
-	rt.SetMemoryPoolDown(false)
+	outage.Pin(fault.Pool())
 	if _, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{}, pol); err != nil || !ran {
 		t.Fatalf("probe call: ran=%v err=%v, want a successful pushdown", ran, err)
 	}
@@ -326,7 +326,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	var out int64
 	pol := RetryThenLocal{MaxRetries: 0}
 
-	rt.SetMemoryPoolDown(true)
+	pinPoolDown(p.M)
 	rt.PushdownWithPolicy(th, sumFunc(a, 8, &out), Options{}, pol) // opens
 	th.Advance(200 * sim.Microsecond)
 	rt.PushdownWithPolicy(th, sumFunc(a, 8, &out), Options{}, pol) // probe fails → reopen

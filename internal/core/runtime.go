@@ -19,6 +19,18 @@ const (
 	ctrlMsgBytes = 48 // coherence control message
 	pageMsgBytes = mem.PageSize + 32
 
+	// tiebreakWait is the paper's t: how long the compute pool waits after
+	// satisfying the memory pool's concurrent write request before reissuing
+	// its own (§4.1 "Concurrent page faults"). contentionWindow bounds how
+	// recently the temporary context must have touched a page for a
+	// compute-pool write fault on it to count as a concurrent fault.
+	tiebreakWait     = 15 * sim.Microsecond
+	contentionWindow = 10 * sim.Microsecond
+
+	// ctxSwitchPenalty scales the execution dilation applied when more user
+	// contexts run than the memory pool has physical cores.
+	ctxSwitchPenalty = 0.05
+
 	// midCrashTouchSpan is the page-access-ordinal range the seeded
 	// mid-crash fraction maps onto: an armed context dies at its
 	// (1 + frac·span)-th page access, once it has dirtied at least one
@@ -47,20 +59,6 @@ type Runtime struct {
 	// Figure 17). With one context, concurrent requests serialise FIFO.
 	Contexts int
 
-	// TiebreakWait is the paper's t: how long the compute pool waits after
-	// satisfying the memory pool's concurrent write request before
-	// reissuing its own (§4.1 "Concurrent page faults").
-	TiebreakWait sim.Time
-
-	// ContentionWindow bounds how recently the temporary context must have
-	// touched a page for a compute-pool write fault on it to count as a
-	// concurrent fault.
-	ContentionWindow sim.Time
-
-	// CtxSwitchPenalty scales the execution dilation applied when more
-	// user contexts run than the memory pool has physical cores.
-	CtxSwitchPenalty float64
-
 	// QueueCap bounds the memory pool's workqueue: when every context is
 	// busy and QueueCap requests are already waiting, admission control
 	// sheds the call with ErrQueueFull instead of queueing it (deterministic
@@ -75,7 +73,6 @@ type Runtime struct {
 	running int
 	queue   []*waiter
 	ps      *pushState
-	down    bool // manual SetMemoryPoolDown override (indefinite outage)
 	downObs bool // last heartbeat observation, for crash/recover trace edges
 	agg     RuntimeStats
 
@@ -93,14 +90,13 @@ type Runtime struct {
 	// simulated effect). push is the coherence state ps points at while
 	// calls are in flight and hooks its compute-side fault handlers; scratch
 	// pools the working storage of calls not in flight; journalBufs recycles
-	// undo-journal pre-image buffers. wire, argZero and usableAt are
-	// transient buffers, never held across a point where the thread yields.
+	// undo-journal pre-image buffers. wire and usableAt are transient
+	// buffers, never held across a point where the thread yields.
 	push        pushState
 	hooks       pushHooks
 	scratch     []*callScratch
 	journalBufs pagePool
 	wire        []byte
-	argZero     []byte
 	usableAt    []sim.Time
 }
 
@@ -152,14 +148,7 @@ func NewRuntime(p *ddc.Process, contexts int) *Runtime {
 	if contexts < 1 {
 		contexts = 1
 	}
-	r := &Runtime{
-		P:                p,
-		Contexts:         contexts,
-		TiebreakWait:     15 * sim.Microsecond,
-		ContentionWindow: 10 * sim.Microsecond,
-		CtxSwitchPenalty: 0.05,
-		Breaker:          DefaultBreaker(),
-	}
+	r := &Runtime{P: p, Contexts: contexts, Breaker: DefaultBreaker()}
 	r.push.rt = r
 	r.push.temp.reset()
 	r.hooks.ps = &r.push
@@ -168,30 +157,6 @@ func NewRuntime(p *ddc.Process, contexts int) *Runtime {
 
 // Stats returns the aggregate runtime statistics.
 func (r *Runtime) Stats() RuntimeStats { return r.agg }
-
-// SetMemoryPoolDown simulates an indefinite memory-pool or network failure,
-// which the compute-side heartbeat thread detects (§3.2). Transient,
-// scheduled outages come from the machine's fault plan instead
-// (ddc.Machine.AttachFault); both feed the same heartbeat observation.
-func (r *Runtime) SetMemoryPoolDown(down bool) { r.down = down }
-
-// HeartbeatAt reports whether the memory pool is reachable at the given
-// virtual time, consulting both the manual down flag and the machine's
-// fault plan.
-func (r *Runtime) HeartbeatAt(ts sim.Time) bool {
-	_, down := r.poolDownAt(ts)
-	return !down
-}
-
-// poolDownAt resolves the pool's status at ts; for a scheduled outage it
-// also returns the controller's restart time (0 for the indefinite manual
-// outage).
-func (r *Runtime) poolDownAt(ts sim.Time) (recoverAt sim.Time, down bool) {
-	if r.down {
-		return 0, true
-	}
-	return r.P.M.Fault.DownAt(fault.Pool(), ts)
-}
 
 // shardGate checks every resident page's replica set on a sharded pool. A
 // page whose primary shard and every backup are all unusable — crashed, or
@@ -269,10 +234,11 @@ func (r *Runtime) quorumShort(pg mem.PageID, now sim.Time, usableAt func(s int) 
 }
 
 // observeHeartbeat is one compute-side heartbeat observation at t's current
-// time. Transitions are recorded as pool-crash / pool-recover trace events
-// so chaos runs are debuggable from the ring.
+// time (§3.2): whether the machine's fault plan has the memory pool down.
+// Transitions are recorded as pool-crash / pool-recover trace events so chaos
+// runs are debuggable from the ring.
 func (r *Runtime) observeHeartbeat(t *sim.Thread) bool {
-	_, down := r.poolDownAt(t.Now())
+	_, down := r.P.M.Fault.DownAt(fault.Pool(), t.Now())
 	if down != r.downObs {
 		kind := trace.KindPoolRecover
 		if down {
@@ -284,27 +250,15 @@ func (r *Runtime) observeHeartbeat(t *sim.Thread) bool {
 	return down
 }
 
-// PushdownOrLocal attempts a pushdown and, if the request is cancelled
-// while still queued (try_cancel succeeded after Options.Timeout), runs fn
-// in the compute pool instead — the fallback §3.2 describes ("the
-// application is free to execute fn directly in the compute pool"). It
-// reports whether fn ultimately ran in the memory pool. For recovery from
-// pool crashes and injected faults as well, use PushdownWithPolicy.
-func (r *Runtime) PushdownOrLocal(t *sim.Thread, fn Func, opts Options) (Stats, bool, error) {
-	st, err := r.Pushdown(t, fn, opts)
-	if errors.Is(err, ErrCancelled) {
-		r.runLocalFallback(t, fn)
-		return st, false, nil
-	}
-	return st, true, err
-}
-
 // RetryThenLocal is the pushdown recovery policy: re-attempt a recoverably
 // failed pushdown up to MaxRetries times with exponential backoff, then
 // degrade gracefully to compute-side execution. A context-crashed pushdown
 // is re-run once immediately (the crash does not consume a retry); a pool
-// outage with a known restart time waits for the restart instead of blind
-// backoff.
+// outage waits for the scheduled restart instead of blind backoff. The zero
+// policy is §3.2's cancel-and-run-locally: a request cancelled while queued
+// (try_cancel after Options.Timeout), like any other Recoverable failure,
+// runs fn in the compute pool at once ("the application is free to execute
+// fn directly in the compute pool").
 type RetryThenLocal struct {
 	// MaxRetries bounds re-attempts after a Recoverable failure (a crashed
 	// context's one immediate re-run does not consume one).
@@ -503,7 +457,7 @@ func (c *call) fail(err error) error {
 	c.unwind()
 	// A controller down right now gates any retry; else the gate's heal does.
 	r.retryAt = c.wake
-	if recoverAt, down := r.poolDownAt(t.Now()); down && recoverAt > 0 {
+	if recoverAt, down := m.Fault.DownAt(fault.Pool(), t.Now()); down {
 		r.retryAt = recoverAt
 	}
 	return err
@@ -589,21 +543,15 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		return st, c.fail(err)
 	}
 	st.RLERuns = len(runs)
-	// The request is a real wire message: fn/arg pointers, flags, any
-	// inline argument bytes, and the compressed page list (RLE or dense
-	// bitmap, whichever is smaller), which §6's compression keeps within
-	// a single RDMA buffer.
+	// The request is a real wire message: fn/arg pointers (the arg pointer's
+	// transitive closure stays in the shared address space), flags, and the
+	// compressed page list (RLE or dense bitmap, whichever is smaller), which
+	// §6's compression keeps within a single RDMA buffer.
 	req := netmodel.PushdownRequest{
 		Fn:       0x400000, // a code address in the shared space
 		Arg:      0x7FFF0000,
 		Flags:    uint32(opts.Flags),
 		Resident: runs,
-	}
-	if n := opts.ArgBytes; n > 0 {
-		if n > len(r.argZero) {
-			r.argZero = make([]byte, n)
-		}
-		req.ArgInline = r.argZero[:n]
 	}
 	wire, err := req.AppendTo(r.wire[:0])
 	r.wire = wire[:0]
@@ -995,5 +943,5 @@ func (r *Runtime) dilation() float64 {
 		return 1
 	}
 	over := float64(r.running - cores)
-	return float64(r.running) / float64(cores) * (1 + r.CtxSwitchPenalty*over)
+	return float64(r.running) / float64(cores) * (1 + ctxSwitchPenalty*over)
 }

@@ -104,7 +104,7 @@ func interleavedEnvs(rows int) (names []string, envs []*Env, cand, col, out mem.
 		out = p.Space.AllocPages(int64(rows)*8, "out")
 		env := p.NewEnv(sim.NewThread("bench"))
 		if name == "memory-place" {
-			env = p.NewMemoryEnv(sim.NewThread("bench"), nopPager{})
+			env = p.RecycleMemoryEnv(nil, sim.NewThread("bench"), nopPager{})
 		}
 		for r := 0; r < rows; r++ {
 			env.WriteU32(cand+mem.Addr(r)*4, uint32(r))

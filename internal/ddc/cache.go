@@ -89,9 +89,6 @@ func (c *PageCache) grow(p mem.PageID) {
 // Len returns the number of resident pages.
 func (c *PageCache) Len() int { return c.count }
 
-// Capacity returns the page bound (0 = unlimited).
-func (c *PageCache) Capacity() int { return c.capacity }
-
 // Contains reports residency without touching LRU order.
 func (c *PageCache) Contains(p mem.PageID) bool {
 	return c.entry(p) != nil

@@ -241,8 +241,8 @@ func applyCacheOps(t *testing.T, c *PageCache, ref *refCache, data []byte) {
 // entries and let netmodel.EncodeRuns sort and compress them.
 func checkCacheState(t *testing.T, c *PageCache, ref *refCache) {
 	t.Helper()
-	if c.Len() != ref.Len() || c.Capacity() != ref.Capacity() {
-		t.Fatalf("Len/Capacity = %d/%d, oracle %d/%d", c.Len(), c.Capacity(), ref.Len(), ref.Capacity())
+	if c.Len() != ref.Len() || c.capacity != ref.capacity {
+		t.Fatalf("Len/Capacity = %d/%d, oracle %d/%d", c.Len(), c.capacity, ref.Len(), ref.capacity)
 	}
 	var order, refOrder []refNode
 	var entries []netmodel.PageEntry

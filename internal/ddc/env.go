@@ -94,19 +94,14 @@ func (p *Process) NewEnv(t *sim.Thread) *Env {
 	}
 }
 
-// NewMemoryEnv returns a memory-place environment using a caller-supplied
-// pager (TELEPORT's temporary-context fault handler).
-func (p *Process) NewMemoryEnv(t *sim.Thread, pager Pager) *Env {
-	return p.RecycleMemoryEnv(nil, t, pager)
-}
-
-// RecycleMemoryEnv is NewMemoryEnv built in place over old, an Env a
-// finished pushed function left behind (nil allocates a new one), so a
-// caller running many short functions keeps one Env per user context
-// instead of allocating one per call. The result is in exactly the state a
-// new Env would be: every field is rebuilt, and only the on-chip cache
-// model's storage is kept, cleared — a new Env allocates it zeroed on its
-// first access, and it is by far the largest thing an Env owns.
+// RecycleMemoryEnv returns a memory-place environment using a caller-supplied
+// pager (TELEPORT's temporary-context fault handler), built in place over
+// old, an Env a finished pushed function left behind (nil allocates a new
+// one), so a caller running many short functions keeps one Env per user
+// context instead of allocating one per call. The result is in exactly the
+// state a new Env would be: every field is rebuilt, and only the on-chip
+// cache model's storage is kept, cleared — a new Env allocates it zeroed on
+// its first access, and it is by far the largest thing an Env owns.
 func (p *Process) RecycleMemoryEnv(old *Env, t *sim.Thread, pager Pager) *Env {
 	e := old
 	if e == nil {

@@ -150,8 +150,13 @@ func (m *modelEnv) ReadU64(a mem.Addr) uint64     { m.read(a, 8); return m.space
 func (m *modelEnv) WriteU64(a mem.Addr, v uint64) { m.write(a, 8); m.space().WriteU64(a, v) }
 func (m *modelEnv) ReadU32(a mem.Addr) uint32     { m.read(a, 4); return m.space().ReadU32(a) }
 func (m *modelEnv) WriteU32(a mem.Addr, v uint32) { m.write(a, 4); m.space().WriteU32(a, v) }
-func (m *modelEnv) ReadU8(a mem.Addr) byte        { m.read(a, 1); return m.space().ReadU8(a) }
-func (m *modelEnv) WriteU8(a mem.Addr, v byte)    { m.write(a, 1); m.space().WriteU8(a, v) }
+func (m *modelEnv) ReadU8(a mem.Addr) byte {
+	m.read(a, 1)
+	var b [1]byte
+	m.space().ReadAt(a, b[:])
+	return b[0]
+}
+func (m *modelEnv) WriteU8(a mem.Addr, v byte) { m.write(a, 1); m.space().WriteAt(a, []byte{v}) }
 
 // batch is the reference batched accessor: one element through the scalar
 // path, then, with the hot line valid at the right grade and the epoch
@@ -309,7 +314,7 @@ func newModelSide(k int, reference, logged, dilated bool) (*modelSide, mem.Addr)
 	var pager Pager = computePager{}
 	if modelConfigs[k].name == "memory-place" {
 		pager = &restlessPager{}
-		s.env = s.p.NewMemoryEnv(s.th, pager)
+		s.env = s.p.RecycleMemoryEnv(nil, s.th, pager)
 	} else {
 		s.env = s.p.NewEnv(s.th)
 	}

@@ -29,7 +29,8 @@ type Machine struct {
 
 	// Trace, when non-nil, receives paging/coherence/pushdown events (see
 	// internal/trace). Tracing costs no virtual time. Attach with
-	// AttachTrace so the fabric's fault events land in the same ring.
+	// AttachTrace so the fabric's fault events land in the same ring and
+	// the span tracer is built over it.
 	Trace *trace.Ring
 
 	// Fault, when non-nil, is the machine's deterministic chaos plan (see
@@ -73,7 +74,7 @@ type Machine struct {
 	// shards, mirrored into the "shard.handoff.depth" gauge.
 	handoffDepth int64
 
-	spans *trace.Tracer // lazily built over Trace; see Tracer()
+	spans *trace.Tracer // built over Trace by AttachTrace; see Tracer()
 }
 
 // NewMachine validates cfg and assembles the machine.
@@ -121,20 +122,9 @@ func (m *Machine) AttachTrace(r *trace.Ring) {
 	m.SSD.SetTracer(m.spans)
 }
 
-// Tracer returns the machine's span tracer, building one on demand when a
-// test installed a ring on m.Trace directly instead of via AttachTrace. Nil
-// when tracing is off (and nil is safe to call Begin/End on).
-func (m *Machine) Tracer() *trace.Tracer {
-	if m.Trace == nil {
-		return nil
-	}
-	if m.spans == nil || m.spans.Ring() != m.Trace {
-		m.spans = trace.NewTracer(m.Trace)
-		m.Fabric.SetTracer(m.spans)
-		m.SSD.SetTracer(m.spans)
-	}
-	return m.spans
-}
+// Tracer returns the span tracer AttachTrace built: nil when tracing is off
+// (and nil is safe to call Begin/End on).
+func (m *Machine) Tracer() *trace.Tracer { return m.spans }
 
 // AttachMetrics installs (or, with nil, detaches) a metrics registry on the
 // machine and on the layers that publish into one.
@@ -204,7 +194,6 @@ func (m *Machine) CounterSource() func() map[string]int64 {
 // from). It reports whether a stall happened.
 func (m *Machine) WaitPoolUp(t *sim.Thread) bool {
 	if _, down := m.Fault.DownAt(fault.Pool(), t.Now()); !down {
-		//lint:allow timecharge healthy-controller probe reads the fault schedule only: zero cost by design
 		return false
 	}
 	m.PoolStalls++
@@ -305,14 +294,8 @@ func (p *Process) SetPushHooks(h PushHooks) {
 	p.Epoch++
 }
 
-// Hooks returns the installed coherence hooks, if any.
-func (p *Process) Hooks() PushHooks { return p.hooks }
-
 // Stats returns the accumulated paging statistics.
 func (p *Process) Stats() ProcStats { return p.stats }
-
-// ResetStats clears the paging statistics (used between experiment phases).
-func (p *Process) ResetStats() { p.stats = ProcStats{} }
 
 // seqFault reports whether pg directly extends one of the recent fault
 // streams (prefetch trigger). Prefetched pages themselves extend the stream
@@ -390,7 +373,6 @@ func (p *Process) ResizePool(bytes int64) {
 // marks the pool copy dirty (it will need a storage write-back on eviction).
 func (p *Process) EnsureInPool(t *sim.Thread, pg mem.PageID, write bool) {
 	p.ensureInPool(t, pg, write, -1)
-	//lint:allow timecharge delegates to ensureInPool: every pool-miss path charges, DRAM hits are free by design
 }
 
 // ensureInPool is EnsureInPool with optional pre-routing: served ≥ 0 means

@@ -206,7 +206,6 @@ func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 	m.WaitPoolUp(t)
 	k := m.Cfg.Shards()
 	if k <= 1 {
-		//lint:allow timecharge single-shard healthy path is free by design: WaitPoolUp above charges any outage stall
 		return 0
 	}
 	primary := ShardOf(pg, k)
@@ -252,7 +251,6 @@ func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 		}
 	}
 	m.serveQuorumRead(t, pg, served, primary, write)
-	//lint:allow timecharge healthy-primary access is free by design: drain/consult/repair charge their own transfers
 	return served
 }
 
@@ -382,7 +380,6 @@ func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) 
 func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 	r := m.Cfg.EffReplicas()
 	if r <= 1 {
-		//lint:allow timecharge unreplicated pools must stay byte-identical: the fan-out is a no-op by contract
 		return
 	}
 	k := m.Cfg.Shards()
@@ -412,7 +409,6 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 	}
 	w := m.Cfg.EffWriteQuorum()
 	if acked >= w || len(pending) == 0 {
-		//lint:allow timecharge journal-only fan-out: copies for unreachable replicas become handoff records, charged on replay
 		return
 	}
 	// Below the write quorum: the write cannot commit on reachable copies
@@ -431,7 +427,6 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 		pending = append(pending[:best], pending[best+1:]...)
 	}
 	m.Times.Add(metrics.CompPoolStall, stalled)
-	//lint:allow timecharge the stall loop always runs here (acked < W on entry) and AdvanceTo charges it
 }
 
 // serveShard resolves which shard receives page data for pg at ts without

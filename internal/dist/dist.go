@@ -77,8 +77,3 @@ func (p Profile) CostOfScaling(w Workload, cfg *hw.Config) float64 {
 	shuffleSeconds := shuffleBytes / float64(p.Workers) / (cfg.NetBandwidthGBs * 1e9)
 	return compute + shuffleSeconds/w.LocalSeconds + p.CoordFraction
 }
-
-// Time returns the modelled distributed execution time in seconds.
-func (p Profile) Time(w Workload, cfg *hw.Config) float64 {
-	return w.LocalSeconds * p.CostOfScaling(w, cfg)
-}

@@ -45,15 +45,6 @@ func TestCostDecreasesWithWorkers(t *testing.T) {
 	}
 }
 
-func TestTimeIsRatioTimesLocal(t *testing.T) {
-	cfg := hw.Testbed()
-	p := SparkSQL()
-	ratio := p.CostOfScaling(refWorkload, &cfg)
-	if got := p.Time(refWorkload, &cfg); got != ratio*refWorkload.LocalSeconds {
-		t.Fatalf("Time = %v", got)
-	}
-}
-
 func TestDegenerateWorkload(t *testing.T) {
 	cfg := hw.Testbed()
 	if SparkSQL().CostOfScaling(Workload{}, &cfg) != 1 {

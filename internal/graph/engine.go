@@ -14,9 +14,6 @@ const (
 	OpScatter  = "Scatter"
 )
 
-// Phases lists the engine's phases in execution order.
-var Phases = []string{OpFinalize, OpGather, OpApply, OpScatter}
-
 // Combine selects the message combiner.
 type Combine int
 
@@ -157,7 +154,7 @@ func (e *Engine) finalize(env *ddc.Env) {
 	// own copy of the edges — the data movement that dominates finalize in
 	// a DDC (Figure 10: 249 GB of remote access).
 	if e.partEdges == 0 {
-		e.partEdges = g.P.Space.AllocPages(int64(maxInt(g.NE, 1))*8, "eng.partedges")
+		e.partEdges = g.P.Space.AllocPages(int64(max(g.NE, 1))*8, "eng.partedges")
 	}
 	out := int64(0)
 	for w := 0; w < e.Workers; w++ {

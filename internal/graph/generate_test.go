@@ -41,15 +41,13 @@ func referenceGenerate(p *ddc.Process, cfg GenConfig) (*Graph, *RawGraph) {
 	return FromAdjacency(p, adj, wts), &RawGraph{Adj: adj, Weights: wts}
 }
 
-// spaceImage returns every allocated region of p's address space with its
-// bytes, in allocation order.
+// spaceImage returns the bytes of every page p's address space spans, in
+// address order.
 func spaceImage(p *ddc.Process) []byte {
 	var img bytes.Buffer
-	for _, rg := range p.Space.Regions() {
-		img.WriteString(rg.Name)
-		buf := make([]byte, rg.Size)
-		p.Space.ReadAt(rg.Base, buf)
-		img.Write(buf)
+	first, last, _ := p.Space.Extent()
+	for pg := first; pg <= last; pg++ {
+		img.Write(p.Space.Frame(pg))
 	}
 	return img.Bytes()
 }

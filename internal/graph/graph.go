@@ -133,8 +133,8 @@ func newCSR(p *ddc.Process, nv, ne int) *Graph {
 	return &Graph{
 		P: p, NV: nv, NE: ne,
 		offsets: p.Space.AllocPages(int64(nv+1)*8, "graph.offsets"),
-		edges:   p.Space.AllocPages(int64(maxInt(ne, 1))*4, "graph.edges"),
-		weights: p.Space.AllocPages(int64(maxInt(ne, 1))*4, "graph.weights"),
+		edges:   p.Space.AllocPages(int64(max(ne, 1))*4, "graph.edges"),
+		weights: p.Space.AllocPages(int64(max(ne, 1))*4, "graph.weights"),
 	}
 }
 
@@ -178,10 +178,3 @@ func (g *Graph) EdgeAt(env *ddc.Env, e int64) (dst int, w int64) {
 
 // Bytes returns the graph's footprint.
 func (g *Graph) Bytes() int64 { return int64(g.NV+1)*8 + int64(g.NE)*8 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -5,10 +5,7 @@
 // and 1.2 µs latency, a 3 GB/s / 600K-IOPS NVMe SSD).
 package hw
 
-import (
-	"teleport/internal/mem"
-	"teleport/internal/sim"
-)
+import "teleport/internal/mem"
 
 // Config holds every tunable hardware parameter. The zero value is not
 // usable; start from Testbed() and override.
@@ -113,9 +110,6 @@ func OpNs(clockGHz, n float64) float64 {
 func (c *Config) MsgNs(bytes int) float64 {
 	return c.NetLatencyNs + float64(bytes)/c.NetBandwidthGBs
 }
-
-// MsgTime is MsgNs as a sim.Time.
-func (c *Config) MsgTime(bytes int) sim.Time { return sim.FromNs(c.MsgNs(bytes)) }
 
 // RoundTripNs returns the cost of a request/response pair including the
 // remote handler.

@@ -18,9 +18,6 @@ const (
 	OpMerge      = "Merge"
 )
 
-// Phases lists the engine's phases in execution order.
-var Phases = []string{OpMapCompute, OpMapShuffle, OpReduce, OpMerge}
-
 // Per-element CPU costs.
 const (
 	opsPerByte   = 0.4 // tokenising / pattern matching per input byte

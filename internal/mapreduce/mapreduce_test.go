@@ -121,7 +121,7 @@ func TestPhasesProfiled(t *testing.T) {
 	if len(prof) != 4 {
 		t.Fatalf("profile = %+v", prof)
 	}
-	for i, name := range Phases {
+	for i, name := range []string{OpMapCompute, OpMapShuffle, OpReduce, OpMerge} {
 		if prof[i].Name != name {
 			t.Fatalf("phase %d = %s, want %s", i, prof[i].Name, name)
 		}

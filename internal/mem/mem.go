@@ -12,7 +12,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Page geometry.
@@ -40,13 +39,10 @@ func PageSpan(addr Addr, n int) (first, last PageID) {
 	return PageOf(addr), PageOf(addr + Addr(n) - 1)
 }
 
-// PTE is a page-table entry. Present and Writable drive the coherence
-// protocol; Dirty tracks pending write-back state (§4.1: "Evictions ...
-// preserve the correct page table entry dirty bits").
+// PTE is a page-table entry; Dirty tracks pending write-back state (§4.1:
+// "Evictions ... preserve the correct page table entry dirty bits").
 type PTE struct {
-	Present  bool
-	Writable bool
-	Dirty    bool
+	Dirty bool
 }
 
 // PageTable maps pages to entries. Pages without an entry are absent (∅ in
@@ -74,40 +70,6 @@ func (pt *PageTable) Ensure(p PageID) *PTE {
 	return e
 }
 
-// Remove deletes the entry for p.
-func (pt *PageTable) Remove(p PageID) { delete(pt.m, p) }
-
-// Len returns the number of entries.
-func (pt *PageTable) Len() int { return len(pt.m) }
-
-// Range calls f for every entry until f returns false. Iteration order is
-// unspecified; callers that need determinism must sort.
-func (pt *PageTable) Range(f func(PageID, *PTE) bool) {
-	for p, e := range pt.m {
-		if !f(p, e) {
-			return
-		}
-	}
-}
-
-// Clone deep-copies the table (Figure 8 line 7: "Clone of the caller's full
-// page table").
-func (pt *PageTable) Clone() *PageTable {
-	c := &PageTable{m: make(map[PageID]*PTE, len(pt.m))}
-	for p, e := range pt.m {
-		cp := *e
-		c.m[p] = &cp
-	}
-	return c
-}
-
-// Region records one named allocation for diagnostics.
-type Region struct {
-	Name string
-	Base Addr
-	Size int64
-}
-
 // Space is a process's ground-truth address space: a bump allocator over
 // demand-created 4 KB frames.
 type Space struct {
@@ -121,7 +83,6 @@ type Space struct {
 	// frame slices (Frame) stay valid and current for the Space's lifetime.
 	frames    [][]byte
 	allocated int64
-	regions   []Region
 }
 
 // spaceBase leaves the low addresses unused so that Addr(0) can mean "nil".
@@ -153,15 +114,11 @@ func (s *Space) alloc(n, align int64, name string) Addr {
 	base := (Addr(s.next) + Addr(align-1)) &^ Addr(align-1)
 	s.next = base + Addr(n)
 	s.allocated += n
-	s.regions = append(s.regions, Region{Name: name, Base: base, Size: n})
 	return base
 }
 
 // Allocated returns the total bytes allocated so far.
 func (s *Space) Allocated() int64 { return s.allocated }
-
-// Regions returns the allocation map.
-func (s *Space) Regions() []Region { return s.regions }
 
 // Pages returns the number of distinct pages spanned by allocations.
 func (s *Space) Pages() int64 {
@@ -222,16 +179,11 @@ func (s *Space) newFrame(p PageID) []byte {
 // an access it has already taken through both.
 func (s *Space) Frame(p PageID) []byte { return s.frame(p) }
 
-// SnapshotPage returns a copy of page p's current bytes — the pre-image the
-// pushdown undo journal captures before a page's first write. A page never
-// touched reads as zeroes, exactly as ReadAt would see it.
-func (s *Space) SnapshotPage(p PageID) []byte {
-	return s.SnapshotPageInto(p, nil)
-}
-
-// SnapshotPageInto captures page p into buf when buf has page capacity,
-// allocating only when it does not. The undo journal recycles its pre-image
-// buffers through this to keep capture allocation-free in steady state.
+// SnapshotPageInto copies page p's current bytes — the pre-image the pushdown
+// undo journal captures before a page's first write — into buf when buf has
+// page capacity, allocating only when it does not; the journal recycles its
+// buffers through this to keep capture allocation-free in steady state. A
+// page never touched reads as zeroes, exactly as ReadAt would see it.
 func (s *Space) SnapshotPageInto(p PageID, buf []byte) []byte {
 	if cap(buf) < PageSize {
 		buf = make([]byte, PageSize)
@@ -242,7 +194,7 @@ func (s *Space) SnapshotPageInto(p PageID, buf []byte) []byte {
 }
 
 // RestorePage overwrites page p with a previously captured snapshot,
-// rolling every byte of the page back to its SnapshotPage state.
+// rolling every byte of the page back to its SnapshotPageInto state.
 func (s *Space) RestorePage(p PageID, img []byte) {
 	copy(s.frame(p), img)
 }
@@ -326,30 +278,8 @@ func (s *Space) WriteU32(addr Addr, v uint32) {
 	s.WriteAt(addr, b[:])
 }
 
-// ReadU8 reads one byte.
-func (s *Space) ReadU8(addr Addr) byte {
-	return s.frame(PageOf(addr))[addr&(PageSize-1)]
-}
-
-// WriteU8 writes one byte.
-func (s *Space) WriteU8(addr Addr, v byte) {
-	s.frame(PageOf(addr))[addr&(PageSize-1)] = v
-}
-
-// ReadI64 reads an int64.
-func (s *Space) ReadI64(addr Addr) int64 { return int64(s.ReadU64(addr)) }
-
 // WriteI64 writes an int64.
 func (s *Space) WriteI64(addr Addr, v int64) { s.WriteU64(addr, uint64(v)) }
-
-// ReadF64 reads a float64.
-func (s *Space) ReadF64(addr Addr) float64 { return math.Float64frombits(s.ReadU64(addr)) }
-
-// WriteF64 writes a float64.
-func (s *Space) WriteF64(addr Addr, v float64) { s.WriteU64(addr, math.Float64bits(v)) }
-
-// ReadI32 reads an int32.
-func (s *Space) ReadI32(addr Addr) int32 { return int32(s.ReadU32(addr)) }
 
 // WriteI32 writes an int32.
 func (s *Space) WriteI32(addr Addr, v int32) { s.WriteU32(addr, uint32(v)) }

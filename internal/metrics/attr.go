@@ -132,7 +132,3 @@ type Attribution struct {
 	TotalNs int64   `json:"total_ns"`
 	Comps   TimeSet `json:"components_ns"`
 }
-
-// ComputeNs returns the compute residual: elapsed time not attributed to
-// any leaf component.
-func (a Attribution) ComputeNs() int64 { return a.TotalNs - a.Comps.TotalNs() }

@@ -54,13 +54,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add moves the gauge by n.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v += n
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -306,26 +299,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// Names returns every metric name, sorted, with its type prefixed — the
-// registry's deterministic iteration order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, "counter/"+n)
-	}
-	for n := range r.gauges {
-		names = append(names, "gauge/"+n)
-	}
-	for n := range r.hists {
-		names = append(names, "histogram/"+n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // WriteJSON writes the snapshot as indented JSON. A nil snapshot writes an
 // empty one. Byte-identical across same-seed runs: encoding/json sorts map
 // keys.
@@ -336,12 +309,4 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteJSON snapshots the registry and writes it as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		return (*Snapshot)(nil).WriteJSON(w)
-	}
-	return r.Snapshot().WriteJSON(w)
 }

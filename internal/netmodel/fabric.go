@@ -46,10 +46,6 @@ func (c Class) String() string {
 	return classNames[c]
 }
 
-// NumClasses returns the number of traffic classes (for per-class tables in
-// other packages).
-func NumClasses() int { return int(numClasses) }
-
 // Comp maps the class to its attribution component. The metrics package
 // declares its wire components in class order, which compCheck pins.
 func (c Class) Comp() metrics.Comp { return metrics.CompWirePageFault + metrics.Comp(c) }
@@ -240,17 +236,6 @@ func (f *Fabric) roundTrip(t *sim.Thread, reqBytes, respBytes int, class Class) 
 	}
 }
 
-// Async counts a message and returns its cost without charging any thread;
-// callers use it when the transfer overlaps with other work (e.g. a
-// write-back that the evicting thread does not wait for beyond posting).
-// Fault injection does not apply: the poster never observes the fate of an
-// asynchronous transfer, so retransmission is the transport's own business
-// and costs the poster nothing.
-func (f *Fabric) Async(bytes int, class Class) sim.Time {
-	f.count(class, bytes)
-	return f.cfg.MsgTime(bytes)
-}
-
 func (f *Fabric) count(class Class, bytes int) {
 	f.stats[class].Msgs++
 	f.stats[class].Bytes += int64(bytes)
@@ -272,10 +257,3 @@ func (f *Fabric) Total() Stat {
 	}
 	return s
 }
-
-// Reset clears all counters (used between experiment phases). The injector
-// and trace attachments are kept.
-func (f *Fabric) Reset() { f.stats = [numClasses]Stat{} }
-
-// Config exposes the underlying hardware parameters.
-func (f *Fabric) Config() *hw.Config { return f.cfg }

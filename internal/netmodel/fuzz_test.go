@@ -8,14 +8,14 @@ import "testing"
 func FuzzUnmarshalRuns(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
-	f.Add(MarshalRuns([]PageRun{{Start: 3, Count: 2, Writable: true}}))
+	f.Add(AppendRuns(nil, []PageRun{{Start: 3, Count: 2, Writable: true}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runs, err := UnmarshalRuns(data)
 		if err != nil {
 			return
 		}
 		// Whatever parsed must re-marshal to the same bytes.
-		out := MarshalRuns(runs)
+		out := AppendRuns(nil, runs)
 		if len(out) != len(data) {
 			t.Fatalf("round trip length changed: %d vs %d", len(out), len(data))
 		}

@@ -16,10 +16,13 @@ func testFabric() (*Fabric, *sim.Thread) {
 	return New(&cfg), sim.NewThread("net-test")
 }
 
+// msgTime is the virtual time one unfaulted n-byte message costs on f.
+func msgTime(f *Fabric, n int) sim.Time { return sim.FromNs(f.cfg.MsgNs(n)) }
+
 func TestSendChargesLatencyPlusBandwidth(t *testing.T) {
 	f, th := testFabric()
 	f.Send(th, 4096, ClassPageFault)
-	want := f.Config().MsgTime(4096)
+	want := msgTime(f, 4096)
 	if th.Now() != want {
 		t.Fatalf("Send charged %v, want %v", th.Now(), want)
 	}
@@ -39,30 +42,12 @@ func TestRoundTripCountsBothMessages(t *testing.T) {
 	}
 }
 
-func TestAsyncCountsButDoesNotCharge(t *testing.T) {
-	f, th := testFabric()
-	cost := f.Async(4096, ClassWriteback)
-	if th.Now() != 0 {
-		t.Fatal("Async must not charge the thread")
-	}
-	if cost != f.Config().MsgTime(4096) {
-		t.Fatalf("Async cost = %v", cost)
-	}
-	if s := f.Stats(ClassWriteback); s.Msgs != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
 func TestTotalAndReset(t *testing.T) {
 	f, th := testFabric()
 	f.Send(th, 10, ClassCoherence)
 	f.Send(th, 20, ClassSync)
 	if tot := f.Total(); tot.Msgs != 2 || tot.Bytes != 30 {
 		t.Fatalf("total = %+v", tot)
-	}
-	f.Reset()
-	if tot := f.Total(); tot.Msgs != 0 || tot.Bytes != 0 {
-		t.Fatalf("after reset total = %+v", tot)
 	}
 }
 
@@ -100,7 +85,7 @@ func TestSendRetransmitsOnLoss(t *testing.T) {
 		t.Fatalf("retries/drops = %d/%d, want 1/1", s.Retries, s.Drops)
 	}
 	// Charged: two transmissions plus at least the retry backoff.
-	min := 2*f.Config().MsgTime(4096) + sim.FromNs(retryBackoffRTTs*f.Config().NetLatencyNs)
+	min := 2*msgTime(f, 4096) + sim.FromNs(retryBackoffRTTs*f.cfg.NetLatencyNs)
 	if th.Now() < min {
 		t.Fatalf("charged %v, want ≥ %v", th.Now(), min)
 	}
@@ -114,7 +99,7 @@ func TestSendLatencySpikeChargesButDoesNotRetry(t *testing.T) {
 	if s.Msgs != 1 || s.Retries != 0 || s.Drops != 0 {
 		t.Fatalf("stats = %+v, want a single spiked delivery", s)
 	}
-	want := f.Config().MsgTime(100) + sim.FromNs(50000)
+	want := msgTime(f, 100) + sim.FromNs(50000)
 	if th.Now() != want {
 		t.Fatalf("charged %v, want %v", th.Now(), want)
 	}
@@ -154,12 +139,12 @@ func TestRetryCapDelivers(t *testing.T) {
 }
 
 // TestTotalAndResetAllClasses drives every class, including the retry/drop
-// counters, and checks Total aggregates and Reset clears all of them.
+// counters, and checks Total aggregates all of them.
 func TestTotalAndResetAllClasses(t *testing.T) {
 	f, th := testFabric()
 	classes := []Class{ClassPageFault, ClassWriteback, ClassCoherence, ClassPushdown, ClassStorage, ClassSync, ClassReplica}
-	if len(classes) != NumClasses() {
-		t.Fatalf("test covers %d classes, fabric has %d", len(classes), NumClasses())
+	if len(classes) != int(numClasses) {
+		t.Fatalf("test covers %d classes, fabric has %d", len(classes), numClasses)
 	}
 	for _, c := range classes {
 		f.SetInjector(&scriptedInjector{lost: []bool{true, false}})
@@ -173,15 +158,6 @@ func TestTotalAndResetAllClasses(t *testing.T) {
 	n := int64(len(classes))
 	if tot.Msgs != 2*n || tot.Bytes != 200*n || tot.Retries != n || tot.Drops != n {
 		t.Fatalf("total = %+v, want aggregates over %d classes", tot, n)
-	}
-	f.Reset()
-	if f.Total() != (Stat{}) {
-		t.Fatalf("after reset total = %+v", f.Total())
-	}
-	for _, c := range classes {
-		if f.Stats(c) != (Stat{}) {
-			t.Fatalf("after reset class %v = %+v", c, f.Stats(c))
-		}
 	}
 }
 
@@ -235,7 +211,7 @@ func TestEncodeRunsEmpty(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	runs := []PageRun{{0, 3, true}, {100, 1, false}}
-	buf := MarshalRuns(runs)
+	buf := AppendRuns(nil, runs)
 	if len(buf) != RunsWireSize(runs) {
 		t.Fatalf("wire size mismatch: %d vs %d", len(buf), RunsWireSize(runs))
 	}

@@ -59,30 +59,9 @@ func bitmapBytes(span uint64) int {
 	return bitmapFixedBytes + int((span+pagesPerByte-1)/pagesPerByte)
 }
 
-// BitmapWireSize returns the size of the bitmap encoding of runs, or -1
-// if the span is unrepresentable. Runs must be sorted, as EncodeRuns
-// produces them.
-func BitmapWireSize(runs []PageRun) int {
-	span, ok := bitmapSpan(runs)
-	if !ok {
-		return -1
-	}
-	return bitmapBytes(span)
-}
-
-// ResidentWireSize returns the marshalled size of the resident list: the
-// smaller of the RLE and bitmap encodings.
-func ResidentWireSize(runs []PageRun) int {
-	rle := RunsWireSize(runs)
-	if bmp := BitmapWireSize(runs); bmp >= 0 && bmp < rle {
-		return bmp
-	}
-	return rle
-}
-
 // MarshalResident serialises the resident list in whichever encoding is
 // smaller; ties keep RLE, so lists that compress well produce exactly the
-// bytes MarshalRuns always produced.
+// bytes AppendRuns produces.
 func MarshalResident(runs []PageRun) []byte { return AppendResident(nil, runs) }
 
 // AppendResident appends MarshalResident's bytes to dst. The list is

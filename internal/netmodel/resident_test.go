@@ -21,7 +21,8 @@ func TestResidentBitmapBeatsDegenerateRLE(t *testing.T) {
 		t.Fatalf("expected 64 degenerate runs, got %d", len(runs))
 	}
 	wire := MarshalResident(runs)
-	if bmp := BitmapWireSize(runs); len(wire) != bmp {
+	span, _ := bitmapSpan(runs)
+	if bmp := bitmapBytes(span); len(wire) != bmp {
 		t.Fatalf("degenerate list should marshal as a %d-byte bitmap, got %d bytes", bmp, len(wire))
 	}
 	if rle := RunsWireSize(runs); len(wire) >= rle {
@@ -41,11 +42,8 @@ func TestResidentBitmapBeatsDegenerateRLE(t *testing.T) {
 func TestResidentKeepsRLEBytesWhenSmaller(t *testing.T) {
 	runs := []PageRun{{Start: 10, Count: 500, Writable: true}, {Start: 4096, Count: 300}}
 	wire := MarshalResident(runs)
-	if want := MarshalRuns(runs); !reflect.DeepEqual(wire, want) {
+	if want := AppendRuns(nil, runs); !reflect.DeepEqual(wire, want) {
 		t.Fatal("compact lists must marshal byte-identically to plain RLE")
-	}
-	if ResidentWireSize(runs) != RunsWireSize(runs) {
-		t.Fatal("ResidentWireSize should equal RLE size for compact lists")
 	}
 	got, err := UnmarshalResident(wire)
 	if err != nil {
@@ -110,8 +108,8 @@ func FuzzResidentRoundTrip(f *testing.F) {
 		}
 
 		wire := MarshalResident(runs)
-		if bmp := BitmapWireSize(runs); bmp >= 0 && len(wire) > bmp {
-			t.Fatalf("encoding is %d bytes, longer than its %d-byte bitmap", len(wire), bmp)
+		if span, ok := bitmapSpan(runs); ok && len(wire) > bitmapBytes(span) {
+			t.Fatalf("encoding is %d bytes, longer than its %d-byte bitmap", len(wire), bitmapBytes(span))
 		}
 		if rle := RunsWireSize(runs); len(wire) > rle {
 			t.Fatalf("encoding is %d bytes, longer than plain RLE's %d", len(wire), rle)
@@ -134,7 +132,7 @@ func FuzzResidentRoundTrip(f *testing.F) {
 // was parsed (canonicalisation may shrink, never grow).
 func FuzzUnmarshalResident(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(MarshalRuns([]PageRun{{Start: 3, Count: 2, Writable: true}}))
+	f.Add(AppendRuns(nil, []PageRun{{Start: 3, Count: 2, Writable: true}}))
 	f.Add(MarshalResident(mustRuns(f, alternating(16))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runs, err := UnmarshalResident(data)

@@ -86,10 +86,6 @@ func DecodeRuns(runs []PageRun) []PageEntry {
 	return out
 }
 
-// MarshalRuns serialises runs into the on-wire format used to size the
-// pushdown request message.
-func MarshalRuns(runs []PageRun) []byte { return AppendRuns(nil, runs) }
-
 // AppendRuns appends the on-wire RLE format of runs to dst.
 func AppendRuns(dst []byte, runs []PageRun) []byte {
 	dst = slices.Grow(dst, RunsWireSize(runs))

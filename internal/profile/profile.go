@@ -27,18 +27,9 @@ type Exec struct {
 	// pushdown (Figure 18) is exactly the size of this set.
 	push map[string]bool
 
-	// PushFlags are passed to every pushdown call.
-	PushFlags core.Flags
-
 	// PushDeadline is the per-attempt virtual-time budget passed to every
 	// pushdown call (core.Options.Deadline); zero means no budget.
 	PushDeadline sim.Time
-
-	// Policy is the recovery policy applied to every pushdown: recoverable
-	// failures (cancellation, pool crashes, context crashes) are retried and
-	// then degraded to local execution, so a chaos run still computes the
-	// same answer. Zero values fall back immediately without retrying.
-	Policy core.RetryThenLocal
 
 	ops  []OpStat
 	byID map[string]int
@@ -73,13 +64,12 @@ func (o OpStat) Intensity() float64 {
 // possible, e.g. local execution).
 func NewExec(t *sim.Thread, p *ddc.Process, rt *core.Runtime) *Exec {
 	return &Exec{
-		T:      t,
-		P:      p,
-		RT:     rt,
-		Env:    p.NewEnv(t),
-		Policy: core.DefaultRetryThenLocal(),
-		push:   make(map[string]bool),
-		byID:   make(map[string]int),
+		T:    t,
+		P:    p,
+		RT:   rt,
+		Env:  p.NewEnv(t),
+		push: make(map[string]bool),
+		byID: make(map[string]int),
 	}
 }
 
@@ -91,9 +81,6 @@ func (ex *Exec) Push(names ...string) *Exec {
 	return ex
 }
 
-// Pushed reports whether an operator name is marked for pushdown.
-func (ex *Exec) Pushed(name string) bool { return ex.push[name] }
-
 // Run executes one operator: pushed down if marked (and a runtime exists),
 // locally otherwise, accumulating its profile either way.
 func (ex *Exec) Run(name string, fn func(env *ddc.Env)) {
@@ -102,13 +89,14 @@ func (ex *Exec) Run(name string, fn func(env *ddc.Env)) {
 	attrBefore := *ex.P.M.Times
 	pushed := ex.push[name] && ex.RT != nil
 	if pushed {
-		// PushdownWithPolicy absorbs recoverable failures (retry, then
-		// compute-side fallback); only non-recoverable errors — a killed
-		// function or a remote panic — surface, and those are bugs in the
-		// operator, not the platform.
+		// PushdownWithPolicy absorbs recoverable failures (cancellation, pool
+		// and context crashes: retry, then compute-side fallback), so a chaos
+		// run still computes the same answer; only non-recoverable errors — a
+		// killed function or a remote panic — surface, and those are bugs in
+		// the operator, not the platform.
 		var err error
 		_, pushed, err = ex.RT.PushdownWithPolicy(ex.T, fn,
-			core.Options{Flags: ex.PushFlags, Deadline: ex.PushDeadline}, ex.Policy)
+			core.Options{Deadline: ex.PushDeadline}, core.DefaultRetryThenLocal())
 		if err != nil {
 			panic("profile: pushdown failed: " + err.Error())
 		}

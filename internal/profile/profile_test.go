@@ -73,7 +73,7 @@ func TestExecAccumulatesRepeatedOperators(t *testing.T) {
 	if ex.Total() != prof[0].Time {
 		t.Fatal("Total != summed op time")
 	}
-	if ex.Pushed("Op") {
+	if prof[0].Pushed {
 		t.Fatal("Op was never marked for pushdown")
 	}
 }

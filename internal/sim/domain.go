@@ -88,9 +88,6 @@ func (dm *Domain) Spawn(name string, start Time, fn func(*Thread)) *Thread {
 	return dm.d.spawn(name, start, fn)
 }
 
-// Name returns the domain's diagnostic name.
-func (dm *Domain) Name() string { return dm.d.name }
-
 // SetLookahead declares the minimum cross-domain message latency L: every
 // Post must arrive at least L after the sender's current clock. Multi-domain
 // runs require a positive lookahead — it is the window size that lets

@@ -47,14 +47,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("sim: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Duration returns a uniform virtual duration in [min, max].
 func (r *RNG) Duration(min, max Time) Time {
 	if max <= min {

@@ -246,14 +246,3 @@ func (s *Scheduler) Switches() int64 {
 	}
 	return n
 }
-
-// RunParallel is a convenience wrapper: it runs n simulated threads created
-// by fn under a fresh scheduler and returns the makespan.
-func RunParallel(n int, name string, fn func(i int, t *Thread)) Time {
-	s := NewScheduler()
-	for i := 0; i < n; i++ {
-		i := i
-		s.Spawn(fmt.Sprintf("%s-%d", name, i), 0, func(t *Thread) { fn(i, t) })
-	}
-	return s.Run()
-}

@@ -37,9 +37,6 @@ func TestTimeConversions(t *testing.T) {
 	if FromNs(-5) != 0 {
 		t.Errorf("FromNs negative should clamp to 0")
 	}
-	if FromSeconds(1.5) != 1500*Millisecond {
-		t.Errorf("FromSeconds(1.5) = %v", FromSeconds(1.5))
-	}
 	if (2 * Second).Seconds() != 2.0 {
 		t.Errorf("Seconds() = %v", (2 * Second).Seconds())
 	}
@@ -51,9 +48,6 @@ func TestTimeConversions(t *testing.T) {
 func TestMaxMinTime(t *testing.T) {
 	if MaxTime(1, 2) != 2 || MaxTime(2, 1) != 2 {
 		t.Error("MaxTime wrong")
-	}
-	if MinTime(1, 2) != 1 || MinTime(2, 1) != 1 {
-		t.Error("MinTime wrong")
 	}
 }
 
@@ -74,9 +68,6 @@ func TestStandaloneThread(t *testing.T) {
 	th.AdvanceTo(10 * Microsecond)
 	if th.Now() != 10*Microsecond {
 		t.Fatalf("AdvanceTo(10µs) = %v", th.Now())
-	}
-	if th.Attached() {
-		t.Fatal("standalone thread must not be attached")
 	}
 }
 
@@ -233,11 +224,13 @@ func TestSpawnDuringRun(t *testing.T) {
 	}
 }
 
-func TestRunParallel(t *testing.T) {
-	end := RunParallel(8, "w", func(i int, th *Thread) {
-		th.Advance(Time(i+1) * Microsecond)
-	})
-	if end != 8*Microsecond {
+func TestSpawnedThreadsOverlap(t *testing.T) {
+	s := NewScheduler()
+	for i := 0; i < 8; i++ {
+		i := i
+		s.Spawn("w", 0, func(th *Thread) { th.Advance(Time(i+1) * Microsecond) })
+	}
+	if end := s.Run(); end != 8*Microsecond {
 		t.Fatalf("makespan = %v, want 8µs", end)
 	}
 }

@@ -86,6 +86,3 @@ func (t *Thread) Unblock(at Time) {
 	}
 	t.sched.unblock(t, at)
 }
-
-// Attached reports whether the thread runs under a scheduler.
-func (t *Thread) Attached() bool { return t.sched != nil }

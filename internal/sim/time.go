@@ -57,20 +57,9 @@ func FromNs(ns float64) Time {
 	return Time(ns + 0.5)
 }
 
-// FromSeconds converts floating-point seconds to a Time.
-func FromSeconds(s float64) Time { return FromNs(s * 1e9) }
-
 // MaxTime returns the larger of a and b.
 func MaxTime(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinTime returns the smaller of a and b.
-func MinTime(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

@@ -129,10 +129,3 @@ func (d *SSD) Stats() Stats {
 		ReadRetries: d.readRetries,
 	}
 }
-
-// Reset clears counters and stream-detection state, keeping the injector
-// and observability attachments.
-func (d *SSD) Reset() {
-	*d = SSD{cfg: d.cfg, pageSize: d.pageSize, inj: d.inj,
-		times: d.times, tr: d.tr, reg: d.reg}
-}

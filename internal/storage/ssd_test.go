@@ -65,15 +65,6 @@ func TestWriteCosts(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	d, th := newTestSSD()
-	d.ReadPage(th, 1)
-	d.Reset()
-	if s := d.Stats(); s.Reads != 0 || s.BytesRead != 0 {
-		t.Fatalf("stats after reset = %+v", s)
-	}
-}
-
 // scriptedInjector fails the first n read checks.
 type scriptedInjector struct{ failures int }
 
@@ -110,20 +101,6 @@ func TestReadRetriesAreCapped(t *testing.T) {
 	}
 	if th.Now() == 0 {
 		t.Fatal("capped read charged nothing")
-	}
-}
-
-func TestResetKeepsInjector(t *testing.T) {
-	d, th := newTestSSD()
-	d.SetInjector(&scriptedInjector{failures: maxReadAttempts})
-	d.ReadPage(th, 1) // consumes maxReadAttempts-1 failures
-	d.Reset()
-	if s := d.Stats(); s.Reads != 0 || s.ReadRetries != 0 {
-		t.Fatalf("stats after reset = %+v", s)
-	}
-	d.ReadPage(th, 2)
-	if d.Stats().ReadRetries == 0 {
-		t.Fatal("injector lost across Reset")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 
 // Days span the TPC-H date domain 1992-01-01 .. 1998-12-31 as day numbers.
 const (
-	DateMin   = 0
 	DateMax   = 2556
 	YearDays  = 365
 	GreenPart = 7 // the p_color id Q9 filters ("%green%")
@@ -94,10 +93,10 @@ func Load(db *coldb.DB, cfg Config) *Data {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	L := int(60000 * cfg.Scale)
-	O := maxInt(L/4, 1)
-	C := maxInt(O/10, 1)
-	P := maxInt(L/30, 1)
-	S := maxInt(L/600, 10)
+	O := max(L/4, 1)
+	C := max(O/10, 1)
+	P := max(L/30, 1)
+	S := max(L/600, 10)
 	PS := P * 4
 
 	d := &Data{DB: db, L: L, O: O, C: C, P: P, S: S, PS: PS}
@@ -228,10 +227,3 @@ func Load(db *coldb.DB, cfg Config) *Data {
 }
 
 const priceDiv = 10 // price quantisation divisor
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -24,7 +25,7 @@ func stageI64(db *coldb.DB, c *coldb.Column, vals []int64) {
 
 func stageF64(db *coldb.DB, c *coldb.Column, vals []float64) {
 	for i, v := range vals {
-		db.P.Space.WriteF64(c.Addr(i), v)
+		db.P.Space.WriteU64(c.Addr(i), math.Float64bits(v))
 	}
 }
 
@@ -36,10 +37,10 @@ func referenceLoad(db *coldb.DB, cfg Config) *Data {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	L := int(60000 * cfg.Scale)
-	O := maxInt(L/4, 1)
-	C := maxInt(O/10, 1)
-	P := maxInt(L/30, 1)
-	S := maxInt(L/600, 10)
+	O := max(L/4, 1)
+	C := max(O/10, 1)
+	P := max(L/30, 1)
+	S := max(L/600, 10)
 	PS := P * 4
 
 	d := &Data{DB: db, L: L, O: O, C: C, P: P, S: S, PS: PS}

@@ -24,13 +24,6 @@ const (
 // QFilterOps are the operators of the §5.1 microbenchmark, in plan order.
 var QFilterOps = []string{OpSelection, OpProjection, OpAggregation}
 
-// Q9Ops are Q9's operators in plan order (eight, matching Figure 18's
-// "All" level).
-var Q9Ops = []string{
-	OpSelection, OpHashJoin, OpProjection, OpLookup,
-	OpMergeJoin, OpExpression, OpGroup, OpAggregation,
-}
-
 // QFilter runs the paper's Q_filter:
 //
 //	SELECT SUM(quantity) FROM Lineitem WHERE shipdate < $DATE
@@ -125,7 +118,7 @@ func Q3(ex *profile.Exec, d *Data, segment, day int64) []coldb.GroupRow {
 	var top []coldb.GroupRow
 	ex.Run(OpGroup, func(env *ddc.Env) {
 		keys := coldb.GatherI64(env, li.Col("l_orderkey"), liMatch.Outer)
-		g := coldb.GroupBySum(env, keys, rev, nil, maxInt(keys.N, 16))
+		g := coldb.GroupBySum(env, keys, rev, nil, max(keys.N, 16))
 		top = coldb.TopK(env, g.Rows(env), 10)
 	})
 	return top
@@ -169,7 +162,7 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 	var supplyCost *coldb.Column
 	ex.Run(OpHashJoin, func(env *ddc.Env) {
 		idx := coldb.BuildHashIndex(env, ps.Col("ps_key"), nil)
-		composite := coldb.NewColumn(env.P, "l_pskey", coldb.I64, maxInt(lPartK.N, 1))
+		composite := coldb.NewColumn(env.P, "l_pskey", coldb.I64, max(lPartK.N, 1))
 		composite.N = lPartK.N
 		for i := 0; i < lPartK.N; i++ {
 			env.Compute(2)
@@ -198,7 +191,7 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 	ex.Run(OpMergeJoin, func(env *ddc.Env) {
 		mj := coldb.MergeJoin(env, li.Col("l_orderkey"), orders.Col("o_orderkey"))
 		dates := coldb.GatherI64(env, orders.Col("o_orderdate"), mj.Inner)
-		year = coldb.NewColumn(env.P, "o_year", coldb.I32, maxInt(dates.N, 1))
+		year = coldb.NewColumn(env.P, "o_year", coldb.I32, max(dates.N, 1))
 		year.N = dates.N
 		for i := 0; i < dates.N; i++ {
 			env.Compute(2)
@@ -212,7 +205,7 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 	ex.Run(OpExpression, func(env *ddc.Env) {
 		revenue := coldb.ExprRevenue(env, lPrice, lDisc, nil)
 		cost := coldb.ExprMulAddColumns(env, supplyCost, lQty, 1, nil)
-		amount = coldb.NewColumn(env.P, "amount", coldb.F64, maxInt(revenue.N, 1))
+		amount = coldb.NewColumn(env.P, "amount", coldb.F64, max(revenue.N, 1))
 		amount.N = revenue.N
 		for i := 0; i < revenue.N; i++ {
 			env.Compute(2)
@@ -223,7 +216,7 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 	// Group: (nation, year) hash aggregation over the selected rows.
 	var g *coldb.GroupAgg
 	ex.Run(OpGroup, func(env *ddc.Env) {
-		keys := coldb.NewColumn(env.P, "nation_year", coldb.I64, maxInt(nation.N, 1))
+		keys := coldb.NewColumn(env.P, "nation_year", coldb.I64, max(nation.N, 1))
 		keys.N = nation.N
 		for i := 0; i < nation.N; i++ {
 			env.Compute(2)
@@ -273,7 +266,7 @@ func Q1(ex *profile.Exec, d *Data, cutDay int64) []Q1Row {
 	var discPrice, charge *coldb.Column
 	ex.Run(OpExpression, func(env *ddc.Env) {
 		discPrice = coldb.ExprRevenue(env, li.Col("l_extendedprice"), li.Col("l_discount"), cand)
-		charge = coldb.NewColumn(env.P, "charge", coldb.F64, maxInt(discPrice.N, 1))
+		charge = coldb.NewColumn(env.P, "charge", coldb.F64, max(discPrice.N, 1))
 		charge.N = discPrice.N
 		i := 0
 		cand.ForEach(env, li.N, func(row int) {
@@ -287,7 +280,7 @@ func Q1(ex *profile.Exec, d *Data, cutDay int64) []Q1Row {
 	// sums via the group table (one per measure).
 	var gQty, gPrice, gDisc, gCharge *coldb.GroupAgg
 	ex.Run(OpGroup, func(env *ddc.Env) {
-		keys := coldb.NewColumn(env.P, "q1key", coldb.I64, maxInt(cand.Len(li.N), 1))
+		keys := coldb.NewColumn(env.P, "q1key", coldb.I64, max(cand.Len(li.N), 1))
 		keys.N = cand.Len(li.N)
 		i := 0
 		cand.ForEach(env, li.N, func(row int) {

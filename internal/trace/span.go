@@ -51,14 +51,6 @@ func NewTracer(r *Ring) *Tracer {
 	return &Tracer{ring: r, stacks: make(map[string][]frame)}
 }
 
-// Ring returns the ring the tracer writes into (nil on a nil tracer).
-func (tr *Tracer) Ring() *Ring {
-	if tr == nil {
-		return nil
-	}
-	return tr.ring
-}
-
 // Begin opens a span on t's stack and returns its ID (0 on a nil tracer).
 func (tr *Tracer) Begin(t *sim.Thread, k Kind, page uint64, arg int64) uint64 {
 	if tr == nil {

@@ -174,15 +174,6 @@ func (r *Ring) SetObserver(fn func(Event)) {
 	r.observer = fn
 }
 
-// Total returns the number of events ever recorded (including overwritten
-// ones).
-func (r *Ring) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.total
-}
-
 // Dropped returns how many events were overwritten by ring wraparound
 // (total recorded − retained). Non-zero means the retained window is a
 // suffix of the run, not the whole story.
@@ -221,17 +212,15 @@ func (r *Ring) CountByKind() map[Kind]int {
 	return m
 }
 
-// Dump writes the retained events to w, oldest first. When the ring wrapped
-// it leads with a "# dropped N events" line so a partial trace is never
-// mistaken for a complete one.
-func (r *Ring) Dump(w io.Writer) {
-	if r == nil {
-		return
+// Dump writes a ring's retained events (Events, oldest first) to w, one per
+// line behind indent. When the ring wrapped (dropped = Dropped() > 0) it leads
+// with a "# dropped N events" line so a partial trace is never mistaken for a
+// complete one.
+func Dump(w io.Writer, indent string, events []Event, dropped uint64) {
+	if dropped > 0 {
+		fmt.Fprintf(w, "%s# dropped %d events\n", indent, dropped)
 	}
-	if d := r.Dropped(); d > 0 {
-		fmt.Fprintf(w, "# dropped %d events\n", d)
-	}
-	for _, e := range r.Events() {
-		fmt.Fprintln(w, e)
+	for _, e := range events {
+		fmt.Fprintf(w, "%s%v\n", indent, e)
 	}
 }

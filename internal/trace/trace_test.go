@@ -10,7 +10,7 @@ import (
 func TestNilRingIsSafe(t *testing.T) {
 	var r *Ring
 	r.Add(Event{Kind: KindRemoteFault})
-	if r.Total() != 0 || r.Events() != nil {
+	if r.Dropped() != 0 || r.Events() != nil {
 		t.Fatal("nil ring must be inert")
 	}
 }
@@ -20,8 +20,8 @@ func TestRingKeepsLastN(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(Event{At: sim.Time(i), Kind: KindEviction, Page: uint64(i)})
 	}
-	if r.Total() != 5 {
-		t.Fatalf("Total = %d", r.Total())
+	if r.total != 5 {
+		t.Fatalf("Total = %d", r.total)
 	}
 	evs := r.Events()
 	if len(evs) != 3 {
@@ -44,7 +44,7 @@ func TestCountByKindAndDump(t *testing.T) {
 		t.Fatalf("counts = %v", counts)
 	}
 	var sb strings.Builder
-	r.Dump(&sb)
+	Dump(&sb, "", r.Events(), r.Dropped())
 	out := sb.String()
 	if !strings.Contains(out, "coherence") || !strings.Contains(out, "pushdown-start") {
 		t.Fatalf("dump = %s", out)
@@ -62,8 +62,8 @@ func TestRingWraparound(t *testing.T) {
 	r := New(capacity)
 	for i := 0; i < 3*capacity+1; i++ {
 		r.Add(Event{At: sim.Time(i), Kind: KindRPCRetry, Page: uint64(i)})
-		if want := uint64(i + 1); r.Total() != want {
-			t.Fatalf("after %d adds Total = %d, want %d", i+1, r.Total(), want)
+		if want := uint64(i + 1); r.total != want {
+			t.Fatalf("after %d adds Total = %d, want %d", i+1, r.total, want)
 		}
 		evs := r.Events()
 		wantLen := i + 1
@@ -93,7 +93,7 @@ func TestDroppedAndDumpBanner(t *testing.T) {
 		t.Fatalf("Dropped = %d before wraparound", r.Dropped())
 	}
 	var clean strings.Builder
-	r.Dump(&clean)
+	Dump(&clean, "", r.Events(), r.Dropped())
 	if strings.Contains(clean.String(), "# dropped") {
 		t.Fatalf("unwrapped dump carries a drop banner: %s", clean.String())
 	}
@@ -104,7 +104,7 @@ func TestDroppedAndDumpBanner(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 2 (5 added, 3 retained)", r.Dropped())
 	}
 	var sb strings.Builder
-	r.Dump(&sb)
+	Dump(&sb, "", r.Events(), r.Dropped())
 	if !strings.HasPrefix(sb.String(), "# dropped 2 events\n") {
 		t.Fatalf("dump = %q, want leading drop banner", sb.String())
 	}
@@ -126,8 +126,8 @@ func TestRingWraparoundCountByKind(t *testing.T) {
 	if counts[KindPoolCrash] != 1 || counts[KindPoolRecover] != 1 || counts[KindFallbackLocal] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
-	if r.Total() != 4 {
-		t.Fatalf("Total = %d", r.Total())
+	if r.total != 4 {
+		t.Fatalf("Total = %d", r.total)
 	}
 }
 

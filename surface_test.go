@@ -1,0 +1,247 @@
+package teleport_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"teleport/internal/analysis/load"
+)
+
+// internal/ is an application, not a library: an exported name under it
+// exists because a non-test file of this module uses it, or because one line
+// here says why not. Keys are "pkg.Name" / "pkg.Type.Member".
+//
+// Not listed because benchmark/probes.go calls them, but alive for no other
+// reason: mem.NewPageTable, PageTable.Ensure/Lookup and PTE.Dirty exist only so
+// the mem.pt_lookup_ns probe has something to time (ROADMAP item 3).
+var surfaceKeep = map[string]string{
+	"bench.RunWorkload": "oracle: the single-run entry bench's determinism, chaos and golden tests compare runs through",
+
+	"ddc.Env.Accesses":           "observation point: TestEnvAccessMatchesReference lock-steps the access counters against the reference path",
+	"ddc.Env.InvalidateFastPath": "observation point: an op of the FuzzEnvAccessModel traces, forcing the pager path mid-run",
+	"ddc.Env.ReadU32s":           "facade API (teleport.Env, README quickstart): the read half of WriteU32s",
+	"ddc.Env.WriteBytes":         "facade API (teleport.Env, README quickstart): the write half of ReadBytes",
+
+	"fault.Plan.Pin":      "test oracle: puts an outage edge at an exact instant (core boundary/breaker tests, FuzzSchedulePins)",
+	"graph.FromAdjacency": "oracle: the append-built CSR TestGenerateMatchesAppendReference compares Generate against",
+
+	"metrics.Counter.Value":   "observation point: reads a live handle without a Snapshot",
+	"metrics.Gauge.Value":     "observation point: reads a live handle without a Snapshot",
+	"metrics.Histogram.Count": "observation point: reads a live handle without a Snapshot",
+	"metrics.Histogram.Sum":   "observation point: reads a live handle without a Snapshot",
+
+	"netmodel.EncodeRuns":                "oracle: FuzzCacheRuns/TestCacheRunsMatchReference check PageCache.AppendRuns against it",
+	"netmodel.DecodeRuns":                "oracle: inverse of EncodeRuns in the RLE round-trip property and fuzz tests",
+	"netmodel.UnmarshalPushdownRequest":  "decode half of the request wire format: round-trip tests and FuzzUnmarshalPushdownRequest",
+	"netmodel.UnmarshalPushdownResponse": "decode half of the response wire format: round-trip tests and FuzzUnmarshalPushdownResponse",
+
+	"trace.Ring.CountByKind": "observation point: core, ddc and trace tests count events per kind through it",
+}
+
+// knobStructs are the option structs whose every exported field must be
+// assigned by at least one file of the module, tests included.
+var knobStructs = []string{
+	"core.Runtime", "core.Options", "core.RetryThenLocal", "core.BreakerConfig",
+	"profile.Exec", "ddc.Config",
+}
+
+const internalPrefix = "teleport/internal/"
+
+func TestInternalSurfaceHasProductionCallers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module (~2 s)")
+	}
+	sess := load.NewSession(".")
+	pkgs, err := sess.Module("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every object a non-test file names, and every field one assigns.
+	used := map[types.Object]bool{}
+	assigned := map[types.Object]bool{}
+	var ifaces []*types.Interface
+	addIface := func(obj types.Object) {
+		if tn, ok := obj.(*types.TypeName); ok {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				ifaces = append(ifaces, it)
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error"))
+	for _, p := range pkgs {
+		for _, obj := range p.Info.Uses {
+			used[origin(obj)] = true
+		}
+		for _, name := range p.Types.Scope().Names() {
+			addIface(p.Types.Scope().Lookup(name))
+		}
+		for _, imp := range p.Types.Imports() {
+			if imp.Path() == "fmt" {
+				addIface(imp.Scope().Lookup("Stringer"))
+			}
+		}
+		for _, f := range p.Files {
+			markAssigned(f, func(id *ast.Ident) {
+				if obj := p.Info.Uses[id]; obj != nil {
+					assigned[origin(obj)] = true
+				}
+			})
+		}
+	}
+	// satisfies reports whether m is a method some interface of the module
+	// (or error / fmt.Stringer) demands of its receiver type.
+	satisfies := func(m *types.Func) bool {
+		recv := m.Type().(*types.Signature).Recv().Type()
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == m.Name() && types.Implements(recv, it) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	var unreferenced []string
+	keepSeen := map[string]bool{}
+	check := func(key string, obj types.Object) {
+		if used[obj] {
+			return
+		}
+		if _, ok := surfaceKeep[key]; ok {
+			keepSeen[key] = true
+			return
+		}
+		unreferenced = append(unreferenced, key)
+	}
+	knobs := map[string]*types.Struct{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, internalPrefix) || strings.HasPrefix(p.Path, internalPrefix+"analysis") {
+			continue
+		}
+		pkg := strings.TrimPrefix(p.Path, internalPrefix)
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			tn, isType := obj.(*types.TypeName)
+			if _, isConst := obj.(*types.Const); !isConst && obj.Exported() {
+				check(pkg+"."+name, obj)
+			}
+			if !isType || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() && !satisfies(m) {
+					check(pkg+"."+name+"."+m.Name(), m)
+				}
+			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			knobs[pkg+"."+name] = st
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					check(pkg+"."+name+"."+f.Name(), f)
+				}
+			}
+		}
+	}
+	sort.Strings(unreferenced)
+	for _, key := range unreferenced {
+		t.Errorf("%s is exported under internal/ but no non-test file references it: delete it, unexport it, or give it a line in surfaceKeep", key)
+	}
+	for key, why := range surfaceKeep {
+		if !keepSeen[key] {
+			t.Errorf("surfaceKeep[%q] is stale: the name is gone or has a production caller now", key)
+		}
+		if strings.TrimSpace(why) == "" {
+			t.Errorf("surfaceKeep[%q] has no reason", key)
+		}
+	}
+	if len(surfaceKeep) > 30 {
+		t.Errorf("surfaceKeep has %d entries; the budget is 30", len(surfaceKeep))
+	}
+
+	// The knob nobody sets: test files are matched by field name only (they
+	// are not type-checked here), which can only make this check more lenient.
+	testAssigned := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") || strings.Contains(path, "testdata") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		markAssigned(f, func(id *ast.Ident) { testAssigned[id.Name] = true })
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range knobStructs {
+		st := knobs[name]
+		if st == nil {
+			t.Errorf("knob struct %s not found", name)
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && !f.Embedded() && !assigned[f] && !testAssigned[f.Name()] {
+				t.Errorf("%s.%s is assigned by no file: a knob nobody sets is a constant", name, f.Name())
+			}
+		}
+	}
+}
+
+// origin maps an instantiated generic's member back to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// markAssigned calls mark for every field identifier f assigns: a key of a
+// composite literal, or the selected name on the left of =, op= or ++/--.
+func markAssigned(f *ast.File, mark func(*ast.Ident)) {
+	lhs := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			mark(sel.Sel)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						mark(id)
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				lhs(e)
+			}
+		case *ast.IncDecStmt:
+			lhs(n.X)
+		}
+		return true
+	})
+}
