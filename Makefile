@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare
+.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare profile
 
 build:
 	$(GO) build ./...
@@ -41,8 +41,22 @@ bench-repo:
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 
+# Where the host's time goes in one workload on one platform, without editing
+# code: make profile W=Q9 P=teleport leaves the pprof file and its top 20 in
+# PROFILE_OUT (go tool pprof -http=: reads the former).
+W ?= Q9
+P ?= teleport
+PROFILE_OUT ?= profile-out
+profile:
+	mkdir -p $(PROFILE_OUT)
+	$(GO) build -o $(PROFILE_OUT)/ddcsim ./cmd/ddcsim
+	$(PROFILE_OUT)/ddcsim run -workload $(W) -platform $(P) -cpuprofile $(PROFILE_OUT)/$(W)-$(P).pprof >/dev/null
+	$(GO) tool pprof -top -nodecount=20 $(PROFILE_OUT)/ddcsim $(PROFILE_OUT)/$(W)-$(P).pprof >$(PROFILE_OUT)/$(W)-$(P).top.txt
+	@head -30 $(PROFILE_OUT)/$(W)-$(P).top.txt
+
 # Short fuzz pass over the §6 resident-page-list codec, the compute cache's
-# run emitter, the Env access path against its reference model and the fault
+# run emitter, the Env access path — scalar, batched and row-loop (ddc.Rows)
+# operations alike — against its reference model and the fault
 # plan's one outage schedule against a linear-scan oracle; CI runs this on
 # every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"teleport/internal/bench"
@@ -39,6 +41,7 @@ type binder struct {
 	machines, rounds         int
 	deadlineUs, cooldownUs   float64
 	paths                    [len(artifacts)]string
+	profiles                 [len(hostProfiles)]string
 }
 
 // group is one set of flags declared together.
@@ -104,7 +107,59 @@ var (
 			b.fs.StringVar(&b.paths[i], a.flag, "", "write "+a.help+" to this file")
 		}
 	}}
+	gHostProfiles = group{"host profiles", func(b *binder) {
+		for i, hp := range hostProfiles {
+			b.fs.StringVar(&b.profiles[i], hp.flag, "", "write "+hp.help+" to this file (go tool pprof reads it)")
+		}
+	}}
 )
+
+// hostProfile is one pprof file about the simulator itself — where the host's
+// time and memory go, not the simulated machine's — that a verb can leave
+// behind: start runs before the verb, the stop it returns after.
+type hostProfile struct {
+	flag, help string
+	start      func(f *os.File) (stop func() error, err error)
+}
+
+var hostProfiles = [...]hostProfile{
+	{"cpuprofile", "a CPU profile of the simulator", func(f *os.File) (func() error, error) {
+		return func() error { pprof.StopCPUProfile(); return nil }, pprof.StartCPUProfile(f)
+	}},
+	{"memprofile", "a profile of the simulator's allocations", func(f *os.File) (func() error, error) {
+		return func() error { runtime.GC(); return pprof.Lookup("allocs").WriteTo(f, 0) }, nil
+	}},
+}
+
+// profiled runs verb between the starts and stops of the profiles asked for.
+func (b *binder) profiled(verb func() error) error {
+	for i, hp := range hostProfiles {
+		if b.profiles[i] == "" {
+			continue
+		}
+		f, err := os.Create(b.profiles[i])
+		if err != nil {
+			return fmt.Errorf("-%s: %w", hp.flag, err)
+		}
+		stop, err := hp.start(f)
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("-%s: %w", hp.flag, err)
+		}
+		inner := verb
+		verb = func() error {
+			err := inner()
+			if serr := stop(); err == nil {
+				err = serr
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}
+	}
+	return verb()
+}
 
 // artifact is one file a single-workload run can leave behind: the flag naming
 // its path, the observability the path implies (bools switched on, sizes
@@ -152,9 +207,9 @@ type verb struct {
 
 var verbs = []verb{
 	{"run", "run workloads on one platform and print the per-operator profile",
-		[]group{gWorkload, gPlatform, gDataset, gTopology, gChaos, gPolicy, gParallel, gArtifacts}, runVerb},
+		[]group{gWorkload, gPlatform, gDataset, gTopology, gChaos, gPolicy, gParallel, gArtifacts, gHostProfiles}, runVerb},
 	{"fig", "regenerate the paper's evaluation figures and tables",
-		[]group{gFigures, gDataset, gTopology, gParallel}, figVerb},
+		[]group{gFigures, gDataset, gTopology, gParallel, gHostProfiles}, figVerb},
 	{"cluster", "run the multi-machine BSP workload (stdout is identical at every -sim-workers)",
 		[]group{gCluster, gDataset, gTopology, gChaos, gSimWorkers}, clusterVerb},
 	{"advise", "profile one workload on the base DDC and print the advisor's pushdown decisions",
@@ -188,7 +243,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		}
 		err := fmt.Errorf("unexpected argument %q", b.fs.Arg(0))
 		if b.fs.NArg() == 0 {
-			err = v.run(b, stdout)
+			err = b.profiled(func() error { return v.run(b, stdout) })
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "ddcsim %s: %v\n", v.name, err)

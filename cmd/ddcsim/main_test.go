@@ -154,8 +154,8 @@ func TestEveryFlagDeclaredOnce(t *testing.T) {
 			t.Errorf("verb %s binds %d flags, its groups declare %d", v.name, n, len(want))
 		}
 	}
-	if len(owner) > 34 {
-		t.Errorf("%d flags declared; the two CLIs this replaced had 34 distinct names and none may be added", len(owner))
+	if len(owner) > 34+len(hostProfiles) {
+		t.Errorf("%d flags declared; the two CLIs this replaced had 34 distinct names, the host profiles are %d more, and none may be added", len(owner), len(hostProfiles))
 	}
 	if len(seen) < 6 {
 		t.Errorf("only %d groups reachable from the verbs", len(seen))
@@ -170,6 +170,7 @@ func TestVerbRejectsForeignFlag(t *testing.T) {
 		{"profiles -scale 2", "-scale"},
 		{"datagen -report", "-report"},
 		{"datagen -deg 6", "-deg"},
+		{"cluster -cpuprofile x", "-cpuprofile"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := cli(strings.Fields(tc.args), &stdout, &stderr); code == 0 {
@@ -202,6 +203,29 @@ func TestCLIErrors(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("ddcsim %s: stderr %q does not contain %q", tc.args, stderr.String(), tc.want)
+		}
+	}
+}
+
+// The host profiles are about the simulator, not the simulated machine: asking
+// for them leaves two pprof files and changes no byte of the output.
+func TestHostProfilesLeaveOutputAlone(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"run", "-workload", "Q6", "-platform", "teleport", "-scale", "0.25"}
+	var plain, profiled, stderr bytes.Buffer
+	if code := cli(args, &plain, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if code := cli(append(args, "-cpuprofile", cpu, "-memprofile", heap), &profiled, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Errorf("output differs under the profile flags:\n%s\nwithout:\n%s", profiled.String(), plain.String())
+	}
+	for _, path := range []string{cpu, heap} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", path, err)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package coldb
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -455,5 +457,60 @@ func TestColumnWriter(t *testing.T) {
 	mustPanic("a float into an integer column", func() {
 		w := tab.Col("i").Writer(db.P)
 		w.F64(1)
+	})
+}
+
+// A result list is sized for what its operator promises and says so when an
+// input breaks the promise: the address space is a bump allocator, so an
+// entry past the end would land in the next allocation.
+func TestMergeJoinOneToMany(t *testing.T) {
+	db, env := localDB()
+	const n = 3000
+	l := db.CreateTable("l", 1, ColumnSpec{"k", I64})
+	l.Col("k").LoadI64(db.P, []int64{7})
+	right := make([]int64, n)
+	for i := range right {
+		right[i] = 7
+	}
+	r := db.CreateTable("r", n, ColumnSpec{"k", I64})
+	r.Col("k").LoadI64(db.P, right)
+	res := MergeJoin(env, l.Col("k"), r.Col("k"))
+	if res.Outer.N != n || res.Inner.N != n {
+		t.Fatalf("%d, %d pairs, want %d", res.Outer.N, res.Inner.N, n)
+	}
+	for i := 0; i < n; i++ {
+		if o, in := res.Outer.Get(env, i), res.Inner.Get(env, i); o != 0 || in != i {
+			t.Fatalf("pair %d = (%d, %d), want (0, %d)", i, o, in, i)
+		}
+	}
+}
+
+func mustPanic(t *testing.T, what, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Fatalf("%s: panic %q, want one naming %q", what, msg, want)
+		}
+	}()
+	f()
+}
+
+func TestOverflowsPanic(t *testing.T) {
+	db, env := localDB()
+	keys := make([]int64, 40)
+	for i := range keys {
+		keys[i] = int64(i / 20) // two keys, twenty rows each: 800 pairs
+	}
+	a := db.CreateTable("a", len(keys), ColumnSpec{"k", I64})
+	a.Col("k").LoadI64(db.P, keys)
+	mustPanic(t, "many-to-many merge join", `"join.outer" overflows its 40 entries`, func() {
+		MergeJoin(env, a.Col("k"), a.Col("k"))
+	})
+	g := NewGroupAgg(db.P, 8) // 16 slots
+	mustPanic(t, "seventeenth group", "group table of 16 slots is full", func() {
+		for k := int64(0); k < 17; k++ {
+			g.Add(env, k, 1)
+		}
 	})
 }

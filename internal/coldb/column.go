@@ -47,12 +47,44 @@ func (t Type) String() string {
 	}
 }
 
+// i64 decodes a stored value as an integer.
+func (t Type) i64(b []byte) int64 {
+	if t == I32 {
+		return int64(int32(binary.LittleEndian.Uint32(b)))
+	}
+	return int64(binary.LittleEndian.Uint64(b))
+}
+
+// f64 decodes a stored value as a float.
+func (t Type) f64(b []byte) float64 {
+	if t == F64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return float64(t.i64(b))
+}
+
+// putI64 stores an integer (narrowed to 32 bits in an I32 column).
+func (t Type) putI64(b []byte, v int64) {
+	if t == I32 {
+		binary.LittleEndian.PutUint32(b, uint32(v))
+		return
+	}
+	binary.LittleEndian.PutUint64(b, uint64(v))
+}
+
+// putF64 stores a float into an F64 column's element.
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+
 // Column is a fixed-width typed vector in disaggregated memory.
 type Column struct {
 	Name string
 	Type Type
 	Base mem.Addr
 	N    int
+
+	// over is the candidate list a temporary column was materialised over: its
+	// values sit at the list's positions, not at the rows the list names.
+	over *CandList
 }
 
 // NewColumn allocates a column of n values in the process's address space.
@@ -72,7 +104,9 @@ func (c *Column) Addr(i int) mem.Addr {
 // Bytes returns the column's total size.
 func (c *Column) Bytes() int64 { return int64(c.N) * int64(c.Type.Width()) }
 
-// I64At reads element i as int64 through the paging model.
+// I64At reads element i as int64 through the paging model: one positional
+// access, for the row a hash chain, a join match or a foreign key names.
+// Loops over rows in order go through a scan instead.
 func (c *Column) I64At(env *ddc.Env, i int) int64 {
 	if c.Type == I32 {
 		return int64(env.ReadI32(c.Addr(i)))
@@ -80,7 +114,7 @@ func (c *Column) I64At(env *ddc.Env, i int) int64 {
 	return env.ReadI64(c.Addr(i))
 }
 
-// F64At reads element i as float64.
+// F64At is I64At decoding a float.
 func (c *Column) F64At(env *ddc.Env, i int) float64 {
 	switch c.Type {
 	case F64:
@@ -89,27 +123,6 @@ func (c *Column) F64At(env *ddc.Env, i int) float64 {
 		return float64(env.ReadI32(c.Addr(i)))
 	default:
 		return float64(env.ReadI64(c.Addr(i)))
-	}
-}
-
-// SetI64 writes element i from an int64.
-func (c *Column) SetI64(env *ddc.Env, i int, v int64) {
-	if c.Type == I32 {
-		env.WriteI32(c.Addr(i), int32(v))
-		return
-	}
-	env.WriteI64(c.Addr(i), v)
-}
-
-// SetF64 writes element i from a float64.
-func (c *Column) SetF64(env *ddc.Env, i int, v float64) {
-	switch c.Type {
-	case F64:
-		env.WriteF64(c.Addr(i), v)
-	case I32:
-		env.WriteI32(c.Addr(i), int32(v))
-	default:
-		env.WriteI64(c.Addr(i), int64(v))
 	}
 }
 
@@ -163,7 +176,7 @@ func (w *ColumnWriter) F64(v float64) {
 	if w.typ != F64 {
 		panic("coldb: F64 written to a " + w.typ.String() + " column")
 	}
-	binary.LittleEndian.PutUint64(w.slot(), math.Float64bits(v))
+	putF64(w.slot(), v)
 }
 
 // LoadI64 bulk-writes vals into the column, bypassing the compute cache.

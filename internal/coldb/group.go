@@ -1,6 +1,8 @@
 package coldb
 
 import (
+	"fmt"
+
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
 )
@@ -39,7 +41,10 @@ func NewGroupAgg(p *ddc.Process, maxGroups int) *GroupAgg {
 func (g *GroupAgg) Add(env *ddc.Env, key int64, v float64) {
 	env.Compute(opsGroup)
 	slot := int(uint64(key)*0x9E3779B97F4A7C15>>32) & (g.nSlots - 1)
-	for {
+	for probes := 0; ; probes++ { // positional: the key's slot and its neighbours
+		if probes == g.nSlots {
+			panic(fmt.Sprintf("coldb: group table of %d slots is full", g.nSlots))
+		}
 		k := env.ReadI64(g.keys + mem.Addr(slot*8))
 		if k == key {
 			break
@@ -67,17 +72,21 @@ type GroupRow struct {
 // Rows scans the table and returns all groups (order unspecified).
 func (g *GroupAgg) Rows(env *ddc.Env) []GroupRow {
 	out := make([]GroupRow, 0, g.Groups)
-	for i := 0; i < g.nSlots; i++ {
-		env.Compute(2)
-		k := env.ReadI64(g.keys + mem.Addr(i*8))
-		if k == emptyKey {
-			continue
+	sc := newScan(env, nil, g.nSlots, 2)
+	keys := sc.Stream(g.keys, 8, 0)
+	sums, counts := sc.Stream(g.sums, 8, ddc.StreamExplicit), sc.Stream(g.counts, 8, ddc.StreamExplicit)
+	for sc.Next() {
+		for j := 0; j < sc.Len; j++ {
+			k := I64.i64(keys.Bytes()[j*8:])
+			if k == emptyKey {
+				continue
+			}
+			out = append(out, GroupRow{
+				Key:   k,
+				Sum:   F64.f64(sc.Access(sums, j, sc.I+j)),
+				Count: I64.i64(sc.Access(counts, j, sc.I+j)),
+			})
 		}
-		out = append(out, GroupRow{
-			Key:   k,
-			Sum:   env.ReadF64(g.sums + mem.Addr(i*8)),
-			Count: env.ReadI64(g.counts + mem.Addr(i*8)),
-		})
 	}
 	return out
 }
@@ -86,9 +95,11 @@ func (g *GroupAgg) Rows(env *ddc.Env) []GroupRow {
 // group table (the Group/Aggr. operators of Figure 10).
 func GroupBySum(env *ddc.Env, keys, vals *Column, cand *CandList, maxGroups int) *GroupAgg {
 	g := NewGroupAgg(env.P, maxGroups)
-	cand.ForEach(env, keys.N, func(row int) {
-		g.Add(env, keys.I64At(env, row), vals.F64At(env, row))
-	})
+	sc := newScan(env, cand, keys.N, 0) // every row updates a random group: none is absorbed
+	k, v := sc.read(keys), sc.read(vals)
+	for sc.Next() {
+		g.Add(env, k.i64(0), v.f64(0))
+	}
 	return g
 }
 

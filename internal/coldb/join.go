@@ -1,6 +1,8 @@
 package coldb
 
 import (
+	"encoding/binary"
+
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
 )
@@ -30,13 +32,16 @@ func BuildHashIndex(env *ddc.Env, key *Column, cand *CandList) *HashIndex {
 		buckets:  env.P.Space.AllocPages(int64(nBuckets)*4, "hash.buckets"),
 		next:     env.P.Space.AllocPages(int64(max(n, 1))*4, "hash.next"),
 	}
-	cand.ForEach(env, n, func(row int) {
+	sc := newScan(env, cand, n, 0) // every row lands in a random bucket: none is absorbed
+	keys := sc.operand(key, ddc.StreamExplicit)
+	chain := sc.Stream(h.next, 4, ddc.StreamWrite|ddc.StreamExplicit)
+	for sc.Next() {
 		env.Compute(opsHashBuild)
-		b := h.bucket(key.I64At(env, row))
-		head := env.ReadU32(h.buckets + mem.Addr(b*4))
-		env.WriteU32(h.next+mem.Addr(row*4), head)
-		env.WriteU32(h.buckets+mem.Addr(b*4), uint32(row+1))
-	})
+		b := mem.Addr(h.bucket(key.Type.i64(sc.at(keys, 0))) * 4)
+		head := env.ReadU32(h.buckets + b) // positional: the bucket's head
+		binary.LittleEndian.PutUint32(sc.Access(chain, 0, sc.Row), head)
+		env.WriteU32(h.buckets+b, uint32(sc.Row+1))
+	}
 	return h
 }
 
@@ -53,7 +58,7 @@ func (h *HashIndex) Probe(env *ddc.Env, k int64) int {
 	for cur != 0 {
 		row := int(cur - 1)
 		env.Compute(opsChainStep)
-		if h.Keys.I64At(env, row) == k {
+		if h.Keys.I64At(env, row) == k { // positional: a chain's rows are anywhere
 			return row
 		}
 		cur = env.ReadU32(h.next + mem.Addr(row*4))
@@ -71,57 +76,64 @@ type JoinResult struct {
 // matching (outer, inner) row pairs — steps (1)–(3) of the binary hash join
 // described in §2.2.
 func HashJoinProbe(env *ddc.Env, idx *HashIndex, probeKey *Column, cand *CandList) JoinResult {
-	capHint := cand.Len(probeKey.N)
-	res := JoinResult{
-		Outer: NewCandList(env.P, capHint),
-		Inner: NewCandList(env.P, capHint),
-	}
-	cand.ForEach(env, probeKey.N, func(row int) {
-		if m := idx.Probe(env, probeKey.I64At(env, row)); m >= 0 {
-			res.Outer.Append(env, row)
-			res.Inner.Append(env, m)
+	res := newJoinResult(env.P, cand.Len(probeKey.N))
+	sc := newScan(env, cand, probeKey.N, 0) // every row walks a random chain: none is absorbed
+	keys := sc.read(probeKey)
+	outer, inner := sc.appendTo(res.Outer), sc.appendTo(res.Inner)
+	for sc.Next() {
+		if m := idx.Probe(env, keys.i64(0)); m >= 0 {
+			outer.add(0, sc.Row)
+			inner.add(0, m)
 		}
-	})
+	}
 	return res
+}
+
+func newJoinResult(p *ddc.Process, pairs int) JoinResult {
+	return JoinResult{Outer: newCandList(p, "join.outer", pairs), Inner: newCandList(p, "join.inner", pairs)}
 }
 
 // GatherI64 materialises col[rows[i]] for a row-index list — the payload
 // fetch that follows a join.
 func GatherI64(env *ddc.Env, col *Column, rows *CandList) *Column {
-	out := NewColumn(env.P, col.Name+"#g", col.Type, max(rows.N, 1))
-	out.N = rows.N
-	for i := 0; i < rows.N; i++ {
-		env.Compute(opsProject)
-		out.SetI64(env, i, col.I64At(env, rows.Get(env, i)))
-	}
-	return out
+	return gather(env, col, rows, col.Type)
 }
 
 // GatherF64 is GatherI64 for float payloads.
 func GatherF64(env *ddc.Env, col *Column, rows *CandList) *Column {
-	out := NewColumn(env.P, col.Name+"#g", F64, max(rows.N, 1))
-	out.N = rows.N
-	for i := 0; i < rows.N; i++ {
+	return gather(env, col, rows, F64)
+}
+
+func gather(env *ddc.Env, col *Column, rows *CandList, t Type) *Column {
+	sc := newScan(env, nil, rows.N, 0) // every row fetches a random payload: none is absorbed
+	list := sc.Stream(rows.Base, 4, ddc.StreamExplicit)
+	out, to := sc.output(env, col.Name+"#g", t, ddc.StreamExplicit)
+	for sc.Next() {
 		env.Compute(opsProject)
-		out.SetF64(env, i, col.F64At(env, rows.Get(env, i)))
+		row := int(binary.LittleEndian.Uint32(sc.Access(list, 0, sc.I)))
+		sc.fetch(env, to, col, row) // positional: the payload of whichever row the join matched
 	}
 	return out
 }
 
 // MergeJoin joins two key columns that are both sorted ascending, returning
-// matched row pairs. One-to-many matches are emitted pairwise; both inputs
-// are consumed sequentially (the pattern that makes merge join tolerable in
-// a DDC, Figure 10).
+// matched row pairs: each left row with the run of equal right keys. It is
+// the join of a foreign key with the key it references, so the result is
+// sized for max(left.N, right.N) pairs, and a many-to-many input that
+// produces more panics. Both inputs are consumed sequentially (the pattern
+// that makes merge join tolerable in a DDC, Figure 10), but a comparison
+// re-reads the right side's run from its start for every equal left row, so
+// the loop makes each access itself and none of its steps is absorbed.
 func MergeJoin(env *ddc.Env, left, right *Column) JoinResult {
-	res := JoinResult{
-		Outer: NewCandList(env.P, left.N),
-		Inner: NewCandList(env.P, left.N),
-	}
+	res := newJoinResult(env.P, max(left.N, right.N))
+	sc := newScan(env, nil, 0, 0)
+	l, r := sc.operand(left, ddc.StreamExplicit), sc.operand(right, ddc.StreamExplicit)
+	outer, inner := sc.appendTo(res.Outer), sc.appendTo(res.Inner)
 	i, j := 0, 0
 	for i < left.N && j < right.N {
 		env.Compute(opsMerge)
-		lv := left.I64At(env, i)
-		rv := right.I64At(env, j)
+		lv := left.Type.i64(sc.Access(l.s, 0, i))
+		rv := right.Type.i64(sc.Access(r.s, 0, j))
 		switch {
 		case lv < rv:
 			i++
@@ -131,11 +143,11 @@ func MergeJoin(env *ddc.Env, left, right *Column) JoinResult {
 			// Emit the run of equal right keys for this left row.
 			for jj := j; jj < right.N; jj++ {
 				env.Compute(opsMerge)
-				if right.I64At(env, jj) != lv {
+				if right.Type.i64(sc.Access(r.s, 0, jj)) != lv {
 					break
 				}
-				res.Outer.Append(env, i)
-				res.Inner.Append(env, jj)
+				outer.add(0, i)
+				inner.add(0, jj)
 			}
 			i++
 		}
@@ -147,19 +159,13 @@ func MergeJoin(env *ddc.Env, left, right *Column) JoinResult {
 // 0..N-1 identifiers (dimension tables like supplier or nation): a direct
 // positional gather.
 func LookupJoin(env *ddc.Env, dim *Column, fk *Column, cand *CandList) *Column {
-	n := cand.Len(fk.N)
-	out := NewColumn(env.P, dim.Name+"#lk", dim.Type, max(n, 1))
-	out.N = n
-	i := 0
-	cand.ForEach(env, fk.N, func(row int) {
+	sc := newScan(env, cand, fk.N, 0) // every row fetches a random dimension row: none is absorbed
+	keys := sc.operand(fk, ddc.StreamExplicit)
+	out, to := sc.output(env, dim.Name+"#lk", dim.Type, ddc.StreamExplicit)
+	for sc.Next() {
 		env.Compute(opsHashProbe)
-		k := int(fk.I64At(env, row))
-		if dim.Type == F64 {
-			out.SetF64(env, i, dim.F64At(env, k))
-		} else {
-			out.SetI64(env, i, dim.I64At(env, k))
-		}
-		i++
-	})
+		k := int(fk.Type.i64(sc.at(keys, 0)))
+		sc.fetch(env, to, dim, k) // positional: the dimension row the foreign key names
+	}
 	return out
 }

@@ -60,20 +60,23 @@ func (a PartialAgg) Final(kind AggKind) float64 {
 // aggregateRange folds rows [lo, hi) of col into a partial.
 func aggregateRange(env *ddc.Env, col *Column, lo, hi int) PartialAgg {
 	var out PartialAgg
-	for row := lo; row < hi; row++ {
-		env.Compute(opsAggregate)
-		v := col.F64At(env, row)
-		if !out.valid {
-			out = PartialAgg{Sum: v, Count: 1, Min: v, Max: v, valid: true}
-			continue
-		}
-		out.Sum += v
-		out.Count++
-		if v < out.Min {
-			out.Min = v
-		}
-		if v > out.Max {
-			out.Max = v
+	sc := newScan(env, nil, hi-lo, opsAggregate)
+	in := cursor{s: sc.Stream(col.Addr(lo), col.Type.Width(), 0), typ: col.Type, at: &sc.I}
+	for sc.Next() {
+		for j := 0; j < sc.Len; j++ {
+			v := in.f64(j)
+			if !out.valid {
+				out = PartialAgg{Sum: v, Count: 1, Min: v, Max: v, valid: true}
+				continue
+			}
+			out.Sum += v
+			out.Count++
+			if v < out.Min {
+				out.Min = v
+			}
+			if v > out.Max {
+				out.Max = v
+			}
 		}
 	}
 	return out

@@ -161,6 +161,34 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 	mp.st.OnlineSync += e.T.Now() - mark
 }
 
+// Repeat accounts n repeats of a permission hit (ddc.Pager): the touch count,
+// the page's dirty bit and its last-touch stamp. It declines whenever a call
+// does more than that or what it does depends on when it runs or how many ran
+// before it — an armed crash point, a deadline, a write-quorum gate, a bounded
+// pool whose LRU order every call moves, the strawman modes, a missing
+// permission, a pre-image still to capture — and the loop then runs the rows
+// one access at a time.
+func (mp *memPager) Repeat(e *ddc.Env, pg mem.PageID, write bool, n int) bool {
+	p := mp.ps.rt.P
+	cfg := &p.M.Cfg
+	if mp.crashAt > 0 || mp.dieAt > 0 || p.PoolRes != nil ||
+		mp.opts.Flags&(FlagNoCoherence|FlagEagerSync|FlagMigrateProcess|FlagEvictRanges) != 0 ||
+		(cfg.Shards() > 1 && cfg.EffWriteQuorum() > 1) {
+		return false
+	}
+	present, writable := mp.ps.temp.peek(pg)
+	if !present || write && !(writable && mp.journal.captured(pg)) {
+		return false
+	}
+	if n > 0 {
+		mp.touches += n
+		ent := mp.ps.temp.entry(pg)
+		ent.dirty = ent.dirty || write
+		ent.lastMemTouch = e.T.Now()
+	}
+	return true
+}
+
 // pushHooks services compute-pool faults while a pushdown is active —
 // Figure 9's ComputeOnPageFault / MemoryOnPageRequest pair (lines 1–10).
 // It is installed on the process for the lifetime of the shared pushdown

@@ -88,6 +88,17 @@ func interleavedRows(env *Env, cand, col, out mem.Addr, rows int) {
 	}
 }
 
+// interleavedRun is the same three streams through the run primitive, as a
+// dense operator drives them: every row charges two operations first.
+func interleavedRun(env *Env, cand, col, out mem.Addr, rows int) {
+	r := env.Rows(rows, 2)
+	r.Stream(cand, 4, 0)
+	in, o := r.Stream(col, 8, 0), r.Stream(out, 8, StreamWrite)
+	for r.Next() {
+		copy(o.Bytes(), in.Bytes())
+	}
+}
+
 // interleavedEnvs builds the three environments the interleaved-stream
 // benchmark and its allocation test run on: a monolithic machine, the
 // base-DDC hit path (every page resident and writable), and memory place.
@@ -126,6 +137,13 @@ func BenchmarkInterleavedStreams(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
 				interleavedRows(env, cand, col, out, rows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*3), "ns/access")
+		})
+		b.Run(names[i]+"/run", func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				interleavedRun(env, cand, col, out, rows)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*3), "ns/access")
 		})

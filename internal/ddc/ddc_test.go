@@ -237,7 +237,7 @@ func TestEnvTypedAccessorsRoundTrip(t *testing.T) {
 	env.WriteI64(a, -42)
 	env.WriteF64(a+8, 2.5)
 	env.WriteU32(a+16, 7)
-	env.WriteI32(a+20, -7)
+	env.WriteU32(a+20, uint32(0xFFFFFFF9)) // -7
 	env.WriteU8(a+24, 0xFE)
 	if env.ReadI64(a) != -42 || env.ReadF64(a+8) != 2.5 || env.ReadU32(a+16) != 7 ||
 		env.ReadI32(a+20) != -7 || env.ReadU8(a+24) != 0xFE {
@@ -436,7 +436,8 @@ func TestRecycleMemoryEnvEqualsNew(t *testing.T) {
 
 type nopPager struct{}
 
-func (nopPager) EnsurePage(*Env, mem.PageID, bool) {}
+func (nopPager) EnsurePage(*Env, mem.PageID, bool)       {}
+func (nopPager) Repeat(*Env, mem.PageID, bool, int) bool { return true }
 
 func TestHooksAccessors(t *testing.T) {
 	m := MustMachine(BaseDDC(8 * mem.PageSize))

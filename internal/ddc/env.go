@@ -35,6 +35,14 @@ func (p Place) String() string {
 // internal/core installs a memory-place pager for pushdown execution.
 type Pager interface {
 	EnsurePage(e *Env, page mem.PageID, write bool)
+
+	// Repeat stands for n further EnsurePage(e, page, write) calls, the last
+	// of them at the thread's present time, each finding the page exactly as
+	// the call before it left it (Rows accounts the quiet rows of a loop with
+	// it). It reports whether the pager can: one declines when such a call is
+	// not a pure hit, or when what a call does depends on the time or on how
+	// many came before. With n == 0 it only answers.
+	Repeat(e *Env, page mem.PageID, write bool, n int) bool
 }
 
 // Env is the execution environment of one simulated thread inside one
@@ -343,9 +351,6 @@ func (e *Env) WriteU32(a mem.Addr, v uint32) {
 // ReadI32 reads an int32.
 func (e *Env) ReadI32(a mem.Addr) int32 { return int32(e.ReadU32(a)) }
 
-// WriteI32 writes an int32.
-func (e *Env) WriteI32(a mem.Addr, v int32) { e.WriteU32(a, uint32(v)) }
-
 // ReadU8 reads one byte.
 func (e *Env) ReadU8(a mem.Addr) byte { return e.access(a, 1, false)[a&(mem.PageSize-1)] }
 
@@ -492,6 +497,26 @@ func (computePager) EnsurePage(e *Env, pg mem.PageID, write bool) {
 	}
 	p.stats.CacheMisses++
 	remoteFault(e, pg, write)
+}
+
+// Repeat accounts n hits on a resident page: the hit count, the page's place
+// at the head of the LRU order and, for a write, its dirty bit. A page that is
+// not resident, or is read-only under a write, is a fault or an upgrade.
+func (computePager) Repeat(e *Env, pg mem.PageID, write bool, n int) bool {
+	c := e.P.Cache
+	if c == nil {
+		return true
+	}
+	ent := c.entry(pg)
+	if ent == nil || write && !ent.writable {
+		return false
+	}
+	if n > 0 {
+		e.P.stats.CacheHits += int64(n)
+		c.moveToFront(int32(pg))
+		ent.dirty = ent.dirty || write
+	}
+	return true
 }
 
 // ensureLocal is the monolithic path: free when DRAM is unlimited,

@@ -2,6 +2,8 @@ package ddc
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -245,6 +247,13 @@ type pagerCall struct {
 	write bool
 }
 
+func (a pagerCall) compare(b pagerCall) int {
+	if a.page != b.page {
+		return cmp.Compare(a.page, b.page)
+	}
+	return cmp.Compare(b2i(a.write), b2i(b.write))
+}
+
 // logPager records every call before passing it on.
 type logPager struct {
 	inner Pager
@@ -254,6 +263,14 @@ type logPager struct {
 func (lp *logPager) EnsurePage(e *Env, pg mem.PageID, write bool) {
 	lp.log = append(lp.log, pagerCall{pg, write})
 	lp.inner.EnsurePage(e, pg, write)
+}
+
+// Repeat logs the n calls it stands for.
+func (lp *logPager) Repeat(e *Env, pg mem.PageID, write bool, n int) bool {
+	for i := 0; i < n; i++ {
+		lp.log = append(lp.log, pagerCall{pg, write})
+	}
+	return lp.inner.Repeat(e, pg, write, n)
 }
 
 // restlessPager stands in for a pushdown's pager: it charges time and, on a
@@ -267,6 +284,9 @@ func (rp *restlessPager) EnsurePage(e *Env, _ mem.PageID, write bool) {
 		e.P.Epoch++
 	}
 }
+
+// Repeat declines: every call charges time and some move the epoch.
+func (rp *restlessPager) Repeat(*Env, mem.PageID, bool, int) bool { return false }
 
 // modelSide is one of the two processes replaying a trace.
 type modelSide struct {
@@ -296,6 +316,7 @@ var modelConfigs = []struct {
 	{"linux-ssd", func() Config { return LinuxSSD(5 * mem.PageSize) }, 0},
 	{"base-ddc", func() Config { return BaseDDC(6 * mem.PageSize) }, 16},
 	{"base-ddc-roomy", func() Config { return BaseDDC(2 * modelPages * mem.PageSize) }, -1},
+	{"base-ddc-fits", func() Config { return BaseDDC(modelPages * mem.PageSize) }, 64},
 	{"memory-place", func() Config { return BaseDDC(6 * mem.PageSize) }, 64},
 }
 
@@ -406,7 +427,19 @@ func runAccessModel(t testing.TB, data []byte) int {
 		both := func(f func(accessPath) any) {
 			got, want = f(real.path), f(ref.path)
 		}
-		switch op % 16 {
+		code := op % 16
+		if op&0x10 != 0 { // a row loop: Rows against one scalar access at a time
+			spec := newRowLoop(base, size, cursor[:nStreams], si, x, y, z)
+			desc = spec.String()
+			got, want = spec.run(real), spec.run(ref)
+			if real.pager != nil {
+				// Rows reports a chunk's repeated pager calls stream by stream.
+				slices.SortFunc(real.pager.log, pagerCall.compare)
+				slices.SortFunc(ref.pager.log, pagerCall.compare)
+			}
+			code = 16
+		}
+		switch code {
 		case 0, 1:
 			a := at(8)
 			desc = fmt.Sprintf("ReadU64(%#x)", a)
@@ -509,6 +542,179 @@ func runAccessModel(t testing.TB, data []byte) int {
 	return accesses
 }
 
+// rowLoop is one row-loop operation of a trace: n rows over up to four
+// streams, each on a cursor of its own.
+type rowLoop struct {
+	n       int
+	ops     float64
+	gather  bool // stream 0 is a list of indices
+	streams []rowStream
+	fire    uint64 // the rows, mod 64, in which the explicit stream is accessed
+}
+
+type rowStream struct {
+	base  mem.Addr
+	width int
+	mode  StreamMode
+}
+
+// newRowLoop decodes a row loop from a trace operation's operands and moves
+// the cursors of the streams it uses past it.
+func newRowLoop(base mem.Addr, size int, cursor []int, si, x, y, z int) rowLoop {
+	l := rowLoop{n: 1 + z>>1%70, ops: float64(x >> 2 % 8), gather: x&0x80 != 0, fire: uint64(x*251+y)*0x9E3779B97F4A7C15 | uint64(z)}
+	m := min(1+x%rowStreams, len(cursor))
+	for t := 0; t < m; t++ {
+		st := rowStream{width: 4 + y>>t&1*4}
+		if y>>(4+t)&1 != 0 && !l.gather { // a store could land in the index list
+			st.mode = StreamWrite
+		}
+		switch {
+		case l.gather && t == 0:
+			st.width, st.mode = 4, 0
+		case l.gather && z>>t&1 != 0:
+			st.mode |= StreamIndexed
+		case t > 0 && t == m-1 && (z&1 != 0 || l.ops == 0):
+			st.mode |= StreamExplicit
+		case l.ops == 0:
+			st.mode |= StreamExplicit
+		}
+		// The widest a stream reaches: every row, at three times its number.
+		cur := &cursor[(si+t)%len(cursor)]
+		*cur = (*cur + st.width - 1) &^ (st.width - 1)
+		if *cur+3*l.n*st.width > size {
+			*cur = 0
+		}
+		st.base = base + mem.Addr(*cur)
+		*cur += l.n * st.width
+		l.streams = append(l.streams, st)
+	}
+	return l
+}
+
+func (l rowLoop) String() string {
+	return fmt.Sprintf("row loop %+v", struct {
+		N       int
+		Ops     float64
+		Gather  bool
+		Streams []rowStream
+	}{l.n, l.ops, l.gather, l.streams})
+}
+
+// order lists the streams in the order a row accesses them: those Next
+// accesses, then the explicit ones; a gathered index is read apart.
+func (l rowLoop) order() (order []int) {
+	for _, explicit := range []StreamMode{0, StreamExplicit} {
+		for t, st := range l.streams {
+			if st.mode&StreamExplicit == explicit && !(l.gather && t == 0) {
+				order = append(order, t)
+			}
+		}
+	}
+	return order
+}
+
+// run executes the loop on one side — through Rows on the Env under test, one
+// scalar access at a time on the reference — and returns what it read.
+func (l rowLoop) run(side *modelSide) (sum uint64) {
+	if l.gather {
+		for i := 0; i < l.n; i++ { // the indices are data, put there uncharged
+			side.p.Space.WriteU32(l.streams[0].base+mem.Addr(i*4), uint32(i*(1+int(l.fire>>60)%3)))
+		}
+	}
+	// The loop swaps a Dilation that counts its calls for one that is, like
+	// the pushdown runtime's, a function of state only a yield can change.
+	if dil := side.env.Dilation; dil != nil {
+		side.env.Dilation = func() float64 { return 1 + float64(side.p.Epoch%4)/4 }
+		defer func() { side.env.Dilation = dil }()
+	}
+	value := func(i, t int) uint64 { return uint64(i)<<8 | uint64(t) | l.fire<<32 }
+	fires := func(i int) bool { return l.fire>>(uint(i)%64)&1 != 0 }
+	if m, ok := side.path.(*modelEnv); ok {
+		pos := 0
+		for i := 0; i < l.n; i++ {
+			idx := i
+			if l.gather {
+				idx = int(m.ReadU32(l.streams[0].base + mem.Addr(i*4)))
+			}
+			if l.ops > 0 {
+				m.carrier.Compute(l.ops)
+			}
+			for _, t := range l.order() {
+				st := l.streams[t]
+				at := i
+				switch {
+				case st.mode&StreamExplicit != 0:
+					if !fires(i) {
+						continue
+					}
+					if at = pos; l.fire>>59&1 != 0 {
+						at = i // a conditional access at the row, not an append
+					}
+					pos++
+				case st.mode&StreamIndexed != 0:
+					at = idx
+				}
+				a := st.base + mem.Addr(at*st.width)
+				switch {
+				case st.mode&StreamWrite != 0 && st.width == 8:
+					m.WriteU64(a, value(i, t))
+				case st.mode&StreamWrite != 0:
+					m.WriteU32(a, uint32(value(i, t)))
+				case st.width == 8:
+					sum = sum*31 + m.ReadU64(a)
+				default:
+					sum = sum*31 + uint64(m.ReadU32(a))
+				}
+			}
+		}
+		return sum
+	}
+	rows := side.env.Rows(l.n, l.ops)
+	var ss [rowStreams]*Stream
+	for t, st := range l.streams {
+		if l.gather && t == 0 {
+			rows.Gather(st.base)
+			continue
+		}
+		ss[t] = rows.Stream(st.base, st.width, st.mode)
+	}
+	pos := 0
+	for rows.Next() {
+		for j := 0; j < rows.Len; j++ {
+			i := rows.I + j
+			for _, t := range l.order() {
+				st := l.streams[t]
+				var b []byte
+				switch {
+				case st.mode&StreamExplicit != 0:
+					if !fires(i) {
+						continue
+					}
+					at := pos
+					if l.fire>>59&1 != 0 {
+						at = i // a conditional access at the row, not an append
+					}
+					b = rows.Access(ss[t], j, at)
+					pos++
+				default:
+					b = ss[t].Bytes()[j*st.width:]
+				}
+				switch {
+				case st.mode&StreamWrite != 0 && st.width == 8:
+					binary.LittleEndian.PutUint64(b, value(i, t))
+				case st.mode&StreamWrite != 0:
+					binary.LittleEndian.PutUint32(b, uint32(value(i, t)))
+				case st.width == 8:
+					sum = sum*31 + binary.LittleEndian.Uint64(b)
+				default:
+					sum = sum*31 + uint64(binary.LittleEndian.Uint32(b))
+				}
+			}
+		}
+	}
+	return sum
+}
+
 // compareModelSides returns what differs between the Env under test and the
 // reference after an access, or "".
 func compareModelSides(real, ref *modelSide) string {
@@ -525,6 +731,10 @@ func compareModelSides(real, ref *modelSide) string {
 			return fmt.Sprintf("pager calls %v, reference %v", real.pager.log, ref.pager.log)
 		}
 		real.pager.log, ref.pager.log = real.pager.log[:0], ref.pager.log[:0]
+	}
+	if e.fpValid != m.fpValid || e.fpValid && (e.fpPage != m.fpPage || e.fpWrite != m.fpWrite || e.fpEpoch != m.fpEpoch) {
+		return fmt.Sprintf("page memo %v/%d/%v/%d, reference %v/%d/%v/%d",
+			e.fpValid, e.fpPage, e.fpWrite, e.fpEpoch, m.fpValid, m.fpPage, m.fpWrite, m.fpEpoch)
 	}
 	if e.streams != m.streams || e.nStream != m.nStream || e.sClock != m.sClock {
 		return fmt.Sprintf("streams %v/%d/%d, reference %v/%d/%d",
@@ -581,6 +791,9 @@ func randomTrace(seed int64) []byte {
 		if rng.Intn(3) > 0 {
 			op = byte(rng.Intn(7)) // scalars
 		}
+		if rng.Intn(5) == 0 {
+			op |= 0x10 // a row loop
+		}
 		if rng.Intn(12) == 0 {
 			op |= 0x40
 		}
@@ -615,7 +828,38 @@ func directedTraces() [][]byte {
 		replaced = read(replaced, 0, 1000*slot)
 	}
 	replaced = read(read(read(read(replaced, 0, 800), 0, 801), 0, 792), 0, 802)
-	return [][]byte{advanced, replaced}
+	traces := [][]byte{advanced, replaced}
+
+	// Row loops, on every configuration, plain and dilated. loop appends one
+	// of n rows charging 2 operations each over streams 0..m-1, of which wide
+	// are 8 bytes wide and written are stored to, the last explicit or not.
+	loop := func(trace []byte, m, n int, wide, written byte, explicit bool) []byte {
+		z := byte(n-1) << 1
+		if explicit {
+			z |= 1
+		}
+		return append(trace, 0x10, 0, byte(m-1)|2<<2, wide|written<<4, z)
+	}
+	for cfg := range modelConfigs {
+		for _, dilated := range []byte{0, 0x80} {
+			header := []byte{byte(cfg), 3 | dilated, 0} // four streams, pager calls logged
+			at := func(w0, w1 int) []byte { return read(read(header, 0, w0), 1, w1) }
+			traces = append(traces,
+				// Two streams on adjacent lines, then both again a line on.
+				loop(loop(at(8*20-1, 8*21-1), 2, 6, 3, 2, false), 2, 9, 3, 2, false),
+				// Two streams on one page.
+				loop(loop(at(100, 300), 2, 30, 3, 2, false), 2, 30, 3, 2, false),
+				// A column that ends mid-line, 4- against 8-byte elements, then
+				// the rest of the line by another loop.
+				loop(loop(at(1000, 3000), 3, 13, 1, 4, false), 3, 5, 1, 4, false),
+				// A run that crosses a page, and the next page's start.
+				loop(loop(at(500, 2500), 2, 40, 3, 2, false), 2, 70, 3, 2, false),
+				// An explicit stream: appended to in some rows, across its lines.
+				loop(loop(loop(at(4000, 6000), 2, 100, 1, 2, true), 2, 100, 1, 2, true), 2, 100, 1, 2, true),
+			)
+		}
+	}
+	return traces
 }
 
 // TestEnvAccessMatchesReference replays seeded random traces — every

@@ -1,0 +1,462 @@
+package ddc
+
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"teleport/internal/hw"
+	"teleport/internal/mem"
+	"teleport/internal/sim"
+)
+
+// This file is the run-accounting primitive: a loop that visits rows in
+// order, charges the same CPU cost for each and then touches one element of
+// each of a few sequential operands enters the paging and DRAM models once per
+// DRAM line instead of once per element. Most rows of such a loop are quiet:
+// every operand's element lies in the line its prefetch stream is already on,
+// so the row changes nothing in the model but counters, the clock and the
+// position of its pages in the LRU order. Rows hands the loop its rows a chunk
+// at a time — a run of quiet rows to decode straight from the borrowed page
+// frames, or one row whose accesses it made the scalar way — and accounts a
+// quiet chunk afterwards in closed form, to the same virtual nanosecond, hit
+// count and eviction order the one-access-at-a-time path would have left.
+
+// rowStreams is the most operands one row loop declares.
+const rowStreams = 4
+
+// chunkRows bounds a chunk of quiet rows, so that the rows in which a stream
+// was accessed, or stepped to its next line, fit a mask.
+const chunkRows = 64
+
+// StreamMode says how a row loop accesses one of its streams.
+type StreamMode uint8
+
+const (
+	// StreamWrite marks a stream the loop stores to; the others it loads from.
+	StreamWrite StreamMode = 1 << iota
+	// StreamIndexed marks a stream accessed at the row's gathered index
+	// (Rows.Gather) instead of at the row number.
+	StreamIndexed
+	// StreamExplicit marks a stream Next does not access: the loop does,
+	// through Access, in the rows and at the elements it chooses.
+	StreamExplicit
+)
+
+// Stream is one sequential operand of a row loop: consecutive elements of 4
+// or 8 bytes.
+type Stream struct {
+	base  mem.Addr
+	shift uint8 // log2 of the element width
+	mode  StreamMode
+
+	// win is the chunk's elements of a stream Next accesses.
+	win []byte
+
+	// In a run of quiet rows: the page the stream stays in and its frame, the
+	// prefetch slot that follows it and the line that slot is on, the rows
+	// that accessed the stream (explicit streams only; Next's are accessed in
+	// every row) and those whose access stepped the slot to the next line.
+	// An explicit stream has joined the run when mask is non-zero, and then
+	// the cn bytes from clo are what is left of the line it is on.
+	page        mem.PageID
+	frame       *[mem.PageSize]byte
+	slot        int
+	line        uint64
+	mask, cross uint64
+	clo, cn     mem.Addr
+
+	calls, lastRow int // flush's count of pager calls and the row of the last
+}
+
+// store reports whether the loop stores to the stream.
+func (s *Stream) store() bool { return s.mode&StreamWrite != 0 }
+
+// Bytes returns the current chunk's elements of a stream Next accesses, row
+// I's first.
+func (s *Stream) Bytes() []byte { return s.win }
+
+// Rows drives one row loop over an Env:
+//
+//	rows := env.Rows(n, opsPerRow)
+//	in, out := rows.Stream(a, 8, 0), rows.Stream(b, 8, ddc.StreamWrite)
+//	for rows.Next() {
+//		copy(out.Bytes(), in.Bytes()) // rows I .. I+Len-1
+//	}
+//
+// Each row reads its gathered index if the loop has one, is charged opsPerRow
+// CPU operations, accesses its streams in declaration order — at the row
+// number, or at the index — and after them any explicit streams the loop
+// chooses to, also in declaration order and each at most once. A loop whose
+// rows hold anything else (a random access, a Compute of its own) passes 0
+// operations and makes every access but the gather explicit: none of its rows
+// is absorbed, and Access is a plain scalar accessor. The loop must run until
+// Next reports false, which accounts the last chunk.
+type Rows struct {
+	e      *Env
+	ops    float64
+	opNs   float64 // ops at the Env's clock, undilated
+	gather bool    // stream 0 is the gathered index
+
+	N   int // rows in the loop
+	I   int // first row of the current chunk
+	Len int // rows in the current chunk
+	Row int // the gathered index of row I, or I
+
+	// The open chunk is a run of quiet rows, to be accounted by flush: d is a
+	// row's CPU charge and step a line step's DRAM charge in it, and left what
+	// the thread could still be charged before it would yield.
+	open    bool
+	d, step sim.Time
+	left    sim.Time
+
+	s  [rowStreams]Stream
+	ns int
+}
+
+// Rows returns the driver of a loop over rows 0..n-1 that charges ops CPU
+// operations per row (see Rows).
+func (e *Env) Rows(n int, ops float64) Rows {
+	return Rows{e: e, ops: ops, opNs: hw.OpNs(e.ClockGHz, ops), N: n}
+}
+
+// Gather makes the loop take each row's index from a list of uint32s at base,
+// read before the row's CPU charge. Its rows are never absorbed: where the
+// indexed streams land is up to the list.
+func (r *Rows) Gather(base mem.Addr) {
+	if r.ns > 0 {
+		panic("ddc: Gather after Stream")
+	}
+	r.gather = true
+	r.Stream(base, 4, 0)
+}
+
+// Stream declares the loop's next operand: elements of width bytes (4 or 8)
+// from base, aligned to their width.
+func (r *Rows) Stream(base mem.Addr, width int, mode StreamMode) *Stream {
+	if width != 4 && width != 8 || base&mem.Addr(width-1) != 0 {
+		panic("ddc: row stream elements must be 4 or 8 bytes, aligned")
+	}
+	s := &r.s[r.ns]
+	r.ns++
+	*s = Stream{base: base, shift: uint8(bits.TrailingZeros(uint(width))), mode: mode}
+	return s
+}
+
+// Next accounts the chunk that just ended and moves to the next: a run of
+// quiet rows when row I starts one, otherwise that row alone, its accesses
+// made one at a time. It reports whether there was a row left.
+func (r *Rows) Next() bool {
+	if r.open {
+		r.flush(r.Len)
+	}
+	r.I += r.Len
+	if r.I >= r.N {
+		r.Len = 0
+		return false
+	}
+	r.Row = r.I
+	if r.ops > 0 && !r.gather {
+		if r.Len = r.quiet(); r.Len > 0 {
+			r.open = true
+			return true
+		}
+	}
+	r.Len = 1
+	streams := r.s[:r.ns]
+	if r.gather {
+		r.Row = int(binary.LittleEndian.Uint32(r.scalar(&streams[0], r.I)))
+		streams = streams[1:]
+	}
+	if r.ops > 0 {
+		r.e.Compute(r.ops)
+	}
+	for i := range streams {
+		if s := &streams[i]; s.mode&StreamExplicit == 0 {
+			at := r.I
+			if s.mode&StreamIndexed != 0 {
+				at = r.Row
+			}
+			s.win = r.scalar(s, at)
+		}
+	}
+	return true
+}
+
+// scalar makes the one-at-a-time access of element i and returns its bytes.
+func (r *Rows) scalar(s *Stream, i int) []byte {
+	a := s.base + mem.Addr(i)<<s.shift
+	return r.e.access(a, 1<<s.shift, s.store())[a&(mem.PageSize-1):][:1<<s.shift]
+}
+
+// quiet returns how many rows from I on are quiet, and sets the windows of the
+// streams Next accesses over them. A row is quiet when running it one access
+// at a time would charge its CPU cost without yielding and then find, for
+// every access, the pager's answer unchanged and the line either under the
+// stream's prefetch slot or next after it in the same page — so that the row
+// cannot fault, starts no new prefetch stream, and at most steps its own
+// slots forward for a sequential line charge each. That the scan of the slots
+// finds the stream's own first is ensured the blunt way, by the stream being
+// alone (see alone). A pager that declines is asked before the slots are
+// scanned, so a loop it never lets run pays little for asking.
+func (r *Rows) quiet() int {
+	e := r.e
+	if !e.fpValid || e.fpEpoch != e.P.Epoch {
+		return 0
+	}
+	k := min(r.N-r.I, chunkRows)
+	paged := e.paged()
+	streams := r.s[:r.ns]
+	var at [rowStreams]mem.Addr // row I's element of each stream Next accesses
+	for i := range streams {
+		s := &streams[i]
+		s.mask, s.cross = 0, 0
+		if s.mode&StreamExplicit == 0 {
+			at[i] = s.base + mem.Addr(r.I)<<s.shift
+			s.page = mem.PageOf(at[i])
+			if paged && !e.pager.Repeat(e, s.page, s.store(), 0) {
+				return 0
+			}
+			k = min(k, int((mem.PageSize-at[i]&(mem.PageSize-1))>>s.shift))
+		}
+	}
+	steps := 0
+	for i := range streams {
+		if s := &streams[i]; s.mode&StreamExplicit == 0 {
+			if !r.alone(s, at[i]) {
+				return 0
+			}
+			// Row 0 steps the slot if that is still on the line before; after
+			// it, so does every row whose element is the first of a line.
+			if s.line != uint64(at[i])>>e.lineShift {
+				s.cross = 1
+				steps++
+			}
+			for j := int(e.lineLeft(at[i]) >> s.shift); j < k; j += 1 << (e.lineShift - s.shift) {
+				s.cross |= 1 << uint(j)
+				steps++
+			}
+		}
+	}
+	ns, stepNs := r.opNs, e.P.M.Cfg.HW.DRAMSeqLineNs
+	if e.Dilation != nil {
+		dil := e.Dilation()
+		ns, stepNs = ns*dil, stepNs*dil
+	}
+	r.d, r.step = sim.FromNs(ns), sim.FromNs(stepNs)
+	r.left = e.T.Slack() - sim.Time(k)*r.d - sim.Time(steps)*r.step
+	if r.left < 0 {
+		// Not that far: as far as the slack covers, were every row to step
+		// every stream.
+		k = min(k, int((r.left+sim.Time(k)*r.d+sim.Time(steps)*r.step)/(r.d+sim.Time(r.ns)*r.step+1)))
+		if k <= 0 {
+			return 0
+		}
+		r.left = 0
+	}
+	for i := range streams {
+		if s := &streams[i]; s.mode&StreamExplicit == 0 {
+			off := at[i] & (mem.PageSize - 1)
+			s.win = s.frame[off : off+mem.Addr(k)<<s.shift]
+		}
+	}
+	return k
+}
+
+// lineLeft returns the bytes from a to the end of its DRAM line.
+func (e *Env) lineLeft(a mem.Addr) mem.Addr {
+	return (a>>e.lineShift+1)<<e.lineShift - a
+}
+
+// alone reports whether the loop's stream s, about to access a, can run
+// quietly through the rest of a's page: exactly one prefetch slot is on a line
+// of the page or next to it, that slot is on a's line or the one before it in
+// the page, and no other stream of the chunk is in this page or the next to
+// it. Then whatever line of the page the stream asks for, the ordered scan of
+// the slots matches that slot and no other — none is near enough — wherever
+// the chunk's other streams have stepped theirs meanwhile, since those stay in
+// pages of their own. It leaves the slot, its line and the page's frame in s.
+func (r *Rows) alone(s *Stream, a mem.Addr) bool {
+	e := r.e
+	perPage := mem.PageShift - e.lineShift
+	first := uint64(mem.PageOf(a)) << perPage // the page's lines are first .. first+1<<perPage-1
+	s.slot = -1
+	for q, l := range e.streams[:e.nStream] {
+		if l-(first-1) <= 1<<perPage+1 {
+			if s.slot >= 0 {
+				return false
+			}
+			s.slot, s.line = q, l
+		}
+	}
+	if l := uint64(a) >> e.lineShift; s.slot < 0 || s.line < first || l-s.line > 1 {
+		return false
+	}
+	for i := range r.s[:r.ns] {
+		if t := &r.s[i]; t != s && (t.mode&StreamExplicit == 0 || t.mask != 0) && t.page-(mem.PageOf(a)-1) <= 2 {
+			return false
+		}
+	}
+	s.frame = e.frames[s.slot]
+	return true
+}
+
+// Access makes the loop's access of element i of an explicit stream in row
+// I+j of the chunk and returns the element's bytes (and what follows them in
+// the page). Outside a run of quiet rows that is a scalar access.
+func (r *Rows) Access(s *Stream, j, i int) []byte {
+	a := s.base + mem.Addr(i)<<s.shift
+	if r.open && r.join(s, j, a) {
+		return s.frame[a&(mem.PageSize-1):]
+	}
+	return r.e.access(a, 1<<s.shift, s.store())[a&(mem.PageSize-1):]
+}
+
+// join serves an explicit stream's access at a in row j of a run of quiet
+// rows, and reports whether the access is quiet too: it stays in the line the
+// stream is on, steps to the next line of the page, or is the stream's first
+// of the chunk and finds the stream alone in its page with the pager
+// agreeing. Otherwise the chunk ends with this row — the rows so far are
+// accounted, and the access enters the model like the rest of the row's.
+func (r *Rows) join(s *Stream, j int, a mem.Addr) bool {
+	e := r.e
+	row := uint64(1) << uint(j)
+	switch {
+	case a-s.clo < s.cn:
+		s.mask |= row
+		return true
+	case s.mask != 0:
+		if next := s.clo + s.cn; a-next < 1<<e.lineShift && next&(mem.PageSize-1) != 0 && r.left >= r.step {
+			s.clo, s.cn = a, e.lineLeft(a)
+			s.mask, s.cross = s.mask|row, s.cross|row
+			r.left -= r.step
+			return true
+		}
+	}
+	if s.mask == 0 {
+		if r.alone(s, a) && (!e.paged() || e.pager.Repeat(e, mem.PageOf(a), s.store(), 0)) {
+			stepped := s.line != uint64(a)>>e.lineShift
+			if !stepped || r.left >= r.step {
+				s.page = mem.PageOf(a)
+				s.clo, s.cn = a, e.lineLeft(a)
+				s.mask = row
+				if stepped {
+					s.cross = row
+					r.left -= r.step
+				}
+				return true
+			}
+		}
+	}
+	r.flush(j + 1)
+	r.Len = j + 1
+	return false
+}
+
+// flush accounts the first n rows of the open chunk as the scalar path would
+// have left them and closes it. Row j charged its CPU cost first and then made
+// its accesses, each asking the pager unless the one-page memo let it skip,
+// and then, if it stepped to a new line, charging that; nothing else moved.
+// So flush settles the access counts; the pager calls — replayed over the
+// rows to count them per stream and to find each stream's last, because the
+// pager keeps its pages in the order of their last calls and stamps them with
+// the time — and the memo; the line steps, in the order they were made, each
+// moving its slot and entering the on-chip cache model; and the clock.
+func (r *Rows) flush(n int) {
+	e := r.e
+	streams := r.s[:r.ns]
+	rows := ^uint64(0) >> uint(64-n)
+	steps := uint64(0)
+	for i := range streams {
+		s := &streams[i]
+		if s.mode&StreamExplicit == 0 {
+			s.mask = rows
+		}
+		s.mask, s.cross = s.mask&rows, s.cross&rows
+		steps |= s.cross
+		if s.store() {
+			e.writes += int64(bits.OnesCount64(s.mask))
+		} else {
+			e.reads += int64(bits.OnesCount64(s.mask))
+		}
+	}
+	// Replay the one-page memo over the rows. It is a function of the accesses
+	// made so far, so in a run of rows that make the same accesses every row
+	// after the first meets it as the first left it and makes the same calls:
+	// one replay stands for them all. (Without a pager there are no calls to
+	// make, but the memo is kept all the same.)
+	differs := uint64(0) // bit j: rows j and j+1 differ in some stream
+	for i := range streams {
+		differs |= streams[i].mask ^ streams[i].mask>>1
+	}
+	for j := 0; j < n; {
+		run := min(n-j, bits.TrailingZeros64(differs>>uint(j))+1)
+		r.replay(j, j, 1)
+		if run > 1 {
+			r.replay(j+1, j+run-1, run-1)
+		}
+		j += run
+	}
+	t0, made := e.T.Now(), 0
+	for ; steps != 0; steps &= steps - 1 {
+		j := bits.TrailingZeros64(steps)
+		for i := range streams {
+			if s := &streams[i]; s.cross>>uint(j)&1 != 0 {
+				// The access asks the pager before it charges its line.
+				r.settle(j, i, t0+sim.Time(made)*r.step)
+				s.line++
+				e.streams[s.slot] = s.line
+				if e.l2 != nil {
+					e.l2[s.line&uint64(len(e.l2)-1)] = s.line
+				}
+				made++
+			}
+		}
+	}
+	r.settle(n, 0, t0+sim.Time(made)*r.step)
+	e.T.AdvanceTo(t0 + sim.Time(n)*r.d + sim.Time(made)*r.step)
+	for i := range streams {
+		streams[i].cn, streams[i].mask = 0, 0
+	}
+	r.open = false
+}
+
+// replay runs row j's accesses past the one-page memo, counting each pager
+// call it does not skip weight times and as made last in row last.
+func (r *Rows) replay(j, last, weight int) {
+	e := r.e
+	for i := range r.s[:r.ns] {
+		s := &r.s[i]
+		if s.mask>>uint(j)&1 != 0 && (s.page != e.fpPage || s.store() && !e.fpWrite) {
+			s.calls += weight
+			s.lastRow = last
+			e.fpPage, e.fpWrite = s.page, s.store()
+		}
+	}
+}
+
+// settle makes the pager calls flush counted for the streams whose last call
+// came no later than stream idx's access in row j, in the order of those last
+// calls; base is the time of the chunk's start plus the line steps charged so
+// far.
+func (r *Rows) settle(j, idx int, base sim.Time) {
+	e := r.e
+	for {
+		var next *Stream
+		for i := range r.s[:r.ns] {
+			if s := &r.s[i]; s.calls > 0 && (s.lastRow < j || s.lastRow == j && i <= idx) &&
+				(next == nil || s.lastRow < next.lastRow) {
+				next = s
+			}
+		}
+		if next == nil {
+			return
+		}
+		if e.paged() {
+			e.T.AdvanceTo(base + sim.Time(next.lastRow+1)*r.d)
+			if !e.pager.Repeat(e, next.page, next.store(), next.calls) {
+				panic("ddc: pager declined a repeat it had agreed to")
+			}
+		}
+		next.calls = 0
+	}
+}

@@ -265,3 +265,73 @@ func TestMakespanProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Slack must be exactly the largest advance after which the yield check does
+// not park the thread: Advance(Slack()) makes no handoff and one nanosecond
+// more does, wherever the thread stands relative to the ready heap's top and
+// the window's horizon.
+func TestSlackIsTheLargestAdvanceThatDoesNotYield(t *testing.T) {
+	if got := NewThread("alone").Slack(); got != horizonMax {
+		t.Fatalf("standalone thread: slack %v, want unbounded", got)
+	}
+	// probe advances by the slack, then by one more nanosecond, and returns
+	// the slack and the handoffs each advance caused.
+	probe := func(s *Scheduler, th *Thread) (slack Time, within, beyond int64) {
+		slack = th.Slack()
+		before := s.Switches()
+		th.Advance(slack)
+		within = s.Switches() - before
+		th.Advance(1)
+		return slack, within, s.Switches() - before - within
+	}
+	for _, tc := range []struct {
+		name        string
+		lead, other Time // the probing thread's clock when it probes, and the other thread's start
+		want        Time
+	}{
+		{"level with the heap top", 0, 0, DefaultQuantum},
+		{"behind the heap top", 0, 5 * Microsecond, 5*Microsecond + DefaultQuantum},
+		{"ahead of the heap top", 1500, 0, DefaultQuantum - 1500},
+		{"a quantum ahead", DefaultQuantum, 0, 0},
+	} {
+		s := NewScheduler()
+		var slack Time
+		var within, beyond int64
+		s.Spawn("probe", 0, func(th *Thread) {
+			th.Advance(tc.lead)
+			slack, within, beyond = probe(s, th)
+		})
+		s.Spawn("other", tc.other, func(th *Thread) { th.Advance(Second) })
+		s.Run()
+		if slack != tc.want || within != 0 || beyond == 0 {
+			t.Errorf("%s: slack %v (want %v), %d handoffs within it, %d one past it", tc.name, slack, tc.want, within, beyond)
+		}
+	}
+
+	// The only runnable thread of a single-domain run never parks.
+	s := NewScheduler()
+	s.Spawn("lone", 0, func(th *Thread) {
+		th.Advance(7)
+		if got := th.Slack(); got != horizonMax-7-1 {
+			t.Errorf("lone runnable thread: slack %v, want the open window's", got)
+		}
+	})
+	s.Run()
+
+	// Under windows the horizon binds: the thread may reach the last
+	// nanosecond below it.
+	s = NewScheduler()
+	s.SetLookahead(lookL)
+	s.SetWorkers(1)
+	var slack Time
+	var within, beyond int64
+	s.NewDomain("a").Spawn("probe", 0, func(th *Thread) {
+		th.Advance(3)
+		slack, within, beyond = probe(s, th)
+	})
+	s.NewDomain("b").Spawn("other", 0, func(th *Thread) { th.Advance(Second) })
+	s.Run()
+	if slack != lookL-3-1 || within != 0 || beyond == 0 {
+		t.Errorf("at the window horizon: slack %v (want %v), %d handoffs within it, %d one past it", slack, lookL-3-1, within, beyond)
+	}
+}

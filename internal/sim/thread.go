@@ -53,6 +53,24 @@ func (t *Thread) Advance(d Time) {
 	}
 }
 
+// Slack returns the largest d for which Advance(d) would return without
+// yielding: a caller that is about to charge several costs whose sum stays
+// within it may charge the sum at once, because none of the separate
+// advances could have handed control to another thread. It is unbounded for a
+// standalone thread and for a thread that is the only runnable one inside an
+// open window, and negative when the next Advance yields whatever it charges.
+func (t *Thread) Slack() Time {
+	if t.sched == nil {
+		return horizonMax
+	}
+	d := t.dom
+	slack := d.horizon - t.now - 1
+	if n := d.peek(); n != nil {
+		slack = min(slack, n.now+t.sched.quantum-t.now)
+	}
+	return slack
+}
+
 // AdvanceTo moves the thread's clock forward to at least ts (it never moves
 // the clock backwards). Use it to model waiting for an event that completes
 // at a known virtual time.

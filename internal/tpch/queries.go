@@ -162,12 +162,7 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 	var supplyCost *coldb.Column
 	ex.Run(OpHashJoin, func(env *ddc.Env) {
 		idx := coldb.BuildHashIndex(env, ps.Col("ps_key"), nil)
-		composite := coldb.NewColumn(env.P, "l_pskey", coldb.I64, max(lPartK.N, 1))
-		composite.N = lPartK.N
-		for i := 0; i < lPartK.N; i++ {
-			env.Compute(2)
-			composite.SetI64(env, i, CompositeKey(lPartK.I64At(env, i), lSupp.I64At(env, i)))
-		}
+		composite := coldb.MapI64(env, "l_pskey", coldb.I64, 2, lPartK, lSupp, nil, CompositeKey)
 		match := coldb.HashJoinProbe(env, idx, composite, nil)
 		supplyCost = coldb.GatherF64(env, ps.Col("ps_supplycost"), match.Inner)
 	})
@@ -191,12 +186,8 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 	ex.Run(OpMergeJoin, func(env *ddc.Env) {
 		mj := coldb.MergeJoin(env, li.Col("l_orderkey"), orders.Col("o_orderkey"))
 		dates := coldb.GatherI64(env, orders.Col("o_orderdate"), mj.Inner)
-		year = coldb.NewColumn(env.P, "o_year", coldb.I32, max(dates.N, 1))
-		year.N = dates.N
-		for i := 0; i < dates.N; i++ {
-			env.Compute(2)
-			year.SetI64(env, i, dates.I64At(env, i)/YearDays)
-		}
+		year = coldb.MapI64(env, "o_year", coldb.I32, 2, dates, nil, nil,
+			func(day, _ int64) int64 { return day / YearDays })
 	})
 
 	// Expression: amount = price*(1-disc) − supplycost*qty over the full
@@ -205,23 +196,15 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 	ex.Run(OpExpression, func(env *ddc.Env) {
 		revenue := coldb.ExprRevenue(env, lPrice, lDisc, nil)
 		cost := coldb.ExprMulAddColumns(env, supplyCost, lQty, 1, nil)
-		amount = coldb.NewColumn(env.P, "amount", coldb.F64, max(revenue.N, 1))
-		amount.N = revenue.N
-		for i := 0; i < revenue.N; i++ {
-			env.Compute(2)
-			amount.SetF64(env, i, revenue.F64At(env, i)-cost.F64At(env, i))
-		}
+		amount = coldb.MapF64(env, "amount", 2, revenue, cost, nil,
+			func(revenue, cost float64) float64 { return revenue - cost })
 	})
 
 	// Group: (nation, year) hash aggregation over the selected rows.
 	var g *coldb.GroupAgg
 	ex.Run(OpGroup, func(env *ddc.Env) {
-		keys := coldb.NewColumn(env.P, "nation_year", coldb.I64, max(nation.N, 1))
-		keys.N = nation.N
-		for i := 0; i < nation.N; i++ {
-			env.Compute(2)
-			keys.SetI64(env, i, nation.I64At(env, i)*100+year.I64At(env, i))
-		}
+		keys := coldb.MapI64(env, "nation_year", coldb.I64, 2, nation, year, nil,
+			func(nation, year int64) int64 { return nation*100 + year })
 		g = coldb.GroupBySum(env, keys, amount, keep, Nations*8)
 	})
 
@@ -266,29 +249,15 @@ func Q1(ex *profile.Exec, d *Data, cutDay int64) []Q1Row {
 	var discPrice, charge *coldb.Column
 	ex.Run(OpExpression, func(env *ddc.Env) {
 		discPrice = coldb.ExprRevenue(env, li.Col("l_extendedprice"), li.Col("l_discount"), cand)
-		charge = coldb.NewColumn(env.P, "charge", coldb.F64, max(discPrice.N, 1))
-		charge.N = discPrice.N
-		i := 0
-		cand.ForEach(env, li.N, func(row int) {
-			env.Compute(3)
-			tax := li.Col("l_tax").F64At(env, row)
-			charge.SetF64(env, i, discPrice.F64At(env, i)*(1+tax))
-			i++
-		})
+		charge = coldb.MapF64(env, "charge", 3, li.Col("l_tax"), discPrice, cand,
+			func(tax, discPrice float64) float64 { return discPrice * (1 + tax) })
 	})
 	// Grouped aggregation: key = returnflag*2 + linestatus; four parallel
 	// sums via the group table (one per measure).
 	var gQty, gPrice, gDisc, gCharge *coldb.GroupAgg
 	ex.Run(OpGroup, func(env *ddc.Env) {
-		keys := coldb.NewColumn(env.P, "q1key", coldb.I64, max(cand.Len(li.N), 1))
-		keys.N = cand.Len(li.N)
-		i := 0
-		cand.ForEach(env, li.N, func(row int) {
-			env.Compute(3)
-			k := li.Col("l_returnflag").I64At(env, row)*2 + li.Col("l_linestatus").I64At(env, row)
-			keys.SetI64(env, i, k)
-			i++
-		})
+		keys := coldb.MapI64(env, "q1key", coldb.I64, 3, li.Col("l_returnflag"), li.Col("l_linestatus"), cand,
+			func(flag, status int64) int64 { return flag*2 + status })
 		qty := coldb.Project(env, li.Col("l_quantity"), cand)
 		price := coldb.Project(env, li.Col("l_extendedprice"), cand)
 		gQty = coldb.GroupBySum(env, keys, qty, nil, 8)
