@@ -32,7 +32,10 @@ import (
 //
 // The verbs must reproduce them byte for byte. run_trace_tail.txt is the one
 // file recorded from the verbs themselves: the old -trace tail printed a
-// wrapped ring without saying so.
+// wrapped ring without saying so. The two metrics.json files were re-recorded
+// when the typed stats became the only counters: their histograms are the old
+// binary's bytes, and every counter and gauge it wrote keeps its value among
+// the now fixed key set.
 
 // ddcsim runs one in-process invocation and returns its stdout.
 func ddcsim(t *testing.T, args ...string) string {
@@ -82,30 +85,46 @@ func TestVerbsReproduceRecordedOutput(t *testing.T) {
 }
 
 func TestRunArtifactsReproduceRecordedFiles(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{ // flag → recorded file
-		"-profile-out":  "run_chaos.folded",
-		"-incident-out": "run_chaos.incidents.jsonl",
-		"-metrics-out":  "run_chaos.metrics.json",
-		"-trace-dump":   "run_chaos.events.txt",
-	}
-	// The recorded stdout names the files as the old invocation did.
-	recorded := map[string]string{"-profile-out": "p.folded", "-incident-out": "i.jsonl", "-metrics-out": "m.json", "-trace-dump": "t.txt"}
-	args := strings.Fields("run -workload Q6 -platform teleport -scale 0.25 -chaos-profile chaos -percentiles -incident-events 64")
-	for _, f := range []string{"-profile-out", "-incident-out", "-metrics-out", "-trace-dump"} {
-		args = append(args, f, filepath.Join(dir, recorded[f]))
-	}
-	got := strings.ReplaceAll(ddcsim(t, args...), dir+string(filepath.Separator), "")
-	if want := golden(t, "run_chaos.txt"); got != want {
-		t.Errorf("stdout differs from testdata/run_chaos.txt:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	for f, name := range files {
-		b, err := os.ReadFile(filepath.Join(dir, recorded[f]))
-		if err != nil {
-			t.Fatal(err)
+	type artifact struct{ flag, name, golden string } // name: the file as the recorded stdout calls it
+	for _, tc := range []struct {
+		args   string
+		stdout string // recorded stdout ("" = not pinned)
+		files  []artifact
+	}{
+		{
+			args:   "run -workload Q6 -platform teleport -scale 0.25 -chaos-profile chaos -percentiles -incident-events 64",
+			stdout: "run_chaos.txt",
+			files: []artifact{
+				{"-profile-out", "p.folded", "run_chaos.folded"},
+				{"-incident-out", "i.jsonl", "run_chaos.incidents.jsonl"},
+				{"-metrics-out", "m.json", "run_chaos.metrics.json"},
+				{"-trace-dump", "t.txt", "run_chaos.events.txt"},
+			},
+		},
+		// The counters the Q6 run never moves — shard.*, pool.stall, eviction,
+		// prefetch — on a 4-shard R=3 W=2 pool under link partitions.
+		{
+			args:  "run -workload SSSP -platform base-ddc -graph-nv 16000 -chaos-profile partition-chaos -pool-shards 4 -replicas 3 -write-quorum 2",
+			files: []artifact{{"-metrics-out", "m.json", "run_sharded.metrics.json"}},
+		},
+	} {
+		dir := t.TempDir()
+		args := strings.Fields(tc.args)
+		for _, f := range tc.files {
+			args = append(args, f.flag, filepath.Join(dir, f.name))
 		}
-		if string(b) != golden(t, name) {
-			t.Errorf("%s file differs from testdata/%s", f, name)
+		got := strings.ReplaceAll(ddcsim(t, args...), dir+string(filepath.Separator), "")
+		if tc.stdout != "" && got != golden(t, tc.stdout) {
+			t.Errorf("stdout differs from testdata/%s:\n--- got ---\n%s--- want ---\n%s", tc.stdout, got, golden(t, tc.stdout))
+		}
+		for _, f := range tc.files {
+			b, err := os.ReadFile(filepath.Join(dir, f.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(b) != golden(t, f.golden) {
+				t.Errorf("%s file differs from testdata/%s", f.flag, f.golden)
+			}
 		}
 	}
 }

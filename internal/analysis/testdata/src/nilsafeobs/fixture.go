@@ -53,3 +53,26 @@ func (c Counter) Value() int64 { return c.n }
 
 // Unexported methods are internal plumbing: exempt.
 func (c *Counter) bump() { c.n++ }
+
+// Tracer mimics trace.Tracer, whose End is a stopwatch even on a nil
+// receiver: the guard returns the measured duration instead of zero.
+type Tracer struct{ total int64 }
+
+// End guards first and still measures on the nil path.
+func (tr *Tracer) End(now, start int64) int64 {
+	if tr == nil {
+		return now - start
+	}
+	tr.total += now - start
+	return now - start
+}
+
+// Measuring before the guard is the tempting spelling; the guard must lead.
+func (tr *Tracer) BadEnd(now, start int64) int64 { // want `\(\*Tracer\)\.BadEnd must begin with a nil-receiver guard`
+	d := now - start
+	if tr == nil {
+		return d
+	}
+	tr.total += d
+	return d
+}

@@ -44,10 +44,10 @@ func panicPath(tr *trace.Tracer, t *sim.Thread, corrupt bool) {
 	tr.End(t, sp)
 }
 
-// A zero id is the tracer's documented no-op: conditional Begin with an
-// unconditional End balances because End(t, 0) does nothing.
+// The zero Open is the tracer's documented no-op: conditional Begin with an
+// unconditional End balances because ending it records nothing.
 func zeroGuard(tr *trace.Tracer, t *sim.Thread, traced bool) {
-	var sp uint64
+	var sp trace.Open
 	if traced {
 		sp = tr.Begin(t, trace.KindAccess, 5, 0)
 	}
@@ -55,15 +55,15 @@ func zeroGuard(tr *trace.Tracer, t *sim.Thread, traced bool) {
 	tr.End(t, sp)
 }
 
-// A span id handed to another owner is out of scope for this check.
-type carrier struct{ sp uint64 }
+// A span handed to another owner is out of scope for this check.
+type carrier struct{ sp trace.Open }
 
 func escapesToField(tr *trace.Tracer, t *sim.Thread, c *carrier) {
 	sp := tr.Begin(t, trace.KindAccess, 6, 0)
 	c.sp = sp
 }
 
-func escapesToReturn(tr *trace.Tracer, t *sim.Thread) uint64 {
+func escapesToReturn(tr *trace.Tracer, t *sim.Thread) trace.Open {
 	sp := tr.Begin(t, trace.KindAccess, 7, 0)
 	return sp
 }
@@ -76,4 +76,33 @@ func loopBalanced(tr *trace.Tracer, t *sim.Thread, n int) {
 		t.Advance(sim.Microsecond)
 		tr.End(t, sp)
 	}
+}
+
+// End returns the span's duration. Whether the caller drops it, keeps it,
+// stores it or returns it, the End is the span's one close.
+type phases struct{ queue, exec sim.Time }
+
+func durationUsed(tr *trace.Tracer, t *sim.Thread, st *phases) sim.Time {
+	qs := tr.Begin(t, trace.KindAccess, 8, 0)
+	t.Advance(sim.Microsecond)
+	st.queue = tr.End(t, qs)
+
+	es := tr.Begin(t, trace.KindAccess, 9, 0)
+	t.Advance(sim.Microsecond)
+	d := tr.End(t, es)
+	st.exec = d
+
+	sp := tr.Begin(t, trace.KindAccess, 10, 0)
+	t.Advance(sim.Microsecond)
+	return tr.End(t, sp)
+}
+
+// The same on every branch, one of them discarding the result.
+func durationUsedOnOnePath(tr *trace.Tracer, t *sim.Thread, st *phases, failed bool) {
+	sp := tr.Begin(t, trace.KindAccess, 11, 0)
+	if failed {
+		tr.End(t, sp)
+		return
+	}
+	st.exec = tr.End(t, sp)
 }

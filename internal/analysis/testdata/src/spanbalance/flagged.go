@@ -49,7 +49,7 @@ func doubleEndTwoPaths(tr *trace.Tracer, t *sim.Thread, retry bool) {
 }
 
 func rebeginInLoop(tr *trace.Tracer, t *sim.Thread, n int) {
-	var sp uint64
+	var sp trace.Open
 	for i := 0; i < n; i++ {
 		sp = tr.Begin(t, trace.KindAccess, 7, 0) // want `re-begun`
 		if i%2 == 0 {
@@ -58,4 +58,20 @@ func rebeginInLoop(tr *trace.Tracer, t *sim.Thread, n int) {
 		tr.End(t, sp)
 	}
 	tr.End(t, sp) // want `double End`
+}
+
+// Using End's duration on one path does not close the span on the others.
+func leakBesideUsedDuration(tr *trace.Tracer, t *sim.Thread, failed bool) sim.Time {
+	sp := tr.Begin(t, trace.KindAccess, 8, 0) // want `not ended on every exit path`
+	if failed {
+		return 0
+	}
+	return tr.End(t, sp)
+}
+
+// Nor does reading the duration twice make a second End legal.
+func doubleEndForDuration(tr *trace.Tracer, t *sim.Thread) sim.Time {
+	sp := tr.Begin(t, trace.KindAccess, 9, 0)
+	d := tr.End(t, sp)
+	return d + tr.End(t, sp) // want `double End`
 }

@@ -29,11 +29,18 @@ const KindAccess Kind = 0
 // matched by an End on every exit path of the enclosing function.
 type Tracer struct{ next uint64 }
 
-// Begin opens a span and returns its id.
-func (tr *Tracer) Begin(t *sim.Thread, k Kind, page uint64, arg int64) uint64 {
-	tr.next++
-	return tr.next
+// Open is a span between its Begin and its End.
+type Open struct {
+	id    uint64
+	start sim.Time
 }
 
-// End closes the span with the given id. End(t, 0) is a no-op.
-func (tr *Tracer) End(t *sim.Thread, id uint64) {}
+// Begin opens a span.
+func (tr *Tracer) Begin(t *sim.Thread, k Kind, page uint64, arg int64) Open {
+	tr.next++
+	return Open{id: tr.next, start: t.Now()}
+}
+
+// End closes the span and returns how long it lasted. Ending the zero Open
+// records nothing.
+func (tr *Tracer) End(t *sim.Thread, sp Open) sim.Time { return t.Now() - sp.start }

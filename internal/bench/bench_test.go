@@ -157,6 +157,42 @@ func TestFig22RelaxedIsFlat(t *testing.T) {
 	}
 }
 
+// Figure 10's pattern, at the committed sizes: in each system one operator (for
+// WordCount the two halves of the map phase together) holds both the most DDC
+// time and the most remote traffic — the EXPERIMENTS.md reading of "one or two
+// arbitrary operators dominate".
+func TestFig10OneOperatorDominates(t *testing.T) {
+	tab, err := Run("10", Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dominant := map[string][]string{
+		"coldb/Q9": {"HashJoin"}, "graph/SSSP": {"Scatter"}, "mapreduce/WC": {"MapCompute", "MapShuffle"},
+	}
+	type cell struct{ ddc, remote float64 }
+	top := map[string]cell{}
+	for _, r := range tab.Rows {
+		for _, op := range dominant[r[0]] {
+			if r[1] == op {
+				top[r[0]] = cell{top[r[0]].ddc + parseS(t, r[3]), top[r[0]].remote + parseS(t, r[4])}
+			}
+		}
+	}
+	if len(top) != len(dominant) {
+		t.Fatalf("dominant operators missing from the table: %v", tab.Rows)
+	}
+	for _, r := range tab.Rows {
+		sys, op := r[0], r[1]
+		if op == dominant[sys][0] || op == dominant[sys][len(dominant[sys])-1] {
+			continue
+		}
+		if d, rem := parseS(t, r[3]), parseS(t, r[4]); d >= top[sys].ddc || rem >= top[sys].remote {
+			t.Errorf("%s: %s (%.4fs, %.1fMB) rivals the dominant %v (%.4fs, %.1fMB)",
+				sys, op, d, rem, dominant[sys], top[sys].ddc, top[sys].remote)
+		}
+	}
+}
+
 func TestFig12TeleportBeatsBasePerOperator(t *testing.T) {
 	tab, err := Run("12", smallOpts())
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"testing"
 
+	"teleport/internal/metrics"
 	"teleport/internal/obs"
+	"teleport/internal/sim"
 	"teleport/internal/trace"
 )
 
@@ -57,16 +59,18 @@ func TestObservabilityDoesNotPerturbVirtualTime(t *testing.T) {
 // The attribution report partitions the run: every component is
 // non-negative, the compute residual is non-negative, and on a DDC platform
 // the wire components are non-zero. Per operator, attributed time can never
-// exceed the operator's elapsed time.
+// exceed the operator's elapsed time. The same run pins Figure 19's shape:
+// the six components of a pushdown call plus its queue wait — each one span,
+// closed once — add up to the call, call by call, and to the runtime's phase
+// sums over the run.
 func TestReportComponentsSumToTotal(t *testing.T) {
-	res, err := RunWorkload("Q6", "teleport", obsOpts())
+	opts, err := obsOpts().resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.Attribution
-	if r == nil {
-		t.Fatal("no report")
-	}
+	opts.TraceCap, opts.Metrics = 1<<16, true
+	out := run(findWorkload("Q6"), opts, runSpec{platform: platTeleport})
+	r := newReport("Q6", "teleport", out)
 	if r.TotalNs <= 0 {
 		t.Fatalf("report total = %d", r.TotalNs)
 	}
@@ -98,8 +102,62 @@ func TestReportComponentsSumToTotal(t *testing.T) {
 	if opNs > r.TotalNs {
 		t.Fatalf("operator time %dns exceeds run total %dns", opNs, r.TotalNs)
 	}
-	if res.Nanos != opNs {
-		t.Fatalf("Nanos (%d) should equal summed operator time (%d)", res.Nanos, opNs)
+	if int64(out.Time) != opNs {
+		t.Fatalf("Time (%d) should equal summed operator time (%d)", out.Time, opNs)
+	}
+
+	// Figure 19. The direct children of a pushdown span are its components:
+	// push-sync (pre, post), rpc (request, response), push-queue, push-setup,
+	// push-exec.
+	spans := trace.PairSpans(out.Proc.M.Trace.Events())
+	call := map[uint64]sim.Time{} // pushdown span id → Σ children
+	var calls int64
+	var total sim.Time
+	byKind := map[trace.Kind]sim.Time{}
+	for _, s := range spans {
+		if s.Kind == trace.KindPushdown {
+			call[s.ID] = 0
+			calls++
+			total += s.Duration()
+		}
+	}
+	for _, s := range spans {
+		if _, ok := call[s.Parent]; ok {
+			call[s.Parent] += s.Duration()
+			byKind[s.Kind] += s.Duration()
+		}
+	}
+	for _, s := range spans {
+		if s.Kind == trace.KindPushdown && call[s.ID] != s.Duration() {
+			t.Fatalf("pushdown call %d lasted %v but its components sum to %v", s.Arg, s.Duration(), call[s.ID])
+		}
+	}
+	rs := out.RT.Stats()
+	ph := rs.Phases
+	if calls == 0 || calls != rs.Calls || ph.Total() != total {
+		t.Fatalf("%d calls totalling %v in the trace; the runtime counts %d totalling %v", calls, total, rs.Calls, ph.Total())
+	}
+	for _, c := range []struct {
+		name  string
+		phase sim.Time
+		kind  trace.Kind
+	}{
+		{"pre+post sync", ph.PreSync + ph.PostSync, trace.KindPushSync},
+		{"request+response", ph.Request + ph.Response, trace.KindRPC},
+		{"queue", ph.Queue, trace.KindPushQueue},
+		{"setup", ph.CtxSetup, trace.KindPushSetup},
+		{"exec", ph.Exec, trace.KindPushExec},
+	} {
+		if c.phase != byKind[c.kind] {
+			t.Fatalf("phase %s sums to %v over the calls, its spans to %v", c.name, c.phase, byKind[c.kind])
+		}
+	}
+	// One close feeds every sink: the span above, the histogram, the component.
+	if h := out.Metrics.Histograms["push.total.ns"]; h.Count != rs.Calls || h.SumNs != int64(total) {
+		t.Fatalf("push.total.ns = %d calls, %dns; the spans say %d, %v", h.Count, h.SumNs, rs.Calls, total)
+	}
+	if q := out.Metrics.Histograms["push.queue.ns"].SumNs; q != int64(ph.Queue) || r.Comps[metrics.CompPushQueue] != q {
+		t.Fatalf("queue wait: histogram %d, phases %v, component %d", q, ph.Queue, r.Comps[metrics.CompPushQueue])
 	}
 
 	// The rendered report must not be empty and must carry the totals.
@@ -227,6 +285,37 @@ func TestAnalysisLayerDoesNotPerturbRuns(t *testing.T) {
 				t.Fatal("armed run produced no latency summary")
 			}
 		})
+	}
+}
+
+// An incident's counter delta is read off the layers' typed stats, which are
+// there whatever is attached: arming the registry, the percentile extractor
+// and the profiler beside the flight recorder changes no incident record, and
+// the rollback incident shows the rollback.
+func TestIncidentDeltaIndependentOfObservers(t *testing.T) {
+	alone := Options{Scale: 0.25, Seed: 1, CacheFrac: 0.02, ChaosProfile: "chaos", IncidentEvents: 8}
+	armed := alone
+	armed.Metrics, armed.Percentiles, armed.Profiling = true, true, true
+	a, err := RunWorkload("Q6", "teleport", alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunWorkload("Q6", "teleport", armed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aj, bj bytes.Buffer
+	if err := obs.WriteIncidentsJSONL(&aj, a.Incidents); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteIncidentsJSONL(&bj, b.Incidents); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(aj.Bytes(), bj.Bytes()) {
+		t.Fatalf("incident records depend on the other observers:\nrecorder alone: %s\nall attached:   %s", aj.Bytes(), bj.Bytes())
+	}
+	if len(a.Incidents) == 0 || a.Incidents[0].Kind != "push-rollback" || a.Incidents[0].Delta["push.rollbacks"] != 1 {
+		t.Fatalf("first incident should be a push-rollback whose delta counts it: %+v", a.Incidents)
 	}
 }
 

@@ -68,7 +68,8 @@ type WorkloadResult struct {
 	// breakdown and whichever observability sections the options collected.
 	RunReport
 
-	// Metrics is the registry snapshot when Options.Metrics is set.
+	// Metrics is the run's snapshot — every layer's counters and gauges and
+	// the registry's histograms — when Options.Metrics is set.
 	Metrics *metrics.Snapshot
 	// Trace holds the machine's retained events when Options.TraceCap > 0.
 	Trace []trace.Event
@@ -133,9 +134,9 @@ func runWorkload(w workload, pl platformDef, opts Options) WorkloadResult {
 			Attribution:   newReport(w.Name, pl.name, out),
 			DroppedEvents: m.Trace.Dropped(),
 		},
-		Trace: m.Trace.Events(),
+		Trace:   m.Trace.Events(),
+		Metrics: out.Metrics,
 	}
-	res.Metrics = m.Metrics.Snapshot()
 	if opts.Profiling {
 		p := obs.BuildProfile(res.Trace, res.DroppedEvents)
 		res.SpanProfile = p

@@ -21,8 +21,7 @@ type Report struct {
 	// TotalNs is the virtual time the driving thread spent executing the
 	// workload (load/build excluded). Comps partitions it exactly:
 	// TotalNs − Comps.TotalNs() is pure CPU/DRAM compute.
-	TotalNs int64           `json:"total_ns"`
-	Comps   metrics.TimeSet `json:"components_ns"`
+	metrics.Attribution
 
 	// Ops is the executor's per-operator profile, in first-execution order.
 	Ops []profile.OpStat `json:"ops"`
@@ -34,9 +33,7 @@ func (r *Report) ComputeNs() int64 { return r.TotalNs - r.Comps.TotalNs() }
 // newReport assembles the attribution report for one execution.
 func newReport(workload, platform string, out runOut) *Report {
 	return &Report{
-		Workload: workload, Platform: platform,
-		TotalNs: out.Attr.TotalNs, Comps: out.Attr.Comps,
-		Ops: out.Profile,
+		Workload: workload, Platform: platform, Attribution: out.Attr, Ops: out.Profile,
 	}
 }
 

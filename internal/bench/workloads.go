@@ -210,6 +210,8 @@ type runOut struct {
 	Attr metrics.Attribution
 	// Rec is the flight recorder, non-nil when Options.IncidentEvents > 0.
 	Rec *obs.Recorder
+	// Metrics is the end-of-run snapshot (nil unless a registry was attached).
+	Metrics *metrics.Snapshot
 }
 
 // traceCap resolves the event-ring capacity: the explicit TraceCap, or a
@@ -273,10 +275,10 @@ func (o Options) attachFault(m *ddc.Machine, prof *fault.Profile, i int) {
 
 // prepare sets one data point up to run w under spec: resolved options +
 // spec → ddc.Config → machine → observers → fault plan → process → dataset →
-// cache/pool sizing → runtime. It returns the executor on a fresh driving
-// thread, the query to run on it and the flight recorder (nil unless armed).
-// Every figure cell and public run is set up here, so each dataset loader
-// has one call site.
+// cache/pool sizing → runtime → flight recorder. It returns the executor on a
+// fresh driving thread, the query to run on it and the flight recorder (nil
+// unless armed). Every figure cell and public run is set up here, so each
+// dataset loader has one call site.
 func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profile.Exec) uint64, *obs.Recorder) {
 	var cfg ddc.Config
 	switch spec.platform {
@@ -310,11 +312,6 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 		reg.SetSampleCap(opts.ExactQuantiles)
 		m.AttachMetrics(reg)
 	}
-	var rec *obs.Recorder
-	if opts.IncidentEvents > 0 {
-		rec = obs.NewRecorder(m.Trace, opts.IncidentEvents, m.CounterSource())
-		m.Trace.SetObserver(rec.Observe)
-	}
 	prof := opts.chaos
 	if spec.chaos != nil {
 		prof = spec.chaos
@@ -333,25 +330,29 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 		p.ResizePool(int64(float64(ws) * spec.poolFrac))
 	}
 
-	th := sim.NewThread(w.Name)
-	if spec.platform != platTeleport {
-		return profile.NewExec(th, p, nil), query, rec
+	ex := profile.NewExec(sim.NewThread(w.Name), p, nil)
+	if spec.platform == platTeleport {
+		rt := core.NewRuntime(p, cmp.Or(spec.contexts, 1))
+		rt.QueueCap = opts.PushQueueCap
+		if t := opts.BreakerThreshold; t != 0 {
+			rt.Breaker.Threshold = max(t, 0) // negative disables
+		}
+		if opts.BreakerCooldown > 0 {
+			rt.Breaker.Cooldown = opts.BreakerCooldown
+		}
+		ex.RT = rt
+		push := spec.pushOps
+		if push == nil {
+			push = w.PushOps
+		}
+		ex.Push(push...)
+		ex.PushDeadline = opts.PushDeadline
 	}
-	rt := core.NewRuntime(p, cmp.Or(spec.contexts, 1))
-	rt.QueueCap = opts.PushQueueCap
-	if t := opts.BreakerThreshold; t != 0 {
-		rt.Breaker.Threshold = max(t, 0) // negative disables
+	var rec *obs.Recorder
+	if opts.IncidentEvents > 0 {
+		rec = obs.NewRecorder(m.Trace, opts.IncidentEvents, ex.ReadStats)
+		m.Trace.SetObserver(rec.Observe)
 	}
-	if opts.BreakerCooldown > 0 {
-		rt.Breaker.Cooldown = opts.BreakerCooldown
-	}
-	ex := profile.NewExec(th, p, rt)
-	push := spec.pushOps
-	if push == nil {
-		push = w.PushOps
-	}
-	ex.Push(push...)
-	ex.PushDeadline = opts.PushDeadline
 	return ex, query, rec
 }
 
@@ -359,15 +360,19 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 func run(w workload, opts Options, spec runSpec) runOut {
 	ex, query, rec := prepare(w, opts, spec)
 	m, th := ex.P.M, ex.T
-	attrBefore := *m.Times
+	attrBefore := *m.Obs.Times
 	tstart := th.Now()
 	answer := query(ex)
+	snap := m.Obs.Hists.Snapshot()
+	if snap != nil {
+		ex.ReadStats(snap)
+	}
 	return runOut{
 		Time: ex.Total(), Profile: ex.Profile(), Proc: ex.P, RT: ex.RT,
-		Answer: answer, End: th.Now(), Rec: rec,
+		Answer: answer, End: th.Now(), Rec: rec, Metrics: snap,
 		Attr: metrics.Attribution{
 			TotalNs: int64(th.Now() - tstart),
-			Comps:   m.Times.Sub(attrBefore),
+			Comps:   m.Obs.Times.Sub(attrBefore),
 		},
 	}
 }

@@ -57,8 +57,7 @@ func (r *Runtime) breakerAllow(t *sim.Thread) bool {
 	}
 	r.brState = brHalfOpen
 	r.agg.BreakerHalfOpens++
-	r.P.M.Metrics.Counter("push.breaker.half-opens").Inc()
-	r.P.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindBreakerHalfOpen, Who: t.Name()})
+	r.P.M.Obs.Instant(t, trace.KindBreakerHalfOpen, 0, 0)
 	return true
 }
 
@@ -74,8 +73,7 @@ func (r *Runtime) breakerFailure(t *sim.Thread) {
 		r.brState = brOpen
 		r.brOpenedAt = t.Now()
 		r.agg.BreakerOpens++
-		r.P.M.Metrics.Counter("push.breaker.opens").Inc()
-		r.P.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindBreakerOpen, Arg: int64(r.brStreak), Who: t.Name()})
+		r.P.M.Obs.Instant(t, trace.KindBreakerOpen, 0, int64(r.brStreak))
 	}
 }
 
@@ -89,7 +87,6 @@ func (r *Runtime) breakerSuccess(t *sim.Thread) {
 	if r.brState != brClosed {
 		r.brState = brClosed
 		r.agg.BreakerCloses++
-		r.P.M.Metrics.Counter("push.breaker.closes").Inc()
-		r.P.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindBreakerClose, Who: t.Name()})
+		r.P.M.Obs.Instant(t, trace.KindBreakerClose, 0, 0)
 	}
 }

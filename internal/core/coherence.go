@@ -123,12 +123,12 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 			respBytes = pageMsgBytes
 			p.Cache.ClearDirty(pg)
 		}
-		sp := p.M.Tracer().Begin(e.T, trace.KindCoherence, uint64(pg), b2i(write))
+		sp := p.M.Obs.Begin(e.T, trace.KindCoherence, uint64(pg), trace.Flag(write))
 		p.M.Fabric.RoundTrip(e.T, ctrlMsgBytes, respBytes, netmodel.ClassCoherence)
-		p.M.Tracer().End(e.T, sp)
-		p.M.Metrics.Counter("coherence.rounds").Inc()
+		p.M.Obs.End(e.T, sp)
 		mp.st.CoherenceMsgs += 2
 		ps.rt.agg.CoherenceMsgs += 2
+		ps.rt.agg.CoherenceRounds++
 		if write {
 			// Line 22: Evict pte — unless the PSO relaxation keeps a
 			// read-only copy in the other pool (§4.2).
@@ -230,11 +230,11 @@ func (h *pushHooks) ComputeUpgrade(t *sim.Thread, pg mem.PageID) {
 	ps.rt.agg.Upgrades++
 	ent := ps.temp.entry(pg)
 	h.tiebreak(t, ent)
-	sp := ps.rt.P.M.Tracer().Begin(t, trace.KindCoherence, uint64(pg), 1)
+	sp := ps.rt.P.M.Obs.Begin(t, trace.KindCoherence, uint64(pg), 1)
 	ps.rt.P.M.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassCoherence)
-	ps.rt.P.M.Tracer().End(t, sp)
-	ps.rt.P.M.Metrics.Counter("coherence.rounds").Inc()
+	ps.rt.P.M.Obs.End(t, sp)
 	ps.rt.agg.CoherenceMsgs += 2
+	ps.rt.agg.CoherenceRounds++
 	if ps.pso {
 		ent.writable = false
 	} else {
@@ -254,9 +254,7 @@ func (h *pushHooks) tiebreak(t *sim.Thread, ent *tempPTE) {
 		rt.agg.Contentions++
 		rt.P.M.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassCoherence)
 		rt.agg.CoherenceMsgs += 2
-		ws := t.Now()
-		t.Advance(tiebreakWait)
-		rt.P.M.Times.Add(metrics.CompPushProto, t.Now()-ws)
+		rt.P.M.Charge(t, metrics.CompPushProto, float64(tiebreakWait))
 	}
 }
 
@@ -281,7 +279,7 @@ func (r *Runtime) SyncMem(t *sim.Thread, ranges []Range) int {
 	if len(dirty) == 0 {
 		return 0
 	}
-	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindSync, Arg: int64(len(dirty)), Who: t.Name()})
+	p.M.Obs.Instant(t, trace.KindSync, 0, int64(len(dirty)))
 	p.M.Fabric.Send(t, len(dirty)*pageMsgBytes, netmodel.ClassSync)
 	for _, pg := range dirty {
 		p.Cache.ClearDirty(pg)
@@ -294,12 +292,4 @@ func (r *Runtime) SyncMem(t *sim.Thread, ranges []Range) int {
 	}
 	p.Epoch++
 	return len(dirty)
-}
-
-// b2i encodes a flag in a trace event's Arg field.
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"teleport/internal/mem"
+	"teleport/internal/metrics"
 	"teleport/internal/sim"
 )
 
@@ -138,9 +139,10 @@ func (s Stats) String() string {
 		s.PreSync, s.Request, s.Queue, s.CtxSetup, s.Exec, s.OnlineSync, s.Response, s.PostSync)
 }
 
-// RuntimeStats aggregates protocol activity across calls.
+// RuntimeStats aggregates protocol activity across calls; a snapshot exports
+// the tagged fields, under the tag's name.
 type RuntimeStats struct {
-	Calls         int64
+	Calls         int64 `ctr:"push.calls"` // pushdown attempts completed, whatever their outcome
 	Cancelled     int64
 	Killed        int64
 	ComputeFaults int64 // compute-pool faults handled during pushdowns
@@ -148,30 +150,36 @@ type RuntimeStats struct {
 	CoherenceMsgs int64
 	Contentions   int64
 
+	// CoherenceRounds counts the protocol's own round trips (a contention's
+	// extra one is not). Not part of the run report's schema.
+	CoherenceRounds int64 `ctr:"coherence.rounds" json:"-"`
+
 	// Failure/recovery counters (§3.2 failure handling).
 	PoolDownObserved   int64 // heartbeat observations that found the pool down
-	ShardDownObserved  int64 // pushdowns shed because a resident page's replica set was unreachable
-	QuorumLostObserved int64 // pushdowns shed because a resident page was below its write quorum
-	QuorumAborts       int64 // executing pushdowns aborted (and rolled back) by partition onset
-	CtxCrashes         int64 // temporary-context crashes injected (pre-commit + mid-execution)
-	Retries            int64 // pushdown re-attempts by the recovery policy
-	LocalFallbacks     int64 // pushdowns degraded to compute-side execution
+	ShardDownObserved  int64 `ctr:"push.shard-down"`    // pushdowns shed because a resident page's replica set was unreachable
+	QuorumLostObserved int64 `ctr:"push.quorum-lost"`   // pushdowns shed because a resident page was below its write quorum
+	QuorumAborts       int64 `ctr:"push.quorum-aborts"` // executing pushdowns aborted (and rolled back) by partition onset
+	CtxCrashes         int64 `ctr:"push.ctx-crashes"`   // temporary-context crashes injected (pre-commit + mid-execution)
+	Retries            int64 `ctr:"push.retries"`       // pushdown re-attempts by the recovery policy
+	LocalFallbacks     int64 `ctr:"push.fallbacks"`     // pushdowns degraded to compute-side execution
 
 	// Crash-consistency and overload counters.
-	Shed                 int64 // requests rejected by admission control (queue full)
-	DeadlineAborts       int64 // calls aborted for blowing their Options.Deadline budget
-	Rollbacks            int64 // undo-journal rollbacks performed (mid-crash + deadline aborts)
+	Shed                 int64 `ctr:"push.shed"`            // requests rejected by admission control (queue full)
+	DeadlineAborts       int64 `ctr:"push.deadline-aborts"` // calls aborted for blowing their Options.Deadline budget
+	Rollbacks            int64 `ctr:"push.rollbacks"`       // undo-journal rollbacks performed (mid-crash + deadline aborts)
 	RolledBackPages      int64 // pages restored across all rollbacks
-	BreakerOpens         int64 // circuit-breaker closed/half-open → open transitions
-	BreakerHalfOpens     int64 // open → half-open transitions (cooldown elapsed)
-	BreakerCloses        int64 // half-open → closed transitions (probe succeeded)
-	BreakerShortCircuits int64 // calls sent straight to local execution while open
+	BreakerOpens         int64 `ctr:"push.breaker.opens"`          // circuit-breaker closed/half-open → open transitions
+	BreakerHalfOpens     int64 `ctr:"push.breaker.half-opens"`     // open → half-open transitions (cooldown elapsed)
+	BreakerCloses        int64 `ctr:"push.breaker.closes"`         // half-open → closed transitions (probe succeeded)
+	BreakerShortCircuits int64 `ctr:"push.breaker.short-circuits"` // calls sent straight to local execution while open
 
 	// Phases sums every call's time breakdown (the eight sim.Time fields of
 	// its Stats; the per-call counters stay zero), so a run-level report
 	// can break pushdown time down without retaining every call.
 	Phases Stats
 }
+
+var ledger = metrics.NewLedger(RuntimeStats{}, "ctr", "")
 
 // addPhases folds one call's time breakdown into the sums.
 func (s *Stats) addPhases(c *Stats) {

@@ -71,6 +71,7 @@ type Runtime struct {
 	Breaker BreakerConfig
 
 	running int
+	lastID  int64 // id of the most recently started call
 	queue   []*waiter
 	ps      *pushState
 	downObs bool // last heartbeat observation, for crash/recover trace edges
@@ -158,6 +159,13 @@ func NewRuntime(p *ddc.Process, contexts int) *Runtime {
 // Stats returns the aggregate runtime statistics.
 func (r *Runtime) Stats() RuntimeStats { return r.agg }
 
+// ReadStats adds the runtime's counters and its running-context gauge to s
+// under their declared names.
+func (r *Runtime) ReadStats(s *metrics.Snapshot) {
+	ledger.Read(s.Counters, &r.agg)
+	s.Gauges["push.running"] = int64(r.running)
+}
+
 // shardGate checks every resident page's replica set on a sharded pool. A
 // page whose primary shard and every backup are all unusable — crashed, or
 // severed from the compute node by a link partition — sheds the call with
@@ -244,7 +252,7 @@ func (r *Runtime) observeHeartbeat(t *sim.Thread) bool {
 		if down {
 			kind = trace.KindPoolCrash
 		}
-		r.P.M.Trace.Add(trace.Event{At: t.Now(), Kind: kind, Who: t.Name()})
+		r.P.M.Obs.Instant(t, kind, 0, 0)
 		r.downObs = down
 	}
 	return down
@@ -292,7 +300,7 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options, pol R
 	// whose tail the SLO analysis (internal/obs percentiles) reads.
 	e2eStart := t.Now()
 	defer func() {
-		r.P.M.Metrics.Histogram("push.e2e.ns").Observe(t.Now() - e2eStart)
+		r.P.M.Obs.Hists.Hist(metrics.HistPushE2E).Observe(t.Now() - e2eStart)
 	}()
 	backoff := pol.Backoff
 	ctxRerun := false
@@ -300,7 +308,6 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options, pol R
 	for {
 		if !r.breakerAllow(t) {
 			r.agg.BreakerShortCircuits++
-			r.P.M.Metrics.Counter("push.breaker.short-circuits").Inc()
 			r.runLocalFallback(t, fn)
 			return Stats{}, false, nil
 		}
@@ -322,14 +329,12 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options, pol R
 			return st, false, nil
 		}
 		r.agg.Retries++
-		r.P.M.Metrics.Counter("push.retries").Inc()
 		if crashed {
 			ctxRerun = true
 			continue
 		}
 		retries++
-		ws := t.Now()
-		wsp := r.P.M.Tracer().Begin(t, trace.KindPushRetryWait, 0, int64(retries))
+		wsp := r.P.M.Obs.Begin(t, trace.KindPushRetryWait, 0, int64(retries))
 		if r.retryAt > t.Now() {
 			// Scheduled outage: wait for the controller restart, or the
 			// earliest heal that unblocks the call's working set.
@@ -340,8 +345,7 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options, pol R
 				backoff *= 2
 			}
 		}
-		r.P.M.Tracer().End(t, wsp)
-		r.P.M.Times.Add(metrics.CompPushRetry, t.Now()-ws)
+		r.P.M.Obs.End(t, wsp)
 	}
 }
 
@@ -349,10 +353,9 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options, pol R
 // degradation.
 func (r *Runtime) runLocalFallback(t *sim.Thread, fn Func) {
 	r.agg.LocalFallbacks++
-	r.P.M.Metrics.Counter("push.fallbacks").Inc()
-	sp := r.P.M.Tracer().Begin(t, trace.KindFallbackLocal, 0, 0)
+	sp := r.P.M.Obs.Begin(t, trace.KindFallbackLocal, 0, 0)
 	fn(r.P.NewEnv(t))
-	r.P.M.Tracer().End(t, sp)
+	r.P.M.Obs.End(t, sp)
 }
 
 // call is one Pushdown attempt: what a checkpoint needs to know and what
@@ -386,31 +389,25 @@ func (c *call) checkpoint() error {
 }
 
 // failures is the one table that accounts a failed call: the RuntimeStats
-// counter, the metric and the trace event (Arg from the template, or the call
-// id) of each sentinel. The first row matching under errors.Is applies; an
-// exec row only once the pushed function had started executing.
+// counter and the trace event (Arg from the row, or the call id) of each
+// sentinel. The first row matching under errors.Is applies; an exec row only
+// once the pushed function had started executing.
 var failures = [...]struct {
 	err     error
 	exec    bool
 	count   func(*RuntimeStats) *int64
-	metric  string
-	event   *trace.Event
+	event   trace.Kind // 0 = none (no failure is a remote-fault event)
+	arg     int64
 	callArg bool
 }{
 	{err: ErrMemoryPoolDown, count: func(s *RuntimeStats) *int64 { return &s.PoolDownObserved }},
-	{err: ErrShardDown, count: func(s *RuntimeStats) *int64 { return &s.ShardDownObserved },
-		metric: "push.shard-down", event: &trace.Event{Kind: trace.KindShardDown}},
-	{err: ErrQuorumLost, exec: true, count: func(s *RuntimeStats) *int64 { return &s.QuorumAborts },
-		metric: "push.quorum-aborts"},
-	{err: ErrQuorumLost, count: func(s *RuntimeStats) *int64 { return &s.QuorumLostObserved },
-		metric: "push.quorum-lost", event: &trace.Event{Kind: trace.KindShardDown, Arg: 1}},
-	{err: ErrQueueFull, count: func(s *RuntimeStats) *int64 { return &s.Shed },
-		metric: "push.shed", event: &trace.Event{Kind: trace.KindShed}, callArg: true},
-	{err: ErrDeadlineExceeded, count: func(s *RuntimeStats) *int64 { return &s.DeadlineAborts },
-		metric: "push.deadline-aborts"},
+	{err: ErrShardDown, count: func(s *RuntimeStats) *int64 { return &s.ShardDownObserved }, event: trace.KindShardDown},
+	{err: ErrQuorumLost, exec: true, count: func(s *RuntimeStats) *int64 { return &s.QuorumAborts }},
+	{err: ErrQuorumLost, count: func(s *RuntimeStats) *int64 { return &s.QuorumLostObserved }, event: trace.KindShardDown, arg: 1},
+	{err: ErrQueueFull, count: func(s *RuntimeStats) *int64 { return &s.Shed }, event: trace.KindShed, callArg: true},
+	{err: ErrDeadlineExceeded, count: func(s *RuntimeStats) *int64 { return &s.DeadlineAborts }},
 	{err: ErrCancelled, count: func(s *RuntimeStats) *int64 { return &s.Cancelled }},
-	{err: ErrContextCrashed, count: func(s *RuntimeStats) *int64 { return &s.CtxCrashes },
-		metric: "push.ctx-crashes", event: &trace.Event{Kind: trace.KindFaultInjected}, callArg: true},
+	{err: ErrContextCrashed, count: func(s *RuntimeStats) *int64 { return &s.CtxCrashes }, event: trace.KindFaultInjected, callArg: true},
 }
 
 // fail is the one failure exit. It accounts err (failures); lets the pool
@@ -428,25 +425,19 @@ func (c *call) fail(err error) error {
 			continue
 		}
 		*f.count(&r.agg)++
-		if f.metric != "" {
-			m.Metrics.Counter(f.metric).Inc()
-		}
-		if f.event != nil {
-			ev := *f.event
-			ev.At, ev.Who = t.Now(), t.Name()
+		if f.event != 0 {
+			arg := f.arg
 			if f.callArg {
-				ev.Arg = c.id
+				arg = c.id
 			}
-			m.Trace.Add(ev)
+			m.Obs.Instant(t, f.event, 0, arg)
 		}
 		break
 	}
 	crashed := errors.Is(err, ErrContextCrashed)
 	if crashed {
 		// Reap cost: one context switch in the pool.
-		rs := t.Now()
-		t.AdvanceNs(m.Cfg.HW.CtxSwitchNs)
-		m.Times.Add(metrics.CompPushProto, t.Now()-rs)
+		m.Charge(t, metrics.CompPushProto, m.Cfg.HW.CtxSwitchNs)
 	}
 	if exec {
 		r.rollbackJournal(t, c.ps, c.pager)
@@ -498,34 +489,31 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	if !r.P.M.Cfg.Disaggregated {
 		return st, c.fail(ErrNotDisaggregated)
 	}
-	r.agg.Calls++
-	c.id = r.agg.Calls
+	r.lastID++
+	c.id = r.lastID
 	p := r.P
-	defer r.agg.Phases.addPhases(&st)
-	tr := p.M.Tracer()
-	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindPushdownStart, Arg: c.id, Who: t.Name()})
-	callStart := t.Now()
+	tr := &p.M.Obs
+	tr.Instant(t, trace.KindPushdownStart, 0, c.id)
 	// The deadline budget is per attempt, measured from this entry; it is
 	// enforced at every checkpoint below and inside execution by the pager.
 	if opts.Deadline > 0 {
-		c.deadlineAt = callStart + opts.Deadline
+		c.deadlineAt = t.Now() + opts.Deadline
 	}
 	sp := tr.Begin(t, trace.KindPushdown, 0, c.id)
 	defer func() {
+		// The attempt is accounted when it is over, its phases with it.
 		tr.End(t, sp)
-		p.M.Metrics.Counter("push.calls").Inc()
-		p.M.Metrics.Histogram("push.total.ns").Observe(t.Now() - callStart)
+		r.agg.Calls++
+		r.agg.Phases.addPhases(&st)
 	}()
 
 	scr := r.getScratch()
 	defer r.putScratch(scr)
 
 	// ❶–❷ Pre-pushdown synchronisation and request construction.
-	mark := t.Now()
 	ss := tr.Begin(t, trace.KindPushSync, 0, 0)
 	eagerPages := r.preSync(t, opts, scr)
-	tr.End(t, ss)
-	st.PreSync = t.Now() - mark
+	st.PreSync = tr.End(t, ss)
 	runs := scr.runs
 	for _, run := range runs {
 		st.ResidentPages += int(run.Count)
@@ -538,7 +526,6 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		return st, c.fail(err)
 	}
 
-	mark = t.Now()
 	if err := netmodel.CheckRuns(runs); err != nil {
 		return st, c.fail(err)
 	}
@@ -559,8 +546,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		return st, c.fail(err)
 	}
 	st.RequestBytes = len(wire)
-	p.M.Fabric.Send(t, st.RequestBytes, netmodel.ClassPushdown)
-	st.Request = t.Now() - mark
+	st.Request = p.M.Fabric.Send(t, st.RequestBytes, netmodel.ClassPushdown)
 
 	// The request transfer (and any fabric retries) took virtual time; a
 	// pool crash in that window means the request was never acknowledged.
@@ -570,13 +556,9 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 
 	// ❸ Workqueue: wait for a free user context (FIFO; try_cancel applies
 	// while queued, admission control sheds when the queue is at capacity).
-	mark = t.Now()
 	qs := tr.Begin(t, trace.KindPushQueue, 0, c.id)
 	err = r.acquire(t, opts, c.deadlineAt)
-	tr.End(t, qs)
-	st.Queue = t.Now() - mark
-	p.M.Times.Add(metrics.CompPushQueue, st.Queue)
-	p.M.Metrics.Histogram("push.queue.ns").Observe(st.Queue)
+	st.Queue = tr.End(t, qs)
 	if err != nil {
 		return st, c.fail(err)
 	}
@@ -589,11 +571,9 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	}
 
 	// ❹ Temporary user context setup (Figure 8).
-	mark = t.Now()
 	cs := tr.Begin(t, trace.KindPushSetup, 0, c.id)
 	c.ps = r.enterPush(t, runs, opts, &st)
-	tr.End(t, cs)
-	st.CtxSetup = t.Now() - mark
+	st.CtxSetup = tr.End(t, cs)
 
 	// A crash during context setup, or an injected crash of the temporary
 	// context itself, surfaces before fn commits: the compute side detects
@@ -606,7 +586,6 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	// Function execution with online coherence (Figure 9). The pager keeps
 	// the call's undo journal and enforces the armed mid-execution crash
 	// point, the deadline and the write quorum at every page access.
-	mark = t.Now()
 	es := tr.Begin(t, trace.KindPushExec, 0, c.id)
 	pager := &scr.pager
 	journal := pager.journal // emptied by the scratch's last call; keeps its storage
@@ -638,9 +617,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		}()
 		fn(env)
 	}()
-	tr.End(t, es)
-	st.Exec = t.Now() - mark
-	p.M.Metrics.Histogram("push.exec.ns").Observe(st.Exec)
+	st.Exec = tr.End(t, es)
 	if abort != nil {
 		c.wake = abort.wake
 		return st, c.fail(abort.err)
@@ -649,7 +626,6 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 
 	// ❺–❼ Completion response: status plus any tunnelled exception (§3.2's
 	// C++-exception rethrow carries the exception structure back).
-	mark = t.Now()
 	resp := netmodel.PushdownResponse{Status: netmodel.StatusOK}
 	if killed {
 		resp.Status = netmodel.StatusKilled
@@ -657,19 +633,16 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		resp.Status = netmodel.StatusException
 		resp.Exception = []byte(remoteErr.Error())
 	}
-	p.M.Fabric.Send(t, len(resp.Marshal()), netmodel.ClassPushdown)
-	st.Response = t.Now() - mark
+	st.Response = p.M.Fabric.Send(t, len(resp.Marshal()), netmodel.ClassPushdown)
 
 	// ❽ Post-pushdown synchronisation.
-	mark = t.Now()
 	posts := tr.Begin(t, trace.KindPushSync, 0, 1)
 	r.postSync(t, c.ps, opts, eagerPages)
-	tr.End(t, posts)
-	st.PostSync = t.Now() - mark
+	st.PostSync = tr.End(t, posts)
 
 	c.unwind()
 	pager.journal.discard()
-	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindPushdownEnd, Arg: c.id, Who: t.Name()})
+	tr.Instant(t, trace.KindPushdownEnd, 0, c.id)
 
 	if killed {
 		r.agg.Killed++
@@ -691,10 +664,8 @@ func (r *Runtime) rollbackJournal(t *sim.Thread, ps *pushState, pager *memPager)
 	cfg := &p.M.Cfg.HW
 	// The controller walks the journal: a PTE fixup plus a full-page DRAM
 	// copy per captured page.
-	rs := t.Now()
 	lines := float64(mem.PageSize / cfg.DRAMLineBytes)
-	t.AdvanceNs(hw.OpNs(cfg.MemoryClockGHz, float64(n)*cfg.PTEVisitOps) + float64(n)*lines*cfg.DRAMSeqLineNs)
-	p.M.Times.Add(metrics.CompPushProto, t.Now()-rs)
+	p.M.Charge(t, metrics.CompPushProto, hw.OpNs(cfg.MemoryClockGHz, float64(n)*cfg.PTEVisitOps)+float64(n)*lines*cfg.DRAMSeqLineNs)
 	pager.journal.rollback(p.Space, func(pg mem.PageID) {
 		ps.temp.entry(pg).dirty = false
 	})
@@ -702,8 +673,7 @@ func (r *Runtime) rollbackJournal(t *sim.Thread, ps *pushState, pager *memPager)
 	pager.st.RollbackPages = n
 	r.agg.Rollbacks++
 	r.agg.RolledBackPages += int64(n)
-	p.M.Metrics.Counter("push.rollbacks").Inc()
-	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindPushRollback, Arg: int64(n), Who: t.Name()})
+	p.M.Obs.Instant(t, trace.KindPushRollback, 0, int64(n))
 }
 
 // preSync performs the mode-dependent pre-pushdown synchronisation. It
@@ -765,9 +735,7 @@ func (r *Runtime) preSync(t *sim.Thread, opts Options, scr *callScratch) []mem.P
 		// On-demand coherence: build the resident list (with permissions)
 		// for the request message; no data moves.
 		scr.runs = p.Cache.AppendRuns(scr.runs)
-		as := t.Now()
-		t.AdvanceNs(hw.OpNs(cfg.ComputeClockGHz, float64(p.Cache.Len())*cfg.PageListEntryOps))
-		p.M.Times.Add(metrics.CompPushProto, t.Now()-as)
+		p.M.Charge(t, metrics.CompPushProto, hw.OpNs(cfg.ComputeClockGHz, float64(p.Cache.Len())*cfg.PageListEntryOps))
 		return nil
 	}
 }
@@ -777,12 +745,10 @@ func (r *Runtime) preSync(t *sim.Thread, opts Options, scr *callScratch) []mem.P
 // path on both ends.
 func (r *Runtime) flushPage(t *sim.Thread) {
 	cfg := &r.P.M.Cfg.HW
-	r.P.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindSync, Who: t.Name()})
+	r.P.M.Obs.Instant(t, trace.KindSync, 0, 0)
 	r.P.M.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassSync)
 	r.P.M.Fabric.Send(t, pageMsgBytes, netmodel.ClassSync)
-	hs := t.Now()
-	t.AdvanceNs(2 * cfg.FaultHandleNs)
-	r.P.M.Times.Add(metrics.CompPushProto, t.Now()-hs)
+	r.P.M.Charge(t, metrics.CompPushProto, 2*cfg.FaultHandleNs)
 }
 
 // enterPush creates or joins the shared pushdown coherence state and
@@ -792,9 +758,7 @@ func (r *Runtime) enterPush(t *sim.Thread, runs []netmodel.PageRun, opts Options
 	cfg := &p.M.Cfg.HW
 	// Cloning the caller's full page table (Figure 8 line 7) visits every
 	// PTE of the process.
-	as := t.Now()
-	t.AdvanceNs(hw.OpNs(cfg.MemoryClockGHz, float64(p.Space.Pages())*cfg.PTEVisitOps))
-	p.M.Times.Add(metrics.CompPushProto, t.Now()-as)
+	p.M.Charge(t, metrics.CompPushProto, hw.OpNs(cfg.MemoryClockGHz, float64(p.Space.Pages())*cfg.PTEVisitOps))
 
 	if r.ps == nil {
 		r.ps = &r.push
@@ -846,8 +810,7 @@ func (r *Runtime) postSync(t *sim.Thread, ps *pushState, opts Options, eagerPage
 				// Compute threads cached pages of their own while the call
 				// was in flight, so the re-fetch overflows the cache: an
 				// eviction like the fault path's, its write-back owed.
-				p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindEviction, Page: uint64(v.Page), Arg: b2i(v.Dirty), Who: t.Name()})
-				p.M.Metrics.Counter("eviction").Inc()
+				p.NoteEviction(t, v)
 				if v.Dirty {
 					p.WritebackPage(t, v.Page)
 				}
@@ -864,9 +827,7 @@ func (r *Runtime) postSync(t *sim.Thread, ps *pushState, opts Options, eagerPage
 		// table — a local operation in the memory pool, no communication.
 		// Merged dirty pages will need a storage write-back if the pool
 		// later evicts them.
-		as := t.Now()
-		t.AdvanceNs(hw.OpNs(cfg.MemoryClockGHz, float64(ps.temp.len())*cfg.PTEVisitOps))
-		p.M.Times.Add(metrics.CompPushProto, t.Now()-as)
+		p.M.Charge(t, metrics.CompPushProto, hw.OpNs(cfg.MemoryClockGHz, float64(ps.temp.len())*cfg.PTEVisitOps))
 		if p.PoolRes != nil {
 			for _, pg := range ps.temp.dirtyPages() {
 				p.PoolRes.MarkDirty(pg)
@@ -881,7 +842,6 @@ func (r *Runtime) postSync(t *sim.Thread, ps *pushState, opts Options, eagerPage
 func (r *Runtime) acquire(t *sim.Thread, opts Options, deadlineAt sim.Time) error {
 	if r.running < r.Contexts {
 		r.running++
-		r.P.M.Metrics.Gauge("push.running").Set(int64(r.running))
 		return nil
 	}
 	if r.QueueCap > 0 && len(r.queue) >= r.QueueCap {
@@ -914,7 +874,6 @@ func (r *Runtime) acquire(t *sim.Thread, opts Options, deadlineAt sim.Time) erro
 // non-expired waiter, cancelling waiters whose deadline has passed.
 func (r *Runtime) release(t *sim.Thread) {
 	r.running--
-	r.P.M.Metrics.Gauge("push.running").Set(int64(r.running))
 	now := t.Now()
 	for len(r.queue) > 0 {
 		w := r.queue[0]
@@ -927,7 +886,6 @@ func (r *Runtime) release(t *sim.Thread) {
 			continue
 		}
 		r.running++
-		r.P.M.Metrics.Gauge("push.running").Set(int64(r.running))
 		w.t.Unblock(now)
 		return
 	}

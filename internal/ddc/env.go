@@ -535,10 +535,7 @@ func ensureLocal(e *Env, pg mem.PageID, write bool) {
 	}
 	p.stats.CacheMisses++
 	p.stats.SSDFaults++
-	hs := e.T.Now()
-	e.T.AdvanceNs(p.M.Cfg.HW.FaultHandleNs)
-	p.M.Times.Add(metrics.CompFaultSW, e.T.Now()-hs)
-	p.M.Metrics.Counter("fault.ssd").Inc()
+	p.M.Charge(e.T, metrics.CompFaultSW, p.M.Cfg.HW.FaultHandleNs)
 	p.M.SSD.ReadPage(e.T, uint64(pg))
 	if v, ok := p.Cache.Insert(pg, true, write); ok && v.Dirty {
 		p.M.SSD.WritePage(e.T, uint64(v.Page))
@@ -553,7 +550,6 @@ func ensureLocal(e *Env, pg mem.PageID, write bool) {
 func upgradeWrite(e *Env, pg mem.PageID) {
 	p := e.P
 	p.stats.Upgrades++
-	p.M.Metrics.Counter("upgrade").Inc()
 	if p.hooks != nil {
 		p.hooks.ComputeUpgrade(e.T, pg)
 	}
@@ -575,12 +571,9 @@ func remoteFault(e *Env, pg mem.PageID, write bool) {
 	// serving shard instead of routing again.
 	served := p.M.AccessPage(e.T, pg, write)
 	p.stats.RemoteFaults++
-	fstart := e.T.Now()
-	sp := p.M.Tracer().Begin(e.T, trace.KindRemoteFault, uint64(pg), b2i(write))
+	sp := p.M.Obs.Begin(e.T, trace.KindRemoteFault, uint64(pg), trace.Flag(write))
 	p.M.Fabric.RoundTrip(e.T, faultReqBytes, pageRespBytes, netmodel.ClassPageFault)
-	hs := e.T.Now()
-	e.T.AdvanceNs(cfg.FaultHandleNs)
-	p.M.Times.Add(metrics.CompFaultSW, e.T.Now()-hs)
+	p.M.Charge(e.T, metrics.CompFaultSW, cfg.FaultHandleNs)
 	p.ensureInPool(e.T, pg, write, served)
 	if p.hooks != nil {
 		p.hooks.ComputeFaulted(e.T, pg, write)
@@ -602,16 +595,11 @@ func remoteFault(e *Env, pg mem.PageID, write bool) {
 				break // don't drag the storage pool into a prefetch
 			}
 			p.stats.Prefetched++
-			ps := e.T.Now()
-			e.T.AdvanceNs(float64(mem.PageSize) / cfg.NetBandwidthGBs)
-			p.M.Times.Add(metrics.CompPrefetch, e.T.Now()-ps)
-			p.M.Metrics.Counter("prefetch").Inc()
+			p.M.Charge(e.T, metrics.CompPrefetch, float64(mem.PageSize)/cfg.NetBandwidthGBs)
 			p.cachePage(e.T, next, false, false)
 		}
 	}
-	p.M.Tracer().End(e.T, sp)
-	p.M.Metrics.Counter("fault.remote").Inc()
-	p.M.Metrics.Histogram("fault.remote.ns").Observe(e.T.Now() - fstart)
+	p.M.Obs.End(e.T, sp)
 	p.noteFault(pg)
 	p.Epoch++
 }
@@ -624,8 +612,7 @@ func (p *Process) cachePage(t *sim.Thread, pg mem.PageID, writable, dirty bool) 
 	if !ok {
 		return
 	}
-	p.M.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindEviction, Page: uint64(v.Page), Arg: b2i(v.Dirty), Who: t.Name()})
-	p.M.Metrics.Counter("eviction").Inc()
+	p.NoteEviction(t, v)
 	if v.Dirty {
 		p.stats.Writebacks++
 		p.M.Fabric.Send(t, writebackBytes, netmodel.ClassWriteback)
@@ -633,9 +620,9 @@ func (p *Process) cachePage(t *sim.Thread, pg mem.PageID, writable, dirty bool) 
 	}
 }
 
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+// NoteEviction accounts v, just pushed out of the compute cache; writing a
+// dirty victim back is the caller's.
+func (p *Process) NoteEviction(t *sim.Thread, v Evicted) {
+	p.stats.Evictions++
+	p.M.Obs.Instant(t, trace.KindEviction, uint64(v.Page), trace.Flag(v.Dirty))
 }

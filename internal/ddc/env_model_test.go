@@ -12,6 +12,7 @@ import (
 
 	"teleport/internal/mem"
 	"teleport/internal/sim"
+	"teleport/internal/trace"
 )
 
 // This file lock-steps Env's one-pass access path against the access path it
@@ -251,7 +252,7 @@ func (a pagerCall) compare(b pagerCall) int {
 	if a.page != b.page {
 		return cmp.Compare(a.page, b.page)
 	}
-	return cmp.Compare(b2i(a.write), b2i(b.write))
+	return cmp.Compare(trace.Flag(a.write), trace.Flag(b.write))
 }
 
 // logPager records every call before passing it on.

@@ -1,7 +1,7 @@
 package ddc
 
 import (
-	"fmt"
+	"strconv"
 
 	"teleport/internal/fault"
 	"teleport/internal/mem"
@@ -27,10 +27,13 @@ type Machine struct {
 	Fabric *netmodel.Fabric
 	SSD    *storage.SSD
 
-	// Trace, when non-nil, receives paging/coherence/pushdown events (see
-	// internal/trace). Tracing costs no virtual time. Attach with
-	// AttachTrace so the fabric's fault events land in the same ring and
-	// the span tracer is built over it.
+	// Obs is the machine's one stopwatch (see trace.Tracer): every layer
+	// times its intervals and records its events through it, at no virtual
+	// cost. Obs.Times is always allocated — each layer charges its own
+	// advances to a disjoint component (a closing span, or Charge), so
+	// elapsed − Times.TotalNs() is pure compute; Obs.Ring and Obs.Hists are
+	// nil until AttachTrace/AttachMetrics. Trace is the attached ring.
+	Obs   trace.Tracer
 	Trace *trace.Ring
 
 	// Fault, when non-nil, is the machine's deterministic chaos plan (see
@@ -38,18 +41,8 @@ type Machine struct {
 	// SSD, TELEPORT runtime — consults the same plan.
 	Fault *fault.Plan
 
-	// Times is the machine-wide virtual-time attribution accumulator:
-	// every layer charges its own advances to a disjoint component, so
-	// elapsed − Times.TotalNs() is pure compute. Always allocated; reads
-	// and writes cost no virtual time.
-	Times *metrics.TimeSet
-
-	// Metrics, when non-nil, is the machine's quantitative registry.
-	// Attach with AttachMetrics so fabric and SSD publish into it too.
-	Metrics *metrics.Registry
-
 	// PoolStalls counts paging operations that had to wait out a
-	// memory-controller outage.
+	// memory-controller outage ("pool.stall" in a snapshot).
 	PoolStalls int64
 
 	// ShardStats aggregates per-shard fault-domain activity (failover
@@ -71,10 +64,11 @@ type Machine struct {
 	shardVer []map[mem.PageID]uint64
 
 	// handoffDepth counts queued handoff/re-sync records across all
-	// shards, mirrored into the "shard.handoff.depth" gauge.
+	// shards (the "shard.handoff.depth" gauge).
 	handoffDepth int64
 
-	spans *trace.Tracer // built over Trace by AttachTrace; see Tracer()
+	// perShard[s] exports ShardStats[s] under "shard.<s>.": names built once.
+	perShard []metrics.Ledger
 }
 
 // NewMachine validates cfg and assembles the machine.
@@ -82,14 +76,18 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Cfg: cfg, Times: &metrics.TimeSet{}}
+	m := &Machine{Cfg: cfg, Obs: trace.Tracer{Times: &metrics.TimeSet{}}}
 	m.Fabric = netmodel.New(&m.Cfg.HW)
 	m.SSD = storage.New(&m.Cfg.HW, mem.PageSize)
-	m.Fabric.SetTimes(m.Times)
-	m.SSD.SetTimes(m.Times)
+	m.Fabric.SetObserver(&m.Obs)
+	m.SSD.SetObserver(&m.Obs)
 	if k := cfg.Shards(); k > 1 {
 		m.ShardStats = make([]ShardStat, k)
 		m.resync = make([]resyncQueue, k)
+		m.perShard = make([]metrics.Ledger, k)
+		for s := range m.perShard {
+			m.perShard[s] = metrics.NewLedger(ShardStat{}, "per", "shard."+strconv.Itoa(s)+".")
+		}
 		if cfg.EffReplicas() > 1 {
 			m.pageVer = make(map[mem.PageID]uint64)
 			m.shardVer = make([]map[mem.PageID]uint64, k)
@@ -110,29 +108,14 @@ func MustMachine(cfg Config) *Machine {
 	return m
 }
 
-// AttachTrace installs an event ring on the machine and on the fabric, so
-// paging, coherence, pushdown, and fault events interleave in one timeline,
-// and builds the span tracer over it so faults, RPCs, SSD accesses, and
-// pushdowns record begin/end intervals with parentage.
-func (m *Machine) AttachTrace(r *trace.Ring) {
-	m.Trace = r
-	m.Fabric.SetTrace(r)
-	m.spans = trace.NewTracer(r)
-	m.Fabric.SetTracer(m.spans)
-	m.SSD.SetTracer(m.spans)
-}
+// AttachTrace installs an event ring on the machine's tracer: paging,
+// coherence, pushdown, and fault events interleave in one timeline, spans
+// with parentage.
+func (m *Machine) AttachTrace(r *trace.Ring) { m.Trace, m.Obs.Ring = r, r }
 
-// Tracer returns the span tracer AttachTrace built: nil when tracing is off
-// (and nil is safe to call Begin/End on).
-func (m *Machine) Tracer() *trace.Tracer { return m.spans }
-
-// AttachMetrics installs (or, with nil, detaches) a metrics registry on the
-// machine and on the layers that publish into one.
-func (m *Machine) AttachMetrics(reg *metrics.Registry) {
-	m.Metrics = reg
-	m.Fabric.SetMetrics(reg)
-	m.SSD.SetMetrics(reg)
-}
+// AttachMetrics installs (or, with nil, detaches) a histogram registry for
+// closing spans to feed.
+func (m *Machine) AttachMetrics(reg *metrics.Registry) { m.Obs.Hists = reg }
 
 // AttachFault installs a chaos plan on every layer of the machine: the
 // fabric retransmits lost messages, the SSD re-reads failed pages, and the
@@ -149,43 +132,30 @@ func (m *Machine) AttachFault(p *fault.Plan) {
 	m.SSD.SetInjector(p)
 }
 
-// CounterSource returns a closure producing a machine-wide named counter
-// snapshot: every metrics counter, the chaos plan's injection counters, and
-// the machine's own recovery tallies (pool stalls, per-shard failover and
-// re-sync activity). The flight recorder (internal/obs) diffs consecutive
-// snapshots into per-incident deltas. Reading is passive — it never advances
-// a virtual clock — and every key is fixed, so marshalled deltas are
-// deterministic.
-func (m *Machine) CounterSource() func() map[string]int64 {
-	return func() map[string]int64 {
-		out := m.Metrics.CounterValues()
-		if out == nil {
-			out = make(map[string]int64, 16)
-		}
-		if m.Fault != nil {
-			for k, v := range m.Fault.Counters().Map() {
-				out[k] = v
-			}
-		}
-		out["pool.stalls"] = m.PoolStalls
-		tot := m.Fabric.Total()
-		out["fabric.retries"] = tot.Retries
-		out["fabric.drops"] = tot.Drops
-		out["ssd.read-retries"] = m.SSD.Stats().ReadRetries
-		for s := range m.ShardStats {
-			st := &m.ShardStats[s]
-			out[fmt.Sprintf("shard.%d.failover-reads", s)] = st.FailoverReads
-			out[fmt.Sprintf("shard.%d.resync-pages", s)] = st.ResyncPages
-			out[fmt.Sprintf("shard.%d.stalls", s)] = st.Stalls
-			out[fmt.Sprintf("shard.%d.handoff-records", s)] = st.HandoffRecords
-			out[fmt.Sprintf("shard.%d.handoff-replays", s)] = st.HandoffReplays
-			out[fmt.Sprintf("shard.%d.read-repairs", s)] = st.ReadRepairs
-			out[fmt.Sprintf("shard.%d.stale-averted", s)] = st.StaleReadsAverted
-			out[fmt.Sprintf("shard.%d.quorum-stalls", s)] = st.QuorumStalls
-		}
-		out["shard.handoff.queued"] = m.handoffDepth
-		return out
+// Charge advances t by ns nanoseconds and attributes them to component c. The
+// span-less leaf charges (fault-handler software path, prefetch transfer,
+// pushdown protocol CPU) go through here, so none reads the clock twice.
+func (m *Machine) Charge(t *sim.Thread, c metrics.Comp, ns float64) {
+	d := sim.FromNs(ns)
+	t.Advance(d)
+	m.Obs.Times.Add(c, d)
+}
+
+// ReadStats adds the machine's counters and gauges to s under their declared
+// names: the chaos plan's, the fabric's and the device's, pool stalls, and
+// the shard activity both summed over the pool and per shard. The key set is
+// fixed per machine.
+func (m *Machine) ReadStats(s *metrics.Snapshot) {
+	m.Fault.Counters().ReadCounters(s.Counters)
+	m.Fabric.ReadCounters(s.Counters)
+	m.SSD.ReadCounters(s.Counters)
+	s.Counters["pool.stall"] = m.PoolStalls
+	shardTotals.Read(s.Counters, m.ShardTotals())
+	for i := range m.ShardStats {
+		m.perShard[i].Read(s.Counters, &m.ShardStats[i])
 	}
+	s.Counters["shard.handoff.queued"] = m.handoffDepth
+	s.Gauges["shard.handoff.depth"] = m.handoffDepth
 }
 
 // WaitPoolUp stalls t through a memory-controller outage: a paging
@@ -202,9 +172,7 @@ func (m *Machine) WaitPoolUp(t *sim.Thread) bool {
 	_, stalled := m.stallToHeal(t, 1, func(int) (sim.Time, bool) {
 		return m.Fault.UpAt(t.Now(), fault.Pool()), true
 	})
-	m.Times.Add(metrics.CompPoolStall, stalled)
-	m.Metrics.Counter("pool.stall").Inc()
-	m.Metrics.Histogram("pool.stall.ns").Observe(stalled)
+	m.Obs.Hists.Hist(metrics.HistPoolStall).Observe(stalled)
 	return true
 }
 
@@ -253,18 +221,22 @@ type Process struct {
 	stats ProcStats
 }
 
-// ProcStats aggregates per-process paging activity.
+// ProcStats aggregates per-process paging activity; a snapshot exports the
+// tagged fields, under the tag's name.
 type ProcStats struct {
 	CacheHits      int64
 	CacheMisses    int64
-	RemoteFaults   int64 // pages demand-fetched from the memory pool
-	Prefetched     int64
+	RemoteFaults   int64 `ctr:"fault.remote"` // pages demand-fetched from the memory pool
+	Prefetched     int64 `ctr:"prefetch"`
 	Writebacks     int64 // dirty evictions written back over the fabric
-	StorageInFault int64 // memory pool pages faulted in from storage
+	StorageInFault int64 `ctr:"fault.storage"` // memory pool pages faulted in from storage
 	StorageEvicts  int64
-	SSDFaults      int64 // monolithic swap-ins
-	Upgrades       int64 // read→write permission upgrades
+	SSDFaults      int64 `ctr:"fault.ssd"` // monolithic swap-ins
+	Upgrades       int64 `ctr:"upgrade"`   // read→write permission upgrades
+	Evictions      int64 `ctr:"eviction"`  // pages the compute cache evicted to make room
 }
+
+var procLedger = metrics.NewLedger(ProcStats{}, "ctr", "")
 
 // NewProcess creates a process on m with an empty address space.
 func (m *Machine) NewProcess() *Process {
@@ -296,6 +268,9 @@ func (p *Process) SetPushHooks(h PushHooks) {
 
 // Stats returns the accumulated paging statistics.
 func (p *Process) Stats() ProcStats { return p.stats }
+
+// ReadStats adds the process's counters to s under their declared names.
+func (p *Process) ReadStats(s *metrics.Snapshot) { procLedger.Read(s.Counters, &p.stats) }
 
 // seqFault reports whether pg directly extends one of the recent fault
 // streams (prefetch trigger). Prefetched pages themselves extend the stream
@@ -401,11 +376,9 @@ func (p *Process) ensureInPool(t *sim.Thread, pg mem.PageID, write bool, served 
 		p.M.WaitPoolUp(t)
 	}
 	p.stats.StorageInFault++
-	sp := p.M.Tracer().Begin(t, trace.KindStorageFault, uint64(pg), b2i(write))
+	sp := p.M.Obs.Begin(t, trace.KindStorageFault, uint64(pg), trace.Flag(write))
 	p.M.Fabric.RoundTrip(t, faultReqBytes, pageRespBytes, netmodel.ClassStorage)
-	hs := t.Now()
-	t.AdvanceNs(p.M.Cfg.HW.FaultHandleNs)
-	p.M.Times.Add(metrics.CompFaultSW, t.Now()-hs)
+	p.M.Charge(t, metrics.CompFaultSW, p.M.Cfg.HW.FaultHandleNs)
 	p.M.SSD.ReadPage(t, uint64(pg))
 	if v, ok := p.PoolRes.Insert(pg, true, write); ok {
 		p.stats.StorageEvicts++
@@ -415,8 +388,7 @@ func (p *Process) ensureInPool(t *sim.Thread, pg mem.PageID, write bool, served 
 		}
 	}
 	p.M.ReplicatePage(t, pg, served)
-	p.M.Tracer().End(t, sp)
-	p.M.Metrics.Counter("fault.storage").Inc()
+	p.M.Obs.End(t, sp)
 	p.Epoch++
 }
 
@@ -425,10 +397,9 @@ func (p *Process) ensureInPool(t *sim.Thread, pg mem.PageID, write bool, served 
 func (p *Process) WritebackPage(t *sim.Thread, pg mem.PageID) {
 	served := p.M.AccessPage(t, pg, true)
 	p.stats.Writebacks++
-	sp := p.M.Tracer().Begin(t, trace.KindWriteback, uint64(pg), 0)
+	sp := p.M.Obs.Begin(t, trace.KindWriteback, uint64(pg), 0)
 	p.M.Fabric.Send(t, writebackBytes, netmodel.ClassWriteback)
-	p.M.Tracer().End(t, sp)
-	p.M.Metrics.Counter("writeback").Inc()
+	p.M.Obs.End(t, sp)
 	p.M.ReplicatePage(t, pg, served)
 	p.Cache.ClearDirty(pg)
 	p.Epoch++

@@ -37,39 +37,31 @@ func ShardOf(pg mem.PageID, shards int) int {
 	return int(uint64(pg) % uint64(shards))
 }
 
-// ShardStat aggregates one shard's fault-domain activity.
+// ShardStat aggregates one shard's fault-domain activity. A snapshot reads it
+// summed over the pool (`ctr`) and per shard ("shard.<s>." + `per`).
 type ShardStat struct {
-	FailoverReads     int64 // accesses served by a replica while this primary was unusable
-	ResyncPages       int64 // crash-journaled pages re-replicated on recovery
-	Recoveries        int64 // re-sync replays performed
-	Stalls            int64 // accesses stalled because no replica was usable either
-	HandoffRecords    int64 // hinted-handoff records enqueued for this shard (partition-caused)
-	HandoffReplays    int64 // hinted-handoff records delivered to this shard after a link heal
-	PartitionHeals    int64 // anti-entropy sweeps that delivered hinted records to this shard
-	ReadRepairs       int64 // stale copies on this shard repaired from a fresher replica
-	StaleReadsAverted int64 // reads that would have served stale bytes without the version check
-	QuorumStalls      int64 // writes (keyed by primary) stalled below the write quorum
+	FailoverReads     int64 `ctr:"shard.failover" per:"failover-reads"`         // accesses served by a replica while this primary was unusable
+	ResyncPages       int64 `ctr:"shard.resync-pages" per:"resync-pages"`       // crash-journaled pages re-replicated on recovery
+	Recoveries        int64 `ctr:"shard.recovery"`                              // re-sync replays performed
+	Stalls            int64 `ctr:"shard.stall" per:"stalls"`                    // accesses stalled because no replica was usable either
+	HandoffRecords    int64 `ctr:"shard.handoff" per:"handoff-records"`         // hinted-handoff records enqueued for this shard (partition-caused)
+	HandoffReplays    int64 `ctr:"shard.handoff-replays" per:"handoff-replays"` // hinted-handoff records delivered to this shard after a link heal
+	PartitionHeals    int64 `ctr:"shard.partition-heal"`                        // anti-entropy sweeps that delivered hinted records to this shard
+	ReadRepairs       int64 `ctr:"shard.read-repair" per:"read-repairs"`        // stale copies on this shard repaired from a fresher replica
+	StaleReadsAverted int64 `ctr:"shard.stale-averted" per:"stale-averted"`     // reads that would have served stale bytes without the version check
+	QuorumStalls      int64 `ctr:"shard.quorum-stall" per:"quorum-stalls"`      // writes (keyed by primary) stalled below the write quorum
+
+	// Quorum traffic, keyed by the shard consulted or written. Not part of
+	// the run report's schema.
+	ReadConsults  int64 `ctr:"shard.read-consult" json:"-"`  // version probes of quorum reads answered by this shard
+	ReplicaWrites int64 `ctr:"shard.replica-write" json:"-"` // page copies delivered to this shard as a replica
 }
+
+var shardTotals = metrics.NewLedger(ShardStat{}, "ctr", "")
 
 // ShardTotals sums the per-shard activity over every shard of the pool (the
 // zero ShardStat on a single-shard pool).
-func (m *Machine) ShardTotals() ShardStat {
-	var t ShardStat
-	for i := range m.ShardStats {
-		st := &m.ShardStats[i]
-		t.FailoverReads += st.FailoverReads
-		t.ResyncPages += st.ResyncPages
-		t.Recoveries += st.Recoveries
-		t.Stalls += st.Stalls
-		t.HandoffRecords += st.HandoffRecords
-		t.HandoffReplays += st.HandoffReplays
-		t.PartitionHeals += st.PartitionHeals
-		t.ReadRepairs += st.ReadRepairs
-		t.StaleReadsAverted += st.StaleReadsAverted
-		t.QuorumStalls += st.QuorumStalls
-	}
-	return t
-}
+func (m *Machine) ShardTotals() ShardStat { return metrics.Sum(m.ShardStats) }
 
 // handoffRec is one pending repair for a shard that missed a write: the page,
 // the version its copy must reach (0 = unconditional, used by the legacy
@@ -153,13 +145,16 @@ func NthHeal(count, n int, healAt func(i int) (at sim.Time, ok bool)) (int, sim.
 }
 
 // stallToHeal advances t to the earliest heal among count members (NthHeal's
-// healAt, evaluated at t's current time) and returns which member that was
-// and how long the stall lasted.
+// healAt, evaluated at t's current time), attributing the wait to the
+// pool-stall component, and returns which member that was and how long the
+// stall lasted.
 func (m *Machine) stallToHeal(t *sim.Thread, count int, healAt func(i int) (sim.Time, bool)) (int, sim.Time) {
 	before := t.Now()
 	i, at := NthHeal(count, 1, healAt)
 	t.AdvanceTo(at)
-	return i, t.Now() - before
+	waited := t.Now() - before
+	m.Obs.Times.Add(metrics.CompPoolStall, waited)
+	return i, waited
 }
 
 // bumpPageVer advances pg's committed version and returns it (0 on
@@ -227,24 +222,21 @@ func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 		// instant any member of the replica set is usable again.
 		m.ShardStats[primary].Stalls++
 		start := t.Now()
-		_, waited := m.stallToHeal(t, r, func(i int) (sim.Time, bool) {
+		m.stallToHeal(t, r, func(i int) (sim.Time, bool) {
 			return m.ShardUsableAt((primary+i)%k, start), true
 		})
 		if served = firstUsable(); served < 0 {
 			served = primary
 		}
-		m.Times.Add(metrics.CompPoolStall, waited)
-		m.Metrics.Counter("shard.stall").Inc()
 	}
 	m.drainHandoff(t, served)
 	if served != primary {
 		if !stalled {
 			// Failover: one control round trip to be redirected.
-			sp := m.Tracer().Begin(t, trace.KindFailover, uint64(pg), int64(served))
+			sp := m.Obs.Begin(t, trace.KindFailover, uint64(pg), int64(served))
 			m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassPageFault)
-			m.Tracer().End(t, sp)
+			m.Obs.End(t, sp)
 			m.ShardStats[primary].FailoverReads++
-			m.Metrics.Counter("shard.failover").Inc()
 		}
 		if write {
 			m.journalHandoff(t, primary, pg, 0, served, false)
@@ -287,7 +279,7 @@ func (m *Machine) consultReadQuorum(t *sim.Thread, pg mem.PageID, served, primar
 			continue
 		}
 		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassReplica)
-		m.Metrics.Counter("shard.read-consult").Inc()
+		m.ShardStats[s].ReadConsults++
 		consulted[i] = true
 		got++
 	}
@@ -302,14 +294,12 @@ func (m *Machine) consultReadQuorum(t *sim.Thread, pg mem.PageID, served, primar
 		})
 		stalled += waited
 		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassReplica)
-		m.Metrics.Counter("shard.read-consult").Inc()
+		m.ShardStats[(primary+best)%k].ReadConsults++
 		consulted[best] = true
 		got++
 	}
 	if stalled > 0 {
-		m.Times.Add(metrics.CompPoolStall, stalled)
 		m.ShardStats[primary].QuorumStalls++
-		m.Metrics.Counter("shard.quorum-stall").Inc()
 	}
 }
 
@@ -328,7 +318,6 @@ func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) 
 		return
 	}
 	m.ShardStats[served].StaleReadsAverted++
-	m.Metrics.Counter("shard.stale-averted").Inc()
 	k := m.Cfg.Shards()
 	r := m.Cfg.EffReplicas()
 	src := -1
@@ -357,16 +346,13 @@ func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) 
 		stalled += waited
 	}
 	if stalled > 0 {
-		m.Times.Add(metrics.CompPoolStall, stalled)
 		m.ShardStats[primary].QuorumStalls++
-		m.Metrics.Counter("shard.quorum-stall").Inc()
 	}
-	sp := m.Tracer().Begin(t, trace.KindReadRepair, uint64(pg), int64(served))
+	sp := m.Obs.Begin(t, trace.KindReadRepair, uint64(pg), int64(served))
 	m.Fabric.RoundTrip(t, ctrlMsgBytes, pageRespBytes, netmodel.ClassReplica)
-	m.Tracer().End(t, sp)
+	m.Obs.End(t, sp)
 	m.setCopyVer(served, pg, m.copyVer(src, pg))
 	m.ShardStats[served].ReadRepairs++
-	m.Metrics.Counter("shard.read-repair").Inc()
 }
 
 // ReplicatePage commits one page of data entering the pool on shard served
@@ -389,7 +375,7 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 	acked := 1
 	deliver := func(s int) {
 		m.Fabric.Send(t, writebackBytes, netmodel.ClassReplica)
-		m.Metrics.Counter("shard.replica-write").Inc()
+		m.ShardStats[s].ReplicaWrites++
 		m.setCopyVer(s, pg, ver)
 		acked++
 	}
@@ -416,17 +402,13 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 	// path heals first until W acks are in. The handoff record a delivery
 	// supersedes is retired by the version check on the next drain.
 	m.ShardStats[primary].QuorumStalls++
-	m.Metrics.Counter("shard.quorum-stall").Inc()
-	var stalled sim.Time
 	for acked < w && len(pending) > 0 {
-		best, waited := m.stallToHeal(t, len(pending), func(j int) (sim.Time, bool) {
+		best, _ := m.stallToHeal(t, len(pending), func(j int) (sim.Time, bool) {
 			return m.reachableAt(oneWay(served, pending[j]), t.Now()), true
 		})
-		stalled += waited
 		deliver(pending[best])
 		pending = append(pending[:best], pending[best+1:]...)
 	}
-	m.Times.Add(metrics.CompPoolStall, stalled)
 }
 
 // serveShard resolves which shard receives page data for pg at ts without
@@ -472,11 +454,9 @@ func (m *Machine) journalHandoff(t *sim.Thread, target int, pg mem.PageID, ver u
 	q.seen[pg] = len(q.recs)
 	q.recs = append(q.recs, handoffRec{pg: pg, ver: ver, src: src, hinted: hinted})
 	m.handoffDepth++
-	m.Metrics.Gauge("shard.handoff.depth").Set(m.handoffDepth)
 	if hinted {
 		m.ShardStats[target].HandoffRecords++
-		m.Metrics.Counter("shard.handoff").Inc()
-		m.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindHintedHandoff, Page: uint64(pg), Arg: int64(target), Who: t.Name()})
+		m.Obs.Instant(t, trace.KindHintedHandoff, uint64(pg), int64(target))
 	}
 }
 
@@ -514,27 +494,23 @@ func (m *Machine) drainHandoff(t *sim.Thread, shard int) {
 		m.handoffDepth--
 	}
 	if n := int64(len(crash)); n > 0 {
-		sp := m.Tracer().Begin(t, trace.KindShardRecover, uint64(shard), n)
+		sp := m.Obs.Begin(t, trace.KindShardRecover, uint64(shard), n)
 		for range crash {
 			m.Fabric.Send(t, pageRespBytes, netmodel.ClassReplica)
 		}
-		m.Tracer().End(t, sp)
+		m.Obs.End(t, sp)
 		m.ShardStats[shard].Recoveries++
 		m.ShardStats[shard].ResyncPages += n
-		m.Metrics.Counter("shard.resync-pages").Add(n)
-		m.Metrics.Counter("shard.recovery").Inc()
 	}
 	if n := int64(len(hinted)); n > 0 {
-		sp := m.Tracer().Begin(t, trace.KindShardAntiEntropy, uint64(shard), n)
+		sp := m.Obs.Begin(t, trace.KindShardAntiEntropy, uint64(shard), n)
 		for range hinted {
 			m.Fabric.Send(t, pageRespBytes, netmodel.ClassReplica)
 		}
-		m.Tracer().End(t, sp)
-		m.Trace.Add(trace.Event{At: t.Now(), Kind: trace.KindPartitionHeal, Page: uint64(hinted[0].pg), Arg: int64(shard), Who: t.Name()})
+		m.Obs.End(t, sp)
+		m.Obs.Instant(t, trace.KindPartitionHeal, uint64(hinted[0].pg), int64(shard))
 		m.ShardStats[shard].HandoffReplays += n
 		m.ShardStats[shard].PartitionHeals++
-		m.Metrics.Counter("shard.handoff-replays").Add(n)
-		m.Metrics.Counter("shard.partition-heal").Inc()
 	}
 	q.recs = remain
 	if q.seen == nil {
@@ -545,7 +521,6 @@ func (m *Machine) drainHandoff(t *sim.Thread, shard int) {
 	for i, rec := range remain {
 		q.seen[rec.pg] = i
 	}
-	m.Metrics.Gauge("shard.handoff.depth").Set(m.handoffDepth)
 }
 
 // pickHandoffSource resolves which replica pushes rec's page to shard tgt at

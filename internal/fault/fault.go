@@ -19,6 +19,7 @@ package fault
 import (
 	"fmt"
 
+	"teleport/internal/metrics"
 	"teleport/internal/sim"
 )
 
@@ -112,40 +113,27 @@ func (p *Profile) SetNetAll(nf NetFaults) {
 // Counters tallies every injected fault, by kind. Two runs with the same
 // seed and workload must report identical counters.
 type Counters struct {
-	Drops         int64 // messages lost in flight
-	Corruptions   int64 // messages failing integrity checks
-	Spikes        int64 // latency spikes applied
-	CtxCrashes    int64 // pushdown context crashes injected (pre-commit)
-	CtxMidCrashes int64 // mid-execution context crashes armed
-	SSDReadErrors int64 // SSD read errors injected
-	PoolWindows   int64 // whole-controller crash windows generated so far
-	ShardWindows  int64 // per-shard crash windows generated so far (all shards)
-	LinkWindows   int64 // per-directed-link partition windows generated so far (all links)
-	SplitWindows  int64 // correlated split-brain windows generated so far
+	Drops         int64 `ctr:"fault.drops"`         // messages lost in flight
+	Corruptions   int64 `ctr:"fault.corruptions"`   // messages failing integrity checks
+	Spikes        int64 `ctr:"fault.spikes"`        // latency spikes applied
+	CtxCrashes    int64 `ctr:"fault.ctx-crashes"`   // pushdown context crashes injected (pre-commit)
+	CtxMidCrashes int64 `ctr:"fault.ctx-mid-crash"` // mid-execution context crashes armed
+	SSDReadErrors int64 `ctr:"fault.ssd-read-errs"` // SSD read errors injected
+	PoolWindows   int64 `ctr:"fault.pool-windows"`  // whole-controller crash windows generated so far
+	ShardWindows  int64 `ctr:"fault.shard-windows"` // per-shard crash windows generated so far (all shards)
+	LinkWindows   int64 `ctr:"fault.link-windows"`  // per-directed-link partition windows generated so far (all links)
+	SplitWindows  int64 `ctr:"fault.split-windows"` // correlated split-brain windows generated so far
 }
+
+var ledger = metrics.NewLedger(Counters{}, "ctr", "")
+
+// ReadCounters adds the counters to dst under their declared names.
+func (c Counters) ReadCounters(dst map[string]int64) { ledger.Read(dst, c) }
 
 // String summarises the counters.
 func (c Counters) String() string {
 	return fmt.Sprintf("drops=%d corrupt=%d spikes=%d ctx-crashes=%d ctx-mid-crashes=%d ssd-errs=%d crash-windows=%d shard-windows=%d link-windows=%d split-windows=%d",
 		c.Drops, c.Corruptions, c.Spikes, c.CtxCrashes, c.CtxMidCrashes, c.SSDReadErrors, c.PoolWindows, c.ShardWindows, c.LinkWindows, c.SplitWindows)
-}
-
-// Map flattens the counters into named values, for merging into a run-wide
-// counter snapshot (the flight recorder diffs consecutive snapshots into the
-// per-incident delta). Keys are fixed, so marshalled output is deterministic.
-func (c Counters) Map() map[string]int64 {
-	return map[string]int64{
-		"fault.drops":         c.Drops,
-		"fault.corruptions":   c.Corruptions,
-		"fault.spikes":        c.Spikes,
-		"fault.ctx-crashes":   c.CtxCrashes,
-		"fault.ctx-mid-crash": c.CtxMidCrashes,
-		"fault.ssd-read-errs": c.SSDReadErrors,
-		"fault.pool-windows":  c.PoolWindows,
-		"fault.shard-windows": c.ShardWindows,
-		"fault.link-windows":  c.LinkWindows,
-		"fault.split-windows": c.SplitWindows,
-	}
 }
 
 // Plan is an instantiated fault schedule. A nil *Plan is inert: every method

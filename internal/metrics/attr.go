@@ -21,24 +21,25 @@ type Comp int
 
 // Leaf components. The seven wire components mirror netmodel's traffic
 // classes in order (pagefault, writeback, coherence, pushdown, storage,
-// sync, replica), which internal/netmodel relies on when mapping a Class to
-// a Comp.
+// sync, replica): a fabric span's class indexes them (internal/trace).
+// NoComp marks a span kind whose duration no component is charged.
 const (
-	CompWirePageFault Comp = iota // demand-paging transfers compute↔memory
-	CompWireWriteback             // dirty-page eviction transfers
-	CompWireCoherence             // invalidation/downgrade round trips
-	CompWirePushdown              // pushdown request/response RPCs
-	CompWireStorage               // memory pool ↔ storage pool transfers
-	CompWireSync                  // syncmem / eager synchronisation transfers
-	CompWireReplica               // shard replication and recovery re-sync transfers
-	CompSSDRead                   // device page-in time
-	CompSSDWrite                  // device page-out time
-	CompFaultSW                   // page-fault handler software path
-	CompPrefetch                  // base-DDC sequential prefetch transfers
-	CompPoolStall                 // waits for a crashed memory controller
-	CompPushQueue                 // pushdown workqueue wait
-	CompPushProto                 // pushdown protocol CPU: page lists, table clone/merge, reaps, tiebreak waits
-	CompPushRetry                 // recovery-policy backoff waits
+	NoComp            Comp = iota - 1
+	CompWirePageFault      // demand-paging transfers compute↔memory
+	CompWireWriteback      // dirty-page eviction transfers
+	CompWireCoherence      // invalidation/downgrade round trips
+	CompWirePushdown       // pushdown request/response RPCs
+	CompWireStorage        // memory pool ↔ storage pool transfers
+	CompWireSync           // syncmem / eager synchronisation transfers
+	CompWireReplica        // shard replication and recovery re-sync transfers
+	CompSSDRead            // device page-in time
+	CompSSDWrite           // device page-out time
+	CompFaultSW            // page-fault handler software path
+	CompPrefetch           // base-DDC sequential prefetch transfers
+	CompPoolStall          // waits for a crashed memory controller
+	CompPushQueue          // pushdown workqueue wait
+	CompPushProto          // pushdown protocol CPU: page lists, table clone/merge, reaps, tiebreak waits
+	CompPushRetry          // recovery-policy backoff waits
 	NumComps
 )
 
@@ -78,9 +79,9 @@ func (c Comp) Layer() string {
 // Fabric built outside a Machine) need no guards.
 type TimeSet [NumComps]int64
 
-// Add charges d of virtual time to component c.
+// Add charges d of virtual time to component c (nothing to NoComp).
 func (ts *TimeSet) Add(c Comp, d sim.Time) {
-	if ts == nil || d <= 0 {
+	if ts == nil || c < 0 || d <= 0 {
 		return
 	}
 	ts[c] += int64(d)

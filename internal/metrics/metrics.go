@@ -1,13 +1,12 @@
-// Package metrics is the simulator's quantitative observability layer: a
-// named registry of counters, gauges, and fixed-bucket virtual-time
-// histograms that the paging, network, storage, and pushdown paths publish
-// into. Like internal/trace it is strictly passive — recording a metric
-// never advances a virtual clock — and every handle is nil-safe, so call
-// sites need no guards and a machine without a registry pays nothing.
-//
-// Iteration order is deterministic (sorted names), so two same-seed runs
-// produce byte-identical snapshot JSON — the property the determinism suite
-// pins.
+// Package metrics is the simulator's quantitative observability layer. It
+// keeps no counter of its own: an event is counted once, in the typed stats
+// struct of the layer it happens in, and a Ledger reads those fields out
+// under the names their tags declare (ledger.go). What it holds is time — the
+// attribution TimeSet (attr.go) and a Registry of fixed-bucket virtual-time
+// histograms, both fed by a closing trace span (internal/trace). Recording
+// is passive — it never advances a virtual clock — and every handle is
+// nil-safe, so call sites need no guards. Snapshots marshal with sorted
+// keys: two same-seed runs produce byte-identical JSON.
 package metrics
 
 import (
@@ -18,56 +17,11 @@ import (
 	"teleport/internal/sim"
 )
 
-// Counter is a monotonically increasing named value.
-type Counter struct{ v int64 }
-
-// Add increases the counter (no-op on nil).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.Add(1)
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a named value that can move both ways.
-type Gauge struct{ v int64 }
-
-// Set replaces the gauge value (no-op on nil).
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram is a fixed-bucket histogram of virtual durations. An observation
 // lands in the first bucket whose upper bound (in nanoseconds, inclusive) is
 // ≥ the value; anything beyond the last bound lands in the overflow bucket.
 type Histogram struct {
-	bounds []int64 // upper bounds, ascending
-	counts []int64 // len(bounds)+1, last is overflow
+	counts [len(latencyBuckets) + 1]int64 // one per bound, last is overflow
 	sum    int64
 	n      int64
 	min    int64 // smallest observation (valid when n > 0)
@@ -104,140 +58,98 @@ func (h *Histogram) Observe(d sim.Time) {
 			h.sampleOver = true
 		}
 	}
-	h.counts[sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= ns })]++
+	h.counts[sort.Search(len(latencyBuckets), func(i int) bool { return latencyBuckets[i] >= ns })]++
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
+// latencyBuckets is the ladder of upper bounds every histogram uses: 1-2-5
+// per decade from 100 ns, then 1 s.
+var latencyBuckets = [...]int64{
+	100, 200, 500, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5,
+	1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8, 2e8, 5e8, 1e9,
 }
 
-// Sum returns the summed observations in nanoseconds (0 on nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
+// Hist identifies one of the fixed histograms: an operation class whose
+// duration a closing span (or, for the two span-less ones, their one call
+// site) feeds. The wire histograms mirror netmodel's classes in order.
+type Hist int
+
+// Fixed histograms. NoHist marks a span kind that feeds none.
+const (
+	NoHist           Hist = iota - 1
+	HistNetPageFault      // net.<class>.ns: one fabric Send/RoundTrip of the class
+	HistNetWriteback
+	HistNetCoherence
+	HistNetPushdown
+	HistNetStorage
+	HistNetSync
+	HistNetReplica
+	HistSSDRead     // one device page-in
+	HistSSDWrite    // one device page-out
+	HistFaultRemote // one compute-pool demand fetch, end to end
+	HistPoolStall   // one wait for a crashed memory controller (span-less)
+	HistPushQueue   // workqueue wait of one pushdown attempt
+	HistPushExec    // pushed-function execution of one attempt
+	HistPushTotal   // one pushdown attempt, end to end
+	HistPushE2E     // one policy call: every attempt, backoff and fallback (span-less)
+	NumHists
+)
+
+var histNames = [NumHists]string{
+	"net.pagefault.ns", "net.writeback.ns", "net.coherence.ns", "net.pushdown.ns",
+	"net.storage.ns", "net.sync.ns", "net.replica.ns",
+	"ssd.read.ns", "ssd.write.ns", "fault.remote.ns", "pool.stall.ns",
+	"push.queue.ns", "push.exec.ns", "push.total.ns", "push.e2e.ns",
 }
 
-// DefaultLatencyBuckets returns the 1-2-5 decade ladder from 100 ns to 1 s
-// used by every latency histogram unless a caller supplies its own bounds.
-func DefaultLatencyBuckets() []int64 {
-	var b []int64
-	for _, base := range []int64{100, 1000, 10 * 1000, 100 * 1000,
-		1000 * 1000, 10 * 1000 * 1000, 100 * 1000 * 1000} {
-		b = append(b, base, 2*base, 5*base)
-	}
-	return append(b, int64(sim.Second))
-}
-
-// Registry is a named metric namespace. The zero value of *Registry (nil) is
-// the disabled state: every accessor returns a nil handle whose methods are
-// no-ops, mirroring trace.Ring's contract. Methods are not synchronised —
+// Registry holds a run's histograms: the fixed ones, indexed by Hist so the
+// hot paths reach theirs without a name lookup, and the per-operator ones
+// ("op.<name>.ns") by name. A nil *Registry is the disabled state: every
+// accessor returns a nil handle whose methods are no-ops. Not synchronised —
 // the virtual-time scheduler runs one simulated thread at a time.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	fixed [NumHists]Histogram
+	named map[string]*Histogram
 
-	// sampleCap, when > 0, is applied to every histogram created after
-	// SetSampleCap: each retains up to that many raw observations for exact
-	// quantile extraction (see Histogram.samples).
+	// sampleCap, when > 0, makes each histogram retain up to that many raw
+	// observations for exact quantile extraction (see Histogram.samples).
 	sampleCap int
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
-}
+func NewRegistry() *Registry { return &Registry{named: make(map[string]*Histogram)} }
 
-// Counter returns the named counter, creating it on first use (nil on a nil
-// registry).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
+// Hist returns the fixed histogram h (nil on a nil registry or NoHist).
+func (r *Registry) Hist(h Hist) *Histogram {
+	if r == nil || h < 0 {
 		return nil
 	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return &r.fixed[h]
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the default
-// latency buckets on first use.
+// Histogram returns the named histogram, creating it on first use (nil on a
+// nil registry).
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.HistogramWithBuckets(name, nil)
-}
-
-// HistogramWithBuckets returns the named histogram, creating it with the
-// given ascending upper bounds (nil = DefaultLatencyBuckets). Bounds are
-// fixed at creation; later calls ignore the argument.
-func (r *Registry) HistogramWithBuckets(name string, bounds []int64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h, ok := r.hists[name]
+	h, ok := r.named[name]
 	if !ok {
-		if bounds == nil {
-			bounds = DefaultLatencyBuckets()
-		}
-		h = &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1), sampleCap: r.sampleCap}
-		r.hists[name] = h
+		h = &Histogram{sampleCap: r.sampleCap}
+		r.named[name] = h
 	}
 	return h
 }
 
-// SetSampleCap makes every histogram created from now on retain up to n raw
-// observations (0 disables retention). Call it before the run starts so all
-// histograms share the mode; retention is passive and never advances a
-// virtual clock.
+// SetSampleCap makes every histogram retain up to n raw observations (0
+// disables retention). Call it before the run so all share the mode.
 func (r *Registry) SetSampleCap(n int) {
 	if r == nil {
 		return
 	}
-	if n < 0 {
-		n = 0
+	r.sampleCap = max(n, 0)
+	for i := range r.fixed {
+		r.fixed[i].sampleCap = r.sampleCap
 	}
-	r.sampleCap = n
-}
-
-// CounterValues copies every counter's current value. The map is fresh on
-// each call, so callers may diff two snapshots of it; key iteration is up to
-// the caller (encoding/json sorts map keys on marshal).
-func (r *Registry) CounterValues() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.v
-	}
-	return out
 }
 
 // HistogramSnapshot is one histogram's exported state.
@@ -257,51 +169,61 @@ type HistogramSnapshot struct {
 	SampleOverflow bool    `json:"sample_overflow,omitempty"`
 }
 
-// Snapshot is a point-in-time copy of every metric in a registry. Marshal
-// order is deterministic: encoding/json sorts map keys.
+// Snapshot is a point-in-time copy of a run's metrics: the counters and
+// gauges read off the layers' typed stats, and the registry's histograms.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot copies the registry's current state (nil registry → nil).
+// NewSnapshot returns an empty snapshot for the layers' readers to fill.
+func NewSnapshot() *Snapshot {
+	return &Snapshot{
+		Counters:   make(map[string]int64, 128),
+		Gauges:     make(map[string]int64, 2),
+		Histograms: make(map[string]HistogramSnapshot),
+	}
+}
+
+// Snapshot copies the registry's histograms into a fresh snapshot whose
+// counters and gauges are still to be read (nil registry → nil).
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
-	s := &Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.v
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.v
-	}
-	for name, h := range r.hists {
-		hs := HistogramSnapshot{
-			BoundsNs: append([]int64(nil), h.bounds...),
-			Counts:   append([]int64(nil), h.counts...),
-			Count:    h.n,
-			SumNs:    h.sum,
-			MinNs:    h.min,
-			MaxNs:    h.max,
+	s := NewSnapshot()
+	for i := range r.fixed {
+		// An idle wire class is still listed — which classes carried nothing
+		// is part of the picture — the others appear once observed.
+		if h := &r.fixed[i]; h.n > 0 || Hist(i) <= HistNetReplica {
+			s.Histograms[histNames[i]] = h.snapshot()
 		}
-		if h.sampleCap > 0 {
-			hs.SamplesNs = append([]int64(nil), h.samples...)
-			hs.SampleOverflow = h.sampleOver
-		}
-		s.Histograms[name] = hs
+	}
+	for name, h := range r.named {
+		s.Histograms[name] = h.snapshot()
 	}
 	return s
 }
 
-// WriteJSON writes the snapshot as indented JSON. A nil snapshot writes an
-// empty one. Byte-identical across same-seed runs: encoding/json sorts map
-// keys.
+func (h *Histogram) snapshot() HistogramSnapshot {
+	hs := HistogramSnapshot{
+		BoundsNs: append([]int64(nil), latencyBuckets[:]...),
+		Counts:   append([]int64(nil), h.counts[:]...),
+		Count:    h.n,
+		SumNs:    h.sum,
+		MinNs:    h.min,
+		MaxNs:    h.max,
+	}
+	if h.sampleCap > 0 {
+		hs.SamplesNs = append([]int64(nil), h.samples...)
+		hs.SampleOverflow = h.sampleOver
+	}
+	return hs
+}
+
+// WriteJSON writes the snapshot as indented JSON (a nil one as empty),
+// byte-identical across same-seed runs: encoding/json sorts map keys.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	if s == nil {
 		s = &Snapshot{}

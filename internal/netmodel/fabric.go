@@ -46,26 +46,34 @@ func (c Class) String() string {
 	return classNames[c]
 }
 
-// Comp maps the class to its attribution component. The metrics package
-// declares its wire components in class order, which compCheck pins.
-func (c Class) Comp() metrics.Comp { return metrics.CompWirePageFault + metrics.Comp(c) }
-
-// compCheck fails to compile if the wire components drift out of alignment
-// with the traffic classes.
+// A fabric span's Arg is its class, which indexes the wire components and
+// histograms metrics declares in class order: a drift fails to compile.
 var _ = [1]struct{}{}[int(ClassReplica)+int(metrics.CompWirePageFault)-int(metrics.CompWireReplica)]
+var _ = [1]struct{}{}[int(ClassReplica)+int(metrics.HistNetPageFault)-int(metrics.HistNetReplica)]
 
 // Stat is a per-class counter set: delivered traffic plus the transient
-// faults survived getting it there.
+// faults survived getting it there. A snapshot exports the traffic per class
+// ("net.<class>.msgs") and the faults summed over the classes.
 type Stat struct {
-	Msgs  int64
-	Bytes int64
+	Msgs  int64 `per:"msgs"`
+	Bytes int64 `per:"bytes"`
 	// Retries counts retransmissions performed after a lost or corrupted
 	// transmission attempt; Drops counts the lost attempts themselves.
 	// They differ only if the retry cap is hit (the attempt is then
 	// treated as delivered by the reliable transport).
-	Retries int64
-	Drops   int64
+	Retries int64 `ctr:"fabric.retries"`
+	Drops   int64 `ctr:"fabric.drops"`
 }
+
+var (
+	totalLedger  = metrics.NewLedger(Stat{}, "ctr", "")
+	classLedgers = func() (l [numClasses]metrics.Ledger) {
+		for c := range l {
+			l[c] = metrics.NewLedger(Stat{}, "per", "net."+classNames[c]+".")
+		}
+		return l
+	}()
+)
 
 // Injector decides transient-fault outcomes for transmission attempts. It is
 // implemented by *fault.Plan; netmodel sees classes as plain ints to keep
@@ -94,16 +102,7 @@ type Fabric struct {
 	cfg   *hw.Config
 	stats [numClasses]Stat
 	inj   Injector
-	ring  *trace.Ring
-	times *metrics.TimeSet // machine-wide wire-time attribution (nil-safe)
-	tr    *trace.Tracer    // span layer (nil = spans off)
-	mx    [numClasses]fabricMetrics
-}
-
-// fabricMetrics caches one class's registry handles (all nil-safe).
-type fabricMetrics struct {
-	msgs, bytes *metrics.Counter
-	ns          *metrics.Histogram
+	obs   *trace.Tracer // nil-safe
 }
 
 // New returns a fabric using the given hardware parameters.
@@ -112,34 +111,10 @@ func New(cfg *hw.Config) *Fabric { return &Fabric{cfg: cfg} }
 // SetInjector attaches (or detaches, with nil) a transient-fault injector.
 func (f *Fabric) SetInjector(inj Injector) { f.inj = inj }
 
-// SetTrace attaches an event ring that receives fault-injected/rpc-retry
-// events (nil-safe, like the ring itself).
-func (f *Fabric) SetTrace(r *trace.Ring) { f.ring = r }
-
-// SetTracer attaches a span tracer: every Send/RoundTrip becomes an "rpc"
-// span (Arg: class), nesting under whatever operation issued it.
-func (f *Fabric) SetTracer(tr *trace.Tracer) { f.tr = tr }
-
-// SetTimes attaches the machine-wide attribution accumulator; each
-// operation's elapsed virtual time is charged to its class's wire component.
-func (f *Fabric) SetTimes(ts *metrics.TimeSet) { f.times = ts }
-
-// SetMetrics attaches (or detaches, with nil) a metrics registry and caches
-// the per-class handles.
-func (f *Fabric) SetMetrics(reg *metrics.Registry) {
-	for c := Class(0); c < numClasses; c++ {
-		if reg == nil {
-			f.mx[c] = fabricMetrics{}
-			continue
-		}
-		name := "net." + c.String()
-		f.mx[c] = fabricMetrics{
-			msgs:  reg.Counter(name + ".msgs"),
-			bytes: reg.Counter(name + ".bytes"),
-			ns:    reg.Histogram(name + ".ns"),
-		}
-	}
-}
+// SetObserver attaches the machine's tracer: every Send/RoundTrip is an "rpc"
+// span (Arg: class) whose duration is the class's wire time, and injected
+// faults and retransmissions are instant events.
+func (f *Fabric) SetObserver(tr *trace.Tracer) { f.obs = tr }
 
 // MinLatency returns the fabric's minimum cross-machine message latency:
 // the per-message wire latency before any payload, queueing, or fault
@@ -150,47 +125,9 @@ func (f *Fabric) MinLatency() sim.Time { return sim.FromNs(f.cfg.NetLatencyNs) }
 
 // Send models a one-way message of the given size: latency + transfer time,
 // charged to t, plus any injected transient faults and their retransmissions.
-func (f *Fabric) Send(t *sim.Thread, bytes int, class Class) {
-	start := t.Now()
-	sp := f.tr.Begin(t, trace.KindRPC, 0, int64(class))
-	f.send(t, bytes, class)
-	f.tr.End(t, sp)
-	f.observe(t, class, start)
-}
-
-// observe attributes one completed operation's elapsed time.
-func (f *Fabric) observe(t *sim.Thread, class Class, start sim.Time) {
-	f.times.Add(class.Comp(), t.Now()-start)
-	f.mx[class].ns.Observe(t.Now() - start)
-}
-
-func (f *Fabric) send(t *sim.Thread, bytes int, class Class) {
-	f.count(class, bytes)
-	t.AdvanceNs(f.cfg.MsgNs(bytes))
-	if f.inj == nil {
-		return
-	}
-	backoff := retryBackoffRTTs * f.cfg.NetLatencyNs
-	for attempt := 1; attempt < maxSendAttempts; attempt++ {
-		lost, extraNs := f.inj.SendFault(int(class))
-		if extraNs > 0 {
-			f.ring.Add(trace.Event{At: t.Now(), Kind: trace.KindFaultInjected, Arg: int64(class), Who: t.Name()})
-			t.AdvanceNs(extraNs)
-		}
-		if !lost {
-			return
-		}
-		// Lost in flight: wait out the detection timeout and retransmit.
-		f.stats[class].Drops++
-		f.stats[class].Retries++
-		f.ring.Add(trace.Event{At: t.Now(), Kind: trace.KindRPCRetry, Arg: int64(class), Who: t.Name()})
-		t.AdvanceNs(backoff)
-		if backoff < retryBackoffCap*f.cfg.NetLatencyNs {
-			backoff *= 2
-		}
-		f.count(class, bytes)
-		t.AdvanceNs(f.cfg.MsgNs(bytes))
-	}
+// It returns what it charged.
+func (f *Fabric) Send(t *sim.Thread, bytes int, class Class) sim.Time {
+	return f.transmit(t, class, f.cfg.MsgNs(bytes), bytes)
 }
 
 // RoundTrip models a request/response RPC including remote handler
@@ -198,62 +135,57 @@ func (f *Fabric) send(t *sim.Thread, bytes int, class Class) {
 // retransmits the whole RPC after a backoff (the requester cannot tell which
 // leg died).
 func (f *Fabric) RoundTrip(t *sim.Thread, reqBytes, respBytes int, class Class) {
-	start := t.Now()
-	sp := f.tr.Begin(t, trace.KindRPC, 0, int64(class))
-	f.roundTrip(t, reqBytes, respBytes, class)
-	f.tr.End(t, sp)
-	f.observe(t, class, start)
+	f.transmit(t, class, f.cfg.RoundTripNs(reqBytes, respBytes), reqBytes, respBytes)
 }
 
-func (f *Fabric) roundTrip(t *sim.Thread, reqBytes, respBytes int, class Class) {
-	f.count(class, reqBytes)
-	f.count(class, respBytes)
-	t.AdvanceNs(f.cfg.RoundTripNs(reqBytes, respBytes))
-	if f.inj == nil {
-		return
-	}
+// transmit is one operation under its "rpc" span: a message per entry of
+// legs, costing ns in all, retransmitted whole while the injector loses a leg.
+func (f *Fabric) transmit(t *sim.Thread, class Class, ns float64, legs ...int) sim.Time {
+	sp := f.obs.Begin(t, trace.KindRPC, 0, int64(class))
 	backoff := retryBackoffRTTs * f.cfg.NetLatencyNs
-	for attempt := 1; attempt < maxSendAttempts; attempt++ {
-		reqLost, reqExtra := f.inj.SendFault(int(class))
-		respLost, respExtra := f.inj.SendFault(int(class))
-		if extra := reqExtra + respExtra; extra > 0 {
-			f.ring.Add(trace.Event{At: t.Now(), Kind: trace.KindFaultInjected, Arg: int64(class), Who: t.Name()})
-			t.AdvanceNs(extra)
+	for attempt := 1; ; attempt++ {
+		for _, bytes := range legs {
+			f.stats[class].Msgs++
+			f.stats[class].Bytes += int64(bytes)
 		}
-		if !reqLost && !respLost {
-			return
+		t.AdvanceNs(ns)
+		if f.inj == nil || attempt == maxSendAttempts {
+			break
 		}
+		lost, extraNs := false, 0.0
+		for range legs {
+			l, e := f.inj.SendFault(int(class))
+			lost, extraNs = lost || l, extraNs+e
+		}
+		if extraNs > 0 {
+			f.obs.Instant(t, trace.KindFaultInjected, 0, int64(class))
+			t.AdvanceNs(extraNs)
+		}
+		if !lost {
+			break
+		}
+		// Lost in flight: wait out the detection timeout and retransmit.
 		f.stats[class].Drops++
 		f.stats[class].Retries++
-		f.ring.Add(trace.Event{At: t.Now(), Kind: trace.KindRPCRetry, Arg: int64(class), Who: t.Name()})
+		f.obs.Instant(t, trace.KindRPCRetry, 0, int64(class))
 		t.AdvanceNs(backoff)
 		if backoff < retryBackoffCap*f.cfg.NetLatencyNs {
 			backoff *= 2
 		}
-		f.count(class, reqBytes)
-		f.count(class, respBytes)
-		t.AdvanceNs(f.cfg.RoundTripNs(reqBytes, respBytes))
 	}
+	return f.obs.End(t, sp)
 }
 
-func (f *Fabric) count(class Class, bytes int) {
-	f.stats[class].Msgs++
-	f.stats[class].Bytes += int64(bytes)
-	f.mx[class].msgs.Inc()
-	f.mx[class].bytes.Add(int64(bytes))
+// ReadCounters adds the fabric's counters to dst under their declared names.
+func (f *Fabric) ReadCounters(dst map[string]int64) {
+	for c := range f.stats {
+		classLedgers[c].Read(dst, &f.stats[c])
+	}
+	totalLedger.Read(dst, f.Total())
 }
 
 // Stats returns the counters for one class.
 func (f *Fabric) Stats(class Class) Stat { return f.stats[class] }
 
 // Total returns the aggregate counters across all classes.
-func (f *Fabric) Total() Stat {
-	var s Stat
-	for _, st := range f.stats {
-		s.Msgs += st.Msgs
-		s.Bytes += st.Bytes
-		s.Retries += st.Retries
-		s.Drops += st.Drops
-	}
-	return s
-}
+func (f *Fabric) Total() Stat { return metrics.Sum(f.stats[:]) }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 
+	"teleport/internal/metrics"
 	"teleport/internal/trace"
 )
 
@@ -67,10 +68,10 @@ const DefaultMaxIncidents = 256
 // the ring's tail and the counter delta. A nil Recorder is inert, matching
 // the substrate's nil-safe contract.
 type Recorder struct {
-	ring     *trace.Ring
-	lastN    int
-	maxKept  int
-	counters func() map[string]int64
+	ring    *trace.Ring
+	lastN   int
+	maxKept int
+	read    func(*metrics.Snapshot)
 
 	prev      map[string]int64
 	incidents []Incident
@@ -78,19 +79,14 @@ type Recorder struct {
 }
 
 // NewRecorder builds a flight recorder over ring. lastN bounds the trace
-// window per incident (<=0 uses DefaultIncidentEvents); counters, which may
-// be nil, supplies the named-counter snapshot diffed into each incident's
+// window per incident (<=0 uses DefaultIncidentEvents); read, which may be
+// nil, is the ledger walk whose counters are diffed into each incident's
 // delta.
-func NewRecorder(ring *trace.Ring, lastN int, counters func() map[string]int64) *Recorder {
+func NewRecorder(ring *trace.Ring, lastN int, read func(*metrics.Snapshot)) *Recorder {
 	if lastN <= 0 {
 		lastN = DefaultIncidentEvents
 	}
-	return &Recorder{
-		ring:     ring,
-		lastN:    lastN,
-		maxKept:  DefaultMaxIncidents,
-		counters: counters,
-	}
+	return &Recorder{ring: ring, lastN: lastN, maxKept: DefaultMaxIncidents, read: read}
 }
 
 // Observe is the ring-observer hook: called for every trace event, it
@@ -110,10 +106,11 @@ func (rc *Recorder) Observe(e trace.Event) {
 		Page: e.Page,
 		Arg:  e.Arg,
 	}
-	if rc.counters != nil {
-		cur := rc.counters()
-		inc.Delta = counterDelta(rc.prev, cur)
-		rc.prev = cur
+	if rc.read != nil {
+		cur := metrics.NewSnapshot()
+		rc.read(cur)
+		inc.Delta = counterDelta(rc.prev, cur.Counters)
+		rc.prev = cur.Counters
 	}
 	events := rc.ring.Events()
 	if len(events) > rc.lastN {

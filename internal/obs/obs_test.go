@@ -18,7 +18,7 @@ import (
 func buildSpans(t *testing.T) (*trace.Ring, *trace.Tracer, *sim.Thread) {
 	t.Helper()
 	ring := trace.New(1 << 10)
-	tr := trace.NewTracer(ring)
+	tr := &trace.Tracer{Ring: ring}
 	th := sim.NewThread("main")
 	return ring, tr, th
 }
@@ -224,12 +224,10 @@ func TestLatencySummarySortedAndNilSafe(t *testing.T) {
 func TestRecorderTriggersOnDegradeEvents(t *testing.T) {
 	ring := trace.New(8)
 	counters := map[string]int64{"push.shed": 0}
-	rec := NewRecorder(ring, 4, func() map[string]int64 {
-		out := make(map[string]int64, len(counters))
+	rec := NewRecorder(ring, 4, func(s *metrics.Snapshot) {
 		for k, v := range counters {
-			out[k] = v
+			s.Counters[k] = v
 		}
-		return out
 	})
 	ring.SetObserver(rec.Observe)
 

@@ -86,7 +86,7 @@ func (ex *Exec) Push(names ...string) *Exec {
 func (ex *Exec) Run(name string, fn func(env *ddc.Env)) {
 	start := ex.T.Now()
 	before := ex.P.M.Fabric.Total()
-	attrBefore := *ex.P.M.Times
+	attrBefore := *ex.P.M.Obs.Times
 	pushed := ex.push[name] && ex.RT != nil
 	if pushed {
 		// PushdownWithPolicy absorbs recoverable failures (cancellation, pool
@@ -111,14 +111,29 @@ func (ex *Exec) Run(name string, fn func(env *ddc.Env)) {
 		ex.byID[name] = i
 	}
 	o := &ex.ops[i]
-	o.Time += ex.T.Now() - start
+	d := ex.T.Now() - start
+	o.Time += d
 	o.RemoteMsgs += after.Msgs - before.Msgs
 	o.RemoteByte += after.Bytes - before.Bytes
 	o.Calls++
 	o.Pushed = o.Pushed || pushed
-	o.Attr.AddSet(ex.P.M.Times.Sub(attrBefore))
-	ex.P.M.Metrics.Counter("op." + name + ".calls").Inc()
-	ex.P.M.Metrics.Histogram("op." + name + ".ns").Observe(ex.T.Now() - start)
+	o.Attr.AddSet(ex.P.M.Obs.Times.Sub(attrBefore))
+	ex.P.M.Obs.Hists.Histogram("op." + name + ".ns").Observe(d)
+}
+
+// ReadStats walks the one ledger: the typed stats of every layer the executor
+// drives — machine, process, runtime, its own operator calls — read into s
+// under the names the layers declare. It is the only composition there is:
+// the flight recorder diffs it and -metrics-out prints it, always.
+func (ex *Exec) ReadStats(s *metrics.Snapshot) {
+	ex.P.M.ReadStats(s)
+	ex.P.ReadStats(s)
+	if ex.RT != nil {
+		ex.RT.ReadStats(s)
+	}
+	for i := range ex.ops {
+		s.Counters["op."+ex.ops[i].Name+".calls"] = int64(ex.ops[i].Calls)
+	}
 }
 
 // Profile returns the per-operator stats in first-execution order.

@@ -30,21 +30,14 @@ type SSD struct {
 	cfg      *hw.Config
 	pageSize int
 	inj      Injector
-	times    *metrics.TimeSet // machine-wide attribution (nil-safe)
-	tr       *trace.Tracer    // span layer (nil = spans off)
-	reg      *metrics.Registry
+	obs      *trace.Tracer // nil-safe
 
 	lastRead  uint64
 	lastWrite uint64
 	haveRead  bool
 	haveWrite bool
 
-	reads       int64
-	writes      int64
-	seqReads    int64
-	bytesRead   int64
-	bytesWrite  int64
-	readRetries int64
+	stats Stats
 }
 
 // New returns an SSD with the given hardware parameters and page size.
@@ -55,50 +48,39 @@ func New(cfg *hw.Config, pageSize int) *SSD {
 // SetInjector attaches (or detaches, with nil) a read-error injector.
 func (d *SSD) SetInjector(inj Injector) { d.inj = inj }
 
-// SetTracer attaches a span tracer: each page-in/page-out becomes an
-// ssd-read/ssd-write span nesting under the fault that triggered it.
-func (d *SSD) SetTracer(tr *trace.Tracer) { d.tr = tr }
-
-// SetTimes attaches the machine-wide attribution accumulator.
-func (d *SSD) SetTimes(ts *metrics.TimeSet) { d.times = ts }
-
-// SetMetrics attaches (or detaches, with nil) a metrics registry.
-func (d *SSD) SetMetrics(reg *metrics.Registry) { d.reg = reg }
+// SetObserver attaches the machine's tracer: each page-in/page-out is an
+// ssd-read/ssd-write span whose duration is the device time.
+func (d *SSD) SetObserver(tr *trace.Tracer) { d.obs = tr }
 
 // ReadPage charges the cost of paging one page in from the device. An
 // injected read error re-reads the page at full random-access cost (the
 // stream is broken by the seek back).
 func (d *SSD) ReadPage(t *sim.Thread, page uint64) {
-	start := t.Now()
-	sp := d.tr.Begin(t, trace.KindSSDRead, page, 0)
-	d.reads++
-	d.bytesRead += int64(d.pageSize)
+	sp := d.obs.Begin(t, trace.KindSSDRead, page, 0)
+	d.stats.Reads++
+	d.stats.BytesRead += int64(d.pageSize)
 	seq := d.haveRead && page == d.lastRead+1
 	d.lastRead, d.haveRead = page, true
 	if seq {
-		d.seqReads++
+		d.stats.SeqReads++
 		t.AdvanceNs(float64(d.pageSize) / d.cfg.SSDSeqGBs)
 	} else {
 		t.AdvanceNs(d.cfg.SSDRandReadNs + float64(d.pageSize)/d.cfg.SSDSeqGBs)
 	}
 	if d.inj != nil {
 		for attempt := 1; attempt < maxReadAttempts && d.inj.SSDReadError(); attempt++ {
-			d.readRetries++
+			d.stats.ReadRetries++
 			t.AdvanceNs(d.cfg.SSDRandReadNs + float64(d.pageSize)/d.cfg.SSDSeqGBs)
 		}
 	}
-	d.tr.End(t, sp)
-	d.times.Add(metrics.CompSSDRead, t.Now()-start)
-	d.reg.Counter("ssd.read").Inc()
-	d.reg.Histogram("ssd.read.ns").Observe(t.Now() - start)
+	d.obs.End(t, sp)
 }
 
 // WritePage charges the cost of paging one page out to the device.
 func (d *SSD) WritePage(t *sim.Thread, page uint64) {
-	start := t.Now()
-	sp := d.tr.Begin(t, trace.KindSSDWrite, page, 0)
-	d.writes++
-	d.bytesWrite += int64(d.pageSize)
+	sp := d.obs.Begin(t, trace.KindSSDWrite, page, 0)
+	d.stats.Writes++
+	d.stats.BytesWrite += int64(d.pageSize)
 	seq := d.haveWrite && page == d.lastWrite+1
 	d.lastWrite, d.haveWrite = page, true
 	if seq {
@@ -106,26 +88,24 @@ func (d *SSD) WritePage(t *sim.Thread, page uint64) {
 	} else {
 		t.AdvanceNs(d.cfg.SSDRandWriteNs + float64(d.pageSize)/d.cfg.SSDSeqGBs)
 	}
-	d.tr.End(t, sp)
-	d.times.Add(metrics.CompSSDWrite, t.Now()-start)
-	d.reg.Counter("ssd.write").Inc()
-	d.reg.Histogram("ssd.write.ns").Observe(t.Now() - start)
+	d.obs.End(t, sp)
 }
 
 // Stats describes accumulated device activity.
 type Stats struct {
-	Reads, Writes         int64
-	SeqReads              int64
-	BytesRead, BytesWrite int64
+	Reads      int64 `ctr:"ssd.read"`
+	Writes     int64 `ctr:"ssd.write"`
+	SeqReads   int64
+	BytesRead  int64
+	BytesWrite int64
 	// ReadRetries counts device-level re-reads after injected read errors.
-	ReadRetries int64
+	ReadRetries int64 `ctr:"ssd.read-retries"`
 }
 
+var ledger = metrics.NewLedger(Stats{}, "ctr", "")
+
 // Stats returns the accumulated counters.
-func (d *SSD) Stats() Stats {
-	return Stats{
-		Reads: d.reads, Writes: d.writes, SeqReads: d.seqReads,
-		BytesRead: d.bytesRead, BytesWrite: d.bytesWrite,
-		ReadRetries: d.readRetries,
-	}
-}
+func (d *SSD) Stats() Stats { return d.stats }
+
+// ReadCounters adds the device's counters to dst under their declared names.
+func (d *SSD) ReadCounters(dst map[string]int64) { ledger.Read(dst, &d.stats) }

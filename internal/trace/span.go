@@ -1,13 +1,14 @@
 package trace
 
 import (
+	"teleport/internal/metrics"
 	"teleport/internal/sim"
 )
 
-// This file grows the flat event ring into a span layer. A Tracer allocates
-// span IDs, tracks one open-span stack per simulated thread (the scheduler
-// runs one thread at a time, so no locking), and records each span as a
-// PhaseBegin/PhaseEnd event pair in the ring. Parentage is captured at begin
+// This file grows the flat event ring into a span layer. In the ring a
+// Tracer allocates span IDs, tracks one open-span stack per simulated thread
+// (the scheduler runs one thread at a time, so no locking), and records each
+// span as a PhaseBegin/PhaseEnd event pair. Parentage is captured at begin
 // time from the innermost open span of the same thread, so a remote fault
 // nests its storage-fault child, which nests its SSD read, and a pushdown
 // nests its queue/setup/exec/sync phases. Recording costs no virtual time.
@@ -31,64 +32,110 @@ type Span struct {
 // Duration returns End − Start (0 for incomplete spans).
 func (s Span) Duration() sim.Time { return s.End - s.Start }
 
-// Tracer records spans into a Ring. A nil Tracer is inert, like a nil Ring:
-// Begin returns 0 and End(0) is a no-op, so instrumentation sites need no
-// guards and tracing is disabled by default.
+// Tracer is a machine's one stopwatch. Begin opens a span; End closes it,
+// returns how long it lasted, and feeds that one duration everywhere it is
+// wanted: the component and the histogram the feeds table names for the
+// span's kind, and a begin/end event pair in the Ring. Each sink is optional,
+// so attaching one changes what is recorded, never what is measured; a nil
+// Tracer still measures (a Fabric built outside a Machine needs no guards).
 type Tracer struct {
-	ring   *Ring
+	Ring  *Ring             // span and instant events (nil = none)
+	Times *metrics.TimeSet  // attribution (nil = none)
+	Hists *metrics.Registry // latency histograms (nil = none)
+
 	nextID uint64
-	stacks map[string][]frame // open spans per thread name, innermost last
+	stacks map[string][]uint64 // open span ids per thread name, innermost last
 }
 
-// frame is one open span on a thread's stack.
-type frame struct {
-	id   uint64
-	kind Kind
+// Open is a span between its Begin and its End.
+type Open struct {
+	id    uint64 // 0 = not in the ring (none was attached at Begin)
+	start sim.Time
+	depth int32 // open spans beneath it on its thread's stack
+	arg   int32
+	kind  Kind
 }
 
-// NewTracer returns a tracer writing into r.
-func NewTracer(r *Ring) *Tracer {
-	return &Tracer{ring: r, stacks: make(map[string][]frame)}
+// feed is one row of the kind table: what a closing span of the kind feeds
+// besides the ring. A perClass row is indexed further by the span's Arg, a
+// netmodel traffic class.
+type feed struct {
+	comp     metrics.Comp
+	hist     metrics.Hist
+	perClass bool
 }
 
-// Begin opens a span on t's stack and returns its ID (0 on a nil tracer).
-func (tr *Tracer) Begin(t *sim.Thread, k Kind, page uint64, arg int64) uint64 {
-	if tr == nil {
-		return 0
+// feeds is the kind table. A kind without a row feeds only the ring (the
+// pushdown phases core reports per call take their value from End's result).
+var feeds = [numKinds]*feed{
+	KindRPC:           {comp: metrics.CompWirePageFault, hist: metrics.HistNetPageFault, perClass: true},
+	KindSSDRead:       {comp: metrics.CompSSDRead, hist: metrics.HistSSDRead},
+	KindSSDWrite:      {comp: metrics.CompSSDWrite, hist: metrics.HistSSDWrite},
+	KindRemoteFault:   {comp: metrics.NoComp, hist: metrics.HistFaultRemote},
+	KindPushdown:      {comp: metrics.NoComp, hist: metrics.HistPushTotal},
+	KindPushQueue:     {comp: metrics.CompPushQueue, hist: metrics.HistPushQueue},
+	KindPushExec:      {comp: metrics.NoComp, hist: metrics.HistPushExec},
+	KindPushRetryWait: {comp: metrics.CompPushRetry, hist: metrics.NoHist},
+}
+
+// Begin opens a span of kind k on t.
+func (tr *Tracer) Begin(t *sim.Thread, k Kind, page uint64, arg int64) Open {
+	if tr == nil || tr.Ring == nil {
+		return Open{start: t.Now(), arg: int32(arg), kind: k}
 	}
 	tr.nextID++
 	id := tr.nextID
 	who := t.Name()
-	var parent uint64
-	if st := tr.stacks[who]; len(st) > 0 {
-		parent = st[len(st)-1].id
+	if tr.stacks == nil {
+		tr.stacks = make(map[string][]uint64)
 	}
-	tr.stacks[who] = append(tr.stacks[who], frame{id: id, kind: k})
-	tr.ring.Add(Event{
+	st := tr.stacks[who]
+	var parent uint64
+	if len(st) > 0 {
+		parent = st[len(st)-1]
+	}
+	tr.stacks[who] = append(st, id)
+	tr.Ring.Add(Event{
 		At: t.Now(), Kind: k, Phase: PhaseBegin,
 		Span: id, Parent: parent, Page: page, Arg: arg, Who: who,
 	})
-	return id
+	return Open{id: id, start: t.Now(), depth: int32(len(st)), arg: int32(arg), kind: k}
 }
 
-// End closes the span, popping it (and any unclosed inner spans — a
-// robustness guard, not an expected path) off t's stack. End(t, 0) is a
-// no-op, so a Begin on a nil tracer composes safely.
-func (tr *Tracer) End(t *sim.Thread, id uint64) {
-	if tr == nil || id == 0 {
-		return
+// End closes sp, feeds its duration and returns it. In the ring it pops sp
+// (and any unclosed inner spans — a robustness guard, not an expected path)
+// off t's stack, unless an outer span's End already did.
+func (tr *Tracer) End(t *sim.Thread, sp Open) sim.Time {
+	if tr == nil {
+		return t.Now() - sp.start
 	}
-	who := t.Name()
-	kind := Kind(0)
-	st := tr.stacks[who]
-	for i := len(st) - 1; i >= 0; i-- {
-		if st[i].id == id {
-			kind = st[i].kind
-			tr.stacks[who] = st[:i]
-			break
+	d := t.Now() - sp.start
+	if f := feeds[sp.kind]; f != nil {
+		comp, hist := f.comp, f.hist
+		if f.perClass {
+			comp, hist = comp+metrics.Comp(sp.arg), hist+metrics.Hist(sp.arg)
+		}
+		tr.Times.Add(comp, d)
+		if tr.Hists != nil {
+			tr.Hists.Hist(hist).Observe(d)
 		}
 	}
-	tr.ring.Add(Event{At: t.Now(), Kind: kind, Phase: PhaseEnd, Span: id, Who: who})
+	if sp.id != 0 {
+		who := t.Name()
+		if st := tr.stacks[who]; int(sp.depth) < len(st) && st[sp.depth] == sp.id {
+			tr.stacks[who] = st[:sp.depth]
+		}
+		tr.Ring.Add(Event{At: t.Now(), Kind: sp.kind, Phase: PhaseEnd, Span: sp.id, Who: who})
+	}
+	return d
+}
+
+// Instant records a point event on t.
+func (tr *Tracer) Instant(t *sim.Thread, k Kind, page uint64, arg int64) {
+	if tr == nil || tr.Ring == nil {
+		return
+	}
+	tr.Ring.Add(Event{At: t.Now(), Kind: k, Page: page, Arg: arg, Who: t.Name()})
 }
 
 // PairSpans reconstructs spans from a retained event window, oldest-first.

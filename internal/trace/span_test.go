@@ -5,29 +5,74 @@ import (
 	"encoding/json"
 	"testing"
 
+	"teleport/internal/metrics"
 	"teleport/internal/sim"
 )
 
-// A nil tracer is inert: Begin returns 0, End(0) is a no-op, and nothing is
-// recorded — the disabled-by-default contract.
+// A nil tracer records nothing but is still a stopwatch: Begin/End measure
+// the interval, so a caller that reports the duration needs no guard — the
+// disabled-by-default contract. A live tracer with nothing attached likewise.
 func TestTracerNilSafety(t *testing.T) {
-	var tr *Tracer
 	th := sim.NewThread("t")
-	id := tr.Begin(th, KindRPC, 0, 0)
-	if id != 0 {
-		t.Fatalf("nil tracer Begin = %d, want 0", id)
+	for _, tr := range []*Tracer{nil, {}} {
+		sp := tr.Begin(th, KindRPC, 0, 0)
+		if sp.id != 0 {
+			t.Fatalf("ringless Begin allocated span id %d", sp.id)
+		}
+		th.Advance(40)
+		if d := tr.End(th, sp); d != 40 {
+			t.Fatalf("End = %v, want 40ns", d)
+		}
+		tr.Instant(th, KindEviction, 1, 0)
 	}
-	tr.End(th, id)
+}
 
-	// Begin/End on a live tracer over a nil ring must not panic either.
-	tr2 := NewTracer(nil)
-	id2 := tr2.Begin(th, KindRPC, 0, 0)
-	tr2.End(th, id2)
+// One End feeds every sink the span's kind names in the feeds table — the
+// component, the histogram, the ring — with the one duration it returns;
+// a fabric span is indexed by its class, and a kind without a row feeds
+// only the ring.
+func TestEndFeedsKindTable(t *testing.T) {
+	r, reg, ts := New(16), metrics.NewRegistry(), &metrics.TimeSet{}
+	tr := &Tracer{Ring: r, Times: ts, Hists: reg}
+	th := sim.NewThread("t")
+	span := func(k Kind, arg int64, d sim.Time) {
+		sp := tr.Begin(th, k, 0, arg)
+		th.Advance(d)
+		if got := tr.End(th, sp); got != d {
+			t.Fatalf("%v: End = %v, want %v", k, got, d)
+		}
+	}
+	span(KindRPC, 2, 10) // class 2 = coherence
+	span(KindPushQueue, 1, 0)
+	span(KindPushQueue, 2, 30)
+	span(KindPushRetryWait, 1, 7)
+	span(KindRemoteFault, 0, 5)
+	span(KindPushSetup, 1, 99)
+
+	want := metrics.TimeSet{}
+	want[metrics.CompWireCoherence], want[metrics.CompPushQueue], want[metrics.CompPushRetry] = 10, 30, 7
+	if *ts != want {
+		t.Fatalf("components = %v, want %v", *ts, want)
+	}
+	hs := reg.Snapshot().Histograms
+	for name, w := range map[string][2]int64{
+		"net.coherence.ns": {1, 10}, "push.queue.ns": {2, 30}, "fault.remote.ns": {1, 5}, "net.pagefault.ns": {0, 0},
+	} {
+		if h := hs[name]; h.Count != w[0] || h.SumNs != w[1] {
+			t.Fatalf("%s = count %d sum %d, want %v", name, h.Count, h.SumNs, w)
+		}
+	}
+	if len(hs) != 7+2 {
+		t.Fatalf("histograms = %d, want the 7 wire classes + 2 observed", len(hs))
+	}
+	if got := len(r.Events()); got != 12 {
+		t.Fatalf("ring holds %d events, want a begin/end pair per span", got)
+	}
 }
 
 func TestSpanNestingAndPairing(t *testing.T) {
 	r := New(64)
-	tr := NewTracer(r)
+	tr := &Tracer{Ring: r}
 	th := sim.NewThread("worker")
 
 	outer := tr.Begin(th, KindRemoteFault, 7, 1)
@@ -72,7 +117,7 @@ func TestSpanNestingAndPairing(t *testing.T) {
 // begin/end pair keeps the count stable.
 func TestCountByKindSkipsEnds(t *testing.T) {
 	r := New(16)
-	tr := NewTracer(r)
+	tr := &Tracer{Ring: r}
 	th := sim.NewThread("t")
 	r.Add(Event{At: th.Now(), Kind: KindCoherence, Who: "t"}) // instant
 	sp := tr.Begin(th, KindCoherence, 1, 0)
@@ -87,7 +132,7 @@ func TestCountByKindSkipsEnds(t *testing.T) {
 // begins were overwritten and begins whose ends never arrived.
 func TestPairSpansWraparound(t *testing.T) {
 	r := New(4) // tiny ring: only the last 4 events survive
-	tr := NewTracer(r)
+	tr := &Tracer{Ring: r}
 	th := sim.NewThread("t")
 
 	a := tr.Begin(th, KindPushdown, 0, 1)
@@ -135,7 +180,7 @@ func TestPairSpansWraparound(t *testing.T) {
 // carrying parentage, and thread-name metadata for Perfetto's track labels.
 func TestWriteChromeTrace(t *testing.T) {
 	r := New(64)
-	tr := NewTracer(r)
+	tr := &Tracer{Ring: r}
 	th := sim.NewThread("caller")
 	outer := tr.Begin(th, KindPushdown, 0, 1)
 	th.AdvanceNs(2000)
@@ -194,7 +239,7 @@ func TestWriteChromeTrace(t *testing.T) {
 // do, and exports as an instant mark, never an unbalanced "X".
 func TestWraparoundOrphanEndIsolation(t *testing.T) {
 	r := New(3) // retains: (end long#1, begin short#2, end short#2)
-	tr := NewTracer(r)
+	tr := &Tracer{Ring: r}
 	th := sim.NewThread("t")
 
 	long := tr.Begin(th, KindPushdown, 7, 1)
@@ -226,10 +271,10 @@ func TestWraparoundOrphanEndIsolation(t *testing.T) {
 	}
 	// No mispair: the orphan end kept its own ID and did not close (or
 	// distort) the surviving rpc span.
-	if orphan.ID != long || orphan.Duration() != 0 || orphan.Kind != KindPushdown {
+	if orphan.ID != long.id || orphan.Duration() != 0 || orphan.Kind != KindPushdown {
 		t.Fatalf("orphan = %+v", orphan)
 	}
-	if complete.ID != short || complete.Kind != KindRPC || complete.Duration() != sim.Time(5) {
+	if complete.ID != short.id || complete.Kind != KindRPC || complete.Duration() != sim.Time(5) {
 		t.Fatalf("complete = %+v", complete)
 	}
 

@@ -123,6 +123,14 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12v %s %-14s page=%-8d arg=%-6d %s", e.At, e.Phase, e.Kind, e.Page, e.Arg, e.Who)
 }
 
+// Flag encodes a boolean detail (write, dirty) as an event's Arg.
+func Flag(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Ring is a fixed-capacity event buffer. The zero value is disabled; attach
 // one with New. Methods are not synchronised — the virtual-time scheduler
 // runs one simulated thread at a time, which is the only writer model the

@@ -32,11 +32,6 @@ var surfaceKeep = map[string]string{
 	"fault.Plan.Pin":      "test oracle: puts an outage edge at an exact instant (core boundary/breaker tests, FuzzSchedulePins)",
 	"graph.FromAdjacency": "oracle: the append-built CSR TestGenerateMatchesAppendReference compares Generate against",
 
-	"metrics.Counter.Value":   "observation point: reads a live handle without a Snapshot",
-	"metrics.Gauge.Value":     "observation point: reads a live handle without a Snapshot",
-	"metrics.Histogram.Count": "observation point: reads a live handle without a Snapshot",
-	"metrics.Histogram.Sum":   "observation point: reads a live handle without a Snapshot",
-
 	"netmodel.EncodeRuns":                "oracle: FuzzCacheRuns/TestCacheRunsMatchReference check PageCache.AppendRuns against it",
 	"netmodel.DecodeRuns":                "oracle: inverse of EncodeRuns in the RLE round-trip property and fuzz tests",
 	"netmodel.UnmarshalPushdownRequest":  "decode half of the request wire format: round-trip tests and FuzzUnmarshalPushdownRequest",
