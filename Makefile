@@ -56,12 +56,15 @@ profile:
 
 # Short fuzz pass over the §6 resident-page-list codec, the compute cache's
 # run emitter, the Env access path — scalar, batched and row-loop (ddc.Rows)
-# operations alike — against its reference model and the fault
-# plan's one outage schedule against a linear-scan oracle; CI runs this on
-# every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
+# operations alike, in a process that stored its data and in one attached to
+# an image of it — against its reference model, copy-on-write dataset images
+# against flat byte arrays, and the fault plan's one outage schedule against a
+# linear-scan oracle; CI runs this on every push, longer runs are manual
+# (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalResident -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzCacheRuns -fuzztime=10s ./internal/ddc
 	$(GO) test -run=^$$ -fuzz=FuzzEnvAccessModel -fuzztime=10s ./internal/ddc
+	$(GO) test -run=^$$ -fuzz=FuzzSpaceImage -fuzztime=10s ./internal/mem
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulePins -fuzztime=10s ./internal/fault

@@ -125,12 +125,14 @@ type Options struct {
 	// by TestParallelDeterminism.
 	SimWorkers int
 
-	// pool is the shared worker-token channel and chaos the looked-up
-	// ChaosProfile (nil = no injection), both set by resolve at the entry
-	// points; Options is copied by value, so every figure and leaf job
-	// sees the same channel and profile.
+	// pool is the shared worker-token channel, chaos the looked-up
+	// ChaosProfile (nil = no injection) and scope the datasets and timed
+	// cells the call's data points share (scope.go), all set by resolve at
+	// the entry points; Options is copied by value, so every figure and leaf
+	// job sees the same channel, profile and scope.
 	pool  chan struct{}
 	chaos *fault.Profile
+	scope *scope
 }
 
 // Defaults returns the options used by the committed EXPERIMENTS.md run.

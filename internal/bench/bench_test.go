@@ -193,6 +193,80 @@ func TestFig10OneOperatorDominates(t *testing.T) {
 	}
 }
 
+// Figure 3's shape, at the committed sizes (the slowdowns are ratios of
+// working set to cache behaviour and do not survive shrinking): every workload
+// is slower on the base DDC, Q9 is the worst of them, and the three graph
+// workloads sit around the paper's 5×.
+func TestFig3Q9WorstGraphAroundFive(t *testing.T) {
+	tab, err := Run("3", Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := map[string]float64{}
+	for _, r := range tab.Rows {
+		slow[r[1]] = parseX(t, r[4])
+		if slow[r[1]] <= 1 {
+			t.Errorf("%s: no DDC overhead (%s)", r[1], r[4])
+		}
+		if r[0] == "graph" && (slow[r[1]] < 3.5 || slow[r[1]] > 6.5) {
+			t.Errorf("%s: slowdown %s, want about 5x", r[1], r[4])
+		}
+	}
+	if len(slow) != 8 {
+		t.Fatalf("rows = %v, want the 8 workloads", tab.Rows)
+	}
+	for w, x := range slow {
+		if w != "Q9" && x >= slow["Q9"] {
+			t.Errorf("%s slows down %.1fx, more than Q9's %.1fx", w, x, slow["Q9"])
+		}
+	}
+}
+
+// Figure 15's shape: every platform is poor when memory is 0.5 % of the
+// database; from 8 % on Linux and TELEPORT converge, both ahead of the base
+// DDC; past 32 % — more than the monolithic server holds — only the DDC
+// platforms have a row, and TELEPORT's beats the best Linux point.
+func TestFig15ConvergesAndOnlyDDCContinues(t *testing.T) {
+	tab, err := Run("15", smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 4 {
+		t.Fatalf("rows = %v, want four memory points", tab.Rows)
+	}
+	bestLinux := 0.0
+	for i, r := range tab.Rows {
+		base, tele := parseS(t, r[2]), parseS(t, r[3])
+		switch {
+		case i == 3:
+			if r[1] != "N/A" {
+				t.Errorf("%s: linux has a cell (%s) past the monolithic server's capacity", r[0], r[1])
+			}
+			if tele >= bestLinux || tele >= base {
+				t.Errorf("%s: teleport %.4fs does not beat the best linux point %.4fs and base DDC %.4fs", r[0], tele, bestLinux, base)
+			}
+		case i == 0:
+			roomy := tab.Rows[2]
+			for c := 1; c <= 3; c++ {
+				if parseS(t, r[c]) < 5*parseS(t, roomy[c]) {
+					t.Errorf("%s: %s = %s is not poor against %s at %s", r[0], tab.Header[c], r[c], roomy[c], roomy[0])
+				}
+			}
+		default:
+			linux := parseS(t, r[1])
+			if rel := tele / linux; rel < 0.85 || rel > 1.15 {
+				t.Errorf("%s: linux %.4fs and teleport %.4fs have not converged", r[0], linux, tele)
+			}
+			if tele >= base {
+				t.Errorf("%s: teleport %.4fs is not ahead of base DDC %.4fs", r[0], tele, base)
+			}
+			if bestLinux == 0 || linux < bestLinux {
+				bestLinux = linux
+			}
+		}
+	}
+}
+
 func TestFig12TeleportBeatsBasePerOperator(t *testing.T) {
 	tab, err := Run("12", smallOpts())
 	if err != nil {

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"teleport/internal/hw"
 	"teleport/internal/netmodel"
 	"teleport/internal/sim"
 )
@@ -38,12 +37,8 @@ func figFabric(opts Options) *Table {
 	w := findWorkload("Q9")
 	var jobs []func() sim.Time
 	for _, f := range fabrics {
-		mut := func(cfg *hw.Config) {
-			cfg.NetLatencyNs = f.latNs
-			cfg.NetBandwidthGBs = f.gbs
-		}
 		for _, p := range []platform{platBase, platTeleport} {
-			jobs = append(jobs, timed(w, opts, runSpec{platform: p, hwMut: mut}))
+			jobs = append(jobs, timed(w, opts, runSpec{platform: p, netLatencyNs: f.latNs, netBandwidthGBs: f.gbs}))
 		}
 	}
 	times := parmap(opts, jobs)
@@ -106,11 +101,11 @@ func figPrefetch(opts Options) *Table {
 	w := findWorkload("Q6")
 	depths := []int{1, 2, 4, 8}
 	jobs := []func() sim.Time{
-		timed(w, opts, runSpec{platform: platBase, prefetch: ptrInt(0)}),
+		timed(w, opts, runSpec{platform: platBase, prefetch: set(0)}),
 		timed(w, opts, runSpec{platform: platTeleport}),
 	}
 	for _, depth := range depths {
-		jobs = append(jobs, timed(w, opts, runSpec{platform: platBase, prefetch: ptrInt(depth)}))
+		jobs = append(jobs, timed(w, opts, runSpec{platform: platBase, prefetch: set(depth)}))
 	}
 	times := parmap(opts, jobs)
 	none, tele := times[0], times[1]
@@ -123,8 +118,6 @@ func figPrefetch(opts Options) *Table {
 		"prefetching helps scans but plateaus well short of pushdown — the §1 claim that OS optimisations alone are insufficient")
 	return t
 }
-
-func ptrInt(v int) *int { return &v }
 
 func init() {
 	register("A5", figWorkerScaling)

@@ -68,7 +68,7 @@ func figAdvisor(opts Options) *Table {
 				continue
 			}
 			jobIdx[qi] = append(jobIdx[qi], len(jobs))
-			jobs = append(jobs, timed(w, opts, runSpec{platform: platTeleport, pushOps: s.ops}))
+			jobs = append(jobs, timed(w, opts, runSpec{platform: platTeleport, pushOps: pushing(s.ops)}))
 		}
 	}
 	times := parmap(opts, jobs)

@@ -178,7 +178,7 @@ func fig18(opts Options) *Table {
 		}
 		for _, clockFrac := range clockFracs {
 			jobs = append(jobs, timed(w, opts, runSpec{
-				platform: platTeleport, memClock: 2.1 * clockFrac, pushOps: ranked[:lv.k],
+				platform: platTeleport, memClock: 2.1 * clockFrac, pushOps: pushing(ranked[:lv.k]),
 			}))
 		}
 	}

@@ -10,17 +10,18 @@ import (
 // smoke sizes, must stay under a fixed object count. The ceilings sit about
 // 25 % above what the runs measure; a fault path, generator or loader that
 // starts allocating per page, per vertex or per row again goes well past
-// them: with one heap node and one victim slice per page fault these runs
-// cost 411 k, 52 k and 34 k objects.
+// them — with one heap node and one victim slice per page fault these runs
+// cost 411 k, 52 k and 34 k objects — and so does a cell that generates its
+// own dataset instead of attaching its figure's: 5 561, 4 629 and 2 723.
 func TestFigureMallocBudget(t *testing.T) {
 	opts := Options{Scale: 0.02, GraphNV: 600, Words: 2000, Seed: 1, CacheFrac: 0.02, Parallel: 1, SimWorkers: 1}
 	for _, fig := range []struct {
 		id      string
 		ceiling uint64
 	}{
-		{"15", 7000}, // measured 5 561
-		{"13", 5800}, // measured 4 629
-		{"3", 3400},  // measured 2 723
+		{"15", 4350}, // measured 3 467
+		{"13", 3850}, // measured 3 060
+		{"3", 2200},  // measured 1 771
 	} {
 		run := func() uint64 {
 			var before, after runtime.MemStats

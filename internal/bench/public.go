@@ -119,10 +119,8 @@ func RunWorkloads(names []string, platformName string, opts Options) ([]Workload
 func runWorkload(w workload, pl platformDef, opts Options) WorkloadResult {
 	spec := runSpec{platform: pl.plat}
 	if pl.auto {
-		spec.pushOps, _ = costModelPush(run(w, opts, runSpec{platform: platBase}))
-		if spec.pushOps == nil {
-			spec.pushOps = []string{}
-		}
+		ops, _ := costModelPush(run(w, opts, runSpec{platform: platBase}))
+		spec.pushOps = pushing(ops)
 	}
 	out := run(w, opts, spec)
 	m := out.Proc.M

@@ -3,13 +3,13 @@ package bench
 import (
 	"cmp"
 	"math"
+	"strings"
 
 	"teleport/internal/coldb"
 	"teleport/internal/core"
 	"teleport/internal/ddc"
 	"teleport/internal/fault"
 	"teleport/internal/graph"
-	"teleport/internal/hw"
 	"teleport/internal/mapreduce"
 	"teleport/internal/metrics"
 	"teleport/internal/obs"
@@ -23,6 +23,9 @@ import (
 // Figure 13): three TPC-H queries on the columnar DBMS, three graph
 // queries, two MapReduce jobs.
 type workload struct {
+	// Name is the workload's identity: two workloads of one name build and
+	// run the same thing under the same options (the memo of timed cells
+	// keys on it). parAgg, whose name hides a worker count, is only ever run.
 	Name   string
 	System string
 	// PushOps is the operator set TELEPORT pushes for this workload
@@ -41,23 +44,41 @@ type workload struct {
 // The three dataset constructors are the package's one call site each of
 // tpch.Load, graph.Generate and mapreduce.GenerateCorpus: every query, figure
 // cell and public run that needs a dataset is a workload built on one of
-// them, and DescribeDataset prints what they build.
+// them, and DescribeDataset prints what they build. Each generates its dataset
+// once per entry-point call (attach) and hands every caller a copy of the
+// descriptor bound to the caller's process.
 func loadTPCH(p *ddc.Process, opts Options) *tpch.Data {
-	return tpch.Load(coldb.NewDB(p), tpch.Config{Scale: opts.Scale, Seed: opts.Seed})
+	k := datasetKey{kind: "tpch", scale: opts.Scale, seed: opts.Seed}
+	d := *attach(p, opts, k, func(b *ddc.Process) *tpch.Data {
+		return tpch.Load(coldb.NewDB(b), tpch.Config{Scale: opts.Scale, Seed: opts.Seed})
+	})
+	db := *d.DB
+	db.P, d.DB = p, &db
+	return &d
 }
 
 func genGraph(p *ddc.Process, opts Options, undirected bool) *graph.Graph {
-	g, _ := graph.Generate(p, graph.GenConfig{
-		NV: opts.GraphNV, AvgDegree: 6, Seed: opts.Seed, Undirected: undirected,
+	k := datasetKey{kind: "graph", n: opts.GraphNV, seed: opts.Seed, undirected: undirected}
+	g := *attach(p, opts, k, func(b *ddc.Process) *graph.Graph {
+		g, _ := graph.Generate(b, graph.GenConfig{
+			NV: opts.GraphNV, AvgDegree: 6, Seed: opts.Seed, Undirected: undirected,
+		})
+		return g
 	})
-	return g
+	g.P = p
+	return &g
 }
 
 func genCorpus(p *ddc.Process, opts Options) *mapreduce.Corpus {
-	c, _ := mapreduce.GenerateCorpus(p, mapreduce.CorpusConfig{
-		Words: opts.Words, Vocab: 4000, Seed: opts.Seed,
+	k := datasetKey{kind: "corpus", n: opts.Words, seed: opts.Seed}
+	c := *attach(p, opts, k, func(b *ddc.Process) *mapreduce.Corpus {
+		c, _ := mapreduce.GenerateCorpus(b, mapreduce.CorpusConfig{
+			Words: opts.Words, Vocab: 4000, Seed: opts.Seed,
+		})
+		return c
 	})
-	return c
+	c.P = p
+	return &c
 }
 
 func tpchWorkload(name string, pushOps []string, run func(ex *profile.Exec, d *tpch.Data) uint64) workload {
@@ -175,16 +196,20 @@ const (
 	platTeleport                 // base DDC + TELEPORT pushdown
 )
 
-// runSpec tweaks a single workload execution.
+// runSpec tweaks a single workload execution. It is a comparable value —
+// overrides are declared, not programmed — so that it can key the memo of
+// timed cells and the compiler keeps that key complete.
 type runSpec struct {
 	platform  platform
 	cacheFrac float64 // compute/local cache as fraction of the working set
 	poolFrac  float64 // memory pool DRAM fraction (0 = unbounded)
 	memClock  float64 // memory-pool clock override (0 = testbed)
 	contexts  int     // pushdown contexts (0 = 1)
-	prefetch  *int    // base-DDC prefetch depth override (nil = preset)
-	pushOps   []string
-	hwMut     func(*hw.Config)
+
+	netLatencyNs, netBandwidthGBs float64 // fabric override (0 = testbed)
+
+	prefetch override[int]    // base-DDC prefetch depth
+	pushOps  override[string] // pushed operator set, comma-joined (see pushing)
 
 	// shards > 0 pins the pool topology for a figure that sweeps it
 	// (A6/A7); otherwise the pool follows Options like every other cell.
@@ -192,6 +217,17 @@ type runSpec struct {
 	// chaos is a figure's ad-hoc fault profile (nil = Options.ChaosProfile).
 	chaos *fault.Profile
 }
+
+// override is an optional value of a runSpec; the zero value keeps the preset.
+type override[T comparable] struct {
+	v   T
+	set bool
+}
+
+func set[T comparable](v T) override[T] { return override[T]{v, true} }
+
+// pushing overrides a workload's PushOps with ops; none pushes nothing.
+func pushing(ops []string) override[string] { return set(strings.Join(ops, ",")) }
 
 // runOut is one execution's result.
 type runOut struct {
@@ -235,8 +271,9 @@ const defaultTraceCap = 1 << 18
 // point (Run, RunAll, RunWorkloads, Advise, RunCluster) calls it once and
 // hands the copy to its data points: the chaos profile looked up — an
 // unknown name is an error, not a fault-free run — the chaos seed defaulted
-// to Seed, the pool topology checked against ddc's rules, and the shared
-// worker-token pool created when the options ask for parallelism.
+// to Seed, the pool topology checked against ddc's rules, the shared
+// worker-token pool created when the options ask for parallelism, and the
+// scope in which the call's data points share datasets and timed cells.
 func (o Options) resolve() (Options, error) {
 	prof, err := fault.ByName(o.ChaosProfile)
 	if err != nil {
@@ -255,6 +292,9 @@ func (o Options) resolve() (Options, error) {
 	}
 	if w := workersFor(o.Parallel); w > 1 && o.pool == nil {
 		o.pool = make(chan struct{}, w)
+	}
+	if o.scope == nil {
+		o.scope = &scope{}
 	}
 	return o, nil
 }
@@ -292,11 +332,14 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 	if spec.memClock > 0 {
 		cfg.HW.MemoryClockGHz = spec.memClock
 	}
-	if spec.prefetch != nil && cfg.Disaggregated {
-		cfg.PrefetchDepth = *spec.prefetch
+	if spec.prefetch.set && cfg.Disaggregated {
+		cfg.PrefetchDepth = spec.prefetch.v
 	}
-	if spec.hwMut != nil {
-		spec.hwMut(&cfg.HW)
+	if spec.netLatencyNs > 0 {
+		cfg.HW.NetLatencyNs = spec.netLatencyNs
+	}
+	if spec.netBandwidthGBs > 0 {
+		cfg.HW.NetBandwidthGBs = spec.netBandwidthGBs
 	}
 	if spec.shards > 0 {
 		cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = spec.shards, spec.replicas, spec.writeQuorum
@@ -341,9 +384,9 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 			rt.Breaker.Cooldown = opts.BreakerCooldown
 		}
 		ex.RT = rt
-		push := spec.pushOps
-		if push == nil {
-			push = w.PushOps
+		push := w.PushOps
+		if spec.pushOps.set {
+			push = strings.FieldsFunc(spec.pushOps.v, func(r rune) bool { return r == ',' })
 		}
 		ex.Push(push...)
 		ex.PushDeadline = opts.PushDeadline
@@ -377,9 +420,15 @@ func run(w workload, opts Options, spec runSpec) runOut {
 	}
 }
 
-// timed is the commonest figure cell: one run's summed operator time.
+// timed is the commonest figure cell: one run's summed operator time. Equal
+// cells of one entry-point call — Figs 3 and 13 share most of theirs — are one
+// run.
 func timed(w workload, opts Options, spec runSpec) func() sim.Time {
-	return func() sim.Time { return run(w, opts, spec).Time }
+	return func() sim.Time {
+		c := opts.scope.cell(cellKey{w.Name, opts, spec})
+		c.once.Do(func() { c.time = run(w, opts, spec).Time })
+		return c.time
+	}
 }
 
 // grid runs every workload on every platform and returns the times

@@ -153,7 +153,7 @@ func (w *ColumnWriter) slot() []byte {
 	}
 	w.left--
 	if len(w.frame) == 0 {
-		w.frame = w.space.Frame(mem.PageOf(w.next))[w.next&(mem.PageSize-1):]
+		w.frame = w.space.Own(mem.PageOf(w.next))[w.next&(mem.PageSize-1):]
 	}
 	n := w.typ.Width()
 	b := w.frame[:n]

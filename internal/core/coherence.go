@@ -29,6 +29,11 @@ type memPager struct {
 	touches int      // page accesses served so far (the crash-point axis)
 	crashAt int      // touch ordinal at which an armed mid-crash fires (0 = unarmed)
 	dieAt   sim.Time // absolute deadline (0 = none)
+
+	// What every page access would otherwise work out again, fixed when the
+	// call's pager is built: armed, the call has a crash point or a deadline
+	// for precheck to enforce; gated, its pool has a write quorum to lose.
+	armed, gated bool
 }
 
 // pushAbort is the panic value that tears down a pushed function from
@@ -41,13 +46,12 @@ type pushAbort struct {
 	wake sim.Time // for ErrQuorumLost: when enough scheduled heals restore quorum
 }
 
-// precheck runs at every page access of the temporary context: it is where
-// an armed mid-execution crash fires (deterministically, at the seeded
+// precheck runs at every page access of an armed temporary context: it is
+// where an armed mid-execution crash fires (deterministically, at the seeded
 // touch ordinal — but only once the call has dirtied at least one page, so
 // the crash is genuinely mid-mutation) and where the deadline budget is
 // enforced during execution.
 func (mp *memPager) precheck(e *ddc.Env) {
-	mp.touches++
 	if mp.crashAt > 0 && mp.touches >= mp.crashAt && mp.journal.pages() > 0 {
 		panic(pushAbort{err: ErrContextCrashed})
 	}
@@ -62,12 +66,9 @@ func (mp *memPager) precheck(e *ddc.Env) {
 // call through. The panic unwinds to Pushdown's recover, which rolls the
 // undo journal back before the failure is reported (rollback-before-report),
 // so the compute side sees a Recoverable ErrQuorumLost against pristine pool
-// state. Free on legacy (single-shard or W ≤ 1) configs.
+// state. Legacy (single-shard or W ≤ 1) configs are not gated.
 func (mp *memPager) gateQuorum(e *ddc.Env, pg mem.PageID) {
 	m := mp.ps.rt.P.M
-	if m.Cfg.Shards() <= 1 || m.Cfg.EffWriteQuorum() <= 1 {
-		return
-	}
 	now := e.T.Now()
 	usableAt := func(s int) sim.Time { return m.ShardUsableAt(s, now) }
 	if _, _, wake := mp.ps.rt.quorumShort(pg, now, usableAt); wake > 0 {
@@ -79,8 +80,13 @@ func (mp *memPager) gateQuorum(e *ddc.Env, pg mem.PageID) {
 func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 	ps := mp.ps
 	p := ps.rt.P
-	mp.precheck(e)
-	mp.gateQuorum(e, pg)
+	mp.touches++
+	if mp.armed {
+		mp.precheck(e)
+	}
+	if mp.gated {
+		mp.gateQuorum(e, pg)
+	}
 
 	if mp.opts.Flags&(FlagNoCoherence|FlagEagerSync|FlagMigrateProcess|FlagEvictRanges) != 0 {
 		// Relaxed / strawman modes: no protocol, only pool residency (and
@@ -113,7 +119,7 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 	mark := e.T.Now()
 	ent := tt.entry(pg)
 
-	heldW, heldDirty, held := p.Cache.Lookup(pg)
+	_, heldDirty, held := p.Cache.Lookup(pg)
 	if held {
 		// Line 17: send request to the compute pool. Lines 18–25
 		// (ComputeOnPageRequest) run there; if the compute copy is dirty,
@@ -144,7 +150,6 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		p.Epoch++
 		ent.present = true
 		ent.writable = write
-		_ = heldW
 	} else {
 		// True page fault (lines 14–15): to the storage pool if spilled;
 		// afterwards the temporary context is the sole holder.
@@ -170,10 +175,8 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 // one access at a time.
 func (mp *memPager) Repeat(e *ddc.Env, pg mem.PageID, write bool, n int) bool {
 	p := mp.ps.rt.P
-	cfg := &p.M.Cfg
-	if mp.crashAt > 0 || mp.dieAt > 0 || p.PoolRes != nil ||
-		mp.opts.Flags&(FlagNoCoherence|FlagEagerSync|FlagMigrateProcess|FlagEvictRanges) != 0 ||
-		(cfg.Shards() > 1 && cfg.EffWriteQuorum() > 1) {
+	if mp.armed || mp.gated || p.PoolRes != nil ||
+		mp.opts.Flags&(FlagNoCoherence|FlagEagerSync|FlagMigrateProcess|FlagEvictRanges) != 0 {
 		return false
 	}
 	present, writable := mp.ps.temp.peek(pg)

@@ -597,6 +597,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		// page — which is deterministic for a given seed and workload.
 		pager.crashAt = 1 + int(frac*float64(midCrashTouchSpan))
 	}
+	pager.armed = pager.crashAt > 0 || pager.dieAt > 0
+	pager.gated = p.M.Cfg.Shards() > 1 && p.M.Cfg.EffWriteQuorum() > 1
 	c.pager = pager
 	scr.env = p.RecycleMemoryEnv(scr.env, t, pager)
 	env := scr.env

@@ -76,9 +76,11 @@ type Env struct {
 	// dimension indexes) do not pay DRAM latency per access.
 	//
 	// frames[i] memoises the frame of the page stream slot i's line lies in.
-	// Frame identities are stable for the life of the Space, so a slot takes
-	// a new frame only when its line moves to another page. last is the slot
-	// the most recent line charge ended on.
+	// A slot takes a new frame only when its line moves to another page: a
+	// page keeps its frame for the life of the Space, except that the first
+	// store to a page still shared with a dataset image moves it to a frame of
+	// its own, and then Process.repoint moves the memo. last is the slot the
+	// most recent line charge ended on.
 	lineShift uint8 // log2(HW.DRAMLineBytes)
 	streams   [dramStreams]uint64
 	frames    [dramStreams]*[mem.PageSize]byte
@@ -93,13 +95,15 @@ type Env struct {
 
 // NewEnv returns a compute-place environment for t.
 func (p *Process) NewEnv(t *sim.Thread) *Env {
-	return &Env{
+	e := &Env{
 		T: t, P: p, Place: PlaceCompute,
 		ClockGHz:  p.M.Cfg.HW.ComputeClockGHz,
 		pager:     computePager{},
 		local:     !p.M.Cfg.Disaggregated,
 		lineShift: p.lineShift(),
 	}
+	p.adopt(e)
+	return e
 }
 
 // RecycleMemoryEnv returns a memory-place environment using a caller-supplied
@@ -114,6 +118,7 @@ func (p *Process) RecycleMemoryEnv(old *Env, t *sim.Thread, pager Pager) *Env {
 	e := old
 	if e == nil {
 		e = &Env{}
+		p.adopt(e)
 	}
 	l2 := e.l2
 	if len(l2) != p.M.Cfg.HW.CacheLines {
@@ -160,12 +165,15 @@ func (e *Env) access(a mem.Addr, n int, write bool) *[mem.PageSize]byte {
 	if (uint64(a)+uint64(n)-1)>>e.lineShift != l {
 		return e.touch(a, n, write)
 	}
+	pg := mem.PageOf(a)
 	if write {
 		e.writes++
+		if pg < e.P.Space.SharedEnd() {
+			e.P.Space.Own(pg) // the frame returned below is stored to
+		}
 	} else {
 		e.reads++
 	}
-	pg := mem.PageOf(a)
 	if !e.fastPage(pg, write) {
 		if e.paged() {
 			e.pager.EnsurePage(e, pg, write)
@@ -188,12 +196,15 @@ func (e *Env) access(a mem.Addr, n int, write bool) *[mem.PageSize]byte {
 // touch is access for any span of bytes: every page through the pager,
 // every line through chargeLine, one charge for the sum.
 func (e *Env) touch(a mem.Addr, n int, write bool) *[mem.PageSize]byte {
+	first, last := mem.PageSpan(a, n)
 	if write {
 		e.writes++
+		if first == last && first < e.P.Space.SharedEnd() {
+			e.P.Space.Own(first) // a span of pages is stored through the Space
+		}
 	} else {
 		e.reads++
 	}
-	first, last := mem.PageSpan(a, n)
 	if first != last || !e.fastPage(last, write) {
 		if e.paged() {
 			for pg := first; pg <= last; pg++ {

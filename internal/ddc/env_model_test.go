@@ -294,6 +294,7 @@ type modelSide struct {
 	p      *Process
 	th     *sim.Thread
 	env    *Env // the access path under test, or the reference's carrier
+	other  *Env // a second Env of the process, on a thread of its own
 	path   accessPath
 	pager  *logPager
 	dilate int // Dilation calls so far
@@ -326,13 +327,27 @@ var modelConfigs = []struct {
 // so the monolithic no-dispatch shortcut is on the tested path too. dilated
 // installs a Dilation whose value varies per call and which, like a yield to
 // a thread that evicts a page, moves the epoch in the middle of some charges.
-func newModelSide(k int, reference, logged, dilated bool) (*modelSide, mem.Addr) {
+//
+// The region holds regionFill. With img the process attaches to an image of
+// it, as a figure cell attaches to its dataset; without, it allocates the
+// region and stores the same bytes, as every process did before images — the
+// reference side always does, so the two must agree on what a store to a page
+// the image backs leaves behind, in the Env that made it and in another.
+func newModelSide(k int, reference, logged, dilated bool, img *mem.Image) (*modelSide, mem.Addr) {
 	cfg := modelConfigs[k].cfg()
 	if n := modelConfigs[k].cacheLines; n >= 0 {
 		cfg.HW.CacheLines = n
 	}
 	s := &modelSide{p: MustMachine(cfg).NewProcess(), th: sim.NewThread("t")}
-	base := s.p.Space.AllocPages(modelPages*mem.PageSize, "region")
+	var base mem.Addr
+	if img != nil {
+		s.p.Attach(img)
+		first, _, _ := s.p.Space.Extent()
+		base = mem.Addr(first) << mem.PageShift
+	} else {
+		base = fillRegion(s.p.Space)
+	}
+	s.other = s.p.NewEnv(sim.NewThread("other"))
 	var pager Pager = computePager{}
 	if modelConfigs[k].name == "memory-place" {
 		pager = &restlessPager{}
@@ -363,6 +378,26 @@ func newModelSide(k int, reference, logged, dilated bool) (*modelSide, mem.Addr)
 	return s, base
 }
 
+// regionFill is what the region holds before a trace: page i is filled with a
+// byte of its own, except every fifth, which is left untouched.
+func regionFill(i int) []byte {
+	if i%5 == 4 {
+		return nil
+	}
+	return bytes.Repeat([]byte{byte(0x11 * (i%13 + 1))}, mem.PageSize)
+}
+
+// fillRegion allocates the region in an empty space and stores regionFill.
+func fillRegion(s *mem.Space) mem.Addr {
+	base := s.AllocPages(modelPages*mem.PageSize, "region")
+	for i := 0; i < modelPages; i++ {
+		if fill := regionFill(i); fill != nil {
+			s.WriteAt(base+mem.Addr(i)*mem.PageSize, fill)
+		}
+	}
+	return base
+}
+
 // traceReader hands out a trace's bytes; past the end it reads zeroes.
 type traceReader struct {
 	data []byte
@@ -390,13 +425,25 @@ func (r *traceReader) byte() int {
 // size, so a stream is sequential until an operation jumps it (opcode bit
 // 0x40), and bit 0x20 pulls an access off its natural alignment so that
 // scalars straddle lines and pages.
-func runAccessModel(t testing.TB, data []byte) int {
+//
+// With attached the Env under test runs in a process attached to an image of
+// the region, the reference in one that stored the region itself.
+func runAccessModel(t testing.TB, data []byte, attached bool) int {
 	r := &traceReader{data: data}
 	k := r.byte() % len(modelConfigs)
 	b1, b2 := r.byte(), r.byte()
 	nStreams, dilated, logged := 1+b1%modelStreams, b1&0x80 != 0, b2&1 == 0
-	real, base := newModelSide(k, false, logged, dilated)
-	ref, _ := newModelSide(k, true, logged, dilated)
+	var img *mem.Image
+	if attached {
+		src := mem.NewSpace()
+		fillRegion(src)
+		img = src.Freeze()
+	}
+	real, base := newModelSide(k, false, logged, dilated, img)
+	ref, refBase := newModelSide(k, true, logged, dilated, nil)
+	if base != refBase {
+		t.Fatalf("the attached region is at %#x, the stored one at %#x", base, refBase)
+	}
 	const size = modelPages * mem.PageSize
 	var cursor [modelStreams]int
 	for i := range cursor {
@@ -441,10 +488,15 @@ func runAccessModel(t testing.TB, data []byte) int {
 			code = 16
 		}
 		switch code {
-		case 0, 1:
+		case 0:
 			a := at(8)
 			desc = fmt.Sprintf("ReadU64(%#x)", a)
 			both(func(p accessPath) any { return p.ReadU64(a) })
+		case 1: // the word the stream passed last, through the process's other Env
+			*cur = max(*cur, 8) - 8
+			a := at(8)
+			desc = fmt.Sprintf("ReadU64(%#x) by the other Env", a)
+			got, want = real.other.ReadU64(a), ref.other.ReadU64(a)
 		case 2:
 			a, v := at(8), uint64(x)*0x0101010101010101
 			desc = fmt.Sprintf("WriteU64(%#x)", a)
@@ -538,6 +590,20 @@ func runAccessModel(t testing.TB, data []byte) int {
 	for pg, last := mem.PageOf(base), mem.PageOf(base+size-1); pg <= last; pg++ {
 		if !bytes.Equal(real.p.Space.Frame(pg), ref.p.Space.Frame(pg)) {
 			t.Fatalf("%s: page %d differs from the reference after the trace", modelConfigs[k].name, pg)
+		}
+	}
+	if attached {
+		// Whatever the trace stored, the image holds what was frozen.
+		sibling := mem.NewSpace()
+		sibling.Attach(img, nil)
+		for i := 0; i < modelPages; i++ {
+			want := regionFill(i)
+			if want == nil {
+				want = make([]byte, mem.PageSize)
+			}
+			if !bytes.Equal(sibling.Frame(mem.PageOf(base)+mem.PageID(i)), want) {
+				t.Fatalf("%s: the trace changed page %d of the image", modelConfigs[k].name, i)
+			}
 		}
 	}
 	return accesses
@@ -744,11 +810,17 @@ func compareModelSides(real, ref *modelSide) string {
 	if !slices.Equal(e.l2, m.l2) {
 		return "on-chip cache model differs"
 	}
-	for i := 0; i < e.nStream; i++ {
-		pg := mem.PageID(e.streams[i] >> (mem.PageShift - e.lineShift))
-		if e.frames[i] == nil || &e.frames[i][0] != &real.p.Space.Frame(pg)[0] {
-			return fmt.Sprintf("slot %d holds line %d but not page %d's frame", i, e.streams[i], pg)
+	for _, e := range []*Env{e, real.other} {
+		for i := 0; i < e.nStream; i++ {
+			pg := mem.PageID(e.streams[i] >> (mem.PageShift - e.lineShift))
+			if e.frames[i] == nil || &e.frames[i][0] != &real.p.Space.Frame(pg)[0] {
+				return fmt.Sprintf("slot %d of %s's Env holds line %d but not page %d's frame", i, e.T.Name(), e.streams[i], pg)
+			}
 		}
+	}
+	if o, ro := real.other, ref.other; o.T.Now() != ro.T.Now() || o.streams != ro.streams || o.reads != ro.reads {
+		return fmt.Sprintf("the other Env: clock %v, streams %v, %d reads; reference %v, %v, %d",
+			o.T.Now(), o.streams, o.reads, ro.T.Now(), ro.streams, ro.reads)
 	}
 	if e.last >= dramStreams || (e.nStream > 0 && e.last >= e.nStream) {
 		return fmt.Sprintf("last slot %d of %d", e.last, e.nStream)
@@ -857,6 +929,12 @@ func directedTraces() [][]byte {
 				loop(loop(at(500, 2500), 2, 40, 3, 2, false), 2, 70, 3, 2, false),
 				// An explicit stream: appended to in some rows, across its lines.
 				loop(loop(loop(at(4000, 6000), 2, 100, 1, 2, true), 2, 100, 1, 2, true), 2, 100, 1, 2, true),
+				// The other Env reads a word, memoising its page's frame; this
+				// one stores the next word — on an image, moving the page to a
+				// frame of its own — and the other reads what was stored; then
+				// the same with the store made by a row loop's stream.
+				append(read(header, 0, 700), 1, 0, 0, 0, 0, 2, 0, 0xAB, 0, 0, 1, 0, 0, 0, 0),
+				append(loop(append(read(header, 0, 5000), 1, 0, 0, 0, 0), 1, 20, 1, 1, false), 1, 0, 0, 0, 0),
 			)
 		}
 	}
@@ -869,13 +947,15 @@ func directedTraces() [][]byte {
 // reference path side by side.
 func TestEnvAccessMatchesReference(t *testing.T) {
 	accesses := 0
-	for _, trace := range directedTraces() {
-		accesses += runAccessModel(t, trace)
+	for _, attached := range []bool{false, true} {
+		for _, trace := range directedTraces() {
+			accesses += runAccessModel(t, trace, attached)
+		}
+		for seed := int64(0); seed < 250; seed++ {
+			accesses += runAccessModel(t, randomTrace(seed), attached)
+		}
 	}
-	for seed := int64(0); seed < 250; seed++ {
-		accesses += runAccessModel(t, randomTrace(seed))
-	}
-	if accesses < 250*150 {
+	if accesses < 2*250*150 {
 		t.Fatalf("only %d accesses replayed; the traces are not being decoded as intended", accesses)
 	}
 }
@@ -892,6 +972,7 @@ func FuzzEnvAccessModel(f *testing.F) {
 		if len(data) > 1<<13 {
 			data = data[:1<<13]
 		}
-		runAccessModel(t, data)
+		runAccessModel(t, data, false)
+		runAccessModel(t, data, true)
 	})
 }

@@ -218,6 +218,12 @@ type Process struct {
 	faultStreams [4]mem.PageID
 	nFaultStream int
 
+	// envs are the process's Envs when its space is attached to an image —
+	// whose stream slots' frame memos repoint follows — and hasEnv says that
+	// there is an Env at all.
+	envs   []*Env
+	hasEnv bool
+
 	stats ProcStats
 }
 
@@ -251,6 +257,41 @@ func (m *Machine) NewProcess() *Process {
 		p.Cache = p.newCache(int(m.Cfg.LocalMemBytes / mem.PageSize))
 	}
 	return p
+}
+
+// Attach makes the process's address space, still empty, a copy-on-write clone
+// of a dataset image (mem.Space.Attach): the process then holds the dataset at
+// the addresses it was built at, having paid for the frame table alone. It
+// comes before the process's first Env, so that every Env is known to repoint.
+func (p *Process) Attach(img *mem.Image) {
+	if p.hasEnv {
+		panic("ddc: Attach to a process that has an Env")
+	}
+	p.Space.Attach(img, p.repoint)
+}
+
+// repoint follows a page out of the image (mem.Space.Attach's moved): an Env
+// whose stream slot memoised the image's frame — the Env that is storing, or
+// any other of the process, which would otherwise go on reading the bytes as
+// they were before the store — takes the page's own frame in its place. A
+// store to an image page is rare, so the walk over every Env is not a cost.
+func (p *Process) repoint(from, to []byte) {
+	old, own := (*[mem.PageSize]byte)(from), (*[mem.PageSize]byte)(to)
+	for _, e := range p.envs {
+		for i, f := range e.frames {
+			if f == old {
+				e.frames[i] = own
+			}
+		}
+	}
+}
+
+// adopt notes a new Env of the process.
+func (p *Process) adopt(e *Env) {
+	p.hasEnv = true
+	if p.Space.SharedEnd() > 0 {
+		p.envs = append(p.envs, e)
+	}
 }
 
 // newCache returns a page cache over the process's address space.

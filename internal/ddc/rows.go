@@ -90,7 +90,10 @@ func (s *Stream) Bytes() []byte { return s.win }
 // rows hold anything else (a random access, a Compute of its own) passes 0
 // operations and makes every access but the gather explicit: none of its rows
 // is absorbed, and Access is a plain scalar accessor. The loop must run until
-// Next reports false, which accounts the last chunk.
+// Next reports false, which accounts the last chunk. It moves a row's bytes in
+// that same order: what Bytes and Access returned is the page's frame as it
+// was then, and a later store of the row to a page still shared with a dataset
+// image moves the page to another.
 type Rows struct {
 	e      *Env
 	ops    float64
@@ -295,6 +298,9 @@ func (r *Rows) alone(s *Stream, a mem.Addr) bool {
 		if t := &r.s[i]; t != s && (t.mode&StreamExplicit == 0 || t.mask != 0) && t.page-(mem.PageOf(a)-1) <= 2 {
 			return false
 		}
+	}
+	if s.store() && mem.PageOf(a) < e.P.Space.SharedEnd() {
+		e.P.Space.Own(mem.PageOf(a)) // before the memo is read: Own moves it
 	}
 	s.frame = e.frames[s.slot]
 	return true

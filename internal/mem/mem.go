@@ -78,12 +78,70 @@ type Space struct {
 	// bytes, nil until first touch. The space is a dense bump allocator
 	// starting just above address 0, so direct indexing replaces the hash
 	// map a sparse space would need — the frame lookup on the simulator's
-	// access fast path is a bounds check and a load. Entries are created
-	// once and never replaced (RestorePage copies in place), so borrowed
-	// frame slices (Frame) stay valid and current for the Space's lifetime.
+	// access fast path is a bounds check and a load. An entry is created on
+	// first touch and replaced at most once, when the first store to a page
+	// still backed by an attached image's frame gives the page a frame of its
+	// own (own); moved is told, so that whoever borrowed the old frame (Frame)
+	// can follow. In a space without an image no entry is ever replaced.
 	frames    [][]byte
 	allocated int64
+
+	// img is the image the space was attached to, sharedEnd the page after the
+	// image's last — a page at or past it was never shared — and moved the
+	// attacher's callback for a page leaving the image.
+	img       *Image
+	sharedEnd PageID
+	moved     func(from, to []byte)
 }
+
+// Image is the frozen contents of a Space: its populated frames and its
+// allocator's position. It never changes, so any number of spaces — on any
+// number of goroutines — may be attached to one image at once.
+type Image struct {
+	frames    [][]byte
+	next      Addr
+	allocated int64
+}
+
+// Freeze moves the space's contents into an image and leaves the space empty.
+// The image keeps the allocator's position as well as the bytes, so a space
+// attached to it hands out the addresses the frozen one would have gone on to.
+func (s *Space) Freeze() *Image {
+	img := &Image{next: s.next, allocated: s.allocated}
+	if _, last, ok := s.Extent(); ok {
+		// Nothing past the allocations is shared, so that what a space
+		// allocates after attaching, in pages of its own, is never mistaken
+		// for the image's.
+		n := min(len(s.frames), int(last)+1)
+		for n > 0 && s.frames[n-1] == nil {
+			n--
+		}
+		img.frames = s.frames[:n:n]
+	}
+	*s = Space{next: spaceBase}
+	return img
+}
+
+// Attach makes the space, which must be empty, a copy-on-write clone of img:
+// it takes the image's frame table and allocator position, shares every frame
+// until the first store to its page, and pays nothing for a page it never
+// touches. moved, if not nil, is called when a store gives a page a frame of
+// its own, with the image's frame and the copy that replaced it: borrowed
+// frames (Frame) are not followed by the space, so a holder that may store
+// through one, or read after a store, repoints it there.
+func (s *Space) Attach(img *Image, moved func(from, to []byte)) {
+	if s.next != spaceBase || s.frames != nil {
+		panic("mem: Attach to a space in use")
+	}
+	s.frames = append([][]byte(nil), img.frames...)
+	s.next, s.allocated = img.next, img.allocated
+	s.img, s.sharedEnd, s.moved = img, PageID(len(img.frames)), moved
+}
+
+// SharedEnd returns the page after the last the space may share with an
+// image: 0 unless attached. A store to a borrowed frame of a page below it
+// goes through Own first.
+func (s *Space) SharedEnd() PageID { return s.sharedEnd }
 
 // spaceBase leaves the low addresses unused so that Addr(0) can mean "nil".
 const spaceBase Addr = 1 << 20
@@ -172,12 +230,43 @@ func (s *Space) newFrame(p PageID) []byte {
 }
 
 // Frame returns the live backing bytes of page p — a zero-copy borrow of
-// the single physical copy. The slice stays valid (and current) for the
-// lifetime of the Space: frames are never reallocated, and RestorePage
-// copies in place. Callers borrowing a frame bypass the paging and cost
-// models entirely; internal/ddc's Env uses this only to move the bytes of
-// an access it has already taken through both.
+// the single physical copy, to read from. The slice stays current until a
+// store gives a page still shared with an image a frame of its own (Attach's
+// moved says so), which in a space without an image is for the life of the
+// space: RestorePage copies in place. Callers borrowing a frame bypass the
+// paging and cost models entirely; internal/ddc's Env uses this only to move
+// the bytes of an access it has already taken through both.
 func (s *Space) Frame(p PageID) []byte { return s.frame(p) }
+
+// Own is Frame for storing into: the frame it returns is the space's alone.
+func (s *Space) Own(p PageID) []byte {
+	if p >= s.sharedEnd && p < PageID(len(s.frames)) {
+		if f := s.frames[p]; f != nil {
+			return f
+		}
+	}
+	return s.own(p)
+}
+
+// own is the cold path of Own: a page not touched yet, or one the image
+// covers. The first store to a page the image populated copies the frame; a
+// page the image left untouched got a frame of the space's own when it was
+// first touched.
+func (s *Space) own(p PageID) []byte {
+	f := s.frame(p)
+	if p >= s.sharedEnd {
+		return f
+	}
+	if from := s.img.frames[p]; from != nil && &from[0] == &f[0] {
+		f = make([]byte, PageSize)
+		copy(f, from)
+		s.frames[p] = f
+		if s.moved != nil {
+			s.moved(from, f)
+		}
+	}
+	return f
+}
 
 // SnapshotPageInto copies page p's current bytes — the pre-image the pushdown
 // undo journal captures before a page's first write — into buf when buf has
@@ -196,7 +285,7 @@ func (s *Space) SnapshotPageInto(p PageID, buf []byte) []byte {
 // RestorePage overwrites page p with a previously captured snapshot,
 // rolling every byte of the page back to its SnapshotPageInto state.
 func (s *Space) RestorePage(p PageID, img []byte) {
-	copy(s.frame(p), img)
+	copy(s.Own(p), img)
 }
 
 // ReadAt copies len(buf) bytes starting at addr into buf, crossing page
@@ -214,7 +303,7 @@ func (s *Space) ReadAt(addr Addr, buf []byte) {
 // WriteAt copies buf into the space starting at addr.
 func (s *Space) WriteAt(addr Addr, buf []byte) {
 	for len(buf) > 0 {
-		f := s.frame(PageOf(addr))
+		f := s.Own(PageOf(addr))
 		off := int(addr & (PageSize - 1))
 		n := copy(f[off:], buf)
 		buf = buf[n:]
@@ -243,7 +332,7 @@ func (s *Space) ReadU64(addr Addr) uint64 {
 // WriteU64 writes a little-endian uint64 at addr.
 func (s *Space) WriteU64(addr Addr, v uint64) {
 	if within(addr, 8) {
-		f := s.frame(PageOf(addr))
+		f := s.Own(PageOf(addr))
 		off := addr & (PageSize - 1)
 		binary.LittleEndian.PutUint64(f[off:], v)
 		return
@@ -268,7 +357,7 @@ func (s *Space) ReadU32(addr Addr) uint32 {
 // WriteU32 writes a little-endian uint32 at addr.
 func (s *Space) WriteU32(addr Addr, v uint32) {
 	if within(addr, 4) {
-		f := s.frame(PageOf(addr))
+		f := s.Own(PageOf(addr))
 		off := addr & (PageSize - 1)
 		binary.LittleEndian.PutUint32(f[off:], v)
 		return
