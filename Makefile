@@ -41,24 +41,33 @@ bench-repo:
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 
-# Where the host's time goes in one workload on one platform, without editing
-# code: make profile W=Q9 P=teleport leaves the pprof file and its top 20 in
-# PROFILE_OUT (go tool pprof -http=: reads the former).
+# Where the host's time goes and where its allocated bytes come from, without
+# editing code: make profile W=Q9 P=teleport (one workload on one platform) or
+# make profile V=fig ARGS='-fig 21 -parallel 1' (figures; ARGS is passed to the
+# verb either way) leaves the CPU and allocation pprof files and the top 20 of
+# each in PROFILE_OUT (go tool pprof -http=: reads the former).
+V ?= run
 W ?= Q9
 P ?= teleport
+ARGS ?=
 PROFILE_OUT ?= profile-out
+profile: PROFILE_ARGS = $(if $(filter fig,$(V)),,-workload $(W) -platform $(P)) $(ARGS)
+profile: PROFILE_NAME = $(PROFILE_OUT)/$(if $(filter fig,$(V)),fig,$(W)-$(P))
 profile:
 	mkdir -p $(PROFILE_OUT)
 	$(GO) build -o $(PROFILE_OUT)/ddcsim ./cmd/ddcsim
-	$(PROFILE_OUT)/ddcsim run -workload $(W) -platform $(P) -cpuprofile $(PROFILE_OUT)/$(W)-$(P).pprof >/dev/null
-	$(GO) tool pprof -top -nodecount=20 $(PROFILE_OUT)/ddcsim $(PROFILE_OUT)/$(W)-$(P).pprof >$(PROFILE_OUT)/$(W)-$(P).top.txt
-	@head -30 $(PROFILE_OUT)/$(W)-$(P).top.txt
+	$(PROFILE_OUT)/ddcsim $(V) $(PROFILE_ARGS) -cpuprofile $(PROFILE_NAME).pprof -memprofile $(PROFILE_NAME).mem.pprof >/dev/null
+	$(GO) tool pprof -top -nodecount=20 $(PROFILE_OUT)/ddcsim $(PROFILE_NAME).pprof >$(PROFILE_NAME).top.txt
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 $(PROFILE_OUT)/ddcsim $(PROFILE_NAME).mem.pprof >$(PROFILE_NAME).alloc.txt
+	@head -30 $(PROFILE_NAME).top.txt
+	@head -30 $(PROFILE_NAME).alloc.txt
 
 # Short fuzz pass over the §6 resident-page-list codec, the compute cache's
 # run emitter, the Env access path — scalar, batched and row-loop (ddc.Rows)
 # operations alike, in a process that stored its data and in one attached to
 # an image of it — against its reference model, copy-on-write dataset images
-# against flat byte arrays, and the fault plan's one outage schedule against a
+# and the recycling of their clones' pages through one poisoned arena against
+# flat byte arrays, and the fault plan's one outage schedule against a
 # linear-scan oracle; CI runs this on every push, longer runs are manual
 # (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:

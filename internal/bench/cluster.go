@@ -85,6 +85,7 @@ func RunCluster(opts Options, machines, rounds int) (ClusterResult, error) {
 	addrs := make([]mem.Addr, machines)
 	var expRound uint64
 	for i, p := range c.Procs {
+		opts.scope.share(p)
 		rng := sim.NewRNG(opts.Seed).Derive(uint64(i + 1))
 		a := p.Space.Alloc(int64(rows)*8, "partition")
 		addrs[i] = a

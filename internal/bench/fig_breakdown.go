@@ -114,7 +114,7 @@ func fig20(opts Options) *Table {
 	}
 	runMethod := func(flags core.Flags) core.Stats {
 		m := ddc.MustMachine(ddc.BaseDDC(1 << 30))
-		p := m.NewProcess()
+		p := opts.scope.share(m.NewProcess())
 		// A working set scaled like the paper's 50 GB against a 1 GB cache:
 		// the cache is ~2% of the space and fully resident + dirty.
 		const spacePages = 24000
@@ -141,6 +141,7 @@ func fig20(opts Options) *Table {
 		if err != nil {
 			panic(err)
 		}
+		p.Release()
 		return rt.Stats().Phases
 	}
 	// The runtime's phase sums equal the single call's Stats, so the figure

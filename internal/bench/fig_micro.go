@@ -71,8 +71,9 @@ type microResult struct {
 	CoherenceMsgs int64
 }
 
-// runMicro executes the two-thread microbenchmark under the given mode.
-func runMicro(mode microMode, mp microParams) microResult {
+// runMicro executes the two-thread microbenchmark under the given mode, on
+// pages of opts' scope that it hands back.
+func runMicro(opts Options, mode microMode, mp microParams) microResult {
 	var cfg ddc.Config
 	if mode == microLocal {
 		cfg = ddc.Linux()
@@ -81,7 +82,7 @@ func runMicro(mode microMode, mp microParams) microResult {
 	}
 	cfg.HW.MemoryPoolCores = mp.memPoolCores
 	m := ddc.MustMachine(cfg)
-	p := m.NewProcess()
+	p := opts.scope.share(m.NewProcess())
 	array := p.Space.AllocPages(int64(mp.arrayPages)*mem.PageSize, "micro.array")
 	scratch := p.Space.AllocPages(int64(max(mp.scratchPages, 1))*mem.PageSize, "micro.scratch")
 	var shared mem.Addr
@@ -193,6 +194,7 @@ func runMicro(mode microMode, mp microParams) microResult {
 		s.Spawn("cpu", start, func(th *sim.Thread) { computeBody(p.NewEnv(th)) })
 	}
 	end := s.Run()
+	p.Release()
 	return microResult{
 		Makespan:      end - start,
 		CoherenceMsgs: m.Fabric.Stats(netmodel.ClassCoherence).Msgs - coherenceBefore,
@@ -221,7 +223,7 @@ func fig6(opts Options) *Table {
 	}
 	var jobs []func() microResult
 	for _, r := range rows {
-		jobs = append(jobs, func() microResult { return runMicro(r.mode, mp) })
+		jobs = append(jobs, func() microResult { return runMicro(opts, r.mode, mp) })
 	}
 	results := parmap(opts, jobs)
 	base := results[1] // the Base DDC row doubles as the speedup baseline
@@ -249,10 +251,10 @@ func fig7(opts Options) *Table {
 	mpSync := mp
 	mpSync.syncShared = true
 	results := parmap(opts, []func() microResult{
-		func() microResult { return runMicro(microBase, mp) },
-		func() microResult { return runMicro(microLocal, mp) },
-		func() microResult { return runMicro(microCoherence, mp) },
-		func() microResult { return runMicro(microCoherence, mpSync) },
+		func() microResult { return runMicro(opts, microBase, mp) },
+		func() microResult { return runMicro(opts, microLocal, mp) },
+		func() microResult { return runMicro(opts, microCoherence, mp) },
+		func() microResult { return runMicro(opts, microCoherence, mpSync) },
 	})
 	base, local, coh, syn := results[0], results[1], results[2], results[3]
 
@@ -287,11 +289,11 @@ func fig21(opts Options) *Table {
 		mpRel := mp
 		mpRel.syncShared = true
 		jobs = append(jobs,
-			func() microResult { return runMicro(microLocal, mp) },
-			func() microResult { return runMicro(microBase, mp) },
-			func() microResult { return runMicro(microCoherence, mp) },
-			func() microResult { return runMicro(microCoherence, mpPSO) },
-			func() microResult { return runMicro(microCoherence, mpRel) })
+			func() microResult { return runMicro(opts, microLocal, mp) },
+			func() microResult { return runMicro(opts, microBase, mp) },
+			func() microResult { return runMicro(opts, microCoherence, mp) },
+			func() microResult { return runMicro(opts, microCoherence, mpPSO) },
+			func() microResult { return runMicro(opts, microCoherence, mpRel) })
 	}
 	results := parmap(opts, jobs)
 	for i, r := range contentionRates {
@@ -320,8 +322,8 @@ func fig22(opts Options) *Table {
 		mpRel := mp
 		mpRel.syncShared = true
 		jobs = append(jobs,
-			func() microResult { return runMicro(microCoherence, mp) },
-			func() microResult { return runMicro(microCoherence, mpRel) })
+			func() microResult { return runMicro(opts, microCoherence, mp) },
+			func() microResult { return runMicro(opts, microCoherence, mpRel) })
 	}
 	results := parmap(opts, jobs)
 	for i, r := range contentionRates {

@@ -9,8 +9,10 @@ import (
 //
 // Every simulated run is hermetic: it builds its own Machine, Process,
 // Scheduler and RNGs, and the sim packages keep no package-level state, so
-// two runs share only frozen images: the datasets of their entry point's
-// scope, attached copy-on-write (scope.go). That makes each data point of a
+// two runs share only frozen images — the datasets of their entry point's
+// scope, attached copy-on-write — and dead pages: the scope's arena, which a
+// finished run's memory goes back to and which zeroes a page before it is a
+// frame again (scope.go). That makes each data point of a
 // figure an independent pure function of (workload, Options, runSpec) — and
 // the harness exploits it by fanning data points out across host cores.
 // Parallelism changes only host wall-clock time: the virtual-time answers,

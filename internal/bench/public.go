@@ -179,7 +179,7 @@ func Advise(workloadName string, opts Options) ([]advisor.Decision, error) {
 // (directed) or "corpus" — at opts' sizes, exactly as the workloads build it,
 // and prints its shape: what sizing an experiment needs before running it.
 func DescribeDataset(w io.Writer, kind string, opts Options) error {
-	p := ddc.MustMachine(ddc.Linux()).NewProcess()
+	p := opts.scope.share(ddc.MustMachine(ddc.Linux()).NewProcess())
 	switch kind {
 	case "tpch":
 		d := loadTPCH(p, opts)

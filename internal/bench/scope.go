@@ -9,22 +9,40 @@ import (
 )
 
 // scope is what the data points of one entry-point call (Run, RunAll,
-// RunWorkloads, Advise) share: each dataset they load, generated once, and
-// each distinct timed cell, run once. resolve creates it the way it creates
-// the worker-token pool, Options carries it to every figure and leaf job, and
-// it dies with the call — nothing outlives an entry point, so every call does
-// the work the first did. A nil scope (options no entry point resolved)
-// remembers nothing.
+// RunWorkloads, Advise, RunCluster) share: each dataset they load, generated
+// once, each distinct timed cell, run once, and the pages of simulated memory
+// a cell that has ended leaves to the next. resolve creates it the way it
+// creates the worker-token pool, Options carries it to every figure and leaf
+// job, and it dies with the call — nothing outlives an entry point, so every
+// call does the work the first did. A nil scope (options no entry point
+// resolved) remembers nothing.
 //
 // What the data points of a scope share is frozen: a dataset is a mem.Image,
 // attached copy-on-write to each cell's own process, plus the descriptor that
 // says where its tables, CSR arrays or text lie, which no run writes to; a
 // timed cell's result is a number. A run is still a pure function of
-// (workload, Options, runSpec), which is what lets one stand for another.
+// (workload, Options, runSpec), which is what lets one stand for another. What
+// they hand on is dead: a page in the arena belonged to a process that was
+// released after its numbers were read, and the next process to draw it as a
+// frame gets it zeroed.
 type scope struct {
 	mu       sync.Mutex
 	datasets map[datasetKey]*dataset
 	cells    map[cellKey]*cell
+	arena    mem.Arena
+}
+
+// share makes p, a new process, draw its address space's pages from the
+// scope's arena. Every process of the package is built through here; the ones
+// that another data point can follow (run, runMicro, Fig 20's method runs) are
+// released when theirs has been read, which is what fills the arena. Never
+// released: a dataset's builder, whose frames are the image's, and a process
+// whose entry point ends with it (RunCluster's, DescribeDataset's).
+func (s *scope) share(p *ddc.Process) *ddc.Process {
+	if s != nil {
+		p.Space.Share(&s.arena)
+	}
+	return p
 }
 
 // datasetKey names a dataset by everything its generator is given.
@@ -103,7 +121,7 @@ func (s *scope) cell(k cellKey) *cell {
 func attach[D any](p *ddc.Process, opts Options, k datasetKey, build func(*ddc.Process) D) D {
 	d := opts.scope.dataset(k)
 	d.once.Do(func() {
-		b := ddc.MustMachine(ddc.Linux()).NewProcess()
+		b := opts.scope.share(ddc.MustMachine(ddc.Linux()).NewProcess())
 		d.desc = build(b)
 		d.img = b.Space.Freeze()
 	})

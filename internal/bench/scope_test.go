@@ -243,3 +243,67 @@ func TestImagesSurviveTheSuite(t *testing.T) {
 		}
 	}
 }
+
+// TestRunOutAnswersAfterRelease: run hands the process's memory on before it
+// returns, and everything the figures and reports go on to read of runOut —
+// the cache's residency (Ext A3), the machine (availability figures, reports),
+// what the space allocated (Fig 1, the advisor), the runtime's counters —
+// still answers. The bytes do not: they may be another cell's by now.
+func TestRunOutAnswersAfterRelease(t *testing.T) {
+	opts, err := smokeOpts().resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := run(findWorkload("Q6"), opts, runSpec{platform: platTeleport})
+	p := out.Proc
+	if n, runs := p.Cache.Len(), p.Cache.AppendRuns(nil); n == 0 || len(runs) == 0 {
+		t.Errorf("the cache reports %d resident pages in %d runs, want some", n, len(runs))
+	}
+	if p.Space.Allocated() == 0 || p.Space.Pages() == 0 {
+		t.Errorf("the space reports %d bytes on %d pages, want the dataset's", p.Space.Allocated(), p.Space.Pages())
+	}
+	if p.M.Fabric.Total().Msgs == 0 || p.Stats().RemoteFaults == 0 || out.RT.Stats().Calls == 0 {
+		t.Errorf("fabric messages %d, remote faults %d, pushdown calls %d: want all counted",
+			p.M.Fabric.Total().Msgs, p.Stats().RemoteFaults, out.RT.Stats().Calls)
+	}
+	first, _, _ := p.Space.Extent()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("reading the memory of a finished run's process did not panic")
+			}
+		}()
+		p.Space.Frame(first)
+	}()
+}
+
+// TestRunAllEqualOnRecycledPages: the whole suite on one arena renders the
+// same tables whether each cell runs on the pages of the cell before it
+// (Parallel: 1) or the cells of every figure draw from and release to the
+// arena from all host cores at once (Parallel: 0, where which page a frame
+// gets is a race the mutex settles). Under -race the detector checks that the
+// free list is all they share.
+func TestRunAllEqualOnRecycledPages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full suites in -short mode")
+	}
+	render := func(parallel int) []string {
+		opts := smokeOpts()
+		opts.Parallel = parallel
+		tables, err := RunAll(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(tables))
+		for i, tab := range tables {
+			out[i] = renderTable(tab)
+		}
+		return out
+	}
+	seq, par := render(1), render(0)
+	for i, id := range Figures() {
+		if seq[i] != par[i] {
+			t.Errorf("figure %s differs between Parallel 1 and 0:\n--- 1\n%s--- 0\n%s", id, seq[i], par[i])
+		}
+	}
+}

@@ -360,7 +360,7 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 		prof = spec.chaos
 	}
 	opts.attachFault(m, prof, 0)
-	p := m.NewProcess()
+	p := opts.scope.share(m.NewProcess())
 	query := w.Build(p, opts)
 
 	ws := p.Space.Allocated()
@@ -399,7 +399,9 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 	return ex, query, rec
 }
 
-// run prepares w under spec and executes its query.
+// run prepares w under spec, executes its query and releases the process's
+// memory to the scope: of Proc, the counters, the caches' residency and what
+// the space allocated stay readable, the bytes do not.
 func run(w workload, opts Options, spec runSpec) runOut {
 	ex, query, rec := prepare(w, opts, spec)
 	m, th := ex.P.M, ex.T
@@ -410,6 +412,7 @@ func run(w workload, opts Options, spec runSpec) runOut {
 	if snap != nil {
 		ex.ReadStats(snap)
 	}
+	ex.P.Release()
 	return runOut{
 		Time: ex.Total(), Profile: ex.Profile(), Proc: ex.P, RT: ex.RT,
 		Answer: answer, End: th.Now(), Rec: rec, Metrics: snap,

@@ -162,12 +162,12 @@ func BenchmarkJournalCapture(b *testing.B) {
 	}
 }
 
-// TestJournalCapturePooled pins the buffer pool: once warm, capturing a
-// page's pre-image must not allocate a fresh page-sized buffer. The
-// assertion is on allocated bytes (runtime.MemStats.TotalAlloc is a
-// monotonic allocation counter, immune to GC timing): without the pool each
-// captured page costs ≥ mem.PageSize; with it, only the journal's map and
-// order bookkeeping remain.
+// TestJournalCapturePooled pins the recycling of pre-images through the
+// space's arena: once warm, capturing a page's pre-image must not allocate a
+// fresh page-sized buffer. The assertion is on allocated bytes
+// (runtime.MemStats.TotalAlloc is a monotonic allocation counter, immune to
+// GC timing): without recycling each captured page costs ≥ mem.PageSize; with
+// it, only the journal's order bookkeeping remains.
 func TestJournalCapturePooled(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(256 * mem.PageSize))
 	p := m.NewProcess()
@@ -186,7 +186,7 @@ func TestJournalCapturePooled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the pool (first call allocates the buffers that then recycle).
+	// Warm the arena (the first call allocates the pages that then recycle).
 	call()
 	call()
 
@@ -199,7 +199,7 @@ func TestJournalCapturePooled(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perPage := float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*pages)
 	if perPage >= mem.PageSize/2 {
-		t.Fatalf("journal capture allocates %.0f B per captured page; pool not recycling (unpooled cost ≥ %d B)",
+		t.Fatalf("journal capture allocates %.0f B per captured page; pre-images are not recycled (unrecycled cost ≥ %d B)",
 			perPage, mem.PageSize)
 	}
 }

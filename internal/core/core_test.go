@@ -1014,11 +1014,11 @@ func TestEagerPostSyncWritesBackItsVictim(t *testing.T) {
 // the current one.
 func TestUndoJournalReuseAcrossCalls(t *testing.T) {
 	s := mem.NewSpace()
+	s.Share(usedArena(16))
 	base := s.AllocPages(8*mem.PageSize, "v")
 	pg := func(i int) mem.PageID { return mem.PageOf(base) + mem.PageID(i) }
 	word := func(i int) mem.Addr { return base + mem.Addr(i)*mem.PageSize }
-	var pool pagePool
-	j := undoJournal{pool: &pool}
+	var j undoJournal
 
 	// Call 1 captures pages 0..3 and commits.
 	for i := 0; i < 4; i++ {
@@ -1029,7 +1029,7 @@ func TestUndoJournalReuseAcrossCalls(t *testing.T) {
 	if j.pages() != 4 {
 		t.Fatalf("call 1 holds %d pages, want 4", j.pages())
 	}
-	j.discard()
+	j.discard(s)
 
 	// Call 2 captures in another order, so every stale slot names a record
 	// of another page (or none), then rolls back.
@@ -1057,7 +1057,34 @@ func TestUndoJournalReuseAcrossCalls(t *testing.T) {
 			t.Fatalf("page %d reads %d after rollback, want call 1's committed %d", i, got, want)
 		}
 	}
-	if j.pages() != 0 || len(pool.free) != 4 {
-		t.Fatalf("after rollback: %d pages held, %d buffers pooled; want 0 and 4", j.pages(), len(pool.free))
+	if j.pages() != 0 {
+		t.Fatalf("after rollback: %d pages held, want 0", j.pages())
 	}
+
+	// The pre-images went back to the space's arena, so a call that captures
+	// no more pages than an earlier one allocates nothing.
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 4; i++ {
+			j.capture(s, pg(i))
+		}
+		j.discard(s)
+	}); n != 0 {
+		t.Fatalf("a steady-state call allocates %v objects capturing 4 pages, want 0", n)
+	}
+}
+
+// usedArena returns an arena of n pages that were another space's frames a
+// moment ago and still hold its bytes: what a space draws from it as a frame
+// must read as zeroes all the same, and a pre-image captured into one of its
+// pages must hold the captured page's bytes and nothing else.
+func usedArena(n int) *mem.Arena {
+	a := &mem.Arena{}
+	s := mem.NewSpace()
+	s.Share(a)
+	base := s.AllocPages(int64(n)*mem.PageSize, "junk")
+	for off := mem.Addr(0); off < mem.Addr(n)*mem.PageSize; off += 8 {
+		s.WriteU64(base+off, ^uint64(0))
+	}
+	s.Release()
+	return a
 }

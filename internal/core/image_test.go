@@ -31,6 +31,7 @@ func vecImage() (*mem.Image, mem.Addr) {
 func TestAbortedPushdownOnImagePagesRestoresByUnsharing(t *testing.T) {
 	img, a := vecImage()
 	p, rt := testProc(16)
+	p.Space.Share(usedArena(2 * vecPages)) // own copies and pre-images are recycled pages
 	p.Attach(img)
 	sibling, _ := testProc(16)
 	sibling.Attach(img)

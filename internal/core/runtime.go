@@ -90,15 +90,13 @@ type Runtime struct {
 	// Host-side storage recycled across calls (allocation control only; no
 	// simulated effect). push is the coherence state ps points at while
 	// calls are in flight and hooks its compute-side fault handlers; scratch
-	// pools the working storage of calls not in flight; journalBufs recycles
-	// undo-journal pre-image buffers. wire and usableAt are transient
-	// buffers, never held across a point where the thread yields.
-	push        pushState
-	hooks       pushHooks
-	scratch     []*callScratch
-	journalBufs pagePool
-	wire        []byte
-	usableAt    []sim.Time
+	// pools the working storage of calls not in flight. wire and usableAt are
+	// transient buffers, never held across a point where the thread yields.
+	push     pushState
+	hooks    pushHooks
+	scratch  []*callScratch
+	wire     []byte
+	usableAt []sim.Time
 }
 
 // callScratch is the host-side working storage one call needs from request
@@ -588,9 +586,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	// point, the deadline and the write quorum at every page access.
 	es := tr.Begin(t, trace.KindPushExec, 0, c.id)
 	pager := &scr.pager
-	journal := pager.journal // emptied by the scratch's last call; keeps its storage
-	journal.pool = &r.journalBufs
-	*pager = memPager{ps: c.ps, st: &st, opts: opts, dieAt: c.deadlineAt, journal: journal}
+	// The journal was emptied by the scratch's last call and keeps its storage.
+	*pager = memPager{ps: c.ps, st: &st, opts: opts, dieAt: c.deadlineAt, journal: pager.journal}
 	if frac, mid := p.M.Fault.CtxCrashMid(); mid {
 		// Map the seeded fraction onto a page-access ordinal: the context
 		// dies at its crashAt-th access — once it has dirtied at least one
@@ -643,7 +640,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	st.PostSync = tr.End(t, posts)
 
 	c.unwind()
-	pager.journal.discard()
+	pager.journal.discard(p.Space)
 	tr.Instant(t, trace.KindPushdownEnd, 0, c.id)
 
 	if killed {

@@ -4,35 +4,6 @@ import (
 	"teleport/internal/mem"
 )
 
-// pagePool recycles page-sized pre-image buffers across pushdown calls so
-// steady-state journal capture allocates nothing: buffers go back on the
-// free list when a call rolls back or commits. A nil pool degrades to plain
-// allocation (SnapshotPageInto allocates when handed a nil buffer), which
-// keeps directly constructed journals in tests working unchanged.
-type pagePool struct {
-	free [][]byte
-}
-
-// get pops a recycled buffer, or returns nil (meaning "allocate").
-func (p *pagePool) get() []byte {
-	if p == nil || len(p.free) == 0 {
-		return nil
-	}
-	n := len(p.free) - 1
-	b := p.free[n]
-	p.free[n] = nil
-	p.free = p.free[:n]
-	return b
-}
-
-// put returns a buffer to the free list.
-func (p *pagePool) put(b []byte) {
-	if p == nil || cap(b) < mem.PageSize {
-		return
-	}
-	p.free = append(p.free, b)
-}
-
 // undoJournal is the memory-kernel side's crash-consistency log for one
 // pushdown call: a copy-on-first-write pre-image of every page the temporary
 // context dirties. When the context dies mid-execution (an armed mid-crash
@@ -44,14 +15,16 @@ func (p *pagePool) put(b []byte) {
 //
 // The journal is per call, not per page table: two contexts in flight can
 // each need their own pre-image of one page. Its storage lives in the call's
-// pooled scratch and is reused by the next call that takes the scratch.
+// pooled scratch and is reused by the next call that takes the scratch; the
+// pre-images are pages of the address space's arena (mem.Space.SnapshotPageInto
+// with no buffer) and go back to it when the call rolls back or commits, so
+// steady-state capture allocates nothing.
 type undoJournal struct {
 	recs []undoRec // capture order, for a deterministic restore walk
 	// slot[pg] is where in recs page pg's record would be. Entries are never
 	// reset: one is believed only when the record it names is pg's, so what
 	// earlier calls left behind reads as "not captured".
 	slot []uint32
-	pool *pagePool // optional pre-image buffer recycler (Runtime-owned)
 }
 
 // undoRec is one captured pre-image.
@@ -81,7 +54,7 @@ func (j *undoJournal) capture(s *mem.Space, pg mem.PageID) {
 		j.slot = append(j.slot, make([]uint32, short)...)
 	}
 	j.slot[pg] = uint32(len(j.recs))
-	j.recs = append(j.recs, undoRec{page: pg, image: s.SnapshotPageInto(pg, j.pool.get())})
+	j.recs = append(j.recs, undoRec{page: pg, image: s.SnapshotPageInto(pg, nil)})
 }
 
 // pages returns how many distinct pages the journal holds.
@@ -89,8 +62,8 @@ func (j *undoJournal) pages() int { return len(j.recs) }
 
 // rollback restores every captured pre-image in reverse capture order (a
 // fixed order, so two same-seed runs roll back identically), invoking onPage
-// for each restored page, and empties the journal, returning its buffers to
-// the pool.
+// for each restored page, and empties the journal, returning its pre-images to
+// the space.
 func (j *undoJournal) rollback(s *mem.Space, onPage func(mem.PageID)) int {
 	n := len(j.recs)
 	for i := n - 1; i >= 0; i-- {
@@ -100,15 +73,15 @@ func (j *undoJournal) rollback(s *mem.Space, onPage func(mem.PageID)) int {
 			onPage(rec.page)
 		}
 	}
-	j.discard()
+	j.discard(s)
 	return n
 }
 
 // discard drops the journal without restoring anything (the call committed:
-// its writes stand, the pre-images are dead) and recycles the buffers.
-func (j *undoJournal) discard() {
+// its writes stand, the pre-images are dead) and recycles them.
+func (j *undoJournal) discard(s *mem.Space) {
 	for _, rec := range j.recs {
-		j.pool.put(rec.image)
+		s.Recycle(rec.image)
 	}
 	clear(j.recs)
 	j.recs = j.recs[:0]

@@ -429,6 +429,7 @@ func TestRecycleMemoryEnvEqualsNew(t *testing.T) {
 		t.Fatalf("recycled env charged %v, new env %v", thR.Now(), thN.Now())
 	}
 	recycled.T, fresh.T = nil, nil
+	recycled.next, fresh.next = nil, nil // where each stands in the process's list
 	if !reflect.DeepEqual(recycled, fresh) {
 		t.Fatalf("recycled env differs from a new one:\n%+v\n%+v", recycled, fresh)
 	}
@@ -567,4 +568,68 @@ func TestAttachTraceWiresFabric(t *testing.T) {
 	if r.CountByKind()[trace.KindRPCRetry] == 0 {
 		t.Fatal("fabric retry events did not reach the machine's ring")
 	}
+}
+
+// After Release an Env that memoised the process's frames — in its stream
+// slots, and the page its pager last granted — must not go on reading pages
+// that now belong to whoever drew them from the arena: every Env of the
+// process, attached to an image or not, compute- or memory-place, re-enters
+// through the space and panics there. What was counted still answers.
+func TestReleasedProcessPanicsOnAccess(t *testing.T) {
+	arena := &mem.Arena{}
+	for _, attached := range []bool{false, true} {
+		p := MustMachine(BaseDDC(64 * mem.PageSize)).NewProcess()
+		p.Space.Share(arena)
+		if attached {
+			src := mem.NewSpace()
+			src.WriteU64(src.AllocPages(4*mem.PageSize, "dataset"), 7)
+			p.Attach(src.Freeze())
+		}
+		a := p.Space.AllocPages(8*mem.PageSize, "v")
+		envs := []*Env{
+			p.NewEnv(sim.NewThread("a")),
+			p.NewEnv(sim.NewThread("b")),
+			p.RecycleMemoryEnv(nil, sim.NewThread("m"), nopPager{}),
+		}
+		for i, e := range envs {
+			// Each ends on a line of its own, so each holds a slot memo and a
+			// fast-path page that the next access would be served from.
+			e.WriteI64(a+mem.Addr(i)*mem.PageSize, int64(i)+1)
+			if got := e.ReadI64(a + mem.Addr(i)*mem.PageSize); got != int64(i)+1 {
+				t.Fatalf("env %d reads %d before the release, want %d", i, got, i+1)
+			}
+		}
+		stats, resident, allocated, pages := p.Stats(), p.Cache.Len(), p.Space.Allocated(), p.Space.Pages()
+
+		p.Release()
+		if p.Stats() != stats || p.Cache.Len() != resident || p.Space.Allocated() != allocated || p.Space.Pages() != pages {
+			t.Fatalf("attached=%v: Release changed what the process reports", attached)
+		}
+
+		// The pages are someone else's now.
+		next := mem.NewSpace()
+		next.Share(arena)
+		next.WriteU64(next.AllocPages(8*mem.PageSize, "v"), 99)
+		for i, e := range envs {
+			at := a + mem.Addr(i)*mem.PageSize
+			for name, use := range map[string]func(){
+				"ReadI64":  func() { e.ReadI64(at) },
+				"WriteI64": func() { e.WriteI64(at, 1) },
+				"ReadU64s": func() { e.ReadU64s(at, make([]uint64, 4)) },
+			} {
+				if !panics(use) {
+					t.Fatalf("attached=%v: %s through env %d of a released process did not panic", attached, name, i)
+				}
+			}
+		}
+		if !panics(func() { p.Space.ReadU64(a) }) {
+			t.Fatalf("attached=%v: a read of a released process's space did not panic", attached)
+		}
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

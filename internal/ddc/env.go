@@ -91,6 +91,8 @@ type Env struct {
 
 	// Access counters (per env, i.e. per simulated thread).
 	reads, writes int64
+
+	next *Env // the process's list of its Envs (Process.adopt)
 }
 
 // NewEnv returns a compute-place environment for t.
@@ -108,12 +110,13 @@ func (p *Process) NewEnv(t *sim.Thread) *Env {
 
 // RecycleMemoryEnv returns a memory-place environment using a caller-supplied
 // pager (TELEPORT's temporary-context fault handler), built in place over
-// old, an Env a finished pushed function left behind (nil allocates a new
+// old, an Env of p a finished pushed function left behind (nil allocates a new
 // one), so a caller running many short functions keeps one Env per user
 // context instead of allocating one per call. The result is in exactly the
-// state a new Env would be: every field is rebuilt, and only the on-chip
-// cache model's storage is kept, cleared — a new Env allocates it zeroed on
-// its first access, and it is by far the largest thing an Env owns.
+// state a new Env would be: every field is rebuilt, and only its place in the
+// process's list and the on-chip cache model's storage are kept, the latter
+// cleared — a new Env allocates it zeroed on its first access, and it is by
+// far the largest thing an Env owns.
 func (p *Process) RecycleMemoryEnv(old *Env, t *sim.Thread, pager Pager) *Env {
 	e := old
 	if e == nil {
@@ -131,6 +134,7 @@ func (p *Process) RecycleMemoryEnv(old *Env, t *sim.Thread, pager Pager) *Env {
 		pager:     pager,
 		lineShift: p.lineShift(),
 		l2:        l2,
+		next:      e.next,
 	}
 	return e
 }

@@ -218,11 +218,9 @@ type Process struct {
 	faultStreams [4]mem.PageID
 	nFaultStream int
 
-	// envs are the process's Envs when its space is attached to an image —
-	// whose stream slots' frame memos repoint follows — and hasEnv says that
-	// there is an Env at all.
-	envs   []*Env
-	hasEnv bool
+	// envs heads the list of the process's Envs (Env.next), whose memos of the
+	// space's frames repoint follows and Release clears.
+	envs *Env
 
 	stats ProcStats
 }
@@ -261,14 +259,8 @@ func (m *Machine) NewProcess() *Process {
 
 // Attach makes the process's address space, still empty, a copy-on-write clone
 // of a dataset image (mem.Space.Attach): the process then holds the dataset at
-// the addresses it was built at, having paid for the frame table alone. It
-// comes before the process's first Env, so that every Env is known to repoint.
-func (p *Process) Attach(img *mem.Image) {
-	if p.hasEnv {
-		panic("ddc: Attach to a process that has an Env")
-	}
-	p.Space.Attach(img, p.repoint)
-}
+// the addresses it was built at, having paid for the frame table alone.
+func (p *Process) Attach(img *mem.Image) { p.Space.Attach(img, p.repoint) }
 
 // repoint follows a page out of the image (mem.Space.Attach's moved): an Env
 // whose stream slot memoised the image's frame — the Env that is storing, or
@@ -277,7 +269,7 @@ func (p *Process) Attach(img *mem.Image) {
 // store to an image page is rare, so the walk over every Env is not a cost.
 func (p *Process) repoint(from, to []byte) {
 	old, own := (*[mem.PageSize]byte)(from), (*[mem.PageSize]byte)(to)
-	for _, e := range p.envs {
+	for e := p.envs; e != nil; e = e.next {
 		for i, f := range e.frames {
 			if f == old {
 				e.frames[i] = own
@@ -287,11 +279,20 @@ func (p *Process) repoint(from, to []byte) {
 }
 
 // adopt notes a new Env of the process.
-func (p *Process) adopt(e *Env) {
-	p.hasEnv = true
-	if p.Space.SharedEnd() > 0 {
-		p.envs = append(p.envs, e)
+func (p *Process) adopt(e *Env) { e.next, p.envs = p.envs, e }
+
+// Release ends the process's life once its results have been read: the address
+// space's frames go back to its arena (mem.Space.Release) for the next process
+// that shares it, and an access through the process — its space, or an Env of
+// it, which forgets the frames and the page it had memoised — panics from then
+// on. What was counted stays readable: the statistics, the caches' residency,
+// the machine, what the space allocated.
+func (p *Process) Release() {
+	for e := p.envs; e != nil; e = e.next {
+		e.nStream, e.fpValid = 0, false
+		clear(e.frames[:])
 	}
+	p.Space.Release()
 }
 
 // newCache returns a page cache over the process's address space.

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -11,6 +12,14 @@ import (
 // restores, allocations and further attaches is replayed on both. After every
 // operation each clone must equal its model — so a store shows in the clone
 // that made it and in no sibling — and the image must equal what was frozen.
+//
+// Every space of a trace draws its pages from one arena, and the trace also
+// recycles snapshots, releases clones and attaches new spaces in their place.
+// After every operation each page on the arena's free list is overwritten with
+// poison: were it still some clone's frame, a snapshot or the image's, the
+// model comparison would show it, and a frame drawn from the list that was not
+// zeroed would read as poison where its model says zero. The free list itself
+// must never name a page twice or one that is still in use.
 
 const (
 	imagePages = 6            // pages the frozen space allocates
@@ -24,6 +33,7 @@ type imageClone struct {
 	model []byte // the bytes from the image's first page on
 	snaps []imageSnap
 	moved map[PageID]int
+	dead  bool // released, and not replaced yet
 	t     testing.TB
 }
 
@@ -32,8 +42,12 @@ type imageSnap struct {
 	img, ref []byte
 }
 
-func (c *imageClone) attach(t testing.TB, img *Image, frozen []byte) {
-	c.t, c.s, c.moved = t, NewSpace(), map[PageID]int{}
+// attach gives the clone a new space on arena a, attached to img. The
+// snapshots an earlier space of the clone took stay: they are bytes, and
+// restoring them into the new space is as good as any other store.
+func (c *imageClone) attach(t testing.TB, a *Arena, img *Image, frozen []byte) {
+	c.t, c.s, c.moved, c.dead = t, NewSpace(), map[PageID]int{}, false
+	c.s.Share(a)
 	c.model = make([]byte, cloneBytes)
 	copy(c.model, frozen)
 	c.s.Attach(img, func(from, to []byte) {
@@ -53,6 +67,9 @@ func (c *imageClone) attach(t testing.TB, img *Image, frozen []byte) {
 }
 
 func (c *imageClone) check(what string) {
+	if c.dead {
+		return
+	}
 	got := make([]byte, cloneBytes)
 	c.s.ReadAt(spaceBase, got)
 	if !bytes.Equal(got, c.model) {
@@ -83,7 +100,9 @@ func runImageModel(t testing.TB, data []byte) {
 	}
 	seed := next()
 	rng := rand.New(rand.NewSource(int64(seed)))
+	arena := &Arena{}
 	src := NewSpace()
+	src.Share(arena)
 	// The allocation ends mid-page, so a clone's first Alloc shares the
 	// image's last page.
 	base := src.AllocPages(imagePages*PageSize-PageSize/2, "dataset")
@@ -110,7 +129,7 @@ func runImageModel(t testing.TB, data []byte) {
 	clones := make([]*imageClone, 2, 4)
 	for i := range clones {
 		clones[i] = &imageClone{}
-		clones[i].attach(t, img, frozen)
+		clones[i].attach(t, arena, img, frozen)
 		if clones[i].s.next != wantNext || clones[i].s.Allocated() != wantAllocated {
 			t.Fatal("an attached space does not allocate on from where the frozen one stopped")
 		}
@@ -119,6 +138,9 @@ func runImageModel(t testing.TB, data []byte) {
 	for len(data) > 0 {
 		op, ci, x, y := next(), next(), next(), next()
 		c := clones[ci%len(clones)]
+		if c.dead {
+			c.attach(t, arena, img, frozen) // on the pages its last space left
+		}
 		// Any address of the clone's reach, and a length that can span pages.
 		addr := spaceBase + Addr((x<<8|y)*7%(cloneBytes-8))
 		n := 1 + (x*131+y)%(PageSize+200)
@@ -127,7 +149,7 @@ func runImageModel(t testing.TB, data []byte) {
 		}
 		off := int(addr - spaceBase)
 		what := ""
-		switch op % 10 {
+		switch op % 12 {
 		case 0:
 			what = "ReadAt"
 			got := make([]byte, n)
@@ -194,7 +216,7 @@ func runImageModel(t testing.TB, data []byte) {
 			what = "Attach"
 			if len(clones) < cap(clones) {
 				nc := &imageClone{}
-				nc.attach(t, img, frozen)
+				nc.attach(t, arena, img, frozen)
 				clones = append(clones, nc)
 			}
 		case 9:
@@ -204,7 +226,38 @@ func runImageModel(t testing.TB, data []byte) {
 			if !bytes.Equal(c.s.Frame(pg), c.model[po:po+PageSize]) {
 				t.Fatalf("Frame(%d) differs from the model", pg)
 			}
+		case 10:
+			what = "Recycle"
+			if len(c.snaps) == 0 {
+				continue
+			}
+			i := x % len(c.snaps)
+			if sn := c.snaps[i]; !bytes.Equal(sn.img, sn.ref) {
+				t.Fatalf("a snapshot of page %d is not what the model held", sn.page)
+			}
+			c.s.Recycle(c.snaps[i].img)
+			c.snaps = append(c.snaps[:i], c.snaps[i+1:]...)
+		case 11:
+			what = "Release"
+			wantAllocated, wantPages := c.s.Allocated(), c.s.Pages()
+			c.s.Release()
+			c.dead = true
+			if c.s.Allocated() != wantAllocated || c.s.Pages() != wantPages {
+				t.Fatal("Release changed what the space says it allocated")
+			}
+			for name, use := range map[string]func(){
+				"ReadU64":          func() { c.s.ReadU64(addr) },
+				"WriteU64":         func() { c.s.WriteU64(addr, 1) },
+				"Frame":            func() { c.s.Frame(PageOf(addr)) },
+				"Own":              func() { c.s.Own(PageOf(addr)) },
+				"SnapshotPageInto": func() { c.s.SnapshotPageInto(PageOf(addr), nil) },
+			} {
+				if !panics(use) {
+					t.Fatalf("%s on a released space did not panic", name)
+				}
+			}
 		}
+		poisonFree(t, what, arena, img, clones)
 		for _, each := range clones {
 			each.check(what)
 		}
@@ -212,12 +265,53 @@ func runImageModel(t testing.TB, data []byte) {
 
 	// The image still holds what was frozen, however its clones were used.
 	fresh := &imageClone{}
-	fresh.attach(t, img, frozen)
+	fresh.attach(t, arena, img, frozen)
 	fresh.check("the trace, on a fresh clone")
 	for pg := 0; pg < len(img.frames); pg++ {
 		po := (pg - int(PageOf(spaceBase))) * PageSize
 		if f := img.frames[pg]; f != nil && !bytes.Equal(f, frozen[po:po+PageSize]) {
 			t.Fatalf("the image's frame of page %d changed", pg)
+		}
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// poisonFree overwrites every page on the arena's free list and fails if the
+// list names a page twice, or one that the image, a live clone or a snapshot
+// still in hand reads from.
+func poisonFree(t testing.TB, what string, a *Arena, img *Image, clones []*imageClone) {
+	free := map[*byte]bool{}
+	for _, b := range a.free {
+		if len(b) != PageSize {
+			t.Fatalf("after %s: a buffer of %d bytes is on the free list", what, len(b))
+		}
+		if free[&b[0]] {
+			t.Fatalf("after %s: a page is on the free list twice", what)
+		}
+		free[&b[0]] = true
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	inUse := func(whose string, f []byte) {
+		if f != nil && free[&f[0]] {
+			t.Fatalf("after %s: a page on the free list is still %s", what, whose)
+		}
+	}
+	for _, f := range img.frames {
+		inUse("a frame of the image", f)
+	}
+	for _, c := range clones {
+		for _, f := range c.s.frames {
+			inUse("a frame of a clone", f)
+		}
+		for _, sn := range c.snaps {
+			inUse("a snapshot", sn.img)
 		}
 	}
 }
@@ -275,4 +369,45 @@ func TestAttachToUsedSpacePanics(t *testing.T) {
 		}
 	}()
 	s.Attach(img, nil)
+}
+
+// Spaces on several goroutines share one arena, as the cells of a figure do
+// under -parallel: each lives on pages the others released, reads its own
+// stores and untouched pages as zero, and in the end the arena holds no more
+// pages than were ever in use at once. (Run under -race: the free list is the
+// only state they share.)
+func TestArenaSharedByConcurrentSpaces(t *testing.T) {
+	const workers, lives, pages = 4, 25, 16
+	arena := &Arena{}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for life := 0; life < lives; life++ {
+				s := NewSpace()
+				s.Share(arena)
+				a := s.AllocPages(2*pages*PageSize, "v")
+				for pg := 0; pg < pages; pg++ {
+					s.WriteU64(a+Addr(2*pg)*PageSize, uint64(w)<<32|uint64(pg)+1)
+				}
+				for pg := 0; pg < pages; pg++ {
+					at := a + Addr(2*pg)*PageSize
+					snap := s.SnapshotPageInto(PageOf(at), nil)
+					got, untouched := s.ReadU64(at), s.ReadU64(at+PageSize)
+					if want := uint64(w)<<32 | uint64(pg) + 1; got != want || untouched != 0 || snap[0] != byte(want) {
+						t.Errorf("worker %d life %d page %d: reads %#x (want %#x), its untouched neighbour %#x, its snapshot %#x",
+							w, life, pg, got, want, untouched, snap[0])
+					}
+					s.Recycle(snap)
+				}
+				s.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	// A life holds 2·pages frames and one snapshot.
+	if n := len(arena.free); n == 0 || n > workers*(2*pages+1) {
+		t.Fatalf("the arena ends with %d pages, want at most the %d ever in use at once", n, workers*(2*pages+1))
+	}
 }

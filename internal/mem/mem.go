@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Page geometry.
@@ -86,12 +87,58 @@ type Space struct {
 	frames    [][]byte
 	allocated int64
 
+	// arena is where the space's pages come from and, once dead, go back to
+	// (newFrame, own, SnapshotPageInto; Recycle, Release): private, unless
+	// Share named one that outlives the space. released marks a space whose
+	// frames went back: its frame table is nil, so every access takes
+	// newFrame's cold path and panics there.
+	arena    *Arena
+	private  Arena
+	released bool
+
 	// img is the image the space was attached to, sharedEnd the page after the
 	// image's last — a page at or past it was never shared — and moved the
 	// attacher's callback for a page leaving the image.
 	img       *Image
 	sharedEnd PageID
 	moved     func(from, to []byte)
+}
+
+// Arena is a free list of page buffers: what a Space draws its frames,
+// copy-on-write copies and pre-images from, and what takes them back when a
+// pre-image is dead (Recycle) or the whole space is (Release). Spaces that
+// share an arena (Space.Share) run on each other's dead pages, on any number
+// of goroutines. The zero value is an empty arena. A buffer on the list holds
+// whatever its last user left in it.
+type Arena struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+// get hands out a page: zeroed — a new frame must read as untouched memory —
+// unless the caller is about to overwrite every byte of it.
+func (a *Arena) get(zeroed bool) []byte {
+	a.mu.Lock()
+	n := len(a.free) - 1
+	if n < 0 {
+		a.mu.Unlock()
+		return make([]byte, PageSize)
+	}
+	b := a.free[n]
+	a.free[n] = nil
+	a.free = a.free[:n]
+	a.mu.Unlock()
+	if zeroed {
+		clear(b)
+	}
+	return b
+}
+
+// put takes back pages nothing reads any more.
+func (a *Arena) put(pages ...[]byte) {
+	a.mu.Lock()
+	a.free = append(a.free, pages...)
+	a.mu.Unlock()
 }
 
 // Image is the frozen contents of a Space: its populated frames and its
@@ -118,7 +165,7 @@ func (s *Space) Freeze() *Image {
 		}
 		img.frames = s.frames[:n:n]
 	}
-	*s = Space{next: spaceBase}
+	s.frames, s.next, s.allocated = nil, spaceBase, 0
 	return img
 }
 
@@ -146,9 +193,51 @@ func (s *Space) SharedEnd() PageID { return s.sharedEnd }
 // spaceBase leaves the low addresses unused so that Addr(0) can mean "nil".
 const spaceBase Addr = 1 << 20
 
-// NewSpace returns an empty address space.
+// NewSpace returns an empty address space, drawing pages from an arena of its
+// own.
 func NewSpace() *Space {
-	return &Space{next: spaceBase}
+	s := &Space{next: spaceBase}
+	s.arena = &s.private
+	return s
+}
+
+// Share makes the space, which no access has touched yet, draw its pages from
+// a — and hand them back to it — in place of its own arena.
+func (s *Space) Share(a *Arena) {
+	if s.frames != nil {
+		panic("mem: Share on a space in use")
+	}
+	s.arena = a
+}
+
+// Recycle takes back a pre-image SnapshotPageInto(p, nil) returned, which the
+// caller no longer reads.
+func (s *Space) Recycle(buf []byte) { s.arena.put(buf) }
+
+// Release ends the space's life: every frame that is the space's alone goes
+// back to the arena — never one it still shares with its image, which its
+// siblings read — and any later access panics. What the space allocated
+// (Allocated, Pages, Extent) stays on record.
+func (s *Space) Release() {
+	owned := s.frames[:0] // filtered in place: the table dies here
+	for p, f := range s.frames {
+		if f == nil || s.shares(PageID(p), f) {
+			continue
+		}
+		owned = append(owned, f)
+	}
+	s.arena.put(owned...)
+	s.frames, s.released = nil, true
+}
+
+// shares reports whether f, page p's frame, is still the frame of the image
+// the space is attached to.
+func (s *Space) shares(p PageID, f []byte) bool {
+	if p >= s.sharedEnd {
+		return false
+	}
+	from := s.img.frames[p]
+	return from != nil && &from[0] == &f[0]
 }
 
 // Alloc reserves n bytes, 64-byte aligned (so scalar fields never straddle
@@ -207,6 +296,9 @@ func (s *Space) frame(p PageID) []byte {
 
 // newFrame is the cold path of frame: grow the table and materialise p.
 func (s *Space) newFrame(p PageID) []byte {
+	if s.released {
+		panic("mem: access to a released space")
+	}
 	if p >= PageID(len(s.frames)) {
 		// Size the table to the allocation extent (with doubling as a
 		// floor) so touching pages in ascending order grows it O(log n)
@@ -224,7 +316,7 @@ func (s *Space) newFrame(p PageID) []byte {
 		copy(grown, s.frames)
 		s.frames = grown
 	}
-	f := make([]byte, PageSize)
+	f := s.arena.get(true)
 	s.frames[p] = f
 	return f
 }
@@ -254,28 +346,27 @@ func (s *Space) Own(p PageID) []byte {
 // first touched.
 func (s *Space) own(p PageID) []byte {
 	f := s.frame(p)
-	if p >= s.sharedEnd {
+	if !s.shares(p, f) {
 		return f
 	}
-	if from := s.img.frames[p]; from != nil && &from[0] == &f[0] {
-		f = make([]byte, PageSize)
-		copy(f, from)
-		s.frames[p] = f
-		if s.moved != nil {
-			s.moved(from, f)
-		}
+	mine := s.arena.get(false)
+	copy(mine, f)
+	s.frames[p] = mine
+	if s.moved != nil {
+		s.moved(f, mine)
 	}
-	return f
+	return mine
 }
 
 // SnapshotPageInto copies page p's current bytes — the pre-image the pushdown
 // undo journal captures before a page's first write — into buf when buf has
-// page capacity, allocating only when it does not; the journal recycles its
-// buffers through this to keep capture allocation-free in steady state. A
-// page never touched reads as zeroes, exactly as ReadAt would see it.
+// page capacity, and into a page of the arena when it does not: the journal
+// passes nil and hands the pre-image back with Recycle, which keeps capture
+// allocation-free in steady state. A page never touched reads as zeroes,
+// exactly as ReadAt would see it.
 func (s *Space) SnapshotPageInto(p PageID, buf []byte) []byte {
 	if cap(buf) < PageSize {
-		buf = make([]byte, PageSize)
+		buf = s.arena.get(false)
 	}
 	img := buf[:PageSize]
 	copy(img, s.frame(p))
