@@ -67,13 +67,15 @@ profile:
 # operations alike, in a process that stored its data and in one attached to
 # an image of it — against its reference model, copy-on-write dataset images
 # and the recycling of their clones' pages through one poisoned arena against
-# flat byte arrays, and the fault plan's one outage schedule against a
-# linear-scan oracle; CI runs this on every push, longer runs are manual
-# (go test -fuzz=Fuzz ./internal/netmodel).
+# flat byte arrays, every coldb operator against its row-at-a-time reference
+# on every platform — bounded memory pools of 2–64 pages among them — and the
+# fault plan's one outage schedule against a linear-scan oracle; CI runs this on
+# every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalResident -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzCacheRuns -fuzztime=10s ./internal/ddc
 	$(GO) test -run=^$$ -fuzz=FuzzEnvAccessModel -fuzztime=10s ./internal/ddc
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceImage -fuzztime=10s ./internal/mem
+	$(GO) test -run=^$$ -fuzz=FuzzOperatorsMatchReference -fuzztime=10s ./internal/coldb
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulePins -fuzztime=10s ./internal/fault

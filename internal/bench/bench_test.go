@@ -267,6 +267,29 @@ func TestFig15ConvergesAndOnlyDDCContinues(t *testing.T) {
 	}
 }
 
+// Figure 14's shape: with local memory constrained, a disaggregated memory pool
+// beats spilling to the SSD by about an order of magnitude on every query, and
+// TELEPORT at least doubles the base DDC's margin (paper: 10–80× and 210–330×;
+// EXPERIMENTS.md names the SSD model behind the smaller magnitudes here).
+func TestFig14DDCOneOrderTeleportTwo(t *testing.T) {
+	tab, err := Run("14", smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %v, want Q9, Q3 and Q6", tab.Rows)
+	}
+	for _, r := range tab.Rows {
+		ddc, tele := parseX(t, r[4]), parseX(t, r[5])
+		if ddc < 5 {
+			t.Errorf("%s: base DDC only %.1fx faster than Linux+SSD", r[0], ddc)
+		}
+		if tele < 2*ddc {
+			t.Errorf("%s: TELEPORT %.1fx over Linux+SSD is not twice the base DDC's %.1fx", r[0], tele, ddc)
+		}
+	}
+}
+
 func TestFig12TeleportBeatsBasePerOperator(t *testing.T) {
 	tab, err := Run("12", smallOpts())
 	if err != nil {

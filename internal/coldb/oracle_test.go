@@ -2,6 +2,7 @@ package coldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -107,13 +108,20 @@ type oraclePlatform struct {
 	name string
 	cfg  func() ddc.Config
 	push bool // run inside a pushdown, in memory place
+	pool int  // the memory pool's DRAM in pages once the fixture is loaded (0 = unbounded)
 }
 
+func baseDDC24() ddc.Config { return ddc.BaseDDC(24 * mem.PageSize) }
+
 var oraclePlatforms = []oraclePlatform{
-	{"linux", ddc.Linux, false},
-	{"linux-ssd", func() ddc.Config { return ddc.LinuxSSD(24 * mem.PageSize) }, false},
-	{"base-ddc", func() ddc.Config { return ddc.BaseDDC(24 * mem.PageSize) }, false},
-	{"pushdown", func() ddc.Config { return ddc.BaseDDC(24 * mem.PageSize) }, true},
+	{"linux", ddc.Linux, false, 0},
+	{"linux-ssd", func() ddc.Config { return ddc.LinuxSSD(24 * mem.PageSize) }, false, 0},
+	{"base-ddc", baseDDC24, false, 0},
+	{"pushdown", baseDDC24, true, 0},
+	// A pool smaller than the fixture: it faults pages in from storage and
+	// evicts them, and a pushed operator's quiet rows hit in it.
+	{"base-ddc+pool", baseDDC24, false, 40},
+	{"pushdown+pool", baseDDC24, true, 40},
 }
 
 // oracleState is everything two runs are compared on.
@@ -141,6 +149,9 @@ func cacheOrder(c *ddc.PageCache) (order []string) {
 func (pl oraclePlatform) run(n int, seed int64, ops func(env *ddc.Env, fx *oracleFixture) []any) oracleState {
 	p := ddc.MustMachine(pl.cfg()).NewProcess()
 	fx := newOracleFixture(p, n, seed)
+	if pl.pool > 0 {
+		p.ResizePool(int64(pl.pool) * mem.PageSize)
+	}
 	th := sim.NewThread("q")
 	var st oracleState
 	body := func(env *ddc.Env) {
@@ -151,6 +162,10 @@ func (pl oraclePlatform) run(n int, seed int64, ops func(env *ddc.Env, fx *oracl
 	}
 	st.Result = []any{}
 	if pl.push {
+		// The compute pool has read f64: a pushed access to it takes the page
+		// from the compute pool (Figure 9, lines 17–25), which leaves a bounded
+		// pool's copy clean for the call's stores to dirty.
+		Aggregate(p.NewEnv(th), fx.f64, AggSum, nil)
 		rt := core.NewRuntime(p, 1)
 		if _, err := rt.Pushdown(th, body, core.Options{}); err != nil {
 			panic(err)
@@ -201,6 +216,32 @@ func refMapI64(env *ddc.Env, name string, t Type, ops float64, a, b *Column, can
 		i++
 	})
 	return out
+}
+
+// addInPlace adds b to col's candidate rows where they are, through a stream
+// it loads from and stores to. No operator stores into a page it did not just
+// allocate, so only this kernel stores, in a run of quiet rows, to a page a
+// bounded pool holds clean: one the compute pool read before the call.
+func addInPlace(env *ddc.Env, col, b *Column, cand *CandList) *Column {
+	sc := newScan(env, cand, col.N, opsExpr)
+	y, v := sc.read(b), sc.operand(col, ddc.StreamWrite)
+	for sc.Next() {
+		for j := 0; j < sc.Len; j++ {
+			v.setF64(j, v.f64(j)+y.f64(j))
+		}
+	}
+	return col
+}
+
+// refAddInPlace is addInPlace one access at a time; col's value is read from
+// the ground truth, as the kernel reads it from the frame its store borrowed.
+func refAddInPlace(env *ddc.Env, col, b *Column, cand *CandList) *Column {
+	cand.ForEach(env, col.N, func(row int) {
+		env.Compute(opsExpr)
+		y := b.F64At(env, row)
+		col.SetF64(env, row, math.Float64frombits(env.P.Space.ReadU64(col.Addr(row)))+y)
+	})
+	return col
 }
 
 var operatorCases = []operatorCase{
@@ -309,6 +350,15 @@ var operatorCases = []operatorCase{
 			n := fx.f64.N
 			return []any{refAggregateRange(env, fx.f64, n/3, n), refAggregateRange(env, fx.i32, 0, n/2)}
 		}},
+	// Stores to f64, then reads more pages than a 40-page pool holds, which
+	// evicts f64's: a page the call stored to is written back to storage.
+	{name: "addInPlace",
+		got: func(env *ddc.Env, fx *oracleFixture, cand *CandList) []any {
+			return []any{addInPlace(env, fx.f64, fx.f64b, cand), Aggregate(env, fx.i64, AggSum, nil), Aggregate(env, fx.sorted, AggSum, nil)}
+		},
+		ref: func(env *ddc.Env, fx *oracleFixture, cand *CandList) []any {
+			return []any{refAddInPlace(env, fx.f64, fx.f64b, cand), refAggregate(env, fx.i64, AggSum, nil), refAggregate(env, fx.sorted, AggSum, nil)}
+		}},
 }
 
 // TestOperatorsMatchReference runs every operator, with every kind of
@@ -318,23 +368,48 @@ func TestOperatorsMatchReference(t *testing.T) {
 		for _, n := range []int{1, 7, 64, 1003, 9000} {
 			for _, oc := range operatorCases {
 				for _, kind := range candKinds {
-					if oc.noCand && kind != "none" {
-						continue
-					}
-					side := func(f func(*ddc.Env, *oracleFixture, *CandList) []any) oracleState {
-						return pl.run(n, int64(n), func(env *ddc.Env, fx *oracleFixture) []any {
-							// Twice: the second run starts on warm streams and caches.
-							return append(f(env, fx, fx.cands[kind]), f(env, fx, fx.cands[kind])...)
-						})
-					}
-					got, want := side(oc.got), side(oc.ref)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s, %d rows, %s over %s candidates:\n got %s\nwant %s",
-							pl.name, n, oc.name, kind, got.diff(want), want.diff(got))
+					if !oc.noCand || kind == "none" {
+						pl.check(t, n, int64(n), oc, kind)
 					}
 				}
 			}
 		}
+	}
+}
+
+// FuzzOperatorsMatchReference is TestOperatorsMatchReference at fuzzed sizes,
+// seeds and pool capacities: one operator over one kind of candidate list on
+// one platform, whose bounded pool, if it has one, holds 2–64 pages.
+func FuzzOperatorsMatchReference(f *testing.F) {
+	f.Add(uint8(5), uint16(1003), int64(1), uint8(38), uint8(0), uint8(4))
+	f.Add(uint8(4), uint16(4095), int64(7), uint8(0), uint8(6), uint8(3))
+	f.Fuzz(func(t *testing.T, plat uint8, rows uint16, seed int64, pool, op, cand uint8) {
+		pl := oraclePlatforms[int(plat)%len(oraclePlatforms)]
+		if pl.pool > 0 {
+			pl.pool = 2 + int(pool)%63
+		}
+		oc := operatorCases[int(op)%len(operatorCases)]
+		kind := candKinds[int(cand)%len(candKinds)]
+		if oc.noCand {
+			kind = "none"
+		}
+		pl.check(t, 1+int(rows)%4096, seed, oc, kind)
+	})
+}
+
+// check runs operator case oc over the candidates of the given kind, twice in
+// one process — the second run starts on warm streams and caches — and its
+// reference the same way in another, and fails t where the two differ.
+func (pl oraclePlatform) check(t *testing.T, n int, seed int64, oc operatorCase, kind string) {
+	t.Helper()
+	side := func(f func(*ddc.Env, *oracleFixture, *CandList) []any) oracleState {
+		return pl.run(n, seed, func(env *ddc.Env, fx *oracleFixture) []any {
+			return append(f(env, fx, fx.cands[kind]), f(env, fx, fx.cands[kind])...)
+		})
+	}
+	if got, want := side(oc.got), side(oc.ref); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s (pool %d), %d rows, seed %d, %s over %s candidates:\n got %s\nwant %s",
+			pl.name, pl.pool, n, seed, oc.name, kind, got.diff(want), want.diff(got))
 	}
 }
 

@@ -167,20 +167,22 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 }
 
 // Repeat accounts n repeats of a permission hit (ddc.Pager): the touch count,
-// the page's dirty bit and its last-touch stamp. It declines whenever a call
-// does more than that or what it does depends on when it runs or how many ran
-// before it — an armed crash point, a deadline, a write-quorum gate, a bounded
-// pool whose LRU order every call moves, the strawman modes, a missing
-// permission, a pre-image still to capture — and the loop then runs the rows
-// one access at a time.
+// the page's dirty bit and its last-touch stamp, and the memory pool's own hit
+// (ddc.Process.PoolHit) — the page at the head of a bounded pool's LRU order,
+// dirty there after a write — which n calls leave as one does. It declines
+// whenever a call does more than that or what it does depends on when it runs
+// or how many ran before it — an armed crash point, a deadline, a write-quorum
+// gate, the strawman modes, a missing permission, a pre-image still to
+// capture, a page the bounded pool would fault in from storage — and the loop
+// then runs the rows one access at a time.
 func (mp *memPager) Repeat(e *ddc.Env, pg mem.PageID, write bool, n int) bool {
 	p := mp.ps.rt.P
-	if mp.armed || mp.gated || p.PoolRes != nil ||
+	if mp.armed || mp.gated ||
 		mp.opts.Flags&(FlagNoCoherence|FlagEagerSync|FlagMigrateProcess|FlagEvictRanges) != 0 {
 		return false
 	}
 	present, writable := mp.ps.temp.peek(pg)
-	if !present || write && !(writable && mp.journal.captured(pg)) {
+	if !present || write && !(writable && mp.journal.captured(pg)) || !p.PoolHit(pg, write, n > 0) {
 		return false
 	}
 	if n > 0 {

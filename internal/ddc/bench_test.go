@@ -163,6 +163,53 @@ func TestInterleavedStreamsNoAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkAccessBudget prices one 8-byte read of a resident 1 MB region, in
+// order and at random, at each level an Env access stacks on the last: the
+// frame decode alone (Space.ReadU64), the DRAM line model of an unlimited
+// Linux() Env, and an Env of a BaseDDC process whose every page is resident in
+// the compute cache, so that each access the one-page memo does not cover asks
+// the pager for a hit. Every level pays the same indirect call; ns/op is per
+// access.
+func BenchmarkAccessBudget(b *testing.B) {
+	const pages = 256
+	const words = pages * mem.PageSize / 8 // a power of two
+	for _, level := range []string{"space", "linux", "base-ddc"} {
+		cfg := Linux()
+		if level == "base-ddc" {
+			cfg = BaseDDC(2 * pages * mem.PageSize)
+		}
+		p := MustMachine(cfg).NewProcess()
+		base := p.Space.AllocPages(pages*mem.PageSize, "buf")
+		env := p.NewEnv(sim.NewThread("bench"))
+		for i := 0; i < pages; i++ {
+			env.WriteU64(base+mem.Addr(i)*mem.PageSize, uint64(i)) // fault every page in
+		}
+		read := env.ReadU64
+		if level == "space" {
+			read = p.Space.ReadU64
+		}
+		b.Run(level+"/seq", func(b *testing.B) {
+			var sink uint64
+			for n := 0; n < b.N; n++ {
+				sink ^= read(base + mem.Addr(n%words)*8)
+			}
+			accessSink = sink
+		})
+		b.Run(level+"/random", func(b *testing.B) {
+			var sink uint64
+			x := uint64(1)
+			for n := 0; n < b.N; n++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				sink ^= read(base + mem.Addr(x>>33%words)*8)
+			}
+			accessSink = sink
+		})
+	}
+}
+
+// accessSink keeps BenchmarkAccessBudget's reads from being optimised away.
+var accessSink uint64
+
 // BenchmarkCacheInsertEvict measures one miss on a full cache: insert a
 // page, take the victim. The index-linked table makes it allocation-free.
 func BenchmarkCacheInsertEvict(b *testing.B) {

@@ -103,6 +103,19 @@ func (c *PageCache) hit(p mem.PageID) *cacheEntry {
 	return n
 }
 
+// take is Process.PoolHit on a bounded pool: whether p is resident, and with
+// apply, a hit on it — p bumped to MRU and, for a write, marked dirty. It is a
+// function of its own so that PoolHit, and with it the unbounded pool's answer,
+// inlines into every caller.
+func (c *PageCache) take(p mem.PageID, write, apply bool) bool {
+	n := c.entry(p)
+	if n != nil && apply {
+		c.moveToFront(int32(p))
+		n.dirty = n.dirty || write
+	}
+	return n != nil
+}
+
 // Lookup returns the page's permission bits and bumps it to MRU.
 func (c *PageCache) Lookup(p mem.PageID) (writable, dirty, ok bool) {
 	n := c.hit(p)

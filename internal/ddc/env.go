@@ -41,7 +41,10 @@ type Pager interface {
 	// the call before it left it (Rows accounts the quiet rows of a loop with
 	// it). It reports whether the pager can: one declines when such a call is
 	// not a pure hit, or when what a call does depends on the time or on how
-	// many came before. With n == 0 it only answers.
+	// many came before. A pure hit may still move the page to the head of an
+	// LRU order — the compute cache's, a bounded memory pool's — and set its
+	// dirty bit, since n such calls leave both where one does. With n == 0 it
+	// only answers, and a pager that declines changes nothing.
 	Repeat(e *Env, page mem.PageID, write bool, n int) bool
 }
 

@@ -392,6 +392,14 @@ func (p *Process) EnsureInPool(t *sim.Thread, pg mem.PageID, write bool) {
 	p.ensureInPool(t, pg, write, -1)
 }
 
+// PoolHit reports whether page pg is resident in the memory pool's DRAM —
+// always, when the pool is unbounded — and never faults. With apply, a
+// resident page takes the access as EnsureInPool's hit does: it moves to the
+// head of the pool's LRU order and, for a write, is marked dirty.
+func (p *Process) PoolHit(pg mem.PageID, write, apply bool) bool {
+	return p.PoolRes == nil || p.PoolRes.take(pg, write, apply)
+}
+
 // ensureInPool is EnsureInPool with optional pre-routing: served ≥ 0 means
 // the caller already routed this logical access through AccessPage (a remote
 // fault routes once for its whole compute→pool→storage chain), so the
@@ -399,14 +407,10 @@ func (p *Process) EnsureInPool(t *sim.Thread, pg mem.PageID, write bool) {
 // failover — a second time for the same read. The whole-controller outage
 // stall still applies either way: the storage fault needs the controller up.
 func (p *Process) ensureInPool(t *sim.Thread, pg mem.PageID, write bool, served int) {
-	if p.PoolRes == nil {
-		return // unbounded pool is always resident: there is no fault to charge
-	}
-	if _, _, ok := p.PoolRes.Lookup(pg); ok {
-		if write {
-			p.PoolRes.MarkDirty(pg)
-		}
-		return // pool DRAM hit is free by design: only faults charge I/O
+	// A pool DRAM hit — every access to an unbounded pool is one — is free by
+	// design: only faults charge I/O.
+	if p.PoolHit(pg, write, true) {
+		return
 	}
 	// Recursive fault to the storage pool (§2.1): controller message plus
 	// the device access. A crashed controller stalls the fault until it
