@@ -12,15 +12,17 @@ race:
 	$(GO) test -race ./...
 
 # gofmt + vet + the repo's own determinism analyzers (cmd/ddclint) +
-# the analyzers' fixture suites. ./... includes cmd/... and
-# internal/analysis/... themselves, so the linter is self-hosting: the
-# analyzers and their driver must pass their own checks.
+# the analyzers' fixture suites, the mutation suite that plants each
+# analyzer's violation in a copy of real code, and the CLI goldens.
+# ./... includes cmd/... and internal/analysis/... themselves, so the
+# linter is self-hosting: the analyzers and their driver must pass their
+# own checks.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/ddclint ./...
-	$(GO) test ./internal/analysis/...
+	$(GO) test ./internal/analysis/... ./cmd/ddclint
 
 # Chaos soak: every fault profile × 16 seeds on the chaos workloads,
 # checking answers stay bit-identical to fault-free and same-seed reruns
@@ -63,7 +65,7 @@ profile:
 	@head -30 $(PROFILE_NAME).alloc.txt
 
 # Short fuzz pass over the §6 resident-page-list codec, the compute cache's
-# run emitter, the Env access path — scalar, batched and row-loop (ddc.Rows)
+# run emitter, the Env access path — scalar, ReadU64s and row-loop (ddc.Rows)
 # operations alike, in a process that stored its data and in one attached to
 # an image of it — against its reference model, copy-on-write dataset images
 # and the recycling of their clones' pages through one poisoned arena against

@@ -8,7 +8,6 @@
 //	virtualclock  time arithmetic stays in the clock's type
 //	errcmp        no ==/!= on error values — wrapped sentinels need errors.Is
 //	spanbalance   every trace Begin is Ended exactly once on every exit path
-//	timecharge    hardware models charge virtual time on every non-error path
 //	confine       simulator state never crosses goroutine/channel boundaries
 //	maporder+     (interprocedural) iteration values emitted one call hop away
 //
@@ -31,28 +30,24 @@ import (
 	"teleport/internal/analysis"
 	"teleport/internal/analysis/confine"
 	"teleport/internal/analysis/errcmp"
+	"teleport/internal/analysis/forbid"
 	"teleport/internal/analysis/load"
 	"teleport/internal/analysis/maporder"
 	"teleport/internal/analysis/nilsafeobs"
-	"teleport/internal/analysis/seededrand"
 	"teleport/internal/analysis/spanbalance"
-	"teleport/internal/analysis/timecharge"
 	"teleport/internal/analysis/virtualclock"
-	"teleport/internal/analysis/walltime"
 )
 
-// analyzers is the full determinism suite, in reporting order.
-var analyzers = []*analysis.Analyzer{
-	walltime.Analyzer,
-	seededrand.Analyzer,
+// analyzers is the full determinism suite, in reporting order: the
+// forbidden-API rules (walltime, seededrand) first.
+var analyzers = append(forbid.Analyzers(),
 	maporder.Analyzer,
 	nilsafeobs.Analyzer,
 	virtualclock.Analyzer,
 	errcmp.Analyzer,
 	spanbalance.Analyzer,
-	timecharge.Analyzer,
 	confine.Analyzer,
-}
+)
 
 func main() {
 	listOnly := flag.Bool("list", false, "list the analyzers and exit")

@@ -9,11 +9,16 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"teleport"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run executes the example and prints its report to w.
+func run(w io.Writer) {
 	// A disaggregated machine whose compute-local cache is 1 MB — a small
 	// slice of the 32 MB working set below (the paper's 1 GB against 50 GB).
 	m := teleport.NewDDCMachine(1 << 20)
@@ -58,10 +63,10 @@ func main() {
 		panic("answers diverged")
 	}
 
-	fmt.Printf("compute-pool execution: %v\n", baseTime)
-	fmt.Printf("pushdown execution:     %v  (%.1fx speedup)\n",
+	fmt.Fprintf(w, "compute-pool execution: %v\n", baseTime)
+	fmt.Fprintf(w, "pushdown execution:     %v  (%.1fx speedup)\n",
 		stats.Total(), float64(baseTime)/float64(stats.Total()))
-	fmt.Printf("pushdown breakdown:     %v\n", stats)
-	fmt.Printf("resident pages shipped: %d (%d runs, %d-byte request)\n",
+	fmt.Fprintf(w, "pushdown breakdown:     %v\n", stats)
+	fmt.Fprintf(w, "resident pages shipped: %d (%d runs, %d-byte request)\n",
 		stats.ResidentPages, stats.RLERuns, stats.RequestBytes)
 }

@@ -66,9 +66,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(pos, fmt.Sprintf(format, args...))
 }
 
-// Diagnostics returns what the analyzer reported, in report order.
-func (p *Pass) Diagnostics() []Diagnostic { return p.diags }
-
 // Run executes analyzer a over one type-checked package and returns the
 // diagnostics after //lint:allow filtering. Allow-comment hygiene
 // diagnostics (missing reason) are appended by the caller via Allows.

@@ -1,6 +1,6 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast,
-// the substrate for ddclint's all-paths analyzers (spanbalance,
-// timecharge). It is stdlib-only — a deliberately small stand-in for
+// the substrate for ddclint's all-paths analyzer (spanbalance). It is
+// stdlib-only — a deliberately small stand-in for
 // golang.org/x/tools/go/cfg, which this zero-dependency module does not
 // vendor.
 //
@@ -40,16 +40,6 @@ type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
-}
-
-// Return returns the block's trailing return statement, if it ends in
-// one (its edge then leads to Exit).
-func (b *Block) Return() *ast.ReturnStmt {
-	if len(b.Nodes) == 0 {
-		return nil
-	}
-	r, _ := b.Nodes[len(b.Nodes)-1].(*ast.ReturnStmt)
-	return r
 }
 
 // String renders "b3 if.then -> b4 b7" for tests and debugging.

@@ -7,7 +7,7 @@
 // cooperative threads; a host goroutine that captures a *sim.Thread or a
 // *ddc.Machine can interleave mutations with the scheduler arbitrarily,
 // producing run-to-run divergence that no seed pins down. These are the
-// ground rules the planned conservative parallel DES core relies on:
+// ground rules the conservative parallel DES core (sim.Domain) relies on:
 // workers may exchange values (page ids, byte counts, result slices) but
 // never the simulator objects themselves. The check inspects every `go`
 // statement's closure free variables, call arguments, and receiver, and

@@ -5,43 +5,17 @@ import (
 	"go/types"
 )
 
-// This file adds the package-level call graph the all-paths analyzers
-// (spanbalance, timecharge, maporder's one-hop upgrade) layer on top of
-// the loader: which functions a package declares, and which statically
-// resolvable callees each call site names. It is intraprocedural-friendly
-// by design — one package at a time, no whole-program virtual-call
-// resolution — because ddclint analyzers treat cross-package callees by
+// This file adds the one-hop call resolution maporder's interprocedural
+// check layers on top of the loader: which functions a package declares,
+// and which statically resolvable callee a call site names. It is one
+// package at a time, with no whole-program virtual-call resolution,
+// because ddclint analyzers treat cross-package callees by
 // assume-guarantee (the callee's own package run checks its obligation).
 
-// Edge is one static call site inside a package.
-type Edge struct {
-	// Caller is the declared function whose body contains the call; nil
-	// for calls in package-level variable initialisers.
-	Caller *types.Func
-	// Callee is the statically resolved target (a declared function, a
-	// method — possibly an interface method — or nil when the call is
-	// through a function value that cannot be named).
-	Callee *types.Func
-	Call   *ast.CallExpr
-}
-
-// CallGraph is one package's declarations and call sites.
-type CallGraph struct {
-	// Decls maps every function or method declared in the package (with
-	// a body) to its declaration.
-	Decls map[*types.Func]*ast.FuncDecl
-	// Edges lists every call site, in file/position order.
-	Edges []Edge
-	// byCaller indexes Edges per caller.
-	byCaller map[*types.Func][]Edge
-}
-
-// NewCallGraph builds the call graph of one type-checked package.
-func NewCallGraph(files []*ast.File, info *types.Info) *CallGraph {
-	g := &CallGraph{
-		Decls:    make(map[*types.Func]*ast.FuncDecl),
-		byCaller: make(map[*types.Func][]Edge),
-	}
+// Decls maps every function or method declared (with a body) in one
+// type-checked package to its declaration.
+func Decls(files []*ast.File, info *types.Info) map[*types.Func]*ast.FuncDecl {
+	decls := make(map[*types.Func]*ast.FuncDecl)
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -49,42 +23,12 @@ func NewCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 				continue
 			}
 			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-				g.Decls[fn] = fd
+				decls[fn] = fd
 			}
 		}
 	}
-	addCalls := func(caller *types.Func, root ast.Node) {
-		ast.Inspect(root, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				e := Edge{Caller: caller, Callee: StaticCallee(info, call), Call: call}
-				g.Edges = append(g.Edges, e)
-				g.byCaller[caller] = append(g.byCaller[caller], e)
-			}
-			return true
-		})
-	}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Body == nil {
-					continue
-				}
-				fn, _ := info.Defs[d.Name].(*types.Func)
-				// Calls inside nested function literals are attributed
-				// to the enclosing declared function.
-				addCalls(fn, d.Body)
-			case *ast.GenDecl:
-				addCalls(nil, d)
-			}
-		}
-	}
-	return g
+	return decls
 }
-
-// CallsFrom returns the call sites whose enclosing declared function is
-// fn (calls inside nested function literals included).
-func (g *CallGraph) CallsFrom(fn *types.Func) []Edge { return g.byCaller[fn] }
 
 // StaticCallee resolves the target of a call expression: a plain
 // function, a method (value or pointer receiver, including interface

@@ -57,47 +57,60 @@ func initVal() int {
 }
 `
 
+// callees resolves every call expression under root, in source order.
+func callees(info *types.Info, root ast.Node) []*types.Func {
+	var out []*types.Func
+	ast.Inspect(root, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			out = append(out, StaticCallee(info, call))
+		}
+		return true
+	})
+	return out
+}
+
+// declNamed returns the declaration Decls holds for name.
+func declNamed(t *testing.T, decls map[*types.Func]*ast.FuncDecl, name string) *ast.FuncDecl {
+	t.Helper()
+	for fn, d := range decls {
+		if fn.Name() == name {
+			return d
+		}
+	}
+	t.Fatalf("declared function %s not in Decls", name)
+	return nil
+}
+
 func TestCallGraphResolution(t *testing.T) {
 	files, info := checkSrc(t, callSrc)
-	g := NewCallGraph(files, info)
-
-	lookup := func(name string) *types.Func {
-		t.Helper()
-		for fn := range g.Decls {
-			if fn.Name() == name {
-				return fn
-			}
-		}
-		t.Fatalf("declared function %s not in Decls", name)
-		return nil
-	}
+	decls := Decls(files, info)
 	for _, name := range []string{"M", "helper", "caller", "initVal"} {
-		lookup(name)
+		declNamed(t, decls, name)
 	}
 
-	edges := g.CallsFrom(lookup("caller"))
+	calls := callees(info, declNamed(t, decls, "caller").Body)
 	// helper(), s.M(), i.N(), fn(), go func(){}(), and helper() inside the
-	// goroutine literal — all attributed to caller.
-	if len(edges) != 6 {
-		t.Fatalf("CallsFrom(caller) = %d edges, want 6", len(edges))
+	// goroutine literal.
+	if len(calls) != 6 {
+		t.Fatalf("caller makes %d calls, want 6", len(calls))
 	}
-	callees := make(map[string]int)
+	named := make(map[string]int)
 	unresolved := 0
-	for _, e := range edges {
-		if e.Callee == nil {
+	for _, fn := range calls {
+		if fn == nil {
 			unresolved++
 			continue
 		}
-		callees[e.Callee.Name()]++
+		named[fn.Name()]++
 	}
-	if callees["helper"] != 2 {
-		t.Errorf("helper resolved %d times, want 2 (direct + inside goroutine)", callees["helper"])
+	if named["helper"] != 2 {
+		t.Errorf("helper resolved %d times, want 2 (direct + inside goroutine)", named["helper"])
 	}
-	if callees["M"] != 1 {
-		t.Errorf("method M resolved %d times, want 1", callees["M"])
+	if named["M"] != 1 {
+		t.Errorf("method M resolved %d times, want 1", named["M"])
 	}
-	if callees["N"] != 1 {
-		t.Errorf("interface method N resolved %d times, want 1", callees["N"])
+	if named["N"] != 1 {
+		t.Errorf("interface method N resolved %d times, want 1", named["N"])
 	}
 	// fn() and the go func(){}() invocation are function-value calls.
 	if unresolved != 2 {
@@ -105,30 +118,38 @@ func TestCallGraphResolution(t *testing.T) {
 	}
 }
 
+// TestCallGraphPackageInitialiser follows the one hop maporder takes, from
+// a call site through StaticCallee to the callee's declaration, starting
+// from a package-level initialiser rather than a function body.
 func TestCallGraphPackageInitialiser(t *testing.T) {
 	files, info := checkSrc(t, callSrc)
-	g := NewCallGraph(files, info)
-
-	edges := g.CallsFrom(nil)
-	if len(edges) != 1 {
-		t.Fatalf("CallsFrom(nil) = %d edges, want 1 (the sink initialiser)", len(edges))
+	decls := Decls(files, info)
+	for _, d := range files[0].Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+			calls := callees(info, gd)
+			if len(calls) != 1 || calls[0] == nil {
+				t.Fatalf("the sink initialiser resolves to %v, want one callee", calls)
+			}
+			if decls[calls[0]] != declNamed(t, decls, "initVal") {
+				t.Fatalf("the sink initialiser's callee %v does not lead to initVal's declaration", calls[0])
+			}
+			return
+		}
 	}
-	if edges[0].Callee == nil || edges[0].Callee.Name() != "initVal" {
-		t.Fatalf("package-level initialiser callee = %v, want initVal", edges[0].Callee)
-	}
+	t.Fatal("no package-level var in the source")
 }
 
 func TestStaticCalleeInterfaceMethodIsNamed(t *testing.T) {
 	files, info := checkSrc(t, callSrc)
-	g := NewCallGraph(files, info)
-	for _, e := range g.Edges {
-		if e.Callee != nil && e.Callee.Name() == "N" {
+	decls := Decls(files, info)
+	for _, fn := range callees(info, files[0]) {
+		if fn != nil && fn.Name() == "N" {
 			// An interface method has no declaration in this package.
-			if _, ok := g.Decls[e.Callee]; ok {
+			if _, ok := decls[fn]; ok {
 				t.Fatal("interface method N must not appear in Decls")
 			}
 			return
 		}
 	}
-	t.Fatal("no edge resolved to interface method N")
+	t.Fatal("no call resolved to interface method N")
 }

@@ -37,7 +37,6 @@ type meta struct {
 // Package is one type-checked package.
 type Package struct {
 	Path  string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	// Info is populated for module and fixture packages, nil for bare
@@ -154,7 +153,7 @@ func (s *Session) check(m *meta) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load: %s: %v", m.ImportPath, err)
 	}
-	return s.typeCheck(m.ImportPath, files, m.Dir, m.Standard)
+	return s.typeCheck(m.ImportPath, files, m.Standard)
 }
 
 // resolve is the importer callback: fixture-local paths first (when a
@@ -207,13 +206,13 @@ func (s *Session) CheckFixture(dir, importPath string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load: fixture %s: %v", importPath, err)
 	}
-	return s.typeCheck(importPath, files, dir, false)
+	return s.typeCheck(importPath, files, false)
 }
 
 // typeCheck runs go/types over parsed files. Dependencies (std = true)
 // skip function bodies and tolerate residual type errors; analyzed
 // packages are checked strictly and carry full type info.
-func (s *Session) typeCheck(importPath string, files []*ast.File, dir string, std bool) (*Package, error) {
+func (s *Session) typeCheck(importPath string, files []*ast.File, std bool) (*Package, error) {
 	var firstErr error
 	conf := types.Config{
 		Importer:         importerFunc(s.resolve),
@@ -242,7 +241,7 @@ func (s *Session) typeCheck(importPath string, files []*ast.File, dir string, st
 	if tpkg == nil {
 		return nil, fmt.Errorf("load: type-checking %s: %v", importPath, err)
 	}
-	p := &Package{Path: importPath, Dir: dir, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: importPath, Files: files, Types: tpkg, Info: info}
 	s.pkgs[importPath] = p
 	return p, nil
 }

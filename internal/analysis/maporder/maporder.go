@@ -44,9 +44,9 @@ var fmtEmitters = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	// The package call graph backs the one-hop interprocedural check:
+	// The package's declarations back the one-hop interprocedural check:
 	// iteration variables handed to a same-package helper that emits them.
-	cg := load.NewCallGraph(pass.Files, pass.Info)
+	decls := load.Decls(pass.Files, pass.Info)
 	// Walk per enclosing function so the sorted-afterwards whitelist can
 	// inspect statements that follow the loop.
 	pass.Inspect(func(n ast.Node) bool {
@@ -62,13 +62,13 @@ func run(pass *analysis.Pass) error {
 		if body == nil {
 			return true
 		}
-		checkFunc(pass, cg, body)
+		checkFunc(pass, decls, body)
 		return true
 	})
 	return nil
 }
 
-func checkFunc(pass *analysis.Pass, cg *load.CallGraph, fn *ast.BlockStmt) {
+func checkFunc(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, fn *ast.BlockStmt) {
 	ast.Inspect(fn, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false // visited as its own function by run
@@ -84,12 +84,12 @@ func checkFunc(pass *analysis.Pass, cg *load.CallGraph, fn *ast.BlockStmt) {
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		checkMapRange(pass, cg, fn, rng)
+		checkMapRange(pass, decls, fn, rng)
 		return true
 	})
 }
 
-func checkMapRange(pass *analysis.Pass, cg *load.CallGraph, fn *ast.BlockStmt, rng *ast.RangeStmt) {
+func checkMapRange(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, fn *ast.BlockStmt, rng *ast.RangeStmt) {
 	var appended []types.Object // outer slices grown inside the loop
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -112,7 +112,7 @@ func checkMapRange(pass *analysis.Pass, cg *load.CallGraph, fn *ast.BlockStmt, r
 					name)
 				return true
 			}
-			if callee := emitsArgObservably(pass, cg, rng, n); callee != "" {
+			if callee := emitsArgObservably(pass, decls, rng, n); callee != "" {
 				pass.Reportf(rng.Pos(),
 					"map iteration order is random: this loop passes the iteration variable to %s, which emits it observably; iterate sorted keys instead (or //lint:allow maporder <reason>)",
 					callee)
@@ -201,7 +201,7 @@ func outerAppendTarget(pass *analysis.Pass, rng *ast.RangeStmt, call *ast.CallEx
 // name, or "" when the call launders no iteration order. One hop only:
 // deeper flows need the callee's own map-range to be the loop, which
 // this analyzer already checks.
-func emitsArgObservably(pass *analysis.Pass, cg *load.CallGraph, rng *ast.RangeStmt, call *ast.CallExpr) string {
+func emitsArgObservably(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, rng *ast.RangeStmt, call *ast.CallExpr) string {
 	iters := rangeVarObjs(pass, rng)
 	if len(iters) == 0 {
 		return ""
@@ -210,7 +210,7 @@ func emitsArgObservably(pass *analysis.Pass, cg *load.CallGraph, rng *ast.RangeS
 	if callee == nil {
 		return ""
 	}
-	decl := cg.Decls[callee]
+	decl := decls[callee]
 	if decl == nil || decl.Body == nil {
 		return ""
 	}
@@ -242,10 +242,7 @@ func rangeVarObjs(pass *analysis.Pass, rng *ast.RangeStmt) map[types.Object]bool
 		if !ok {
 			continue
 		}
-		obj := pass.Info.Defs[id]
-		if obj == nil {
-			obj = pass.Info.Uses[id]
-		}
+		obj := pass.Info.ObjectOf(id)
 		if obj != nil {
 			objs[obj] = true
 		}

@@ -156,10 +156,7 @@ func collectSpans(pass *analysis.Pass, body *ast.BlockStmt) ([]span, map[*ast.Id
 					"result of trace Begin is discarded: the span can never be ended; assign the id and End it on every path")
 				return true
 			}
-			obj := pass.Info.Defs[id]
-			if obj == nil {
-				obj = pass.Info.Uses[id]
-			}
+			obj := pass.Info.ObjectOf(id)
 			if obj != nil {
 				sanctioned[id] = true
 				if !seen[obj] {
@@ -226,10 +223,7 @@ func nodeEvents(pass *analysis.Pass, n ast.Node, tracked map[types.Object]bool) 
 			if len(m.Lhs) == 1 && len(m.Rhs) == 1 {
 				if call, ok := m.Rhs[0].(*ast.CallExpr); ok && isTraceCall(pass, call, "Begin") {
 					if id, ok := m.Lhs[0].(*ast.Ident); ok {
-						obj := pass.Info.Defs[id]
-						if obj == nil {
-							obj = pass.Info.Uses[id]
-						}
+						obj := pass.Info.ObjectOf(id)
 						if obj != nil && tracked[obj] {
 							evs = append(evs, event{evBegin, obj, call.Pos()})
 						}

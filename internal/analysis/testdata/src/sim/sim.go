@@ -1,5 +1,5 @@
 // Package sim is a stand-in for the simulator's virtual clock and thread
-// in virtualclock, spanbalance, timecharge, and confine fixtures.
+// in virtualclock, spanbalance, and confine fixtures.
 package sim
 
 // Time is a virtual duration in nanoseconds.
@@ -17,16 +17,6 @@ type Thread struct {
 
 // Advance charges d to the thread's virtual clock.
 func (t *Thread) Advance(d Time) { t.now += d }
-
-// AdvanceNs charges a float nanosecond cost.
-func (t *Thread) AdvanceNs(ns float64) { t.now += Time(ns) }
-
-// AdvanceTo moves the clock forward to ts.
-func (t *Thread) AdvanceTo(ts Time) {
-	if ts > t.now {
-		t.now = ts
-	}
-}
 
 // Block parks the thread until another event unblocks it.
 func (t *Thread) Block() {}

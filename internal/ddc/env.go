@@ -376,8 +376,8 @@ func (e *Env) ReadU8(a mem.Addr) byte { return e.access(a, 1, false)[a&(mem.Page
 func (e *Env) WriteU8(a mem.Addr, v byte) { e.access(a, 1, true)[a&(mem.PageSize-1)] = v }
 
 // freeRun returns how many of up to max further size-byte elements at a —
-// the address after an element access just served from frame f — the batched
-// accessors may decode from f without re-entering the model: those that end
+// the address after an element access just served from frame f — ReadU64s
+// may decode from f without re-entering the model: those that end
 // inside the line that access ended on, provided the process epoch has not
 // moved since (the charge may have yielded to a thread that evicted or
 // downgraded the page). For each of them access would find the fast-path
@@ -411,63 +411,6 @@ func (e *Env) ReadU64s(a mem.Addr, dst []uint64) {
 		for ; k > 0; k-- {
 			dst[i] = binary.LittleEndian.Uint64(f[a&(mem.PageSize-1):])
 			i, a = i+1, a+8
-		}
-	}
-}
-
-// WriteU64s writes src as consecutive uint64s starting at a, with the same
-// per-element equivalence as ReadU64s.
-func (e *Env) WriteU64s(a mem.Addr, src []uint64) {
-	for i := 0; i < len(src); {
-		f := e.access(a, 8, true)
-		if f == nil {
-			e.P.Space.WriteU64(a, src[i])
-			i, a = i+1, a+8
-			continue
-		}
-		k := 1 + e.freeRun(a+8, 8, len(src)-i-1)
-		e.writes += int64(k - 1)
-		for ; k > 0; k-- {
-			binary.LittleEndian.PutUint64(f[a&(mem.PageSize-1):], src[i])
-			i, a = i+1, a+8
-		}
-	}
-}
-
-// ReadU32s reads len(dst) consecutive uint32s starting at a (per-element
-// equivalent to that many ReadU32 calls).
-func (e *Env) ReadU32s(a mem.Addr, dst []uint32) {
-	for i := 0; i < len(dst); {
-		f := e.access(a, 4, false)
-		if f == nil {
-			dst[i] = e.P.Space.ReadU32(a)
-			i, a = i+1, a+4
-			continue
-		}
-		k := 1 + e.freeRun(a+4, 4, len(dst)-i-1)
-		e.reads += int64(k - 1)
-		for ; k > 0; k-- {
-			dst[i] = binary.LittleEndian.Uint32(f[a&(mem.PageSize-1):])
-			i, a = i+1, a+4
-		}
-	}
-}
-
-// WriteU32s writes src as consecutive uint32s starting at a (per-element
-// equivalent to that many WriteU32 calls).
-func (e *Env) WriteU32s(a mem.Addr, src []uint32) {
-	for i := 0; i < len(src); {
-		f := e.access(a, 4, true)
-		if f == nil {
-			e.P.Space.WriteU32(a, src[i])
-			i, a = i+1, a+4
-			continue
-		}
-		k := 1 + e.freeRun(a+4, 4, len(src)-i-1)
-		e.writes += int64(k - 1)
-		for ; k > 0; k-- {
-			binary.LittleEndian.PutUint32(f[a&(mem.PageSize-1):], src[i])
-			i, a = i+1, a+4
 		}
 	}
 }

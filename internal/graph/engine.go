@@ -164,10 +164,10 @@ func (e *Engine) finalize(env *ddc.Env) {
 			for edge := lo; edge < hi; edge++ {
 				env.Compute(opsFinalize)
 				dst, wgt := g.EdgeAt(env, edge)
-				// Batched adjacent pair write (per-element equivalent to the
-				// two WriteU32 calls it replaces).
-				pair := [2]uint32{uint32(dst), uint32(wgt)}
-				env.WriteU32s(e.partEdges+mem.Addr(out*8), pair[:])
+				// partEdges holds one (dst, weight) pair of uint32s per edge.
+				a := e.partEdges + mem.Addr(out*8)
+				env.WriteU32(a, uint32(dst))
+				env.WriteU32(a+4, uint32(wgt))
 				out++
 			}
 		}

@@ -43,11 +43,9 @@ func newKVBuf(p *ddc.Process, capacity int, name string) *kvBuf {
 }
 
 func (b *kvBuf) append(env *ddc.Env, kv KV) {
-	// One batched write of the adjacent (k, v) pair: per-element equivalent
-	// to WriteI64(a); WriteI64(a+8), but the second word goes to the frame
-	// the first was charged on instead of re-entering the access model.
-	pair := [2]uint64{uint64(kv.K), uint64(kv.V)}
-	env.WriteU64s(b.base+mem.Addr(b.n*16), pair[:])
+	a := b.base + mem.Addr(b.n*16)
+	env.WriteI64(a, kv.K)
+	env.WriteI64(a+8, kv.V)
 	b.n++
 }
 

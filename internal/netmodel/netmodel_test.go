@@ -37,8 +37,8 @@ func TestRoundTripCountsBothMessages(t *testing.T) {
 	if s := f.Stats(ClassPushdown); s.Msgs != 2 || s.Bytes != 4196 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if th.Now() <= 0 {
-		t.Fatal("round trip charged nothing")
+	if want := sim.FromNs(f.cfg.RoundTripNs(100, 4096)); th.Now() != want {
+		t.Fatalf("RoundTrip charged %v, want %v", th.Now(), want)
 	}
 }
 

@@ -52,8 +52,16 @@ func TestNonConsecutiveBreaksStream(t *testing.T) {
 
 func TestWriteCosts(t *testing.T) {
 	d, th := newTestSSD()
+	cfg := hw.Testbed()
 	d.WritePage(th, 10)
+	if want := sim.FromNs(cfg.SSDRandWriteNs + 4096/cfg.SSDSeqGBs); th.Now() != want {
+		t.Fatalf("random write cost %v, want %v", th.Now(), want)
+	}
+	before := th.Now()
 	d.WritePage(th, 11)
+	if got, want := th.Now()-before, sim.FromNs(4096/cfg.SSDSeqGBs); got != want {
+		t.Fatalf("sequential write cost %v, want %v", got, want)
+	}
 	s := d.Stats()
 	if s.Writes != 2 || s.BytesWrite != 8192 {
 		t.Fatalf("stats = %+v", s)

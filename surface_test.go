@@ -20,13 +20,12 @@ import (
 //
 // Not listed because benchmark/probes.go calls them, but alive for no other
 // reason: mem.NewPageTable, PageTable.Ensure/Lookup and PTE.Dirty exist only so
-// the mem.pt_lookup_ns probe has something to time (ROADMAP item 3).
+// the mem.pt_lookup_ns probe has something to time (ROADMAP item 5d).
 var surfaceKeep = map[string]string{
 	"bench.RunWorkload": "oracle: the single-run entry bench's determinism, chaos and golden tests compare runs through",
 
 	"ddc.Env.Accesses":           "observation point: TestEnvAccessMatchesReference lock-steps the access counters against the reference path",
 	"ddc.Env.InvalidateFastPath": "observation point: an op of the FuzzEnvAccessModel traces, forcing the pager path mid-run",
-	"ddc.Env.ReadU32s":           "facade API (teleport.Env, README quickstart): the read half of WriteU32s",
 	"ddc.Env.WriteBytes":         "facade API (teleport.Env, README quickstart): the write half of ReadBytes",
 
 	"fault.Plan.Pin":      "test oracle: puts an outage edge at an exact instant (core boundary/breaker tests, FuzzSchedulePins)",
