@@ -64,14 +64,8 @@ type Config struct {
 	// record instead, and stalls only when fewer than W copies are
 	// reachable. 0 or 1 keeps the legacy synchronous fan-out, which never
 	// stalls (unreachable replicas are journalled for re-sync). Requires
-	// W ≤ Replicas and W + R′ > Replicas (R′ = ReadQuorum).
+	// W ≤ Replicas. A failover read consults EffReadQuorum replicas.
 	WriteQuorum int
-
-	// ReadQuorum is R′, the number of distinct replicas a failover read
-	// consults so that any committed write (W acks) intersects the read
-	// set and staleness is detected, triggering read-repair. 0 derives the
-	// smallest valid value: Replicas − W + 1 when W > 1, else 1.
-	ReadQuorum int
 }
 
 // Linux returns a monolithic server with unlimited local memory (the paper's
@@ -122,24 +116,18 @@ func (c *Config) Validate() error {
 	if c.Replicas > 1 && c.Replicas > c.PoolShards {
 		return errConfig("replicas cannot exceed pool shards")
 	}
-	if c.WriteQuorum < 0 || c.ReadQuorum < 0 {
-		return errConfig("write and read quorums cannot be negative")
+	if c.WriteQuorum < 0 {
+		return errConfig("write quorum cannot be negative")
 	}
-	if !c.Disaggregated && (c.WriteQuorum > 1 || c.ReadQuorum > 1) {
-		return errConfig("write and read quorums apply only to disaggregated machines")
+	if !c.Disaggregated && c.WriteQuorum > 1 {
+		return errConfig("write quorum applies only to disaggregated machines")
 	}
-	if r := c.EffReplicas(); c.WriteQuorum > 1 || c.ReadQuorum > 1 {
+	if r := c.EffReplicas(); c.WriteQuorum > 1 {
 		if r <= 1 {
-			return errConfig("write and read quorums require replication (Replicas > 1)")
+			return errConfig("write quorum requires replication (Replicas > 1)")
 		}
 		if c.WriteQuorum > r {
 			return errConfig("write quorum cannot exceed replicas")
-		}
-		if c.ReadQuorum > r {
-			return errConfig("read quorum cannot exceed replicas")
-		}
-		if c.EffWriteQuorum()+c.EffReadQuorum() <= r {
-			return errConfig("write quorum + read quorum must exceed replicas (W + R' > R)")
 		}
 	}
 	return nil
@@ -181,23 +169,13 @@ func (c *Config) EffWriteQuorum() int {
 	return w
 }
 
-// EffReadQuorum returns the effective read quorum R′: the explicit ReadQuorum
-// when set, otherwise the smallest value satisfying W + R′ > R (so a read set
-// always intersects a committed write set), which is 1 in the legacy W ≤ 1
-// regime.
+// EffReadQuorum returns R′, the number of distinct replicas a failover read
+// consults: the smallest value with W + R′ > R, so a read set always
+// intersects a committed write set and staleness is detected (triggering
+// read-repair). That is R − W + 1 when W > 1, else 1.
 func (c *Config) EffReadQuorum() int {
-	r := c.EffReplicas()
-	if r <= 1 {
-		return 1
-	}
-	if rq := c.ReadQuorum; rq > 0 {
-		if rq > r {
-			return r
-		}
-		return rq
-	}
 	if w := c.EffWriteQuorum(); w > 1 {
-		return r - w + 1
+		return c.EffReplicas() - w + 1
 	}
 	return 1
 }

@@ -129,7 +129,7 @@ func (e *Engine) mapCompute(env *ddc.Env) {
 
 func snapToLine(env *ddc.Env, c *Corpus, pos int64) int64 {
 	if pos == 0 || pos >= c.Len {
-		return minI64(pos, c.Len)
+		return min(pos, c.Len)
 	}
 	for pos < c.Len && env.ReadU8(c.Base+mem.Addr(pos-1)) != '\n' {
 		pos++
@@ -280,11 +280,4 @@ func logishF(n int) float64 {
 		f++
 	}
 	return f
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

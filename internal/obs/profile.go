@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"teleport/internal/trace"
 )
@@ -130,20 +131,8 @@ func pathOf(spans []trace.Span, byID map[uint64]int, i int) string {
 	for k := len(kinds) - 1; k >= 0; k-- {
 		frames = append(frames, kinds[k])
 	}
-	return joinFrames(frames)
-}
-
-// joinFrames joins folded-stack frames with ";", the separator flamegraph.pl
-// and speedscope expect.
-func joinFrames(frames []string) string {
-	out := ""
-	for i, f := range frames {
-		if i > 0 {
-			out += ";"
-		}
-		out += f
-	}
-	return out
+	// ";" is the frame separator flamegraph.pl and speedscope expect.
+	return strings.Join(frames, ";")
 }
 
 // WriteFolded writes the profile as folded stacks — one "path selfNs" line

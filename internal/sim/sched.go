@@ -104,7 +104,7 @@ func (d *domain) spawn(name string, start Time, fn func(*Thread)) *Thread {
 func (d *domain) finish(t *Thread) {
 	t.state = stateDone
 	d.nLive--
-	d.maxFinish = MaxTime(d.maxFinish, t.now)
+	d.maxFinish = max(d.maxFinish, t.now)
 	d.stop(t, false, true)
 }
 
@@ -160,7 +160,7 @@ func (s *Scheduler) Run() Time {
 	var end Time
 	live := 0
 	for _, d := range s.domains {
-		end = MaxTime(end, d.maxFinish)
+		end = max(end, d.maxFinish)
 		live += d.nLive
 	}
 	if live > 0 {

@@ -45,12 +45,6 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-func TestMaxMinTime(t *testing.T) {
-	if MaxTime(1, 2) != 2 || MaxTime(2, 1) != 2 {
-		t.Error("MaxTime wrong")
-	}
-}
-
 func TestStandaloneThread(t *testing.T) {
 	th := NewThread("solo")
 	if th.Now() != 0 {

@@ -56,11 +56,3 @@ func FromNs(ns float64) Time {
 	}
 	return Time(ns + 0.5)
 }
-
-// MaxTime returns the larger of a and b.
-func MaxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"teleport/internal/analysis/load"
@@ -48,15 +49,45 @@ var knobStructs = []string{
 
 const internalPrefix = "teleport/internal/"
 
-func TestInternalSurfaceHasProductionCallers(t *testing.T) {
+// module is the type-checked module and its parsed _test.go files (testdata
+// excluded), loaded once per test binary for every test that reads them.
+var module struct {
+	once  sync.Once
+	pkgs  []*load.Package
+	tests []*ast.File
+	err   error
+}
+
+func loadModule(t *testing.T) ([]*load.Package, []*ast.File) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("type-checks the whole module (~2 s)")
 	}
-	sess := load.NewSession(".")
-	pkgs, err := sess.Module("./...")
-	if err != nil {
-		t.Fatal(err)
+	module.once.Do(func() {
+		module.pkgs, module.err = load.NewSession(".").Module("./...")
+		if module.err != nil {
+			return
+		}
+		module.err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") || strings.Contains(path, "testdata") {
+				return err
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			module.tests = append(module.tests, f)
+			return nil
+		})
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
 	}
+	return module.pkgs, module.tests
+}
+
+func TestInternalSurfaceHasProductionCallers(t *testing.T) {
+	pkgs, testFiles := loadModule(t)
 
 	// Every object a non-test file names, and every field one assigns.
 	used := map[types.Object]bool{}
@@ -172,19 +203,8 @@ func TestInternalSurfaceHasProductionCallers(t *testing.T) {
 	// The knob nobody sets: test files are matched by field name only (they
 	// are not type-checked here), which can only make this check more lenient.
 	testAssigned := map[string]bool{}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") || strings.Contains(path, "testdata") {
-			return err
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	for _, f := range testFiles {
 		markAssigned(f, func(id *ast.Ident) { testAssigned[id.Name] = true })
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, name := range knobStructs {
 		st := knobs[name]
