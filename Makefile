@@ -72,9 +72,10 @@ profile:
 # an image of it — against its reference model, copy-on-write dataset images
 # and the recycling of their clones' pages through one poisoned arena against
 # flat byte arrays, every coldb operator against its row-at-a-time reference
-# on every platform — bounded memory pools of 2–64 pages among them — and the
-# fault plan's one outage schedule against a linear-scan oracle; CI runs this on
-# every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
+# on every platform — bounded memory pools of 2–64 pages among them — the
+# fault plan's one outage schedule against a linear-scan oracle, and the
+# pushdown's base-list temporary page table against the eager one; CI runs this
+# on every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalResident -fuzztime=10s ./internal/netmodel
@@ -83,3 +84,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceImage -fuzztime=10s ./internal/mem
 	$(GO) test -run=^$$ -fuzz=FuzzOperatorsMatchReference -fuzztime=10s ./internal/coldb
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulePins -fuzztime=10s ./internal/fault
+	$(GO) test -run=^$$ -fuzz=FuzzTempTableMatchesEager -fuzztime=10s ./internal/core

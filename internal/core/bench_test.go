@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"teleport/internal/ddc"
@@ -41,6 +42,9 @@ type setupFixture struct {
 	env   *ddc.Env // compute side
 	array mem.Addr
 	x     uint64
+
+	// probe, when set, runs inside the pushed function after its accesses.
+	probe func()
 }
 
 func newSetupFixture(arrayPages, resident int) *setupFixture {
@@ -58,20 +62,23 @@ func newSetupFixture(arrayPages, resident int) *setupFixture {
 // call pushes down a function touching four random words of the array, one
 // per quarter. A writing call's stores are read back from the compute side
 // afterwards, which refills the cache with the pages the call took away.
-func (f *setupFixture) call(tb testing.TB, arrayPages int, write bool) {
+func (f *setupFixture) call(tb testing.TB, arrayPages int, write bool) Stats {
 	quarter := uint64(arrayPages) * mem.PageSize / 8 / 4
 	var addrs [4]mem.Addr
 	for j := range addrs {
 		f.x = f.x*6364136223846793005 + 1
 		addrs[j] = f.array + mem.Addr(uint64(j)*quarter+(f.x>>11)%quarter)*8
 	}
-	_, err := f.rt.Pushdown(f.th, func(env *ddc.Env) {
+	st, err := f.rt.Pushdown(f.th, func(env *ddc.Env) {
 		for _, a := range addrs {
 			if write {
 				env.WriteI64(a, 1)
 			} else {
 				env.ReadI64(a)
 			}
+		}
+		if f.probe != nil {
+			f.probe()
 		}
 	}, Options{})
 	if err != nil {
@@ -82,6 +89,7 @@ func (f *setupFixture) call(tb testing.TB, arrayPages int, write bool) {
 			f.env.ReadI64(a)
 		}
 	}
+	return st
 }
 
 // BenchmarkPushdownSetup1500 is BenchmarkPushdownSetup with the resident set
@@ -134,6 +142,45 @@ func TestPushdownSetupAllocsFlat(t *testing.T) {
 	}
 	if largeBytes >= 4<<10 {
 		t.Errorf("warm call at 1500 resident pages allocates %.0f B; want under 4 KB", largeBytes)
+	}
+}
+
+// TestPushdownSetupMaterialisesOnlyTouchedPages pins the set-up's structure
+// rather than its timing: a warm four-word call on the benchmark fixture
+// applies all 1 500 invalidations, completion charges the override count
+// the eager table would hold, and the table materialises only the pages the
+// call or a compute-side hook touched.
+func TestPushdownSetupMaterialisesOnlyTouchedPages(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		f := newSetupFixture(1792, 1500)
+		f.call(t, 1792, write)
+		shipped := f.p.Cache.AppendRuns(nil)
+		hooksBefore := f.rt.agg.ComputeFaults + f.rt.agg.Upgrades
+		var touched []mem.PageID
+		var overrides int
+		f.probe = func() {
+			// Nothing else runs between here and postSync's charge.
+			touched = slices.Clone(f.rt.ps.temp.touched)
+			overrides = f.rt.ps.temp.len()
+		}
+		st := f.call(t, 1792, write)
+		hooks := int(f.rt.agg.ComputeFaults + f.rt.agg.Upgrades - hooksBefore)
+
+		if st.SetupInvalidations != 1500 {
+			t.Errorf("write=%v: SetupInvalidations = %d, want 1500", write, st.SetupInvalidations)
+		}
+		var eager eagerTempTable
+		eager.reset()
+		eager.invalidateRuns(shipped)
+		for _, pg := range touched {
+			eager.entry(pg)
+		}
+		if overrides != eager.len() {
+			t.Errorf("write=%v: completion charges %d overrides, the eager table holds %d", write, overrides, eager.len())
+		}
+		if len(touched) > 4+hooks {
+			t.Errorf("write=%v: the table materialised %d pages for a four-word call and %d hooks", write, len(touched), hooks)
+		}
 	}
 }
 

@@ -99,13 +99,11 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		return
 	}
 
-	tt := &ps.temp
-	present, writable := tt.peek(pg)
-	if present && (!write || writable) {
+	ent := ps.temp.entry(pg)
+	if ent.present && (!write || ent.writable) {
 		// Permission hit. Line 14–15 still applies: the page itself may
 		// have been spilled to the storage pool.
 		p.EnsureInPool(e.T, pg, write)
-		ent := tt.entry(pg)
 		if write {
 			mp.journal.capture(p.Space, pg)
 			ent.dirty = true
@@ -117,7 +115,6 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 	// Temporary-context page fault (Figure 9 lines 11–17).
 	mp.st.MemoryFaults++
 	mark := e.T.Now()
-	ent := tt.entry(pg)
 
 	_, heldDirty, held := p.Cache.Lookup(pg)
 	if held {

@@ -770,10 +770,8 @@ func (r *Runtime) enterPush(t *sim.Thread, runs []netmodel.PageRun, opts Options
 	if coherent {
 		// Figure 8 lines 8–13: exclude compute-writable pages, downgrade
 		// compute-read-only pages.
+		ps.temp.invalidateRuns(runs)
 		for _, run := range runs {
-			for pg := run.Start; pg < run.Start+uint64(run.Count); pg++ {
-				ps.temp.invalidate(mem.PageID(pg), run.Writable)
-			}
 			st.SetupInvalidations += int(run.Count)
 		}
 		if ps.refs == 1 {

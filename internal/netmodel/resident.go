@@ -79,17 +79,31 @@ func AppendResident(dst []byte, runs []PageRun) []byte {
 	clear(buf)
 	binary.LittleEndian.PutUint32(buf, bitmapFlag|uint32(span))
 	binary.LittleEndian.PutUint64(buf[4:], runs[0].Start)
+	setBitmap(buf[bitmapFixedBytes:], runs)
+	return dst
+}
+
+// setBitmap sets the bits of runs — a list bitmapSpan accepts — in the
+// zeroed bitmap body bmp, whose slot 0 is runs[0].Start. A run's interior
+// covers whole bytes, four pages each, so it is filled a byte at a time;
+// only its partial head and tail bytes are set page by page.
+func setBitmap(bmp []byte, runs []PageRun) {
 	for _, r := range runs {
 		bits := byte(1)
 		if r.Writable {
 			bits |= 2
 		}
-		for i := uint64(0); i < uint64(r.Count); i++ {
-			off := r.Start + i - runs[0].Start
-			buf[bitmapFixedBytes+off/pagesPerByte] |= bits << (2 * (off % pagesPerByte))
+		off := r.Start - runs[0].Start
+		for end := off + uint64(r.Count); off < end; {
+			if off%pagesPerByte == 0 && end-off >= pagesPerByte {
+				bmp[off/pagesPerByte] = bits * 0x55 // the 2-bit slot repeated four times
+				off += pagesPerByte
+				continue
+			}
+			bmp[off/pagesPerByte] |= bits << (2 * (off % pagesPerByte))
+			off++
 		}
 	}
-	return dst
 }
 
 // UnmarshalResident parses either resident-list encoding back into

@@ -3,6 +3,7 @@ package netmodel
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -82,13 +83,17 @@ func TestResidentBitmapRejectsCorruption(t *testing.T) {
 // FuzzResidentRoundTrip is the §6 resident-list codec fuzzer: encode a
 // synthesized page list, then check (1) RLE round-trips through
 // encode/decode, (2) the chosen wire encoding round-trips through
-// marshal/unmarshal to canonical runs, and (3) the encoding is never
-// longer than the bitmap (nor than plain RLE) — the size guarantee the
-// pushdown message relies on.
+// marshal/unmarshal to canonical runs, (3) the encoding is never longer
+// than the bitmap (nor than plain RLE) — the size guarantee the pushdown
+// message relies on — and (4) setBitmap sets the bytes setBitmapPerPage does.
 func FuzzResidentRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 1, 2, 0})
 	f.Add([]byte{255, 1, 254, 0, 253, 1, 3, 0})
+	f.Add(bytes.Repeat([]byte{0, 1}, 23)) // one 23-page run
+	// Consecutive runs starting at every offset within a bitmap byte.
+	f.Add(slices.Concat([]byte{0, 0}, bytes.Repeat([]byte{0, 1}, 14), []byte{0, 0, 0, 0},
+		bytes.Repeat([]byte{0, 1}, 9), []byte{0, 0}, bytes.Repeat([]byte{0, 1}, 6)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var entries []PageEntry
 		id := uint64(0)
@@ -124,7 +129,32 @@ func FuzzResidentRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(got, runs) {
 			t.Fatalf("wire round trip changed runs:\n got %v\nwant %v", got, runs)
 		}
+
+		// Whichever encoding the list goes out in.
+		span, _ := bitmapSpan(runs)
+		fast := make([]byte, bitmapBytes(span)-bitmapFixedBytes)
+		ref := make([]byte, len(fast))
+		setBitmap(fast, runs)
+		setBitmapPerPage(ref, runs)
+		if !bytes.Equal(fast, ref) {
+			t.Fatalf("bitmap of %v:\n got %x\nwant %x", runs, fast, ref)
+		}
 	})
+}
+
+// setBitmapPerPage is setBitmap one page at a time: the reference the
+// byte-filling writer is fuzzed against.
+func setBitmapPerPage(bmp []byte, runs []PageRun) {
+	for _, r := range runs {
+		bits := byte(1)
+		if r.Writable {
+			bits |= 2
+		}
+		for i := uint64(0); i < uint64(r.Count); i++ {
+			off := r.Start + i - runs[0].Start
+			bmp[off/pagesPerByte] |= bits << (2 * (off % pagesPerByte))
+		}
+	}
 }
 
 // FuzzUnmarshalResident faces arbitrary bytes: it must never panic, and
