@@ -73,8 +73,9 @@ profile:
 # and the recycling of their clones' pages through one poisoned arena against
 # flat byte arrays, every coldb operator against its row-at-a-time reference
 # on every platform — bounded memory pools of 2–64 pages among them — the
-# fault plan's one outage schedule against a linear-scan oracle, and the
-# pushdown's base-list temporary page table against the eager one; CI runs this
+# fault plan's one outage schedule against a linear-scan oracle, the
+# pushdown's base-list temporary page table against the eager one, and the
+# sharded pool's replica gates against their per-page reference; CI runs this
 # on every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
@@ -85,3 +86,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzOperatorsMatchReference -fuzztime=10s ./internal/coldb
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulePins -fuzztime=10s ./internal/fault
 	$(GO) test -run=^$$ -fuzz=FuzzTempTableMatchesEager -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzReplicaGates -fuzztime=10s ./internal/ddc

@@ -159,7 +159,7 @@ func runChaos(t *testing.T, w chaosWorkload, profName string, seed int64) chaosR
 		RT:      rt.Stats(),
 		Stalls:  m.PoolStalls,
 	}
-	for s := 0; s < m.Cfg.Shards() && s < maxChaosShards; s++ {
+	for s := 0; s < max(len(m.ShardStats), 1) && s < maxChaosShards; s++ {
 		if m.ShardStats != nil {
 			st := m.ShardStats[s]
 			res.Failovers += st.FailoverReads

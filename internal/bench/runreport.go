@@ -278,7 +278,7 @@ func newFaultReport(opts Options, out runOut, latency []obs.OpLatency) *FaultRep
 		PoolDowntime:   m.Fault.Downtime(out.End, fault.Pool()),
 		Shards:         m.ShardTotals(),
 	}
-	if k := m.Cfg.Shards(); k > 1 {
+	if k := len(m.ShardStats); k > 1 {
 		fr.ShardDowntime = make([]sim.Time, k)
 		for s := range fr.ShardDowntime {
 			fr.ShardDowntime[s] = m.Fault.Downtime(out.End, fault.Shard(s))

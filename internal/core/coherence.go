@@ -60,22 +60,6 @@ func (mp *memPager) precheck(e *ddc.Env) {
 	}
 }
 
-// gateQuorum aborts the call when pg's replica set has dropped below the
-// write quorum mid-execution — fewer than W members up and unpartitioned
-// from the compute node: partition onset after the admission gate let the
-// call through. The panic unwinds to Pushdown's recover, which rolls the
-// undo journal back before the failure is reported (rollback-before-report),
-// so the compute side sees a Recoverable ErrQuorumLost against pristine pool
-// state. Legacy (single-shard or W ≤ 1) configs are not gated.
-func (mp *memPager) gateQuorum(e *ddc.Env, pg mem.PageID) {
-	m := mp.ps.rt.P.M
-	now := e.T.Now()
-	usableAt := func(s int) sim.Time { return m.ShardUsableAt(s, now) }
-	if _, _, wake := mp.ps.rt.quorumShort(pg, now, usableAt); wake > 0 {
-		panic(pushAbort{err: ErrQuorumLost, wake: wake})
-	}
-}
-
 // EnsurePage implements the memory-place access path.
 func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 	ps := mp.ps
@@ -85,7 +69,12 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		mp.precheck(e)
 	}
 	if mp.gated {
-		mp.gateQuorum(e, pg)
+		// A write quorum lost mid-execution (partition onset after admission)
+		// aborts the call: Pushdown's recover rolls the undo journal back
+		// before the Recoverable ErrQuorumLost is reported.
+		if wake := p.M.GateQuorum(pg, e.T.Now()); wake > 0 {
+			panic(pushAbort{err: ErrQuorumLost, wake: wake})
+		}
 	}
 
 	if mp.opts.Flags&(FlagNoCoherence|FlagEagerSync|FlagMigrateProcess|FlagEvictRanges) != 0 {

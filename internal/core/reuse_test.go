@@ -1,20 +1,17 @@
 package core
 
 import (
-	"errors"
 	"slices"
 	"testing"
 
 	"teleport/internal/ddc"
-	"teleport/internal/fault"
 	"teleport/internal/mem"
 	"teleport/internal/sim"
 )
 
 // Tests for the host-side storage the Runtime recycles across calls: the
-// generation-stamped temporary page table, the memory-place Env, and the
-// allocation-free replica-set gates. None of it may change what a call
-// observes.
+// generation-stamped temporary page table and the memory-place Env. None of
+// it may change what a call observes.
 
 // An override left by call n — a page the set-up invalidated, a page the
 // function dirtied — must read as the cloned default in call n+1.
@@ -178,80 +175,5 @@ func TestRecycledMemoryEnvChargesLikeFresh(t *testing.T) {
 	fresh, freshEnd := run(true)
 	if recycled != fresh || recycledEnd != freshEnd {
 		t.Fatalf("recycled env: %+v ending at %v\n   fresh env: %+v ending at %v", recycled, recycledEnd, fresh, freshEnd)
-	}
-}
-
-// The heal selection under quorumShort (ddc.NthHeal, fed the way quorumShort
-// feeds it: members usable at now are not eligible) must pick what sorting
-// the heal times and indexing picked.
-func TestNthHealMatchesSortedIndex(t *testing.T) {
-	const now = sim.Time(100)
-	for _, members := range [][]sim.Time{
-		{100, 100, 100},
-		{250, 100, 180},
-		{300, 300, 120, 300},
-		{500, 400, 300, 200, 101},
-		{170, 170, 170},
-	} {
-		var heals []sim.Time
-		for _, at := range members {
-			if at != now {
-				heals = append(heals, at)
-			}
-		}
-		slices.Sort(heals)
-		heal := func(i int) (sim.Time, bool) { return members[i], members[i] > now }
-		for n := 1; n <= len(heals); n++ {
-			i, got := ddc.NthHeal(len(members), n, heal)
-			if got != heals[n-1] || members[i] != got {
-				t.Errorf("members %v: NthHeal(%d) = member %d at %v, want %v", members, n, i, got, heals[n-1])
-			}
-		}
-		if i, at := ddc.NthHeal(len(members), len(heals)+1, heal); len(heals) == 0 && (i != -1 || at != 0) {
-			t.Errorf("members %v: NthHeal with nobody to heal = (%d, %v), want (-1, 0)", members, i, at)
-		}
-	}
-}
-
-// The replica-set gates run per resident page at admission and per page
-// access during execution; with a replica partitioned away they must report
-// the scheduled heal without allocating.
-func TestShardGatesDoNotAllocate(t *testing.T) {
-	cfg := ddc.BaseDDC(16 * mem.PageSize)
-	cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = 4, 3, 2
-	m := ddc.MustMachine(cfg)
-	plan := fault.NewPlan(fault.Profile{Name: "gates"}, 0)
-	m.AttachFault(plan)
-	p := m.NewProcess()
-	rt := NewRuntime(p, 1)
-	th := sim.NewThread("t")
-	a := fillVec(p, th, 2048) // 4 resident pages, striped over every shard
-
-	down := th.Now() + 10*sim.Microsecond
-	heal1, heal2 := down+2*sim.Millisecond, down+5*sim.Millisecond
-	plan.Pin(fault.Shard(1), fault.Window{Down: down, Up: heal1})
-	plan.Pin(fault.Shard(2), fault.Window{Down: down, Up: heal2})
-	th.AdvanceTo(down + sim.Microsecond)
-
-	// The page whose replica set is shards {1,2,3} has one usable member:
-	// quorum returns with the earlier heal. {2,3,0} and {0,1,2} keep two.
-	lost := mem.PageOf(a)
-	for ddc.ShardOf(lost, 4) != 1 {
-		lost++
-	}
-	now := th.Now()
-	onDemand := func(s int) sim.Time { return m.ShardUsableAt(s, now) }
-	if usable, first, quorum := rt.quorumShort(lost, now, onDemand); usable != 1 || first != heal1 || quorum != heal1 {
-		t.Fatalf("quorumShort = (%d usable, first %v, quorum %v), want 1 usable and quorum lost until %v", usable, first, quorum, heal1)
-	}
-	runs := p.Cache.AppendRuns(nil)
-	if wake, err := rt.shardGate(now, runs); !errors.Is(err, ErrQuorumLost) || wake != heal1 {
-		t.Fatalf("shardGate = %v, retry at %v; want ErrQuorumLost until %v", err, wake, heal1)
-	}
-	if n := testing.AllocsPerRun(100, func() { rt.quorumShort(lost, now, onDemand) }); n != 0 {
-		t.Errorf("quorumShort allocates %.0f objects per call", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = rt.shardGate(now, runs) }); n != 0 {
-		t.Errorf("shardGate allocates %.0f objects per call", n)
 	}
 }

@@ -90,13 +90,12 @@ type Runtime struct {
 	// Host-side storage recycled across calls (allocation control only; no
 	// simulated effect). push is the coherence state ps points at while
 	// calls are in flight and hooks its compute-side fault handlers; scratch
-	// pools the working storage of calls not in flight. wire and usableAt are
-	// transient buffers, never held across a point where the thread yields.
-	push     pushState
-	hooks    pushHooks
-	scratch  []*callScratch
-	wire     []byte
-	usableAt []sim.Time
+	// pools the working storage of calls not in flight. wire is a transient
+	// buffer, never held across a point where the thread yields.
+	push    pushState
+	hooks   pushHooks
+	scratch []*callScratch
+	wire    []byte
 }
 
 // callScratch is the host-side working storage one call needs from request
@@ -162,81 +161,6 @@ func (r *Runtime) Stats() RuntimeStats { return r.agg }
 func (r *Runtime) ReadStats(s *metrics.Snapshot) {
 	ledger.Read(s.Counters, &r.agg)
 	s.Gauges["push.running"] = int64(r.running)
-}
-
-// shardGate checks every resident page's replica set on a sharded pool. A
-// page whose primary shard and every backup are all unusable — crashed, or
-// severed from the compute node by a link partition — sheds the call with
-// ErrShardDown; on write-quorum configs (W > 1) a page with fewer than W
-// usable replicas sheds it with ErrQuorumLost, since the call's writes could
-// not commit. Either way it also returns the earliest heal that unblocks the
-// working set, for the retry policy. Free on single-shard pools.
-func (r *Runtime) shardGate(now sim.Time, runs []netmodel.PageRun) (retryAt sim.Time, err error) {
-	m := r.P.M
-	k := m.Cfg.Shards()
-	if k <= 1 || len(runs) == 0 {
-		return 0, nil
-	}
-	// Resolve each shard's usability once; the pages stripe across all.
-	table := r.usableAt[:0]
-	for s := 0; s < k; s++ {
-		table = append(table, m.ShardUsableAt(s, now))
-	}
-	r.usableAt = table
-	usableAt := func(s int) sim.Time { return table[s] }
-	var downWait, quorumWait sim.Time
-	for _, run := range runs {
-		for pg := run.Start; pg < run.Start+uint64(run.Count); pg++ {
-			switch usable, first, quorum := r.quorumShort(mem.PageID(pg), now, usableAt); {
-			case first == 0:
-			case usable == 0:
-				// Whole replica set unreachable: the earliest heal unblocks it.
-				if downWait == 0 || first < downWait {
-					downWait = first
-				}
-			case quorumWait == 0 || quorum < quorumWait:
-				quorumWait = quorum
-			}
-		}
-	}
-	switch {
-	case downWait > 0:
-		return downWait, ErrShardDown
-	case quorumWait > 0:
-		return quorumWait, ErrQuorumLost
-	}
-	return 0, nil
-}
-
-// quorumShort is the one check of a page's replica set against the write
-// quorum W. usableAt(s) is the instant shard s is next up and reachable from
-// the compute node in both directions — now itself when it already is: the
-// admission gate resolves it once per call for every shard, the mid-execution
-// gate (memPager.gateQuorum) on demand. It counts the members usable at now,
-// stopping at W, and when fewer than W are returns when the first unusable
-// member heals and when enough have healed to restore the quorum (both zero
-// otherwise).
-func (r *Runtime) quorumShort(pg mem.PageID, now sim.Time, usableAt func(s int) sim.Time) (usable int, first, quorum sim.Time) {
-	cfg := &r.P.M.Cfg
-	k, reps, w := cfg.Shards(), cfg.EffReplicas(), cfg.EffWriteQuorum()
-	primary := ddc.ShardOf(pg, k)
-	for i := 0; i < reps && usable < w; i++ {
-		if usableAt((primary+i)%k) == now {
-			usable++
-		}
-	}
-	if usable >= w {
-		return usable, 0, 0
-	}
-	heal := func(i int) (sim.Time, bool) {
-		at := usableAt((primary + i) % k)
-		return at, at > now
-	}
-	_, quorum = ddc.NthHeal(reps, w-usable, heal)
-	if first = quorum; w-usable > 1 {
-		_, first = ddc.NthHeal(reps, 1, heal)
-	}
-	return usable, first, quorum
 }
 
 // observeHeartbeat is one compute-side heartbeat observation at t's current
@@ -518,10 +442,14 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	}
 
 	// On a sharded pool the call only proceeds when every resident page it
-	// ships can be served — its primary shard up, or a replica live.
-	var err error
-	if c.wake, err = r.shardGate(t.Now(), runs); err != nil {
-		return st, c.fail(err)
+	// ships can be served — its primary shard up, or a replica live — and,
+	// under a write quorum, its writes could commit.
+	if wake, setDown := p.M.GateResident(t.Now(), runs); wake > 0 {
+		c.wake = wake
+		if setDown {
+			return st, c.fail(ErrShardDown)
+		}
+		return st, c.fail(ErrQuorumLost)
 	}
 
 	if err := netmodel.CheckRuns(runs); err != nil {
@@ -595,7 +523,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		pager.crashAt = 1 + int(frac*float64(midCrashTouchSpan))
 	}
 	pager.armed = pager.crashAt > 0 || pager.dieAt > 0
-	pager.gated = p.M.Cfg.Shards() > 1 && p.M.Cfg.EffWriteQuorum() > 1
+	pager.gated = p.M.QuorumGated()
 	c.pager = pager
 	scr.env = p.RecycleMemoryEnv(scr.env, t, pager)
 	env := scr.env

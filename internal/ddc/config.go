@@ -48,14 +48,14 @@ type Config struct {
 
 	// PoolShards splits the memory pool across this many controllers, each
 	// an independent crash domain under the fault plan's per-shard
-	// schedules; pages stripe across shards by page ID (ShardOf). 0 or 1
+	// schedules; pages stripe across shards by page ID (page mod K). 0 or 1
 	// keeps the single-controller pool. Only meaningful when Disaggregated.
 	PoolShards int
 
 	// Replicas keeps every page on this many distinct shards — its primary
 	// plus R−1 backups, written synchronously (Machine.ReplicatePage) — so
 	// reads fail over to a live replica during a single-shard outage. 0 or
-	// 1 disables replication. Requires Replicas ≤ PoolShards.
+	// 1 disables replication. Requires Replicas ≤ PoolShards and ≤ 64.
 	Replicas int
 
 	// WriteQuorum is W, the number of replica acks a write needs before it
@@ -64,7 +64,8 @@ type Config struct {
 	// record instead, and stalls only when fewer than W copies are
 	// reachable. 0 or 1 keeps the legacy synchronous fan-out, which never
 	// stalls (unreachable replicas are journalled for re-sync). Requires
-	// W ≤ Replicas. A failover read consults EffReadQuorum replicas.
+	// W ≤ Replicas. A failover read consults R′ = R − W + 1 replicas when
+	// W > 1, so its consult set meets every committed write's ack set.
 	WriteQuorum int
 }
 
@@ -122,62 +123,18 @@ func (c *Config) Validate() error {
 	if !c.Disaggregated && c.WriteQuorum > 1 {
 		return errConfig("write quorum applies only to disaggregated machines")
 	}
-	if r := c.EffReplicas(); c.WriteQuorum > 1 {
-		if r <= 1 {
+	if c.Replicas > 64 {
+		return errConfig("replicas cannot exceed 64")
+	}
+	if c.WriteQuorum > 1 {
+		if c.Replicas <= 1 {
 			return errConfig("write quorum requires replication (Replicas > 1)")
 		}
-		if c.WriteQuorum > r {
+		if c.WriteQuorum > c.Replicas {
 			return errConfig("write quorum cannot exceed replicas")
 		}
 	}
 	return nil
-}
-
-// Shards returns the effective shard count of the memory pool (≥ 1).
-func (c *Config) Shards() int {
-	if !c.Disaggregated || c.PoolShards <= 1 {
-		return 1
-	}
-	return c.PoolShards
-}
-
-// EffReplicas returns the effective per-page copy count, clamped to
-// [1, Shards()].
-func (c *Config) EffReplicas() int {
-	r := c.Replicas
-	if r <= 1 {
-		return 1
-	}
-	if k := c.Shards(); r > k {
-		return k
-	}
-	return r
-}
-
-// EffWriteQuorum returns the effective write quorum W, clamped to
-// [1, EffReplicas()]. W == 1 is the legacy regime: a write commits as soon as
-// its serving copy lands and every other replica is either written through or
-// journalled, with no quorum stall.
-func (c *Config) EffWriteQuorum() int {
-	w := c.WriteQuorum
-	if w <= 1 {
-		return 1
-	}
-	if r := c.EffReplicas(); w > r {
-		return r
-	}
-	return w
-}
-
-// EffReadQuorum returns R′, the number of distinct replicas a failover read
-// consults: the smallest value with W + R′ > R, so a read set always
-// intersects a committed write set and staleness is detected (triggering
-// read-repair). That is R − W + 1 when W > 1, else 1.
-func (c *Config) EffReadQuorum() int {
-	if w := c.EffWriteQuorum(); w > 1 {
-		return c.EffReplicas() - w + 1
-	}
-	return 1
 }
 
 // CachePages converts ComputeCacheBytes into whole pages.

@@ -69,6 +69,15 @@ type Machine struct {
 
 	// perShard[s] exports ShardStats[s] under "shard.<s>.": names built once.
 	perShard []metrics.Ledger
+
+	// topo is the pool's replica geometry (see shard.go).
+	topo topology
+
+	// usableAt and cover are the replica gates' per-shard scratch, never
+	// held across a yield: when each shard is next usable, and how many
+	// resident runs cover it as a primary. Nil on single-shard pools.
+	usableAt []sim.Time
+	cover    []int
 }
 
 // NewMachine validates cfg and assembles the machine.
@@ -76,19 +85,21 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Cfg: cfg, Obs: trace.Tracer{Times: &metrics.TimeSet{}}}
+	m := &Machine{Cfg: cfg, Obs: trace.Tracer{Times: &metrics.TimeSet{}}, topo: newTopology(&cfg)}
 	m.Fabric = netmodel.New(&m.Cfg.HW)
 	m.SSD = storage.New(&m.Cfg.HW, mem.PageSize)
 	m.Fabric.SetObserver(&m.Obs)
 	m.SSD.SetObserver(&m.Obs)
-	if k := cfg.Shards(); k > 1 {
+	if k := m.topo.k; k > 1 {
 		m.ShardStats = make([]ShardStat, k)
 		m.resync = make([]resyncQueue, k)
 		m.perShard = make([]metrics.Ledger, k)
 		for s := range m.perShard {
 			m.perShard[s] = metrics.NewLedger(ShardStat{}, "per", "shard."+strconv.Itoa(s)+".")
 		}
-		if cfg.EffReplicas() > 1 {
+		m.usableAt = make([]sim.Time, k)
+		m.cover = make([]int, k)
+		if m.topo.r > 1 {
 			m.pageVer = make(map[mem.PageID]uint64)
 			m.shardVer = make([]map[mem.PageID]uint64, k)
 			for s := range m.shardVer {

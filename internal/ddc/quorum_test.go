@@ -38,7 +38,7 @@ func TestQuorumReadNeverObservesPreWriteCopy(t *testing.T) {
 		for w := 1; w <= r; w++ {
 			cfg := BaseDDC(64 * mem.PageSize)
 			cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = k, r, w
-			name := fmt.Sprintf("R=%d W=%d R'=%d", r, w, cfg.EffReadQuorum())
+			name := fmt.Sprintf("R=%d W=%d R'=%d", r, w, newTopology(&cfg).rq)
 			for _, c := range cuts {
 				for _, forceFailover := range []bool{false, true} {
 					for _, pg := range pages {
@@ -46,7 +46,7 @@ func TestQuorumReadNeverObservesPreWriteCopy(t *testing.T) {
 						plan := fault.NewPlan(fault.Profile{Name: "q"}, 0)
 						plan.Pin(fault.Link(c.from, c.to),
 							fault.Window{Down: 10 * sim.Microsecond, Up: 200 * sim.Microsecond})
-						primary := ShardOf(pg, k)
+						primary := m.topo.replicas(pg).primary
 						if forceFailover && (c.from != fault.EndpointCompute || c.to != primary) {
 							plan.Pin(fault.Link(fault.EndpointCompute, primary),
 								fault.Window{Down: 30 * sim.Microsecond, Up: 200 * sim.Microsecond})

@@ -27,16 +27,6 @@ import (
 	"teleport/internal/trace"
 )
 
-// ShardOf maps a page to its primary shard by striping page IDs across the K
-// controllers. It is a pure function, so placement is identical across runs
-// and across the layers (paging, pushdown gate, figures) that compute it.
-func ShardOf(pg mem.PageID, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return int(uint64(pg) % uint64(shards))
-}
-
 // ShardStat aggregates one shard's fault-domain activity. A snapshot reads it
 // summed over the pool (`ctr`) and per shard ("shard.<s>." + `per`).
 type ShardStat struct {
@@ -63,6 +53,30 @@ var shardTotals = metrics.NewLedger(ShardStat{}, "ctr", "")
 // zero ShardStat on a single-shard pool).
 func (m *Machine) ShardTotals() ShardStat { return metrics.Sum(m.ShardStats) }
 
+// topology is the pool's replica geometry, worked out once by NewMachine from
+// the validated Config: K shards, R copies per page, write quorum W and read
+// quorum R′ (the smallest with W + R′ > R when W > 1, else 1), each ≥ 1.
+type topology struct{ k, r, w, rq int }
+
+func newTopology(cfg *Config) topology {
+	tp := topology{k: max(cfg.PoolShards, 1), r: max(cfg.Replicas, 1), w: max(cfg.WriteQuorum, 1), rq: 1}
+	if tp.w > 1 {
+		tp.rq = tp.r - tp.w + 1
+	}
+	return tp
+}
+
+// replicaSet is a page's primary shard, page mod K, and the R−1 shards after
+// it in ring order: the one place the ring is spelled.
+type replicaSet struct{ primary, k, r int }
+
+func (tp topology) replicas(pg mem.PageID) replicaSet {
+	return replicaSet{primary: int(uint64(pg) % uint64(tp.k)), k: tp.k, r: tp.r}
+}
+
+// member returns the shard i places after the primary (members: i < r).
+func (rs replicaSet) member(i int) int { return (rs.primary + i) % rs.k }
+
 // handoffRec is one pending repair for a shard that missed a write: the page,
 // the version its copy must reach (0 = unconditional, used by the legacy
 // write-failover journal), the shard that held the fresh copy when the record
@@ -83,11 +97,10 @@ type resyncQueue struct {
 }
 
 // path is what one transfer needs up, in the order the fault plan is
-// consulted (an unused slot is the zero Target, which is never down). There
-// are exactly two kinds: a compute↔shard round trip needs the shard and both
-// directions of its compute link; a one-way push needs the target shard and
-// the sending direction only (partitions are asymmetric, and a
-// fire-and-forget transfer never hears back).
+// consulted (an unused slot is the zero Target, never down): a compute↔shard
+// round trip needs the shard and both directions of its compute link; a
+// one-way push only the target shard and the sending direction (partitions
+// are asymmetric, and a fire-and-forget transfer never hears back).
 type path [3]fault.Target
 
 func roundTrip(s int) path {
@@ -110,19 +123,13 @@ func (m *Machine) reachable(pa path, ts sim.Time) bool {
 // reachableAt returns the earliest instant ≥ at when every hop of pa is up.
 func (m *Machine) reachableAt(pa path, at sim.Time) sim.Time { return m.Fault.UpAt(at, pa[:]...) }
 
-// ShardUsableAt returns the earliest instant ≥ at when shard s is up and
-// reachable from the compute node in both directions.
-func (m *Machine) ShardUsableAt(s int, at sim.Time) sim.Time { return m.reachableAt(roundTrip(s), at) }
-
-// NthHeal scans members 0..count-1 in order — healAt(i) is when member i is
+// nthHeal scans members 0..count-1 in order — healAt(i) is when member i is
 // next usable; ok=false skips it — and returns the index and instant of the
-// n-th to heal (n ≥ 1, equal instants counted together, lowest index first).
-// It is the one "who is back first" selection: every stall below waits for
-// the 1st, and core's quorum gate for the (W−usable)-th. Replica sets are
-// tiny and a stall is rare, so it selects by repeated minimum: no storage,
-// whatever the replication factor. With fewer than n eligible members it
-// returns the last of them to heal; (-1, 0) when there is none.
-func NthHeal(count, n int, healAt func(i int) (at sim.Time, ok bool)) (int, sim.Time) {
+// n-th to heal (n ≥ 1, equal instants counted together, lowest index first):
+// every stall below waits for the 1st, the quorum gates for the shortfall-th.
+// It selects by repeated minimum, without storage. With fewer than n eligible
+// members it returns the last of them to heal; (-1, 0) when there is none.
+func nthHeal(count, n int, healAt func(i int) (at sim.Time, ok bool)) (int, sim.Time) {
 	idx, at := -1, sim.Time(0)
 	for seen := 0; seen < n; {
 		best, ties := -1, 0
@@ -144,18 +151,114 @@ func NthHeal(count, n int, healAt func(i int) (at sim.Time, ok bool)) (int, sim.
 	return idx, at
 }
 
-// stallToHeal advances t to the earliest heal among count members (NthHeal's
+// stallToHeal advances t to the earliest heal among count members (nthHeal's
 // healAt, evaluated at t's current time), attributing the wait to the
 // pool-stall component, and returns which member that was and how long the
 // stall lasted.
 func (m *Machine) stallToHeal(t *sim.Thread, count int, healAt func(i int) (sim.Time, bool)) (int, sim.Time) {
 	before := t.Now()
-	i, at := NthHeal(count, 1, healAt)
+	i, at := nthHeal(count, 1, healAt)
 	t.AdvanceTo(at)
 	waited := t.Now() - before
 	m.Obs.Times.Add(metrics.CompPoolStall, waited)
 	return i, waited
 }
+
+// quorumShort is the one check of a replica set against the write quorum W;
+// usableAt(i) is when member i is next up and reachable from the compute node
+// both ways. It counts the members usable at now in ring order, up to W; with
+// fewer it returns when the n-th unusable one heals — n the shortfall, or 1
+// with firstHeal when none is usable — and whether none is.
+func (m *Machine) quorumShort(rs replicaSet, now sim.Time, firstHeal bool, usableAt func(i int) sim.Time) (heal sim.Time, none bool) {
+	n := m.topo.w
+	for i := 0; i < rs.r && n > 0; i++ {
+		if usableAt(i) == now {
+			n--
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	if none = n == m.topo.w; none && firstHeal {
+		n = 1
+	}
+	_, heal = nthHeal(rs.r, n, func(i int) (sim.Time, bool) {
+		at := usableAt(i)
+		return at, at > now
+	})
+	return heal, none
+}
+
+// GateResident is the pushdown admission gate on the resident list runs:
+// zero when every shipped page's replica set has W members usable at now;
+// else, if some set has none, setDown and when the first such set is usable
+// again, or else when the first short set regains W. A page's answer depends
+// only on its primary, so each shard is resolved once and each primary the
+// runs cover checked once: O(runs + K·R). Free when K = 1.
+func (m *Machine) GateResident(now sim.Time, runs []netmodel.PageRun) (healAt sim.Time, setDown bool) {
+	k := m.topo.k
+	if k <= 1 || len(runs) == 0 {
+		return 0, false
+	}
+	for s := range m.usableAt {
+		m.usableAt[s] = m.reachableAt(roundTrip(s), now)
+	}
+	// The covered primaries as a difference array over the ring: a run of
+	// n < K pages covers the n primaries from its first page's on.
+	cover := m.cover
+	clear(cover)
+	for _, run := range runs {
+		if run.Count == 0 {
+			continue
+		}
+		rs := m.topo.replicas(mem.PageID(run.Start))
+		lo, hi := rs.primary, rs.member(min(int(run.Count), k)) // hi: the first primary past the run
+		cover[lo]++
+		cover[hi]--
+		if hi <= lo { // the run wraps past shard K−1, or covers the whole ring
+			cover[0]++
+		}
+	}
+	var down, short sim.Time
+	for p, depth := 0, 0; p < k; p++ {
+		if depth += cover[p]; depth == 0 {
+			continue
+		}
+		rs := m.topo.replicas(mem.PageID(p)) // page p's set is every primary-p page's
+		switch h, none := m.quorumShort(rs, now, true, func(i int) sim.Time { return m.usableAt[rs.member(i)] }); {
+		case h == 0:
+		case none && (down == 0 || h < down):
+			down = h
+		case !none && (short == 0 || h < short):
+			short = h
+		}
+	}
+	if down > 0 {
+		return down, true
+	}
+	return short, false
+}
+
+// GateQuorum is a pushed function's per-access write-quorum gate: zero when
+// pg's replica set has W members usable at now, else when enough have healed.
+// Members are resolved at most once each, and only until W are usable.
+func (m *Machine) GateQuorum(pg mem.PageID, now sim.Time) sim.Time {
+	rs := m.topo.replicas(pg)
+	var known uint64 // ring indices whose instant m.usableAt holds
+	heal, _ := m.quorumShort(rs, now, false, func(i int) sim.Time {
+		s := rs.member(i)
+		if known&(1<<i) == 0 {
+			m.usableAt[s] = m.reachableAt(roundTrip(s), now)
+			known |= 1 << i
+		}
+		return m.usableAt[s]
+	})
+	return heal
+}
+
+// QuorumGated reports whether a pushed function's page accesses pass
+// GateQuorum: the pool has a write quorum W > 1 to lose.
+func (m *Machine) QuorumGated() bool { return m.topo.w > 1 }
 
 // bumpPageVer advances pg's committed version and returns it (0 on
 // unversioned pools). Version bookkeeping is pure metadata: it costs no
@@ -189,27 +292,24 @@ func (m *Machine) setCopyVer(s int, pg mem.PageID, v uint64) {
 // AccessPage routes one compute↔pool page operation on pg and returns the
 // shard that serves it. On single-shard pools it only performs the
 // whole-controller outage stall (WaitPoolUp) and returns 0. On multi-shard
-// pools it additionally: drains the serving shard's handoff/re-sync journal
-// before the shard serves traffic, redirects to a usable replica when the
-// primary is crashed or partitioned (one control round trip of failover
-// latency, a "failover" span, and — for writes — a journal entry so the
-// primary is repaired later), consults R′−1 extra replicas on quorum reads,
-// read-repairs a stale serving copy from the freshest reachable replica, and
-// stalls to the earliest member's heal when no replica is usable, exactly
-// like a whole-controller outage.
+// pools it also redirects to a usable replica when the primary is crashed or
+// partitioned (one control round trip under a "failover" span; a write also
+// journals the primary's repair), stalls to the earliest member's heal when
+// none is usable, and drains the serving shard's handoff journal first. A
+// read then consults R′−1 other replicas, so any committed write meets the
+// read set, and read-repairs a stale serving copy; a write's own
+// ReplicatePage commit refreshes its copy.
 func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 	m.WaitPoolUp(t)
-	k := m.Cfg.Shards()
-	if k <= 1 {
+	if m.topo.k <= 1 {
 		return 0
 	}
-	primary := ShardOf(pg, k)
-	r := m.Cfg.EffReplicas()
-	// firstUsable is the first member of pg's replica set, in ring order
-	// from the primary, that can serve compute traffic now (-1: none).
+	rs := m.topo.replicas(pg)
+	// firstUsable is the first member, in ring order, that can serve
+	// compute traffic now (-1: none).
 	firstUsable := func() int {
-		for i := 0; i < r; i++ {
-			if s := (primary + i) % k; m.reachable(roundTrip(s), t.Now()) {
+		for i := 0; i < rs.r; i++ {
+			if s := rs.member(i); m.reachable(roundTrip(s), t.Now()) {
 				return s
 			}
 		}
@@ -220,96 +320,76 @@ func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 	if stalled {
 		// No usable member: nowhere to get the page — stall to the earliest
 		// instant any member of the replica set is usable again.
-		m.ShardStats[primary].Stalls++
+		m.ShardStats[rs.primary].Stalls++
 		start := t.Now()
-		m.stallToHeal(t, r, func(i int) (sim.Time, bool) {
-			return m.ShardUsableAt((primary+i)%k, start), true
+		m.stallToHeal(t, rs.r, func(i int) (sim.Time, bool) {
+			return m.reachableAt(roundTrip(rs.member(i)), start), true
 		})
 		if served = firstUsable(); served < 0 {
-			served = primary
+			served = rs.primary
 		}
 	}
 	m.drainHandoff(t, served)
-	if served != primary {
+	if served != rs.primary {
 		if !stalled {
 			// Failover: one control round trip to be redirected.
 			sp := m.Obs.Begin(t, trace.KindFailover, uint64(pg), int64(served))
 			m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassPageFault)
 			m.Obs.End(t, sp)
-			m.ShardStats[primary].FailoverReads++
+			m.ShardStats[rs.primary].FailoverReads++
 		}
 		if write {
-			m.journalHandoff(t, primary, pg, 0, served, false)
+			m.journalHandoff(t, rs.primary, pg, 0, served, false)
 		}
 	}
-	m.serveQuorumRead(t, pg, served, primary, write)
-	return served
-}
-
-// serveQuorumRead runs the read-side quorum protocol after routing resolved
-// the serving shard: consult R′−1 other replicas so any committed write
-// intersects the read set, then repair the serving copy if the version tags
-// expose it as stale. Both steps are no-ops on legacy (R′ ≤ 1) configs and
-// on writes (the write's own ReplicatePage commit refreshes the copy), so
-// non-quorum runs are byte-identical to the pre-quorum model.
-func (m *Machine) serveQuorumRead(t *sim.Thread, pg mem.PageID, served, primary int, write bool) {
-	if write {
-		return
+	if !write {
+		m.consultReadQuorum(t, rs, served)
+		m.readRepair(t, pg, rs, served)
 	}
-	m.consultReadQuorum(t, pg, served, primary)
-	m.readRepair(t, pg, served, primary)
+	return served
 }
 
 // consultReadQuorum charges the version probes of a quorum read: one control
 // round trip on the replica class per extra replica consulted, stalling for
 // the earliest heal when fewer than R′−1 other members are reachable (the
 // read cannot rule out staleness without quorum overlap).
-func (m *Machine) consultReadQuorum(t *sim.Thread, pg mem.PageID, served, primary int) {
-	need := m.Cfg.EffReadQuorum() - 1
-	if need <= 0 {
-		return
-	}
-	k := m.Cfg.Shards()
-	r := m.Cfg.EffReplicas()
-	consulted := make([]bool, r)
-	got := 0
-	for i := 0; i < r && got < need; i++ {
-		s := (primary + i) % k
-		if s == served || !m.reachable(roundTrip(s), t.Now()) {
-			continue
-		}
+func (m *Machine) consultReadQuorum(t *sim.Thread, rs replicaSet, served int) {
+	need := m.topo.rq - 1
+	var consulted uint64 // ring indices consulted so far
+	consult := func(i int) {
 		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassReplica)
-		m.ShardStats[s].ReadConsults++
-		consulted[i] = true
-		got++
+		m.ShardStats[rs.member(i)].ReadConsults++
+		consulted |= 1 << i
+		need--
+	}
+	for i := 0; i < rs.r && need > 0; i++ {
+		if s := rs.member(i); s != served && m.reachable(roundTrip(s), t.Now()) {
+			consult(i)
+		}
 	}
 	var stalled sim.Time
-	for got < need {
-		best, waited := m.stallToHeal(t, r, func(i int) (sim.Time, bool) {
-			s := (primary + i) % k
-			if s == served || consulted[i] {
+	for need > 0 {
+		best, waited := m.stallToHeal(t, rs.r, func(i int) (sim.Time, bool) {
+			s := rs.member(i)
+			if s == served || consulted&(1<<i) != 0 {
 				return 0, false
 			}
-			return m.ShardUsableAt(s, t.Now()), true
+			return m.reachableAt(roundTrip(s), t.Now()), true
 		})
 		stalled += waited
-		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassReplica)
-		m.ShardStats[(primary+best)%k].ReadConsults++
-		consulted[best] = true
-		got++
+		consult(best)
 	}
 	if stalled > 0 {
-		m.ShardStats[primary].QuorumStalls++
+		m.ShardStats[rs.primary].QuorumStalls++
 	}
 }
 
 // readRepair compares the serving copy's version tag against the page's
-// committed version and, when stale, fetches the page from the freshest
-// reachable replica under a "read-repair" span before the read is served —
-// the read observes committed bytes instead of stale ones. The committed
-// writer's shard always holds the latest version, so a fresh source always
-// exists; if it is momentarily unreachable the repair stalls for its heal.
-func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) {
+// committed version and, when stale, fetches the page from the first
+// reachable fresh replica under a "read-repair" span before the read is
+// served. The committed writer's shard always holds the latest version, so a
+// fresh source exists; while none is reachable the repair stalls.
+func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, rs replicaSet, served int) {
 	if m.pageVer == nil {
 		return
 	}
@@ -318,35 +398,30 @@ func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) 
 		return
 	}
 	m.ShardStats[served].StaleReadsAverted++
-	k := m.Cfg.Shards()
-	r := m.Cfg.EffReplicas()
+	fresh := func(i int) bool { // another member holding version want
+		s := rs.member(i)
+		return s != served && m.copyVer(s, pg) >= want
+	}
 	src := -1
 	var stalled sim.Time
 	for src < 0 {
-		for i := 0; i < r; i++ {
-			s := (primary + i) % k
-			if s == served || m.copyVer(s, pg) < want {
-				continue
-			}
-			if m.reachable(oneWay(s, served), t.Now()) {
-				src = s
-				break
+		for i := 0; i < rs.r && src < 0; i++ {
+			if fresh(i) && m.reachable(oneWay(rs.member(i), served), t.Now()) {
+				src = rs.member(i)
 			}
 		}
-		if src >= 0 {
-			break
+		if src < 0 {
+			_, waited := m.stallToHeal(t, rs.r, func(i int) (sim.Time, bool) {
+				if !fresh(i) {
+					return 0, false
+				}
+				return m.reachableAt(oneWay(rs.member(i), served), t.Now()), true
+			})
+			stalled += waited
 		}
-		_, waited := m.stallToHeal(t, r, func(i int) (sim.Time, bool) {
-			s := (primary + i) % k
-			if s == served || m.copyVer(s, pg) < want {
-				return 0, false
-			}
-			return m.reachableAt(oneWay(s, served), t.Now()), true
-		})
-		stalled += waited
 	}
 	if stalled > 0 {
-		m.ShardStats[primary].QuorumStalls++
+		m.ShardStats[rs.primary].QuorumStalls++
 	}
 	sp := m.Obs.Begin(t, trace.KindReadRepair, uint64(pg), int64(served))
 	m.Fabric.RoundTrip(t, ctrlMsgBytes, pageRespBytes, netmodel.ClassReplica)
@@ -356,20 +431,16 @@ func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) 
 }
 
 // ReplicatePage commits one page of data entering the pool on shard served
-// under the write-quorum protocol: every other shard in pg's replica set
-// either receives a copy on the replica traffic class (when reachable) or a
-// handoff record — hinted when the shard is up but its link is partitioned,
-// plain re-sync when it is crashed. With W ≤ 1 (the legacy regime) the write
-// never stalls; with W > 1 it stalls until W copies have landed, delivering
-// to pending members as their links heal. No-op without replication
-// (Replicas ≤ 1), keeping unreplicated machines byte-identical.
+// under the write-quorum protocol: every other member of pg's replica set
+// receives a copy on the replica class when reachable, else a handoff record —
+// hinted when the shard is up but partitioned, plain re-sync when crashed.
+// With W > 1 the write stalls until W copies have landed, delivering to
+// pending members as their paths heal. No-op without replication.
 func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
-	r := m.Cfg.EffReplicas()
-	if r <= 1 {
+	if m.topo.r <= 1 {
 		return
 	}
-	k := m.Cfg.Shards()
-	primary := ShardOf(pg, k)
+	rs := m.topo.replicas(pg)
 	ver := m.bumpPageVer(pg)
 	m.setCopyVer(served, pg, ver)
 	acked := 1
@@ -379,9 +450,9 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 		m.setCopyVer(s, pg, ver)
 		acked++
 	}
-	var pending []int
-	for i := 0; i < r; i++ {
-		s := (primary + i) % k
+	var pending uint64 // ring indices still owed the copy
+	for i := 0; i < rs.r; i++ {
+		s := rs.member(i)
 		if s == served {
 			continue
 		}
@@ -391,47 +462,42 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 		}
 		_, down := m.Fault.DownAt(fault.Shard(s), t.Now())
 		m.journalHandoff(t, s, pg, ver, served, !down)
-		pending = append(pending, s)
+		pending |= 1 << i
 	}
-	w := m.Cfg.EffWriteQuorum()
-	if acked >= w || len(pending) == 0 {
+	if acked >= m.topo.w || pending == 0 {
 		return
 	}
-	// Below the write quorum: the write cannot commit on reachable copies
-	// alone, so stall, delivering the copy to the pending member whose
-	// path heals first until W acks are in. The handoff record a delivery
-	// supersedes is retired by the version check on the next drain.
-	m.ShardStats[primary].QuorumStalls++
-	for acked < w && len(pending) > 0 {
-		best, _ := m.stallToHeal(t, len(pending), func(j int) (sim.Time, bool) {
-			return m.reachableAt(oneWay(served, pending[j]), t.Now()), true
+	// Below the write quorum: deliver to the pending member whose path heals
+	// first (the lowest ring index on a tie) until W acks are in. The handoff
+	// record a delivery supersedes is retired by the next drain.
+	m.ShardStats[rs.primary].QuorumStalls++
+	for acked < m.topo.w && pending != 0 {
+		best, _ := m.stallToHeal(t, rs.r, func(i int) (sim.Time, bool) {
+			if pending&(1<<i) == 0 {
+				return 0, false
+			}
+			return m.reachableAt(oneWay(served, rs.member(i)), t.Now()), true
 		})
-		deliver(pending[best])
-		pending = append(pending[:best], pending[best+1:]...)
+		deliver(rs.member(best))
+		pending &^= 1 << best
 	}
 }
 
-// serveShard resolves which shard receives page data for pg at ts without
-// charging or stalling anything: the primary when up and reachable on the
-// compute→shard direction, else the first such replica, else the primary
-// (the transfer is buffered by the transport and the handoff journal repairs
-// the rest). Eviction write-backs use it — they are fire-and-forget and must
-// not stall the evicting thread.
+// serveShard resolves, without charging or stalling, which shard receives
+// pg's data at ts: the first member reachable from the compute node, else the
+// primary (the transport buffers it; the handoff journal repairs the rest).
+// Eviction write-backs use it: they are fire-and-forget.
 func (m *Machine) serveShard(ts sim.Time, pg mem.PageID) int {
-	k := m.Cfg.Shards()
-	if k <= 1 {
+	if m.topo.k <= 1 {
 		return 0
 	}
-	primary := ShardOf(pg, k)
-	if m.reachable(oneWay(fault.EndpointCompute, primary), ts) {
-		return primary
-	}
-	for i := 1; i < m.Cfg.EffReplicas(); i++ {
-		if s := (primary + i) % k; m.reachable(oneWay(fault.EndpointCompute, s), ts) {
+	rs := m.topo.replicas(pg)
+	for i := 0; i < rs.r; i++ {
+		if s := rs.member(i); m.reachable(oneWay(fault.EndpointCompute, s), ts) {
 			return s
 		}
 	}
-	return primary
+	return rs.primary
 }
 
 // journalHandoff queues pg for re-replication to shard target once it is
@@ -460,64 +526,60 @@ func (m *Machine) journalHandoff(t *sim.Thread, target int, pg mem.PageID, ver u
 	}
 }
 
-// drainHandoff replays shard's pending handoff/re-sync journal before the
-// shard serves traffic: records the shard's copy already caught up on are
-// retired silently; records whose source (or any fresh-enough replica) can
-// push to the shard are delivered — one page transfer each on the replica
-// class — crash-origin records under a "shard-recover" span and hinted ones
-// under a "shard-anti-entropy" span with a "partition-heal" marker;
-// undeliverable records stay queued for a later sweep. Free when the journal
-// is empty, so healthy runs are unaffected.
+// drainHandoff replays shard's handoff/re-sync journal before the shard
+// serves traffic: records its copy already caught up on retire silently;
+// records a fresh-enough replica can push are delivered, one page transfer
+// each on the replica class — crash-origin ones under a "shard-recover" span,
+// then hinted ones under "shard-anti-entropy" with a "partition-heal" marker;
+// the rest stay queued. Free when the journal is empty.
 func (m *Machine) drainHandoff(t *sim.Thread, shard int) {
 	q := &m.resync[shard]
 	if len(q.recs) == 0 {
 		return
 	}
-	now := t.Now()
-	var crash, hinted, remain []handoffRec
+	var delivered [2]int64 // crash-origin, hinted
+	var healPg mem.PageID  // the first delivered hinted record's page
+	remain := q.recs[:0]
 	for _, rec := range q.recs {
 		if rec.ver > 0 && m.copyVer(shard, rec.pg) >= rec.ver {
 			m.handoffDepth-- // superseded: a later delivery already caught this copy up
 			continue
 		}
-		src, sv := m.pickHandoffSource(rec, shard, now)
+		src, sv := m.pickHandoffSource(rec, shard, t.Now())
 		if src < 0 {
 			remain = append(remain, rec)
 			continue
 		}
 		m.setCopyVer(shard, rec.pg, sv)
-		if rec.hinted {
-			hinted = append(hinted, rec)
-		} else {
-			crash = append(crash, rec)
+		if !rec.hinted {
+			delivered[0]++
+		} else if delivered[1]++; delivered[1] == 1 {
+			healPg = rec.pg
 		}
 		m.handoffDepth--
 	}
-	if n := int64(len(crash)); n > 0 {
-		sp := m.Obs.Begin(t, trace.KindShardRecover, uint64(shard), n)
-		for range crash {
+	st := &m.ShardStats[shard]
+	for i, kind := range [2]trace.Kind{trace.KindShardRecover, trace.KindShardAntiEntropy} {
+		n := delivered[i]
+		if n == 0 {
+			continue
+		}
+		sp := m.Obs.Begin(t, kind, uint64(shard), n)
+		for range n {
 			m.Fabric.Send(t, pageRespBytes, netmodel.ClassReplica)
 		}
 		m.Obs.End(t, sp)
-		m.ShardStats[shard].Recoveries++
-		m.ShardStats[shard].ResyncPages += n
-	}
-	if n := int64(len(hinted)); n > 0 {
-		sp := m.Obs.Begin(t, trace.KindShardAntiEntropy, uint64(shard), n)
-		for range hinted {
-			m.Fabric.Send(t, pageRespBytes, netmodel.ClassReplica)
+		if i == 0 {
+			st.Recoveries++
+			st.ResyncPages += n
+		} else {
+			m.Obs.Instant(t, trace.KindPartitionHeal, uint64(healPg), int64(shard))
+			st.HandoffReplays += n
+			st.PartitionHeals++
 		}
-		m.Obs.End(t, sp)
-		m.Obs.Instant(t, trace.KindPartitionHeal, uint64(hinted[0].pg), int64(shard))
-		m.ShardStats[shard].HandoffReplays += n
-		m.ShardStats[shard].PartitionHeals++
 	}
 	q.recs = remain
-	if q.seen == nil {
-		q.seen = make(map[mem.PageID]int)
-	} else {
-		clear(q.seen)
-	}
+	clear(q.seen)
 	for i, rec := range remain {
 		q.seen[rec.pg] = i
 	}
@@ -528,19 +590,16 @@ func (m *Machine) drainHandoff(t *sim.Thread, shard int) {
 // copy is at least as fresh, in ring order; -1 when none is reachable. The
 // second result is the version the chosen source delivers.
 func (m *Machine) pickHandoffSource(rec handoffRec, tgt int, ts sim.Time) (int, uint64) {
-	need := rec.ver
-	if v := m.copyVer(rec.src, rec.pg); v > need {
-		need = v
-	}
-	if m.copyVer(rec.src, rec.pg) >= need && m.reachable(oneWay(rec.src, tgt), ts) {
+	v := m.copyVer(rec.src, rec.pg)
+	need := max(rec.ver, v)
+	if v >= rec.ver && m.reachable(oneWay(rec.src, tgt), ts) {
 		// The journalled source is itself up (a reachable crashed shard is
 		// impossible) and holds the fresh copy: the common case.
-		return rec.src, m.copyVer(rec.src, rec.pg)
+		return rec.src, v
 	}
-	k := m.Cfg.Shards()
-	primary := ShardOf(rec.pg, k)
-	for i := 0; i < m.Cfg.EffReplicas(); i++ {
-		s := (primary + i) % k
+	rs := m.topo.replicas(rec.pg)
+	for i := 0; i < rs.r; i++ {
+		s := rs.member(i)
 		if s == tgt || s == rec.src || m.copyVer(s, rec.pg) < need {
 			continue
 		}

@@ -11,11 +11,12 @@ import (
 )
 
 func TestShardOfStripes(t *testing.T) {
+	shardOf := func(pg mem.PageID, k int) int { return newTopology(&Config{PoolShards: k}).replicas(pg).primary }
 	for pg := mem.PageID(0); pg < 100; pg++ {
-		if got := ShardOf(pg, 4); got != int(pg)%4 {
+		if got := shardOf(pg, 4); got != int(pg)%4 {
 			t.Fatalf("ShardOf(%d, 4) = %d, want %d", pg, got, int(pg)%4)
 		}
-		if ShardOf(pg, 1) != 0 || ShardOf(pg, 0) != 0 {
+		if shardOf(pg, 1) != 0 || shardOf(pg, 0) != 0 {
 			t.Fatalf("ShardOf(%d, ≤1) != 0", pg)
 		}
 	}
@@ -226,7 +227,12 @@ func TestConfigShardValidation(t *testing.T) {
 	ok := BaseDDC(64 * mem.PageSize)
 	ok.PoolShards, ok.Replicas = 4, 2
 	m := MustMachine(ok)
-	if m.Cfg.Shards() != 4 || m.Cfg.EffReplicas() != 2 {
-		t.Fatalf("Shards()=%d EffReplicas()=%d, want 4 and 2", m.Cfg.Shards(), m.Cfg.EffReplicas())
+	if m.topo.k != 4 || m.topo.r != 2 {
+		t.Fatalf("K=%d R=%d, want 4 and 2", m.topo.k, m.topo.r)
+	}
+	wide := BaseDDC(64 * mem.PageSize)
+	wide.PoolShards, wide.Replicas = 65, 65 // more copies than a ring-index bitmask holds
+	if _, err := NewMachine(wide); err == nil {
+		t.Fatal("Replicas > 64 accepted")
 	}
 }
