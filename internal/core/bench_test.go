@@ -95,7 +95,11 @@ func (f *setupFixture) call(tb testing.TB, arrayPages int, write bool) Stats {
 // BenchmarkPushdownSetup1500 is BenchmarkPushdownSetup with the resident set
 // the name promises: a 1 792-page array behind a 1 500-page dirty cache, so
 // the resident list, its encoding and the temporary page table's
-// invalidation are all in the measurement.
+// invalidation are all in the measurement. runs/op is the mean length of
+// the shipped list: the write-once warm-up leaves hundreds of runs, /rw's
+// stores keep them, and /ro's reads downgrade the compute copies until a
+// long run ships only a few. /ro's ns/op and runs/op therefore depend on
+// b.N: compare two builds at the same -benchtime Nx.
 func BenchmarkPushdownSetup1500(b *testing.B) {
 	for _, write := range []bool{false, true} {
 		name := "ro"
@@ -107,9 +111,11 @@ func BenchmarkPushdownSetup1500(b *testing.B) {
 			f.call(b, 1792, write)
 			b.ReportAllocs()
 			b.ResetTimer()
+			runs := 0
 			for i := 0; i < b.N; i++ {
-				f.call(b, 1792, write)
+				runs += f.call(b, 1792, write).RLERuns
 			}
+			b.ReportMetric(float64(runs)/float64(b.N), "runs/op")
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"teleport/internal/mem"
+	"teleport/internal/netmodel"
 	"teleport/internal/sim"
 )
 
@@ -227,6 +228,52 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 		}
 	}
 	_ = dirty
+}
+
+// fragmentedCache is the pushdown workload's resident set: about 1 500
+// resident pages out of about 2 100, in about 200 runs of mixed write
+// permission separated by holes of up to six pages.
+func fragmentedCache() *PageCache {
+	c := NewPageCache(0)
+	x := uint64(1)
+	p := mem.PageID(0)
+	for run := 0; run < 200; run++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		n, writable, gap := 4+int(x>>33%8), x>>40&1 != 0, mem.PageID(x>>44%7)
+		for i := 0; i < n; i++ {
+			c.Insert(p, writable, writable)
+			p++
+		}
+		p += gap
+	}
+	return c
+}
+
+// BenchmarkAppendRuns measures the compute side's resident list on the
+// pushdown workload's shape, into a destination that has room.
+func BenchmarkAppendRuns(b *testing.B) {
+	c := fragmentedCache()
+	dst := c.AppendRuns(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = c.AppendRuns(dst[:0])
+	}
+	b.ReportMetric(float64(c.Len()), "pages/op")
+	b.ReportMetric(float64(len(dst)), "runs/op")
+}
+
+// TestAppendRunsNoAlloc pins the emitter at zero allocations into a
+// destination that has room.
+func TestAppendRunsNoAlloc(t *testing.T) {
+	c := fragmentedCache()
+	dst := c.AppendRuns(nil)
+	if err := netmodel.CheckRuns(dst); err != nil || len(dst) < 150 {
+		t.Fatalf("fixture ships %d runs (%v), want about 200 well-formed ones", len(dst), err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { dst = c.AppendRuns(dst[:0]) }); allocs != 0 {
+		t.Fatalf("AppendRuns into a warm destination allocates %.1f objects, want 0", allocs)
+	}
 }
 
 // randomReads reads n pseudo-random words of a region of the given size.

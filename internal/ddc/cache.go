@@ -2,6 +2,7 @@ package ddc
 
 import (
 	"math"
+	"math/bits"
 
 	"teleport/internal/mem"
 	"teleport/internal/netmodel"
@@ -27,6 +28,12 @@ type PageCache struct {
 	head  int32 // most recently used, noPage when empty
 	tail  int32 // least recently used
 
+	// words indexes the table for AppendRuns, 64 pages a word: bit p%64 of
+	// words[p/64].res is set while page p is resident, and of .wr while it
+	// is also writable. It changes only where those bits of tab change, and
+	// nothing on the per-access path reads it: a hit would pay one more load.
+	words []cacheWord
+
 	// space, when set, is the address space the cached pages belong to: the
 	// table is sized to its extent the first time it has to grow.
 	space *mem.Space
@@ -39,6 +46,9 @@ type cacheEntry struct {
 	writable   bool
 	dirty      bool
 }
+
+// cacheWord is 64 pages' residency and write permission; wr ⊆ res.
+type cacheWord struct{ res, wr uint64 }
 
 // noPage ends the LRU list.
 const noPage int32 = -1
@@ -84,6 +94,26 @@ func (c *PageCache) grow(p mem.PageID) {
 	grown := make([]cacheEntry, size)
 	copy(grown, c.tab)
 	c.tab = grown
+	c.words = append(c.words, make([]cacheWord, (size+63)/64-len(c.words))...)
+}
+
+// mark records in the index that page p is resident with the given write
+// permission.
+func (c *PageCache) mark(p int32, writable bool) {
+	w, m := &c.words[uint32(p)/64], uint64(1)<<(uint32(p)%64)
+	w.res |= m
+	if writable {
+		w.wr |= m
+	} else {
+		w.wr &^= m
+	}
+}
+
+// unmark records in the index that page p is not resident.
+func (c *PageCache) unmark(p int32) {
+	w, m := &c.words[uint32(p)/64], uint64(1)<<(uint32(p)%64)
+	w.res &^= m
+	w.wr &^= m
 }
 
 // Len returns the number of resident pages.
@@ -135,6 +165,7 @@ func (c *PageCache) Lookup(p mem.PageID) (writable, dirty, ok bool) {
 func (c *PageCache) Insert(p mem.PageID, writable, dirty bool) (victim Evicted, evicted bool) {
 	if n := c.entry(p); n != nil {
 		n.writable, n.dirty = writable, dirty
+		c.mark(int32(p), writable)
 		c.moveToFront(int32(p))
 		return Evicted{}, false
 	}
@@ -142,6 +173,7 @@ func (c *PageCache) Insert(p mem.PageID, writable, dirty bool) (victim Evicted, 
 		c.grow(p)
 	}
 	c.tab[p] = cacheEntry{resident: true, writable: writable, dirty: dirty}
+	c.mark(int32(p), writable)
 	c.count++
 	c.pushFront(int32(p))
 	if c.capacity > 0 && c.count > c.capacity {
@@ -156,6 +188,7 @@ func (c *PageCache) evictLRU() Evicted {
 	dirty := c.tab[v].dirty
 	c.unlink(v)
 	c.tab[v] = cacheEntry{}
+	c.unmark(v)
 	c.count--
 	return Evicted{Page: mem.PageID(v), Dirty: dirty}
 }
@@ -170,6 +203,7 @@ func (c *PageCache) Remove(p mem.PageID) (dirty, ok bool) {
 	dirty = n.dirty
 	c.unlink(int32(p))
 	*n = cacheEntry{}
+	c.unmark(int32(p))
 	c.count--
 	return dirty, true
 }
@@ -182,6 +216,7 @@ func (c *PageCache) SetWritable(p mem.PageID, w bool) bool {
 		return false
 	}
 	n.writable = w
+	c.mark(int32(p), w)
 	return true
 }
 
@@ -214,24 +249,33 @@ func (c *PageCache) Range(f func(p mem.PageID, writable, dirty bool) bool) {
 
 // AppendRuns appends the resident set to dst as §6's run-length-encoded
 // list — ranges of consecutive pages sharing a write permission, in
-// ascending page order — read straight off the page-indexed table, so no
-// caller has to collect and sort Range's MRU-ordered entries. The result
+// ascending page order — read off the residency and permission bitsets a
+// word at a time, so no caller has to collect and sort Range's MRU-ordered
+// entries and the walk costs table words plus runs, not pages. The result
 // equals netmodel.EncodeRuns over those entries, and its Counts sum to Len().
 func (c *PageCache) AppendRuns(dst []netmodel.PageRun) []netmodel.PageRun {
 	base := len(dst)
 	left := c.count // stop at the last resident page, not the table's end
-	for p := 0; left > 0; p++ {
-		n := &c.tab[p]
-		if !n.resident {
-			continue
+	for w := 0; left > 0; w++ {
+		res, wr := c.words[w].res, c.words[w].wr
+		for todo := res; todo != 0; {
+			i := bits.TrailingZeros64(todo)
+			writable := wr>>i&1 != 0
+			same := res &^ wr
+			if writable {
+				same = res & wr
+			}
+			n := bits.TrailingZeros64(^(same >> i)) // this permission's run within the word
+			todo &^= (uint64(1)<<n - 1) << i
+			left -= n
+			p := uint64(w*64 + i)
+			if k := len(dst) - 1; k >= base && dst[k].Writable == writable &&
+				dst[k].Start+uint64(dst[k].Count) == p {
+				dst[k].Count += uint32(n)
+				continue
+			}
+			dst = append(dst, netmodel.PageRun{Start: p, Count: uint32(n), Writable: writable})
 		}
-		left--
-		if k := len(dst) - 1; k >= base && dst[k].Writable == n.writable &&
-			dst[k].Start+uint64(dst[k].Count) == uint64(p) {
-			dst[k].Count++
-			continue
-		}
-		dst = append(dst, netmodel.PageRun{Start: uint64(p), Count: 1, Writable: n.writable})
 	}
 	return dst
 }
@@ -255,6 +299,7 @@ func (c *PageCache) Clear() {
 		c.tab[i] = cacheEntry{}
 		i = next
 	}
+	clear(c.words)
 	c.count = 0
 	c.head, c.tail = noPage, noPage
 }

@@ -176,12 +176,13 @@ func TestCacheModelProperty(t *testing.T) {
 // applyCacheOps drives c and the pointer-linked oracle in lock step with the
 // operation sequence data encodes, two bytes per operation: an opcode and a
 // page (or capacity). Every result an operation returns must agree. Pages
-// stay below 64 so that runs form, merge and split often.
+// stay below 192, three words of the residency index, so that runs form,
+// merge and split often, also across word boundaries.
 func applyCacheOps(t *testing.T, c *PageCache, ref *refCache, data []byte) {
 	t.Helper()
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i], data[i+1]
-		pg := mem.PageID(arg % 64)
+		pg := mem.PageID(arg % 192)
 		var got, want [3]bool
 		switch op % 8 {
 		case 0, 1:
@@ -236,7 +237,8 @@ func applyCacheOps(t *testing.T, c *PageCache, ref *refCache, data []byte) {
 }
 
 // checkCacheState compares c with the oracle — population, bound, MRU→LRU
-// order with every bit, residency — and its run emitter with both the
+// order with every bit, residency — checks the residency and permission
+// bitsets against the table, and compares its run emitter with both the
 // oracle's and the independent reference: collect Range's MRU-ordered
 // entries and let netmodel.EncodeRuns sort and compress them.
 func checkCacheState(t *testing.T, c *PageCache, ref *refCache) {
@@ -258,9 +260,23 @@ func checkCacheState(t *testing.T, c *PageCache, ref *refCache) {
 	if !slices.Equal(order, refOrder) {
 		t.Fatalf("MRU order %+v, oracle %+v", order, refOrder)
 	}
-	for p := mem.PageID(0); p < 70; p++ {
+	for p := mem.PageID(0); p < 200; p++ {
 		if c.Contains(p) != ref.Contains(p) {
 			t.Fatalf("Contains(%d) = %v, oracle %v", p, c.Contains(p), ref.Contains(p))
+		}
+	}
+	if len(c.words) != (len(c.tab)+63)/64 {
+		t.Fatalf("bitsets of %d words for a table of %d pages", len(c.words), len(c.tab))
+	}
+	for p := 0; p < 64*len(c.words); p++ {
+		var n cacheEntry
+		if p < len(c.tab) {
+			n = c.tab[p]
+		}
+		w := c.words[p/64]
+		res, wr := w.res>>(p%64)&1 != 0, w.wr>>(p%64)&1 != 0
+		if res != n.resident || wr != n.writable {
+			t.Fatalf("page %d: res/wr bits %v/%v, table resident/writable %v/%v", p, res, wr, n.resident, n.writable)
 		}
 	}
 	want, err := netmodel.EncodeRuns(entries)
@@ -312,10 +328,15 @@ func TestCacheRunsMatchReference(t *testing.T) {
 
 func FuzzCacheRuns(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{8, 1, 8, 2, 0, 3, 8, 5, 3, 2})     // two runs, then a hole splits one
-	f.Add([]byte{8, 1, 8, 2, 12, 1, 5, 1, 6, 0})    // downgrade, shrink, clear
-	f.Add([]byte{0, 63, 8, 0, 2, 63, 5, 1, 8, 62})  // table edges, eviction by capacity
-	f.Add([]byte{16, 4, 16, 5, 5, 1, 5, 40, 15, 5}) // dirty victims on shrink, grow back, clean
+	f.Add([]byte{8, 1, 8, 2, 0, 3, 8, 5, 3, 2})         // two runs, then a hole splits one
+	f.Add([]byte{8, 1, 8, 2, 12, 1, 5, 1, 6, 0})        // downgrade, shrink, clear
+	f.Add([]byte{0, 63, 8, 0, 2, 63, 5, 1, 8, 62})      // a word's first and last page, eviction by capacity
+	f.Add([]byte{16, 4, 16, 5, 5, 1, 5, 40, 15, 5})     // dirty victims on shrink, grow back, clean
+	f.Add([]byte{8, 62, 8, 63, 8, 64, 8, 65})           // a run crossing page 63→64
+	f.Add([]byte{8, 62, 8, 63, 0, 64, 0, 65, 12, 64})   // a permission flip at page 64, then healed
+	f.Add([]byte{8, 127, 8, 128})                       // residency only at pages 127 and 128
+	f.Add([]byte{8, 64, 8, 65})                         // first page 64, where the destination's prefix ends
+	f.Add([]byte{8, 100, 8, 98, 8, 99, 8, 101, 0, 150}) // a 101-page table, then doubled to 202
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, ref := NewPageCache(0), newRefCache(0)
 		applyCacheOps(t, c, ref, data)
