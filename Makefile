@@ -66,7 +66,8 @@ profile:
 	@head -30 $(PROFILE_NAME).top.txt
 	@head -30 $(PROFILE_NAME).alloc.txt
 
-# Short fuzz pass over the §6 resident-page-list codec, the compute cache's
+# Short fuzz pass over the §6 resident-page-list codec and the pushdown
+# request's sizing (WireSize against the marshalled length), the compute cache's
 # run emitter, the Env access path — scalar, ReadU64s and row-loop (ddc.Rows)
 # operations alike, in a process that stored its data and in one attached to
 # an image of it — against its reference model, copy-on-write dataset images
@@ -80,6 +81,7 @@ profile:
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalResident -fuzztime=10s ./internal/netmodel
+	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalPushdownRequest -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzCacheRuns -fuzztime=10s ./internal/ddc
 	$(GO) test -run=^$$ -fuzz=FuzzEnvAccessModel -fuzztime=10s ./internal/ddc
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceImage -fuzztime=10s ./internal/mem

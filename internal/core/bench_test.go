@@ -7,6 +7,7 @@ import (
 
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
+	"teleport/internal/netmodel"
 	"teleport/internal/sim"
 )
 
@@ -121,8 +122,9 @@ func BenchmarkPushdownSetup1500(b *testing.B) {
 }
 
 // TestPushdownSetupAllocsFlat gates the set-up path's allocations: a warm
-// call allocates the same small number of objects at 64 and at 1 500
-// resident pages, and only a few KB at 1 500 — nothing per resident page.
+// call allocates the same two objects at 64 and at 1 500 resident pages, and
+// only a few KB at 1 500 — nothing per resident page, and no message: the
+// request and response are sized, not built.
 func TestPushdownSetupAllocsFlat(t *testing.T) {
 	measure := func(arrayPages, resident int) (allocs, bytes float64) {
 		f := newSetupFixture(arrayPages, resident)
@@ -143,8 +145,8 @@ func TestPushdownSetupAllocsFlat(t *testing.T) {
 	}
 	small, _ := measure(80, 64)
 	large, largeBytes := measure(1792, 1500)
-	if small != large || large > 16 {
-		t.Errorf("warm call allocates %.0f objects at 64 resident pages and %.0f at 1500; want equal and at most 16", small, large)
+	if small != large || large > 2 {
+		t.Errorf("warm call allocates %.0f objects at 64 resident pages and %.0f at 1500; want equal and at most 2", small, large)
 	}
 	if largeBytes >= 4<<10 {
 		t.Errorf("warm call at 1500 resident pages allocates %.0f B; want under 4 KB", largeBytes)
@@ -166,8 +168,8 @@ func TestPushdownSetupMaterialisesOnlyTouchedPages(t *testing.T) {
 		var overrides int
 		f.probe = func() {
 			// Nothing else runs between here and postSync's charge.
-			touched = slices.Clone(f.rt.ps.temp.touched)
-			overrides = f.rt.ps.temp.len()
+			touched = slices.Clone(f.rt.temp.touched)
+			overrides = f.rt.temp.len()
 		}
 		st := f.call(t, 1792, write)
 		hooks := int(f.rt.agg.ComputeFaults + f.rt.agg.Upgrades - hooksBefore)
@@ -186,6 +188,40 @@ func TestPushdownSetupMaterialisesOnlyTouchedPages(t *testing.T) {
 		}
 		if len(touched) > 4+hooks {
 			t.Errorf("write=%v: the table materialised %d pages for a four-word call and %d hooks", write, len(touched), hooks)
+		}
+	}
+}
+
+// TestRequestBytesIsMarshalledLength pins the request size a call sends to
+// the length of the message it would build from the resident list it ships:
+// on a run-friendly list, where RLE wins, and on the benchmark fixture after
+// 40 writing calls (about 250 runs), where the bitmap does. Fn and Arg are
+// fixed-width, so their values do not matter.
+func TestRequestBytesIsMarshalledLength(t *testing.T) {
+	for _, tc := range []struct {
+		arrayPages, resident, warm int
+		bitmap                     bool
+	}{
+		{2048, 2048, 0, false},
+		{1792, 1500, 40, true},
+	} {
+		f := newSetupFixture(tc.arrayPages, tc.resident)
+		for i := 0; i < tc.warm; i++ {
+			f.call(t, tc.arrayPages, true)
+		}
+		for i := 0; i < 3; i++ {
+			runs := f.p.Cache.AppendRuns(nil)
+			req := netmodel.PushdownRequest{Resident: runs}
+			wire, err := req.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bitmap := len(netmodel.MarshalResident(runs)) < netmodel.RunsWireSize(runs); bitmap != tc.bitmap {
+				t.Fatalf("%d runs over %d pages: bitmap encoding = %v, want %v", len(runs), tc.resident, bitmap, tc.bitmap)
+			}
+			if st := f.call(t, tc.arrayPages, true); st.RequestBytes != len(wire) {
+				t.Errorf("%d runs: call sent %d request bytes, the message is %d", len(runs), st.RequestBytes, len(wire))
+			}
 		}
 	}
 }

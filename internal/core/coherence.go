@@ -21,9 +21,8 @@ import (
 // crash-consistency state: the undo journal of pre-images, the armed
 // mid-execution crash point, and the deadline budget.
 type memPager struct {
-	ps   *pushState
-	st   *Stats
-	opts Options
+	rt *Runtime
+	st *Stats
 
 	journal undoJournal
 	touches int      // page accesses served so far (the crash-point axis)
@@ -32,8 +31,9 @@ type memPager struct {
 
 	// What every page access would otherwise work out again, fixed when the
 	// call's pager is built: armed, the call has a crash point or a deadline
-	// for precheck to enforce; gated, its pool has a write quorum to lose.
-	armed, gated bool
+	// for precheck to enforce; gated, its pool has a write quorum to lose;
+	// relaxed, it runs in one of relaxedModes, without the protocol.
+	armed, gated, relaxed bool
 }
 
 // pushAbort is the panic value that tears down a pushed function from
@@ -62,8 +62,8 @@ func (mp *memPager) precheck(e *ddc.Env) {
 
 // EnsurePage implements the memory-place access path.
 func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
-	ps := mp.ps
-	p := ps.rt.P
+	r := mp.rt
+	p := r.P
 	mp.touches++
 	if mp.armed {
 		mp.precheck(e)
@@ -77,18 +77,18 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		}
 	}
 
-	if mp.opts.Flags&(FlagNoCoherence|FlagEagerSync|FlagMigrateProcess|FlagEvictRanges) != 0 {
+	if mp.relaxed {
 		// Relaxed / strawman modes: no protocol, only pool residency (and
 		// dirty tracking so eager mode knows what changed).
 		p.EnsureInPool(e.T, pg, write)
 		if write {
 			mp.journal.capture(p.Space, pg)
-			ps.temp.entry(pg).dirty = true
+			r.temp.entry(pg).dirty = true
 		}
 		return
 	}
 
-	ent := ps.temp.entry(pg)
+	ent := r.temp.entry(pg)
 	if ent.present && (!write || ent.writable) {
 		// Permission hit. Line 14–15 still applies: the page itself may
 		// have been spilled to the storage pool.
@@ -119,12 +119,12 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		p.M.Fabric.RoundTrip(e.T, ctrlMsgBytes, respBytes, netmodel.ClassCoherence)
 		p.M.Obs.End(e.T, sp)
 		mp.st.CoherenceMsgs += 2
-		ps.rt.agg.CoherenceMsgs += 2
-		ps.rt.agg.CoherenceRounds++
+		r.agg.CoherenceMsgs += 2
+		r.agg.CoherenceRounds++
 		if write {
 			// Line 22: Evict pte — unless the PSO relaxation keeps a
 			// read-only copy in the other pool (§4.2).
-			if ps.pso {
+			if r.pso {
 				p.Cache.SetWritable(pg, false)
 			} else {
 				p.Cache.Remove(pg)
@@ -162,18 +162,17 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 // capture, a page the bounded pool would fault in from storage — and the loop
 // then runs the rows one access at a time.
 func (mp *memPager) Repeat(e *ddc.Env, pg mem.PageID, write bool, n int) bool {
-	p := mp.ps.rt.P
-	if mp.armed || mp.gated ||
-		mp.opts.Flags&(FlagNoCoherence|FlagEagerSync|FlagMigrateProcess|FlagEvictRanges) != 0 {
+	p := mp.rt.P
+	if mp.armed || mp.gated || mp.relaxed {
 		return false
 	}
-	present, writable := mp.ps.temp.peek(pg)
+	present, writable := mp.rt.temp.peek(pg)
 	if !present || write && !(writable && mp.journal.captured(pg)) || !p.PoolHit(pg, write, n > 0) {
 		return false
 	}
 	if n > 0 {
 		mp.touches += n
-		ent := mp.ps.temp.entry(pg)
+		ent := mp.rt.temp.entry(pg)
 		ent.dirty = ent.dirty || write
 		ent.lastMemTouch = e.T.Now()
 	}
@@ -185,7 +184,7 @@ func (mp *memPager) Repeat(e *ddc.Env, pg mem.PageID, write bool, n int) bool {
 // It is installed on the process for the lifetime of the shared pushdown
 // state.
 type pushHooks struct {
-	ps *pushState
+	rt *Runtime
 }
 
 var _ ddc.PushHooks = (*pushHooks)(nil)
@@ -194,43 +193,31 @@ var _ ddc.PushHooks = (*pushHooks)(nil)
 // pushdown: the memory controller serves the page and simultaneously
 // applies Invalidate(t_mm[pg], write) to the temporary context (lines
 // 8–10) — no additional message is needed because the fault reply carries
-// the result.
+// the result. Under PSO a compute write only downgrades the copy (§4.2).
 func (h *pushHooks) ComputeFaulted(t *sim.Thread, pg mem.PageID, write bool) {
-	ps := h.ps
-	ps.rt.agg.ComputeFaults++
-	ent := ps.temp.entry(pg)
+	r := h.rt
+	r.agg.ComputeFaults++
+	ent := r.temp.entry(pg)
 	if write {
 		h.tiebreak(t, ent)
 	}
-	if write {
-		if ps.pso {
-			ent.writable = false
-		} else {
-			ent.present = false
-		}
-	} else {
-		ent.writable = false
-	}
+	ent.invalidate(write && !r.pso)
 }
 
 // ComputeUpgrade runs when the compute pool holds pg read-only and wants to
 // write — the (R,R) → (W,∅) transition that needs an explicit coherence
 // round trip to invalidate the temporary context's copy.
 func (h *pushHooks) ComputeUpgrade(t *sim.Thread, pg mem.PageID) {
-	ps := h.ps
-	ps.rt.agg.Upgrades++
-	ent := ps.temp.entry(pg)
+	r := h.rt
+	r.agg.Upgrades++
+	ent := r.temp.entry(pg)
 	h.tiebreak(t, ent)
-	sp := ps.rt.P.M.Obs.Begin(t, trace.KindCoherence, uint64(pg), 1)
-	ps.rt.P.M.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassCoherence)
-	ps.rt.P.M.Obs.End(t, sp)
-	ps.rt.agg.CoherenceMsgs += 2
-	ps.rt.agg.CoherenceRounds++
-	if ps.pso {
-		ent.writable = false
-	} else {
-		ent.present = false
-	}
+	sp := r.P.M.Obs.Begin(t, trace.KindCoherence, uint64(pg), 1)
+	r.P.M.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassCoherence)
+	r.P.M.Obs.End(t, sp)
+	r.agg.CoherenceMsgs += 2
+	r.agg.CoherenceRounds++
+	ent.invalidate(!r.pso)
 }
 
 // tiebreak models §4.1's concurrent-fault rule: when the compute pool's
@@ -239,7 +226,7 @@ func (h *pushHooks) ComputeUpgrade(t *sim.Thread, pg mem.PageID) {
 // pool's request, waits t, and reissues its own (one extra control round
 // trip).
 func (h *pushHooks) tiebreak(t *sim.Thread, ent *tempPTE) {
-	rt := h.ps.rt
+	rt := h.rt
 	if ent.present && ent.writable && ent.lastMemTouch > 0 &&
 		t.Now()-ent.lastMemTouch < contentionWindow {
 		rt.agg.Contentions++
@@ -274,11 +261,11 @@ func (r *Runtime) SyncMem(t *sim.Thread, ranges []Range) int {
 	p.M.Fabric.Send(t, len(dirty)*pageMsgBytes, netmodel.ClassSync)
 	for _, pg := range dirty {
 		p.Cache.ClearDirty(pg)
-		if r.ps != nil {
+		if r.refs > 0 {
 			// The memory pool now has the fresh data; the compute copy
 			// stays read-only so the pushed function can read it freely.
 			p.Cache.SetWritable(pg, false)
-			r.ps.temp.entry(pg).writable = false
+			r.temp.invalidate(pg, false)
 		}
 	}
 	p.Epoch++

@@ -57,6 +57,11 @@ const (
 	FlagEvictRanges
 )
 
+// relaxedModes are the flags that run a call without the on-demand protocol:
+// the Weak Ordering relaxation and the strawmen, which keep only pool
+// residency and dirty tracking in the temporary context.
+const relaxedModes = FlagNoCoherence | FlagEagerSync | FlagMigrateProcess | FlagEvictRanges
+
 // Range is a contiguous address range, used by SyncMem and FlagEvictRanges.
 type Range struct {
 	Base mem.Addr

@@ -151,11 +151,11 @@ func TestSWMRInvariantUnderInterleavedAccess(t *testing.T) {
 	a := p.Space.AllocPages(pages*mem.PageSize, "shared")
 
 	check := func(where string) {
-		if rt.ps == nil {
+		if rt.refs == 0 {
 			return
 		}
 		for pg := mem.PageOf(a); pg <= mem.PageOf(a+pages*mem.PageSize-1); pg++ {
-			tp, tw := rt.ps.temp.peek(pg)
+			tp, tw := rt.temp.peek(pg)
 			cw, _, resident := p.Cache.Lookup(pg)
 			if tp && tw && resident {
 				t.Fatalf("%s: page %d writable in temp context but resident in compute", where, pg)
@@ -650,7 +650,7 @@ func TestConcurrentPushdownsShareTempTable(t *testing.T) {
 			_, err := rt.Pushdown(th, func(env *ddc.Env) {
 				env.ReadI64(a)
 				env.Compute(2_000_000)
-				if rt.ps != nil && rt.ps.refs == 2 {
+				if rt.refs == 2 {
 					sawShared = true
 				}
 			}, Options{})
@@ -663,7 +663,7 @@ func TestConcurrentPushdownsShareTempTable(t *testing.T) {
 	if !sawShared {
 		t.Fatal("overlapping pushdowns never shared the state")
 	}
-	if rt.ps != nil {
+	if rt.refs != 0 {
 		t.Fatal("shared state must be recycled after the last pushdown")
 	}
 	// Uninstalled hooks no longer see compute-side faults.

@@ -127,7 +127,7 @@ func TestBarePushdownMidCrashLeavesMemoryPristine(t *testing.T) {
 	}
 	// The rolled-back pages' dirty bits were cleared: a follow-up pushdown
 	// must not merge never-committed state.
-	if rt.ps != nil {
+	if rt.refs != 0 {
 		t.Fatal("push state leaked after the aborted call")
 	}
 }

@@ -84,14 +84,14 @@ func (m modelPage) swmrOK() bool {
 }
 
 // realPerms extracts the implementation's permission pair for a page.
-func realPerms(p *ddc.Process, ps *pushState, pg mem.PageID) (comp, memPerm perm) {
+func realPerms(p *ddc.Process, rt *Runtime, pg mem.PageID) (comp, memPerm perm) {
 	if w, _, ok := p.Cache.Lookup(pg); ok {
 		comp = permR
 		if w {
 			comp = permW
 		}
 	}
-	present, writable := ps.temp.peek(pg)
+	present, writable := rt.temp.peek(pg)
 	switch {
 	case !present:
 		memPerm = permNone
@@ -170,7 +170,7 @@ func TestCoherenceProtocolAgainstModel(t *testing.T) {
 					if !model[pg].swmrOK() {
 						t.Fatalf("step %d: model itself broke SWMR on page %d: %+v", step, pg, model[pg])
 					}
-					gotC, gotM := realPerms(p, rt.ps, mem.PageOf(addr))
+					gotC, gotM := realPerms(p, rt, mem.PageOf(addr))
 					if gotC != model[pg].comp || gotM != model[pg].mem {
 						t.Fatalf("step %d page %d (%s %s on %s): real (%s,%s) != model (%s,%s)",
 							step, pg, opName(write), "access", side(onMemory),
@@ -304,7 +304,7 @@ func TestPSOProtocolAgainstModel(t *testing.T) {
 					if !model[pg].psoOK() {
 						t.Fatalf("step %d: two writers on page %d", step, pg)
 					}
-					gotC, gotM := realPerms(p, rt.ps, mem.PageOf(addr))
+					gotC, gotM := realPerms(p, rt, mem.PageOf(addr))
 					if gotC != model[pg].comp || gotM != model[pg].mem {
 						t.Fatalf("step %d page %d: real (%s,%s) != model (%s,%s)",
 							step, pg, gotC, gotM, model[pg].comp, model[pg].mem)

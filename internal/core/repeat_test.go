@@ -41,7 +41,7 @@ func boundedPoolCall(t *testing.T, body func(env *ddc.Env, mp *memPager, pages [
 	}
 	p.NewEnv(th).ReadI64(a)
 	_, err := rt.Pushdown(th, func(env *ddc.Env) {
-		mp := &memPager{ps: rt.ps, st: &Stats{}}
+		mp := &memPager{rt: rt, st: &Stats{}}
 		mp.EnsurePage(env, pages[0], true)
 		for _, pg := range pages[1:4] {
 			mp.EnsurePage(env, pg, false)
@@ -64,7 +64,7 @@ func (mp *memPager) state(env *ddc.Env, pages []mem.PageID) repeatState {
 		return true
 	})
 	for i := range st.Temp {
-		st.Temp[i] = *mp.ps.temp.entry(pages[i])
+		st.Temp[i] = *mp.rt.temp.entry(pages[i])
 	}
 	return st
 }

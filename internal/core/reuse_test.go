@@ -23,11 +23,11 @@ func TestTempTableOverridesDoNotOutliveTheCall(t *testing.T) {
 	p.NewEnv(th).WriteI64(a, 1) // held writable and dirty by the compute pool
 
 	_, err := rt.Pushdown(th, func(env *ddc.Env) {
-		if present, _ := rt.ps.temp.peek(held); present {
+		if present, _ := rt.temp.peek(held); present {
 			t.Error("call n: a compute-writable page must start non-present")
 		}
 		env.WriteI64(a+mem.PageSize, 2)
-		if e := rt.ps.temp.entry(dirtied); !e.dirty || e.lastMemTouch == 0 {
+		if e := rt.temp.entry(dirtied); !e.dirty || e.lastMemTouch == 0 {
 			t.Errorf("call n: written page's override = %+v, want dirty with a touch time", *e)
 		}
 	}, Options{})
@@ -37,7 +37,7 @@ func TestTempTableOverridesDoNotOutliveTheCall(t *testing.T) {
 
 	p.Cache.Clear() // call n+1 ships an empty resident list
 	_, err = rt.Pushdown(th, func(env *ddc.Env) {
-		tt := &rt.ps.temp
+		tt := &rt.temp
 		if tt.len() != 0 || len(tt.dirtyPages()) != 0 {
 			t.Errorf("call n+1 starts with %d overrides, %d dirty; want none", tt.len(), len(tt.dirtyPages()))
 		}
@@ -64,7 +64,7 @@ func TestTempTableResetsOnlyAtLastExit(t *testing.T) {
 	rt := NewRuntime(p, 2)
 	a := p.Space.AllocPages(mem.PageSize, "x")
 	pg := mem.PageOf(a)
-	gen0 := rt.push.temp.gen
+	gen0 := rt.temp.gen
 
 	var sawShared, checkedAlone bool
 	s := sim.NewScheduler()
@@ -79,16 +79,16 @@ func TestTempTableResetsOnlyAtLastExit(t *testing.T) {
 	})
 	s.Spawn("long", 0, func(th *sim.Thread) {
 		_, err := rt.Pushdown(th, func(env *ddc.Env) {
-			sawShared = rt.ps.refs == 2
+			sawShared = rt.refs == 2
 			env.Compute(20_000_000)
-			if rt.ps.refs != 1 {
+			if rt.refs != 1 {
 				return
 			}
 			checkedAlone = true
-			if rt.ps.temp.gen != gen0 {
-				t.Errorf("generation moved to %d with a call still in flight", rt.ps.temp.gen)
+			if rt.temp.gen != gen0 {
+				t.Errorf("generation moved to %d with a call still in flight", rt.temp.gen)
 			}
-			if got := rt.ps.temp.dirtyPages(); !slices.Equal(got, []mem.PageID{pg}) {
+			if got := rt.temp.dirtyPages(); !slices.Equal(got, []mem.PageID{pg}) {
 				t.Errorf("dirty pages after the first exit = %v, want [%d]", got, pg)
 			}
 		}, Options{})
@@ -100,10 +100,10 @@ func TestTempTableResetsOnlyAtLastExit(t *testing.T) {
 	if !sawShared || !checkedAlone {
 		t.Fatalf("calls did not overlap as intended: shared=%v, alone=%v", sawShared, checkedAlone)
 	}
-	if rt.push.temp.gen != gen0+1 {
-		t.Fatalf("generation = %d after both exits, want %d", rt.push.temp.gen, gen0+1)
+	if rt.temp.gen != gen0+1 {
+		t.Fatalf("generation = %d after both exits, want %d", rt.temp.gen, gen0+1)
 	}
-	if present, writable := rt.push.temp.peek(pg); !present || !writable {
+	if present, writable := rt.temp.peek(pg); !present || !writable {
 		t.Fatal("override survived the last exit")
 	}
 }
@@ -117,7 +117,7 @@ func TestTempPTEPointerSurvivesTableGrowth(t *testing.T) {
 	a := p.Space.AllocPages(mem.PageSize, "x")
 	pg := mem.PageOf(a)
 	_, err := rt.Pushdown(th, func(env *ddc.Env) {
-		tt := &rt.ps.temp
+		tt := &rt.temp
 		e := tt.entry(pg)
 		chunks := len(tt.chunks)
 		b := p.Space.AllocPages(8*tempChunkPages*mem.PageSize, "grown")

@@ -13,8 +13,8 @@ import (
 	"teleport/internal/trace"
 )
 
-// Wire sizes for the coherence protocol (the pushdown request/response
-// sizes come from their marshalled forms in internal/netmodel).
+// Wire sizes for the coherence protocol (the pushdown request and response
+// are sized by their WireSize in internal/netmodel).
 const (
 	ctrlMsgBytes = 48 // coherence control message
 	pageMsgBytes = mem.PageSize + 32
@@ -73,9 +73,16 @@ type Runtime struct {
 	running int
 	lastID  int64 // id of the most recently started call
 	queue   []*waiter
-	ps      *pushState
 	downObs bool // last heartbeat observation, for crash/recover trace edges
 	agg     RuntimeStats
+
+	// The coherence state shared by all pushdowns of the process in flight
+	// at once (they share the borrowed page table, §3.2): the temporary
+	// context's page table, how many calls hold it, and whether the first of
+	// them asked for the PSO relaxation. The last call out resets the table.
+	temp tempTable
+	refs int
+	pso  bool
 
 	// retryAt is when the scheduled outage behind the last failed call ends
 	// — the controller's restart, or the heal that makes its working set
@@ -88,14 +95,11 @@ type Runtime struct {
 	brOpenedAt sim.Time // when the breaker last opened
 
 	// Host-side storage recycled across calls (allocation control only; no
-	// simulated effect). push is the coherence state ps points at while
-	// calls are in flight and hooks its compute-side fault handlers; scratch
-	// pools the working storage of calls not in flight. wire is a transient
-	// buffer, never held across a point where the thread yields.
-	push    pushState
+	// simulated effect). hooks are the compute-side fault handlers installed
+	// while calls are in flight; scratch pools the working storage of calls
+	// not in flight.
 	hooks   pushHooks
 	scratch []*callScratch
-	wire    []byte
 }
 
 // callScratch is the host-side working storage one call needs from request
@@ -130,16 +134,6 @@ type waiter struct {
 	cancelled bool
 }
 
-// pushState is the coherence state shared by all pushdowns of one process
-// that are in flight simultaneously (they share the borrowed page table,
-// §3.2).
-type pushState struct {
-	rt   *Runtime
-	temp tempTable
-	refs int
-	pso  bool
-}
-
 // NewRuntime returns a TELEPORT runtime for p with the given number of
 // memory-pool user contexts.
 func NewRuntime(p *ddc.Process, contexts int) *Runtime {
@@ -147,9 +141,8 @@ func NewRuntime(p *ddc.Process, contexts int) *Runtime {
 		contexts = 1
 	}
 	r := &Runtime{P: p, Contexts: contexts, Breaker: DefaultBreaker()}
-	r.push.rt = r
-	r.push.temp.reset()
-	r.hooks.ps = &r.push
+	r.temp.reset()
+	r.hooks.rt = r
 	return r
 }
 
@@ -286,11 +279,11 @@ type call struct {
 	r          *Runtime
 	t          *sim.Thread
 	id         int64
-	deadlineAt sim.Time   // Options.Deadline as an absolute instant; 0 = no budget
-	wake       sim.Time   // the scheduled heal a gate found behind the failure, if any
-	ctx        bool       // holds a memory-pool user context
-	ps         *pushState // the coherence state joined at context setup
-	pager      *memPager  // set once the pushed function started executing
+	deadlineAt sim.Time  // Options.Deadline as an absolute instant; 0 = no budget
+	wake       sim.Time  // the scheduled heal a gate found behind the failure, if any
+	ctx        bool      // holds a memory-pool user context
+	joined     bool      // holds a reference on the coherence state, from context setup
+	pager      *memPager // set once the pushed function started executing
 }
 
 // checkpoint is what the compute side can observe wherever the call has just
@@ -302,7 +295,7 @@ func (c *call) checkpoint() error {
 	switch {
 	case c.r.observeHeartbeat(c.t):
 		return ErrMemoryPoolDown
-	case c.ps != nil && c.r.P.M.Fault.CtxCrash():
+	case c.joined && c.r.P.M.Fault.CtxCrash():
 		return ErrContextCrashed
 	case c.deadlineAt > 0 && c.t.Now() > c.deadlineAt:
 		return ErrDeadlineExceeded
@@ -362,7 +355,7 @@ func (c *call) fail(err error) error {
 		m.Charge(t, metrics.CompPushProto, m.Cfg.HW.CtxSwitchNs)
 	}
 	if exec {
-		r.rollbackJournal(t, c.ps, c.pager)
+		r.rollbackJournal(t, c.pager)
 	}
 	if crashed || exec {
 		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassPushdown)
@@ -379,8 +372,8 @@ func (c *call) fail(err error) error {
 // unwind gives back what the call holds: its reference on the shared
 // coherence state, then its user context.
 func (c *call) unwind() {
-	if c.ps != nil {
-		c.r.exitPush(c.ps)
+	if c.joined {
+		c.r.exitPush()
 	}
 	if c.ctx {
 		c.r.release(c.t)
@@ -456,22 +449,21 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		return st, c.fail(err)
 	}
 	st.RLERuns = len(runs)
-	// The request is a real wire message: fn/arg pointers (the arg pointer's
-	// transitive closure stays in the shared address space), flags, and the
-	// compressed page list (RLE or dense bitmap, whichever is smaller), which
-	// §6's compression keeps within a single RDMA buffer.
+	// The request is sized as its wire form: fn/arg pointers (the arg
+	// pointer's transitive closure stays in the shared address space), flags,
+	// and the compressed page list (RLE or dense bitmap, whichever is
+	// smaller), which §6's compression keeps within a single RDMA buffer.
 	req := netmodel.PushdownRequest{
 		Fn:       0x400000, // a code address in the shared space
 		Arg:      0x7FFF0000,
 		Flags:    uint32(opts.Flags),
 		Resident: runs,
 	}
-	wire, err := req.AppendTo(r.wire[:0])
-	r.wire = wire[:0]
+	n, err := req.WireSize()
 	if err != nil {
 		return st, c.fail(err)
 	}
-	st.RequestBytes = len(wire)
+	st.RequestBytes = n
 	st.Request = p.M.Fabric.Send(t, st.RequestBytes, netmodel.ClassPushdown)
 
 	// The request transfer (and any fabric retries) took virtual time; a
@@ -498,7 +490,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 
 	// ❹ Temporary user context setup (Figure 8).
 	cs := tr.Begin(t, trace.KindPushSetup, 0, c.id)
-	c.ps = r.enterPush(t, runs, opts, &st)
+	r.enterPush(t, runs, opts, &st)
+	c.joined = true
 	st.CtxSetup = tr.End(t, cs)
 
 	// A crash during context setup, or an injected crash of the temporary
@@ -515,7 +508,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	es := tr.Begin(t, trace.KindPushExec, 0, c.id)
 	pager := &scr.pager
 	// The journal was emptied by the scratch's last call and keeps its storage.
-	*pager = memPager{ps: c.ps, st: &st, opts: opts, dieAt: c.deadlineAt, journal: pager.journal}
+	*pager = memPager{rt: r, st: &st, relaxed: opts.Flags&relaxedModes != 0, dieAt: c.deadlineAt, journal: pager.journal}
 	if frac, mid := p.M.Fault.CtxCrashMid(); mid {
 		// Map the seeded fraction onto a page-access ordinal: the context
 		// dies at its crashAt-th access — once it has dirtied at least one
@@ -560,11 +553,11 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		resp.Status = netmodel.StatusException
 		resp.Exception = []byte(remoteErr.Error())
 	}
-	st.Response = p.M.Fabric.Send(t, len(resp.Marshal()), netmodel.ClassPushdown)
+	st.Response = p.M.Fabric.Send(t, resp.WireSize(), netmodel.ClassPushdown)
 
 	// ❽ Post-pushdown synchronisation.
 	posts := tr.Begin(t, trace.KindPushSync, 0, 1)
-	r.postSync(t, c.ps, opts, eagerPages)
+	r.postSync(t, opts, eagerPages)
 	st.PostSync = tr.End(t, posts)
 
 	c.unwind()
@@ -582,7 +575,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 // clears the rolled-back pages' dirty bits in the temporary page table (so
 // a later dirty-bit merge cannot write back state that was never
 // committed), and charges the controller's restore walk to virtual time.
-func (r *Runtime) rollbackJournal(t *sim.Thread, ps *pushState, pager *memPager) {
+func (r *Runtime) rollbackJournal(t *sim.Thread, pager *memPager) {
 	n := pager.journal.pages()
 	if n == 0 {
 		return
@@ -594,7 +587,7 @@ func (r *Runtime) rollbackJournal(t *sim.Thread, ps *pushState, pager *memPager)
 	lines := float64(mem.PageSize / cfg.DRAMLineBytes)
 	p.M.Charge(t, metrics.CompPushProto, hw.OpNs(cfg.MemoryClockGHz, float64(n)*cfg.PTEVisitOps)+float64(n)*lines*cfg.DRAMSeqLineNs)
 	pager.journal.rollback(p.Space, func(pg mem.PageID) {
-		ps.temp.entry(pg).dirty = false
+		r.temp.entry(pg).dirty = false
 	})
 	p.Epoch++ // rolled-back pages invalidate any env fast-path mapping
 	pager.st.RollbackPages = n
@@ -680,49 +673,44 @@ func (r *Runtime) flushPage(t *sim.Thread) {
 
 // enterPush creates or joins the shared pushdown coherence state and
 // performs Figure 8's MemorySetup, charging the table-clone cost.
-func (r *Runtime) enterPush(t *sim.Thread, runs []netmodel.PageRun, opts Options, st *Stats) *pushState {
+func (r *Runtime) enterPush(t *sim.Thread, runs []netmodel.PageRun, opts Options, st *Stats) {
 	p := r.P
 	cfg := &p.M.Cfg.HW
 	// Cloning the caller's full page table (Figure 8 line 7) visits every
 	// PTE of the process.
 	p.M.Charge(t, metrics.CompPushProto, hw.OpNs(cfg.MemoryClockGHz, float64(p.Space.Pages())*cfg.PTEVisitOps))
 
-	if r.ps == nil {
-		r.ps = &r.push
-		r.push.pso = opts.Flags&FlagPSO != 0
+	if r.refs == 0 {
+		r.pso = opts.Flags&FlagPSO != 0
 	}
-	ps := r.ps
-	ps.refs++
+	r.refs++
 
-	coherent := opts.Flags&(FlagNoCoherence|FlagEagerSync|FlagMigrateProcess|FlagEvictRanges) == 0
-	if coherent {
+	if opts.Flags&relaxedModes == 0 {
 		// Figure 8 lines 8–13: exclude compute-writable pages, downgrade
 		// compute-read-only pages.
-		ps.temp.invalidateRuns(runs)
+		r.temp.invalidateRuns(runs)
 		for _, run := range runs {
 			st.SetupInvalidations += int(run.Count)
 		}
-		if ps.refs == 1 {
+		if r.refs == 1 {
 			p.SetPushHooks(&r.hooks)
 		}
 		p.Epoch++
 	}
-	return ps
 }
 
 // exitPush drops a reference to the shared state, recycling the temporary
 // context when the last concurrent pushdown finishes (§3.2 ❺).
-func (r *Runtime) exitPush(ps *pushState) {
-	ps.refs--
-	if ps.refs == 0 {
+func (r *Runtime) exitPush() {
+	r.refs--
+	if r.refs == 0 {
 		r.P.SetPushHooks(nil)
-		ps.temp.reset()
-		r.ps = nil
+		r.temp.reset()
 	}
 }
 
 // postSync performs the mode-dependent post-pushdown synchronisation.
-func (r *Runtime) postSync(t *sim.Thread, ps *pushState, opts Options, eagerPages []mem.PageID) {
+func (r *Runtime) postSync(t *sim.Thread, opts Options, eagerPages []mem.PageID) {
 	p := r.P
 	cfg := &p.M.Cfg.HW
 	switch {
@@ -743,7 +731,7 @@ func (r *Runtime) postSync(t *sim.Thread, ps *pushState, opts Options, eagerPage
 		}
 		p.Epoch++
 
-	case opts.Flags&(FlagMigrateProcess|FlagEvictRanges|FlagNoCoherence) != 0:
+	case opts.Flags&relaxedModes != 0:
 		// Nothing to do: the cache is cold (migration/evict) or the user
 		// owns synchronisation (weak ordering).
 
@@ -752,9 +740,9 @@ func (r *Runtime) postSync(t *sim.Thread, ps *pushState, opts Options, eagerPage
 		// table — a local operation in the memory pool, no communication.
 		// Merged dirty pages will need a storage write-back if the pool
 		// later evicts them.
-		p.M.Charge(t, metrics.CompPushProto, hw.OpNs(cfg.MemoryClockGHz, float64(ps.temp.len())*cfg.PTEVisitOps))
+		p.M.Charge(t, metrics.CompPushProto, hw.OpNs(cfg.MemoryClockGHz, float64(r.temp.len())*cfg.PTEVisitOps))
 		if p.PoolRes != nil {
-			for _, pg := range ps.temp.dirtyPages() {
+			for _, pg := range r.temp.dirtyPages() {
 				p.PoolRes.MarkDirty(pg)
 			}
 		}

@@ -182,13 +182,17 @@ func (tt *tempTable) peek(p mem.PageID) (present, writable bool) {
 //	3     pte.present ← False
 //	4   else
 //	5     pte.writable ← False
-func (tt *tempTable) invalidate(p mem.PageID, computeWritable bool) {
-	e := tt.entry(p)
+func (e *tempPTE) invalidate(computeWritable bool) {
 	if computeWritable {
 		e.present = false // line 3
 	} else {
 		e.writable = false // line 5
 	}
+}
+
+// invalidate applies Invalidate to p's override.
+func (tt *tempTable) invalidate(p mem.PageID, computeWritable bool) {
+	tt.entry(p).invalidate(computeWritable)
 }
 
 // dirtyPages returns the pages the temporary context dirtied, in ascending

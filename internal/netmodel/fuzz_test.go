@@ -1,9 +1,13 @@
 package netmodel
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// Fuzzers: the unmarshallers face bytes from the wire and must never panic
-// (run with `go test -fuzz=FuzzUnmarshalRuns ./internal/netmodel`).
+// Fuzzers: the unmarshallers face bytes from the wire and must never panic;
+// a pushdown message they accept re-marshals to exactly the length its
+// WireSize reports (run with `go test -fuzz=FuzzUnmarshalRuns ./internal/netmodel`).
 
 func FuzzUnmarshalRuns(f *testing.F) {
 	f.Add([]byte{})
@@ -36,10 +40,12 @@ func FuzzUnmarshalPushdownRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := req.Marshal(); err != nil {
-			// Oversized reconstructions may exceed the RDMA buffer; that is
-			// a valid rejection, not a crash.
-			return
+		// Oversized reconstructions may exceed the RDMA buffer; that is a
+		// valid rejection, not a crash, and WireSize must reject them alike.
+		buf, err := req.Marshal()
+		n, sizeErr := req.WireSize()
+		if n != len(buf) || fmt.Sprint(sizeErr) != fmt.Sprint(err) {
+			t.Fatalf("WireSize = %d, %v; Marshal gave %d bytes, %v", n, sizeErr, len(buf), err)
 		}
 	})
 }
@@ -52,6 +58,8 @@ func FuzzUnmarshalPushdownResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = resp.Marshal()
+		if n, buf := resp.WireSize(), resp.Marshal(); n != len(buf) {
+			t.Fatalf("WireSize = %d, Marshal gave %d bytes", n, len(buf))
+		}
 	})
 }

@@ -33,27 +33,34 @@ type PushdownRequest struct {
 
 const pushReqFixedBytes = 8 + 8 + 4 + 4 // fn, arg, flags, inline length
 
-// Marshal packs the request.
-func (r *PushdownRequest) Marshal() ([]byte, error) { return r.AppendTo(nil) }
-
-// AppendTo appends the packed request to dst, so a caller that sends many
-// requests can reuse one buffer. On error it returns dst unextended.
-func (r *PushdownRequest) AppendTo(dst []byte) ([]byte, error) {
+// WireSize returns the length of the packed request, len(Marshal()),
+// without building it; for a request Marshal rejects it returns 0 and
+// Marshal's error.
+func (r *PushdownRequest) WireSize() (int, error) {
 	if len(r.ArgInline) > MaxRDMAMessage/2 {
-		return dst, fmt.Errorf("netmodel: inline argument too large (%d bytes)", len(r.ArgInline))
+		return 0, fmt.Errorf("netmodel: inline argument too large (%d bytes)", len(r.ArgInline))
 	}
-	base := len(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, r.Fn)
-	dst = binary.LittleEndian.AppendUint64(dst, r.Arg)
-	dst = binary.LittleEndian.AppendUint32(dst, r.Flags)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.ArgInline)))
-	dst = append(dst, r.ArgInline...)
-	dst = AppendResident(dst, r.Resident)
-	if n := len(dst) - base; n > MaxRDMAMessage {
-		return dst[:base], fmt.Errorf("netmodel: pushdown request %d bytes exceeds the %d-byte RDMA buffer",
+	n := pushReqFixedBytes + len(r.ArgInline) + residentWireSize(r.Resident)
+	if n > MaxRDMAMessage {
+		return 0, fmt.Errorf("netmodel: pushdown request %d bytes exceeds the %d-byte RDMA buffer",
 			n, MaxRDMAMessage)
 	}
-	return dst, nil
+	return n, nil
+}
+
+// Marshal packs the request.
+func (r *PushdownRequest) Marshal() ([]byte, error) {
+	n, err := r.WireSize()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, pushReqFixedBytes, n)
+	binary.LittleEndian.PutUint64(buf[0:], r.Fn)
+	binary.LittleEndian.PutUint64(buf[8:], r.Arg)
+	binary.LittleEndian.PutUint32(buf[16:], r.Flags)
+	binary.LittleEndian.PutUint32(buf[20:], uint32(len(r.ArgInline)))
+	buf = append(buf, r.ArgInline...)
+	return append(buf, MarshalResident(r.Resident)...), nil
 }
 
 // UnmarshalPushdownRequest parses a request.
@@ -96,9 +103,13 @@ const (
 	StatusKilled
 )
 
+// WireSize returns the length of the packed response, len(Marshal()): the
+// status and length words plus the exception.
+func (r *PushdownResponse) WireSize() int { return 8 + len(r.Exception) }
+
 // Marshal packs the response.
 func (r *PushdownResponse) Marshal() []byte {
-	buf := make([]byte, 8+len(r.Exception))
+	buf := make([]byte, r.WireSize())
 	binary.LittleEndian.PutUint32(buf[0:], r.Status)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(r.Exception)))
 	copy(buf[8:], r.Exception)

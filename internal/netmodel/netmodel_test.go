@@ -251,7 +251,7 @@ func TestRLERoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := DecodeRuns(runs)
+		got := decodeRuns(runs)
 		sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
 		if len(entries) == 0 {
 			return len(got) == 0
@@ -261,6 +261,18 @@ func TestRLERoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// decodeRuns expands runs back into an explicit, sorted page list: the
+// inverse of EncodeRuns.
+func decodeRuns(runs []PageRun) []PageEntry {
+	var out []PageEntry
+	for _, r := range runs {
+		for i := uint32(0); i < r.Count; i++ {
+			out = append(out, PageEntry{ID: r.Start + uint64(i), Writable: r.Writable})
+		}
+	}
+	return out
 }
 
 // TestRLECompressionOnDenseList confirms the §6 observation: a dense

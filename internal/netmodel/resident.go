@@ -3,7 +3,6 @@ package netmodel
 import (
 	"encoding/binary"
 	"errors"
-	"slices"
 )
 
 // This file adds the second resident-page-list wire encoding §6 weighs
@@ -59,49 +58,44 @@ func bitmapBytes(span uint64) int {
 	return bitmapFixedBytes + int((span+pagesPerByte-1)/pagesPerByte)
 }
 
-// MarshalResident serialises the resident list in whichever encoding is
-// smaller; ties keep RLE, so lists that compress well produce exactly the
-// bytes AppendRuns produces.
-func MarshalResident(runs []PageRun) []byte { return AppendResident(nil, runs) }
-
-// AppendResident appends MarshalResident's bytes to dst. The list is
-// validated and sized in one walk; only a list that does go out as a
-// bitmap is walked again, to set its bits.
-func AppendResident(dst []byte, runs []PageRun) []byte {
-	span, ok := bitmapSpan(runs)
-	size := bitmapBytes(span)
-	if !ok || size >= RunsWireSize(runs) {
-		return AppendRuns(dst, runs)
+// residentWireSize is the length of the resident list on the wire: the
+// smaller of plain RLE and the bitmap, RLE on ties, so lists that compress
+// well go out exactly as AppendRuns writes them. It is the one place the
+// encoding is chosen.
+func residentWireSize(runs []PageRun) int {
+	rle := RunsWireSize(runs)
+	if span, ok := bitmapSpan(runs); ok && bitmapBytes(span) < rle {
+		return bitmapBytes(span)
 	}
-	base := len(dst)
-	dst = slices.Grow(dst, size)[:base+size]
-	buf := dst[base:]
-	clear(buf)
+	return rle
+}
+
+// MarshalResident serialises the resident list in the encoding
+// residentWireSize chose.
+func MarshalResident(runs []PageRun) []byte {
+	size := residentWireSize(runs)
+	if size == RunsWireSize(runs) {
+		return AppendRuns(nil, runs)
+	}
+	span, _ := bitmapSpan(runs)
+	buf := make([]byte, size)
 	binary.LittleEndian.PutUint32(buf, bitmapFlag|uint32(span))
 	binary.LittleEndian.PutUint64(buf[4:], runs[0].Start)
 	setBitmap(buf[bitmapFixedBytes:], runs)
-	return dst
+	return buf
 }
 
 // setBitmap sets the bits of runs — a list bitmapSpan accepts — in the
-// zeroed bitmap body bmp, whose slot 0 is runs[0].Start. A run's interior
-// covers whole bytes, four pages each, so it is filled a byte at a time;
-// only its partial head and tail bytes are set page by page.
+// zeroed bitmap body bmp, whose slot 0 is runs[0].Start, one page at a time.
 func setBitmap(bmp []byte, runs []PageRun) {
 	for _, r := range runs {
 		bits := byte(1)
 		if r.Writable {
 			bits |= 2
 		}
-		off := r.Start - runs[0].Start
-		for end := off + uint64(r.Count); off < end; {
-			if off%pagesPerByte == 0 && end-off >= pagesPerByte {
-				bmp[off/pagesPerByte] = bits * 0x55 // the 2-bit slot repeated four times
-				off += pagesPerByte
-				continue
-			}
+		for i := uint64(0); i < uint64(r.Count); i++ {
+			off := r.Start + i - runs[0].Start
 			bmp[off/pagesPerByte] |= bits << (2 * (off % pagesPerByte))
-			off++
 		}
 	}
 }
@@ -117,8 +111,7 @@ func UnmarshalResident(buf []byte) ([]PageRun, error) {
 		return UnmarshalRuns(buf)
 	}
 	span := uint64(head &^ uint32(bitmapFlag))
-	want := bitmapFixedBytes + int((span+pagesPerByte-1)/pagesPerByte)
-	if span == 0 || len(buf) != want {
+	if span == 0 || len(buf) != bitmapBytes(span) {
 		return nil, errors.New("netmodel: resident bitmap length mismatch")
 	}
 	start := binary.LittleEndian.Uint64(buf[4:])

@@ -85,7 +85,8 @@ func TestResidentBitmapRejectsCorruption(t *testing.T) {
 // encode/decode, (2) the chosen wire encoding round-trips through
 // marshal/unmarshal to canonical runs, (3) the encoding is never longer
 // than the bitmap (nor than plain RLE) — the size guarantee the pushdown
-// message relies on — and (4) setBitmap sets the bytes setBitmapPerPage does.
+// message relies on — and (4) it is exactly as long as residentWireSize, the
+// size a pushdown call sends.
 func FuzzResidentRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 1, 2, 0})
@@ -108,7 +109,7 @@ func FuzzResidentRoundTrip(f *testing.F) {
 		if len(runs) > len(entries) {
 			t.Fatalf("%d runs exceed %d entries", len(runs), len(entries))
 		}
-		if dec := DecodeRuns(runs); !reflect.DeepEqual(dec, entries) && !(len(dec) == 0 && len(entries) == 0) {
+		if dec := decodeRuns(runs); !reflect.DeepEqual(dec, entries) && !(len(dec) == 0 && len(entries) == 0) {
 			t.Fatalf("RLE round trip changed the page list:\n got %v\nwant %v", dec, entries)
 		}
 
@@ -118,6 +119,9 @@ func FuzzResidentRoundTrip(f *testing.F) {
 		}
 		if rle := RunsWireSize(runs); len(wire) > rle {
 			t.Fatalf("encoding is %d bytes, longer than plain RLE's %d", len(wire), rle)
+		}
+		if size := residentWireSize(runs); len(wire) != size {
+			t.Fatalf("encoding is %d bytes, residentWireSize says %d", len(wire), size)
 		}
 		got, err := UnmarshalResident(wire)
 		if err != nil {
@@ -129,32 +133,7 @@ func FuzzResidentRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(got, runs) {
 			t.Fatalf("wire round trip changed runs:\n got %v\nwant %v", got, runs)
 		}
-
-		// Whichever encoding the list goes out in.
-		span, _ := bitmapSpan(runs)
-		fast := make([]byte, bitmapBytes(span)-bitmapFixedBytes)
-		ref := make([]byte, len(fast))
-		setBitmap(fast, runs)
-		setBitmapPerPage(ref, runs)
-		if !bytes.Equal(fast, ref) {
-			t.Fatalf("bitmap of %v:\n got %x\nwant %x", runs, fast, ref)
-		}
 	})
-}
-
-// setBitmapPerPage is setBitmap one page at a time: the reference the
-// byte-filling writer is fuzzed against.
-func setBitmapPerPage(bmp []byte, runs []PageRun) {
-	for _, r := range runs {
-		bits := byte(1)
-		if r.Writable {
-			bits |= 2
-		}
-		for i := uint64(0); i < uint64(r.Count); i++ {
-			off := r.Start + i - runs[0].Start
-			bmp[off/pagesPerByte] |= bits << (2 * (off % pagesPerByte))
-		}
-	}
 }
 
 // FuzzUnmarshalResident faces arbitrary bytes: it must never panic, and
@@ -199,49 +178,22 @@ func mustRuns(f *testing.F, entries []PageEntry) []PageRun {
 	return runs
 }
 
-// The append-style marshallers must produce Marshal's bytes after whatever
-// the destination already holds, including into reused capacity that still
-// carries an earlier, longer message (the bitmap is built with |=).
-func TestAppendMatchesMarshalIntoDirtyBuffer(t *testing.T) {
-	var alternating []PageEntry
-	for i := 0; i < 40; i++ {
-		alternating = append(alternating, PageEntry{ID: 7 + uint64(i), Writable: i%2 == 0})
-	}
-	bitmapRuns, err := EncodeRuns(alternating)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rleRuns := []PageRun{{Start: 10, Count: 500, Writable: true}, {Start: 4096, Count: 300}}
-	for _, runs := range [][]PageRun{bitmapRuns, rleRuns, nil} {
-		dirty := bytes.Repeat([]byte{0xFF}, 512)
-		prefix := []byte{1, 2, 3}
-		got := AppendResident(append(dirty[:0], prefix...), runs)
-		if want := append(prefix, MarshalResident(runs)...); !bytes.Equal(got, want) {
-			t.Fatalf("AppendResident into a dirty buffer:\n got %x\nwant %x", got, want)
-		}
-
-		req := PushdownRequest{Fn: 1, Arg: 2, Flags: 3, ArgInline: []byte{9, 9}, Resident: runs}
-		want, err := req.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = req.AppendTo(append(dirty[:0], prefix...))
-		if err != nil || !bytes.Equal(got, append(prefix, want...)) {
-			t.Fatalf("AppendTo into a dirty buffer: err %v\n got %x\nwant %x", err, got, want)
-		}
-	}
-
-	// A rejected request leaves the destination as it was.
-	big := PushdownRequest{ArgInline: make([]byte, MaxRDMAMessage/2+1)}
-	if got, err := big.AppendTo([]byte{1, 2, 3}); err == nil || !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("oversized inline argument: got %x, err %v", got, err)
-	}
+// A request over either limit — its inline argument, or the whole message —
+// is rejected by Marshal and WireSize alike, with the same error and no
+// bytes.
+func TestOversizedRequestRejected(t *testing.T) {
 	long := PushdownRequest{Resident: make([]PageRun, MaxRDMAMessage/runWireBytes+1)}
 	for i := range long.Resident {
 		long.Resident[i] = PageRun{Start: uint64(i) << 20, Count: 1}
 	}
-	if got, err := long.AppendTo([]byte{1, 2, 3}); err == nil || !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("oversized resident list: got %d bytes, err %v", len(got), err)
+	for _, req := range []PushdownRequest{{ArgInline: make([]byte, MaxRDMAMessage/2+1)}, long} {
+		buf, err := req.Marshal()
+		if err == nil || buf != nil {
+			t.Fatalf("oversized request: Marshal gave %d bytes, err %v", len(buf), err)
+		}
+		if n, sizeErr := req.WireSize(); n != 0 || sizeErr == nil || sizeErr.Error() != err.Error() {
+			t.Errorf("oversized request: WireSize = %d, %v; Marshal's error is %v", n, sizeErr, err)
+		}
 	}
 }
 

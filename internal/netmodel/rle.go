@@ -71,21 +71,6 @@ func CheckRuns(runs []PageRun) error {
 	return nil
 }
 
-// DecodeRuns expands runs back into an explicit, sorted page list.
-func DecodeRuns(runs []PageRun) []PageEntry {
-	var n int
-	for _, r := range runs {
-		n += int(r.Count)
-	}
-	out := make([]PageEntry, 0, n)
-	for _, r := range runs {
-		for i := uint32(0); i < r.Count; i++ {
-			out = append(out, PageEntry{ID: r.Start + uint64(i), Writable: r.Writable})
-		}
-	}
-	return out
-}
-
 // AppendRuns appends the on-wire RLE format of runs to dst.
 func AppendRuns(dst []byte, runs []PageRun) []byte {
 	dst = slices.Grow(dst, RunsWireSize(runs))

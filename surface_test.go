@@ -33,7 +33,7 @@ var surfaceKeep = map[string]string{
 	"graph.FromAdjacency": "oracle: the append-built CSR TestGenerateMatchesAppendReference compares Generate against",
 
 	"netmodel.EncodeRuns":                "oracle: FuzzCacheRuns/TestCacheRunsMatchReference check PageCache.AppendRuns against it",
-	"netmodel.DecodeRuns":                "oracle: inverse of EncodeRuns in the RLE round-trip property and fuzz tests",
+	"netmodel.PushdownResponse.Marshal":  "encode half of the response wire format (a call sends only its WireSize): round-trip tests and FuzzUnmarshalPushdownResponse",
 	"netmodel.UnmarshalPushdownRequest":  "decode half of the request wire format: round-trip tests and FuzzUnmarshalPushdownRequest",
 	"netmodel.UnmarshalPushdownResponse": "decode half of the response wire format: round-trip tests and FuzzUnmarshalPushdownResponse",
 
