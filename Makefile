@@ -16,15 +16,17 @@ race:
 # analyzer's violation in a copy of real code, and the CLI goldens.
 # ./... includes cmd/... and internal/analysis/... themselves, so the
 # linter is self-hosting: the analyzers and their driver must pass their
-# own checks. Last, the doc check: every pkg.Name and test name that
-# DESIGN.md, README.md or EXPERIMENTS.md cites must exist in the code.
+# own checks. Last, the doc check — every pkg.Name and test name that
+# DESIGN.md, README.md or EXPERIMENTS.md cites must exist in the code — and
+# the field census: every struct field under internal/ and cmd/ must be read
+# by some non-test file.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/ddclint ./...
 	$(GO) test ./internal/analysis/... ./cmd/ddclint
-	$(GO) test -run TestDocsNameOnlyWhatExists .
+	$(GO) test -run 'TestDocsNameOnlyWhatExists|TestEveryFieldIsRead' .
 
 # Chaos soak: every fault profile × 16 seeds on the chaos workloads,
 # checking answers stay bit-identical to fault-free and same-seed reruns

@@ -113,7 +113,7 @@ func run(patterns []string) (int, error) {
 				continue
 			}
 			checked[a.Name] = true
-			ds, err := analysis.Run(a, sess.Fset, pkg.Files, pkg.Types, pkg.Info)
+			ds, err := analysis.Run(a, pkg.Files, pkg.Info)
 			if err != nil {
 				return 0, err
 			}

@@ -139,7 +139,7 @@ func TestEveryAnalyzerCatchesAPlantedViolation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diags, err := analysis.Run(a, sess.Fset, pkg.Files, pkg.Types, pkg.Info)
+			diags, err := analysis.Run(a, pkg.Files, pkg.Info)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,9 +48,7 @@ type Diagnostic struct {
 // analyzer run.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
 
 	diags []Diagnostic
@@ -69,8 +67,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Run executes analyzer a over one type-checked package and returns the
 // diagnostics after //lint:allow filtering. Allow-comment hygiene
 // diagnostics (missing reason) are appended by the caller via Allows.
-func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info}
+func Run(a *Analyzer, files []*ast.File, info *types.Info) ([]Diagnostic, error) {
+	pass := &Pass{Analyzer: a, Files: files, Info: info}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %v", a.Name, err)
 	}

@@ -81,7 +81,7 @@ func Run(t *testing.T, srcdir string, a *analysis.Analyzer, pkgs ...string) {
 		if err != nil {
 			t.Fatalf("fixture %s: %v", name, err)
 		}
-		diags, err := analysis.Run(a, s.Fset, pkg.Files, pkg.Types, pkg.Info)
+		diags, err := analysis.Run(a, pkg.Files, pkg.Info)
 		if err != nil {
 			t.Fatalf("fixture %s: analyzer: %v", name, err)
 		}

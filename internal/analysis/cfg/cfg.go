@@ -99,10 +99,9 @@ type builder struct {
 
 // target is one enclosing breakable/continuable construct.
 type target struct {
-	label    string
-	brk      *Block // break destination (nil on none)
-	cont     *Block // continue destination (nil for switch/select)
-	isSwitch bool
+	label string
+	brk   *Block // break destination (nil on none)
+	cont  *Block // continue destination (nil for switch/select)
 }
 
 func (b *builder) newBlock(kind string) *Block {
@@ -263,7 +262,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		label := b.takeLabel()
 		head := b.block()
 		join := b.newBlock("select.join")
-		b.targets = append(b.targets, target{label: label, brk: join, isSwitch: true})
+		b.targets = append(b.targets, target{label: label, brk: join})
 		for _, cl := range s.Body.List {
 			cc := cl.(*ast.CommClause)
 			blk := b.newBlock("comm")
@@ -314,7 +313,7 @@ func (b *builder) switchStmt(init ast.Stmt, tag ast.Node, body *ast.BlockStmt, k
 	}
 	head := b.block()
 	join := b.newBlock("switch.join")
-	b.targets = append(b.targets, target{label: label, brk: join, isSwitch: true})
+	b.targets = append(b.targets, target{label: label, brk: join})
 
 	// Build every clause block first so fallthrough can reach its
 	// successor clause.

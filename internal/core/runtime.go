@@ -97,9 +97,11 @@ type Runtime struct {
 	// Host-side storage recycled across calls (allocation control only; no
 	// simulated effect). hooks are the compute-side fault handlers installed
 	// while calls are in flight; scratch pools the working storage of calls
-	// not in flight.
+	// not in flight; dil is r.dilation bound once, so a call installs it in
+	// its Env without building a method value.
 	hooks   pushHooks
 	scratch []*callScratch
+	dil     func() float64
 }
 
 // callScratch is the host-side working storage one call needs from request
@@ -143,6 +145,7 @@ func NewRuntime(p *ddc.Process, contexts int) *Runtime {
 	r := &Runtime{P: p, Contexts: contexts, Breaker: DefaultBreaker()}
 	r.temp.reset()
 	r.hooks.rt = r
+	r.dil = r.dilation
 	return r
 }
 
@@ -520,7 +523,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	c.pager = pager
 	scr.env = p.RecycleMemoryEnv(scr.env, t, pager)
 	env := scr.env
-	env.Dilation = r.dilation
+	env.Dilation = r.dil
 	var remoteErr error
 	var abort *pushAbort
 	func() {

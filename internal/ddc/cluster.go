@@ -23,7 +23,6 @@ import (
 // wire time, and a larger bound means wider windows, fewer barriers, and
 // better host parallelism at zero cost to fidelity for such workloads.
 type Cluster struct {
-	S        *sim.Scheduler
 	Machines []*Machine
 	Procs    []*Process
 	Domains  []*sim.Domain
@@ -38,7 +37,7 @@ func NewCluster(s *sim.Scheduler, n int, syncLat sim.Time, mk func(i int) Config
 	if n < 1 {
 		return nil, fmt.Errorf("ddc: cluster needs at least 1 machine, got %d", n)
 	}
-	c := &Cluster{S: s, SyncLat: syncLat}
+	c := &Cluster{SyncLat: syncLat}
 	for i := 0; i < n; i++ {
 		m, err := NewMachine(mk(i))
 		if err != nil {

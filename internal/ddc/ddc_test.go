@@ -361,15 +361,12 @@ func TestWritebackPageClearsDirty(t *testing.T) {
 	}
 }
 
-func TestPlaceStringAndMemoryEnv(t *testing.T) {
-	if PlaceCompute.String() != "compute" || PlaceMemory.String() != "memory" {
-		t.Fatal("Place names")
-	}
+func TestMemoryEnv(t *testing.T) {
 	m := MustMachine(BaseDDC(8 * mem.PageSize))
 	p := m.NewProcess()
 	th := sim.NewThread("t")
 	env := p.RecycleMemoryEnv(nil, th, nopPager{})
-	if env.Place != PlaceMemory || env.ClockGHz != m.Cfg.HW.MemoryClockGHz {
+	if env.ClockGHz != m.Cfg.HW.MemoryClockGHz {
 		t.Fatalf("memory env misconfigured: %+v", env)
 	}
 	a := p.Space.Alloc(8, "x")

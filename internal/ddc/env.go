@@ -13,23 +13,6 @@ import (
 	"teleport/internal/trace"
 )
 
-// Place says which resource pool a simulated thread is executing in.
-type Place int
-
-// Execution places.
-const (
-	PlaceCompute Place = iota
-	PlaceMemory
-)
-
-// String names the place.
-func (p Place) String() string {
-	if p == PlaceMemory {
-		return "memory"
-	}
-	return "compute"
-}
-
 // Pager services accesses that need residency or permission work. The
 // default pager implements the monolithic and base-DDC compute-pool paths;
 // internal/core installs a memory-place pager for pushdown execution.
@@ -53,9 +36,8 @@ type Pager interface {
 // data access through the paging and cost models. Application code (the
 // DBMS, graph engine, MapReduce) performs all reads/writes through an Env.
 type Env struct {
-	T     *sim.Thread
-	P     *Process
-	Place Place
+	T *sim.Thread
+	P *Process
 
 	// ClockGHz is the executing CPU's clock; Dilation (optional) scales CPU
 	// cost up when user contexts outnumber memory-pool cores (§7.3).
@@ -101,7 +83,7 @@ type Env struct {
 // NewEnv returns a compute-place environment for t.
 func (p *Process) NewEnv(t *sim.Thread) *Env {
 	e := &Env{
-		T: t, P: p, Place: PlaceCompute,
+		T: t, P: p,
 		ClockGHz:  p.M.Cfg.HW.ComputeClockGHz,
 		pager:     computePager{},
 		local:     !p.M.Cfg.Disaggregated,
@@ -132,7 +114,7 @@ func (p *Process) RecycleMemoryEnv(old *Env, t *sim.Thread, pager Pager) *Env {
 	}
 	clear(l2)
 	*e = Env{
-		T: t, P: p, Place: PlaceMemory,
+		T: t, P: p,
 		ClockGHz:  p.M.Cfg.HW.MemoryClockGHz,
 		pager:     pager,
 		lineShift: p.lineShift(),

@@ -12,7 +12,6 @@ import "teleport/internal/hw"
 
 // Profile characterises one distributed engine.
 type Profile struct {
-	Name string
 	// Workers is the cluster size the resources are spread over.
 	Workers int
 	// Efficiency is the per-worker execution efficiency relative to the
@@ -32,7 +31,6 @@ type Profile struct {
 // scaling on TPC-H.
 func SparkSQL() Profile {
 	return Profile{
-		Name:            "SparkSQL",
 		Workers:         8,
 		Efficiency:      0.95,
 		ShuffleFraction: 0.30,
@@ -45,7 +43,6 @@ func SparkSQL() Profile {
 // scaling.
 func Vertica() Profile {
 	return Profile{
-		Name:            "Vertica",
 		Workers:         8,
 		Efficiency:      0.55,
 		ShuffleFraction: 0.45,

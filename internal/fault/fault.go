@@ -142,7 +142,6 @@ func (c Counters) String() string {
 // single-threaded virtual-time scheduler.
 type Plan struct {
 	Prof Profile
-	Seed int64
 
 	// Independent streams per layer, so the number of draws in one layer
 	// (say, a retry storm on the fabric) never shifts another layer's
@@ -167,7 +166,6 @@ func NewPlan(prof Profile, seed int64) *Plan {
 	root := sim.NewRNG(seed)
 	return &Plan{
 		Prof:   prof,
-		Seed:   seed,
 		net:    root.Derive(1),
 		ctx:    root.Derive(3),
 		ctxMid: root.Derive(5),

@@ -7,7 +7,6 @@ package graph
 // SSSP returns the single-source shortest-path program from src.
 func SSSP(src int) Program {
 	return Program{
-		Name:    "SSSP",
 		Combine: CombineMin,
 		Init: func(v int) (int64, bool) {
 			if v == src {
@@ -29,7 +28,6 @@ func SSSP(src int) Program {
 // vertex's value converges to 0 if reachable from src, Inf otherwise.
 func Reachability(src int) Program {
 	return Program{
-		Name:    "RE",
 		Combine: CombineMin,
 		Init: func(v int) (int64, bool) {
 			if v == src {
@@ -52,7 +50,6 @@ func Reachability(src int) Program {
 // must be undirected.
 func CC() Program {
 	return Program{
-		Name:    "CC",
 		Combine: CombineMin,
 		Init:    func(v int) (int64, bool) { return int64(v), true },
 		Scatter: func(val, _, _ int64) int64 { return val },
@@ -77,7 +74,6 @@ func PageRank(iters, nv int) Program {
 		base = 1
 	}
 	return Program{
-		Name:     "PageRank",
 		Combine:  CombineSum,
 		MaxIters: iters,
 		Init:     func(v int) (int64, bool) { return base, true },

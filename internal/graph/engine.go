@@ -39,8 +39,6 @@ const (
 
 // Program defines a vertex program in the gather-apply-scatter model.
 type Program struct {
-	// Name identifies the algorithm.
-	Name string
 	// Combine merges messages destined for the same vertex.
 	Combine Combine
 	// Init returns a vertex's initial value and whether it starts active.

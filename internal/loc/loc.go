@@ -27,20 +27,18 @@ type FuncRef struct {
 // compute side ("code change") and the functions executed in the memory
 // pool ("pushed code").
 type Entry struct {
-	System        string
-	Operator      string
-	Functionality string
-	Change        []FuncRef
-	Pushed        []FuncRef
+	System   string
+	Operator string
+	Change   []FuncRef
+	Pushed   []FuncRef
 }
 
 // Row is the measured result.
 type Row struct {
-	System        string
-	Operator      string
-	Functionality string
-	CodeChange    int
-	PushedCode    int
+	System     string
+	Operator   string
+	CodeChange int
+	PushedCode int
 }
 
 // ModuleRoot walks up from dir until it finds go.mod.
@@ -128,7 +126,7 @@ func Count(root string, entries []Entry) ([]Row, error) {
 			return nil, err
 		}
 		rows = append(rows, Row{
-			System: e.System, Operator: e.Operator, Functionality: e.Functionality,
+			System: e.System, Operator: e.Operator,
 			CodeChange: change, PushedCode: pushed,
 		})
 	}
@@ -147,51 +145,43 @@ func DefaultEntries() []Entry {
 	return []Entry{
 		{
 			System: "coldb (MonetDB stand-in)", Operator: "Projection",
-			Functionality: "Get a subset of columns from a list of records",
-			Change:        []FuncRef{{tpchQ, "QFilter"}},
-			Pushed:        []FuncRef{{coldbOps, "Project"}},
+			Change: []FuncRef{{tpchQ, "QFilter"}},
+			Pushed: []FuncRef{{coldbOps, "Project"}},
 		},
 		{
 			System: "coldb (MonetDB stand-in)", Operator: "Aggregation",
-			Functionality: "Apply an aggregate function over tuples",
-			Change:        []FuncRef{{tpchQ, "QFilter"}},
-			Pushed:        []FuncRef{{coldbOps, "Aggregate"}},
+			Change: []FuncRef{{tpchQ, "QFilter"}},
+			Pushed: []FuncRef{{coldbOps, "Aggregate"}},
 		},
 		{
 			System: "coldb (MonetDB stand-in)", Operator: "Selection",
-			Functionality: "Select tuples with filters into a temporary table",
-			Change:        []FuncRef{{tpchQ, "QFilter"}},
-			Pushed:        []FuncRef{{coldbOps, "SelectI64"}},
+			Change: []FuncRef{{tpchQ, "QFilter"}},
+			Pushed: []FuncRef{{coldbOps, "SelectI64"}},
 		},
 		{
 			System: "coldb (MonetDB stand-in)", Operator: "HashJoin",
-			Functionality: "Scan outer, probe hash index, generate join results",
-			Change:        []FuncRef{{tpchQ, "Q3"}},
-			Pushed:        []FuncRef{{coldbJoin, "BuildHashIndex"}, {coldbJoin, "HashJoinProbe"}},
+			Change: []FuncRef{{tpchQ, "Q3"}},
+			Pushed: []FuncRef{{coldbJoin, "BuildHashIndex"}, {coldbJoin, "HashJoinProbe"}},
 		},
 		{
 			System: "graph (PowerGraph stand-in)", Operator: "Finalize",
-			Functionality: "Partition and shuffle input graph among workers",
-			Change:        []FuncRef{{gEng, "Engine.Run"}},
-			Pushed:        []FuncRef{{gEng, "Engine.finalize"}},
+			Change: []FuncRef{{gEng, "Engine.Run"}},
+			Pushed: []FuncRef{{gEng, "Engine.finalize"}},
 		},
 		{
 			System: "graph (PowerGraph stand-in)", Operator: "Scatter",
-			Functionality: "Exchange and combine messages between vertices",
-			Change:        []FuncRef{{gEng, "Engine.Run"}},
-			Pushed:        []FuncRef{{gEng, "Engine.scatter"}},
+			Change: []FuncRef{{gEng, "Engine.Run"}},
+			Pushed: []FuncRef{{gEng, "Engine.scatter"}},
 		},
 		{
 			System: "graph (PowerGraph stand-in)", Operator: "Gather",
-			Functionality: "Aggregate messages and apply a user-defined function",
-			Change:        []FuncRef{{gEng, "Engine.Run"}},
-			Pushed:        []FuncRef{{gEng, "Engine.gather"}, {gEng, "Engine.apply"}},
+			Change: []FuncRef{{gEng, "Engine.Run"}},
+			Pushed: []FuncRef{{gEng, "Engine.gather"}, {gEng, "Engine.apply"}},
 		},
 		{
 			System: "mapreduce (Phoenix stand-in)", Operator: "MapShuffle",
-			Functionality: "Shuffle map results to the buffers of reduce tasks",
-			Change:        []FuncRef{{mrEng, "Engine.Run"}},
-			Pushed:        []FuncRef{{mrEng, "Engine.mapShuffle"}},
+			Change: []FuncRef{{mrEng, "Engine.Run"}},
+			Pushed: []FuncRef{{mrEng, "Engine.mapShuffle"}},
 		},
 	}
 }

@@ -31,21 +31,18 @@ type CorpusConfig struct {
 	// frequencies are Zipf-distributed like natural language.
 	Words int
 	Vocab int
-	// WordsPerLine sets the average comment length.
-	WordsPerLine int
 	// Seed makes generation deterministic.
 	Seed int64
-	// KeepRaw retains the generated text for verification.
-	KeepRaw bool
 }
 
-// GenerateCorpus synthesises the corpus directly into the memory pool.
+// wordsPerLine is the length of a comment.
+const wordsPerLine = 12
+
+// GenerateCorpus synthesises the corpus directly into the memory pool and
+// returns it with the text it wrote.
 func GenerateCorpus(p *ddc.Process, cfg CorpusConfig) (*Corpus, []byte) {
 	if cfg.Words <= 0 || cfg.Vocab <= 1 {
 		panic("mapreduce: bad CorpusConfig")
-	}
-	if cfg.WordsPerLine <= 0 {
-		cfg.WordsPerLine = 12
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(r, 1.3, 1, uint64(cfg.Vocab-1))
@@ -53,7 +50,7 @@ func GenerateCorpus(p *ddc.Process, cfg CorpusConfig) (*Corpus, []byte) {
 	lines := 1
 	for i := 0; i < cfg.Words; i++ {
 		buf = strconv.AppendUint(append(buf, 'w'), zipf.Uint64(), 10)
-		if (i+1)%cfg.WordsPerLine == 0 {
+		if (i+1)%wordsPerLine == 0 {
 			buf = append(buf, '\n')
 			lines++
 		} else {
@@ -63,11 +60,7 @@ func GenerateCorpus(p *ddc.Process, cfg CorpusConfig) (*Corpus, []byte) {
 	buf = append(buf, '\n')
 	base := p.Space.AllocPages(int64(len(buf)), "corpus")
 	p.Space.WriteAt(base, buf)
-	c := &Corpus{P: p, Base: base, Len: int64(len(buf)), Lines: lines, Vocab: cfg.Vocab}
-	if cfg.KeepRaw {
-		return c, buf
-	}
-	return c, nil
+	return &Corpus{P: p, Base: base, Len: int64(len(buf)), Lines: lines, Vocab: cfg.Vocab}, buf
 }
 
 // ReadChunk copies corpus bytes [lo, hi) through the paging model in

@@ -58,7 +58,6 @@ func (b *kvBuf) get(env *ddc.Env, i int) KV {
 // Job defines a MapReduce application: Map tokenises one input chunk and
 // emits records; values of equal keys are summed by Reduce.
 type Job interface {
-	Name() string
 	Map(env *ddc.Env, chunk []byte, lineBase int, emit func(k, v int64))
 }
 

@@ -8,9 +8,6 @@ import (
 // synthetic corpus are "w<id>" tokens; the id is the key.
 type WordCount struct{}
 
-// Name implements Job.
-func (WordCount) Name() string { return "WordCount" }
-
 // Map tokenises the chunk and emits (wordID, 1) per token.
 func (WordCount) Map(env *ddc.Env, chunk []byte, _ int, emit func(k, v int64)) {
 	i := 0
@@ -49,9 +46,6 @@ type Grep struct {
 	// Buckets controls how many distinct keys the hits spread over.
 	Buckets int64
 }
-
-// Name implements Job.
-func (g Grep) Name() string { return "Grep" }
 
 // Map emits (line bucket, 1) for every pattern occurrence.
 func (g Grep) Map(env *ddc.Env, chunk []byte, lineBase int, emit func(k, v int64)) {

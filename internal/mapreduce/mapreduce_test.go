@@ -15,7 +15,7 @@ func localCorpus(t *testing.T, words int) (*Corpus, []byte, *profile.Exec) {
 	t.Helper()
 	m := ddc.MustMachine(ddc.Linux())
 	p := m.NewProcess()
-	c, raw := GenerateCorpus(p, CorpusConfig{Words: words, Vocab: 500, Seed: 5, KeepRaw: true})
+	c, raw := GenerateCorpus(p, CorpusConfig{Words: words, Vocab: 500, Seed: 5})
 	return c, raw, profile.NewExec(sim.NewThread("mr"), p, nil)
 }
 
@@ -218,7 +218,7 @@ func TestGrepEmptyPatternAndDefaults(t *testing.T) {
 func TestMoreMappersThanLines(t *testing.T) {
 	m := ddc.MustMachine(ddc.Linux())
 	p := m.NewProcess()
-	c, raw := GenerateCorpus(p, CorpusConfig{Words: 30, Vocab: 10, Seed: 2, KeepRaw: true})
+	c, raw := GenerateCorpus(p, CorpusConfig{Words: 30, Vocab: 10, Seed: 2})
 	ex := profile.NewExec(sim.NewThread("mr"), p, nil)
 	eng := NewEngine(c, WordCount{}, 16, 4) // chunks smaller than lines
 	eng.Run(ex)

@@ -58,7 +58,6 @@ func (d *SSD) SetObserver(tr *trace.Tracer) { d.obs = tr }
 func (d *SSD) ReadPage(t *sim.Thread, page uint64) {
 	sp := d.obs.Begin(t, trace.KindSSDRead, page, 0)
 	d.stats.Reads++
-	d.stats.BytesRead += int64(d.pageSize)
 	seq := d.haveRead && page == d.lastRead+1
 	d.lastRead, d.haveRead = page, true
 	if seq {
@@ -80,7 +79,6 @@ func (d *SSD) ReadPage(t *sim.Thread, page uint64) {
 func (d *SSD) WritePage(t *sim.Thread, page uint64) {
 	sp := d.obs.Begin(t, trace.KindSSDWrite, page, 0)
 	d.stats.Writes++
-	d.stats.BytesWrite += int64(d.pageSize)
 	seq := d.haveWrite && page == d.lastWrite+1
 	d.lastWrite, d.haveWrite = page, true
 	if seq {
@@ -93,11 +91,9 @@ func (d *SSD) WritePage(t *sim.Thread, page uint64) {
 
 // Stats describes accumulated device activity.
 type Stats struct {
-	Reads      int64 `ctr:"ssd.read"`
-	Writes     int64 `ctr:"ssd.write"`
-	SeqReads   int64
-	BytesRead  int64
-	BytesWrite int64
+	Reads    int64 `ctr:"ssd.read"`
+	Writes   int64 `ctr:"ssd.write"`
+	SeqReads int64
 	// ReadRetries counts device-level re-reads after injected read errors.
 	ReadRetries int64 `ctr:"ssd.read-retries"`
 }

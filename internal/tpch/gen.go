@@ -30,59 +30,17 @@ type Config struct {
 	Scale float64
 	// Seed makes generation deterministic.
 	Seed int64
-	// KeepRaw retains plain-Go copies of every column for result
-	// verification in tests.
-	KeepRaw bool
-}
-
-// Raw holds plain-Go copies of the generated columns (verification only).
-type Raw struct {
-	LOrderkey, LPartkey, LSuppkey []int64
-	LQuantity, LExtPrice, LDisc   []float64
-	LTax                          []float64
-	LShipdate                     []int64
-	LReturnflag, LLinestatus      []int64
-	OCustkey, OOrderdate          []int64
-	CMktsegment, CNationkey       []int64
-	PColor                        []int64
-	SNationkey                    []int64
-	PSKey                         []int64
-	PSSupplyCost                  []float64
 }
 
 // Data is the loaded database plus its cardinalities.
 type Data struct {
 	DB                *coldb.DB
 	L, O, C, P, S, PS int
-	Raw               *Raw
 }
 
 // CompositeKey packs a (partkey, suppkey) pair into the single int64 key the
 // partsupp hash index uses.
 func CompositeKey(partkey, suppkey int64) int64 { return partkey*100000 + suppkey }
-
-// colWriter writes one column as its values are drawn and, under KeepRaw,
-// keeps the plain-Go copy alongside.
-type colWriter struct {
-	w    coldb.ColumnWriter
-	keep bool
-	i64  []int64
-	f64  []float64
-}
-
-func (c *colWriter) putI64(v int64) {
-	c.w.I64(v)
-	if c.keep {
-		c.i64 = append(c.i64, v)
-	}
-}
-
-func (c *colWriter) putF64(v float64) {
-	c.w.F64(v)
-	if c.keep {
-		c.f64 = append(c.f64, v)
-	}
-}
 
 // Load generates the schema into db. Loading bypasses the compute cache —
 // in a DDC the database is born in the memory pool (§2.1). Every value goes
@@ -99,18 +57,7 @@ func Load(db *coldb.DB, cfg Config) *Data {
 	S := max(L/600, 10)
 	PS := P * 4
 
-	d := &Data{DB: db, L: L, O: O, C: C, P: P, S: S, PS: PS}
-	// open starts a column's writer (with its raw copy sized, under KeepRaw).
-	open := func(t *coldb.Table, name string) *colWriter {
-		col := t.Col(name)
-		c := &colWriter{w: col.Writer(db.P), keep: cfg.KeepRaw}
-		if c.keep && col.Type == coldb.F64 {
-			c.f64 = make([]float64, 0, col.N)
-		} else if c.keep {
-			c.i64 = make([]int64, 0, col.N)
-		}
-		return c
-	}
+	open := func(t *coldb.Table, name string) coldb.ColumnWriter { return t.Col(name).Writer(db.P) }
 
 	// part: dense partkey = row id, a colour id, retail price.
 	part := db.CreateTable("part", P,
@@ -120,9 +67,9 @@ func Load(db *coldb.DB, cfg Config) *Data {
 	)
 	pKey, pColor, pPrice := open(part, "p_partkey"), open(part, "p_color"), open(part, "p_retailprice")
 	for i := 0; i < P; i++ {
-		pKey.putI64(int64(i))
-		pColor.putI64(int64(r.Intn(92))) // TPC-H has 92 colour words
-		pPrice.putF64(900 + float64(r.Intn(1200)))
+		pKey.I64(int64(i))
+		pColor.I64(int64(r.Intn(92))) // TPC-H has 92 colour words
+		pPrice.F64(900 + float64(r.Intn(1200)))
 	}
 
 	// supplier: dense suppkey, nation.
@@ -132,8 +79,8 @@ func Load(db *coldb.DB, cfg Config) *Data {
 	)
 	sKey, sNation := open(supp, "s_suppkey"), open(supp, "s_nationkey")
 	for i := 0; i < S; i++ {
-		sKey.putI64(int64(i))
-		sNation.putI64(int64(r.Intn(Nations)))
+		sKey.I64(int64(i))
+		sNation.I64(int64(r.Intn(Nations)))
 	}
 
 	// partsupp: 4 suppliers per part, composite key, supply cost.
@@ -148,8 +95,8 @@ func Load(db *coldb.DB, cfg Config) *Data {
 	}
 	psKey, psCost := open(ps, "ps_key"), open(ps, "ps_supplycost")
 	for i := 0; i < PS; i++ {
-		psKey.putI64(CompositeKey(psPair(i)))
-		psCost.putF64(1 + float64(r.Intn(1000))/10)
+		psKey.I64(CompositeKey(psPair(i)))
+		psCost.F64(1 + float64(r.Intn(1000))/10)
 	}
 
 	// customer: dense custkey, market segment, nation.
@@ -160,9 +107,9 @@ func Load(db *coldb.DB, cfg Config) *Data {
 	)
 	cKey, cSeg, cNat := open(cust, "c_custkey"), open(cust, "c_mktsegment"), open(cust, "c_nationkey")
 	for i := 0; i < C; i++ {
-		cKey.putI64(int64(i))
-		cSeg.putI64(int64(r.Intn(Segments)))
-		cNat.putI64(int64(r.Intn(Nations)))
+		cKey.I64(int64(i))
+		cSeg.I64(int64(r.Intn(Segments)))
+		cNat.I64(int64(r.Intn(Nations)))
 	}
 
 	// orders: dense orderkey = row id (so lineitem sorted by orderkey can
@@ -174,9 +121,9 @@ func Load(db *coldb.DB, cfg Config) *Data {
 	)
 	oKey, oCust, oDate := open(orders, "o_orderkey"), open(orders, "o_custkey"), open(orders, "o_orderdate")
 	for i := 0; i < O; i++ {
-		oKey.putI64(int64(i))
-		oCust.putI64(int64(r.Intn(C)))
-		oDate.putI64(int64(r.Intn(DateMax)))
+		oKey.I64(int64(i))
+		oCust.I64(int64(r.Intn(C)))
+		oDate.I64(int64(r.Intn(DateMax)))
 	}
 
 	// lineitem: sorted by orderkey, FK references into partsupp pairs so
@@ -198,32 +145,19 @@ func Load(db *coldb.DB, cfg Config) *Data {
 	lDisc, lTax := open(li, "l_discount"), open(li, "l_tax")
 	lShip, lFlag, lStatus := open(li, "l_shipdate"), open(li, "l_returnflag"), open(li, "l_linestatus")
 	for i := 0; i < L; i++ {
-		lOrder.putI64(int64(i * O / L)) // non-decreasing: sorted by orderkey
+		lOrder.I64(int64(i * O / L)) // non-decreasing: sorted by orderkey
 		pk, sk := psPair(r.Intn(PS))
-		lPart.putI64(pk)
-		lSupp.putI64(sk)
-		lQty.putF64(float64(1 + r.Intn(50)))
-		lPrice.putF64(901 + float64(r.Intn(104000))/priceDiv)
-		lDisc.putF64(float64(r.Intn(11)) / 100)
-		lTax.putF64(float64(r.Intn(9)) / 100)
-		lShip.putI64(int64(r.Intn(DateMax)))
-		lFlag.putI64(int64(r.Intn(3)))   // A / N / R
-		lStatus.putI64(int64(r.Intn(2))) // O / F
+		lPart.I64(pk)
+		lSupp.I64(sk)
+		lQty.F64(float64(1 + r.Intn(50)))
+		lPrice.F64(901 + float64(r.Intn(104000))/priceDiv)
+		lDisc.F64(float64(r.Intn(11)) / 100)
+		lTax.F64(float64(r.Intn(9)) / 100)
+		lShip.I64(int64(r.Intn(DateMax)))
+		lFlag.I64(int64(r.Intn(3)))   // A / N / R
+		lStatus.I64(int64(r.Intn(2))) // O / F
 	}
-
-	if cfg.KeepRaw {
-		d.Raw = &Raw{
-			LOrderkey: lOrder.i64, LPartkey: lPart.i64, LSuppkey: lSupp.i64,
-			LQuantity: lQty.f64, LExtPrice: lPrice.f64, LDisc: lDisc.f64, LTax: lTax.f64,
-			LShipdate: lShip.i64, LReturnflag: lFlag.i64, LLinestatus: lStatus.i64,
-			OCustkey: oCust.i64, OOrderdate: oDate.i64,
-			CMktsegment: cSeg.i64, CNationkey: cNat.i64,
-			PColor:     pColor.i64,
-			SNationkey: sNation.i64,
-			PSKey:      psKey.i64, PSSupplyCost: psCost.f64,
-		}
-	}
-	return d
+	return &Data{DB: db, L: L, O: O, C: C, P: P, S: S, PS: PS}
 }
 
 const priceDiv = 10 // price quantisation divisor

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -12,12 +13,22 @@ import (
 	"teleport/internal/sim"
 )
 
-func loadLocal(t *testing.T, scale float64) (*Data, *profile.Exec) {
+// testData is a loaded database with the plain-Go copy of its columns the
+// naive queries read.
+type testData struct {
+	*Data
+	Raw *Raw
+}
+
+// loadLocal loads the database into a Linux process and takes its plain-Go
+// copy from referenceLoad run into a throwaway one.
+func loadLocal(t *testing.T, scale float64) (testData, *profile.Exec) {
 	t.Helper()
-	m := ddc.MustMachine(ddc.Linux())
-	p := m.NewProcess()
-	d := Load(coldb.NewDB(p), Config{Scale: scale, Seed: 42, KeepRaw: true})
-	return d, profile.NewExec(sim.NewThread("q"), p, nil)
+	cfg := Config{Scale: scale, Seed: 42}
+	p := ddc.MustMachine(ddc.Linux()).NewProcess()
+	d := Load(coldb.NewDB(p), cfg)
+	_, raw := referenceLoad(coldb.NewDB(ddc.MustMachine(ddc.Linux()).NewProcess()), cfg)
+	return testData{d, raw}, profile.NewExec(sim.NewThread("q"), p, nil)
 }
 
 func approxEq(a, b float64) bool {
@@ -60,17 +71,21 @@ func TestLoadCardinalities(t *testing.T) {
 func TestLoadDeterministic(t *testing.T) {
 	d1, _ := loadLocal(t, 0.05)
 	d2, _ := loadLocal(t, 0.05)
-	for i := range d1.Raw.LShipdate {
-		if d1.Raw.LShipdate[i] != d2.Raw.LShipdate[i] {
-			t.Fatal("generation not deterministic")
-		}
+	shipdates := func(d testData) []byte {
+		c := d.DB.Table("lineitem").Col("l_shipdate")
+		b := make([]byte, c.Bytes())
+		d.DB.P.Space.ReadAt(c.Base, b)
+		return b
+	}
+	if !bytes.Equal(shipdates(d1), shipdates(d2)) {
+		t.Fatal("generation not deterministic")
 	}
 }
 
 func TestQFilterMatchesNaive(t *testing.T) {
 	d, ex := loadLocal(t, 0.1)
 	const cut = 1200
-	got := QFilter(ex, d, cut)
+	got := QFilter(ex, d.Data, cut)
 	var want float64
 	for i := 0; i < d.L; i++ {
 		if d.Raw.LShipdate[i] < cut {
@@ -89,7 +104,7 @@ func TestQFilterMatchesNaive(t *testing.T) {
 func TestQ6MatchesNaive(t *testing.T) {
 	d, ex := loadLocal(t, 0.1)
 	const start = 730
-	got := Q6(ex, d, start)
+	got := Q6(ex, d.Data, start)
 	var want float64
 	for i := 0; i < d.L; i++ {
 		if d.Raw.LShipdate[i] >= start && d.Raw.LShipdate[i] < start+YearDays &&
@@ -103,7 +118,7 @@ func TestQ6MatchesNaive(t *testing.T) {
 	}
 }
 
-func naiveQ3(d *Data, segment, day int64) map[int64]float64 {
+func naiveQ3(d testData, segment, day int64) map[int64]float64 {
 	want := map[int64]float64{}
 	for i := 0; i < d.L; i++ {
 		if d.Raw.LShipdate[i] <= day {
@@ -125,7 +140,7 @@ func naiveQ3(d *Data, segment, day int64) map[int64]float64 {
 func TestQ3MatchesNaive(t *testing.T) {
 	d, ex := loadLocal(t, 0.1)
 	const segment, day = 0, 1100
-	top := Q3(ex, d, segment, day)
+	top := Q3(ex, d.Data, segment, day)
 	want := naiveQ3(d, segment, day)
 	if len(top) == 0 {
 		t.Fatal("Q3 returned nothing")
@@ -147,7 +162,7 @@ func TestQ3MatchesNaive(t *testing.T) {
 	}
 }
 
-func naiveQ9(d *Data, color int64) map[int64]float64 {
+func naiveQ9(d testData, color int64) map[int64]float64 {
 	cost := map[int64]float64{}
 	for i, k := range d.Raw.PSKey {
 		cost[k] = d.Raw.PSSupplyCost[i]
@@ -170,7 +185,7 @@ func naiveQ9(d *Data, color int64) map[int64]float64 {
 
 func TestQ9MatchesNaive(t *testing.T) {
 	d, ex := loadLocal(t, 0.1)
-	rows := Q9(ex, d, GreenPart)
+	rows := Q9(ex, d.Data, GreenPart)
 	want := naiveQ9(d, GreenPart)
 	if len(rows) != len(want) {
 		t.Fatalf("Q9 groups = %d, want %d", len(rows), len(want))
@@ -239,7 +254,7 @@ func TestQueriesIdenticalAcrossPlatforms(t *testing.T) {
 func TestQ1MatchesNaive(t *testing.T) {
 	d, ex := loadLocal(t, 0.1)
 	const cut = 2400
-	rows := Q1(ex, d, cut)
+	rows := Q1(ex, d.Data, cut)
 	type agg struct {
 		qty, price, disc, charge float64
 		count                    int64
@@ -351,7 +366,7 @@ func TestPushedQueriesMatchUnpushed(t *testing.T) {
 func TestQueryEdgeCases(t *testing.T) {
 	d, ex := loadLocal(t, 0.05)
 	// Q_filter with a cutoff below every shipdate: empty selection.
-	if got := QFilter(ex, d, 0); got != 0 {
+	if got := QFilter(ex, d.Data, 0); got != 0 {
 		t.Fatalf("QFilter(empty) = %v", got)
 	}
 	// Q_filter with a cutoff above every shipdate: all rows.
@@ -360,19 +375,19 @@ func TestQueryEdgeCases(t *testing.T) {
 		all += q
 	}
 	d2, ex2 := loadLocal(t, 0.05)
-	if got := QFilter(ex2, d2, DateMax+1); !approxEq(got, all) {
+	if got := QFilter(ex2, d2.Data, DateMax+1); !approxEq(got, all) {
 		t.Fatalf("QFilter(all) = %v, want %v", got, all)
 	}
 	_ = d2
 	// Q3 with a day that matches no orders: empty result.
 	d3, ex3 := loadLocal(t, 0.05)
-	top := Q3(ex3, d3, 0, 0)
+	top := Q3(ex3, d3.Data, 0, 0)
 	if len(top) != 0 {
 		t.Fatalf("Q3 with no qualifying orders returned %d rows", len(top))
 	}
 	// Q9 with a colour no part has (colours are 0..91).
 	d4, ex4 := loadLocal(t, 0.05)
-	if rows := Q9(ex4, d4, 99); len(rows) != 0 {
+	if rows := Q9(ex4, d4.Data, 99); len(rows) != 0 {
 		t.Fatalf("Q9 with unmatched colour returned %d groups", len(rows))
 	}
 }

@@ -220,6 +220,109 @@ func TestInternalSurfaceHasProductionCallers(t *testing.T) {
 	}
 }
 
+// fieldKeep names the struct fields ("pkg.Type.field") and whole structs
+// ("pkg.Type") that no non-test file reads by name, each with why it stays.
+// An anonymous struct's fields go by the function or variable it appears in.
+var fieldKeep = map[string]string{
+	"bench.cellKey":    "map key of the timed-cell memo: compared whole, never read field by field",
+	"bench.datasetKey": "map key of the dataset memo: compared whole, never read field by field",
+
+	"core.Stats":        "a call's statistics, returned to callers",
+	"core.RuntimeStats": "the runtime's statistics, returned to callers and marshalled in the run report's fault block",
+	"tpch.Q1Row":        "the query's answer",
+
+	"sim.domain":      "internal/sim is frozen (ROADMAP \"Decided\")",
+	"main.group.name": "TestEveryFlagDeclaredOnce names flag groups by it",
+}
+
+// TestEveryFieldIsRead fails on a struct field declared under internal/ or
+// cmd/ that no non-test file of the module reads. Being the target of an
+// assignment or ++/-- or a composite-literal key is not a read. A field with
+// a struct tag is read by reflection (encoding/json, metrics.Ledger), and an
+// embedded one through promotion, so neither is checked.
+func TestEveryFieldIsRead(t *testing.T) {
+	pkgs, _ := loadModule(t)
+	read := map[types.Object]bool{}
+	for _, p := range pkgs {
+		written := map[*ast.Ident]bool{}
+		for _, f := range p.Files {
+			markAssigned(f, func(id *ast.Ident) { written[id] = true })
+		}
+		for id, obj := range p.Info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+				read[origin(v)] = true
+			}
+		}
+	}
+
+	var unread []string
+	keepSeen := map[string]bool{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, internalPrefix) && !strings.HasPrefix(p.Path, "teleport/cmd/") {
+			continue
+		}
+		// check visits the structs under node, naming their fields after
+		// owner: the type, variable or function declared at top level.
+		check := func(owner string, node ast.Node) {
+			typ := p.Types.Name() + "." + owner
+			ast.Inspect(node, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, fld := range st.Fields.List {
+					if fld.Tag != nil {
+						continue
+					}
+					for _, name := range fld.Names {
+						if name.Name == "_" || read[p.Info.Defs[name]] {
+							continue
+						}
+						key := typ + "." + name.Name
+						if _, ok := fieldKeep[key]; ok {
+							keepSeen[key] = true
+						} else if _, ok := fieldKeep[typ]; ok {
+							keepSeen[typ] = true
+						} else {
+							unread = append(unread, key)
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					check(d.Name.Name, d)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							check(sp.Name.Name, sp)
+						case *ast.ValueSpec:
+							check(sp.Names[0].Name, sp)
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(unread)
+	for _, key := range unread {
+		t.Errorf("%s is written but no non-test file reads it: delete it, or give it a line in fieldKeep", key)
+	}
+	for key, why := range fieldKeep {
+		if !keepSeen[key] {
+			t.Errorf("fieldKeep[%q] is stale: the field is gone or a non-test file reads it now", key)
+		}
+		if strings.TrimSpace(why) == "" {
+			t.Errorf("fieldKeep[%q] has no reason", key)
+		}
+	}
+}
+
 // origin maps an instantiated generic's member back to its declaration.
 func origin(obj types.Object) types.Object {
 	switch o := obj.(type) {
