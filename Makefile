@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare profile
+.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare bench-push profile
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,13 @@ bench-repo:
 
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
+
+# The pushdown call's layer numbers: set-up at 1 500 resident pages (/ro and
+# /rw) and pre-image capture. /ro's runs/op and ns/op depend on b.N, so
+# bench-push runs a fixed 20 000 iterations, three times; compare two builds
+# with it, not with -benchtime in seconds.
+bench-push:
+	$(GO) test -run '^$$' -bench 'PushdownSetup1500|JournalCapture' -benchtime 20000x -count 3 ./internal/core
 
 # Where the host's time goes and where its allocated bytes come from, without
 # editing code: make profile W=Q9 P=teleport (one workload on one platform) or

@@ -16,10 +16,12 @@ import (
 // fault Figs 15, 13 and 3 cost 411 k, 52 k and 34 k objects — and so does a
 // cell that generates its own dataset instead of attaching its figure's
 // (5 561, 4 629 and 2 723) or one that keeps its memory instead of releasing
-// it (3 467, 3 060 and 1 771): a microbenchmark cell touches 8.65 MB of array
-// and journals most of it, so Fig 21's 25 cells and Fig 6's 5 allocate what
-// about two of them need when each runs on the pages of the one before, and
-// 25 and 5 times 8.65 MB and more when any of them stops.
+// it (3 467, 3 060 and 1 771): a microbenchmark cell touches 8.65 MB of array,
+// so Fig 21's 25 cells and Fig 6's 5 allocate what about two of them need when
+// each runs on the pages of the one before, and 25 and 5 times 8.65 MB and
+// more when any of them stops. Their pushdowns cannot abort, so they keep no
+// pre-images; journalling most of the array again, as every call once did,
+// costs 5 642 objects and 28.1 MB for Fig 21 and 4 342 and 18.8 MB for Fig 6.
 func TestFigureMallocBudget(t *testing.T) {
 	opts := Options{Scale: 0.02, GraphNV: 600, Words: 2000, Seed: 1, CacheFrac: 0.02, Parallel: 1, SimWorkers: 1}
 	for _, fig := range []struct {
@@ -27,11 +29,11 @@ func TestFigureMallocBudget(t *testing.T) {
 		objects uint64
 		bytes   uint64 // 0: not gated
 	}{
-		{"15", 2700, 0},    // measured 1 693, and 2 180 under the race detector
-		{"13", 2950, 0},    // measured 2 348
-		{"3", 1750, 0},     // measured 1 394
-		{"21", 7200, 34e6}, // measured 5 752 and 28.1 MB (81 744 and 341 MB unreleased)
-		{"6", 5450, 23e6},  // measured 4 367 and 18.8 MB (16 402 and 68 MB unreleased)
+		{"15", 2700, 0},    // measured 1 626, and 1 669 under the race detector
+		{"13", 2950, 0},    // measured 2 151
+		{"3", 1750, 0},     // measured 1 396
+		{"21", 4600, 22e6}, // measured 3 658 and 17.7 MB (81 744 and 341 MB unreleased)
+		{"6", 3050, 13e6},  // measured 2 431 and 10.4 MB (16 402 and 68 MB unreleased)
 	} {
 		run := func() (objects, bytes uint64) {
 			var before, after runtime.MemStats

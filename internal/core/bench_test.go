@@ -226,9 +226,14 @@ func TestRequestBytesIsMarshalledLength(t *testing.T) {
 	}
 }
 
+// captureOpts makes a call that can roll back, so it journals what it dirties:
+// a deadline far past anything the call takes arms it without ever firing.
+var captureOpts = Options{Deadline: sim.Second}
+
 // BenchmarkJournalCapture measures pre-image capture across pushdown calls
 // that each dirty many pages — the crash-consistency hot path the buffer
-// pool exists for.
+// pool exists for. The calls carry a deadline: a call that cannot abort
+// keeps no pre-images.
 func BenchmarkJournalCapture(b *testing.B) {
 	m := ddc.MustMachine(ddc.BaseDDC(256 * mem.PageSize))
 	p := m.NewProcess()
@@ -245,7 +250,7 @@ func BenchmarkJournalCapture(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.Pushdown(th, body, Options{}); err != nil {
+		if _, err := rt.Pushdown(th, body, captureOpts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,7 +261,8 @@ func BenchmarkJournalCapture(b *testing.B) {
 // fresh page-sized buffer. The assertion is on allocated bytes
 // (runtime.MemStats.TotalAlloc is a monotonic allocation counter, immune to
 // GC timing): without recycling each captured page costs ≥ mem.PageSize; with
-// it, only the journal's order bookkeeping remains.
+// it, only the journal's order bookkeeping remains. The calls carry a
+// deadline, as in BenchmarkJournalCapture, so they capture at all.
 func TestJournalCapturePooled(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(256 * mem.PageSize))
 	p := m.NewProcess()
@@ -271,7 +277,7 @@ func TestJournalCapturePooled(t *testing.T) {
 		}
 	}
 	call := func() {
-		if _, err := rt.Pushdown(th, body, Options{}); err != nil {
+		if _, err := rt.Pushdown(th, body, captureOpts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,5 +296,41 @@ func TestJournalCapturePooled(t *testing.T) {
 	if perPage >= mem.PageSize/2 {
 		t.Fatalf("journal capture allocates %.0f B per captured page; pre-images are not recycled (unrecycled cost ≥ %d B)",
 			perPage, mem.PageSize)
+	}
+}
+
+// A call with no crash point, no deadline and no write quorum cannot abort, so
+// it copies no pre-images: the scratch journal's slot index, which every
+// capture extends and nothing shrinks, stays empty. The same call under a
+// deadline captures each of the 64 pages it dirties, in order.
+func TestUnarmedCallKeepsNoPreimages(t *testing.T) {
+	const pages = 64
+	for _, tc := range []struct {
+		opts     Options
+		captures int
+	}{{Options{}, 0}, {captureOpts, pages}} {
+		p, rt := testProc(256)
+		a := p.Space.AllocPages(pages*mem.PageSize, "v")
+		body := func(env *ddc.Env) {
+			for pg := 0; pg < pages; pg++ {
+				addr := a + mem.Addr(pg)*mem.PageSize
+				env.WriteI64(addr, env.ReadI64(addr)+1)
+			}
+		}
+		if _, err := rt.Pushdown(sim.NewThread("t"), body, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		slot := rt.scratch[0].pager.journal.slot
+		if tc.captures == 0 {
+			if len(slot) != 0 {
+				t.Fatalf("Deadline %v: journal slot index spans %d pages, want none captured", tc.opts.Deadline, len(slot))
+			}
+			continue
+		}
+		for i := 0; i < tc.captures; i++ {
+			if pg := int(mem.PageOf(a)) + i; pg >= len(slot) || slot[pg] != uint32(i) {
+				t.Fatalf("Deadline %v: page %d of %d was not the call's capture %d", tc.opts.Deadline, i, pages, i)
+			}
+		}
 	}
 }

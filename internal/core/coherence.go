@@ -60,6 +60,17 @@ func (mp *memPager) precheck(e *ddc.Env) {
 	}
 }
 
+// capture journals pg's pre-image ahead of a write when the call can roll
+// back. Only an armed or gated call can: pushAbort is raised by precheck,
+// which runs only when armed, and by the quorum gate, which runs only when
+// gated. Any other call commits whatever it wrote, so its pre-images would
+// be copied and never read.
+func (mp *memPager) capture(pg mem.PageID) {
+	if mp.armed || mp.gated {
+		mp.journal.capture(mp.rt.P.Space, pg)
+	}
+}
+
 // EnsurePage implements the memory-place access path.
 func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 	r := mp.rt
@@ -82,7 +93,7 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		// dirty tracking so eager mode knows what changed).
 		p.EnsureInPool(e.T, pg, write)
 		if write {
-			mp.journal.capture(p.Space, pg)
+			mp.capture(pg)
 			r.temp.entry(pg).dirty = true
 		}
 		return
@@ -94,7 +105,7 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		// have been spilled to the storage pool.
 		p.EnsureInPool(e.T, pg, write)
 		if write {
-			mp.journal.capture(p.Space, pg)
+			mp.capture(pg)
 			ent.dirty = true
 		}
 		ent.lastMemTouch = e.T.Now()
@@ -144,7 +155,7 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		ent.writable = true
 	}
 	if write {
-		mp.journal.capture(p.Space, pg)
+		mp.capture(pg)
 		ent.writable = true
 		ent.dirty = true
 	}
@@ -158,16 +169,17 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 // dirty there after a write — which n calls leave as one does. It declines
 // whenever a call does more than that or what it does depends on when it runs
 // or how many ran before it — an armed crash point, a deadline, a write-quorum
-// gate, the strawman modes, a missing permission, a pre-image still to
-// capture, a page the bounded pool would fault in from storage — and the loop
-// then runs the rows one access at a time.
+// gate, the strawman modes, a missing permission, a page the bounded pool
+// would fault in from storage — and the loop then runs the rows one access at
+// a time. A call it serves is neither armed nor gated, so it keeps no
+// pre-images and a write needs only the permission.
 func (mp *memPager) Repeat(e *ddc.Env, pg mem.PageID, write bool, n int) bool {
 	p := mp.rt.P
 	if mp.armed || mp.gated || mp.relaxed {
 		return false
 	}
 	present, writable := mp.rt.temp.peek(pg)
-	if !present || write && !(writable && mp.journal.captured(pg)) || !p.PoolHit(pg, write, n > 0) {
+	if !present || write && !writable || !p.PoolHit(pg, write, n > 0) {
 		return false
 	}
 	if n > 0 {

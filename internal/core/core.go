@@ -171,7 +171,7 @@ type RuntimeStats struct {
 	// Crash-consistency and overload counters.
 	Shed                 int64 `ctr:"push.shed"`            // requests rejected by admission control (queue full)
 	DeadlineAborts       int64 `ctr:"push.deadline-aborts"` // calls aborted for blowing their Options.Deadline budget
-	Rollbacks            int64 `ctr:"push.rollbacks"`       // undo-journal rollbacks performed (mid-crash + deadline aborts)
+	Rollbacks            int64 `ctr:"push.rollbacks"`       // undo-journal rollbacks performed (mid-crash, deadline and quorum-loss aborts)
 	RolledBackPages      int64 // pages restored across all rollbacks
 	BreakerOpens         int64 `ctr:"push.breaker.opens"`          // circuit-breaker closed/half-open → open transitions
 	BreakerHalfOpens     int64 `ctr:"push.breaker.half-opens"`     // open → half-open transitions (cooldown elapsed)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -256,6 +257,55 @@ func TestDeadlineExpiresMidExecutionRollsBack(t *testing.T) {
 	for i := 0; i < vecPages; i++ {
 		if got := env.ReadI64(a + mem.Addr(i)*mem.PageSize); got != int64(i) {
 			t.Fatalf("slot %d = %d, want %d (partial writes survived the abort)", i, got, i)
+		}
+	}
+}
+
+// A write quorum lost mid-execution — the third abort kind, next to the
+// mid-crash and the deadline — rolls the call's writes back before
+// ErrQuorumLost is reported. The pool has four shards, three replicas and
+// W=2; once fn has dirtied half the vector it pins the compute node's links
+// to shards 2 and 3 down, so pages whose replica set holds both fall below
+// quorum at their next access.
+func TestQuorumLostMidExecutionRollsBack(t *testing.T) {
+	cfg := ddc.BaseDDC(16 * mem.PageSize)
+	cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = 4, 3, 2
+	m := ddc.MustMachine(cfg)
+	plan := fault.NewPlan(fault.Profile{Name: "part"}, 0)
+	m.AttachFault(plan)
+	p := m.NewProcess()
+	rt := NewRuntime(p, 1)
+	th := sim.NewThread("t")
+	a := fillVecPages(p, th)
+
+	first, last := mem.PageOf(a), mem.PageOf(a+vecPages*mem.PageSize-1)
+	before := make(map[mem.PageID][]byte)
+	for pg := first; pg <= last; pg++ {
+		before[pg] = p.Space.SnapshotPageInto(pg, nil)
+	}
+	st, err := rt.Pushdown(th, func(env *ddc.Env) {
+		for i := 0; i < vecPages; i++ {
+			if i == vecPages/2 {
+				down := fault.Window{Down: env.T.Now(), Up: env.T.Now() + sim.Second}
+				plan.Pin(fault.Link(fault.EndpointCompute, 2), down)
+				plan.Pin(fault.Link(fault.EndpointCompute, 3), down)
+			}
+			addr := a + mem.Addr(i)*mem.PageSize
+			env.WriteI64(addr, env.ReadI64(addr)+1)
+		}
+	}, Options{})
+	if !errors.Is(err, ErrQuorumLost) {
+		t.Fatalf("err = %v, want ErrQuorumLost", err)
+	}
+	if st.RollbackPages < vecPages/2 {
+		t.Fatalf("Stats.RollbackPages = %d, want at least the %d pages dirtied before the partition", st.RollbackPages, vecPages/2)
+	}
+	if rs := rt.Stats(); rs.Rollbacks != 1 {
+		t.Fatalf("Rollbacks = %d, want 1", rs.Rollbacks)
+	}
+	for pg := first; pg <= last; pg++ {
+		if got := p.Space.SnapshotPageInto(pg, nil); !bytes.Equal(got, before[pg]) {
+			t.Fatalf("page %d differs from its pre-call bytes (rollback incomplete)", pg)
 		}
 	}
 }

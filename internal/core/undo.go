@@ -6,12 +6,13 @@ import (
 
 // undoJournal is the memory-kernel side's crash-consistency log for one
 // pushdown call: a copy-on-first-write pre-image of every page the temporary
-// context dirties. When the context dies mid-execution (an armed mid-crash
-// or a deadline abort), the controller restores the pre-images before the
-// compute side is told anything, so a retry — or the compute-side fallback —
-// re-executes against exactly the state fn started from. Without it,
-// non-idempotent pushed operators (read-modify-write accumulations) would
-// double-apply their partial writes on re-execution.
+// context dirties. When the context dies mid-execution (an armed mid-crash,
+// a deadline abort or a lost write quorum), the controller restores the
+// pre-images before the compute side is told anything, so a retry — or the
+// compute-side fallback — re-executes against exactly the state fn started
+// from. Without it, non-idempotent pushed operators (read-modify-write
+// accumulations) would double-apply their partial writes on re-execution.
+// A call that cannot die mid-execution keeps no journal (memPager.capture).
 //
 // The journal is per call, not per page table: two contexts in flight can
 // each need their own pre-image of one page. Its storage lives in the call's

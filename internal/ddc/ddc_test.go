@@ -397,6 +397,9 @@ func TestRecycleMemoryEnvEqualsNew(t *testing.T) {
 	used.Dilation = func() float64 { return 3 }
 	access(used)
 	used.ReadBytes(a+mem.PageSize-4, make([]byte, 8)) // multi-page: fast path anchored on the second
+	if !used.l2Over {
+		t.Fatal("the long previous life fit the slot list; the overflow clear is untested")
+	}
 
 	// The previous life ran in another process, so every stream slot the
 	// recycled Env inherits memoises a frame of the wrong address space.
@@ -429,6 +432,43 @@ func TestRecycleMemoryEnvEqualsNew(t *testing.T) {
 	recycled.next, fresh.next = nil, nil // where each stands in the process's list
 	if !reflect.DeepEqual(recycled, fresh) {
 		t.Fatalf("recycled env differs from a new one:\n%+v\n%+v", recycled, fresh)
+	}
+
+	// used's previous life set more on-chip cache slots than an Env lists, so
+	// its recycle cleared the whole table. A short life stays on the list,
+	// and its recycle zeroes exactly the slots the list names: those its
+	// scalar accesses set on a miss and on a stream's next line, and those a
+	// row loop set at its line crossings.
+	short := p.RecycleMemoryEnv(nil, sim.NewThread("previous"), nopPager{})
+	for i := 0; i < 40; i++ {
+		short.ReadU64(a + mem.Addr(i*200+40))
+		short.ReadU64(a + mem.Addr(i*200+40+64))
+	}
+	rows := short.Rows(64, 1)
+	col := rows.Stream(a+8*mem.PageSize, 8, 0)
+	for rows.Next() {
+		_ = col.Bytes()
+	}
+	if short.l2Over || len(short.l2Dirty) == 0 {
+		t.Fatalf("the short life overflowed the slot list (%d listed, over=%v)", len(short.l2Dirty), short.l2Over)
+	}
+	thS, thF := sim.NewThread("t"), sim.NewThread("t")
+	recycled = p.RecycleMemoryEnv(short, thS, nopPager{})
+	for i, l := range recycled.l2 {
+		if l != 0 {
+			t.Fatalf("slot %d holds line %d of the previous life after the listed clear", i, l)
+		}
+	}
+	fresh = p.RecycleMemoryEnv(nil, thF, nopPager{})
+	access(recycled)
+	access(fresh)
+	if thS.Now() != thF.Now() {
+		t.Fatalf("env recycled after a short life charged %v, new env %v", thS.Now(), thF.Now())
+	}
+	recycled.T, fresh.T = nil, nil
+	recycled.next, fresh.next = nil, nil
+	if !reflect.DeepEqual(recycled, fresh) {
+		t.Fatalf("env recycled after a short life differs from a new one:\n%+v\n%+v", recycled, fresh)
 	}
 }
 

@@ -78,6 +78,14 @@ type Env struct {
 	reads, writes int64
 
 	next *Env // the process's list of its Envs (Process.adopt)
+
+	// l2Dirty lists the l2 slots set from zero since RecycleMemoryEnv last
+	// cleared the table, so the next recycle zeroes those and not the whole
+	// table; l2Over records that more were set than the list has room for.
+	// Only a memory-place Env has a list: a compute Env is never recycled,
+	// and its nil list overflows at once.
+	l2Dirty []uint32
+	l2Over  bool
 }
 
 // NewEnv returns a compute-place environment for t.
@@ -100,29 +108,42 @@ func (p *Process) NewEnv(t *sim.Thread) *Env {
 // context instead of allocating one per call. The result is in exactly the
 // state a new Env would be: every field is rebuilt, and only its place in the
 // process's list and the on-chip cache model's storage are kept, the latter
-// cleared — a new Env allocates it zeroed on its first access, and it is by
-// far the largest thing an Env owns.
+// reading as zeroed — a new Env allocates it zeroed on its first access, and
+// it is by far the largest thing an Env owns. Only the slots the previous
+// life set are zeroed, unless it set more than l2DirtyMax and the whole table
+// is, so a short call's recycle costs what it touched.
 func (p *Process) RecycleMemoryEnv(old *Env, t *sim.Thread, pager Pager) *Env {
 	e := old
 	if e == nil {
-		e = &Env{}
+		e = &Env{l2Dirty: make([]uint32, 0, l2DirtyMax)}
 		p.adopt(e)
 	}
 	l2 := e.l2
-	if len(l2) != p.M.Cfg.HW.CacheLines {
+	switch {
+	case len(l2) != p.M.Cfg.HW.CacheLines:
 		l2 = nil
+	case e.l2Over:
+		clear(l2)
+	default:
+		for _, i := range e.l2Dirty {
+			l2[i] = 0
+		}
 	}
-	clear(l2)
 	*e = Env{
 		T: t, P: p,
 		ClockGHz:  p.M.Cfg.HW.MemoryClockGHz,
 		pager:     pager,
 		lineShift: p.lineShift(),
 		l2:        l2,
+		l2Dirty:   e.l2Dirty[:0],
 		next:      e.next,
 	}
 	return e
 }
+
+// l2DirtyMax is how many set slots a memory-place Env lists before its next
+// recycle clears the whole on-chip cache table instead.
+const l2DirtyMax = 256
 
 // lineShift is log2 of the DRAM line size (hw.Config.Validate makes it a
 // power of two no larger than a page).
@@ -265,7 +286,7 @@ func (e *Env) chargeLine(l uint64) (slot int, ns float64) {
 				e.frames[i] = e.frameOf(l >> perPage)
 			}
 			if e.l2 != nil {
-				e.l2[l&uint64(len(e.l2)-1)] = l
+				e.setL2(l)
 			}
 			return i, e.P.M.Cfg.HW.DRAMSeqLineNs
 		}
@@ -279,10 +300,10 @@ func (e *Env) chargeLine(l uint64) (slot int, ns float64) {
 	}
 	ns = cfg.DRAMRandNs
 	if e.l2 != nil {
-		if c := &e.l2[l&uint64(len(e.l2)-1)]; *c == l {
+		if e.l2[l&uint64(len(e.l2)-1)] == l {
 			ns = cfg.CacheHitNs
 		} else {
-			*c = l
+			e.setL2(l)
 		}
 	}
 	if e.nStream < dramStreams {
@@ -295,6 +316,21 @@ func (e *Env) chargeLine(l uint64) (slot int, ns float64) {
 	e.streams[slot], e.last = l, slot
 	e.frames[slot] = e.frameOf(l >> perPage)
 	return slot, ns
+}
+
+// setL2 puts line l in its on-chip cache slot. A slot that leaves zero is
+// listed for RecycleMemoryEnv while the list has room; past that the list
+// is marked overflowed, and nothing more is listed or checked.
+func (e *Env) setL2(l uint64) {
+	i := l & uint64(len(e.l2)-1)
+	if !e.l2Over && e.l2[i] == 0 && l != 0 {
+		if len(e.l2Dirty) < cap(e.l2Dirty) {
+			e.l2Dirty = append(e.l2Dirty, uint32(i))
+		} else {
+			e.l2Over = true
+		}
+	}
+	e.l2[i] = l
 }
 
 // frameOf borrows page pg's frame for a stream slot's memo.

@@ -197,6 +197,17 @@ func (m *modelEnv) WriteBytes(a mem.Addr, buf []byte) {
 
 func (m *modelEnv) InvalidateFastPath() { m.fpValid, m.hotValid = false, false }
 
+// recycle puts the reference in a new Env's state. A new Env's on-chip cache
+// table reads as zeroed, so one the reference already holds is replaced by a
+// zeroed one: RecycleMemoryEnv keeps its table and must zero it to match.
+func (m *modelEnv) recycle() {
+	l2 := m.l2
+	if l2 != nil {
+		l2 = make([]uint64, len(l2))
+	}
+	*m = modelEnv{carrier: m.carrier, pager: m.pager, lineB: m.lineB, l2: l2}
+}
+
 // accessPath is what a trace drives: Env and modelEnv both provide it.
 type accessPath interface {
 	ReadU64(mem.Addr) uint64
@@ -444,8 +455,12 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 		both := func(f func(accessPath) any) {
 			got, want = f(real.path), f(ref.path)
 		}
-		// Codes 13–15 wrap onto the first scalar operations.
+		// Codes 13–15 wrap onto the first scalar operations, except that on
+		// memory place 15 recycles the Env.
 		code := op % 16 % 13
+		if op%16 == 15 && modelConfigs[k].name == "memory-place" {
+			code = 13
+		}
 		if op&0x10 != 0 { // a row loop: Rows against one scalar access at a time
 			spec := newRowLoop(base, size, cursor[:nStreams], si, x, y, z)
 			desc = spec.String()
@@ -518,6 +533,12 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 			desc = "InvalidateFastPath"
 			real.path.InvalidateFastPath()
 			ref.path.InvalidateFastPath()
+		case 13: // the pushed function ends and the next one runs on its Env
+			desc = "RecycleMemoryEnv"
+			dil := real.env.Dilation
+			real.env = real.p.RecycleMemoryEnv(real.env, real.th, real.env.pager)
+			real.env.Dilation = dil
+			ref.path.(*modelEnv).recycle()
 		}
 		accesses++
 		if !reflect.DeepEqual(got, want) {

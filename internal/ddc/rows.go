@@ -412,7 +412,7 @@ func (r *Rows) flush(n int) {
 				s.line++
 				e.streams[s.slot] = s.line
 				if e.l2 != nil {
-					e.l2[s.line&uint64(len(e.l2)-1)] = s.line
+					e.setL2(s.line)
 				}
 				made++
 			}
