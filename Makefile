@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare bench-push profile
+.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare bench-push bench-gate profile
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,13 @@ bench-compare:
 # with it, not with -benchtime in seconds.
 bench-push:
 	$(GO) test -run '^$$' -bench 'PushdownSetup1500|JournalCapture' -benchtime 20000x -count 3 ./internal/core
+
+# The per-access write-quorum gate (ddc.Machine.GateQuorum) on a 4-shard R=3
+# W=2 pool under partition-chaos. The fault schedules it reads grow with the
+# clock, which advances 200 ns a gate, so bench-gate runs a fixed 200 000
+# gates, three times; compare two builds with it.
+bench-gate:
+	$(GO) test -run '^$$' -bench 'GateQuorum' -benchtime 200000x -count 3 ./internal/ddc
 
 # Where the host's time goes and where its allocated bytes come from, without
 # editing code: make profile W=Q9 P=teleport (one workload on one platform) or

@@ -157,6 +157,27 @@ func TestFig22RelaxedIsFlat(t *testing.T) {
 	}
 }
 
+// Figure 21's shape (EXPERIMENTS.md, "Figures 21/22"): TELEPORT's default
+// coherence slows by at least 10 % from the lowest contention rate to the
+// highest (measured 1.16×), more than local execution or the base DDC do
+// (1.09× and 1.01×), while the relaxed mode's time does not move.
+func TestFig21DefaultDegradesRelaxedFlat(t *testing.T) {
+	tab, err := Run("21", smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := tab.Rows[0], tab.Rows[len(tab.Rows)-1]
+	growth := func(col int) float64 { return parseS(t, last[col]) / parseS(t, first[col]) }
+	local, base, def := growth(1), growth(2), growth(3)
+	if def < 1.10 || def <= local || def <= base {
+		t.Fatalf("default coherence must degrade with contention, more than local and base DDC: ×%.2f, local ×%.2f, base DDC ×%.2f",
+			def, local, base)
+	}
+	if first[5] != last[5] {
+		t.Fatalf("relaxed coherence must stay flat: %s → %s s", first[5], last[5])
+	}
+}
+
 // Figure 10's pattern, at the committed sizes: in each system one operator (for
 // WordCount the two halves of the map phase together) holds both the most DDC
 // time and the most remote traffic — the EXPERIMENTS.md reading of "one or two

@@ -3,6 +3,7 @@ package ddc
 import (
 	"testing"
 
+	"teleport/internal/fault"
 	"teleport/internal/mem"
 	"teleport/internal/netmodel"
 	"teleport/internal/sim"
@@ -328,4 +329,28 @@ func TestFaultPathNoAlloc(t *testing.T) {
 			t.Errorf("%s: %.1f allocations per 2000 random reads, want 0", tc.name, allocs)
 		}
 	}
+}
+
+// BenchmarkGateQuorum is a pushed function's per-access write-quorum gate on
+// a 4-shard R=3 W=2 pool under the partition-chaos schedules: every
+// iteration gates the next page at a clock 200 ns later, so the clock crosses
+// shard crashes, link partitions and split-brain windows as a long call
+// would. The schedules grow with the clock, so compare builds at a fixed
+// -benchtime count (make bench-gate).
+func BenchmarkGateQuorum(b *testing.B) {
+	cfg := BaseDDC(64 * mem.PageSize)
+	cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = 4, 3, 2
+	m := MustMachine(cfg)
+	m.AttachFault(fault.NewPlan(fault.PartitionChaos(), 1))
+	var now sim.Time
+	var lost int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 200 * sim.Nanosecond
+		if m.GateQuorum(mem.PageID(i%64), now) > 0 {
+			lost++
+		}
+	}
+	b.ReportMetric(float64(lost)/float64(b.N), "lost/op")
 }

@@ -51,6 +51,12 @@ func refQuorumShort(m *Machine, pg mem.PageID, now sim.Time, usableAt func(s int
 	return usable, first, quorum
 }
 
+// refUsableAt asks the plan directly — no memo, no Machine helper — when
+// shard s is next up with both directions of its compute link.
+func refUsableAt(m *Machine, s int, now sim.Time) sim.Time {
+	return m.Fault.UpAt(now, fault.Shard(s), fault.Link(fault.EndpointCompute, s), fault.Link(s, fault.EndpointCompute))
+}
+
 // refShardGate resolves every shard once, then checks each resident page.
 func refShardGate(m *Machine, now sim.Time, runs []netmodel.PageRun) (sim.Time, bool) {
 	k, _, _ := refGeometry(&m.Cfg)
@@ -59,7 +65,7 @@ func refShardGate(m *Machine, now sim.Time, runs []netmodel.PageRun) (sim.Time, 
 	}
 	table := make([]sim.Time, k)
 	for s := range table {
-		table[s] = m.reachableAt(roundTrip(s), now)
+		table[s] = refUsableAt(m, s, now)
 	}
 	usableAt := func(s int) sim.Time { return table[s] }
 	var downWait, quorumWait sim.Time
@@ -84,7 +90,7 @@ func refShardGate(m *Machine, now sim.Time, runs []netmodel.PageRun) (sim.Time, 
 
 // refGateQuorum resolves members on demand, as the pager gate did.
 func refGateQuorum(m *Machine, pg mem.PageID, now sim.Time) sim.Time {
-	usableAt := func(s int) sim.Time { return m.reachableAt(roundTrip(s), now) }
+	usableAt := func(s int) sim.Time { return refUsableAt(m, s, now) }
 	_, _, wake := refQuorumShort(m, pg, now, usableAt)
 	return wake
 }
@@ -92,16 +98,18 @@ func refGateQuorum(m *Machine, pg mem.PageID, now sim.Time) sim.Time {
 // FuzzReplicaGates drives twin machines — one through GateResident and
 // GateQuorum, one through the reference gates — with one script: pinned
 // shard and link outages over a profile that also generates its own, clock
-// advances, admission checks of resident run lists and pager checks of single
-// pages. Every answer must agree — outcome and heal instant — and so must the
-// plans' counters afterwards, which count the windows each plan generated: a
-// gate that asks the plan about a target or instant the reference does not
-// fails here even when its answer is right.
+// advances and rewinds (a rewind lands below a memoised stretch), admission
+// checks of resident run lists and pager checks of single pages. Every answer
+// must agree — outcome and heal instant — and so must the plans' counters
+// afterwards, which count the windows each plan generated: a gate that asks
+// the plan about a target or instant the reference does not fails here even
+// when its answer is right.
 func FuzzReplicaGates(f *testing.F) {
-	f.Add(uint8(6), uint8(3), uint8(2), int64(1), []byte{2, 2, 0, 3, 1, 1, 5, 2})          // a run shorter than K
-	f.Add(uint8(6), uint8(4), uint8(2), int64(1), []byte{3, 9, 3, 10})                     // pager gates whose first W members are usable
-	f.Add(uint8(2), uint8(2), uint8(0), int64(7), []byte{0, 0, 1, 2, 3, 0, 1, 1, 3, 1})    // a set pinned down, W ≤ 1
-	f.Add(uint8(2), uint8(3), uint8(3), int64(3), []byte{0, 5, 3, 40, 1, 20, 2, 3, 0, 30}) // partitions under a full quorum
+	f.Add(uint8(6), uint8(3), uint8(2), int64(1), []byte{2, 2, 0, 3, 1, 1, 5, 2})                // a run shorter than K
+	f.Add(uint8(6), uint8(4), uint8(2), int64(1), []byte{3, 9, 3, 10})                           // pager gates whose first W members are usable
+	f.Add(uint8(2), uint8(2), uint8(0), int64(7), []byte{0, 0, 1, 2, 3, 0, 1, 1, 3, 1})          // a set pinned down, W ≤ 1
+	f.Add(uint8(2), uint8(3), uint8(3), int64(3), []byte{0, 5, 3, 40, 1, 20, 2, 3, 0, 32})       // partitions under a full quorum
+	f.Add(uint8(2), uint8(2), uint8(2), int64(5), []byte{1, 90, 3, 4, 4, 60, 3, 4, 1, 30, 3, 5}) // a pager gate after a rewind
 	f.Fuzz(func(t *testing.T, kb, rb, wb uint8, seed int64, script []byte) {
 		k := 2 + int(kb)%7
 		r := 1 + int(rb)%k
@@ -131,7 +139,7 @@ func FuzzReplicaGates(f *testing.F) {
 		var now sim.Time
 		var runs []netmodel.PageRun
 		for len(script) > 0 {
-			switch op := next() % 4; op {
+			switch op := next() % 5; op {
 			case 0: // pin one outage starting at now or later
 				tg := fault.Shard(next() % k)
 				if from, to := endpoint(), endpoint(); next()%2 == 0 {
@@ -162,12 +170,57 @@ func FuzzReplicaGates(f *testing.F) {
 				if got, want := m.GateQuorum(pg, now), refGateQuorum(ref, pg, now); got != want {
 					t.Fatalf("K=%d R=%d W=%d at %v, page %d: GateQuorum = %v, reference %v", k, r, w, now, pg, got, want)
 				}
+			case 4:
+				now = max(now-sim.Time(next())*10*sim.Microsecond, 0)
 			}
 		}
 		if got, want := m.Fault.Counters(), ref.Fault.Counters(); got != want {
 			t.Fatalf("K=%d R=%d W=%d: plan counters %+v, reference %+v", k, r, w, got, want)
 		}
 	})
+}
+
+// The gates read a per-shard memo of when each shard is next usable. A Pin
+// on the attached plan, or attaching another plan — even one with as many
+// pins — after a memoised pass must be seen by the very next gate.
+func TestGateMemoDropsOnPinAndAttach(t *testing.T) {
+	cfg := BaseDDC(16 * mem.PageSize)
+	cfg.PoolShards, cfg.Replicas, cfg.WriteQuorum = 4, 3, 2
+	m := MustMachine(cfg)
+	m.AttachFault(fault.NewPlan(fault.Profile{Name: "memo"}, 0))
+
+	const pg = mem.PageID(41) // replica set {1, 2, 3}
+	runs := []netmodel.PageRun{{Start: 41, Count: 1}}
+	now := 50 * sim.Microsecond
+	heal := now + sim.Millisecond
+	check := func(when string, want sim.Time) {
+		t.Helper()
+		if got := m.GateQuorum(pg, now); got != want {
+			t.Fatalf("%s: GateQuorum = %v, want %v", when, got, want)
+		}
+		if got, down := m.GateResident(now, runs); got != want || down {
+			t.Fatalf("%s: GateResident = (%v, down=%v), want (%v, down=false)", when, got, down, want)
+		}
+	}
+	check("healthy", 0)
+	if u := m.upSpans[1]; u.from != now || u.to != fault.Forever {
+		t.Fatalf("shard 1's memo after a healthy pass = %+v, want usable from %v for ever", u, now)
+	}
+
+	// Shard 1 crashed and shard 2 unable to answer: one usable member.
+	m.Fault.Pin(fault.Shard(1), fault.Window{Down: 0, Up: heal})
+	m.Fault.Pin(fault.Link(2, fault.EndpointCompute), fault.Window{Down: now, Up: heal + sim.Microsecond})
+	check("after Pin", heal)
+
+	// A fresh plan with the same pin count puts the outage on shards 2 and 3.
+	other := fault.NewPlan(fault.Profile{Name: "memo"}, 0)
+	other.Pin(fault.Shard(3), fault.Window{Down: now, Up: heal + 20*sim.Microsecond})
+	other.Pin(fault.Link(fault.EndpointCompute, 2), fault.Window{Down: 0, Up: heal + 30*sim.Microsecond})
+	m.AttachFault(other)
+	check("after attaching another plan", heal+20*sim.Microsecond)
+
+	m.AttachFault(nil)
+	check("after detaching the plan", 0)
 }
 
 // The heal selection under the quorum gates (nthHeal, fed the way they feed

@@ -73,11 +73,15 @@ type Machine struct {
 	// topo is the pool's replica geometry (see shard.go).
 	topo topology
 
-	// usableAt and cover are the replica gates' per-shard scratch, never
-	// held across a yield: when each shard is next usable, and how many
-	// resident runs cover it as a primary. Nil on single-shard pools.
-	usableAt []sim.Time
-	cover    []int
+	// upSpans memoises, per shard, when it is next usable over a compute
+	// round trip (see usableAt); upPlan and upPins are the plan and its pin
+	// count the memo was taken under. cover is GateResident's scratch, never
+	// held across a yield: how many resident runs cover each shard as a
+	// primary. Both slices are nil on single-shard pools.
+	upSpans []upSpan
+	upPlan  *fault.Plan
+	upPins  int64
+	cover   []int
 }
 
 // NewMachine validates cfg and assembles the machine.
@@ -97,7 +101,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		for s := range m.perShard {
 			m.perShard[s] = metrics.NewLedger(ShardStat{}, "per", "shard."+strconv.Itoa(s)+".")
 		}
-		m.usableAt = make([]sim.Time, k)
+		m.upSpans = make([]upSpan, k)
 		m.cover = make([]int, k)
 		if m.topo.r > 1 {
 			m.pageVer = make(map[mem.PageID]uint64)

@@ -123,6 +123,30 @@ func (m *Machine) reachable(pa path, ts sim.Time) bool {
 // reachableAt returns the earliest instant ≥ at when every hop of pa is up.
 func (m *Machine) reachableAt(pa path, at sim.Time) sim.Time { return m.Fault.UpAt(at, pa[:]...) }
 
+// upSpan is one shard's round-trip memo, fault.Plan.UpSpan over roundTrip(s)
+// asked at at: at any instant in [at, to) the shard is usable from
+// max(instant, from) on.
+type upSpan struct{ at, from, to sim.Time }
+
+// usableAt is reachableAt(roundTrip(s), now) read from shard s's memo, which
+// is refreshed only when now leaves the stretch it covers, and dropped whole
+// when another plan is attached or a window pinned. Within [at, to) UpAt
+// would generate no window either, so the plan's counters move exactly as
+// they would without the memo.
+func (m *Machine) usableAt(s int, now sim.Time) sim.Time {
+	if pins := m.Fault.Pins(); m.upPlan != m.Fault || m.upPins != pins {
+		clear(m.upSpans)
+		m.upPlan, m.upPins = m.Fault, pins
+	}
+	u := &m.upSpans[s]
+	if now < u.at || now >= u.to {
+		pa := roundTrip(s)
+		u.at = now
+		u.from, u.to = m.Fault.UpSpan(now, pa[:]...)
+	}
+	return max(now, u.from)
+}
+
 // nthHeal scans members 0..count-1 in order — healAt(i) is when member i is
 // next usable; ok=false skips it — and returns the index and instant of the
 // n-th to heal (n ≥ 1, equal instants counted together, lowest index first):
@@ -166,9 +190,10 @@ func (m *Machine) stallToHeal(t *sim.Thread, count int, healAt func(i int) (sim.
 
 // quorumShort is the one check of a replica set against the write quorum W;
 // usableAt(i) is when member i is next up and reachable from the compute node
-// both ways. It counts the members usable at now in ring order, up to W; with
-// fewer it returns when the n-th unusable one heals — n the shortfall, or 1
-// with firstHeal when none is usable — and whether none is.
+// both ways (both gates read it from the per-shard memo, so asking twice
+// costs no search). It counts the members usable at now in ring order, up to
+// W; with fewer it returns when the n-th unusable one heals — n the
+// shortfall, or 1 with firstHeal when none is usable — and whether none is.
 func (m *Machine) quorumShort(rs replicaSet, now sim.Time, firstHeal bool, usableAt func(i int) sim.Time) (heal sim.Time, none bool) {
 	n := m.topo.w
 	for i := 0; i < rs.r && n > 0; i++ {
@@ -200,8 +225,8 @@ func (m *Machine) GateResident(now sim.Time, runs []netmodel.PageRun) (healAt si
 	if k <= 1 || len(runs) == 0 {
 		return 0, false
 	}
-	for s := range m.usableAt {
-		m.usableAt[s] = m.reachableAt(roundTrip(s), now)
+	for s := range m.upSpans { // every shard, as ever: which are asked moves the plan's window counters
+		m.usableAt(s, now)
 	}
 	// The covered primaries as a difference array over the ring: a run of
 	// n < K pages covers the n primaries from its first page's on.
@@ -225,7 +250,7 @@ func (m *Machine) GateResident(now sim.Time, runs []netmodel.PageRun) (healAt si
 			continue
 		}
 		rs := m.topo.replicas(mem.PageID(p)) // page p's set is every primary-p page's
-		switch h, none := m.quorumShort(rs, now, true, func(i int) sim.Time { return m.usableAt[rs.member(i)] }); {
+		switch h, none := m.quorumShort(rs, now, true, func(i int) sim.Time { return m.usableAt(rs.member(i), now) }); {
 		case h == 0:
 		case none && (down == 0 || h < down):
 			down = h
@@ -241,18 +266,12 @@ func (m *Machine) GateResident(now sim.Time, runs []netmodel.PageRun) (healAt si
 
 // GateQuorum is a pushed function's per-access write-quorum gate: zero when
 // pg's replica set has W members usable at now, else when enough have healed.
-// Members are resolved at most once each, and only until W are usable.
+// Members are read from the per-shard memo (usableAt) in ring order, only
+// until W are usable; the plan is searched only when now has left a
+// member's memoised stretch.
 func (m *Machine) GateQuorum(pg mem.PageID, now sim.Time) sim.Time {
 	rs := m.topo.replicas(pg)
-	var known uint64 // ring indices whose instant m.usableAt holds
-	heal, _ := m.quorumShort(rs, now, false, func(i int) sim.Time {
-		s := rs.member(i)
-		if known&(1<<i) == 0 {
-			m.usableAt[s] = m.reachableAt(roundTrip(s), now)
-			known |= 1 << i
-		}
-		return m.usableAt[s]
-	})
+	heal, _ := m.quorumShort(rs, now, false, func(i int) sim.Time { return m.usableAt(rs.member(i), now) })
 	return heal
 }
 
@@ -323,7 +342,7 @@ func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 		m.ShardStats[rs.primary].Stalls++
 		start := t.Now()
 		m.stallToHeal(t, rs.r, func(i int) (sim.Time, bool) {
-			return m.reachableAt(roundTrip(rs.member(i)), start), true
+			return m.usableAt(rs.member(i), start), true
 		})
 		if served = firstUsable(); served < 0 {
 			served = rs.primary
@@ -374,7 +393,7 @@ func (m *Machine) consultReadQuorum(t *sim.Thread, rs replicaSet, served int) {
 			if s == served || consulted&(1<<i) != 0 {
 				return 0, false
 			}
-			return m.reachableAt(roundTrip(s), t.Now()), true
+			return m.usableAt(s, t.Now()), true
 		})
 		stalled += waited
 		consult(best)

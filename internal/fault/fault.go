@@ -153,10 +153,12 @@ type Plan struct {
 	// function of (seed, salt), so a run that never queries a target draws
 	// nothing for it and shifts nothing else. scheds holds the schedules per
 	// kind, indexed by Target.slot; pinned marks the kinds Pin has touched,
-	// so a kind the profile leaves off is still looked up.
+	// so a kind the profile leaves off is still looked up, and pins counts
+	// Pin calls (see Pins).
 	root   *sim.RNG
 	scheds [numKinds][]*schedule
 	pinned [numKinds]bool
+	pins   int64
 
 	c Counters
 }

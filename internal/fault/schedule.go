@@ -3,14 +3,15 @@ package fault
 // This file is the plan's one outage schedule: every thing that can become
 // unreachable — the whole memory controller, a pool shard, one direction of
 // a link — is a Target with its own lazily generated (or pinned) list of
-// half-open [Down, Up) windows, behind four verbs: DownAt, UpAt, Pin and
-// Windows. There is one window generator (covering), one lookup (downAt) and
-// one pin validator (Pin); the kinds differ only in their profile knobs,
+// half-open [Down, Up) windows, behind five verbs: DownAt, UpAt, UpSpan, Pin
+// and Windows. There is one window generator (covering), one lookup (downAt)
+// and one pin validator (Pin); the kinds differ only in their profile knobs,
 // stream salt and counter (family).
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -23,6 +24,9 @@ import (
 type Window struct {
 	Down, Up sim.Time
 }
+
+// Forever ends an up stretch that no window closes.
+const Forever = sim.Time(math.MaxInt64)
 
 // EndpointCompute is the link-endpoint index of the compute node; pool shards
 // are endpoints 0..K-1. Links are ordered endpoint pairs, so
@@ -220,6 +224,26 @@ func (sc *schedule) downAt(at sim.Time) (recoverAt sim.Time, down bool) {
 	return 0, false
 }
 
+// nextDown returns the first instant after from, an instant at which the
+// schedule is up, when a non-empty window opens; Forever when none ever does.
+// A generated schedule answers no later than its cursor, so a caller never
+// relies on a window nobody generated. Safe on nil.
+func (sc *schedule) nextDown(from sim.Time) sim.Time {
+	if sc == nil {
+		return Forever
+	}
+	i := sort.Search(len(sc.windows), func(i int) bool { return sc.windows[i].Down > from })
+	for ; i < len(sc.windows); i++ {
+		if w := sc.windows[i]; w.Up > w.Down {
+			return w.Down
+		}
+	}
+	if !sc.static {
+		return sc.cursor
+	}
+	return Forever
+}
+
 // before copies the windows that begin before through, oldest first.
 func (sc *schedule) before(through sim.Time) []Window {
 	if sc == nil {
@@ -268,6 +292,35 @@ func (p *Plan) UpAt(at sim.Time, targets ...Target) sim.Time {
 	}
 }
 
+// UpSpan returns the first stretch [from, to) at or after at during which
+// every one of targets is up: from is UpAt(at, targets...), and to is the
+// first instant after from at which a non-empty window of one of them opens —
+// for a link crossing the split-brain cut, a split window too — or Forever.
+// It generates exactly the windows UpAt does: every target is up at from, so
+// its next window is among those covering it at from has produced.
+func (p *Plan) UpSpan(at sim.Time, targets ...Target) (from, to sim.Time) {
+	from, to = p.UpAt(at, targets...), Forever
+	if p == nil {
+		return from, to
+	}
+	for _, tg := range targets {
+		to = min(to, p.covering(tg, from).nextDown(from))
+		if cut := tg.cut(); cut.kind != kindNone {
+			to = min(to, p.covering(cut, from).nextDown(from))
+		}
+	}
+	return from, to
+}
+
+// Pins returns how many times Pin has rewritten a schedule, so a caller that
+// memoises the plan's answers can tell when they may have changed.
+func (p *Plan) Pins() int64 {
+	if p == nil {
+		return 0
+	}
+	return p.pins
+}
+
 // Pin replaces tg's schedule with exactly the given windows — sorted by Down
 // and non-overlapping, or Pin panics — overriding anything the profile would
 // generate for it. Tests use it to put an outage edge at an exact instant,
@@ -293,6 +346,7 @@ func (p *Plan) Pin(tg Target, ws ...Window) {
 	*generated += int64(len(ws) - len(sc.windows))
 	sc.windows, sc.cursor, sc.static = append([]Window(nil), ws...), prev, true
 	p.pinned[tg.kind] = true
+	p.pins++
 }
 
 // Windows returns tg's outage windows that begin before through, oldest

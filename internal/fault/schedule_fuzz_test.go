@@ -9,9 +9,10 @@ import (
 
 // FuzzSchedulePins pins arbitrary window lists — adjacent, zero-length,
 // overlapping, unsorted, inverted — on one to three targets. A malformed
-// list must panic in Pin; well-formed ones must make DownAt, UpAt and Windows
-// agree with a linear-scan oracle over the half-open [Down, Up) definition
-// at every boundary instant ±1 ns, for the targets alone and combined.
+// list must panic in Pin; well-formed ones must make DownAt, UpAt, UpSpan and
+// Windows agree with a linear-scan oracle over the half-open [Down, Up)
+// definition at every boundary instant ±1 ns, for the targets alone and
+// combined.
 //
 // Encoding: data[0] picks 1–3 targets (and which); each target then reads a window count
 // (mod 6) and per window a signed gap from the previous Up and a signed
@@ -128,6 +129,18 @@ func FuzzSchedulePins(f *testing.F) {
 				}
 				if got := p.UpAt(at, pick...); got != want {
 					t.Fatalf("UpAt(%d, %+v) = %d, oracle %d; windows %v", at, pick, got, want, lists)
+				}
+				// The stretch ends at the first boundary instant after
+				// it begins with some selected target down.
+				wantTo := Forever
+				for _, c := range cands {
+					if c > want && !allUp(sel, c) {
+						wantTo = c
+						break
+					}
+				}
+				if from, to := p.UpSpan(at, pick...); from != want || to != wantTo {
+					t.Fatalf("UpSpan(%d, %+v) = [%d, %d), oracle [%d, %d); windows %v", at, pick, from, to, want, wantTo, lists)
 				}
 			}
 		}

@@ -355,6 +355,91 @@ func TestUpAtCombinesTargets(t *testing.T) {
 	}
 }
 
+// UpSpan's stretch starts where UpAt does and ends at the next non-empty
+// window of any target — a split window for a link across the cut — and a
+// Pin is counted, so a memo of the answer can tell it is stale.
+func TestUpSpanEndsAtNextWindow(t *testing.T) {
+	p := NewPlan(Profile{Name: "t"}, 0)
+	p.Pin(Shard(1), Window{Down: us(10), Up: us(20)}, Window{Down: us(40), Up: us(40)}, Window{Down: us(70), Up: us(80)})
+	p.Pin(Link(EndpointCompute, 1), Window{Down: us(15), Up: us(30)})
+	p.Pin(Target{kind: kindSplit}, Window{Down: us(60), Up: us(65)})
+	if got := p.Pins(); got != 3 {
+		t.Fatalf("Pins() = %d after three pins, want 3", got)
+	}
+	path := []Target{Shard(1), Link(EndpointCompute, 1)}
+	for _, c := range []struct{ at, from, to sim.Time }{
+		{0, 0, us(10)},           // up until the shard's first window
+		{us(12), us(30), us(60)}, // both windows, then the zero-length one is skipped: the split cut is next
+		{us(65), us(65), us(70)},
+		{us(80), us(80), Forever},
+	} {
+		if from, to := p.UpSpan(c.at, path...); from != c.from || to != c.to {
+			t.Fatalf("UpSpan(%v) = [%v, %v), want [%v, %v)", c.at, from, to, c.from, c.to)
+		}
+	}
+	if from, to := (*Plan)(nil).UpSpan(us(5), path...); from != us(5) || to != Forever {
+		t.Fatalf("nil plan: UpSpan = [%v, %v), want [5µs, Forever)", from, to)
+	}
+}
+
+// UpSpan generates exactly the windows UpAt does: twin plans on a generated
+// profile, asked about the same paths at the same instants — in order, and
+// then some earlier ones — one through UpSpan and one through UpAt, agree on
+// every answer and on their window counters after each. A third plan checks
+// each stretch against the windows themselves. The second profile's 0–1 ns
+// outages are often empty, so a stretch can end at an empty window closing
+// the generated schedule: it may not run past what was generated.
+func TestUpSpanGeneratesWhatUpAtDoes(t *testing.T) {
+	tiny := Profile{Name: "tiny", ShardMeanUp: 2, ShardMeanDown: 1, LinkMeanUp: 3, LinkMeanDown: 1, SplitMeanUp: 4, SplitMeanDown: 1}
+	for _, c := range []struct {
+		prof  Profile
+		unit  sim.Time // the clock step
+		empty bool     // a stretch may end where an empty window opens
+	}{
+		{PartitionChaos(), 3 * sim.Microsecond, false},
+		{tiny, 1, true},
+	} {
+		spans, ups, check := NewPlan(c.prof, 11), NewPlan(c.prof, 11), NewPlan(c.prof, 11)
+		var paths [][]Target
+		for s := 0; s < 4; s++ {
+			paths = append(paths, []Target{Shard(s), Link(EndpointCompute, s), Link(s, EndpointCompute)})
+		}
+		paths = append(paths, []Target{Link(0, 1), Link(1, 2)}, []Target{Pool()})
+		at := sim.Time(0)
+		for i := 0; i < 4000; i++ {
+			if at += sim.Time(i%7) * c.unit; i%50 == 49 {
+				at = max(at-130*c.unit, 0) // revisit instants already covered
+			}
+			pa := paths[i%len(paths)]
+			from, to := spans.UpSpan(at, pa...)
+			if want := ups.UpAt(at, pa...); from != want {
+				t.Fatalf("%s: UpSpan(%v, %v) starts at %v, UpAt says %v", c.prof.Name, at, pa, from, want)
+			}
+			if got, want := spans.Counters(), ups.Counters(); got != want {
+				t.Fatalf("%s: after UpSpan(%v, %v): counters %+v, UpAt's %+v", c.prof.Name, at, pa, got, want)
+			}
+			if to <= from || (to == Forever) != (c.prof.PoolMeanUp == 0 && pa[0] == Pool()) {
+				t.Fatalf("%s: UpSpan(%v, %v) = [%v, %v)", c.prof.Name, at, pa, from, to)
+			}
+			if to == Forever {
+				continue
+			}
+			opens := false
+			for _, tg := range pa {
+				for _, w := range check.Windows(tg, to+1) {
+					if w.Up > w.Down && w.Down > from && w.Down < to {
+						t.Fatalf("%s: UpSpan(%v, %v) = [%v, %v) spans %v's window %v", c.prof.Name, at, pa, from, to, tg, w)
+					}
+					opens = opens || (w.Down == to && (w.Up > w.Down || c.empty))
+				}
+			}
+			if !opens {
+				t.Fatalf("%s: UpSpan(%v, %v) = [%v, %v): no window opens at its end", c.prof.Name, at, pa, from, to)
+			}
+		}
+	}
+}
+
 // Malformed window lists — overlapping, unsorted, Up before Down, beginning
 // before time zero — panic in Pin, for every kind of target.
 func TestPinRejectsMalformedWindows(t *testing.T) {
@@ -647,8 +732,9 @@ func TestScheduleLookupsDoNotAllocate(t *testing.T) {
 			p.DownAt(path[1], at)
 			p.UpAt(at, path[0], path[1], path[2])
 			p.UpAt(at, path...)
+			p.UpSpan(at, path...)
 		}); n != 0 {
-			t.Errorf("%s plan: %v allocations per DownAt/UpAt round, want 0", name, n)
+			t.Errorf("%s plan: %v allocations per DownAt/UpAt/UpSpan round, want 0", name, n)
 		}
 	}
 }
