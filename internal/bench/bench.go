@@ -126,8 +126,8 @@ type Options struct {
 	SimWorkers int
 
 	// pool is the shared worker-token channel, chaos the looked-up
-	// ChaosProfile (nil = no injection) and scope the datasets and timed
-	// cells the call's data points share (scope.go), all set by resolve at
+	// ChaosProfile (nil = no injection) and scope the datasets and data
+	// points the call's figures share (scope.go), all set by resolve at
 	// the entry points; Options is copied by value, so every figure and leaf
 	// job sees the same channel, profile and scope.
 	pool  chan struct{}

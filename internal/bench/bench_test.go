@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -389,6 +390,99 @@ func TestFig17SpeedupGrowsWithContexts(t *testing.T) {
 		if four/two > 1.9 {
 			t.Fatalf("no diminishing returns: 2ctx %.1fx, 4ctx %.1fx", two, four)
 		}
+	}
+}
+
+// The shapes of Figures 1a, 1b and 18 and of Ext A1 (EXPERIMENTS.md), which
+// read the same TPC-H cells: the four run in one scope, so the base-DDC cells
+// they share run once, and what each TELEPORT cell pushed is read off the
+// memoised cells themselves — the executed plan, not only its time. At the
+// committed sizes: at smallOpts' pushing Q3's Selection on top of the
+// advisor's set is 0.5 % faster, and A1's shape is one of this scale.
+//   - 1a: the base DDC beats spilling to the SSD, and TELEPORT beats the base DDC;
+//   - 1b: SparkSQL < Vertica < coldb on the base DDC, and coldb on TELEPORT
+//     < Vertica;
+//   - 18: every pushed level beats None at both clocks, and Top 4 beats Top 1;
+//   - A1: pushing everything is never faster than the advisor's cost-model set.
+func TestFig1And18AndA1Shapes(t *testing.T) {
+	opts, err := Defaults().resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabs := map[string]*Table{}
+	for _, id := range []string{"1a", "1b", "18", "A1"} {
+		tabs[id] = registry[id](opts)
+	}
+
+	if base, tele := parseX(t, tabs["1a"].Rows[1][1]), parseX(t, tabs["1a"].Rows[2][1]); base <= 1 || tele <= base {
+		t.Errorf("Fig 1a: base DDC %.1fx and TELEPORT %.1fx over the SSD, want 1 < base < TELEPORT", base, tele)
+	}
+
+	cost := map[string]float64{}
+	for _, r := range tabs["1b"].Rows {
+		cost[r[0]] = parseX(t, r[1])
+	}
+	spark, vertica := cost["SparkSQL (distributed model)"], cost["Vertica (distributed model)"]
+	base, tele := cost["coldb (Base DDC)"], cost["coldb (TELEPORT)"]
+	if !(spark < vertica && vertica < base) || tele >= vertica {
+		t.Errorf("Fig 1b: costs of scaling %v, want SparkSQL < Vertica < coldb base DDC and coldb TELEPORT < Vertica", cost)
+	}
+
+	rows := tabs["18"].Rows
+	if len(rows) != 5 || rows[0][0] != "None" || rows[1][0] != "Top 1" || rows[2][0] != "Top 4" {
+		t.Fatalf("Fig 18 rows = %v, want None, Top 1, Top 4, Top 6, All", rows)
+	}
+	for _, col := range []int{3, 5} {
+		for _, r := range rows[1:] {
+			if x := parseX(t, r[col]); x <= 1 {
+				t.Errorf("Fig 18: %s at %s does not beat None (%.1fx)", r[0], tabs["18"].Header[col-1], x)
+			}
+		}
+		if top1, top4 := parseX(t, rows[1][col]), parseX(t, rows[2][col]); top4 <= top1 {
+			t.Errorf("Fig 18 at %s: Top 4 %.1fx does not beat Top 1 %.1fx", tabs["18"].Header[col-1], top4, top1)
+		}
+	}
+
+	// A1's cells, asked for again: they are the figure's, so none runs.
+	cells := len(opts.scope.cells)
+	for _, w := range tpchQueries() {
+		b := cell(w, opts, runSpec{platform: platBase})()
+		costOps, _ := costModelPush(b)
+		var all []string
+		for _, o := range b.Profile {
+			all = append(all, o.Name)
+		}
+		adv := cell(w, opts, runSpec{platform: platTeleport, pushOps: pushing(costOps)})()
+		every := cell(w, opts, runSpec{platform: platTeleport, pushOps: pushing(all)})()
+		if every.Time < adv.Time {
+			t.Errorf("Ext A1 %s: pushing everything (%v) beats the advisor's cost-model set (%v)", w.Name, every.Time, adv.Time)
+		}
+	}
+	if n := len(opts.scope.cells); n != cells {
+		t.Errorf("asking for A1's cells again ran %d more", n-cells)
+	}
+
+	checked := 0
+	for k, e := range opts.scope.cells {
+		if k.spec.platform != platTeleport || !k.spec.pushOps.set {
+			continue
+		}
+		want := strings.Split(k.spec.pushOps.v, ",")
+		slices.Sort(want)
+		var got []string
+		for _, o := range e.v.Profile {
+			if o.Pushed {
+				got = append(got, o.Name)
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s at %.2f GHz asked to push %v and pushed %v", k.w, k.spec.memClock, want, got)
+		}
+		checked++
+	}
+	if checked < 8 {
+		t.Errorf("checked what %d cells pushed, want Fig 18's eight and A1's", checked)
 	}
 }
 

@@ -35,15 +35,15 @@ func figFabric(opts Options) *Table {
 		{"CXL-class", 250, 32},
 	}
 	w := findWorkload("Q9")
-	var jobs []func() sim.Time
+	var jobs []func() runOut
 	for _, f := range fabrics {
 		for _, p := range []platform{platBase, platTeleport} {
-			jobs = append(jobs, timed(w, opts, runSpec{platform: p, netLatencyNs: f.latNs, netBandwidthGBs: f.gbs}))
+			jobs = append(jobs, cell(w, opts, runSpec{platform: p, netLatencyNs: f.latNs, netBandwidthGBs: f.gbs}))
 		}
 	}
-	times := parmap(opts, jobs)
+	outs := parmap(opts, jobs)
 	for i, f := range fabrics {
-		base, tele := times[i*2], times[i*2+1]
+		base, tele := outs[i*2].Time, outs[i*2+1].Time
 		t.AddRow(f.name, fmt.Sprintf("%.1fµs", f.latNs/1000), fmt.Sprintf("%.0fGB/s", f.gbs),
 			fm(base), fm(tele), fx(ratio(base, tele)))
 	}
@@ -67,9 +67,7 @@ func figRLE(opts Options) *Table {
 	fracs := []float64{0.02, 0.05, 0.10, 0.25}
 	var jobs []func() runOut
 	for _, frac := range fracs {
-		jobs = append(jobs, func() runOut {
-			return run(w, opts, runSpec{platform: platBase, cacheFrac: frac})
-		})
+		jobs = append(jobs, cell(w, opts, runSpec{platform: platBase, cacheFrac: frac}))
 	}
 	outs := parmap(opts, jobs)
 	for i, frac := range fracs {
@@ -100,18 +98,18 @@ func figPrefetch(opts Options) *Table {
 	}
 	w := findWorkload("Q6")
 	depths := []int{1, 2, 4, 8}
-	jobs := []func() sim.Time{
-		timed(w, opts, runSpec{platform: platBase, prefetch: set(0)}),
-		timed(w, opts, runSpec{platform: platTeleport}),
+	jobs := []func() runOut{
+		cell(w, opts, runSpec{platform: platBase, prefetch: set(0)}),
+		cell(w, opts, runSpec{platform: platTeleport}),
 	}
 	for _, depth := range depths {
-		jobs = append(jobs, timed(w, opts, runSpec{platform: platBase, prefetch: set(depth)}))
+		jobs = append(jobs, cell(w, opts, runSpec{platform: platBase, prefetch: set(depth)}))
 	}
-	times := parmap(opts, jobs)
-	none, tele := times[0], times[1]
+	outs := parmap(opts, jobs)
+	none, tele := outs[0].Time, outs[1].Time
 	t.AddRow("depth 0 (no prefetch)", fm(none), fx(1))
 	for i, depth := range depths {
-		t.AddRow(fmt.Sprintf("depth %d", depth), fm(times[i+2]), fx(ratio(none, times[i+2])))
+		t.AddRow(fmt.Sprintf("depth %d", depth), fm(outs[i+2].Time), fx(ratio(none, outs[i+2].Time)))
 	}
 	t.AddRow("TELEPORT (depth 2)", fm(tele), fx(ratio(none, tele)))
 	t.Notes = append(t.Notes,
@@ -135,23 +133,17 @@ func figWorkerScaling(opts Options) *Table {
 		Title:  "Parallel aggregation makespan vs compute-pool workers",
 		Header: []string{"workers", "local", "base-ddc", "teleport-2ctx"},
 	}
-	runPlat := func(plat platform, workers int) sim.Time {
-		var makespan sim.Time
-		run(parAgg(workers, &makespan), opts, runSpec{platform: plat, contexts: 2})
-		return makespan
-	}
-	ms := func(d sim.Time) string { return fmt.Sprintf("%.3fms", d.Millis()) }
+	ms := func(out runOut) string { return fmt.Sprintf("%.3fms", sim.Time(out.Answer).Millis()) }
 	workerCounts := []int{1, 2, 4, 8, 16}
-	var jobs []func() sim.Time
+	var jobs []func() runOut
 	for _, workers := range workerCounts {
 		for _, p := range []platform{platLocal, platBase, platTeleport} {
-			jobs = append(jobs, func() sim.Time { return runPlat(p, workers) })
+			jobs = append(jobs, cell(parAgg(workers), opts, runSpec{platform: p, contexts: 2}))
 		}
 	}
-	times := parmap(opts, jobs)
+	outs := parmap(opts, jobs)
 	for i, workers := range workerCounts {
-		t.AddRow(fmt.Sprintf("%d", workers),
-			ms(times[i*3]), ms(times[i*3+1]), ms(times[i*3+2]))
+		t.AddRow(fmt.Sprintf("%d", workers), ms(outs[i*3]), ms(outs[i*3+1]), ms(outs[i*3+2]))
 	}
 	t.Notes = append(t.Notes,
 		"compute workers scale freely (§2.1 elasticity); TELEPORT's gain saturates at the memory pool's 2 user contexts (§7.3)")

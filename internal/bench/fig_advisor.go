@@ -5,7 +5,6 @@ import (
 
 	"teleport/internal/advisor"
 	"teleport/internal/hw"
-	"teleport/internal/sim"
 )
 
 func init() {
@@ -28,11 +27,7 @@ func figAdvisor(opts Options) *Table {
 
 	// Stage 1: the base-DDC profiling runs (the advisor profiles these,
 	// like a DBA would). Everything downstream depends on the profiles.
-	var baseJobs []func() runOut
-	for _, w := range queries {
-		baseJobs = append(baseJobs, func() runOut { return run(w, opts, runSpec{platform: platBase}) })
-	}
-	bases := parmap(opts, baseJobs)
+	bases := grid(opts, queries, platBase)
 
 	// Stage 2: derive each query's strategies and fan their runs out.
 	type strategy struct {
@@ -40,8 +35,8 @@ func figAdvisor(opts Options) *Table {
 		ops  []string
 	}
 	perQuery := make([][]strategy, len(queries))
-	var jobs []func() sim.Time
-	jobIdx := make([][]int, len(queries)) // index into times, -1 = reuse base
+	var jobs []func() runOut
+	jobIdx := make([][]int, len(queries)) // index into outs, -1 = reuse base
 	for qi, w := range queries {
 		base := bases[qi]
 
@@ -68,10 +63,10 @@ func figAdvisor(opts Options) *Table {
 				continue
 			}
 			jobIdx[qi] = append(jobIdx[qi], len(jobs))
-			jobs = append(jobs, timed(w, opts, runSpec{platform: platTeleport, pushOps: pushing(s.ops)}))
+			jobs = append(jobs, cell(w, opts, runSpec{platform: platTeleport, pushOps: pushing(s.ops)}))
 		}
 	}
-	times := parmap(opts, jobs)
+	outs := parmap(opts, jobs)
 
 	for qi, w := range queries {
 		base := bases[qi]
@@ -79,7 +74,7 @@ func figAdvisor(opts Options) *Table {
 		for si, s := range perQuery[qi] {
 			tm := base.Time
 			if j := jobIdx[qi][si]; j >= 0 {
-				tm = times[j]
+				tm = outs[j].Time
 			}
 			t.AddRow("", s.name,
 				strings.Join(shorten(s.ops), ","), fm(tm), fx(ratio(base.Time, tm)))

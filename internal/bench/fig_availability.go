@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"teleport/internal/core"
-	"teleport/internal/ddc"
 	"teleport/internal/fault"
 	"teleport/internal/sim"
 )
@@ -13,32 +11,19 @@ func init() {
 	register("A6", figAvailability)
 }
 
-// q6Point is one cell of the availability figures (A6, A7): the answer,
-// retained for the correctness column, the pushed time, the runtime's and
-// the shards' recovery tallies, and how long at least one of the targets
-// the figure watches was down.
-type q6Point struct {
-	ans     uint64
-	elapsed sim.Time
-	rt      core.RuntimeStats
-	shards  ddc.ShardStat // summed over the shards
-	down    sim.Time
-}
-
 // q6Cell is the job both figures sweep: Q6 at a quarter of the scale on
 // TELEPORT, with a 2% cache and half the database in pool DRAM, over a pool
-// pinned to the given topology under an ad-hoc fault profile (nil = whatever
-// the options say, fault-free by default).
-func q6Cell(opts Options, shards, replicas, writeQuorum int, prof *fault.Profile, watch []fault.Target) func() q6Point {
+// pinned to the given topology under an ad-hoc fault profile (zero = whatever
+// the options say, fault-free by default). The figures read its answer,
+// retained for the correctness column, its time, the runtime's and the
+// shards' recovery tallies, and how long part of the pool was down: under
+// A6's profiles only shards fail, under A7's only links.
+func q6Cell(opts Options, shards, replicas, writeQuorum int, prof fault.Profile) func() runOut {
 	opts.Scale /= 4
-	return func() q6Point {
-		out := run(findWorkload("Q6"), opts, runSpec{
-			platform: platTeleport, cacheFrac: 0.02, poolFrac: 0.5,
-			shards: shards, replicas: replicas, writeQuorum: writeQuorum, chaos: prof,
-		})
-		m := out.Proc.M
-		return q6Point{out.Answer, out.Time, out.RT.Stats(), m.ShardTotals(), m.Fault.Downtime(out.End, watch...)}
-	}
+	return cell(findWorkload("Q6"), opts, runSpec{
+		platform: platTeleport, cacheFrac: 0.02, poolFrac: 0.5,
+		shards: shards, replicas: replicas, writeQuorum: writeQuorum, chaos: prof,
+	})
 }
 
 // yesNo renders a correctness cell.
@@ -72,13 +57,7 @@ func figAvailability(opts Options) *Table {
 	}
 	replicas := []int{1, 2, 3}
 
-	var degraded []fault.Target
-	for s := 0; s < shards; s++ {
-		degraded = append(degraded, fault.Shard(s))
-	}
-	degraded = append(degraded, fault.Pool())
-
-	jobs := []func() q6Point{q6Cell(opts, shards, 1, 0, nil, degraded)}
+	jobs := []func() runOut{q6Cell(opts, shards, 1, 0, fault.Profile{})}
 	for _, rate := range rates {
 		prof := fault.Profile{
 			Name:          fmt.Sprintf("shard-flap-%v", rate.meanUp),
@@ -86,7 +65,7 @@ func figAvailability(opts Options) *Table {
 			ShardMeanDown: 50 * sim.Microsecond,
 		}
 		for _, reps := range replicas {
-			jobs = append(jobs, q6Cell(opts, shards, reps, 0, &prof, degraded))
+			jobs = append(jobs, q6Cell(opts, shards, reps, 0, prof))
 		}
 	}
 	pts := parmap(opts, jobs)
@@ -96,11 +75,12 @@ func figAvailability(opts Options) *Table {
 		for _, reps := range replicas {
 			pt := pts[i]
 			i++
-			t.AddRow(fmt.Sprintf("%d", reps), rate.name, yesNo(pt.ans == base.ans),
-				fmt.Sprintf("%d", pt.shards.FailoverReads), fmt.Sprintf("%d", pt.shards.ResyncPages),
-				fmt.Sprintf("%d", pt.shards.Stalls), fmt.Sprintf("%d", pt.rt.LocalFallbacks),
-				fmt.Sprintf("%.1f%%", 100*float64(pt.down)/float64(pt.elapsed)),
-				fx(ratio(pt.elapsed, base.elapsed)))
+			sh := pt.Proc.M.ShardTotals()
+			t.AddRow(fmt.Sprintf("%d", reps), rate.name, yesNo(pt.Answer == base.Answer),
+				fmt.Sprintf("%d", sh.FailoverReads), fmt.Sprintf("%d", sh.ResyncPages),
+				fmt.Sprintf("%d", sh.Stalls), fmt.Sprintf("%d", pt.RT.Stats().LocalFallbacks),
+				fmt.Sprintf("%.1f%%", 100*float64(pt.Down)/float64(pt.Time)),
+				fx(ratio(pt.Time, base.Time)))
 		}
 	}
 	t.Notes = append(t.Notes,

@@ -71,9 +71,26 @@ type microResult struct {
 	CoherenceMsgs int64
 }
 
+// microKey names a microbenchmark cell by everything runMicro is given but
+// the scope whose pages it runs on.
+type microKey struct {
+	mode microMode
+	mp   microParams
+}
+
+// micro is the job of one microbenchmark cell: runMicro's result for mode and
+// mp, run once per entry-point call — Fig 22 reads Fig 21's cells.
+func micro(opts Options, mode microMode, mp microParams) func() microResult {
+	k, sc := microKey{mode, mp}, opts.scope
+	return func() microResult {
+		return memo(sc, func(s *scope) *table[microKey, microResult] { return &s.micros },
+			k, func() microResult { return runMicro(sc, mode, mp) })
+	}
+}
+
 // runMicro executes the two-thread microbenchmark under the given mode, on
-// pages of opts' scope that it hands back.
-func runMicro(opts Options, mode microMode, mp microParams) microResult {
+// pages of sc that it hands back.
+func runMicro(sc *scope, mode microMode, mp microParams) microResult {
 	var cfg ddc.Config
 	if mode == microLocal {
 		cfg = ddc.Linux()
@@ -82,7 +99,7 @@ func runMicro(opts Options, mode microMode, mp microParams) microResult {
 	}
 	cfg.HW.MemoryPoolCores = mp.memPoolCores
 	m := ddc.MustMachine(cfg)
-	p := opts.scope.share(m.NewProcess())
+	p := sc.share(m.NewProcess())
 	array := p.Space.AllocPages(int64(mp.arrayPages)*mem.PageSize, "micro.array")
 	scratch := p.Space.AllocPages(int64(max(mp.scratchPages, 1))*mem.PageSize, "micro.scratch")
 	var shared mem.Addr
@@ -223,7 +240,7 @@ func fig6(opts Options) *Table {
 	}
 	var jobs []func() microResult
 	for _, r := range rows {
-		jobs = append(jobs, func() microResult { return runMicro(opts, r.mode, mp) })
+		jobs = append(jobs, micro(opts, r.mode, mp))
 	}
 	results := parmap(opts, jobs)
 	base := results[1] // the Base DDC row doubles as the speedup baseline
@@ -251,10 +268,10 @@ func fig7(opts Options) *Table {
 	mpSync := mp
 	mpSync.syncShared = true
 	results := parmap(opts, []func() microResult{
-		func() microResult { return runMicro(opts, microBase, mp) },
-		func() microResult { return runMicro(opts, microLocal, mp) },
-		func() microResult { return runMicro(opts, microCoherence, mp) },
-		func() microResult { return runMicro(opts, microCoherence, mpSync) },
+		micro(opts, microBase, mp),
+		micro(opts, microLocal, mp),
+		micro(opts, microCoherence, mp),
+		micro(opts, microCoherence, mpSync),
 	})
 	base, local, coh, syn := results[0], results[1], results[2], results[3]
 
@@ -289,11 +306,11 @@ func fig21(opts Options) *Table {
 		mpRel := mp
 		mpRel.syncShared = true
 		jobs = append(jobs,
-			func() microResult { return runMicro(opts, microLocal, mp) },
-			func() microResult { return runMicro(opts, microBase, mp) },
-			func() microResult { return runMicro(opts, microCoherence, mp) },
-			func() microResult { return runMicro(opts, microCoherence, mpPSO) },
-			func() microResult { return runMicro(opts, microCoherence, mpRel) })
+			micro(opts, microLocal, mp),
+			micro(opts, microBase, mp),
+			micro(opts, microCoherence, mp),
+			micro(opts, microCoherence, mpPSO),
+			micro(opts, microCoherence, mpRel))
 	}
 	results := parmap(opts, jobs)
 	for i, r := range contentionRates {
@@ -321,9 +338,7 @@ func fig22(opts Options) *Table {
 		mp.contention = r
 		mpRel := mp
 		mpRel.syncShared = true
-		jobs = append(jobs,
-			func() microResult { return runMicro(opts, microCoherence, mp) },
-			func() microResult { return runMicro(opts, microCoherence, mpRel) })
+		jobs = append(jobs, micro(opts, microCoherence, mp), micro(opts, microCoherence, mpRel))
 	}
 	results := parmap(opts, jobs)
 	for i, r := range contentionRates {

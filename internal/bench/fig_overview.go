@@ -29,11 +29,11 @@ func fig1a(opts Options) *Table {
 		Header: []string{"platform", "geomean-speedup"},
 	}
 	plats := []platform{platLinuxSSD, platBase, platTeleport}
-	times := grid(opts, tpchQueries(), plats...)
+	outs := grid(opts, tpchQueries(), plats...)
 	geo := func(off int) float64 {
 		prod := 1.0
-		for qi := 0; qi < len(times); qi += len(plats) {
-			prod *= ratio(times[qi], times[qi+off])
+		for qi := 0; qi < len(outs); qi += len(plats) {
+			prod *= ratio(outs[qi].Time, outs[qi+off].Time)
 		}
 		return math.Cbrt(prod)
 	}
@@ -57,14 +57,9 @@ func fig1b(opts Options) *Table {
 	queries := tpchQueries()
 	var jobs []func() runOut
 	for _, w := range queries {
-		specs := []runSpec{
-			{platform: platLocal},
-			{platform: platBase, cacheFrac: 0.10},
-			{platform: platTeleport, cacheFrac: 0.10},
-		}
-		for _, spec := range specs {
-			jobs = append(jobs, func() runOut { return run(w, opts, spec) })
-		}
+		jobs = append(jobs, cell(w, opts, runSpec{platform: platLocal}),
+			cell(w, opts, runSpec{platform: platBase, cacheFrac: 0.10}),
+			cell(w, opts, runSpec{platform: platTeleport, cacheFrac: 0.10}))
 	}
 	outs := parmap(opts, jobs)
 	var sumLocal, sumBase, sumTele sim.Time
@@ -95,9 +90,9 @@ func fig3(opts Options) *Table {
 		Header: []string{"system", "workload", "local(s)", "ddc(s)", "slowdown"},
 	}
 	workloads := allWorkloads()
-	times := grid(opts, workloads, platLocal, platBase)
+	outs := grid(opts, workloads, platLocal, platBase)
 	for i, w := range workloads {
-		local, base := times[i*2], times[i*2+1]
+		local, base := outs[i*2].Time, outs[i*2+1].Time
 		t.AddRow(w.System, w.Name, fm(local), fm(base), fx(ratio(base, local)))
 	}
 	t.Notes = append(t.Notes, "paper: slowdowns range 5x to 52.4x; Q9 worst")
@@ -112,12 +107,7 @@ func fig12(opts Options) *Table {
 		Title:  "Q_filter per-operator times (push all three operators)",
 		Header: []string{"operator", "local(s)", "base-ddc(s)", "teleport(s)", "speedup-vs-base"},
 	}
-	w := qFilter()
-	outs := parmap(opts, []func() runOut{
-		func() runOut { return run(w, opts, runSpec{platform: platLocal}) },
-		func() runOut { return run(w, opts, runSpec{platform: platBase}) },
-		func() runOut { return run(w, opts, runSpec{platform: platTeleport}) },
-	})
+	outs := grid(opts, []workload{qFilter()}, platLocal, platBase, platTeleport)
 	local, base, tele := outs[0], outs[1], outs[2]
 
 	find := func(prof []profile.OpStat, name string) sim.Time {
@@ -146,9 +136,9 @@ func fig13(opts Options) *Table {
 		Header: []string{"system", "workload", "base/local", "teleport/local", "speedup"},
 	}
 	workloads := allWorkloads()
-	times := grid(opts, workloads, platLocal, platBase, platTeleport)
+	outs := grid(opts, workloads, platLocal, platBase, platTeleport)
 	for i, w := range workloads {
-		local, base, tele := times[i*3], times[i*3+1], times[i*3+2]
+		local, base, tele := outs[i*3].Time, outs[i*3+1].Time, outs[i*3+2].Time
 		t.AddRow(w.System, w.Name,
 			fx(ratio(base, local)),
 			fx(ratio(tele, local)),

@@ -33,11 +33,10 @@ func figPartition(opts Options) *Table {
 	}
 	quorums := []int{1, 2, 3}
 
-	// The partitioned column folds every directed link the pool has —
-	// compute↔shard both ways and shard↔shard both ways — into one union.
-	links := fault.Links(shards)
-
-	jobs := []func() q6Point{q6Cell(opts, shards, replicas, 1, nil, links)}
+	// The partitioned column is the union of the pool's downtime, and under
+	// these profiles only its directed links fail — compute↔shard both ways
+	// and shard↔shard both ways.
+	jobs := []func() runOut{q6Cell(opts, shards, replicas, 1, fault.Profile{})}
 	for _, rate := range rates {
 		prof := fault.Profile{
 			Name:         fmt.Sprintf("partition-%v", rate.meanUp),
@@ -45,7 +44,7 @@ func figPartition(opts Options) *Table {
 			LinkMeanDown: 150 * sim.Microsecond,
 		}
 		for _, w := range quorums {
-			jobs = append(jobs, q6Cell(opts, shards, replicas, w, &prof, links))
+			jobs = append(jobs, q6Cell(opts, shards, replicas, w, prof))
 		}
 	}
 	pts := parmap(opts, jobs)
@@ -55,12 +54,13 @@ func figPartition(opts Options) *Table {
 		for _, w := range quorums {
 			pt := pts[i]
 			i++
-			t.AddRow(fmt.Sprintf("%d", w), rate.name, yesNo(pt.ans == base.ans),
-				fmt.Sprintf("%d", pt.shards.HandoffRecords), fmt.Sprintf("%d", pt.shards.HandoffReplays),
-				fmt.Sprintf("%d", pt.shards.ReadRepairs), fmt.Sprintf("%d", pt.shards.StaleReadsAverted),
-				fmt.Sprintf("%d", pt.shards.QuorumStalls), fmt.Sprintf("%d", pt.rt.QuorumLostObserved),
-				fmt.Sprintf("%.1f%%", 100*float64(pt.down)/float64(pt.elapsed)),
-				fx(ratio(pt.elapsed, base.elapsed)))
+			sh := pt.Proc.M.ShardTotals()
+			t.AddRow(fmt.Sprintf("%d", w), rate.name, yesNo(pt.Answer == base.Answer),
+				fmt.Sprintf("%d", sh.HandoffRecords), fmt.Sprintf("%d", sh.HandoffReplays),
+				fmt.Sprintf("%d", sh.ReadRepairs), fmt.Sprintf("%d", sh.StaleReadsAverted),
+				fmt.Sprintf("%d", sh.QuorumStalls), fmt.Sprintf("%d", pt.RT.Stats().QuorumLostObserved),
+				fmt.Sprintf("%.1f%%", 100*float64(pt.Down)/float64(pt.Time)),
+				fx(ratio(pt.Time, base.Time)))
 		}
 	}
 	t.Notes = append(t.Notes,

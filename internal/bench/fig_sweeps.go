@@ -25,9 +25,9 @@ func fig14(opts Options) *Table {
 		Header: []string{"query", "linux-ssd(s)", "base-ddc(s)", "teleport(s)", "ddc-speedup", "teleport-speedup"},
 	}
 	queries := tpchQueries()
-	times := grid(opts, queries, platLinuxSSD, platBase, platTeleport)
+	outs := grid(opts, queries, platLinuxSSD, platBase, platTeleport)
 	for i, q := range queries {
-		ssd, base, tele := times[i*3], times[i*3+1], times[i*3+2]
+		ssd, base, tele := outs[i*3].Time, outs[i*3+1].Time, outs[i*3+2].Time
 		t.AddRow(q.Name, fm(ssd), fm(base), fm(tele),
 			fx(ratio(ssd, base)), fx(ratio(ssd, tele)))
 	}
@@ -60,24 +60,24 @@ func fig15(opts Options) *Table {
 		{"32% (64GB)", 0.32, true},
 		{"64% (128GB)", 0.64, false}, // exceeds the monolithic server
 	}
-	var jobs []func() sim.Time
+	var jobs []func() runOut
 	for _, pt := range points {
 		if pt.linux {
-			jobs = append(jobs, timed(w, big, runSpec{platform: platLinuxSSD, cacheFrac: pt.frac}))
+			jobs = append(jobs, cell(w, big, runSpec{platform: platLinuxSSD, cacheFrac: pt.frac}))
 		}
 		jobs = append(jobs,
-			timed(w, big, runSpec{platform: platBase, poolFrac: pt.frac}),
-			timed(w, big, runSpec{platform: platTeleport, poolFrac: pt.frac}))
+			cell(w, big, runSpec{platform: platBase, poolFrac: pt.frac}),
+			cell(w, big, runSpec{platform: platTeleport, poolFrac: pt.frac}))
 	}
-	times := parmap(opts, jobs)
+	outs := parmap(opts, jobs)
 	i := 0
 	for _, pt := range points {
 		linuxCell := "N/A"
 		if pt.linux {
-			linuxCell = fm(times[i])
+			linuxCell = fm(outs[i].Time)
 			i++
 		}
-		base, tele := times[i], times[i+1]
+		base, tele := outs[i].Time, outs[i+1].Time
 		i += 2
 		t.AddRow(pt.label, linuxCell, fm(base), fm(tele))
 	}
@@ -98,14 +98,14 @@ func fig16(opts Options) *Table {
 	}
 	w := findWorkload("Q9")
 	clocks := []float64{0.4, 0.8, 1.2, 1.7, 2.1}
-	jobs := []func() sim.Time{timed(w, opts, runSpec{platform: platBase})}
+	jobs := []func() runOut{cell(w, opts, runSpec{platform: platBase})}
 	for _, clock := range clocks {
-		jobs = append(jobs, timed(w, opts, runSpec{platform: platTeleport, memClock: clock}))
+		jobs = append(jobs, cell(w, opts, runSpec{platform: platTeleport, memClock: clock}))
 	}
-	times := parmap(opts, jobs)
-	base := times[0]
+	outs := parmap(opts, jobs)
+	base := outs[0].Time
 	for i, clock := range clocks {
-		tele := times[i+1]
+		tele := outs[i+1].Time
 		t.AddRow(fmt.Sprintf("%.1f", clock), fm(tele), fx(ratio(base, tele)))
 	}
 	t.Notes = append(t.Notes, "paper: 17x at 0.4GHz, levelling off at 29x above 1.7GHz")
@@ -122,20 +122,15 @@ func fig17(opts Options) *Table {
 		Title:  "Parallel aggregation: speedup vs number of memory-pool user contexts",
 		Header: []string{"contexts", "makespan(s)", "speedup-vs-1ctx"},
 	}
-	const threads = 8
-	runWith := func(contexts int) sim.Time {
-		var makespan sim.Time
-		run(parAgg(threads, &makespan), opts, runSpec{platform: platTeleport, contexts: contexts})
-		return makespan
-	}
-	var jobs []func() sim.Time
+	w := parAgg(8)
+	var jobs []func() runOut
 	for contexts := 1; contexts <= 4; contexts++ {
-		jobs = append(jobs, func() sim.Time { return runWith(contexts) })
+		jobs = append(jobs, cell(w, opts, runSpec{platform: platTeleport, contexts: contexts}))
 	}
-	times := parmap(opts, jobs)
-	base := times[0]
+	outs := parmap(opts, jobs)
+	base := sim.Time(outs[0].Answer)
 	for contexts := 1; contexts <= 4; contexts++ {
-		tm := times[contexts-1]
+		tm := sim.Time(outs[contexts-1].Answer)
 		t.AddRow(fmt.Sprintf("%d", contexts), fm(tm), fx(ratio(base, tm)))
 	}
 	t.Notes = append(t.Notes,
@@ -157,7 +152,7 @@ func fig18(opts Options) *Table {
 	w := findWorkload("Q9")
 	// Profiling run on the base DDC to rank operators by memory intensity.
 	// Later data points depend on the ranking, so this one runs first.
-	prof := par1(opts, func() runOut { return run(w, opts, runSpec{platform: platBase}) })
+	prof := parmap(opts, []func() runOut{cell(w, opts, runSpec{platform: platBase})})[0]
 	ranked := profile.ByIntensity(prof.Profile)
 
 	levels := []struct {
@@ -168,35 +163,33 @@ func fig18(opts Options) *Table {
 
 	// The "no pushdown" baseline at each clock is a pure run reused for
 	// every level's speedup column.
-	var jobs []func() sim.Time
+	var jobs []func() runOut
 	for _, clockFrac := range clockFracs {
-		jobs = append(jobs, timed(w, opts, runSpec{platform: platBase, memClock: 2.1 * clockFrac}))
+		jobs = append(jobs, cell(w, opts, runSpec{platform: platBase, memClock: 2.1 * clockFrac}))
 	}
 	for _, lv := range levels {
 		if lv.k == 0 {
 			continue // the baseline runs above cover the "None" row
 		}
 		for _, clockFrac := range clockFracs {
-			jobs = append(jobs, timed(w, opts, runSpec{
+			jobs = append(jobs, cell(w, opts, runSpec{
 				platform: platTeleport, memClock: 2.1 * clockFrac, pushOps: pushing(ranked[:lv.k]),
 			}))
 		}
 	}
-	times := parmap(opts, jobs)
-	nones := times[:len(clockFracs)]
-	rest := times[len(clockFracs):]
+	outs := parmap(opts, jobs)
+	nones := outs[:len(clockFracs)]
+	rest := outs[len(clockFracs):]
 	i := 0
 	for _, lv := range levels {
 		row := []string{lv.label, fmt.Sprintf("%d", lv.k)}
 		for ci := range clockFracs {
-			var tm sim.Time
-			if lv.k == 0 {
-				tm = nones[ci]
-			} else {
-				tm = rest[i]
+			tm := nones[ci].Time
+			if lv.k > 0 {
+				tm = rest[i].Time
 				i++
 			}
-			row = append(row, fm(tm), fx(ratio(nones[ci], tm)))
+			row = append(row, fm(tm), fx(ratio(nones[ci].Time, tm)))
 		}
 		t.AddRow(row...)
 	}

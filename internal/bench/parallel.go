@@ -10,11 +10,12 @@ import (
 // Every simulated run is hermetic: it builds its own Machine, Process,
 // Scheduler and RNGs, and the sim packages keep no package-level state, so
 // two runs share only frozen images — the datasets of their entry point's
-// scope, attached copy-on-write — and dead pages: the scope's arena, which a
-// finished run's memory goes back to and which zeroes a page before it is a
-// frame again (scope.go). That makes each data point of a
-// figure an independent pure function of (workload, Options, runSpec) — and
-// the harness exploits it by fanning data points out across host cores.
+// scope, attached copy-on-write — finished data points, which figures read
+// and never change, and dead pages: the scope's arena, which a finished run's
+// memory goes back to and which zeroes a page before it is a frame again
+// (scope.go). That makes each data point of a figure an independent pure
+// function of its key — (workload, Options, runSpec) for a cell — and the
+// harness exploits it by fanning data points out across host cores.
 // Parallelism changes only host wall-clock time: the virtual-time answers,
 // tables, and counters are bit-identical to a sequential run (enforced by
 // TestParallelDeterminism).
@@ -24,10 +25,11 @@ import (
 //   - Figures run concurrently in RunAll, one goroutine per figure. These
 //     goroutines hold no pool token — they mostly block waiting for their
 //     data points, and a token here would deadlock the pool.
-//   - Data points (the leaf run()/runMicro() calls) go through parmap,
-//     which bounds concurrent simulation work with a token pool sized by
-//     Options.Parallel (default: GOMAXPROCS). Leaf jobs never spawn
-//     further parmap work, so token acquisition never nests.
+//   - Data points (the jobs cell, micro and method return) go through
+//     parmap, which bounds concurrent simulation work with a token pool
+//     sized by Options.Parallel (default: GOMAXPROCS). Leaf jobs never spawn
+//     further parmap work, so token acquisition never nests. A job whose data
+//     point another figure is computing waits for it, holding its token.
 //
 // Results are always delivered in job-index order, so a figure's rows are
 // assembled exactly as the sequential loop would have.
@@ -68,10 +70,4 @@ func parmap[T any](opts Options, jobs []func() T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// par1 runs a single job through the pool: used for data points later
-// stages depend on (e.g. a profiling run), so even they respect the bound.
-func par1[T any](opts Options, job func() T) T {
-	return parmap(opts, []func() T{job})[0]
 }

@@ -115,11 +115,12 @@ func RunWorkloads(names []string, platformName string, opts Options) ([]Workload
 }
 
 // runWorkload executes w on pl under resolved options and assembles the
-// result and its report, once.
+// result and its report, once. Its run is its own, not a cell of the scope:
+// the fault report extends the run's fault plan.
 func runWorkload(w workload, pl platformDef, opts Options) WorkloadResult {
 	spec := runSpec{platform: pl.plat}
 	if pl.auto {
-		ops, _ := costModelPush(run(w, opts, runSpec{platform: platBase}))
+		ops, _ := costModelPush(cell(w, opts, runSpec{platform: platBase})())
 		spec.pushOps = pushing(ops)
 	}
 	out := run(w, opts, spec)
@@ -171,7 +172,7 @@ func Advise(workloadName string, opts Options) ([]advisor.Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, decisions := costModelPush(run(w, opts, runSpec{platform: platBase}))
+	_, decisions := costModelPush(cell(w, opts, runSpec{platform: platBase})())
 	return decisions, nil
 }
 

@@ -3,15 +3,16 @@ package bench
 import (
 	"sync"
 
+	"teleport/internal/core"
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
-	"teleport/internal/sim"
 )
 
 // scope is what the data points of one entry-point call (Run, RunAll,
 // RunWorkloads, Advise, RunCluster) share: each dataset they load, generated
-// once, each distinct timed cell, run once, and the pages of simulated memory
-// a cell that has ended leaves to the next. resolve creates it the way it
+// once, each distinct data point — a workload cell, a microbenchmark cell,
+// Fig 20's method run — computed once, and the pages of simulated memory a
+// data point that has ended leaves to the next. resolve creates it the way it
 // creates the worker-token pool, Options carries it to every figure and leaf
 // job, and it dies with the call — nothing outlives an entry point, so every
 // call does the work the first did. A nil scope (options no entry point
@@ -20,24 +21,60 @@ import (
 // What the data points of a scope share is frozen: a dataset is a mem.Image,
 // attached copy-on-write to each cell's own process, plus the descriptor that
 // says where its tables, CSR arrays or text lie, which no run writes to; a
-// timed cell's result is a number. A run is still a pure function of
-// (workload, Options, runSpec), which is what lets one stand for another. What
-// they hand on is dead: a page in the arena belonged to a process that was
-// released after its numbers were read, and the next process to draw it as a
-// frame gets it zeroed.
+// data point's result is read by every figure that names it and changed by
+// none. A data point is still a pure function of what its key holds, which is
+// what lets one stand for another. What they hand on is dead: a page in the
+// arena belonged to a process that was released after its numbers were read,
+// and the next process to draw it as a frame gets it zeroed.
 type scope struct {
 	mu       sync.Mutex
-	datasets map[datasetKey]*dataset
-	cells    map[cellKey]*cell
+	datasets table[datasetKey, dataset]
+	cells    table[cellKey, runOut]
+	micros   table[microKey, microResult]
+	methods  table[core.Flags, core.Stats]
 	arena    mem.Arena
+}
+
+// table is the scope's memo of one kind of data point, by a key that names it
+// by everything that computes it. Keys are comparable values, so the compiler
+// keeps them complete: runSpec, the part of a cell's key a figure varies,
+// holds no pointers, slices or closures.
+type table[K comparable, V any] map[K]*entry[V]
+
+type entry[V any] struct {
+	once sync.Once
+	v    V
+}
+
+// memo returns the data point k names in the table of s that tab picks: f's
+// result, computed by the first data point of s to ask and read by every later
+// one, which must not change it. A nil scope remembers nothing: f runs each
+// time.
+func memo[K comparable, V any](s *scope, tab func(*scope) *table[K, V], k K, f func() V) V {
+	if s == nil {
+		return f()
+	}
+	s.mu.Lock()
+	t := tab(s)
+	e := (*t)[k]
+	if e == nil {
+		if *t == nil {
+			*t = table[K, V]{}
+		}
+		e = &entry[V]{}
+		(*t)[k] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() { e.v = f() })
+	return e.v
 }
 
 // share makes p, a new process, draw its address space's pages from the
 // scope's arena. Every process of the package is built through here; the ones
-// that another data point can follow (run, runMicro, Fig 20's method runs) are
-// released when theirs has been read, which is what fills the arena. Never
-// released: a dataset's builder, whose frames are the image's, and a process
-// whose entry point ends with it (RunCluster's, DescribeDataset's).
+// that another data point can follow (run, runMicro, runMethod) are released
+// when theirs has been read, which is what fills the arena. Never released: a
+// dataset's builder, whose frames are the image's, and a process whose entry
+// point ends with it (RunCluster's, DescribeDataset's).
 func (s *scope) share(p *ddc.Process) *ddc.Process {
 	if s != nil {
 		p.Space.Share(&s.arena)
@@ -57,56 +94,8 @@ type datasetKey struct {
 // dataset is one generated dataset: the image of the address space it was
 // generated into and its descriptor, bound to the process that generated it.
 type dataset struct {
-	once sync.Once
 	img  *mem.Image
 	desc any
-}
-
-// cellKey names a timed cell by everything run is given; the workload by its
-// name, which is its identity (workload.Name).
-type cellKey struct {
-	w    string
-	opts Options
-	spec runSpec
-}
-
-type cell struct {
-	once sync.Once
-	time sim.Time
-}
-
-func (s *scope) dataset(k datasetKey) *dataset {
-	if s == nil {
-		return &dataset{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := s.datasets[k]
-	if d == nil {
-		if s.datasets == nil {
-			s.datasets = map[datasetKey]*dataset{}
-		}
-		d = &dataset{}
-		s.datasets[k] = d
-	}
-	return d
-}
-
-func (s *scope) cell(k cellKey) *cell {
-	if s == nil {
-		return &cell{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.cells[k]
-	if c == nil {
-		if s.cells == nil {
-			s.cells = map[cellKey]*cell{}
-		}
-		c = &cell{}
-		s.cells[k] = c
-	}
-	return c
 }
 
 // attach makes p, a process nothing has been allocated in yet, hold the
@@ -119,11 +108,10 @@ func (s *scope) cell(k cellKey) *cell {
 // allocates on from the addresses the generator stopped at, as if it had
 // generated the dataset itself.
 func attach[D any](p *ddc.Process, opts Options, k datasetKey, build func(*ddc.Process) D) D {
-	d := opts.scope.dataset(k)
-	d.once.Do(func() {
+	d := memo(opts.scope, func(s *scope) *table[datasetKey, dataset] { return &s.datasets }, k, func() dataset {
 		b := opts.scope.share(ddc.MustMachine(ddc.Linux()).NewProcess())
-		d.desc = build(b)
-		d.img = b.Space.Freeze()
+		desc := build(b)
+		return dataset{b.Space.Freeze(), desc}
 	})
 	p.Attach(d.img)
 	return d.desc.(D)

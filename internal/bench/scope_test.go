@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"teleport/internal/coldb"
+	"teleport/internal/core"
 	"teleport/internal/ddc"
+	"teleport/internal/fault"
 	"teleport/internal/graph"
 	"teleport/internal/mapreduce"
 	"teleport/internal/mem"
@@ -65,7 +67,7 @@ func TestDatasetBuiltOncePerEntryPoint(t *testing.T) {
 		t.Errorf("the suite built %v, want 3 TPC-H databases, 2 graphs and 1 corpus", got)
 	}
 	for k, d := range all.datasets {
-		if d.img == nil || d.desc == nil {
+		if d.v.img == nil || d.v.desc == nil {
 			t.Errorf("dataset %+v was asked for but never built", k)
 		}
 	}
@@ -76,10 +78,11 @@ func TestDatasetBuiltOncePerEntryPoint(t *testing.T) {
 	}
 }
 
-// TestTimedCellsRunOnce: equal timed cells of one scope are one run, cells
-// that differ in the workload, an option or any field of the runSpec are not,
-// and without a scope nothing is remembered.
-func TestTimedCellsRunOnce(t *testing.T) {
+// TestDataPointsRunOnce: equal data points of one scope — workload cells,
+// microbenchmark cells, Fig 20's method runs — are one run; data points that
+// differ in the workload (ParAgg's worker count included), an option or any
+// field of their key are not; and without a scope nothing is remembered.
+func TestDataPointsRunOnce(t *testing.T) {
 	opts, err := smokeOpts().resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -96,39 +99,84 @@ func TestTimedCellsRunOnce(t *testing.T) {
 		}}
 	}
 	w := probe("probe")
-	first := timed(w, opts, runSpec{platform: platBase})()
-	if again := timed(w, opts, runSpec{platform: platBase})(); again != first || builds["probe"] != 1 {
-		t.Fatalf("an equal cell ran again: %d builds, times %v and %v", builds["probe"], first, again)
+	first := cell(w, opts, runSpec{platform: platBase})()
+	if again := cell(w, opts, runSpec{platform: platBase})(); again.Proc != first.Proc || builds["probe"] != 1 {
+		t.Fatalf("an equal cell ran again: %d builds", builds["probe"])
 	}
 	other := opts
 	other.CacheFrac = 0.5
-	for i, cell := range []func() any{
-		func() any { return timed(w, opts, runSpec{platform: platTeleport})() },
-		func() any { return timed(w, opts, runSpec{platform: platBase, prefetch: set(0)})() },
-		func() any { return timed(w, opts, runSpec{platform: platBase, pushOps: pushing(nil)})() },
-		func() any { return timed(w, other, runSpec{platform: platBase})() },
+	for i, c := range []struct {
+		opts Options
+		spec runSpec
+	}{
+		{opts, runSpec{platform: platTeleport}},
+		{opts, runSpec{platform: platBase, prefetch: set(0)}},
+		{opts, runSpec{platform: platBase, pushOps: pushing(nil)}},
+		{opts, runSpec{platform: platBase, chaos: fault.Profile{Name: "probe", CtxCrashProb: 0.5}}},
+		{other, runSpec{platform: platBase}},
 	} {
-		cell()
+		cell(w, c.opts, c.spec)()
 		if builds["probe"] != 2+i {
 			t.Fatalf("distinct cell %d did not run: %d builds", i, builds["probe"])
 		}
 	}
-	timed(probe("probe2"), opts, runSpec{platform: platBase})()
+	cell(probe("probe2"), opts, runSpec{platform: platBase})()
 	if builds["probe2"] != 1 {
 		t.Fatal("a cell of another workload did not run")
 	}
-	unresolved := smokeOpts()
-	timed(w, unresolved, runSpec{platform: platBase})()
-	timed(w, unresolved, runSpec{platform: platBase})()
-	if builds["probe"] != 7 {
-		t.Fatalf("cells of unresolved options: %d builds, want 7 (nothing remembered)", builds["probe"])
+
+	// One entry is one run: memo computes an entry once.
+	cells := len(opts.scope.cells)
+	for range 2 {
+		cell(parAgg(2), opts, runSpec{platform: platTeleport})()
+		cell(parAgg(4), opts, runSpec{platform: platTeleport})()
+	}
+	if n := len(opts.scope.cells) - cells; n != 2 {
+		t.Errorf("ParAgg at 2 and 4 workers, each asked twice, made %d cells, want 2", n)
+	}
+	mp := defaultMicro()
+	mp.accesses = 100
+	for range 2 {
+		micro(opts, microBase, mp)()
+		method(opts, core.FlagDefault)()
+	}
+	if len(opts.scope.micros) != 1 || len(opts.scope.methods) != 1 {
+		t.Errorf("a micro and a method cell, each asked twice, made %d and %d entries, want 1 and 1",
+			len(opts.scope.micros), len(opts.scope.methods))
+	}
+	micro(opts, microLocal, mp)()
+	mp.pso = true
+	micro(opts, microBase, mp)()
+	method(opts, core.FlagEagerSync)()
+	if len(opts.scope.micros) != 3 || len(opts.scope.methods) != 2 {
+		t.Errorf("distinct micro and method cells made %d and %d entries, want 3 and 2",
+			len(opts.scope.micros), len(opts.scope.methods))
 	}
 
-	// Figures 3 and 13 run the same workloads on the same platforms: in one
-	// scope the second reuses the first's cells.
-	n3, n13 := len(scopeOf(t, smokeOpts(), "3").cells), len(scopeOf(t, smokeOpts(), "13").cells)
-	if both := len(scopeOf(t, smokeOpts(), "3", "13").cells); n3 == 0 || both >= n3+n13 {
-		t.Errorf("figures 3 and 13 ran %d and %d cells apart and %d together: nothing was shared", n3, n13, both)
+	unresolved := smokeOpts()
+	cell(w, unresolved, runSpec{platform: platBase})()
+	cell(w, unresolved, runSpec{platform: platBase})()
+	if builds["probe"] != 8 {
+		t.Fatalf("cells of unresolved options: %d builds, want 8 (nothing remembered)", builds["probe"])
+	}
+}
+
+// TestFiguresShareDataPoints: in one scope a figure reads the data points
+// another has already run instead of running them again. Fig 10's cells are
+// Fig 3's and Fig 1b's local ones are too; Fig 22's microbenchmark cells are
+// Fig 21's; Figs 17 and A5 both run ParAgg on eight workers with two contexts
+// on TELEPORT.
+func TestFiguresShareDataPoints(t *testing.T) {
+	opts := smokeOpts()
+	if a, b := len(scopeOf(t, opts, "3", "1b").cells), len(scopeOf(t, opts, "3", "10", "1b").cells); a == 0 || b != a {
+		t.Errorf("figures 3 and 1b made %d cells, with figure 10 %d: want no more", a, b)
+	}
+	if a, b := len(scopeOf(t, opts, "21").micros), len(scopeOf(t, opts, "21", "22").micros); a == 0 || b != a {
+		t.Errorf("figure 21 made %d microbenchmark cells, with figure 22 %d: want no more", a, b)
+	}
+	n17, nA5 := len(scopeOf(t, opts, "17").cells), len(scopeOf(t, opts, "A5").cells)
+	if both := len(scopeOf(t, opts, "17", "A5").cells); n17+nA5-both != 1 {
+		t.Errorf("figures 17 and A5 made %d and %d cells apart and %d together: want one shared", n17, nA5, both)
 	}
 }
 
@@ -221,7 +269,7 @@ func TestImagesSurviveTheSuite(t *testing.T) {
 	genGraph(ddc.MustMachine(ddc.Linux()).NewProcess(), opts, true)
 	genCorpus(ddc.MustMachine(ddc.Linux()).NewProcess(), opts)
 	for k, d := range opts.scope.datasets {
-		frozen[k] = imageHash(d.img)
+		frozen[k] = imageHash(d.v.img)
 	}
 
 	var wg sync.WaitGroup
@@ -238,7 +286,7 @@ func TestImagesSurviveTheSuite(t *testing.T) {
 		t.Fatalf("the suite used %d datasets, %d were frozen ahead of it", len(opts.scope.datasets), len(frozen))
 	}
 	for k, d := range opts.scope.datasets {
-		if got := imageHash(d.img); got != frozen[k] {
+		if got := imageHash(d.v.img); got != frozen[k] {
 			t.Errorf("image %+v hashes to %#x after the suite, %#x when frozen", k, got, frozen[k])
 		}
 	}

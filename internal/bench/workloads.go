@@ -2,6 +2,7 @@ package bench
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"strings"
 
@@ -24,8 +25,8 @@ import (
 // queries, two MapReduce jobs.
 type workload struct {
 	// Name is the workload's identity: two workloads of one name build and
-	// run the same thing under the same options (the memo of timed cells
-	// keys on it). parAgg, whose name hides a worker count, is only ever run.
+	// run the same thing under the same options (the memo of cells keys on
+	// it), so a parameter of a constructor is part of the name (parAgg).
 	Name   string
 	System string
 	// PushOps is the operator set TELEPORT pushes for this workload
@@ -156,17 +157,16 @@ func qFilter() workload {
 // parAgg is the parallel aggregation of Figures 17 and A5: `workers`
 // compute-pool threads sum lineitem.l_quantity, each Teleporting its
 // partition when the platform has a runtime. The threads run under the
-// aggregation's own scheduler, so its result is that scheduler's makespan
-// (stored through the pointer), not the driving thread's operator time.
-func parAgg(workers int, makespan *sim.Time) workload {
-	return tpchWorkload("ParAgg", nil, func(ex *profile.Exec, d *tpch.Data) uint64 {
+// aggregation's own scheduler, so the figures read that scheduler's makespan,
+// not the driving thread's operator time: it is the workload's answer.
+func parAgg(workers int) workload {
+	return tpchWorkload(fmt.Sprintf("ParAgg%d", workers), nil, func(ex *profile.Exec, d *tpch.Data) uint64 {
 		qty := d.DB.Table("lineitem").Col("l_quantity")
-		sum, span, err := coldb.ParallelAggregate(ex.P, ex.RT, workers, qty, coldb.AggSum)
+		_, span, err := coldb.ParallelAggregate(ex.P, ex.RT, workers, qty, coldb.AggSum)
 		if err != nil {
 			panic(err)
 		}
-		*makespan = span
-		return math.Float64bits(sum)
+		return uint64(span)
 	})
 }
 
@@ -198,7 +198,7 @@ const (
 
 // runSpec tweaks a single workload execution. It is a comparable value —
 // overrides are declared, not programmed — so that it can key the memo of
-// timed cells and the compiler keeps that key complete.
+// cells and the compiler keeps that key complete.
 type runSpec struct {
 	platform  platform
 	cacheFrac float64 // compute/local cache as fraction of the working set
@@ -214,8 +214,9 @@ type runSpec struct {
 	// shards > 0 pins the pool topology for a figure that sweeps it
 	// (A6/A7); otherwise the pool follows Options like every other cell.
 	shards, replicas, writeQuorum int
-	// chaos is a figure's ad-hoc fault profile (nil = Options.ChaosProfile).
-	chaos *fault.Profile
+	// chaos is a figure's ad-hoc fault profile (zero Name =
+	// Options.ChaosProfile).
+	chaos fault.Profile
 }
 
 // override is an optional value of a runSpec; the zero value keeps the preset.
@@ -241,6 +242,11 @@ type runOut struct {
 	// End is the driving thread's clock when the run finished (load +
 	// query); downtime accounting clips fault windows to it.
 	End sim.Time
+	// Down is how long, up to End, any part of a pool pinned by
+	// runSpec.shards — the controller, a shard or a directed link — was down
+	// (0 for any other run). The run accounts it because accounting extends
+	// the fault plan's schedules, and a finished cell is read, never changed.
+	Down sim.Time
 	// Attr partitions the driving thread's query-phase time by component
 	// (always collected; costs no virtual time).
 	Attr metrics.Attribution
@@ -273,7 +279,7 @@ const defaultTraceCap = 1 << 18
 // unknown name is an error, not a fault-free run — the chaos seed defaulted
 // to Seed, the pool topology checked against ddc's rules, the shared
 // worker-token pool created when the options ask for parallelism, and the
-// scope in which the call's data points share datasets and timed cells.
+// scope in which the call's figures share datasets and data points.
 func (o Options) resolve() (Options, error) {
 	prof, err := fault.ByName(o.ChaosProfile)
 	if err != nil {
@@ -356,8 +362,8 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 		m.AttachMetrics(reg)
 	}
 	prof := opts.chaos
-	if spec.chaos != nil {
-		prof = spec.chaos
+	if spec.chaos.Name != "" {
+		prof = &spec.chaos
 	}
 	opts.attachFault(m, prof, 0)
 	p := opts.scope.share(m.NewProcess())
@@ -413,9 +419,17 @@ func run(w workload, opts Options, spec runSpec) runOut {
 		ex.ReadStats(snap)
 	}
 	ex.P.Release()
+	var down sim.Time
+	if k := spec.shards; k > 0 {
+		ts := append(fault.Links(k), fault.Pool())
+		for s := range k {
+			ts = append(ts, fault.Shard(s))
+		}
+		down = m.Fault.Downtime(th.Now(), ts...)
+	}
 	return runOut{
 		Time: ex.Total(), Profile: ex.Profile(), Proc: ex.P, RT: ex.RT,
-		Answer: answer, End: th.Now(), Rec: rec, Metrics: snap,
+		Answer: answer, End: th.Now(), Down: down, Rec: rec, Metrics: snap,
 		Attr: metrics.Attribution{
 			TotalNs: int64(th.Now() - tstart),
 			Comps:   m.Obs.Times.Sub(attrBefore),
@@ -423,24 +437,32 @@ func run(w workload, opts Options, spec runSpec) runOut {
 	}
 }
 
-// timed is the commonest figure cell: one run's summed operator time. Equal
-// cells of one entry-point call — Figs 3 and 13 share most of theirs — are one
-// run.
-func timed(w workload, opts Options, spec runSpec) func() sim.Time {
-	return func() sim.Time {
-		c := opts.scope.cell(cellKey{w.Name, opts, spec})
-		c.once.Do(func() { c.time = run(w, opts, spec).Time })
-		return c.time
+// cellKey names a cell by everything run is given; the workload by its name,
+// which is its identity (workload.Name).
+type cellKey struct {
+	w    string
+	opts Options
+	spec runSpec
+}
+
+// cell is the job of a figure's data point: run's result for w under spec.
+// Equal cells of one entry-point call are one run: Figs 3 and 13 share most
+// of theirs, and Figs 10, 1b, 18, A1 and A3 read cells that 3, 13 or 1b run.
+func cell(w workload, opts Options, spec runSpec) func() runOut {
+	k := cellKey{w.Name, opts, spec}
+	return func() runOut {
+		return memo(k.opts.scope, func(s *scope) *table[cellKey, runOut] { return &s.cells },
+			k, func() runOut { return run(w, k.opts, k.spec) })
 	}
 }
 
-// grid runs every workload on every platform and returns the times
-// workload-major: times[i*len(plats)+j] is ws[i] on plats[j].
-func grid(opts Options, ws []workload, plats ...platform) []sim.Time {
-	var jobs []func() sim.Time
+// grid runs every workload on every platform and returns the cells
+// workload-major: outs[i*len(plats)+j] is ws[i] on plats[j].
+func grid(opts Options, ws []workload, plats ...platform) []runOut {
+	var jobs []func() runOut
 	for _, w := range ws {
 		for _, p := range plats {
-			jobs = append(jobs, timed(w, opts, runSpec{platform: p}))
+			jobs = append(jobs, cell(w, opts, runSpec{platform: p}))
 		}
 	}
 	return parmap(opts, jobs)

@@ -224,8 +224,9 @@ func TestInternalSurfaceHasProductionCallers(t *testing.T) {
 // ("pkg.Type") that no non-test file reads by name, each with why it stays.
 // An anonymous struct's fields go by the function or variable it appears in.
 var fieldKeep = map[string]string{
-	"bench.cellKey":    "map key of the timed-cell memo: compared whole, never read field by field",
-	"bench.datasetKey": "map key of the dataset memo: compared whole, never read field by field",
+	"bench.cellKey":    "map key of the scope's cell table: compared whole, never read field by field",
+	"bench.datasetKey": "map key of the scope's dataset table: compared whole, never read field by field",
+	"bench.microKey":   "map key of the scope's microbenchmark table: compared whole, never read field by field",
 
 	"core.Stats":        "a call's statistics, returned to callers",
 	"core.RuntimeStats": "the runtime's statistics, returned to callers and marshalled in the run report's fault block",
