@@ -30,12 +30,18 @@ import (
 //	datagen -kind graph -nv 4000
 //	datagen -kind corpus -words 20000
 //
-// The verbs must reproduce them byte for byte. run_trace_tail.txt is the one
-// file recorded from the verbs themselves: the old -trace tail printed a
-// wrapped ring without saying so. The two metrics.json files were re-recorded
-// when the typed stats became the only counters: their histograms are the old
-// binary's bytes, and every counter and gauge it wrote keeps its value among
-// the now fixed key set.
+// The verbs must reproduce them byte for byte. run_trace_tail.txt and
+// cluster_chaos.txt are the files recorded from the verbs themselves: the old
+// -trace tail printed a wrapped ring without saying so, and the cluster under
+// faults was pinned later, from
+//
+//	ddcsim cluster -cluster 8 -cluster-rounds 4 -scale 2 -chaos-profile partition-chaos \
+//	    -pool-shards 4 -replicas 3 -write-quorum 2
+//
+// which shows 3 pool stalls and a retried sync message. The two metrics.json
+// files were re-recorded when the typed stats became the only counters: their
+// histograms are the old binary's bytes, and every counter and gauge it wrote
+// keeps its value among the now fixed key set.
 
 // ddcsim runs one in-process invocation and returns its stdout.
 func ddcsim(t *testing.T, args ...string) string {
@@ -65,6 +71,8 @@ func TestVerbsReproduceRecordedOutput(t *testing.T) {
 		{"run_multi.txt", "run -workload Q6,SSSP -platform base-ddc -scale 0.25 -graph-nv 4000"},
 		{"cluster.txt", "cluster -cluster 4 -cluster-rounds 2 -scale 0.25 -sim-workers 1"},
 		{"cluster.txt", "cluster -cluster 4 -cluster-rounds 2 -scale 0.25 -sim-workers 4"},
+		{"cluster_chaos.txt", "cluster -cluster 8 -cluster-rounds 4 -scale 2 -chaos-profile partition-chaos -pool-shards 4 -replicas 3 -write-quorum 2 -sim-workers 1"},
+		{"cluster_chaos.txt", "cluster -cluster 8 -cluster-rounds 4 -scale 2 -chaos-profile partition-chaos -pool-shards 4 -replicas 3 -write-quorum 2 -sim-workers 4"},
 		{"advise.txt", "advise -workload Q9 -scale 0.25"},
 		{"profiles.txt", "profiles"},
 		{"fig.txt", "fig -fig 17,A5,A6,A7,20 -scale 0.5"},

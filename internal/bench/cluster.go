@@ -2,6 +2,7 @@ package bench
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 
 	"teleport/internal/ddc"
@@ -79,9 +80,9 @@ func RunCluster(opts Options, machines, rounds int) (ClusterResult, error) {
 		opts.attachFault(m, opts.chaos, i)
 	}
 
-	// Build each machine's partition with free generator writes, and
-	// compute the expected per-superstep aggregate host-side for the
-	// end-to-end answer check.
+	// Build each machine's partition with free generator writes, a page at a
+	// time straight into its frame, and compute the expected per-superstep
+	// aggregate host-side for the end-to-end answer check.
 	addrs := make([]mem.Addr, machines)
 	var expRound uint64
 	for i, p := range c.Procs {
@@ -89,12 +90,17 @@ func RunCluster(opts Options, machines, rounds int) (ClusterResult, error) {
 		rng := sim.NewRNG(opts.Seed).Derive(uint64(i + 1))
 		a := p.Space.Alloc(int64(rows)*8, "partition")
 		addrs[i] = a
-		for r := 0; r < rows; r++ {
-			v := rng.Uint64() >> 16 // keep sums far from overflow
-			p.Space.WriteU64(a+mem.Addr(r)*8, v)
-			if v&7 != 0 {
-				expRound += v
+		for at, end := a, a+mem.Addr(rows)*8; at < end; {
+			off := at & (mem.PageSize - 1)
+			n := min(end-at, mem.PageSize-off)
+			for w := p.Space.Own(mem.PageOf(at))[off : off+n]; len(w) > 0; w = w[8:] {
+				v := rng.Uint64() >> 16 // keep sums far from overflow
+				binary.LittleEndian.PutUint64(w, v)
+				if v&7 != 0 {
+					expRound += v
+				}
 			}
+			at += n
 		}
 		p.ResizeCache(cacheBytes(p.Space.Allocated(), frac))
 	}
@@ -106,17 +112,16 @@ func RunCluster(opts Options, machines, rounds int) (ClusterResult, error) {
 		i := i
 		nodes[i] = c.Domains[i].Spawn(fmt.Sprintf("node-%d", i), 0, func(th *sim.Thread) {
 			env := c.Procs[i].NewEnv(th)
-			var buf [64]uint64
 			for r := 0; r < rounds; r++ {
+				// The scan charges no CPU per row: its rows are absorbed
+				// (ddc.Rows) and it pays the paging and DRAM models per page
+				// and line.
 				var part uint64
-				for off := 0; off < rows; off += len(buf) {
-					n := len(buf)
-					if rows-off < n {
-						n = rows - off
-					}
-					env.ReadU64s(addrs[i]+mem.Addr(off)*8, buf[:n])
-					for _, v := range buf[:n] {
-						if v&7 != 0 {
+				scan := env.Rows(rows, 0)
+				col := scan.Stream(addrs[i], 8, 0)
+				for scan.Next() {
+					for w := col.Bytes(); len(w) > 0; w = w[8:] {
+						if v := binary.LittleEndian.Uint64(w); v&7 != 0 {
 							part += v
 						}
 					}

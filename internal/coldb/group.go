@@ -95,7 +95,7 @@ func (g *GroupAgg) Rows(env *ddc.Env) []GroupRow {
 // group table (the Group/Aggr. operators of Figure 10).
 func GroupBySum(env *ddc.Env, keys, vals *Column, cand *CandList, maxGroups int) *GroupAgg {
 	g := NewGroupAgg(env.P, maxGroups)
-	sc := newScan(env, cand, keys.N, 0) // every row updates a random group: none is absorbed
+	sc := scalarScan(env, cand, keys.N) // every row updates a random group: none is absorbed
 	k, v := sc.read(keys), sc.read(vals)
 	for sc.Next() {
 		g.Add(env, k.i64(0), v.f64(0))

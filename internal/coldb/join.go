@@ -32,7 +32,7 @@ func BuildHashIndex(env *ddc.Env, key *Column, cand *CandList) *HashIndex {
 		buckets:  env.P.Space.AllocPages(int64(nBuckets)*4, "hash.buckets"),
 		next:     env.P.Space.AllocPages(int64(max(n, 1))*4, "hash.next"),
 	}
-	sc := newScan(env, cand, n, 0) // every row lands in a random bucket: none is absorbed
+	sc := scalarScan(env, cand, n) // every row lands in a random bucket: none is absorbed
 	keys := sc.operand(key, ddc.StreamExplicit)
 	chain := sc.Stream(h.next, 4, ddc.StreamWrite|ddc.StreamExplicit)
 	for sc.Next() {
@@ -77,7 +77,7 @@ type JoinResult struct {
 // described in §2.2.
 func HashJoinProbe(env *ddc.Env, idx *HashIndex, probeKey *Column, cand *CandList) JoinResult {
 	res := newJoinResult(env.P, cand.Len(probeKey.N))
-	sc := newScan(env, cand, probeKey.N, 0) // every row walks a random chain: none is absorbed
+	sc := scalarScan(env, cand, probeKey.N) // every row walks a random chain: none is absorbed
 	keys := sc.read(probeKey)
 	outer, inner := sc.appendTo(res.Outer), sc.appendTo(res.Inner)
 	for sc.Next() {
@@ -105,7 +105,7 @@ func GatherF64(env *ddc.Env, col *Column, rows *CandList) *Column {
 }
 
 func gather(env *ddc.Env, col *Column, rows *CandList, t Type) *Column {
-	sc := newScan(env, nil, rows.N, 0) // every row fetches a random payload: none is absorbed
+	sc := scalarScan(env, nil, rows.N) // every row fetches a random payload: none is absorbed
 	list := sc.Stream(rows.Base, 4, ddc.StreamExplicit)
 	out, to := sc.output(env, col.Name+"#g", t, ddc.StreamExplicit)
 	for sc.Next() {
@@ -126,7 +126,7 @@ func gather(env *ddc.Env, col *Column, rows *CandList, t Type) *Column {
 // the loop makes each access itself and none of its steps is absorbed.
 func MergeJoin(env *ddc.Env, left, right *Column) JoinResult {
 	res := newJoinResult(env.P, max(left.N, right.N))
-	sc := newScan(env, nil, 0, 0)
+	sc := scalarScan(env, nil, 0)
 	l, r := sc.operand(left, ddc.StreamExplicit), sc.operand(right, ddc.StreamExplicit)
 	outer, inner := sc.appendTo(res.Outer), sc.appendTo(res.Inner)
 	i, j := 0, 0
@@ -159,7 +159,7 @@ func MergeJoin(env *ddc.Env, left, right *Column) JoinResult {
 // 0..N-1 identifiers (dimension tables like supplier or nation): a direct
 // positional gather.
 func LookupJoin(env *ddc.Env, dim *Column, fk *Column, cand *CandList) *Column {
-	sc := newScan(env, cand, fk.N, 0) // every row fetches a random dimension row: none is absorbed
+	sc := scalarScan(env, cand, fk.N) // every row fetches a random dimension row: none is absorbed
 	keys := sc.operand(fk, ddc.StreamExplicit)
 	out, to := sc.output(env, dim.Name+"#lk", dim.Type, ddc.StreamExplicit)
 	for sc.Next() {

@@ -18,13 +18,22 @@ type scan struct {
 }
 
 // newScan returns the loop over cand's rows (or [0, n)) that charges ops
-// operations per row. A loop whose rows hold a positional access passes 0 and
-// charges its own (ddc.Rows).
+// operations per row. A loop whose rows hold a positional access is a
+// scalarScan.
 func newScan(env *ddc.Env, cand *CandList, n int, ops float64) scan {
 	sc := scan{Rows: env.Rows(cand.Len(n), ops), cand: cand}
 	if cand != nil {
 		sc.Gather(cand.Base)
 	}
+	return sc
+}
+
+// scalarScan returns the loop over cand's rows (or [0, n)) whose rows each
+// make a positional access and charge their own CPU, so that none is absorbed
+// (ddc.Rows.Scalar).
+func scalarScan(env *ddc.Env, cand *CandList, n int) scan {
+	sc := newScan(env, cand, n, 0)
+	sc.Scalar()
 	return sc
 }
 

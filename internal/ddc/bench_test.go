@@ -1,6 +1,7 @@
 package ddc
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"teleport/internal/fault"
@@ -59,8 +60,42 @@ func BenchmarkCachedScanBatched(b *testing.B) {
 	}
 }
 
+// BenchmarkCachedScanRows is the same scan as a row loop that charges no CPU
+// per row, as bench.RunCluster's supersteps run it: most rows are absorbed.
+func BenchmarkCachedScanRows(b *testing.B) {
+	m := MustMachine(Linux())
+	p := m.NewProcess()
+	th := sim.NewThread("bench")
+	env := p.NewEnv(th)
+	const bytes = 1 << 20
+	a := p.Space.Alloc(bytes, "buf")
+	scanRows(env, a, bytes/8)
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink ^= scanRows(env, a, bytes/8)
+	}
+	_ = sink
+}
+
+// scanRows reads n words from a through a zero-cost row loop and returns
+// their xor.
+func scanRows(env *Env, a mem.Addr, n int) (x uint64) {
+	rows := env.Rows(n, 0)
+	col := rows.Stream(a, 8, 0)
+	for rows.Next() {
+		for w := col.Bytes(); len(w) > 0; w = w[8:] {
+			x ^= binary.LittleEndian.Uint64(w)
+		}
+	}
+	return x
+}
+
 // TestCachedScanNoAlloc pins the zero-copy fast path: steady-state reads
-// through the Env allocate nothing on the host.
+// through the Env allocate nothing on the host, one at a time or as a row
+// loop.
 func TestCachedScanNoAlloc(t *testing.T) {
 	m := MustMachine(Linux())
 	p := m.NewProcess()
@@ -77,6 +112,9 @@ func TestCachedScanNoAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("cached scan allocates %.1f objects per pass, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { scanRows(env, a, 64*mem.PageSize/8) }); allocs > 0 {
+		t.Fatalf("cached scan as a row loop allocates %.1f objects per pass, want 0", allocs)
 	}
 }
 

@@ -278,12 +278,76 @@ type modelSide struct {
 	path   accessPath
 	pager  *logPager
 	dilate int // Dilation calls so far
+
+	// With a scheduler (schedule), th is attached to it and what the trace
+	// runs on th is handed to th's goroutine through ops, one at a time.
+	sched *sim.Scheduler
+	ops   chan func()
+	done  chan struct{}
 }
 
 const (
 	modelPages   = 48 // pages of the region a trace walks
 	modelStreams = 12 // most interleaved streams in a trace
+
+	// A scheduled side's windows are modelLookahead wide, and the thread
+	// that shares th's domain moves the epoch every modelCoherence.
+	modelLookahead = sim.Microsecond
+	modelCoherence = 7 * sim.Microsecond
 )
+
+// schedule attaches the side's thread to a scheduler, the way a cluster
+// machine's thread runs: th shares its domain with a thread that moves the
+// process epoch every modelCoherence, like a coherence event, and a second
+// domain holds a thread whose clock keeps th's windows modelLookahead wide.
+// A charge past th's slack — the window's horizon or the other thread's
+// quantum — would move a yield, and with it an epoch move, to another access
+// than the reference's. It returns the function that ends the run.
+func (s *modelSide) schedule() (stop func()) {
+	sc := sim.NewScheduler()
+	sc.SetLookahead(modelLookahead)
+	m0, m1 := sc.NewDomain("m0"), sc.NewDomain("m1")
+	s.sched, s.ops, s.done = sc, make(chan func()), make(chan struct{})
+	halt, end := false, make(chan struct{})
+	s.th = m0.Spawn("t", 0, func(*sim.Thread) {
+		for f := range s.ops {
+			f()
+			s.done <- struct{}{}
+		}
+		halt = true
+	})
+	s.env.T = s.th
+	m0.Spawn("coherence", 0, func(t *sim.Thread) {
+		for !halt {
+			t.Advance(modelCoherence)
+			s.p.Epoch++
+		}
+	})
+	m1.Spawn("window", 0, func(t *sim.Thread) {
+		for !halt {
+			t.Advance(modelLookahead / 3)
+		}
+	})
+	go func() {
+		sc.Run()
+		close(end)
+	}()
+	return func() {
+		close(s.ops)
+		<-end
+	}
+}
+
+// do runs f on the side's thread: on its goroutine when it is scheduled,
+// where a charge may park it.
+func (s *modelSide) do(f func()) {
+	if s.ops == nil {
+		f()
+		return
+	}
+	s.ops <- f
+	<-s.done
+}
 
 // modelConfigs are the machines a trace runs on; the last entry selects
 // memory place with a restlessPager on a base-DDC machine. cacheLines sizes
@@ -399,7 +463,8 @@ func (r *traceReader) byte() int {
 // the first access after which they differ. It returns the accesses replayed.
 //
 // Byte 0 picks the configuration, byte 1 the number of streams (1–12) and
-// whether Dilation is installed, byte 2 whether pager calls are logged. Each
+// whether Dilation is installed, byte 2 whether pager calls are logged and
+// whether the Envs' threads are attached to schedulers (schedule). Each
 // operation is then five bytes: opcode, stream, and operands x, y, z. A
 // stream is a cursor over the shared region: accesses advance it by their
 // size, so a stream is sequential until an operation jumps it (opcode bit
@@ -412,7 +477,7 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 	r := &traceReader{data: data}
 	k := r.byte() % len(modelConfigs)
 	b1, b2 := r.byte(), r.byte()
-	nStreams, dilated, logged := 1+b1%modelStreams, b1&0x80 != 0, b2&1 == 0
+	nStreams, dilated, logged, scheduled := 1+b1%modelStreams, b1&0x80 != 0, b2&1 == 0, b2&2 != 0
 	var img *mem.Image
 	if attached {
 		src := mem.NewSpace()
@@ -423,6 +488,10 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 	ref, refBase := newModelSide(k, true, logged, dilated, nil)
 	if base != refBase {
 		t.Fatalf("the attached region is at %#x, the stored one at %#x", base, refBase)
+	}
+	if scheduled {
+		defer real.schedule()()
+		defer ref.schedule()()
 	}
 	const size = modelPages * mem.PageSize
 	var cursor [modelStreams]int
@@ -453,18 +522,24 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 		var got, want any
 		desc := ""
 		both := func(f func(accessPath) any) {
-			got, want = f(real.path), f(ref.path)
+			real.do(func() { got = f(real.path) })
+			ref.do(func() { want = f(ref.path) })
 		}
 		// Codes 13–15 wrap onto the first scalar operations, except that on
-		// memory place 15 recycles the Env.
+		// memory place 15 recycles the Env, and with schedulers 14 brings the
+		// thread to x nanoseconds before its next yield.
 		code := op % 16 % 13
 		if op%16 == 15 && modelConfigs[k].name == "memory-place" {
 			code = 13
 		}
+		if op%16 == 14 && scheduled {
+			code = 14
+		}
 		if op&0x10 != 0 { // a row loop: Rows against one scalar access at a time
 			spec := newRowLoop(base, size, cursor[:nStreams], si, x, y, z)
 			desc = spec.String()
-			got, want = spec.run(real), spec.run(ref)
+			real.do(func() { got = spec.run(real) })
+			ref.do(func() { want = spec.run(ref) })
 			if real.pager != nil {
 				// Rows reports a chunk's repeated pager calls stream by stream.
 				slices.SortFunc(real.pager.log, pagerCall.compare)
@@ -539,6 +614,11 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 			real.env = real.p.RecycleMemoryEnv(real.env, real.th, real.env.pager)
 			real.env.Dilation = dil
 			ref.path.(*modelEnv).recycle()
+		case 14:
+			desc = fmt.Sprintf("%dns before the next yield", x)
+			for _, side := range []*modelSide{real, ref} {
+				side.do(func() { side.th.Advance(max(0, side.th.Slack()-sim.Time(x))) })
+			}
 		}
 		accesses++
 		if !reflect.DeepEqual(got, want) {
@@ -577,6 +657,7 @@ type rowLoop struct {
 	n       int
 	ops     float64
 	gather  bool // stream 0 is a list of indices
+	scalar  bool // declared with Rows.Scalar
 	streams []rowStream
 	fire    uint64 // the rows, mod 64, in which the explicit stream is accessed
 }
@@ -590,7 +671,8 @@ type rowStream struct {
 // newRowLoop decodes a row loop from a trace operation's operands and moves
 // the cursors of the streams it uses past it.
 func newRowLoop(base mem.Addr, size int, cursor []int, si, x, y, z int) rowLoop {
-	l := rowLoop{n: 1 + z>>1%70, ops: float64(x >> 2 % 8), gather: x&0x80 != 0, fire: uint64(x*251+y)*0x9E3779B97F4A7C15 | uint64(z)}
+	l := rowLoop{n: 1 + z>>1%70, ops: float64(x >> 2 % 8), gather: x&0x80 != 0, scalar: x&0x20 != 0,
+		fire: uint64(x*251+y)*0x9E3779B97F4A7C15 | uint64(z)}
 	m := min(1+x%rowStreams, len(cursor))
 	for t := 0; t < m; t++ {
 		st := rowStream{width: 4 + y>>t&1*4}
@@ -602,9 +684,7 @@ func newRowLoop(base mem.Addr, size int, cursor []int, si, x, y, z int) rowLoop 
 			st.width, st.mode = 4, 0
 		case l.gather && z>>t&1 != 0:
 			st.mode |= StreamIndexed
-		case t > 0 && t == m-1 && (z&1 != 0 || l.ops == 0):
-			st.mode |= StreamExplicit
-		case l.ops == 0:
+		case t > 0 && t == m-1 && z&1 != 0:
 			st.mode |= StreamExplicit
 		}
 		// The widest a stream reaches: every row, at three times its number.
@@ -625,8 +705,9 @@ func (l rowLoop) String() string {
 		N       int
 		Ops     float64
 		Gather  bool
+		Scalar  bool
 		Streams []rowStream
-	}{l.n, l.ops, l.gather, l.streams})
+	}{l.n, l.ops, l.gather, l.scalar, l.streams})
 }
 
 // order lists the streams in the order a row accesses them: those Next
@@ -699,6 +780,9 @@ func (l rowLoop) run(side *modelSide) (sum uint64) {
 		return sum
 	}
 	rows := side.env.Rows(l.n, l.ops)
+	if l.scalar {
+		rows.Scalar()
+	}
 	var ss [rowStreams]*Stream
 	for t, st := range l.streams {
 		if l.gather && t == 0 {
@@ -795,6 +879,9 @@ func compareModelSides(real, ref *modelSide) string {
 	}
 	if real.dilate != ref.dilate {
 		return fmt.Sprintf("Dilation called %d times, reference %d", real.dilate, ref.dilate)
+	}
+	if real.sched != nil && real.sched.Switches() != ref.sched.Switches() {
+		return fmt.Sprintf("%d thread switches, reference %d", real.sched.Switches(), ref.sched.Switches())
 	}
 	for _, c := range [][2]*PageCache{{real.p.Cache, ref.p.Cache}, {real.p.PoolRes, ref.p.PoolRes}} {
 		if a, b := cacheOrder(c[0]), cacheOrder(c[1]); !slices.Equal(a, b) {
@@ -898,6 +985,13 @@ func directedTraces() [][]byte {
 				append(read(header, 0, 700), 1, 0, 0, 0, 0, 2, 0, 0xAB, 0, 0, 1, 0, 0, 0, 0),
 				append(loop(append(read(header, 0, 5000), 1, 0, 0, 0, 0), 1, 20, 1, 1, false), 1, 0, 0, 0, 0),
 			)
+			// A scan that charges no CPU per row, 70 words from word 451,
+			// across the page at word 512, on a thread attached to a
+			// scheduler and gap nanoseconds before its next yield.
+			for _, gap := range []byte{0, 20, 60} {
+				scan := read([]byte{byte(cfg), dilated, 2}, 0, 450)
+				traces = append(traces, append(scan, 14, 0, gap, 0, 0, 0x10, 0, 0, 1, 69<<1))
+			}
 		}
 	}
 	return traces

@@ -65,7 +65,9 @@ type Stream struct {
 	mask, cross uint64
 	clo, cn     mem.Addr
 
-	calls, lastRow int // flush's count of pager calls and the row of the last
+	// flush's count of the stream's pager calls in the chunk, and the row
+	// that made the last of them.
+	calls, lastRow int
 }
 
 // store reports whether the loop stores to the stream.
@@ -86,19 +88,20 @@ func (s *Stream) Bytes() []byte { return s.win }
 // Each row reads its gathered index if the loop has one, is charged opsPerRow
 // CPU operations, accesses its streams in declaration order — at the row
 // number, or at the index — and after them any explicit streams the loop
-// chooses to, also in declaration order and each at most once. A loop whose
-// rows hold anything else (a random access, a Compute of its own) passes 0
-// operations and makes every access but the gather explicit: none of its rows
-// is absorbed, and Access is a plain scalar accessor. The loop must run until
-// Next reports false, which accounts the last chunk. It moves a row's bytes in
-// that same order: what Bytes and Access returned is the page's frame as it
-// was then, and a later store of the row to a page still shared with a dataset
-// image moves the page to another.
+// chooses to, also in declaration order and each at most once. opsPerRow is a
+// cost and nothing more: a loop that charges no CPU per row passes 0, and its
+// rows are absorbed like any other's. A loop whose rows hold anything else (a
+// random access, a Compute of its own) says so with Scalar. The loop must run
+// until Next reports false, which accounts the last chunk. It moves a row's
+// bytes in that same order: what Bytes and Access returned is the page's frame
+// as it was then, and a later store of the row to a page still shared with a
+// dataset image moves the page to another.
 type Rows struct {
 	e      *Env
 	ops    float64
 	opNs   float64 // ops at the Env's clock, undilated
 	gather bool    // stream 0 is the gathered index
+	never  bool    // no row is absorbed (Scalar)
 
 	N   int // rows in the loop
 	I   int // first row of the current chunk
@@ -129,9 +132,15 @@ func (r *Rows) Gather(base mem.Addr) {
 	if r.ns > 0 {
 		panic("ddc: Gather after Stream")
 	}
-	r.gather = true
+	r.gather, r.never = true, true
 	r.Stream(base, 4, 0)
 }
+
+// Scalar declares that the loop's rows make accesses of their own besides its
+// streams', which Rows cannot account for: none of its rows is absorbed, Next
+// makes each row's accesses the scalar way, and Access is a plain scalar
+// accessor.
+func (r *Rows) Scalar() { r.never = true }
 
 // Stream declares the loop's next operand: elements of width bytes (4 or 8)
 // from base, aligned to their width.
@@ -158,7 +167,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	r.Row = r.I
-	if r.ops > 0 && !r.gather {
+	if !r.never {
 		if r.Len = r.quiet(); r.Len > 0 {
 			r.open = true
 			return true

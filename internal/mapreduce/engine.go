@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"teleport/internal/ddc"
@@ -199,9 +200,15 @@ func (t *reduceTable) alloc(env *ddc.Env, slots int) {
 	t.nSlots = slots
 	t.keys = t.p.Space.AllocPages(int64(slots)*8, "mr.rkeys")
 	t.sums = t.p.Space.AllocPages(int64(slots)*8, "mr.rsums")
-	for i := 0; i < slots; i++ {
-		// Table initialisation happens where the reducer runs.
-		env.WriteI64(t.keys+mem.Addr(i*8), kvEmpty)
+	// Table initialisation happens where the reducer runs: a store per slot
+	// and no CPU charge, a row loop whose rows are absorbed (ddc.Rows).
+	empty := kvEmpty
+	fill := env.Rows(slots, 0)
+	keys := fill.Stream(t.keys, 8, ddc.StreamWrite)
+	for fill.Next() {
+		for w := keys.Bytes(); len(w) > 0; w = w[8:] {
+			binary.LittleEndian.PutUint64(w, uint64(empty))
+		}
 	}
 }
 
