@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare bench-push bench-gate profile
+.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare bench-push bench-gate bench-rows profile
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,13 @@ bench-push:
 # gates, three times; compare two builds with it.
 bench-gate:
 	$(GO) test -run '^$$' -bench 'GateQuorum' -benchtime 200000x -count 3 ./internal/ddc
+
+# The run-accounting primitive (ddc.Rows): a zero-cost scan of 1 MB as a row
+# loop, and three interleaved streams as a scalar loop and a row loop on three
+# machines. bench-rows runs a fixed 1 000 iterations of each, three times;
+# compare two builds with it.
+bench-rows:
+	$(GO) test -run '^$$' -bench 'CachedScanRows|InterleavedStreams' -benchtime 1000x -count 3 ./internal/ddc
 
 # Where the host's time goes and where its allocated bytes come from, without
 # editing code: make profile W=Q9 P=teleport (one workload on one platform) or

@@ -652,7 +652,12 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 }
 
 // rowLoop is one row-loop operation of a trace: n rows over up to four
-// streams, each on a cursor of its own.
+// streams, each on a cursor of its own. A long loop (operand x bit 0x40) runs
+// up to 1144 rows and declares no explicit stream, so its quiet chunks run to
+// a page end or the thread's slack; with operand z bit 0 its streams start 2,
+// 4 and 6 pages after the first, at the same offset in the page, so that
+// streams of equal width step their lines in the same rows onto lines that
+// share an on-chip cache slot.
 type rowLoop struct {
 	n       int
 	ops     float64
@@ -673,7 +678,13 @@ type rowStream struct {
 func newRowLoop(base mem.Addr, size int, cursor []int, si, x, y, z int) rowLoop {
 	l := rowLoop{n: 1 + z>>1%70, ops: float64(x >> 2 % 8), gather: x&0x80 != 0, scalar: x&0x20 != 0,
 		fire: uint64(x*251+y)*0x9E3779B97F4A7C15 | uint64(z)}
+	long := x&0x40 != 0
+	aliased := long && z&1 != 0
+	if long {
+		l.n = 1 + z>>1*9
+	}
 	m := min(1+x%rowStreams, len(cursor))
+	first := 0 // stream 0's offset in the region
 	for t := 0; t < m; t++ {
 		st := rowStream{width: 4 + y>>t&1*4}
 		if y>>(4+t)&1 != 0 && !l.gather { // a store could land in the index list
@@ -684,14 +695,25 @@ func newRowLoop(base mem.Addr, size int, cursor []int, si, x, y, z int) rowLoop 
 			st.width, st.mode = 4, 0
 		case l.gather && z>>t&1 != 0:
 			st.mode |= StreamIndexed
-		case t > 0 && t == m-1 && z&1 != 0:
+		case t > 0 && t == m-1 && z&1 != 0 && !long:
 			st.mode |= StreamExplicit
 		}
-		// The widest a stream reaches: every row, at three times its number.
+		// The widest a stream reaches: every row, at three times its number;
+		// an aliased loop's first stream leaves room for the others after it.
 		cur := &cursor[(si+t)%len(cursor)]
+		reserve := 0
+		switch {
+		case aliased && t == 0:
+			reserve = 2 * (m - 1) * mem.PageSize
+		case aliased:
+			*cur = first + 2*t*mem.PageSize
+		}
 		*cur = (*cur + st.width - 1) &^ (st.width - 1)
-		if *cur+3*l.n*st.width > size {
+		if *cur+3*l.n*st.width+reserve > size {
 			*cur = 0
+		}
+		if t == 0 {
+			first = *cur
 		}
 		st.base = base + mem.Addr(*cur)
 		*cur += l.n * st.width
@@ -962,6 +984,15 @@ func directedTraces() [][]byte {
 		}
 		return append(trace, 0x10, 0, byte(m-1)|2<<2, wide|written<<4, z)
 	}
+	// long appends a long loop of 1+9·rows rows charging ops operations each
+	// over streams 0..m-1, aliased or not.
+	long := func(trace []byte, m, ops, rows int, wide, written byte, aliased bool) []byte {
+		z := byte(rows) << 1
+		if aliased {
+			z |= 1
+		}
+		return append(trace, 0x10, 0, 0x40|byte(m-1)|byte(ops)<<2, wide|written<<4, z)
+	}
 	for cfg := range modelConfigs {
 		for _, dilated := range []byte{0, 0x80} {
 			header := []byte{byte(cfg), 3 | dilated, 0} // four streams, pager calls logged
@@ -985,12 +1016,28 @@ func directedTraces() [][]byte {
 				append(read(header, 0, 700), 1, 0, 0, 0, 0, 2, 0, 0xAB, 0, 0, 1, 0, 0, 0, 0),
 				append(loop(append(read(header, 0, 5000), 1, 0, 0, 0, 0), 1, 20, 1, 1, false), 1, 0, 0, 0, 0),
 			)
+			// Long loops, which declare no explicit stream: a scan that
+			// charges no CPU per row, 1 081 words from word 456 across three
+			// pages, whose first row steps to the line after the one just
+			// read; two streams of 4-byte elements, one stored to; and
+			// streams two pages apart at one offset, which step in the same
+			// rows onto lines that share an on-chip cache slot, 8 bytes wide
+			// and 4, once with a store.
+			traces = append(traces,
+				long(read(header, 0, 455), 1, 0, 120, 1, 0, false),
+				long(at(3000, 7000), 2, 1, 100, 0, 2, false),
+				long(read(header, 0, 2000), 2, 0, 110, 3, 0, true),
+				long(read(header, 0, 6001), 2, 3, 70, 0, 0, true),
+				long(read(header, 0, 9000), 3, 2, 90, 7, 4, true),
+			)
 			// A scan that charges no CPU per row, 70 words from word 451,
 			// across the page at word 512, on a thread attached to a
-			// scheduler and gap nanoseconds before its next yield.
-			for _, gap := range []byte{0, 20, 60} {
-				scan := read([]byte{byte(cfg), dilated, 2}, 0, 450)
-				traces = append(traces, append(scan, 14, 0, gap, 0, 0, 0x10, 0, 0, 1, 69<<1))
+			// scheduler and gap nanoseconds before its next yield; then the
+			// same as a long scan of 1 081 words, which the slack cuts in
+			// the middle of a page.
+			for _, gap := range []byte{0, 20, 60, 250} {
+				scan := slices.Clip(append(read([]byte{byte(cfg), dilated, 2}, 0, 450), 14, 0, gap, 0, 0))
+				traces = append(traces, append(scan, 0x10, 0, 0, 1, 69<<1), long(scan, 1, 0, 120, 1, 0, false))
 			}
 		}
 	}

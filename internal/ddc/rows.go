@@ -2,6 +2,7 @@ package ddc
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 
 	"teleport/internal/hw"
@@ -19,13 +20,18 @@ import (
 // at a time — a run of quiet rows to decode straight from the borrowed page
 // frames, or one row whose accesses it made the scalar way — and accounts a
 // quiet chunk afterwards in closed form, to the same virtual nanosecond, hit
-// count and eviction order the one-access-at-a-time path would have left.
+// count and eviction order the one-access-at-a-time path would have left. A
+// quiet chunk runs to its streams' nearest page end or to the thread's slack,
+// whichever comes first, so a loop whose streams Next accesses alone is
+// accounted once per page.
 
 // rowStreams is the most operands one row loop declares.
 const rowStreams = 4
 
-// chunkRows bounds a chunk of quiet rows, so that the rows in which a stream
-// was accessed, or stepped to its next line, fit a mask.
+// chunkRows bounds a chunk of quiet rows of a loop that declares an explicit
+// stream, so that the rows in which such a stream was accessed, or stepped to
+// its next line, fit a mask. A loop without one has no such bound: its
+// streams are accessed in every row and step their lines on a fixed rhythm.
 const chunkRows = 64
 
 // StreamMode says how a row loop accesses one of its streams.
@@ -53,15 +59,20 @@ type Stream struct {
 	win []byte
 
 	// In a run of quiet rows: the page the stream stays in and its frame, the
-	// prefetch slot that follows it and the line that slot is on, the rows
-	// that accessed the stream (explicit streams only; Next's are accessed in
-	// every row) and those whose access stepped the slot to the next line.
-	// An explicit stream has joined the run when mask is non-zero, and then
-	// the cn bytes from clo are what is left of the line it is on.
+	// prefetch slot that follows it and the line that slot is on. A stream
+	// Next accesses is accessed in every row and steps its slot to the next
+	// line in row 0 if step0, then in row first and every 1<<(lineShift-shift)
+	// rows after it: the rows whose element is the first of a line. An
+	// explicit stream keeps masks instead, of the rows that accessed it and of
+	// those whose access stepped its slot (cross); it has joined the run when
+	// mask is non-zero, and then the cn bytes from clo are what is left of the
+	// line it is on.
 	page        mem.PageID
 	frame       *[mem.PageSize]byte
 	slot        int
 	line        uint64
+	step0       bool
+	first       int
 	mask, cross uint64
 	clo, cn     mem.Addr
 
@@ -88,20 +99,24 @@ func (s *Stream) Bytes() []byte { return s.win }
 // Each row reads its gathered index if the loop has one, is charged opsPerRow
 // CPU operations, accesses its streams in declaration order — at the row
 // number, or at the index — and after them any explicit streams the loop
-// chooses to, also in declaration order and each at most once. opsPerRow is a
-// cost and nothing more: a loop that charges no CPU per row passes 0, and its
-// rows are absorbed like any other's. A loop whose rows hold anything else (a
-// random access, a Compute of its own) says so with Scalar. The loop must run
-// until Next reports false, which accounts the last chunk. It moves a row's
-// bytes in that same order: what Bytes and Access returned is the page's frame
-// as it was then, and a later store of the row to a page still shared with a
-// dataset image moves the page to another.
+// chooses to, also in declaration order and each at most once. A chunk of
+// quiet rows ends at the first page end of a stream Next accesses or where the
+// thread would yield; in a loop that declares an explicit stream it is also at
+// most chunkRows long. opsPerRow is a cost and nothing more: a loop that
+// charges no CPU per row passes 0, and its rows are absorbed like any other's.
+// A loop whose rows hold anything else (a random access, a Compute of its own)
+// says so with Scalar. The loop must run until Next reports false, which
+// accounts the last chunk. It moves a row's bytes in that same order: what
+// Bytes and Access returned is the page's frame as it was then, and a later
+// store of the row to a page still shared with a dataset image moves the page
+// to another.
 type Rows struct {
-	e      *Env
-	ops    float64
-	opNs   float64 // ops at the Env's clock, undilated
-	gather bool    // stream 0 is the gathered index
-	never  bool    // no row is absorbed (Scalar)
+	e        *Env
+	ops      float64
+	opNs     float64 // ops at the Env's clock, undilated
+	gather   bool    // stream 0 is the gathered index
+	never    bool    // no row is absorbed (Scalar)
+	explicit bool    // some stream is StreamExplicit
 
 	N   int // rows in the loop
 	I   int // first row of the current chunk
@@ -151,6 +166,7 @@ func (r *Rows) Stream(base mem.Addr, width int, mode StreamMode) *Stream {
 	s := &r.s[r.ns]
 	r.ns++
 	*s = Stream{base: base, shift: uint8(bits.TrailingZeros(uint(width))), mode: mode}
+	r.explicit = r.explicit || mode&StreamExplicit != 0
 	return s
 }
 
@@ -215,7 +231,10 @@ func (r *Rows) quiet() int {
 	if !e.fpValid || e.fpEpoch != e.P.Epoch {
 		return 0
 	}
-	k := min(r.N-r.I, chunkRows)
+	k := r.N - r.I
+	if r.explicit {
+		k = min(k, chunkRows)
+	}
 	paged := e.paged()
 	streams := r.s[:r.ns]
 	var at [rowStreams]mem.Addr // row I's element of each stream Next accesses
@@ -231,7 +250,6 @@ func (r *Rows) quiet() int {
 			k = min(k, int((mem.PageSize-at[i]&(mem.PageSize-1))>>s.shift))
 		}
 	}
-	steps := 0
 	for i := range streams {
 		if s := &streams[i]; s.mode&StreamExplicit == 0 {
 			if !r.alone(s, at[i]) {
@@ -239,14 +257,8 @@ func (r *Rows) quiet() int {
 			}
 			// Row 0 steps the slot if that is still on the line before; after
 			// it, so does every row whose element is the first of a line.
-			if s.line != uint64(at[i])>>e.lineShift {
-				s.cross = 1
-				steps++
-			}
-			for j := int(e.lineLeft(at[i]) >> s.shift); j < k; j += 1 << (e.lineShift - s.shift) {
-				s.cross |= 1 << uint(j)
-				steps++
-			}
+			s.step0 = s.line != uint64(at[i])>>e.lineShift
+			s.first = int(e.lineLeft(at[i]) >> s.shift)
 		}
 	}
 	ns, stepNs := r.opNs, e.P.M.Cfg.HW.DRAMSeqLineNs
@@ -255,16 +267,23 @@ func (r *Rows) quiet() int {
 		ns, stepNs = ns*dil, stepNs*dil
 	}
 	r.d, r.step = sim.FromNs(ns), sim.FromNs(stepNs)
-	r.left = e.T.Slack() - sim.Time(k)*r.d - sim.Time(steps)*r.step
-	if r.left < 0 {
-		// Not that far: as far as the slack covers, were every row to step
-		// every stream.
-		k = min(k, int((r.left+sim.Time(k)*r.d+sim.Time(steps)*r.step)/(r.d+sim.Time(r.ns)*r.step+1)))
-		if k <= 0 {
+	slack := e.T.Slack()
+	if r.cost(k) > slack {
+		// Not that far: the most rows whose charges the slack covers (the
+		// cost grows with the rows, so a bisection finds them).
+		lo, hi := 0, k // cost(lo) ≤ slack < cost(hi)
+		for hi-lo > 1 {
+			if mid := lo + (hi-lo)/2; r.cost(mid) <= slack {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		if k = lo; k == 0 {
 			return 0
 		}
-		r.left = 0
 	}
+	r.left = slack - r.cost(k)
 	for i := range streams {
 		if s := &streams[i]; s.mode&StreamExplicit == 0 {
 			off := at[i] & (mem.PageSize - 1)
@@ -272,6 +291,31 @@ func (r *Rows) quiet() int {
 		}
 	}
 	return k
+}
+
+// cost returns what the first k rows of a quiet chunk charge before any
+// explicit stream steps: their CPU cost and the line steps of the streams
+// Next accesses.
+func (r *Rows) cost(k int) sim.Time {
+	steps := 0
+	for i := range r.s[:r.ns] {
+		if s := &r.s[i]; s.mode&StreamExplicit == 0 {
+			steps += r.steps(s, k)
+		}
+	}
+	return sim.Time(k)*r.d + sim.Time(steps)*r.step
+}
+
+// steps returns how many of the first k rows of a quiet chunk step the slot of
+// s, a stream Next accesses, to its next line.
+func (r *Rows) steps(s *Stream, k int) (n int) {
+	if s.step0 && k > 0 {
+		n++
+	}
+	if k > s.first {
+		n += (k-1-s.first)>>(r.e.lineShift-s.shift) + 1
+	}
+	return n
 }
 
 // lineLeft returns the bytes from a to the end of its DRAM line.
@@ -374,37 +418,47 @@ func (r *Rows) join(s *Stream, j int, a mem.Addr) bool {
 // So flush settles the access counts; the pager calls — replayed over the
 // rows to count them per stream and to find each stream's last, because the
 // pager keeps its pages in the order of their last calls and stamps them with
-// the time — and the memo; the line steps, in the order they were made, each
-// moving its slot and entering the on-chip cache model; and the clock.
+// the time — and the memo; the line steps, in the order they were made, by
+// row and within a row by stream, each entering the on-chip cache model (its
+// slots can alias between streams), with every stream's slot moved once at
+// the end; and the clock.
 func (r *Rows) flush(n int) {
 	e := r.e
 	streams := r.s[:r.ns]
-	rows := ^uint64(0) >> uint(64-n)
-	steps := uint64(0)
+	rows := ^uint64(0) >> uint(64-min(n, 64)) // an explicit stream's rows
+	var next [rowStreams]int                  // each stream's next line step, if below n
+	differs := uint64(0)                      // bit j: rows j and j+1 differ in some stream
 	for i := range streams {
 		s := &streams[i]
+		count := n
 		if s.mode&StreamExplicit == 0 {
-			s.mask = rows
-		}
-		s.mask, s.cross = s.mask&rows, s.cross&rows
-		steps |= s.cross
-		if s.store() {
-			e.writes += int64(bits.OnesCount64(s.mask))
+			next[i] = s.first
+			if s.step0 {
+				next[i] = 0
+			}
 		} else {
-			e.reads += int64(bits.OnesCount64(s.mask))
+			s.mask, s.cross = s.mask&rows, s.cross&rows
+			differs |= s.mask ^ s.mask>>1
+			count = bits.OnesCount64(s.mask)
+			next[i] = bits.TrailingZeros64(s.cross)
+		}
+		if s.store() {
+			e.writes += int64(count)
+		} else {
+			e.reads += int64(count)
 		}
 	}
 	// Replay the one-page memo over the rows. It is a function of the accesses
 	// made so far, so in a run of rows that make the same accesses every row
 	// after the first meets it as the first left it and makes the same calls:
 	// one replay stands for them all. (Without a pager there are no calls to
-	// make, but the memo is kept all the same.)
-	differs := uint64(0) // bit j: rows j and j+1 differ in some stream
-	for i := range streams {
-		differs |= streams[i].mask ^ streams[i].mask>>1
-	}
+	// make, but the memo is kept all the same.) A stream Next accesses is in
+	// every row, so without explicit streams the rows are one run.
 	for j := 0; j < n; {
-		run := min(n-j, bits.TrailingZeros64(differs>>uint(j))+1)
+		run := n - j
+		if d := differs >> uint(j); d != 0 {
+			run = min(run, bits.TrailingZeros64(d)+1)
+		}
 		r.replay(j, j, 1)
 		if run > 1 {
 			r.replay(j+1, j+run-1, run-1)
@@ -412,25 +466,48 @@ func (r *Rows) flush(n int) {
 		j += run
 	}
 	t0, made := e.T.Now(), 0
-	for ; steps != 0; steps &= steps - 1 {
-		j := bits.TrailingZeros64(steps)
-		for i := range streams {
-			if s := &streams[i]; s.cross>>uint(j)&1 != 0 {
-				// The access asks the pager before it charges its line.
-				r.settle(j, i, t0+sim.Time(made)*r.step)
-				s.line++
-				e.streams[s.slot] = s.line
-				if e.l2 != nil {
-					e.setL2(s.line)
-				}
-				made++
+	due := r.pending()
+	for {
+		// The next step is the lowest row's, and in a row the first stream's.
+		i := -1
+		for q := range streams {
+			if next[q] < n && (i < 0 || next[q] < next[i]) {
+				i = q
 			}
 		}
+		if i < 0 {
+			break
+		}
+		s, j := &streams[i], next[i]
+		if key := j*rowStreams + i; due <= key {
+			// The access asks the pager before it charges its line.
+			due = r.settle(key, t0+sim.Time(made)*r.step)
+		}
+		s.line++
+		if e.l2 != nil {
+			e.setL2(s.line)
+		}
+		made++
+		switch {
+		case s.mode&StreamExplicit != 0:
+			s.cross &= s.cross - 1
+			next[i] = bits.TrailingZeros64(s.cross)
+		case j < s.first:
+			next[i] = s.first
+		default:
+			next[i] = j + 1<<(e.lineShift-s.shift)
+		}
 	}
-	r.settle(n, 0, t0+sim.Time(made)*r.step)
+	if due != noCall {
+		r.settle(n*rowStreams, t0+sim.Time(made)*r.step)
+	}
 	e.T.AdvanceTo(t0 + sim.Time(n)*r.d + sim.Time(made)*r.step)
 	for i := range streams {
-		streams[i].cn, streams[i].mask = 0, 0
+		s := &streams[i]
+		if s.mode&StreamExplicit == 0 || s.mask != 0 {
+			e.streams[s.slot] = s.line
+		}
+		s.cn, s.mask = 0, 0
 	}
 	r.open = false
 }
@@ -441,7 +518,8 @@ func (r *Rows) replay(j, last, weight int) {
 	e := r.e
 	for i := range r.s[:r.ns] {
 		s := &r.s[i]
-		if s.mask>>uint(j)&1 != 0 && (s.page != e.fpPage || s.store() && !e.fpWrite) {
+		if (s.mode&StreamExplicit == 0 || s.mask>>uint(j)&1 != 0) &&
+			(s.page != e.fpPage || s.store() && !e.fpWrite) {
 			s.calls += weight
 			s.lastRow = last
 			e.fpPage, e.fpWrite = s.page, s.store()
@@ -449,29 +527,40 @@ func (r *Rows) replay(j, last, weight int) {
 	}
 }
 
-// settle makes the pager calls flush counted for the streams whose last call
-// came no later than stream idx's access in row j, in the order of those last
-// calls; base is the time of the chunk's start plus the line steps charged so
-// far.
-func (r *Rows) settle(j, idx int, base sim.Time) {
+// noCall is pending's answer when flush has no pager call left to make.
+const noCall = math.MaxInt
+
+// pending returns the key of the earliest pager call flush counted and has not
+// made yet — row × rowStreams + stream, of the access that made the stream's
+// last call — or noCall.
+func (r *Rows) pending() int {
+	due := noCall
+	for i := range r.s[:r.ns] {
+		if s := &r.s[i]; s.calls > 0 {
+			due = min(due, s.lastRow*rowStreams+i)
+		}
+	}
+	return due
+}
+
+// settle makes the pager calls flush counted whose last call came no later
+// than the access with key upTo, in the order of those last calls, and returns
+// pending's key for the rest; base is the time of the chunk's start plus the
+// line steps charged so far.
+func (r *Rows) settle(upTo int, base sim.Time) int {
 	e := r.e
 	for {
-		var next *Stream
-		for i := range r.s[:r.ns] {
-			if s := &r.s[i]; s.calls > 0 && (s.lastRow < j || s.lastRow == j && i <= idx) &&
-				(next == nil || s.lastRow < next.lastRow) {
-				next = s
-			}
+		due := r.pending()
+		if due > upTo {
+			return due
 		}
-		if next == nil {
-			return
-		}
+		s := &r.s[due%rowStreams]
 		if e.paged() {
-			e.T.AdvanceTo(base + sim.Time(next.lastRow+1)*r.d)
-			if !e.pager.Repeat(e, next.page, next.store(), next.calls) {
+			e.T.AdvanceTo(base + sim.Time(s.lastRow+1)*r.d)
+			if !e.pager.Repeat(e, s.page, s.store(), s.calls) {
 				panic("ddc: pager declined a repeat it had agreed to")
 			}
 		}
-		next.calls = 0
+		s.calls = 0
 	}
 }
