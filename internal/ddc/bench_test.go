@@ -142,7 +142,8 @@ func interleavedRun(env *Env, cand, col, out mem.Addr, rows int) {
 // interleavedEnvs builds the three environments the interleaved-stream
 // benchmark and its allocation test run on: a monolithic machine, the
 // base-DDC hit path (every page resident and writable), and memory place.
-func interleavedEnvs(rows int) (names []string, envs []*Env, cand, col, out mem.Addr) {
+// Each operand is followed by gap bytes.
+func interleavedEnvs(rows int, gap int64) (names []string, envs []*Env, cand, col, out mem.Addr) {
 	names = []string{"linux", "base-ddc-hit", "memory-place"}
 	for _, name := range names {
 		cfg := Linux()
@@ -150,9 +151,9 @@ func interleavedEnvs(rows int) (names []string, envs []*Env, cand, col, out mem.
 			cfg = BaseDDC(1 << 30)
 		}
 		p := MustMachine(cfg).NewProcess()
-		cand = p.Space.AllocPages(int64(rows)*4, "cand")
-		col = p.Space.AllocPages(int64(rows)*8, "col")
-		out = p.Space.AllocPages(int64(rows)*8, "out")
+		cand = p.Space.AllocPages(int64(rows)*4+gap, "cand")
+		col = p.Space.AllocPages(int64(rows)*8+gap, "col")
+		out = p.Space.AllocPages(int64(rows)*8+gap, "out")
 		env := p.NewEnv(sim.NewThread("bench"))
 		if name == "memory-place" {
 			env = p.RecycleMemoryEnv(nil, sim.NewThread("bench"), nopPager{})
@@ -168,10 +169,13 @@ func interleavedEnvs(rows int) (names []string, envs []*Env, cand, col, out mem.
 
 // BenchmarkInterleavedStreams measures the host cost per access when an
 // operator interleaves several streams, which is what coldb's operators do
-// (BenchmarkCachedScan has one stream and cannot see it).
+// (BenchmarkCachedScan has one stream and cannot see it). Its col and out are
+// exactly the testbed's on-chip cache span apart, so every line the row loop
+// steps onto shares a slot with the other's; run-gap is the row loop with a
+// page between the operands, whose lines share none.
 func BenchmarkInterleavedStreams(b *testing.B) {
 	const rows = 1 << 16
-	names, envs, cand, col, out := interleavedEnvs(rows)
+	names, envs, cand, col, out := interleavedEnvs(rows, 0)
 	for i, env := range envs {
 		b.Run(names[i], func(b *testing.B) {
 			b.ReportAllocs()
@@ -188,13 +192,23 @@ func BenchmarkInterleavedStreams(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*3), "ns/access")
 		})
 	}
+	_, envs, cand, col, out = interleavedEnvs(rows, mem.PageSize)
+	for i, env := range envs {
+		b.Run(names[i]+"/run-gap", func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				interleavedRun(env, cand, col, out, rows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*3), "ns/access")
+		})
+	}
 }
 
 // TestInterleavedStreamsNoAlloc pins the interleaved access path at zero
 // host allocations in steady state on all three environments.
 func TestInterleavedStreamsNoAlloc(t *testing.T) {
 	const rows = 1 << 12
-	names, envs, cand, col, out := interleavedEnvs(rows)
+	names, envs, cand, col, out := interleavedEnvs(rows, 0)
 	for i, env := range envs {
 		allocs := testing.AllocsPerRun(5, func() { interleavedRows(env, cand, col, out, rows) })
 		if allocs > 0 {

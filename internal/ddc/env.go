@@ -333,6 +333,19 @@ func (e *Env) setL2(l uint64) {
 	e.l2[i] = l
 }
 
+// fillL2 puts lines lo..hi in their on-chip cache slots in that order, as
+// setL2 would one at a time; once the dirty list has overflowed, a slot is a
+// plain store.
+func (e *Env) fillL2(lo, hi uint64) {
+	l := lo
+	for ; l <= hi && !e.l2Over; l++ {
+		e.setL2(l)
+	}
+	for mask := uint64(len(e.l2) - 1); l <= hi; l++ {
+		e.l2[l&mask] = l
+	}
+}
+
 // frameOf borrows page pg's frame for a stream slot's memo.
 func (e *Env) frameOf(pg uint64) *[mem.PageSize]byte {
 	return (*[mem.PageSize]byte)(e.P.Space.Frame(mem.PageID(pg)))

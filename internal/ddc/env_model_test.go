@@ -349,21 +349,28 @@ func (s *modelSide) do(f func()) {
 	<-s.done
 }
 
-// modelConfigs are the machines a trace runs on; the last entry selects
-// memory place with a restlessPager on a base-DDC machine. cacheLines sizes
-// the on-chip cache model: small so that lines alias and evict each other,
-// 0 for none, -1 for the testbed's.
+// modelConfigs are the machines a trace runs on. cacheLines sizes the
+// on-chip cache model: small so that lines alias and evict each other, 0 for
+// none, -1 for the testbed's. An entry with a memory pager runs the Env under
+// test at memory place, where RecycleMemoryEnv lists the l2 slots it sets:
+// with a restlessPager on a small base-DDC machine, or with the compute pager
+// serving every page as a hit, so that row loops run quiet chunks and the
+// testbed's l2 overflows the list inside a chunk's fill.
 var modelConfigs = []struct {
 	name       string
 	cfg        func() Config
 	cacheLines int
+	memory     func() Pager
 }{
-	{"linux", Linux, 64},
-	{"linux-ssd", func() Config { return LinuxSSD(5 * mem.PageSize) }, 0},
-	{"base-ddc", func() Config { return BaseDDC(6 * mem.PageSize) }, 16},
-	{"base-ddc-roomy", func() Config { return BaseDDC(2 * modelPages * mem.PageSize) }, -1},
-	{"base-ddc-fits", func() Config { return BaseDDC(modelPages * mem.PageSize) }, 64},
-	{"memory-place", func() Config { return BaseDDC(6 * mem.PageSize) }, 64},
+	{"linux", Linux, 64, nil},
+	{"linux-ssd", func() Config { return LinuxSSD(5 * mem.PageSize) }, 0, nil},
+	{"base-ddc", func() Config { return BaseDDC(6 * mem.PageSize) }, 16, nil},
+	{"base-ddc-roomy", func() Config { return BaseDDC(2 * modelPages * mem.PageSize) }, -1, nil},
+	{"base-ddc-fits", func() Config { return BaseDDC(modelPages * mem.PageSize) }, 64, nil},
+	{"memory-place", func() Config { return BaseDDC(6 * mem.PageSize) }, 64,
+		func() Pager { return &restlessPager{} }},
+	{"memory-place-testbed", func() Config { return BaseDDC(2 * modelPages * mem.PageSize) }, -1,
+		func() Pager { return computePager{} }},
 }
 
 // newModelSide builds one process on configuration k. logged wraps the pager
@@ -393,8 +400,8 @@ func newModelSide(k int, reference, logged, dilated bool, img *mem.Image) (*mode
 	}
 	s.other = s.p.NewEnv(sim.NewThread("other"))
 	var pager Pager = computePager{}
-	if modelConfigs[k].name == "memory-place" {
-		pager = &restlessPager{}
+	if memory := modelConfigs[k].memory; memory != nil {
+		pager = memory()
 		s.env = s.p.RecycleMemoryEnv(nil, s.th, pager)
 	} else {
 		s.env = s.p.NewEnv(s.th)
@@ -529,7 +536,7 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 		// memory place 15 recycles the Env, and with schedulers 14 brings the
 		// thread to x nanoseconds before its next yield.
 		code := op % 16 % 13
-		if op%16 == 15 && modelConfigs[k].name == "memory-place" {
+		if op%16 == 15 && modelConfigs[k].memory != nil {
 			code = 13
 		}
 		if op%16 == 14 && scheduled {
@@ -993,6 +1000,7 @@ func directedTraces() [][]byte {
 		}
 		return append(trace, 0x10, 0, 0x40|byte(m-1)|byte(ops)<<2, wide|written<<4, z)
 	}
+	const perPage = mem.PageSize / 8 // words
 	for cfg := range modelConfigs {
 		for _, dilated := range []byte{0, 0x80} {
 			header := []byte{byte(cfg), 3 | dilated, 0} // four streams, pager calls logged
@@ -1029,6 +1037,19 @@ func directedTraces() [][]byte {
 				long(read(header, 0, 2000), 2, 0, 110, 3, 0, true),
 				long(read(header, 0, 6001), 2, 3, 70, 0, 0, true),
 				long(read(header, 0, 9000), 3, 2, 90, 7, 4, true),
+				// The same of 4-byte elements against 8-byte ones, either way
+				// round: the wider stream reaches the slots they share sooner,
+				// so which of the two steps onto a slot last flips partway
+				// through them.
+				long(read(header, 0, 3000), 2, 1, 100, 2, 0, true),
+				long(read(header, 0, 7500), 2, 0, 100, 1, 1, true),
+				// An explicit stream appended to from a line ahead of a stream
+				// Next accesses, two pages on at the same offset: it steps onto
+				// the slots they share first, then later. It is last accessed in
+				// row 45 of 54, and the other stream's pager call in row 46
+				// comes before its line step in that row: the call ends a phase
+				// with steps on both sides.
+				append(read(read(header, 0, 30*perPage+8*10+1), 1, 34*perPage+8*10+5), 0x10, 0, 21, 67, 53<<1|1),
 			)
 			// A scan that charges no CPU per row, 70 words from word 451,
 			// across the page at word 512, on a thread attached to a
@@ -1039,6 +1060,36 @@ func directedTraces() [][]byte {
 				scan := slices.Clip(append(read([]byte{byte(cfg), dilated, 2}, 0, 450), 14, 0, gap, 0, 0))
 				traces = append(traces, append(scan, 0x10, 0, 0, 1, 69<<1), long(scan, 1, 0, 120, 1, 0, false))
 			}
+		}
+	}
+	// Two streams of a short loop on linux, whose on-chip cache model holds a
+	// page's lines, so that lines share a slot when they are at one offset in
+	// their pages: each stream starts on the line a word was just read from or
+	// on the next, 4 or 8 bytes wide, and the second from three lines before
+	// the first's to three after. The lines a phase steps the two onto share
+	// no slot, one at either end of a range, or two, and in either order of
+	// their steps.
+	for _, n := range []int{15, 30} {
+		for wide := byte(0); wide < 4; wide++ {
+			for _, w0 := range []int{1, 7} {
+				for _, w1 := range []int{1, 7} {
+					for d := -3; d <= 3; d++ {
+						at := read(read([]byte{0, 3, 0}, 0, 10*perPage+8*20+w0), 1, 14*perPage+8*(20+d)+w1)
+						traces = append(traces, loop(at, 2, n, wide, 0, false))
+					}
+				}
+			}
+		}
+	}
+	// Memory place with the testbed's on-chip cache: four streams step onto
+	// more lines than RecycleMemoryEnv lists, so the list overflows in the
+	// middle of a chunk's fill; the recycle after each loop must clear them.
+	recycle := []byte{15, 0, 0, 0, 0}
+	for cfg := range modelConfigs {
+		if modelConfigs[cfg].memory != nil {
+			header := []byte{byte(cfg), 3, 0}
+			traces = append(traces, append(long(append(long(header, 4, 0, 127, 15, 0, false), recycle...),
+				3, 1, 60, 5, 2, false), recycle...))
 		}
 	}
 	return traces

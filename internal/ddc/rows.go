@@ -19,11 +19,12 @@ import (
 // position of its pages in the LRU order. Rows hands the loop its rows a chunk
 // at a time — a run of quiet rows to decode straight from the borrowed page
 // frames, or one row whose accesses it made the scalar way — and accounts a
-// quiet chunk afterwards in closed form, to the same virtual nanosecond, hit
-// count and eviction order the one-access-at-a-time path would have left. A
-// quiet chunk runs to its streams' nearest page end or to the thread's slack,
-// whichever comes first, so a loop whose streams Next accesses alone is
-// accounted once per page.
+// quiet chunk afterwards in closed form, each stream's line steps in one pass,
+// to the same virtual nanosecond, hit count, eviction order and on-chip cache
+// contents the one-access-at-a-time path would have left. A quiet chunk runs
+// to its streams' nearest page end or to the thread's slack, whichever comes
+// first, so a loop whose streams Next accesses alone is accounted once per
+// page.
 
 // rowStreams is the most operands one row loop declares.
 const rowStreams = 4
@@ -59,14 +60,14 @@ type Stream struct {
 	win []byte
 
 	// In a run of quiet rows: the page the stream stays in and its frame, the
-	// prefetch slot that follows it and the line that slot is on. A stream
-	// Next accesses is accessed in every row and steps its slot to the next
-	// line in row 0 if step0, then in row first and every 1<<(lineShift-shift)
-	// rows after it: the rows whose element is the first of a line. An
-	// explicit stream keeps masks instead, of the rows that accessed it and of
-	// those whose access stepped its slot (cross); it has joined the run when
-	// mask is non-zero, and then the cn bytes from clo are what is left of the
-	// line it is on.
+	// prefetch slot that follows it and the line that slot is on, which flush
+	// moves on as it makes the stream's line steps. A stream Next accesses is
+	// accessed in every row and steps its slot to the next line in row 0 if
+	// step0, then in row first and every 1<<(lineShift-shift) rows after it:
+	// the rows whose element is the first of a line. An explicit stream keeps
+	// masks instead, of the rows that accessed it and of those whose access
+	// stepped its slot (cross); it has joined the run when mask is non-zero,
+	// and then the cn bytes from clo are what is left of the line it is on.
 	page        mem.PageID
 	frame       *[mem.PageSize]byte
 	slot        int
@@ -76,9 +77,9 @@ type Stream struct {
 	mask, cross uint64
 	clo, cn     mem.Addr
 
-	// flush's count of the stream's pager calls in the chunk, and the row
-	// that made the last of them.
-	calls, lastRow int
+	// flush's count of the stream's pager calls in the chunk, the row that
+	// made the last of them, and the line steps it has made so far.
+	calls, lastRow, made int
 }
 
 // store reports whether the loop stores to the stream.
@@ -158,10 +159,14 @@ func (r *Rows) Gather(base mem.Addr) {
 func (r *Rows) Scalar() { r.never = true }
 
 // Stream declares the loop's next operand: elements of width bytes (4 or 8)
-// from base, aligned to their width.
+// from base, aligned to their width. A loop declares at most rowStreams of
+// them, a gathered index among them.
 func (r *Rows) Stream(base mem.Addr, width int, mode StreamMode) *Stream {
 	if width != 4 && width != 8 || base&mem.Addr(width-1) != 0 {
 		panic("ddc: row stream elements must be 4 or 8 bytes, aligned")
+	}
+	if r.ns == rowStreams {
+		panic("ddc: a row loop declares at most 4 streams")
 	}
 	s := &r.s[r.ns]
 	r.ns++
@@ -307,8 +312,11 @@ func (r *Rows) cost(k int) sim.Time {
 }
 
 // steps returns how many of the first k rows of a quiet chunk step the slot of
-// s, a stream Next accesses, to its next line.
+// s to its next line.
 func (r *Rows) steps(s *Stream, k int) (n int) {
+	if s.mode&StreamExplicit != 0 {
+		return bits.OnesCount64(s.cross &^ (^uint64(0) << uint(k)))
+	}
 	if s.step0 && k > 0 {
 		n++
 	}
@@ -418,29 +426,26 @@ func (r *Rows) join(s *Stream, j int, a mem.Addr) bool {
 // So flush settles the access counts; the pager calls — replayed over the
 // rows to count them per stream and to find each stream's last, because the
 // pager keeps its pages in the order of their last calls and stamps them with
-// the time — and the memo; the line steps, in the order they were made, by
-// row and within a row by stream, each entering the on-chip cache model (its
-// slots can alias between streams), with every stream's slot moved once at
-// the end; and the clock.
+// the time — and the memo; the line steps, each entering the on-chip cache
+// model, with every stream's slot moved once at the end; and the clock. A
+// step's key is row × rowStreams + stream, the order the scalar path made the
+// steps in, and a pager call has the key of the access that made it, which
+// asked the pager before it charged its line. The calls split the chunk into
+// phases (see phase), made in key order: all of a phase's steps come before
+// its closing call and after the calls before it.
 func (r *Rows) flush(n int) {
 	e := r.e
 	streams := r.s[:r.ns]
 	rows := ^uint64(0) >> uint(64-min(n, 64)) // an explicit stream's rows
-	var next [rowStreams]int                  // each stream's next line step, if below n
 	differs := uint64(0)                      // bit j: rows j and j+1 differ in some stream
 	for i := range streams {
 		s := &streams[i]
+		s.made = 0
 		count := n
-		if s.mode&StreamExplicit == 0 {
-			next[i] = s.first
-			if s.step0 {
-				next[i] = 0
-			}
-		} else {
+		if s.mode&StreamExplicit != 0 {
 			s.mask, s.cross = s.mask&rows, s.cross&rows
 			differs |= s.mask ^ s.mask>>1
 			count = bits.OnesCount64(s.mask)
-			next[i] = bits.TrailingZeros64(s.cross)
 		}
 		if s.store() {
 			e.writes += int64(count)
@@ -466,40 +471,13 @@ func (r *Rows) flush(n int) {
 		j += run
 	}
 	t0, made := e.T.Now(), 0
-	due := r.pending()
 	for {
-		// The next step is the lowest row's, and in a row the first stream's.
-		i := -1
-		for q := range streams {
-			if next[q] < n && (i < 0 || next[q] < next[i]) {
-				i = q
-			}
-		}
-		if i < 0 {
+		due := r.pending()
+		made += r.phase(min(due, n*rowStreams))
+		if due == noCall {
 			break
 		}
-		s, j := &streams[i], next[i]
-		if key := j*rowStreams + i; due <= key {
-			// The access asks the pager before it charges its line.
-			due = r.settle(key, t0+sim.Time(made)*r.step)
-		}
-		s.line++
-		if e.l2 != nil {
-			e.setL2(s.line)
-		}
-		made++
-		switch {
-		case s.mode&StreamExplicit != 0:
-			s.cross &= s.cross - 1
-			next[i] = bits.TrailingZeros64(s.cross)
-		case j < s.first:
-			next[i] = s.first
-		default:
-			next[i] = j + 1<<(e.lineShift-s.shift)
-		}
-	}
-	if due != noCall {
-		r.settle(n*rowStreams, t0+sim.Time(made)*r.step)
+		r.call(&streams[due%rowStreams], t0+sim.Time(made)*r.step)
 	}
 	e.T.AdvanceTo(t0 + sim.Time(n)*r.d + sim.Time(made)*r.step)
 	for i := range streams {
@@ -510,6 +488,99 @@ func (r *Rows) flush(n int) {
 		s.cn, s.mask = 0, 0
 	}
 	r.open = false
+}
+
+// phase makes the open chunk's line steps whose keys are below end that it
+// has not made yet, and returns how many it made. A stream's steps are
+// counted in closed form, and its lines are consecutive: its line moves on by
+// the count, and its lines enter their on-chip cache slots in one pass, in
+// the order the stream stepped onto them. Between streams, that pass is out
+// of the scalar order, so the slots that two streams' lines of the phase
+// share are then rewritten with the line of the step made last.
+func (r *Rows) phase(end int) (made int) {
+	e := r.e
+	var c [rowStreams]int // each stream's steps in the phase
+	for i := range r.s[:r.ns] {
+		s := &r.s[i]
+		// The rows whose access of s has a key below end.
+		k := r.steps(s, (end-i+rowStreams-1)/rowStreams)
+		if c[i] = k - s.made; c[i] > 0 {
+			s.made = k
+			s.line += uint64(c[i])
+			made += c[i]
+			if e.l2 != nil {
+				e.fillL2(s.line-uint64(c[i])+1, s.line)
+			}
+		}
+	}
+	if e.l2 == nil || made == 0 {
+		return made
+	}
+	// A stream's lines take a run of slots, as offsets from another's first
+	// slot an interval that wraps at the table's end; two such meet in at most
+	// two intervals.
+	size := uint64(len(e.l2))
+	for a := range r.s[:r.ns] {
+		if c[a] == 0 {
+			continue
+		}
+		la, ca := r.s[a].line-uint64(c[a])+1, min(uint64(c[a]), size)
+		for b := a + 1; b < r.ns; b++ {
+			if c[b] == 0 {
+				continue
+			}
+			d, cb := (r.s[b].line-uint64(c[b])+1-la)&(size-1), min(uint64(c[b]), size)
+			if d < ca {
+				r.rewrite(la+d, la+min(d+cb, ca), &c)
+			}
+			if d+cb > size {
+				r.rewrite(la, la+min(d+cb-size, ca), &c)
+			}
+		}
+	}
+	return made
+}
+
+// rewrite sets the on-chip cache slots of lines from .. to-1 to the line of
+// the last of the phase's steps onto them, by key; c holds each stream's steps
+// in the phase, which end at its line.
+func (r *Rows) rewrite(from, to uint64, c *[rowStreams]int) {
+	e := r.e
+	mask := uint64(len(e.l2) - 1)
+	for l := from; l < to; l++ {
+		x, last := l&mask, -1
+		for i := range r.s[:r.ns] {
+			s := &r.s[i]
+			lo := s.line - uint64(c[i]) + 1
+			off := (x - lo) & mask
+			if off >= uint64(c[i]) {
+				continue
+			}
+			off += (uint64(c[i]) - 1 - off) &^ mask // the stream's last line on the slot
+			if key := r.stepRow(s, s.made-c[i]+int(off))*rowStreams + i; key > last {
+				last, e.l2[x] = key, lo+off
+			}
+		}
+	}
+}
+
+// stepRow returns the row of the chunk in which s makes its line step m,
+// counted from 0.
+func (r *Rows) stepRow(s *Stream, m int) int {
+	if s.mode&StreamExplicit != 0 {
+		c := s.cross
+		for ; m > 0; m-- {
+			c &= c - 1
+		}
+		return bits.TrailingZeros64(c)
+	}
+	if s.step0 {
+		if m == 0 {
+			return 0
+		}
+		m--
+	}
+	return s.first + m<<(r.e.lineShift-s.shift)
 }
 
 // replay runs row j's accesses past the one-page memo, counting each pager
@@ -531,8 +602,7 @@ func (r *Rows) replay(j, last, weight int) {
 const noCall = math.MaxInt
 
 // pending returns the key of the earliest pager call flush counted and has not
-// made yet — row × rowStreams + stream, of the access that made the stream's
-// last call — or noCall.
+// made yet — that of the access that made the stream's last call — or noCall.
 func (r *Rows) pending() int {
 	due := noCall
 	for i := range r.s[:r.ns] {
@@ -543,24 +613,16 @@ func (r *Rows) pending() int {
 	return due
 }
 
-// settle makes the pager calls flush counted whose last call came no later
-// than the access with key upTo, in the order of those last calls, and returns
-// pending's key for the rest; base is the time of the chunk's start plus the
-// line steps charged so far.
-func (r *Rows) settle(upTo int, base sim.Time) int {
+// call makes the pager calls flush counted for s, as one Repeat at the time
+// of the last: base, the chunk's start plus the line steps made before it,
+// plus the CPU charges of the rows up to its own.
+func (r *Rows) call(s *Stream, base sim.Time) {
 	e := r.e
-	for {
-		due := r.pending()
-		if due > upTo {
-			return due
+	if e.paged() {
+		e.T.AdvanceTo(base + sim.Time(s.lastRow+1)*r.d)
+		if !e.pager.Repeat(e, s.page, s.store(), s.calls) {
+			panic("ddc: pager declined a repeat it had agreed to")
 		}
-		s := &r.s[due%rowStreams]
-		if e.paged() {
-			e.T.AdvanceTo(base + sim.Time(s.lastRow+1)*r.d)
-			if !e.pager.Repeat(e, s.page, s.store(), s.calls) {
-				panic("ddc: pager declined a repeat it had agreed to")
-			}
-		}
-		s.calls = 0
 	}
+	s.calls = 0
 }

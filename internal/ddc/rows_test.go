@@ -1,6 +1,7 @@
 package ddc
 
 import (
+	"fmt"
 	"testing"
 
 	"teleport/internal/mem"
@@ -45,4 +46,24 @@ func TestRowsQuietChunkRunsToPageEnd(t *testing.T) {
 			t.Errorf("longest chunk %d rows, want %d: the rest of a page", longest, perPage-1)
 		}
 	}
+}
+
+// TestRowsFifthStreamPanics pins the limit on a loop's streams: declaring one
+// more than rowStreams panics with a message that names the limit, not with
+// an index error.
+func TestRowsFifthStreamPanics(t *testing.T) {
+	p := MustMachine(Linux()).NewProcess()
+	env := p.NewEnv(sim.NewThread("t"))
+	a := p.Space.AllocPages(mem.PageSize, "col")
+	rows := env.Rows(8, 0)
+	for i := 0; i < rowStreams; i++ {
+		rows.Stream(a, 8, 0)
+	}
+	defer func() {
+		want := fmt.Sprintf("ddc: a row loop declares at most %d streams", rowStreams)
+		if got := recover(); got != want {
+			t.Errorf("a fifth stream panics with %v, want %q", got, want)
+		}
+	}()
+	rows.Stream(a, 8, 0)
 }
