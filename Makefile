@@ -62,19 +62,21 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'GateQuorum' -benchtime 200000x -count 3 ./internal/ddc
 
 # The run-accounting primitive (ddc.Rows): a zero-cost scan of 1 MB as a row
-# loop, and three interleaved streams as a scalar loop and a row loop on three
+# loop; three interleaved streams as a scalar loop and a row loop on three
 # machines, the row loop also with a page between the operands (run-gap), so
-# that its line steps share no on-chip cache slot. bench-rows runs a fixed
-# 1 000 iterations of each, three times; compare two builds with it.
+# that its line steps share no on-chip cache slot; and a selection, a column
+# read in every row and appended to a list in about half of them through an
+# explicit stream, on two. bench-rows runs a fixed 1 000 iterations of each,
+# three times; compare two builds with it.
 bench-rows:
-	$(GO) test -run '^$$' -bench 'CachedScanRows|InterleavedStreams' -benchtime 1000x -count 3 ./internal/ddc
+	$(GO) test -run '^$$' -bench 'CachedScanRows|InterleavedStreams|SelectRows' -benchtime 1000x -count 3 ./internal/ddc
 
 # Every layer benchmark of ddc and core, one iteration each: go test only
 # compiles them, so this is what fails when a benchmark's body panics. The
 # numbers mean nothing at one iteration; bench-rows, bench-gate and bench-push
 # are the ones to compare.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'CachedScanRows|InterleavedStreams|AccessBudget|GateQuorum' -benchtime 1x ./internal/ddc
+	$(GO) test -run '^$$' -bench 'CachedScanRows|InterleavedStreams|SelectRows|AccessBudget|GateQuorum' -benchtime 1x ./internal/ddc
 	$(GO) test -run '^$$' -bench 'PushdownSetup1500|JournalCapture' -benchtime 1x ./internal/core
 
 # Where the host's time goes and where its allocated bytes come from, without

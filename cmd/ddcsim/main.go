@@ -231,6 +231,19 @@ func (v verb) bind(stderr io.Writer) *binder {
 	return b
 }
 
+// check rejects the dataset sizes the generators cannot build, in the verbs
+// that take them.
+func (b *binder) check() error {
+	switch {
+	case b.fs.Lookup("graph-nv") == nil: // the verb sizes no dataset
+	case b.opts.GraphNV < 1:
+		return fmt.Errorf("-graph-nv must be ≥ 1, got %d", b.opts.GraphNV)
+	case b.opts.Words < 1:
+		return fmt.Errorf("-words must be ≥ 1, got %d", b.opts.Words)
+	}
+	return nil
+}
+
 // cli runs one ddcsim invocation and returns its exit status.
 func cli(args []string, stdout, stderr io.Writer) int {
 	for _, v := range verbs {
@@ -243,6 +256,9 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		}
 		err := fmt.Errorf("unexpected argument %q", b.fs.Arg(0))
 		if b.fs.NArg() == 0 {
+			err = b.check()
+		}
+		if err == nil {
 			err = b.profiled(func() error { return v.run(b, stdout) })
 		}
 		if err != nil {

@@ -223,6 +223,13 @@ func TestCLIErrors(t *testing.T) {
 		{"fig -fig 99", "unknown figure"},
 		{"cluster -cluster 0", "machines ≥ 1"},
 		{"datagen -kind rows", "unknown dataset kind"},
+		{"run -workload SSSP -graph-nv 0", "-graph-nv must be ≥ 1, got 0"},
+		{"run -workload WC -words 0", "-words must be ≥ 1, got 0"},
+		{"datagen -kind graph -graph-nv 0", "-graph-nv must be ≥ 1"},
+		{"datagen -kind corpus -words -3", "-words must be ≥ 1, got -3"},
+		{"advise -workload SSSP -graph-nv 0", "-graph-nv must be ≥ 1"},
+		{"fig -fig 3 -graph-nv 0", "-graph-nv must be ≥ 1"},
+		{"cluster -words 0", "-words must be ≥ 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := cli(strings.Fields(tc.args), &stdout, &stderr); code == 0 {

@@ -355,7 +355,9 @@ func (s *modelSide) do(f func()) {
 // test at memory place, where RecycleMemoryEnv lists the l2 slots it sets:
 // with a restlessPager on a small base-DDC machine, or with the compute pager
 // serving every page as a hit, so that row loops run quiet chunks and the
-// testbed's l2 overflows the list inside a chunk's fill.
+// testbed's l2 overflows the list inside a chunk's fill. The last has 32-byte
+// DRAM lines, so that an explicit stream can step onto more lines of a page in
+// one chunk than Rows lists.
 var modelConfigs = []struct {
 	name       string
 	cfg        func() Config
@@ -371,6 +373,11 @@ var modelConfigs = []struct {
 		func() Pager { return &restlessPager{} }},
 	{"memory-place-testbed", func() Config { return BaseDDC(2 * modelPages * mem.PageSize) }, -1,
 		func() Pager { return computePager{} }},
+	{"base-ddc-32b-lines", func() Config {
+		c := BaseDDC(2 * modelPages * mem.PageSize)
+		c.HW.DRAMLineBytes = 32
+		return c
+	}, 64, nil},
 }
 
 // newModelSide builds one process on configuration k. logged wraps the pager
@@ -543,7 +550,7 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 			code = 14
 		}
 		if op&0x10 != 0 { // a row loop: Rows against one scalar access at a time
-			spec := newRowLoop(base, size, cursor[:nStreams], si, x, y, z)
+			spec := newRowLoop(base, size, cursor[:nStreams], op, si, x, y, z)
 			desc = spec.String()
 			real.do(func() { got = spec.run(real) })
 			ref.do(func() { want = spec.run(ref) })
@@ -660,18 +667,22 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 
 // rowLoop is one row-loop operation of a trace: n rows over up to four
 // streams, each on a cursor of its own. A long loop (operand x bit 0x40) runs
-// up to 1144 rows and declares no explicit stream, so its quiet chunks run to
-// a page end or the thread's slack; with operand z bit 0 its streams start 2,
-// 4 and 6 pages after the first, at the same offset in the page, so that
-// streams of equal width step their lines in the same rows onto lines that
-// share an on-chip cache slot.
+// up to 1144 rows, so its quiet chunks run to a page end or the thread's
+// slack; with operand z bit 0 its streams start 2, 4 and 6 pages after the
+// first, at the same offset in the page, so that streams of equal width step
+// their lines in the same rows onto lines that share an on-chip cache slot.
+// The opcode's low bits, free in a row loop, declare up to three of the last
+// streams explicit (bits 0–1; in a short loop operand z bit 0 declares at
+// least one) and make them fire in every row (bit 2).
 type rowLoop struct {
 	n       int
 	ops     float64
 	gather  bool // stream 0 is a list of indices
 	scalar  bool // declared with Rows.Scalar
 	streams []rowStream
-	fire    uint64 // the rows, mod 64, in which the explicit stream is accessed
+	fire    uint64 // the rows, mod 64, in which explicit stream 0 is accessed
+	spread  int    // how far explicit stream t's rows are rotated from stream 0's, per t
+	dense   bool   // explicit streams are accessed in every row
 }
 
 type rowStream struct {
@@ -682,13 +693,17 @@ type rowStream struct {
 
 // newRowLoop decodes a row loop from a trace operation's operands and moves
 // the cursors of the streams it uses past it.
-func newRowLoop(base mem.Addr, size int, cursor []int, si, x, y, z int) rowLoop {
+func newRowLoop(base mem.Addr, size int, cursor []int, op, si, x, y, z int) rowLoop {
 	l := rowLoop{n: 1 + z>>1%70, ops: float64(x >> 2 % 8), gather: x&0x80 != 0, scalar: x&0x20 != 0,
-		fire: uint64(x*251+y)*0x9E3779B97F4A7C15 | uint64(z)}
+		fire: uint64(x*251+y)*0x9E3779B97F4A7C15 | uint64(z), dense: op&4 != 0}
+	l.spread = int(l.fire >> 56 % 8)
 	long := x&0x40 != 0
 	aliased := long && z&1 != 0
+	explicit := op & 3 // the last streams that are explicit
 	if long {
 		l.n = 1 + z>>1*9
+	} else if z&1 != 0 {
+		explicit = max(explicit, 1)
 	}
 	m := min(1+x%rowStreams, len(cursor))
 	first := 0 // stream 0's offset in the region
@@ -702,7 +717,7 @@ func newRowLoop(base mem.Addr, size int, cursor []int, si, x, y, z int) rowLoop 
 			st.width, st.mode = 4, 0
 		case l.gather && z>>t&1 != 0:
 			st.mode |= StreamIndexed
-		case t > 0 && t == m-1 && z&1 != 0 && !long:
+		case t > 0 && t >= m-explicit:
 			st.mode |= StreamExplicit
 		}
 		// The widest a stream reaches: every row, at three times its number;
@@ -735,8 +750,9 @@ func (l rowLoop) String() string {
 		Ops     float64
 		Gather  bool
 		Scalar  bool
+		Dense   bool
 		Streams []rowStream
-	}{l.n, l.ops, l.gather, l.scalar, l.streams})
+	}{l.n, l.ops, l.gather, l.scalar, l.dense, l.streams})
 }
 
 // order lists the streams in the order a row accesses them: those Next
@@ -767,9 +783,9 @@ func (l rowLoop) run(side *modelSide) (sum uint64) {
 		defer func() { side.env.Dilation = dil }()
 	}
 	value := func(i, t int) uint64 { return uint64(i)<<8 | uint64(t) | l.fire<<32 }
-	fires := func(i int) bool { return l.fire>>(uint(i)%64)&1 != 0 }
+	fires := func(i, t int) bool { return l.dense || l.fire>>(uint(i+t*l.spread)%64)&1 != 0 }
+	var pos [rowStreams]int // each explicit stream's next element, when appended to
 	if m, ok := side.path.(*modelEnv); ok {
-		pos := 0
 		for i := 0; i < l.n; i++ {
 			idx := i
 			if l.gather {
@@ -783,13 +799,13 @@ func (l rowLoop) run(side *modelSide) (sum uint64) {
 				at := i
 				switch {
 				case st.mode&StreamExplicit != 0:
-					if !fires(i) {
+					if !fires(i, t) {
 						continue
 					}
-					if at = pos; l.fire>>59&1 != 0 {
+					if at = pos[t]; l.fire>>59&1 != 0 {
 						at = i // a conditional access at the row, not an append
 					}
-					pos++
+					pos[t]++
 				case st.mode&StreamIndexed != 0:
 					at = idx
 				}
@@ -820,7 +836,6 @@ func (l rowLoop) run(side *modelSide) (sum uint64) {
 		}
 		ss[t] = rows.Stream(st.base, st.width, st.mode)
 	}
-	pos := 0
 	for rows.Next() {
 		for j := 0; j < rows.Len; j++ {
 			i := rows.I + j
@@ -829,15 +844,15 @@ func (l rowLoop) run(side *modelSide) (sum uint64) {
 				var b []byte
 				switch {
 				case st.mode&StreamExplicit != 0:
-					if !fires(i) {
+					if !fires(i, t) {
 						continue
 					}
-					at := pos
+					at := pos[t]
 					if l.fire>>59&1 != 0 {
 						at = i // a conditional access at the row, not an append
 					}
 					b = rows.Access(ss[t], j, at)
-					pos++
+					pos[t]++
 				default:
 					b = ss[t].Bytes()[j*st.width:]
 				}
@@ -1047,9 +1062,22 @@ func directedTraces() [][]byte {
 				// Next accesses, two pages on at the same offset: it steps onto
 				// the slots they share first, then later. It is last accessed in
 				// row 45 of 54, and the other stream's pager call in row 46
-				// comes before its line step in that row: the call ends a phase
-				// with steps on both sides.
+				// comes before its line step in that row: the call is made after
+				// steps of both streams and before others.
 				append(read(read(header, 0, 30*perPage+8*10+1), 1, 34*perPage+8*10+5), 0x10, 0, 21, 67, 53<<1|1),
+			)
+			// Long loops with explicit streams, whose quiet chunks run past
+			// 64 rows: a selection, 4-byte elements read and appended to in
+			// some rows at 3 operations a row; a group table's scan, 8-byte
+			// keys and two 8-byte streams accessed in every row; and 4-byte
+			// elements read and 8-byte ones appended in every row, which on
+			// 32-byte lines steps onto more lines of a page in one chunk than
+			// Rows lists.
+			rowOp := func(trace []byte, op, x, y, z byte) []byte { return append(trace, op, 0, x, y, z) }
+			traces = append(traces,
+				rowOp(at(3000, 7000), 0x11, 0x40|1|3<<2, 0x20, 120<<1),
+				rowOp(read(at(1000, 7000), 2, 4200), 0x16, 0x40|2|2<<2, 7, 120<<1),
+				rowOp(at(3000, 7000), 0x15, 0x40|1, 0x22, 120<<1),
 			)
 			// A scan that charges no CPU per row, 70 words from word 451,
 			// across the page at word 512, on a thread attached to a
@@ -1066,7 +1094,7 @@ func directedTraces() [][]byte {
 	// page's lines, so that lines share a slot when they are at one offset in
 	// their pages: each stream starts on the line a word was just read from or
 	// on the next, 4 or 8 bytes wide, and the second from three lines before
-	// the first's to three after. The lines a phase steps the two onto share
+	// the first's to three after. The lines a chunk steps the two onto share
 	// no slot, one at either end of a range, or two, and in either order of
 	// their steps.
 	for _, n := range []int{15, 30} {

@@ -29,11 +29,10 @@ import (
 // rowStreams is the most operands one row loop declares.
 const rowStreams = 4
 
-// chunkRows bounds a chunk of quiet rows of a loop that declares an explicit
-// stream, so that the rows in which such a stream was accessed, or stepped to
-// its next line, fit a mask. A loop without one has no such bound: its
-// streams are accessed in every row and step their lines on a fixed rhythm.
-const chunkRows = 64
+// maxSteps is the most line steps an explicit stream makes in a chunk: one a
+// line of its page at the testbed's 64-byte lines. With shorter lines a step
+// past it ends the chunk, as a step the slack refuses does.
+const maxSteps = mem.PageSize / 64
 
 // StreamMode says how a row loop accesses one of its streams.
 type StreamMode uint8
@@ -61,25 +60,29 @@ type Stream struct {
 
 	// In a run of quiet rows: the page the stream stays in and its frame, the
 	// prefetch slot that follows it and the line that slot is on, which flush
-	// moves on as it makes the stream's line steps. A stream Next accesses is
-	// accessed in every row and steps its slot to the next line in row 0 if
-	// step0, then in row first and every 1<<(lineShift-shift) rows after it:
-	// the rows whose element is the first of a line. An explicit stream keeps
-	// masks instead, of the rows that accessed it and of those whose access
-	// stepped its slot (cross); it has joined the run when mask is non-zero,
-	// and then the cn bytes from clo are what is left of the line it is on.
-	page        mem.PageID
-	frame       *[mem.PageSize]byte
-	slot        int
-	line        uint64
-	step0       bool
-	first       int
-	mask, cross uint64
-	clo, cn     mem.Addr
+	// moves on by the stream's line steps. A stream Next accesses is accessed
+	// in every row and steps its slot to the next line in row 0 if step0, then
+	// in row first and every 1<<(lineShift-shift) rows after it: the rows whose
+	// element is the first of a line. An explicit stream keeps instead count,
+	// how many times the loop accessed it, and stepRows[:nSteps], the rows of
+	// the chunk whose access stepped its slot, in order. It has joined the run
+	// when count is non-zero, and then the cn bytes from clo are what is left
+	// of the line it is on; it stays in its page, so it steps at most once a
+	// line of it.
+	page     mem.PageID
+	frame    *[mem.PageSize]byte
+	slot     int
+	line     uint64
+	step0    bool
+	first    int
+	count    int
+	nSteps   int
+	stepRows [maxSteps]int32
+	clo, cn  mem.Addr
 
-	// flush's count of the stream's pager calls in the chunk, the row that
-	// made the last of them, and the line steps it has made so far.
-	calls, lastRow, made int
+	// The stream's pager calls in the chunk, counted as the memo is replayed,
+	// and the row that made the last of them.
+	calls, lastRow int
 }
 
 // store reports whether the loop stores to the stream.
@@ -102,22 +105,20 @@ func (s *Stream) Bytes() []byte { return s.win }
 // number, or at the index — and after them any explicit streams the loop
 // chooses to, also in declaration order and each at most once. A chunk of
 // quiet rows ends at the first page end of a stream Next accesses or where the
-// thread would yield; in a loop that declares an explicit stream it is also at
-// most chunkRows long. opsPerRow is a cost and nothing more: a loop that
-// charges no CPU per row passes 0, and its rows are absorbed like any other's.
-// A loop whose rows hold anything else (a random access, a Compute of its own)
-// says so with Scalar. The loop must run until Next reports false, which
-// accounts the last chunk. It moves a row's bytes in that same order: what
-// Bytes and Access returned is the page's frame as it was then, and a later
-// store of the row to a page still shared with a dataset image moves the page
-// to another.
+// thread would yield, and an explicit stream that would leave its page ends it
+// too. opsPerRow is a cost and nothing more: a loop that charges no CPU per
+// row passes 0, and its rows are absorbed like any other's. A loop whose rows
+// hold anything else (a random access, a Compute of its own) says so with
+// Scalar. The loop must run until Next reports false, which accounts the last
+// chunk. It moves a row's bytes in that same order: what Bytes and Access
+// returned is the page's frame as it was then, and a later store of the row to
+// a page still shared with a dataset image moves the page to another.
 type Rows struct {
-	e        *Env
-	ops      float64
-	opNs     float64 // ops at the Env's clock, undilated
-	gather   bool    // stream 0 is the gathered index
-	never    bool    // no row is absorbed (Scalar)
-	explicit bool    // some stream is StreamExplicit
+	e      *Env
+	ops    float64
+	opNs   float64 // ops at the Env's clock, undilated
+	gather bool    // stream 0 is the gathered index
+	never  bool    // no row is absorbed (Scalar)
 
 	N   int // rows in the loop
 	I   int // first row of the current chunk
@@ -125,11 +126,13 @@ type Rows struct {
 	Row int // the gathered index of row I, or I
 
 	// The open chunk is a run of quiet rows, to be accounted by flush: d is a
-	// row's CPU charge and step a line step's DRAM charge in it, and left what
-	// the thread could still be charged before it would yield.
-	open    bool
-	d, step sim.Time
-	left    sim.Time
+	// row's CPU charge and step a line step's DRAM charge in it, left what
+	// the thread could still be charged before it would yield, and replayed
+	// how many of its rows the one-page memo has been run over (see replay).
+	open     bool
+	d, step  sim.Time
+	left     sim.Time
+	replayed int
 
 	s  [rowStreams]Stream
 	ns int
@@ -171,7 +174,6 @@ func (r *Rows) Stream(base mem.Addr, width int, mode StreamMode) *Stream {
 	s := &r.s[r.ns]
 	r.ns++
 	*s = Stream{base: base, shift: uint8(bits.TrailingZeros(uint(width))), mode: mode}
-	r.explicit = r.explicit || mode&StreamExplicit != 0
 	return s
 }
 
@@ -237,16 +239,11 @@ func (r *Rows) quiet() int {
 		return 0
 	}
 	k := r.N - r.I
-	if r.explicit {
-		k = min(k, chunkRows)
-	}
 	paged := e.paged()
 	streams := r.s[:r.ns]
 	var at [rowStreams]mem.Addr // row I's element of each stream Next accesses
 	for i := range streams {
-		s := &streams[i]
-		s.mask, s.cross = 0, 0
-		if s.mode&StreamExplicit == 0 {
+		if s := &streams[i]; s.mode&StreamExplicit == 0 {
 			at[i] = s.base + mem.Addr(r.I)<<s.shift
 			s.page = mem.PageOf(at[i])
 			if paged && !e.pager.Repeat(e, s.page, s.store(), 0) {
@@ -299,23 +296,29 @@ func (r *Rows) quiet() int {
 }
 
 // cost returns what the first k rows of a quiet chunk charge before any
-// explicit stream steps: their CPU cost and the line steps of the streams
-// Next accesses.
+// explicit stream joins it: their CPU cost and their line steps.
 func (r *Rows) cost(k int) sim.Time {
-	steps := 0
+	return sim.Time(k)*r.d + sim.Time(r.stepsBelow(k*rowStreams))*r.step
+}
+
+// stepsBelow returns how many of the open chunk's line steps have a key below
+// key (see flush).
+func (r *Rows) stepsBelow(key int) (n int) {
 	for i := range r.s[:r.ns] {
-		if s := &r.s[i]; s.mode&StreamExplicit == 0 {
-			steps += r.steps(s, k)
-		}
+		// The rows whose access of stream i has a key below key.
+		n += r.steps(&r.s[i], (key-i+rowStreams-1)/rowStreams)
 	}
-	return sim.Time(k)*r.d + sim.Time(steps)*r.step
+	return n
 }
 
 // steps returns how many of the first k rows of a quiet chunk step the slot of
 // s to its next line.
 func (r *Rows) steps(s *Stream, k int) (n int) {
 	if s.mode&StreamExplicit != 0 {
-		return bits.OnesCount64(s.cross &^ (^uint64(0) << uint(k)))
+		for n < s.nSteps && int(s.stepRows[n]) < k {
+			n++
+		}
+		return n
 	}
 	if s.step0 && k > 0 {
 		n++
@@ -356,7 +359,7 @@ func (r *Rows) alone(s *Stream, a mem.Addr) bool {
 		return false
 	}
 	for i := range r.s[:r.ns] {
-		if t := &r.s[i]; t != s && (t.mode&StreamExplicit == 0 || t.mask != 0) && t.page-(mem.PageOf(a)-1) <= 2 {
+		if t := &r.s[i]; t != s && (t.mode&StreamExplicit == 0 || t.count > 0) && t.page-(mem.PageOf(a)-1) <= 2 {
 			return false
 		}
 	}
@@ -382,144 +385,104 @@ func (r *Rows) Access(s *Stream, j, i int) []byte {
 // rows, and reports whether the access is quiet too: it stays in the line the
 // stream is on, steps to the next line of the page, or is the stream's first
 // of the chunk and finds the stream alone in its page with the pager
-// agreeing. Otherwise the chunk ends with this row — the rows so far are
-// accounted, and the access enters the model like the rest of the row's.
+// agreeing — and a step fits the slack and the stream's list. Then the memo
+// is run over the access, after the rows it has not been run over yet.
+// Otherwise the chunk ends with this row — the rows so far are accounted, and
+// the access enters the model like the rest of the row's.
 func (r *Rows) join(s *Stream, j int, a mem.Addr) bool {
 	e := r.e
-	row := uint64(1) << uint(j)
-	switch {
-	case a-s.clo < s.cn:
-		s.mask |= row
-		return true
-	case s.mask != 0:
-		if next := s.clo + s.cn; a-next < 1<<e.lineShift && next&(mem.PageSize-1) != 0 && r.left >= r.step {
-			s.clo, s.cn = a, e.lineLeft(a)
-			s.mask, s.cross = s.mask|row, s.cross|row
+	if a-s.clo >= s.cn {
+		joined, next := s.count > 0, s.clo+s.cn
+		ok := joined && a-next < 1<<e.lineShift && next&(mem.PageSize-1) != 0 ||
+			!joined && r.alone(s, a) && (!e.paged() || e.pager.Repeat(e, mem.PageOf(a), s.store(), 0))
+		stepped := joined || s.line != uint64(a)>>e.lineShift
+		if !ok || stepped && (r.left < r.step || s.nSteps == maxSteps) {
+			r.flush(j + 1)
+			r.Len = j + 1
+			return false
+		}
+		if stepped {
+			s.stepRows[s.nSteps] = int32(j)
+			s.nSteps++
 			r.left -= r.step
-			return true
 		}
+		s.page, s.clo, s.cn = mem.PageOf(a), a, e.lineLeft(a)
 	}
-	if s.mask == 0 {
-		if r.alone(s, a) && (!e.paged() || e.pager.Repeat(e, mem.PageOf(a), s.store(), 0)) {
-			stepped := s.line != uint64(a)>>e.lineShift
-			if !stepped || r.left >= r.step {
-				s.page = mem.PageOf(a)
-				s.clo, s.cn = a, e.lineLeft(a)
-				s.mask = row
-				if stepped {
-					s.cross = row
-					r.left -= r.step
-				}
-				return true
-			}
-		}
-	}
-	r.flush(j + 1)
-	r.Len = j + 1
-	return false
+	r.replay(j)
+	r.memo(s, j, 1)
+	s.count++
+	return true
 }
 
 // flush accounts the first n rows of the open chunk as the scalar path would
 // have left them and closes it. Row j charged its CPU cost first and then made
 // its accesses, each asking the pager unless the one-page memo let it skip,
 // and then, if it stepped to a new line, charging that; nothing else moved.
-// So flush settles the access counts; the pager calls — replayed over the
-// rows to count them per stream and to find each stream's last, because the
-// pager keeps its pages in the order of their last calls and stamps them with
-// the time — and the memo; the line steps, each entering the on-chip cache
-// model, with every stream's slot moved once at the end; and the clock. A
-// step's key is row × rowStreams + stream, the order the scalar path made the
-// steps in, and a pager call has the key of the access that made it, which
-// asked the pager before it charged its line. The calls split the chunk into
-// phases (see phase), made in key order: all of a phase's steps come before
-// its closing call and after the calls before it.
+// A step's key is row × rowStreams + stream, the order the scalar path made
+// the steps in, and a pager call has the key of the access that made it,
+// which asked the pager before it charged its line. So flush finishes the
+// memo's replay, then makes each stream's pager calls as one Repeat, in the
+// order of their last calls — the pager keeps its pages in that order and
+// stamps them with the time — at the time of the last: the chunk's start plus
+// the CPU charges of the rows up to its own and the line steps with lower
+// keys. Repeat reads neither the on-chip cache model nor the prefetch slots,
+// so the line steps follow, each stream's in one pass and its slot moved once
+// at the end, with the access counts; and last the clock.
 func (r *Rows) flush(n int) {
 	e := r.e
-	streams := r.s[:r.ns]
-	rows := ^uint64(0) >> uint(64-min(n, 64)) // an explicit stream's rows
-	differs := uint64(0)                      // bit j: rows j and j+1 differ in some stream
-	for i := range streams {
-		s := &streams[i]
-		s.made = 0
+	r.replay(n - 1)
+	t0 := e.T.Now()
+	for due := r.pending(); due != noCall; due = r.pending() {
+		s := &r.s[due%rowStreams]
+		if e.paged() {
+			e.T.AdvanceTo(t0 + sim.Time(s.lastRow+1)*r.d + sim.Time(r.stepsBelow(due))*r.step)
+			if !e.pager.Repeat(e, s.page, s.store(), s.calls) {
+				panic("ddc: pager declined a repeat it had agreed to")
+			}
+		}
+		s.calls = 0
+	}
+	var c [rowStreams]int // each stream's line steps in the chunk
+	made := 0
+	for i := range r.s[:r.ns] {
+		s := &r.s[i]
 		count := n
 		if s.mode&StreamExplicit != 0 {
-			s.mask, s.cross = s.mask&rows, s.cross&rows
-			differs |= s.mask ^ s.mask>>1
-			count = bits.OnesCount64(s.mask)
+			count = s.count
 		}
 		if s.store() {
 			e.writes += int64(count)
 		} else {
 			e.reads += int64(count)
 		}
-	}
-	// Replay the one-page memo over the rows. It is a function of the accesses
-	// made so far, so in a run of rows that make the same accesses every row
-	// after the first meets it as the first left it and makes the same calls:
-	// one replay stands for them all. (Without a pager there are no calls to
-	// make, but the memo is kept all the same.) A stream Next accesses is in
-	// every row, so without explicit streams the rows are one run.
-	for j := 0; j < n; {
-		run := n - j
-		if d := differs >> uint(j); d != 0 {
-			run = min(run, bits.TrailingZeros64(d)+1)
-		}
-		r.replay(j, j, 1)
-		if run > 1 {
-			r.replay(j+1, j+run-1, run-1)
-		}
-		j += run
-	}
-	t0, made := e.T.Now(), 0
-	for {
-		due := r.pending()
-		made += r.phase(min(due, n*rowStreams))
-		if due == noCall {
-			break
-		}
-		r.call(&streams[due%rowStreams], t0+sim.Time(made)*r.step)
-	}
-	e.T.AdvanceTo(t0 + sim.Time(n)*r.d + sim.Time(made)*r.step)
-	for i := range streams {
-		s := &streams[i]
-		if s.mode&StreamExplicit == 0 || s.mask != 0 {
-			e.streams[s.slot] = s.line
-		}
-		s.cn, s.mask = 0, 0
-	}
-	r.open = false
-}
-
-// phase makes the open chunk's line steps whose keys are below end that it
-// has not made yet, and returns how many it made. A stream's steps are
-// counted in closed form, and its lines are consecutive: its line moves on by
-// the count, and its lines enter their on-chip cache slots in one pass, in
-// the order the stream stepped onto them. Between streams, that pass is out
-// of the scalar order, so the slots that two streams' lines of the phase
-// share are then rewritten with the line of the step made last.
-func (r *Rows) phase(end int) (made int) {
-	e := r.e
-	var c [rowStreams]int // each stream's steps in the phase
-	for i := range r.s[:r.ns] {
-		s := &r.s[i]
-		// The rows whose access of s has a key below end.
-		k := r.steps(s, (end-i+rowStreams-1)/rowStreams)
-		if c[i] = k - s.made; c[i] > 0 {
-			s.made = k
+		if c[i] = r.steps(s, n); c[i] > 0 {
 			s.line += uint64(c[i])
 			made += c[i]
 			if e.l2 != nil {
 				e.fillL2(s.line-uint64(c[i])+1, s.line)
 			}
 		}
+		if s.mode&StreamExplicit == 0 || s.count > 0 {
+			e.streams[s.slot] = s.line
+		}
+		s.count, s.nSteps, s.cn = 0, 0, 0
 	}
-	if e.l2 == nil || made == 0 {
-		return made
+	if e.l2 != nil {
+		r.shared(&c)
 	}
-	// A stream's lines take a run of slots, as offsets from another's first
-	// slot an interval that wraps at the table's end; two such meet in at most
-	// two intervals.
-	size := uint64(len(e.l2))
+	e.T.AdvanceTo(t0 + sim.Time(n)*r.d + sim.Time(made)*r.step)
+	r.open, r.replayed = false, 0
+}
+
+// shared rewrites the on-chip cache slots that two streams' lines of the
+// chunk share; c holds each stream's steps in the chunk, which end at its
+// line. A stream's lines are consecutive and entered their slots in one pass,
+// in the order the stream stepped onto them, but between streams that pass is
+// out of the scalar order. A stream's lines take a run of slots, as offsets
+// from another's first slot an interval that wraps at the table's end; two
+// such meet in at most two intervals.
+func (r *Rows) shared(c *[rowStreams]int) {
+	size := uint64(len(r.e.l2))
 	for a := range r.s[:r.ns] {
 		if c[a] == 0 {
 			continue
@@ -531,19 +494,17 @@ func (r *Rows) phase(end int) (made int) {
 			}
 			d, cb := (r.s[b].line-uint64(c[b])+1-la)&(size-1), min(uint64(c[b]), size)
 			if d < ca {
-				r.rewrite(la+d, la+min(d+cb, ca), &c)
+				r.rewrite(la+d, la+min(d+cb, ca), c)
 			}
 			if d+cb > size {
-				r.rewrite(la, la+min(d+cb-size, ca), &c)
+				r.rewrite(la, la+min(d+cb-size, ca), c)
 			}
 		}
 	}
-	return made
 }
 
 // rewrite sets the on-chip cache slots of lines from .. to-1 to the line of
-// the last of the phase's steps onto them, by key; c holds each stream's steps
-// in the phase, which end at its line.
+// the last of the chunk's steps onto them, by key.
 func (r *Rows) rewrite(from, to uint64, c *[rowStreams]int) {
 	e := r.e
 	mask := uint64(len(e.l2) - 1)
@@ -557,7 +518,7 @@ func (r *Rows) rewrite(from, to uint64, c *[rowStreams]int) {
 				continue
 			}
 			off += (uint64(c[i]) - 1 - off) &^ mask // the stream's last line on the slot
-			if key := r.stepRow(s, s.made-c[i]+int(off))*rowStreams + i; key > last {
+			if key := r.stepRow(s, int(off))*rowStreams + i; key > last {
 				last, e.l2[x] = key, lo+off
 			}
 		}
@@ -568,11 +529,7 @@ func (r *Rows) rewrite(from, to uint64, c *[rowStreams]int) {
 // counted from 0.
 func (r *Rows) stepRow(s *Stream, m int) int {
 	if s.mode&StreamExplicit != 0 {
-		c := s.cross
-		for ; m > 0; m-- {
-			c &= c - 1
-		}
-		return bits.TrailingZeros64(c)
+		return int(s.stepRows[m])
 	}
 	if s.step0 {
 		if m == 0 {
@@ -583,26 +540,50 @@ func (r *Rows) stepRow(s *Stream, m int) int {
 	return s.first + m<<(r.e.lineShift-s.shift)
 }
 
-// replay runs row j's accesses past the one-page memo, counting each pager
-// call it does not skip weight times and as made last in row last.
-func (r *Rows) replay(j, last, weight int) {
-	e := r.e
-	for i := range r.s[:r.ns] {
-		s := &r.s[i]
-		if (s.mode&StreamExplicit == 0 || s.mask>>uint(j)&1 != 0) &&
-			(s.page != e.fpPage || s.store() && !e.fpWrite) {
-			s.calls += weight
-			s.lastRow = last
-			e.fpPage, e.fpWrite = s.page, s.store()
+// replay runs the one-page memo over the accesses of the streams Next
+// accesses in the open chunk's rows up to j that it has not been run over.
+// The first of those rows meets the memo as the accesses before it left it.
+// The memo is a function of the accesses made so far, so the rows after it,
+// which make the same accesses and no others, each meet it as the first left
+// it and make the same calls: one run, weighted, stands for them all. (Without
+// a pager there are no calls to make, but the memo is kept all the same.)
+func (r *Rows) replay(j int) {
+	if from := r.replayed; from <= j {
+		r.replayRow(from, 1)
+		if j > from {
+			r.replayRow(j, j-from)
 		}
+		r.replayed = j + 1
+	}
+}
+
+// replayRow runs the memo over the accesses of the streams Next accesses in
+// a row, as made weight times and last in row last.
+func (r *Rows) replayRow(last, weight int) {
+	for i := range r.s[:r.ns] {
+		if s := &r.s[i]; s.mode&StreamExplicit == 0 {
+			r.memo(s, last, weight)
+		}
+	}
+}
+
+// memo runs an access of s past the one-page memo, counting the pager call it
+// makes unless the memo lets it skip weight times and as made last in row
+// last.
+func (r *Rows) memo(s *Stream, last, weight int) {
+	e := r.e
+	if s.page != e.fpPage || s.store() && !e.fpWrite {
+		s.calls += weight
+		s.lastRow = last
+		e.fpPage, e.fpWrite = s.page, s.store()
 	}
 }
 
 // noCall is pending's answer when flush has no pager call left to make.
 const noCall = math.MaxInt
 
-// pending returns the key of the earliest pager call flush counted and has not
-// made yet — that of the access that made the stream's last call — or noCall.
+// pending returns the key of the earliest pager call flush has not made yet —
+// that of the access that made the stream's last call — or noCall.
 func (r *Rows) pending() int {
 	due := noCall
 	for i := range r.s[:r.ns] {
@@ -611,18 +592,4 @@ func (r *Rows) pending() int {
 		}
 	}
 	return due
-}
-
-// call makes the pager calls flush counted for s, as one Repeat at the time
-// of the last: base, the chunk's start plus the line steps made before it,
-// plus the CPU charges of the rows up to its own.
-func (r *Rows) call(s *Stream, base sim.Time) {
-	e := r.e
-	if e.paged() {
-		e.T.AdvanceTo(base + sim.Time(s.lastRow+1)*r.d)
-		if !e.pager.Repeat(e, s.page, s.store(), s.calls) {
-			panic("ddc: pager declined a repeat it had agreed to")
-		}
-	}
-	s.calls = 0
 }
