@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare bench-push bench-gate bench-rows bench-smoke profile
+.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare bench-access bench-push bench-gate bench-rows bench-smoke profile
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,14 @@ bench-repo:
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 
+# The scalar access path (ddc.Env.access), one 8-byte read of a resident
+# 1 MB region in order and at random: the frame decode alone, an unlimited
+# Linux Env's line model, and a pager hit in a monolithic swap cache and in a
+# compute cache. bench-access runs a fixed 2 000 000 reads of each, three
+# times; compare two builds with it.
+bench-access:
+	$(GO) test -run '^$$' -bench 'AccessBudget' -benchtime 2000000x -count 3 ./internal/ddc
+
 # The pushdown call's layer numbers: set-up at 1 500 resident pages (/ro and
 # /rw) and pre-image capture. /ro's runs/op and ns/op depend on b.N, so
 # bench-push runs a fixed 20 000 iterations, three times; compare two builds
@@ -73,8 +81,8 @@ bench-rows:
 
 # Every layer benchmark of ddc and core, one iteration each: go test only
 # compiles them, so this is what fails when a benchmark's body panics. The
-# numbers mean nothing at one iteration; bench-rows, bench-gate and bench-push
-# are the ones to compare.
+# numbers mean nothing at one iteration; bench-access, bench-rows, bench-gate
+# and bench-push are the ones to compare.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'CachedScanRows|InterleavedStreams|SelectRows|AccessBudget|GateQuorum' -benchtime 1x ./internal/ddc
 	$(GO) test -run '^$$' -bench 'PushdownSetup1500|JournalCapture' -benchtime 1x ./internal/core

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -231,15 +232,20 @@ func (v verb) bind(stderr io.Writer) *binder {
 	return b
 }
 
-// check rejects the dataset sizes the generators cannot build, in the verbs
-// that take them.
+// check rejects the dataset sizes the generators cannot build, and cache
+// fractions no cache can be sized to, in the verbs that take them.
 func (b *binder) check() error {
+	o := &b.opts
 	switch {
 	case b.fs.Lookup("graph-nv") == nil: // the verb sizes no dataset
-	case b.opts.GraphNV < 1:
-		return fmt.Errorf("-graph-nv must be ≥ 1, got %d", b.opts.GraphNV)
-	case b.opts.Words < 1:
-		return fmt.Errorf("-words must be ≥ 1, got %d", b.opts.Words)
+	case !(o.Scale > 0) || math.IsInf(o.Scale, 1):
+		return fmt.Errorf("-scale must be a finite number > 0, got %v", o.Scale)
+	case o.GraphNV < 1:
+		return fmt.Errorf("-graph-nv must be ≥ 1, got %d", o.GraphNV)
+	case o.Words < 1:
+		return fmt.Errorf("-words must be ≥ 1, got %d", o.Words)
+	case !(o.CacheFrac >= 0) || math.IsInf(o.CacheFrac, 1):
+		return fmt.Errorf("-cache-frac must be a finite number ≥ 0, got %v", o.CacheFrac)
 	}
 	return nil
 }

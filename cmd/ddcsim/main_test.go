@@ -230,6 +230,14 @@ func TestCLIErrors(t *testing.T) {
 		{"advise -workload SSSP -graph-nv 0", "-graph-nv must be ≥ 1"},
 		{"fig -fig 3 -graph-nv 0", "-graph-nv must be ≥ 1"},
 		{"cluster -words 0", "-words must be ≥ 1"},
+		{"run -workload Q6 -scale NaN", "-scale must be a finite number > 0, got NaN"},
+		{"run -workload Q6 -scale Inf", "-scale must be a finite number > 0, got +Inf"},
+		{"run -workload Q6 -scale 0", "-scale must be a finite number > 0, got 0"},
+		{"fig -fig 3 -scale -1", "-scale must be a finite number > 0, got -1"},
+		{"datagen -kind tpch -scale 0", "-scale must be a finite number > 0, got 0"},
+		{"run -workload Q6 -cache-frac NaN", "-cache-frac must be a finite number ≥ 0, got NaN"},
+		{"run -workload Q6 -cache-frac -0.5", "-cache-frac must be a finite number ≥ 0, got -0.5"},
+		{"advise -workload Q6 -cache-frac +Inf", "-cache-frac must be a finite number ≥ 0, got +Inf"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := cli(strings.Fields(tc.args), &stdout, &stderr); code == 0 {
@@ -237,6 +245,9 @@ func TestCLIErrors(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("ddcsim %s: stderr %q does not contain %q", tc.args, stderr.String(), tc.want)
+		}
+		if strings.Contains(tc.want, " must be ") && stdout.Len() != 0 { // a flag check runs before the verb
+			t.Errorf("ddcsim %s: printed before failing:\n%s", tc.args, stdout.String())
 		}
 	}
 }

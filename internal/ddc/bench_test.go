@@ -267,16 +267,20 @@ func TestInterleavedStreamsNoAlloc(t *testing.T) {
 // BenchmarkAccessBudget prices one 8-byte read of a resident 1 MB region, in
 // order and at random, at each level an Env access stacks on the last: the
 // frame decode alone (Space.ReadU64), the DRAM line model of an unlimited
-// Linux() Env, and an Env of a BaseDDC process whose every page is resident in
-// the compute cache, so that each access the one-page memo does not cover asks
-// the pager for a hit. Every level pays the same indirect call; ns/op is per
-// access.
+// Linux() Env, which has no pager, and an Env of a LinuxSSD or a BaseDDC
+// process whose every page is resident in its cache, so that each access the
+// one-page memo does not cover asks the pager for a hit — the monolithic
+// swap cache's or the compute pool's. Every level pays the same indirect
+// call; ns/op is per access.
 func BenchmarkAccessBudget(b *testing.B) {
 	const pages = 256
 	const words = pages * mem.PageSize / 8 // a power of two
-	for _, level := range []string{"space", "linux", "base-ddc"} {
+	for _, level := range []string{"space", "linux", "linux-ssd", "base-ddc"} {
 		cfg := Linux()
-		if level == "base-ddc" {
+		switch level {
+		case "linux-ssd":
+			cfg = LinuxSSD(2 * pages * mem.PageSize)
+		case "base-ddc":
 			cfg = BaseDDC(2 * pages * mem.PageSize)
 		}
 		p := MustMachine(cfg).NewProcess()

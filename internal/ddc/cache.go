@@ -124,15 +124,6 @@ func (c *PageCache) Contains(p mem.PageID) bool {
 	return c.entry(p) != nil
 }
 
-// hit returns p's slot, bumped to MRU, or nil when p is not resident.
-func (c *PageCache) hit(p mem.PageID) *cacheEntry {
-	n := c.entry(p)
-	if n != nil {
-		c.moveToFront(int32(p))
-	}
-	return n
-}
-
 // take is Process.PoolHit on a bounded pool: whether p is resident, and with
 // apply, a hit on it — p bumped to MRU and, for a write, marked dirty. It is a
 // function of its own so that PoolHit, and with it the unbounded pool's answer,
@@ -148,10 +139,11 @@ func (c *PageCache) take(p mem.PageID, write, apply bool) bool {
 
 // Lookup returns the page's permission bits and bumps it to MRU.
 func (c *PageCache) Lookup(p mem.PageID) (writable, dirty, ok bool) {
-	n := c.hit(p)
+	n := c.entry(p)
 	if n == nil {
 		return false, false, false
 	}
+	c.moveToFront(int32(p))
 	return n.writable, n.dirty, true
 }
 

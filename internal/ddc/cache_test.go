@@ -194,15 +194,6 @@ func applyCacheOps(t *testing.T, c *PageCache, ref *refCache, data []byte) {
 				t.Fatalf("op %d: Insert(%d) evicted %+v, oracle %+v", i/2, pg, victims, w)
 			}
 		case 2:
-			if op&8 != 0 { // the pager's form of Lookup
-				if n := c.hit(pg); n != nil {
-					got = [3]bool{n.writable, n.dirty, true}
-				}
-				if n := ref.hit(pg); n != nil {
-					want = [3]bool{n.writable, n.dirty, true}
-				}
-				break
-			}
 			got[0], got[1], got[2] = c.Lookup(pg)
 			want[0], want[1], want[2] = ref.Lookup(pg)
 		case 3:

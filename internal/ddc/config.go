@@ -12,10 +12,7 @@
 // protocol (internal/core) manipulates during pushdown.
 package ddc
 
-import (
-	"teleport/internal/hw"
-	"teleport/internal/mem"
-)
+import "teleport/internal/hw"
 
 // Config selects a platform.
 type Config struct {
@@ -26,20 +23,17 @@ type Config struct {
 	// monolithic server.
 	Disaggregated bool
 
-	// ComputeCacheBytes bounds the compute pool's local memory (the paper
-	// uses 1 GB). Only meaningful when Disaggregated. Zero means unlimited,
-	// which degenerates to local execution and is rejected by Validate for
+	// CacheBytes bounds the compute place's memory, a page cache over a
+	// slower tier: on a DDC the compute pool's local cache over the memory
+	// pool (the paper uses 1 GB), on a monolithic server its DRAM, which
+	// swaps to the local SSD (the "Linux with NVMe SSD" baseline of Figures
+	// 1a, 14, 15). Zero means unlimited, which Validate rejects for
 	// disaggregated configs.
-	ComputeCacheBytes int64
+	CacheBytes int64
 
 	// MemoryPoolBytes bounds the memory pool's DRAM; pages beyond it spill
 	// to the storage pool (Figure 15 sweeps this). Zero means unlimited.
 	MemoryPoolBytes int64
-
-	// LocalMemBytes bounds a monolithic server's DRAM; pages beyond it
-	// swap to the local SSD (the "Linux with NVMe SSD" baseline of Figures
-	// 1a, 14, 15). Zero means unlimited.
-	LocalMemBytes int64
 
 	// PrefetchDepth is the number of extra sequential pages the base DDC
 	// fetches per miss, modelling LegoOS's caching/prefetching
@@ -79,7 +73,7 @@ func Linux() Config {
 // bytes, spilling to the NVMe SSD.
 func LinuxSSD(localMem int64) Config {
 	c := Linux()
-	c.LocalMemBytes = localMem
+	c.CacheBytes = localMem
 	return c
 }
 
@@ -87,10 +81,10 @@ func LinuxSSD(localMem int64) Config {
 // cache, standing in for LegoOS.
 func BaseDDC(cacheBytes int64) Config {
 	return Config{
-		HW:                hw.Testbed(),
-		Disaggregated:     true,
-		ComputeCacheBytes: cacheBytes,
-		PrefetchDepth:     2,
+		HW:            hw.Testbed(),
+		Disaggregated: true,
+		CacheBytes:    cacheBytes,
+		PrefetchDepth: 2,
 	}
 }
 
@@ -99,13 +93,10 @@ func (c *Config) Validate() error {
 	if err := c.HW.Validate(); err != nil {
 		return err
 	}
-	if c.Disaggregated && c.ComputeCacheBytes <= 0 {
+	if c.Disaggregated && c.CacheBytes <= 0 {
 		return errConfig("disaggregated machine needs a finite compute cache")
 	}
-	if c.Disaggregated && c.LocalMemBytes != 0 {
-		return errConfig("LocalMemBytes applies only to monolithic machines")
-	}
-	if !c.Disaggregated && (c.ComputeCacheBytes != 0 || c.MemoryPoolBytes != 0) {
+	if !c.Disaggregated && c.MemoryPoolBytes != 0 {
 		return errConfig("pool sizes apply only to disaggregated machines")
 	}
 	if c.PoolShards < 0 || c.Replicas < 0 {
@@ -136,9 +127,6 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
-
-// CachePages converts ComputeCacheBytes into whole pages.
-func (c *Config) CachePages() int { return int(c.ComputeCacheBytes / mem.PageSize) }
 
 type errConfig string
 

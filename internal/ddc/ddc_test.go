@@ -21,9 +21,9 @@ func TestConfigPresetsValidate(t *testing.T) {
 
 func TestConfigValidateRejects(t *testing.T) {
 	bad := []Config{
-		{HW: Linux().HW, Disaggregated: true},                                            // no cache bound
-		{HW: Linux().HW, Disaggregated: true, ComputeCacheBytes: 4096, LocalMemBytes: 1}, // mixed knobs
-		{HW: Linux().HW, ComputeCacheBytes: 4096},                                        // pool knob on monolithic
+		{HW: Linux().HW, Disaggregated: true},                    // no cache bound
+		{HW: Linux().HW, Disaggregated: true, CacheBytes: -4096}, // negative cache bound
+		{HW: Linux().HW, MemoryPoolBytes: 4096},                  // pool knob on monolithic
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -298,8 +298,8 @@ func TestResizeCacheShrinksAndGrows(t *testing.T) {
 	if p.Cache.Len() != 2 || p.Cache.capacity != 2 {
 		t.Fatalf("after shrink: Len=%d Cap=%d", p.Cache.Len(), p.Cache.capacity)
 	}
-	if m.Cfg.ComputeCacheBytes != 2*mem.PageSize {
-		t.Fatalf("config not updated: %d", m.Cfg.ComputeCacheBytes)
+	if m.Cfg.CacheBytes != 2*mem.PageSize {
+		t.Fatalf("config not updated: %d", m.Cfg.CacheBytes)
 	}
 	p.ResizeCache(16 * mem.PageSize)
 	if p.Cache.capacity != 16 {
@@ -311,11 +311,11 @@ func TestResizeCacheShrinksAndGrows(t *testing.T) {
 	if lp.Cache != nil {
 		t.Fatal("monolithic unlimited machine must stay cache-less")
 	}
-	// Monolithic with a cap updates LocalMemBytes instead.
+	// A monolithic machine with a cap rebounds its DRAM the same way.
 	sp := MustMachine(LinuxSSD(8 * mem.PageSize)).NewProcess()
 	sp.ResizeCache(2 * mem.PageSize)
-	if sp.M.Cfg.LocalMemBytes != 2*mem.PageSize {
-		t.Fatal("LocalMemBytes not updated")
+	if sp.Cache.capacity != 2 || sp.M.Cfg.CacheBytes != 2*mem.PageSize {
+		t.Fatal("monolithic cache not rebounded")
 	}
 }
 
@@ -374,7 +374,7 @@ func TestMemoryEnv(t *testing.T) {
 	if env.ReadU64(a) != 5 {
 		t.Fatal("memory env access")
 	}
-	env.InvalidateFastPath() // must not panic and must force a pager call
+	env.fpValid = false // forces a pager call
 	env.ReadU64(a)
 }
 

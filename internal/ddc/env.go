@@ -13,9 +13,10 @@ import (
 	"teleport/internal/trace"
 )
 
-// Pager services accesses that need residency or permission work. The
-// default pager implements the monolithic and base-DDC compute-pool paths;
-// internal/core installs a memory-place pager for pushdown execution.
+// Pager services accesses that need residency or permission work. A
+// compute-place Env over a bounded cache has computePager, one over unlimited
+// memory has none; internal/core installs a memory-place pager for pushdown
+// execution.
 type Pager interface {
 	EnsurePage(e *Env, page mem.PageID, write bool)
 
@@ -35,6 +36,8 @@ type Pager interface {
 // process: it knows where the thread runs, at what clock, and routes every
 // data access through the paging and cost models. Application code (the
 // DBMS, graph engine, MapReduce) performs all reads/writes through an Env.
+// Its pager is chosen once, when the Env is made; an Env without one pays
+// only the DRAM model.
 type Env struct {
 	T *sim.Thread
 	P *Process
@@ -45,7 +48,6 @@ type Env struct {
 	Dilation func() float64
 
 	pager Pager
-	local bool // the compute pager of a monolithic machine (see paged)
 
 	// Single-page fast path: the pager already granted this page at this
 	// grade, and nothing in the process has mutated since.
@@ -93,9 +95,10 @@ func (p *Process) NewEnv(t *sim.Thread) *Env {
 	e := &Env{
 		T: t, P: p,
 		ClockGHz:  p.M.Cfg.HW.ComputeClockGHz,
-		pager:     computePager{},
-		local:     !p.M.Cfg.Disaggregated,
 		lineShift: p.lineShift(),
+	}
+	if p.Cache != nil {
+		e.pager = computePager{}
 	}
 	p.adopt(e)
 	return e
@@ -156,13 +159,7 @@ func (e *Env) Accesses() (reads, writes int64) { return e.reads, e.writes }
 
 // Compute charges n abstract CPU operations at the environment's clock,
 // scaled by the dilation factor if one is installed.
-func (e *Env) Compute(n float64) {
-	ns := hw.OpNs(e.ClockGHz, n)
-	if e.Dilation != nil {
-		ns *= e.Dilation()
-	}
-	e.T.AdvanceNs(ns)
-}
+func (e *Env) Compute(n float64) { e.advance(hw.OpNs(e.ClockGHz, n)) }
 
 // access is the whole model for one access of n ≥ 1 bytes at a, in one pass:
 // count it, run the paging state machine, charge DRAM cost. It returns the
@@ -185,7 +182,7 @@ func (e *Env) access(a mem.Addr, n int, write bool) *[mem.PageSize]byte {
 		e.reads++
 	}
 	if !e.fastPage(pg, write) {
-		if e.paged() {
+		if e.pager != nil {
 			e.pager.EnsurePage(e, pg, write)
 		}
 		e.fpValid, e.fpPage, e.fpWrite, e.fpEpoch = true, pg, write, e.P.Epoch
@@ -216,7 +213,7 @@ func (e *Env) touch(a mem.Addr, n int, write bool) *[mem.PageSize]byte {
 		e.reads++
 	}
 	if first != last || !e.fastPage(last, write) {
-		if e.paged() {
+		if e.pager != nil {
 			for pg := first; pg <= last; pg++ {
 				e.pager.EnsurePage(e, pg, write)
 			}
@@ -245,22 +242,13 @@ func (e *Env) fastPage(pg mem.PageID, write bool) bool {
 	return pg == e.fpPage && e.fpValid && e.fpEpoch == e.P.Epoch && (!write || e.fpWrite)
 }
 
-// paged reports whether the pager has anything to do: the compute pager of
-// a monolithic process without a page cache returns at once.
-func (e *Env) paged() bool { return !e.local || e.P.Cache != nil }
-
-// advance charges an access's DRAM cost to the thread.
+// advance charges a CPU or DRAM cost to the thread, scaled by the dilation
+// factor if one is installed.
 func (e *Env) advance(ns float64) {
 	if e.Dilation != nil {
 		ns *= e.Dilation()
 	}
 	e.T.AdvanceNs(ns)
-}
-
-// InvalidateFastPath drops the env's cached page state; the coherence layer
-// calls this indirectly by bumping the process epoch.
-func (e *Env) InvalidateFastPath() {
-	e.fpValid = false
 }
 
 // dramStreams is the number of concurrent hardware-prefetch streams the
@@ -464,31 +452,40 @@ func (e *Env) WriteBytes(a mem.Addr, buf []byte) {
 	e.P.Space.WriteAt(a, buf)
 }
 
-// computePager implements the monolithic and base-DDC compute-place paths.
+// computePager is the pager of a compute-place Env over a bounded cache: the
+// compute pool's local cache on a DDC, a monolithic server's DRAM over its
+// SSD swap otherwise. A hit is Repeat's; what is left is a write to a page
+// held read-only, which upgrades it, and a miss.
 type computePager struct{}
 
-func (computePager) EnsurePage(e *Env, pg mem.PageID, write bool) {
-	p := e.P
-	if !p.M.Cfg.Disaggregated {
-		ensureLocal(e, pg, write)
+func (c computePager) EnsurePage(e *Env, pg mem.PageID, write bool) {
+	if c.Repeat(e, pg, write, 1) {
 		return
 	}
-	if n := p.Cache.hit(pg); n != nil {
+	p := e.P
+	if p.Cache.Contains(pg) { // a store to a page held read-only
 		p.stats.CacheHits++
-		switch {
-		case !write:
-		case n.writable:
-			n.dirty = true
-		default:
-			// The upgrade's round trip may yield to a thread that evicts the
-			// page, so the dirty bit goes to whatever node holds it afterwards.
-			upgradeWrite(e, pg)
-			p.Cache.MarkDirty(pg)
-		}
+		p.Cache.moveToFront(int32(pg))
+		// The upgrade's round trip may yield to a thread that evicts the
+		// page, so the dirty bit goes to whatever node holds it afterwards.
+		upgradeWrite(e, pg)
+		p.Cache.MarkDirty(pg)
 		return
 	}
 	p.stats.CacheMisses++
-	remoteFault(e, pg, write)
+	if p.M.Cfg.Disaggregated {
+		remoteFault(e, pg, write)
+		return
+	}
+	// A monolithic server swaps the page in from its SSD; its pages are
+	// always writable.
+	p.stats.SSDFaults++
+	p.M.Charge(e.T, metrics.CompFaultSW, p.M.Cfg.HW.FaultHandleNs)
+	p.M.SSD.ReadPage(e.T, uint64(pg))
+	if v, ok := p.Cache.Insert(pg, true, write); ok && v.Dirty {
+		p.M.SSD.WritePage(e.T, uint64(v.Page))
+	}
+	p.Epoch++
 }
 
 // Repeat accounts n hits on a resident page: the hit count, the page's place
@@ -496,9 +493,6 @@ func (computePager) EnsurePage(e *Env, pg mem.PageID, write bool) {
 // not resident, or is read-only under a write, is a fault or an upgrade.
 func (computePager) Repeat(e *Env, pg mem.PageID, write bool, n int) bool {
 	c := e.P.Cache
-	if c == nil {
-		return true
-	}
 	ent := c.entry(pg)
 	if ent == nil || write && !ent.writable {
 		return false
@@ -509,30 +503,6 @@ func (computePager) Repeat(e *Env, pg mem.PageID, write bool, n int) bool {
 		ent.dirty = ent.dirty || write
 	}
 	return true
-}
-
-// ensureLocal is the monolithic path: free when DRAM is unlimited,
-// otherwise an OS page cache over the local SSD.
-func ensureLocal(e *Env, pg mem.PageID, write bool) {
-	p := e.P
-	if p.Cache == nil {
-		return
-	}
-	if n := p.Cache.hit(pg); n != nil {
-		p.stats.CacheHits++
-		if write {
-			n.dirty = true
-		}
-		return
-	}
-	p.stats.CacheMisses++
-	p.stats.SSDFaults++
-	p.M.Charge(e.T, metrics.CompFaultSW, p.M.Cfg.HW.FaultHandleNs)
-	p.M.SSD.ReadPage(e.T, uint64(pg))
-	if v, ok := p.Cache.Insert(pg, true, write); ok && v.Dirty {
-		p.M.SSD.WritePage(e.T, uint64(v.Page))
-	}
-	p.Epoch++
 }
 
 // upgradeWrite grants the compute pool write permission on a page it holds

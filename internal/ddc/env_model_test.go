@@ -195,7 +195,9 @@ func (m *modelEnv) WriteBytes(a mem.Addr, buf []byte) {
 	m.space().WriteAt(a, buf)
 }
 
-func (m *modelEnv) InvalidateFastPath() { m.fpValid, m.hotValid = false, false }
+// forget drops the reference's one-page memo and hot line, as clearing
+// fpValid drops the Env's.
+func (m *modelEnv) forget() { m.fpValid, m.hotValid = false, false }
 
 // recycle puts the reference in a new Env's state. A new Env's on-chip cache
 // table reads as zeroed, so one the reference already holds is replaced by a
@@ -219,7 +221,6 @@ type accessPath interface {
 	ReadU64s(mem.Addr, []uint64)
 	ReadBytes(mem.Addr, []byte)
 	WriteBytes(mem.Addr, []byte)
-	InvalidateFastPath()
 }
 
 // pagerCall is one entry of the pager-call log.
@@ -235,7 +236,8 @@ func (a pagerCall) compare(b pagerCall) int {
 	return cmp.Compare(trace.Flag(a.write), trace.Flag(b.write))
 }
 
-// logPager records every call before passing it on.
+// logPager records every call before passing it on to the Env's own pager,
+// if it has one.
 type logPager struct {
 	inner Pager
 	log   []pagerCall
@@ -243,7 +245,9 @@ type logPager struct {
 
 func (lp *logPager) EnsurePage(e *Env, pg mem.PageID, write bool) {
 	lp.log = append(lp.log, pagerCall{pg, write})
-	lp.inner.EnsurePage(e, pg, write)
+	if lp.inner != nil {
+		lp.inner.EnsurePage(e, pg, write)
+	}
 }
 
 // Repeat logs the n calls it stands for.
@@ -251,8 +255,41 @@ func (lp *logPager) Repeat(e *Env, pg mem.PageID, write bool, n int) bool {
 	for i := 0; i < n; i++ {
 		lp.log = append(lp.log, pagerCall{pg, write})
 	}
-	return lp.inner.Repeat(e, pg, write, n)
+	return lp.inner == nil || lp.inner.Repeat(e, pg, write, n)
 }
+
+// refComputePager is the reference's compute-place pager: the reference
+// pages through it whether its process has a cache or not, and it writes out
+// what a hit does — move the page to the LRU head, count it and, for a store,
+// set its dirty bit or upgrade a page held read-only — rather than taking it
+// from computePager.Repeat. So a change to the hit, or to which Env gets a
+// pager, shows against it. A miss is computePager's.
+type refComputePager struct{}
+
+func (refComputePager) EnsurePage(e *Env, pg mem.PageID, write bool) {
+	c := e.P.Cache
+	if c == nil {
+		return // unlimited memory: nothing to page
+	}
+	n := c.entry(pg)
+	if n == nil {
+		computePager{}.EnsurePage(e, pg, write)
+		return
+	}
+	c.moveToFront(int32(pg))
+	e.P.stats.CacheHits++
+	switch {
+	case !write:
+	case n.writable:
+		n.dirty = true
+	default:
+		upgradeWrite(e, pg)
+		c.MarkDirty(pg)
+	}
+}
+
+// Repeat declines: the reference makes every call itself.
+func (refComputePager) Repeat(*Env, mem.PageID, bool, int) bool { return false }
 
 // restlessPager stands in for a pushdown's pager: it charges time and, on a
 // fixed rhythm, moves the process epoch the way a coherence event does.
@@ -380,9 +417,11 @@ var modelConfigs = []struct {
 	}, 64, nil},
 }
 
-// newModelSide builds one process on configuration k. logged wraps the pager
-// in a logPager; without it the Env keeps the pager the constructor gave it,
-// so the monolithic no-dispatch shortcut is on the tested path too. dilated
+// newModelSide builds one process on configuration k. The Env under test
+// keeps the pager its constructor gave it, or its lack of one, so an Env
+// with none is on the tested path too; the reference pages through
+// refComputePager instead of computePager, at compute place always. logged
+// wraps either side's pager, or its lack of one, in a logPager. dilated
 // installs a Dilation whose value varies per call and which, like a yield to
 // a thread that evicts a page, moves the epoch in the middle of some charges.
 //
@@ -406,17 +445,21 @@ func newModelSide(k int, reference, logged, dilated bool, img *mem.Image) (*mode
 		base = fillRegion(s.p.Space)
 	}
 	s.other = s.p.NewEnv(sim.NewThread("other"))
-	var pager Pager = computePager{}
-	if memory := modelConfigs[k].memory; memory != nil {
-		pager = memory()
-		s.env = s.p.RecycleMemoryEnv(nil, s.th, pager)
+	memory := modelConfigs[k].memory
+	if memory != nil {
+		s.env = s.p.RecycleMemoryEnv(nil, s.th, memory())
 	} else {
 		s.env = s.p.NewEnv(s.th)
 	}
+	pager := s.env.pager
+	if _, compute := pager.(computePager); reference && (compute || memory == nil) {
+		pager = refComputePager{}
+	}
 	if logged {
 		s.pager = &logPager{inner: pager}
-		s.env.pager, s.env.local = s.pager, false
+		pager = s.pager
 	}
+	s.env.pager = pager
 	if dilated {
 		s.env.Dilation = func() float64 {
 			s.dilate++
@@ -619,9 +662,9 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 			real.p.Epoch++
 			ref.p.Epoch++
 		case 12:
-			desc = "InvalidateFastPath"
-			real.path.InvalidateFastPath()
-			ref.path.InvalidateFastPath()
+			desc = "one-page memo dropped"
+			real.env.fpValid = false
+			ref.path.(*modelEnv).forget()
 		case 13: // the pushed function ends and the next one runs on its Env
 			desc = "RecycleMemoryEnv"
 			dil := real.env.Dilation
@@ -1015,12 +1058,21 @@ func directedTraces() [][]byte {
 		}
 		return append(trace, 0x10, 0, 0x40|byte(m-1)|byte(ops)<<2, wide|written<<4, z)
 	}
+	// write jumps a stream to a word and stores to it.
+	write := func(trace []byte, stream, word int) []byte {
+		return append(trace, 0x42, byte(stream), 0, byte(word>>8), byte(word))
+	}
 	const perPage = mem.PageSize / 8 // words
 	for cfg := range modelConfigs {
 		for _, dilated := range []byte{0, 0x80} {
 			header := []byte{byte(cfg), 3 | dilated, 0} // four streams, pager calls logged
 			at := func(w0, w1 int) []byte { return read(read(header, 0, w0), 1, w1) }
 			traces = append(traces,
+				// A word read, then stored to: on a DDC the store upgrades the
+				// page the read faulted in read-only, on linux-ssd it is a hit
+				// in the swap cache. Then a word of another page, and the
+				// first page again: a hit that moves it to the LRU head.
+				read(read(write(read(header, 0, 600), 0, 600), 1, 3000), 0, 601),
 				// Two streams on adjacent lines, then both again a line on.
 				loop(loop(at(8*20-1, 8*21-1), 2, 6, 3, 2, false), 2, 9, 3, 2, false),
 				// Two streams on one page.

@@ -213,9 +213,10 @@ type Process struct {
 	M     *Machine
 	Space *mem.Space
 
-	// Cache is the compute pool's local page cache (disaggregated) or the
-	// monolithic page cache over the SSD (LocalMemBytes > 0); nil when
-	// local memory is unlimited.
+	// Cache is the compute place's memory, bounded to Config.CacheBytes: the
+	// compute pool's local cache on a DDC, a monolithic server's DRAM over its
+	// SSD swap otherwise. It is nil when that memory is unlimited, and then
+	// the process's Envs have no pager.
 	Cache *PageCache
 
 	// PoolRes is the memory pool's DRAM residency in front of the storage
@@ -260,14 +261,11 @@ var procLedger = metrics.NewLedger(ProcStats{}, "ctr", "")
 // NewProcess creates a process on m with an empty address space.
 func (m *Machine) NewProcess() *Process {
 	p := &Process{M: m, Space: mem.NewSpace()}
-	switch {
-	case m.Cfg.Disaggregated:
-		p.Cache = p.newCache(m.Cfg.CachePages())
-		if m.Cfg.MemoryPoolBytes > 0 {
-			p.PoolRes = p.newCache(int(m.Cfg.MemoryPoolBytes / mem.PageSize))
-		}
-	case m.Cfg.LocalMemBytes > 0:
-		p.Cache = p.newCache(int(m.Cfg.LocalMemBytes / mem.PageSize))
+	if m.Cfg.CacheBytes > 0 {
+		p.Cache = p.newCache(int(m.Cfg.CacheBytes / mem.PageSize))
+	}
+	if m.Cfg.MemoryPoolBytes > 0 {
+		p.PoolRes = p.newCache(int(m.Cfg.MemoryPoolBytes / mem.PageSize))
 	}
 	return p
 }
@@ -361,10 +359,9 @@ func (p *Process) noteFault(pg mem.PageID) {
 	p.faultStreams[len(p.faultStreams)-1] = pg
 }
 
-// ResizeCache rebounds the compute-local cache (or the monolithic page
-// cache) to the given byte budget, typically after loading a dataset so a
-// platform's cache is a fixed fraction of the working set. It is a no-op on
-// machines with unlimited local memory.
+// ResizeCache rebounds the compute place's cache to the given byte budget,
+// typically after loading a dataset so a platform's cache is a fixed fraction
+// of the working set. It is a no-op on machines with unlimited local memory.
 func (p *Process) ResizeCache(bytes int64) {
 	if p.Cache == nil {
 		return
@@ -374,11 +371,7 @@ func (p *Process) ResizeCache(bytes int64) {
 		pages = 1
 	}
 	p.Cache.SetCapacity(pages)
-	if p.M.Cfg.Disaggregated {
-		p.M.Cfg.ComputeCacheBytes = int64(pages) * mem.PageSize
-	} else {
-		p.M.Cfg.LocalMemBytes = int64(pages) * mem.PageSize
-	}
+	p.M.Cfg.CacheBytes = int64(pages) * mem.PageSize
 	p.Epoch++
 }
 

@@ -239,7 +239,7 @@ func (r *Rows) quiet() int {
 		return 0
 	}
 	k := r.N - r.I
-	paged := e.paged()
+	paged := e.pager != nil
 	streams := r.s[:r.ns]
 	var at [rowStreams]mem.Addr // row I's element of each stream Next accesses
 	for i := range streams {
@@ -394,7 +394,7 @@ func (r *Rows) join(s *Stream, j int, a mem.Addr) bool {
 	if a-s.clo >= s.cn {
 		joined, next := s.count > 0, s.clo+s.cn
 		ok := joined && a-next < 1<<e.lineShift && next&(mem.PageSize-1) != 0 ||
-			!joined && r.alone(s, a) && (!e.paged() || e.pager.Repeat(e, mem.PageOf(a), s.store(), 0))
+			!joined && r.alone(s, a) && (e.pager == nil || e.pager.Repeat(e, mem.PageOf(a), s.store(), 0))
 		stepped := joined || s.line != uint64(a)>>e.lineShift
 		if !ok || stepped && (r.left < r.step || s.nSteps == maxSteps) {
 			r.flush(j + 1)
@@ -434,7 +434,7 @@ func (r *Rows) flush(n int) {
 	t0 := e.T.Now()
 	for due := r.pending(); due != noCall; due = r.pending() {
 		s := &r.s[due%rowStreams]
-		if e.paged() {
+		if e.pager != nil {
 			e.T.AdvanceTo(t0 + sim.Time(s.lastRow+1)*r.d + sim.Time(r.stepsBelow(due))*r.step)
 			if !e.pager.Repeat(e, s.page, s.store(), s.calls) {
 				panic("ddc: pager declined a repeat it had agreed to")

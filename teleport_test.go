@@ -42,7 +42,7 @@ func TestFacadeConstructors(t *testing.T) {
 	if m := teleport.NewLocalMachine(); m.Cfg.Disaggregated {
 		t.Fatal("local machine must be monolithic")
 	}
-	if m := teleport.NewLinuxSSDMachine(1 << 20); m.Cfg.LocalMemBytes != 1<<20 {
+	if m := teleport.NewLinuxSSDMachine(1 << 20); m.Cfg.CacheBytes != 1<<20 {
 		t.Fatal("ssd machine config")
 	}
 	cfg := teleport.Testbed()
