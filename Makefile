@@ -49,9 +49,10 @@ bench-compare:
 
 # The scalar access path (ddc.Env.access), one 8-byte read of a resident
 # 1 MB region in order and at random: the frame decode alone, an unlimited
-# Linux Env's line model, and a pager hit in a monolithic swap cache and in a
-# compute cache. bench-access runs a fixed 2 000 000 reads of each, three
-# times; compare two builds with it.
+# Linux Env's line model, a pager hit in a monolithic swap cache and in a
+# compute cache, and a pushed function's dilated Env at memory place.
+# bench-access runs a fixed 2 000 000 reads of each, three times; compare two
+# builds with it.
 bench-access:
 	$(GO) test -run '^$$' -bench 'AccessBudget' -benchtime 2000000x -count 3 ./internal/ddc
 
@@ -110,9 +111,10 @@ profile:
 
 # Short fuzz pass over the §6 resident-page-list codec and the pushdown
 # request's sizing (WireSize against the marshalled length), the compute cache's
-# run emitter, the Env access path — scalar, ReadU64s and row-loop (ddc.Rows)
-# operations alike, in a process that stored its data and in one attached to
-# an image of it — against its reference model, copy-on-write dataset images
+# run emitter, the Env access path — scalar, byte-range and row-loop (ddc.Rows)
+# operations alike, dilated by PoolDilation and not, in a process that stored
+# its data and in one attached to an image of it — against its reference
+# model, copy-on-write dataset images
 # and the recycling of their clones' pages through one poisoned arena against
 # flat byte arrays, every coldb operator against its row-at-a-time reference
 # on every platform — bounded memory pools of 2–64 pages among them — the

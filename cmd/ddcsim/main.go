@@ -232,8 +232,9 @@ func (v verb) bind(stderr io.Writer) *binder {
 	return b
 }
 
-// check rejects the dataset sizes the generators cannot build, and cache
-// fractions no cache can be sized to, in the verbs that take them.
+// check rejects the dataset sizes the generators cannot build, cache
+// fractions no cache can be sized to, and pushdown-policy durations and queue
+// caps that are none, in the verbs that take them.
 func (b *binder) check() error {
 	o := &b.opts
 	switch {
@@ -246,6 +247,22 @@ func (b *binder) check() error {
 		return fmt.Errorf("-words must be ≥ 1, got %d", o.Words)
 	case !(o.CacheFrac >= 0) || math.IsInf(o.CacheFrac, 1):
 		return fmt.Errorf("-cache-frac must be a finite number ≥ 0, got %v", o.CacheFrac)
+	}
+	if b.fs.Lookup("push-deadline-us") == nil { // the verb takes no pushdown policy
+		return nil
+	}
+	// A duration becomes a sim.Time of nanoseconds, which holds less than
+	// 2^63 of them.
+	for _, d := range []struct {
+		flag string
+		us   float64
+	}{{"push-deadline-us", b.deadlineUs}, {"breaker-cooldown-us", b.cooldownUs}} {
+		if !(d.us >= 0 && d.us*1e3 < math.MaxInt64) {
+			return fmt.Errorf("-%s must be a finite number ≥ 0 below %g, got %v", d.flag, math.MaxInt64/1e3, d.us)
+		}
+	}
+	if o.PushQueueCap < 0 {
+		return fmt.Errorf("-push-queue-cap must be ≥ 0, got %d", o.PushQueueCap)
 	}
 	return nil
 }

@@ -238,6 +238,14 @@ func TestCLIErrors(t *testing.T) {
 		{"run -workload Q6 -cache-frac NaN", "-cache-frac must be a finite number ≥ 0, got NaN"},
 		{"run -workload Q6 -cache-frac -0.5", "-cache-frac must be a finite number ≥ 0, got -0.5"},
 		{"advise -workload Q6 -cache-frac +Inf", "-cache-frac must be a finite number ≥ 0, got +Inf"},
+		{"run -workload Q9 -platform teleport -chaos-profile chaos -push-deadline-us NaN", "-push-deadline-us must be a finite number ≥ 0 below 9.223372036854776e+15, got NaN"},
+		{"run -workload Q9 -push-deadline-us Inf", "-push-deadline-us must be a finite number ≥ 0 below 9.223372036854776e+15, got +Inf"},
+		{"run -workload Q9 -push-deadline-us 1e300", "-push-deadline-us must be a finite number ≥ 0 below 9.223372036854776e+15, got 1e+300"},
+		{"run -workload Q9 -push-deadline-us 9.3e15", "-push-deadline-us must be a finite number ≥ 0 below 9.223372036854776e+15, got 9.3e+15"},
+		{"run -workload Q9 -push-deadline-us -5", "-push-deadline-us must be a finite number ≥ 0 below 9.223372036854776e+15, got -5"},
+		{"run -workload Q9 -breaker-cooldown-us -1", "-breaker-cooldown-us must be a finite number ≥ 0 below 9.223372036854776e+15, got -1"},
+		{"run -workload Q9 -breaker-cooldown-us -Inf", "-breaker-cooldown-us must be a finite number ≥ 0 below 9.223372036854776e+15, got -Inf"},
+		{"run -workload Q9 -push-queue-cap -2", "-push-queue-cap must be ≥ 0, got -2"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := cli(strings.Fields(tc.args), &stdout, &stderr); code == 0 {

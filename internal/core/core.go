@@ -265,15 +265,15 @@ var (
 // loss, shed, pre-commit context crash) or its partial writes were rolled
 // back from the undo journal before the error was reported (mid-execution
 // crash, deadline abort). ErrKilled and RemoteError do not qualify: the
-// function ran to the kill point or panicked, and its effects stand.
+// function ran to the kill point or panicked, and its effects stand. The
+// recoverable sentinels are exactly those the failures table accounts.
 func Recoverable(err error) bool {
-	return errors.Is(err, ErrCancelled) ||
-		errors.Is(err, ErrMemoryPoolDown) ||
-		errors.Is(err, ErrContextCrashed) ||
-		errors.Is(err, ErrQueueFull) ||
-		errors.Is(err, ErrDeadlineExceeded) ||
-		errors.Is(err, ErrShardDown) ||
-		errors.Is(err, ErrQuorumLost)
+	for i := range failures {
+		if errors.Is(err, failures[i].err) {
+			return true
+		}
+	}
+	return false
 }
 
 // RemoteError wraps a panic thrown by the pushed function; it is rethrown

@@ -674,6 +674,79 @@ func TestConcurrentPushdownsShareTempTable(t *testing.T) {
 	}
 }
 
+// TestPoolDilationFollowsRunningContexts: with one memory-pool core and two
+// user contexts, a pushed function's work is charged at 1× while it runs
+// alone and at 2 × 1.05 while two run (§7.3), the factor holds across the
+// hand-off of a context to a queued caller, and it is back at 1 once the last
+// context is released.
+func TestPoolDilationFollowsRunningContexts(t *testing.T) {
+	cfg := ddc.BaseDDC(64 * mem.PageSize)
+	cfg.HW.MemoryPoolCores = 1
+	p := ddc.MustMachine(cfg).NewProcess()
+	rt := NewRuntime(p, 2)
+	ops := cfg.HW.MemoryClockGHz * 1000 // 1 µs a step, undilated
+	factor := map[int]float64{1: 1, 2: 2 * (1 + ctxSwitchPenalty)}
+
+	// Each step of a pushed function records how many contexts ran when it
+	// started and what it was charged.
+	type step struct {
+		who     string
+		running int
+		at, d   sim.Time
+	}
+	var steps []step
+	s := sim.NewScheduler()
+	for _, c := range []struct {
+		who   string
+		start sim.Time
+		steps int
+	}{{"A", 0, 60}, {"B", 20 * sim.Microsecond, 10}, {"C", 25 * sim.Microsecond, 40}} {
+		s.Spawn(c.who, c.start, func(th *sim.Thread) {
+			_, err := rt.Pushdown(th, func(env *ddc.Env) {
+				for range c.steps {
+					at, running := env.T.Now(), rt.running
+					env.Compute(ops)
+					steps = append(steps, step{c.who, running, at, env.T.Now() - at})
+				}
+			}, Options{})
+			if err != nil {
+				t.Errorf("%s: pushdown: %v", c.who, err)
+			}
+		})
+	}
+	s.Run()
+
+	var cStart sim.Time
+	for _, st := range steps {
+		if st.who == "C" {
+			cStart = st.at
+			break
+		}
+	}
+	seen := map[string]bool{}
+	for _, st := range steps {
+		if want := sim.FromNs(1000 * factor[st.running]); st.d != want {
+			t.Errorf("%s's step at %v with %d contexts running charged %v, want %v", st.who, st.at, st.running, st.d, want)
+		}
+		switch {
+		case st.who == "A" && st.running == 1:
+			seen["A alone"] = true
+		case st.who == "B" && st.running == 2:
+			seen["A and B"] = true
+		case st.who == "A" && st.at > cStart:
+			seen["A and C after the hand-off"] = true
+		case st.who == "C" && st.running == 1:
+			seen["C alone"] = true
+		}
+	}
+	if len(seen) != 4 {
+		t.Fatalf("the run covered only %v", seen)
+	}
+	if p.PoolDilation != 1 || rt.running != 0 {
+		t.Fatalf("after the last release: PoolDilation %v with %d contexts running, want 1 and 0", p.PoolDilation, rt.running)
+	}
+}
+
 func TestPushdownEmitsTraceEvents(t *testing.T) {
 	p, rt := testProc(16)
 	p.M.AttachTrace(trace.New(64))
@@ -955,7 +1028,8 @@ func TestPolicyRetriesThroughScheduledOutage(t *testing.T) {
 // The recovery policy matches failures via errors.Is, so wrapped sentinels
 // still trigger the retry and the local fallback.
 func TestRecoverableClassification(t *testing.T) {
-	for _, err := range []error{ErrCancelled, ErrMemoryPoolDown, ErrContextCrashed} {
+	for _, err := range []error{ErrCancelled, ErrMemoryPoolDown, ErrContextCrashed, ErrQueueFull,
+		ErrDeadlineExceeded, ErrShardDown, ErrQuorumLost} {
 		if !Recoverable(err) {
 			t.Errorf("Recoverable(%v) = false, want true", err)
 		}

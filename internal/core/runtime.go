@@ -97,11 +97,9 @@ type Runtime struct {
 	// Host-side storage recycled across calls (allocation control only; no
 	// simulated effect). hooks are the compute-side fault handlers installed
 	// while calls are in flight; scratch pools the working storage of calls
-	// not in flight; dil is r.dilation bound once, so a call installs it in
-	// its Env without building a method value.
+	// not in flight.
 	hooks   pushHooks
 	scratch []*callScratch
-	dil     func() float64
 }
 
 // callScratch is the host-side working storage one call needs from request
@@ -145,7 +143,6 @@ func NewRuntime(p *ddc.Process, contexts int) *Runtime {
 	r := &Runtime{P: p, Contexts: contexts, Breaker: DefaultBreaker()}
 	r.temp.reset()
 	r.hooks.rt = r
-	r.dil = r.dilation
 	return r
 }
 
@@ -309,7 +306,8 @@ func (c *call) checkpoint() error {
 // failures is the one table that accounts a failed call: the RuntimeStats
 // counter and the trace event (Arg from the row, or the call id) of each
 // sentinel. The first row matching under errors.Is applies; an exec row only
-// once the pushed function had started executing.
+// once the pushed function had started executing. Its sentinels are the
+// recoverable ones (Recoverable).
 var failures = [...]struct {
 	err     error
 	exec    bool
@@ -523,7 +521,6 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	c.pager = pager
 	scr.env = p.RecycleMemoryEnv(scr.env, t, pager)
 	env := scr.env
-	env.Dilation = r.dil
 	var remoteErr error
 	var abort *pushAbort
 	func() {
@@ -757,7 +754,7 @@ func (r *Runtime) postSync(t *sim.Thread, opts Options, eagerPages []mem.PageID)
 // for queued requests.
 func (r *Runtime) acquire(t *sim.Thread, opts Options, deadlineAt sim.Time) error {
 	if r.running < r.Contexts {
-		r.running++
+		r.setRunning(r.running + 1)
 		return nil
 	}
 	if r.QueueCap > 0 && len(r.queue) >= r.QueueCap {
@@ -789,7 +786,7 @@ func (r *Runtime) acquire(t *sim.Thread, opts Options, deadlineAt sim.Time) erro
 // release frees the caller's user context and hands it to the next
 // non-expired waiter, cancelling waiters whose deadline has passed.
 func (r *Runtime) release(t *sim.Thread) {
-	r.running--
+	r.setRunning(r.running - 1)
 	now := t.Now()
 	for len(r.queue) > 0 {
 		w := r.queue[0]
@@ -801,21 +798,24 @@ func (r *Runtime) release(t *sim.Thread) {
 			w.t.Unblock(w.deadline)
 			continue
 		}
-		r.running++
+		r.setRunning(r.running + 1)
 		w.t.Unblock(now)
 		return
 	}
 }
 
-// dilation models memory-pool CPU contention: with more runnable user
-// contexts than physical cores, each context's work stretches by the
-// oversubscription ratio plus a context-switching penalty (§7.3,
-// Figure 17's diminishing returns).
-func (r *Runtime) dilation() float64 {
+// setRunning sets how many user contexts run, and with it the process's
+// PoolDilation: memory-pool CPU contention, where with more runnable user
+// contexts than physical cores each context's work stretches by the
+// oversubscription ratio plus a context-switching penalty (§7.3, Figure 17's
+// diminishing returns).
+func (r *Runtime) setRunning(n int) {
+	r.running = n
 	cores := r.P.M.Cfg.HW.MemoryPoolCores
-	if r.running <= cores {
-		return 1
+	if n <= cores {
+		r.P.PoolDilation = 1
+		return
 	}
-	over := float64(r.running - cores)
-	return float64(r.running) / float64(cores) * (1 + ctxSwitchPenalty*over)
+	over := float64(n - cores)
+	r.P.PoolDilation = float64(n) / float64(cores) * (1 + ctxSwitchPenalty*over)
 }

@@ -37,29 +37,6 @@ func BenchmarkCachedScan(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkCachedScanBatched is the same scan through the batched accessor
-// used by the engines' paired-value hot loops.
-func BenchmarkCachedScanBatched(b *testing.B) {
-	m := MustMachine(Linux())
-	p := m.NewProcess()
-	th := sim.NewThread("bench")
-	env := p.NewEnv(th)
-	const bytes = 1 << 20
-	a := p.Space.Alloc(bytes, "buf")
-	var buf [64]uint64
-	for off := mem.Addr(0); off < bytes; off += mem.Addr(len(buf) * 8) {
-		env.ReadU64s(a+off, buf[:])
-	}
-	b.SetBytes(bytes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for off := mem.Addr(0); off < bytes; off += mem.Addr(len(buf) * 8) {
-			env.ReadU64s(a+off, buf[:])
-		}
-	}
-}
-
 // BenchmarkCachedScanRows is the same scan as a row loop that charges no CPU
 // per row, as bench.RunCluster's supersteps run it: most rows are absorbed.
 func BenchmarkCachedScanRows(b *testing.B) {
@@ -271,21 +248,28 @@ func TestInterleavedStreamsNoAlloc(t *testing.T) {
 // process whose every page is resident in its cache, so that each access the
 // one-page memo does not cover asks the pager for a hit — the monolithic
 // swap cache's or the compute pool's. Every level pays the same indirect
-// call; ns/op is per access.
+// call. The memory level is a pushed function's Env on a BaseDDC process
+// whose pager always hits, with PoolDilation at 1.5, so that every charge is
+// dilated. ns/op is per access.
 func BenchmarkAccessBudget(b *testing.B) {
 	const pages = 256
 	const words = pages * mem.PageSize / 8 // a power of two
-	for _, level := range []string{"space", "linux", "linux-ssd", "base-ddc"} {
+	for _, level := range []string{"space", "linux", "linux-ssd", "base-ddc", "memory"} {
 		cfg := Linux()
 		switch level {
 		case "linux-ssd":
 			cfg = LinuxSSD(2 * pages * mem.PageSize)
-		case "base-ddc":
+		case "base-ddc", "memory":
 			cfg = BaseDDC(2 * pages * mem.PageSize)
 		}
 		p := MustMachine(cfg).NewProcess()
 		base := p.Space.AllocPages(pages*mem.PageSize, "buf")
-		env := p.NewEnv(sim.NewThread("bench"))
+		th := sim.NewThread("bench")
+		env := p.NewEnv(th)
+		if level == "memory" {
+			p.PoolDilation = 1.5
+			env = p.RecycleMemoryEnv(nil, th, nopPager{})
+		}
 		for i := 0; i < pages; i++ {
 			env.WriteU64(base+mem.Addr(i)*mem.PageSize, uint64(i)) // fault every page in
 		}

@@ -222,10 +222,14 @@ func TestEnvComputeChargesClock(t *testing.T) {
 	if th.Now() != 1000 {
 		t.Fatalf("Compute charged %v", th.Now())
 	}
-	env.Dilation = func() float64 { return 2 }
+	p.PoolDilation = 2 // stretches the memory place only
 	env.Compute(2100)
-	if th.Now() != 3000 {
-		t.Fatalf("dilated Compute charged total %v", th.Now())
+	if th.Now() != 2000 {
+		t.Fatalf("compute-place Compute charged total %v under PoolDilation", th.Now())
+	}
+	p.RecycleMemoryEnv(nil, th, nopPager{}).Compute(2100)
+	if th.Now() != 4000 {
+		t.Fatalf("dilated memory-place Compute charged total %v", th.Now())
 	}
 }
 
@@ -366,7 +370,7 @@ func TestMemoryEnv(t *testing.T) {
 	p := m.NewProcess()
 	th := sim.NewThread("t")
 	env := p.RecycleMemoryEnv(nil, th, nopPager{})
-	if env.ClockGHz != m.Cfg.HW.MemoryClockGHz {
+	if env.clock != m.Cfg.HW.MemoryClockGHz || env.dil != &p.PoolDilation {
 		t.Fatalf("memory env misconfigured: %+v", env)
 	}
 	a := p.Space.Alloc(8, "x")
@@ -394,7 +398,6 @@ func TestRecycleMemoryEnvEqualsNew(t *testing.T) {
 	}
 
 	used := p.RecycleMemoryEnv(nil, sim.NewThread("previous"), nopPager{})
-	used.Dilation = func() float64 { return 3 }
 	access(used)
 	used.ReadBytes(a+mem.PageSize-4, make([]byte, 8)) // multi-page: fast path anchored on the second
 	if !used.l2Over {

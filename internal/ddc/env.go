@@ -42,10 +42,11 @@ type Env struct {
 	T *sim.Thread
 	P *Process
 
-	// ClockGHz is the executing CPU's clock; Dilation (optional) scales CPU
-	// cost up when user contexts outnumber memory-pool cores (§7.3).
-	ClockGHz float64
-	Dilation func() float64
+	// clock is the executing CPU's clock. dil, set at memory place only,
+	// points at the process's PoolDilation, which scales every charge up
+	// while user contexts outnumber memory-pool cores (§7.3).
+	clock float64
+	dil   *float64
 
 	pager Pager
 
@@ -94,7 +95,7 @@ type Env struct {
 func (p *Process) NewEnv(t *sim.Thread) *Env {
 	e := &Env{
 		T: t, P: p,
-		ClockGHz:  p.M.Cfg.HW.ComputeClockGHz,
+		clock:     p.M.Cfg.HW.ComputeClockGHz,
 		lineShift: p.lineShift(),
 	}
 	if p.Cache != nil {
@@ -105,7 +106,8 @@ func (p *Process) NewEnv(t *sim.Thread) *Env {
 }
 
 // RecycleMemoryEnv returns a memory-place environment using a caller-supplied
-// pager (TELEPORT's temporary-context fault handler), built in place over
+// pager (TELEPORT's temporary-context fault handler), whose every charge is
+// scaled by p.PoolDilation as it stands at that charge, built in place over
 // old, an Env of p a finished pushed function left behind (nil allocates a new
 // one), so a caller running many short functions keeps one Env per user
 // context instead of allocating one per call. The result is in exactly the
@@ -134,7 +136,8 @@ func (p *Process) RecycleMemoryEnv(old *Env, t *sim.Thread, pager Pager) *Env {
 	}
 	*e = Env{
 		T: t, P: p,
-		ClockGHz:  p.M.Cfg.HW.MemoryClockGHz,
+		clock:     p.M.Cfg.HW.MemoryClockGHz,
+		dil:       &p.PoolDilation,
 		pager:     pager,
 		lineShift: p.lineShift(),
 		l2:        l2,
@@ -158,8 +161,8 @@ func (p *Process) lineShift() uint8 {
 func (e *Env) Accesses() (reads, writes int64) { return e.reads, e.writes }
 
 // Compute charges n abstract CPU operations at the environment's clock,
-// scaled by the dilation factor if one is installed.
-func (e *Env) Compute(n float64) { e.advance(hw.OpNs(e.ClockGHz, n)) }
+// dilated at memory place.
+func (e *Env) Compute(n float64) { e.advance(hw.OpNs(e.clock, n)) }
 
 // access is the whole model for one access of n ≥ 1 bytes at a, in one pass:
 // count it, run the paging state machine, charge DRAM cost. It returns the
@@ -242,11 +245,11 @@ func (e *Env) fastPage(pg mem.PageID, write bool) bool {
 	return pg == e.fpPage && e.fpValid && e.fpEpoch == e.P.Epoch && (!write || e.fpWrite)
 }
 
-// advance charges a CPU or DRAM cost to the thread, scaled by the dilation
-// factor if one is installed.
+// advance charges a CPU or DRAM cost to the thread, scaled at memory place
+// by the process's PoolDilation.
 func (e *Env) advance(ns float64) {
-	if e.Dilation != nil {
-		ns *= e.Dilation()
+	if e.dil != nil {
+		ns *= *e.dil
 	}
 	e.T.AdvanceNs(ns)
 }
@@ -394,43 +397,11 @@ func (e *Env) ReadU8(a mem.Addr) byte { return e.access(a, 1, false)[a&(mem.Page
 // WriteU8 writes one byte.
 func (e *Env) WriteU8(a mem.Addr, v byte) { e.access(a, 1, true)[a&(mem.PageSize-1)] = v }
 
-// freeRun returns how many of up to max further size-byte elements at a —
-// the address after an element access just served from frame f — ReadU64s
-// may decode from f without re-entering the model: those that end
-// inside the line that access ended on, provided the process epoch has not
-// moved since (the charge may have yielded to a thread that evicted or
-// downgraded the page). For each of them access would find the fast-path
-// page and the last slot on its line, charge nothing and change no state;
-// nothing in the run advances virtual time, so the one check covers it.
-func (e *Env) freeRun(a mem.Addr, size, max int) int {
-	if e.fpEpoch != e.P.Epoch {
-		return 0
-	}
-	lineEnd := ((uint64(a)-1)>>e.lineShift + 1) << e.lineShift
-	if k := int(lineEnd-uint64(a)) / size; k < max {
-		return k
-	}
-	return max
-}
-
-// ReadU64s reads len(dst) consecutive uint64s starting at a. It is
-// element-for-element equivalent to that many ReadU64 calls — the paging
-// state machine and DRAM charges run in the identical order — but the words
-// after the first in an already-charged line decode straight from its frame.
+// ReadU64s reads len(dst) consecutive uint64s starting at a, one ReadU64
+// each.
 func (e *Env) ReadU64s(a mem.Addr, dst []uint64) {
-	for i := 0; i < len(dst); {
-		f := e.access(a, 8, false)
-		if f == nil {
-			dst[i] = e.P.Space.ReadU64(a)
-			i, a = i+1, a+8
-			continue
-		}
-		k := 1 + e.freeRun(a+8, 8, len(dst)-i-1)
-		e.reads += int64(k - 1)
-		for ; k > 0; k-- {
-			dst[i] = binary.LittleEndian.Uint64(f[a&(mem.PageSize-1):])
-			i, a = i+1, a+8
-		}
+	for i := range dst {
+		dst[i] = e.ReadU64(a + mem.Addr(i)*8)
 	}
 }
 

@@ -128,8 +128,8 @@ lines:
 		}
 	}
 	if ns > 0 {
-		if m.carrier.Dilation != nil {
-			ns *= m.carrier.Dilation()
+		if m.carrier.dil != nil {
+			ns *= *m.carrier.dil
 		}
 		m.carrier.T.AdvanceNs(ns)
 	}
@@ -161,21 +161,9 @@ func (m *modelEnv) ReadU8(a mem.Addr) byte {
 }
 func (m *modelEnv) WriteU8(a mem.Addr, v byte) { m.write(a, 1); m.space().WriteAt(a, []byte{v}) }
 
-// ReadU64s is the reference batched read: one word through the scalar path,
-// then, with the hot line valid and the epoch unmoved, the words that end
-// inside that line for a counter tick each.
 func (m *modelEnv) ReadU64s(a mem.Addr, dst []uint64) {
-	for i := 0; i < len(dst); {
-		m.read(a, 8)
-		dst[i] = m.space().ReadU64(a)
-		i, a = i+1, a+8
-		if !m.hotValid || m.fpEpoch != m.carrier.P.Epoch {
-			continue
-		}
-		for end := (m.hotLine + 1) * m.lineB; i < len(dst) && uint64(a)+8 <= end; i, a = i+1, a+8 {
-			dst[i] = m.space().ReadU64(a)
-			m.reads++
-		}
+	for i := range dst {
+		dst[i] = m.ReadU64(a + mem.Addr(i)*8)
 	}
 }
 
@@ -308,13 +296,12 @@ func (rp *restlessPager) Repeat(*Env, mem.PageID, bool, int) bool { return false
 
 // modelSide is one of the two processes replaying a trace.
 type modelSide struct {
-	p      *Process
-	th     *sim.Thread
-	env    *Env // the access path under test, or the reference's carrier
-	other  *Env // a second Env of the process, on a thread of its own
-	path   accessPath
-	pager  *logPager
-	dilate int // Dilation calls so far
+	p     *Process
+	th    *sim.Thread
+	env   *Env // the access path under test, or the reference's carrier
+	other *Env // a second Env of the process, on a thread of its own
+	path  accessPath
+	pager *logPager
 
 	// With a scheduler (schedule), th is attached to it and what the trace
 	// runs on th is handed to th's goroutine through ops, one at a time.
@@ -422,8 +409,8 @@ var modelConfigs = []struct {
 // with none is on the tested path too; the reference pages through
 // refComputePager instead of computePager, at compute place always. logged
 // wraps either side's pager, or its lack of one, in a logPager. dilated
-// installs a Dilation whose value varies per call and which, like a yield to
-// a thread that evicts a page, moves the epoch in the middle of some charges.
+// points the Env's dilation at the process's PoolDilation, set to 1.25, at
+// compute place too.
 //
 // The region holds regionFill. With img the process attaches to an image of
 // it, as a figure cell attaches to its dataset; without, it allocates the
@@ -461,13 +448,8 @@ func newModelSide(k int, reference, logged, dilated bool, img *mem.Image) (*mode
 	}
 	s.env.pager = pager
 	if dilated {
-		s.env.Dilation = func() float64 {
-			s.dilate++
-			if s.dilate%6 == 0 {
-				s.p.Epoch++
-			}
-			return 1 + float64(s.dilate%4)/4
-		}
+		s.p.PoolDilation = 1.25
+		s.env.dil = &s.p.PoolDilation
 	}
 	s.path = s.env
 	if reference {
@@ -520,7 +502,7 @@ func (r *traceReader) byte() int {
 // the first access after which they differ. It returns the accesses replayed.
 //
 // Byte 0 picks the configuration, byte 1 the number of streams (1–12) and
-// whether Dilation is installed, byte 2 whether pager calls are logged and
+// whether the Env is dilated, byte 2 whether pager calls are logged and
 // whether the Envs' threads are attached to schedulers (schedule). Each
 // operation is then five bytes: opcode, stream, and operands x, y, z. A
 // stream is a cursor over the shared region: accesses advance it by their
@@ -657,19 +639,21 @@ func runAccessModel(t testing.TB, data []byte, attached bool) int {
 			a := at(8)
 			desc = fmt.Sprintf("ReadU64(%#x) again", a)
 			both(func(p accessPath) any { return p.ReadU64(a) })
-		case 11:
+		case 11: // as a context acquired or released by another thread does
 			desc = "epoch bump"
-			real.p.Epoch++
-			ref.p.Epoch++
+			for _, side := range []*modelSide{real, ref} {
+				side.p.Epoch++
+				if dilated {
+					side.p.PoolDilation = 1 + float64(side.p.Epoch%4)/4
+				}
+			}
 		case 12:
 			desc = "one-page memo dropped"
 			real.env.fpValid = false
 			ref.path.(*modelEnv).forget()
 		case 13: // the pushed function ends and the next one runs on its Env
 			desc = "RecycleMemoryEnv"
-			dil := real.env.Dilation
 			real.env = real.p.RecycleMemoryEnv(real.env, real.th, real.env.pager)
-			real.env.Dilation = dil
 			ref.path.(*modelEnv).recycle()
 		case 14:
 			desc = fmt.Sprintf("%dns before the next yield", x)
@@ -819,12 +803,6 @@ func (l rowLoop) run(side *modelSide) (sum uint64) {
 			side.p.Space.WriteU32(l.streams[0].base+mem.Addr(i*4), uint32(i*(1+int(l.fire>>60)%3)))
 		}
 	}
-	// The loop swaps a Dilation that counts its calls for one that is, like
-	// the pushdown runtime's, a function of state only a yield can change.
-	if dil := side.env.Dilation; dil != nil {
-		side.env.Dilation = func() float64 { return 1 + float64(side.p.Epoch%4)/4 }
-		defer func() { side.env.Dilation = dil }()
-	}
 	value := func(i, t int) uint64 { return uint64(i)<<8 | uint64(t) | l.fire<<32 }
 	fires := func(i, t int) bool { return l.dense || l.fire>>(uint(i+t*l.spread)%64)&1 != 0 }
 	var pos [rowStreams]int // each explicit stream's next element, when appended to
@@ -963,9 +941,6 @@ func compareModelSides(real, ref *modelSide) string {
 	}
 	if real.p.Stats() != ref.p.Stats() {
 		return fmt.Sprintf("Stats() = %+v, reference %+v", real.p.Stats(), ref.p.Stats())
-	}
-	if real.dilate != ref.dilate {
-		return fmt.Sprintf("Dilation called %d times, reference %d", real.dilate, ref.dilate)
 	}
 	if real.sched != nil && real.sched.Switches() != ref.sched.Switches() {
 		return fmt.Sprintf("%d thread switches, reference %d", real.sched.Switches(), ref.sched.Switches())
@@ -1177,7 +1152,7 @@ func directedTraces() [][]byte {
 
 // TestEnvAccessMatchesReference replays seeded random traces — every
 // configuration, 1–12 streams, scalar, ReadU64s and byte accesses that
-// straddle lines and pages, Dilation, epoch bumps — through Env and the
+// straddle lines and pages, PoolDilation, epoch bumps — through Env and the
 // reference path side by side.
 func TestEnvAccessMatchesReference(t *testing.T) {
 	accesses := 0

@@ -227,6 +227,13 @@ type Process struct {
 	// Env fast paths can cache "this page is fine" safely.
 	Epoch uint64
 
+	// PoolDilation stretches every charge of the process's memory-place
+	// Envs while more user contexts run than the memory pool has cores
+	// (§7.3, Figure 17's diminishing returns). It is 1 until the pushdown
+	// runtime, its only writer, moves it as a thread acquires or releases a
+	// context, so it holds still while a thread charges inside its slack.
+	PoolDilation float64
+
 	hooks PushHooks
 
 	// Recent fault pages: the controller's sequential-stream detector for
@@ -260,7 +267,7 @@ var procLedger = metrics.NewLedger(ProcStats{}, "ctr", "")
 
 // NewProcess creates a process on m with an empty address space.
 func (m *Machine) NewProcess() *Process {
-	p := &Process{M: m, Space: mem.NewSpace()}
+	p := &Process{M: m, Space: mem.NewSpace(), PoolDilation: 1}
 	if m.Cfg.CacheBytes > 0 {
 		p.Cache = p.newCache(int(m.Cfg.CacheBytes / mem.PageSize))
 	}

@@ -115,8 +115,7 @@ func (s *Stream) Bytes() []byte { return s.win }
 // a page still shared with a dataset image moves the page to another.
 type Rows struct {
 	e      *Env
-	ops    float64
-	opNs   float64 // ops at the Env's clock, undilated
+	opNs   float64 // a row's CPU charge at the Env's clock, undilated
 	gather bool    // stream 0 is the gathered index
 	never  bool    // no row is absorbed (Scalar)
 
@@ -141,7 +140,7 @@ type Rows struct {
 // Rows returns the driver of a loop over rows 0..n-1 that charges ops CPU
 // operations per row (see Rows).
 func (e *Env) Rows(n int, ops float64) Rows {
-	return Rows{e: e, ops: ops, opNs: hw.OpNs(e.ClockGHz, ops), N: n}
+	return Rows{e: e, opNs: hw.OpNs(e.clock, ops), N: n}
 }
 
 // Gather makes the loop take each row's index from a list of uint32s at base,
@@ -202,8 +201,8 @@ func (r *Rows) Next() bool {
 		r.Row = int(binary.LittleEndian.Uint32(r.scalar(&streams[0], r.I)))
 		streams = streams[1:]
 	}
-	if r.ops > 0 {
-		r.e.Compute(r.ops)
+	if r.opNs > 0 {
+		r.e.advance(r.opNs)
 	}
 	for i := range streams {
 		if s := &streams[i]; s.mode&StreamExplicit == 0 {
@@ -264,8 +263,8 @@ func (r *Rows) quiet() int {
 		}
 	}
 	ns, stepNs := r.opNs, e.P.M.Cfg.HW.DRAMSeqLineNs
-	if e.Dilation != nil {
-		dil := e.Dilation()
+	if e.dil != nil {
+		dil := *e.dil
 		ns, stepNs = ns*dil, stepNs*dil
 	}
 	r.d, r.step = sim.FromNs(ns), sim.FromNs(stepNs)

@@ -51,9 +51,8 @@ func (b *kvBuf) append(env *ddc.Env, kv KV) {
 }
 
 func (b *kvBuf) get(env *ddc.Env, i int) KV {
-	var pair [2]uint64
-	env.ReadU64s(b.base+mem.Addr(i*16), pair[:])
-	return KV{K: int64(pair[0]), V: int64(pair[1])}
+	a := b.base + mem.Addr(i*16)
+	return KV{K: env.ReadI64(a), V: env.ReadI64(a + 8)}
 }
 
 // Job defines a MapReduce application: Map tokenises one input chunk and

@@ -21,7 +21,8 @@ import (
 //
 // Not listed because benchmark/probes.go calls them, but alive for no other
 // reason: mem.NewPageTable, PageTable.Ensure/Lookup and PTE.Dirty exist only so
-// the mem.pt_lookup_ns probe has something to time (ROADMAP item 9d).
+// the mem.pt_lookup_ns probe has something to time, and ddc.Env.ReadU64s, a
+// loop of ReadU64, only for the ddc.read_batched_ns probe (ROADMAP item 9d).
 var surfaceKeep = map[string]string{
 	"bench.RunWorkload": "oracle: the single-run entry bench's determinism, chaos and golden tests compare runs through",
 
