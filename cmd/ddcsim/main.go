@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"teleport/internal/bench"
+	"teleport/internal/core"
 	"teleport/internal/fault"
 	"teleport/internal/obs"
 	"teleport/internal/sim"
@@ -40,6 +41,7 @@ type binder struct {
 	kind                     string
 	report, list             bool
 	machines, rounds         int
+	policy                   core.Policy
 	deadlineUs, cooldownUs   float64
 	paths                    [len(artifacts)]string
 	profiles                 [len(hostProfiles)]string
@@ -88,10 +90,11 @@ var (
 		b.fs.Int64Var(&b.opts.ChaosSeed, "chaos-seed", 0, "fault plan seed (0 = reuse -seed)")
 	}}
 	gPolicy = group{"pushdown policy", func(b *binder) {
-		b.fs.IntVar(&b.opts.PushQueueCap, "push-queue-cap", 0, "memory-pool workqueue capacity; beyond it requests are shed (0 = unbounded)")
-		b.fs.Float64Var(&b.deadlineUs, "push-deadline-us", 0, "per-attempt pushdown deadline budget in virtual microseconds (0 = none)")
-		b.fs.IntVar(&b.opts.BreakerThreshold, "breaker-threshold", 0, "circuit-breaker consecutive-failure threshold (0 = default, negative = disabled)")
-		b.fs.Float64Var(&b.cooldownUs, "breaker-cooldown-us", 0, "circuit-breaker open cooldown in virtual microseconds (0 = default)")
+		b.policy = core.DefaultPolicy()
+		b.opts.Policy = &b.policy
+		b.fs.Float64Var(&b.deadlineUs, "push-deadline-us", b.policy.Deadline.Micros(), "per-attempt pushdown deadline budget in virtual microseconds (0 = none)")
+		b.fs.IntVar(&b.policy.BreakerThreshold, "breaker-threshold", b.policy.BreakerThreshold, "circuit-breaker consecutive-failure threshold; 0 turns the breaker off")
+		b.fs.Float64Var(&b.cooldownUs, "breaker-cooldown-us", b.policy.BreakerCooldown.Micros(), "circuit-breaker open cooldown in virtual microseconds")
 	}}
 	gParallel = group{"host parallelism (data points)", func(b *binder) {
 		b.fs.IntVar(&b.opts.Parallel, "parallel", 0, "concurrent workloads or figure data points on the host: 0 = one per core (GOMAXPROCS), 1 = sequential, n = n workers")
@@ -233,8 +236,8 @@ func (v verb) bind(stderr io.Writer) *binder {
 }
 
 // check rejects the dataset sizes the generators cannot build, cache
-// fractions no cache can be sized to, and pushdown-policy durations and queue
-// caps that are none, in the verbs that take them.
+// fractions no cache can be sized to, negative counts, and pushdown-policy
+// durations that are none, in the verbs that take them.
 func (b *binder) check() error {
 	o := &b.opts
 	switch {
@@ -248,6 +251,11 @@ func (b *binder) check() error {
 	case !(o.CacheFrac >= 0) || math.IsInf(o.CacheFrac, 1):
 		return fmt.Errorf("-cache-frac must be a finite number ≥ 0, got %v", o.CacheFrac)
 	}
+	for _, name := range []string{"trace", "exact-quantiles", "incident-events", "parallel", "sim-workers", "breaker-threshold"} {
+		if f := b.fs.Lookup(name); f != nil && f.Value.(flag.Getter).Get().(int) < 0 {
+			return fmt.Errorf("-%s must be ≥ 0, got %v", name, f.Value)
+		}
+	}
 	if b.fs.Lookup("push-deadline-us") == nil { // the verb takes no pushdown policy
 		return nil
 	}
@@ -260,9 +268,6 @@ func (b *binder) check() error {
 		if !(d.us >= 0 && d.us*1e3 < math.MaxInt64) {
 			return fmt.Errorf("-%s must be a finite number ≥ 0 below %g, got %v", d.flag, math.MaxInt64/1e3, d.us)
 		}
-	}
-	if o.PushQueueCap < 0 {
-		return fmt.Errorf("-push-queue-cap must be ≥ 0, got %d", o.PushQueueCap)
 	}
 	return nil
 }
@@ -300,7 +305,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 func runVerb(b *binder, stdout io.Writer) error {
 	names := strings.Split(strings.ReplaceAll(b.workload, " ", ""), ",")
 	o := &b.opts
-	o.PushDeadline, o.BreakerCooldown = sim.FromNs(b.deadlineUs*1e3), sim.FromNs(b.cooldownUs*1e3)
+	b.policy.Deadline, b.policy.BreakerCooldown = sim.FromNs(b.deadlineUs*1e3), sim.FromNs(b.cooldownUs*1e3)
 	tail := o.TraceCap > 0
 	for i, a := range artifacts {
 		if b.paths[i] == "" {

@@ -38,7 +38,14 @@ import (
 //	ddcsim cluster -cluster 8 -cluster-rounds 4 -scale 2 -chaos-profile partition-chaos \
 //	    -pool-shards 4 -replicas 3 -write-quorum 2
 //
-// which shows 3 pool stalls and a retried sync message. The two metrics.json
+// which shows 3 pool stalls and a retried sync message. run_policy.txt and
+// run_policy_nobreaker.txt carry the pushdown-policy flags through to a
+// runtime; they were recorded before those flags became one core.Policy, from
+//
+//	ddcsim run -workload Q9 -platform teleport -scale 0.25 -chaos-profile chaos \
+//	    -push-deadline-us 200 {-breaker-threshold 1 -breaker-cooldown-us 100 | -breaker-threshold -1}
+//
+// where a threshold of -1 turned the breaker off, as 0 does now. The two metrics.json
 // files were re-recorded when the typed stats became the only counters: their
 // histograms are the old binary's bytes, and every counter and gauge it wrote
 // keeps its value among the now fixed key set.
@@ -81,6 +88,8 @@ func TestVerbsReproduceRecordedOutput(t *testing.T) {
 		{"datagen_graph.txt", "datagen -kind graph -graph-nv 4000"},
 		{"datagen_corpus.txt", "datagen -kind corpus -words 20000"},
 		{"run_trace_tail.txt", "run -workload Q6 -platform teleport -scale 0.25 -trace 8"},
+		{"run_policy.txt", "run -workload Q9 -platform teleport -scale 0.25 -chaos-profile chaos -push-deadline-us 200 -breaker-threshold 1 -breaker-cooldown-us 100"},
+		{"run_policy_nobreaker.txt", "run -workload Q9 -platform teleport -scale 0.25 -chaos-profile chaos -push-deadline-us 200 -breaker-threshold 0"},
 	} {
 		want := golden(t, tc.golden)
 		// The figure header names the command that printed it; everything
@@ -245,18 +254,39 @@ func TestCLIErrors(t *testing.T) {
 		{"run -workload Q9 -push-deadline-us -5", "-push-deadline-us must be a finite number ≥ 0 below 9.223372036854776e+15, got -5"},
 		{"run -workload Q9 -breaker-cooldown-us -1", "-breaker-cooldown-us must be a finite number ≥ 0 below 9.223372036854776e+15, got -1"},
 		{"run -workload Q9 -breaker-cooldown-us -Inf", "-breaker-cooldown-us must be a finite number ≥ 0 below 9.223372036854776e+15, got -Inf"},
-		{"run -workload Q9 -push-queue-cap -2", "-push-queue-cap must be ≥ 0, got -2"},
+		{"run -workload Q9 -push-queue-cap -2", "flag provided but not defined: -push-queue-cap"},
+		{"run -workload Q9 -breaker-threshold -1", "-breaker-threshold must be ≥ 0, got -1"},
+		{"run -workload Q6 -trace -5", "-trace must be ≥ 0, got -5"},
+		{"run -workload Q6 -exact-quantiles -1", "-exact-quantiles must be ≥ 0, got -1"},
+		{"run -workload Q6 -incident-events -2", "-incident-events must be ≥ 0, got -2"},
+		{"run -workload Q6 -parallel -3", "-parallel must be ≥ 0, got -3"},
+		{"fig -fig 3 -parallel -1", "-parallel must be ≥ 0, got -1"},
+		{"cluster -sim-workers -4", "-sim-workers must be ≥ 0, got -4"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := cli(strings.Fields(tc.args), &stdout, &stderr); code == 0 {
+		code := cli(strings.Fields(tc.args), &stdout, &stderr)
+		if code == 0 {
 			t.Errorf("ddcsim %s: exit 0, want failure", tc.args)
 		}
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("ddcsim %s: stderr %q does not contain %q", tc.args, stderr.String(), tc.want)
 		}
-		if strings.Contains(tc.want, " must be ") && stdout.Len() != 0 { // a flag check runs before the verb
-			t.Errorf("ddcsim %s: printed before failing:\n%s", tc.args, stdout.String())
+		if strings.Contains(tc.want, " must be ") && (code != 1 || stdout.Len() != 0) { // a flag check runs before the verb
+			t.Errorf("ddcsim %s: exit %d, printed before failing:\n%s", tc.args, code, stdout.String())
 		}
+	}
+}
+
+// Every data point of a run starts its runtime from the one core.Policy the
+// flags fill, read concurrently under -parallel: two workloads with the
+// policy flags print at -parallel 2 the bytes they print at -parallel 1.
+// CI runs this under the race detector.
+func TestRunPolicyParallelMatchesSequential(t *testing.T) {
+	args := strings.Fields("run -workload Q9,WC -platform teleport -scale 0.25 -words 20000 -chaos-profile chaos" +
+		" -push-deadline-us 200 -breaker-threshold 1 -breaker-cooldown-us 100 -parallel")
+	seq := ddcsim(t, append(args, "1")...)
+	if par := ddcsim(t, append(args, "2")...); par != seq {
+		t.Errorf("-parallel 2 differs from -parallel 1:\n--- parallel ---\n%s--- sequential ---\n%s", par, seq)
 	}
 }
 

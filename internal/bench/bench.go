@@ -16,6 +16,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"teleport/internal/core"
 	"teleport/internal/fault"
 	"teleport/internal/mem"
 	"teleport/internal/sim"
@@ -91,24 +92,10 @@ type Options struct {
 	// fan-out. Requires W ≤ Replicas.
 	WriteQuorum int
 
-	// PushQueueCap bounds the memory pool's pushdown workqueue: beyond it,
-	// admission control sheds requests with ErrQueueFull (recovered by the
-	// retry policy). 0 keeps the unbounded FIFO.
-	PushQueueCap int
-
-	// PushDeadline is the per-attempt virtual-time budget for every
-	// pushdown call; a call that cannot finish in budget aborts (rolling
-	// back any partial writes) instead of stalling. 0 means no budget.
-	PushDeadline sim.Time
-
-	// BreakerThreshold overrides the runtime circuit breaker's
-	// consecutive-failure threshold: 0 keeps the default, a negative value
-	// disables the breaker.
-	BreakerThreshold int
-
-	// BreakerCooldown overrides the breaker's open → half-open cooldown
-	// (0 keeps the default).
-	BreakerCooldown sim.Time
+	// Policy is the pushdown recovery policy every TELEPORT runtime starts
+	// with (its workqueue cap, deadline, retries and breaker); nil means
+	// core.DefaultPolicy(). Runs share the pointee and never write it.
+	Policy *core.Policy
 
 	// Parallel bounds how many figure data points simulate concurrently on
 	// the host: 0 uses one worker per host core (GOMAXPROCS), 1 forces

@@ -199,10 +199,10 @@ func soakScenario(t *testing.T) soakObserved {
 	m.AttachTrace(ring)
 	p := m.NewProcess()
 	rt := core.NewRuntime(p, 1)
-	rt.QueueCap = 1
+	rt.Policy.QueueCap = 1
 	// The cooldown must outlast phase 1's own multi-millisecond execution,
 	// or the open breaker would already admit a probe at phase 2.
-	rt.Breaker = core.BreakerConfig{Threshold: 2, Cooldown: 50 * sim.Millisecond}
+	rt.Policy.BreakerThreshold, rt.Policy.BreakerCooldown = 2, 50*sim.Millisecond
 
 	th := sim.NewThread("driver")
 	a := p.Space.AllocPages(pages*mem.PageSize, "vec")
@@ -216,18 +216,17 @@ func soakScenario(t *testing.T) soakObserved {
 			env.WriteI64(addr, env.ReadI64(addr)+1)
 		}
 	}
-	pol := core.DefaultRetryThenLocal()
 
 	// Phase 1 — rollback: every pushdown attempt crashes mid-execution, so
 	// the policy rolls back twice and falls back locally; two consecutive
 	// failures open the breaker.
 	m.AttachFault(fault.NewPlan(fault.Profile{Name: "mid", CtxCrashMidProb: 1}, 3))
-	if _, ran, err := rt.PushdownWithPolicy(th, inc, core.Options{}, pol); err != nil || ran {
+	if _, ran, err := rt.PushdownWithPolicy(th, inc, core.Options{}); err != nil || ran {
 		t.Fatalf("phase 1: ran=%v err=%v, want rollback + local fallback", ran, err)
 	}
 
 	// Phase 2 — open breaker short-circuits straight to local execution.
-	if _, ran, err := rt.PushdownWithPolicy(th, inc, core.Options{}, pol); err != nil || ran {
+	if _, ran, err := rt.PushdownWithPolicy(th, inc, core.Options{}); err != nil || ran {
 		t.Fatalf("phase 2: ran=%v err=%v, want short-circuit", ran, err)
 	}
 
@@ -235,7 +234,7 @@ func soakScenario(t *testing.T) soakObserved {
 	// succeeds and closes the breaker.
 	m.AttachFault(nil)
 	th.Advance(60 * sim.Millisecond)
-	if _, ran, err := rt.PushdownWithPolicy(th, inc, core.Options{}, pol); err != nil || !ran {
+	if _, ran, err := rt.PushdownWithPolicy(th, inc, core.Options{}); err != nil || !ran {
 		t.Fatalf("phase 3: ran=%v err=%v, want a successful probe", ran, err)
 	}
 
@@ -390,7 +389,7 @@ func partitionScenario(t *testing.T) partObserved {
 			s += env.ReadI64(a + mem.Addr(i*8))
 		}
 		out = s
-	}, core.Options{}, core.DefaultRetryThenLocal())
+	}, core.Options{})
 	if err != nil || !ran {
 		t.Fatalf("policy: ran=%v err=%v, want a successful retry after the partition heals", ran, err)
 	}

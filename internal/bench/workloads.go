@@ -382,12 +382,8 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 	ex := profile.NewExec(sim.NewThread(w.Name), p, nil)
 	if spec.platform == platTeleport {
 		rt := core.NewRuntime(p, cmp.Or(spec.contexts, 1))
-		rt.QueueCap = opts.PushQueueCap
-		if t := opts.BreakerThreshold; t != 0 {
-			rt.Breaker.Threshold = max(t, 0) // negative disables
-		}
-		if opts.BreakerCooldown > 0 {
-			rt.Breaker.Cooldown = opts.BreakerCooldown
+		if opts.Policy != nil {
+			rt.Policy = *opts.Policy
 		}
 		ex.RT = rt
 		push := w.PushOps
@@ -395,7 +391,6 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 			push = strings.FieldsFunc(spec.pushOps.v, func(r rune) bool { return r == ',' })
 		}
 		ex.Push(push...)
-		ex.PushDeadline = opts.PushDeadline
 	}
 	var rec *obs.Recorder
 	if opts.IncidentEvents > 0 {

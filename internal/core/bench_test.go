@@ -226,9 +226,10 @@ func TestRequestBytesIsMarshalledLength(t *testing.T) {
 	}
 }
 
-// captureOpts makes a call that can roll back, so it journals what it dirties:
-// a deadline far past anything the call takes arms it without ever firing.
-var captureOpts = Options{Deadline: sim.Second}
+// captureDeadline makes a call that can roll back, so it journals what it
+// dirties: a deadline far past anything the call takes arms it without ever
+// firing.
+const captureDeadline = sim.Second
 
 // BenchmarkJournalCapture measures pre-image capture across pushdown calls
 // that each dirty many pages — the crash-consistency hot path the buffer
@@ -238,6 +239,7 @@ func BenchmarkJournalCapture(b *testing.B) {
 	m := ddc.MustMachine(ddc.BaseDDC(256 * mem.PageSize))
 	p := m.NewProcess()
 	rt := NewRuntime(p, 1)
+	rt.Policy.Deadline = captureDeadline
 	const pages = 64
 	a := p.Space.AllocPages(pages*mem.PageSize, "v")
 	th := sim.NewThread("bench")
@@ -250,7 +252,7 @@ func BenchmarkJournalCapture(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.Pushdown(th, body, captureOpts); err != nil {
+		if _, err := rt.Pushdown(th, body, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,6 +269,7 @@ func TestJournalCapturePooled(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(256 * mem.PageSize))
 	p := m.NewProcess()
 	rt := NewRuntime(p, 1)
+	rt.Policy.Deadline = captureDeadline
 	const pages = 64
 	a := p.Space.AllocPages(pages*mem.PageSize, "v")
 	th := sim.NewThread("t")
@@ -277,7 +280,7 @@ func TestJournalCapturePooled(t *testing.T) {
 		}
 	}
 	call := func() {
-		if _, err := rt.Pushdown(th, body, captureOpts); err != nil {
+		if _, err := rt.Pushdown(th, body, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,10 +309,11 @@ func TestJournalCapturePooled(t *testing.T) {
 func TestUnarmedCallKeepsNoPreimages(t *testing.T) {
 	const pages = 64
 	for _, tc := range []struct {
-		opts     Options
+		deadline sim.Time
 		captures int
-	}{{Options{}, 0}, {captureOpts, pages}} {
+	}{{0, 0}, {captureDeadline, pages}} {
 		p, rt := testProc(256)
+		rt.Policy.Deadline = tc.deadline
 		a := p.Space.AllocPages(pages*mem.PageSize, "v")
 		body := func(env *ddc.Env) {
 			for pg := 0; pg < pages; pg++ {
@@ -317,19 +321,19 @@ func TestUnarmedCallKeepsNoPreimages(t *testing.T) {
 				env.WriteI64(addr, env.ReadI64(addr)+1)
 			}
 		}
-		if _, err := rt.Pushdown(sim.NewThread("t"), body, tc.opts); err != nil {
+		if _, err := rt.Pushdown(sim.NewThread("t"), body, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		slot := rt.scratch[0].pager.journal.slot
 		if tc.captures == 0 {
 			if len(slot) != 0 {
-				t.Fatalf("Deadline %v: journal slot index spans %d pages, want none captured", tc.opts.Deadline, len(slot))
+				t.Fatalf("Deadline %v: journal slot index spans %d pages, want none captured", tc.deadline, len(slot))
 			}
 			continue
 		}
 		for i := 0; i < tc.captures; i++ {
 			if pg := int(mem.PageOf(a)) + i; pg >= len(slot) || slot[pg] != uint32(i) {
-				t.Fatalf("Deadline %v: page %d of %d was not the call's capture %d", tc.opts.Deadline, i, pages, i)
+				t.Fatalf("Deadline %v: page %d of %d was not the call's capture %d", tc.deadline, i, pages, i)
 			}
 		}
 	}

@@ -147,7 +147,7 @@ func TestRetryAtExactRecoveryInstant(t *testing.T) {
 	a := fillVec(p, th, 64)
 	th.AdvanceTo(150 * sim.Microsecond)
 	var out int64
-	_, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{}, DefaultRetryThenLocal())
+	_, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{})
 	if err != nil || !ran {
 		t.Fatalf("policy: ran=%v err=%v, want a successful retry after the restart", ran, err)
 	}

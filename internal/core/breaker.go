@@ -6,32 +6,14 @@ import (
 )
 
 // This file implements the runtime's health-tracking circuit breaker. The
-// per-call RetryThenLocal loop is memoryless: during a long outage every
-// call independently burns its full retry budget before degrading. The
-// breaker adds cross-call memory — after Threshold consecutive recoverable
-// failures it opens and PushdownWithPolicy short-circuits straight to
-// compute-side execution, sparing the retry storms; after Cooldown of
-// virtual time one probe call is allowed through (half-open), and its
-// outcome decides between closing the breaker and re-opening it.
-
-// BreakerConfig configures the circuit breaker.
-type BreakerConfig struct {
-	// Threshold is how many consecutive recoverable pushdown failures
-	// (including shed requests) open the breaker. Zero disables it.
-	Threshold int
-
-	// Cooldown is how long the breaker stays open before allowing a
-	// half-open probe.
-	Cooldown sim.Time
-}
-
-// DefaultBreaker is the configuration NewRuntime installs: lenient enough
-// that the RetryThenLocal policy's own budget (an initial attempt plus
-// MaxRetries re-attempts) never opens it on one bad call, strict enough
-// that a persistent outage trips after two degraded calls.
-func DefaultBreaker() BreakerConfig {
-	return BreakerConfig{Threshold: 5, Cooldown: 500 * sim.Microsecond}
-}
+// per-call retry loop of PushdownWithPolicy is memoryless: during a long
+// outage every call independently burns its full retry budget before
+// degrading. The breaker adds cross-call memory — after
+// Policy.BreakerThreshold consecutive recoverable failures it opens and
+// PushdownWithPolicy short-circuits straight to compute-side execution,
+// sparing the retry storms; after Policy.BreakerCooldown of virtual time one
+// probe call is allowed through (half-open), and its outcome decides between
+// closing the breaker and re-opening it.
 
 // breakerState is the classic three-state machine.
 type breakerState uint8
@@ -46,13 +28,13 @@ const (
 // open → half-open when the cooldown has elapsed. A false return means the
 // caller must short-circuit to local execution.
 func (r *Runtime) breakerAllow(t *sim.Thread) bool {
-	if r.Breaker.Threshold <= 0 {
+	if r.Policy.BreakerThreshold <= 0 {
 		return true
 	}
 	if r.brState != brOpen {
 		return true
 	}
-	if t.Now()-r.brOpenedAt < r.Breaker.Cooldown {
+	if t.Now()-r.brOpenedAt < r.Policy.BreakerCooldown {
 		return false
 	}
 	r.brState = brHalfOpen
@@ -65,11 +47,11 @@ func (r *Runtime) breakerAllow(t *sim.Thread) bool {
 // re-opens a half-open breaker immediately (the probe failed) and opens a
 // closed one once the consecutive-failure streak reaches the threshold.
 func (r *Runtime) breakerFailure(t *sim.Thread) {
-	if r.Breaker.Threshold <= 0 {
+	if r.Policy.BreakerThreshold <= 0 {
 		return
 	}
 	r.brStreak++
-	if r.brState == brHalfOpen || (r.brState == brClosed && r.brStreak >= r.Breaker.Threshold) {
+	if r.brState == brHalfOpen || (r.brState == brClosed && r.brStreak >= r.Policy.BreakerThreshold) {
 		r.brState = brOpen
 		r.brOpenedAt = t.Now()
 		r.agg.BreakerOpens++
@@ -80,7 +62,7 @@ func (r *Runtime) breakerFailure(t *sim.Thread) {
 // breakerSuccess records one successful pushdown, resetting the streak and
 // closing a half-open breaker (the probe proved the pool healthy again).
 func (r *Runtime) breakerSuccess(t *sim.Thread) {
-	if r.Breaker.Threshold <= 0 {
+	if r.Policy.BreakerThreshold <= 0 {
 		return
 	}
 	r.brStreak = 0

@@ -94,15 +94,6 @@ type Options struct {
 	// memory pool ("buggy code", §3.2). Zero means no limit.
 	ExecLimit sim.Time
 
-	// Deadline is the call's virtual-time budget, measured from the attempt's
-	// entry and spanning queue wait, context setup, and execution. A call
-	// that cannot finish in budget aborts with ErrDeadlineExceeded instead
-	// of stalling the caller; an abort mid-execution first rolls the undo
-	// journal back, so the abort is Recoverable. Zero means no budget.
-	// Unlike Timeout (which only cancels while queued), the deadline is
-	// enforced at every phase of the call.
-	Deadline sim.Time
-
 	// EvictRanges lists the address ranges owned by the pushed computation
 	// for FlagEvictRanges.
 	EvictRanges []Range
@@ -170,7 +161,7 @@ type RuntimeStats struct {
 
 	// Crash-consistency and overload counters.
 	Shed                 int64 `ctr:"push.shed"`            // requests rejected by admission control (queue full)
-	DeadlineAborts       int64 `ctr:"push.deadline-aborts"` // calls aborted for blowing their Options.Deadline budget
+	DeadlineAborts       int64 `ctr:"push.deadline-aborts"` // calls aborted for blowing their Policy.Deadline budget
 	Rollbacks            int64 `ctr:"push.rollbacks"`       // undo-journal rollbacks performed (mid-crash, deadline and quorum-loss aborts)
 	RolledBackPages      int64 // pages restored across all rollbacks
 	BreakerOpens         int64 `ctr:"push.breaker.opens"`          // circuit-breaker closed/half-open → open transitions
@@ -220,17 +211,17 @@ var (
 	// machine's fault plan) — either before fn started, or mid-execution
 	// after fn dirtied pages, in which case the controller rolled the
 	// call's undo journal back before reporting the crash. Either way the
-	// pool state is as if fn never ran; the RetryThenLocal policy re-runs a
+	// pool state is as if fn never ran; PushdownWithPolicy re-runs a
 	// context-crashed pushdown once before degrading to local execution.
 	ErrContextCrashed = errors.New("teleport: pushdown context crashed in the memory pool")
 
 	// ErrQueueFull reports that admission control shed the request: the
-	// memory pool's workqueue already held Runtime.QueueCap waiters. The
+	// memory pool's workqueue already held Policy.QueueCap live waiters. The
 	// pushed function has not run; retrying (with backoff) or running
 	// locally is safe.
 	ErrQueueFull = errors.New("teleport: pushdown request shed (memory-pool workqueue full)")
 
-	// ErrDeadlineExceeded reports that the call blew its Options.Deadline
+	// ErrDeadlineExceeded reports that the call blew its Policy.Deadline
 	// budget. If execution had already dirtied pages, the undo journal was
 	// rolled back before this error was reported, so the pool state is as
 	// if fn never ran and retrying or falling back is safe.
@@ -239,7 +230,7 @@ var (
 	// ErrShardDown reports that a pushdown's resident pages include one
 	// whose entire replica set — primary shard plus every backup — is down
 	// in a sharded memory pool, so the pool cannot serve the call's working
-	// set. The pushed function has NOT run; the RetryThenLocal policy waits
+	// set. The pushed function has NOT run; PushdownWithPolicy waits
 	// for the earliest shard restart and retries before degrading to local
 	// execution. Like every sentinel here it must be matched with
 	// errors.Is, never ==.
@@ -250,7 +241,7 @@ var (
 	// node — crashed shards or partitioned links — so the call's writes
 	// could not commit. If execution had already dirtied pages when the
 	// partition hit, the undo journal was rolled back before this error
-	// was reported, so retrying is safe; the RetryThenLocal policy waits
+	// was reported, so retrying is safe; PushdownWithPolicy waits
 	// for the earliest scheduled link heal, mirroring ErrShardDown. Must
 	// be matched with errors.Is, never ==.
 	ErrQuorumLost = errors.New("teleport: write quorum unreachable (partitioned replicas)")

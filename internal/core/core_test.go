@@ -547,6 +547,7 @@ func TestZeroPolicyFallsBackOnCancel(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
 	p := m.NewProcess()
 	rt := NewRuntime(p, 1)
+	rt.Policy = Policy{}
 	a := p.Space.Alloc(8, "x")
 
 	var ranLocally bool
@@ -563,7 +564,7 @@ func TestZeroPolicyFallsBackOnCancel(t *testing.T) {
 		_, pushed, err := rt.PushdownWithPolicy(th, func(env *ddc.Env) {
 			env.WriteI64(a, 7)
 			ranLocally = true
-		}, Options{Timeout: sim.Millisecond}, RetryThenLocal{})
+		}, Options{Timeout: sim.Millisecond})
 		if err != nil {
 			t.Errorf("short: %v", err)
 		}
@@ -582,8 +583,9 @@ func TestZeroPolicyFallsBackOnCancel(t *testing.T) {
 
 func TestZeroPolicyPushesWhenFree(t *testing.T) {
 	_, rt := testProc(16)
+	rt.Policy = Policy{}
 	th := sim.NewThread("t")
-	_, pushed, err := rt.PushdownWithPolicy(th, func(env *ddc.Env) {}, Options{Timeout: sim.Millisecond}, RetryThenLocal{})
+	_, pushed, err := rt.PushdownWithPolicy(th, func(env *ddc.Env) {}, Options{Timeout: sim.Millisecond})
 	if err != nil || !pushed {
 		t.Fatalf("pushed=%v err=%v", pushed, err)
 	}
@@ -867,7 +869,7 @@ func countKind(r *trace.Ring, k trace.Kind) int {
 }
 
 // A pushdown issued while the memory pool is down, and down again at every
-// restart the policy waits for, must complete via the RetryThenLocal
+// restart the policy waits for, must complete via the policy's local
 // fallback: pushed=false, nil error, a fallback-local trace event — not a
 // bare ErrMemoryPoolDown.
 func TestPushdownWithPolicyFallsBackWhenPoolDown(t *testing.T) {
@@ -883,8 +885,8 @@ func TestPushdownWithPolicyFallsBackWhenPoolDown(t *testing.T) {
 		fault.Window{Up: sim.Second}, fault.Window{Down: sim.Second, Up: 2 * sim.Second},
 		fault.Window{Down: 2 * sim.Second, Up: forever}))
 	var sum int64
-	pol := RetryThenLocal{MaxRetries: 2, Backoff: sim.Microsecond}
-	_, pushed, err := rt.PushdownWithPolicy(th, sumFunc(a, 1000, &sum), Options{}, pol)
+	rt.Policy.MaxRetries, rt.Policy.Backoff = 2, sim.Microsecond
+	_, pushed, err := rt.PushdownWithPolicy(th, sumFunc(a, 1000, &sum), Options{})
 	if err != nil {
 		t.Fatalf("PushdownWithPolicy: %v", err)
 	}
@@ -898,8 +900,8 @@ func TestPushdownWithPolicyFallsBackWhenPoolDown(t *testing.T) {
 	if st.LocalFallbacks != 1 {
 		t.Fatalf("LocalFallbacks = %d, want 1", st.LocalFallbacks)
 	}
-	if st.Retries != int64(pol.MaxRetries) {
-		t.Fatalf("Retries = %d, want %d", st.Retries, pol.MaxRetries)
+	if st.Retries != int64(rt.Policy.MaxRetries) {
+		t.Fatalf("Retries = %d, want %d", st.Retries, rt.Policy.MaxRetries)
 	}
 	if st.PoolDownObserved == 0 {
 		t.Fatalf("PoolDownObserved = 0, want > 0")
@@ -924,7 +926,7 @@ func TestContextCrashRerunOnceThenLocal(t *testing.T) {
 	a := fillVec(p, th, 500)
 
 	var sum int64
-	_, pushed, err := rt.PushdownWithPolicy(th, sumFunc(a, 500, &sum), Options{}, DefaultRetryThenLocal())
+	_, pushed, err := rt.PushdownWithPolicy(th, sumFunc(a, 500, &sum), Options{})
 	if err != nil {
 		t.Fatalf("PushdownWithPolicy: %v", err)
 	}
@@ -996,7 +998,7 @@ func TestPolicyRetriesThroughScheduledOutage(t *testing.T) {
 	th.AdvanceTo(inWindow)
 
 	var sum int64
-	_, pushed, err := rt.PushdownWithPolicy(th, sumFunc(a, 200, &sum), Options{}, DefaultRetryThenLocal())
+	_, pushed, err := rt.PushdownWithPolicy(th, sumFunc(a, 200, &sum), Options{})
 	if err != nil {
 		t.Fatalf("PushdownWithPolicy: %v", err)
 	}

@@ -70,7 +70,7 @@ func TestMidCrashRollsBackNonIdempotentWrites(t *testing.T) {
 	th := sim.NewThread("t")
 	a := fillVecPages(p, th)
 
-	st, ran, err := rt.PushdownWithPolicy(th, incVecPages(a), Options{}, DefaultRetryThenLocal())
+	st, ran, err := rt.PushdownWithPolicy(th, incVecPages(a), Options{})
 	if err != nil {
 		t.Fatalf("policy: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestMidCrashSameSeedBitIdentical(t *testing.T) {
 		th := sim.NewThread("t")
 		a := fillVecPages(p, th)
 		for i := 0; i < 6; i++ {
-			if _, _, err := rt.PushdownWithPolicy(th, incVecPages(a), Options{}, DefaultRetryThenLocal()); err != nil {
+			if _, _, err := rt.PushdownWithPolicy(th, incVecPages(a), Options{}); err != nil {
 				t.Fatalf("policy: %v", err)
 			}
 		}
@@ -163,7 +163,7 @@ func TestQueueFullShedsDeterministically(t *testing.T) {
 	ring := trace.New(1024)
 	m.AttachTrace(ring)
 	rt := NewRuntime(p, 1)
-	rt.QueueCap = 1
+	rt.Policy.QueueCap = 1
 
 	errs := make([]error, 3)
 	s := sim.NewScheduler()
@@ -214,7 +214,8 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	s.Spawn("budgeted", 0, func(th *sim.Thread) {
 		th.Advance(10 * sim.Microsecond)
 		start := th.Now()
-		_, errSecond = rt.Pushdown(th, func(env *ddc.Env) {}, Options{Deadline: sim.Millisecond})
+		rt.Policy.Deadline = sim.Millisecond // read at entry: the long call runs unbudgeted
+		_, errSecond = rt.Pushdown(th, func(env *ddc.Env) {}, Options{})
 		waited = th.Now() - start
 	})
 	s.Run()
@@ -235,6 +236,48 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	}
 }
 
+// A queued request whose budget has run out gives its workqueue slot back
+// before admission control counts the queue: with QueueCap 1 and a 10 ms
+// call holding the one context, A queues at 10 µs with a 1 ms budget, and B,
+// arriving unbudgeted at 2 ms, waits for the context instead of being shed
+// for A's stale slot.
+func TestExpiredWaiterFreesQueueSlot(t *testing.T) {
+	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
+	p := m.NewProcess()
+	rt := NewRuntime(p, 1)
+	rt.Policy.QueueCap = 1
+
+	var errA, errB error
+	var doneA sim.Time
+	s := sim.NewScheduler()
+	s.Spawn("long", 0, func(th *sim.Thread) {
+		if _, err := rt.Pushdown(th, func(env *ddc.Env) {
+			env.Compute(21_000_000) // ~10 ms
+		}, Options{}); err != nil {
+			t.Errorf("long pushdown: %v", err)
+		}
+	})
+	s.Spawn("A", 10*sim.Microsecond, func(th *sim.Thread) {
+		rt.Policy.Deadline = sim.Millisecond // read at entry, as B's reset is
+		_, errA = rt.Pushdown(th, func(env *ddc.Env) {}, Options{})
+		doneA = th.Now()
+	})
+	s.Spawn("B", 2*sim.Millisecond, func(th *sim.Thread) {
+		rt.Policy.Deadline = 0
+		_, errB = rt.Pushdown(th, func(env *ddc.Env) {}, Options{})
+	})
+	s.Run()
+	if !errors.Is(errA, ErrDeadlineExceeded) || doneA > 2*sim.Millisecond {
+		t.Fatalf("A: err = %v at %v, want ErrDeadlineExceeded at its 1 ms budget", errA, doneA)
+	}
+	if errB != nil {
+		t.Fatalf("B: err = %v, want a pushdown after the long call (A's slot had expired)", errB)
+	}
+	if rt.Stats().Shed != 0 {
+		t.Fatalf("Shed = %d, want 0", rt.Stats().Shed)
+	}
+}
+
 // A call that blows its budget mid-execution aborts, rolls its partial
 // writes back, and leaves the data untouched.
 func TestDeadlineExpiresMidExecutionRollsBack(t *testing.T) {
@@ -242,7 +285,8 @@ func TestDeadlineExpiresMidExecutionRollsBack(t *testing.T) {
 	th := sim.NewThread("t")
 	a := fillVecPages(p, th)
 
-	st, err := rt.Pushdown(th, incVecPages(a), Options{Deadline: 100 * sim.Microsecond})
+	rt.Policy.Deadline = 100 * sim.Microsecond
+	st, err := rt.Pushdown(th, incVecPages(a), Options{})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -317,15 +361,14 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 	p, rt := testProc(16)
 	ring := trace.New(1024)
 	p.M.AttachTrace(ring)
-	rt.Breaker = BreakerConfig{Threshold: 2, Cooldown: 300 * sim.Microsecond}
+	rt.Policy = Policy{BreakerThreshold: 2, BreakerCooldown: 300 * sim.Microsecond}
 	th := sim.NewThread("t")
 	a := fillVec(p, th, 64)
 	var out int64
-	pol := RetryThenLocal{MaxRetries: 0}
 
 	outage := pinPoolDown(p.M)
 	for i := 0; i < 2; i++ {
-		if _, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{}, pol); err != nil || ran {
+		if _, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{}); err != nil || ran {
 			t.Fatalf("call %d: ran=%v err=%v, want local fallback", i, ran, err)
 		}
 	}
@@ -336,7 +379,7 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 
 	// Open: the next call must not even attempt a pushdown.
 	calls := rt.Stats().Calls
-	if _, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{}, pol); err != nil || ran {
+	if _, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{}); err != nil || ran {
 		t.Fatalf("short-circuit call: ran=%v err=%v", ran, err)
 	}
 	if rt.Stats().Calls != calls {
@@ -350,7 +393,7 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 	// and closes the breaker.
 	th.Advance(400 * sim.Microsecond)
 	outage.Pin(fault.Pool())
-	if _, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{}, pol); err != nil || !ran {
+	if _, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 64, &out), Options{}); err != nil || !ran {
 		t.Fatalf("probe call: ran=%v err=%v, want a successful pushdown", ran, err)
 	}
 	rs = rt.Stats()
@@ -370,16 +413,15 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 // A failed half-open probe re-opens the breaker immediately.
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	p, rt := testProc(16)
-	rt.Breaker = BreakerConfig{Threshold: 1, Cooldown: 100 * sim.Microsecond}
+	rt.Policy = Policy{BreakerThreshold: 1, BreakerCooldown: 100 * sim.Microsecond}
 	th := sim.NewThread("t")
 	a := fillVec(p, th, 8)
 	var out int64
-	pol := RetryThenLocal{MaxRetries: 0}
 
 	pinPoolDown(p.M)
-	rt.PushdownWithPolicy(th, sumFunc(a, 8, &out), Options{}, pol) // opens
+	rt.PushdownWithPolicy(th, sumFunc(a, 8, &out), Options{}) // opens
 	th.Advance(200 * sim.Microsecond)
-	rt.PushdownWithPolicy(th, sumFunc(a, 8, &out), Options{}, pol) // probe fails → reopen
+	rt.PushdownWithPolicy(th, sumFunc(a, 8, &out), Options{}) // probe fails → reopen
 	rs := rt.Stats()
 	if rs.BreakerOpens != 2 || rs.BreakerHalfOpens != 1 || rs.BreakerCloses != 0 {
 		t.Fatalf("opens=%d half=%d closes=%d, want 2/1/0", rs.BreakerOpens, rs.BreakerHalfOpens, rs.BreakerCloses)

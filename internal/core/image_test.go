@@ -81,7 +81,7 @@ func TestAbortedPushdownOnImagePagesRestoresByUnsharing(t *testing.T) {
 	}
 
 	// The fallback of the policy applies the increments exactly once, in p only.
-	if _, ran, err := rt.PushdownWithPolicy(th, incVecPages(a), Options{}, DefaultRetryThenLocal()); err != nil || ran {
+	if _, ran, err := rt.PushdownWithPolicy(th, incVecPages(a), Options{}); err != nil || ran {
 		t.Fatalf("policy: ran=%v err=%v, want the compute-side fallback", ran, err)
 	}
 	checkVecOnce(t, p, th, a, "after fallback")

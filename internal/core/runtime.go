@@ -59,16 +59,8 @@ type Runtime struct {
 	// Figure 17). With one context, concurrent requests serialise FIFO.
 	Contexts int
 
-	// QueueCap bounds the memory pool's workqueue: when every context is
-	// busy and QueueCap requests are already waiting, admission control
-	// sheds the call with ErrQueueFull instead of queueing it (deterministic
-	// load-shedding; overload turns into fast failure, not unbounded wait).
-	// Zero keeps the unbounded FIFO.
-	QueueCap int
-
-	// Breaker configures the runtime's health-tracking circuit breaker
-	// (used by PushdownWithPolicy; bare Pushdown calls bypass it).
-	Breaker BreakerConfig
+	// Policy is the recovery policy every call reads at its entry.
+	Policy Policy
 
 	running int
 	lastID  int64 // id of the most recently started call
@@ -130,7 +122,7 @@ func (r *Runtime) putScratch(scr *callScratch) { r.scratch = append(r.scratch, s
 type waiter struct {
 	t         *sim.Thread
 	deadline  sim.Time // 0 = no timeout
-	budget    bool     // deadline comes from Options.Deadline, not Timeout
+	budget    bool     // deadline comes from Policy.Deadline, not Timeout
 	cancelled bool
 }
 
@@ -140,7 +132,7 @@ func NewRuntime(p *ddc.Process, contexts int) *Runtime {
 	if contexts < 1 {
 		contexts = 1
 	}
-	r := &Runtime{P: p, Contexts: contexts, Breaker: DefaultBreaker()}
+	r := &Runtime{P: p, Contexts: contexts, Policy: DefaultPolicy()}
 	r.temp.reset()
 	r.hooks.rt = r
 	return r
@@ -173,31 +165,56 @@ func (r *Runtime) observeHeartbeat(t *sim.Thread) bool {
 	return down
 }
 
-// RetryThenLocal is the pushdown recovery policy: re-attempt a recoverably
-// failed pushdown up to MaxRetries times with exponential backoff, then
-// degrade gracefully to compute-side execution. A context-crashed pushdown
-// is re-run once immediately (the crash does not consume a retry); a pool
-// outage waits for the scheduled restart instead of blind backoff. The zero
-// policy is §3.2's cancel-and-run-locally: a request cancelled while queued
-// (try_cancel after Options.Timeout), like any other Recoverable failure,
-// runs fn in the compute pool at once ("the application is free to execute
-// fn directly in the compute pool").
-type RetryThenLocal struct {
-	// MaxRetries bounds re-attempts after a Recoverable failure (a crashed
-	// context's one immediate re-run does not consume one).
+// Policy is the compute side's one recovery policy (§3.2): how many
+// requests may wait for a context, how long each attempt may take, how
+// often a recoverably failed call is re-attempted before fn runs in the
+// compute pool, and when the circuit breaker stops attempting at all. Every
+// knob is off at zero: the zero Policy is §3.2's cancel-and-run-locally — a
+// request cancelled while queued (try_cancel after Options.Timeout), like
+// any other Recoverable failure, runs fn in the compute pool at once ("the
+// application is free to execute fn directly in the compute pool").
+type Policy struct {
+	// QueueCap bounds the memory pool's workqueue: when every context is
+	// busy and QueueCap live requests are already waiting, admission control
+	// sheds the call with ErrQueueFull instead of queueing it (overload
+	// turns into fast failure, not unbounded wait). Zero keeps the unbounded
+	// FIFO.
+	QueueCap int
+
+	// Deadline is each attempt's virtual-time budget, measured from its
+	// entry and spanning queue wait, context setup and execution. An attempt
+	// that cannot finish in budget aborts with ErrDeadlineExceeded instead
+	// of stalling the caller; an abort mid-execution first rolls the undo
+	// journal back, so the abort is Recoverable. Unlike Options.Timeout
+	// (which only cancels while queued), the deadline is enforced at every
+	// phase of the call. Zero means no budget.
+	Deadline sim.Time
+
+	// MaxRetries bounds PushdownWithPolicy's re-attempts after a Recoverable
+	// failure (a crashed context's one immediate re-run does not consume
+	// one). Backoff is the first retry delay; it doubles per retry, capped
+	// at 64×. Zero retries immediately.
 	MaxRetries int
-	// Backoff is the first retry delay; it doubles per retry, capped at
-	// 64×. Zero retries immediately.
-	Backoff sim.Time
+	Backoff    sim.Time
+
+	// BreakerThreshold is how many consecutive recoverable failures
+	// (including shed requests) open the circuit breaker (breaker.go); zero
+	// disables it. BreakerCooldown is how long it stays open before a
+	// half-open probe.
+	BreakerThreshold int
+	BreakerCooldown  sim.Time
 }
 
-// DefaultRetryThenLocal is the policy the instrumented executors use.
-func DefaultRetryThenLocal() RetryThenLocal {
-	return RetryThenLocal{MaxRetries: 3, Backoff: 50 * sim.Microsecond}
+// DefaultPolicy is the policy NewRuntime installs: an unbounded queue, no
+// budget, three retries from 50 µs, and a breaker lenient enough that one
+// call's own attempts (the first plus MaxRetries) never open it, strict
+// enough that a persistent outage trips it after two degraded calls.
+func DefaultPolicy() Policy {
+	return Policy{MaxRetries: 3, Backoff: 50 * sim.Microsecond, BreakerThreshold: 5, BreakerCooldown: 500 * sim.Microsecond}
 }
 
-// PushdownWithPolicy runs fn under the RetryThenLocal recovery policy and
-// the runtime's circuit breaker. It returns the last pushdown attempt's
+// PushdownWithPolicy runs fn under the runtime's Policy: its retries, its
+// backoff and its circuit breaker. It returns the last pushdown attempt's
 // breakdown, whether fn ultimately ran in the memory pool, and the error for
 // non-recoverable failures (ErrKilled, RemoteError, ErrNotDisaggregated —
 // recoverable ones are absorbed by the fallback). Every recoverable error is
@@ -205,11 +222,10 @@ func DefaultRetryThenLocal() RetryThenLocal {
 // writes were rolled back from the undo journal, so fn's effects are applied
 // exactly once no matter how many attempts were needed.
 //
-// While the breaker is open (Runtime.Breaker), calls short-circuit straight
-// to compute-side execution without attempting a pushdown; after the
-// cooldown one probe attempt is allowed through and its outcome closes or
-// re-opens the breaker.
-func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options, pol RetryThenLocal) (Stats, bool, error) {
+// While the breaker is open, calls short-circuit straight to compute-side
+// execution without attempting a pushdown; after the cooldown one probe
+// attempt is allowed through and its outcome closes or re-opens the breaker.
+func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options) (Stats, bool, error) {
 	// End-to-end latency of the whole policy call — every attempt, every
 	// backoff wait, and any compute-side fallback — the operation class
 	// whose tail the SLO analysis (internal/obs percentiles) reads.
@@ -217,6 +233,7 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options, pol R
 	defer func() {
 		r.P.M.Obs.Hists.Hist(metrics.HistPushE2E).Observe(t.Now() - e2eStart)
 	}()
+	pol := &r.Policy
 	backoff := pol.Backoff
 	ctxRerun := false
 	retries := 0
@@ -279,7 +296,7 @@ type call struct {
 	r          *Runtime
 	t          *sim.Thread
 	id         int64
-	deadlineAt sim.Time  // Options.Deadline as an absolute instant; 0 = no budget
+	deadlineAt sim.Time  // Policy.Deadline as an absolute instant; 0 = no budget
 	wake       sim.Time  // the scheduled heal a gate found behind the failure, if any
 	ctx        bool      // holds a memory-pool user context
 	joined     bool      // holds a reference on the coherence state, from context setup
@@ -412,8 +429,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	tr.Instant(t, trace.KindPushdownStart, 0, c.id)
 	// The deadline budget is per attempt, measured from this entry; it is
 	// enforced at every checkpoint below and inside execution by the pager.
-	if opts.Deadline > 0 {
-		c.deadlineAt = t.Now() + opts.Deadline
+	if d := r.Policy.Deadline; d > 0 {
+		c.deadlineAt = t.Now() + d
 	}
 	sp := tr.Begin(t, trace.KindPushdown, 0, c.id)
 	defer func() {
@@ -750,14 +767,15 @@ func (r *Runtime) postSync(t *sim.Thread, opts Options, eagerPages []mem.PageID)
 }
 
 // acquire waits for a free memory-pool user context, honouring admission
-// control (QueueCap), try_cancel timeouts, and the call's deadline budget
-// for queued requests.
+// control (Policy.QueueCap), try_cancel timeouts, and the call's deadline
+// budget for queued requests.
 func (r *Runtime) acquire(t *sim.Thread, opts Options, deadlineAt sim.Time) error {
 	if r.running < r.Contexts {
 		r.setRunning(r.running + 1)
 		return nil
 	}
-	if r.QueueCap > 0 && len(r.queue) >= r.QueueCap {
+	r.expire(t.Now())
+	if r.Policy.QueueCap > 0 && len(r.queue) >= r.Policy.QueueCap {
 		// Deterministic load-shedding: the controller rejects the request
 		// outright rather than letting the queue grow without bound.
 		return ErrQueueFull
@@ -783,25 +801,35 @@ func (r *Runtime) acquire(t *sim.Thread, opts Options, deadlineAt sim.Time) erro
 	return nil
 }
 
-// release frees the caller's user context and hands it to the next
-// non-expired waiter, cancelling waiters whose deadline has passed.
-func (r *Runtime) release(t *sim.Thread) {
-	r.setRunning(r.running - 1)
-	now := t.Now()
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
+// expire cancels the waiters whose deadline had passed by now, so the
+// queue holds only requests that may still start: the request was still
+// queued at its deadline, so try_cancel succeeded and the compute side
+// resumes at the deadline.
+func (r *Runtime) expire(now sim.Time) {
+	live := r.queue[:0]
+	for _, w := range r.queue {
 		if w.deadline > 0 && now > w.deadline {
-			// The request was still queued at its deadline: try_cancel
-			// succeeds and the compute side resumed at the deadline.
 			w.cancelled = true
 			w.t.Unblock(w.deadline)
 			continue
 		}
-		r.setRunning(r.running + 1)
-		w.t.Unblock(now)
+		live = append(live, w)
+	}
+	r.queue = live
+}
+
+// release frees the caller's user context and hands it to the next waiter
+// that has not expired.
+func (r *Runtime) release(t *sim.Thread) {
+	r.setRunning(r.running - 1)
+	r.expire(t.Now())
+	if len(r.queue) == 0 {
 		return
 	}
+	w := r.queue[0]
+	r.queue = r.queue[1:]
+	r.setRunning(r.running + 1)
+	w.t.Unblock(t.Now())
 }
 
 // setRunning sets how many user contexts run, and with it the process's

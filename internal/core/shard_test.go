@@ -43,7 +43,7 @@ func TestPushdownSucceedsDuringAnySingleShardOutage(t *testing.T) {
 		th.AdvanceTo(down + sim.Microsecond)
 
 		var out int64
-		_, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, n, &out), Options{}, DefaultRetryThenLocal())
+		_, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, n, &out), Options{})
 		if err != nil || !ran {
 			t.Fatalf("shard %d down: ran=%v err=%v, want a pushdown despite the outage", s, ran, err)
 		}
@@ -129,7 +129,7 @@ func TestUnreplicatedShardOutageShedsThenRecovers(t *testing.T) {
 		t.Fatalf("ShardDownObserved = %d, want 1", rs.ShardDownObserved)
 	}
 
-	_, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, n, &out), Options{}, DefaultRetryThenLocal())
+	_, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, n, &out), Options{})
 	if err != nil || !ran {
 		t.Fatalf("policy: ran=%v err=%v, want a successful retry after the shard restart", ran, err)
 	}

@@ -27,10 +27,6 @@ type Exec struct {
 	// pushdown (Figure 18) is exactly the size of this set.
 	push map[string]bool
 
-	// PushDeadline is the per-attempt virtual-time budget passed to every
-	// pushdown call (core.Options.Deadline); zero means no budget.
-	PushDeadline sim.Time
-
 	ops  []OpStat
 	byID map[string]int
 }
@@ -95,8 +91,7 @@ func (ex *Exec) Run(name string, fn func(env *ddc.Env)) {
 		// killed function or a remote panic — surface, and those are bugs in
 		// the operator, not the platform.
 		var err error
-		_, pushed, err = ex.RT.PushdownWithPolicy(ex.T, fn,
-			core.Options{Deadline: ex.PushDeadline}, core.DefaultRetryThenLocal())
+		_, pushed, err = ex.RT.PushdownWithPolicy(ex.T, fn, core.Options{})
 		if err != nil {
 			panic("profile: pushdown failed: " + err.Error())
 		}

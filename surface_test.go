@@ -43,7 +43,7 @@ var surfaceKeep = map[string]string{
 // knobStructs are the option structs whose every exported field must be
 // assigned by at least one file of the module, tests included.
 var knobStructs = []string{
-	"core.Runtime", "core.Options", "core.RetryThenLocal", "core.BreakerConfig",
+	"core.Runtime", "core.Options", "core.Policy",
 	"profile.Exec", "ddc.Config",
 }
 
