@@ -119,8 +119,10 @@ profile:
 # flat byte arrays, every coldb operator against its row-at-a-time reference
 # on every platform — bounded memory pools of 2–64 pages among them — the
 # fault plan's one outage schedule against a linear-scan oracle, the
-# pushdown's base-list temporary page table against the eager one, and the
-# sharded pool's replica gates against their per-page reference; CI runs this
+# pushdown's base-list temporary page table against the eager one, the
+# sharded pool's replica gates against their per-page reference, and the
+# runtime's admission (workqueue, queue cap, deadlines, PoolDilation) and
+# circuit breaker against an abstract state machine; CI runs this
 # on every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
@@ -133,3 +135,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulePins -fuzztime=10s ./internal/fault
 	$(GO) test -run=^$$ -fuzz=FuzzTempTableMatchesEager -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzReplicaGates -fuzztime=10s ./internal/ddc
+	$(GO) test -run=^$$ -fuzz=FuzzAdmissionModel -fuzztime=10s ./internal/core

@@ -19,6 +19,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"teleport/internal/bench"
@@ -236,8 +237,9 @@ func (v verb) bind(stderr io.Writer) *binder {
 }
 
 // check rejects the dataset sizes the generators cannot build, cache
-// fractions no cache can be sized to, negative counts, and pushdown-policy
-// durations that are none, in the verbs that take them.
+// fractions no cache can be sized to, negative counts, figure ids that
+// name no figure, and pushdown-policy durations that are none, in the verbs
+// that take them.
 func (b *binder) check() error {
 	o := &b.opts
 	switch {
@@ -254,6 +256,13 @@ func (b *binder) check() error {
 	for _, name := range []string{"trace", "exact-quantiles", "incident-events", "parallel", "sim-workers", "breaker-threshold"} {
 		if f := b.fs.Lookup(name); f != nil && f.Value.(flag.Getter).Get().(int) < 0 {
 			return fmt.Errorf("-%s must be ≥ 0, got %v", name, f.Value)
+		}
+	}
+	if b.fs.Lookup("fig") != nil && b.figs != "all" {
+		for _, id := range strings.Split(b.figs, ",") {
+			if !slices.Contains(bench.Figures(), strings.TrimSpace(id)) {
+				return fmt.Errorf("-fig must be 'all' or ids that ddcsim fig -list prints, comma separated: unknown figure %q", id)
+			}
 		}
 	}
 	if b.fs.Lookup("push-deadline-us") == nil { // the verb takes no pushdown policy

@@ -229,7 +229,8 @@ func TestCLIErrors(t *testing.T) {
 		{"run -workload Q6 -chaos-profile list", "unknown profile"},
 		{"run -workload Q6,SSSP -metrics-out m.json", "-metrics-out needs a single -workload"},
 		{"run -workload Q6 -platform teleport -replicas 3 -pool-shards 2", "replicas cannot exceed pool shards"},
-		{"fig -fig 99", "unknown figure"},
+		{"fig -fig 99", `unknown figure "99"`},
+		{"fig -fig 6,99", `unknown figure "99"`},
 		{"cluster -cluster 0", "machines ≥ 1"},
 		{"datagen -kind rows", "unknown dataset kind"},
 		{"run -workload SSSP -graph-nv 0", "-graph-nv must be ≥ 1, got 0"},

@@ -65,7 +65,10 @@ const reportTopK = 12
 // ReportSchema versions RunReport's JSON form. 2: the schema stamp itself,
 // and the fault block's shard and runtime counters nested under "Shards" and
 // "Runtime" (ddc.ShardStat, core.RuntimeStats) instead of flattened copies.
-const ReportSchema = 2
+// 3: "Runtime" loses the counters of the per-call queue timeout and
+// execution limit, because a call has one time limit, core.Policy.Deadline,
+// whose every abort DeadlineAborts counts.
+const ReportSchema = 3
 
 // setIncidents records the flight recorder's summary: every trigger, the
 // retained records, and the retained records' count per kind.

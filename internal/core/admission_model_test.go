@@ -1,0 +1,356 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	"teleport/internal/ddc"
+	"teleport/internal/mem"
+	"teleport/internal/sim"
+	"teleport/internal/trace"
+)
+
+// admissionModel is the abstract state machine behind a Runtime's admission
+// and its circuit breaker (§3.2): a FIFO of (arrival, deadline) waiters, a
+// count of running contexts held against Contexts and Policy.QueueCap,
+// §7.3's PoolDilation as a function of that count, and a closed / open /
+// half-open breaker. It is fed the operations in the order the simulated
+// threads make them and says what each must do; it never reads the
+// Runtime's own fields.
+type admissionModel struct {
+	contexts, cores, queueCap int
+	threshold                 int
+	cooldown                  sim.Time
+
+	running int
+	queue   []admWaiter
+	wakes   map[int]admWake // per thread: how its queued acquire returns, once decided
+
+	state    breakerState
+	streak   int
+	openedAt sim.Time
+	events   []trace.Event // the breaker's trace events, in order
+}
+
+type admWaiter struct {
+	id                int
+	arrival, deadline sim.Time // deadline 0 = none
+}
+
+type admWake struct {
+	at  sim.Time
+	err error
+}
+
+// admission outcomes of an arrival.
+const (
+	admRuns = iota
+	admShed
+	admQueued
+)
+
+// arrive is one request for a context at now: it runs if a context is free;
+// otherwise the waiters whose deadline has passed are cancelled, and it is
+// shed if the live queue is at QueueCap, else it joins the queue's tail.
+func (m *admissionModel) arrive(id int, now, deadline sim.Time) int {
+	if m.running < m.contexts {
+		m.running++
+		return admRuns
+	}
+	m.expire(now)
+	if m.queueCap > 0 && len(m.queue) >= m.queueCap {
+		return admShed
+	}
+	m.queue = append(m.queue, admWaiter{id: id, arrival: now, deadline: deadline})
+	return admQueued
+}
+
+// release gives a context back at now: the expired waiters are cancelled,
+// then the oldest live waiter starts at now.
+func (m *admissionModel) release(now sim.Time) {
+	m.running--
+	m.expire(now)
+	if len(m.queue) == 0 {
+		return
+	}
+	w := m.queue[0]
+	m.queue = m.queue[1:]
+	m.running++
+	m.wakes[w.id] = admWake{at: max(w.arrival, now)}
+}
+
+// expire cancels every waiter whose deadline is before now (try_cancel while
+// queued); each resumes at its deadline with ErrDeadlineExceeded.
+func (m *admissionModel) expire(now sim.Time) {
+	m.queue = slices.DeleteFunc(m.queue, func(w admWaiter) bool {
+		if w.deadline == 0 || now <= w.deadline {
+			return false
+		}
+		m.wakes[w.id] = admWake{at: w.deadline, err: ErrDeadlineExceeded}
+		return true
+	})
+}
+
+// dilation is §7.3's stretch of pool work with more running contexts than
+// cores: the oversubscription ratio times a context-switch penalty.
+func (m *admissionModel) dilation() float64 {
+	if m.running <= m.cores {
+		return 1
+	}
+	return float64(m.running) / float64(m.cores) * (1 + ctxSwitchPenalty*float64(m.running-m.cores))
+}
+
+func (m *admissionModel) event(who string, at sim.Time, k trace.Kind, arg int64) {
+	m.events = append(m.events, trace.Event{At: at, Kind: k, Arg: arg, Who: who})
+}
+
+// allow is the breaker's gate at now: closed and half-open let the attempt
+// through, open refuses it until the cooldown has passed and then turns
+// half-open.
+func (m *admissionModel) allow(who string, now sim.Time) bool {
+	if m.threshold == 0 || m.state != brOpen {
+		return true
+	}
+	if now-m.openedAt < m.cooldown {
+		return false
+	}
+	m.state = brHalfOpen
+	m.event(who, now, trace.KindBreakerHalfOpen, 0)
+	return true
+}
+
+// failure counts one recoverable failure: the threshold-th in a row opens a
+// closed breaker, and any failure re-opens a half-open one.
+func (m *admissionModel) failure(who string, now sim.Time) {
+	if m.threshold == 0 {
+		return
+	}
+	m.streak++
+	if m.state == brHalfOpen || (m.state == brClosed && m.streak >= m.threshold) {
+		m.state = brOpen
+		m.openedAt = now
+		m.event(who, now, trace.KindBreakerOpen, int64(m.streak))
+	}
+}
+
+// success ends the failure streak and closes the breaker.
+func (m *admissionModel) success(who string, now sim.Time) {
+	if m.threshold == 0 {
+		return
+	}
+	m.streak = 0
+	if m.state != brClosed {
+		m.state = brClosed
+		m.event(who, now, trace.KindBreakerClose, 0)
+	}
+}
+
+// diff compares the Runtime's admission and breaker state, and the trace so
+// far, with the model's; threads maps a model thread id to its simulated
+// thread.
+func (m *admissionModel) diff(rt *Runtime, ring *trace.Ring, threads []*sim.Thread) string {
+	if rt.running != m.running {
+		return fmt.Sprintf("running = %d, model %d", rt.running, m.running)
+	}
+	if got, want := rt.P.PoolDilation, m.dilation(); got != want {
+		return fmt.Sprintf("PoolDilation = %v with %d running, model %v", got, m.running, want)
+	}
+	var queue []string
+	for _, w := range rt.queue {
+		queue = append(queue, fmt.Sprintf("%s@%v", w.t.Name(), w.deadline))
+	}
+	var want []string
+	for _, w := range m.queue {
+		want = append(want, fmt.Sprintf("%s@%v", threads[w.id].Name(), w.deadline))
+	}
+	if !slices.Equal(queue, want) {
+		return fmt.Sprintf("queue (thread@deadline) = %v, model %v", queue, want)
+	}
+	if rt.brState != m.state || rt.brStreak != m.streak || rt.brOpenedAt != m.openedAt {
+		return fmt.Sprintf("breaker state %d streak %d opened %v, model %d %d %v",
+			rt.brState, rt.brStreak, rt.brOpenedAt, m.state, m.streak, m.openedAt)
+	}
+	var opens, halfOpens, closes int64
+	for _, e := range m.events {
+		switch e.Kind {
+		case trace.KindBreakerOpen:
+			opens++
+		case trace.KindBreakerHalfOpen:
+			halfOpens++
+		case trace.KindBreakerClose:
+			closes++
+		}
+	}
+	if s := rt.Stats(); s.BreakerOpens != opens || s.BreakerHalfOpens != halfOpens || s.BreakerCloses != closes {
+		return fmt.Sprintf("breaker opens/half-opens/closes = %d/%d/%d, model %d/%d/%d",
+			s.BreakerOpens, s.BreakerHalfOpens, s.BreakerCloses, opens, halfOpens, closes)
+	}
+	if got := ring.Events(); !slices.Equal(got, m.events) {
+		return fmt.Sprintf("trace = %v, model %v", got, m.events)
+	}
+	return ""
+}
+
+// admCall is one call a driver thread makes: it waits gap, asks for a
+// context with a deadline budget after its arrival (0 = none), holds the
+// context for hold, and then counts as a success or, if fails, a
+// recoverable failure.
+type admCall struct {
+	gap, hold, budget sim.Time
+	fails             bool
+}
+
+// FuzzAdmissionModel drives a Runtime's admission and breaker from one to
+// four simulated threads and checks them against admissionModel in lock
+// step. Each call takes the steps PushdownWithPolicy takes around one
+// attempt — breakerAllow, acquire with the call's Policy.Deadline instant,
+// the hold, release, then breakerSuccess or breakerFailure (a shed or an
+// expired request is a recoverable failure too) — and the fuzzer chooses the
+// contexts and cores, the policy, arrivals, hold times, deadlines and
+// outcomes. Before and after every step it compares running contexts,
+// PoolDilation, the queue's waiters and deadlines, and the breaker's state,
+// counters and trace events; a request that comes back from acquire must
+// have run, been shed with ErrQueueFull or expired with ErrDeadlineExceeded
+// as the model said, at the virtual time it said.
+func FuzzAdmissionModel(f *testing.F) {
+	// Header: threads, contexts, cores, QueueCap, BreakerThreshold,
+	// BreakerCooldown (×10 µs); then 4 bytes a call: thread (bit 6: fails),
+	// gap, hold and deadline budget, in µs.
+	//
+	// One context held 40 µs by t0; t1 queues at 2 µs with a 10 µs budget,
+	// t2 queues at 20 µs after t1's deadline has passed and must find t1
+	// cancelled, and t3 behind it at 25 µs with QueueCap 2.
+	f.Add([]byte{3, 0, 0, 2, 0, 0,
+		0, 0, 40, 0, 1, 2, 5, 10, 2, 20, 5, 0, 3, 25, 5, 0})
+	// Three waiters behind one context: each release hands it to the oldest.
+	f.Add([]byte{2, 0, 1, 0, 0, 0,
+		0, 0, 30, 0, 1, 1, 10, 0, 2, 2, 10, 0, 0, 0, 5, 0, 1, 0, 5, 0, 2, 0, 5, 0})
+	// A breaker at threshold 2 with a 20 µs cooldown: two failing calls open
+	// it, a third is short-circuited, a later probe fails and re-opens it,
+	// and one after the next cooldown succeeds and closes it.
+	f.Add([]byte{0, 0, 0, 0, 2, 2,
+		0x40, 0, 5, 0, 0x40, 0, 5, 0, 0, 1, 5, 0, 0x40, 30, 5, 0, 0, 30, 5, 0, 0, 1, 5, 0})
+	// Four threads on two contexts and one core, QueueCap 1, threshold 1:
+	// sheds, expiries and dilation 2·(1+penalty) together.
+	f.Add([]byte{3, 1, 0, 1, 1, 1,
+		0, 0, 20, 0, 1, 0, 20, 0, 2, 1, 5, 3, 3, 2, 5, 0, 2, 10, 5, 0, 0x43, 0, 1, 0, 1, 3, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		nThreads := 1 + next()%4
+		cfg := ddc.BaseDDC(64 * mem.PageSize)
+		contexts := 1 + next()%4
+		cfg.HW.MemoryPoolCores = 1 + next()%4
+		machine := ddc.MustMachine(cfg)
+		ring := trace.New(1024)
+		machine.AttachTrace(ring)
+		rt := NewRuntime(machine.NewProcess(), contexts)
+		rt.Policy = Policy{QueueCap: next() % 4, BreakerThreshold: next() % 5}
+		rt.Policy.BreakerCooldown = sim.Time(next()%16) * 10 * sim.Microsecond
+		model := &admissionModel{
+			contexts: contexts, cores: cfg.HW.MemoryPoolCores, queueCap: rt.Policy.QueueCap,
+			threshold: rt.Policy.BreakerThreshold, cooldown: rt.Policy.BreakerCooldown,
+			wakes: map[int]admWake{},
+		}
+		calls := make([][]admCall, nThreads)
+		for n := 0; n < 64 && len(data) > 0; n++ {
+			b := next()
+			calls[b%nThreads] = append(calls[b%nThreads], admCall{
+				fails:  b&0x40 != 0,
+				gap:    sim.Time(next()%32) * sim.Microsecond,
+				hold:   sim.Time(next()%64) * sim.Microsecond,
+				budget: sim.Time(next()%48) * sim.Microsecond,
+			})
+		}
+
+		s := sim.NewScheduler()
+		threads := make([]*sim.Thread, nThreads)
+		step, failed := 0, false
+		check := func(th *sim.Thread, what string) {
+			step++
+			if failed {
+				return
+			}
+			if d := model.diff(rt, ring, threads); d != "" {
+				failed = true
+				t.Errorf("step %d (%s at %v, %s): %s", step, th.Name(), th.Now(), what, d)
+			}
+		}
+		mismatch := func(th *sim.Thread, format string, args ...any) {
+			if !failed {
+				failed = true
+				t.Errorf("step %d (%s at %v): %s", step, th.Name(), th.Now(), fmt.Sprintf(format, args...))
+			}
+		}
+		for id := range threads {
+			threads[id] = s.Spawn(fmt.Sprintf("t%d", id), 0, func(th *sim.Thread) {
+				for _, c := range calls[id] {
+					th.Advance(c.gap)
+					now := th.Now()
+					check(th, "arrival")
+					allowed := rt.breakerAllow(th)
+					if want := model.allow(th.Name(), now); allowed != want {
+						mismatch(th, "breakerAllow = %v, model %v", allowed, want)
+					}
+					check(th, "breaker gate")
+					if !allowed {
+						continue // short-circuited: PushdownWithPolicy runs fn locally
+					}
+					var deadline sim.Time
+					if c.budget > 0 {
+						deadline = now + c.budget
+					}
+					outcome := model.arrive(id, now, deadline)
+					err := rt.acquire(th, deadline)
+					want := admWake{at: now}
+					switch outcome {
+					case admShed:
+						want.err = ErrQueueFull
+					case admQueued:
+						w, ok := model.wakes[id]
+						if !ok {
+							mismatch(th, "acquire returned %v, but the model still has the request queued", err)
+						}
+						delete(model.wakes, id)
+						want = w
+					}
+					if !errors.Is(err, want.err) || th.Now() != want.at {
+						mismatch(th, "acquire = %v at %v, model %v at %v", err, th.Now(), want.err, want.at)
+					}
+					check(th, "acquire")
+					if err != nil {
+						rt.breakerFailure(th)
+						model.failure(th.Name(), th.Now())
+						check(th, "shed or expired")
+						continue
+					}
+					th.Advance(c.hold)
+					check(th, "hold")
+					rt.release(th)
+					model.release(th.Now())
+					check(th, "release")
+					if c.fails {
+						rt.breakerFailure(th)
+						model.failure(th.Name(), th.Now())
+					} else {
+						rt.breakerSuccess(th)
+						model.success(th.Name(), th.Now())
+					}
+					check(th, "outcome")
+				}
+			})
+		}
+		s.Run()
+		if !failed && (rt.running != 0 || len(rt.queue) != 0 || len(model.wakes) != 0) {
+			t.Errorf("after the run: %d running, %d queued, model wakes left %v", rt.running, len(rt.queue), model.wakes)
+		}
+	})
+}

@@ -79,20 +79,10 @@ func (r Range) Pages(f func(mem.PageID)) {
 	}
 }
 
-// Options configures one pushdown call.
+// Options says how one pushdown call synchronises; the limits on the call
+// are the Runtime's Policy.
 type Options struct {
 	Flags Flags
-
-	// Timeout bounds how long the call may sit in the memory pool's
-	// workqueue before the compute side issues try_cancel (§3.2). Zero
-	// blocks forever. Cancellation succeeds only while the request is
-	// still queued; once running, the memory pool declines and the caller
-	// waits for completion.
-	Timeout sim.Time
-
-	// ExecLimit kills pushed functions that run longer than this in the
-	// memory pool ("buggy code", §3.2). Zero means no limit.
-	ExecLimit sim.Time
 
 	// EvictRanges lists the address ranges owned by the pushed computation
 	// for FlagEvictRanges.
@@ -139,8 +129,6 @@ func (s Stats) String() string {
 // the tagged fields, under the tag's name.
 type RuntimeStats struct {
 	Calls         int64 `ctr:"push.calls"` // pushdown attempts completed, whatever their outcome
-	Cancelled     int64
-	Killed        int64
 	ComputeFaults int64 // compute-pool faults handled during pushdowns
 	Upgrades      int64 // compute write-upgrades that needed coherence
 	CoherenceMsgs int64
@@ -191,14 +179,6 @@ func (s *Stats) addPhases(c *Stats) {
 
 // Errors returned by Pushdown.
 var (
-	// ErrCancelled reports a queued request cancelled after Options.Timeout
-	// (try_cancel succeeded); the caller is free to run fn locally or retry.
-	ErrCancelled = errors.New("teleport: pushdown cancelled after timeout")
-
-	// ErrKilled reports a pushed function killed after exceeding
-	// Options.ExecLimit; the compute-side wrapper raises an abort.
-	ErrKilled = errors.New("teleport: pushed function killed (exec limit exceeded)")
-
 	// ErrMemoryPoolDown reports heartbeat loss to the memory pool: a crash
 	// epoch of the machine's fault plan observed during the call. The pushed
 	// function has NOT run when this is returned — the crash was detected
@@ -222,9 +202,11 @@ var (
 	ErrQueueFull = errors.New("teleport: pushdown request shed (memory-pool workqueue full)")
 
 	// ErrDeadlineExceeded reports that the call blew its Policy.Deadline
-	// budget. If execution had already dirtied pages, the undo journal was
-	// rolled back before this error was reported, so the pool state is as
-	// if fn never ran and retrying or falling back is safe.
+	// budget. A request still queued at its deadline was cancelled there
+	// (§3.2's try_cancel); if execution had already dirtied pages, the undo
+	// journal was rolled back before this error was reported. Either way
+	// the pool state is as if fn never ran and retrying or falling back is
+	// safe.
 	ErrDeadlineExceeded = errors.New("teleport: pushdown deadline budget exceeded")
 
 	// ErrShardDown reports that a pushdown's resident pages include one
@@ -252,12 +234,13 @@ var (
 
 // Recoverable reports whether a pushdown error is safe to retry or absorb
 // with a compute-side fallback: the pushed function is guaranteed to have
-// had no observable effect — either it never ran (cancellation, heartbeat
-// loss, shed, pre-commit context crash) or its partial writes were rolled
-// back from the undo journal before the error was reported (mid-execution
-// crash, deadline abort). ErrKilled and RemoteError do not qualify: the
-// function ran to the kill point or panicked, and its effects stand. The
-// recoverable sentinels are exactly those the failures table accounts.
+// had no observable effect — either it never ran (heartbeat loss, shed, a
+// deadline that passed while queued or in set-up, pre-commit context crash)
+// or its partial writes were rolled back from the undo journal before the
+// error was reported (mid-execution crash, deadline or quorum abort).
+// RemoteError does not qualify: the function panicked, and its effects
+// stand. The recoverable sentinels are exactly those the failures table
+// accounts.
 func Recoverable(err error) bool {
 	for i := range failures {
 		if errors.Is(err, failures[i].err) {

@@ -235,69 +235,6 @@ func TestConcurrentPushdownsSerializeOnOneContext(t *testing.T) {
 	}
 }
 
-func TestQueuedPushdownCancelsAfterTimeout(t *testing.T) {
-	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	p := m.NewProcess()
-	rt := NewRuntime(p, 1)
-
-	var errSecond error
-	var wake sim.Time
-	s := sim.NewScheduler()
-	s.Spawn("long", 0, func(th *sim.Thread) {
-		_, err := rt.Pushdown(th, func(env *ddc.Env) {
-			env.Compute(21_000_000) // ~10 ms
-		}, Options{})
-		if err != nil {
-			t.Errorf("long pushdown: %v", err)
-		}
-	})
-	s.Spawn("short", 0, func(th *sim.Thread) {
-		th.Advance(10 * sim.Microsecond) // let the long one start first
-		start := th.Now()
-		_, errSecond = rt.Pushdown(th, func(env *ddc.Env) {}, Options{
-			Timeout: sim.Millisecond,
-		})
-		wake = th.Now() - start
-	})
-	s.Run()
-	if !errors.Is(errSecond, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", errSecond)
-	}
-	if wake > 2*sim.Millisecond {
-		t.Fatalf("cancelled caller resumed after %v, want ≈ the 1 ms timeout", wake)
-	}
-	if rt.Stats().Cancelled != 1 {
-		t.Fatalf("Cancelled = %d", rt.Stats().Cancelled)
-	}
-}
-
-func TestRunningPushdownDeclinesCancel(t *testing.T) {
-	// A timeout on a request that is already running is declined; the
-	// caller waits for completion (§3.2).
-	_, rt := testProc(16)
-	th := sim.NewThread("caller")
-	_, err := rt.Pushdown(th, func(env *ddc.Env) {
-		env.Compute(21_000_000) // ~10 ms, far beyond the timeout
-	}, Options{Timeout: sim.Millisecond})
-	if err != nil {
-		t.Fatalf("running pushdown must complete, got %v", err)
-	}
-}
-
-func TestExecLimitKillsBuggyFunction(t *testing.T) {
-	_, rt := testProc(16)
-	th := sim.NewThread("caller")
-	_, err := rt.Pushdown(th, func(env *ddc.Env) {
-		env.Compute(210_000_000) // ~100 ms
-	}, Options{ExecLimit: sim.Millisecond})
-	if !errors.Is(err, ErrKilled) {
-		t.Fatalf("err = %v, want ErrKilled", err)
-	}
-	if rt.Stats().Killed != 1 {
-		t.Fatalf("Killed = %d", rt.Stats().Killed)
-	}
-}
-
 func TestRemotePanicPropagates(t *testing.T) {
 	p, rt := testProc(16)
 	th := sim.NewThread("caller")
@@ -542,7 +479,7 @@ func TestStatsBreakdownComponentsSumToTotal(t *testing.T) {
 }
 
 // The zero policy is §3.2's cancel-and-run-locally: a request cancelled while
-// queued runs in the compute pool instead.
+// queued, at its deadline, runs in the compute pool instead.
 func TestZeroPolicyFallsBackOnCancel(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
 	p := m.NewProcess()
@@ -561,10 +498,11 @@ func TestZeroPolicyFallsBackOnCancel(t *testing.T) {
 	})
 	s.Spawn("short", 0, func(th *sim.Thread) {
 		th.Advance(10 * sim.Microsecond)
+		rt.Policy.Deadline = sim.Millisecond // read at entry: the long call runs unbudgeted
 		_, pushed, err := rt.PushdownWithPolicy(th, func(env *ddc.Env) {
 			env.WriteI64(a, 7)
 			ranLocally = true
-		}, Options{Timeout: sim.Millisecond})
+		}, Options{})
 		if err != nil {
 			t.Errorf("short: %v", err)
 		}
@@ -583,9 +521,9 @@ func TestZeroPolicyFallsBackOnCancel(t *testing.T) {
 
 func TestZeroPolicyPushesWhenFree(t *testing.T) {
 	_, rt := testProc(16)
-	rt.Policy = Policy{}
+	rt.Policy = Policy{Deadline: sim.Millisecond}
 	th := sim.NewThread("t")
-	_, pushed, err := rt.PushdownWithPolicy(th, func(env *ddc.Env) {}, Options{Timeout: sim.Millisecond})
+	_, pushed, err := rt.PushdownWithPolicy(th, func(env *ddc.Env) {}, Options{})
 	if err != nil || !pushed {
 		t.Fatalf("pushed=%v err=%v", pushed, err)
 	}
@@ -1030,7 +968,7 @@ func TestPolicyRetriesThroughScheduledOutage(t *testing.T) {
 // The recovery policy matches failures via errors.Is, so wrapped sentinels
 // still trigger the retry and the local fallback.
 func TestRecoverableClassification(t *testing.T) {
-	for _, err := range []error{ErrCancelled, ErrMemoryPoolDown, ErrContextCrashed, ErrQueueFull,
+	for _, err := range []error{ErrMemoryPoolDown, ErrContextCrashed, ErrQueueFull,
 		ErrDeadlineExceeded, ErrShardDown, ErrQuorumLost} {
 		if !Recoverable(err) {
 			t.Errorf("Recoverable(%v) = false, want true", err)
@@ -1039,7 +977,7 @@ func TestRecoverableClassification(t *testing.T) {
 			t.Errorf("Recoverable(wrapped %v) = false, want true", err)
 		}
 	}
-	for _, err := range []error{ErrKilled, ErrNotDisaggregated, &RemoteError{Value: "x"}} {
+	for _, err := range []error{ErrNotDisaggregated, &RemoteError{Value: "x"}} {
 		if Recoverable(err) {
 			t.Errorf("Recoverable(%v) = true, want false", err)
 		}

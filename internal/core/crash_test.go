@@ -195,7 +195,8 @@ func TestQueueFullShedsDeterministically(t *testing.T) {
 }
 
 // Deadline budgets: a queued request whose budget expires before a context
-// frees up is aborted at the budget instant with ErrDeadlineExceeded.
+// frees up is aborted at the budget instant with ErrDeadlineExceeded — §3.2's
+// try_cancel, which succeeds because the request is still queued.
 func TestDeadlineExpiresInQueue(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
 	p := m.NewProcess()
@@ -230,9 +231,6 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	}
 	if rt.Stats().DeadlineAborts != 1 {
 		t.Fatalf("DeadlineAborts = %d, want 1", rt.Stats().DeadlineAborts)
-	}
-	if rt.Stats().Cancelled != 0 {
-		t.Fatalf("Cancelled = %d, want 0 (budget aborts are not try_cancel timeouts)", rt.Stats().Cancelled)
 	}
 }
 

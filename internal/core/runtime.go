@@ -121,8 +121,7 @@ func (r *Runtime) putScratch(scr *callScratch) { r.scratch = append(r.scratch, s
 
 type waiter struct {
 	t         *sim.Thread
-	deadline  sim.Time // 0 = no timeout
-	budget    bool     // deadline comes from Policy.Deadline, not Timeout
+	deadline  sim.Time // the call's Policy.Deadline instant; 0 = none
 	cancelled bool
 }
 
@@ -170,8 +169,8 @@ func (r *Runtime) observeHeartbeat(t *sim.Thread) bool {
 // often a recoverably failed call is re-attempted before fn runs in the
 // compute pool, and when the circuit breaker stops attempting at all. Every
 // knob is off at zero: the zero Policy is §3.2's cancel-and-run-locally — a
-// request cancelled while queued (try_cancel after Options.Timeout), like
-// any other Recoverable failure, runs fn in the compute pool at once ("the
+// request cancelled while queued (try_cancel at its Deadline), like any
+// other Recoverable failure, runs fn in the compute pool at once ("the
 // application is free to execute fn directly in the compute pool").
 type Policy struct {
 	// QueueCap bounds the memory pool's workqueue: when every context is
@@ -182,12 +181,12 @@ type Policy struct {
 	QueueCap int
 
 	// Deadline is each attempt's virtual-time budget, measured from its
-	// entry and spanning queue wait, context setup and execution. An attempt
-	// that cannot finish in budget aborts with ErrDeadlineExceeded instead
-	// of stalling the caller; an abort mid-execution first rolls the undo
-	// journal back, so the abort is Recoverable. Unlike Options.Timeout
-	// (which only cancels while queued), the deadline is enforced at every
-	// phase of the call. Zero means no budget.
+	// entry and spanning queue wait, context setup and execution: the one
+	// time limit on a call. An attempt that cannot finish in budget aborts
+	// with ErrDeadlineExceeded instead of stalling the caller — while queued
+	// this is §3.2's try_cancel, and a runaway function is stopped at its
+	// next page access after first rolling the undo journal back — so the
+	// abort is Recoverable. Zero means no budget.
 	Deadline sim.Time
 
 	// MaxRetries bounds PushdownWithPolicy's re-attempts after a Recoverable
@@ -216,7 +215,7 @@ func DefaultPolicy() Policy {
 // PushdownWithPolicy runs fn under the runtime's Policy: its retries, its
 // backoff and its circuit breaker. It returns the last pushdown attempt's
 // breakdown, whether fn ultimately ran in the memory pool, and the error for
-// non-recoverable failures (ErrKilled, RemoteError, ErrNotDisaggregated —
+// non-recoverable failures (RemoteError, ErrNotDisaggregated —
 // recoverable ones are absorbed by the fallback). Every recoverable error is
 // raised either before the pushed function commits or after its partial
 // writes were rolled back from the undo journal, so fn's effects are applied
@@ -339,7 +338,6 @@ var failures = [...]struct {
 	{err: ErrQuorumLost, count: func(s *RuntimeStats) *int64 { return &s.QuorumLostObserved }, event: trace.KindShardDown, arg: 1},
 	{err: ErrQueueFull, count: func(s *RuntimeStats) *int64 { return &s.Shed }, event: trace.KindShed, callArg: true},
 	{err: ErrDeadlineExceeded, count: func(s *RuntimeStats) *int64 { return &s.DeadlineAborts }},
-	{err: ErrCancelled, count: func(s *RuntimeStats) *int64 { return &s.Cancelled }},
 	{err: ErrContextCrashed, count: func(s *RuntimeStats) *int64 { return &s.CtxCrashes }, event: trace.KindFaultInjected, callArg: true},
 }
 
@@ -401,8 +399,8 @@ func (c *call) unwind() {
 // Pushdown ships fn to the memory pool and blocks the calling thread until
 // it completes (§3.2, Figure 5). Other simulated threads of the process
 // keep running in the compute pool; the coherence protocol keeps both sides
-// consistent. It returns the per-call breakdown and an error for
-// cancellation, kill, remote panic, or pool failure.
+// consistent. It returns the per-call breakdown and an error for a blown
+// deadline, shedding, a remote panic, or pool failure.
 //
 // Failure handling: the call passes a checkpoint at entry and again wherever
 // it has spent virtual time before execution commits (request sent, context
@@ -490,10 +488,11 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		return st, c.fail(err)
 	}
 
-	// ❸ Workqueue: wait for a free user context (FIFO; try_cancel applies
-	// while queued, admission control sheds when the queue is at capacity).
+	// ❸ Workqueue: wait for a free user context (FIFO; the deadline's
+	// try_cancel applies while queued, admission control sheds when the
+	// queue is at capacity).
 	qs := tr.Begin(t, trace.KindPushQueue, 0, c.id)
-	err = r.acquire(t, opts, c.deadlineAt)
+	err = r.acquire(t, c.deadlineAt)
 	st.Queue = tr.End(t, qs)
 	if err != nil {
 		return st, c.fail(err)
@@ -559,14 +558,11 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		c.wake = abort.wake
 		return st, c.fail(abort.err)
 	}
-	killed := opts.ExecLimit > 0 && st.Exec > opts.ExecLimit
 
 	// ❺–❼ Completion response: status plus any tunnelled exception (§3.2's
 	// C++-exception rethrow carries the exception structure back).
 	resp := netmodel.PushdownResponse{Status: netmodel.StatusOK}
-	if killed {
-		resp.Status = netmodel.StatusKilled
-	} else if remoteErr != nil {
+	if remoteErr != nil {
 		resp.Status = netmodel.StatusException
 		resp.Exception = []byte(remoteErr.Error())
 	}
@@ -580,11 +576,6 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	c.unwind()
 	pager.journal.discard(p.Space)
 	tr.Instant(t, trace.KindPushdownEnd, 0, c.id)
-
-	if killed {
-		r.agg.Killed++
-		return st, ErrKilled
-	}
 	return st, remoteErr
 }
 
@@ -767,9 +758,9 @@ func (r *Runtime) postSync(t *sim.Thread, opts Options, eagerPages []mem.PageID)
 }
 
 // acquire waits for a free memory-pool user context, honouring admission
-// control (Policy.QueueCap), try_cancel timeouts, and the call's deadline
-// budget for queued requests.
-func (r *Runtime) acquire(t *sim.Thread, opts Options, deadlineAt sim.Time) error {
+// control (Policy.QueueCap) and, while queued, the call's deadline
+// (deadlineAt, 0 = none).
+func (r *Runtime) acquire(t *sim.Thread, deadlineAt sim.Time) error {
 	if r.running < r.Contexts {
 		r.setRunning(r.running + 1)
 		return nil
@@ -780,23 +771,11 @@ func (r *Runtime) acquire(t *sim.Thread, opts Options, deadlineAt sim.Time) erro
 		// outright rather than letting the queue grow without bound.
 		return ErrQueueFull
 	}
-	w := &waiter{t: t}
-	if opts.Timeout > 0 {
-		w.deadline = t.Now() + opts.Timeout
-	}
-	if deadlineAt > 0 && (w.deadline == 0 || deadlineAt < w.deadline) {
-		// The budget expires first: a queued request that cannot start in
-		// budget is cancelled at the budget instant, not the timeout.
-		w.deadline = deadlineAt
-		w.budget = true
-	}
+	w := &waiter{t: t, deadline: deadlineAt}
 	r.queue = append(r.queue, w)
 	t.Block()
 	if w.cancelled {
-		if w.budget {
-			return ErrDeadlineExceeded
-		}
-		return ErrCancelled
+		return ErrDeadlineExceeded
 	}
 	return nil
 }

@@ -90,9 +90,12 @@ func UnmarshalPushdownRequest(buf []byte) (*PushdownRequest, error) {
 }
 
 // PushdownResponse is the completion the memory controller returns (§3.2
-// ❼): status, an optional rethrown-exception payload.
+// ❼) for a call that ran to its end: status, an optional
+// rethrown-exception payload. A call that fails before it commits — a
+// blown deadline among them — is reported by the failure notification, not
+// by a response.
 type PushdownResponse struct {
-	Status    uint32 // 0 = ok, 1 = exception, 2 = killed
+	Status    uint32 // 0 = ok, 1 = exception
 	Exception []byte
 }
 
@@ -100,7 +103,6 @@ type PushdownResponse struct {
 const (
 	StatusOK uint32 = iota
 	StatusException
-	StatusKilled
 )
 
 // WireSize returns the length of the packed response, len(Marshal()): the

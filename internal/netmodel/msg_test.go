@@ -87,7 +87,6 @@ func TestPushdownResponseRoundTrip(t *testing.T) {
 	for _, r := range []*PushdownResponse{
 		{Status: StatusOK},
 		{Status: StatusException, Exception: []byte("segfault at 0x0")},
-		{Status: StatusKilled},
 	} {
 		got, err := UnmarshalPushdownResponse(r.Marshal())
 		if err != nil {

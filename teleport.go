@@ -77,8 +77,7 @@ const (
 
 // Re-exported errors.
 var (
-	ErrCancelled        = core.ErrCancelled
-	ErrKilled           = core.ErrKilled
+	ErrDeadlineExceeded = core.ErrDeadlineExceeded
 	ErrMemoryPoolDown   = core.ErrMemoryPoolDown
 	ErrNotDisaggregated = core.ErrNotDisaggregated
 )
