@@ -155,7 +155,7 @@ func TestTraceDumpReportsDroppedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Split(string(b), "\n"); lines[0] != "# dropped 32 events" || len(lines) != 10 {
+	if lines := strings.Split(string(b), "\n"); lines[0] != "# dropped 28 events" || len(lines) != 10 {
 		t.Errorf("dump of a wrapped 8-event ring = %d lines starting %q, want the dropped header + 8 events", len(lines)-1, lines[0])
 	}
 }

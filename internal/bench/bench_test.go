@@ -630,7 +630,7 @@ func TestRunWorkloadPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Seconds <= 0 || len(res.Attribution.Ops) == 0 {
+	if res.Nanos <= 0 || len(res.Ops) == 0 {
 		t.Fatalf("result = %+v", res)
 	}
 	if _, err := RunWorkload("Q6", "nope", opts); err == nil {
@@ -647,8 +647,8 @@ func TestRunWorkloadPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Seconds >= res.Seconds {
-		t.Fatalf("teleport-auto (%.4fs) should beat base-ddc (%.4fs)", auto.Seconds, res.Seconds)
+	if auto.Nanos >= res.Nanos {
+		t.Fatalf("teleport-auto (%dns) should beat base-ddc (%dns)", auto.Nanos, res.Nanos)
 	}
 }
 

@@ -64,8 +64,8 @@ func PlatformNames() []string {
 // (cmd/ddcsim): the unified report it prints and marshals, plus the raw
 // artifacts the report summarises.
 type WorkloadResult struct {
-	// RunReport carries the identity, the virtual time, the attribution
-	// breakdown and whichever observability sections the options collected.
+	// RunReport carries the identity, the virtual time, its attribution
+	// and whichever observability sections the options collected.
 	RunReport
 
 	// Metrics is the run's snapshot — every layer's counters and gauges and
@@ -129,8 +129,7 @@ func runWorkload(w workload, pl platformDef, opts Options) WorkloadResult {
 		RunReport: RunReport{
 			Schema:   ReportSchema,
 			Workload: w.Name, Platform: pl.name,
-			Seconds: out.Time.Seconds(), Nanos: int64(out.Time),
-			Attribution:   newReport(w.Name, pl.name, out),
+			Nanos: int64(out.Time), Comps: out.Comps, Ops: out.Profile,
 			DroppedEvents: m.Trace.Dropped(),
 		},
 		Trace:   m.Trace.Events(),

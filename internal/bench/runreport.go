@@ -10,26 +10,33 @@ import (
 	"teleport/internal/core"
 	"teleport/internal/ddc"
 	"teleport/internal/fault"
+	"teleport/internal/metrics"
 	"teleport/internal/obs"
+	"teleport/internal/profile"
 	"teleport/internal/sim"
 )
 
-// RunReport is the unified per-run observability report: the attribution
-// breakdown, per-operation latency percentiles, the hottest span paths from
+// RunReport is the unified per-run observability report: the time
+// attribution, per-operation latency percentiles, the hottest span paths from
 // the virtual-time profile, and the run's availability/incident summary —
 // one artifact an operator (or CI) reads instead of four. RunWorkload builds
 // it once, as part of the WorkloadResult. Marshals to JSON deterministically;
 // Fprint renders the human form.
 type RunReport struct {
 	// Schema is ReportSchema at the time the report was written.
-	Schema   int     `json:"schema"`
-	Workload string  `json:"workload"`
-	Platform string  `json:"platform"`
-	Seconds  float64 `json:"seconds"`
-	Nanos    int64   `json:"nanos"`
+	Schema   int    `json:"schema"`
+	Workload string `json:"workload"`
+	Platform string `json:"platform"`
+	// Nanos is the query's virtual time, the sum of its operators' times
+	// (load and build excluded).
+	Nanos int64 `json:"nanos"`
 
-	// Attribution is the component/operator breakdown (always present).
-	Attribution *Report `json:"attribution"`
+	// Comps partitions Nanos by component: the machine's always-on TimeSet's
+	// delta over the query, so it costs no virtual time. Nanos −
+	// Comps.TotalNs() is CPU/DRAM compute (ComputeNs).
+	Comps metrics.TimeSet `json:"components_ns"`
+	// Ops is the executor's per-operator profile, in first-execution order.
+	Ops []profile.OpStat `json:"ops"`
 
 	// Latency is the per-operation percentile summary (Options.Percentiles
 	// runs only).
@@ -52,6 +59,9 @@ type RunReport struct {
 	Fault *FaultReport `json:"fault,omitempty"`
 }
 
+// ComputeNs returns the run's compute residual.
+func (rr *RunReport) ComputeNs() int64 { return rr.Nanos - rr.Comps.TotalNs() }
+
 // IncidentKind is one degrade class's trigger count within a run.
 type IncidentKind struct {
 	Kind  string `json:"kind"`
@@ -67,8 +77,12 @@ const reportTopK = 12
 // "Runtime" (ddc.ShardStat, core.RuntimeStats) instead of flattened copies.
 // 3: "Runtime" loses the counters of the per-call queue timeout and
 // execution limit, because a call has one time limit, core.Policy.Deadline,
-// whose every abort DeadlineAborts counts.
-const ReportSchema = 3
+// whose every abort DeadlineAborts counts. 4: each fact once — "seconds"
+// goes (it is "nanos"), the "attribution" object's "components_ns" and
+// "ops" move to the top level, its copies of the workload, the platform and
+// the query time ("total_ns", which equalled "nanos") go, and the fault
+// block loses "FabricDrops", which equalled "FabricRetries".
+const ReportSchema = 4
 
 // setIncidents records the flight recorder's summary: every trigger, the
 // retained records, and the retained records' count per kind.
@@ -103,7 +117,7 @@ func (rr *RunReport) WriteJSON(w io.Writer) error {
 // Fprint renders the observability sections in human form — the percentile
 // table, the hot-path table, the incident summary and the chaos report —
 // skipping those the run did not collect. The attribution tables print
-// through Attribution.Fprint.
+// through fprintAttribution.
 func (rr *RunReport) Fprint(w io.Writer) {
 	if len(rr.Latency) > 0 {
 		t := &Table{
@@ -160,17 +174,71 @@ func (rr *RunReport) Fprint(w io.Writer) {
 // virtual-time summary, the per-operator profile, the attribution tables
 // when asked for, and the report's observability sections.
 func (r *WorkloadResult) Fprint(w io.Writer, attribution bool) {
-	fmt.Fprintf(w, "%s on %s: %.6f s (virtual)\n\n", r.Workload, r.Platform, r.Seconds)
+	fmt.Fprintf(w, "%s on %s: %.6f s (virtual)\n\n", r.Workload, r.Platform, sim.Time(r.Nanos).Seconds())
 	fmt.Fprintf(w, "  %-14s %12s %10s %12s %8s\n", "operator", "time(s)", "calls", "remote(KB)", "pushed")
-	for _, o := range r.Attribution.Ops {
+	for _, o := range r.Ops {
 		fmt.Fprintf(w, "  %-14s %12.6f %10d %12.1f %8v\n",
 			o.Name, o.Time.Seconds(), o.Calls, float64(o.RemoteByte)/1024, o.Pushed)
 	}
 	fmt.Fprintln(w)
 	if attribution {
-		r.Attribution.Fprint(w)
+		r.fprintAttribution(w)
 	}
 	r.RunReport.Fprint(w)
+}
+
+// fprintAttribution renders the time attribution as two tables: the run-level
+// component breakdown (compute first, then every non-zero component grouped
+// by layer) and the per-operator rows.
+func (rr *RunReport) fprintAttribution(w io.Writer) {
+	secs := func(ns int64) string { return fmt.Sprintf("%.4f", sim.Time(ns).Seconds()) }
+	share := func(ns int64) string {
+		if rr.Nanos <= 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.1f%%", 100*float64(ns)/float64(rr.Nanos))
+	}
+
+	t := &Table{
+		Figure: "report",
+		Title:  fmt.Sprintf("time attribution: %s on %s (total %ss)", rr.Workload, rr.Platform, secs(rr.Nanos)),
+		Header: []string{"layer", "component", "time(s)", "share"},
+	}
+	t.AddRow("cpu", "compute (residual)", secs(rr.ComputeNs()), share(rr.ComputeNs()))
+	layers := []string{"net", "ssd", "paging", "pushdown"}
+	for _, layer := range layers {
+		for c := metrics.Comp(0); c < metrics.NumComps; c++ {
+			if c.Layer() != layer || rr.Comps[c] == 0 {
+				continue
+			}
+			t.AddRow(layer, c.String(), secs(rr.Comps[c]), share(rr.Comps[c]))
+		}
+		if n := rr.Comps.LayerNs(layer); n > 0 {
+			t.AddRow(layer, "(total)", secs(n), share(n))
+		}
+	}
+	t.Fprint(w)
+
+	if len(rr.Ops) == 0 {
+		return
+	}
+	ot := &Table{
+		Figure: "report",
+		Title:  "per-operator attribution",
+		Header: []string{"operator", "time(s)", "pushed", "remote(MB)", "compute(s)", "net(s)", "ssd(s)", "paging(s)", "pushdown(s)"},
+	}
+	for _, o := range rr.Ops {
+		pushed := ""
+		if o.Pushed {
+			pushed = "push"
+		}
+		ot.AddRow(o.Name, secs(int64(o.Time)), pushed,
+			fmt.Sprintf("%.1f", float64(o.RemoteByte)/(1<<20)),
+			secs(int64(o.Time)-o.Attr.TotalNs()),
+			secs(o.Attr.LayerNs("net")), secs(o.Attr.LayerNs("ssd")),
+			secs(o.Attr.LayerNs("paging")), secs(o.Attr.LayerNs("pushdown")))
+	}
+	ot.Fprint(w)
 }
 
 // FaultReport aggregates what a chaos run injected and how each layer
@@ -183,8 +251,7 @@ type FaultReport struct {
 	Injected fault.Counters
 
 	// Recovery, layer by layer.
-	FabricRetries  int64 // messages retransmitted by the fabric
-	FabricDrops    int64 // messages lost (each one was retransmitted)
+	FabricRetries  int64 // messages lost and retransmitted by the fabric
 	SSDReadRetries int64 // device-level re-reads
 	PoolStalls     int64 // paging operations that waited out a pool outage
 
@@ -242,11 +309,11 @@ func (f *FaultReport) String() string {
 			sh.ReadRepairs, sh.StaleReadsAverted, sh.QuorumStalls, rt.QuorumLostObserved, rt.QuorumAborts)
 	}
 	s := fmt.Sprintf(
-		"chaos profile=%s seed=%d\n  injected: drops=%d corrupt=%d spikes=%d ctx-crashes=%d ctx-mid-crashes=%d ssd-errs=%d\n  availability: %s\n  recovered: fabric retries=%d drops=%d, ssd re-reads=%d, pool stalls=%d\n  pushdown: pool-down obs=%d shard-down obs=%d ctx crashes=%d retries=%d local fallbacks=%d\n  crash-consistency: rollbacks=%d (pages=%d) shed=%d deadline-aborts=%d breaker opens=%d closes=%d short-circuits=%d",
+		"chaos profile=%s seed=%d\n  injected: drops=%d corrupt=%d spikes=%d ctx-crashes=%d ctx-mid-crashes=%d ssd-errs=%d\n  availability: %s\n  recovered: fabric retries=%d, ssd re-reads=%d, pool stalls=%d\n  pushdown: pool-down obs=%d shard-down obs=%d ctx crashes=%d retries=%d local fallbacks=%d\n  crash-consistency: rollbacks=%d (pages=%d) shed=%d deadline-aborts=%d breaker opens=%d closes=%d short-circuits=%d",
 		f.Profile, f.Seed,
 		i.Drops, i.Corruptions, i.Spikes, i.CtxCrashes, i.CtxMidCrashes, i.SSDReadErrors,
 		avail,
-		f.FabricRetries, f.FabricDrops, f.SSDReadRetries, f.PoolStalls,
+		f.FabricRetries, f.SSDReadRetries, f.PoolStalls,
 		rt.PoolDownObserved, rt.ShardDownObserved, rt.CtxCrashes, rt.Retries, rt.LocalFallbacks,
 		rt.Rollbacks, rt.RolledBackPages, rt.Shed, rt.DeadlineAborts,
 		rt.BreakerOpens, rt.BreakerCloses, rt.BreakerShortCircuits)
@@ -275,7 +342,6 @@ func newFaultReport(opts Options, out runOut, latency []obs.OpLatency) *FaultRep
 		Seed:           opts.ChaosSeed,
 		Injected:       m.Fault.Counters(),
 		FabricRetries:  tot.Retries,
-		FabricDrops:    tot.Drops,
 		SSDReadRetries: m.SSD.Stats().ReadRetries,
 		PoolStalls:     m.PoolStalls,
 		PoolDowntime:   m.Fault.Downtime(out.End, fault.Pool()),

@@ -296,7 +296,6 @@ type partObserved struct {
 	Sum          int64
 	Hinted       int // hinted-handoff instants traced
 	AntiEntropy  int // shard-anti-entropy sweep spans
-	Heal         int // partition-heal instants
 	Repair       int // read-repair spans
 	QuorumEvents int // shard-down events flagged as quorum losses
 	Stat1        ddc.ShardStat
@@ -413,8 +412,6 @@ func partitionScenario(t *testing.T) partObserved {
 			obs.Hinted++
 		case trace.KindShardAntiEntropy:
 			obs.AntiEntropy++
-		case trace.KindPartitionHeal:
-			obs.Heal++
 		case trace.KindReadRepair:
 			obs.Repair++
 		case trace.KindShardDown:
@@ -441,9 +438,9 @@ func TestSoakPartitionPathCoverage(t *testing.T) {
 	if got.Hinted != 2 || got.Stat1.HandoffRecords != 2 {
 		t.Errorf("hinted handoffs: trace=%d stats=%d, want 2 and 2", got.Hinted, got.Stat1.HandoffRecords)
 	}
-	if got.AntiEntropy != 1 || got.Heal != 1 || got.Stat1.PartitionHeals != 1 || got.Stat1.HandoffReplays != 1 {
-		t.Errorf("anti-entropy: spans=%d heals=%d stat-heals=%d replays=%d, want 1/1/1/1",
-			got.AntiEntropy, got.Heal, got.Stat1.PartitionHeals, got.Stat1.HandoffReplays)
+	if got.AntiEntropy != 1 || got.Stat1.PartitionHeals != 1 || got.Stat1.HandoffReplays != 1 {
+		t.Errorf("anti-entropy: spans=%d stat-heals=%d replays=%d, want 1/1/1",
+			got.AntiEntropy, got.Stat1.PartitionHeals, got.Stat1.HandoffReplays)
 	}
 	if got.Repair != 1 || got.Stat1.ReadRepairs != 1 || got.Stat1.StaleReadsAverted != 1 {
 		t.Errorf("read-repair: spans=%d repairs=%d stale-averted=%d, want 1/1/1",

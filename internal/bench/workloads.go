@@ -247,9 +247,9 @@ type runOut struct {
 	// (0 for any other run). The run accounts it because accounting extends
 	// the fault plan's schedules, and a finished cell is read, never changed.
 	Down sim.Time
-	// Attr partitions the driving thread's query-phase time by component
-	// (always collected; costs no virtual time).
-	Attr metrics.Attribution
+	// Comps partitions Time by component (always collected; costs no
+	// virtual time).
+	Comps metrics.TimeSet
 	// Rec is the flight recorder, non-nil when Options.IncidentEvents > 0.
 	Rec *obs.Recorder
 	// Metrics is the end-of-run snapshot (nil unless a registry was attached).
@@ -406,8 +406,7 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 func run(w workload, opts Options, spec runSpec) runOut {
 	ex, query, rec := prepare(w, opts, spec)
 	m, th := ex.P.M, ex.T
-	attrBefore := *m.Obs.Times
-	tstart := th.Now()
+	before := *m.Obs.Times
 	answer := query(ex)
 	snap := m.Obs.Hists.Snapshot()
 	if snap != nil {
@@ -425,10 +424,7 @@ func run(w workload, opts Options, spec runSpec) runOut {
 	return runOut{
 		Time: ex.Total(), Profile: ex.Profile(), Proc: ex.P, RT: ex.RT,
 		Answer: answer, End: th.Now(), Down: down, Rec: rec, Metrics: snap,
-		Attr: metrics.Attribution{
-			TotalNs: int64(th.Now() - tstart),
-			Comps:   m.Obs.Times.Sub(attrBefore),
-		},
+		Comps: m.Obs.Times.Sub(before),
 	}
 }
 

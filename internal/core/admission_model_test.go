@@ -106,14 +106,14 @@ func (m *admissionModel) event(who string, at sim.Time, k trace.Kind, arg int64)
 	m.events = append(m.events, trace.Event{At: at, Kind: k, Arg: arg, Who: who})
 }
 
-// allow is the breaker's gate at now: closed and half-open let the attempt
-// through, open refuses it until the cooldown has passed and then turns
-// half-open.
+// allow is the breaker's gate at now: closed lets the attempt through, open
+// refuses it until the cooldown has passed and then turns half-open and lets
+// this one probe through, and half-open refuses every other caller.
 func (m *admissionModel) allow(who string, now sim.Time) bool {
-	if m.threshold == 0 || m.state != brOpen {
+	if m.threshold == 0 || m.state == brClosed {
 		return true
 	}
-	if now-m.openedAt < m.cooldown {
+	if m.state == brHalfOpen || now-m.openedAt < m.cooldown {
 		return false
 	}
 	m.state = brHalfOpen
@@ -236,6 +236,12 @@ func FuzzAdmissionModel(f *testing.F) {
 	// sheds, expiries and dilation 2·(1+penalty) together.
 	f.Add([]byte{3, 1, 0, 1, 1, 1,
 		0, 0, 20, 0, 1, 0, 20, 0, 2, 1, 5, 3, 3, 2, 5, 0, 2, 10, 5, 0, 0x43, 0, 1, 0, 1, 3, 2, 0})
+	// Threshold 1, a 10 µs cooldown, two threads on two contexts: t0's
+	// failure opens the breaker at 5 µs and t0 probes half-open at 15 µs,
+	// holding its context to 25 µs. t1 arrives at 16 µs, while the probe
+	// runs, and must short-circuit; the probe's success closes the breaker.
+	f.Add([]byte{1, 1, 0, 0, 1, 1,
+		0x40, 0, 5, 0, 0, 10, 10, 0, 1, 16, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

@@ -24,17 +24,17 @@ const (
 	brHalfOpen
 )
 
-// breakerAllow reports whether a pushdown attempt may proceed, transitioning
-// open → half-open when the cooldown has elapsed. A false return means the
-// caller must short-circuit to local execution.
+// breakerAllow reports whether a pushdown attempt may proceed. Closed lets
+// every attempt through; open refuses them until the cooldown has elapsed,
+// then turns half-open and lets this caller through as the one probe; while
+// half-open every other caller is refused until the probe's outcome closes
+// or re-opens the breaker. A false return means the caller must
+// short-circuit to local execution.
 func (r *Runtime) breakerAllow(t *sim.Thread) bool {
-	if r.Policy.BreakerThreshold <= 0 {
+	switch {
+	case r.Policy.BreakerThreshold <= 0 || r.brState == brClosed:
 		return true
-	}
-	if r.brState != brOpen {
-		return true
-	}
-	if t.Now()-r.brOpenedAt < r.Policy.BreakerCooldown {
+	case r.brState == brHalfOpen || t.Now()-r.brOpenedAt < r.Policy.BreakerCooldown:
 		return false
 	}
 	r.brState = brHalfOpen
@@ -59,8 +59,9 @@ func (r *Runtime) breakerFailure(t *sim.Thread) {
 	}
 }
 
-// breakerSuccess records one successful pushdown, resetting the streak and
-// closing a half-open breaker (the probe proved the pool healthy again).
+// breakerSuccess records one pushdown the pool answered — it succeeded, or
+// fn ran and failed in a way no retry undoes — resetting the streak and
+// closing the breaker (a probe proved the pool healthy again).
 func (r *Runtime) breakerSuccess(t *sim.Thread) {
 	if r.Policy.BreakerThreshold <= 0 {
 		return

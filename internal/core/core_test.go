@@ -687,9 +687,12 @@ func TestPoolDilationFollowsRunningContexts(t *testing.T) {
 	}
 }
 
+// Each call, a failed one too, is one "pushdown" span: a begin/end pair
+// whose begin carries the call id, closed at the instant the call returns.
 func TestPushdownEmitsTraceEvents(t *testing.T) {
 	p, rt := testProc(16)
-	p.M.AttachTrace(trace.New(64))
+	ring := trace.New(1 << 12)
+	p.M.AttachTrace(ring)
 	th := sim.NewThread("caller")
 	a := p.Space.Alloc(8, "x")
 	p.NewEnv(th).WriteI64(a, 1)
@@ -698,12 +701,30 @@ func TestPushdownEmitsTraceEvents(t *testing.T) {
 	}, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	counts := p.M.Trace.CountByKind()
-	if counts[trace.KindPushdownStart] != 1 || counts[trace.KindPushdownEnd] != 1 {
-		t.Fatalf("pushdown events missing: %v", counts)
+	ends := []sim.Time{th.Now()}
+	v := fillVecPages(p, th)
+	rt.Policy.Deadline = 100 * sim.Microsecond
+	if _, err := rt.Pushdown(th, incVecPages(v), Options{}); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("second call: err = %v, want ErrDeadlineExceeded", err)
 	}
-	if counts[trace.KindCoherence] == 0 {
-		t.Fatalf("coherence event missing: %v", counts)
+	ends = append(ends, th.Now())
+
+	var spans []trace.Span
+	for _, sp := range trace.PairSpans(ring.Events()) {
+		if sp.Kind == trace.KindPushdown {
+			spans = append(spans, sp)
+		}
+	}
+	if len(spans) != 2 {
+		t.Fatalf("%d pushdown spans, want one per call: %v", len(spans), spans)
+	}
+	for i, sp := range spans {
+		if !sp.Complete || sp.Arg != int64(i+1) || sp.End != ends[i] {
+			t.Errorf("call %d: span %+v, want complete, Arg %d, end %v", i+1, sp, i+1, ends[i])
+		}
+	}
+	if countKind(ring, trace.KindCoherence) == 0 {
+		t.Fatalf("coherence event missing: %v", ring.CountByKind())
 	}
 }
 

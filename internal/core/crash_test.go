@@ -425,3 +425,29 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 		t.Fatalf("opens=%d half=%d closes=%d, want 2/1/0", rs.BreakerOpens, rs.BreakerHalfOpens, rs.BreakerCloses)
 	}
 }
+
+// A half-open probe whose function panics closes the breaker: the pool ran
+// fn, so no retry undoes the error, and a breaker left half-open would
+// short-circuit every later call.
+func TestBreakerClosesOnProbeRemoteError(t *testing.T) {
+	p, rt := testProc(16)
+	rt.Policy = Policy{BreakerThreshold: 1, BreakerCooldown: 100 * sim.Microsecond}
+	th := sim.NewThread("t")
+	a := fillVec(p, th, 8)
+	var out int64
+
+	outage := pinPoolDown(p.M)
+	rt.PushdownWithPolicy(th, sumFunc(a, 8, &out), Options{}) // opens
+	th.Advance(200 * sim.Microsecond)
+	outage.Pin(fault.Pool())
+	var remote *RemoteError
+	if _, ran, err := rt.PushdownWithPolicy(th, func(*ddc.Env) { panic("probe") }, Options{}); !ran || !errors.As(err, &remote) {
+		t.Fatalf("probe: ran=%v err=%v, want the pool's RemoteError", ran, err)
+	}
+	if rs := rt.Stats(); rs.BreakerHalfOpens != 1 || rs.BreakerCloses != 1 {
+		t.Fatalf("half=%d closes=%d, want 1/1", rs.BreakerHalfOpens, rs.BreakerCloses)
+	}
+	if _, ran, err := rt.PushdownWithPolicy(th, sumFunc(a, 8, &out), Options{}); err != nil || !ran {
+		t.Fatalf("after the probe: ran=%v err=%v, want a pushdown through the closed breaker", ran, err)
+	}
+}

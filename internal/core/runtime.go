@@ -223,7 +223,9 @@ func DefaultPolicy() Policy {
 //
 // While the breaker is open, calls short-circuit straight to compute-side
 // execution without attempting a pushdown; after the cooldown one probe
-// attempt is allowed through and its outcome closes or re-opens the breaker.
+// attempt is allowed through, other calls keep short-circuiting while it
+// runs, and its outcome closes (success or a non-recoverable error) or
+// re-opens (a recoverable failure) the breaker.
 func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options) (Stats, bool, error) {
 	// End-to-end latency of the whole policy call — every attempt, every
 	// backoff wait, and any compute-side fallback — the operation class
@@ -243,11 +245,11 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options) (Stat
 			return Stats{}, false, nil
 		}
 		st, err := r.Pushdown(t, fn, opts)
-		if err == nil {
-			r.breakerSuccess(t)
-			return st, true, nil
-		}
 		if !Recoverable(err) {
+			// Success, or an error no retry undoes (fn ran and panicked):
+			// the pool answered, so a probe ending here closes the breaker
+			// rather than leave it half-open.
+			r.breakerSuccess(t)
 			return st, true, err
 		}
 		r.breakerFailure(t)
@@ -424,7 +426,6 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	c.id = r.lastID
 	p := r.P
 	tr := &p.M.Obs
-	tr.Instant(t, trace.KindPushdownStart, 0, c.id)
 	// The deadline budget is per attempt, measured from this entry; it is
 	// enforced at every checkpoint below and inside execution by the pager.
 	if d := r.Policy.Deadline; d > 0 {
@@ -575,7 +576,6 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 
 	c.unwind()
 	pager.journal.discard(p.Space)
-	tr.Instant(t, trace.KindPushdownEnd, 0, c.id)
 	return st, remoteErr
 }
 
@@ -759,7 +759,10 @@ func (r *Runtime) postSync(t *sim.Thread, opts Options, eagerPages []mem.PageID)
 
 // acquire waits for a free memory-pool user context, honouring admission
 // control (Policy.QueueCap) and, while queued, the call's deadline
-// (deadlineAt, 0 = none).
+// (deadlineAt, 0 = none). The deadline is enforced late: nothing wakes the
+// pool at it, so a waiter past it is cancelled only when a later call meets
+// a full pool here or a context is released (expire), and it then resumes
+// at its old deadline.
 func (r *Runtime) acquire(t *sim.Thread, deadlineAt sim.Time) error {
 	if r.running < r.Contexts {
 		r.setRunning(r.running + 1)
@@ -783,7 +786,10 @@ func (r *Runtime) acquire(t *sim.Thread, deadlineAt sim.Time) error {
 // expire cancels the waiters whose deadline had passed by now, so the
 // queue holds only requests that may still start: the request was still
 // queued at its deadline, so try_cancel succeeded and the compute side
-// resumes at the deadline.
+// resumes at the deadline. It runs only from acquire and release, so now
+// may be long after that deadline, and other threads may have run past it
+// in the meantime; a timed wake at the deadline needs one from the
+// scheduler, which internal/sim does not offer.
 func (r *Runtime) expire(now sim.Time) {
 	live := r.queue[:0]
 	for _, w := range r.queue {

@@ -169,7 +169,6 @@ func (m *Machine) ReadStats(s *metrics.Snapshot) {
 	for i := range m.ShardStats {
 		m.perShard[i].Read(s.Counters, &m.ShardStats[i])
 	}
-	s.Counters["shard.handoff.queued"] = m.handoffDepth
 	s.Gauges["shard.handoff.depth"] = m.handoffDepth
 }
 

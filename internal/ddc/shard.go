@@ -549,15 +549,14 @@ func (m *Machine) journalHandoff(t *sim.Thread, target int, pg mem.PageID, ver u
 // serves traffic: records its copy already caught up on retire silently;
 // records a fresh-enough replica can push are delivered, one page transfer
 // each on the replica class — crash-origin ones under a "shard-recover" span,
-// then hinted ones under "shard-anti-entropy" with a "partition-heal" marker;
-// the rest stay queued. Free when the journal is empty.
+// then hinted ones under a "shard-anti-entropy" span, which counts as one
+// PartitionHeals; the rest stay queued. Free when the journal is empty.
 func (m *Machine) drainHandoff(t *sim.Thread, shard int) {
 	q := &m.resync[shard]
 	if len(q.recs) == 0 {
 		return
 	}
 	var delivered [2]int64 // crash-origin, hinted
-	var healPg mem.PageID  // the first delivered hinted record's page
 	remain := q.recs[:0]
 	for _, rec := range q.recs {
 		if rec.ver > 0 && m.copyVer(shard, rec.pg) >= rec.ver {
@@ -570,10 +569,10 @@ func (m *Machine) drainHandoff(t *sim.Thread, shard int) {
 			continue
 		}
 		m.setCopyVer(shard, rec.pg, sv)
-		if !rec.hinted {
+		if rec.hinted {
+			delivered[1]++
+		} else {
 			delivered[0]++
-		} else if delivered[1]++; delivered[1] == 1 {
-			healPg = rec.pg
 		}
 		m.handoffDepth--
 	}
@@ -592,7 +591,6 @@ func (m *Machine) drainHandoff(t *sim.Thread, shard int) {
 			st.Recoveries++
 			st.ResyncPages += n
 		} else {
-			m.Obs.Instant(t, trace.KindPartitionHeal, uint64(healPg), int64(shard))
 			st.HandoffReplays += n
 			st.PartitionHeals++
 		}

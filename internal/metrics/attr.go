@@ -126,10 +126,3 @@ func (a TimeSet) LayerNs(layer string) int64 {
 	}
 	return n
 }
-
-// Attribution is a TimeSet paired with the elapsed virtual time it
-// partitions; the unattributed remainder is CPU/DRAM compute.
-type Attribution struct {
-	TotalNs int64   `json:"total_ns"`
-	Comps   TimeSet `json:"components_ns"`
-}

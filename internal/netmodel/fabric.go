@@ -57,12 +57,9 @@ var _ = [1]struct{}{}[int(ClassReplica)+int(metrics.HistNetPageFault)-int(metric
 type Stat struct {
 	Msgs  int64 `per:"msgs"`
 	Bytes int64 `per:"bytes"`
-	// Retries counts retransmissions performed after a lost or corrupted
-	// transmission attempt; Drops counts the lost attempts themselves.
-	// They differ only if the retry cap is hit (the attempt is then
-	// treated as delivered by the reliable transport).
+	// Retries counts retransmissions, one per lost attempt: the last
+	// attempt draws no fault, so every loss is retransmitted.
 	Retries int64 `ctr:"fabric.retries"`
-	Drops   int64 `ctr:"fabric.drops"`
 }
 
 var (
@@ -165,7 +162,6 @@ func (f *Fabric) transmit(t *sim.Thread, class Class, ns float64, legs ...int) s
 			break
 		}
 		// Lost in flight: wait out the detection timeout and retransmit.
-		f.stats[class].Drops++
 		f.stats[class].Retries++
 		f.obs.Instant(t, trace.KindRPCRetry, 0, int64(class))
 		t.AdvanceNs(backoff)

@@ -81,8 +81,8 @@ func TestSendRetransmitsOnLoss(t *testing.T) {
 	if s.Msgs != 2 || s.Bytes != 8192 {
 		t.Fatalf("stats = %+v, want 2 msgs / 8192 bytes (original + retransmit)", s)
 	}
-	if s.Retries != 1 || s.Drops != 1 {
-		t.Fatalf("retries/drops = %d/%d, want 1/1", s.Retries, s.Drops)
+	if s.Retries != 1 {
+		t.Fatalf("retries = %d, want 1", s.Retries)
 	}
 	// Charged: two transmissions plus at least the retry backoff.
 	min := 2*msgTime(f, 4096) + sim.FromNs(retryBackoffRTTs*f.cfg.NetLatencyNs)
@@ -96,7 +96,7 @@ func TestSendLatencySpikeChargesButDoesNotRetry(t *testing.T) {
 	f.SetInjector(&scriptedInjector{lost: []bool{false}, extra: []float64{50000}})
 	f.Send(th, 100, ClassCoherence)
 	s := f.Stats(ClassCoherence)
-	if s.Msgs != 1 || s.Retries != 0 || s.Drops != 0 {
+	if s.Msgs != 1 || s.Retries != 0 {
 		t.Fatalf("stats = %+v, want a single spiked delivery", s)
 	}
 	want := msgTime(f, 100) + sim.FromNs(50000)
@@ -114,32 +114,34 @@ func TestRoundTripRetransmitsWholeRPC(t *testing.T) {
 	if s.Msgs != 4 || s.Bytes != 2*4196 {
 		t.Fatalf("stats = %+v, want both legs counted twice", s)
 	}
-	if s.Retries != 1 || s.Drops != 1 {
-		t.Fatalf("retries/drops = %d/%d, want 1/1", s.Retries, s.Drops)
+	if s.Retries != 1 {
+		t.Fatalf("retries = %d, want 1", s.Retries)
 	}
 }
 
 func TestRetryCapDelivers(t *testing.T) {
 	f, th := testFabric()
 	// Injector loses everything: the transport must still terminate and
-	// count maxSendAttempts-1 retries.
+	// count maxSendAttempts-1 retries. The last attempt draws no fault, so
+	// every lost attempt is one retry.
 	all := make([]bool, 64)
 	for i := range all {
 		all[i] = true
 	}
-	f.SetInjector(&scriptedInjector{lost: all})
+	inj := &scriptedInjector{lost: all}
+	f.SetInjector(inj)
 	f.Send(th, 64, ClassSync)
 	s := f.Stats(ClassSync)
-	if s.Retries != maxSendAttempts-1 {
-		t.Fatalf("retries = %d, want %d", s.Retries, maxSendAttempts-1)
+	if s.Retries != maxSendAttempts-1 || inj.i != maxSendAttempts-1 {
+		t.Fatalf("retries = %d after %d fault draws, want %d and %d", s.Retries, inj.i, maxSendAttempts-1, maxSendAttempts-1)
 	}
 	if s.Msgs != maxSendAttempts {
 		t.Fatalf("msgs = %d, want %d", s.Msgs, maxSendAttempts)
 	}
 }
 
-// TestTotalAndResetAllClasses drives every class, including the retry/drop
-// counters, and checks Total aggregates all of them.
+// TestTotalAndResetAllClasses drives every class, including the retry
+// counter, and checks Total aggregates all of them.
 func TestTotalAndResetAllClasses(t *testing.T) {
 	f, th := testFabric()
 	classes := []Class{ClassPageFault, ClassWriteback, ClassCoherence, ClassPushdown, ClassStorage, ClassSync, ClassReplica}
@@ -148,15 +150,15 @@ func TestTotalAndResetAllClasses(t *testing.T) {
 	}
 	for _, c := range classes {
 		f.SetInjector(&scriptedInjector{lost: []bool{true, false}})
-		f.Send(th, 100, c) // 2 msgs, 1 retry, 1 drop per class
+		f.Send(th, 100, c) // 2 msgs, 1 retry per class
 		s := f.Stats(c)
-		if s.Msgs != 2 || s.Bytes != 200 || s.Retries != 1 || s.Drops != 1 {
+		if s.Msgs != 2 || s.Bytes != 200 || s.Retries != 1 {
 			t.Fatalf("class %v stats = %+v", c, s)
 		}
 	}
 	tot := f.Total()
 	n := int64(len(classes))
-	if tot.Msgs != 2*n || tot.Bytes != 200*n || tot.Retries != n || tot.Drops != n {
+	if tot.Msgs != 2*n || tot.Bytes != 200*n || tot.Retries != n {
 		t.Fatalf("total = %+v, want aggregates over %d classes", tot, n)
 	}
 }

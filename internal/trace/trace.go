@@ -25,8 +25,6 @@ const (
 	KindStorageFault             // memory pool faulted to the storage pool
 	KindWriteback                // dirty page written back
 	KindCoherence                // invalidation/downgrade message
-	KindPushdownStart
-	KindPushdownEnd
 	KindEviction
 	KindSync          // syncmem / eager / migration flush
 	KindFaultInjected // chaos layer injected a fault (Arg: fault detail)
@@ -46,7 +44,7 @@ const (
 	KindRPC           // one fabric Send/RoundTrip (Arg: traffic class)
 	KindSSDRead       // one device page-in
 	KindSSDWrite      // one device page-out
-	KindPushdown      // one whole pushdown call (Arg: call id)
+	KindPushdown      // one whole pushdown call, failed ones too (Arg: call id)
 	KindPushQueue     // workqueue wait inside a pushdown
 	KindPushSetup     // temporary-context setup inside a pushdown
 	KindPushExec      // pushed-function execution inside a pushdown
@@ -56,24 +54,23 @@ const (
 	// Sharded-pool fault-domain events.
 	KindShardDown        // pushdown shed: a resident page's whole replica set is down
 	KindFailover         // span: a page access served by a replica while its primary shard is down
-	KindShardRecover     // span: re-sync journal replayed on a recovered shard (Arg: pages)
+	KindShardRecover     // span: re-sync journal replayed on a recovered shard (Page: shard, Arg: pages)
 	KindHintedHandoff    // quorum write enqueued a handoff record for an unreachable replica (Arg: target shard)
 	KindReadRepair       // span: failover read detected a stale copy and repaired it from the freshest reachable replica
-	KindShardAntiEntropy // span: anti-entropy sweep delivered hinted-handoff records over a healed link (Arg: pages)
-	KindPartitionHeal    // first traffic over a healed link drained that shard's handoff queue (Arg: shard)
+	KindShardAntiEntropy // span: anti-entropy sweep delivered hinted-handoff records over a healed link (Page: shard, Arg: pages)
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"remote-fault", "storage-fault", "writeback", "coherence",
-	"pushdown-start", "pushdown-end", "eviction", "sync",
+	"eviction", "sync",
 	"fault-injected", "rpc-retry", "pool-crash", "pool-recover",
 	"fallback-local",
 	"push-rollback", "shed", "breaker-open", "breaker-half", "breaker-close",
 	"rpc", "ssd-read", "ssd-write", "pushdown", "push-queue",
 	"push-setup", "push-exec", "push-sync", "push-retry-wait",
 	"shard-down", "failover", "shard-recover",
-	"hinted-handoff", "read-repair", "shard-anti-entropy", "partition-heal",
+	"hinted-handoff", "read-repair", "shard-anti-entropy",
 }
 
 // String names the kind.

@@ -324,6 +324,76 @@ func TestEveryFieldIsRead(t *testing.T) {
 	}
 }
 
+// TestOneSnapshotNamePerVariable fails when two names of a metrics snapshot
+// are written from one variable: statements s.Counters[k] = v or
+// s.Gauges[k] = v in the layers' ReadStats whose values read the same field
+// or variable, through conversions. One happening has one name; a second
+// name for it is a copy that every reader has to be told is a copy.
+func TestOneSnapshotNamePerVariable(t *testing.T) {
+	pkgs, _ := loadModule(t)
+	first := map[types.Object]string{} // variable → the first name written from it
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Name.Name != "ReadStats" || fn.Body == nil {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					as, ok := n.(*ast.AssignStmt)
+					if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+						return true
+					}
+					ix, ok := as.Lhs[0].(*ast.IndexExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := ix.X.(*ast.SelectorExpr)
+					if !ok || (sel.Sel.Name != "Counters" && sel.Sel.Name != "Gauges") {
+						return true
+					}
+					obj := readVar(p.Info, as.Rhs[0])
+					if obj == nil {
+						return true
+					}
+					name := p.Types.Name() + ": " + sel.Sel.Name + "[" + types.ExprString(ix.Index) + "]"
+					if prev, dup := first[obj]; dup {
+						t.Errorf("%s and %s are both written from %s: one variable, one name", prev, name, obj.Name())
+					} else {
+						first[obj] = name
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(first) == 0 {
+		t.Fatal("found no snapshot name written from a variable in any ReadStats")
+	}
+}
+
+// readVar returns the field or variable e reads, looking through
+// parentheses and conversions, or nil when e is anything else.
+func readVar(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.CallExpr:
+			if tv, ok := info.Types[x.Fun]; !ok || !tv.IsType() || len(x.Args) != 1 {
+				return nil
+			}
+			e = x.Args[0]
+		case *ast.SelectorExpr:
+			return info.Uses[x.Sel]
+		case *ast.Ident:
+			return info.Uses[x]
+		default:
+			return nil
+		}
+	}
+}
+
 // origin maps an instantiated generic's member back to its declaration.
 func origin(obj types.Object) types.Object {
 	switch o := obj.(type) {
