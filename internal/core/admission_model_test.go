@@ -16,9 +16,9 @@ import (
 // and its circuit breaker (§3.2): a FIFO of (arrival, deadline) waiters, a
 // count of running contexts held against Contexts and Policy.QueueCap,
 // §7.3's PoolDilation as a function of that count, and a closed / open /
-// half-open breaker. It is fed the operations in the order the simulated
-// threads make them and says what each must do; it never reads the
-// Runtime's own fields.
+// half-open breaker whose every transition starts a generation. It is fed
+// the operations in the order the simulated threads make them and says what
+// each must do; it never reads the Runtime's own fields.
 type admissionModel struct {
 	contexts, cores, queueCap int
 	threshold                 int
@@ -29,6 +29,7 @@ type admissionModel struct {
 	wakes   map[int]admWake // per thread: how its queued acquire returns, once decided
 
 	state    breakerState
+	gen      uint64
 	streak   int
 	openedAt sim.Time
 	events   []trace.Event // the breaker's trace events, in order
@@ -106,43 +107,52 @@ func (m *admissionModel) event(who string, at sim.Time, k trace.Kind, arg int64)
 	m.events = append(m.events, trace.Event{At: at, Kind: k, Arg: arg, Who: who})
 }
 
-// allow is the breaker's gate at now: closed lets the attempt through, open
-// refuses it until the cooldown has passed and then turns half-open and lets
-// this one probe through, and half-open refuses every other caller.
-func (m *admissionModel) allow(who string, now sim.Time) bool {
-	if m.threshold == 0 || m.state == brClosed {
-		return true
-	}
-	if m.state == brHalfOpen || now-m.openedAt < m.cooldown {
-		return false
-	}
-	m.state = brHalfOpen
-	m.event(who, now, trace.KindBreakerHalfOpen, 0)
-	return true
+// transition moves the breaker to state and starts a new generation.
+func (m *admissionModel) transition(state breakerState) {
+	m.state = state
+	m.gen++
 }
 
-// failure counts one recoverable failure: the threshold-th in a row opens a
-// closed breaker, and any failure re-opens a half-open one.
-func (m *admissionModel) failure(who string, now sim.Time) {
-	if m.threshold == 0 {
+// allow is the breaker's gate at now, and the generation the attempt is
+// admitted under: closed lets the attempt through, open refuses it until the
+// cooldown has passed and then turns half-open and lets this one probe
+// through, and half-open refuses every other caller.
+func (m *admissionModel) allow(who string, now sim.Time) (uint64, bool) {
+	if m.threshold == 0 || m.state == brClosed {
+		return m.gen, true
+	}
+	if m.state == brHalfOpen || now-m.openedAt < m.cooldown {
+		return m.gen, false
+	}
+	m.transition(brHalfOpen)
+	m.event(who, now, trace.KindBreakerHalfOpen, 0)
+	return m.gen, true
+}
+
+// failure counts one recoverable failure of an attempt admitted under gen:
+// the threshold-th in a row opens a closed breaker, and any failure re-opens
+// a half-open one. An attempt from an older generation counts for nothing.
+func (m *admissionModel) failure(who string, now sim.Time, gen uint64) {
+	if m.threshold == 0 || gen != m.gen {
 		return
 	}
 	m.streak++
 	if m.state == brHalfOpen || (m.state == brClosed && m.streak >= m.threshold) {
-		m.state = brOpen
+		m.transition(brOpen)
 		m.openedAt = now
 		m.event(who, now, trace.KindBreakerOpen, int64(m.streak))
 	}
 }
 
-// success ends the failure streak and closes the breaker.
-func (m *admissionModel) success(who string, now sim.Time) {
-	if m.threshold == 0 {
+// success ends the failure streak and closes the breaker, unless the attempt
+// was admitted under an older generation.
+func (m *admissionModel) success(who string, now sim.Time, gen uint64) {
+	if m.threshold == 0 || gen != m.gen {
 		return
 	}
 	m.streak = 0
 	if m.state != brClosed {
-		m.state = brClosed
+		m.transition(brClosed)
 		m.event(who, now, trace.KindBreakerClose, 0)
 	}
 }
@@ -168,9 +178,9 @@ func (m *admissionModel) diff(rt *Runtime, ring *trace.Ring, threads []*sim.Thre
 	if !slices.Equal(queue, want) {
 		return fmt.Sprintf("queue (thread@deadline) = %v, model %v", queue, want)
 	}
-	if rt.brState != m.state || rt.brStreak != m.streak || rt.brOpenedAt != m.openedAt {
-		return fmt.Sprintf("breaker state %d streak %d opened %v, model %d %d %v",
-			rt.brState, rt.brStreak, rt.brOpenedAt, m.state, m.streak, m.openedAt)
+	if rt.brState != m.state || rt.brGen != m.gen || rt.brStreak != m.streak || rt.brOpenedAt != m.openedAt {
+		return fmt.Sprintf("breaker state %d gen %d streak %d opened %v, model %d %d %d %v",
+			rt.brState, rt.brGen, rt.brStreak, rt.brOpenedAt, m.state, m.gen, m.streak, m.openedAt)
 	}
 	var opens, halfOpens, closes int64
 	for _, e := range m.events {
@@ -242,6 +252,12 @@ func FuzzAdmissionModel(f *testing.F) {
 	// runs, and must short-circuit; the probe's success closes the breaker.
 	f.Add([]byte{1, 1, 0, 0, 1, 1,
 		0x40, 0, 5, 0, 0, 10, 10, 0, 1, 16, 5, 0})
+	// Threshold 1, a 100 µs cooldown, two threads on two contexts: t1 is
+	// admitted at 0 µs and holds its context to 30 µs, and t0 fails at 5 µs
+	// and opens the breaker. t1's success was admitted under the closed
+	// generation, so it must not close the breaker during the cooldown.
+	f.Add([]byte{1, 1, 0, 0, 1, 10,
+		0x40, 0, 5, 0, 1, 0, 30, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -302,9 +318,9 @@ func FuzzAdmissionModel(f *testing.F) {
 					th.Advance(c.gap)
 					now := th.Now()
 					check(th, "arrival")
-					allowed := rt.breakerAllow(th)
-					if want := model.allow(th.Name(), now); allowed != want {
-						mismatch(th, "breakerAllow = %v, model %v", allowed, want)
+					gen, allowed := rt.breakerAllow(th)
+					if wantGen, want := model.allow(th.Name(), now); gen != wantGen || allowed != want {
+						mismatch(th, "breakerAllow = %d, %v, model %d, %v", gen, allowed, wantGen, want)
 					}
 					check(th, "breaker gate")
 					if !allowed {
@@ -333,8 +349,8 @@ func FuzzAdmissionModel(f *testing.F) {
 					}
 					check(th, "acquire")
 					if err != nil {
-						rt.breakerFailure(th)
-						model.failure(th.Name(), th.Now())
+						rt.breakerFailure(th, gen)
+						model.failure(th.Name(), th.Now(), gen)
 						check(th, "shed or expired")
 						continue
 					}
@@ -344,11 +360,11 @@ func FuzzAdmissionModel(f *testing.F) {
 					model.release(th.Now())
 					check(th, "release")
 					if c.fails {
-						rt.breakerFailure(th)
-						model.failure(th.Name(), th.Now())
+						rt.breakerFailure(th, gen)
+						model.failure(th.Name(), th.Now(), gen)
 					} else {
-						rt.breakerSuccess(th)
-						model.success(th.Name(), th.Now())
+						rt.breakerSuccess(th, gen)
+						model.success(th.Name(), th.Now(), gen)
 					}
 					check(th, "outcome")
 				}

@@ -83,6 +83,7 @@ type Runtime struct {
 	retryAt sim.Time
 
 	brState    breakerState
+	brGen      uint64   // bumped by every breaker transition (breaker.go)
 	brStreak   int      // consecutive recoverable failures while closed
 	brOpenedAt sim.Time // when the breaker last opened
 
@@ -225,7 +226,8 @@ func DefaultPolicy() Policy {
 // execution without attempting a pushdown; after the cooldown one probe
 // attempt is allowed through, other calls keep short-circuiting while it
 // runs, and its outcome closes (success or a non-recoverable error) or
-// re-opens (a recoverable failure) the breaker.
+// re-opens (a recoverable failure) the breaker. The outcome of an attempt
+// admitted before the breaker's last transition leaves the breaker as it is.
 func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options) (Stats, bool, error) {
 	// End-to-end latency of the whole policy call — every attempt, every
 	// backoff wait, and any compute-side fallback — the operation class
@@ -239,7 +241,8 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options) (Stat
 	ctxRerun := false
 	retries := 0
 	for {
-		if !r.breakerAllow(t) {
+		gen, allowed := r.breakerAllow(t)
+		if !allowed {
 			r.agg.BreakerShortCircuits++
 			r.runLocalFallback(t, fn)
 			return Stats{}, false, nil
@@ -249,10 +252,10 @@ func (r *Runtime) PushdownWithPolicy(t *sim.Thread, fn Func, opts Options) (Stat
 			// Success, or an error no retry undoes (fn ran and panicked):
 			// the pool answered, so a probe ending here closes the breaker
 			// rather than leave it half-open.
-			r.breakerSuccess(t)
+			r.breakerSuccess(t, gen)
 			return st, true, err
 		}
-		r.breakerFailure(t)
+		r.breakerFailure(t, gen)
 		// §3.2: the controller reaps a crashed context and the compute side
 		// re-issues the request once, without consuming a retry.
 		crashed := errors.Is(err, ErrContextCrashed)

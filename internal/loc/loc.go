@@ -59,14 +59,10 @@ func ModuleRoot(dir string) (string, error) {
 	}
 }
 
-// FuncLines returns the source-line count of the named function in file.
-// Methods are addressed as "Type.Method" (pointer receivers included).
-func FuncLines(file, name string) (int, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, file, nil, 0)
-	if err != nil {
-		return 0, err
-	}
+// funcLines returns the source-line count of the named function in f, which
+// fset parsed. Methods are addressed as "Type.Method" (pointer receivers
+// included).
+func funcLines(fset *token.FileSet, f *ast.File, name string) (int, error) {
 	wantRecv, wantName := "", name
 	if i := strings.IndexByte(name, '.'); i >= 0 {
 		wantRecv, wantName = name[:i], name[i+1:]
@@ -83,7 +79,7 @@ func FuncLines(file, name string) (int, error) {
 		end := fset.Position(fd.End()).Line
 		return end - start + 1, nil
 	}
-	return 0, fmt.Errorf("loc: function %s not found in %s", name, file)
+	return 0, fmt.Errorf("loc: function %s not found", name)
 }
 
 // recvTypeName returns the receiver's base type name ("" for plain
@@ -102,13 +98,28 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	return ""
 }
 
-// Count measures every entry relative to the module root.
+// Count measures every entry relative to the module root. Each distinct
+// file is parsed once, without object resolution (only declarations' line
+// spans are read).
 func Count(root string, entries []Entry) ([]Row, error) {
 	rows := make([]Row, 0, len(entries))
+	fset := token.NewFileSet()
+	files := make(map[string]*ast.File)
+	lines := func(r FuncRef) (int, error) {
+		f, ok := files[r.File]
+		if !ok {
+			var err error
+			if f, err = parser.ParseFile(fset, filepath.Join(root, r.File), nil, parser.SkipObjectResolution); err != nil {
+				return 0, err
+			}
+			files[r.File] = f
+		}
+		return funcLines(fset, f, r.Name)
+	}
 	sum := func(refs []FuncRef) (int, error) {
 		total := 0
 		for _, r := range refs {
-			n, err := FuncLines(filepath.Join(root, r.File), r.Name)
+			n, err := lines(r)
 			if err != nil {
 				return 0, fmt.Errorf("%s %s: %w", r.File, r.Name, err)
 			}

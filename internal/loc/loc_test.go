@@ -1,8 +1,12 @@
 package loc
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -28,32 +32,37 @@ func TestModuleRootFailsOutsideModule(t *testing.T) {
 	}
 }
 
+// parse parses src the way Count parses a file.
+func parse(t *testing.T, src string) (*token.FileSet, *ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "x.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, f
+}
+
 func TestFuncLinesPlainFunction(t *testing.T) {
-	dir := t.TempDir()
-	src := `package x
+	fset, f := parse(t, `package x
 
 // F does something.
 func F() int {
 	a := 1
 	return a
 }
-`
-	path := filepath.Join(dir, "f.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n, err := FuncLines(path, "F")
+`)
+	n, err := funcLines(fset, f, "F")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 4 {
-		t.Fatalf("FuncLines = %d, want 4", n)
+		t.Fatalf("funcLines = %d, want 4", n)
 	}
 }
 
 func TestFuncLinesMethod(t *testing.T) {
-	dir := t.TempDir()
-	src := `package x
+	fset, f := parse(t, `package x
 
 type T struct{}
 
@@ -62,18 +71,14 @@ func (t *T) M() {
 }
 
 func M() {}
-`
-	path := filepath.Join(dir, "m.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := FuncLines(path, "T.M"); n != 3 {
+`)
+	if n, _ := funcLines(fset, f, "T.M"); n != 3 {
 		t.Fatalf("method lines = %d, want 3", n)
 	}
-	if n, _ := FuncLines(path, "M"); n != 1 {
+	if n, _ := funcLines(fset, f, "M"); n != 1 {
 		t.Fatalf("plain lines = %d, want 1", n)
 	}
-	if _, err := FuncLines(path, "Missing"); err == nil {
+	if _, err := funcLines(fset, f, "Missing"); err == nil {
 		t.Fatal("expected error for missing function")
 	}
 }
@@ -100,5 +105,28 @@ func TestDefaultEntriesResolveAndStaySmall(t *testing.T) {
 		if r.CodeChange > 400 {
 			t.Fatalf("code change for %s = %d lines", r.Operator, r.CodeChange)
 		}
+	}
+}
+
+func TestCountSumsRefsAndNamesAMissingOne(t *testing.T) {
+	root := t.TempDir()
+	src := "package x\n\nfunc F() {}\n\nfunc G() {\n}\n"
+	if err := os.WriteFile(filepath.Join(root, "a.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Count(root, []Entry{{
+		System: "s", Operator: "o",
+		Change: []FuncRef{{"a.go", "F"}, {"a.go", "G"}},
+		Pushed: []FuncRef{{"a.go", "G"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Row{System: "s", Operator: "o", CodeChange: 3, PushedCode: 2}); rows[0] != want {
+		t.Fatalf("row = %+v, want %+v", rows[0], want)
+	}
+	_, err = Count(root, []Entry{{Change: []FuncRef{{"a.go", "F"}}, Pushed: []FuncRef{{"a.go", "H"}}}})
+	if err == nil || !strings.Contains(err.Error(), "a.go H") {
+		t.Fatalf("missing function: err = %v, want one naming a.go H", err)
 	}
 }

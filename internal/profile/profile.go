@@ -113,7 +113,10 @@ func (ex *Exec) Run(name string, fn func(env *ddc.Env)) {
 	o.Calls++
 	o.Pushed = o.Pushed || pushed
 	o.Attr.AddSet(ex.P.M.Obs.Times.Sub(attrBefore))
-	ex.P.M.Obs.Hists.Histogram("op." + name + ".ns").Observe(d)
+	if h := ex.P.M.Obs.Hists; h != nil {
+		// Only an attached registry needs the name; building it escapes.
+		h.Histogram("op." + name + ".ns").Observe(d)
+	}
 }
 
 // ReadStats walks the one ledger: the typed stats of every layer the executor

@@ -94,3 +94,17 @@ func TestByIntensityRanksMemoryBoundFirst(t *testing.T) {
 		t.Fatalf("ByIntensity = %v", names)
 	}
 }
+
+// TestRunAllocatesNothingWithoutRegistry pins a local operator call's host
+// cost once its name is known: with no histogram registry attached, Run must
+// not build the operator's histogram name (it escapes into the registry's
+// map, so building it allocates on every call).
+func TestRunAllocatesNothingWithoutRegistry(t *testing.T) {
+	p := ddc.MustMachine(ddc.Linux()).NewProcess()
+	ex := profile.NewExec(sim.NewThread("q"), p, nil)
+	op := func(env *ddc.Env) { env.Compute(1) }
+	ex.Run("Selection", op)
+	if n := testing.AllocsPerRun(100, func() { ex.Run("Selection", op) }); n != 0 {
+		t.Fatalf("Run allocates %v objects a call without a registry", n)
+	}
+}
