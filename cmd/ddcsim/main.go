@@ -104,10 +104,8 @@ var (
 		b.fs.IntVar(&b.opts.SimWorkers, "sim-workers", 0, "host goroutines draining simulation domains inside one lookahead window: 0 = one per core (GOMAXPROCS), 1 = sequential; virtual results are bit-identical at any setting")
 	}}
 	gArtifacts = group{"artifacts", func(b *binder) {
-		b.fs.IntVar(&b.opts.TraceCap, "trace", 0, "dump the last N paging/coherence/pushdown events")
-		b.fs.BoolVar(&b.opts.Percentiles, "percentiles", false, "print per-operation latency percentiles (p50/p95/p99/p999)")
-		b.fs.IntVar(&b.opts.ExactQuantiles, "exact-quantiles", 0, "retain up to N raw samples per histogram so small operation classes report exact quantiles (0 = bucket interpolation only)")
-		b.fs.IntVar(&b.opts.IncidentEvents, "incident-events", 0, "trace-window size per incident (0 with -incident-out = default "+fmt.Sprint(obs.DefaultIncidentEvents)+")")
+		b.fs.IntVar(&b.opts.TraceCap, "trace", 0, "dump the last N paging/coherence/pushdown events (the ring also feeds the hot-path table and the incident summary)")
+		b.fs.BoolVar(&b.opts.Metrics, "percentiles", false, "print per-operation latency percentiles (p50/p95/p99/p999)")
 		for i, a := range artifacts {
 			b.fs.StringVar(&b.paths[i], a.flag, "", "write "+a.help+" to this file")
 		}
@@ -167,37 +165,37 @@ func (b *binder) profiled(verb func() error) error {
 }
 
 // artifact is one file a single-workload run can leave behind: the flag naming
-// its path, the observability the path implies (bools switched on, sizes
-// defaulted when unset), and emit, which writes it and returns the status line.
+// its path, the recorders the file is read off — the event ring, the metrics
+// registry — and emit, which writes it and returns the status line.
 type artifact struct {
 	flag, help string
-	implies    bench.Options
+	ring, reg  bool
 	emit       func(w io.Writer, r *bench.WorkloadResult, path string) (string, error)
 }
 
 var artifacts = [...]artifact{
-	{"trace-out", "the retained events as Chrome trace-event JSON (Perfetto-loadable)", bench.Options{TraceCap: 1 << 18},
+	{"trace-out", "the retained events as Chrome trace-event JSON (Perfetto-loadable)", true, false,
 		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
 			return fmt.Sprintf("\nwrote %d trace events to %s (load at ui.perfetto.dev)", len(r.Trace), path), trace.WriteChromeTrace(w, r.Trace)
 		}},
-	{"trace-dump", "the retained events as text, one per line,", bench.Options{TraceCap: 1 << 18},
+	{"trace-dump", "the retained events as text, one per line,", true, false,
 		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
 			trace.Dump(w, "", r.Trace, r.DroppedEvents)
 			return fmt.Sprintf("wrote %d trace events to %s", len(r.Trace), path), nil
 		}},
-	{"metrics-out", "the metrics registry snapshot as JSON", bench.Options{Metrics: true},
+	{"metrics-out", "the metrics registry snapshot as JSON", false, true,
 		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
 			return "wrote metrics snapshot to " + path, r.Metrics.WriteJSON(w)
 		}},
-	{"profile-out", "the virtual-time profile as folded stacks (flamegraph.pl/speedscope input)", bench.Options{Profiling: true},
+	{"profile-out", "the virtual-time profile as folded stacks (flamegraph.pl/speedscope input)", true, false,
 		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
 			return fmt.Sprintf("wrote %d span paths to %s (feed to flamegraph.pl --countname=ns)", len(r.SpanProfile.Paths), path), r.SpanProfile.WriteFolded(w)
 		}},
-	{"incident-out", "flight-recorder incident records as JSONL", bench.Options{IncidentEvents: obs.DefaultIncidentEvents},
+	{"incident-out", "flight-recorder incident records as JSONL", true, false,
 		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
 			return fmt.Sprintf("wrote %d incident records to %s (%d triggered)", len(r.Incidents), path, r.IncidentsTotal), obs.WriteIncidentsJSONL(w, r.Incidents)
 		}},
-	{"report-out", "the unified run report (attribution + percentiles + hot paths + incidents) as JSON", bench.Options{Profiling: true, Percentiles: true},
+	{"report-out", "the unified run report (attribution + percentiles + hot paths + incidents) as JSON", true, true,
 		func(w io.Writer, r *bench.WorkloadResult, path string) (string, error) {
 			return "wrote unified run report to " + path, r.WriteJSON(w)
 		}},
@@ -253,7 +251,7 @@ func (b *binder) check() error {
 	case !(o.CacheFrac >= 0) || math.IsInf(o.CacheFrac, 1):
 		return fmt.Errorf("-cache-frac must be a finite number ≥ 0, got %v", o.CacheFrac)
 	}
-	for _, name := range []string{"trace", "exact-quantiles", "incident-events", "parallel", "sim-workers", "breaker-threshold"} {
+	for _, name := range []string{"trace", "parallel", "sim-workers", "breaker-threshold"} {
 		if f := b.fs.Lookup(name); f != nil && f.Value.(flag.Getter).Get().(int) < 0 {
 			return fmt.Errorf("-%s must be ≥ 0, got %v", name, f.Value)
 		}
@@ -323,8 +321,10 @@ func runVerb(b *binder, stdout io.Writer) error {
 		if len(names) > 1 {
 			return fmt.Errorf("-%s needs a single -workload", a.flag)
 		}
-		o.Metrics, o.Profiling, o.Percentiles = o.Metrics || a.implies.Metrics, o.Profiling || a.implies.Profiling, o.Percentiles || a.implies.Percentiles
-		o.TraceCap, o.IncidentEvents = cmp.Or(o.TraceCap, a.implies.TraceCap), cmp.Or(o.IncidentEvents, a.implies.IncidentEvents)
+		o.Metrics = o.Metrics || a.reg
+		if a.ring {
+			o.TraceCap = cmp.Or(o.TraceCap, bench.DefaultTraceCap)
+		}
 	}
 	results, err := bench.RunWorkloads(names, b.platform, *o)
 	if err != nil {

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"teleport/internal/bench"
 )
 
 // The files under testdata/ are the stdout (and artifact files) of the two
@@ -48,7 +51,13 @@ import (
 // where a threshold of -1 turned the breaker off, as 0 does now. The two metrics.json
 // files were re-recorded when the typed stats became the only counters: their
 // histograms are the old binary's bytes, and every counter and gauge it wrote
-// keeps its value among the now fixed key set.
+// keeps its value among the now fixed key set. The chaos run above is
+// replayed without -incident-events 64: every ring arms the flight
+// recorder with that window (obs.DefaultIncidentEvents), so its artifact
+// files are the old bytes. Two stdout files were re-recorded from the verb
+// when every printed section became derived from a recorder: run_chaos.txt
+// lost the percentile table's mode column with the exact-quantile path, and
+// run_trace_tail.txt gained the hot-path table of its 8-event ring.
 
 // ddcsim runs one in-process invocation and returns its stdout.
 func ddcsim(t *testing.T, args ...string) string {
@@ -109,7 +118,7 @@ func TestRunArtifactsReproduceRecordedFiles(t *testing.T) {
 		files  []artifact
 	}{
 		{
-			args:   "run -workload Q6 -platform teleport -scale 0.25 -chaos-profile chaos -percentiles -incident-events 64",
+			args:   "run -workload Q6 -platform teleport -scale 0.25 -chaos-profile chaos -percentiles",
 			stdout: "run_chaos.txt",
 			files: []artifact{
 				{"-profile-out", "p.folded", "run_chaos.folded"},
@@ -258,8 +267,8 @@ func TestCLIErrors(t *testing.T) {
 		{"run -workload Q9 -push-queue-cap -2", "flag provided but not defined: -push-queue-cap"},
 		{"run -workload Q9 -breaker-threshold -1", "-breaker-threshold must be ≥ 0, got -1"},
 		{"run -workload Q6 -trace -5", "-trace must be ≥ 0, got -5"},
-		{"run -workload Q6 -exact-quantiles -1", "-exact-quantiles must be ≥ 0, got -1"},
-		{"run -workload Q6 -incident-events -2", "-incident-events must be ≥ 0, got -2"},
+		{"run -workload Q6 -exact-quantiles 1", "flag provided but not defined: -exact-quantiles"},
+		{"run -workload Q6 -incident-events 1", "flag provided but not defined: -incident-events"},
 		{"run -workload Q6 -parallel -3", "-parallel must be ≥ 0, got -3"},
 		{"fig -fig 3 -parallel -1", "-parallel must be ≥ 0, got -1"},
 		{"cluster -sim-workers -4", "-sim-workers must be ≥ 0, got -4"},
@@ -275,6 +284,84 @@ func TestCLIErrors(t *testing.T) {
 		if strings.Contains(tc.want, " must be ") && (code != 1 || stdout.Len() != 0) { // a flag check runs before the verb
 			t.Errorf("ddcsim %s: exit %d, printed before failing:\n%s", tc.args, code, stdout.String())
 		}
+		if strings.HasPrefix(tc.want, "flag provided but not defined") && code != 2 {
+			t.Errorf("ddcsim %s: exit %d, want the parse error's 2", tc.args, code)
+		}
+	}
+}
+
+// A run records into two recorders, the event ring and the metrics registry,
+// and every section it prints is derived from them: the latency table iff a
+// registry, the hot-path table iff a ring, the incident summary iff a ring on
+// a chaos run. An artifact attaches the recorders its file is read off.
+func TestSectionsFollowTheRecorders(t *testing.T) {
+	dir := t.TempDir()
+	covered := map[string]bool{}
+	for _, tc := range []struct {
+		flag, arg string
+		ring, reg bool
+	}{
+		{"", "", false, false},
+		{"-trace", "8", true, false},
+		{"-percentiles", "", false, true},
+		{"-trace-out", "t.json", true, false},
+		{"-trace-dump", "t.txt", true, false},
+		{"-metrics-out", "m.json", false, true},
+		{"-profile-out", "p.folded", true, false},
+		{"-incident-out", "i.jsonl", true, false},
+		{"-report-out", "r.json", true, true},
+	} {
+		covered[tc.flag] = true
+		for _, chaos := range []string{"none", "chaos"} {
+			args := strings.Fields("run -workload Q6 -platform teleport -scale 0.25 -chaos-profile " + chaos + " " + tc.flag)
+			if strings.Contains(tc.arg, ".") {
+				args = append(args, filepath.Join(dir, tc.arg))
+			} else if tc.arg != "" {
+				args = append(args, tc.arg)
+			}
+			out := ddcsim(t, args...)
+			for _, sec := range []struct {
+				marker string
+				want   bool
+			}{
+				{"latency percentiles", tc.reg},
+				{"hot span paths", tc.ring},
+				{"incidents: ", tc.ring && chaos == "chaos"},
+			} {
+				if strings.Contains(out, sec.marker) != sec.want {
+					t.Errorf("ddcsim %s: section %q printed = %v, want %v", strings.Join(args, " "), sec.marker, !sec.want, sec.want)
+				}
+			}
+		}
+	}
+	for _, a := range artifacts {
+		if !covered["-"+a.flag] {
+			t.Errorf("artifact -%s has no row", a.flag)
+		}
+	}
+}
+
+// -report-out writes every section its help names with no other flag: on a
+// chaos run the incident summary too.
+func TestReportOutCarriesEverySection(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.json")
+	ddcsim(t, strings.Fields("run -workload Q6 -platform teleport -scale 0.25 -chaos-profile chaos -report-out "+path)...)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r struct {
+		Schema         int               `json:"schema"`
+		Latency        []json.RawMessage `json:"latency"`
+		HotPaths       []json.RawMessage `json:"hot_paths"`
+		IncidentsTotal int               `json:"incidents_total"`
+	}
+	if err := json.Unmarshal(b, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Schema != bench.ReportSchema || len(r.Latency) == 0 || len(r.HotPaths) == 0 || r.IncidentsTotal < 1 {
+		t.Errorf("report: schema %d, %d latency rows, %d hot paths, %d incidents; want schema %d and every section non-empty",
+			r.Schema, len(r.Latency), len(r.HotPaths), r.IncidentsTotal, bench.ReportSchema)
 	}
 }
 

@@ -36,34 +36,19 @@ type Options struct {
 	// working set (the paper's 1 GB against a 50 GB database ≈ 2%).
 	CacheFrac float64
 	// TraceCap, when positive, attaches an event ring of that capacity to
-	// the machine (see internal/trace); RunWorkload returns its contents.
+	// the machine (see internal/trace) and arms the flight recorder on it:
+	// each degrade-class event (rollback, shed, breaker-open, shard-down,
+	// fallback-local) snapshots the ring's last obs.DefaultIncidentEvents
+	// events plus a counter delta into an incident record (see
+	// internal/obs). RunWorkload returns the ring's contents, the incidents
+	// and the virtual-time profile folded from the ring.
 	TraceCap int
 
 	// Metrics, when true, attaches a metrics registry to the machine;
-	// RunWorkload returns its snapshot. Like tracing, recording costs no
-	// virtual time — a run with Metrics on and off is bit-identical.
+	// RunWorkload returns its snapshot and the per-operation latency
+	// percentiles read off its histograms. Recording costs no virtual time:
+	// same-seed runs with either recorder on and off are bit-identical.
 	Metrics bool
-
-	// Profiling folds the retained trace into a virtual-time profile
-	// (self/total time per span-kind path; see internal/obs). It implies an
-	// event ring: when TraceCap is zero a default-capacity ring is attached.
-	Profiling bool
-
-	// Percentiles extracts per-operation latency percentiles from the
-	// metrics histograms (implies a registry). ExactQuantiles, when
-	// positive, additionally retains up to that many raw samples per
-	// histogram so operations with bounded sample counts report exact
-	// quantiles instead of bucket-interpolated ones.
-	Percentiles    bool
-	ExactQuantiles int
-
-	// IncidentEvents, when positive, arms the forensic flight recorder: each
-	// degrade-class event (rollback, shed, breaker-open, shard-down,
-	// fallback-local) snapshots the last IncidentEvents trace events plus a
-	// counter delta into an incident record (see internal/obs). Implies an
-	// event ring, like Profiling. All three knobs are passive: same-seed
-	// runs with them on and off are bit-identical.
-	IncidentEvents int
 
 	// ChaosProfile names a fault-injection profile (see internal/fault;
 	// "" or "none" disables injection). Faults perturb virtual time, never

@@ -40,7 +40,7 @@ func renderFaultGolden(t *testing.T) string {
 	for _, g := range faultGoldenRuns {
 		opts := g.opts
 		opts.Seed, opts.ChaosSeed, opts.CacheFrac = 1, 7, 0.02
-		opts.IncidentEvents = obs.DefaultIncidentEvents
+		opts.TraceCap = DefaultTraceCap
 		opts.Parallel = 1
 		res, err := RunWorkload(g.workload, "teleport", opts)
 		if err != nil {

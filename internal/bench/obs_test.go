@@ -248,11 +248,11 @@ func TestMetricsAndTraceExportDeterministic(t *testing.T) {
 	}
 }
 
-// The extended golden guarantee: arming the whole analysis layer —
-// profiler, percentile extractor (exact-quantile mode included), and the
-// flight recorder — changes nothing about the simulation. Same-seed runs
-// with and without it report identical answers, virtual times, and fault
-// counters, on clean and chaos profiles alike.
+// The extended golden guarantee: arming the whole analysis layer — the
+// profiler and the flight recorder on a default ring, the percentile
+// extractor on a registry — changes nothing about the simulation. Same-seed
+// runs with and without it report identical answers, virtual times, and
+// fault counters, on clean and chaos profiles alike.
 func TestAnalysisLayerDoesNotPerturbRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -269,10 +269,7 @@ func TestAnalysisLayerDoesNotPerturbRuns(t *testing.T) {
 			plain := obsOpts()
 			plain.ChaosProfile = tc.chaos
 			armed := plain
-			armed.Profiling = true
-			armed.Percentiles = true
-			armed.ExactQuantiles = 4096
-			armed.IncidentEvents = 32
+			armed.TraceCap, armed.Metrics = DefaultTraceCap, true
 
 			a, err := RunWorkload(tc.workload, tc.platform, plain)
 			if err != nil {
@@ -316,13 +313,13 @@ func TestAnalysisLayerDoesNotPerturbRuns(t *testing.T) {
 }
 
 // An incident's counter delta is read off the layers' typed stats, which are
-// there whatever is attached: arming the registry, the percentile extractor
-// and the profiler beside the flight recorder changes no incident record, and
-// the rollback incident shows the rollback.
+// there whatever is attached: arming the registry and its percentile
+// extractor beside the flight recorder changes no incident record, and the
+// rollback incident shows the rollback.
 func TestIncidentDeltaIndependentOfObservers(t *testing.T) {
-	alone := Options{Scale: 0.25, Seed: 1, CacheFrac: 0.02, ChaosProfile: "chaos", IncidentEvents: 8}
+	alone := Options{Scale: 0.25, Seed: 1, CacheFrac: 0.02, ChaosProfile: "chaos", TraceCap: DefaultTraceCap}
 	armed := alone
-	armed.Metrics, armed.Percentiles, armed.Profiling = true, true, true
+	armed.Metrics = true
 	a, err := RunWorkload("Q6", "teleport", alone)
 	if err != nil {
 		t.Fatal(err)
@@ -352,10 +349,7 @@ func TestIncidentDeltaIndependentOfObservers(t *testing.T) {
 func TestAnalysisArtifactsDeterministic(t *testing.T) {
 	opts := obsOpts()
 	opts.ChaosProfile = "chaos"
-	opts.Profiling = true
-	opts.Percentiles = true
-	opts.ExactQuantiles = 4096
-	opts.IncidentEvents = 32
+	opts.TraceCap, opts.Metrics = DefaultTraceCap, true
 
 	render := func() (folded, jsonl, report []byte) {
 		res, err := RunWorkload("Q6", "teleport", opts)
@@ -400,17 +394,14 @@ func TestAnalysisArtifactsDeterministic(t *testing.T) {
 	}
 }
 
-// The percentile surface is wired through: exact mode engages under a
-// sample cap, the FaultReport carries tail pointers on chaos runs, and the
-// profile's hot path agrees with the attribution report's dominant
-// component.
+// The percentile surface is wired through: every operation class's
+// quantiles sit in order inside its [min, max] envelope, the FaultReport
+// carries tail pointers on chaos runs, and the profile's hot path agrees
+// with the attribution report's dominant component.
 func TestPercentileAndProfileWiring(t *testing.T) {
 	opts := obsOpts()
 	opts.ChaosProfile = "chaos"
-	opts.Profiling = true
-	opts.Percentiles = true
-	opts.ExactQuantiles = 1 << 16
-	opts.IncidentEvents = 16
+	opts.TraceCap, opts.Metrics = DefaultTraceCap, true
 	res, err := RunWorkload("Q6", "teleport", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -420,10 +411,7 @@ func TestPercentileAndProfileWiring(t *testing.T) {
 	}
 	sawE2E := false
 	for _, ol := range res.Latency {
-		if !ol.Exact {
-			t.Fatalf("%s not exact despite a %d sample cap (n=%d)", ol.Name, opts.ExactQuantiles, ol.Count)
-		}
-		if ol.P50 > ol.P999 || ol.P999 > float64(ol.MaxNs) {
+		if ol.P50 < float64(ol.MinNs) || ol.P50 > ol.P999 || ol.P999 > float64(ol.MaxNs) {
 			t.Fatalf("%s quantiles inconsistent: %+v", ol.Name, ol.Percentiles)
 		}
 		if ol.Name == "push.e2e.ns" {

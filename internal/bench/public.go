@@ -71,14 +71,13 @@ type WorkloadResult struct {
 	// Metrics is the run's snapshot — every layer's counters and gauges and
 	// the registry's histograms — when Options.Metrics is set.
 	Metrics *metrics.Snapshot
-	// Trace holds the machine's retained events when Options.TraceCap > 0.
-	Trace []trace.Event
-	// SpanProfile is the virtual-time profile folded from the trace when
-	// Options.Profiling is set (nil otherwise; see internal/obs).
+	// Trace holds the machine's retained events, SpanProfile the
+	// virtual-time profile folded from them (see internal/obs) and
+	// Incidents the flight recorder's retained records, when
+	// Options.TraceCap > 0.
+	Trace       []trace.Event
 	SpanProfile *obs.Profile
-	// Incidents holds the flight recorder's retained records when
-	// Options.IncidentEvents > 0.
-	Incidents []obs.Incident
+	Incidents   []obs.Incident
 }
 
 // RunWorkload executes one named workload on one named platform.
@@ -135,14 +134,12 @@ func runWorkload(w workload, pl platformDef, opts Options) WorkloadResult {
 		Trace:   m.Trace.Events(),
 		Metrics: out.Metrics,
 	}
-	if opts.Profiling {
+	if opts.TraceCap > 0 {
 		p := obs.BuildProfile(res.Trace, res.DroppedEvents)
 		res.SpanProfile = p
 		res.HotPaths, res.ProfileSelfNs, res.SkippedSpans = p.TopK(reportTopK), p.TotalSelfNs(), p.SkippedSpans
 	}
-	if opts.Percentiles {
-		res.Latency = obs.LatencySummary(res.Metrics)
-	}
+	res.Latency = obs.LatencySummary(res.Metrics)
 	res.Incidents = out.Rec.Incidents()
 	res.setIncidents(out.Rec.Total(), res.Incidents)
 	if opts.chaos != nil {

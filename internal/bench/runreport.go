@@ -38,18 +38,18 @@ type RunReport struct {
 	// Ops is the executor's per-operator profile, in first-execution order.
 	Ops []profile.OpStat `json:"ops"`
 
-	// Latency is the per-operation percentile summary (Options.Percentiles
+	// Latency is the per-operation percentile summary (Options.Metrics
 	// runs only).
 	Latency []obs.OpLatency `json:"latency,omitempty"`
 
 	// HotPaths is the top-K span paths by self time plus profile coverage
-	// (Options.Profiling runs only).
+	// (Options.TraceCap runs only).
 	HotPaths      []obs.PathStat `json:"hot_paths,omitempty"`
 	ProfileSelfNs int64          `json:"profile_self_ns,omitempty"`
 	SkippedSpans  int            `json:"skipped_spans,omitempty"`
 	DroppedEvents uint64         `json:"dropped_events,omitempty"`
 
-	// Incidents summarises the flight recorder (IncidentEvents runs only):
+	// Incidents summarises the flight recorder (Options.TraceCap runs only):
 	// total triggers by kind, with the full records left to the JSONL dump.
 	IncidentsTotal int            `json:"incidents_total,omitempty"`
 	IncidentsKept  int            `json:"incidents_kept,omitempty"`
@@ -81,8 +81,9 @@ const reportTopK = 12
 // goes (it is "nanos"), the "attribution" object's "components_ns" and
 // "ops" move to the top level, its copies of the workload, the platform and
 // the query time ("total_ns", which equalled "nanos") go, and the fault
-// block loses "FabricDrops", which equalled "FabricRetries".
-const ReportSchema = 4
+// block loses "FabricDrops", which equalled "FabricRetries". 5: latency rows
+// lose "exact", because every quantile is read off the histogram's buckets.
+const ReportSchema = 5
 
 // setIncidents records the flight recorder's summary: every trigger, the
 // retained records, and the retained records' count per kind.
@@ -123,16 +124,12 @@ func (rr *RunReport) Fprint(w io.Writer) {
 		t := &Table{
 			Figure: "report",
 			Title:  "latency percentiles (virtual time)",
-			Header: []string{"operation", "count", "p50", "p95", "p99", "p999", "max", "mode"},
+			Header: []string{"operation", "count", "p50", "p95", "p99", "p999", "max"},
 		}
 		for _, ol := range rr.Latency {
-			mode := "buckets"
-			if ol.Exact {
-				mode = "exact"
-			}
 			t.AddRow(ol.Name, fmt.Sprintf("%d", ol.Count),
 				fmtNs(ol.P50), fmtNs(ol.P95), fmtNs(ol.P99), fmtNs(ol.P999),
-				fmtNs(float64(ol.MaxNs)), mode)
+				fmtNs(float64(ol.MaxNs)))
 		}
 		t.Fprint(w)
 	}
@@ -274,7 +271,7 @@ type FaultReport struct {
 	// short-circuited (teleport platforms only; zero elsewhere).
 	Runtime core.RuntimeStats
 
-	// Tail latency under injection (Options.Percentiles runs only; nil
+	// Tail latency under injection (Options.Metrics runs only; nil
 	// otherwise): the operation classes whose distribution chaos distorts
 	// most — end-to-end pushdown (retries, backoff and fallbacks included),
 	// remote page faults, and paging stalls waiting out pool outages.
@@ -333,7 +330,7 @@ func (f *FaultReport) String() string {
 
 // newFaultReport reads what the run's fault plan injected and how each
 // layer recovered off the finished machine; the tails point into the run's
-// latency summary (empty unless Options.Percentiles).
+// latency summary (empty unless Options.Metrics).
 func newFaultReport(opts Options, out runOut, latency []obs.OpLatency) *FaultReport {
 	m := out.Proc.M
 	tot := m.Fabric.Total()

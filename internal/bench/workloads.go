@@ -250,28 +250,16 @@ type runOut struct {
 	// Comps partitions Time by component (always collected; costs no
 	// virtual time).
 	Comps metrics.TimeSet
-	// Rec is the flight recorder, non-nil when Options.IncidentEvents > 0.
+	// Rec is the flight recorder, non-nil when Options.TraceCap > 0.
 	Rec *obs.Recorder
 	// Metrics is the end-of-run snapshot (nil unless a registry was attached).
 	Metrics *metrics.Snapshot
 }
 
-// traceCap resolves the event-ring capacity: the explicit TraceCap, or a
-// default when profiling or the flight recorder needs a ring anyway.
-func (o Options) traceCap() int {
-	if o.TraceCap > 0 {
-		return o.TraceCap
-	}
-	if o.Profiling || o.IncidentEvents > 0 {
-		return defaultTraceCap
-	}
-	return 0
-}
-
-// defaultTraceCap sizes the implied event ring: large enough that the
-// evaluation workloads profile without wraparound, small enough to stay
-// cheap (each event is ~80 bytes).
-const defaultTraceCap = 1 << 18
+// DefaultTraceCap sizes the event ring of a caller that needs one but names
+// no capacity: large enough that the evaluation workloads profile without
+// wraparound, small enough to stay cheap (each event is ~80 bytes).
+const DefaultTraceCap = 1 << 18
 
 // resolve is the one place options are validated and defaulted. Every entry
 // point (Run, RunAll, RunWorkloads, Advise, RunCluster) calls it once and
@@ -323,7 +311,7 @@ func (o Options) attachFault(m *ddc.Machine, prof *fault.Profile, i int) {
 // spec → ddc.Config → machine → observers → fault plan → process → dataset →
 // cache/pool sizing → runtime → flight recorder. It returns the executor on a
 // fresh driving thread, the query to run on it and the flight recorder (nil
-// unless armed). Every figure cell and public run is set up here, so each
+// without a ring). Every figure cell and public run is set up here, so each
 // dataset loader has one call site.
 func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profile.Exec) uint64, *obs.Recorder) {
 	var cfg ddc.Config
@@ -353,13 +341,11 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 		opts.setTopology(&cfg)
 	}
 	m := ddc.MustMachine(cfg)
-	if cap := opts.traceCap(); cap > 0 {
-		m.AttachTrace(trace.New(cap))
+	if opts.TraceCap > 0 {
+		m.AttachTrace(trace.New(opts.TraceCap))
 	}
-	if opts.Metrics || opts.Percentiles {
-		reg := metrics.NewRegistry()
-		reg.SetSampleCap(opts.ExactQuantiles)
-		m.AttachMetrics(reg)
+	if opts.Metrics {
+		m.AttachMetrics(metrics.NewRegistry())
 	}
 	prof := opts.chaos
 	if spec.chaos.Name != "" {
@@ -393,8 +379,8 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 		ex.Push(push...)
 	}
 	var rec *obs.Recorder
-	if opts.IncidentEvents > 0 {
-		rec = obs.NewRecorder(m.Trace, opts.IncidentEvents, ex.ReadStats)
+	if opts.TraceCap > 0 {
+		rec = obs.NewRecorder(m.Trace, obs.DefaultIncidentEvents, ex.ReadStats)
 		m.Trace.SetObserver(rec.Observe)
 	}
 	return ex, query, rec

@@ -26,14 +26,6 @@ type Histogram struct {
 	n      int64
 	min    int64 // smallest observation (valid when n > 0)
 	max    int64 // largest observation (valid when n > 0)
-
-	// samples retains up to sampleCap raw observations in arrival order so
-	// quantiles are exact for bounded sample counts; once an observation is
-	// not retained, sampleOver marks the exact mode unavailable and readers
-	// fall back to bucket interpolation.
-	samples    []int64
-	sampleCap  int
-	sampleOver bool
 }
 
 // Observe records one duration (no-op on nil). The bucket scan is a binary
@@ -50,13 +42,6 @@ func (h *Histogram) Observe(d sim.Time) {
 	}
 	if h.n == 1 || ns > h.max {
 		h.max = ns
-	}
-	if h.sampleCap > 0 {
-		if len(h.samples) < h.sampleCap {
-			h.samples = append(h.samples, ns)
-		} else {
-			h.sampleOver = true
-		}
 	}
 	h.counts[sort.Search(len(latencyBuckets), func(i int) bool { return latencyBuckets[i] >= ns })]++
 }
@@ -109,10 +94,6 @@ var histNames = [NumHists]string{
 type Registry struct {
 	fixed [NumHists]Histogram
 	named map[string]*Histogram
-
-	// sampleCap, when > 0, makes each histogram retain up to that many raw
-	// observations for exact quantile extraction (see Histogram.samples).
-	sampleCap int
 }
 
 // NewRegistry returns an empty registry.
@@ -134,22 +115,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	h, ok := r.named[name]
 	if !ok {
-		h = &Histogram{sampleCap: r.sampleCap}
+		h = &Histogram{}
 		r.named[name] = h
 	}
 	return h
-}
-
-// SetSampleCap makes every histogram retain up to n raw observations (0
-// disables retention). Call it before the run so all share the mode.
-func (r *Registry) SetSampleCap(n int) {
-	if r == nil {
-		return
-	}
-	r.sampleCap = max(n, 0)
-	for i := range r.fixed {
-		r.fixed[i].sampleCap = r.sampleCap
-	}
 }
 
 // HistogramSnapshot is one histogram's exported state.
@@ -160,13 +129,6 @@ type HistogramSnapshot struct {
 	SumNs    int64   `json:"sum_ns"`
 	MinNs    int64   `json:"min_ns"` // valid when Count > 0
 	MaxNs    int64   `json:"max_ns"` // valid when Count > 0
-
-	// SamplesNs holds the retained raw observations in arrival order when
-	// the histogram was created under a sample cap. SampleOverflow reports
-	// that at least one observation was not retained, so SamplesNs is a
-	// prefix and exact quantiles are unavailable.
-	SamplesNs      []int64 `json:"samples_ns,omitempty"`
-	SampleOverflow bool    `json:"sample_overflow,omitempty"`
 }
 
 // Snapshot is a point-in-time copy of a run's metrics: the counters and
@@ -207,7 +169,7 @@ func (r *Registry) Snapshot() *Snapshot {
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {
-	hs := HistogramSnapshot{
+	return HistogramSnapshot{
 		BoundsNs: append([]int64(nil), latencyBuckets[:]...),
 		Counts:   append([]int64(nil), h.counts[:]...),
 		Count:    h.n,
@@ -215,11 +177,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		MinNs:    h.min,
 		MaxNs:    h.max,
 	}
-	if h.sampleCap > 0 {
-		hs.SamplesNs = append([]int64(nil), h.samples...)
-		hs.SampleOverflow = h.sampleOver
-	}
-	return hs
 }
 
 // WriteJSON writes the snapshot as indented JSON (a nil one as empty),

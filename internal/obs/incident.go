@@ -54,8 +54,8 @@ type Incident struct {
 	Events []IncidentEvent `json:"events"`
 }
 
-// DefaultIncidentEvents is the trace-window size per incident when the
-// caller does not choose one.
+// DefaultIncidentEvents is the trace-window size per incident of a run's
+// flight recorder.
 const DefaultIncidentEvents = 64
 
 // DefaultMaxIncidents bounds retained incidents; like a hardware flight
@@ -79,13 +79,9 @@ type Recorder struct {
 }
 
 // NewRecorder builds a flight recorder over ring. lastN bounds the trace
-// window per incident (<=0 uses DefaultIncidentEvents); read, which may be
-// nil, is the ledger walk whose counters are diffed into each incident's
-// delta.
+// window per incident; read, which may be nil, is the ledger walk whose
+// counters are diffed into each incident's delta.
 func NewRecorder(ring *trace.Ring, lastN int, read func(*metrics.Snapshot)) *Recorder {
-	if lastN <= 0 {
-		lastN = DefaultIncidentEvents
-	}
 	return &Recorder{ring: ring, lastN: lastN, maxKept: DefaultMaxIncidents, read: read}
 }
 

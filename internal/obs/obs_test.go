@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 
@@ -130,41 +129,14 @@ func observeAll(h *metrics.Histogram, vals ...int64) {
 	}
 }
 
-func TestPercentilesExactMode(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.SetSampleCap(100)
-	h := reg.Histogram("lat")
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(sim.Time(i * 1000))
-	}
-	hs := reg.Snapshot().Histograms["lat"]
-	p := FromHistogram(hs)
-	if !p.Exact {
-		t.Fatal("expected exact mode with all samples retained")
-	}
-	if p.Count != 100 || p.MinNs != 1000 || p.MaxNs != 100000 {
-		t.Fatalf("envelope: %+v", p)
-	}
-	// Linear interpolation over 1k..100k: p50 = 50.5k, p99 = 99.01k.
-	if math.Abs(p.P50-50500) > 1e-9 || math.Abs(p.P99-99010) > 1e-9 {
-		t.Fatalf("p50=%v p99=%v", p.P50, p.P99)
-	}
-	if p.P999 > float64(p.MaxNs) || p.P50 < float64(p.MinNs) {
-		t.Fatalf("quantiles left the [min,max] envelope: %+v", p)
-	}
-}
-
 func TestPercentilesInterpolatedWithinBucketBounds(t *testing.T) {
-	reg := metrics.NewRegistry() // no sample cap: interpolation mode
+	reg := metrics.NewRegistry()
 	h := reg.Histogram("lat")
 	for i := int64(1); i <= 1000; i++ {
 		h.Observe(sim.Time(i * 100)) // 100ns..100µs, spread across buckets
 	}
 	hs := reg.Snapshot().Histograms["lat"]
 	p := FromHistogram(hs)
-	if p.Exact {
-		t.Fatal("should be interpolated without samples")
-	}
 	// The true p50 is ~50µs; the containing bucket is (20µs, 50µs], so the
 	// estimate must stay within it (interpolation error ≤ bucket width).
 	if p.P50 < 20000 || p.P50 > 50000 {
@@ -179,30 +151,16 @@ func TestPercentilesInterpolatedWithinBucketBounds(t *testing.T) {
 	}
 }
 
-func TestPercentilesSampleOverflowFallsBack(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.SetSampleCap(10)
-	h := reg.Histogram("lat")
-	observeAll(h, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 1100)
-	hs := reg.Snapshot().Histograms["lat"]
-	if !hs.SampleOverflow {
-		t.Fatal("expected sample overflow at cap 10 with 11 observations")
-	}
-	if p := FromHistogram(hs); p.Exact {
-		t.Fatal("overflowed samples must fall back to interpolation")
-	}
-}
-
 func TestPercentilesEdgeCases(t *testing.T) {
 	if p := FromHistogram(metrics.HistogramSnapshot{}); p.Count != 0 || p.P999 != 0 {
 		t.Fatalf("empty: %+v", p)
 	}
+	// One sample is exact: the estimate is clamped to [min, max].
 	reg := metrics.NewRegistry()
-	reg.SetSampleCap(4)
 	h := reg.Histogram("one")
 	h.Observe(sim.Time(4242))
 	p := FromHistogram(reg.Snapshot().Histograms["one"])
-	if !p.Exact || p.P50 != 4242 || p.P999 != 4242 {
+	if p.P50 != 4242 || p.P999 != 4242 {
 		t.Fatalf("single sample: %+v", p)
 	}
 }

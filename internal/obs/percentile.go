@@ -17,60 +17,24 @@ type Percentiles struct {
 	P95    float64 `json:"p95_ns"`
 	P99    float64 `json:"p99_ns"`
 	P999   float64 `json:"p999_ns"`
-
-	// Exact reports the quantiles were computed from the full retained raw
-	// sample set (bounded sample counts under a sample cap); false means
-	// linear interpolation inside the fixed histogram buckets, whose error
-	// is bounded by the bucket width (see DESIGN.md §9).
-	Exact bool `json:"exact"`
 }
 
-// FromHistogram extracts percentiles from one histogram snapshot. When the
-// snapshot retains its complete raw sample set the quantiles are exact;
-// otherwise they are interpolated linearly within the fixed buckets and
-// clamped to the observed [min, max] envelope. Deterministic either way: the
-// same snapshot always yields the same values.
+// FromHistogram extracts percentiles from one histogram snapshot: each
+// quantile is interpolated linearly within the fixed bucket holding its rank
+// and clamped to the observed [min, max] envelope, so it is off by at most
+// its bucket's width (DESIGN.md §9), and a class of one sample reports that
+// sample. Deterministic: the same snapshot always yields the same values.
 func FromHistogram(hs metrics.HistogramSnapshot) Percentiles {
 	p := Percentiles{Count: hs.Count, MinNs: hs.MinNs, MaxNs: hs.MaxNs}
 	if hs.Count == 0 {
 		return p
 	}
 	p.MeanNs = float64(hs.SumNs) / float64(hs.Count)
-	if int64(len(hs.SamplesNs)) == hs.Count && !hs.SampleOverflow {
-		sorted := append([]int64(nil), hs.SamplesNs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		p.Exact = true
-		p.P50 = quantileExact(sorted, 0.50)
-		p.P95 = quantileExact(sorted, 0.95)
-		p.P99 = quantileExact(sorted, 0.99)
-		p.P999 = quantileExact(sorted, 0.999)
-		return p
-	}
 	p.P50 = quantileBuckets(hs, 0.50)
 	p.P95 = quantileBuckets(hs, 0.95)
 	p.P99 = quantileBuckets(hs, 0.99)
 	p.P999 = quantileBuckets(hs, 0.999)
 	return p
-}
-
-// quantileExact is the standard linear-interpolation quantile over a sorted
-// sample set (the definition numpy calls "linear"): rank q·(n−1) split into
-// its integer and fractional parts.
-func quantileExact(sorted []int64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 {
-		return float64(sorted[0])
-	}
-	pos := q * float64(n-1)
-	i := int(pos)
-	if i >= n-1 {
-		return float64(sorted[n-1])
-	}
-	frac := pos - float64(i)
-	return float64(sorted[i]) + frac*(float64(sorted[i+1])-float64(sorted[i]))
 }
 
 // quantileBuckets interpolates the q-quantile from fixed bucket counts: find

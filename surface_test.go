@@ -44,7 +44,7 @@ var surfaceKeep = map[string]string{
 // assigned by at least one file of the module, tests included.
 var knobStructs = []string{
 	"core.Runtime", "core.Options", "core.Policy",
-	"profile.Exec", "ddc.Config",
+	"profile.Exec", "ddc.Config", "bench.Options",
 }
 
 const internalPrefix = "teleport/internal/"
