@@ -16,8 +16,9 @@ race:
 # analyzer's violation in a copy of real code, and the CLI goldens.
 # ./... includes cmd/... and internal/analysis/... themselves, so the
 # linter is self-hosting: the analyzers and their driver must pass their
-# own checks. Last, the doc check — every pkg.Name and test name that
-# DESIGN.md, README.md or EXPERIMENTS.md cites must exist in the code — and
+# own checks. Last, the doc check — every pkg.Name, test name and
+# internal/ or cmd/ path that DESIGN.md, README.md or EXPERIMENTS.md cites
+# must exist in the code — and
 # the field census: every struct field under internal/ and cmd/ must be read
 # by some non-test file, and no two metrics-snapshot names may be written
 # from one variable.

@@ -22,11 +22,14 @@ var (
 	// name (fault.remote.ns) and does not match.
 	pkgRef  = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*)((?:\.\w+)*)`)
 	testRef = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	// pathRef is the head of a span that names a path in the module.
+	pathRef = regexp.MustCompile(`^(?:internal|cmd)/\S*`)
 )
 
 // TestDocsNameOnlyWhatExists fails on a code span in the docs that names a
-// package-level object, field or method the type checker cannot find, or a
-// Test/Benchmark/Fuzz function no _test.go file declares.
+// package-level object, field or method the type checker cannot find, a
+// Test/Benchmark/Fuzz function no _test.go file declares, or a path under
+// internal/ or cmd/ that does not exist.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	pkgs, testFiles := loadModule(t)
 	byName := map[string]*types.Package{}
@@ -56,6 +59,11 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			if m := pkgRef.FindStringSubmatch(span); m != nil {
 				if p := byName[m[1]]; p != nil && !resolves(p, m[2], strings.Split(m[3], ".")[1:]) {
 					t.Errorf("%s: %s names nothing in the code: fix the name or delete the sentence", at, m[0])
+				}
+			}
+			if path := pathRef.FindString(span); path != "" {
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("%s: %s names no file or directory: fix the path or delete the sentence", at, path)
 				}
 			}
 			for _, name := range testRef.FindAllString(span, -1) {

@@ -22,9 +22,7 @@ import (
 // more when any of them stops. Their pushdowns cannot abort, so they keep no
 // pre-images; journalling most of the array again, as every call once did,
 // costs 5 642 objects and 28.1 MB for Fig 21 and 4 342 and 18.8 MB for Fig 6.
-// Fig 11 reads no Options size: it parses five source files, and was 55.6 k
-// objects, half the suite's, when it parsed a file for every function it
-// counted.
+// Fig 11 reads no Options size and no file: it renders a literal table.
 func TestFigureMallocBudget(t *testing.T) {
 	opts := Options{Scale: 0.02, GraphNV: 600, Words: 2000, Seed: 1, CacheFrac: 0.02, Parallel: 1, SimWorkers: 1}
 	for _, fig := range []struct {
@@ -37,7 +35,7 @@ func TestFigureMallocBudget(t *testing.T) {
 		{"3", 1750, 0},     // measured 1 396
 		{"21", 4600, 22e6}, // measured 3 658 and 17.7 MB (81 744 and 341 MB unreleased)
 		{"6", 3050, 13e6},  // measured 2 431 and 10.4 MB (16 402 and 68 MB unreleased)
-		{"11", 17000, 0},   // measured 13 585 (55 567 parsing a file once per function)
+		{"11", 21, 0},      // measured 17 (13 585 parsing its sources, 55 567 a file per function)
 	} {
 		run := func() (objects, bytes uint64) {
 			var before, after runtime.MemStats

@@ -3,7 +3,7 @@
 // packages record, this one answers: it folds span trees into a virtual-time
 // profile (self/total time per span-kind path, exported as
 // flamegraph-compatible folded stacks), extracts latency percentiles from
-// histograms (interpolated, or exact for bounded sample counts), and runs a
+// histograms (bucket-interpolated, clamped to [min, max]), and runs a
 // forensic flight recorder that snapshots the trace window and a counter
 // delta whenever the simulation degrades (rollback, shed, breaker trip,
 // shard outage, local fallback).
