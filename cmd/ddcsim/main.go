@@ -19,7 +19,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 
 	"teleport/internal/bench"
@@ -235,9 +234,9 @@ func (v verb) bind(stderr io.Writer) *binder {
 }
 
 // check rejects the dataset sizes the generators cannot build, cache
-// fractions no cache can be sized to, negative counts, figure ids that
-// name no figure, and pushdown-policy durations that are none, in the verbs
-// that take them.
+// fractions no cache can be sized to, negative counts and pushdown-policy
+// durations that are none, in the verbs that take them; bench.RunAll rejects
+// figure ids that name no figure before it runs any.
 func (b *binder) check() error {
 	o := &b.opts
 	switch {
@@ -254,13 +253,6 @@ func (b *binder) check() error {
 	for _, name := range []string{"trace", "parallel", "sim-workers", "breaker-threshold"} {
 		if f := b.fs.Lookup(name); f != nil && f.Value.(flag.Getter).Get().(int) < 0 {
 			return fmt.Errorf("-%s must be ≥ 0, got %v", name, f.Value)
-		}
-	}
-	if b.fs.Lookup("fig") != nil && b.figs != "all" {
-		for _, id := range strings.Split(b.figs, ",") {
-			if !slices.Contains(bench.Figures(), strings.TrimSpace(id)) {
-				return fmt.Errorf("-fig must be 'all' or ids that ddcsim fig -list prints, comma separated: unknown figure %q", id)
-			}
 		}
 	}
 	if b.fs.Lookup("push-deadline-us") == nil { // the verb takes no pushdown policy
@@ -366,19 +358,16 @@ func figVerb(b *binder, stdout io.Writer) error {
 		fmt.Fprintln(stdout, strings.Join(bench.Figures(), " "))
 		return nil
 	}
-	fmt.Fprint(stdout, b.opts.Header())
-	if b.figs == "all" {
-		tabs, err := bench.RunAll(b.opts)
-		for _, t := range tabs {
-			t.Fprint(stdout)
-		}
+	var ids []string // none: every figure
+	if b.figs != "all" {
+		ids = strings.Split(strings.ReplaceAll(b.figs, " ", ""), ",")
+	}
+	tabs, err := bench.RunAll(b.opts, ids...)
+	if err != nil {
 		return err
 	}
-	for _, id := range strings.Split(b.figs, ",") {
-		t, err := bench.Run(strings.TrimSpace(id), b.opts)
-		if err != nil {
-			return err
-		}
+	fmt.Fprint(stdout, b.opts.Header())
+	for _, t := range tabs {
 		t.Fprint(stdout)
 	}
 	return nil

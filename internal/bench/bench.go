@@ -11,7 +11,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -174,17 +173,29 @@ func pad(s string, n int) string {
 // Runner regenerates one figure.
 type Runner func(opts Options) *Table
 
-// registry maps figure ids ("1a", "13", ...) to runners.
-var registry = map[string]Runner{}
+// figures is every figure the package regenerates, in the order Figures
+// lists them and RunAll runs them all.
+var figures = []struct {
+	id  string
+	run Runner
+}{
+	{"A2", figFabric}, {"A3", figRLE}, {"A4", figPrefetch}, {"A5", figWorkerScaling},
+	{"A1", figAdvisor}, {"A6", figAvailability},
+	{"10", fig10}, {"11", fig11}, {"19", fig19}, {"20", fig20},
+	{"6", fig6}, {"7", fig7}, {"21", fig21}, {"22", fig22},
+	{"1a", fig1a}, {"1b", fig1b}, {"3", fig3}, {"12", fig12}, {"13", fig13},
+	{"A7", figPartition},
+	{"14", fig14}, {"15", fig15}, {"16", fig16}, {"17", fig17}, {"18", fig18},
+}
 
-var registryOrder []string
-
-func register(id string, r Runner) {
-	if _, dup := registry[id]; dup {
-		panic("bench: duplicate figure " + id)
+// figure returns the runner of figure id, nil when there is none.
+func figure(id string) Runner {
+	for _, f := range figures {
+		if f.id == id {
+			return f.run
+		}
 	}
-	registry[id] = r
-	registryOrder = append(registryOrder, id)
+	return nil
 }
 
 // Header is the first line of a figure-suite run — the knobs that shaped
@@ -202,47 +213,55 @@ func (o Options) Header() string {
 	return h + "\n\n"
 }
 
-// Figures returns the registered figure ids in registration order.
-func Figures() []string { return append([]string(nil), registryOrder...) }
+// Figures returns the figure ids in table order.
+func Figures() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}
 
 // Run regenerates one figure by id.
 func Run(id string, opts Options) (*Table, error) {
-	r, ok := registry[id]
-	if !ok {
-		sorted := Figures()
-		sort.Strings(sorted)
-		return nil, fmt.Errorf("bench: unknown figure %q (have %s)", id, strings.Join(sorted, ", "))
-	}
-	opts, err := opts.resolve()
+	tabs, err := RunAll(opts, id)
 	if err != nil {
 		return nil, err
 	}
-	return r(opts), nil
+	return tabs[0], nil
 }
 
-// RunAll regenerates every figure. Figures execute concurrently when the
-// options allow parallelism (their data points share one bounded worker
-// pool), but the returned slice is always in registration order, and every
-// table is bit-identical to a sequential run.
-func RunAll(opts Options) ([]*Table, error) {
+// RunAll regenerates the figures ids names, in that order, or every figure
+// when it names none; an unknown id is an error before anything runs. The
+// figures share one scope, so a data point two of them read runs once. They
+// execute concurrently when the options allow parallelism (their data points
+// share one bounded worker pool), but the returned slice is always in ids'
+// order, and every table is bit-identical to a sequential run.
+func RunAll(opts Options, ids ...string) ([]*Table, error) {
+	if len(ids) == 0 {
+		ids = Figures()
+	}
+	for _, id := range ids {
+		if figure(id) == nil {
+			return nil, fmt.Errorf("bench: unknown figure %q (have %s)", id, strings.Join(Figures(), " "))
+		}
+	}
 	opts, err := opts.resolve()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Table, len(registryOrder))
-	if opts.pool == nil {
-		for i, id := range registryOrder {
-			out[i] = registry[id](opts)
-		}
-		return out, nil
-	}
+	out := make([]*Table, len(ids))
 	var wg sync.WaitGroup
-	for i, id := range registryOrder {
+	for i, id := range ids {
+		if opts.pool == nil {
+			out[i] = figure(id)(opts)
+			continue
+		}
 		wg.Add(1)
-		go func(i int, r Runner) {
+		go func(i int, r Runner, opts Options) {
 			defer wg.Done()
 			out[i] = r(opts)
-		}(i, registry[id])
+		}(i, figure(id), opts)
 	}
 	wg.Wait()
 	return out, nil

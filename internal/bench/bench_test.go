@@ -34,6 +34,40 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// The figure table is the one list of figures: no id appears twice and every
+// id has a runner.
+func TestFigureTableIdsUniqueWithRunners(t *testing.T) {
+	seen := map[string]bool{}
+	for _, f := range figures {
+		if seen[f.id] || f.run == nil {
+			t.Errorf("figure %q: listed before %v, runner %v", f.id, seen[f.id], f.run != nil)
+		}
+		seen[f.id] = true
+	}
+}
+
+// RunAll runs the figures it is given in the order given, in one scope, and
+// renders what Run renders of each; an unknown id is an error that names it.
+func TestRunAllRunsTheListedFigures(t *testing.T) {
+	opts := smokeOpts()
+	tabs, err := RunAll(opts, "21", "22")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"21", "22"} {
+		tab, err := Run(id, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := renderTable(tabs[i]), renderTable(tab); got != want {
+			t.Errorf("RunAll's figure %s:\n%swant Run's:\n%s", id, got, want)
+		}
+	}
+	if _, err := RunAll(opts, "21", "99"); err == nil || !strings.Contains(err.Error(), `"99"`) {
+		t.Errorf("RunAll with an unknown figure: err = %v, want one naming \"99\"", err)
+	}
+}
+
 func TestRunUnknownFigure(t *testing.T) {
 	if _, err := Run("99", smallOpts()); err == nil {
 		t.Fatal("expected error for unknown figure")
@@ -411,7 +445,7 @@ func TestFig1And18AndA1Shapes(t *testing.T) {
 	}
 	tabs := map[string]*Table{}
 	for _, id := range []string{"1a", "1b", "18", "A1"} {
-		tabs[id] = registry[id](opts)
+		tabs[id] = figure(id)(opts)
 	}
 
 	if base, tele := parseX(t, tabs["1a"].Rows[1][1]), parseX(t, tabs["1a"].Rows[2][1]); base <= 1 || tele <= base {

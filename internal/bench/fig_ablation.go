@@ -7,12 +7,6 @@ import (
 	"teleport/internal/sim"
 )
 
-func init() {
-	register("A2", figFabric)
-	register("A3", figRLE)
-	register("A4", figPrefetch)
-}
-
 // figFabric is an extension: how TELEPORT's benefit depends on the fabric.
 // The paper's testbed is 56 Gb/s / 1.2 µs InfiniBand; this sweeps from a
 // commodity Ethernet to a CXL-class link. The expectation — and the reason
@@ -115,10 +109,6 @@ func figPrefetch(opts Options) *Table {
 	t.Notes = append(t.Notes,
 		"prefetching helps scans but plateaus well short of pushdown — the §1 claim that OS optimisations alone are insufficient")
 	return t
-}
-
-func init() {
-	register("A5", figWorkerScaling)
 }
 
 // figWorkerScaling is an extension probing §2.1's elasticity claim against

@@ -7,10 +7,6 @@ import (
 	"teleport/internal/hw"
 )
 
-func init() {
-	register("A1", figAdvisor)
-}
-
 // figAdvisor is an extension beyond the paper: §5.1/§7.4 leave automatic
 // pushdown selection as future work; internal/advisor implements it. This
 // ablation compares, for each TPC-H query, the hand-picked operator sets

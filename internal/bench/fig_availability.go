@@ -7,10 +7,6 @@ import (
 	"teleport/internal/sim"
 )
 
-func init() {
-	register("A6", figAvailability)
-}
-
 // q6Cell is the job both figures sweep: Q6 at a quarter of the scale on
 // TELEPORT, with a 2% cache and half the database in pool DRAM, over a pool
 // pinned to the given topology under an ad-hoc fault profile (zero = whatever

@@ -7,15 +7,9 @@ import (
 	"teleport/internal/core"
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
+	"teleport/internal/profile"
 	"teleport/internal/sim"
 )
-
-func init() {
-	register("10", fig10)
-	register("11", fig11)
-	register("19", fig19)
-	register("20", fig20)
-}
 
 // fig10 reproduces Figure 10: the per-operator/phase breakdown of the query
 // with the greatest cost of scaling in each system (Q9, SSSP, WordCount):
@@ -118,57 +112,49 @@ func fig20(opts Options) *Table {
 		t.AddRow(name, msf(st.PreSync), msf(st.Request), msf(st.Queue+st.CtxSetup),
 			msf(st.OnlineSync), msf(st.Response), msf(st.PostSync), msf(st.Overhead()))
 	}
-	stats := parmap(opts, []func() core.Stats{method(opts, core.FlagEagerSync), method(opts, core.FlagDefault)})
-	add("Eager sync", stats[0])
-	add("On-demand sync", stats[1])
+	spec := runSpec{platform: platTeleport}
+	outs := parmap(opts, []func() runOut{
+		cell(pushCall(core.FlagEagerSync), opts, spec), cell(pushCall(core.FlagDefault), opts, spec),
+	})
+	add("Eager sync", outs[0].RT.Stats().Phases)
+	add("On-demand sync", outs[1].RT.Stats().Phases)
 	t.Notes = append(t.Notes,
 		"paper: eager ≈3.5s dominated by pre/post page-by-page transfers; on-demand ≈0.3s dominated by page-table setup")
 	return t
 }
 
-// method is the job of one of Fig 20's data points: runMethod's result for
-// flags, run once per entry-point call.
-func method(opts Options, flags core.Flags) func() core.Stats {
-	sc := opts.scope
-	return func() core.Stats {
-		return memo(sc, func(s *scope) *table[core.Flags, core.Stats] { return &s.methods },
-			flags, func() core.Stats { return runMethod(sc, flags) })
+// pushCall is Fig 20's data point under flags as a workload: one pushdown
+// call on a working set scaled like the paper's 50 GB against a 1 GB cache —
+// the cache is ~2% of the space, and the query fills it dirty before the call.
+// The figure reads the runtime's phase sums, which equal the call's Stats, so
+// it reads the run-level observability surface RunWorkload reports instead of
+// a value threaded out of one call.
+func pushCall(flags core.Flags) workload {
+	const spacePages, cachePages = 24000, 512
+	return workload{
+		Name:       fmt.Sprintf("PushCall%d", flags),
+		CacheBytes: cachePages * mem.PageSize,
+		Build: func(p *ddc.Process, _ Options) func(*profile.Exec) uint64 {
+			a := p.Space.AllocPages(spacePages*mem.PageSize, "ws")
+			return func(ex *profile.Exec) uint64 {
+				for pg := 0; pg < cachePages; pg++ {
+					ex.Env.WriteI64(a+mem.Addr(pg)*mem.PageSize, int64(pg))
+				}
+				if _, err := ex.RT.Pushdown(sim.NewThread("caller"), func(env *ddc.Env) {
+					// A modest function: scan a slice of the space, including
+					// some pages the compute pool holds dirty (online
+					// coherence work).
+					for pg := 0; pg < 64; pg++ {
+						env.ReadI64(a + mem.Addr(pg)*mem.PageSize)
+					}
+					for pg := cachePages; pg < cachePages+256; pg++ {
+						env.ReadI64(a + mem.Addr(pg)*mem.PageSize)
+					}
+				}, core.Options{Flags: flags}); err != nil {
+					panic(err)
+				}
+				return 0
+			}
+		},
 	}
-}
-
-// runMethod makes one pushdown call under flags, on pages of sc that it hands
-// back, and returns the runtime's phase sums. They equal the single call's
-// Stats, so the figure reads the run-level observability surface RunWorkload
-// reports instead of a value threaded out of one call.
-func runMethod(sc *scope, flags core.Flags) core.Stats {
-	m := ddc.MustMachine(ddc.BaseDDC(1 << 30))
-	p := sc.share(m.NewProcess())
-	// A working set scaled like the paper's 50 GB against a 1 GB cache:
-	// the cache is ~2% of the space and fully resident + dirty.
-	const spacePages = 24000
-	const cachePages = 512
-	a := p.Space.AllocPages(spacePages*mem.PageSize, "ws")
-	p.ResizeCache(cachePages * mem.PageSize)
-	warm := sim.NewThread("warm")
-	wenv := p.NewEnv(warm)
-	for pg := 0; pg < cachePages; pg++ {
-		wenv.WriteI64(a+mem.Addr(pg)*mem.PageSize, int64(pg))
-	}
-	rt := core.NewRuntime(p, 1)
-	th := sim.NewThread("caller")
-	_, err := rt.Pushdown(th, func(env *ddc.Env) {
-		// A modest function: scan a slice of the space, including some
-		// pages the compute pool holds dirty (online coherence work).
-		for pg := 0; pg < 64; pg++ {
-			env.ReadI64(a + mem.Addr(pg)*mem.PageSize)
-		}
-		for pg := cachePages; pg < cachePages+256; pg++ {
-			env.ReadI64(a + mem.Addr(pg)*mem.PageSize)
-		}
-	}, core.Options{Flags: flags})
-	if err != nil {
-		panic(err)
-	}
-	p.Release()
-	return rt.Stats().Phases
 }

@@ -7,15 +7,9 @@ import (
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
 	"teleport/internal/netmodel"
+	"teleport/internal/profile"
 	"teleport/internal/sim"
 )
-
-func init() {
-	register("6", fig6)
-	register("7", fig7)
-	register("21", fig21)
-	register("22", fig22)
-}
 
 // microParams configures the §4 two-thread microbenchmark: one
 // compute-intensive thread (arithmetic) and one memory-intensive thread
@@ -27,7 +21,6 @@ type microParams struct {
 	accesses     int     // memory-thread operations
 	writeFrac    float64 // fraction of memory-thread ops that write
 	computeOps   float64 // compute-thread arithmetic
-	memPoolCores int
 
 	// Shared-page contention (Figures 7, 21, 22): both threads write into
 	// sharedPages at rate contention (per op).
@@ -50,7 +43,6 @@ func defaultMicro() microParams {
 		accesses:     50000,
 		writeFrac:    0.2,
 		computeOps:   9_500_000, // ≈4.5 ms at 2.1 GHz
-		memPoolCores: 1,
 	}
 }
 
@@ -65,58 +57,40 @@ const (
 	microCoherence
 )
 
-// microResult is one microbenchmark execution.
-type microResult struct {
-	Makespan      sim.Time
-	CoherenceMsgs int64
+// microCell is the job of the microbenchmark's cell for mode and mp: the
+// local and base-DDC modes run on those platforms and the three TELEPORT modes
+// with two pushdown contexts, all with one memory-pool core. Its answer is the
+// two threads' makespan.
+func microCell(opts Options, mode microMode, mp microParams) func() runOut {
+	spec := runSpec{platform: platTeleport, contexts: 2, memCores: 1}
+	switch mode {
+	case microLocal:
+		spec.platform = platLocal
+	case microBase:
+		spec.platform = platBase
+	}
+	return cell(microbench(mode, mp), opts, spec)
 }
 
-// microKey names a microbenchmark cell by everything runMicro is given but
-// the scope whose pages it runs on.
-type microKey struct {
-	mode microMode
-	mp   microParams
-}
-
-// micro is the job of one microbenchmark cell: runMicro's result for mode and
-// mp, run once per entry-point call — Fig 22 reads Fig 21's cells.
-func micro(opts Options, mode microMode, mp microParams) func() microResult {
-	k, sc := microKey{mode, mp}, opts.scope
-	return func() microResult {
-		return memo(sc, func(s *scope) *table[microKey, microResult] { return &s.micros },
-			k, func() microResult { return runMicro(sc, mode, mp) })
+// microbench is the two-thread microbenchmark under mode as a workload, named
+// by mode and every field of mp.
+func microbench(mode microMode, mp microParams) workload {
+	return workload{
+		Name:       fmt.Sprintf("micro%d%+v", mode, mp),
+		CacheBytes: int64(mp.cachePages) * mem.PageSize,
+		Build:      func(p *ddc.Process, _ Options) func(*profile.Exec) uint64 { return mp.build(p, mode) },
 	}
 }
 
-// runMicro executes the two-thread microbenchmark under the given mode, on
-// pages of sc that it hands back.
-func runMicro(sc *scope, mode microMode, mp microParams) microResult {
-	var cfg ddc.Config
-	if mode == microLocal {
-		cfg = ddc.Linux()
-	} else {
-		cfg = ddc.BaseDDC(int64(mp.cachePages) * mem.PageSize)
-	}
-	cfg.HW.MemoryPoolCores = mp.memPoolCores
-	m := ddc.MustMachine(cfg)
-	p := sc.share(m.NewProcess())
+// build allocates the microbenchmark's arrays in p and returns its query
+// under mode, which warms the cache prepare has sized, runs the two threads
+// under a scheduler of its own and answers their makespan.
+func (mp microParams) build(p *ddc.Process, mode microMode) func(*profile.Exec) uint64 {
 	array := p.Space.AllocPages(int64(mp.arrayPages)*mem.PageSize, "micro.array")
 	scratch := p.Space.AllocPages(int64(max(mp.scratchPages, 1))*mem.PageSize, "micro.scratch")
 	var shared mem.Addr
 	if mp.sharedPages > 0 {
 		shared = p.Space.AllocPages(int64(mp.sharedPages)*mem.PageSize, "micro.shared")
-	}
-	rt := core.NewRuntime(p, 2)
-
-	// Warm-up: the application has been running — the cache holds a dirty
-	// working set from both threads.
-	warm := sim.NewThread("warmup")
-	wenv := p.NewEnv(warm)
-	for pg := 0; pg < mp.arrayPages; pg++ {
-		wenv.WriteI64(array+mem.Addr(pg)*mem.PageSize, int64(pg))
-	}
-	for pg := 0; pg < mp.scratchPages; pg++ {
-		wenv.WriteI64(scratch+mem.Addr(pg)*mem.PageSize, 1)
 	}
 
 	// The two thread bodies.
@@ -160,62 +134,75 @@ func runMicro(sc *scope, mode microMode, mp microParams) microResult {
 		}
 	}
 
-	coherenceBefore := m.Fabric.Stats(netmodel.ClassCoherence).Msgs
-	s := sim.NewScheduler()
-	s.SetQuantum(sim.Microsecond)
-	start := warm.Now()
+	return func(ex *profile.Exec) uint64 {
+		// Warm-up: the application has been running — the cache holds a
+		// dirty working set from both threads.
+		for pg := 0; pg < mp.arrayPages; pg++ {
+			ex.Env.WriteI64(array+mem.Addr(pg)*mem.PageSize, int64(pg))
+		}
+		for pg := 0; pg < mp.scratchPages; pg++ {
+			ex.Env.WriteI64(scratch+mem.Addr(pg)*mem.PageSize, 1)
+		}
 
-	push := func(th *sim.Thread, body core.Func, opts core.Options) {
-		if _, err := rt.Pushdown(th, body, opts); err != nil {
-			panic(err)
-		}
-	}
-	switch mode {
-	case microLocal, microBase:
-		s.Spawn("mem", start, func(th *sim.Thread) { memBody(p.NewEnv(th)) })
-		s.Spawn("cpu", start, func(th *sim.Thread) { computeBody(p.NewEnv(th)) })
-	case microMigrateProcess:
-		s.Spawn("mem", start, func(th *sim.Thread) {
-			push(th, memBody, core.Options{Flags: core.FlagMigrateProcess})
-		})
-		s.Spawn("cpu", start, func(th *sim.Thread) {
-			push(th, computeBody, core.Options{Flags: core.FlagMigrateProcess})
-		})
-	case microEvictThread:
-		s.Spawn("mem", start, func(th *sim.Thread) {
-			push(th, memBody, core.Options{
-				Flags: core.FlagEvictRanges,
-				EvictRanges: []core.Range{
-					{Base: array, Size: int64(mp.arrayPages) * mem.PageSize},
-				},
-			})
-		})
-		s.Spawn("cpu", start, func(th *sim.Thread) { computeBody(p.NewEnv(th)) })
-	case microCoherence:
-		opts := core.Options{}
-		if mp.syncShared {
-			opts.Flags = core.FlagNoCoherence
-		}
-		if mp.pso {
-			opts.Flags = core.FlagPSO
-		}
-		s.Spawn("mem", start, func(th *sim.Thread) {
-			if mp.syncShared {
-				rt.SyncMem(th, []core.Range{
-					{Base: array, Size: int64(mp.arrayPages) * mem.PageSize},
-					{Base: shared, Size: int64(max(mp.sharedPages, 1)) * mem.PageSize},
-				})
+		s := sim.NewScheduler()
+		s.SetQuantum(sim.Microsecond)
+		start := ex.T.Now()
+
+		push := func(th *sim.Thread, body core.Func, opts core.Options) {
+			if _, err := ex.RT.Pushdown(th, body, opts); err != nil {
+				panic(err)
 			}
-			push(th, memBody, opts)
-		})
-		s.Spawn("cpu", start, func(th *sim.Thread) { computeBody(p.NewEnv(th)) })
+		}
+		switch mode {
+		case microLocal, microBase:
+			s.Spawn("mem", start, func(th *sim.Thread) { memBody(p.NewEnv(th)) })
+			s.Spawn("cpu", start, func(th *sim.Thread) { computeBody(p.NewEnv(th)) })
+		case microMigrateProcess:
+			s.Spawn("mem", start, func(th *sim.Thread) {
+				push(th, memBody, core.Options{Flags: core.FlagMigrateProcess})
+			})
+			s.Spawn("cpu", start, func(th *sim.Thread) {
+				push(th, computeBody, core.Options{Flags: core.FlagMigrateProcess})
+			})
+		case microEvictThread:
+			s.Spawn("mem", start, func(th *sim.Thread) {
+				push(th, memBody, core.Options{
+					Flags: core.FlagEvictRanges,
+					EvictRanges: []core.Range{
+						{Base: array, Size: int64(mp.arrayPages) * mem.PageSize},
+					},
+				})
+			})
+			s.Spawn("cpu", start, func(th *sim.Thread) { computeBody(p.NewEnv(th)) })
+		case microCoherence:
+			opts := core.Options{}
+			if mp.syncShared {
+				opts.Flags = core.FlagNoCoherence
+			}
+			if mp.pso {
+				opts.Flags = core.FlagPSO
+			}
+			s.Spawn("mem", start, func(th *sim.Thread) {
+				if mp.syncShared {
+					ex.RT.SyncMem(th, []core.Range{
+						{Base: array, Size: int64(mp.arrayPages) * mem.PageSize},
+						{Base: shared, Size: int64(max(mp.sharedPages, 1)) * mem.PageSize},
+					})
+				}
+				push(th, memBody, opts)
+			})
+			s.Spawn("cpu", start, func(th *sim.Thread) { computeBody(p.NewEnv(th)) })
+		}
+		return uint64(s.Run() - start)
 	}
-	end := s.Run()
-	p.Release()
-	return microResult{
-		Makespan:      end - start,
-		CoherenceMsgs: m.Fabric.Stats(netmodel.ClassCoherence).Msgs - coherenceBefore,
-	}
+}
+
+// makespan reads a microbenchmark cell's makespan off its answer.
+func makespan(o runOut) sim.Time { return sim.Time(o.Answer) }
+
+// coherenceMsgs counts a microbenchmark cell's coherence messages, none its warm-up's.
+func coherenceMsgs(o runOut) string {
+	return fmt.Sprint(o.Proc.M.Fabric.Stats(netmodel.ClassCoherence).Msgs)
 }
 
 // fig6 reproduces Figure 6: the data-synchronisation ablation on the
@@ -238,15 +225,15 @@ func fig6(opts Options) *Table {
 		{"TELEPORT (per thread)", microEvictThread},
 		{"TELEPORT (coherence)", microCoherence},
 	}
-	var jobs []func() microResult
+	var jobs []func() runOut
 	for _, r := range rows {
-		jobs = append(jobs, micro(opts, r.mode, mp))
+		jobs = append(jobs, microCell(opts, r.mode, mp))
 	}
 	results := parmap(opts, jobs)
-	base := results[1] // the Base DDC row doubles as the speedup baseline
+	base := makespan(results[1]) // the Base DDC row doubles as the speedup baseline
 	for i, r := range rows {
-		res := results[i]
-		t.AddRow(r.name, fm(res.Makespan), fx(ratio(base.Makespan, res.Makespan)))
+		res := makespan(results[i])
+		t.AddRow(r.name, fm(res), fx(ratio(base, res)))
 	}
 	t.Notes = append(t.Notes, "paper: per-process 2.9x, per-thread 3.8x, coherence 11x")
 	return t
@@ -267,18 +254,18 @@ func fig7(opts Options) *Table {
 	mp.contention = 0.02 // the threads' variables share pages and are hot
 	mpSync := mp
 	mpSync.syncShared = true
-	results := parmap(opts, []func() microResult{
-		micro(opts, microBase, mp),
-		micro(opts, microLocal, mp),
-		micro(opts, microCoherence, mp),
-		micro(opts, microCoherence, mpSync),
+	results := parmap(opts, []func() runOut{
+		microCell(opts, microBase, mp),
+		microCell(opts, microLocal, mp),
+		microCell(opts, microCoherence, mp),
+		microCell(opts, microCoherence, mpSync),
 	})
-	base, local, coh, syn := results[0], results[1], results[2], results[3]
+	base, local, coh, syn := makespan(results[0]), makespan(results[1]), makespan(results[2]), makespan(results[3])
 
-	t.AddRow("Local execution", fm(local.Makespan), "")
-	t.AddRow("Base DDC", fm(base.Makespan), fx(1))
-	t.AddRow("TELEPORT (coherence)", fm(coh.Makespan), fx(ratio(base.Makespan, coh.Makespan)))
-	t.AddRow("TELEPORT (syncmem)", fm(syn.Makespan), fx(ratio(base.Makespan, syn.Makespan)))
+	t.AddRow("Local execution", fm(local), "")
+	t.AddRow("Base DDC", fm(base), fx(1))
+	t.AddRow("TELEPORT (coherence)", fm(coh), fx(ratio(base, coh)))
+	t.AddRow("TELEPORT (syncmem)", fm(syn), fx(ratio(base, syn)))
 	t.Notes = append(t.Notes, "paper: coherence 4.6x, syncmem 11x over base DDC")
 	return t
 }
@@ -296,7 +283,7 @@ func fig21(opts Options) *Table {
 		Title:  "Execution time vs contention rate",
 		Header: []string{"contention", "local(s)", "base-ddc(s)", "teleport-default(s)", "teleport-pso(s)", "teleport-relaxed(s)"},
 	}
-	var jobs []func() microResult
+	var jobs []func() runOut
 	for _, r := range contentionRates {
 		mp := defaultMicro()
 		mp.sharedPages = 8
@@ -306,17 +293,19 @@ func fig21(opts Options) *Table {
 		mpRel := mp
 		mpRel.syncShared = true
 		jobs = append(jobs,
-			micro(opts, microLocal, mp),
-			micro(opts, microBase, mp),
-			micro(opts, microCoherence, mp),
-			micro(opts, microCoherence, mpPSO),
-			micro(opts, microCoherence, mpRel))
+			microCell(opts, microLocal, mp),
+			microCell(opts, microBase, mp),
+			microCell(opts, microCoherence, mp),
+			microCell(opts, microCoherence, mpPSO),
+			microCell(opts, microCoherence, mpRel))
 	}
 	results := parmap(opts, jobs)
 	for i, r := range contentionRates {
-		local, base, def, pso, rel := results[i*5], results[i*5+1], results[i*5+2], results[i*5+3], results[i*5+4]
-		t.AddRow(fmt.Sprintf("%.4f%%", r*100),
-			fm(local.Makespan), fm(base.Makespan), fm(def.Makespan), fm(pso.Makespan), fm(rel.Makespan))
+		row := []string{fmt.Sprintf("%.4f%%", r*100)}
+		for _, res := range results[i*5 : i*5+5] {
+			row = append(row, fm(makespan(res)))
+		}
+		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
 		"paper: default coherence 2.1s at low contention, 3.7s at 1%; relaxed flat")
@@ -331,20 +320,18 @@ func fig22(opts Options) *Table {
 		Title:  "Coherence messages vs contention rate",
 		Header: []string{"contention", "default-msgs", "relaxed-msgs"},
 	}
-	var jobs []func() microResult
+	var jobs []func() runOut
 	for _, r := range contentionRates {
 		mp := defaultMicro()
 		mp.sharedPages = 8
 		mp.contention = r
 		mpRel := mp
 		mpRel.syncShared = true
-		jobs = append(jobs, micro(opts, microCoherence, mp), micro(opts, microCoherence, mpRel))
+		jobs = append(jobs, microCell(opts, microCoherence, mp), microCell(opts, microCoherence, mpRel))
 	}
 	results := parmap(opts, jobs)
 	for i, r := range contentionRates {
-		def, rel := results[i*2], results[i*2+1]
-		t.AddRow(fmt.Sprintf("%.4f%%", r*100),
-			fmt.Sprintf("%d", def.CoherenceMsgs), fmt.Sprintf("%d", rel.CoherenceMsgs))
+		t.AddRow(fmt.Sprintf("%.4f%%", r*100), coherenceMsgs(results[i*2]), coherenceMsgs(results[i*2+1]))
 	}
 	t.Notes = append(t.Notes, "paper: default rises to ~10^6 messages at 1%; relaxed flat")
 	return t

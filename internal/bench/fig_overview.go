@@ -11,14 +11,6 @@ import (
 	"teleport/internal/tpch"
 )
 
-func init() {
-	register("1a", fig1a)
-	register("1b", fig1b)
-	register("3", fig3)
-	register("12", fig12)
-	register("13", fig13)
-}
-
 // fig1a reproduces Figure 1a: the benefit of a disaggregated memory pool
 // over spilling to a local NVMe SSD, for memory-intensive TPC-H queries
 // (paper: base DDC 9.3×, TELEPORT 39.5× speedup over the SSD baseline).

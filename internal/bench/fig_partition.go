@@ -7,10 +7,6 @@ import (
 	"teleport/internal/sim"
 )
 
-func init() {
-	register("A7", figPartition)
-}
-
 // figPartition is an extension for partition tolerance: Q6 on TELEPORT over
 // a 4-shard, 3-replica pool, sweeping the write quorum W against the link
 // partition rate. Every cell must produce the fault-free answer; what varies

@@ -7,14 +7,6 @@ import (
 	"teleport/internal/sim"
 )
 
-func init() {
-	register("14", fig14)
-	register("15", fig15)
-	register("16", fig16)
-	register("17", fig17)
-	register("18", fig18)
-}
-
 // fig14 reproduces Figure 14: disaggregated memory pools versus NVMe-SSD
 // spill for Q9/Q3/Q6 with constrained local memory (paper: base DDC 10–80×
 // faster than Linux+SSD; TELEPORT 210–330×).

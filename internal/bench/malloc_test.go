@@ -33,9 +33,9 @@ func TestFigureMallocBudget(t *testing.T) {
 		{"15", 2700, 0},    // measured 1 626, and 1 669 under the race detector
 		{"13", 2950, 0},    // measured 2 151
 		{"3", 1750, 0},     // measured 1 396
-		{"21", 4600, 22e6}, // measured 3 658 and 17.7 MB (81 744 and 341 MB unreleased)
-		{"6", 3050, 13e6},  // measured 2 431 and 10.4 MB (16 402 and 68 MB unreleased)
-		{"11", 21, 0},      // measured 17 (13 585 parsing its sources, 55 567 a file per function)
+		{"21", 4600, 22e6}, // measured 3 899 and 17.7 MB (81 744 and 341 MB unreleased)
+		{"6", 3050, 13e6},  // measured 2 482 and 10.4 MB (16 402 and 68 MB unreleased)
+		{"11", 21, 0},      // measured 18 (13 585 parsing its sources, 55 567 a file per function)
 	} {
 		run := func() (objects, bytes uint64) {
 			var before, after runtime.MemStats

@@ -13,9 +13,9 @@ import (
 // scope, attached copy-on-write — finished data points, which figures read
 // and never change, and dead pages: the scope's arena, which a finished run's
 // memory goes back to and which zeroes a page before it is a frame again
-// (scope.go). That makes each data point of a figure an independent pure
-// function of its key — (workload, Options, runSpec) for a cell — and the
-// harness exploits it by fanning data points out across host cores.
+// (scope.go). That makes each data point of a figure, a cell, an independent
+// pure function of its key (workload, Options, runSpec), and the harness
+// exploits it by fanning data points out across host cores.
 // Parallelism changes only host wall-clock time: the virtual-time answers,
 // tables, and counters are bit-identical to a sequential run (enforced by
 // TestParallelDeterminism).
@@ -25,11 +25,11 @@ import (
 //   - Figures run concurrently in RunAll, one goroutine per figure. These
 //     goroutines hold no pool token — they mostly block waiting for their
 //     data points, and a token here would deadlock the pool.
-//   - Data points (the jobs cell, micro and method return) go through
-//     parmap, which bounds concurrent simulation work with a token pool
-//     sized by Options.Parallel (default: GOMAXPROCS). Leaf jobs never spawn
-//     further parmap work, so token acquisition never nests. A job whose data
-//     point another figure is computing waits for it, holding its token.
+//   - Data points (the jobs cell returns) go through parmap, which bounds
+//     concurrent simulation work with a token pool sized by
+//     Options.Parallel (default: GOMAXPROCS). Leaf jobs never spawn further
+//     parmap work, so token acquisition never nests. A job whose data point
+//     another figure is computing waits for it, holding its token.
 //
 // Results are always delivered in job-index order, so a figure's rows are
 // assembled exactly as the sequential loop would have.

@@ -3,16 +3,15 @@ package bench
 import (
 	"sync"
 
-	"teleport/internal/core"
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
 )
 
 // scope is what the data points of one entry-point call (Run, RunAll,
 // RunWorkloads, Advise, RunCluster) share: each dataset they load, generated
-// once, each distinct data point — a workload cell, a microbenchmark cell,
-// Fig 20's method run — computed once, and the pages of simulated memory a
-// data point that has ended leaves to the next. resolve creates it the way it
+// once, each distinct cell — a §7 workload, a microbenchmark run or one of
+// Fig 20's pushdown calls — computed once, and the pages of simulated memory
+// a cell that has ended leaves to the next. resolve creates it the way it
 // creates the worker-token pool, Options carries it to every figure and leaf
 // job, and it dies with the call — nothing outlives an entry point, so every
 // call does the work the first did. A nil scope (options no entry point
@@ -21,17 +20,15 @@ import (
 // What the data points of a scope share is frozen: a dataset is a mem.Image,
 // attached copy-on-write to each cell's own process, plus the descriptor that
 // says where its tables, CSR arrays or text lie, which no run writes to; a
-// data point's result is read by every figure that names it and changed by
-// none. A data point is still a pure function of what its key holds, which is
-// what lets one stand for another. What they hand on is dead: a page in the
-// arena belonged to a process that was released after its numbers were read,
-// and the next process to draw it as a frame gets it zeroed.
+// cell's result is read by every figure that names it and changed by none. A
+// cell is still a pure function of what its key holds, which is what lets one
+// stand for another. What they hand on is dead: a page in the arena belonged
+// to a process that was released after its numbers were read, and the next
+// process to draw it as a frame gets it zeroed.
 type scope struct {
 	mu       sync.Mutex
 	datasets table[datasetKey, dataset]
 	cells    table[cellKey, runOut]
-	micros   table[microKey, microResult]
-	methods  table[core.Flags, core.Stats]
 	arena    mem.Arena
 }
 
@@ -71,8 +68,8 @@ func memo[K comparable, V any](s *scope, tab func(*scope) *table[K, V], k K, f f
 
 // share makes p, a new process, draw its address space's pages from the
 // scope's arena. Every process of the package is built through here; the ones
-// that another data point can follow (run, runMicro, runMethod) are released
-// when theirs has been read, which is what fills the arena. Never released: a
+// that another data point can follow, a cell's, are released by run when its
+// numbers have been read, which is what fills the arena. Never released: a
 // dataset's builder, whose frames are the image's, and a process whose entry
 // point ends with it (RunCluster's, DescribeDataset's).
 func (s *scope) share(p *ddc.Process) *ddc.Process {

@@ -33,7 +33,7 @@ func scopeOf(t *testing.T, opts Options, ids ...string) *scope {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		registry[id](opts)
+		figure(id)(opts)
 	}
 	return opts.scope
 }
@@ -78,10 +78,11 @@ func TestDatasetBuiltOncePerEntryPoint(t *testing.T) {
 	}
 }
 
-// TestDataPointsRunOnce: equal data points of one scope — workload cells,
-// microbenchmark cells, Fig 20's method runs — are one run; data points that
-// differ in the workload (ParAgg's worker count included), an option or any
-// field of their key are not; and without a scope nothing is remembered.
+// TestDataPointsRunOnce: equal cells of one scope — the microbenchmark's and
+// Fig 20's pushdown calls among them — are one run; cells that differ in the
+// workload (ParAgg's worker count, a microbenchmark's mode or parameters and
+// a pushdown call's flags included), an option or any field of their key are
+// not; and without a scope nothing is remembered.
 func TestDataPointsRunOnce(t *testing.T) {
 	opts, err := smokeOpts().resolve()
 	if err != nil {
@@ -134,23 +135,22 @@ func TestDataPointsRunOnce(t *testing.T) {
 	if n := len(opts.scope.cells) - cells; n != 2 {
 		t.Errorf("ParAgg at 2 and 4 workers, each asked twice, made %d cells, want 2", n)
 	}
+	cells = len(opts.scope.cells)
 	mp := defaultMicro()
 	mp.accesses = 100
 	for range 2 {
-		micro(opts, microBase, mp)()
-		method(opts, core.FlagDefault)()
+		microCell(opts, microBase, mp)()
+		cell(pushCall(core.FlagDefault), opts, runSpec{platform: platTeleport})()
 	}
-	if len(opts.scope.micros) != 1 || len(opts.scope.methods) != 1 {
-		t.Errorf("a micro and a method cell, each asked twice, made %d and %d entries, want 1 and 1",
-			len(opts.scope.micros), len(opts.scope.methods))
+	if n := len(opts.scope.cells) - cells; n != 2 {
+		t.Errorf("a microbenchmark and a pushdown-call cell, each asked twice, made %d cells, want 2", n)
 	}
-	micro(opts, microLocal, mp)()
+	microCell(opts, microLocal, mp)()
 	mp.pso = true
-	micro(opts, microBase, mp)()
-	method(opts, core.FlagEagerSync)()
-	if len(opts.scope.micros) != 3 || len(opts.scope.methods) != 2 {
-		t.Errorf("distinct micro and method cells made %d and %d entries, want 3 and 2",
-			len(opts.scope.micros), len(opts.scope.methods))
+	microCell(opts, microBase, mp)()
+	cell(pushCall(core.FlagEagerSync), opts, runSpec{platform: platTeleport})()
+	if n := len(opts.scope.cells) - cells; n != 5 {
+		t.Errorf("distinct microbenchmark and pushdown-call cells made %d cells, want 5", n)
 	}
 
 	unresolved := smokeOpts()
@@ -171,7 +171,7 @@ func TestFiguresShareDataPoints(t *testing.T) {
 	if a, b := len(scopeOf(t, opts, "3", "1b").cells), len(scopeOf(t, opts, "3", "10", "1b").cells); a == 0 || b != a {
 		t.Errorf("figures 3 and 1b made %d cells, with figure 10 %d: want no more", a, b)
 	}
-	if a, b := len(scopeOf(t, opts, "21").micros), len(scopeOf(t, opts, "21", "22").micros); a == 0 || b != a {
+	if a, b := len(scopeOf(t, opts, "21").cells), len(scopeOf(t, opts, "21", "22").cells); a == 0 || b != a {
 		t.Errorf("figure 21 made %d microbenchmark cells, with figure 22 %d: want no more", a, b)
 	}
 	n17, nA5 := len(scopeOf(t, opts, "17").cells), len(scopeOf(t, opts, "A5").cells)
@@ -273,12 +273,12 @@ func TestImagesSurviveTheSuite(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	for _, id := range Figures() {
+	for _, f := range figures {
 		wg.Add(1)
 		go func(r Runner) {
 			defer wg.Done()
 			r(opts)
-		}(registry[id])
+		}(f.run)
 	}
 	wg.Wait()
 

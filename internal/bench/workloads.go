@@ -20,13 +20,15 @@ import (
 	"teleport/internal/trace"
 )
 
-// workload is one of the paper's eight evaluation workloads (Figure 3 /
-// Figure 13): three TPC-H queries on the columnar DBMS, three graph
-// queries, two MapReduce jobs.
+// workload is what one data point runs: one of the paper's eight evaluation
+// workloads (Figure 3 / Figure 13) — three TPC-H queries on the columnar
+// DBMS, three graph queries, two MapReduce jobs — or a figure's own
+// (ParAgg, the §4 microbenchmark, Fig 20's pushdown call).
 type workload struct {
 	// Name is the workload's identity: two workloads of one name build and
 	// run the same thing under the same options (the memo of cells keys on
-	// it), so a parameter of a constructor is part of the name (parAgg).
+	// it), so a parameter of a constructor is part of the name (parAgg,
+	// microbench, pushCall).
 	Name   string
 	System string
 	// PushOps is the operator set TELEPORT pushes for this workload
@@ -35,7 +37,8 @@ type workload struct {
 	// CacheBytes overrides the compute-cache fraction absolutely (the graph
 	// workloads pin the scaled equivalent of the paper's 1 GB: slightly
 	// more than the hot vertex state, so the edge scans and message
-	// scatters miss — the regime PowerGraph sits in on the testbed).
+	// scatters miss — the regime PowerGraph sits in on the testbed; the
+	// microbenchmark and Fig 20 size theirs in pages).
 	CacheBytes int64
 	// Build loads the dataset into p and returns the query runner, which
 	// reports the bits of the query's scalar answer (0 when it has none).
@@ -204,6 +207,7 @@ type runSpec struct {
 	cacheFrac float64 // compute/local cache as fraction of the working set
 	poolFrac  float64 // memory pool DRAM fraction (0 = unbounded)
 	memClock  float64 // memory-pool clock override (0 = testbed)
+	memCores  int     // memory-pool core count override (0 = testbed)
 	contexts  int     // pushdown contexts (0 = 1)
 
 	netLatencyNs, netBandwidthGBs float64 // fabric override (0 = testbed)
@@ -311,8 +315,9 @@ func (o Options) attachFault(m *ddc.Machine, prof *fault.Profile, i int) {
 // spec → ddc.Config → machine → observers → fault plan → process → dataset →
 // cache/pool sizing → runtime → flight recorder. It returns the executor on a
 // fresh driving thread, the query to run on it and the flight recorder (nil
-// without a ring). Every figure cell and public run is set up here, so each
-// dataset loader has one call site.
+// without a ring). Every figure data point and public run is set up here, so
+// it is the one place a platform is assembled and each dataset loader has one
+// call site.
 func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profile.Exec) uint64, *obs.Recorder) {
 	var cfg ddc.Config
 	switch spec.platform {
@@ -325,6 +330,9 @@ func prepare(w workload, opts Options, spec runSpec) (*profile.Exec, func(*profi
 	}
 	if spec.memClock > 0 {
 		cfg.HW.MemoryClockGHz = spec.memClock
+	}
+	if spec.memCores > 0 {
+		cfg.HW.MemoryPoolCores = spec.memCores
 	}
 	if spec.prefetch.set && cfg.Disaggregated {
 		cfg.PrefetchDepth = spec.prefetch.v
@@ -424,7 +432,8 @@ type cellKey struct {
 
 // cell is the job of a figure's data point: run's result for w under spec.
 // Equal cells of one entry-point call are one run: Figs 3 and 13 share most
-// of theirs, and Figs 10, 1b, 18, A1 and A3 read cells that 3, 13 or 1b run.
+// of theirs, Figs 10, 1b, 18, A1 and A3 read cells that 3, 13 or 1b run, and
+// Fig 22 reads Fig 21's.
 func cell(w workload, opts Options, spec runSpec) func() runOut {
 	k := cellKey{w.Name, opts, spec}
 	return func() runOut {

@@ -226,7 +226,6 @@ func TestInternalSurfaceHasProductionCallers(t *testing.T) {
 var fieldKeep = map[string]string{
 	"bench.cellKey":    "map key of the scope's cell table: compared whole, never read field by field",
 	"bench.datasetKey": "map key of the scope's dataset table: compared whole, never read field by field",
-	"bench.microKey":   "map key of the scope's microbenchmark table: compared whole, never read field by field",
 
 	"core.Stats":        "a call's statistics, returned to callers",
 	"core.RuntimeStats": "the runtime's statistics, returned to callers and marshalled in the run report's fault block",
