@@ -123,7 +123,7 @@ profile:
 # fault plan's one outage schedule against a linear-scan oracle, the
 # pushdown's base-list temporary page table against the eager one, the
 # sharded pool's replica gates against their per-page reference, and the
-# runtime's admission (workqueue, queue cap, deadlines, PoolDilation) and
+# runtime's admission (workqueue, deadlines, PoolDilation) and
 # circuit breaker against an abstract state machine; CI runs this
 # on every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:

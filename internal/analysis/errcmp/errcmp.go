@@ -1,10 +1,9 @@
 // Package errcmp forbids comparing errors with == or != in internal
 // packages.
 //
-// The runtime's sentinel errors (core.ErrQueueFull, core.ErrDeadlineExceeded, …)
-// flow through retry policies and fault-injection layers that are free to
-// wrap them; a direct == comparison silently stops matching the moment a
-// wrapper appears, turning a recoverable failure into an unhandled one.
+// The runtime's sentinel errors (core.ErrDeadlineExceeded, …) flow through
+// retry policies and fault-injection layers that are free to wrap them; a
+// direct == comparison silently stops matching the moment a wrapper appears, turning a recoverable failure into an unhandled one.
 // errors.Is unwraps, so classification keeps working. Comparisons against
 // the nil literal stay idiomatic and are not flagged.
 package errcmp

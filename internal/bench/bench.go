@@ -36,7 +36,7 @@ type Options struct {
 	CacheFrac float64
 	// TraceCap, when positive, attaches an event ring of that capacity to
 	// the machine (see internal/trace) and arms the flight recorder on it:
-	// each degrade-class event (rollback, shed, breaker-open, shard-down,
+	// each degrade-class event (rollback, breaker-open, shard-down,
 	// fallback-local) snapshots the ring's last obs.DefaultIncidentEvents
 	// events plus a counter delta into an incident record (see
 	// internal/obs). RunWorkload returns the ring's contents, the incidents
@@ -77,7 +77,7 @@ type Options struct {
 	WriteQuorum int
 
 	// Policy is the pushdown recovery policy every TELEPORT runtime starts
-	// with (its workqueue cap, deadline, retries and breaker); nil means
+	// with (its deadline, retries and breaker); nil means
 	// core.DefaultPolicy(). Runs share the pointee and never write it.
 	Policy *core.Policy
 

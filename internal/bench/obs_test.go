@@ -15,47 +15,6 @@ func obsOpts() Options {
 	return Options{Scale: 0.5, GraphNV: 8000, Words: 30000, Seed: 1, CacheFrac: 0.02}
 }
 
-// The golden observability guarantee: attaching the full observability
-// surface (trace ring + metrics registry) to a run changes nothing about
-// the simulation — same-seed runs with and without it are bit-identical in
-// virtual time, on clean and chaos runs alike.
-func TestObservabilityDoesNotPerturbVirtualTime(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		workload string
-		platform string
-		chaos    string
-	}{
-		{"clean-teleport", "Q6", "teleport", ""},
-		{"clean-base", "SSSP", "base-ddc", ""},
-		{"chaos-teleport", "Q6", "teleport", "chaos"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			plain := obsOpts()
-			plain.ChaosProfile = tc.chaos
-			instrumented := plain
-			instrumented.TraceCap = 1 << 16
-			instrumented.Metrics = true
-
-			a, err := RunWorkload(tc.workload, tc.platform, plain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := RunWorkload(tc.workload, tc.platform, instrumented)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Nanos != b.Nanos {
-				t.Fatalf("observability perturbed virtual time: %dns (off) vs %dns (on)",
-					a.Nanos, b.Nanos)
-			}
-			if len(b.Trace) == 0 || b.Metrics == nil {
-				t.Fatalf("instrumented run returned no trace/metrics")
-			}
-		})
-	}
-}
-
 // A run's time is timed once, as the sum of its operators' times
 // (profile.Exec.Total). That is the query's whole interval only if nothing
 // between operators takes virtual time: every public workload on every
@@ -248,7 +207,7 @@ func TestMetricsAndTraceExportDeterministic(t *testing.T) {
 	}
 }
 
-// The extended golden guarantee: arming the whole analysis layer — the
+// The golden observability guarantee: arming the whole analysis layer — the
 // profiler and the flight recorder on a default ring, the percentile
 // extractor on a registry — changes nothing about the simulation. Same-seed
 // runs with and without it report identical answers, virtual times, and

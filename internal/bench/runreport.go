@@ -83,7 +83,9 @@ const reportTopK = 12
 // the query time ("total_ns", which equalled "nanos") go, and the fault
 // block loses "FabricDrops", which equalled "FabricRetries". 5: latency rows
 // lose "exact", because every quantile is read off the histogram's buckets.
-const ReportSchema = 5
+// 6: "Runtime" loses "Shed": the pushdown workqueue has no admission cap,
+// so no request is shed.
+const ReportSchema = 6
 
 // setIncidents records the flight recorder's summary: every trigger, the
 // retained records, and the retained records' count per kind.
@@ -267,7 +269,7 @@ type FaultReport struct {
 	Shards ddc.ShardStat
 
 	// Runtime is the TELEPORT runtime's view of the run: what it observed
-	// down, retried, degraded to local execution, shed, rolled back and
+	// down, retried, degraded to local execution, rolled back and
 	// short-circuited (teleport platforms only; zero elsewhere).
 	Runtime core.RuntimeStats
 
@@ -306,13 +308,13 @@ func (f *FaultReport) String() string {
 			sh.ReadRepairs, sh.StaleReadsAverted, sh.QuorumStalls, rt.QuorumLostObserved, rt.QuorumAborts)
 	}
 	s := fmt.Sprintf(
-		"chaos profile=%s seed=%d\n  injected: drops=%d corrupt=%d spikes=%d ctx-crashes=%d ctx-mid-crashes=%d ssd-errs=%d\n  availability: %s\n  recovered: fabric retries=%d, ssd re-reads=%d, pool stalls=%d\n  pushdown: pool-down obs=%d shard-down obs=%d ctx crashes=%d retries=%d local fallbacks=%d\n  crash-consistency: rollbacks=%d (pages=%d) shed=%d deadline-aborts=%d breaker opens=%d closes=%d short-circuits=%d",
+		"chaos profile=%s seed=%d\n  injected: drops=%d corrupt=%d spikes=%d ctx-crashes=%d ctx-mid-crashes=%d ssd-errs=%d\n  availability: %s\n  recovered: fabric retries=%d, ssd re-reads=%d, pool stalls=%d\n  pushdown: pool-down obs=%d shard-down obs=%d ctx crashes=%d retries=%d local fallbacks=%d\n  crash-consistency: rollbacks=%d (pages=%d) deadline-aborts=%d breaker opens=%d closes=%d short-circuits=%d",
 		f.Profile, f.Seed,
 		i.Drops, i.Corruptions, i.Spikes, i.CtxCrashes, i.CtxMidCrashes, i.SSDReadErrors,
 		avail,
 		f.FabricRetries, f.SSDReadRetries, f.PoolStalls,
 		rt.PoolDownObserved, rt.ShardDownObserved, rt.CtxCrashes, rt.Retries, rt.LocalFallbacks,
-		rt.Rollbacks, rt.RolledBackPages, rt.Shed, rt.DeadlineAborts,
+		rt.Rollbacks, rt.RolledBackPages, rt.DeadlineAborts,
 		rt.BreakerOpens, rt.BreakerCloses, rt.BreakerShortCircuits)
 	tails := []struct {
 		name string

@@ -88,8 +88,8 @@ func TestChaosSoak(t *testing.T) {
 					a.shardDown[s] += got.ShardDown[s]
 				}
 				a.lines = append(a.lines, fmt.Sprintf(
-					"%-8s seed=%-3d elapsed=%-14v injected={%v} rollbacks=%d shed=%d deadline-aborts=%d breaker-opens=%d fallbacks=%d failovers=%d resync-pages=%d shard-stalls=%d handoffs=%d replays=%d read-repairs=%d quorum-stalls=%d quorum-lost=%d",
-					w.name, seed, got.Elapsed, got.Plan, got.RT.Rollbacks, got.RT.Shed,
+					"%-8s seed=%-3d elapsed=%-14v injected={%v} rollbacks=%d deadline-aborts=%d breaker-opens=%d fallbacks=%d failovers=%d resync-pages=%d shard-stalls=%d handoffs=%d replays=%d read-repairs=%d quorum-stalls=%d quorum-lost=%d",
+					w.name, seed, got.Elapsed, got.Plan, got.RT.Rollbacks,
 					got.RT.DeadlineAborts, got.RT.BreakerOpens, got.RT.LocalFallbacks,
 					got.Failovers, got.ResyncPages, got.ShardStalls,
 					got.Handoffs, got.Replays, got.Repairs, got.QuorumStall, got.RT.QuorumLostObserved))
@@ -161,7 +161,6 @@ func addRuntimeStats(a, b core.RuntimeStats) core.RuntimeStats {
 	a.CtxCrashes += b.CtxCrashes
 	a.Retries += b.Retries
 	a.LocalFallbacks += b.LocalFallbacks
-	a.Shed += b.Shed
 	a.DeadlineAborts += b.DeadlineAborts
 	a.Rollbacks += b.Rollbacks
 	a.RolledBackPages += b.RolledBackPages
@@ -176,21 +175,19 @@ func addRuntimeStats(a, b core.RuntimeStats) core.RuntimeStats {
 // soakObserved is everything the path-coverage scenario can compare across
 // reruns.
 type soakObserved struct {
-	Elapsed   sim.Time
-	Stats     core.RuntimeStats
-	VecHash   uint64
-	Rollback  int
-	Shed      int
-	BrOpen    int
-	BrHalf    int
-	BrClose   int
-	QueueFull int
+	Elapsed  sim.Time
+	Stats    core.RuntimeStats
+	VecHash  uint64
+	Rollback int
+	BrOpen   int
+	BrHalf   int
+	BrClose  int
 }
 
 // soakScenario drives one runtime through every crash-consistency path in a
 // single deterministic schedule: a mid-execution crash pair that rolls back
 // and opens the breaker, a short-circuited call while open, a half-open
-// probe that closes it, and an admission-control shed under queue pressure.
+// probe that closes it.
 func soakScenario(t *testing.T) soakObserved {
 	t.Helper()
 	const pages = 520
@@ -199,7 +196,6 @@ func soakScenario(t *testing.T) soakObserved {
 	m.AttachTrace(ring)
 	p := m.NewProcess()
 	rt := core.NewRuntime(p, 1)
-	rt.Policy.QueueCap = 1
 	// The cooldown must outlast phase 1's own multi-millisecond execution,
 	// or the open breaker would already admit a probe at phase 2.
 	rt.Policy.BreakerThreshold, rt.Policy.BreakerCooldown = 2, 50*sim.Millisecond
@@ -238,27 +234,6 @@ func soakScenario(t *testing.T) soakObserved {
 		t.Fatalf("phase 3: ran=%v err=%v, want a successful probe", ran, err)
 	}
 
-	// Phase 4 — shed: one context, queue capacity one, three concurrent
-	// pushers; the last to arrive is rejected by admission control.
-	errs := make([]error, 3)
-	s := sim.NewScheduler()
-	for i := 0; i < 3; i++ {
-		i := i
-		s.Spawn("pusher", sim.Time(i)*10*sim.Microsecond, func(pt *sim.Thread) {
-			_, errs[i] = rt.Pushdown(pt, func(env *ddc.Env) {
-				env.Compute(2_000_000) // ~1 ms
-			}, core.Options{})
-		})
-	}
-	s.Run()
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("phase 4: first two pushers failed: %v, %v", errs[0], errs[1])
-	}
-	queueFull := 0
-	if errors.Is(errs[2], core.ErrQueueFull) {
-		queueFull++
-	}
-
 	// The three increment calls (two local, one pushed) applied exactly
 	// once each despite two mid-execution crashes.
 	var h uint64
@@ -276,15 +251,13 @@ func soakScenario(t *testing.T) soakObserved {
 		}
 	}
 	return soakObserved{
-		Elapsed:   th.Now(),
-		Stats:     rt.Stats(),
-		VecHash:   h,
-		Rollback:  counts[trace.KindPushRollback],
-		Shed:      counts[trace.KindShed],
-		BrOpen:    counts[trace.KindBreakerOpen],
-		BrHalf:    counts[trace.KindBreakerHalfOpen],
-		BrClose:   counts[trace.KindBreakerClose],
-		QueueFull: queueFull,
+		Elapsed:  th.Now(),
+		Stats:    rt.Stats(),
+		VecHash:  h,
+		Rollback: counts[trace.KindPushRollback],
+		BrOpen:   counts[trace.KindBreakerOpen],
+		BrHalf:   counts[trace.KindBreakerHalfOpen],
+		BrClose:  counts[trace.KindBreakerClose],
 	}
 }
 
@@ -465,9 +438,8 @@ func TestSoakPartitionPathCoverage(t *testing.T) {
 }
 
 // TestSoakPathCoverage is the always-on distillation of the soak: one
-// deterministic configuration provably exercises undo-log rollback,
-// admission-control shedding, and a full breaker open → half-open → close
-// cycle, asserted through trace-kind counts — and a rerun of the identical
+// deterministic configuration provably exercises undo-log rollback and a
+// full breaker open → half-open → close cycle, asserted through trace-kind counts — and a rerun of the identical
 // schedule is bit-identical.
 func TestSoakPathCoverage(t *testing.T) {
 	got := soakScenario(t)
@@ -477,10 +449,6 @@ func TestSoakPathCoverage(t *testing.T) {
 	}
 	if got.Stats.RolledBackPages == 0 {
 		t.Error("RolledBackPages = 0, want > 0")
-	}
-	if got.Shed != 1 || got.Stats.Shed != 1 || got.QueueFull != 1 {
-		t.Errorf("shed: trace=%d stats=%d queue-full-errors=%d, want 1/1/1",
-			got.Shed, got.Stats.Shed, got.QueueFull)
 	}
 	if got.BrOpen != 1 || got.BrHalf != 1 || got.BrClose != 1 {
 		t.Errorf("breaker cycle: open=%d half=%d close=%d, want 1/1/1",

@@ -13,16 +13,16 @@ import (
 )
 
 // admissionModel is the abstract state machine behind a Runtime's admission
-// and its circuit breaker (§3.2): a FIFO of (arrival, deadline) waiters, a
-// count of running contexts held against Contexts and Policy.QueueCap,
-// §7.3's PoolDilation as a function of that count, and a closed / open /
+// and its circuit breaker (§3.2): an unbounded FIFO of (arrival, deadline)
+// waiters, a count of running contexts held against Contexts, §7.3's
+// PoolDilation as a function of that count, and a closed / open /
 // half-open breaker whose every transition starts a generation. It is fed
 // the operations in the order the simulated threads make them and says what
 // each must do; it never reads the Runtime's own fields.
 type admissionModel struct {
-	contexts, cores, queueCap int
-	threshold                 int
-	cooldown                  sim.Time
+	contexts, cores int
+	threshold       int
+	cooldown        sim.Time
 
 	running int
 	queue   []admWaiter
@@ -45,27 +45,17 @@ type admWake struct {
 	err error
 }
 
-// admission outcomes of an arrival.
-const (
-	admRuns = iota
-	admShed
-	admQueued
-)
-
 // arrive is one request for a context at now: it runs if a context is free;
-// otherwise the waiters whose deadline has passed are cancelled, and it is
-// shed if the live queue is at QueueCap, else it joins the queue's tail.
-func (m *admissionModel) arrive(id int, now, deadline sim.Time) int {
+// otherwise the waiters whose deadline has passed are cancelled and it joins
+// the queue's tail. It reports whether the request queued.
+func (m *admissionModel) arrive(id int, now, deadline sim.Time) bool {
 	if m.running < m.contexts {
 		m.running++
-		return admRuns
+		return false
 	}
 	m.expire(now)
-	if m.queueCap > 0 && len(m.queue) >= m.queueCap {
-		return admShed
-	}
 	m.queue = append(m.queue, admWaiter{id: id, arrival: now, deadline: deadline})
-	return admQueued
+	return true
 }
 
 // release gives a context back at now: the expired waiters are cancelled,
@@ -216,47 +206,51 @@ type admCall struct {
 // four simulated threads and checks them against admissionModel in lock
 // step. Each call takes the steps PushdownWithPolicy takes around one
 // attempt — breakerAllow, acquire with the call's Policy.Deadline instant,
-// the hold, release, then breakerSuccess or breakerFailure (a shed or an
-// expired request is a recoverable failure too) — and the fuzzer chooses the
+// the hold, release, then breakerSuccess or breakerFailure (an expired
+// request is a recoverable failure too) — and the fuzzer chooses the
 // contexts and cores, the policy, arrivals, hold times, deadlines and
 // outcomes. Before and after every step it compares running contexts,
 // PoolDilation, the queue's waiters and deadlines, and the breaker's state,
 // counters and trace events; a request that comes back from acquire must
-// have run, been shed with ErrQueueFull or expired with ErrDeadlineExceeded
-// as the model said, at the virtual time it said.
+// have run or expired with ErrDeadlineExceeded as the model said, at the
+// virtual time it said.
 func FuzzAdmissionModel(f *testing.F) {
-	// Header: threads, contexts, cores, QueueCap, BreakerThreshold,
-	// BreakerCooldown (×10 µs); then 4 bytes a call: thread (bit 6: fails),
+	// Header: threads, contexts, cores, BreakerThreshold, BreakerCooldown
+	// (×10 µs); then 4 bytes a call: thread (bit 6: fails),
 	// gap, hold and deadline budget, in µs.
 	//
 	// One context held 40 µs by t0; t1 queues at 2 µs with a 10 µs budget,
 	// t2 queues at 20 µs after t1's deadline has passed and must find t1
-	// cancelled, and t3 behind it at 25 µs with QueueCap 2.
-	f.Add([]byte{3, 0, 0, 2, 0, 0,
+	// cancelled, and t3 behind it at 25 µs.
+	f.Add([]byte{3, 0, 0, 0, 0,
 		0, 0, 40, 0, 1, 2, 5, 10, 2, 20, 5, 0, 3, 25, 5, 0})
 	// Three waiters behind one context: each release hands it to the oldest.
-	f.Add([]byte{2, 0, 1, 0, 0, 0,
+	f.Add([]byte{2, 0, 1, 0, 0,
 		0, 0, 30, 0, 1, 1, 10, 0, 2, 2, 10, 0, 0, 0, 5, 0, 1, 0, 5, 0, 2, 0, 5, 0})
 	// A breaker at threshold 2 with a 20 µs cooldown: two failing calls open
 	// it, a third is short-circuited, a later probe fails and re-opens it,
 	// and one after the next cooldown succeeds and closes it.
-	f.Add([]byte{0, 0, 0, 0, 2, 2,
+	f.Add([]byte{0, 0, 0, 2, 2,
 		0x40, 0, 5, 0, 0x40, 0, 5, 0, 0, 1, 5, 0, 0x40, 30, 5, 0, 0, 30, 5, 0, 0, 1, 5, 0})
-	// Four threads on two contexts and one core, QueueCap 1, threshold 1:
-	// sheds, expiries and dilation 2·(1+penalty) together.
-	f.Add([]byte{3, 1, 0, 1, 1, 1,
+	// Four threads on two contexts and one core, threshold 1: t0 and t1 run
+	// at dilation 2·(1+penalty), t2 queues at 1 µs with a 3 µs budget and t3
+	// behind it at 2 µs. The release at 20 µs cancels t2 at its deadline,
+	// whose failure opens the breaker, and hands the context to t3; t2's
+	// half-open probe queues at 14 µs, and t1 and t3 short-circuit while it
+	// runs.
+	f.Add([]byte{3, 1, 0, 1, 1,
 		0, 0, 20, 0, 1, 0, 20, 0, 2, 1, 5, 3, 3, 2, 5, 0, 2, 10, 5, 0, 0x43, 0, 1, 0, 1, 3, 2, 0})
 	// Threshold 1, a 10 µs cooldown, two threads on two contexts: t0's
 	// failure opens the breaker at 5 µs and t0 probes half-open at 15 µs,
 	// holding its context to 25 µs. t1 arrives at 16 µs, while the probe
 	// runs, and must short-circuit; the probe's success closes the breaker.
-	f.Add([]byte{1, 1, 0, 0, 1, 1,
+	f.Add([]byte{1, 1, 0, 1, 1,
 		0x40, 0, 5, 0, 0, 10, 10, 0, 1, 16, 5, 0})
 	// Threshold 1, a 100 µs cooldown, two threads on two contexts: t1 is
 	// admitted at 0 µs and holds its context to 30 µs, and t0 fails at 5 µs
 	// and opens the breaker. t1's success was admitted under the closed
 	// generation, so it must not close the breaker during the cooldown.
-	f.Add([]byte{1, 1, 0, 0, 1, 10,
+	f.Add([]byte{1, 1, 0, 1, 10,
 		0x40, 0, 5, 0, 1, 0, 30, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
@@ -275,10 +269,10 @@ func FuzzAdmissionModel(f *testing.F) {
 		ring := trace.New(1024)
 		machine.AttachTrace(ring)
 		rt := NewRuntime(machine.NewProcess(), contexts)
-		rt.Policy = Policy{QueueCap: next() % 4, BreakerThreshold: next() % 5}
+		rt.Policy = Policy{BreakerThreshold: next() % 5}
 		rt.Policy.BreakerCooldown = sim.Time(next()%16) * 10 * sim.Microsecond
 		model := &admissionModel{
-			contexts: contexts, cores: cfg.HW.MemoryPoolCores, queueCap: rt.Policy.QueueCap,
+			contexts: contexts, cores: cfg.HW.MemoryPoolCores,
 			threshold: rt.Policy.BreakerThreshold, cooldown: rt.Policy.BreakerCooldown,
 			wakes: map[int]admWake{},
 		}
@@ -330,13 +324,10 @@ func FuzzAdmissionModel(f *testing.F) {
 					if c.budget > 0 {
 						deadline = now + c.budget
 					}
-					outcome := model.arrive(id, now, deadline)
+					queued := model.arrive(id, now, deadline)
 					err := rt.acquire(th, deadline)
 					want := admWake{at: now}
-					switch outcome {
-					case admShed:
-						want.err = ErrQueueFull
-					case admQueued:
+					if queued {
 						w, ok := model.wakes[id]
 						if !ok {
 							mismatch(th, "acquire returned %v, but the model still has the request queued", err)
@@ -351,7 +342,7 @@ func FuzzAdmissionModel(f *testing.F) {
 					if err != nil {
 						rt.breakerFailure(th, gen)
 						model.failure(th.Name(), th.Now(), gen)
-						check(th, "shed or expired")
+						check(th, "expired")
 						continue
 					}
 					th.Advance(c.hold)

@@ -174,8 +174,8 @@ func TestPushdownSetupMaterialisesOnlyTouchedPages(t *testing.T) {
 		st := f.call(t, 1792, write)
 		hooks := int(f.rt.agg.ComputeFaults + f.rt.agg.Upgrades - hooksBefore)
 
-		if st.SetupInvalidations != 1500 {
-			t.Errorf("write=%v: SetupInvalidations = %d, want 1500", write, st.SetupInvalidations)
+		if st.ResidentPages != 1500 {
+			t.Errorf("write=%v: ResidentPages = %d, want 1500", write, st.ResidentPages)
 		}
 		var eager eagerTempTable
 		eager.reset()

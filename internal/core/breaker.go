@@ -47,10 +47,10 @@ func (r *Runtime) breakerAllow(t *sim.Thread) (uint64, bool) {
 	return r.brGen, true
 }
 
-// breakerFailure records one recoverable pushdown failure (or shed) of an
-// attempt admitted under generation gen: it re-opens a half-open breaker
-// immediately (the probe failed) and opens a closed one once the
-// consecutive-failure streak reaches the threshold. An attempt admitted
+// breakerFailure records one recoverable pushdown failure of an attempt
+// admitted under generation gen: it re-opens a half-open breaker immediately
+// (the probe failed) and opens a closed one once the consecutive-failure
+// streak reaches the threshold. An attempt admitted
 // before the last transition does not count: its outcome says nothing about
 // the state the breaker has since moved to.
 func (r *Runtime) breakerFailure(t *sim.Thread, gen uint64) {

@@ -113,7 +113,6 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 	}
 
 	// Temporary-context page fault (Figure 9 lines 11–17).
-	mp.st.MemoryFaults++
 	mark := e.T.Now()
 
 	_, heldDirty, held := p.Cache.Lookup(pg)
@@ -129,7 +128,6 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		sp := p.M.Obs.Begin(e.T, trace.KindCoherence, uint64(pg), trace.Flag(write))
 		p.M.Fabric.RoundTrip(e.T, ctrlMsgBytes, respBytes, netmodel.ClassCoherence)
 		p.M.Obs.End(e.T, sp)
-		mp.st.CoherenceMsgs += 2
 		r.agg.CoherenceMsgs += 2
 		r.agg.CoherenceRounds++
 		if write {

@@ -101,13 +101,9 @@ type Stats struct {
 	Response   sim.Time // (5) response transfer
 	PostSync   sim.Time // (6) post-pushdown synchronisation
 
-	ResidentPages      int   // compute-resident pages at call time
-	RollbackPages      int   // pages restored from the undo journal on abort
-	RLERuns            int   // runs after §6's run-length encoding
-	RequestBytes       int   // request message size (RLE or bitmap list, whichever is smaller)
-	SetupInvalidations int   // Figure 8 invalidations applied at setup
-	MemoryFaults       int64 // temporary-context faults served
-	CoherenceMsgs      int64 // coherence messages this call caused
+	ResidentPages int // compute-resident pages at call time
+	RLERuns       int // runs after §6's run-length encoding
+	RequestBytes  int // request message size (RLE or bitmap list, whichever is smaller)
 }
 
 // Total returns the call's end-to-end latency.
@@ -148,7 +144,6 @@ type RuntimeStats struct {
 	LocalFallbacks     int64 `ctr:"push.fallbacks"`     // pushdowns degraded to compute-side execution
 
 	// Crash-consistency and overload counters.
-	Shed                 int64 `ctr:"push.shed"`            // requests rejected by admission control (queue full)
 	DeadlineAborts       int64 `ctr:"push.deadline-aborts"` // calls aborted for blowing their Policy.Deadline budget
 	Rollbacks            int64 `ctr:"push.rollbacks"`       // undo-journal rollbacks performed (mid-crash, deadline and quorum-loss aborts)
 	RolledBackPages      int64 // pages restored across all rollbacks
@@ -195,12 +190,6 @@ var (
 	// context-crashed pushdown once before degrading to local execution.
 	ErrContextCrashed = errors.New("teleport: pushdown context crashed in the memory pool")
 
-	// ErrQueueFull reports that admission control shed the request: the
-	// memory pool's workqueue already held Policy.QueueCap live waiters. The
-	// pushed function has not run; retrying (with backoff) or running
-	// locally is safe.
-	ErrQueueFull = errors.New("teleport: pushdown request shed (memory-pool workqueue full)")
-
 	// ErrDeadlineExceeded reports that the call blew its Policy.Deadline
 	// budget. A request still queued at its deadline was cancelled there
 	// (§3.2's try_cancel); if execution had already dirtied pages, the undo
@@ -234,7 +223,7 @@ var (
 
 // Recoverable reports whether a pushdown error is safe to retry or absorb
 // with a compute-side fallback: the pushed function is guaranteed to have
-// had no observable effect — either it never ran (heartbeat loss, shed, a
+// had no observable effect — either it never ran (heartbeat loss, a
 // deadline that passed while queued or in set-up, pre-commit context crash)
 // or its partial writes were rolled back from the undo journal before the
 // error was reported (mid-execution crash, deadline or quorum abort).

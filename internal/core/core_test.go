@@ -64,7 +64,7 @@ func TestPushdownReadsDirtyComputePagesCoherently(t *testing.T) {
 	cenv.WriteI64(a, 42) // dirty in compute cache, never flushed
 
 	var got int64
-	st, err := rt.Pushdown(th, func(env *ddc.Env) {
+	_, err := rt.Pushdown(th, func(env *ddc.Env) {
 		got = env.ReadI64(a)
 	}, Options{})
 	if err != nil {
@@ -76,8 +76,8 @@ func TestPushdownReadsDirtyComputePagesCoherently(t *testing.T) {
 	// The compute pool held the page writable, so Figure 8 excluded it from
 	// the temporary context; reading it required a coherence round trip
 	// that carried the dirty data.
-	if st.MemoryFaults == 0 || st.CoherenceMsgs == 0 {
-		t.Fatalf("expected coherence traffic, got %+v", st)
+	if rs := rt.Stats(); rs.CoherenceRounds == 0 || rs.CoherenceMsgs == 0 {
+		t.Fatalf("expected coherence traffic, got %+v", rs)
 	}
 	if p.M.Fabric.Stats(netmodel.ClassCoherence).Msgs == 0 {
 		t.Fatal("no coherence messages on the fabric")
@@ -989,7 +989,7 @@ func TestPolicyRetriesThroughScheduledOutage(t *testing.T) {
 // The recovery policy matches failures via errors.Is, so wrapped sentinels
 // still trigger the retry and the local fallback.
 func TestRecoverableClassification(t *testing.T) {
-	for _, err := range []error{ErrMemoryPoolDown, ErrContextCrashed, ErrQueueFull,
+	for _, err := range []error{ErrMemoryPoolDown, ErrContextCrashed,
 		ErrDeadlineExceeded, ErrShardDown, ErrQuorumLost} {
 		if !Recoverable(err) {
 			t.Errorf("Recoverable(%v) = false, want true", err)

@@ -70,7 +70,7 @@ func TestMidCrashRollsBackNonIdempotentWrites(t *testing.T) {
 	th := sim.NewThread("t")
 	a := fillVecPages(p, th)
 
-	st, ran, err := rt.PushdownWithPolicy(th, incVecPages(a), Options{})
+	_, ran, err := rt.PushdownWithPolicy(th, incVecPages(a), Options{})
 	if err != nil {
 		t.Fatalf("policy: %v", err)
 	}
@@ -83,17 +83,14 @@ func TestMidCrashRollsBackNonIdempotentWrites(t *testing.T) {
 	if rs.Rollbacks != 2 || rs.CtxCrashes != 2 {
 		t.Fatalf("Rollbacks=%d CtxCrashes=%d, want 2 and 2 (initial attempt + one rerun)", rs.Rollbacks, rs.CtxCrashes)
 	}
-	if rs.RolledBackPages == 0 {
-		t.Fatal("RolledBackPages = 0, want > 0")
+	if rs.RolledBackPages < rs.Rollbacks {
+		t.Fatalf("RolledBackPages = %d, want at least one page per rollback", rs.RolledBackPages)
 	}
 	if rs.LocalFallbacks != 1 {
 		t.Fatalf("LocalFallbacks = %d, want 1", rs.LocalFallbacks)
 	}
 	if n := countKind(ring, trace.KindPushRollback); n != 2 {
 		t.Fatalf("push-rollback events = %d, want 2", n)
-	}
-	if st.RollbackPages == 0 {
-		t.Fatal("last attempt's Stats.RollbackPages = 0, want > 0")
 	}
 }
 
@@ -111,12 +108,12 @@ func TestBarePushdownMidCrashLeavesMemoryPristine(t *testing.T) {
 		before[pg] = p.Space.SnapshotPageInto(pg, nil)
 	}
 
-	st, err := rt.Pushdown(th, incVecPages(a), Options{})
+	_, err := rt.Pushdown(th, incVecPages(a), Options{})
 	if !errors.Is(err, ErrContextCrashed) {
 		t.Fatalf("err = %v, want ErrContextCrashed", err)
 	}
-	if st.RollbackPages == 0 {
-		t.Fatal("Stats.RollbackPages = 0, want > 0 (the crash fired after dirtying pages)")
+	if rt.Stats().RolledBackPages == 0 {
+		t.Fatal("RolledBackPages = 0, want > 0 (the crash fired after dirtying pages)")
 	}
 	for pg := first; pg <= last; pg++ {
 		got := p.Space.SnapshotPageInto(pg, nil)
@@ -152,45 +149,6 @@ func TestMidCrashSameSeedBitIdentical(t *testing.T) {
 	t2, s2 := run()
 	if t1 != t2 || s1 != s2 {
 		t.Fatalf("same-seed runs differ:\n  t=%v vs %v\n  s=%+v\n  vs %+v", t1, t2, s1, s2)
-	}
-}
-
-// Admission control: with one context busy and the queue at capacity, a
-// third request is shed with ErrQueueFull instead of waiting.
-func TestQueueFullShedsDeterministically(t *testing.T) {
-	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	p := m.NewProcess()
-	ring := trace.New(1024)
-	m.AttachTrace(ring)
-	rt := NewRuntime(p, 1)
-	rt.Policy.QueueCap = 1
-
-	errs := make([]error, 3)
-	s := sim.NewScheduler()
-	for i := 0; i < 3; i++ {
-		i := i
-		s.Spawn("pusher", sim.Time(i)*10*sim.Microsecond, func(th *sim.Thread) {
-			_, errs[i] = rt.Pushdown(th, func(env *ddc.Env) {
-				env.Compute(2_000_000) // ~1 ms: keep the context busy
-			}, Options{})
-		})
-	}
-	s.Run()
-
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("first two pushdowns: %v, %v (the queue holds one waiter)", errs[0], errs[1])
-	}
-	if !errors.Is(errs[2], ErrQueueFull) {
-		t.Fatalf("third pushdown err = %v, want ErrQueueFull", errs[2])
-	}
-	if !Recoverable(errs[2]) {
-		t.Fatal("ErrQueueFull must be Recoverable")
-	}
-	if rt.Stats().Shed != 1 {
-		t.Fatalf("Shed = %d, want 1", rt.Stats().Shed)
-	}
-	if n := countKind(ring, trace.KindShed); n != 1 {
-		t.Fatalf("shed events = %d, want 1", n)
 	}
 }
 
@@ -234,16 +192,15 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	}
 }
 
-// A queued request whose budget has run out gives its workqueue slot back
-// before admission control counts the queue: with QueueCap 1 and a 10 ms
-// call holding the one context, A queues at 10 µs with a 1 ms budget, and B,
-// arriving unbudgeted at 2 ms, waits for the context instead of being shed
-// for A's stale slot.
+// A queued request whose budget has run out leaves the workqueue at its
+// deadline: with a 10 ms call holding the one context, A queues at 10 µs
+// with a 1 ms budget and is cancelled at that budget once B, arriving
+// unbudgeted at 2 ms, meets the full pool; B waits for the context and runs
+// after the long call.
 func TestExpiredWaiterFreesQueueSlot(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
 	p := m.NewProcess()
 	rt := NewRuntime(p, 1)
-	rt.Policy.QueueCap = 1
 
 	var errA, errB error
 	var doneA sim.Time
@@ -269,10 +226,7 @@ func TestExpiredWaiterFreesQueueSlot(t *testing.T) {
 		t.Fatalf("A: err = %v at %v, want ErrDeadlineExceeded at its 1 ms budget", errA, doneA)
 	}
 	if errB != nil {
-		t.Fatalf("B: err = %v, want a pushdown after the long call (A's slot had expired)", errB)
-	}
-	if rt.Stats().Shed != 0 {
-		t.Fatalf("Shed = %d, want 0", rt.Stats().Shed)
+		t.Fatalf("B: err = %v, want a pushdown after the long call", errB)
 	}
 }
 
@@ -284,14 +238,14 @@ func TestDeadlineExpiresMidExecutionRollsBack(t *testing.T) {
 	a := fillVecPages(p, th)
 
 	rt.Policy.Deadline = 100 * sim.Microsecond
-	st, err := rt.Pushdown(th, incVecPages(a), Options{})
+	_, err := rt.Pushdown(th, incVecPages(a), Options{})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
-	if st.RollbackPages == 0 {
-		t.Fatal("Stats.RollbackPages = 0, want > 0 (writes happened before the budget expired)")
-	}
 	rs := rt.Stats()
+	if rs.RolledBackPages == 0 {
+		t.Fatal("RolledBackPages = 0, want > 0 (writes happened before the budget expired)")
+	}
 	if rs.Rollbacks != 1 || rs.DeadlineAborts != 1 {
 		t.Fatalf("Rollbacks=%d DeadlineAborts=%d, want 1 and 1", rs.Rollbacks, rs.DeadlineAborts)
 	}
@@ -325,7 +279,7 @@ func TestQuorumLostMidExecutionRollsBack(t *testing.T) {
 	for pg := first; pg <= last; pg++ {
 		before[pg] = p.Space.SnapshotPageInto(pg, nil)
 	}
-	st, err := rt.Pushdown(th, func(env *ddc.Env) {
+	_, err := rt.Pushdown(th, func(env *ddc.Env) {
 		for i := 0; i < vecPages; i++ {
 			if i == vecPages/2 {
 				down := fault.Window{Down: env.T.Now(), Up: env.T.Now() + sim.Second}
@@ -339,10 +293,11 @@ func TestQuorumLostMidExecutionRollsBack(t *testing.T) {
 	if !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("err = %v, want ErrQuorumLost", err)
 	}
-	if st.RollbackPages < vecPages/2 {
-		t.Fatalf("Stats.RollbackPages = %d, want at least the %d pages dirtied before the partition", st.RollbackPages, vecPages/2)
+	rs := rt.Stats()
+	if rs.RolledBackPages < vecPages/2 {
+		t.Fatalf("RolledBackPages = %d, want at least the %d pages dirtied before the partition", rs.RolledBackPages, vecPages/2)
 	}
-	if rs := rt.Stats(); rs.Rollbacks != 1 {
+	if rs.Rollbacks != 1 {
 		t.Fatalf("Rollbacks = %d, want 1", rs.Rollbacks)
 	}
 	for pg := first; pg <= last; pg++ {

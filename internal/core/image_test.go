@@ -57,12 +57,13 @@ func TestAbortedPushdownOnImagePagesRestoresByUnsharing(t *testing.T) {
 		before[pg] = p.Space.SnapshotPageInto(pg, nil)
 	}
 
-	st, err := rt.Pushdown(th, incVecPages(a), Options{})
+	_, err := rt.Pushdown(th, incVecPages(a), Options{})
 	if !errors.Is(err, ErrContextCrashed) {
 		t.Fatalf("err = %v, want ErrContextCrashed", err)
 	}
-	if st.RollbackPages == 0 {
-		t.Fatal("Stats.RollbackPages = 0, want > 0 (the crash fired after dirtying pages)")
+	rolled := int(rt.Stats().RolledBackPages)
+	if rolled == 0 {
+		t.Fatal("RolledBackPages = 0, want > 0 (the crash fired after dirtying pages)")
 	}
 	own := 0
 	for pg := first; pg <= last; pg++ {
@@ -76,8 +77,8 @@ func TestAbortedPushdownOnImagePagesRestoresByUnsharing(t *testing.T) {
 	// Every rolled-back page has a frame of its own, which the restore landed
 	// in; so may the page of the access the crash fired on, which had taken
 	// its frame and stored nothing.
-	if own < st.RollbackPages || own > st.RollbackPages+1 {
-		t.Fatalf("%d pages left the image, %d were rolled back", own, st.RollbackPages)
+	if own < rolled || own > rolled+1 {
+		t.Fatalf("%d pages left the image, %d were rolled back", own, rolled)
 	}
 
 	// The fallback of the policy applies the increments exactly once, in p only.

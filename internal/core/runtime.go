@@ -165,22 +165,14 @@ func (r *Runtime) observeHeartbeat(t *sim.Thread) bool {
 	return down
 }
 
-// Policy is the compute side's one recovery policy (§3.2): how many
-// requests may wait for a context, how long each attempt may take, how
-// often a recoverably failed call is re-attempted before fn runs in the
-// compute pool, and when the circuit breaker stops attempting at all. Every
-// knob is off at zero: the zero Policy is §3.2's cancel-and-run-locally — a
+// Policy is the compute side's one recovery policy (§3.2): how long each
+// attempt may take, how often a recoverably failed call is re-attempted
+// before fn runs in the compute pool, and when the circuit breaker stops
+// attempting at all. Every knob is off at zero: the zero Policy is §3.2's cancel-and-run-locally — a
 // request cancelled while queued (try_cancel at its Deadline), like any
 // other Recoverable failure, runs fn in the compute pool at once ("the
 // application is free to execute fn directly in the compute pool").
 type Policy struct {
-	// QueueCap bounds the memory pool's workqueue: when every context is
-	// busy and QueueCap live requests are already waiting, admission control
-	// sheds the call with ErrQueueFull instead of queueing it (overload
-	// turns into fast failure, not unbounded wait). Zero keeps the unbounded
-	// FIFO.
-	QueueCap int
-
 	// Deadline is each attempt's virtual-time budget, measured from its
 	// entry and spanning queue wait, context setup and execution: the one
 	// time limit on a call. An attempt that cannot finish in budget aborts
@@ -197,18 +189,17 @@ type Policy struct {
 	MaxRetries int
 	Backoff    sim.Time
 
-	// BreakerThreshold is how many consecutive recoverable failures
-	// (including shed requests) open the circuit breaker (breaker.go); zero
-	// disables it. BreakerCooldown is how long it stays open before a
-	// half-open probe.
+	// BreakerThreshold is how many consecutive recoverable failures open
+	// the circuit breaker (breaker.go); zero disables it. BreakerCooldown
+	// is how long it stays open before a half-open probe.
 	BreakerThreshold int
 	BreakerCooldown  sim.Time
 }
 
-// DefaultPolicy is the policy NewRuntime installs: an unbounded queue, no
-// budget, three retries from 50 µs, and a breaker lenient enough that one
-// call's own attempts (the first plus MaxRetries) never open it, strict
-// enough that a persistent outage trips it after two degraded calls.
+// DefaultPolicy is the policy NewRuntime installs: no budget, three retries
+// from 50 µs, and a breaker lenient enough that one call's own attempts (the
+// first plus MaxRetries) never open it, strict enough that a persistent
+// outage trips it after two degraded calls.
 func DefaultPolicy() Policy {
 	return Policy{MaxRetries: 3, Backoff: 50 * sim.Microsecond, BreakerThreshold: 5, BreakerCooldown: 500 * sim.Microsecond}
 }
@@ -341,7 +332,6 @@ var failures = [...]struct {
 	{err: ErrShardDown, count: func(s *RuntimeStats) *int64 { return &s.ShardDownObserved }, event: trace.KindShardDown},
 	{err: ErrQuorumLost, exec: true, count: func(s *RuntimeStats) *int64 { return &s.QuorumAborts }},
 	{err: ErrQuorumLost, count: func(s *RuntimeStats) *int64 { return &s.QuorumLostObserved }, event: trace.KindShardDown, arg: 1},
-	{err: ErrQueueFull, count: func(s *RuntimeStats) *int64 { return &s.Shed }, event: trace.KindShed, callArg: true},
 	{err: ErrDeadlineExceeded, count: func(s *RuntimeStats) *int64 { return &s.DeadlineAborts }},
 	{err: ErrContextCrashed, count: func(s *RuntimeStats) *int64 { return &s.CtxCrashes }, event: trace.KindFaultInjected, callArg: true},
 }
@@ -405,7 +395,7 @@ func (c *call) unwind() {
 // it completes (§3.2, Figure 5). Other simulated threads of the process
 // keep running in the compute pool; the coherence protocol keeps both sides
 // consistent. It returns the per-call breakdown and an error for a blown
-// deadline, shedding, a remote panic, or pool failure.
+// deadline, a remote panic, or pool failure.
 //
 // Failure handling: the call passes a checkpoint at entry and again wherever
 // it has spent virtual time before execution commits (request sent, context
@@ -492,9 +482,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 		return st, c.fail(err)
 	}
 
-	// ❸ Workqueue: wait for a free user context (FIFO; the deadline's
-	// try_cancel applies while queued, admission control sheds when the
-	// queue is at capacity).
+	// ❸ Workqueue: wait for a free user context (an unbounded FIFO; the
+	// deadline's try_cancel is the only way out while queued).
 	qs := tr.Begin(t, trace.KindPushQueue, 0, c.id)
 	err = r.acquire(t, c.deadlineAt)
 	st.Queue = tr.End(t, qs)
@@ -511,7 +500,7 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 
 	// ❹ Temporary user context setup (Figure 8).
 	cs := tr.Begin(t, trace.KindPushSetup, 0, c.id)
-	r.enterPush(t, runs, opts, &st)
+	r.enterPush(t, runs, opts)
 	c.joined = true
 	st.CtxSetup = tr.End(t, cs)
 
@@ -601,7 +590,6 @@ func (r *Runtime) rollbackJournal(t *sim.Thread, pager *memPager) {
 		r.temp.entry(pg).dirty = false
 	})
 	p.Epoch++ // rolled-back pages invalidate any env fast-path mapping
-	pager.st.RollbackPages = n
 	r.agg.Rollbacks++
 	r.agg.RolledBackPages += int64(n)
 	p.M.Obs.Instant(t, trace.KindPushRollback, 0, int64(n))
@@ -684,7 +672,7 @@ func (r *Runtime) flushPage(t *sim.Thread) {
 
 // enterPush creates or joins the shared pushdown coherence state and
 // performs Figure 8's MemorySetup, charging the table-clone cost.
-func (r *Runtime) enterPush(t *sim.Thread, runs []netmodel.PageRun, opts Options, st *Stats) {
+func (r *Runtime) enterPush(t *sim.Thread, runs []netmodel.PageRun, opts Options) {
 	p := r.P
 	cfg := &p.M.Cfg.HW
 	// Cloning the caller's full page table (Figure 8 line 7) visits every
@@ -700,9 +688,6 @@ func (r *Runtime) enterPush(t *sim.Thread, runs []netmodel.PageRun, opts Options
 		// Figure 8 lines 8–13: exclude compute-writable pages, downgrade
 		// compute-read-only pages.
 		r.temp.invalidateRuns(runs)
-		for _, run := range runs {
-			st.SetupInvalidations += int(run.Count)
-		}
 		if r.refs == 1 {
 			p.SetPushHooks(&r.hooks)
 		}
@@ -760,23 +745,17 @@ func (r *Runtime) postSync(t *sim.Thread, opts Options, eagerPages []mem.PageID)
 	}
 }
 
-// acquire waits for a free memory-pool user context, honouring admission
-// control (Policy.QueueCap) and, while queued, the call's deadline
-// (deadlineAt, 0 = none). The deadline is enforced late: nothing wakes the
-// pool at it, so a waiter past it is cancelled only when a later call meets
-// a full pool here or a context is released (expire), and it then resumes
-// at its old deadline.
+// acquire waits for a free memory-pool user context, honouring, while
+// queued, the call's deadline (deadlineAt, 0 = none). The deadline is
+// enforced late: nothing wakes the pool at it, so a waiter past it is
+// cancelled only when a later call meets a full pool here or a context is
+// released (expire), and it then resumes at its old deadline.
 func (r *Runtime) acquire(t *sim.Thread, deadlineAt sim.Time) error {
 	if r.running < r.Contexts {
 		r.setRunning(r.running + 1)
 		return nil
 	}
 	r.expire(t.Now())
-	if r.Policy.QueueCap > 0 && len(r.queue) >= r.Policy.QueueCap {
-		// Deterministic load-shedding: the controller rejects the request
-		// outright rather than letting the queue grow without bound.
-		return ErrQueueFull
-	}
 	w := &waiter{t: t, deadline: deadlineAt}
 	r.queue = append(r.queue, w)
 	t.Block()

@@ -601,9 +601,7 @@ func TestAttachTraceWiresFabric(t *testing.T) {
 	}
 	// The fabric shares the ring: force a retry and expect an rpc-retry
 	// event in the machine's ring.
-	prof := fault.Profile{}
-	prof.SetNetAll(fault.NetFaults{DropProb: 1})
-	m.AttachFault(fault.NewPlan(prof, 1))
+	m.AttachFault(fault.NewPlan(fault.Profile{Net: fault.NetFaults{DropProb: 1}}, 1))
 	m.Fabric.Send(sim.NewThread("t"), 64, netmodel.ClassSync)
 	if r.CountByKind()[trace.KindRPCRetry] == 0 {
 		t.Fatal("fabric retry events did not reach the machine's ring")

@@ -23,12 +23,8 @@ import (
 	"teleport/internal/sim"
 )
 
-// MaxClasses bounds the per-traffic-class fault tables. It must be at least
-// netmodel's class count; fault does not import netmodel (netmodel imports
-// fault's consumer layers), so classes are plain ints here.
-const MaxClasses = 8
-
-// NetFaults is the transient-fault behaviour of one traffic class.
+// NetFaults is the fabric's transient-fault behaviour, alike for every
+// traffic class.
 type NetFaults struct {
 	// DropProb is the probability one message (or RPC leg) is lost in
 	// flight and must be retransmitted after a timeout.
@@ -48,9 +44,8 @@ type Profile struct {
 	Name        string
 	Description string
 
-	// Net holds per-class transient network faults, indexed by
-	// int(netmodel.Class).
-	Net [MaxClasses]NetFaults
+	// Net holds the transient network faults of every message.
+	Net NetFaults
 
 	// PoolMeanUp and PoolMeanDown drive the memory-controller crash
 	// schedule: uptime between crashes is Uniform[½·MeanUp, 1½·MeanUp],
@@ -101,13 +96,6 @@ type Profile struct {
 	// SSDReadErrProb is the probability one SSD page read fails and is
 	// retried by the device layer.
 	SSDReadErrProb float64
-}
-
-// SetNetAll applies nf to every traffic class.
-func (p *Profile) SetNetAll(nf NetFaults) {
-	for i := range p.Net {
-		p.Net[i] = nf
-	}
 }
 
 // Counters tallies every injected fault, by kind. Two runs with the same
@@ -184,15 +172,15 @@ func (p *Plan) Counters() Counters {
 	return p.c
 }
 
-// SendFault decides the fate of one message (or RPC) transmission attempt of
-// the given traffic class. It returns whether the attempt was lost (dropped
-// or corrupted — the caller must retransmit after a timeout) and any extra
-// latency to charge for a congestion spike.
-func (p *Plan) SendFault(class int) (lost bool, extraNs float64) {
-	if p == nil || class < 0 || class >= MaxClasses {
+// SendFault decides the fate of one message (or RPC) transmission attempt.
+// It returns whether the attempt was lost (dropped or corrupted — the caller
+// must retransmit after a timeout) and any extra latency to charge for a
+// congestion spike.
+func (p *Plan) SendFault() (lost bool, extraNs float64) {
+	if p == nil {
 		return false, 0
 	}
-	nf := &p.Prof.Net[class]
+	nf := &p.Prof.Net
 	if nf.DropProb > 0 && p.net.Bernoulli(nf.DropProb) {
 		p.c.Drops++
 		return true, 0

@@ -9,7 +9,7 @@ import (
 
 func TestNilPlanIsInert(t *testing.T) {
 	var p *Plan
-	if lost, extra := p.SendFault(0); lost || extra != 0 {
+	if lost, extra := p.SendFault(); lost || extra != 0 {
 		t.Fatal("nil plan injected a net fault")
 	}
 	for _, tc := range targetCases {
@@ -41,7 +41,7 @@ func TestNilPlanIsInert(t *testing.T) {
 func TestZeroProfileInjectsNothing(t *testing.T) {
 	p := NewPlan(Profile{}, 7)
 	for i := 0; i < 1000; i++ {
-		if lost, extra := p.SendFault(i % MaxClasses); lost || extra != 0 {
+		if lost, extra := p.SendFault(); lost || extra != 0 {
 			t.Fatal("zero profile injected a net fault")
 		}
 	}
@@ -60,7 +60,7 @@ func TestSendFaultRatesRoughlyMatch(t *testing.T) {
 	const n = 200000
 	var lost, spiked int
 	for i := 0; i < n; i++ {
-		l, extra := p.SendFault(0)
+		l, extra := p.SendFault()
 		if l {
 			lost++
 		}
@@ -84,8 +84,8 @@ func TestSendFaultRatesRoughlyMatch(t *testing.T) {
 func TestSameSeedSameStream(t *testing.T) {
 	a, b := NewPlan(Chaos(), 99), NewPlan(Chaos(), 99)
 	for i := 0; i < 5000; i++ {
-		la, ea := a.SendFault(i % MaxClasses)
-		lb, eb := b.SendFault(i % MaxClasses)
+		la, ea := a.SendFault()
+		lb, eb := b.SendFault()
 		if la != lb || ea != eb {
 			t.Fatalf("streams diverge at draw %d", i)
 		}
@@ -102,8 +102,8 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := NewPlan(FlakyNet(), 1), NewPlan(FlakyNet(), 2)
 	same := true
 	for i := 0; i < 2000; i++ {
-		la, _ := a.SendFault(0)
-		lb, _ := b.SendFault(0)
+		la, _ := a.SendFault()
+		lb, _ := b.SendFault()
 		if la != lb {
 			same = false
 		}

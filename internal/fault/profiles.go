@@ -14,31 +14,29 @@ import (
 // FlakyNet drops ~1% of messages, corrupts ~0.2%, and delays ~2% by a
 // 5–20 µs congestion spike, on every traffic class.
 func FlakyNet() Profile {
-	p := Profile{
+	return Profile{
 		Name:        "flaky-net",
 		Description: "1% loss, 0.2% corruption, 2% latency spikes on all classes",
+		Net: NetFaults{
+			DropProb:    0.01,
+			CorruptProb: 0.002,
+			SpikeProb:   0.02,
+			SpikeMinNs:  5e3,
+			SpikeMaxNs:  20e3,
+		},
 	}
-	p.SetNetAll(NetFaults{
-		DropProb:    0.01,
-		CorruptProb: 0.002,
-		SpikeProb:   0.02,
-		SpikeMinNs:  5e3,
-		SpikeMaxNs:  20e3,
-	})
-	return p
 }
 
 // CrashyPool crashes the memory controller roughly every 20 ms of virtual
 // time for ~1 ms, with a trickle of message loss so retry paths overlap.
 func CrashyPool() Profile {
-	p := Profile{
+	return Profile{
 		Name:         "crashy-pool",
 		Description:  "memory controller crashes ~every 20ms for ~1ms, 0.2% loss",
+		Net:          NetFaults{DropProb: 0.002},
 		PoolMeanUp:   20 * sim.Millisecond,
 		PoolMeanDown: sim.Millisecond,
 	}
-	p.SetNetAll(NetFaults{DropProb: 0.002})
-	return p
 }
 
 // FlakySSD fails ~5% of storage-pool page reads, forcing device-level
@@ -154,7 +152,7 @@ func PartitionChaos() Profile {
 // profile listing. A profile that injects nothing reports "no faults".
 func (p Profile) Params() string {
 	var parts []string
-	if nf := p.Net[0]; nf.DropProb > 0 || nf.CorruptProb > 0 || nf.SpikeProb > 0 {
+	if nf := p.Net; nf.DropProb > 0 || nf.CorruptProb > 0 || nf.SpikeProb > 0 {
 		s := fmt.Sprintf("net drop=%.3g corrupt=%.3g spike=%.3g", nf.DropProb, nf.CorruptProb, nf.SpikeProb)
 		if nf.SpikeProb > 0 {
 			s += fmt.Sprintf("×[%v,%v]", sim.Time(nf.SpikeMinNs), sim.Time(nf.SpikeMaxNs))

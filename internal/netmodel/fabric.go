@@ -73,12 +73,11 @@ var (
 )
 
 // Injector decides transient-fault outcomes for transmission attempts. It is
-// implemented by *fault.Plan; netmodel sees classes as plain ints to keep
-// the dependency one-way.
+// implemented by *fault.Plan.
 type Injector interface {
-	// SendFault returns whether one transmission attempt of the given
-	// class was lost (retransmit needed) and any extra latency in ns.
-	SendFault(class int) (lost bool, extraNs float64)
+	// SendFault returns whether one transmission attempt was lost
+	// (retransmit needed) and any extra latency in ns.
+	SendFault() (lost bool, extraNs float64)
 }
 
 // Retransmission policy: the first retry waits roughly a detection timeout
@@ -151,7 +150,7 @@ func (f *Fabric) transmit(t *sim.Thread, class Class, ns float64, legs ...int) s
 		}
 		lost, extraNs := false, 0.0
 		for range legs {
-			l, e := f.inj.SendFault(int(class))
+			l, e := f.inj.SendFault()
 			lost, extraNs = lost || l, extraNs+e
 		}
 		if extraNs > 0 {

@@ -59,7 +59,7 @@ type scriptedInjector struct {
 	i     int
 }
 
-func (s *scriptedInjector) SendFault(class int) (bool, float64) {
+func (s *scriptedInjector) SendFault() (bool, float64) {
 	if s.i >= len(s.lost) {
 		return false, 0
 	}

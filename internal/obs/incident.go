@@ -10,12 +10,12 @@ import (
 
 // DegradeEvent reports whether k is a degrade-class event — one of the
 // moments a cluster operator asks "what happened right before this?": an
-// undo-journal rollback, an admission-control shed, a circuit-breaker trip,
-// a replica-set outage, or a pushdown degraded to compute-side execution.
+// undo-journal rollback, a circuit-breaker trip, a replica-set outage, or a
+// pushdown degraded to compute-side execution.
 func DegradeEvent(k trace.Kind) bool {
 	switch k {
-	case trace.KindPushRollback, trace.KindShed, trace.KindBreakerOpen,
-		trace.KindShardDown, trace.KindFallbackLocal:
+	case trace.KindPushRollback, trace.KindBreakerOpen, trace.KindShardDown,
+		trace.KindFallbackLocal:
 		return true
 	}
 	return false

@@ -181,7 +181,7 @@ func TestLatencySummarySortedAndNilSafe(t *testing.T) {
 
 func TestRecorderTriggersOnDegradeEvents(t *testing.T) {
 	ring := trace.New(8)
-	counters := map[string]int64{"push.shed": 0}
+	counters := map[string]int64{"push.breaker.opens": 0}
 	rec := NewRecorder(ring, 4, func(s *metrics.Snapshot) {
 		for k, v := range counters {
 			s.Counters[k] = v
@@ -194,32 +194,32 @@ func TestRecorderTriggersOnDegradeEvents(t *testing.T) {
 	if rec.Total() != 0 {
 		t.Fatal("non-degrade event tripped the recorder")
 	}
-	counters["push.shed"] = 1
-	ring.Add(trace.Event{At: 100, Kind: trace.KindShed, Arg: 7, Who: "w"})
+	counters["push.breaker.opens"] = 1
+	ring.Add(trace.Event{At: 100, Kind: trace.KindBreakerOpen, Arg: 7, Who: "w"})
 	if rec.Total() != 1 {
-		t.Fatal("shed event did not trip the recorder")
+		t.Fatal("breaker-open event did not trip the recorder")
 	}
 	incs := rec.Incidents()
 	if len(incs) != 1 {
 		t.Fatalf("incidents = %d", len(incs))
 	}
 	inc := incs[0]
-	if inc.Kind != "shed" || inc.Seq != 1 || inc.AtNs != 100 || inc.Arg != 7 {
+	if inc.Kind != "breaker-open" || inc.Seq != 1 || inc.AtNs != 100 || inc.Arg != 7 {
 		t.Fatalf("incident = %+v", inc)
 	}
-	if inc.Delta["push.shed"] != 1 {
+	if inc.Delta["push.breaker.opens"] != 1 {
 		t.Fatalf("delta = %+v", inc.Delta)
 	}
 	// The window includes the trigger itself as its last event.
-	if n := len(inc.Events); n != 2 || inc.Events[n-1].Kind != "shed" {
+	if n := len(inc.Events); n != 2 || inc.Events[n-1].Kind != "breaker-open" {
 		t.Fatalf("events = %+v", inc.Events)
 	}
 
 	// Second incident: delta is relative to the first, not the run start.
-	counters["push.shed"] = 3
+	counters["push.breaker.opens"] = 3
 	ring.Add(trace.Event{At: 200, Kind: trace.KindPushRollback, Arg: 2, Who: "w"})
 	incs = rec.Incidents()
-	if len(incs) != 2 || incs[1].Delta["push.shed"] != 2 {
+	if len(incs) != 2 || incs[1].Delta["push.breaker.opens"] != 2 {
 		t.Fatalf("second delta = %+v", incs[1].Delta)
 	}
 
@@ -268,7 +268,7 @@ func TestRecorderKeepsMostRecentWhenFull(t *testing.T) {
 	rec.maxKept = 3
 	ring.SetObserver(rec.Observe)
 	for i := 0; i < 5; i++ {
-		ring.Add(trace.Event{At: sim.Time(i), Kind: trace.KindShed, Arg: int64(i), Who: "w"})
+		ring.Add(trace.Event{At: sim.Time(i), Kind: trace.KindBreakerOpen, Arg: int64(i), Who: "w"})
 	}
 	if rec.Total() != 5 {
 		t.Fatalf("total = %d", rec.Total())
@@ -281,7 +281,7 @@ func TestRecorderKeepsMostRecentWhenFull(t *testing.T) {
 
 func TestNilRecorderInert(t *testing.T) {
 	var rec *Recorder
-	rec.Observe(trace.Event{Kind: trace.KindShed})
+	rec.Observe(trace.Event{Kind: trace.KindBreakerOpen})
 	if rec.Incidents() != nil || rec.Total() != 0 {
 		t.Fatal("nil recorder must be inert")
 	}

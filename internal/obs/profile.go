@@ -5,8 +5,8 @@
 // flamegraph-compatible folded stacks), extracts latency percentiles from
 // histograms (bucket-interpolated, clamped to [min, max]), and runs a
 // forensic flight recorder that snapshots the trace window and a counter
-// delta whenever the simulation degrades (rollback, shed, breaker trip,
-// shard outage, local fallback).
+// delta whenever the simulation degrades (rollback, breaker trip, shard
+// outage, local fallback).
 //
 // Everything here shares the substrate's contract: analysis is strictly
 // passive (no method advances a virtual clock), every handle is nil-safe,

@@ -35,7 +35,6 @@ const (
 
 	// Crash-consistency and overload events.
 	KindPushRollback    // undo journal rolled back after a mid-execution abort (Arg: pages restored)
-	KindShed            // admission control rejected a pushdown (workqueue full)
 	KindBreakerOpen     // circuit breaker opened (consecutive recoverable failures)
 	KindBreakerHalfOpen // breaker cooldown elapsed; one probe allowed through
 	KindBreakerClose    // probe succeeded; breaker closed
@@ -66,7 +65,7 @@ var kindNames = [numKinds]string{
 	"eviction", "sync",
 	"fault-injected", "rpc-retry", "pool-crash", "pool-recover",
 	"fallback-local",
-	"push-rollback", "shed", "breaker-open", "breaker-half", "breaker-close",
+	"push-rollback", "breaker-open", "breaker-half", "breaker-close",
 	"rpc", "ssd-read", "ssd-write", "pushdown", "push-queue",
 	"push-setup", "push-exec", "push-sync", "push-retry-wait",
 	"shard-down", "failover", "shard-recover",

@@ -38,15 +38,15 @@ func TestCountByKindAndDump(t *testing.T) {
 	r := New(10)
 	r.Add(Event{Kind: KindCoherence, Who: "a"})
 	r.Add(Event{Kind: KindCoherence, Who: "b"})
-	r.Add(Event{Kind: KindShed, Who: "c"})
+	r.Add(Event{Kind: KindPushRollback, Who: "c"})
 	counts := r.CountByKind()
-	if counts[KindCoherence] != 2 || counts[KindShed] != 1 {
+	if counts[KindCoherence] != 2 || counts[KindPushRollback] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
 	var sb strings.Builder
 	Dump(&sb, "", r.Events(), r.Dropped())
 	out := sb.String()
-	if !strings.Contains(out, "coherence") || !strings.Contains(out, "shed") {
+	if !strings.Contains(out, "coherence") || !strings.Contains(out, "push-rollback") {
 		t.Fatalf("dump = %s", out)
 	}
 	if strings.Count(out, "\n") != 3 {
