@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare bench-access bench-push bench-gate bench-rows bench-smoke profile
+.PHONY: build test race lint fuzz-smoke chaos-soak bench-repo bench-compare ab bench-access bench-push bench-gate bench-rows bench-smoke profile
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,15 @@ bench-repo:
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 
+# The working tree against a parent revision on one workload of the repository
+# benchmark, N pairs in ABBA order (make ab PARENT=HEAD~1 W=cluster N=10
+# SEED=3): both sides' medians, q1–q3, the delta and the wins out of N for
+# every end-to-end metric, "unresolved" where the quartile ranges overlap.
+N ?= 10
+SEED ?= 1
+ab:
+	$(GO) run ./cmd/ab $(PARENT) $(W) $(N) $(SEED)
+
 # The scalar access path (ddc.Env.access), one 8-byte read of a resident
 # 1 MB region in order and at random: the frame decode alone, an unlimited
 # Linux Env's line model, a pager hit in a monolithic swap cache and in a
@@ -82,11 +91,14 @@ bench-gate:
 bench-rows:
 	$(GO) test -run '^$$' -bench 'CachedScanRows|InterleavedStreams|SelectRows' -benchtime 1000x -count 3 ./internal/ddc
 
-# Every layer benchmark of ddc and core, one iteration each: go test only
+# Every layer benchmark of mem, ddc and core, one iteration each: go test only
 # compiles them, so this is what fails when a benchmark's body panics. The
 # numbers mean nothing at one iteration; bench-access, bench-rows, bench-gate
-# and bench-push are the ones to compare.
+# and bench-push are the ones to compare, and go test -bench Populate
+# ./internal/mem prices a frame populated with its range against one taken a
+# page at a time.
 bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mem
 	$(GO) test -run '^$$' -bench 'CachedScanRows|InterleavedStreams|SelectRows|AccessBudget|GateQuorum' -benchtime 1x ./internal/ddc
 	$(GO) test -run '^$$' -bench 'PushdownSetup1500|JournalCapture' -benchtime 1x ./internal/core
 

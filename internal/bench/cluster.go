@@ -81,7 +81,8 @@ func RunCluster(opts Options, machines, rounds int) (ClusterResult, error) {
 	}
 
 	// Build each machine's partition with free generator writes, a page at a
-	// time straight into its frame, and compute the expected per-superstep
+	// time straight into its frame — the partition's frames populated in one
+	// go (mem.Space.Populate) — and compute the expected per-superstep
 	// aggregate host-side for the end-to-end answer check.
 	addrs := make([]mem.Addr, machines)
 	var expRound uint64
@@ -90,6 +91,7 @@ func RunCluster(opts Options, machines, rounds int) (ClusterResult, error) {
 		rng := sim.NewRNG(opts.Seed).Derive(uint64(i + 1))
 		a := p.Space.Alloc(int64(rows)*8, "partition")
 		addrs[i] = a
+		p.Space.Populate(a, int64(rows)*8)
 		for at, end := a, a+mem.Addr(rows)*8; at < end; {
 			off := at & (mem.PageSize - 1)
 			n := min(end-at, mem.PageSize-off)

@@ -1,8 +1,16 @@
 package bench
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
+
+	"teleport/internal/coldb"
+	"teleport/internal/ddc"
+	"teleport/internal/graph"
+	"teleport/internal/mapreduce"
+	"teleport/internal/tpch"
 )
 
 // TestFigureMallocBudget gates host allocations per figure run, at the
@@ -55,6 +63,81 @@ func TestFigureMallocBudget(t *testing.T) {
 		}
 		if fig.bytes > 0 && bytes > fig.bytes {
 			t.Errorf("figure %s: %.1f MB allocated per run, budget %.1f MB", fig.id, float64(bytes)/1e6, float64(fig.bytes)/1e6)
+		}
+	}
+}
+
+// TestGeneratorsAllocatePerRange gates the dataset generators' host
+// allocations against their size: each generator runs at a small and a large
+// size, and the large run may allocate at most 16 objects more than the small
+// one. The generators fill whole ranges (tpch's columns, the CSR arrays, the
+// corpus, RunCluster's partitions) and populate each range's frames in one
+// allocation (mem.Space.Populate), so their object counts do not grow with
+// the data. With a frame allocated per page they grew by one object per
+// 4 KB: 435 and 3 994 objects for the cluster, 224 and 1 233 for tpch.Load,
+// 41 and 561 for graph.Generate, 21 and 230 for GenerateCorpus.
+func TestGeneratorsAllocatePerRange(t *testing.T) {
+	// A count is the least of three runs, with the collector off while each
+	// runs: the host's own allocations (a collection emptying a sync.Pool, a
+	// goroutine that finds no dead one to reuse) add up to a few tens of
+	// objects to a cluster run, at either size.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	objects := func(at func(large bool) func(), large bool) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			gen := at(large)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			gen()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	proc := func() *ddc.Process { return ddc.MustMachine(ddc.Linux()).NewProcess() }
+	for _, g := range []struct {
+		name string
+		at   func(large bool) func() // a run of the generator at the small or large size
+	}{
+		{"RunCluster 8×2", func(large bool) func() {
+			opts := Options{Scale: 0.05, Seed: 1, CacheFrac: 0.02, Parallel: 1, SimWorkers: 1}
+			if large {
+				opts.Scale = 1
+			}
+			return func() {
+				if _, err := RunCluster(opts, 8, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"tpch.Load", func(large bool) func() {
+			db, cfg := coldb.NewDB(proc()), tpch.Config{Scale: 0.1, Seed: 1}
+			if large {
+				cfg.Scale = 1
+			}
+			return func() { tpch.Load(db, cfg) }
+		}},
+		{"graph.Generate", func(large bool) func() {
+			p, cfg := proc(), graph.GenConfig{NV: 2000, AvgDegree: 6, Seed: 1}
+			if large {
+				cfg.NV = 40000
+			}
+			return func() { graph.Generate(p, cfg) }
+		}},
+		{"mapreduce.GenerateCorpus", func(large bool) func() {
+			p, cfg := proc(), mapreduce.CorpusConfig{Words: 10000, Vocab: 4000, Seed: 1}
+			if large {
+				cfg.Words = 250000
+			}
+			return func() { mapreduce.GenerateCorpus(p, cfg) }
+		}},
+	} {
+		g.at(false)() // one-time initialisation is not the generator's cost
+		small, large := objects(g.at, false), objects(g.at, true)
+		t.Logf("%s: %d objects small, %d large", g.name, small, large)
+		if large > small+16 {
+			t.Errorf("%s: %d objects at the large size, %d at the small: it allocates per page, not per range", g.name, large, small)
 		}
 	}
 }

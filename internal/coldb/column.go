@@ -129,9 +129,11 @@ func (c *Column) F64At(env *ddc.Env, i int) float64 {
 // ColumnWriter fills a column front to back directly through the
 // ground-truth space. Loading models the initial population of the buffer
 // pool in the memory pool (data is *born remote* in a DDC), so it bypasses
-// the compute cache and charges nothing. The writer borrows each page's
-// frame once and stores into it, so a loader can write every value as it is
-// generated instead of staging whole columns in slices first.
+// the compute cache and charges nothing. The column's pages are populated
+// in one go (mem.Space.Populate) — the writer fills every one of them — and
+// the writer borrows each page's frame once and stores into it, so a loader
+// can write every value as it is generated instead of staging whole columns
+// in slices first.
 type ColumnWriter struct {
 	space *mem.Space
 	frame []byte   // what is left of the page being filled
@@ -142,6 +144,7 @@ type ColumnWriter struct {
 
 // Writer returns a writer positioned at the column's first row.
 func (c *Column) Writer(p *ddc.Process) ColumnWriter {
+	p.Space.Populate(c.Base, c.Bytes())
 	return ColumnWriter{space: p.Space, next: c.Base, left: c.N, typ: c.Type}
 }
 

@@ -31,6 +31,7 @@ func NewGroupAgg(p *ddc.Process, maxGroups int) *GroupAgg {
 		sums:   p.Space.AllocPages(int64(n)*8, "group.sums"),
 		counts: p.Space.AllocPages(int64(n)*8, "group.counts"),
 	}
+	p.Space.Populate(g.keys, int64(n)*8) // every key slot is initialised below
 	for i := 0; i < n; i++ {
 		p.Space.WriteI64(g.keys+mem.Addr(i*8), emptyKey)
 	}

@@ -128,14 +128,19 @@ func Generate(p *ddc.Process, cfg GenConfig) (*Graph, *RawGraph) {
 	return g, raw
 }
 
-// newCSR allocates an empty CSR for nv vertices and ne edges.
+// newCSR allocates an empty CSR for nv vertices and ne edges, its three
+// arrays populated (mem.Space.Populate): both callers fill every entry.
 func newCSR(p *ddc.Process, nv, ne int) *Graph {
-	return &Graph{
+	g := &Graph{
 		P: p, NV: nv, NE: ne,
 		offsets: p.Space.AllocPages(int64(nv+1)*8, "graph.offsets"),
 		edges:   p.Space.AllocPages(int64(max(ne, 1))*4, "graph.edges"),
 		weights: p.Space.AllocPages(int64(max(ne, 1))*4, "graph.weights"),
 	}
+	p.Space.Populate(g.offsets, int64(nv+1)*8)
+	p.Space.Populate(g.edges, int64(ne)*4)
+	p.Space.Populate(g.weights, int64(ne)*4)
+	return g
 }
 
 // FromAdjacency loads an explicit adjacency list into disaggregated memory.

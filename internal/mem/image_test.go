@@ -3,13 +3,15 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
 
 // The image oracle: a frozen space and every space attached to it are each
-// modelled by a flat byte array, and a trace of reads, stores, snapshots,
-// restores, allocations and further attaches is replayed on both. After every
+// modelled by a flat byte array, and a trace of reads, stores (stores that
+// span several pages among them), snapshots, restores, populates, allocations
+// and further attaches is replayed on both. After every
 // operation each clone must equal its model — so a store shows in the clone
 // that made it and in no sibling — and the image must equal what was frozen.
 //
@@ -149,7 +151,7 @@ func runImageModel(t testing.TB, data []byte) {
 		}
 		off := int(addr - spaceBase)
 		what := ""
-		switch op % 12 {
+		switch op % 14 {
 		case 0:
 			what = "ReadAt"
 			got := make([]byte, n)
@@ -251,11 +253,45 @@ func runImageModel(t testing.TB, data []byte) {
 				"Frame":            func() { c.s.Frame(PageOf(addr)) },
 				"Own":              func() { c.s.Own(PageOf(addr)) },
 				"SnapshotPageInto": func() { c.s.SnapshotPageInto(PageOf(addr), nil) },
+				"Populate":         func() { c.s.Populate(addr, PageSize) },
+				"WriteAt":          func() { c.s.WriteAt(addr|(PageSize-1), []byte{1, 2}) },
 			} {
 				if !panics(use) {
 					t.Fatalf("%s on a released space did not panic", name)
 				}
 			}
+		case 12:
+			// Any run of up to five pages: shared with the image, the
+			// clone's own, or untouched. Populate changes no byte, takes the
+			// untouched pages' frames off the poisoned free list or out of
+			// one allocation, and leaves every page that had a frame with it.
+			what = "Populate"
+			m := min(1+(x*97+y*13)%(4*PageSize), cloneBytes-off)
+			first, last := PageSpan(addr, m)
+			had := map[PageID][]byte{}
+			for pg := first; pg <= last && pg < PageID(len(c.s.frames)); pg++ {
+				had[pg] = c.s.frames[pg]
+			}
+			c.s.Populate(addr, int64(m))
+			for pg := first; pg <= last; pg++ {
+				f := c.s.frames[pg]
+				if len(f) != PageSize || cap(f) != PageSize {
+					t.Fatalf("Populate left page %d with a frame of len %d, cap %d", pg, len(f), cap(f))
+				}
+				if h := had[pg]; h != nil && &h[0] != &f[0] {
+					t.Fatalf("Populate replaced page %d's frame", pg)
+				}
+			}
+		case 13:
+			what = "WriteAt across pages"
+			n = 1 + (x*257+y*3)%(3*PageSize)
+			n = min(n, cloneBytes-off)
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = byte(x+i) | 1
+			}
+			c.s.WriteAt(addr, buf)
+			copy(c.model[off:], buf)
 		}
 		poisonFree(t, what, arena, img, clones)
 		for _, each := range clones {
@@ -372,9 +408,10 @@ func TestAttachToUsedSpacePanics(t *testing.T) {
 }
 
 // Spaces on several goroutines share one arena, as the cells of a figure do
-// under -parallel: each lives on pages the others released, reads its own
-// stores and untouched pages as zero, and in the end the arena holds no more
-// pages than were ever in use at once. (Run under -race: the free list is the
+// under -parallel: each lives on pages the others released, touched one at a
+// time and populated a range at a time, reads its own stores and untouched
+// pages as zero, and in the end the arena holds no more pages than were ever
+// in use at once. (Run under -race: the free list is the
 // only state they share.)
 func TestArenaSharedByConcurrentSpaces(t *testing.T) {
 	const workers, lives, pages = 4, 25, 16
@@ -391,6 +428,15 @@ func TestArenaSharedByConcurrentSpaces(t *testing.T) {
 				for pg := 0; pg < pages; pg++ {
 					s.WriteU64(a+Addr(2*pg)*PageSize, uint64(w)<<32|uint64(pg)+1)
 				}
+				filled := s.AllocPages(pages*PageSize, "filled")
+				s.Populate(filled, pages*PageSize)
+				for pg := 0; pg < pages; pg++ {
+					at := filled + Addr(pg)*PageSize
+					if s.ReadU64(at+PageSize-8) != 0 {
+						t.Errorf("worker %d life %d: populated page %d does not read as zero", w, life, pg)
+					}
+					s.WriteU64(at, uint64(w)<<32|uint64(pg)+1)
+				}
 				for pg := 0; pg < pages; pg++ {
 					at := a + Addr(2*pg)*PageSize
 					snap := s.SnapshotPageInto(PageOf(at), nil)
@@ -400,14 +446,66 @@ func TestArenaSharedByConcurrentSpaces(t *testing.T) {
 							w, life, pg, got, want, untouched, snap[0])
 					}
 					s.Recycle(snap)
+					if got, want := s.ReadU64(filled+Addr(pg)*PageSize), uint64(w)<<32|uint64(pg)+1; got != want {
+						t.Errorf("worker %d life %d: populated page %d reads %#x, want %#x", w, life, pg, got, want)
+					}
 				}
 				s.Release()
 			}
 		}(w)
 	}
 	wg.Wait()
-	// A life holds 2·pages frames and one snapshot.
-	if n := len(arena.free); n == 0 || n > workers*(2*pages+1) {
-		t.Fatalf("the arena ends with %d pages, want at most the %d ever in use at once", n, workers*(2*pages+1))
+	// A life holds 3·pages frames and one snapshot.
+	if n := len(arena.free); n == 0 || n > workers*(3*pages+1) {
+		t.Fatalf("the arena ends with %d pages, want at most the %d ever in use at once", n, workers*(3*pages+1))
+	}
+}
+
+// Populate gives each missing page a frame of exactly one page, len and cap
+// alike, so that no frame reaches its neighbour's bytes through its capacity;
+// the pages the arena has free come first, the rest from one allocation, and
+// a page that had a frame — the space's own or the image's — keeps it.
+func TestPopulateFramesArePageSized(t *testing.T) {
+	src := NewSpace()
+	a := src.AllocPages(2*PageSize, "dataset")
+	src.WriteU64(a, 7) // the image holds page 0 of the two
+	img := src.Freeze()
+	s := NewSpace()
+	s.Attach(img, nil)
+	b := s.AllocPages(8*PageSize, "filled")
+	own := s.Own(PageOf(b) + 2)
+	own[0] = 9
+	for range 3 { // three poisoned pages on the arena's free list
+		s.Recycle(append(make([]byte, 0, PageSize), bytes.Repeat([]byte{0xDB}, PageSize)...))
+	}
+	shared := s.Frame(PageOf(a))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Populate(a, int64(b-a)+8*PageSize)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 1 {
+		t.Fatalf("Populate made %d allocations for the five pages the arena did not have, want 1", n)
+	}
+	if g := s.Frame(PageOf(a)); &g[0] != &shared[0] {
+		t.Fatal("Populate replaced a frame shared with the image")
+	}
+	if g := s.Frame(PageOf(b) + 2); &g[0] != &own[0] || g[0] != 9 {
+		t.Fatal("Populate replaced a frame of the space's own, or its bytes")
+	}
+	for pg := PageOf(a); pg <= PageOf(b)+7; pg++ {
+		f := s.frames[pg]
+		if len(f) != PageSize || cap(f) != PageSize {
+			t.Fatalf("page %d: frame of len %d, cap %d", pg, len(f), cap(f))
+		}
+		if pg != PageOf(a) && pg != PageOf(b)+2 && !bytes.Equal(f, make([]byte, PageSize)) {
+			t.Fatalf("page %d: a populated frame is not zeroed", pg)
+		}
+	}
+	if len(s.arena.free) != 0 {
+		t.Fatalf("%d recycled pages left on the free list, want them used first", len(s.arena.free))
+	}
+	s.Release()
+	if !panics(func() { s.Populate(b, PageSize) }) {
+		t.Fatal("Populate on a released space did not panic")
 	}
 }

@@ -119,19 +119,48 @@ type Arena struct {
 // unless the caller is about to overwrite every byte of it.
 func (a *Arena) get(zeroed bool) []byte {
 	a.mu.Lock()
-	n := len(a.free) - 1
-	if n < 0 {
-		a.mu.Unlock()
+	b := a.pop()
+	a.mu.Unlock()
+	if b == nil {
 		return make([]byte, PageSize)
 	}
-	b := a.free[n]
-	a.free[n] = nil
-	a.free = a.free[:n]
-	a.mu.Unlock()
 	if zeroed {
 		clear(b)
 	}
 	return b
+}
+
+// pop takes the page last put on the free list, or returns nil when the list
+// is empty. The caller holds mu.
+func (a *Arena) pop() []byte {
+	n := len(a.free) - 1
+	if n < 0 {
+		return nil
+	}
+	b := a.free[n]
+	a.free[n] = nil
+	a.free = a.free[:n]
+	return b
+}
+
+// fill gives every nil entry of frames a zeroed page from the free list, as
+// far as the list goes, taking and clearing them under one lock, and returns
+// how many entries it left nil.
+func (a *Arena) fill(frames [][]byte) (left int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i, f := range frames {
+		if f != nil {
+			continue
+		}
+		if b := a.pop(); b != nil {
+			clear(b)
+			frames[i] = b
+		} else {
+			left++
+		}
+	}
+	return left
 }
 
 // put takes back pages nothing reads any more.
@@ -299,26 +328,59 @@ func (s *Space) newFrame(p PageID) []byte {
 	if s.released {
 		panic("mem: access to a released space")
 	}
-	if p >= PageID(len(s.frames)) {
-		// Size the table to the allocation extent (with doubling as a
-		// floor) so touching pages in ascending order grows it O(log n)
-		// times, not once per page.
-		n := int(p) + 1
-		if s.next > spaceBase {
-			if ext := int(PageOf(s.next-1)) + 1; ext > n {
-				n = ext
-			}
-		}
-		if d := 2 * len(s.frames); d > n {
-			n = d
-		}
-		grown := make([][]byte, n)
-		copy(grown, s.frames)
-		s.frames = grown
-	}
+	s.grow(p)
 	f := s.arena.get(true)
 	s.frames[p] = f
 	return f
+}
+
+// grow makes the frame table reach page p. It sizes the table to the
+// allocation extent (with doubling as a floor) so touching pages in ascending
+// order grows it O(log n) times, not once per page.
+func (s *Space) grow(p PageID) {
+	if p < PageID(len(s.frames)) {
+		return
+	}
+	n := int(p) + 1
+	if s.next > spaceBase {
+		if ext := int(PageOf(s.next-1)) + 1; ext > n {
+			n = ext
+		}
+	}
+	if d := 2 * len(s.frames); d > n {
+		n = d
+	}
+	grown := make([][]byte, n)
+	copy(grown, s.frames)
+	s.frames = grown
+}
+
+// Populate gives every page of [a, a+n) that has no frame yet a zeroed frame
+// of the space's own, for a writer about to fill the whole range: pages the
+// arena has free first, the rest cut from one allocation. A page that has a
+// frame keeps it, its own or one it shares with an image. Pages touched one at
+// a time (Frame, Own) still get one frame each, so a sparse structure never
+// holds more than it touches.
+func (s *Space) Populate(a Addr, n int64) {
+	if s.released {
+		panic("mem: access to a released space")
+	}
+	if n <= 0 {
+		return
+	}
+	first, last := PageOf(a), PageOf(a+Addr(n)-1)
+	s.grow(last)
+	span := s.frames[first : last+1]
+	left := s.arena.fill(span)
+	if left == 0 {
+		return
+	}
+	slab := make([]byte, left*PageSize)
+	for i, f := range span {
+		if f == nil {
+			span[i], slab = slab[:PageSize:PageSize], slab[PageSize:]
+		}
+	}
 }
 
 // Frame returns the live backing bytes of page p — a zero-copy borrow of
@@ -391,8 +453,12 @@ func (s *Space) ReadAt(addr Addr, buf []byte) {
 	}
 }
 
-// WriteAt copies buf into the space starting at addr.
+// WriteAt copies buf into the space starting at addr. A span that crosses a
+// page is populated first (Populate), since it fills the pages between.
 func (s *Space) WriteAt(addr Addr, buf []byte) {
+	if !within(addr, len(buf)) {
+		s.Populate(addr, int64(len(buf)))
+	}
 	for len(buf) > 0 {
 		f := s.Own(PageOf(addr))
 		off := int(addr & (PageSize - 1))
