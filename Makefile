@@ -19,16 +19,17 @@ race:
 # own checks. Last, the doc check — every pkg.Name, test name and
 # internal/ or cmd/ path that DESIGN.md, README.md or EXPERIMENTS.md cites
 # must exist in the code — and
-# the field census: every struct field under internal/ and cmd/ must be read
-# by some non-test file, and no two metrics-snapshot names may be written
-# from one variable.
+# the censuses: every exported name under internal/ must have a non-test
+# caller or a surfaceKeep line, every struct field under internal/ and cmd/
+# must be read by some non-test file, and no two metrics-snapshot names may
+# be written from one variable.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/ddclint ./...
 	$(GO) test ./internal/analysis/... ./cmd/ddclint
-	$(GO) test -run 'TestDocsNameOnlyWhatExists|TestEveryFieldIsRead|TestOneSnapshotNamePerVariable' .
+	$(GO) test -run 'TestDocsNameOnlyWhatExists|TestInternalSurfaceHasProductionCallers|TestEveryFieldIsRead|TestOneSnapshotNamePerVariable' .
 
 # Chaos soak: every fault profile × 16 seeds on the chaos workloads,
 # checking answers stay bit-identical to fault-free and same-seed reruns

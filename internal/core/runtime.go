@@ -554,9 +554,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 
 	// ❺–❼ Completion response: status plus any tunnelled exception (§3.2's
 	// C++-exception rethrow carries the exception structure back).
-	resp := netmodel.PushdownResponse{Status: netmodel.StatusOK}
+	var resp netmodel.PushdownResponse
 	if remoteErr != nil {
-		resp.Status = netmodel.StatusException
 		resp.Exception = []byte(remoteErr.Error())
 	}
 	st.Response = p.M.Fabric.Send(t, resp.WireSize(), netmodel.ClassPushdown)

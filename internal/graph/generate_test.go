@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"teleport/internal/ddc"
+	"teleport/internal/mem"
 )
 
 // referenceGenerate is the generator Generate replaced, kept as its oracle:
@@ -39,6 +40,31 @@ func referenceGenerate(p *ddc.Process, cfg GenConfig) (*Graph, *RawGraph) {
 		}
 	}
 	return FromAdjacency(p, adj, wts), &RawGraph{Adj: adj, Weights: wts}
+}
+
+// FromAdjacency loads an explicit adjacency list into disaggregated memory.
+func FromAdjacency(p *ddc.Process, adj [][]int32, wts [][]int32) *Graph {
+	nv := len(adj)
+	ne := 0
+	for _, a := range adj {
+		ne += len(a)
+	}
+	g := newCSR(p, nv, ne)
+	off := int64(0)
+	for u := 0; u < nv; u++ {
+		p.Space.WriteI64(g.offsets+mem.Addr(u*8), off)
+		for k, v := range adj[u] {
+			p.Space.WriteI32(g.edges+mem.Addr(off*4), v)
+			w := int32(1)
+			if wts != nil {
+				w = wts[u][k]
+			}
+			p.Space.WriteI32(g.weights+mem.Addr(off*4), w)
+			off++
+		}
+	}
+	p.Space.WriteI64(g.offsets+mem.Addr(nv*8), off)
+	return g
 }
 
 // spaceImage returns the bytes of every page p's address space spans, in

@@ -143,31 +143,6 @@ func newCSR(p *ddc.Process, nv, ne int) *Graph {
 	return g
 }
 
-// FromAdjacency loads an explicit adjacency list into disaggregated memory.
-func FromAdjacency(p *ddc.Process, adj [][]int32, wts [][]int32) *Graph {
-	nv := len(adj)
-	ne := 0
-	for _, a := range adj {
-		ne += len(a)
-	}
-	g := newCSR(p, nv, ne)
-	off := int64(0)
-	for u := 0; u < nv; u++ {
-		p.Space.WriteI64(g.offsets+mem.Addr(u*8), off)
-		for k, v := range adj[u] {
-			p.Space.WriteI32(g.edges+mem.Addr(off*4), v)
-			w := int32(1)
-			if wts != nil {
-				w = wts[u][k]
-			}
-			p.Space.WriteI32(g.weights+mem.Addr(off*4), w)
-			off++
-		}
-	}
-	p.Space.WriteI64(g.offsets+mem.Addr(nv*8), off)
-	return g
-}
-
 // EdgeRange returns the CSR slice [lo, hi) of u's out-edges.
 func (g *Graph) EdgeRange(env *ddc.Env, u int) (lo, hi int64) {
 	lo = env.ReadI64(g.offsets + mem.Addr(u*8))

@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -12,7 +11,9 @@ import (
 // permissions fragment badly, a dense bitmap — see resident.go), all packed
 // into one message. §6's observation — that compressing the list makes the
 // whole request fit a single RDMA message — is checked against
-// MaxRDMAMessage below.
+// MaxRDMAMessage below. A call sends only the sizes WireSize computes;
+// PushdownRequest.Marshal is the encoder benchmark/'s probes time, and the
+// decoders and the response encoder are oracles in codec_test.go.
 
 // MaxRDMAMessage is the registered RPC buffer size (the LITE-style
 // framework pre-allocates fixed buffers; one message must fit).
@@ -63,73 +64,15 @@ func (r *PushdownRequest) Marshal() ([]byte, error) {
 	return append(buf, MarshalResident(r.Resident)...), nil
 }
 
-// UnmarshalPushdownRequest parses a request.
-func UnmarshalPushdownRequest(buf []byte) (*PushdownRequest, error) {
-	if len(buf) < pushReqFixedBytes {
-		return nil, errors.New("netmodel: short pushdown request")
-	}
-	r := &PushdownRequest{
-		Fn:    binary.LittleEndian.Uint64(buf[0:]),
-		Arg:   binary.LittleEndian.Uint64(buf[8:]),
-		Flags: binary.LittleEndian.Uint32(buf[16:]),
-	}
-	inlineLen := int(binary.LittleEndian.Uint32(buf[20:]))
-	rest := buf[pushReqFixedBytes:]
-	if len(rest) < inlineLen {
-		return nil, errors.New("netmodel: truncated inline argument")
-	}
-	if inlineLen > 0 {
-		r.ArgInline = append([]byte(nil), rest[:inlineLen]...)
-	}
-	runs, err := UnmarshalResident(rest[inlineLen:])
-	if err != nil {
-		return nil, err
-	}
-	r.Resident = runs
-	return r, nil
-}
-
 // PushdownResponse is the completion the memory controller returns (§3.2
-// ❼) for a call that ran to its end: status, an optional
-// rethrown-exception payload. A call that fails before it commits — a
-// blown deadline among them — is reported by the failure notification, not
-// by a response.
+// ❼) for a call that ran to its end: a status word and an optional
+// rethrown-exception payload, whose presence is the status. A call that fails
+// before it commits — a blown deadline among them — is reported by the failure
+// notification, not by a response.
 type PushdownResponse struct {
-	Status    uint32 // 0 = ok, 1 = exception
 	Exception []byte
 }
 
-// Response status codes.
-const (
-	StatusOK uint32 = iota
-	StatusException
-)
-
-// WireSize returns the length of the packed response, len(Marshal()): the
-// status and length words plus the exception.
+// WireSize returns the length of the packed response: the status and length
+// words plus the exception.
 func (r *PushdownResponse) WireSize() int { return 8 + len(r.Exception) }
-
-// Marshal packs the response.
-func (r *PushdownResponse) Marshal() []byte {
-	buf := make([]byte, r.WireSize())
-	binary.LittleEndian.PutUint32(buf[0:], r.Status)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(r.Exception)))
-	copy(buf[8:], r.Exception)
-	return buf
-}
-
-// UnmarshalPushdownResponse parses a response.
-func UnmarshalPushdownResponse(buf []byte) (*PushdownResponse, error) {
-	if len(buf) < 8 {
-		return nil, errors.New("netmodel: short pushdown response")
-	}
-	r := &PushdownResponse{Status: binary.LittleEndian.Uint32(buf[0:])}
-	n := int(binary.LittleEndian.Uint32(buf[4:]))
-	if len(buf) < 8+n {
-		return nil, errors.New("netmodel: truncated exception payload")
-	}
-	if n > 0 {
-		r.Exception = append([]byte(nil), buf[8:8+n]...)
-	}
-	return r, nil
-}

@@ -85,14 +85,18 @@ func TestPushdownRequestSizeLimits(t *testing.T) {
 
 func TestPushdownResponseRoundTrip(t *testing.T) {
 	for _, r := range []*PushdownResponse{
-		{Status: StatusOK},
-		{Status: StatusException, Exception: []byte("segfault at 0x0")},
+		{},
+		{Exception: []byte("segfault at 0x0")},
 	} {
-		got, err := UnmarshalPushdownResponse(r.Marshal())
+		buf := r.Marshal()
+		if len(buf) != r.WireSize() {
+			t.Fatalf("Marshal wrote %d bytes, WireSize says %d", len(buf), r.WireSize())
+		}
+		got, err := UnmarshalPushdownResponse(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Status != r.Status || !bytes.Equal(got.Exception, r.Exception) {
+		if !bytes.Equal(got.Exception, r.Exception) || !bytes.Equal(got.Marshal(), buf) {
 			t.Fatalf("round trip: %+v vs %+v", got, r)
 		}
 	}
@@ -103,6 +107,18 @@ func TestPushdownResponseRoundTrip(t *testing.T) {
 	bad[4] = 0xFF
 	if _, err := UnmarshalPushdownResponse(bad); err == nil {
 		t.Fatal("truncated exception accepted")
+	}
+	// What Marshal cannot write: the struct carries the status only as the
+	// exception's presence, so a decoder that accepted these would drop bytes.
+	for name, buf := range map[string][]byte{
+		"unknown status":           {2, 0, 0, 0, 0, 0, 0, 0},
+		"ok with an exception":     {0, 0, 0, 0, 1, 0, 0, 0, 'x'},
+		"exception without one":    {1, 0, 0, 0, 0, 0, 0, 0},
+		"trailing byte after body": {0, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, err := UnmarshalPushdownResponse(buf); err == nil {
+			t.Errorf("%s: % x accepted", name, buf)
+		}
 	}
 }
 

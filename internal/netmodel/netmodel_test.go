@@ -233,6 +233,11 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalRuns([]byte{1, 0, 0, 0, 9}); err == nil {
 		t.Fatal("truncated run accepted")
 	}
+	flags := AppendRuns(nil, []PageRun{{Start: 3, Count: 1}})
+	flags[len(flags)-1] = 2
+	if _, err := UnmarshalRuns(flags); err == nil {
+		t.Fatal("run flags other than 0 and 1 accepted")
+	}
 }
 
 // Property: encode → decode is the identity on duplicate-free page sets.

@@ -1,9 +1,6 @@
 package netmodel
 
-import (
-	"encoding/binary"
-	"errors"
-)
+import "encoding/binary"
 
 // This file adds the second resident-page-list wire encoding §6 weighs
 // RLE against: a dense permission bitmap over the list's page span. RLE
@@ -98,53 +95,4 @@ func setBitmap(bmp []byte, runs []PageRun) {
 			bmp[off/pagesPerByte] |= bits << (2 * (off % pagesPerByte))
 		}
 	}
-}
-
-// UnmarshalResident parses either resident-list encoding back into
-// canonical (maximally merged, sorted) runs.
-func UnmarshalResident(buf []byte) ([]PageRun, error) {
-	if len(buf) < 4 {
-		return nil, errors.New("netmodel: short resident list")
-	}
-	head := binary.LittleEndian.Uint32(buf)
-	if head&bitmapFlag == 0 {
-		return UnmarshalRuns(buf)
-	}
-	span := uint64(head &^ uint32(bitmapFlag))
-	if span == 0 || len(buf) != bitmapBytes(span) {
-		return nil, errors.New("netmodel: resident bitmap length mismatch")
-	}
-	start := binary.LittleEndian.Uint64(buf[4:])
-	if start+span < start {
-		return nil, errors.New("netmodel: resident bitmap span overflow")
-	}
-	var runs []PageRun
-	for off := uint64(0); off < span; off++ {
-		bits := buf[bitmapFixedBytes+off/pagesPerByte] >> (2 * (off % pagesPerByte)) & 3
-		if bits&1 == 0 {
-			if bits != 0 {
-				return nil, errors.New("netmodel: writable bit on non-resident page")
-			}
-			continue
-		}
-		writable := bits&2 != 0
-		if n := len(runs); n > 0 {
-			last := &runs[n-1]
-			if last.Start+uint64(last.Count) == start+off && last.Writable == writable {
-				last.Count++
-				continue
-			}
-		}
-		runs = append(runs, PageRun{Start: start + off, Count: 1, Writable: writable})
-	}
-	if len(runs) == 0 {
-		return nil, errors.New("netmodel: resident bitmap has no resident pages")
-	}
-	// Reject padding noise in the final partial byte.
-	for off := span; off%pagesPerByte != 0; off++ {
-		if buf[bitmapFixedBytes+off/pagesPerByte]>>(2*(off%pagesPerByte))&3 != 0 {
-			return nil, errors.New("netmodel: resident bitmap padding bits set")
-		}
-	}
-	return runs, nil
 }

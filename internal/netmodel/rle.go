@@ -87,26 +87,6 @@ func AppendRuns(dst []byte, runs []PageRun) []byte {
 	return dst
 }
 
-// UnmarshalRuns parses the on-wire format.
-func UnmarshalRuns(buf []byte) ([]PageRun, error) {
-	if len(buf) < 4 {
-		return nil, errors.New("netmodel: short run list")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if len(buf) != 4+n*runWireBytes {
-		return nil, errors.New("netmodel: run list length mismatch")
-	}
-	runs := make([]PageRun, n)
-	off := 4
-	for i := range runs {
-		runs[i].Start = binary.LittleEndian.Uint64(buf[off:])
-		runs[i].Count = binary.LittleEndian.Uint32(buf[off+8:])
-		runs[i].Writable = buf[off+12] == 1
-		off += runWireBytes
-	}
-	return runs, nil
-}
-
 // RunsWireSize returns the marshalled size without allocating.
 func RunsWireSize(runs []PageRun) int { return 4 + len(runs)*runWireBytes }
 

@@ -23,19 +23,18 @@ import (
 // reason: mem.NewPageTable, PageTable.Ensure/Lookup and PTE.Dirty exist only so
 // the mem.pt_lookup_ns probe has something to time, and ddc.Env.ReadU64s, a
 // loop of ReadU64, only for the ddc.read_batched_ns probe (ROADMAP item 9d).
+// netmodel.PushdownRequest.Marshal and MarshalResident, with the AppendRuns
+// under them, are the wire encoder the netmodel.*_marshal_ns probes time; a
+// call sends only WireSize (ROADMAP item 9c).
 var surfaceKeep = map[string]string{
 	"bench.RunWorkload": "oracle: the single-run entry bench's determinism, chaos and golden tests compare runs through",
 
 	"ddc.Env.Accesses":   "observation point: TestEnvAccessMatchesReference lock-steps the access counters against the reference path",
 	"ddc.Env.WriteBytes": "facade API (teleport.Env, README quickstart): the write half of ReadBytes",
 
-	"fault.Plan.Pin":      "test oracle: puts an outage edge at an exact instant (core boundary/breaker tests, FuzzSchedulePins)",
-	"graph.FromAdjacency": "oracle: the append-built CSR TestGenerateMatchesAppendReference compares Generate against",
+	"fault.Plan.Pin": "test oracle: puts an outage edge at an exact instant (core boundary/breaker tests, FuzzSchedulePins)",
 
-	"netmodel.EncodeRuns":                "oracle: FuzzCacheRuns/TestCacheRunsMatchReference check PageCache.AppendRuns against it",
-	"netmodel.PushdownResponse.Marshal":  "encode half of the response wire format (a call sends only its WireSize): round-trip tests and FuzzUnmarshalPushdownResponse",
-	"netmodel.UnmarshalPushdownRequest":  "decode half of the request wire format: round-trip tests and FuzzUnmarshalPushdownRequest",
-	"netmodel.UnmarshalPushdownResponse": "decode half of the response wire format: round-trip tests and FuzzUnmarshalPushdownResponse",
+	"netmodel.EncodeRuns": "oracle: FuzzCacheRuns/TestCacheRunsMatchReference check PageCache.AppendRuns against it",
 
 	"trace.Ring.CountByKind": "observation point: core, ddc and trace tests count events per kind through it",
 }
@@ -207,8 +206,8 @@ func TestInternalSurfaceHasProductionCallers(t *testing.T) {
 			t.Errorf("surfaceKeep[%q] has no reason", key)
 		}
 	}
-	if len(surfaceKeep) > 30 {
-		t.Errorf("surfaceKeep has %d entries; the budget is 30", len(surfaceKeep))
+	if len(surfaceKeep) > 6 {
+		t.Errorf("surfaceKeep has %d entries; the budget is 6", len(surfaceKeep))
 	}
 
 	// The knob no run can set.
