@@ -124,7 +124,9 @@ profile:
 	@head -30 $(PROFILE_NAME).top.txt
 	@head -30 $(PROFILE_NAME).alloc.txt
 
-# Short fuzz pass over the §6 resident-page-list codec and the pushdown
+# Short fuzz pass over the §6 resident-page-list codec, its run-list and
+# pushdown-response decoders (FuzzUnmarshalRuns, FuzzUnmarshalPushdownResponse:
+# the test-side oracles WireSize is held to), the pushdown
 # request's sizing (WireSize against the marshalled length), the compute cache's
 # run emitter, the Env access path — scalar, byte-range and row-loop (ddc.Rows)
 # operations alike, dilated by PoolDilation and not, in a process that stored
@@ -143,6 +145,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalResident -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalPushdownRequest -fuzztime=10s ./internal/netmodel
+	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalRuns -fuzztime=10s ./internal/netmodel
+	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalPushdownResponse -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzCacheRuns -fuzztime=10s ./internal/ddc
 	$(GO) test -run=^$$ -fuzz=FuzzEnvAccessModel -fuzztime=10s ./internal/ddc
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceImage -fuzztime=10s ./internal/mem

@@ -45,24 +45,21 @@ type admWake struct {
 	err error
 }
 
-// arrive is one request for a context at now: it runs if a context is free;
-// otherwise the waiters whose deadline has passed are cancelled and it joins
-// the queue's tail. It reports whether the request queued.
+// arrive is one request for a context at now: it runs if a context is free,
+// and otherwise joins the queue's tail. It reports whether the request
+// queued.
 func (m *admissionModel) arrive(id int, now, deadline sim.Time) bool {
 	if m.running < m.contexts {
 		m.running++
 		return false
 	}
-	m.expire(now)
 	m.queue = append(m.queue, admWaiter{id: id, arrival: now, deadline: deadline})
 	return true
 }
 
-// release gives a context back at now: the expired waiters are cancelled,
-// then the oldest live waiter starts at now.
+// release gives a context back at now: the oldest waiter starts at now.
 func (m *admissionModel) release(now sim.Time) {
 	m.running--
-	m.expire(now)
 	if len(m.queue) == 0 {
 		return
 	}
@@ -72,16 +69,17 @@ func (m *admissionModel) release(now sim.Time) {
 	m.wakes[w.id] = admWake{at: max(w.arrival, now)}
 }
 
-// expire cancels every waiter whose deadline is before now (try_cancel while
-// queued); each resumes at its deadline with ErrDeadlineExceeded.
-func (m *admissionModel) expire(now sim.Time) {
-	m.queue = slices.DeleteFunc(m.queue, func(w admWaiter) bool {
-		if w.deadline == 0 || now <= w.deadline {
-			return false
-		}
-		m.wakes[w.id] = admWake{at: w.deadline, err: ErrDeadlineExceeded}
-		return true
-	})
+// cancel is a waiter's own timed wake (try_cancel while queued): it leaves
+// the queue and resumes at its deadline with ErrDeadlineExceeded. It reports
+// false if the waiter is not queued or has no deadline.
+func (m *admissionModel) cancel(id int) bool {
+	i := slices.IndexFunc(m.queue, func(w admWaiter) bool { return w.id == id })
+	if i < 0 || m.queue[i].deadline == 0 {
+		return false
+	}
+	m.wakes[id] = admWake{at: m.queue[i].deadline, err: ErrDeadlineExceeded}
+	m.queue = slices.Delete(m.queue, i, i+1)
+	return true
 }
 
 // dilation is §7.3's stretch of pool work with more running contexts than
@@ -148,9 +146,9 @@ func (m *admissionModel) success(who string, now sim.Time, gen uint64) {
 }
 
 // diff compares the Runtime's admission and breaker state, and the trace so
-// far, with the model's; threads maps a model thread id to its simulated
-// thread.
-func (m *admissionModel) diff(rt *Runtime, ring *trace.Ring, threads []*sim.Thread) string {
+// far, with the model's at now, when no waiter may still be queued past its
+// deadline; threads maps a model thread id to its simulated thread.
+func (m *admissionModel) diff(now sim.Time, rt *Runtime, ring *trace.Ring, threads []*sim.Thread) string {
 	if rt.running != m.running {
 		return fmt.Sprintf("running = %d, model %d", rt.running, m.running)
 	}
@@ -159,14 +157,17 @@ func (m *admissionModel) diff(rt *Runtime, ring *trace.Ring, threads []*sim.Thre
 	}
 	var queue []string
 	for _, w := range rt.queue {
-		queue = append(queue, fmt.Sprintf("%s@%v", w.t.Name(), w.deadline))
+		queue = append(queue, w.Name())
 	}
 	var want []string
 	for _, w := range m.queue {
-		want = append(want, fmt.Sprintf("%s@%v", threads[w.id].Name(), w.deadline))
+		if w.deadline > 0 && now > w.deadline {
+			return fmt.Sprintf("%s still queued past its deadline %v", threads[w.id].Name(), w.deadline)
+		}
+		want = append(want, threads[w.id].Name())
 	}
 	if !slices.Equal(queue, want) {
-		return fmt.Sprintf("queue (thread@deadline) = %v, model %v", queue, want)
+		return fmt.Sprintf("queue = %v, model %v", queue, want)
 	}
 	if rt.brState != m.state || rt.brGen != m.gen || rt.brStreak != m.streak || rt.brOpenedAt != m.openedAt {
 		return fmt.Sprintf("breaker state %d gen %d streak %d opened %v, model %d %d %d %v",
@@ -210,18 +211,19 @@ type admCall struct {
 // request is a recoverable failure too) — and the fuzzer chooses the
 // contexts and cores, the policy, arrivals, hold times, deadlines and
 // outcomes. Before and after every step it compares running contexts,
-// PoolDilation, the queue's waiters and deadlines, and the breaker's state,
-// counters and trace events; a request that comes back from acquire must
-// have run or expired with ErrDeadlineExceeded as the model said, at the
-// virtual time it said.
+// PoolDilation, the queue's waiters, and the breaker's state, counters and
+// trace events, and no waiter may still be queued past its deadline. A
+// request that comes back from acquire must have run when the model's
+// release said, or, if the model still has it queued, have been cancelled
+// by its own timed wake: ErrDeadlineExceeded exactly at its deadline.
 func FuzzAdmissionModel(f *testing.F) {
 	// Header: threads, contexts, cores, BreakerThreshold, BreakerCooldown
 	// (×10 µs); then 4 bytes a call: thread (bit 6: fails),
 	// gap, hold and deadline budget, in µs.
 	//
-	// One context held 40 µs by t0; t1 queues at 2 µs with a 10 µs budget,
-	// t2 queues at 20 µs after t1's deadline has passed and must find t1
-	// cancelled, and t3 behind it at 25 µs.
+	// One context held 40 µs by t0; t1 queues at 2 µs with a 10 µs budget
+	// and its own timed wake cancels it at 12 µs, so t2, queueing at 20 µs,
+	// and t3 behind it at 25 µs get the context at 40 and 45 µs.
 	f.Add([]byte{3, 0, 0, 0, 0,
 		0, 0, 40, 0, 1, 2, 5, 10, 2, 20, 5, 0, 3, 25, 5, 0})
 	// Three waiters behind one context: each release hands it to the oldest.
@@ -234,10 +236,11 @@ func FuzzAdmissionModel(f *testing.F) {
 		0x40, 0, 5, 0, 0x40, 0, 5, 0, 0, 1, 5, 0, 0x40, 30, 5, 0, 0, 30, 5, 0, 0, 1, 5, 0})
 	// Four threads on two contexts and one core, threshold 1: t0 and t1 run
 	// at dilation 2·(1+penalty), t2 queues at 1 µs with a 3 µs budget and t3
-	// behind it at 2 µs. The release at 20 µs cancels t2 at its deadline,
-	// whose failure opens the breaker, and hands the context to t3; t2's
-	// half-open probe queues at 14 µs, and t1 and t3 short-circuit while it
-	// runs.
+	// behind it at 2 µs. t2 is cancelled at its 4 µs deadline, and its
+	// failure opens the breaker then; its half-open probe queues at 14 µs.
+	// The releases at 20 µs hand the contexts to t3 and the probe, t1
+	// short-circuits at 23 µs while the probe runs, the probe closes the
+	// breaker at 25 µs, and t3's failing call opens it again at 26 µs.
 	f.Add([]byte{3, 1, 0, 1, 1,
 		0, 0, 20, 0, 1, 0, 20, 0, 2, 1, 5, 3, 3, 2, 5, 0, 2, 10, 5, 0, 0x43, 0, 1, 0, 1, 3, 2, 0})
 	// Threshold 1, a 10 µs cooldown, two threads on two contexts: t0's
@@ -252,6 +255,16 @@ func FuzzAdmissionModel(f *testing.F) {
 	// generation, so it must not close the breaker during the cooldown.
 	f.Add([]byte{1, 1, 0, 1, 10,
 		0x40, 0, 5, 0, 1, 0, 30, 0})
+	// A release on a waiter's exact deadline: t0 holds the one context to
+	// 20 µs, and t1 queues at 5 µs with a 15 µs budget. Both are due at
+	// 20 µs and t0 was spawned first, so its release hands t1 the context.
+	f.Add([]byte{1, 0, 0, 0, 0,
+		0, 0, 20, 0, 1, 5, 5, 15})
+	// The same with the roles swapped: the waiter t0 was spawned first, so
+	// its timed wake at 20 µs cancels it before t1's release, which finds
+	// the queue empty.
+	f.Add([]byte{1, 0, 0, 0, 0,
+		1, 0, 20, 0, 0, 5, 5, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -287,7 +300,11 @@ func FuzzAdmissionModel(f *testing.F) {
 			})
 		}
 
+		// Strict virtual-time order: with a quantum, a release a little past
+		// a waiter's deadline could beat its timed wake, which Pushdown's
+		// checkpoint after acquire catches and these steps do not take.
 		s := sim.NewScheduler()
+		s.SetQuantum(0)
 		threads := make([]*sim.Thread, nThreads)
 		step, failed := 0, false
 		check := func(th *sim.Thread, what string) {
@@ -295,7 +312,7 @@ func FuzzAdmissionModel(f *testing.F) {
 			if failed {
 				return
 			}
-			if d := model.diff(rt, ring, threads); d != "" {
+			if d := model.diff(th.Now(), rt, ring, threads); d != "" {
 				failed = true
 				t.Errorf("step %d (%s at %v, %s): %s", step, th.Name(), th.Now(), what, d)
 			}
@@ -328,12 +345,11 @@ func FuzzAdmissionModel(f *testing.F) {
 					err := rt.acquire(th, deadline)
 					want := admWake{at: now}
 					if queued {
-						w, ok := model.wakes[id]
-						if !ok {
-							mismatch(th, "acquire returned %v, but the model still has the request queued", err)
+						if _, granted := model.wakes[id]; !granted && !model.cancel(id) {
+							mismatch(th, "acquire returned %v, but the model has no release or deadline for the request", err)
 						}
+						want = model.wakes[id]
 						delete(model.wakes, id)
-						want = w
 					}
 					if !errors.Is(err, want.err) || th.Now() != want.at {
 						mismatch(th, "acquire = %v at %v, model %v at %v", err, th.Now(), want.err, want.at)

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"teleport/internal/ddc"
@@ -194,9 +196,8 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 
 // A queued request whose budget has run out leaves the workqueue at its
 // deadline: with a 10 ms call holding the one context, A queues at 10 µs
-// with a 1 ms budget and is cancelled at that budget once B, arriving
-// unbudgeted at 2 ms, meets the full pool; B waits for the context and runs
-// after the long call.
+// with a 1 ms budget and is cancelled at that budget, before B arrives
+// unbudgeted at 2 ms; B waits for the context and runs after the long call.
 func TestExpiredWaiterFreesQueueSlot(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
 	p := m.NewProcess()
@@ -227,6 +228,47 @@ func TestExpiredWaiterFreesQueueSlot(t *testing.T) {
 	}
 	if errB != nil {
 		t.Fatalf("B: err = %v, want a pushdown after the long call", errB)
+	}
+}
+
+// A queued request is cancelled at its deadline, before anything later
+// happens: t0 holds the only context to 100 µs, t1 queues at 0 with a 5 µs
+// deadline, and t1's acquire must return ErrDeadlineExceeded at 5 µs, ahead
+// of t2's event at 50 µs and of t0's release.
+func TestQueuedDeadlineCancelsOnTime(t *testing.T) {
+	_, rt := testProc(16)
+	var order []string
+	s := sim.NewScheduler()
+	s.Spawn("t0", 0, func(th *sim.Thread) {
+		if err := rt.acquire(th, 0); err != nil {
+			t.Errorf("t0 acquire: %v", err)
+		}
+		th.Advance(100 * sim.Microsecond)
+		order = append(order, fmt.Sprintf("t0 released at %v", th.Now()))
+		rt.release(th)
+	})
+	s.Spawn("t1", 0, func(th *sim.Thread) {
+		err := rt.acquire(th, 5*sim.Microsecond)
+		order = append(order, fmt.Sprintf("t1 %v at %v", err, th.Now()))
+		if err == nil {
+			rt.release(th)
+		}
+	})
+	s.Spawn("t2", 0, func(th *sim.Thread) {
+		th.Advance(50 * sim.Microsecond)
+		order = append(order, fmt.Sprintf("t2 at %v", th.Now()))
+	})
+	s.Run()
+	want := []string{
+		fmt.Sprintf("t1 %v at %v", ErrDeadlineExceeded, 5*sim.Microsecond),
+		fmt.Sprintf("t2 at %v", 50*sim.Microsecond),
+		fmt.Sprintf("t0 released at %v", 100*sim.Microsecond),
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+	if len(rt.queue) != 0 || rt.running != 0 {
+		t.Fatalf("after the run: %d queued, %d running, want 0 and 0", len(rt.queue), rt.running)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"teleport/internal/ddc"
 	"teleport/internal/fault"
@@ -64,7 +65,7 @@ type Runtime struct {
 
 	running int
 	lastID  int64 // id of the most recently started call
-	queue   []*waiter
+	queue   []*sim.Thread
 	downObs bool // last heartbeat observation, for crash/recover trace edges
 	agg     RuntimeStats
 
@@ -119,12 +120,6 @@ func (r *Runtime) getScratch() *callScratch {
 }
 
 func (r *Runtime) putScratch(scr *callScratch) { r.scratch = append(r.scratch, scr) }
-
-type waiter struct {
-	t         *sim.Thread
-	deadline  sim.Time // the call's Policy.Deadline instant; 0 = none
-	cancelled bool
-}
 
 // NewRuntime returns a TELEPORT runtime for p with the given number of
 // memory-pool user contexts.
@@ -744,58 +739,33 @@ func (r *Runtime) postSync(t *sim.Thread, opts Options, eagerPages []mem.PageID)
 	}
 }
 
-// acquire waits for a free memory-pool user context, honouring, while
-// queued, the call's deadline (deadlineAt, 0 = none). The deadline is
-// enforced late: nothing wakes the pool at it, so a waiter past it is
-// cancelled only when a later call meets a full pool here or a context is
-// released (expire), and it then resumes at its old deadline.
+// acquire waits for a free memory-pool user context. A request still queued
+// at the call's deadline (deadlineAt, 0 = none) is cancelled there
+// (try_cancel): it leaves the queue and resumes at the deadline.
 func (r *Runtime) acquire(t *sim.Thread, deadlineAt sim.Time) error {
 	if r.running < r.Contexts {
 		r.setRunning(r.running + 1)
 		return nil
 	}
-	r.expire(t.Now())
-	w := &waiter{t: t, deadline: deadlineAt}
-	r.queue = append(r.queue, w)
-	t.Block()
-	if w.cancelled {
+	r.queue = append(r.queue, t)
+	if !t.BlockUntil(deadlineAt) {
+		i := slices.Index(r.queue, t)
+		r.queue = slices.Delete(r.queue, i, i+1)
 		return ErrDeadlineExceeded
 	}
 	return nil
 }
 
-// expire cancels the waiters whose deadline had passed by now, so the
-// queue holds only requests that may still start: the request was still
-// queued at its deadline, so try_cancel succeeded and the compute side
-// resumes at the deadline. It runs only from acquire and release, so now
-// may be long after that deadline, and other threads may have run past it
-// in the meantime; a timed wake at the deadline needs one from the
-// scheduler, which internal/sim does not offer.
-func (r *Runtime) expire(now sim.Time) {
-	live := r.queue[:0]
-	for _, w := range r.queue {
-		if w.deadline > 0 && now > w.deadline {
-			w.cancelled = true
-			w.t.Unblock(w.deadline)
-			continue
-		}
-		live = append(live, w)
-	}
-	r.queue = live
-}
-
-// release frees the caller's user context and hands it to the next waiter
-// that has not expired.
+// release frees the caller's user context and hands it to the oldest waiter.
 func (r *Runtime) release(t *sim.Thread) {
 	r.setRunning(r.running - 1)
-	r.expire(t.Now())
 	if len(r.queue) == 0 {
 		return
 	}
 	w := r.queue[0]
 	r.queue = r.queue[1:]
 	r.setRunning(r.running + 1)
-	w.t.Unblock(t.Now())
+	w.Unblock(t.Now())
 }
 
 // setRunning sets how many user contexts run, and with it the process's

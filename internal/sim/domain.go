@@ -42,8 +42,7 @@ type domain struct {
 	outbox []mail // cross-domain wakes produced this window
 	outSeq int    // per-domain send counter (mail sort tie-break)
 
-	nLive    int // spawned and not yet done
-	nBlocked int // currently blocked (deadlock accounting)
+	nLive int // spawned and not yet done
 
 	maxFinish Time  // max clock of retired threads
 	switches  int64 // baton handoffs (see Scheduler.Switches)
@@ -235,18 +234,19 @@ func (s *Scheduler) collectMail() {
 // retained). Mail for a target that has not blocked yet — it was still
 // ready or running when the message "arrived" — stays pending until a
 // barrier finds it blocked; the wake time is max(block time, arrival), the
-// same rendezvous a real receive would produce.
+// same rendezvous a real receive would produce. Mail that arrives after a
+// timed block's wake time waits too: the wake comes first.
 func (s *Scheduler) deliverMail() {
 	if len(s.pending) == 0 {
 		return
 	}
 	kept := s.pending[:0]
 	for _, m := range s.pending {
-		switch m.to.state {
-		case stateBlocked:
-			s.unblock(m.to, m.at)
-		case stateDone:
-			panic("sim: Post to finished thread " + m.to.name)
+		switch u := m.to; {
+		case u.state == stateDone:
+			panic("sim: Post to finished thread " + u.name)
+		case u.state == stateBlocked && (u.hpos < 0 || m.at <= u.now):
+			s.unblock(u, m.at)
 		default:
 			kept = append(kept, m)
 		}

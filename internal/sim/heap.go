@@ -27,19 +27,19 @@ func (d *domain) peek() *Thread {
 	return d.heap[0]
 }
 
-// pop removes and returns the furthest-behind ready thread.
-func (d *domain) pop() *Thread {
-	t := d.heap[0]
-	last := len(d.heap) - 1
-	d.heap[0] = d.heap[last]
-	d.heap[0].hpos = 0
+// remove takes t out of the domain's ready heap: the last entry fills its
+// slot and sifts to its place.
+func (d *domain) remove(t *Thread) {
+	i, last := t.hpos, len(d.heap)-1
+	moved := d.heap[last]
 	d.heap[last] = nil
 	d.heap = d.heap[:last]
-	if last > 0 {
-		d.siftDown(0)
-	}
 	t.hpos = -1
-	return t
+	if i < last {
+		d.heap[i] = moved
+		d.siftDown(i)
+		d.siftUp(moved.hpos)
+	}
 }
 
 func (d *domain) siftUp(i int) {

@@ -114,29 +114,39 @@ func (d *domain) finish(t *Thread) {
 // candidate for itself only through heap order). The baton goes directly to
 // the next runnable thread inside the window — one channel send — or back
 // to the domain driver when none remains. Unless done, the caller then
-// parks until some thread (or the driver) passes the baton back.
+// parks until some thread (or the driver) passes the baton back, and stop
+// returns the state it was resumed from: stateBlocked when nothing unblocked
+// it, so a timed block's wake time came first. A timed block whose wake time
+// is the domain's next event resumes the thread at once, without a handoff.
 //
 // All heap and state mutations happen before the channel send, and after
 // sending the stopping thread only receives on its own resume channel (or
 // returns), so the happens-before chain runs entirely through channel
 // operations.
-func (d *domain) stop(t *Thread, ready, done bool) {
+func (d *domain) stop(t *Thread, ready, done bool) threadState {
 	if ready {
 		t.state = stateReady
 		d.push(t)
 	}
-	d.switches++
-	if n := d.peek(); n != nil && n.now < d.horizon {
-		d.pop()
-		n.resume <- struct{}{}
+	n := d.peek()
+	if n == t && t.now < d.horizon {
+		d.remove(t)
 	} else {
-		d.wake <- struct{}{}
+		d.switches++
+		if n != nil && n.now < d.horizon {
+			d.remove(n)
+			n.resume <- struct{}{}
+		} else {
+			d.wake <- struct{}{}
+		}
+		if done {
+			return stateDone
+		}
+		<-t.resume
 	}
-	if done {
-		return
-	}
-	<-t.resume
+	from := t.state
 	t.state = stateRunning
+	return from
 }
 
 // Run drives all spawned threads to completion and returns the maximum
@@ -191,7 +201,7 @@ func (d *domain) runWindow(h Time) {
 	if n == nil || n.now >= h {
 		return
 	}
-	d.pop()
+	d.remove(n)
 	n.resume <- struct{}{}
 	<-d.wake
 }
@@ -215,23 +225,32 @@ func (s *Scheduler) maybeYield(t *Thread) {
 	d.stop(t, true, false)
 }
 
-// block parks t until some other thread unblocks it.
-func (s *Scheduler) block(t *Thread) {
+// block parks t until some other thread unblocks it or, with until > 0,
+// until its clock reaches until, whichever comes first: the thread then
+// waits in the ready heap at until, keeping its own clock in held. It
+// reports whether it was unblocked.
+func (s *Scheduler) block(t *Thread, until Time) bool {
 	t.state = stateBlocked
-	t.dom.nBlocked++
-	t.dom.stop(t, false, false)
+	if until > 0 {
+		t.held = t.now
+		t.now = max(t.now, until)
+		t.dom.push(t)
+	}
+	return t.dom.stop(t, false, false) != stateBlocked
 }
 
-// unblock makes u runnable with its clock advanced to at least `at`.
+// unblock makes u runnable with its clock advanced to at least `at`; a timed
+// block leaves the heap slot of its wake time and resumes from its own clock.
 func (s *Scheduler) unblock(u *Thread, at Time) {
 	if u.state != stateBlocked {
 		panic(fmt.Sprintf("sim: unblock of non-blocked thread %s", u.name))
 	}
-	if at > u.now {
-		u.now = at
+	if u.hpos >= 0 {
+		u.dom.remove(u)
+		u.now = u.held
 	}
+	u.now = max(u.now, at)
 	u.state = stateReady
-	u.dom.nBlocked--
 	u.dom.push(u)
 }
 

@@ -11,8 +11,9 @@ type Thread struct {
 	sched *Scheduler
 
 	// Scheduler bookkeeping (nil scheduler ⇒ unused).
-	index  int // global spawn index: the deterministic tie-break
-	hpos   int // position in the domain's ready heap (-1 = not queued)
+	index  int  // global spawn index: the deterministic tie-break
+	hpos   int  // position in the domain's ready heap (-1 = not queued)
+	held   Time // a timed block's own clock while it waits at its wake time
 	state  threadState
 	dom    *domain // owning execution domain
 	resume chan struct{}
@@ -87,11 +88,19 @@ func (t *Thread) AdvanceNs(ns float64) { t.Advance(FromNs(ns)) }
 // domain) or Post (any domain). The thread's clock is advanced to the
 // wake-up time supplied by the unblocker. Block panics on a standalone
 // thread (nothing could ever wake it).
-func (t *Thread) Block() {
+func (t *Thread) Block() { t.BlockUntil(0) }
+
+// BlockUntil is Block with a wake time: if no Unblock or Post comes first,
+// the scheduler wakes the thread at until (or at once, if its clock is
+// already past it), in virtual-time order with every other thread, and
+// BlockUntil returns false with the clock at until. An Unblock or Post that
+// comes first resumes it at its blocked clock or the wake-up time, whichever
+// is later, and BlockUntil returns true. until 0 means no wake time.
+func (t *Thread) BlockUntil(until Time) bool {
 	if t.sched == nil {
 		panic("sim: Block on standalone thread " + t.name)
 	}
-	t.sched.block(t)
+	return t.sched.block(t, until)
 }
 
 // Unblock marks a blocked thread runnable again, with its clock advanced to
